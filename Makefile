@@ -4,14 +4,15 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint check bench bench-expr bench-fusion bench-session bench-shard bench-federated bench-recovery bench-tenancy
+.PHONY: test lint check bench bench-expr bench-fusion bench-session bench-shard bench-federated bench-recovery bench-tenancy ledger ledger-compare
 
 ## Tier-1 verification: the full unit/integration suite.
 test:
 	$(PYTHON) -m pytest -x -q
 
 ## Engine-invariant linter: snapshot/restore pairing, push_batch
-## punctuation safety and package layering over src/repro.
+## punctuation safety, package layering and the one frame boundary
+## (RA904) over src/repro.
 lint:
 	$(PYTHON) -m repro.analysis --self
 
@@ -57,3 +58,18 @@ bench-recovery:
 ## BENCH_tenancy.json). Also runs at smoke scale as part of `check`.
 bench-tenancy:
 	$(PYTHON) -m pytest benchmarks/bench_tenancy.py -q -s
+
+## The layered performance ledger (benchmarks/ledger/README.md): every
+## workload end to end, one child process each. LEDGER_OUT names the
+## result file, LEDGER_ARGS adds flags, e.g.
+##   make ledger LEDGER_OUT=ledger-out/change.json LEDGER_ARGS="--workloads xchg_pool4,standing7_proc2 --repeat 3"
+LEDGER_OUT ?= ledger-out/run.json
+ledger:
+	$(PYTHON) -m benchmarks.ledger run --out $(LEDGER_OUT) $(LEDGER_ARGS)
+
+## Compare two ledger result files (the parent's, then the change's);
+## exits non-zero on a regression beyond a metric's BENCHMARK.json bound.
+##   make ledger-compare A=ledger-out/base.json B=ledger-out/change.json
+ledger-compare:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make ledger-compare A=base.json B=change.json"; exit 2; }
+	$(PYTHON) -m benchmarks.ledger compare $(A) $(B)

@@ -102,8 +102,12 @@ def main() -> None:
     # 6. Scale out: the same surface over a sharded engine pool. Rows
     #    hash-partition by the declared key; partition-safe queries
     #    (keyed windows, key-aligned joins, filter/project chains) run
-    #    one replica per shard with merged results, and anything else
-    #    transparently falls back to one designated engine.
+    #    one replica per shard with merged results, shapes a shuffle
+    #    can fix are exchanged mid-plan (section 12), and anything else
+    #    transparently falls back to one designated engine. There is
+    #    one pool; how it reaches its shards is a channel: direct calls
+    #    into engines in this process here, worker processes in
+    #    section 11.
     with connect(shards=4) as session:
         session.attach(
             StreamSource("Readings", READINGS, rate=2.0, partition_by="room")
@@ -263,15 +267,18 @@ def main() -> None:
         for diagnostic in federated.diagnostics:
             print(f"  {diagnostic.render()}")
 
-    # 11. Process workers: the same pool surface, one OS process per
-    #     shard — connect(shards=N, workers="process") ships each
-    #     partition-safe query to the workers as SQL text and feeds
-    #     them value-tuple batches over bounded queues, so on a
-    #     multi-core host ingest scales with cores instead of sharing
-    #     the GIL. Checkpoints and failover compose: a dead worker is
-    #     restored from the latest barrier. On platforms without
-    #     multiprocessing the session degrades to the in-process pool
-    #     and session.explain carries an RA313 diagnostic.
+    # 11. Process workers: the same pool over the other channel, one
+    #     OS process per shard — connect(shards=N, workers="process")
+    #     ships each partition-safe or exchanged query to the workers
+    #     as SQL text and feeds them value-tuple batches over bounded
+    #     queues, so on a multi-core host ingest scales with cores
+    #     instead of sharing the GIL. Routing, the shuffle barrier,
+    #     checkpoints and failover are the very code section 6 ran: a
+    #     dead (or hung) worker is restored from the latest barrier.
+    #     On platforms without multiprocessing the session degrades to
+    #     the in-process channel and session.explain carries an RA313
+    #     diagnostic. session.stats()["pool"] reads the same on both;
+    #     ["workers"] adds the transport's own counters.
     with connect(shards=4, workers="process", checkpoint_interval=30.0) as session:
         session.attach(
             StreamSource("Readings", READINGS, rate=2.0, partition_by="room")
@@ -329,6 +336,11 @@ def main() -> None:
             session.punctuate(20.0)
             for row in sorted(counts, key=lambda r: r["h.room"]):
                 print(f"  {row['h.room']}: n={row['n']}")
+            shuffle = session.stats()["pool"]["exchange"]
+            print(
+                f"  shuffle: {shuffle['rows_delivered']} partial rows over "
+                f"{shuffle['barrier_rounds']} barrier round(s)"
+            )
 
 
 if __name__ == "__main__":

@@ -25,16 +25,19 @@ by ``make lint`` / ``make check``):
   sensor substrate optional); a new top-level edge outside the
   whitelist is a layering break.
 
-* **RA904 — worker boundary pickle safety.** Shard worker processes
-  (:mod:`repro.stream.procshard`) import engine modules fresh and
-  exchange only plain tuples over queues. Two statically checkable
-  invariants keep that boundary sound: modules on the worker import
-  path (the layers a worker transitively imports) must not construct
-  engine/session singletons at module top level — each process would
-  duplicate them, and fork/spawn would disagree — and modules that use
-  ``multiprocessing`` must not enqueue lambdas or bound
-  methods/attributes (closures are unpicklable or, worse, drag a
-  parent engine across the boundary).
+* **RA904 — the one frame boundary.** Shard worker processes are
+  reached through exactly one transport
+  (:class:`~repro.stream.procshard.FramedChannel`); everything above it
+  is transport-agnostic. Three statically checkable invariants keep
+  that boundary single and sound: at most **one** module under
+  ``src/repro`` imports ``multiprocessing``; every frame that module
+  puts on a queue is a **plain tuple** (a tuple literal at the call
+  site, or a name bound to one — never a lambda, a bound
+  method/attribute or any other expression: closures are unpicklable
+  or, worse, drag a parent engine across the boundary); and modules on
+  the worker import path (the layers a worker transitively imports)
+  must not construct engine/session singletons at module top level —
+  each process would duplicate them, and fork/spawn would disagree.
 """
 
 from __future__ import annotations
@@ -298,7 +301,7 @@ def _check_layering(modules: dict[str, ast.Module], out: list[Diagnostic]) -> No
 # RA904: pickle-safe worker boundary
 # ----------------------------------------------------------------------
 #: Layers a shard worker process transitively imports (procshard's
-#: worker main builds a Catalog, PlanBuilder and StreamEngine): a
+#: worker main builds a Catalog, PlanBuilder and ShardHost): a
 #: module-level engine singleton here would be duplicated per process.
 WORKER_IMPORT_LAYERS = frozenset(
     {"catalog", "data", "errors", "plan", "runtime", "sql", "stream"}
@@ -322,13 +325,20 @@ _ENGINE_SINGLETON_CALLS = frozenset(
 def _check_worker_boundary(
     modules: dict[str, ast.Module], out: list[Diagnostic]
 ) -> None:
+    transports = [rel for rel, tree in modules.items() if _imports_multiprocessing(tree)]
+    for rel in transports[1:]:
+        out.append(
+            diag(
+                "RA904",
+                ERROR,
+                f"{rel} imports multiprocessing, but {transports[0]} already "
+                "is the frame boundary; a second transport belongs behind "
+                "the same ShardChannel verbs in that one module",
+                operator=f"{rel}:1",
+            )
+        )
     for rel, tree in modules.items():
-        layer = _module_layer(rel)
-        on_worker_path = layer in WORKER_IMPORT_LAYERS
-        uses_mp = _imports_multiprocessing(tree)
-        if not on_worker_path and not uses_mp:
-            continue
-        if on_worker_path:
+        if _module_layer(rel) in WORKER_IMPORT_LAYERS:
             for node in tree.body:
                 if not isinstance(node, (ast.Assign, ast.AnnAssign)):
                     continue
@@ -348,29 +358,36 @@ def _check_worker_boundary(
                             operator=f"{rel}:{node.lineno}",
                         )
                     )
-        if uses_mp:
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.Call):
+        if rel not in transports:
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if not (
+                isinstance(func, ast.Attribute)
+                and func.attr in ("put", "put_nowait")
+            ):
+                continue
+            for arg in node.args[:1]:  # the frame being enqueued
+                if isinstance(arg, (ast.Tuple, ast.Name)):
                     continue
-                func = node.func
-                if not (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in ("put", "put_nowait")
-                ):
-                    continue
-                for arg in node.args[:1]:  # the frame being enqueued
-                    if isinstance(arg, (ast.Lambda, ast.Attribute)):
-                        out.append(
-                            diag(
-                                "RA904",
-                                ERROR,
-                                "queue frame is a "
-                                f"{'lambda' if isinstance(arg, ast.Lambda) else 'bound attribute'}; "
-                                "frames crossing the worker boundary must be "
-                                "plain tuples/dataclasses of picklable values",
-                                operator=f"{rel}:{node.lineno}",
-                            )
-                        )
+                if isinstance(arg, ast.Lambda):
+                    what = "lambda"
+                elif isinstance(arg, ast.Attribute):
+                    what = "bound attribute"
+                else:
+                    what = "non-tuple expression"
+                out.append(
+                    diag(
+                        "RA904",
+                        ERROR,
+                        f"queue frame is a {what}; frames crossing the "
+                        "worker boundary must be plain tuples of "
+                        "picklable values",
+                        operator=f"{rel}:{node.lineno}",
+                    )
+                )
 
 
 def _imports_multiprocessing(tree: ast.Module) -> bool:

@@ -135,8 +135,9 @@ class ProcessShardBackend(ShardedStreamBackend):
     """Process-parallel continuous queries: one worker OS process per
     shard (``connect(shards=N, workers="process")``).
 
-    Routing-compatible with the in-process pool; the only behavioral
-    addition is the *shippability* gate: workers receive plan **text**
+    The same pool as :class:`ShardedStreamBackend`, constructed over
+    the framed-queue channel; the only behavioral addition is the
+    *shippability* gate: workers receive plan **text**
     (never pickled plan objects), so a plan is shipped only when
     recompiling the query's SQL reproduces it exactly. Federated
     residuals, prepared statements with bound parameters and recursive

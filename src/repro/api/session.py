@@ -762,8 +762,12 @@ class Session:
         ``analysis="off"``, plus the session's ``mode``), and the
         catalog schema epoch the cache keys against.
 
-        Under ``connect(workers="process")`` an extra ``"workers"``
-        entry reports the process-transport counters: worker count,
+        Under ``connect(shards=N)`` a ``"pool"`` entry carries the
+        pool's own ``engine.stats()`` (elements routed, owner-cache
+        counters, and the shuffle's ``exchange`` counters — identical
+        whichever way the shards are reached); under
+        ``connect(workers="process")`` an extra ``"workers"`` entry
+        reports the process-transport counters: worker count,
         queue-depth high-water mark, batches flushed by size / timeout /
         barrier, rows and batches shipped, and worker restarts.
         """
@@ -774,9 +778,11 @@ class Session:
             "analysis": dict(self._analysis_counters, mode=self._analysis_mode),
             "schema_epoch": self.catalog.schema_epoch,
         }
-        worker_stats = getattr(self.engine, "worker_stats", None)
-        if worker_stats is not None:
-            out["workers"] = worker_stats()
+        if hasattr(self.engine, "shard_count"):
+            out["pool"] = self.engine.stats()
+            workers = self.engine.worker_stats()
+            if workers:
+                out["workers"] = workers
         return out
 
     def _forget_cursor(self, cursor: Cursor) -> None:

@@ -2,12 +2,14 @@
 
 Three failure modes drive the recovery subsystem end to end:
 
-* :func:`kill_shard` / :func:`kill_fallback` — crash one engine of a
-  :class:`~repro.stream.sharded.ShardedStreamEngine` pool (window and
-  join state lost); failover restores it from the attached
-  :class:`~repro.stream.checkpoint.CheckpointCoordinator`.
-  :func:`kill_worker` is the process-pool analogue: SIGKILL one worker
-  process of a :class:`~repro.stream.procshard.ProcessShardEngine`.
+* :func:`kill_shard` / :func:`kill_fallback` — crash one shard (or the
+  fallback engine) of a :class:`~repro.stream.sharded.ShardedStreamEngine`
+  pool (window and join state lost); failover restores it from the
+  attached :class:`~repro.stream.checkpoint.CheckpointCoordinator`.
+  Over worker processes (:class:`~repro.stream.procshard.
+  ProcessShardEngine`) the same call SIGKILLs the shard's process —
+  :func:`kill_worker` is its older name — and :func:`hang_worker`
+  SIGSTOPs it instead: alive, but never answering again.
 * :func:`kill_mote` — deplete a mote's battery mid-run; the sensor
   engine reports the death and the federated backend re-partitions
   around the corpse.
@@ -23,6 +25,7 @@ convention), so one seed reproduces one failure schedule exactly.
 from __future__ import annotations
 
 import random
+import signal
 
 from repro.errors import SensorNetworkError
 
@@ -30,24 +33,23 @@ from repro.errors import SensorNetworkError
 def kill_shard(pool, index: int):
     """Crash shard ``index`` of a sharded engine pool.
 
-    Returns the dead engine. Recovery happens lazily: the next ingest
-    routed to the shard (or the next pool ``punctuate``) restores a
-    fresh engine from the latest checkpoint and the replay-log suffix.
+    Returns the corpse (the dead engine, or the dead worker process).
+    Recovery happens lazily: the next ingest routed to the shard (or
+    the next pool ``punctuate``) restores a fresh one from the latest
+    checkpoint and the replay-log suffix.
     """
-    engine = pool.engines[index]
-    pool.fail_shard(index)
-    return engine
+    return pool.fail_shard(index)
 
 
-def kill_worker(pool, index: int):
-    """SIGKILL worker process ``index`` of a process-shard pool
-    (:class:`~repro.stream.procshard.ProcessShardEngine`).
+kill_worker = kill_shard
 
-    Returns the dead process. Recovery is lazy, like :func:`kill_shard`:
-    the next ingest or punctuate finds the corpse and restores a fresh
-    worker from the latest barrier plus the replay-log suffix.
-    """
-    return pool.fail_worker(index)
+
+def hang_worker(pool, index: int):
+    """SIGSTOP worker process ``index`` of a process-shard pool: it
+    stays alive but stops answering. The pool's ack wait gives up at
+    its deadline, kills the process and takes the ordinary failover
+    path. Returns the (stopped) process."""
+    return pool.fail_shard(index, signal.SIGSTOP)
 
 
 def kill_fallback(pool):

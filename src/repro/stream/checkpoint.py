@@ -19,9 +19,9 @@ provides the recovery spine:
   recompiles each checkpointed plan (compilation is deterministic, so
   operator order matches the snapshot positionally), loads state, and
   replays only the **log suffix since the barrier**; the sharded pool's
-  failover (:meth:`ShardedStreamEngine._recover_shard`) does the same
-  per shard, deduplicating re-derived emissions against the merge
-  coordinator's forwarded counts.
+  failover (:meth:`ShardedStreamEngine._recover`) does the same per
+  shard through the shard's channel, deduplicating re-derived emissions
+  against the merge coordinator's forwarded counts.
 
 Snapshots share :class:`StreamElement` objects (immutable by
 convention) and copy only the mutable containers, so a barrier costs
@@ -31,6 +31,7 @@ pays serialization only when explicitly chosen.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import pickle
 from collections import deque
@@ -260,6 +261,12 @@ class CheckpointCoordinator:
 
     def on_punctuation(self, watermark: float, sources=None) -> None:
         self.log.append(("punct", None, watermark, sources))
+        self.barrier(watermark)
+
+    def barrier(self, watermark: float) -> None:
+        """Checkpoint when the interval elapsed. The pool logs its
+        punctuation *ahead* of the broadcast (a shard that dies inside
+        the barrier recovers by replaying it) and calls this after."""
         if self.interval is None:
             return
         if self._last_barrier is None or watermark >= self._last_barrier + self.interval:
@@ -274,15 +281,10 @@ class CheckpointCoordinator:
         """
         log_seq = self.log.next_seq
         checkpoint_id = next(self._ids)
-        build = getattr(self.engine, "build_checkpoint", None)
-        if build is not None:
-            # Engines whose replicas the coordinator cannot introspect
-            # (process-worker pools) assemble their own barrier.
-            checkpoint = build(checkpoint_id, watermark, log_seq)
-        elif hasattr(self.engine, "shard_count"):
-            checkpoint = _snapshot_pool(self.engine, checkpoint_id, watermark, log_seq)
-        else:
-            checkpoint = _snapshot_engine(self.engine, checkpoint_id, watermark, log_seq)
+        snapshot = (
+            _snapshot_pool if hasattr(self.engine, "shard_count") else _snapshot_engine
+        )
+        checkpoint = snapshot(self.engine, checkpoint_id, watermark, log_seq)
         self.store.save(checkpoint)
         self.log.prune_through(log_seq)
         self.checkpoints_taken += 1
@@ -314,14 +316,33 @@ class CheckpointCoordinator:
                 "no checkpoint to recover from — set an interval or call "
                 "checkpoint() at least once before the failure"
             )
-        suffix = self.log.suffix(checkpoint.log_seq)
-        handles = self.engine.restore(checkpoint, replay=suffix)
+        tables, suffix = self.replay_plan(checkpoint)
+        handles = self.engine.restore(
+            dataclasses.replace(checkpoint, tables=tables), replay=suffix
+        )
         self.note_replay("engine", checkpoint.log_seq, len(suffix))
         return handles
 
-    def suffix_since(self, checkpoint) -> list[tuple]:
-        from_seq = checkpoint.log_seq if checkpoint is not None else 0
-        return self.log.suffix(from_seq)
+    def replay_plan(self, checkpoint) -> tuple[dict, list[tuple]]:
+        """What a recovery seeds and replays: the barrier's tables and
+        the log suffix since it (the whole log when ``checkpoint`` is
+        None), with ``("drop", ...)`` records already applied — a table
+        dropped since the barrier is neither seeded nor are its earlier
+        loads replayed (its source may have left the catalog)."""
+        suffix = self.log.suffix(checkpoint.log_seq if checkpoint is not None else 0)
+        dropped: set[str] = set()
+        kept = []
+        for entry in reversed(suffix):
+            if entry[0] == "drop":
+                dropped.add(entry[2].lower())
+            elif entry[0] != "table" or entry[2].lower() not in dropped:
+                kept.append(entry)
+        kept.reverse()
+        tables = checkpoint.tables if checkpoint is not None else {}
+        return (
+            {n: list(e) for n, e in tables.items() if n.lower() not in dropped},
+            kept,
+        )
 
     def note_replay(self, target: Any, from_seq: int, entries: int) -> None:
         self.last_replay = {
@@ -356,11 +377,16 @@ def restore_operators(handle, states: list[dict]) -> None:
         operator.state_restore(state)
 
 
+def snapshot_operators(handle) -> list[dict]:
+    """Barrier state of every operator of one compiled replica."""
+    return [op.state_snapshot() for op in handle.compiled.operators]
+
+
 def _snapshot_engine(engine, checkpoint_id, watermark, log_seq) -> EngineCheckpoint:
     queries = [
         QueryCheckpoint(
             plan=handle.plan,
-            operators=[op.state_snapshot() for op in handle.compiled.operators],
+            operators=snapshot_operators(handle),
             sink=snapshot_sink(handle.sink),
             shared=handle.shared,
         )
@@ -378,55 +404,31 @@ def _snapshot_engine(engine, checkpoint_id, watermark, log_seq) -> EngineCheckpo
 
 
 def _snapshot_pool(pool, checkpoint_id, watermark, log_seq) -> PoolCheckpoint:
+    """Assemble the pool barrier from each host's ``snapshot`` verb
+    (``{query_id: (states, shared)}, chains`` per shard and for the
+    fallback) plus the parent-side merge and shuffle counters."""
+    shards, (fallback_states, fallback_chains) = pool.snapshot_hosts()
     handles: dict[int, HandleCheckpoint] = {}
     for query_id, handle in pool._handles.items():
-        exchange = None
-        if getattr(handle, "exchanged", False):
-            replicas = [
-                {
-                    "s1": [
-                        [op.state_snapshot() for op in replica.compiled.operators]
-                        for replica in handle.stage1[index]
-                    ],
-                    "s2": (
-                        [
-                            op.state_snapshot()
-                            for op in handle.stage2[index].compiled.operators
-                        ]
-                        if handle.stage2[index] is not None
-                        else None
-                    ),
-                }
-                for index in range(len(handle.stage1))
-            ]
-            merge_counts = list(handle.coordinator.counts)
-            exchange = handle.exchange.snapshot()
-        elif handle.partitioned:
-            replicas = [
-                [op.state_snapshot() for op in inner.compiled.operators]
-                for inner in handle.inner
-            ]
-            merge_counts = list(handle.coordinator.counts)
+        if handle.partitioned:
+            replicas = [states[query_id] for states, _ in shards]
         else:
-            replicas = [
-                [op.state_snapshot() for op in handle.inner[0].compiled.operators]
-            ]
-            merge_counts = None
+            replicas = [fallback_states[query_id]]
         sink = handle.sink
+        collecting = isinstance(sink, CollectingConsumer)
         handles[query_id] = HandleCheckpoint(
             plan=handle.plan,
             partitioned=handle.partitioned,
-            replicas=replicas,
-            merge_counts=merge_counts,
-            sink_len=len(sink.elements) if isinstance(sink, CollectingConsumer) else 0,
-            sink_punct_len=(
-                len(sink.punctuations) if isinstance(sink, CollectingConsumer) else 0
-            ),
-            shared=[inner.shared for inner in handle.inner],
-            exchange=exchange,
+            replicas=[states for states, _ in replicas],
+            merge_counts=handle.coordinator.counts if handle.partitioned else None,
+            sink_len=len(sink.elements) if collecting else 0,
+            sink_punct_len=len(sink.punctuations) if collecting else 0,
+            shared=[shared for _, shared in replicas],
+            exchange=handle.exchange.snapshot() if handle.exchanged else None,
         )
     tables = {
-        name: list(elements) for name, elements in pool._engines[0]._tables.items()
+        name: list(elements)
+        for name, elements in pool.fallback_engine._tables.items()
     }
     return PoolCheckpoint(
         checkpoint_id,
@@ -434,6 +436,6 @@ def _snapshot_pool(pool, checkpoint_id, watermark, log_seq) -> PoolCheckpoint:
         log_seq,
         tables,
         handles,
-        shard_chains=[engine.subplans.snapshot_chains() for engine in pool._engines],
-        fallback_chains=pool._fallback.subplans.snapshot_chains(),
+        shard_chains=[chains for _, chains in shards],
+        fallback_chains=fallback_chains,
     )

@@ -210,6 +210,9 @@ class StreamEngine:
         """Forget a stored table's contents (Session.detach). The name is
         matched case-insensitively; unknown names are a no-op so detach
         stays symmetric even when nothing was ever loaded."""
+        if self.checkpointer is not None and not self._replaying:
+            # Recovery must not replay loads of a table dropped later.
+            self.checkpointer.record(("drop", None, name))
         for key in list(self._tables):
             if key.lower() == name.lower():
                 del self._tables[key]
@@ -634,6 +637,8 @@ class StreamEngine:
         elif kind == "table":
             _, _, name, rows, timestamp = entry
             self.load_table(name, rows, timestamp)
+        elif kind == "drop":
+            self.drop_table(entry[2])
         elif kind == "xdeliver":
             # Recorded exchange delivery: the rows other shards shuffled
             # here. Replayed verbatim (the live shards do not re-derive
@@ -648,7 +653,8 @@ class StreamEngine:
             raise ExecutionError(f"unknown replay-log entry kind {kind!r}")
 
     # ------------------------------------------------------------------
-    def _coerce_row(self, schema, row: Row | Mapping[str, Any]) -> Row:
+    @staticmethod
+    def _coerce_row(schema, row: Row | Mapping[str, Any]) -> Row:
         if isinstance(row, Row):
             if row.schema is schema:  # hot path: wrappers reuse the catalog schema
                 return row

@@ -1,53 +1,47 @@
-"""Process-parallel shard workers: the pool as wall-clock speedup.
+"""The framed-queue shard channel: one worker OS process per shard.
 
-:class:`~repro.stream.sharded.ShardedStreamEngine` proved the
-partition/merge protocol but runs every shard in one interpreter, so
-the GIL caps it at single-core throughput. :class:`ProcessShardEngine`
-keeps the pool's entire contract — partition routing, the min-watermark
-merge coordinator, fallback execution of partition-unsafe plans,
-checkpoint barriers and failover — and moves the shard replicas into
-one OS process per shard:
+:class:`~repro.stream.sharded.ShardedStreamEngine` runs every shard in
+one interpreter over :class:`~repro.stream.channel.LoopbackChannel`, so
+the GIL caps it at single-core throughput. :class:`FramedChannel`
+implements the same :mod:`~repro.stream.channel` verbs against a
+:class:`~repro.stream.channel.ShardHost` living in a worker process —
+the pool above it (routing, merge, shuffle barrier, checkpoints,
+failover) is the same code — and :class:`ProcessShardEngine` is merely
+the pool constructed over it:
 
-* **Plan text ships, never closures.** A partition-safe query is sent
-  to each worker as its normalized SQL text; the worker recompiles the
-  replica locally through the ordinary
-  :class:`~repro.plan.PlanBuilder` → ``StreamEngine.execute`` path.
-  Plans that did not come verbatim from SQL (federated residuals,
-  prepared statements with baked parameters) run on the in-parent
-  fallback engine exactly like partition-unsafe plans.
-* **Bounded batched channels.** Ingest rows are coerced in the parent
-  (errors surface at the call site, as on a single engine), then
-  buffered per worker as plain value tuples and flushed as one
-  ``("data", ...)`` frame when the buffer reaches
-  :attr:`QueueConfig.max_batch_size` rows, when the oldest buffered row
-  exceeds :attr:`QueueConfig.flush_timeout`, or at a barrier
-  (punctuation / table load / checkpoint). The input queue is bounded
-  (:attr:`QueueConfig.max_queue_size` frames) for backpressure; the
-  output queue is unbounded so a worker never blocks shipping results
-  while the parent blocks feeding it. This is the exemplar
-  ``QueueConfig``/``DataChannel`` shape from ray-streaming, collapsed
-  to the synchronous driver this engine is.
-* **Punctuation is a control frame.** ``punctuate`` flushes every
-  channel, broadcasts a sequenced ``("punct", ...)`` frame, and blocks
-  for each worker's ack. Queue FIFO guarantees every emission for the
-  boundary is drained into the merge coordinator before the ack, so
-  merged-sink contents per punctuation segment are byte-identical to
-  the in-process pool.
-* **Checkpoints and failover flow through the queues.** The attached
-  :class:`~repro.stream.checkpoint.CheckpointCoordinator` calls
-  :meth:`ProcessShardEngine.build_checkpoint`, which collects each
-  worker's per-query operator snapshots over a request/response frame
-  into the ordinary :class:`~repro.stream.checkpoint.PoolCheckpoint`.
-  A dead worker process (detected at ingest or punctuate) is replaced
-  by a fresh process restored from the latest barrier: tables seeded,
-  queries re-executed muted, operator state restored, the replay-log
-  suffix re-shipped, and re-derived emissions deduplicated against the
-  merge coordinator's forwarded counts — the same protocol as
-  ``ShardedStreamEngine._recover_shard``.
+* **Plan text ships, never closures.** ``admit`` sends the query's SQL
+  text; the worker recompiles the replica locally through the ordinary
+  :class:`~repro.plan.PlanBuilder` → ``StreamEngine.execute`` path
+  (``ships_plans`` is False: plans that did not come verbatim from SQL —
+  federated residuals, prepared statements with baked parameters — run
+  on the pool's in-parent fallback engine like partition-unsafe plans).
+  The parent constructs no shard engine and keeps no shard table copy.
+* **Bounded batched frames.** ``ingest`` coerces rows in the parent
+  (errors surface at the call site, as on a single engine), buffers
+  them as plain value tuples and flushes one ``("data", ...)`` frame per
+  source at :data:`MAX_BATCH_ROWS` rows, when the oldest buffered row
+  is :data:`FLUSH_TIMEOUT_S` old, or ahead of any control frame. The
+  input queue is bounded (:data:`MAX_QUEUE_FRAMES`) for backpressure;
+  the output queue is unbounded so a worker never blocks shipping
+  results while the parent blocks feeding it.
+* **Barriers are acked frames.** ``punctuate`` and ``deliver`` send a
+  sequenced frame (buffered rows ride inside the punctuation) and
+  return; ``settle`` blocks for the ack in the one wait loop
+  (:meth:`FramedChannel._await`). Queue FIFO puts every emission for
+  the boundary ahead of — or inside — its ack, so what reaches the
+  parent-side feeds per punctuation segment is byte-identical to the
+  loopback channel. The wait has one overall deadline
+  (:data:`ACK_DEADLINE_S`): a worker that hangs instead of dying is
+  killed and reported dead like any other.
+* **Death is one exception.** A missing process, a broken pipe or an
+  expired deadline all raise :class:`~repro.stream.channel.ShardDied`
+  from the verb that noticed; the pool fails the shard over through
+  ``respawn`` / ``seed`` / ``admit`` / ``restore`` and replays its log.
 
-Everything crossing the process boundary is a plain tuple of
-picklable values (enforced by the ``RA904`` engine-invariant lint):
-no engine references, no closures, no bound methods. The bulky
+Everything crossing the process boundary is a plain tuple of picklable
+values (the ``RA904`` engine-invariant lint: this is the one module
+that may import ``multiprocessing``, and every frame it enqueues is a
+tuple): no engine references, no closures, no bound methods. The bulky
 payloads — value-tuple batches and emission runs — are pre-encoded
 with :mod:`marshal` (2–4× faster than pickle for all-scalar containers;
 both queue ends are the same interpreter, so marshal's
@@ -61,15 +55,15 @@ import gc
 import itertools
 import marshal
 import multiprocessing
+import os
 import queue
+import signal
 import time
 import traceback
-from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Callable
 
 from repro.catalog import Catalog
 from repro.data.streams import (
-    CollectingConsumer,
     Punctuation,
     StreamElement,
     elements_from_columns,
@@ -78,24 +72,27 @@ from repro.data.tuples import Row
 from repro.data.windows import WindowSpec
 from repro.errors import ExecutionError
 from repro.plan import PlanBuilder
-from repro.plan.logical import LogicalOp
-from repro.stream.checkpoint import (
-    FALLBACK,
-    HandleCheckpoint,
-    PoolCheckpoint,
-    restore_operators,
-)
+from repro.stream.channel import ShardDied, ShardHost
 from repro.stream.compiler import DEFAULT_STREAM_WINDOW
 from repro.stream.engine import QueryHandle, StreamEngine
-from repro.stream.partition import build_exchange, partition_safe
-from repro.stream.sharded import (
-    ShardedQueryHandle,
-    ShardedStreamEngine,
-    _ExchangeState,
-    _MergeCoordinator,
-    _pool_query_ids,
-    _ShardFeed,
-)
+from repro.stream.partition import build_exchange
+from repro.stream.sharded import ShardedStreamEngine
+
+#: Input-queue bound in *frames*; a full queue backpressures ingest.
+MAX_QUEUE_FRAMES = 64
+#: Rows buffered per worker before a size flush.
+MAX_BATCH_ROWS = 4096
+#: Seconds the oldest buffered row may wait before the next ingest call
+#: forces a flush (the driver is synchronous, so staleness is checked
+#: on touch, not by a timer thread).
+FLUSH_TIMEOUT_S = 0.05
+#: Frames a worker drains per wakeup before shipping its accumulated
+#: emissions (amortizes output-queue traffic).
+PREFETCH_FRAMES = 8
+#: Overall bound on one ack wait or one blocked queue put. Past it the
+#: worker is hung, not slow: it is killed and the shard reported dead.
+ACK_DEADLINE_S = 30.0
+_POLL_S = 0.25
 
 
 def _pack(payload):
@@ -134,165 +131,104 @@ def usable_start_method() -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class QueueConfig:
-    """Transport tuning for the parent→worker data channels.
+# ----------------------------------------------------------------------
+# Parent side
+# ----------------------------------------------------------------------
+class FramedChannel:
+    """The :mod:`~repro.stream.channel` verbs as frames to one worker
+    process. Also the parent's view of the remote engine (``engine`` is
+    the channel itself): ``elements_ingested`` counts rows accepted for
+    the shard, ``failed`` mirrors the process's liveness.
 
-    Attributes:
-        max_queue_size: Input-queue bound in *frames*; a full queue
-            backpressures the parent's ingest call.
-        max_batch_size: Rows buffered per worker before a size flush.
-        flush_timeout: Seconds the oldest buffered row may wait before
-            the next ingest call forces a timeout flush (the driver is
-            synchronous, so staleness is checked on touch, not by a
-            timer thread).
-        prefetch: Frames a worker drains per wakeup before shipping its
-            accumulated emissions (amortizes output-queue traffic).
+    Emissions come back as column runs and are decoded into the feeds
+    the pool handed to ``admit`` / ``admit_exchanged`` — parent-side
+    objects, so merge counts and failover dedup never leave the pool.
     """
 
-    max_queue_size: int = 64
-    max_batch_size: int = 4096
-    flush_timeout: float = 0.05
-    prefetch: int = 8
+    ships_plans = False
 
-
-class WorkerDied(ExecutionError):
-    """Internal: a queue operation found the worker process dead."""
-
-    def __init__(self, index: int):
-        super().__init__(f"shard worker {index} died")
+    def __init__(self, index, catalog, default_window, share_plans, ctx):
         self.index = index
+        self._catalog = catalog
+        self._worker_args = (share_plans, default_window)
+        self._ctx = ctx
+        #: Transport counters; they out-live worker restarts.
+        self.transport = {
+            "queue_depth_hwm": 0,
+            "batches_by_size": 0,
+            "batches_by_timeout": 0,
+            "batches_by_barrier": 0,
+            "rows_shipped": 0,
+            "batches_shipped": 0,
+            "restarts": 0,
+        }
+        self.elements_ingested = 0
+        self._seqs = itertools.count(1)
+        self._spawn()
 
-
-def _fresh_worker_stats() -> dict[str, int]:
-    return {
-        "queue_depth_hwm": 0,
-        "batches_by_size": 0,
-        "batches_by_timeout": 0,
-        "batches_by_barrier": 0,
-        "rows_shipped": 0,
-        "batches_shipped": 0,
-        "restarts": 0,
-    }
-
-
-class _Worker:
-    """Parent-side handle: one worker process + its channel buffers.
-
-    The data channel buffers ``(values, stamp)`` pairs per source and
-    flushes them as one frame by size, staleness, or barrier; counters
-    land in the pool-owned ``stats`` dict, which out-lives worker
-    restarts.
-    """
-
-    __slots__ = (
-        "index", "process", "inq", "outq", "config", "stats",
-        "epoch", "closed", "_rows", "_stamps", "_oldest",
-    )
-
-    def __init__(self, index, process, inq, outq, config, stats):
-        self.index = index
-        self.process = process
-        self.inq = inq
-        self.outq = outq
-        self.config = config
-        self.stats = stats
-        self.epoch: int | None = None  # catalog epoch last shipped
-        self.closed = False
+    def _spawn(self) -> None:
+        self.inq = self._ctx.Queue(MAX_QUEUE_FRAMES)
+        self.outq = self._ctx.Queue()
+        self.process = self._ctx.Process(
+            target=_worker_main,
+            args=(self.index, self.inq, self.outq, *self._worker_args),
+            daemon=True,
+            name=f"repro-shard-{self.index}",
+        )
+        self.process.start()
+        self._epoch: int | None = None  # catalog epoch last shipped
+        #: The ack the newest frame sent will answer (None: it asked
+        #: for none) — receiving it proves the worker is caught up.
+        self._awaiting: int | None = None
+        #: query id -> (feed, result schema) / stage-1 deposit feeds.
+        self._feeds: dict[int, tuple] = {}
+        self._xfeeds: dict[int, list] = {}
         self._rows: dict[str, list[tuple]] = {}
         self._stamps: dict[str, list[float]] = {}
+        self._buffered = 0
         self._oldest: float | None = None
 
+    # -- lifecycle ------------------------------------------------------
     @property
-    def alive(self) -> bool:
-        return not self.closed and self.process.is_alive()
+    def engine(self) -> "FramedChannel":
+        return self
 
-    # -- data channel ---------------------------------------------------
-    def buffer(self, source: str, values: list[tuple], stamps: list[float]) -> None:
-        self._rows.setdefault(source, []).extend(values)
-        self._stamps.setdefault(source, []).extend(stamps)
-        now = time.monotonic()
-        if self._oldest is None:
-            self._oldest = now
-        if sum(len(rows) for rows in self._rows.values()) >= self.config.max_batch_size:
-            self.flush("size")
-        elif now - self._oldest >= self.config.flush_timeout:
-            self.flush("timeout")
+    @property
+    def failed(self) -> bool:
+        return not self.process.is_alive()
 
-    def flush(self, reason: str = "barrier") -> None:
-        if self._oldest is None:
-            return
-        stats = self.stats
-        for source, rows in self._rows.items():
-            if not rows:
-                continue
-            self.put(("data", source, _pack((rows, self._stamps[source]))))
-            stats["rows_shipped"] += len(rows)
-            stats["batches_shipped"] += 1
-            stats["batches_by_" + reason] += 1
-        self._rows = {}
-        self._stamps = {}
-        self._oldest = None
+    def _live(self) -> None:
+        if not self.process.is_alive():
+            raise ShardDied(self.index)
 
-    def take_buffered(self) -> list[tuple[str, list[tuple], list[float]]]:
-        """Drain the channel buffers for piggybacking on a barrier frame.
+    def kill(self, sig=None):
+        """Signal the worker process (SIGKILL unless ``sig`` says
+        otherwise — SIGSTOP makes it hang). Returns the process."""
+        process = self.process
+        if process.is_alive():
+            os.kill(process.pid, signal.SIGKILL if sig is None else sig)
+            if sig is None:
+                process.join()
+        return process
 
-        Counts the drained batches exactly as :meth:`flush` would — the
-        rows just ride inside the punctuation frame instead of paying
-        for a queue put of their own.
-        """
-        if self._oldest is None:
-            return []
-        stats = self.stats
-        payload = []
-        for source, rows in self._rows.items():
-            if not rows:
-                continue
-            payload.append((source, rows, self._stamps[source]))
-            stats["rows_shipped"] += len(rows)
-            stats["batches_shipped"] += 1
-            stats["batches_by_barrier"] += 1
-        self._rows = {}
-        self._stamps = {}
-        self._oldest = None
-        return payload
-
-    def discard_buffered(self) -> None:
-        """Drop buffered rows (recovery: the replay log re-ships them)."""
-        self._rows = {}
-        self._stamps = {}
-        self._oldest = None
-
-    # -- raw frame transport --------------------------------------------
-    def put(self, frame) -> None:
-        try:
-            depth = self.inq.qsize()
-        except (NotImplementedError, OSError):
-            depth = 0
-        if depth > self.stats["queue_depth_hwm"]:
-            self.stats["queue_depth_hwm"] = depth
-        while True:
-            try:
-                self.inq.put(frame, timeout=0.5)
-                return
-            except queue.Full:
-                if not self.process.is_alive():
-                    raise WorkerDied(self.index) from None
+    def respawn(self) -> None:
+        # Emissions the dead worker shipped before dying are real
+        # results: forward them so the forwarded counts (failover's
+        # dedup anchor) include them. Buffered rows are dropped — they
+        # are in the replay log, and failover re-ships that.
+        self._drain()
+        self.close()
+        self.transport["restarts"] += 1
+        self._spawn()
 
     def close(self) -> None:
-        """Terminate the process and release both queues. Idempotent."""
-        if self.closed:
-            return
-        self.closed = True
+        """Terminate the process and release both queues."""
         process = self.process
         if process.is_alive():
             try:
-                self.inq.put_nowait(("shutdown",))
+                self.inq.put_nowait(("shutdown", None))
             except Exception:
                 pass
-            process.join(timeout=2.0)
-        if process.is_alive():
-            process.terminate()
             process.join(timeout=2.0)
         if process.is_alive():
             process.kill()
@@ -304,9 +240,218 @@ class _Worker:
             except Exception:
                 pass
 
+    # -- verbs ----------------------------------------------------------
+    def admit(self, handle, feed, share) -> None:
+        self._feeds[handle.query_id] = (feed, handle.plan.schema)
+        self._control(("execute", None, handle.query_id, handle.sql, share))
+
+    def admit_exchanged(self, handle, feeds, stage2_feed) -> None:
+        # The worker rebuilds the exchange recipe locally: same SQL,
+        # same keys and same token give the identical stage-1/stage-2
+        # split and port names the parent computed.
+        self._xfeeds[handle.query_id] = feeds
+        if stage2_feed is not None:
+            self._feeds[handle.query_id] = (stage2_feed, handle.plan.schema)
+        self._control(
+            ("xexec", None, handle.query_id, handle.sql, handle.exchange.keys,
+             stage2_feed is not None)
+        )
+
+    def stop(self, query_id) -> None:
+        self._feeds.pop(query_id, None)
+        self._xfeeds.pop(query_id, None)
+        self._control(("stop", None, query_id))
+
+    def ingest(self, source, rows, stamps) -> None:
+        self._live()
+        entry = self._catalog.source(source)
+        schema = entry.schema
+        coerce = StreamEngine._coerce_row
+        values = [
+            (row if (type(row) is Row and row.schema is schema) else coerce(schema, row)).values
+            for row in rows
+        ]
+        if isinstance(stamps, (int, float)):
+            stamps = [float(stamps)] * len(values)
+        self.elements_ingested += len(values)
+        self._awaiting = None
+        self._rows.setdefault(entry.name, []).extend(values)
+        self._stamps.setdefault(entry.name, []).extend(stamps)
+        self._buffered += len(values)
+        now = time.monotonic()
+        if self._oldest is None:
+            self._oldest = now
+        if self._buffered >= MAX_BATCH_ROWS:
+            self._flush("size")
+        elif now - self._oldest >= FLUSH_TIMEOUT_S:
+            self._flush("timeout")
+        self._drain()
+
+    def ingest_remote(self, name, values, timestamp) -> None:
+        raise ExecutionError(
+            "remote-fragment plans carry no SQL text, so they never run "
+            "behind a channel that cannot ship plans"
+        )
+
+    def punctuate(self, watermark, sources) -> None:
+        self._live()
+        # Buffered rows ride inside the barrier frame: one queue put
+        # instead of a data put plus a punctuation put.
+        batches = _pack(self._take("barrier"))
+        self._put(("punct", next(self._seqs), watermark, sources, batches))
+
+    def deliver(self, runs, puncts) -> None:
+        self._control(("xdel", next(self._seqs), _pack(runs), puncts))
+
+    def settle(self) -> None:
+        if self._awaiting is None:
+            self._control(("sync", next(self._seqs)))
+        self._await()
+
+    def load_table(self, name, rows, timestamp) -> None:
+        entry = self._catalog.source(name)
+        coerce = StreamEngine._coerce_row
+        values = [coerce(entry.schema, row).values for row in rows]
+        self._control(("table", None, entry.name, values, timestamp))
+        self._drain()
+
+    def drop_table(self, name) -> None:
+        self._control(("drop", None, name))
+
+    def seed(self, tables) -> None:
+        if tables:
+            seed = {
+                name: [(element.row.values, element.timestamp) for element in elements]
+                for name, elements in tables.items()
+            }
+            self._control(("seed", None, seed))
+
+    def restore(self, states, chains) -> None:
+        self._control(("restore", None, states, chains))
+
+    def snapshot(self) -> tuple[dict, dict]:
+        return self._request("checkpoint")
+
+    def sharing_stats(self) -> dict:
+        return self._request("stats")
+
+    # -- frames out -----------------------------------------------------
+    def _take(self, reason: str) -> list[tuple[str, list[tuple], list[float]]]:
+        """Drain the row buffers into ``(source, values, stamps)``
+        batches, counted under ``reason``."""
+        if self._oldest is None:
+            return []
+        batches = [(source, rows, self._stamps[source]) for source, rows in self._rows.items()]
+        transport = self.transport
+        transport["rows_shipped"] += self._buffered
+        transport["batches_shipped"] += len(batches)
+        transport["batches_by_" + reason] += len(batches)
+        self._rows = {}
+        self._stamps = {}
+        self._buffered = 0
+        self._oldest = None
+        return batches
+
+    def _flush(self, reason: str = "barrier") -> None:
+        for source, rows, stamps in self._take(reason):
+            self._put(("data", None, source, _pack((rows, stamps))))
+
+    def _control(self, frame: tuple) -> None:
+        """Send a control frame behind everything it must follow: the
+        current catalog (workers resolve sources and recompile SQL
+        against it) and the rows buffered so far."""
+        self._live()
+        epoch = self._catalog.schema_epoch
+        if self._epoch != epoch:
+            self._put(("catalog", None, self._catalog))
+            self._epoch = epoch
+        self._flush()
+        self._put(frame)
+
+    def _request(self, kind: str):
+        self._control((kind, next(self._seqs)))
+        return self._await()[3]
+
+    def _put(self, frame: tuple) -> None:
+        self._awaiting = frame[1]
+        try:
+            depth = self.inq.qsize()
+        except (NotImplementedError, OSError):
+            depth = 0
+        if depth > self.transport["queue_depth_hwm"]:
+            self.transport["queue_depth_hwm"] = depth
+        deadline = time.monotonic() + ACK_DEADLINE_S
+        while True:
+            try:
+                self.inq.put(frame, timeout=2 * _POLL_S)
+                return
+            except queue.Full:
+                self._check(deadline)
+
+    def _check(self, deadline: float) -> None:
+        """Between polls of a blocked wait: a dead worker, or a hung
+        one past the deadline (which is then killed), ends the wait."""
+        if self.process.is_alive():
+            if time.monotonic() < deadline:
+                return
+            self.kill()
+        raise ShardDied(self.index)
+
+    # -- frames in ------------------------------------------------------
+    def _await(self) -> tuple:
+        """The one ack-wait loop: drain the worker's output (forwarding
+        emissions into the feeds) until the ack of the newest frame."""
+        seq = self._awaiting
+        deadline = time.monotonic() + ACK_DEADLINE_S
+        while True:
+            try:
+                frame = self.outq.get(timeout=_POLL_S)
+            except queue.Empty:
+                self._check(deadline)
+                continue
+            except (EOFError, OSError):
+                raise ShardDied(self.index) from None
+            if self._on_frame(frame) and frame[1] == seq:
+                self._awaiting = None
+                return frame
+
+    def _drain(self) -> None:
+        while True:
+            try:
+                frame = self.outq.get_nowait()
+            except (queue.Empty, EOFError, OSError):
+                return
+            self._on_frame(frame)
+
+    def _on_frame(self, frame: tuple) -> bool:
+        """Forward one frame's emissions; True when it is an ack."""
+        kind = frame[0]
+        if kind == "error":
+            raise ExecutionError(f"shard worker {self.index} failed:\n{frame[1]}")
+        if kind == "xout":
+            for query_id, ordinal, values, stamps in _unpack(frame[2]):
+                feeds = self._xfeeds.get(query_id)
+                if feeds is not None:  # else: stopped with deposits in flight
+                    feeds[ordinal].push_run(values, stamps)
+            return False
+        # ("out", None, emissions) and ("ack", seq, emissions, reply)
+        for query_id, items in _unpack(frame[2]):
+            entry = self._feeds.get(query_id)
+            if entry is None:
+                continue  # query stopped while emissions were in flight
+            feed, schema = entry
+            batch: list = []
+            for item in items:
+                if item[0] == "p":
+                    batch.append(Punctuation(item[1]))
+                else:
+                    batch += elements_from_columns(schema, item[1], item[2], item[3])
+            feed.push_batch(batch)
+        return kind == "ack"
+
 
 # ----------------------------------------------------------------------
-# Worker process
+# Worker side
 # ----------------------------------------------------------------------
 class _FrameSink:
     """Terminal consumer inside a worker: records emissions as plain
@@ -385,48 +530,46 @@ def _adopt_catalog(catalog: Catalog, shipped: Catalog) -> None:
 
 def _take_emissions(queries: dict[int, QueryHandle]) -> list[tuple]:
     payload = []
-    for wq_id, handle in queries.items():
+    for query_id, handle in queries.items():
         items = handle.sink.take()
         if items:
-            payload.append((wq_id, items))
+            payload.append((query_id, items))
     return payload
 
 
-def _ship_xdeposits(outq, xstage1: dict[int, list]) -> None:
-    """Ship pending stage-1 exchange emissions as one ``("xout", ...)``
-    frame: ``(query_id, ordinal, values, stamps)`` runs in emission
-    order. The parent routes them into the query's shuffle buffers;
-    punctuations are dropped (exchange watermarks travel through the
-    pool's barrier, not through stage-1 pipelines)."""
-    payload = []
-    for qid, handles in xstage1.items():
-        for ordinal, handle in enumerate(handles):
+def _ship(outq, host: ShardHost, seq=None, reply=None) -> None:
+    """Ship the host's pending emissions: stage-1 exchange output as one
+    ``("xout", ...)`` frame of ``(query_id, ordinal, values, stamps)``
+    runs (punctuations dropped — exchange watermarks travel through the
+    pool's barrier), then every query's output — inside the ack when
+    ``seq`` asks for one (the parent is already blocked on it), else as
+    one ``("out", ...)`` frame. One frame for all queries: every put
+    costs a pickle, a feeder-thread wakeup and a pipe write."""
+    deposits = []
+    for query_id, replicas in host.stage1.items():
+        for ordinal, replica in enumerate(replicas):
             values: list[tuple] = []
             stamps: list[float] = []
-            for item in handle.sink.take():
+            for item in replica.sink.take():
                 if item[0] == "e":
                     values += item[2]
                     stamps += item[3]
             if values:
-                payload.append((qid, ordinal, values, stamps))
-    if payload:
-        outq.put(("xout", _pack(payload)))
+                deposits.append((query_id, ordinal, values, stamps))
+    if deposits:
+        outq.put(("xout", None, _pack(deposits)))
+    emissions = _take_emissions(host.queries)
+    if seq is not None:
+        outq.put(("ack", seq, _pack(emissions), reply))
+    elif emissions:
+        outq.put(("out", None, _pack(emissions)))
 
 
-def _ship_emissions(outq, queries: dict[int, QueryHandle]) -> None:
-    # One frame for all queries' pending emissions: every put costs a
-    # pickle, a feeder-thread wakeup and a pipe write, so per-query
-    # frames would multiply the transport's fixed cost by the number of
-    # standing queries.
-    payload = _take_emissions(queries)
-    if payload:
-        outq.put(("out", _pack(payload)))
+def _worker_main(index, inq, outq, share_plans, default_window) -> None:
+    """One shard worker: a :class:`ShardHost` driven entirely by frames
+    ``(kind, seq, *args)``; a frame with a ``seq`` is acked once done.
 
-
-def _worker_main(index, inq, outq, share_plans, default_window, prefetch) -> None:
-    """One shard worker: a plain StreamEngine driven entirely by frames.
-
-    The engine, catalog and plan builder are constructed *here* — the
+    The host, catalog and plan builder are constructed *here* — the
     worker import path carries no parent engine state (RA904), so fork
     and spawn start methods behave identically.
     """
@@ -438,179 +581,89 @@ def _worker_main(index, inq, outq, share_plans, default_window, prefetch) -> Non
     gc.disable()
     catalog = Catalog()
     builder = PlanBuilder(catalog)
-    engine = StreamEngine(catalog, None, default_window, share_plans)
-    queries: dict[int, QueryHandle] = {}
-    #: Exchanged queries' stage-1 replicas, per pool query id. Their
-    #: emissions ship as ("xout", ...) deposit frames, never as query
-    #: output; the stage-2 replica (when this worker hosts one) lives
-    #: in ``queries`` under the same id, so its output merges normally.
-    xstage1: dict[int, list[QueryHandle]] = {}
+    host = ShardHost(index, catalog, None, default_window, share_plans)
+    engine = host.engine
     running = True
     while running:
         frames = [inq.get()]
-        while len(frames) < prefetch:
+        while len(frames) < PREFETCH_FRAMES:
             try:
                 frames.append(inq.get_nowait())
             except queue.Empty:
                 break
         for frame in frames:
-            kind = frame[0]
+            kind, seq = frame[0], frame[1]
+            reply = None
             try:
                 if kind == "data":
-                    values, stamps = _unpack(frame[2])
-                    engine.push_values(frame[1], values, stamps)
+                    values, stamps = _unpack(frame[3])
+                    engine.push_values(frame[2], values, stamps)
                 elif kind == "punct":
-                    for src, vals, stmps in _unpack(frame[4]):
-                        engine.push_values(src, vals, stmps)
+                    for source, values, stamps in _unpack(frame[4]):
+                        engine.push_values(source, values, stamps)
                     engine.punctuate(frame[2], frame[3])
-                    # Deposits must land before the ack: the parent's
-                    # shuffle barrier flushes them right after (queue
-                    # FIFO makes the xout frame arrive first).
-                    _ship_xdeposits(outq, xstage1)
-                    if frame[1] is not None:
-                        # Emissions ride inside the ack — the parent is
-                        # already blocked on this frame.
-                        outq.put(
-                            ("punct_ack", frame[1], frame[2],
-                             _pack(_take_emissions(queries)))
-                        )
-                    else:
-                        _ship_emissions(outq, queries)
-                elif kind == "execute":
-                    plan = builder.build_sql(frame[2])
-                    handle = engine.execute(plan, sink=_FrameSink(), share=frame[3])
-                    queries[frame[1]] = handle
-                elif kind == "xexec":
-                    # (xexec, qid, sql, partition_keys, host_stage2):
-                    # rebuild the exchange recipe locally — same SQL,
-                    # same keys and same token give the identical
-                    # stage-1/stage-2 split and port names the parent
-                    # computed.
-                    plan = builder.build_sql(frame[2])
-                    recipe = build_exchange(plan, frame[3], token=frame[1])
-                    xstage1[frame[1]] = [
-                        engine.execute(spec.stage1, sink=_FrameSink(), share=False)
-                        for spec in recipe.specs
-                    ]
-                    if frame[4]:
-                        queries[frame[1]] = engine.execute(
-                            recipe.stage2, sink=_FrameSink(), share=False
-                        )
                 elif kind == "xdel":
-                    # (xdel, seq, deliveries, punctuations): the shuffle
-                    # barrier's round 2 — exchanged rows land on their
-                    # owning shard, then the exchange ports advance.
-                    for name, vals, stmps in _unpack(frame[2]):
-                        engine.push_exchange(name, vals, stmps)
-                    for wm, xnames in frame[3]:
-                        engine.punctuate(wm, list(xnames))
-                    _ship_xdeposits(outq, xstage1)
-                    if frame[1] is not None:
-                        outq.put(
-                            ("xdel_ack", frame[1],
-                             _pack(_take_emissions(queries)))
-                        )
+                    host.deliver(_unpack(frame[2]), frame[3])
+                elif kind == "execute":
+                    host.start(frame[2], builder.build_sql(frame[3]), _FrameSink(), frame[4])
+                elif kind == "xexec":
+                    recipe = build_exchange(
+                        builder.build_sql(frame[3]), frame[4], token=frame[2]
+                    )
+                    host.start_exchanged(
+                        frame[2],
+                        recipe,
+                        [_FrameSink() for _ in recipe.specs],
+                        _FrameSink() if frame[5] else None,
+                    )
+                elif kind == "stop":
+                    host.stop(frame[2])
+                    if not host.queries and not host.stage1:
+                        gc.collect()  # stopped plans drop cyclic graphs
                 elif kind == "table":
-                    schema = catalog.source(frame[1]).schema
+                    schema = catalog.source(frame[2]).schema
                     engine.load_table(
-                        frame[1],
-                        [Row.raw(schema, values) for values in frame[2]],
-                        frame[3],
+                        frame[2], [Row.raw(schema, values) for values in frame[3]], frame[4]
                     )
                 elif kind == "drop":
-                    engine.drop_table(frame[1])
+                    engine.drop_table(frame[2])
                 elif kind == "catalog":
-                    _adopt_catalog(catalog, frame[1])
+                    _adopt_catalog(catalog, frame[2])
                 elif kind == "seed":
-                    engine._tables = {
-                        name: [
-                            StreamElement(
-                                Row.raw(catalog.source(name).schema, values), ts, name
-                            )
-                            for values, ts in items
-                        ]
-                        for name, items in frame[1].items()
-                    }
-                elif kind == "restore":
-                    engine.subplans.restore_chains(frame[2])
-                    for wq_id, states in frame[1].items():
-                        if wq_id in xstage1:
-                            # Exchanged payload: {"s1": [per-ordinal
-                            # op states], "s2": op states or None}.
-                            for ordinal, h in enumerate(xstage1[wq_id]):
-                                restore_operators(h, states["s1"][ordinal])
-                            if states["s2"] is not None and wq_id in queries:
-                                restore_operators(queries[wq_id], states["s2"])
-                        else:
-                            restore_operators(queries[wq_id], states)
-                elif kind == "checkpoint":
-                    _ship_xdeposits(outq, xstage1)
-                    _ship_emissions(outq, queries)
-                    payload = {
-                        wq_id: (
-                            [op.state_snapshot() for op in handle.compiled.operators],
-                            handle.shared,
-                        )
-                        for wq_id, handle in queries.items()
-                        if wq_id not in xstage1
-                    }
-                    for wq_id, handles in xstage1.items():
-                        stage2 = queries.get(wq_id)
-                        payload[wq_id] = (
-                            {
-                                "s1": [
-                                    [op.state_snapshot()
-                                     for op in h.compiled.operators]
-                                    for h in handles
-                                ],
-                                "s2": (
-                                    [op.state_snapshot()
-                                     for op in stage2.compiled.operators]
-                                    if stage2 is not None
-                                    else None
-                                ),
-                            },
-                            False,
-                        )
-                    outq.put(
-                        ("cp", frame[1], payload, engine.subplans.snapshot_chains())
+                    host.seed(
+                        {
+                            name: [
+                                StreamElement(
+                                    Row.raw(catalog.source(name).schema, values), ts, name
+                                )
+                                for values, ts in items
+                            ]
+                            for name, items in frame[2].items()
+                        }
                     )
+                elif kind == "restore":
+                    host.restore(frame[2], frame[3])
+                elif kind == "checkpoint":
+                    reply = host.snapshot()
                 elif kind == "stats":
-                    outq.put(("stats_reply", frame[1], engine.sharing_stats()))
-                elif kind == "sync":
-                    _ship_xdeposits(outq, xstage1)
-                    _ship_emissions(outq, queries)
-                    outq.put(("sync_ack", frame[1]))
-                elif kind == "stop":
-                    handle = queries.pop(frame[1], None)
-                    if handle is not None:
-                        engine.stop(handle)
-                    for h in xstage1.pop(frame[1], []):
-                        engine.stop(h)
-                    if not queries and not xstage1:
-                        gc.collect()  # stopped plans drop cyclic graphs
+                    reply = engine.sharing_stats()
                 elif kind == "shutdown":
                     running = False
                     break
+                # ("sync", seq) does nothing but ask for its ack.
+                if seq is not None:
+                    _ship(outq, host, seq, reply)
             except Exception:
                 outq.put(("error", traceback.format_exc()))
-        _ship_xdeposits(outq, xstage1)
-        _ship_emissions(outq, queries)
+        _ship(outq, host)
 
 
 # ----------------------------------------------------------------------
-# The pool
+# The pool over it
 # ----------------------------------------------------------------------
 class ProcessShardEngine(ShardedStreamEngine):
-    """The sharded pool with one worker *process* per shard.
-
-    Same surface and semantics as :class:`ShardedStreamEngine`; the
-    shard replicas live in worker processes fed over bounded batched
-    queues. The inherited shard engines stay idle in-parent (they keep
-    the partition math, replicated tables and failover plumbing for
-    the designated fallback engine); :meth:`execute` routes
-    partition-safe plans *with SQL text* to the workers and everything
-    else to the in-parent fallback.
+    """The sharded pool with one worker *process* per shard: the same
+    engine, constructed over :class:`FramedChannel`.
 
     Call :meth:`shutdown` when done — Session/backends do, and tests
     must, or worker processes linger until interpreter exit.
@@ -623,1052 +676,24 @@ class ProcessShardEngine(ShardedStreamEngine):
         deliver: Callable[[str, StreamElement], None] | None = None,
         default_window: WindowSpec = DEFAULT_STREAM_WINDOW,
         share_plans: bool = False,
-        queue_config: QueueConfig | None = None,
         start_method: str | None = None,
     ):
-        super().__init__(catalog, shards, deliver, default_window, share_plans)
         method = start_method if start_method is not None else usable_start_method()
         if method is None:
             raise ExecutionError(
                 "no usable multiprocessing start method; use the in-process "
                 "ShardedStreamEngine instead"
             )
-        self._config = queue_config if queue_config is not None else QueueConfig()
         self._ctx = multiprocessing.get_context(method)
-        self._wstats = [_fresh_worker_stats() for _ in range(shards)]
-        self._workers: list[_Worker] = [
-            self._spawn_worker(index) for index in range(shards)
-        ]
-        #: Per query id: a list of per-worker _ShardFeeds (safe plans)
-        #: or a {dest worker -> _ShardFeed} dict (exchanged plans).
-        self._feeds: dict[int, Any] = {}
-        self._wsql: dict[int, str] = {}
-        self._sub_counts: dict[str, int] = {}
-        #: Exchanged-query bookkeeping: subscription names per query,
-        #: plus recovery dedup state applied when ("xout", ...) deposit
-        #: frames arrive — (qid, worker) pairs muted during a restore's
-        #: re-execute, and (qid, ordinal, worker) -> rows still to skip.
-        self._xsubs: dict[int, list[str]] = {}
-        self._xmuted: set[tuple[int, int]] = set()
-        self._xskips: dict[tuple[int, int, int], int] = {}
-        #: Set while the shuffle barrier's delivery round is in flight:
-        #: a worker recovered inside that window must replay the
-        #: current watermark's punctuation too (round 1 already ran and
-        #: its record is not in the log yet), so its re-derived
-        #: emission sequence lines up with the armed skips.
-        self._mid_barrier: tuple[float, list[str] | None] | None = None
-        self._seqs = itertools.count(1)
-        self._reqs = itertools.count(1)
-        self._last_sweep = 0.0
+        super().__init__(catalog, shards, deliver, default_window, share_plans)
 
-    # ------------------------------------------------------------------
-    # Worker lifecycle
-    # ------------------------------------------------------------------
-    def _spawn_worker(self, index: int) -> _Worker:
-        inq = self._ctx.Queue(self._config.max_queue_size)
-        outq = self._ctx.Queue()
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                index,
-                inq,
-                outq,
-                self.share_plans,
-                self._default_window,
-                self._config.prefetch,
-            ),
-            daemon=True,
-            name=f"repro-shard-{index}",
+    def _open_channel(self, index: int) -> FramedChannel:
+        return FramedChannel(
+            index, self._catalog, self._default_window, self.share_plans, self._ctx
         )
-        process.start()
-        return _Worker(index, process, inq, outq, self._config, self._wstats[index])
 
     def shutdown(self) -> None:
         """Stop every worker process and release the queues. Idempotent."""
-        for worker in self._workers:
-            worker.close()
-        self._workers = []
-
-    def worker_stats(self) -> dict[str, int]:
-        """Transport counters aggregated across shards: batch counts,
-        rows/batches shipped and restarts summed; ``queue_depth_hwm``
-        is the max across workers (a per-queue high-water mark)."""
-        out = {
-            "workers": len(self._workers),
-            "queue_depth_hwm": 0,
-            "batches_by_size": 0,
-            "batches_by_timeout": 0,
-            "batches_by_barrier": 0,
-            "rows_shipped": 0,
-            "batches_shipped": 0,
-            "restarts": 0,
-        }
-        for stats in self._wstats:
-            out["queue_depth_hwm"] = max(out["queue_depth_hwm"], stats["queue_depth_hwm"])
-            for key in (
-                "batches_by_size",
-                "batches_by_timeout",
-                "batches_by_barrier",
-                "rows_shipped",
-                "batches_shipped",
-                "restarts",
-            ):
-                out[key] += stats[key]
-        return out
-
-    def sharing_stats(self) -> dict:
-        """Shared-subplan counters: the in-parent engines plus each
-        worker's registry (collected over a request/response frame)."""
-        totals = super().sharing_stats()
-        for index in range(len(self._workers)):
-            for key, value in self._request_worker_stats(index).items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    def fail_worker(self, index: int):
-        """Kill one worker process outright (SIGKILL). The next ingest
-        or punctuate detects the corpse and restores a replacement from
-        the latest barrier. Returns the dead process."""
-        process = self._workers[index].process
-        if process.is_alive():
-            process.kill()
-            process.join()
-        return process
-
-    def fail_shard(self, index: int) -> None:
-        """On a process pool, killing a shard kills its worker process."""
-        self.fail_worker(index)
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def execute(
-        self,
-        plan: LogicalOp,
-        sink: CollectingConsumer | None = None,
-        *,
-        sql: str | None = None,
-    ) -> ShardedQueryHandle:
-        """Start a continuous query. Partition-safe plans accompanied by
-        their SQL text run one replica per worker process (each worker
-        recompiles the text locally); safe plans *without* text cannot
-        be shipped — plan objects are never pickled — and run on the
-        in-parent fallback engine, as do partition-unsafe plans."""
-        analysis = partition_safe(plan, self._keys)
-        if analysis.safe and sql is not None and self._workers:
-            if sink is None:
-                sink = CollectingConsumer()
-            coordinator = _MergeCoordinator(sink, len(self._workers))
-            # Reference pipeline: never fed, it supplies the handle's
-            # ``compiled`` surface (ports for subscription tracking,
-            # operator stats shape) without touching any shard engine.
-            compiled = self._fallback._compiler.compile(plan, CollectingConsumer())
-            query_id = next(_pool_query_ids)
-            feeds = [
-                _ShardFeed(coordinator, index) for index in range(len(self._workers))
-            ]
-            inner = [QueryHandle(query_id, plan, compiled, feed, None) for feed in feeds]
-            handle = ShardedQueryHandle(
-                query_id,
-                plan,
-                compiled,
-                sink,
-                self,
-                inner=inner,
-                partitioned=True,
-                analysis=analysis,
-                coordinator=coordinator,
-            )
-            self._handles[query_id] = handle
-            self._feeds[query_id] = feeds
-            self._wsql[query_id] = sql
-            for port in compiled.ports:
-                name = port.source_name.lower()
-                self._sub_counts[name] = self._sub_counts.get(name, 0) + 1
-            for index in range(len(self._workers)):
-                worker = self._workers[index]
-                if not worker.alive:
-                    # Recovery re-admits every tracked handle, this one
-                    # included — nothing more to send afterwards.
-                    self._recover_worker(index)
-                    continue
-                try:
-                    self._sync_catalog_to(worker)
-                    worker.put(("execute", query_id, sql, None))
-                except WorkerDied:
-                    self._recover_worker(index)
-            return handle
-        if analysis.exchange is not None and sql is not None and self._workers:
-            return self._execute_exchanged_remote(plan, analysis, sink, sql)
-        fallback = self._fallback.execute(plan, sink=sink)
-        handle = ShardedQueryHandle(
-            next(_pool_query_ids),
-            plan,
-            fallback.compiled,
-            fallback.sink,
-            self,
-            inner=[fallback],
-            partitioned=False,
-            analysis=analysis,
-        )
-        self._handles[handle.query_id] = handle
-        return handle
-
-    def _execute_exchanged_remote(
-        self,
-        plan: LogicalOp,
-        analysis,
-        sink: CollectingConsumer | None,
-        sql: str,
-    ) -> ShardedQueryHandle:
-        """Start a partition-unsafe query across the worker processes:
-        every worker runs the stage-1 replicas (shipping their output
-        as deposit frames), destination workers run the stage-2 merge,
-        and the parent owns the shuffle buffers and routing — the
-        process-boundary mirror of
-        ``ShardedStreamEngine._execute_exchanged``."""
-        query_id = next(_pool_query_ids)
-        recipe = build_exchange(plan, self._keys, token=query_id)
-        assert recipe is not None  # analysis.exchange proved one exists
-        if sink is None:
-            sink = CollectingConsumer()
-        self._register_remote_keys(plan)
-        shards = len(self._workers)
-        dests = list(range(shards)) if recipe.distributed else [0]
-        state = _ExchangeState(recipe, dests)
-        coordinator = _MergeCoordinator(sink, len(dests))
-        # Reference pipeline over stage 2 (the plan whose output is the
-        # query's): stats shape and result schema, never fed directly.
-        compiled = self._fallback._compiler.compile(
-            recipe.stage2, CollectingConsumer()
-        )
-        feeds = {
-            dest: _ShardFeed(coordinator, j) for j, dest in enumerate(dests)
-        }
-        inner = [
-            QueryHandle(query_id, plan, compiled, feeds[dest], None)
-            for dest in dests
-        ]
-        handle = ShardedQueryHandle(
-            query_id,
-            plan,
-            compiled,
-            sink,
-            self,
-            inner=inner,
-            partitioned=True,
-            analysis=analysis,
-            coordinator=coordinator,
-            exchanged=True,
-            exchange=state,
-        )
-        self._handles[query_id] = handle
-        self._feeds[query_id] = feeds
-        self._wsql[query_id] = sql
-        subs = sorted({name for names in state.sources for name in names})
-        self._xsubs[query_id] = subs
-        for name in subs:
-            self._sub_counts[name] = self._sub_counts.get(name, 0) + 1
-        for index in range(shards):
-            worker = self._workers[index]
-            if not worker.alive:
-                self._recover_worker(index)
-                continue
-            try:
-                self._sync_catalog_to(worker)
-                worker.put(
-                    ("xexec", query_id, sql, dict(self._keys), index in dests)
-                )
-            except WorkerDied:
-                self._recover_worker(index)
-        return handle
-
-    def stop(self, handle: QueryHandle) -> None:
-        tracked = self._handles.pop(handle.query_id, None)
-        if tracked is None:
-            return
-        feeds = self._feeds.pop(tracked.query_id, None)
-        if feeds is None:
-            for inner in tracked.inner:
-                if inner.engine is not None:
-                    inner.engine.stop(inner)
-            return
-        self._wsql.pop(tracked.query_id, None)
-        xsubs = self._xsubs.pop(tracked.query_id, None)
-        if xsubs is not None:
-            names = xsubs
-            self._xmuted = {m for m in self._xmuted if m[0] != tracked.query_id}
-            for key in [k for k in self._xskips if k[0] == tracked.query_id]:
-                del self._xskips[key]
-        else:
-            names = [port.source_name.lower() for port in tracked.compiled.ports]
-        for name in names:
-            count = self._sub_counts.get(name, 0) - 1
-            if count > 0:
-                self._sub_counts[name] = count
-            else:
-                self._sub_counts.pop(name, None)
-        for worker in self._workers:
-            if not worker.alive:
-                continue  # recovery iterates tracked handles; this one is gone
-            try:
-                worker.put(("stop", tracked.query_id))
-            except WorkerDied:
-                pass
-        self._drain_all()
-
-    def subscribed(self, source: str) -> bool:
-        lower = source.lower()
-        return bool(self._sub_counts.get(lower)) or self._fallback.subscribed(source)
-
-    # ------------------------------------------------------------------
-    # Ingestion
-    # ------------------------------------------------------------------
-    def push(
-        self,
-        source: str,
-        row: Row | Mapping[str, Any],
-        timestamp: float,
-    ) -> None:
-        entry = self._catalog.source(source)
-        lower = entry.name.lower()
-        schema = entry.schema
-        self._ensure_workers_alive(throttled=True)
-        if self._fallback.failed:
-            self._recover_fallback()
-        coerced = (
-            row
-            if (type(row) is Row and row.schema is schema)
-            else self._fallback._coerce_row(schema, row)
-        )
-        self.elements_ingested += 1
-        owner = self._owner(lower, coerced)
-        checkpointer = self.checkpointer
-        if checkpointer is not None:
-            checkpointer.record(("push", owner, source, coerced, timestamp))
-        if self._sub_counts.get(lower):
-            self._buffer(owner, entry.name, [coerced.values], [timestamp])
-        if self._fallback.subscribed(lower):
-            if checkpointer is not None:
-                checkpointer.record(("push", FALLBACK, source, coerced, timestamp))
-            self._fallback.push(source, coerced, timestamp)
-        self._drain_all()
-
-    def push_many(
-        self,
-        source: str,
-        rows: Sequence[Row | Mapping[str, Any]],
-        timestamps: float | Sequence[float] = 0.0,
-    ) -> int:
-        entry = self._catalog.source(source)
-        lower = entry.name.lower()
-        schema = entry.schema
-        rows = rows if isinstance(rows, list) else list(rows)
-        if isinstance(timestamps, (int, float)):
-            stamps: list[float] = [float(timestamps)] * len(rows)
-        else:
-            stamps = timestamps if isinstance(timestamps, list) else list(timestamps)
-            if len(stamps) != len(rows):
-                raise ExecutionError(
-                    f"push_many got {len(rows)} rows but {len(stamps)} timestamps"
-                )
-        self._ensure_workers_alive(throttled=True)
-        if self._fallback.failed:
-            self._recover_fallback()
-        coerce = self._fallback._coerce_row
-        coerced = [
-            row if (type(row) is Row and row.schema is schema) else coerce(schema, row)
-            for row in rows
-        ]
-        shards = len(self._workers)
-        key = self._keys.get(lower)
-        checkpointer = self.checkpointer
-        # Route values and rows in one pass; the row lists exist only
-        # for the replay log, so skip them entirely when nothing records.
-        per_rows: list[list[Row]] | None = (
-            [[] for _ in range(shards)] if checkpointer is not None else None
-        )
-        per_values: list[list[tuple]] = [[] for _ in range(shards)]
-        per_stamps: list[list[float]] = [[] for _ in range(shards)]
-        if key is None:
-            cursor = self._round_robin.get(lower, 0)
-            for row, stamp in zip(coerced, stamps):
-                per_values[cursor].append(row.values)
-                per_stamps[cursor].append(stamp)
-                if per_rows is not None:
-                    per_rows[cursor].append(row)
-                cursor = (cursor + 1) % shards
-            self._round_robin[lower] = cursor
-        else:
-            key_index = self._key_index[lower]
-            owner_of = self._owner_of
-            if per_rows is None:
-                for row, stamp in zip(coerced, stamps):
-                    values = row.values
-                    owner = owner_of(lower, values[key_index])
-                    per_values[owner].append(values)
-                    per_stamps[owner].append(stamp)
-            else:
-                for row, stamp in zip(coerced, stamps):
-                    values = row.values
-                    owner = owner_of(lower, values[key_index])
-                    per_values[owner].append(values)
-                    per_stamps[owner].append(stamp)
-                    per_rows[owner].append(row)
-        ship = bool(self._sub_counts.get(lower))
-        for shard in range(shards):
-            if not per_values[shard]:
-                continue
-            if per_rows is not None:
-                checkpointer.record(
-                    ("many", shard, source, per_rows[shard], per_stamps[shard])
-                )
-            if ship:
-                self._buffer(shard, entry.name, per_values[shard], per_stamps[shard])
-        if self._fallback.subscribed(lower):
-            if checkpointer is not None:
-                checkpointer.record(("many", FALLBACK, source, coerced, stamps))
-            self._fallback.push_many(source, coerced, stamps)
-        self.elements_ingested += len(rows)
-        self._drain_all()
-        return len(rows)
-
-    def punctuate(self, watermark: float, sources: list[str] | None = None) -> None:
-        """Flush channels, broadcast a sequenced punctuation frame and
-        block for every worker's ack — the process-pool barrier. Dead
-        workers recover first (or mid-wait), exactly like the
-        in-process pool recovers before its broadcast."""
-        self._ensure_workers_alive()
-        if self._fallback.failed:
-            self._recover_fallback()
-        if self._feeds:
-            seq = next(self._seqs)
-            for index in range(len(self._workers)):
-                self._send_punct(index, seq, watermark, sources)
-            for index in range(len(self._workers)):
-                self._await_punct_ack(index, seq, watermark, sources)
-            # Round 2: every worker's stage-1 deposits are in (they ride
-            # ahead of the acks), so the shuffle buffers flush to their
-            # destination workers and the exchange ports advance.
-            self._deliver_exchanges_remote(watermark, sources)
-        self._fallback.punctuate(watermark, sources)
-        if self.checkpointer is not None:
-            self.checkpointer.on_punctuation(watermark, sources)
-
-    def _deliver_exchanges_remote(
-        self, watermark: float, sources: list[str] | None
-    ) -> None:
-        """The shuffle barrier's delivery round over the worker pool."""
-        exchanged = [h for h in self._handles.values() if h.exchanged]
-        if not exchanged:
-            return
-        named = {s.lower() for s in sources} if sources is not None else None
-        deliveries: dict[int, list] = {}
-        puncts: dict[int, list] = {}
-        records: list[tuple] = []
-        for handle in exchanged:
-            state = handle.exchange
-            if named is None:
-                xnames = list(state.names)
-            else:
-                xnames = [
-                    state.names[i]
-                    for i, srcs in enumerate(state.sources)
-                    if srcs & named
-                ]
-                if not xnames:
-                    continue
-            for dest in state.dests:
-                runs = state.flush(dest)
-                if runs:
-                    named_runs = [
-                        (state.names[ordinal], values, stamps)
-                        for ordinal, values, stamps in runs
-                    ]
-                    deliveries.setdefault(dest, []).extend(named_runs)
-                    records.append(("xdeliver", dest, named_runs))
-                puncts.setdefault(dest, []).append((watermark, xnames))
-                records.append(("xpunct", dest, watermark, xnames))
-        if not puncts:
-            return
-        # A worker death inside this round recovers against a log that
-        # does not yet hold this segment's records (they append after
-        # the acks, like the punctuation's own record): recovery replays
-        # the current watermark too (``_mid_barrier``) and the frame is
-        # re-sent, so nothing is delivered twice or lost.
-        self._mid_barrier = (watermark, sources)
-        try:
-            seq = next(self._seqs)
-            targets = sorted(puncts)
-            for dest in targets:
-                self._send_xdel(dest, seq, deliveries.get(dest, []), puncts[dest])
-            for dest in targets:
-                self._await_xdel_ack(dest, seq, deliveries, puncts)
-        finally:
-            self._mid_barrier = None
-        checkpointer = self.checkpointer
-        if checkpointer is not None:
-            for record in records:
-                checkpointer.record(record)
-
-    def _send_xdel(
-        self, index: int, seq: int | None, deliveries: list, puncts: list
-    ) -> None:
-        while True:
-            worker = self._workers[index]
-            try:
-                worker.put(("xdel", seq, _pack(deliveries), puncts))
-                return
-            except WorkerDied:
-                self._recover_worker(index)
-
-    def _await_xdel_ack(
-        self, index: int, seq: int, deliveries: dict, puncts: dict
-    ) -> None:
-        while True:
-            worker = self._workers[index]
-            try:
-                frame = worker.outq.get(timeout=0.25)
-            except queue.Empty:
-                if not worker.process.is_alive():
-                    self._recover_worker(index)
-                    self._send_xdel(
-                        index, seq, deliveries.get(index, []), puncts[index]
-                    )
-                continue
-            except (EOFError, OSError):
-                self._recover_worker(index)
-                self._send_xdel(
-                    index, seq, deliveries.get(index, []), puncts[index]
-                )
-                continue
-            if not self._on_frame(index, frame):
-                if frame[0] == "xdel_ack" and frame[1] == seq:
-                    return
-
-    # ------------------------------------------------------------------
-    # Tables
-    # ------------------------------------------------------------------
-    def load_table(
-        self,
-        name: str,
-        rows: list[Row | Mapping[str, Any]],
-        timestamp: float = 0.0,
-    ) -> None:
-        # The in-parent engines (idle shards + fallback) load first:
-        # coercion errors surface before anything ships, and their
-        # replicated copy serves table_rows() and checkpoint tables.
-        super().load_table(name, rows, timestamp)
-        entry = self._catalog.source(name)
-        loaded = self._engines[0]._tables.get(entry.name, [])
-        values = [element.row.values for element in loaded[len(loaded) - len(rows):]]
-        for index in range(len(self._workers)):
-            worker = self._workers[index]
-            if not worker.alive:
-                self._recover_worker(index)  # replays the table entry too
-                continue
-            try:
-                self._sync_catalog_to(worker)
-                worker.flush()
-                worker.put(("table", entry.name, values, timestamp))
-            except WorkerDied:
-                self._recover_worker(index)
-        self._drain_all()
-
-    def drop_table(self, name: str) -> None:
-        super().drop_table(name)
-        for worker in self._workers:
-            if not worker.alive:
-                continue
-            try:
-                worker.put(("drop", name))
-            except WorkerDied:
-                pass
-
-    # ------------------------------------------------------------------
-    # Checkpoint barrier (called by CheckpointCoordinator.checkpoint)
-    # ------------------------------------------------------------------
-    def build_checkpoint(
-        self, checkpoint_id: int, watermark: float, log_seq: int
-    ) -> PoolCheckpoint:
-        """Assemble the pool barrier: each worker's per-query operator
-        snapshots and chain state arrive over a request/response frame;
-        fallback replicas, merge counts and tables are read in-parent."""
-        self._ensure_workers_alive()
-        worker_payloads: list[dict] = [{} for _ in self._workers]
-        worker_chains: list[dict] = [{} for _ in self._workers]
-        for index in range(len(self._workers)):
-            payload, chains = self._collect_worker_checkpoint(index)
-            worker_payloads[index] = payload
-            worker_chains[index] = chains
-        handles: dict[int, HandleCheckpoint] = {}
-        for query_id, handle in self._handles.items():
-            sink = handle.sink
-            sink_len = len(sink.elements) if isinstance(sink, CollectingConsumer) else 0
-            sink_puncts = (
-                len(sink.punctuations) if isinstance(sink, CollectingConsumer) else 0
-            )
-            if handle.exchanged:
-                empty = {
-                    "s1": [[] for _ in handle.exchange.recipe.specs],
-                    "s2": None,
-                }
-                replicas = [
-                    payload.get(query_id, (empty, False))[0]
-                    for payload in worker_payloads
-                ]
-                handles[query_id] = HandleCheckpoint(
-                    plan=handle.plan,
-                    partitioned=True,
-                    replicas=replicas,
-                    merge_counts=list(handle.coordinator.counts),
-                    sink_len=sink_len,
-                    sink_punct_len=sink_puncts,
-                    shared=[False] * len(worker_payloads),
-                    exchange=handle.exchange.snapshot(),
-                )
-            elif handle.partitioned:
-                replicas: list[list[dict]] = []
-                shared: list[bool] = []
-                for payload in worker_payloads:
-                    states, is_shared = payload.get(query_id, ([], False))
-                    replicas.append(states)
-                    shared.append(is_shared)
-                handles[query_id] = HandleCheckpoint(
-                    plan=handle.plan,
-                    partitioned=True,
-                    replicas=replicas,
-                    merge_counts=list(handle.coordinator.counts),
-                    sink_len=sink_len,
-                    sink_punct_len=sink_puncts,
-                    shared=shared,
-                )
-            else:
-                inner = handle.inner[0]
-                handles[query_id] = HandleCheckpoint(
-                    plan=handle.plan,
-                    partitioned=False,
-                    replicas=[
-                        [op.state_snapshot() for op in inner.compiled.operators]
-                    ],
-                    merge_counts=None,
-                    sink_len=sink_len,
-                    sink_punct_len=sink_puncts,
-                    shared=[inner.shared],
-                )
-        tables = {
-            name: list(elements)
-            for name, elements in self._engines[0]._tables.items()
-        }
-        return PoolCheckpoint(
-            checkpoint_id,
-            watermark,
-            log_seq,
-            tables,
-            handles,
-            shard_chains=worker_chains,
-            fallback_chains=self._fallback.subplans.snapshot_chains(),
-        )
-
-    # ------------------------------------------------------------------
-    # Worker failover
-    # ------------------------------------------------------------------
-    def _ensure_workers_alive(self, throttled: bool = False) -> None:
-        """Recover any dead worker.
-
-        ``throttled=True`` (the per-push ingest path) rate-limits the
-        sweep: ``Process.is_alive`` costs a ``waitpid`` syscall per
-        worker, which at batch ingest rates adds up to real time. A
-        death missed here is still caught inside the same call by the
-        queue put (``WorkerDied``) or, at the latest, at the next
-        barrier, which always sweeps.
-        """
-        now = time.monotonic()
-        if throttled and now - self._last_sweep < 0.05:
-            return
-        self._last_sweep = now
-        for index in range(len(self._workers)):
-            if not self._workers[index].alive:
-                self._recover_worker(index)
-
-    def _recover_worker(self, index: int) -> _Worker:
-        """Replace one dead worker process, restored from the latest
-        barrier: forward whatever it managed to emit, seed barrier
-        tables, re-admit every partitioned query muted and pinned to
-        its recorded sharing decision, restore operator/chain state,
-        then replay the log suffix with merge-count dedup — the
-        process-boundary mirror of ``_recover_shard``."""
-        old = self._workers[index]
-        # Emissions the dead worker shipped before dying are real
-        # results: forward them so the coordinator's forwarded counts
-        # (the dedup anchor below) include them.
-        self._drain_worker(index, old)
-        old.discard_buffered()  # buffered rows are in the log; replay re-ships
-        old.close()
-        coordinator = self.checkpointer
-        partitioned = [h for h in self._handles.values() if h.partitioned]
-        if coordinator is None and partitioned:
-            raise ExecutionError(
-                f"shard worker {index} failed with partitioned queries running "
-                "and no CheckpointCoordinator attached — attach one "
-                "(connect(checkpoint_interval=...)) to enable failover"
-            )
-        self._wstats[index]["restarts"] += 1
-        fresh = self._spawn_worker(index)
-        self._workers[index] = fresh
-        if coordinator is None:
-            return fresh
-        checkpoint = coordinator.latest()
-        self._sync_catalog_to(fresh)
-        if checkpoint is not None and checkpoint.tables:
-            seed = {
-                name: [
-                    (element.row.values, element.timestamp) for element in elements
-                ]
-                for name, elements in checkpoint.tables.items()
-            }
-            fresh.put(("seed", seed))
-        restored = []
-        for handle in partitioned:
-            handle_cp = (
-                checkpoint.handles.get(handle.query_id)
-                if checkpoint is not None
-                else None
-            )
-            if handle.exchanged:
-                state = handle.exchange
-                # Unflushed rows from the dead worker re-derive during
-                # replay; already-flushed ones are skipped below.
-                state.drop_src(index)
-                barrier_flushed = (
-                    handle_cp.exchange["flushed"]
-                    if handle_cp is not None and handle_cp.exchange
-                    else {}
-                )
-                self._xmuted.add((handle.query_id, index))
-                for ordinal in range(len(state.recipe.specs)):
-                    xskip = state.flushed.get(
-                        (ordinal, index), 0
-                    ) - barrier_flushed.get((ordinal, index), 0)
-                    if xskip > 0:
-                        self._xskips[(handle.query_id, ordinal, index)] = xskip
-                feed = None
-                skip = 0
-                if index in state.dests:
-                    j = state.dests.index(index)
-                    barrier_count = (
-                        handle_cp.merge_counts[j] if handle_cp is not None else 0
-                    )
-                    skip = handle.coordinator.forwarded(j) - barrier_count
-                    feed = _ShardFeed(handle.coordinator, j)
-                    feed.mute()
-                    self._feeds[handle.query_id][index] = feed
-                fresh.put(
-                    ("xexec", handle.query_id, self._wsql[handle.query_id],
-                     dict(self._keys), index in state.dests)
-                )
-                restored.append((handle, handle_cp, feed, skip))
-                continue
-            barrier_count = (
-                handle_cp.merge_counts[index] if handle_cp is not None else 0
-            )
-            skip = handle.coordinator.forwarded(index) - barrier_count
-            feed = _ShardFeed(handle.coordinator, index)
-            feed.mute()  # execute replays barrier tables: pre-barrier output
-            self._feeds[handle.query_id][index] = feed
-            share = (
-                handle_cp.shared[index]
-                if handle_cp is not None and handle_cp.shared
-                else None
-            )
-            fresh.put(("execute", handle.query_id, self._wsql[handle.query_id], share))
-            restored.append((handle, handle_cp, feed, skip))
-        if checkpoint is not None:
-            states = {
-                handle.query_id: handle_cp.replicas[index]
-                for handle, handle_cp, _feed, _skip in restored
-                if handle_cp is not None
-            }
-            chains = (
-                checkpoint.shard_chains[index]
-                if getattr(checkpoint, "shard_chains", None)
-                else {}
-            )
-            fresh.put(("restore", states, chains))
-        # Barrier 1: table-replay emissions land in the muted feeds.
-        self._sync_worker(index)
-        for handle, _handle_cp, feed, skip in restored:
-            if feed is not None:
-                feed.arm(skip)
-            if handle.exchanged:
-                self._xmuted.discard((handle.query_id, index))
-        from_seq = checkpoint.log_seq if checkpoint is not None else 0
-        replayed = self._replay_to_worker(fresh, coordinator.log.suffix(from_seq), index)
-        if self._mid_barrier is not None:
-            # Death inside the shuffle-barrier delivery round: round 1
-            # already punctuated this worker but its record lands in the
-            # log only after the round completes. Replay it here so the
-            # re-derived emission sequence covers everything the armed
-            # skips count (the duplicate punctuation itself is absorbed
-            # by the coordinator's monotonic merge).
-            watermark, wm_sources = self._mid_barrier
-            fresh.put(("punct", None, watermark, wm_sources, []))
-        # Barrier 2: replayed emissions flow through the armed skip dedup.
-        self._sync_worker(index)
-        coordinator.note_replay(index, from_seq, replayed)
-        return fresh
-
-    def _replay_to_worker(self, worker: _Worker, suffix: list[tuple], index: int) -> int:
-        """Re-ship the log entries owned by worker ``index`` (plus
-        broadcast punctuations and table loads) as frames."""
-        coerce = self._fallback._coerce_row
-        replayed = 0
-        for entry in suffix:
-            kind, key = entry[0], entry[1]
-            if kind == "punct":
-                worker.put(("punct", None, entry[2], entry[3], []))
-                replayed += 1
-            elif kind == "xdeliver":
-                if key == index:
-                    worker.put(("xdel", None, entry[2], []))
-                    replayed += 1
-            elif kind == "xpunct":
-                if key == index:
-                    worker.put(("xdel", None, [], [(entry[2], entry[3])]))
-                    replayed += 1
-            elif kind == "table":
-                schema = self._catalog.source(entry[2]).schema
-                values = [
-                    (row if isinstance(row, Row) else coerce(schema, row)).values
-                    for row in entry[3]
-                ]
-                worker.put(("table", entry[2], values, entry[4]))
-                replayed += 1
-            elif key == index:
-                schema = self._catalog.source(entry[2]).schema
-                if kind == "push":
-                    row = entry[3]
-                    values = [
-                        (row if isinstance(row, Row) else coerce(schema, row)).values
-                    ]
-                    worker.put(("data", entry[2], _pack((values, [entry[4]]))))
-                    replayed += 1
-                elif kind == "many":
-                    values = [
-                        (row if isinstance(row, Row) else coerce(schema, row)).values
-                        for row in entry[3]
-                    ]
-                    stamps = entry[4]
-                    if isinstance(stamps, (int, float)):
-                        stamps = [float(stamps)] * len(values)
-                    worker.put(("data", entry[2], _pack((values, list(stamps)))))
-                    replayed += 1
-        return replayed
-
-    # ------------------------------------------------------------------
-    # Transport plumbing
-    # ------------------------------------------------------------------
-    def _sync_catalog_to(self, worker: _Worker) -> None:
-        epoch = self._catalog.schema_epoch
-        if worker.epoch != epoch:
-            worker.put(("catalog", self._catalog, epoch))
-            worker.epoch = epoch
-
-    def _buffer(
-        self, index: int, source: str, values: list[tuple], stamps: list[float]
-    ) -> None:
-        try:
-            self._workers[index].buffer(source, values, stamps)
-        except WorkerDied:
-            # The rows are already in the replay log; recovery re-ships
-            # everything since the barrier, these included.
-            self._recover_worker(index)
-
-    def _send_punct(
-        self, index: int, seq: int, watermark: float, sources: list[str] | None
-    ) -> None:
-        while True:
-            worker = self._workers[index]
-            try:
-                # Buffered rows ride inside the barrier frame: one queue
-                # put instead of a data put plus a punctuation put.
-                worker.put(
-                    ("punct", seq, watermark, sources,
-                     _pack(worker.take_buffered()))
-                )
-                return
-            except WorkerDied:
-                self._recover_worker(index)
-
-    def _await_punct_ack(
-        self, index: int, seq: int, watermark: float, sources: list[str] | None
-    ) -> None:
-        while True:
-            worker = self._workers[index]
-            try:
-                frame = worker.outq.get(timeout=0.25)
-            except queue.Empty:
-                if not worker.process.is_alive():
-                    self._recover_worker(index)
-                    self._send_punct(index, seq, watermark, sources)
-                continue
-            except (EOFError, OSError):
-                self._recover_worker(index)
-                self._send_punct(index, seq, watermark, sources)
-                continue
-            if not self._on_frame(index, frame):
-                if frame[0] == "punct_ack" and frame[1] == seq:
-                    return
-
-    def _collect_worker_checkpoint(self, index: int) -> tuple[dict, dict]:
-        while True:
-            req = next(self._reqs)
-            worker = self._workers[index]
-            try:
-                worker.flush()
-                worker.put(("checkpoint", req))
-            except WorkerDied:
-                self._recover_worker(index)
-                continue
-            reply = self._await_reply(index, "cp", req)
-            if reply is None:
-                continue  # worker died mid-exchange and was recovered
-            return reply[2], reply[3]
-
-    def _request_worker_stats(self, index: int) -> dict:
-        while True:
-            req = next(self._reqs)
-            worker = self._workers[index]
-            if not worker.alive:
-                self._recover_worker(index)
-                worker = self._workers[index]
-            try:
-                worker.put(("stats", req))
-            except WorkerDied:
-                self._recover_worker(index)
-                continue
-            reply = self._await_reply(index, "stats_reply", req)
-            if reply is None:
-                continue
-            return reply[2]
-
-    def _sync_worker(self, index: int) -> None:
-        req = next(self._reqs)
-        worker = self._workers[index]
-        worker.put(("sync", req))
-        reply = self._await_reply(index, "sync_ack", req, recover=False)
-        if reply is None:
-            raise ExecutionError(
-                f"shard worker {index} died during recovery synchronization"
-            )
-
-    def _await_reply(
-        self, index: int, kind: str, req: int, recover: bool = True
-    ) -> tuple | None:
-        """Drain worker ``index`` (forwarding emissions) until the
-        control reply ``(kind, req, ...)`` arrives. Returns None after
-        recovering a worker that died mid-exchange (the caller
-        re-issues its request), or — with ``recover=False`` — after a
-        death it must not recurse into."""
-        while True:
-            worker = self._workers[index]
-            try:
-                frame = worker.outq.get(timeout=0.25)
-            except queue.Empty:
-                if not worker.process.is_alive():
-                    if recover:
-                        self._recover_worker(index)
-                    return None
-                continue
-            except (EOFError, OSError):
-                if recover:
-                    self._recover_worker(index)
-                return None
-            if not self._on_frame(index, frame):
-                if frame[0] == kind and frame[1] == req:
-                    return frame
-
-    def _drain_all(self) -> None:
-        for index in range(len(self._workers)):
-            self._drain_worker(index, self._workers[index])
-
-    def _drain_worker(self, index: int, worker: _Worker) -> None:
-        while True:
-            try:
-                frame = worker.outq.get_nowait()
-            except queue.Empty:
-                return
-            except (EOFError, OSError):
-                return
-            self._on_frame(index, frame)
-
-    def _on_frame(self, index: int, frame: tuple) -> bool:
-        """Handle one async frame; True when consumed (emissions and
-        errors), False for control replies the caller is waiting on."""
-        kind = frame[0]
-        if kind == "out":
-            for wq_id, items in _unpack(frame[1]):
-                self._deliver_out(index, wq_id, items)
-            return True
-        if kind == "xout":
-            for qid, ordinal, values, stamps in _unpack(frame[1]):
-                self._deposit_exchange(index, qid, ordinal, values, stamps)
-            return True
-        if kind == "error":
-            raise ExecutionError(f"shard worker {index} failed:\n{frame[1]}")
-        if kind == "punct_ack":
-            # Emissions piggyback on acks; deliver them here so every
-            # drain path sees them, then let the waiter match the seq.
-            for wq_id, items in _unpack(frame[3]):
-                self._deliver_out(index, wq_id, items)
-        elif kind == "xdel_ack":
-            for wq_id, items in _unpack(frame[2]):
-                self._deliver_out(index, wq_id, items)
-        return False
-
-    def _deposit_exchange(
-        self, index: int, query_id: int, ordinal: int,
-        values: list[tuple], stamps: list[float],
-    ) -> None:
-        """Route one worker's stage-1 emission run into the query's
-        shuffle buffers, applying recovery dedup: muted workers are
-        mid-restore (their emissions re-derive pre-barrier output) and
-        armed skips drop re-derivations of already-flushed rows."""
-        handle = self._handles.get(query_id)
-        if handle is None or not handle.exchanged:
-            return  # query stopped while deposits were in flight
-        if (query_id, index) in self._xmuted:
-            return
-        key = (query_id, ordinal, index)
-        skip = self._xskips.get(key, 0)
-        if skip > 0:
-            drop = min(skip, len(values))
-            if drop < skip:
-                self._xskips[key] = skip - drop
-            else:
-                del self._xskips[key]
-            values = values[drop:]
-            stamps = stamps[drop:]
-            if not values:
-                return
-        handle.exchange.deposit_run(ordinal, index, values, stamps)
-
-    def _deliver_out(self, index: int, query_id: int, items: list[tuple]) -> None:
-        feeds = self._feeds.get(query_id)
-        handle = self._handles.get(query_id)
-        if feeds is None or handle is None:
-            return  # query stopped while emissions were in flight
-        if isinstance(feeds, dict):  # exchanged: stage-2 hosts only
-            feed = feeds.get(index)
-            if feed is None:
-                return
-        else:
-            feed = feeds[index]
-        schema = handle.plan.schema
-        batch: list = []
-        for item in items:
-            if item[0] == "p":
-                batch.append(Punctuation(item[1]))
-            else:
-                batch += elements_from_columns(schema, item[1], item[2], item[3])
-        feed.push_batch(batch)
+        for channel in self._channels:
+            channel.close()
+        self._channels = []

@@ -3,15 +3,21 @@
 A :class:`ShardedStreamEngine` presents the same surface as one
 :class:`~repro.stream.engine.StreamEngine` — ``execute``/``stop``,
 ``push``/``push_many``/``push_remote``, ``punctuate``,
-``load_table``/``table_rows``/``drop_table`` — but hosts a pool of N
-independent shard engines plus one *designated fallback* engine:
+``load_table``/``table_rows``/``drop_table`` — over N shards plus one
+*designated fallback* engine. It owns the one copy of everything the
+pool does, and speaks to its shards only through the
+:mod:`~repro.stream.channel` verbs, so the same code drives shard
+engines in this interpreter (:class:`~repro.stream.channel.
+LoopbackChannel`) and worker OS processes
+(:class:`~repro.stream.procshard.FramedChannel`):
 
 * **Ingestion partitions.** ``push``/``push_many`` route each row to
   the shard owning its partition key
   (:func:`~repro.data.tuples.stable_hash` of the key value, modulo the
-  shard count); sources without a declared key round-robin. The
-  fallback engine additionally receives the full, unpartitioned feed —
-  but only while a fallback query is actually subscribed to the source.
+  shard count); sources without a declared key round-robin. A shard is
+  fed a source only while a partitioned query reads it; the fallback
+  engine receives the full, unpartitioned feed — likewise only while a
+  fallback query is subscribed.
 * **Safe plans replicate.** ``execute`` runs
   :func:`~repro.stream.partition.partition_safe`; safe plans start one
   replica per shard, all feeding a single merged sink through a
@@ -21,18 +27,22 @@ independent shard engines plus one *designated fallback* engine:
   punctuation — exactly the contract
   :meth:`~repro.stream.engine.QueryHandle.latest_batch` and subscribers
   rely on).
-* **Unsafe plans fall back.** Anything the analysis cannot prove safe
-  runs whole on the designated fallback engine against the full feed —
-  same results, no parallelism, no correctness dependence on the
-  analysis.
-* **Tables replicate.** ``load_table`` broadcasts to every engine, so
-  stream⋈table joins see the full table on each shard and fallback
-  queries see it too. Punctuation broadcasts likewise.
-
-The pool is deliberately synchronous like the engines it hosts;
-distribution across OS processes or hosts layers on top (see
-:mod:`repro.stream.distributed`), while this layer provides the
-partition routing, replica lifecycle and merge protocol they share.
+* **Unsafe plans exchange or fall back.** A shape an exchange can fix
+  runs as a two-stage shuffle (stage-1 replicas on every shard deposit
+  into pool-owned buffers; every punctuation is a two-round barrier
+  that flushes them to the stage-2 owners). Anything else — and, on a
+  channel that cannot ship plan objects, any plan that arrived without
+  its SQL text — runs whole on the fallback engine against the full
+  feed: same results, no parallelism.
+* **Tables replicate.** ``load_table`` broadcasts to every shard and
+  the fallback. Punctuation broadcasts likewise.
+* **Shards fail over.** Every op is written to the attached
+  :class:`~repro.stream.checkpoint.CheckpointCoordinator`'s log *before*
+  it is sent, so a shard found dead by any verb
+  (:class:`~repro.stream.channel.ShardDied`) is respawned, seeded,
+  re-admitted muted and pinned, restored from the latest barrier and
+  brought to the present by replaying the log suffix through the same
+  verbs live ingest uses.
 """
 
 from __future__ import annotations
@@ -54,7 +64,8 @@ from repro.data.windows import WindowSpec
 from repro.errors import CatalogError, ExecutionError
 from repro.plan.exchange import ExchangeRecipe, ExchangeSource
 from repro.plan.logical import LogicalOp, RemoteSource, Scan
-from repro.stream.checkpoint import FALLBACK, restore_operators
+from repro.stream.channel import LoopbackChannel, ShardDied
+from repro.stream.checkpoint import FALLBACK
 from repro.stream.compiler import DEFAULT_STREAM_WINDOW
 from repro.stream.engine import QueryHandle, StreamEngine
 from repro.stream.partition import (
@@ -241,6 +252,18 @@ class _SinkFeed:
             self.push(item)
 
 
+def _plan_sources(plan: LogicalOp) -> frozenset[str]:
+    """Lowercased names of the sources ``plan`` reads (stored tables,
+    streams and remote fragment feeds; exchange ports are internal)."""
+    names = set()
+    for node in plan.walk():
+        if isinstance(node, Scan):
+            names.add(node.entry.name.lower())
+        elif isinstance(node, RemoteSource) and not isinstance(node, ExchangeSource):
+            names.add(node.name.lower())
+    return frozenset(names)
+
+
 class _ExchangeState:
     """Pool-side shuffle buffers and routing of one exchanged query.
 
@@ -254,25 +277,20 @@ class _ExchangeState:
     dedup anchor) persist.
     """
 
-    __slots__ = ("recipe", "dests", "names", "key_positions", "sources",
+    __slots__ = ("recipe", "keys", "dests", "names", "key_positions", "sources",
                  "flushed", "_pending")
 
-    def __init__(self, recipe: ExchangeRecipe, dests: list[int]):
+    def __init__(self, recipe: ExchangeRecipe, dests: list[int], keys: dict):
         self.recipe = recipe
+        #: The partition keys the recipe was derived under: a channel
+        #: that ships SQL text re-derives the identical recipe from them.
+        self.keys = dict(keys)
         self.dests = list(dests)
         self.names = [spec.name for spec in recipe.specs]
         self.key_positions = [spec.key_positions for spec in recipe.specs]
         # Source names each spec's stage-1 subtree reads: a named
         # punctuate advances only the exchange feeds it reaches.
-        self.sources = []
-        for spec in recipe.specs:
-            names = set()
-            for node in spec.stage1.walk():
-                if isinstance(node, Scan):
-                    names.add(node.entry.name.lower())
-                elif isinstance(node, RemoteSource):
-                    names.add(node.name.lower())
-            self.sources.append(frozenset(names))
+        self.sources = [_plan_sources(spec.stage1) for spec in recipe.specs]
         #: (ordinal, src shard) -> rows delivered to destinations so far.
         self.flushed: dict[tuple[int, int], int] = {}
         # dest shard -> [(ts, src, ordinal, values), ...] since last flush
@@ -300,35 +318,38 @@ class _ExchangeState:
     def deposit_run(
         self, ordinal: int, src: int, values: list[tuple], stamps: list[float]
     ) -> None:
-        """Deposit a decoded emission run (the process pool's workers
-        ship stage-1 output as column runs, not elements)."""
+        """Deposit a decoded emission run (a framed channel ships
+        stage-1 output as column runs, not elements)."""
         pending = self._pending
         for row, ts in zip(values, stamps):
             dest = self.route(ordinal, row)
             pending.setdefault(dest, []).append((ts, src, ordinal, row))
 
-    def flush(self, dest: int) -> list[tuple[int, list, list]]:
+    def flush(self, dest: int) -> list[tuple[str, list, list]]:
         """Drain ``dest``'s buffer into delivery runs.
 
         Rows sort by ``(timestamp, src)`` — re-interleaving the shards'
         emissions into global arrival order — and consecutive same-
-        ordinal rows group into ``(ordinal, values, timestamps)`` runs,
-        each delivered with one ``push_exchange`` call.
+        ordinal rows group into ``(port name, values, timestamps)``
+        runs, each delivered with one ``push_exchange`` call.
         """
         pending = self._pending.pop(dest, None)
         if not pending:
             return []
         pending.sort(key=_ts_src)
         flushed = self.flushed
-        runs: list[tuple[int, list, list]] = []
+        names = self.names
+        runs: list[tuple[str, list, list]] = []
+        last = None
         for ts, src, ordinal, values in pending:
             key = (ordinal, src)
             flushed[key] = flushed.get(key, 0) + 1
-            if runs and runs[-1][0] == ordinal:
+            if ordinal == last:
                 runs[-1][1].append(values)
                 runs[-1][2].append(ts)
             else:
-                runs.append((ordinal, [values], [ts]))
+                runs.append((names[ordinal], [values], [ts]))
+                last = ordinal
         return runs
 
     def drop_src(self, src: int) -> None:
@@ -341,6 +362,9 @@ class _ExchangeState:
                 self._pending[dest] = kept
             else:
                 del self._pending[dest]
+
+    def pending_rows(self) -> int:
+        return sum(len(rows) for rows in self._pending.values())
 
     def snapshot(self) -> dict:
         return {"flushed": dict(self.flushed), "dests": list(self.dests)}
@@ -358,6 +382,8 @@ class _ExchangeFeed:
     pool's shuffle barrier, not through stage-1 pipelines. ``mute``/
     ``arm(skip)`` mirror :class:`_ShardFeed` for failover dedup, with
     the skip counted against this ``(ordinal, src)``'s flushed rows.
+    The feed lives in the parent on every transport: a loopback host
+    pushes elements into it, a framed channel the decoded column runs.
     """
 
     __slots__ = ("_state", "_ordinal", "_src", "_skip", "_muted")
@@ -388,6 +414,16 @@ class _ExchangeFeed:
         for item in items:
             self.push(item)
 
+    def push_run(self, values: list[tuple], stamps: list[float]) -> None:
+        if self._muted:
+            return
+        drop = min(self._skip, len(values))
+        if drop:
+            self._skip -= drop
+            values, stamps = values[drop:], stamps[drop:]
+        if values:
+            self._state.deposit_run(self._ordinal, self._src, values, stamps)
+
 
 @dataclass
 class ShardedQueryHandle(QueryHandle):
@@ -395,40 +431,48 @@ class ShardedQueryHandle(QueryHandle):
 
     ``results``/``latest_batch``/``sink`` read the *merged* output (for
     fallback queries, the fallback engine's sink directly).
-    ``partitioned`` tells whether the plan ran one replica per shard or
-    fell back; ``analysis`` carries the safety verdict and reason.
+    ``partitioned`` tells whether the plan runs across the shards (one
+    replica each, or exchanged) or fell back; ``analysis`` carries the
+    safety verdict and reason. ``compiled`` is the lead replica's
+    pipeline — None while the replicas live behind a channel that is
+    not in this process.
     """
 
-    inner: list[QueryHandle] = field(default_factory=list)
+    #: Per-shard replicas whose output is the query's (the fallback
+    #: replica alone for fallback handles). None where a shard hosts no
+    #: such replica or the channel keeps it out of process.
+    inner: list = field(default_factory=list)
     partitioned: bool = False
     analysis: PartitionAnalysis | None = None
     #: The merge coordinator feeding ``sink`` (partitioned handles
     #: only) — failover reads its per-shard forwarded counts.
     coordinator: "_MergeCoordinator | None" = field(default=None, repr=False)
-    #: True when the plan runs as a repartitioned two-stage pipeline
-    #: (see :mod:`repro.plan.exchange`); ``exchange`` then holds the
-    #: pool-side shuffle state, ``stage1``/``xfeeds`` the per-shard
-    #: stage-1 replicas and their deposit feeds, and ``stage2`` the
-    #: per-shard merge replicas (None on shards not hosting stage 2).
-    exchanged: bool = False
+    #: The pool-side shuffle state when the plan runs as a repartitioned
+    #: two-stage pipeline (see :mod:`repro.plan.exchange`).
     exchange: "_ExchangeState | None" = field(default=None, repr=False)
-    stage1: list = field(default_factory=list, repr=False)
-    stage2: list = field(default_factory=list, repr=False)
-    xfeeds: list = field(default_factory=list, repr=False)
+    #: The SQL text ``plan`` compiles from, when the caller vouched for
+    #: it — what a channel that cannot ship plan objects sends instead.
+    sql: str | None = field(default=None, repr=False)
+    #: Lowercased source names the plan reads (subscription counting).
+    sources: frozenset = field(default=frozenset(), repr=False)
+
+    @property
+    def exchanged(self) -> bool:
+        return self.exchange is not None
 
     @property
     def shard_stats(self) -> list[dict[str, int]]:
         """Per-replica operator row counters (partition spread probe)."""
-        return [handle.compiled.stats for handle in self.inner]
+        return [h.compiled.stats for h in self.inner if h is not None]
 
 
 class ShardedStreamEngine:
-    """Pool of N shard engines behind one StreamEngine-shaped surface.
+    """Pool of N shards behind one StreamEngine-shaped surface.
 
     Args:
         catalog: Shared catalog (all engines resolve sources in it).
         shards: Number of partitions (≥ 1).
-        deliver: Display callback, forwarded to every engine.
+        deliver: Display callback, forwarded to every in-process engine.
         default_window: Forwarded to every engine.
         share_plans: Forwarded to every engine (and to failover
             replacements): replicas of structurally identical plans
@@ -449,14 +493,14 @@ class ShardedStreamEngine:
         self._deliver = deliver
         self._default_window = default_window
         self.share_plans = share_plans
-        self._engines = [
-            StreamEngine(catalog, deliver, default_window, share_plans)
-            for _ in range(shards)
-        ]
-        self._fallback = StreamEngine(catalog, deliver, default_window, share_plans)
+        self._channels = [self._open_channel(index) for index in range(shards)]
+        #: The designated fallback engine: always in this process.
+        self._fallback = LoopbackChannel(
+            FALLBACK, catalog, deliver, default_window, share_plans
+        )
         #: Recovery plumbing: a CheckpointCoordinator attaches itself
         #: here (same protocol as on a plain engine); failover then
-        #: restores killed shard engines from its barriers + log.
+        #: restores dead shards from its barriers + log.
         self.checkpointer = None
         self._keys: dict[str, str] = {}  # source.lower() -> bare column
         self._key_index: dict[str, int] = {}  # source.lower() -> position
@@ -474,38 +518,90 @@ class ShardedStreamEngine:
         #: per declared key column (see ``_register_remote_keys``).
         self._remote_keys: dict[str, tuple] = {}
         self._handles: dict[int, ShardedQueryHandle] = {}
+        #: source.lower() -> how many partitioned / fallback queries
+        #: read it: who is fed what, and what ``subscribed`` answers
+        #: (a dead shard has lost its routes, the pool has not).
+        self._shard_subs: dict[str, int] = {}
+        self._fallback_subs: dict[str, int] = {}
         self.elements_ingested = 0
+        self._exchange_rounds = 0
+        self._exchange_delivered = 0
+
+    def _open_channel(self, index: int):
+        """The transport to shard ``index``: a local host, called
+        directly (:class:`~repro.stream.procshard.ProcessShardEngine`
+        opens worker processes instead)."""
+        return LoopbackChannel(
+            index, self._catalog, self._deliver, self._default_window, self.share_plans
+        )
 
     # ------------------------------------------------------------------
     # Pool introspection
     # ------------------------------------------------------------------
     @property
     def shard_count(self) -> int:
-        return len(self._engines)
+        return len(self._channels)
+
+    @property
+    def engines(self) -> list:
+        """The shard engines (the designated fallback engine excluded).
+        Over a process channel these are the parent's views of the
+        remote engines: ``elements_ingested`` and ``failed`` only."""
+        return [channel.engine for channel in self._channels]
+
+    @property
+    def fallback_engine(self) -> StreamEngine:
+        """The designated engine hosting partition-unsafe queries."""
+        return self._fallback.engine
+
+    @property
+    def running_queries(self) -> list[ShardedQueryHandle]:
+        return list(self._handles.values())
 
     def sharing_stats(self) -> dict:
         """Shared-subplan counters summed over every shard engine and
         the designated fallback (same keys as
         :meth:`StreamEngine.sharing_stats`)."""
         totals: dict = {}
-        for engine in [*self._engines, self._fallback]:
-            for key, value in engine.sharing_stats().items():
+        for index in self._everyone():
+            for key, value in self._call(index, "sharing_stats", retry=True).items():
                 totals[key] = totals.get(key, 0) + value
         return totals
 
-    @property
-    def engines(self) -> list[StreamEngine]:
-        """The shard engines (the designated fallback engine excluded)."""
-        return list(self._engines)
+    def worker_stats(self) -> dict[str, int]:
+        """Transport counters aggregated across shards — empty when the
+        channels transport nothing (the in-process pool): batch counts,
+        rows/batches shipped and restarts summed; ``queue_depth_hwm``
+        is the max across workers (a per-queue high-water mark)."""
+        per_shard = [c.transport for c in self._channels if c.transport is not None]
+        if not per_shard:
+            return {}
+        out = {key: sum(stats[key] for stats in per_shard) for key in per_shard[0]}
+        out["queue_depth_hwm"] = max(stats["queue_depth_hwm"] for stats in per_shard)
+        out["workers"] = len(per_shard)
+        return out
 
-    @property
-    def fallback_engine(self) -> StreamEngine:
-        """The designated engine hosting partition-unsafe queries."""
-        return self._fallback
-
-    @property
-    def running_queries(self) -> list[ShardedQueryHandle]:
-        return list(self._handles.values())
+    def stats(self) -> dict:
+        """Pool counters: total elements routed, owner-cache
+        effectiveness, and the shuffle (``exchange``: exchanged queries
+        live, rows deposited into / delivered out of the shuffle
+        buffers, barrier delivery rounds)."""
+        live = [h.exchange for h in self._handles.values() if h.exchanged]
+        return {
+            "elements_ingested": self.elements_ingested,
+            "owner_cache_hits": self._owner_hits,
+            "owner_cache_misses": self._owner_misses,
+            "owner_cache_evictions": self._owner_evictions,
+            "owner_cache_size": sum(len(c) for c in self._owners.values()),
+            "owner_cache_limit": self._OWNER_CACHE_LIMIT,
+            "exchange": {
+                "queries": len(live),
+                "rows_deposited": self._exchange_delivered
+                + sum(state.pending_rows() for state in live),
+                "rows_delivered": self._exchange_delivered,
+                "barrier_rounds": self._exchange_rounds,
+            },
+        }
 
     # ------------------------------------------------------------------
     # Partition keys
@@ -541,112 +637,182 @@ class ShardedStreamEngine:
         return partition_safe(plan, self._keys)
 
     # ------------------------------------------------------------------
+    # The channel seam
+    # ------------------------------------------------------------------
+    def _channel(self, index):
+        return self._fallback if index == FALLBACK else self._channels[index]
+
+    def _everyone(self) -> list:
+        """Every channel's index — the fallback first: it is in this
+        process, so a bad broadcast raises here, not out of a worker."""
+        return [FALLBACK, *range(len(self._channels))]
+
+    def _call(self, index, verb: str, *args, retry: bool = False):
+        """Invoke one channel verb on shard ``index`` (or ``FALLBACK``).
+
+        A dead shard is failed over on the spot. Ops the pool logged
+        before sending are *not* re-sent — failover's replay of the log
+        suffix already applied them — while requests that read state
+        back (``retry=True``) are re-issued to the restored shard.
+        """
+        while True:
+            try:
+                return getattr(self._channel(index), verb)(*args)
+            except ShardDied:
+                self._recover(index)
+                if not retry:
+                    return None
+
+    def _subscribe(self, handle: "ShardedQueryHandle", delta: int) -> None:
+        counts = self._shard_subs if handle.partitioned else self._fallback_subs
+        for name in handle.sources:
+            count = counts.get(name, 0) + delta
+            if count > 0:
+                counts[name] = count
+            else:
+                counts.pop(name, None)
+
+    def subscribed(self, source: str) -> bool:
+        """True when any query of the pool reads ``source``."""
+        lower = source.lower()
+        return lower in self._shard_subs or lower in self._fallback_subs
+
+    # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def execute(
-        self, plan: LogicalOp, sink: CollectingConsumer | None = None
+        self,
+        plan: LogicalOp,
+        sink: CollectingConsumer | None = None,
+        *,
+        sql: str | None = None,
     ) -> ShardedQueryHandle:
         """Start a continuous query: one replica per shard with a merged
-        sink when the plan is partition-safe, else whole on the
-        designated fallback engine. ``sink`` overrides the merged (or
+        sink when the plan is partition-safe, a two-stage exchanged
+        pipeline when a shuffle makes it so, else whole on the
+        designated fallback engine. ``sql`` is the text ``plan``
+        compiles from; a channel that cannot ship plan objects needs it
+        and falls back without. ``sink`` overrides the merged (or
         fallback) sink — federated repair reuses a surviving cursor's
         sink so subscription taps keep observing results."""
         analysis = partition_safe(plan, self._keys)
-        if analysis.safe:
-            if sink is None:
-                sink = CollectingConsumer()
-            self._register_remote_keys(plan)
-            coordinator = _MergeCoordinator(sink, len(self._engines))
-            inner = [
-                engine.execute(plan, sink=_ShardFeed(coordinator, index))
-                for index, engine in enumerate(self._engines)
-            ]
-            handle = ShardedQueryHandle(
-                next(_pool_query_ids),
-                plan,
-                inner[0].compiled,
-                sink,
-                self,
-                inner=inner,
-                partitioned=True,
-                analysis=analysis,
-                coordinator=coordinator,
-            )
-        elif analysis.exchange is not None:
-            handle = self._execute_exchanged(plan, analysis, sink)
-        else:
-            fallback = self._fallback.execute(plan, sink=sink)
-            handle = ShardedQueryHandle(
-                next(_pool_query_ids),
-                plan,
-                fallback.compiled,
-                fallback.sink,
-                self,
-                inner=[fallback],
-                partitioned=False,
-                analysis=analysis,
-            )
-        self._handles[handle.query_id] = handle
-        return handle
-
-    def _execute_exchanged(
-        self,
-        plan: LogicalOp,
-        analysis: PartitionAnalysis,
-        sink: CollectingConsumer | None,
-    ) -> ShardedQueryHandle:
-        """Start a partition-unsafe query as a two-stage exchanged
-        pipeline: stage-1 replicas on every shard feed the shuffle
-        buffers; stage-2 replicas (every shard when the merge itself
-        partitions by the exchange key, else shard 0) read the exchanged
-        ports and feed the merged sink."""
+        shippable = bool(self._channels) and (
+            sql is not None or self._channels[0].ships_plans
+        )
         query_id = next(_pool_query_ids)
-        # Re-derive the recipe with the real pool query id as the port-
-        # name token (the analysis carried a token-0 preview): several
-        # exchanged queries may coexist on one engine.
-        recipe = build_exchange(plan, self._keys, token=query_id)
-        assert recipe is not None  # analysis.exchange proved one exists
         if sink is None:
             sink = CollectingConsumer()
-        self._register_remote_keys(plan)
-        shards = len(self._engines)
-        dests = list(range(shards)) if recipe.distributed else [0]
-        state = _ExchangeState(recipe, dests)
-        coordinator = _MergeCoordinator(sink, len(dests))
-        stage2: list[QueryHandle | None] = [None] * shards
-        for j, dest in enumerate(dests):
-            stage2[dest] = self._engines[dest].execute(
-                recipe.stage2, sink=_ShardFeed(coordinator, j), share=False
-            )
-        stage1: list[list[QueryHandle]] = []
-        xfeeds: list[list[_ExchangeFeed]] = []
-        for index, engine in enumerate(self._engines):
-            replicas = []
-            feeds = []
-            for spec in recipe.specs:
-                feed = _ExchangeFeed(state, spec.ordinal, index)
-                replicas.append(engine.execute(spec.stage1, sink=feed, share=False))
-                feeds.append(feed)
-            stage1.append(replicas)
-            xfeeds.append(feeds)
-        inner = [r for replicas in stage1 for r in replicas]
-        inner += [h for h in stage2 if h is not None]
-        return ShardedQueryHandle(
+        shards = len(self._channels)
+        state = coordinator = None
+        if shippable and analysis.safe:
+            coordinator = _MergeCoordinator(sink, shards)
+        elif shippable and analysis.exchange is not None:
+            # Re-derive the recipe with the real pool query id as the
+            # port-name token (the analysis carried a token-0 preview):
+            # several exchanged queries may coexist on one engine.
+            recipe = build_exchange(plan, self._keys, token=query_id)
+            assert recipe is not None  # analysis.exchange proved one exists
+            # Stage 2 runs on every shard when the merge itself
+            # partitions by the exchange key, else on shard 0.
+            dests = list(range(shards)) if recipe.distributed else [0]
+            state = _ExchangeState(recipe, dests, self._keys)
+            coordinator = _MergeCoordinator(sink, len(dests))
+        handle = ShardedQueryHandle(
             query_id,
             plan,
-            stage2[dests[0]].compiled,
+            None,
             sink,
             self,
-            inner=inner,
-            partitioned=True,
+            inner=[None] * (shards if coordinator is not None else 1),
+            partitioned=coordinator is not None,
             analysis=analysis,
             coordinator=coordinator,
-            exchanged=True,
             exchange=state,
-            stage1=stage1,
-            stage2=stage2,
-            xfeeds=xfeeds,
+            sql=sql,
+            sources=_plan_sources(plan),
         )
+        # Tracked before its replicas start: a shard found dead while
+        # admitting is failed over, and failover re-admits every
+        # tracked handle — this one included.
+        self._handles[query_id] = handle
+        self._subscribe(handle, +1)
+        try:
+            if handle.partitioned:
+                self._register_remote_keys(plan)
+            for index in range(shards) if handle.partitioned else (FALLBACK,):
+                try:
+                    self._admit(handle, index)
+                except ShardDied:
+                    self._recover(index)
+        except BaseException:
+            self.stop(handle)
+            raise
+        return handle
+
+    def _admit(
+        self, handle: ShardedQueryHandle, index, handle_cp=None, recovering=False
+    ) -> list[tuple]:
+        """Start ``handle``'s replicas on shard ``index`` (or the
+        fallback) — at ``execute``, and again at failover, where the
+        fresh feeds start *muted* (re-execution replays barrier tables:
+        output the merged sink already holds) and the returned
+        ``(feed, arm arguments)`` pairs carry the emission skips that
+        deduplicate re-derived output once armed."""
+        channel = self._channel(index)
+        arms: list[tuple] = []
+
+        def merged(slot: int) -> _ShardFeed:
+            feed = _ShardFeed(handle.coordinator, slot)
+            at_barrier = handle_cp.merge_counts[slot] if handle_cp is not None else 0
+            arms.append((feed, (handle.coordinator.forwarded(slot) - at_barrier,)))
+            return feed
+
+        slot = 0 if index == FALLBACK else index
+        share = handle_cp.shared[slot] if handle_cp is not None and handle_cp.shared else None
+        lead = slot
+        if not handle.partitioned:
+            feed = sink = handle.sink
+            if recovering:
+                # The sink out-lives the engine: dedup re-derived output
+                # against what it held at the barrier.
+                feed = _SinkFeed(sink, 0, 0)
+                skips = (0, 0)
+                if isinstance(sink, CollectingConsumer):
+                    skips = (
+                        len(sink.elements) - (handle_cp.sink_len if handle_cp else 0),
+                        len(sink.punctuations)
+                        - (handle_cp.sink_punct_len if handle_cp else 0),
+                    )
+                arms.append((feed, skips))
+        elif handle.exchanged:
+            state = handle.exchange
+            if recovering:
+                # Unflushed rows from the dead shard are re-derived by
+                # replay; already-delivered ones are dropped by the skips.
+                state.drop_src(index)
+            at_barrier = handle_cp.exchange["flushed"] if handle_cp is not None else {}
+            feeds = []
+            for ordinal in range(len(state.names)):
+                key = (ordinal, index)
+                feeds.append(_ExchangeFeed(state, ordinal, index))
+                arms.append(
+                    (feeds[-1], (state.flushed.get(key, 0) - at_barrier.get(key, 0),))
+                )
+            feed = merged(state.dests.index(index)) if index in state.dests else None
+            lead = state.dests[0]
+        else:
+            feed = merged(index)
+        if recovering:
+            for fresh, _ in arms:
+                fresh.mute()
+        if handle.exchanged:
+            replica = channel.admit_exchanged(handle, feeds, feed)
+        else:
+            replica = channel.admit(handle, feed, share)
+        handle.inner[slot] = replica
+        if replica is not None and slot == lead:
+            handle.compiled = replica.compiled
+        return arms
 
     def _register_remote_keys(self, plan: LogicalOp) -> None:
         """Learn the routing key of every keyed remote source in
@@ -693,9 +859,16 @@ class ShardedStreamEngine:
         tracked = self._handles.pop(handle.query_id, None)
         if tracked is None:
             return
-        for inner in tracked.inner:
-            if inner.engine is not None:
-                inner.engine.stop(inner)
+        self._subscribe(tracked, -1)
+        if tracked.partitioned:
+            channels = self._channels
+        else:
+            channels = [self._fallback]
+        for channel in channels:
+            try:
+                channel.stop(tracked.query_id)
+            except ShardDied:
+                pass  # the corpse hosts nothing; failover re-admits tracked handles only
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -716,49 +889,57 @@ class ShardedStreamEngine:
         try:
             owner = cache.pop(value, None)
         except TypeError:  # unhashable key value: no memo, direct hash
-            return stable_hash(value) % len(self._engines)
+            return stable_hash(value) % len(self._channels)
         if owner is None:
             self._owner_misses += 1
             if len(cache) >= self._OWNER_CACHE_LIMIT:
                 del cache[next(iter(cache))]
                 self._owner_evictions += 1
-            owner = stable_hash(value) % len(self._engines)
+            owner = stable_hash(value) % len(self._channels)
         else:
             self._owner_hits += 1
         cache[value] = owner  # (re)insert at the back: most recent
         return owner
 
-    def stats(self) -> dict:
-        """Pool ingest counters: owner-cache effectiveness plus the
-        total elements routed (all sources)."""
-        return {
-            "elements_ingested": self.elements_ingested,
-            "owner_cache_hits": self._owner_hits,
-            "owner_cache_misses": self._owner_misses,
-            "owner_cache_evictions": self._owner_evictions,
-            "owner_cache_size": sum(len(c) for c in self._owners.values()),
-            "owner_cache_limit": self._OWNER_CACHE_LIMIT,
-        }
-
-    def _owner(self, lower: str, row: Row | Mapping[str, Any]) -> int:
-        """Shard index owning ``row`` for the source named ``lower``."""
+    def _route(
+        self, lower: str, rows: list, stamps: list[float] | None
+    ) -> tuple[list[list], list[list[float]] | None]:
+        """Split a batch into per-shard sub-batches (arrival order kept
+        within each shard): by owner of the declared partition key, else
+        round-robin. ``stamps`` is None for one scalar timestamp."""
+        shards = len(self._channels)
         key = self._keys.get(lower)
-        shards = len(self._engines)
         if key is None:
             cursor = self._round_robin.get(lower, 0)
-            self._round_robin[lower] = (cursor + 1) % shards
-            return cursor
-        if isinstance(row, Row):
-            # Coercion is positional (``with_schema``), so the declared
-            # key's catalog position is authoritative whatever names the
-            # incoming row carries.
-            value = row.values[self._key_index[lower]]
-        else:
-            # Mappings may be keyed by bare or qualified names; a row
-            # missing the key entirely routes to shard 0, where the
-            # engine's own coercion raises the canonical SchemaError.
-            value = row.get(key)
-        return self._owner_of(lower, value)
+            self._round_robin[lower] = (cursor + len(rows)) % shards
+            per_rows: list = [None] * shards
+            per_stamps = None if stamps is None else [None] * shards
+            for offset in range(shards):
+                shard = (cursor + offset) % shards
+                per_rows[shard] = rows[offset::shards]
+                if stamps is not None:
+                    per_stamps[shard] = stamps[offset::shards]
+            return per_rows, per_stamps
+        # Coercion is positional (``with_schema``), so the declared
+        # key's catalog position is authoritative whatever names an
+        # incoming Row carries. Mappings may be keyed by bare or
+        # qualified names; a row missing the key entirely routes to the
+        # owner of None, where coercion raises the canonical SchemaError.
+        index = self._key_index[lower]
+        owner_of = self._owner_of
+        per_rows = [[] for _ in range(shards)]
+        if stamps is None:
+            for row in rows:
+                value = row.values[index] if isinstance(row, Row) else row.get(key)
+                per_rows[owner_of(lower, value)].append(row)
+            return per_rows, None
+        per_stamps = [[] for _ in range(shards)]
+        for row, stamp in zip(rows, stamps):
+            value = row.values[index] if isinstance(row, Row) else row.get(key)
+            owner = owner_of(lower, value)
+            per_rows[owner].append(row)
+            per_stamps[owner].append(stamp)
+        return per_rows, per_stamps
 
     def push(
         self,
@@ -767,23 +948,7 @@ class ShardedStreamEngine:
         timestamp: float,
     ) -> None:
         """Push one element to its owning shard (and the fallback feed)."""
-        entry = self._catalog.source(source)
-        lower = entry.name.lower()
-        self.elements_ingested += 1
-        owner = self._owner(lower, row)
-        engine = self._engines[owner]
-        if engine.failed:
-            engine = self._recover_shard(owner)
-        if self._fallback.failed:
-            self._recover_fallback()
-        checkpointer = self.checkpointer
-        if checkpointer is not None:
-            checkpointer.record(("push", owner, source, row, timestamp))
-        engine.push(source, row, timestamp)
-        if self._fallback.subscribed(lower):
-            if checkpointer is not None:
-                checkpointer.record(("push", FALLBACK, source, row, timestamp))
-            self._fallback.push(source, row, timestamp)
+        self.push_many(source, [row], [timestamp])
 
     def push_many(
         self,
@@ -800,62 +965,29 @@ class ShardedStreamEngine:
         entry = self._catalog.source(source)
         lower = entry.name.lower()
         rows = rows if isinstance(rows, list) else list(rows)
-        scalar = isinstance(timestamps, (int, float))
-        if not scalar:
+        stamps = None
+        if not isinstance(timestamps, (int, float)):
             stamps = timestamps if isinstance(timestamps, list) else list(timestamps)
             if len(stamps) != len(rows):
                 raise ExecutionError(
                     f"push_many got {len(rows)} rows but {len(stamps)} timestamps"
                 )
-        shards = len(self._engines)
-        key = self._keys.get(lower)
-        per_shard_rows: list[list] = [[] for _ in range(shards)]
-        per_shard_stamps: list[list[float]] = [[] for _ in range(shards)]
-        if key is None:
-            cursor = self._round_robin.get(lower, 0)
-            if scalar:
-                for row in rows:
-                    per_shard_rows[cursor].append(row)
-                    cursor = (cursor + 1) % shards
-            else:
-                for row, stamp in zip(rows, stamps):
-                    per_shard_rows[cursor].append(row)
-                    per_shard_stamps[cursor].append(stamp)
-                    cursor = (cursor + 1) % shards
-            self._round_robin[lower] = cursor
-        else:
-            index = self._key_index[lower]
-            owner_of = self._owner_of
-            if scalar:
-                for row in rows:
-                    value = row.values[index] if isinstance(row, Row) else row.get(key)
-                    per_shard_rows[owner_of(lower, value)].append(row)
-            else:
-                for row, stamp in zip(rows, stamps):
-                    value = row.values[index] if isinstance(row, Row) else row.get(key)
-                    owner = owner_of(lower, value)
-                    per_shard_rows[owner].append(row)
-                    per_shard_stamps[owner].append(stamp)
         checkpointer = self.checkpointer
-        for shard, engine in enumerate(self._engines):
-            if not per_shard_rows[shard]:
+        fed = lower in self._shard_subs
+        per_rows, per_stamps = self._route(lower, rows, stamps)
+        for shard, shard_rows in enumerate(per_rows):
+            if not shard_rows:
                 continue
-            if engine.failed:
-                engine = self._recover_shard(shard)
-            shard_stamps = timestamps if scalar else per_shard_stamps[shard]
+            shard_stamps = timestamps if stamps is None else per_stamps[shard]
             if checkpointer is not None:
-                checkpointer.record(
-                    ("many", shard, source, per_shard_rows[shard], shard_stamps)
-                )
-            engine.push_many(source, per_shard_rows[shard], shard_stamps)
-        if self._fallback.failed:
-            self._recover_fallback()
-        if self._fallback.subscribed(lower):
+                checkpointer.record(("many", shard, source, shard_rows, shard_stamps))
+            if fed:
+                self._call(shard, "ingest", source, shard_rows, shard_stamps)
+        if lower in self._fallback_subs:
+            whole = timestamps if stamps is None else stamps
             if checkpointer is not None:
-                checkpointer.record(
-                    ("many", FALLBACK, source, rows, timestamps if scalar else stamps)
-                )
-            self._fallback.push_many(source, rows, timestamps if scalar else stamps)
+                checkpointer.record(("many", FALLBACK, source, rows, whole))
+            self._call(FALLBACK, "ingest", source, rows, whole)
         self.elements_ingested += len(rows)
         return len(rows)
 
@@ -871,92 +1003,96 @@ class ShardedStreamEngine:
         full feed there."""
         self.elements_ingested += 1
         lower = name.lower()
-        # Recover any failed engine first: a dead engine has lost its
-        # routes, so its subscriptions would otherwise read as absent
-        # and the remote feed would silently drop.
-        for index in range(len(self._engines)):
-            if self._engines[index].failed:
-                self._recover_shard(index)
-        if self._fallback.failed:
-            self._recover_fallback()
         checkpointer = self.checkpointer
-        if any(engine.subscribed(lower) for engine in self._engines):
+        targets = []
+        if lower in self._shard_subs:
             owner = self._remote_owner(lower, values)
             if owner is None:
                 owner = self._round_robin.get(lower, 0)
-                self._round_robin[lower] = (owner + 1) % len(self._engines)
+                self._round_robin[lower] = (owner + 1) % len(self._channels)
+            targets.append(owner)
+        if lower in self._fallback_subs:
+            targets.append(FALLBACK)
+        for target in targets:
             if checkpointer is not None:
-                checkpointer.record(("remote", owner, name, values, timestamp))
-            self._engines[owner].push_remote(name, values, timestamp)
-        if self._fallback.subscribed(lower):
-            if checkpointer is not None:
-                checkpointer.record(("remote", FALLBACK, name, values, timestamp))
-            self._fallback.push_remote(name, values, timestamp)
+                checkpointer.record(("remote", target, name, values, timestamp))
+            self._call(target, "ingest_remote", name, values, timestamp)
 
     def punctuate(self, watermark: float, sources: list[str] | None = None) -> None:
         """Broadcast the watermark to every engine; merged sinks forward
         one punctuation once all replicas have processed it.
 
-        Failed engines recover *before* the broadcast, so the watermark
-        that triggered detection reaches the restored replicas too and
-        the merged punctuation (held while the dead shard's watermark
-        was frozen) advances in the same segment as a failure-free run.
+        The punctuation is logged *before* the broadcast, so a shard
+        found dead at any point of the barrier recovers by replaying
+        it: the watermark that triggered detection reaches the restored
+        replicas too, and the merged punctuation (held while the dead
+        shard's watermark was frozen) advances in the same segment as a
+        failure-free run.
         """
-        for index in range(len(self._engines)):
-            if self._engines[index].failed:
-                self._recover_shard(index)
-        if self._fallback.failed:
-            self._recover_fallback()
-        for engine in self._engines:
-            engine.punctuate(watermark, sources)
-        # Shuffle barrier: stage-1 emissions (including this
-        # punctuation's window closes and running deltas) flush to their
-        # destination shards, then the exchange ports are punctuated —
-        # so stage-2 sees everything ≤ watermark before its own
-        # watermark advances, exactly like a single engine would.
-        self._deliver_exchanges(watermark, sources)
-        self._fallback.punctuate(watermark, sources)
-        if self.checkpointer is not None:
-            self.checkpointer.on_punctuation(watermark, sources)
+        checkpointer = self.checkpointer
+        if checkpointer is not None:
+            checkpointer.record(("punct", None, watermark, sources))
+        if self._shard_subs:
+            # Round 1: every shard punctuates (sent to all before any
+            # is waited for — worker processes run it concurrently).
+            shards = range(len(self._channels))
+            for index in shards:
+                self._call(index, "punctuate", watermark, sources)
+            for index in shards:
+                self._call(index, "settle")
+            # Round 2, the shuffle barrier: stage-1 emissions (including
+            # this punctuation's window closes and running deltas) flush
+            # to their destination shards, then the exchange ports are
+            # punctuated — so stage 2 sees everything ≤ watermark before
+            # its own watermark advances, exactly like a single engine.
+            self._deliver_exchanges(watermark, sources)
+        self._call(FALLBACK, "punctuate", watermark, sources)
+        if checkpointer is not None:
+            checkpointer.barrier(watermark)
 
     def _deliver_exchanges(
         self, watermark: float, sources: list[str] | None = None
     ) -> None:
+        """Flush every exchanged query's shuffle buffers — all of them
+        before anything is sent, so the flushed counts failover dedups
+        against always cover a *prefix* of each shard's emissions — then
+        deliver per destination shard and wait for all of them."""
         named = None if sources is None else {s.lower() for s in sources}
         checkpointer = self.checkpointer
+        deliveries: dict[int, tuple[list, list]] = {}  # dest -> (runs, puncts)
         for handle in self._handles.values():
             if not handle.exchanged:
                 continue
             state = handle.exchange
-            if named is None:
-                xnames = list(state.names)
-            else:
+            xnames = state.names
+            if named is not None:
                 # A named punctuate advances only the feeds whose
                 # stage-1 subtree reads one of the named sources (a
                 # shuffled join side holds its watermark until its own
                 # source is punctuated, matching the single engine).
                 xnames = [
-                    state.names[i]
-                    for i, reads in enumerate(state.sources)
-                    if reads & named
+                    name for name, reads in zip(xnames, state.sources) if reads & named
                 ]
                 if not xnames:
                     continue
             for dest in state.dests:
-                engine = self._engines[dest]
-                runs = state.flush(dest)
-                if runs:
-                    named_runs = [
-                        (state.names[ordinal], values, stamps)
-                        for ordinal, values, stamps in runs
-                    ]
+                runs, puncts = deliveries.setdefault(dest, ([], []))
+                flushed = state.flush(dest)
+                if flushed:
+                    runs += flushed
+                    self._exchange_delivered += sum(len(run[1]) for run in flushed)
                     if checkpointer is not None:
-                        checkpointer.record(("xdeliver", dest, named_runs))
-                    for name, values, stamps in named_runs:
-                        engine.push_exchange(name, values, stamps)
+                        checkpointer.record(("xdeliver", dest, flushed))
+                puncts.append((watermark, xnames))
                 if checkpointer is not None:
                     checkpointer.record(("xpunct", dest, watermark, xnames))
-                engine.punctuate(watermark, xnames)
+        if not deliveries:
+            return
+        self._exchange_rounds += 1
+        for dest, (runs, puncts) in deliveries.items():
+            self._call(dest, "deliver", runs, puncts)
+        for dest in deliveries:
+            self._call(dest, "settle")
 
     # ------------------------------------------------------------------
     # Tables (replicated to every engine)
@@ -967,253 +1103,119 @@ class ShardedStreamEngine:
         rows: list[Row | Mapping[str, Any]],
         timestamp: float = 0.0,
     ) -> None:
+        schema = self._catalog.source(name).schema
+        # Coerced once, here: errors surface before anything is logged
+        # or sent, and every host takes the identity fast path.
+        rows = [StreamEngine._coerce_row(schema, row) for row in rows]
         if self.checkpointer is not None:
-            self.checkpointer.record(("table", None, name, list(rows), timestamp))
-        for engine in self._engines:
-            engine.load_table(name, rows, timestamp)
-        self._fallback.load_table(name, rows, timestamp)
+            self.checkpointer.record(("table", None, name, rows, timestamp))
+        for index in self._everyone():
+            self._call(index, "load_table", name, rows, timestamp)
 
     def table_rows(self, name: str) -> list[Row]:
-        return self._engines[0].table_rows(name)
+        return self._fallback.engine.table_rows(name)
 
     def drop_table(self, name: str) -> None:
-        for engine in self._engines:
-            engine.drop_table(name)
-        self._fallback.drop_table(name)
-
-    def subscribed(self, source: str) -> bool:
-        """True when any engine of the pool reads ``source``."""
-        return any(
-            engine.subscribed(source) for engine in self._engines
-        ) or self._fallback.subscribed(source)
+        if self.checkpointer is not None:
+            self.checkpointer.record(("drop", None, name))
+        for index in self._everyone():
+            self._call(index, "drop_table", name)
 
     # ------------------------------------------------------------------
-    # Failure and failover
+    # Barriers, failure and failover
     # ------------------------------------------------------------------
-    def fail_shard(self, index: int) -> None:
-        """Kill one shard engine (state loss — see ``StreamEngine.fail``).
-        The next ingest touching the shard, or the next ``punctuate``,
-        triggers failover from the attached CheckpointCoordinator."""
-        self._engines[index].fail()
+    def snapshot_hosts(self) -> tuple[list[tuple[dict, dict]], tuple[dict, dict]]:
+        """Every shard's ``snapshot`` reply, then the fallback's (the
+        checkpoint coordinator assembles the barrier from them)."""
+        return (
+            [
+                self._call(index, "snapshot", retry=True)
+                for index in range(len(self._channels))
+            ],
+            self._call(FALLBACK, "snapshot", retry=True),
+        )
+
+    def fail_shard(self, index: int, sig=None):
+        """Kill one shard (state loss — see ``StreamEngine.fail``; a
+        worker process gets ``sig``, SIGKILL by default). The next verb
+        reaching the shard triggers failover from the attached
+        CheckpointCoordinator. Returns the corpse."""
+        return self._channels[index].kill(sig)
+
+    fail_worker = fail_shard
 
     def fail_fallback(self) -> None:
         """Kill the designated fallback engine."""
-        self._fallback.fail()
+        self._fallback.kill()
 
-    def _fresh_engine(self) -> StreamEngine:
-        return StreamEngine(
-            self._catalog, self._deliver, self._default_window, self.share_plans
-        )
+    def _recover(self, index) -> None:
+        """Failover one dead shard (or the fallback).
 
-    def _recover_shard(self, index: int) -> StreamEngine:
-        """Failover one dead shard onto a fresh engine.
-
-        Every partitioned handle gets a new replica restored from the
-        latest barrier; the shard's replay-log suffix (its own rows
-        plus all broadcast punctuations and table loads) then brings it
-        to the present. Re-derived emissions are deduplicated by
-        skipping ``forwarded - count_at_barrier`` elements at the new
-        shard feed, so the merged sink sees each result exactly once.
+        A fresh host is seeded with the latest barrier's tables; every
+        query it hosts is re-admitted muted, pinned to the sharing
+        decision recorded at the barrier — only once all are back has
+        the shared-chain DAG regrown to the shape the chain snapshot
+        describes — then barrier state is restored, the dedup skips are
+        armed (``forwarded - count_at_barrier`` per feed, so each sink
+        sees each result exactly once) and the shard's log suffix — its
+        own rows and deliveries plus every broadcast — is replayed
+        through the verbs live ingest uses.
         """
+        on_fallback = index == FALLBACK
+        channel = self._channel(index)
+        hosted = [h for h in self._handles.values() if h.partitioned != on_fallback]
         coordinator = self.checkpointer
-        partitioned = [h for h in self._handles.values() if h.partitioned]
+        if coordinator is None and hosted:
+            raise ExecutionError(
+                f"{'the fallback engine' if on_fallback else f'shard {index}'} "
+                "failed with queries running and no CheckpointCoordinator "
+                "attached — attach one (connect(checkpoint_interval=...)) to "
+                "enable failover"
+            )
+        channel.respawn()
         if coordinator is None:
-            if partitioned:
-                raise ExecutionError(
-                    f"shard {index} failed with partitioned queries running "
-                    "and no CheckpointCoordinator attached — attach one "
-                    "(connect(checkpoint_interval=...)) to enable failover"
-                )
-            fresh = self._fresh_engine()
-            self._engines[index] = fresh
-            return fresh
+            return
         checkpoint = coordinator.latest()
-        fresh = self._fresh_engine()
-        if checkpoint is not None:
-            # Barrier-time tables; post-barrier loads arrive via replay.
-            fresh._tables = {
-                name: list(elements) for name, elements in checkpoint.tables.items()
-            }
-        self._engines[index] = fresh
-        # Pass 1: re-execute every replica muted, pinned to the sharing
-        # decision recorded at the barrier — only once all queries are
-        # re-admitted has the shared-chain DAG regrown to the shape the
-        # chain snapshot describes.
-        restored = []
-        restored_x = []
-        for handle in partitioned:
-            handle_cp = (
-                checkpoint.handles.get(handle.query_id)
-                if checkpoint is not None
-                else None
-            )
-            if handle.exchanged:
-                restored_x.append(
-                    self._reexecute_exchanged(handle, handle_cp, fresh, index)
-                )
-                continue
-            barrier_count = (
-                handle_cp.merge_counts[index] if handle_cp is not None else 0
-            )
-            skip = handle.coordinator.forwarded(index) - barrier_count
-            feed = _ShardFeed(handle.coordinator, index)
-            feed.mute()  # execute replays barrier tables: pre-barrier output
-            share = (
-                handle_cp.shared[index]
-                if handle_cp is not None and handle_cp.shared
-                else None
-            )
-            replica = fresh.execute(handle.plan, sink=feed, share=share)
-            restored.append((handle, handle_cp, feed, skip, replica))
-        # Pass 2: shared chains restore once per chain, then residuals.
-        if checkpoint is not None and getattr(checkpoint, "shard_chains", None):
-            fresh.subplans.restore_chains(checkpoint.shard_chains[index])
-        for handle, handle_cp, feed, skip, replica in restored:
+        tables, suffix = coordinator.replay_plan(checkpoint)
+        channel.seed(tables)
+        slot = 0 if on_fallback else index
+        arms: list[tuple] = []
+        states = {}
+        for handle in hosted:
+            handle_cp = None
+            if checkpoint is not None:
+                handle_cp = checkpoint.handles.get(handle.query_id)
+            arms += self._admit(handle, index, handle_cp, recovering=True)
             if handle_cp is not None:
-                restore_operators(replica, handle_cp.replicas[index])
-            feed.arm(skip)
-            handle.inner[index] = replica
-            if index == 0:
-                handle.compiled = replica.compiled
-        for entry in restored_x:
-            self._restore_exchanged(entry, index)
-        from_seq = checkpoint.log_seq if checkpoint is not None else 0
-        replayed = self._replay_into(fresh, coordinator.log.suffix(from_seq), index)
-        coordinator.note_replay(index, from_seq, replayed)
-        return fresh
-
-    def _reexecute_exchanged(self, handle, handle_cp, fresh, index):
-        """Pass 1 of exchanged-handle failover on one shard: re-execute
-        the shard's stage-1 replicas (and its stage-2 replica, when this
-        shard hosts one) muted, and compute the emission skips that
-        deduplicate re-derived output during log replay."""
-        state = handle.exchange
-        # Unflushed rows from the dead shard are re-derived by replay;
-        # already-delivered ones are dropped by the per-feed skip below.
-        state.drop_src(index)
-        barrier_flushed = (
-            handle_cp.exchange["flushed"] if handle_cp is not None else {}
-        )
-        s1 = []
-        for ordinal, spec in enumerate(state.recipe.specs):
-            feed = _ExchangeFeed(state, ordinal, index)
-            feed.mute()
-            replica = fresh.execute(spec.stage1, sink=feed, share=False)
-            skip = state.flushed.get((ordinal, index), 0) - barrier_flushed.get(
-                (ordinal, index), 0
-            )
-            s1.append((feed, replica, skip))
-        s2 = None
-        if index in state.dests:
-            j = state.dests.index(index)
-            barrier_count = (
-                handle_cp.merge_counts[j] if handle_cp is not None else 0
-            )
-            skip2 = handle.coordinator.forwarded(j) - barrier_count
-            feed2 = _ShardFeed(handle.coordinator, j)
-            feed2.mute()
-            replica2 = fresh.execute(state.recipe.stage2, sink=feed2, share=False)
-            s2 = (feed2, replica2, skip2)
-        return (handle, handle_cp, s1, s2)
-
-    def _restore_exchanged(self, entry, index: int) -> None:
-        """Pass 2: load barrier operator state, arm the dedup skips and
-        splice the fresh replicas into the handle's bookkeeping."""
-        handle, handle_cp, s1, s2 = entry
-        states = handle_cp.replicas[index] if handle_cp is not None else None
-        for ordinal, (feed, replica, skip) in enumerate(s1):
-            if states is not None:
-                restore_operators(replica, states["s1"][ordinal])
-            feed.arm(skip)
-            handle.stage1[index][ordinal] = replica
-            handle.xfeeds[index][ordinal] = feed
-        if s2 is not None:
-            feed2, replica2, skip2 = s2
-            if states is not None and states["s2"] is not None:
-                restore_operators(replica2, states["s2"])
-            feed2.arm(skip2)
-            handle.stage2[index] = replica2
-            if index == handle.exchange.dests[0]:
-                handle.compiled = replica2.compiled
-        handle.inner = [r for replicas in handle.stage1 for r in replicas]
-        handle.inner += [h for h in handle.stage2 if h is not None]
-
-    def _recover_fallback(self) -> StreamEngine:
-        """Failover the designated fallback engine.
-
-        Fallback replicas see the full feed, so the replay suffix is
-        every fallback-keyed entry plus broadcasts; dedup anchors on
-        the surviving sink's element/punctuation counts at the barrier.
-        """
-        coordinator = self.checkpointer
-        fallback_handles = [h for h in self._handles.values() if not h.partitioned]
-        if coordinator is None:
-            if fallback_handles:
-                raise ExecutionError(
-                    "the fallback engine failed with queries running and no "
-                    "CheckpointCoordinator attached — attach one "
-                    "(connect(checkpoint_interval=...)) to enable failover"
-                )
-            self._fallback = self._fresh_engine()
-            return self._fallback
-        checkpoint = coordinator.latest()
-        fresh = self._fresh_engine()
+                states[handle.query_id] = handle_cp.replicas[slot]
         if checkpoint is not None:
-            fresh._tables = {
-                name: list(elements) for name, elements in checkpoint.tables.items()
-            }
-        self._fallback = fresh
-        # Two passes, as in _recover_shard: re-admit every query first
-        # so the shared-chain DAG regrows, then restore chain state
-        # once per chain and residual state per query.
-        restored = []
-        for handle in fallback_handles:
-            handle_cp = (
-                checkpoint.handles.get(handle.query_id)
-                if checkpoint is not None
-                else None
+            chains = (
+                checkpoint.fallback_chains
+                if on_fallback
+                else checkpoint.shard_chains[index]
             )
-            sink = handle.sink
-            skip = skip_puncts = 0
-            if isinstance(sink, CollectingConsumer):
-                barrier_len = handle_cp.sink_len if handle_cp is not None else 0
-                barrier_puncts = (
-                    handle_cp.sink_punct_len if handle_cp is not None else 0
-                )
-                skip = len(sink.elements) - barrier_len
-                skip_puncts = len(sink.punctuations) - barrier_puncts
-            feed = _SinkFeed(sink, 0, 0)
-            feed.mute()  # execute replays barrier tables: pre-barrier output
-            share = (
-                handle_cp.shared[0]
-                if handle_cp is not None and handle_cp.shared
-                else None
-            )
-            replica = fresh.execute(handle.plan, sink=feed, share=share)
-            restored.append((handle, handle_cp, feed, skip, skip_puncts, replica))
-        if checkpoint is not None:
-            fresh.subplans.restore_chains(getattr(checkpoint, "fallback_chains", {}))
-        for handle, handle_cp, feed, skip, skip_puncts, replica in restored:
-            if handle_cp is not None:
-                restore_operators(replica, handle_cp.replicas[0])
-            feed.arm(skip, skip_puncts)
-            handle.inner = [replica]
-            handle.compiled = replica.compiled
-        from_seq = checkpoint.log_seq if checkpoint is not None else 0
-        replayed = self._replay_into(
-            fresh, coordinator.log.suffix(from_seq), FALLBACK
-        )
-        coordinator.note_replay(FALLBACK, from_seq, replayed)
-        return fresh
-
-    @staticmethod
-    def _replay_into(engine: StreamEngine, suffix: list[tuple], target) -> int:
-        """Replay the log entries owned by ``target`` (plus broadcasts)
-        into a freshly restored engine; returns the entry count."""
+            channel.restore(states, chains)
+        channel.settle()  # table-replay emissions have hit the muted feeds
+        for feed, skips in arms:
+            feed.arm(*skips)
         replayed = 0
         for entry in suffix:
             kind, key = entry[0], entry[1]
-            if kind in ("punct", "table") or key == target:
-                engine.replay_entry(entry)
-                replayed += 1
-        return replayed
+            if kind == "punct":
+                channel.punctuate(entry[2], entry[3])
+            elif kind == "table":
+                channel.load_table(entry[2], entry[3], entry[4])
+            elif key != index:
+                continue
+            elif kind == "many":
+                channel.ingest(entry[2], entry[3], entry[4])
+            elif kind == "remote":
+                channel.ingest_remote(entry[2], entry[3], entry[4])
+            elif kind == "xdeliver":
+                channel.deliver(entry[2], [])
+            else:  # "xpunct"
+                channel.deliver([], [(entry[2], entry[3])])
+            replayed += 1
+        channel.settle()  # replayed emissions have cleared the armed skips
+        from_seq = checkpoint.log_seq if checkpoint is not None else 0
+        coordinator.note_replay(index, from_seq, replayed)

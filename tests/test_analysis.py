@@ -943,6 +943,54 @@ class TestEngineLinter:
         assert _codes(diags) == ["RA904"]
         assert "bound attribute" in diags[0].message
 
+    def test_ra904_frame_must_be_a_plain_tuple(self, tmp_path):
+        root = self._tree(
+            tmp_path,
+            {
+                "stream/__init__.py": "",
+                "stream/chan.py": (
+                    "import multiprocessing\n"
+                    "def feed(q, rows):\n"
+                    "    q.put({'kind': 'data', 'rows': rows})\n"
+                    "    q.put(make_frame(rows))\n"
+                ),
+            },
+        )
+        diags = lint_engine(root)
+        assert _codes(diags) == ["RA904", "RA904"]
+        assert all("non-tuple expression" in d.message for d in diags)
+
+    def test_ra904_second_multiprocessing_module(self, tmp_path):
+        """Exactly one module is the frame boundary: a second importer
+        of multiprocessing is a second transport growing beside it."""
+        root = self._tree(
+            tmp_path,
+            {
+                "stream/__init__.py": "",
+                "stream/chan.py": "import multiprocessing\n",
+                "stream/other.py": "from multiprocessing import Queue\n",
+                "api/__init__.py": "",
+                "api/third.py": "import multiprocessing.pool\n",
+            },
+        )
+        diags = lint_engine(root)
+        assert _codes(diags) == ["RA904", "RA904"]
+        # Sorted walk: api/third.py is first and so the sanctioned one.
+        assert {d.operator for d in diags} == {"stream/chan.py:1", "stream/other.py:1"}
+
+    def test_ra904_repo_has_one_frame_boundary(self):
+        import ast
+
+        from repro.analysis.linter import _imports_multiprocessing, repro_root
+
+        root = repro_root()
+        importers = [
+            str(path.relative_to(root))
+            for path in sorted(root.rglob("*.py"))
+            if _imports_multiprocessing(ast.parse(path.read_text()))
+        ]
+        assert importers == ["stream/procshard.py"]
+
     def test_ra904_tuple_frames_are_clean(self, tmp_path):
         root = self._tree(
             tmp_path,

@@ -22,12 +22,13 @@ Seed count: ``REPRO_FAULT_SEEDS`` (default 6).
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
 
 import pytest
 
-from repro.api import SensorSource, connect
+from repro.api import SensorSource, StreamSource, TableSource, connect
 from repro.catalog import Catalog
 from repro.data import DataType, Row, Schema
 from repro.errors import ExecutionError, QueryError
@@ -35,10 +36,10 @@ from repro.plan import PlanBuilder
 from repro.runtime import Simulator
 from repro.runtime.faults import (
     DropDeploymentAcks,
+    hang_worker,
     kill_fallback,
     kill_mote,
     kill_shard,
-    kill_worker,
     seeded_point,
 )
 from repro.sensor import (
@@ -156,32 +157,51 @@ def _run_unsharded(rows, stamps, chunks):
     return _drive(engine, handles, chunks, stamps[-1] + 200.0)
 
 
-def _sharded_pool(shards, interval):
+POOLS = {"loopback": ShardedStreamEngine, "framed": ProcessShardEngine}
+needs_processes = pytest.mark.skipif(
+    usable_start_method() is None, reason="no multiprocessing start method"
+)
+TRANSPORTS = ["loopback", pytest.param("framed", marks=needs_processes)]
+
+
+@contextlib.contextmanager
+def _pool(transport, shards, interval, queries=QUERIES, share_plans=False):
+    """One pool, either transport: same catalog, key and queries. SQL
+    text rides along with every plan — the loopback channel ignores it,
+    the framed channel ships it instead of the plan."""
     catalog = _catalog()
-    pool = ShardedStreamEngine(catalog, shards=shards)
-    pool.set_partition_key("Readings", "host")
-    coordinator = (
-        CheckpointCoordinator(pool, interval=interval) if interval is not None else None
-    )
-    builder = PlanBuilder(catalog)
-    handles = [pool.execute(builder.build_sql(sql)) for sql in QUERIES]
-    return pool, coordinator, handles
+    pool = POOLS[transport](catalog, shards=shards, share_plans=share_plans)
+    try:
+        pool.set_partition_key("Readings", "host")
+        coordinator = (
+            CheckpointCoordinator(pool, interval=interval)
+            if interval is not None
+            else None
+        )
+        builder = PlanBuilder(catalog)
+        handles = [pool.execute(builder.build_sql(sql), sql=sql) for sql in queries]
+        yield pool, coordinator, handles
+    finally:
+        if transport == "framed":
+            pool.shutdown()
 
 
-class TestShardFailoverIdentity:
-    """Kill one shard engine mid-corpus: post-recovery emissions must be
-    identical to the failure-free (and the unsharded) run."""
+def _corpus(seed, salt=0, count=None):
+    rng = random.Random(salt + seed)
+    rows, stamps = _rows(count if count is not None else rng.randint(150, 350), rng)
+    chunks = _chunks(rows, stamps, random.Random(seed * 31 + 7))
+    return rows, stamps, chunks
 
-    @pytest.mark.parametrize("seed", range(SEEDS))
-    def test_kill_shard_mid_corpus(self, seed):
-        rng = random.Random(seed)
-        rows, stamps = _rows(rng.randint(150, 350), rng)
-        plan_rng = random.Random(seed * 31 + 7)
-        chunks = _chunks(rows, stamps, plan_rng)
-        expected = _run_unsharded(rows, stamps, chunks)
 
-        shards = 4
-        pool, coordinator, handles = _sharded_pool(shards, interval=25.0)
+# -- the shared bodies: every pool failover test, over either transport --
+def _check_kill_shard_mid_corpus(transport, seed):
+    """Kill one shard mid-corpus: post-recovery emissions identical to
+    the failure-free (and the unsharded) run, replaying only the log
+    suffix since the newest barrier."""
+    rows, stamps, chunks = _corpus(seed)
+    expected = _run_unsharded(rows, stamps, chunks)
+    shards = 4
+    with _pool(transport, shards, interval=25.0) as (pool, coordinator, handles):
         kill_at = seeded_point(seed, len(chunks))
         victim = seeded_point(seed, shards, salt=1)
         state = {}
@@ -192,7 +212,9 @@ class TestShardFailoverIdentity:
                 kill_shard(pool, victim)
 
         got = _drive(pool, handles, chunks, stamps[-1] + 200.0, on_chunk=inject)
-        assert got == expected, f"seed={seed}: emissions diverged across recovery"
+        assert got == expected, (
+            f"seed={seed} {transport}: emissions diverged across recovery"
+        )
         # Suffix-only replay: recovery started from the newest barrier
         # (or seq 0 when the kill preceded the first one), never from
         # pruned history.
@@ -200,54 +222,15 @@ class TestShardFailoverIdentity:
         assert replay is not None and replay["target"] == victim
         barrier = state["barrier"]
         assert replay["from_seq"] == (barrier.log_seq if barrier is not None else 0)
+        assert pool.worker_stats().get("restarts", 1) == 1
 
-    @pytest.mark.parametrize("seed", range(min(SEEDS, 3)))
-    def test_kill_fallback_mid_corpus(self, seed):
-        rng = random.Random(500 + seed)
-        rows, stamps = _rows(250, rng)
-        plan_rng = random.Random(seed * 31 + 7)
-        chunks = _chunks(rows, stamps, plan_rng)
-        expected = _run_unsharded(rows, stamps, chunks)
 
-        pool, coordinator, handles = _sharded_pool(3, interval=25.0)
-        kill_at = seeded_point(seed, len(chunks), salt=2)
-
-        def inject(chunk_no):
-            if chunk_no == kill_at:
-                kill_fallback(pool)
-
-        got = _drive(pool, handles, chunks, stamps[-1] + 200.0, on_chunk=inject)
-        assert got == expected
-        assert coordinator.last_replay is not None
-        assert coordinator.last_replay["target"] == "fb"
-
-    def test_cold_failover_before_first_barrier(self):
-        """A shard killed before any checkpoint replays the full log —
-        the pool's handles outlive the dead engine."""
-        rng = random.Random(42)
-        rows, stamps = _rows(120, rng)
-        chunks = _chunks(rows, stamps, random.Random(42 * 31 + 7))
-        expected = _run_unsharded(rows, stamps, chunks)
-
-        # interval=None: the log accumulates but no barrier ever fires,
-        # so recovery must replay the full log from seq 0.
-        pool, _, handles = _sharded_pool(3, interval=None)
-        coordinator = CheckpointCoordinator(pool, interval=None)
-
-        def inject(chunk_no):
-            if chunk_no == 1:
-                kill_shard(pool, 0)
-
-        got = _drive(pool, handles, chunks, stamps[-1] + 200.0, on_chunk=inject)
-        assert got == expected
-        assert coordinator.last_replay["from_seq"] == 0
-
-    def test_punctuate_recovers_a_dead_shard(self):
-        """Punctuation reaching the pool restores dead shards *before*
-        the broadcast, so the triggering watermark closes windows on the
-        restored replicas too — the merge coordinator's min-watermark
-        hold ends in the same call that repaired the shard."""
-        pool, coordinator, handles = _sharded_pool(3, interval=0.0)
+def _check_punctuate_recovers_a_dead_shard(transport):
+    """Punctuation reaching the pool restores a dead shard inside the
+    barrier, so the triggering watermark closes windows on the restored
+    replicas too — the merge coordinator's min-watermark hold ends in
+    the same call that repaired the shard."""
+    with _pool(transport, 3, interval=0.0) as (pool, coordinator, handles):
         rows, stamps = _rows(60, random.Random(7))
         pool.push_many("Readings", rows, stamps)
         pool.punctuate(stamps[-1])
@@ -258,98 +241,120 @@ class TestShardFailoverIdentity:
         assert not pool.engines[1].failed  # restored in-line
         assert len(handles[1].sink.punctuations) == sink_puncts + 1  # not held back
         assert coordinator.last_replay["target"] == 1
+        assert pool.worker_stats().get("restarts", 1) == 1
 
-    def test_failover_without_coordinator_raises(self):
-        pool, _, handles = _sharded_pool(2, interval=None)
+
+def _check_failover_without_coordinator_raises(transport):
+    with _pool(transport, 2, interval=None) as (pool, _, handles):
         rows, stamps = _rows(30, random.Random(3))
         pool.push_many("Readings", rows, stamps)
         kill_shard(pool, 0)
-        with pytest.raises(ExecutionError, match="CheckpointCoordinator"):
+        with pytest.raises(ExecutionError, match="shard 0 .*CheckpointCoordinator"):
             pool.punctuate(stamps[-1])
 
 
-def _process_pool(shards, interval):
-    catalog = _catalog()
-    pool = ProcessShardEngine(catalog, shards=shards)
-    pool.set_partition_key("Readings", "host")
-    coordinator = (
-        CheckpointCoordinator(pool, interval=interval) if interval is not None else None
-    )
-    builder = PlanBuilder(catalog)
-    handles = [pool.execute(builder.build_sql(sql), sql=sql) for sql in QUERIES]
-    return pool, coordinator, handles
+class TestShardFailoverIdentity:
+    """Kill one shard engine mid-corpus: post-recovery emissions must be
+    identical to the failure-free (and the unsharded) run."""
 
-
-@pytest.mark.skipif(
-    usable_start_method() is None, reason="no multiprocessing start method"
-)
-class TestProcessWorkerFailover:
-    """SIGKILL one worker *process* mid-corpus: the pool must restore a
-    replacement from the latest barrier and replay only the log suffix,
-    with post-recovery emissions byte-identical to failure-free."""
+    @pytest.mark.parametrize("seed", range(SEEDS))
+    def test_kill_shard_mid_corpus(self, seed):
+        _check_kill_shard_mid_corpus("loopback", seed)
 
     @pytest.mark.parametrize("seed", range(min(SEEDS, 3)))
-    def test_kill_worker_mid_corpus(self, seed):
-        rng = random.Random(seed)
-        rows, stamps = _rows(rng.randint(150, 350), rng)
-        plan_rng = random.Random(seed * 31 + 7)
-        chunks = _chunks(rows, stamps, plan_rng)
+    def test_kill_fallback_mid_corpus(self, seed):
+        rows, stamps, chunks = _corpus(seed, salt=500, count=250)
         expected = _run_unsharded(rows, stamps, chunks)
-
-        shards = 4
-        pool, coordinator, handles = _process_pool(shards, interval=25.0)
-        try:
-            kill_at = seeded_point(seed, len(chunks))
-            victim = seeded_point(seed, shards, salt=1)
-            state = {}
+        with _pool("loopback", 3, interval=25.0) as (pool, coordinator, handles):
+            kill_at = seeded_point(seed, len(chunks), salt=2)
 
             def inject(chunk_no):
                 if chunk_no == kill_at:
-                    state["barrier"] = coordinator.latest()
-                    kill_worker(pool, victim)
+                    kill_fallback(pool)
 
             got = _drive(pool, handles, chunks, stamps[-1] + 200.0, on_chunk=inject)
-            assert got == expected, (
-                f"seed={seed}: emissions diverged across worker recovery"
-            )
-            replay = coordinator.last_replay
-            assert replay is not None and replay["target"] == victim
-            barrier = state["barrier"]
-            assert replay["from_seq"] == (
-                barrier.log_seq if barrier is not None else 0
-            )
-            assert pool.worker_stats()["restarts"] == 1
-        finally:
-            pool.shutdown()
+            assert got == expected
+            assert coordinator.last_replay is not None
+            assert coordinator.last_replay["target"] == "fb"
+
+    def test_cold_failover_before_first_barrier(self):
+        """A shard killed before any checkpoint replays the full log —
+        the pool's handles outlive the dead engine."""
+        rows, stamps, chunks = _corpus(42, count=120)
+        expected = _run_unsharded(rows, stamps, chunks)
+        # interval=None: the log accumulates but no barrier ever fires,
+        # so recovery must replay the full log from seq 0.
+        with _pool("loopback", 3, interval=None) as (pool, _, handles):
+            coordinator = CheckpointCoordinator(pool, interval=None)
+
+            def inject(chunk_no):
+                if chunk_no == 1:
+                    kill_shard(pool, 0)
+
+            got = _drive(pool, handles, chunks, stamps[-1] + 200.0, on_chunk=inject)
+            assert got == expected
+            assert coordinator.last_replay["from_seq"] == 0
+
+    def test_punctuate_recovers_a_dead_shard(self):
+        _check_punctuate_recovers_a_dead_shard("loopback")
+
+    def test_failover_without_coordinator_raises(self):
+        _check_failover_without_coordinator_raises("loopback")
+
+
+@needs_processes
+class TestProcessWorkerFailover:
+    """SIGKILL one worker *process* mid-corpus: the same bodies over the
+    framed channel — the pool restores a replacement process from the
+    latest barrier and replays only the log suffix, with post-recovery
+    emissions byte-identical to failure-free."""
+
+    @pytest.mark.parametrize("seed", range(min(SEEDS, 3)))
+    def test_kill_worker_mid_corpus(self, seed):
+        _check_kill_shard_mid_corpus("framed", seed)
 
     def test_punctuate_recovers_a_dead_worker(self):
-        """A punctuation arriving at the pool detects the corpse and
-        restores the worker before the barrier completes — the same
-        in-line repair the in-process pool does for dead shards."""
-        pool, coordinator, handles = _process_pool(3, interval=0.0)
-        try:
-            rows, stamps = _rows(60, random.Random(7))
-            pool.push_many("Readings", rows, stamps)
-            pool.punctuate(stamps[-1])
-            sink_puncts = len(handles[1].sink.punctuations)
-            kill_worker(pool, 1)
-            pool.punctuate(stamps[-1] + 50.0)
-            assert len(handles[1].sink.punctuations) == sink_puncts + 1
-            assert coordinator.last_replay["target"] == 1
-            assert pool.worker_stats()["restarts"] == 1
-        finally:
-            pool.shutdown()
+        _check_punctuate_recovers_a_dead_shard("framed")
 
     def test_worker_failover_without_coordinator_raises(self):
-        pool, _, handles = _process_pool(2, interval=None)
-        try:
+        _check_failover_without_coordinator_raises("framed")
+
+    def test_hung_worker_is_killed_at_the_deadline(self, monkeypatch):
+        """A worker that hangs (SIGSTOP) instead of dying must not block
+        the barrier forever: the ack wait expires, the worker is killed
+        and the ordinary failover path takes over — emissions identical
+        to the failure-free run."""
+        import repro.stream.procshard as procshard
+
+        monkeypatch.setattr(procshard, "ACK_DEADLINE_S", 0.6)
+        rows, stamps, chunks = _corpus(11, count=160)
+        expected = _run_unsharded(rows, stamps, chunks)
+        with _pool("framed", 3, interval=25.0) as (pool, coordinator, handles):
+            hung = {}
+
+            def inject(chunk_no):
+                if chunk_no == len(chunks) // 2:
+                    hung["process"] = hang_worker(pool, 1)
+                    assert hung["process"].is_alive()  # stopped, not dead
+
+            got = _drive(pool, handles, chunks, stamps[-1] + 200.0, on_chunk=inject)
+            assert got == expected
+            assert not hung["process"].is_alive()  # killed at the deadline
+            assert coordinator.last_replay["target"] == 1
+            assert pool.worker_stats()["restarts"] == 1
+
+    def test_hung_worker_without_coordinator_raises_naming_the_shard(
+        self, monkeypatch
+    ):
+        import repro.stream.procshard as procshard
+
+        monkeypatch.setattr(procshard, "ACK_DEADLINE_S", 0.4)
+        with _pool("framed", 2, interval=None) as (pool, _, handles):
             rows, stamps = _rows(30, random.Random(3))
             pool.push_many("Readings", rows, stamps)
-            kill_worker(pool, 0)
-            with pytest.raises(ExecutionError, match="CheckpointCoordinator"):
+            hang_worker(pool, 1)
+            with pytest.raises(ExecutionError, match="shard 1 failed"):
                 pool.punctuate(stamps[-1])
-        finally:
-            pool.shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -377,34 +382,21 @@ def _run_unsharded_exchanged(rows, stamps, chunks):
     return _drive(engine, handles, chunks, stamps[-1] + 200.0)
 
 
-class TestExchangedShardFailover:
+def _check_kill_shard_mid_shuffle(transport, seed):
     """Kill a shard while unsafe plans run via exchange: the dead
     source's pending shuffle deposits are dropped and re-derived by the
     restored stage-1 replicas, stage-2 merge replicas restore from
-    their snapshots, and the merged emissions stay identical to the
-    failure-free (and the unsharded) run."""
-
-    def _pool(self, shards, interval):
-        catalog = _catalog()
-        pool = ShardedStreamEngine(catalog, shards=shards)
-        pool.set_partition_key("Readings", "host")
-        coordinator = CheckpointCoordinator(pool, interval=interval)
-        builder = PlanBuilder(catalog)
-        handles = [
-            pool.execute(builder.build_sql(sql)) for sql in EXCHANGED_QUERIES
-        ]
+    their snapshots (replaying the logged xdeliver/xpunct records), and
+    the merged emissions stay identical to the unsharded run."""
+    rng = random.Random(900 + seed)
+    rows, stamps = _rows(rng.randint(150, 300), rng)
+    chunks = _chunks(rows, stamps, random.Random(seed * 31 + 7))
+    expected = _run_unsharded_exchanged(rows, stamps, chunks)
+    shards = 4
+    with _pool(transport, shards, 25.0, EXCHANGED_QUERIES) as (
+        pool, coordinator, handles,
+    ):
         assert all(handle.exchanged for handle in handles)
-        return pool, coordinator, handles
-
-    @pytest.mark.parametrize("seed", range(min(SEEDS, 4)))
-    def test_kill_shard_mid_shuffle(self, seed):
-        rng = random.Random(900 + seed)
-        rows, stamps = _rows(rng.randint(150, 300), rng)
-        chunks = _chunks(rows, stamps, random.Random(seed * 31 + 7))
-        expected = _run_unsharded_exchanged(rows, stamps, chunks)
-
-        shards = 4
-        pool, coordinator, handles = self._pool(shards, interval=25.0)
         kill_at = seeded_point(seed, len(chunks))
         victim = seeded_point(seed, shards, salt=1)
 
@@ -414,21 +406,22 @@ class TestExchangedShardFailover:
 
         got = _drive(pool, handles, chunks, stamps[-1] + 200.0, on_chunk=inject)
         assert got == expected, (
-            f"seed={seed}: exchanged emissions diverged across recovery"
+            f"seed={seed} {transport}: exchanged emissions diverged across recovery"
         )
         replay = coordinator.last_replay
         assert replay is not None and replay["target"] == victim
+        assert pool.worker_stats().get("restarts", 1) == 1
 
-    def test_kill_merge_shard(self):
-        """Shard 0 hosts the global aggregate's single stage-2 replica;
-        killing it exercises merge-accumulator restore plus the
-        coordinator's forwarded-count skip on re-delivery."""
-        rng = random.Random(77)
-        rows, stamps = _rows(200, rng)
-        chunks = _chunks(rows, stamps, random.Random(77 * 31 + 7))
-        expected = _run_unsharded_exchanged(rows, stamps, chunks)
 
-        pool, coordinator, handles = self._pool(3, interval=25.0)
+def _check_kill_merge_shard(transport):
+    """Shard 0 hosts the global aggregate's single stage-2 replica;
+    killing it exercises merge-accumulator restore plus the
+    coordinator's forwarded-count skip on re-delivery."""
+    rng = random.Random(77)
+    rows, stamps = _rows(200, rng)
+    chunks = _chunks(rows, stamps, random.Random(77 * 31 + 7))
+    expected = _run_unsharded_exchanged(rows, stamps, chunks)
+    with _pool(transport, 3, 25.0, EXCHANGED_QUERIES) as (pool, coordinator, handles):
 
         def inject(chunk_no):
             if chunk_no == len(chunks) // 2:
@@ -439,53 +432,116 @@ class TestExchangedShardFailover:
         assert coordinator.last_replay["target"] == 0
 
 
-@pytest.mark.skipif(
-    usable_start_method() is None, reason="no multiprocessing start method"
-)
+class TestExchangedShardFailover:
+    @pytest.mark.parametrize("seed", range(min(SEEDS, 4)))
+    def test_kill_shard_mid_shuffle(self, seed):
+        _check_kill_shard_mid_shuffle("loopback", seed)
+
+    def test_kill_merge_shard(self):
+        _check_kill_merge_shard("loopback")
+
+
+@needs_processes
 class TestExchangedWorkerFailover:
     """SIGKILL a worker process while exchanged plans are running: the
-    replacement re-executes its stage replicas from shipped SQL, replays
-    the log suffix (including xdeliver/xpunct records), and the armed
-    skips keep the shuffle exactly-once."""
+    same body over the framed channel."""
 
     @pytest.mark.parametrize("seed", range(min(SEEDS, 2)))
     def test_kill_worker_mid_shuffle(self, seed):
-        rng = random.Random(900 + seed)
-        rows, stamps = _rows(rng.randint(150, 300), rng)
-        chunks = _chunks(rows, stamps, random.Random(seed * 31 + 7))
-        expected = _run_unsharded_exchanged(rows, stamps, chunks)
+        _check_kill_shard_mid_shuffle("framed", seed)
 
-        shards = 4
+    def test_kill_merge_worker(self):
+        _check_kill_merge_shard("framed")
+
+
+# ----------------------------------------------------------------------
+# Dropped tables and failover
+# ----------------------------------------------------------------------
+MACHINES = Schema.of(("name", DataType.STRING), ("room", DataType.STRING))
+MACHINE_ROWS = [{"name": f"ws{i}", "room": f"lab{i % 3}"} for i in range(4)]
+WINDOWED = (
+    "select r.host, count(*) as n from Readings r "
+    "[range 20 seconds slide 20 seconds] group by r.host"
+)
+
+
+class TestDroppedTableFailover:
+    """``drop_table`` reaches the replay log: a table loaded since the
+    last barrier and detached before a shard died is neither replayed
+    (its source has left the catalog) nor resurrected from the barrier."""
+
+    @pytest.mark.parametrize("workers", ["inline", pytest.param("process", marks=needs_processes)])
+    def test_detach_then_kill_then_punctuate(self, workers):
+        def run(kill):
+            with connect(shards=2, workers=workers, checkpoint_interval=1000) as session:
+                session.attach(StreamSource("Readings", READINGS, partition_by="host"))
+                session.attach(TableSource("Machines", MACHINES, MACHINE_ROWS))
+                cursor = session.query(WINDOWED)
+                rows, stamps = _rows(80, random.Random(9))
+                session.push_many("Readings", rows, stamps)
+                session.detach("Machines")
+                if kill:
+                    kill_shard(session.engine, 0)
+                session.punctuate(stamps[-1] + 40.0)
+                if kill:
+                    assert session.checkpointer.last_replay["target"] == 0
+                return sorted(repr(r.values) for r in cursor.results())
+
+        assert run(kill=True) == run(kill=False) != []
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_barrier_tables_are_not_resurrected(self, transport):
+        """Loaded before the barrier, dropped after it: the restored
+        shard must not be seeded with the barrier's copy; a table
+        dropped and re-loaded keeps only the re-load."""
         catalog = _catalog()
-        pool = ProcessShardEngine(catalog, shards=shards)
+        catalog.register_table("Machines", MACHINES, cardinality=4)
+        catalog.register_table("Spares", MACHINES, cardinality=4)
+        pool = POOLS[transport](catalog, shards=2)
         try:
+            coordinator = CheckpointCoordinator(pool, interval=None)
             pool.set_partition_key("Readings", "host")
-            coordinator = CheckpointCoordinator(pool, interval=25.0)
-            builder = PlanBuilder(catalog)
-            handles = [
-                pool.execute(builder.build_sql(sql), sql=sql)
-                for sql in EXCHANGED_QUERIES
-            ]
-            assert all(handle.exchanged for handle in handles)
-            kill_at = seeded_point(seed, len(chunks))
-            victim = seeded_point(seed, shards, salt=1)
-
-            def inject(chunk_no):
-                if chunk_no == kill_at:
-                    kill_worker(pool, victim)
-
-            got = _drive(
-                pool, handles, chunks, stamps[-1] + 200.0, on_chunk=inject
-            )
-            assert got == expected, (
-                f"seed={seed}: exchanged emissions diverged across "
-                "worker recovery"
-            )
-            replay = coordinator.last_replay
-            assert replay is not None and replay["target"] == victim
-            assert pool.worker_stats()["restarts"] == 1
+            handle = pool.execute(PlanBuilder(catalog).build_sql(WINDOWED), sql=WINDOWED)
+            pool.load_table("Machines", MACHINE_ROWS)
+            pool.load_table("Spares", MACHINE_ROWS)
+            coordinator.checkpoint()
+            pool.drop_table("Machines")
+            pool.drop_table("Spares")
+            pool.load_table("Spares", MACHINE_ROWS[:1])
+            tables, suffix = coordinator.replay_plan(coordinator.latest())
+            assert list(tables) == []
+            assert [entry[:3] for entry in suffix] == [("table", None, "Spares")]
+            kill_shard(pool, 1)
+            pool.punctuate(10.0)
+            assert coordinator.last_replay["target"] == 1
+            if transport == "loopback":
+                assert pool.engines[1].table_rows("Machines") == []
+                assert len(pool.engines[1].table_rows("Spares")) == 1
+            assert handle.results == []
         finally:
-            pool.shutdown()
+            if transport == "framed":
+                pool.shutdown()
+
+    def test_single_engine_recover_honours_drops(self):
+        """The plain-engine ``recover()`` path: replaying the load of a
+        since-detached table used to raise ``CatalogError: unknown
+        source``."""
+        catalog = _catalog()
+        catalog.register_table("Machines", MACHINES, cardinality=4)
+        engine = StreamEngine(catalog)
+        coordinator = CheckpointCoordinator(engine, interval=None)
+        handle = engine.execute(PlanBuilder(catalog).build_sql(WINDOWED))
+        coordinator.checkpoint()
+        engine.load_table("Machines", MACHINE_ROWS)
+        rows, stamps = _rows(40, random.Random(4))
+        engine.push_many("Readings", rows, stamps)
+        engine.drop_table("Machines")
+        catalog.unregister_source("Machines")
+        engine.fail()
+        (restored,) = coordinator.recover()
+        engine.punctuate(stamps[-1] + 40.0)
+        assert engine._tables == {}
+        assert sum(r["n"] for r in restored.results) == len(rows)
 
 
 # ----------------------------------------------------------------------

@@ -374,7 +374,12 @@ class TestStats:
 
         single, _ = run(1)
         sharded, emptied = run(2)
-        assert set(sharded) == {"plan_cache", "sharing", "analysis", "schema_epoch"}
+        assert set(single) == {"plan_cache", "sharing", "analysis", "schema_epoch"}
+        # A sharded session adds the pool's own counters, nothing else.
+        assert set(sharded) == set(single) | {"pool"}
+        assert set(sharded["pool"]["exchange"]) == {
+            "queries", "rows_deposited", "rows_delivered", "barrier_rounds",
+        }
         assert set(sharded["sharing"]) == {
             "chains", "fan_out", "created", "attached",
             "detached", "torn_down", "declined",

@@ -1,0 +1,352 @@
+"""The ShardChannel contract: one pool, two transports, one behaviour.
+
+:class:`~repro.stream.sharded.ShardedStreamEngine` reaches its shards
+only through the :mod:`repro.stream.channel` verbs. This file drives one
+scripted scenario — a partition-safe stream⋈table join, an exchanged
+(unaligned) stream join and an exchanged global aggregate; table loads
+on both sides of a checkpoint barrier; named punctuation; a shard kill
+and its failover — through the loopback channel and through the framed
+worker-process channel, and asserts that nothing observable tells them
+apart: per-punctuation-segment emissions (also equal to a single
+engine's), the ``PoolCheckpoint`` the barrier assembled, the replay the
+failover ran and the pool's ``stats()``.
+"""
+
+from __future__ import annotations
+
+import collections
+import functools
+import random
+import re
+
+import pytest
+
+from repro.api import StreamSource, connect
+from repro.catalog import Catalog
+from repro.data import DataType, Row, Schema
+from repro.data.streams import StreamElement
+from repro.plan import PlanBuilder
+from repro.plan.logical import LogicalOp
+from repro.runtime.faults import kill_shard
+from repro.stream import channel
+from repro.stream.checkpoint import CheckpointCoordinator, PoolCheckpoint
+from repro.stream.engine import StreamEngine
+from repro.stream.procshard import FramedChannel, ProcessShardEngine, usable_start_method
+from repro.stream.sharded import ShardedStreamEngine
+
+READINGS = Schema.of(
+    ("room", DataType.STRING),
+    ("host", DataType.STRING),
+    ("temp", DataType.FLOAT),
+    ("load", DataType.FLOAT),
+)
+EVENTS = Schema.of(
+    ("host", DataType.STRING),
+    ("kind", DataType.STRING),
+    ("level", DataType.FLOAT),
+)
+MACHINES = Schema.of(("name", DataType.STRING), ("room", DataType.STRING))
+MACHINE_ROWS = [{"name": f"ws{i}", "room": f"lab{i % 3}"} for i in range(8)]
+ROOMS = ["lab0", "lab1", "lab2"]
+
+QUERIES = [
+    # Partition-safe: the stream is keyed by host, the table replicated.
+    "select r.host, m.room, r.temp from Readings r [range 30 seconds], "
+    "Machines m where r.host = m.name and r.temp > 10.0",
+    # Exchanged: the join key disagrees with both partition keys.
+    "select r.host, e.kind from Readings r [range 20 seconds], "
+    "Events e [range 20 seconds] where r.room = e.kind and e.level > 3.0",
+    # Exchanged: global aggregate, per-shard partials to one merge shard.
+    "select count(*) as n, sum(r.temp) as total from Readings r "
+    "[range 20 seconds slide 20 seconds]",
+]
+
+POOLS = {"loopback": ShardedStreamEngine, "framed": ProcessShardEngine}
+TRANSPORTS = [
+    "loopback",
+    pytest.param(
+        "framed",
+        marks=pytest.mark.skipif(
+            usable_start_method() is None, reason="no multiprocessing start method"
+        ),
+    ),
+]
+SHARDS = 3
+VICTIM = 1
+
+
+def _feed():
+    """Three chunks of interleaved Readings/Events, event time rising."""
+    rng = random.Random(20090629)
+    clock, chunks = 0.0, []
+    for _ in range(3):
+        chunk = {"Readings": ([], []), "Events": ([], [])}
+        for _ in range(90):
+            clock += rng.uniform(0.05, 0.6)
+            stamp = round(clock, 3)
+            if rng.random() < 0.6:
+                row = Row.raw(
+                    READINGS,
+                    (rng.choice(ROOMS), f"ws{rng.randrange(8)}",
+                     round(rng.uniform(0, 60), 2), round(rng.uniform(0, 1), 2)),
+                )
+                chunk["Readings"][0].append(row)
+                chunk["Readings"][1].append(stamp)
+            else:
+                row = Row.raw(
+                    EVENTS,
+                    (f"ws{rng.randrange(8)}", rng.choice(ROOMS),
+                     round(rng.uniform(0, 9), 2)),
+                )
+                chunk["Events"][0].append(row)
+                chunk["Events"][1].append(stamp)
+        chunks.append((chunk, stamp))
+    return chunks
+
+
+def _catalog() -> Catalog:
+    catalog = Catalog()
+    catalog.register_stream("Readings", READINGS, rate=10.0)
+    catalog.register_stream("Events", EVENTS, rate=5.0)
+    catalog.register_table("Machines", MACHINES, cardinality=len(MACHINE_ROWS))
+    return catalog
+
+
+def _script(engine, handles, coordinator=None):
+    """The scenario. ``coordinator`` (pools only) adds the barrier and
+    the kill; the single-engine reference runs the same ingest."""
+    segments = [[] for _ in handles]
+    marks = [0 for _ in handles]
+
+    def segment():
+        for index, handle in enumerate(handles):
+            elements = handle.sink.elements
+            segments[index].append(
+                sorted((e.timestamp, repr(e.row.values)) for e in elements[marks[index]:])
+            )
+            marks[index] = len(elements)
+
+    def push(chunk):
+        for source, (rows, stamps) in chunk.items():
+            engine.push_many(source, rows[:40], stamps[:40])
+            for row, stamp in zip(rows[40:], stamps[40:]):
+                engine.push(source, row, stamp)
+
+    (first, t1), (second, t2), (third, t3) = _feed()
+    barrier = None
+    engine.load_table("Machines", MACHINE_ROWS[:5])
+    push(first)
+    engine.punctuate(t1)
+    segment()
+    if coordinator is not None:
+        barrier = coordinator.checkpoint(t1)
+    engine.load_table("Machines", MACHINE_ROWS[5:])  # replayed, not seeded
+    push(second)
+    engine.punctuate(t2, ["Readings"])  # the join's Events side holds back
+    segment()
+    if coordinator is not None:
+        kill_shard(engine, VICTIM)
+    push(third)
+    engine.punctuate(t3)  # finds the corpse, fails over inside the barrier
+    segment()
+    engine.punctuate(t3 + 15.0, ["Events"])
+    segment()
+    engine.punctuate(t3 + 100.0)
+    segment()
+    return segments, barrier
+
+
+@functools.lru_cache(maxsize=None)
+def _reference():
+    catalog = _catalog()
+    engine = StreamEngine(catalog)
+    builder = PlanBuilder(catalog)
+    handles = [engine.execute(builder.build_sql(sql)) for sql in QUERIES]
+    return _script(engine, handles)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _scenario(transport):
+    catalog = _catalog()
+    pool = POOLS[transport](catalog, shards=SHARDS)
+    try:
+        pool.set_partition_key("Readings", "host")
+        pool.set_partition_key("Events", "host")
+        coordinator = CheckpointCoordinator(pool, interval=None)
+        builder = PlanBuilder(catalog)
+        handles = [pool.execute(builder.build_sql(sql), sql=sql) for sql in QUERIES]
+        shapes = [(h.partitioned, h.exchanged) for h in handles]
+        segments, barrier = _script(pool, handles, coordinator)
+        return {
+            "segments": segments,
+            "shapes": shapes,
+            "barrier": _normal(barrier, tuple(h.query_id for h in handles)),
+            "replay": coordinator.last_replay,
+            "stats": pool.stats(),
+            "transport": pool.worker_stats(),
+        }
+    finally:
+        if transport == "framed":
+            pool.shutdown()
+
+
+def _normal(value, query_ids):
+    """A checkpoint as plain comparable data. What legitimately differs
+    between two pools is erased: pool query ids (one global counter —
+    also the token inside exchange port names) become positions, plans
+    (fresh node ids per build) their explain text. Containers become
+    sorted lists, rows and elements their values."""
+    norm = functools.partial(_normal, query_ids=query_ids)
+    if isinstance(value, PoolCheckpoint):
+        out = dict(vars(value))
+        out["handles"] = [vars(value.handles[query_id]) for query_id in query_ids]
+        return norm(out)
+    if isinstance(value, dict):
+        return sorted((repr(k), norm(v)) for k, v in value.items())
+    if isinstance(value, (list, tuple, collections.deque)):
+        return [norm(v) for v in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted(repr(v) for v in value)
+    if isinstance(value, StreamElement):
+        return (repr(value.row.values), value.timestamp, norm(value.source))
+    if isinstance(value, LogicalOp):
+        return value.explain()
+    if isinstance(value, str):
+        return re.sub(
+            r"#x(\d+):", lambda m: f"#x@{query_ids.index(int(m[1]))}:", value
+        )
+    if isinstance(value, (int, float, bool, type(None))):
+        return value
+    return repr(value)
+
+
+class TestChannelContract:
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_emissions_match_the_single_engine_segment_by_segment(self, transport):
+        got = _scenario(transport)
+        assert got["shapes"] == [(True, False), (True, True), (True, True)]
+        assert got["segments"] == _reference()
+        for sql, per_query in zip(QUERIES, got["segments"]):
+            assert any(per_query), f"vacuous scenario: no emissions from {sql!r}"
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_failover_replayed_only_the_suffix(self, transport):
+        got = _scenario(transport)
+        assert got["replay"]["target"] == VICTIM
+        assert got["replay"]["from_seq"] > 0  # the barrier pruned the log
+        assert got["transport"].get("restarts", 1) == 1
+
+    @pytest.mark.skipif(
+        usable_start_method() is None, reason="no multiprocessing start method"
+    )
+    def test_both_transports_are_indistinguishable(self):
+        loopback, framed = _scenario("loopback"), _scenario("framed")
+        assert loopback["segments"] == framed["segments"]
+        assert loopback["barrier"] == framed["barrier"]
+        assert loopback["replay"] == framed["replay"]
+        assert loopback["stats"] == framed["stats"]
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_barrier_structure(self, transport):
+        barrier = dict(_scenario(transport)["barrier"])
+        assert barrier["'tables'"] == [
+            ("'Machines'", [(repr((f"ws{i}", f"lab{i % 3}")), 0.0, "Machines") for i in range(5)])
+        ]
+        assert len(barrier["'shard_chains'"]) == SHARDS
+        safe, join, aggregate = (dict(h) for h in barrier["'handles'"])
+        assert len(safe["'replicas'"]) == len(safe["'merge_counts'"]) == SHARDS
+        assert safe["'shared'"] == [False] * SHARDS and safe["'exchange'"] is None
+        for exchanged in (join, aggregate):
+            assert exchanged["'shared'"] == [False] * SHARDS
+            assert len(exchanged["'replicas'"]) == SHARDS
+            dests = dict(exchanged["'exchange'"])["'dests'"]
+            assert len(exchanged["'merge_counts'"]) == len(dests)
+        assert dict(aggregate["'exchange'"])["'dests'"] == [0]
+        assert dict(join["'exchange'"])["'dests'"] == list(range(SHARDS))
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_exchange_counters(self, transport):
+        exchange = _scenario(transport)["stats"]["exchange"]
+        assert exchange["queries"] == 2
+        assert exchange["barrier_rounds"] == 5  # one per punctuate
+        assert exchange["rows_delivered"] > 0
+        # Everything was flushed by the final, unnamed punctuation.
+        assert exchange["rows_deposited"] == exchange["rows_delivered"]
+
+
+@pytest.mark.skipif(
+    usable_start_method() is None, reason="no multiprocessing start method"
+)
+class TestFramedPoolHoldsNoShardEngines:
+    def test_parent_builds_only_the_fallback_engine(self, monkeypatch):
+        built = []
+
+        class Counted(StreamEngine):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(channel, "StreamEngine", Counted)
+        pool = ProcessShardEngine(_catalog(), shards=3)
+        try:
+            assert built == [pool.fallback_engine]
+            assert all(isinstance(view, FramedChannel) for view in pool.engines)
+            pool.load_table("Machines", MACHINE_ROWS)
+            assert len(pool.table_rows("Machines")) == len(MACHINE_ROWS)
+            assert len(built) == 1  # ...and the one table copy is the fallback's
+        finally:
+            pool.shutdown()
+
+    def test_engine_views_count_rows_per_shard(self):
+        catalog = _catalog()
+        pool = ProcessShardEngine(catalog, shards=2)
+        try:
+            pool.set_partition_key("Readings", "host")
+            sql = "select r.host from Readings r where r.temp > 0.0"
+            pool.execute(PlanBuilder(catalog).build_sql(sql), sql=sql)
+            (chunk, stamp), *_ = _feed()
+            rows, stamps = chunk["Readings"]
+            pool.push_many("Readings", rows, stamps)
+            pool.punctuate(stamp)
+            per_shard = [view.elements_ingested for view in pool.engines]
+            assert sum(per_shard) == len(rows) and all(per_shard)
+            assert not any(view.failed for view in pool.engines)
+        finally:
+            pool.shutdown()
+
+
+class TestSessionSurfacesPoolStats:
+    @pytest.mark.parametrize(
+        "workers",
+        [
+            "inline",
+            pytest.param(
+                "process",
+                marks=pytest.mark.skipif(
+                    usable_start_method() is None,
+                    reason="no multiprocessing start method",
+                ),
+            ),
+        ],
+    )
+    def test_pool_and_exchange_counters(self, workers):
+        with connect(shards=2, workers=workers) as session:
+            session.attach(StreamSource("Readings", READINGS, partition_by="host"))
+            cursor = session.query(QUERIES[2])
+            (chunk, stamp), *_ = _feed()
+            rows, stamps = chunk["Readings"]
+            session.push_many("Readings", rows, stamps)
+            session.punctuate(stamp + 30.0)
+            assert cursor.results()
+            pool = session.stats()["pool"]
+            assert pool == session.engine.stats()
+            assert pool["elements_ingested"] == len(rows)
+            assert {"owner_cache_hits", "owner_cache_misses"} <= set(pool)
+            assert pool["exchange"]["queries"] == 1
+            assert pool["exchange"]["barrier_rounds"] == 1
+            assert pool["exchange"]["rows_delivered"] > 0
+            assert ("workers" in session.stats()) == (workers == "process")
+
+    def test_unsharded_session_has_no_pool_entry(self):
+        with connect() as session:
+            assert "pool" not in session.stats()

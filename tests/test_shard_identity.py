@@ -164,15 +164,32 @@ def _run_unsharded(queries, rows, stamps, seed):
     return _drive(engine, handles, rows, stamps, random.Random(seed * 31 + 7))
 
 
-def _run_sharded(queries, rows, stamps, seed, shards, partition_by="host"):
+POOLS = {"loopback": ShardedStreamEngine, "framed": ProcessShardEngine}
+
+
+def _run_pool(transport, queries, rows, stamps, seed, shards, partition_by="host"):
+    """The one pool body: same catalog, keys, queries and chunk plan
+    whichever channel reaches the shards. SQL text rides along with
+    every plan — the loopback channel ignores it, the framed one ships
+    it instead of the plan."""
     catalog = _catalog()
-    engine = ShardedStreamEngine(catalog, shards=shards)
-    if partition_by is not None:
-        engine.set_partition_key("Readings", partition_by)
-    builder = PlanBuilder(catalog)
-    handles = [engine.execute(builder.build_sql(sql)) for sql in queries]
-    segments = _drive(engine, handles, rows, stamps, random.Random(seed * 31 + 7))
-    return segments, handles
+    engine = POOLS[transport](catalog, shards=shards)
+    try:
+        if partition_by is not None:
+            engine.set_partition_key("Readings", partition_by)
+        builder = PlanBuilder(catalog)
+        handles = [
+            engine.execute(builder.build_sql(sql), sql=sql) for sql in queries
+        ]
+        segments = _drive(engine, handles, rows, stamps, random.Random(seed * 31 + 7))
+        return segments, handles
+    finally:
+        if transport == "framed":
+            engine.shutdown()
+
+
+def _run_sharded(queries, rows, stamps, seed, shards, partition_by="host"):
+    return _run_pool("loopback", queries, rows, stamps, seed, shards, partition_by)
 
 
 class TestShardIdentityCorpus:
@@ -223,19 +240,7 @@ class TestShardIdentityCorpus:
 
 
 def _run_process(queries, rows, stamps, seed, shards, partition_by="host"):
-    catalog = _catalog()
-    engine = ProcessShardEngine(catalog, shards=shards)
-    try:
-        if partition_by is not None:
-            engine.set_partition_key("Readings", partition_by)
-        builder = PlanBuilder(catalog)
-        handles = [
-            engine.execute(builder.build_sql(sql), sql=sql) for sql in queries
-        ]
-        segments = _drive(engine, handles, rows, stamps, random.Random(seed * 31 + 7))
-        return segments, handles
-    finally:
-        engine.shutdown()
+    return _run_pool("framed", queries, rows, stamps, seed, shards, partition_by)
 
 
 @pytest.mark.skipif(
@@ -288,6 +293,15 @@ class TestProcessWorkerIdentity:
             handle = engine.execute(PlanBuilder(catalog).build_sql(sql))
             assert not handle.partitioned
             assert handle.analysis.safe
+            # ...and it still runs: same rows as the single engine.
+            rows, stamps = _rows(80, random.Random(5))
+            engine.push_many("Readings", rows, stamps)
+            engine.punctuate(stamps[-1] + 1.0)
+            expected = [r for r in rows if r["temp"] is not None and r["temp"] > 1.0]
+            assert [r.values for r in handle.results] == [
+                (r["host"], r["temp"]) for r in expected
+            ]
+            assert engine.worker_stats()["rows_shipped"] == 0  # nothing to ship to
         finally:
             engine.shutdown()
 
