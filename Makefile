@@ -10,9 +10,10 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 test:
 	$(PYTHON) -m pytest -x -q
 
-## Engine-invariant linter: snapshot/restore pairing, push_batch
-## punctuation safety, package layering and the one frame boundary
-## (RA904) over src/repro.
+## Engine-invariant linter: snapshot/restore pairing, the batch
+## contract (RA902: push_batch receives a punctuation-free run,
+## punctuation travels by push), package layering and the one frame
+## boundary (RA904) over src/repro.
 lint:
 	$(PYTHON) -m repro.analysis --self
 

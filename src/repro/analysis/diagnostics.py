@@ -90,7 +90,7 @@ CODES: dict[str, str] = {
     "RA503": "residual runs on the stream engine",
     # -- RA9xx: engine-invariant linter --------------------------------
     "RA901": "state_snapshot/state_restore must be defined in pairs",
-    "RA902": "overridden push_batch must handle punctuation",
+    "RA902": "push_batch receives a punctuation-free run; punctuation travels by push",
     "RA903": "import crosses a layering boundary",
     "RA904": "worker boundary must stay pickle-safe",
 }

@@ -10,12 +10,14 @@ by ``make lint`` / ``make check``):
   subclass defining one without the other has state that either never
   survives a failover or silently restores stale defaults.
 
-* **RA902 — batch punctuation safety.** ``Operator.push_batch`` may be
-  overridden for vectorized traversal, but ingest batches can carry
-  :class:`~repro.stream.elements.Punctuation` markers in-position. An
-  override that never dispatches punctuation (no ``Punctuation`` check,
-  no per-item ``push`` fallback, no ``_push_batch_generated`` redo
-  protocol) would drop watermarks — windows never close.
+* **RA902 — a batch is a run of elements.** ``push_batch`` receives a
+  punctuation-free run of elements; every punctuation travels by
+  ``push`` (the contract on
+  :class:`~repro.data.streams.StreamConsumer`). Any ``push_batch`` /
+  ``receive_batch`` body — on an operator or any other consumer — that
+  names ``Punctuation`` or catches ``AttributeError`` is splitting,
+  scanning for or recovering from a case the contract rules out, and
+  taxing the hot batch path for it.
 
 * **RA903 — layering.** Packages import strictly downward through the
   architecture (``errors → data → catalog → sql → plan → stream/sensor
@@ -99,15 +101,6 @@ LAYERS: dict[str, frozenset[str]] = {
     ),
 }
 
-#: Attribute calls inside an overridden push_batch that prove it routes
-#: punctuation somewhere sound: per-item dispatch (push / the base
-#: push_batch), explicit punctuation handling, or the generated-batch
-#: redo protocol (which re-dispatches per item on punctuation).
-_PUNCTUATION_SAFE_CALLS = frozenset(
-    {"push", "push_batch", "on_punctuation", "_push_batch_generated"}
-)
-
-
 @dataclass
 class _ClassInfo:
     name: str
@@ -136,7 +129,7 @@ def lint_engine(root: Path | None = None) -> list[Diagnostic]:
     operator_classes = _subclasses_of("Operator", classes)
     out: list[Diagnostic] = []
     _check_snapshot_pairs(operator_classes, out)
-    _check_push_batch(operator_classes, out)
+    _check_push_batch(modules, out)
     _check_layering(modules, out)
     _check_worker_boundary(modules, out)
     return out
@@ -207,39 +200,41 @@ def _check_snapshot_pairs(
 
 
 # ----------------------------------------------------------------------
-# RA902: overridden push_batch must route punctuation
+# RA902: push_batch receives a punctuation-free run
 # ----------------------------------------------------------------------
-def _check_push_batch(operators: list[_ClassInfo], out: list[Diagnostic]) -> None:
-    for info in operators:
-        if "push_batch" not in info.methods:
-            continue
-        fn = next(
-            item
-            for item in info.node.body
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and item.name == "push_batch"
-        )
-        if not _punctuation_safe(fn):
-            out.append(
-                diag(
-                    "RA902",
-                    ERROR,
-                    f"{info.name}.push_batch never dispatches punctuation: "
-                    "no Punctuation check, per-item push fallback, or "
-                    "generated-batch redo; batched ingest would drop "
-                    "watermarks",
-                    operator=f"{info.module}:{fn.lineno}",
+_BATCH_VERBS = ("push_batch", "receive_batch")
+
+
+def _check_push_batch(modules: dict[str, ast.Module], out: list[Diagnostic]) -> None:
+    for rel, tree in modules.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if fn.name not in _BATCH_VERBS:
+                continue
+            what = _punctuation_handling(fn)
+            if what is not None:
+                out.append(
+                    diag(
+                        "RA902",
+                        ERROR,
+                        f"{fn.name} {what}: a batch is a punctuation-free "
+                        "run of elements and punctuation travels by push, "
+                        "so the body must not look for one",
+                        operator=f"{rel}:{fn.lineno}",
+                    )
                 )
-            )
 
 
-def _punctuation_safe(fn: ast.AST) -> bool:
+def _punctuation_handling(fn: ast.AST) -> str | None:
     for node in ast.walk(fn):
         if isinstance(node, ast.Name) and node.id == "Punctuation":
-            return True
-        if isinstance(node, ast.Attribute) and node.attr in _PUNCTUATION_SAFE_CALLS:
-            return True
-    return False
+            return "names Punctuation"
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = ast.walk(node.type)
+            if any(isinstance(n, ast.Name) and n.id == "AttributeError" for n in caught):
+                return "catches AttributeError"
+    return None
 
 
 # ----------------------------------------------------------------------

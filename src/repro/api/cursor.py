@@ -256,32 +256,10 @@ class Cursor:
             subscription._enqueue(element)
 
     def _install_tap(self) -> None:
-        if self._tapped:
-            return
-        sink = self._handle.sink if self._handle is not None else self._query.sink
-        original_push = sink.push
-        original_batch = getattr(sink, "push_batch", None)
-        dispatch = self._dispatch
-
-        def observing_push(item):
-            original_push(item)
-            if isinstance(item, StreamElement):
-                dispatch(item)
-
-        sink.push = observing_push  # type: ignore[method-assign]
-        if original_batch is not None:
-            # Batched emissions (push_many through a vectorized
-            # pipeline) must reach subscribers too — producers cache
-            # sink.push_batch at wiring time, so both entry points are
-            # wrapped.
-            def observing_push_batch(items):
-                original_batch(items)
-                for item in items:
-                    if isinstance(item, StreamElement):
-                        dispatch(item)
-
-            sink.push_batch = observing_push_batch  # type: ignore[method-assign]
-        self._tapped = True
+        if not self._tapped:
+            sink = self._handle.sink if self._handle is not None else self._query.sink
+            sink.observe(self._dispatch)
+            self._tapped = True
 
     # -- lifecycle -----------------------------------------------------
     @property

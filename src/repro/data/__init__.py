@@ -8,7 +8,6 @@ from repro.data.streams import (
     StreamConsumer,
     StreamElement,
     StreamItem,
-    Tee,
     replay,
 )
 from repro.data.tuples import Row, stable_hash
@@ -38,7 +37,6 @@ __all__ = [
     "StreamConsumer",
     "CallbackConsumer",
     "CollectingConsumer",
-    "Tee",
     "replay",
     "WindowKind",
     "WindowSpec",

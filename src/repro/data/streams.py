@@ -94,16 +94,27 @@ StreamItem = StreamElement | Punctuation
 
 @runtime_checkable
 class StreamConsumer(Protocol):
-    """Anything that can receive stream items.
+    """Anything that can receive stream items — the push protocol.
 
-    Consumers may additionally implement the optional batched protocol
-    ``push_batch(items: list[StreamItem])`` — receive a whole batch in
-    arrival order with one call. Producers discover it by duck typing
-    (``getattr(consumer, "push_batch", None)``) and fall back to
-    per-item :meth:`push`, so the batched path degrades gracefully at
-    any pipeline edge. ``push_batch`` is deliberately *not* part of this
-    runtime-checkable protocol: a plain ``push``-only consumer is still
-    a StreamConsumer.
+    Two verbs, one meaning each; this is the single statement of the
+    contract every producer and consumer in the package follows:
+
+    * ``push(item)`` carries one :class:`StreamElement` **or** one
+      :class:`Punctuation`. Every punctuation travels this way.
+    * ``push_batch(elements)`` carries a (possibly empty)
+      **punctuation-free run of StreamElements in arrival order**. A
+      producer holding elements and punctuations interleaved sends each
+      run by ``push_batch`` and each punctuation by ``push``; a consumer
+      never scans a batch for, splits a batch at, or recovers from a
+      punctuation inside one (lint rule RA902 enforces both halves).
+
+    ``push_batch`` is optional and deliberately *not* part of this
+    runtime-checkable protocol — a ``push``-only consumer is still a
+    StreamConsumer. Producers discover it by duck typing
+    (:func:`push_all` is the one fallback: per-element ``push`` in
+    order). Which verb runs is the caller's choice: a row at a time
+    (``session.push``) stays on ``push`` end to end, a bulk batch
+    (``session.push_many``) on ``push_batch``.
     """
 
     def push(self, item: StreamItem) -> None:
@@ -120,10 +131,10 @@ class CallbackConsumer:
     def push(self, item: StreamItem) -> None:
         self._fn(item)
 
-    def push_batch(self, items: Iterable[StreamItem]) -> None:
+    def push_batch(self, elements: Iterable[StreamElement]) -> None:
         fn = self._fn
-        for item in items:
-            fn(item)
+        for element in elements:
+            fn(element)
 
 
 class CollectingConsumer:
@@ -136,28 +147,28 @@ class CollectingConsumer:
         #: Times clear() has run — lets incremental readers (e.g.
         #: QueryHandle.latest_batch) detect a reset even after a refill.
         self.clears = 0
+        self._observers: list[Callable[[StreamElement], None]] = []
+
+    def observe(self, callback: Callable[[StreamElement], None]) -> None:
+        """Call ``callback`` with every element from now on, after it
+        is stored (a Cursor's subscriptions hang off this)."""
+        self._observers.append(callback)
 
     def push(self, item: StreamItem) -> None:
         if isinstance(item, Punctuation):
             self.punctuations.append(item)
         else:
             self.elements.append(item)
+            if self._observers:
+                for callback in self._observers:
+                    callback(item)
 
-    def push_batch(self, items: Iterable[StreamItem]) -> None:
-        if not isinstance(items, list):
-            items = list(items)
-        # Result batches are almost always punctuation-free; one scan
-        # plus a C-level extend beats a Python append loop.
-        if not any(isinstance(item, Punctuation) for item in items):
-            self.elements.extend(items)
-            return
-        elements = self.elements
-        punctuations = self.punctuations
-        for item in items:
-            if isinstance(item, Punctuation):
-                punctuations.append(item)
-            else:
-                elements.append(item)
+    def push_batch(self, elements: list[StreamElement]) -> None:
+        self.elements.extend(elements)
+        if self._observers:
+            for element in elements:
+                for callback in self._observers:
+                    callback(element)
 
     @property
     def rows(self) -> list[Row]:
@@ -173,50 +184,23 @@ class CollectingConsumer:
         return len(self.elements)
 
 
-class Tee:
-    """Fan an input out to several consumers, preserving order."""
-
-    def __init__(self, consumers: Iterable[StreamConsumer] = ()):
-        self._consumers: list[StreamConsumer] = list(consumers)
-
-    def add(self, consumer: StreamConsumer) -> None:
-        self._consumers.append(consumer)
-
-    def push(self, item: StreamItem) -> None:
-        for consumer in self._consumers:
-            consumer.push(item)
-
-    def push_batch(self, items: list[StreamItem]) -> None:
-        consumers = self._consumers
-        if len(consumers) == 1:
-            push_all(consumers[0], items)
-            return
-        # Several consumers: keep push()'s element-major interleaving —
-        # consumer-major delivery would reorder arrivals across consumers,
-        # which order-sensitive fan-outs (e.g. both side ports of a
-        # ROWS-window self-join) can observe.
-        for item in items:
-            for consumer in consumers:
-                consumer.push(item)
-
-
-def push_all(consumer: StreamConsumer, items: list[StreamItem]) -> None:
-    """Deliver a batch via the optional ``push_batch`` protocol.
+def push_all(consumer: StreamConsumer, elements: list[StreamElement]) -> None:
+    """Deliver a run of elements via the optional ``push_batch`` verb.
 
     The single definition of the duck-typed batched dispatch: consumers
-    with ``push_batch`` get the whole list in one call, push-only
-    consumers get per-item pushes in order. Hot paths that dispatch to a
-    fixed consumer may cache ``getattr(consumer, "push_batch", None)``
-    themselves (see ``Operator.emit_batch``); everything else should go
-    through here so the fallback contract lives in one place.
+    with ``push_batch`` get the whole run in one call, push-only
+    consumers get per-element pushes in order. Hot paths that dispatch
+    to a fixed consumer may cache ``getattr(consumer, "push_batch",
+    None)`` themselves (see ``Operator.emit_batch``); everything else
+    should go through here so the fallback lives in one place.
     """
     batch = getattr(consumer, "push_batch", None)
     if batch is not None:
-        batch(items)
+        batch(elements)
     else:
         push = consumer.push
-        for item in items:
-            push(item)
+        for element in elements:
+            push(element)
 
 
 def replay(items: Iterable[StreamItem], consumer: StreamConsumer) -> None:

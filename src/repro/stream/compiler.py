@@ -130,13 +130,15 @@ class _ReschemaConsumer:
             )
         self._downstream.push(item)
 
-    def push_batch(self, items: list) -> None:
+    def push_batch(self, elements: list) -> None:
         schema = self._schema
         rebased = [
-            StreamElement(item.row.with_schema(schema), item.timestamp, item.source)
-            if isinstance(item, StreamElement) and item.row.schema is not schema
-            else item
-            for item in items
+            StreamElement(
+                element.row.with_schema(schema), element.timestamp, element.source
+            )
+            if element.row.schema is not schema
+            else element
+            for element in elements
         ]
         push_all(self._downstream, rebased)
 

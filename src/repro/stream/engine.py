@@ -190,12 +190,15 @@ class StreamEngine:
         entry = self._catalog.source(name)
         if entry.kind is not SourceKind.TABLE:
             raise ExecutionError(f"{name!r} is a stream; push elements instead")
-        if self.checkpointer is not None and not self._replaying:
-            self.checkpointer.record(("table", None, name, list(rows), timestamp))
+        rows = list(rows)
         elements = [
             StreamElement(self._coerce_row(entry.schema, row), timestamp, name)
             for row in rows
         ]
+        # Logged only once every row coerced: a rejected load must leave
+        # no record for recovery to replay.
+        if self.checkpointer is not None and not self._replaying:
+            self.checkpointer.record(("table", None, name, rows, timestamp))
         self._tables.setdefault(entry.name, []).extend(elements)
         for route in self._routes.get(entry.name.lower(), ()):
             for element in elements:
@@ -337,9 +340,10 @@ class StreamEngine:
         if self.failed:
             return
         entry = self._catalog.source(source)
+        element = StreamElement(self._coerce_row(entry.schema, row), timestamp, entry.name)
+        # Logged after coercion: a rejected row leaves no replay record.
         if self.checkpointer is not None and not self._replaying:
             self.checkpointer.record(("push", None, source, row, timestamp))
-        element = StreamElement(self._coerce_row(entry.schema, row), timestamp, entry.name)
         self.elements_ingested += 1
         for route in self._routes.get(entry.name.lower(), ()):
             route.port.consumer.push(element)
@@ -386,8 +390,6 @@ class StreamEngine:
                 raise ExecutionError(
                     f"push_many got {len(rows)} rows but {len(stamps)} timestamps"
                 )
-        if self.checkpointer is not None and not self._replaying:
-            self.checkpointer.record(("many", None, source, rows, stamps))
         name = entry.name
         coerce = self._coerce_row
         elements = [
@@ -400,6 +402,9 @@ class StreamEngine:
             )
             for row, stamp in zip(rows, stamps)
         ]
+        # Logged only once the whole batch coerced (see push).
+        if self.checkpointer is not None and not self._replaying:
+            self.checkpointer.record(("many", None, source, rows, stamps))
         return self._dispatch_batch(name, elements)
 
     def push_values(

@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.catalog import SourceKind
+from repro.data.streams import push_all
 from repro.errors import ExecutionError
 from repro.plan.logical import (
     Aggregate,
@@ -97,17 +98,10 @@ class TeeOp:
     The terminal consumer of every shared chain. Branches are the
     per-query reschema shims (or nested chains' input shims); add and
     remove are O(1) amortized and never disturb sibling branches.
-
-    Branch methods are resolved per call, not cached at wiring time:
-    a :class:`~repro.api.cursor.Cursor` subscription taps its sink by
-    wrapping ``push``/``push_batch`` *after* the branch is attached, and
-    a cached bound method would bypass the tap (same rationale as
-    ``Operator.emit_batch``).
     """
 
     def __init__(self) -> None:
         self.branches: list[Any] = []
-        self.elements_out = 0
 
     def add_branch(self, consumer: Any) -> None:
         self.branches.append(consumer)
@@ -125,20 +119,12 @@ class TeeOp:
         return len(self.branches)
 
     def push(self, item: Any) -> None:
-        self.elements_out += 1
         for branch in self.branches:
             branch.push(item)
 
-    def push_batch(self, items: list[Any]) -> None:
-        self.elements_out += len(items)
+    def push_batch(self, elements: list[Any]) -> None:
         for branch in self.branches:
-            push_batch = getattr(branch, "push_batch", None)
-            if push_batch is not None:
-                push_batch(items)
-            else:
-                push = branch.push
-                for item in items:
-                    push(item)
+            push_all(branch, elements)
 
 
 class SharedFeed(RemoteSource):

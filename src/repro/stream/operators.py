@@ -7,15 +7,21 @@ pushes results to its downstream consumer. Punctuations (watermarks)
 flow through every operator and drive state eviction, window emission
 and batch boundaries for ORDER BY / LIMIT.
 
-Batched push: every operator also accepts ``push_batch(items)`` — a
-whole list of elements and punctuations in arrival order. Stateless
-row-at-a-time operators (:class:`FilterOp`, :class:`ProjectOp`,
-:class:`FusedOp`) traverse the batch in one dispatch and forward one
-output batch, so a 1000-row ingest costs one Python call per operator
-instead of 1000; stateful operators fall back to per-item ``push``.
-Downstream consumers that don't implement ``push_batch`` (the protocol
-is optional) receive per-item pushes, so batches degrade gracefully at
-any pipeline edge.
+The push protocol (stated once, on
+:class:`~repro.data.streams.StreamConsumer`): ``push(item)`` carries one
+element or one punctuation, ``push_batch(elements)`` a punctuation-free
+run of elements. Each operator therefore has exactly two data bodies —
+the per-element ``on_element`` and one batch body over a pure run —
+plus ``on_punctuation``. Where codegen provides a loop
+(:class:`FilterOp`, :class:`ProjectOp`, :class:`FusedOp`, the compiled
+:class:`AggregateOp` fold) the batch body is that loop, called
+directly, so a 1000-row ingest costs one Python call per operator
+instead of 1000; operators without a batch body of their own loop
+``on_element`` over the run. Both entry points stay because each wins
+the ledger workload the caller's verb selects (a row at a time through
+``push``, a bulk batch through ``push_batch``; measurements in
+ROADMAP.md, Open items). Downstream consumers that don't implement
+``push_batch`` (it is optional) receive per-element pushes.
 
 State bounds: window joins evict expired rows on punctuation, so memory
 is proportional to window size times input rate — the property the paper
@@ -85,7 +91,7 @@ class Operator:
         self.downstream = downstream
         # Batched forwarding is duck-typed: resolved once at wiring time,
         # None when the downstream only speaks per-item push.
-        self._down_batch: Callable[[list[StreamItem]], None] | None = getattr(
+        self._down_batch: Callable[[list[StreamElement]], None] | None = getattr(
             downstream, "push_batch", None
         )
         self.rows_in = 0
@@ -98,15 +104,17 @@ class Operator:
             self.rows_in += 1
             self.on_element(item)
 
-    def push_batch(self, items: list[StreamItem]) -> None:
-        """Receive a whole batch of items in arrival order.
+    def push_batch(self, elements: list[StreamElement]) -> None:
+        """Receive a punctuation-free run of elements in arrival order.
 
-        Default: per-item dispatch. Vectorized operators override this
-        to traverse the batch with one call and forward output batches.
+        Default: ``on_element`` over the run. Vectorized operators
+        override this to traverse the run with one call and forward
+        output batches.
         """
-        push = self.push
-        for item in items:
-            push(item)
+        self.rows_in += len(elements)
+        on_element = self.on_element
+        for element in elements:
+            on_element(element)
 
     def on_element(self, element: StreamElement) -> None:
         raise NotImplementedError
@@ -122,39 +130,21 @@ class Operator:
     def _push_batch_generated(
         self,
         batch_fn: Callable[[list, list], None],
-        items: list[StreamItem],
-    ) -> bool:
-        """Run one generated batch loop over ``items``.
-
-        The fast path assumes ingest batches are punctuation-free: a
-        Punctuation in the batch surfaces as AttributeError (no ``.row``)
-        before any output is emitted, and the method returns False so
-        the caller can redo the batch with per-run splitting. Returns
-        True when the whole batch was handled.
-        """
+        elements: list[StreamElement],
+    ) -> None:
+        """Run one generated batch loop over the run and forward its
+        output."""
         out: list[StreamElement] = []
-        try:
-            batch_fn(items, out)
-        except AttributeError:
-            if any(isinstance(item, Punctuation) for item in items):
-                return False
-            raise
-        self.rows_in += len(items)
+        batch_fn(elements, out)
+        self.rows_in += len(elements)
         if out:
             self.emit_batch(out)
-        return True
 
     def emit_batch(self, elements: list[StreamElement]) -> None:
-        """Forward a batch of output elements, batched when possible.
-
-        ``_down_batch`` only remembers *whether* the downstream speaks
-        the batched protocol; the method itself is resolved per batch so
-        consumers that wrap their entry points after wiring (a Cursor
-        subscription tapping the sink) still observe every element.
-        """
+        """Forward a run of output elements, batched when possible."""
         self.rows_out += len(elements)
         if self._down_batch is not None:
-            self.downstream.push_batch(elements)
+            self._down_batch(elements)
         else:
             push = self.downstream.push
             for element in elements:
@@ -241,33 +231,11 @@ class FilterOp(Operator):
             self.rows_out += 1
             self.downstream.push(element)
 
-    def push_batch(self, items: list[StreamItem]) -> None:
-        if self._batch_fn is None or not self._push_batch_generated(
-            self._batch_fn, items
-        ):
-            self._push_batch_mixed(items)
-
-    def _push_batch_mixed(self, items: list[StreamItem]) -> None:
-        compiled = self._compiled
-        evaluate = self.predicate.eval
-        out: list[StreamItem] = []
-        seen = 0
-        for item in items:
-            if isinstance(item, Punctuation):
-                if out:
-                    self.emit_batch(out)
-                    out = []
-                self.on_punctuation(item)
-            else:
-                seen += 1
-                if compiled is not None:
-                    if compiled(item.row.values) is True:
-                        out.append(item)
-                elif evaluate(item.row) is True:
-                    out.append(item)
-        self.rows_in += seen
-        if out:
-            self.emit_batch(out)
+    def push_batch(self, elements: list[StreamElement]) -> None:
+        if self._batch_fn is not None:
+            self._push_batch_generated(self._batch_fn, elements)
+        else:  # interpreted reference: no generated loop
+            super().push_batch(elements)
 
 
 class ProjectOp(Operator):
@@ -319,38 +287,11 @@ class ProjectOp(Operator):
         self.rows_out += 1
         self.downstream.push(StreamElement(row, element.timestamp, element.source))
 
-    def push_batch(self, items: list[StreamItem]) -> None:
-        if self._batch_fn is None or not self._push_batch_generated(
-            self._batch_fn, items
-        ):
-            self._push_batch_mixed(items)
-
-    def _push_batch_mixed(self, items: list[StreamItem]) -> None:
-        compiled = self._compiled
-        schema = self.output_schema
-        raw = Row.raw
-        out: list[StreamItem] = []
-        seen = 0
-        for item in items:
-            if isinstance(item, Punctuation):
-                if out:
-                    self.emit_batch(out)
-                    out = []
-                self.on_punctuation(item)
-                continue
-            seen += 1
-            if compiled is not None:
-                row = raw(schema, compiled(item.row.values))
-            else:
-                row = Row(
-                    schema,
-                    [expr.eval(item.row) for expr, _ in self.items],
-                    validate=False,
-                )
-            out.append(StreamElement(row, item.timestamp, item.source))
-        self.rows_in += seen
-        if out:
-            self.emit_batch(out)
+    def push_batch(self, elements: list[StreamElement]) -> None:
+        if self._batch_fn is not None:
+            self._push_batch_generated(self._batch_fn, elements)
+        else:  # interpreted reference: no generated loop
+            super().push_batch(elements)
 
 
 class FusedOp(Operator):
@@ -405,29 +346,8 @@ class FusedOp(Operator):
             )
         self.downstream.push(element)
 
-    def push_batch(self, items: list[StreamItem]) -> None:
-        if not self._push_batch_generated(self._fused_batch, items):
-            self._push_batch_mixed(items)
-
-    def _push_batch_mixed(self, items: list[StreamItem]) -> None:
-        run: list[StreamElement] = []
-        for item in items:
-            if isinstance(item, Punctuation):
-                if run:
-                    self._flush_run(run)
-                    run = []
-                self.on_punctuation(item)
-            else:
-                run.append(item)
-        if run:
-            self._flush_run(run)
-
-    def _flush_run(self, run: list[StreamElement]) -> None:
-        out: list[StreamElement] = []
-        self._fused_batch(run, out)
-        self.rows_in += len(run)
-        if out:
-            self.emit_batch(out)
+    def push_batch(self, elements: list[StreamElement]) -> None:
+        self._push_batch_generated(self._fused_batch, elements)
 
 
 class SymmetricHashJoin(Operator):
@@ -515,11 +435,11 @@ class SymmetricHashJoin(Operator):
         def push(self, item: StreamItem) -> None:
             self._join._push_side(item, left=self._left)
 
-        def push_batch(self, items: list[StreamItem]) -> None:
+        def push_batch(self, elements: list[StreamElement]) -> None:
             push_side = self._join._push_side
             left = self._left
-            for item in items:
-                push_side(item, left=left)
+            for element in elements:
+                push_side(element, left=left)
 
     @property
     def left_port(self) -> StreamConsumer:
@@ -916,41 +836,23 @@ class AggregateOp(Operator):
         else:
             self._running_add(element)
 
-    def push_batch(self, items: list[StreamItem]) -> None:
-        """Accumulate a whole batch with one dispatch.
+    def push_batch(self, elements: list[StreamElement]) -> None:
+        """Accumulate a whole run with one dispatch.
 
         Windowed mode buffers elements until a boundary closes, so a
-        punctuation-free ingest batch is a single C-level ``extend``;
-        running mode folds each element into its group's accumulators
-        within one call. Punctuations keep their in-batch position.
+        run is a single C-level ``extend``; running mode folds each
+        element into its group's accumulators within one call.
         """
-        windowed = self.window is not None and self.window.kind is WindowKind.RANGE
-        if not any(isinstance(item, Punctuation) for item in items):
-            if windowed:
-                self._buffer.extend(items)
-            elif self._fold is not None:
-                self._fold(items, self._groups, _NEG_INF, _INF)
-            else:
-                accumulate = self._accumulate
-                groups = self._groups
-                for item in items:
-                    accumulate(item.row, groups)
-            self.rows_in += len(items)
-            return
-        seen = 0
-        for item in items:
-            if isinstance(item, Punctuation):
-                self.on_punctuation(item)
-            elif windowed:
-                seen += 1
-                # Resolved per item: window emission *replaces* the
-                # buffer list during eviction, so a cached bound append
-                # would write into the evicted (dead) list.
-                self._buffer.append(item)
-            else:
-                seen += 1
-                self._running_add(item)
-        self.rows_in += seen
+        if self.window is not None and self.window.kind is WindowKind.RANGE:
+            self._buffer.extend(elements)
+        elif self._fold is not None:
+            self._fold(elements, self._groups, _NEG_INF, _INF)
+        else:
+            accumulate = self._accumulate
+            groups = self._groups
+            for element in elements:
+                accumulate(element.row, groups)
+        self.rows_in += len(elements)
 
     def on_punctuation(self, punctuation: Punctuation) -> None:
         if self.window is not None and self.window.kind is WindowKind.RANGE:
@@ -1176,10 +1078,10 @@ class PartialAggregateOp(AggregateOp):
         )
 
     # -- operator protocol ----------------------------------------------
-    def push_batch(self, items: list[StreamItem]) -> None:
+    def push_batch(self, elements: list[StreamElement]) -> None:
         # The base fast paths fold rows without their timestamps; the
-        # partial fold needs them, so batches dispatch per item.
-        Operator.push_batch(self, items)
+        # partial fold needs them, so runs dispatch per element.
+        Operator.push_batch(self, elements)
 
     def on_punctuation(self, punctuation: Punctuation) -> None:
         if self.window is not None and self.window.kind is WindowKind.RANGE:
@@ -1390,25 +1292,17 @@ class DistinctOp(Operator):
         self._seen.add(key)
         self.emit(element)
 
-    def push_batch(self, items: list[StreamItem]) -> None:
-        """Deduplicate a whole batch with one dispatch, forwarding the
-        survivors as one output batch per punctuation-free run."""
+    def push_batch(self, elements: list[StreamElement]) -> None:
+        """Deduplicate a whole run with one dispatch, forwarding the
+        survivors as one output batch."""
         seen = self._seen
         out: list[StreamElement] = []
-        count = 0
-        for item in items:
-            if isinstance(item, Punctuation):
-                if out:
-                    self.emit_batch(out)
-                    out = []
-                self.on_punctuation(item)
-                continue
-            count += 1
-            key = item.row.values
+        for element in elements:
+            key = element.row.values
             if key not in seen:
                 seen.add(key)
-                out.append(item)
-        self.rows_in += count
+                out.append(element)
+        self.rows_in += len(elements)
         if out:
             self.emit_batch(out)
 
@@ -1448,17 +1342,10 @@ class OrderByOp(Operator):
     def on_element(self, element: StreamElement) -> None:
         self._batch.append(element)
 
-    def push_batch(self, items: list[StreamItem]) -> None:
-        """Buffer a punctuation-free batch with one ``extend``; batches
-        containing punctuations keep per-item order (each punctuation
-        sorts and flushes the rows buffered before it)."""
-        if not any(isinstance(item, Punctuation) for item in items):
-            self._batch.extend(items)
-            self.rows_in += len(items)
-            return
-        push = self.push
-        for item in items:
-            push(item)
+    def push_batch(self, elements: list[StreamElement]) -> None:
+        """Buffer a whole run with one ``extend``."""
+        self._batch.extend(elements)
+        self.rows_in += len(elements)
 
     def on_punctuation(self, punctuation: Punctuation) -> None:
         decorated = []
@@ -1522,24 +1409,13 @@ class LimitOp(Operator):
             self._emitted_in_batch += 1
             self.emit(element)
 
-    def push_batch(self, items: list[StreamItem]) -> None:
-        """Apply the per-report budget across a whole batch in one
-        dispatch; accepted prefixes forward as output batches."""
-        out: list[StreamElement] = []
-        count = 0
-        for item in items:
-            if isinstance(item, Punctuation):
-                if out:
-                    self.emit_batch(out)
-                    out = []
-                self.on_punctuation(item)
-                continue
-            count += 1
-            if self._emitted_in_batch < self.count:
-                self._emitted_in_batch += 1
-                out.append(item)
-        self.rows_in += count
+    def push_batch(self, elements: list[StreamElement]) -> None:
+        """Apply the per-report budget to a whole run in one dispatch:
+        the prefix that still fits forwards as one output batch."""
+        self.rows_in += len(elements)
+        out = elements[: max(self.count - self._emitted_in_batch, 0)]
         if out:
+            self._emitted_in_batch += len(out)
             self.emit_batch(out)
 
     def on_punctuation(self, punctuation: Punctuation) -> None:

@@ -56,6 +56,7 @@ import itertools
 import marshal
 import multiprocessing
 import os
+import pickle
 import queue
 import signal
 import time
@@ -363,7 +364,9 @@ class FramedChannel:
         self._live()
         epoch = self._catalog.schema_epoch
         if self._epoch != epoch:
-            self._put(("catalog", None, self._catalog))
+            # Pickled here, not by the queue's feeder thread later: the
+            # frame must hold the catalog as of this frame's position.
+            self._put(("catalog", None, pickle.dumps(self._catalog)))
             self._epoch = epoch
         self._flush()
         self._put(frame)
@@ -440,13 +443,15 @@ class FramedChannel:
             if entry is None:
                 continue  # query stopped while emissions were in flight
             feed, schema = entry
-            batch: list = []
+            # Runs by push_batch, watermarks by push, in frame order:
+            # the merge coordinator depends on the interleaving.
             for item in items:
                 if item[0] == "p":
-                    batch.append(Punctuation(item[1]))
+                    feed.push(Punctuation(item[1]))
                 else:
-                    batch += elements_from_columns(schema, item[1], item[2], item[3])
-            feed.push_batch(batch)
+                    feed.push_batch(
+                        elements_from_columns(schema, item[1], item[2], item[3])
+                    )
         return kind == "ack"
 
 
@@ -488,28 +493,22 @@ class _FrameSink:
             self._values.append(item.row.values)
             self._stamps.append(item.timestamp)
 
-    def push_batch(self, items) -> None:
-        # Operator bursts are overwhelmingly uniform: one source, no
-        # punctuation. Verify with one attribute scan, then strip the
-        # columns with two comprehensions instead of per-item push().
-        first = items[0] if items else None
-        if type(first) is StreamElement:
-            source = first.source
-            try:
-                # Punctuation has no .source: mixed batches fall through
-                # via AttributeError instead of a per-item type check.
-                uniform = all(item.source == source for item in items)
-            except AttributeError:
-                uniform = False
-            if uniform:
-                if source != self._source:
-                    self._seal()
-                    self._source = source
-                self._values += [item.row.values for item in items]
-                self._stamps += [item.timestamp for item in items]
-                return
-        for item in items:
-            self.push(item)
+    def push_batch(self, elements) -> None:
+        # Operator bursts are overwhelmingly uniform: one source. Verify
+        # with one attribute scan, then strip the columns with two
+        # comprehensions instead of per-element push().
+        if not elements:
+            return
+        source = elements[0].source
+        if all(element.source == source for element in elements):
+            if source != self._source:
+                self._seal()
+                self._source = source
+            self._values += [element.row.values for element in elements]
+            self._stamps += [element.timestamp for element in elements]
+        else:
+            for element in elements:
+                self.push(element)
 
     def take(self) -> list[tuple]:
         self._seal()
@@ -628,7 +627,7 @@ def _worker_main(index, inq, outq, share_plans, default_window) -> None:
                 elif kind == "drop":
                     engine.drop_table(frame[2])
                 elif kind == "catalog":
-                    _adopt_catalog(catalog, frame[2])
+                    _adopt_catalog(catalog, pickle.loads(frame[2]))
                 elif kind == "seed":
                     host.seed(
                         {

@@ -85,10 +85,6 @@ class _MergeCoordinator:
     emitted downstream only when ``min(shard watermarks)`` advances —
     by then every shard has flushed its window emissions for that
     boundary into the merged sink.
-
-    The sink's ``push``/``push_batch`` are looked up per call (never
-    cached) so a Cursor's subscription tap installed later still
-    observes merged elements.
     """
 
     __slots__ = ("_sink", "_marks", "_sent", "_counts")
@@ -111,27 +107,9 @@ class _MergeCoordinator:
             self._counts[index] += 1
             self._sink.push(item)
 
-    def receive_batch(self, index: int, items: list[StreamItem]) -> None:
-        # Fast path: result batches are almost always punctuation-free
-        # (watermarks travel per-item through engine.punctuate), so one
-        # C-level scan forwards the whole batch in a single dispatch.
-        if not any(isinstance(item, Punctuation) for item in items):
-            self._counts[index] += len(items)
-            push_all(self._sink, items)
-            return
-        run: list[StreamItem] = []
-        for item in items:
-            if isinstance(item, Punctuation):
-                if run:
-                    self._counts[index] += len(run)
-                    push_all(self._sink, run)
-                    run = []
-                self._advance(index, item.watermark)
-            else:
-                run.append(item)
-        if run:
-            self._counts[index] += len(run)
-            push_all(self._sink, run)
+    def receive_batch(self, index: int, elements: list[StreamElement]) -> None:
+        self._counts[index] += len(elements)
+        push_all(self._sink, elements)
 
     @property
     def counts(self) -> list[int]:
@@ -149,6 +127,16 @@ class _MergeCoordinator:
         if merged > self._sent:
             self._sent = merged
             self._sink.push(Punctuation(merged))
+
+
+def _past_skip(feed, elements: list[StreamElement]) -> list[StreamElement]:
+    """The part of a run that flows through ``feed``: its armed skip
+    (recovery dedup) swallows the run's prefix first."""
+    drop = min(feed._skip, len(elements))
+    if not drop:
+        return elements
+    feed._skip -= drop
+    return elements[drop:]
 
 
 class _ShardFeed:
@@ -187,20 +175,12 @@ class _ShardFeed:
             return
         self._coordinator.receive(self._index, item)
 
-    def push_batch(self, items: list[StreamItem]) -> None:
+    def push_batch(self, elements: list[StreamElement]) -> None:
         if self._muted:
             return
-        if self._skip > 0:
-            kept: list[StreamItem] = []
-            for item in items:
-                if self._skip > 0 and not isinstance(item, Punctuation):
-                    self._skip -= 1
-                else:
-                    kept.append(item)
-            if not kept:
-                return
-            items = kept
-        self._coordinator.receive_batch(self._index, items)
+        elements = _past_skip(self, elements)
+        if elements:
+            self._coordinator.receive_batch(self._index, elements)
 
 
 class _SinkFeed:
@@ -242,14 +222,12 @@ class _SinkFeed:
             return
         self._sink.push(item)
 
-    def push_batch(self, items: list[StreamItem]) -> None:
+    def push_batch(self, elements: list[StreamElement]) -> None:
         if self._muted:
             return
-        if self._skip <= 0 and self._skip_puncts <= 0:
-            push_all(self._sink, items)
-            return
-        for item in items:
-            self.push(item)
+        elements = _past_skip(self, elements)
+        if elements:
+            push_all(self._sink, elements)
 
 
 def _plan_sources(plan: LogicalOp) -> frozenset[str]:
@@ -410,9 +388,12 @@ class _ExchangeFeed:
             return
         self._state.deposit(self._ordinal, self._src, item)
 
-    def push_batch(self, items: list[StreamItem]) -> None:
-        for item in items:
-            self.push(item)
+    def push_batch(self, elements: list[StreamElement]) -> None:
+        if self._muted:
+            return
+        deposit = self._state.deposit
+        for element in _past_skip(self, elements):
+            deposit(self._ordinal, self._src, element)
 
     def push_run(self, values: list[tuple], stamps: list[float]) -> None:
         if self._muted:
@@ -920,23 +901,18 @@ class ShardedStreamEngine:
                 if stamps is not None:
                     per_stamps[shard] = stamps[offset::shards]
             return per_rows, per_stamps
-        # Coercion is positional (``with_schema``), so the declared
-        # key's catalog position is authoritative whatever names an
-        # incoming Row carries. Mappings may be keyed by bare or
-        # qualified names; a row missing the key entirely routes to the
-        # owner of None, where coercion raises the canonical SchemaError.
+        # Rows arrive coerced onto the catalog schema, so the declared
+        # key's catalog position is authoritative.
         index = self._key_index[lower]
         owner_of = self._owner_of
         per_rows = [[] for _ in range(shards)]
         if stamps is None:
             for row in rows:
-                value = row.values[index] if isinstance(row, Row) else row.get(key)
-                per_rows[owner_of(lower, value)].append(row)
+                per_rows[owner_of(lower, row.values[index])].append(row)
             return per_rows, None
         per_stamps = [[] for _ in range(shards)]
         for row, stamp in zip(rows, stamps):
-            value = row.values[index] if isinstance(row, Row) else row.get(key)
-            owner = owner_of(lower, value)
+            owner = owner_of(lower, row.values[index])
             per_rows[owner].append(row)
             per_stamps[owner].append(stamp)
         return per_rows, per_stamps
@@ -964,7 +940,15 @@ class ShardedStreamEngine:
         engine would see."""
         entry = self._catalog.source(source)
         lower = entry.name.lower()
-        rows = rows if isinstance(rows, list) else list(rows)
+        schema = entry.schema
+        coerce = StreamEngine._coerce_row
+        # Coerced once, here: a malformed row raises before anything is
+        # routed, logged or sent, so no shard sees part of a rejected
+        # batch, and every host takes the identity pass-through.
+        rows = [
+            row if (type(row) is Row and row.schema is schema) else coerce(schema, row)
+            for row in rows
+        ]
         stamps = None
         if not isinstance(timestamps, (int, float)):
             stamps = timestamps if isinstance(timestamps, list) else list(timestamps)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.catalog import Catalog, DeviceInfo, SourceStatistics
-from repro.data import DataType, Row, Schema
+from repro.data import DataType, Punctuation, Row, Schema
 from repro.plan import PlanBuilder
 from repro.runtime import Simulator
 from repro.sensor import Mote, MoteRole, Position, SensorNetwork
@@ -116,3 +116,20 @@ def edges_schema() -> Schema:
     return Schema.of(
         ("src", DataType.STRING), ("dst", DataType.STRING), ("dist", DataType.FLOAT)
     )
+
+
+def deliver(consumer, items) -> None:
+    """Hand a mixed item sequence to ``consumer`` the way the push
+    contract says producers must: each punctuation-free run of elements
+    by ``push_batch``, each punctuation by ``push``, in order."""
+    run: list = []
+    for item in items:
+        if isinstance(item, Punctuation):
+            if run:
+                consumer.push_batch(run)
+                run = []
+            consumer.push(item)
+        else:
+            run.append(item)
+    if run:
+        consumer.push_batch(run)

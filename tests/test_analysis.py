@@ -784,6 +784,8 @@ class TestEngineLinter:
         assert _codes(diags) == ["RA901"] and "Deep" in diags[0].message
 
     def test_ra902_push_batch_drops_punctuation(self, tmp_path):
+        # A body over a pure run is the contract: punctuation never
+        # arrives in a batch, so there is nothing to drop.
         root = self._tree(
             tmp_path,
             {
@@ -791,17 +793,17 @@ class TestEngineLinter:
                     "class Operator:\n"
                     "    pass\n"
                     "class Batchy(Operator):\n"
-                    "    def push_batch(self, items):\n"
-                    "        for item in items:\n"
-                    "            self.emit(item)\n"
+                    "    def push_batch(self, elements):\n"
+                    "        for element in elements:\n"
+                    "            self.emit(element)\n"
                 ),
             },
         )
-        diags = lint_engine(root)
-        assert _codes(diags) == ["RA902"]
-        assert "Batchy" in diags[0].message
+        assert lint_engine(root) == []
 
     def test_ra902_punctuation_check_is_safe(self, tmp_path):
+        # Looking for a punctuation inside a batch is the violation —
+        # on an operator or on any other consumer.
         root = self._tree(
             tmp_path,
             {
@@ -815,12 +817,22 @@ class TestEngineLinter:
                     "                self.flush()\n"
                     "            else:\n"
                     "                self.emit(item)\n"
+                    "class Funnel:\n"
+                    "    def receive_batch(self, index, items):\n"
+                    "        if not any(isinstance(i, Punctuation) for i in items):\n"
+                    "            self.sink.push_batch(items)\n"
                 ),
             },
         )
-        assert lint_engine(root) == []
+        diags = lint_engine(root)
+        assert _codes(diags) == ["RA902", "RA902"]
+        assert "push_batch names Punctuation" in diags[0].message
+        assert "receive_batch names Punctuation" in diags[1].message
+        assert diags[0].operator == "stream/ops.py:4"
 
     def test_ra902_per_item_push_fallback_is_safe(self, tmp_path):
+        # Recovering from a punctuation (it has no .row) by falling back
+        # to per-item push is the redo protocol the contract deleted.
         root = self._tree(
             tmp_path,
             {
@@ -829,12 +841,17 @@ class TestEngineLinter:
                     "    pass\n"
                     "class Delegating(Operator):\n"
                     "    def push_batch(self, items):\n"
-                    "        for item in items:\n"
-                    "            self.push(item)\n"
+                    "        try:\n"
+                    "            self.fast(items)\n"
+                    "        except (AttributeError, KeyError):\n"
+                    "            for item in items:\n"
+                    "                self.push(item)\n"
                 ),
             },
         )
-        assert lint_engine(root) == []
+        diags = lint_engine(root)
+        assert _codes(diags) == ["RA902"]
+        assert "catches AttributeError" in diags[0].message
 
     def test_ra903_layering_violation(self, tmp_path):
         root = self._tree(

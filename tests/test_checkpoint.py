@@ -17,7 +17,7 @@ from repro.api import connect
 from repro.api.sources import StreamSource
 from repro.catalog import Catalog
 from repro.data import DataType, Row, Schema
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, SchemaError
 from repro.plan import PlanBuilder
 from repro.stream.checkpoint import (
     CheckpointCoordinator,
@@ -273,6 +273,57 @@ class TestEngineRestore:
         restored = coordinator.recover()
         after = [list(h.sink.elements) for h in restored]
         assert after == before
+
+
+class TestRejectedIngestLeavesNoLogRecord:
+    """Regression: the replay log recorded a row before coercing it, so
+    one malformed row made every later recovery raise from replay."""
+
+    BAD = {"host": "ws9"}  # no temp, no load
+
+    REJECTED = {
+        "push": lambda engine, bad: engine.push("Readings", bad, 11.0),
+        "push_many": lambda engine, bad: engine.push_many(
+            "Readings", [_rows(1)[0][0], bad], [11.0, 12.0]
+        ),
+        "load_table": lambda engine, bad: engine.load_table(
+            "Archive", [_rows(1)[0][0], bad]
+        ),
+    }
+
+    def _run(self, rejected=None):
+        catalog = _catalog()
+        catalog.register_table("Archive", READINGS, cardinality=4)
+        engine = StreamEngine(catalog)
+        coordinator = CheckpointCoordinator(engine, interval=None)
+        builder = PlanBuilder(catalog)
+        sqls = [QUERIES[0], "select a.host, a.temp from Archive a where a.temp > 0.0"]
+        handles = [engine.execute(builder.build_sql(sql)) for sql in sqls]
+        rows, stamps = _rows(30)
+        engine.load_table("Archive", rows[:3])
+        engine.push_many("Readings", rows[:10], stamps[:10])
+        engine.punctuate(stamps[9])
+        coordinator.checkpoint(stamps[9])
+        if rejected is not None:
+            logged, ingested = coordinator.log.next_seq, engine.elements_ingested
+            with pytest.raises(SchemaError, match="missing field"):
+                self.REJECTED[rejected](engine, self.BAD)
+            assert coordinator.log.next_seq == logged
+            assert engine.elements_ingested == ingested
+            assert len(engine.table_rows("Archive")) == 3
+        engine.push_many("Readings", rows[10:], stamps[10:])
+        engine.load_table("Archive", rows[3:5])
+        engine.fail()
+        handles = coordinator.recover()
+        engine.punctuate(stamps[-1] + 100.0)
+        return [
+            sorted((e.timestamp, e.row.values) for e in handle.sink.elements)
+            for handle in handles
+        ]
+
+    @pytest.mark.parametrize("verb", sorted(REJECTED))
+    def test_recovery_after_rejected_ingest(self, verb):
+        assert self._run(verb) == self._run()
 
 
 class TestSessionWiring:

@@ -11,6 +11,7 @@ the batched stateful operators, and the compiled aggregate fold.
 from __future__ import annotations
 
 import pytest
+from conftest import deliver
 
 from repro.api import (
     BatchBackend,
@@ -26,19 +27,41 @@ from repro.api import (
 )
 from repro.catalog import Catalog
 from repro.data import DataType, Row, Schema, stable_hash
-from repro.data.streams import CollectingConsumer, Punctuation, StreamElement
+from repro.data.streams import (
+    CallbackConsumer,
+    CollectingConsumer,
+    Punctuation,
+    StreamElement,
+    replay,
+)
+from repro.data.windows import WindowSpec
 from repro.errors import CatalogError, QueryError
 from repro.plan import PlanBuilder
 from repro.sql.compiled import compile_accumulate
-from repro.sql.expressions import AggregateCall, ColumnRef
+from repro.sql.expressions import AggregateCall, BinaryOp, ColumnRef, Literal
+from repro.stream.compiler import _ReschemaConsumer
 from repro.stream.engine import StreamEngine
+from repro.stream.multiplex import TeeOp
 from repro.stream.partition import partition_safe
-from repro.stream.sharded import ShardedStreamEngine
+from repro.stream.procshard import _FrameSink
+from repro.stream.sharded import (
+    ShardedStreamEngine,
+    _MergeCoordinator,
+    _ShardFeed,
+    _SinkFeed,
+)
 from repro.stream.operators import (
     AggregateOp,
     DistinctOp,
+    FilterOp,
+    FusedOp,
     LimitOp,
+    MergeAggregateOp,
     OrderByOp,
+    OutputOp,
+    PartialAggregateOp,
+    ProjectOp,
+    SymmetricHashJoin,
 )
 from repro.sql.ast import OrderItem
 
@@ -592,53 +615,147 @@ def _mixed_items(count):
     return items
 
 
-def _ab(operator_factory, items):
-    """Same items per-element vs batched; sinks must match exactly."""
-    single_sink, batched_sink = CollectingConsumer(), CollectingConsumer()
-    single, batched = operator_factory(single_sink), operator_factory(batched_sink)
-    for item in items:
-        single.push(item)
-    batched.push_batch(items)
-    assert batched_sink.elements == single_sink.elements
-    assert batched_sink.punctuations == single_sink.punctuations
-    assert batched.rows_in == single.rows_in
-    assert batched.rows_out == single.rows_out
+def _ab(build, items):
+    """The push contract, checked: the same item sequence delivered all
+    by ``push`` and as runs by ``push_batch`` / punctuations by ``push``
+    must leave identical sinks and counters. ``build(sink)`` returns the
+    consumer under test, or ``(consumer, probe)`` when its observable
+    state is something other than ``rows_in`` / ``rows_out``."""
+    states = []
+    for send in (lambda consumer: replay(items, consumer), lambda c: deliver(c, items)):
+        sink = CollectingConsumer()
+        built = build(sink)
+        if isinstance(built, tuple):
+            consumer, probe = built
+        else:
+            consumer, probe = built, lambda op=built: (op.rows_in, op.rows_out)
+        send(consumer)
+        states.append((sink.elements, sink.punctuations, probe()))
+    assert states[0] == states[1]
+    return states[0]
+
+
+_X = Schema.of(("x", DataType.INT))
+_XN = Schema.of(("x", DataType.INT), ("n", DataType.INT))
+_XP = Schema.of(("x", DataType.INT), ("n", DataType.NULL))
+_X_POSITIVE = BinaryOp(">", ColumnRef("x"), Literal(1))
+_X_DOUBLED = BinaryOp("*", ColumnRef("x"), Literal(2))
+_COUNT = [(AggregateCall("COUNT", None), "n")]
+_BY_X = [(ColumnRef("x"), "x")]
+_TUMBLING = WindowSpec.range(10.0, slide=10.0)
+
+
+def _partial_output(window, items):
+    """What a stage-1 partial aggregate emits for ``items``, elements
+    and punctuations in order — the merge stage's input."""
+    out: list = []
+    replay(items, PartialAggregateOp(_BY_X, _COUNT, _XP, CallbackConsumer(out.append), window))
+    return out
+
+
+def _join_left_port(sink):
+    join = SymmetricHashJoin(
+        _X,
+        Schema.of(("y", DataType.INT)),
+        WindowSpec.range(100.0),
+        WindowSpec.range(100.0),
+        None,
+        [("x", "y")],
+        sink,
+    )
+    right = Schema.of(("y", DataType.INT))
+    for y in range(4):
+        join.right_port.push(StreamElement(Row(right, (y,)), float(y)))
+    join.right_port.push(Punctuation(100.0))
+    return join.left_port, lambda: (join.rows_in, join.rows_out, join.buffered_rows)
+
+
+def _output_op(sink):
+    shown: list = []
+    op = OutputOp("wall", lambda display, element: shown.append(element), sink, every=3.0)
+    return op, lambda: (op.rows_in, op.rows_out, shown)
+
+
+def _tee(sink):
+    tee, second = TeeOp(), CollectingConsumer()
+    tee.add_branch(sink)
+    tee.add_branch(second)
+    return tee, lambda: (second.elements, second.punctuations)
+
+
+def _observed_sink(sink):
+    observed: list = []
+    sink.observe(observed.append)
+    return sink, lambda: observed
+
+
+def _shard_feed(sink):
+    coordinator = _MergeCoordinator(sink, 1)
+    return _ShardFeed(coordinator, 0, skip=5), lambda: coordinator.counts
+
+
+def _frame_sink(_sink):
+    frames = _FrameSink()
+    return frames, frames.take
+
+
+#: Every class with a ``push_batch`` (or inheriting the operator
+#: default), keyed by test id; each value is a ``build`` for ``_ab``.
+_CONSUMERS = {
+    "filter": lambda sink: FilterOp(_X_POSITIVE, sink, _X),
+    "filter-interpreted": lambda sink: FilterOp(_X_POSITIVE, sink),
+    "project": lambda sink: ProjectOp([(_X_DOUBLED, "x")], _X, sink, _X),
+    "project-interpreted": lambda sink: ProjectOp([(_X_DOUBLED, "x")], _X, sink),
+    "fused": lambda sink: FusedOp(
+        [("filter", _X_POSITIVE), ("project", [_X_DOUBLED], _X)], _X, sink, _X
+    ),
+    "join-side-port": _join_left_port,
+    "aggregate-windowed": lambda sink: AggregateOp(_BY_X, _COUNT, _XN, sink, _TUMBLING, _X),
+    "aggregate-running": lambda sink: AggregateOp(_BY_X, _COUNT, _XN, sink, None, _X),
+    "aggregate-interpreted": lambda sink: AggregateOp(_BY_X, _COUNT, _XN, sink, None),
+    "partial-windowed": lambda sink: PartialAggregateOp(_BY_X, _COUNT, _XP, sink, _TUMBLING),
+    "partial-running": lambda sink: PartialAggregateOp(_BY_X, _COUNT, _XP, sink, None),
+    "merge-windowed": lambda sink: MergeAggregateOp(1, _COUNT, _XN, sink, True),
+    "merge-running": lambda sink: MergeAggregateOp(1, _COUNT, _XN, sink, False),
+    "distinct": DistinctOp,
+    "orderby": lambda sink: OrderByOp([OrderItem(ColumnRef("x"), False)], sink, _X),
+    "limit": lambda sink: LimitOp(3, sink),
+    "output": _output_op,
+    "reschema": lambda sink: (
+        _ReschemaConsumer(Schema.of(("r.x", DataType.INT)), sink),
+        lambda: [e.row.schema.names for e in sink.elements],
+    ),
+    "tee": _tee,
+    "collecting-consumer": _observed_sink,
+    "shard-feed-armed": _shard_feed,
+    "sink-feed-armed": lambda sink: (_SinkFeed(sink, 5, 1), lambda: None),
+    "frame-sink": _frame_sink,
+}
 
 
 class TestBatchedStatefulOperators:
+    @pytest.mark.parametrize("name", _CONSUMERS)
+    def test_push_contract_identity(self, name):
+        items = _mixed_items(40)
+        if name.startswith("merge-"):
+            items = _partial_output(_TUMBLING if name == "merge-windowed" else None, items)
+        elements, punctuations, probed = _ab(_CONSUMERS[name], items)
+        # Not vacuous: every configuration here produces output.
+        assert elements or probed
+
     def test_distinct_batched_identity(self):
         _ab(DistinctOp, _mixed_items(40))
 
     def test_limit_batched_identity(self):
-        _ab(lambda sink: LimitOp(3, sink), _mixed_items(40))
+        _ab(_CONSUMERS["limit"], _mixed_items(40))
 
     def test_orderby_batched_identity(self):
-        schema = Schema.of(("x", DataType.INT))
-        items = _mixed_items(30)
-        _ab(
-            lambda sink: OrderByOp([OrderItem(ColumnRef("x"), False)], sink, schema),
-            items,
-        )
+        _ab(_CONSUMERS["orderby"], _mixed_items(30))
 
     @pytest.mark.parametrize("windowed", [True, False])
     def test_aggregate_batched_identity(self, windowed):
-        from repro.data.windows import WindowSpec
-
-        schema = Schema.of(("x", DataType.INT))
-        out = Schema.of(("x", DataType.INT), ("n", DataType.INT))
-        window = WindowSpec.range(10.0, slide=10.0) if windowed else None
-
-        def factory(sink):
-            return AggregateOp(
-                [(ColumnRef("x"), "x")],
-                [(AggregateCall("COUNT", None), "n")],
-                out,
-                sink,
-                window,
-                schema,
-            )
-
-        _ab(factory, _mixed_items(60))
+        name = "aggregate-windowed" if windowed else "aggregate-running"
+        _ab(_CONSUMERS[name], _mixed_items(60))
 
 
 class TestCompiledAccumulate:

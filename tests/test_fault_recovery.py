@@ -31,7 +31,7 @@ import pytest
 from repro.api import SensorSource, StreamSource, TableSource, connect
 from repro.catalog import Catalog
 from repro.data import DataType, Row, Schema
-from repro.errors import ExecutionError, QueryError
+from repro.errors import ExecutionError, QueryError, SchemaError
 from repro.plan import PlanBuilder
 from repro.runtime import Simulator
 from repro.runtime.faults import (
@@ -542,6 +542,57 @@ class TestDroppedTableFailover:
         engine.punctuate(stamps[-1] + 40.0)
         assert engine._tables == {}
         assert sum(r["n"] for r in restored.results) == len(rows)
+
+
+class TestRejectedBatchFailover:
+    """Regression: the pool logged and ingested shard by shard while
+    each shard coerced its own slice, so a malformed row left a record
+    that every later failover re-raised from replay — with the
+    lower-numbered shards' sub-batches already ingested."""
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_rejected_batch_is_neither_logged_nor_partially_applied(self, transport):
+        def run(reject):
+            catalog = _catalog()
+            pool = POOLS[transport](catalog, shards=2)
+            try:
+                coordinator = CheckpointCoordinator(pool, interval=None)
+                pool.set_partition_key("Readings", "host")
+                builder = PlanBuilder(catalog)
+                handles = [
+                    pool.execute(builder.build_sql(sql), sql=sql)
+                    for sql in (WINDOWED, QUERIES[3])  # partitioned + fallback
+                ]
+                rows, stamps = _rows(60, random.Random(5))
+                pool.push_many("Readings", rows[:20], stamps[:20])
+                pool.punctuate(stamps[19])
+                coordinator.checkpoint()
+                if reject:
+                    # Good rows for both shards ahead of the bad one.
+                    batch = [*rows[20:30], {"host": "ws3", "room": "lab1"}]
+                    before = (
+                        coordinator.log.next_seq,
+                        [view.elements_ingested for view in pool.engines],
+                        pool.fallback_engine.elements_ingested,
+                    )
+                    with pytest.raises(SchemaError, match="missing field"):
+                        pool.push_many("Readings", batch, stamps[20:31])
+                    assert before == (
+                        coordinator.log.next_seq,
+                        [view.elements_ingested for view in pool.engines],
+                        pool.fallback_engine.elements_ingested,
+                    )
+                pool.push_many("Readings", rows[20:40], stamps[20:40])
+                kill_shard(pool, 0)
+                pool.push_many("Readings", rows[40:], stamps[40:])
+                pool.punctuate(stamps[-1] + 40.0)
+                assert coordinator.last_replay["target"] == 0
+                return [sorted(repr(r.values) for r in h.results) for h in handles]
+            finally:
+                if transport == "framed":
+                    pool.shutdown()
+
+        assert run(reject=True) == run(reject=False) != [[], []]
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ emit exactly the same elements on both paths.
 import random
 
 import pytest
+from conftest import deliver
 
 from repro.catalog import Catalog
 from repro.data import DataType, Row, Schema
@@ -193,7 +194,7 @@ class TestFusedOp:
         items.extend(StreamElement(Row(schema, (x,)), float(x)) for x in (4, -5, 6))
         items.append(Punctuation(7.0))
 
-        batched.push_batch(items)
+        deliver(batched, items)
         for item in items:
             single.push(item)
         assert batched_sink.elements == single_sink.elements
@@ -308,9 +309,7 @@ def _run(plan, items, *, fuse: bool, batched: bool):
     compiled = PlanCompiler(fuse=fuse).compile(plan, sink)
     port = compiled.ports[0].consumer
     if batched:
-        port.push_batch(items) if hasattr(port, "push_batch") else [
-            port.push(i) for i in items
-        ]
+        deliver(port, items)
     else:
         for item in items:
             port.push(item)

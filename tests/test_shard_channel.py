@@ -20,19 +20,26 @@ import random
 import re
 
 import pytest
+from conftest import deliver
 
 from repro.api import StreamSource, connect
 from repro.catalog import Catalog
 from repro.data import DataType, Row, Schema
-from repro.data.streams import StreamElement
+from repro.data.streams import CallbackConsumer, Punctuation, StreamElement
 from repro.plan import PlanBuilder
 from repro.plan.logical import LogicalOp
 from repro.runtime.faults import kill_shard
 from repro.stream import channel
 from repro.stream.checkpoint import CheckpointCoordinator, PoolCheckpoint
 from repro.stream.engine import StreamEngine
-from repro.stream.procshard import FramedChannel, ProcessShardEngine, usable_start_method
-from repro.stream.sharded import ShardedStreamEngine
+from repro.stream.procshard import (
+    FramedChannel,
+    ProcessShardEngine,
+    _FrameSink,
+    _pack,
+    usable_start_method,
+)
+from repro.stream.sharded import ShardedStreamEngine, _MergeCoordinator, _ShardFeed
 
 READINGS = Schema.of(
     ("room", DataType.STRING),
@@ -313,6 +320,50 @@ class TestFramedPoolHoldsNoShardEngines:
             assert not any(view.failed for view in pool.engines)
         finally:
             pool.shutdown()
+
+
+class TestAckFrameInterleaving:
+    """An ack frame carries a replica's emissions as runs with the
+    watermarks between them; the parent must hand them to the merge
+    feed in frame order — runs by ``push_batch``, watermarks by
+    ``push`` — exactly as a loopback replica's own pipeline does."""
+
+    def _merged_order(self, send) -> tuple[list, list[int]]:
+        order: list = []
+        coordinator = _MergeCoordinator(CallbackConsumer(order.append), 1)
+        send(_ShardFeed(coordinator, 0))
+        return order, coordinator.counts
+
+    def test_framed_ack_matches_loopback_delivery(self):
+        schema = Schema.of(("x", DataType.INT))
+
+        def run(source, *xs):
+            return [StreamElement(Row(schema, (x,)), float(x), source) for x in xs]
+
+        items = [
+            *run("a", 1, 2, 3),
+            Punctuation(3.0),
+            *run("a", 4),
+            *run("b", 5, 6),  # a source change seals a second run
+            Punctuation(6.0),
+            Punctuation(7.0),
+            *run("b", 8),
+        ]
+        loopback = self._merged_order(lambda feed: deliver(feed, items))
+
+        worker_sink = _FrameSink()
+        deliver(worker_sink, items)
+        frame_items = worker_sink.take()
+        assert [item[0] for item in frame_items] == ["e", "p", "e", "e", "p", "p", "e"]
+
+        def framed(feed):
+            parent = object.__new__(FramedChannel)  # no worker process
+            parent.index = 0
+            parent._feeds = {7: (feed, schema)}
+            assert parent._on_frame(("ack", 1, _pack([(7, frame_items)]), None))
+
+        assert self._merged_order(framed) == loopback
+        assert loopback[0] == items and loopback[1] == [7]
 
 
 class TestSessionSurfacesPoolStats:

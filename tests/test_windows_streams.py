@@ -10,7 +10,6 @@ from repro.data import (
     Row,
     Schema,
     StreamElement,
-    Tee,
     WindowKind,
     WindowSpec,
     assign_windows,
@@ -110,13 +109,6 @@ class TestStreamHelpers:
         consumer = CallbackConsumer(got.append)
         consumer.push(self.element)
         assert got == [self.element]
-
-    def test_tee_fans_out_in_order(self):
-        a, b = CollectingConsumer(), CollectingConsumer()
-        tee = Tee([a])
-        tee.add(b)
-        tee.push(self.element)
-        assert len(a) == 1 and len(b) == 1
 
     def test_replay(self):
         sink = CollectingConsumer()
