@@ -107,6 +107,10 @@ class StreamConsumer(Protocol):
       run by ``push_batch`` and each punctuation by ``push``; a consumer
       never scans a batch for, splits a batch at, or recovers from a
       punctuation inside one (lint rule RA902 enforces both halves).
+      The list stays the producer's: a receiver **neither mutates nor
+      keeps it** (it copies out what it buffers). Ingest hands one run
+      to every route of a source and a shared chain's tee hands one run
+      to every branch, so the next receiver reads the same list.
 
     ``push_batch`` is optional and deliberately *not* part of this
     runtime-checkable protocol — a ``push``-only consumer is still a

@@ -44,6 +44,7 @@ from repro.plan.logical import (
     Select,
 )
 from repro.sql.expressions import is_equijoin_conjunct, split_conjuncts
+from repro.stream.multiplex import SharedFeed
 from repro.stream.operators import (
     AggregateOp,
     DistinctOp,
@@ -69,6 +70,14 @@ class ScanPort:
 
     ``scan`` is None for :class:`~repro.plan.logical.RemoteSource` leaves
     (streams arriving from another engine, fed by name).
+
+    ``consumer`` takes rows under the source's catalog schema. Where the
+    chain resolves columns by name it is a renaming shim, and
+    ``relabelled`` is what sits behind the shim: it takes rows already
+    under ``scan.schema``. The engine relabels an ingest run once per
+    distinct scan schema and feeds every such port's ``relabelled``
+    the same run; ``consumer`` stays for whoever pushes source rows at
+    one port directly.
     """
 
     source_name: str
@@ -79,6 +88,7 @@ class ScanPort:
     #: Exchange feeds are punctuated explicitly by the pool's shuffle
     #: barrier, never by the engine's broadcast punctuate.
     exchange: bool = False
+    relabelled: StreamConsumer | None = None
 
 
 @dataclass
@@ -89,11 +99,14 @@ class CompiledPlan:
         root: The plan that was compiled.
         ports: Scan entry points, in left-to-right plan order.
         operators: Every instantiated operator (for introspection/stats).
+        feeds: ``(SharedFeed leaf, the operator above it)`` per cut, for
+            the subplan registry to hang on the feeding chain's tee.
     """
 
     root: LogicalOp
     ports: list[ScanPort] = field(default_factory=list)
     operators: list[Operator] = field(default_factory=list)
+    feeds: list[tuple[SharedFeed, StreamConsumer]] = field(default_factory=list)
 
     def ports_for(self, source_name: str) -> list[ScanPort]:
         """All ports fed by one source (a source may be scanned twice)."""
@@ -113,8 +126,10 @@ class CompiledPlan:
 class _ReschemaConsumer:
     """Rebases incoming rows positionally onto a fixed schema.
 
-    ``with_schema`` reuses the value tuple untouched, so the
-    per-element cost is one arity check plus one allocation per port.
+    ``with_schema`` reuses the value tuple untouched, so a relabelled
+    element costs one arity check plus two allocations (a ``Row`` and a
+    ``StreamElement``); an element already carrying the schema object
+    passes through as it is.
     """
 
     def __init__(self, schema, downstream: StreamConsumer):
@@ -122,8 +137,6 @@ class _ReschemaConsumer:
         self._downstream = downstream
 
     def push(self, item) -> None:
-        # Identity fast path: shared-chain tees feed many shims whose
-        # target schema is often the very object the chain emitted.
         if isinstance(item, StreamElement) and item.row.schema is not self._schema:
             item = StreamElement(
                 item.row.with_schema(self._schema), item.timestamp, item.source
@@ -206,13 +219,23 @@ class PlanCompiler:
                 # (compiled closures, projected output schemas): feeding
                 # catalog-schema rows straight in saves one Row and one
                 # StreamElement allocation per element at the port.
-                consumer: StreamConsumer = downstream
+                port = ScanPort(node.entry.name, node.binding, downstream, scan=node)
             else:
-                consumer = _RenamingConsumer(node, downstream)
-            compiled.ports.append(
-                ScanPort(node.entry.name, node.binding, consumer, scan=node)
-            )
-            return consumer
+                port = ScanPort(
+                    node.entry.name,
+                    node.binding,
+                    _RenamingConsumer(node, downstream),
+                    scan=node,
+                    relabelled=downstream,
+                )
+            compiled.ports.append(port)
+            return port.consumer
+        if isinstance(node, SharedFeed):
+            # Fed by another chain's tee, whose rows already carry this
+            # schema (the registry checks that once, at attach): the
+            # operator above the cut is itself the tee branch.
+            compiled.feeds.append((node, downstream))
+            return downstream
         if isinstance(node, ExchangeSource):
             # A shuffled feed from the other shards: rows arrive already
             # under the stage-2 schema via ShardedStreamEngine.push_exchange.

@@ -12,7 +12,10 @@ lookup plus one push per subscribed port — not a scan of every query's
 every port. :meth:`push_many` amortizes the lookup (and the catalog
 resolution) across a whole batch of rows and hands each port the whole
 batch via the optional ``push_batch`` protocol, so vectorized operators
-(Filter/Project/Fused) traverse it with one dispatch per operator.
+(Filter/Project/Fused) traverse it with one dispatch per operator. Rows
+are relabelled from the catalog schema to a scan's ``binding.column``
+schema here, once per distinct scan schema however many ports want it
+(:meth:`StreamEngine._runs`), and never again downstream.
 
 The engine is deliberately synchronous: pushing an element runs the
 whole operator pipeline inline. Distribution (operators placed on
@@ -40,8 +43,14 @@ from repro.data.tuples import Row
 from repro.data.windows import WindowSpec
 from repro.errors import ExecutionError
 from repro.plan.logical import LogicalOp, RemoteSource
-from repro.stream.compiler import DEFAULT_STREAM_WINDOW, CompiledPlan, PlanCompiler, ScanPort
-from repro.stream.multiplex import SubplanRegistry
+from repro.stream.compiler import (
+    DEFAULT_STREAM_WINDOW,
+    CompiledPlan,
+    PlanCompiler,
+    ScanPort,
+    _ReschemaConsumer,
+)
+from repro.stream.multiplex import SharedChain, SubplanRegistry
 
 _query_ids = itertools.count(1)
 
@@ -64,9 +73,9 @@ class QueryHandle:
     compiled: CompiledPlan
     sink: CollectingConsumer
     engine: "StreamEngine | None" = field(default=None, repr=False)
-    #: True when this query runs as a tee branch of shared chains; its
-    #: ``compiled`` then holds only the residual (usually just the
-    #: reschema shim) and the chain operators live in the registry.
+    #: True when this query runs as a tee branch of a shared chain: its
+    #: sink hangs off the chain's tee directly, ``compiled`` is empty
+    #: and the chain's operators live in the registry.
     shared: bool = field(default=False, repr=False)
     # latest_batch incremental state: sink elements before _scan_pos have
     # been classified against _cached_watermark; _batch keeps the ones
@@ -133,6 +142,24 @@ class _Route:
     query_id: int
     port: ScanPort
     remote_schema: Schema | None = None  # set for RemoteSource ports
+    #: The port's scan schema when source rows must be relabelled to it
+    #: (ingest then feeds ``port.relabelled``); None for ports that take
+    #: source rows as they are.
+    scan_schema: Schema | None = field(init=False)
+
+    def __post_init__(self) -> None:
+        port = self.port
+        self.scan_schema = port.scan.schema if port.relabelled is not None else None
+
+
+class _HeldRun:
+    """Downstream of an ingest relabel: keeps the relabelled run so that
+    every route wanting its schema can be handed the same list."""
+
+    __slots__ = ("elements",)
+
+    def push_batch(self, elements: list[StreamElement]) -> None:
+        self.elements = elements
 
 
 class StreamEngine:
@@ -168,8 +195,8 @@ class StreamEngine:
         self.share_plans = share_plans
         #: Shared-subplan registry (chains live here; see multiplex.py).
         self.subplans = SubplanRegistry(self)
-        #: query_id -> [(chain, branch)] references to release on stop.
-        self._attachments: dict[int, list] = {}
+        #: query_id -> the shared chain whose tee feeds the query's sink.
+        self._attachments: dict[int, SharedChain] = {}
         #: Recovery plumbing (see :mod:`repro.stream.checkpoint`). A
         #: coordinator attaches itself here; ingestion then appends to
         #: its bounded replay log. ``failed`` marks a simulated crash:
@@ -200,9 +227,10 @@ class StreamEngine:
         if self.checkpointer is not None and not self._replaying:
             self.checkpointer.record(("table", None, name, rows, timestamp))
         self._tables.setdefault(entry.name, []).extend(elements)
-        for route in self._routes.get(entry.name.lower(), ()):
-            for element in elements:
-                route.port.consumer.push(element)
+        routes = self._routes.get(entry.name.lower(), ())
+        for _, consumer, run in self._runs(routes, elements):
+            for element in run:
+                consumer.push(element)
 
     def table_rows(self, name: str) -> list[Row]:
         """Current contents of a loaded table."""
@@ -252,17 +280,16 @@ class StreamEngine:
         if sink is None:
             sink = CollectingConsumer()
         use_share = self.share_plans if share is None else share
-        admitted = self.subplans.admit(plan, sink) if use_share else None
-        if admitted is not None:
-            compiled, attachments = admitted
+        chain = self.subplans.admit(plan, sink) if use_share else None
+        if chain is not None:
+            compiled = CompiledPlan(root=plan)  # the pipeline is the chain's
         else:
             compiled = self._compiler.compile(plan, sink)
-            attachments = []
         handle = QueryHandle(next(_query_ids), plan, compiled, sink, self)
-        handle.shared = bool(attachments)
+        handle.shared = chain is not None
         self._queries[handle.query_id] = handle
-        if attachments:
-            self._attachments[handle.query_id] = attachments
+        if chain is not None:
+            self._attachments[handle.query_id] = chain
         self._register_routes(handle)
         # Replay stored tables into the new query's table scans.
         for port in compiled.ports:
@@ -277,13 +304,14 @@ class StreamEngine:
     def stop(self, handle: QueryHandle) -> None:
         """Stop routing data into a query. Idempotent: stopping a query
         that is already stopped (or was never started here) is a no-op.
-        A shared query releases only its own tee branches; sibling
-        queries on the same chains are undisturbed."""
+        A shared query detaches only its own sink from the chain's tee;
+        sibling queries on the same chain are undisturbed."""
         if self._queries.pop(handle.query_id, None) is None:
             return
         self._drop_routes(handle.query_id)
-        for chain, branch in self._attachments.pop(handle.query_id, ()):
-            self.subplans.release(chain, branch)
+        chain = self._attachments.pop(handle.query_id, None)
+        if chain is not None:
+            self.subplans.release(chain, handle.sink)
 
     def _drop_routes(self, owner_id: int) -> None:
         """Remove every routing entry registered under ``owner_id`` (a
@@ -345,8 +373,19 @@ class StreamEngine:
         if self.checkpointer is not None and not self._replaying:
             self.checkpointer.record(("push", None, source, row, timestamp))
         self.elements_ingested += 1
+        relabelled: dict[Schema, StreamElement] = {}
         for route in self._routes.get(entry.name.lower(), ()):
-            route.port.consumer.push(element)
+            schema = route.scan_schema
+            if schema is None:
+                route.port.consumer.push(element)
+                continue
+            # Relabelled once per distinct scan schema, like a batch.
+            renamed = relabelled.get(schema)
+            if renamed is None:
+                renamed = relabelled[schema] = StreamElement(
+                    element.row.with_schema(schema), timestamp, entry.name
+                )
+            route.port.relabelled.push(renamed)
 
     def push_many(
         self,
@@ -434,18 +473,41 @@ class StreamEngine:
         routes = self._routes.get(name.lower(), ())
         multi_port_queries = self._multi_port_queries(routes)
         interleaved = []
-        for route in routes:
+        for route, consumer, run in self._runs(routes, elements):
             if route.query_id in multi_port_queries:
-                interleaved.append(route.port.consumer)
+                interleaved.append((consumer, run))
             else:
-                push_all(route.port.consumer, elements)
+                push_all(consumer, run)
         if interleaved:
             # Element-major delivery across this query's ports, exactly
             # as repeated push() would interleave them.
-            for element in elements:
-                for consumer in interleaved:
-                    consumer.push(element)
+            for index in range(len(elements)):
+                for consumer, run in interleaved:
+                    consumer.push(run[index])
         return len(elements)
+
+    @staticmethod
+    def _runs(routes: Sequence["_Route"], elements: list[StreamElement]):
+        """``(route, consumer, run)`` per route, in route order.
+
+        A port that takes source rows as they are gets ``elements``
+        itself. A renaming port gets the run relabelled to its scan
+        schema, fed behind its shim — relabelled once per distinct scan
+        schema however many routes want it, by the one
+        ``_ReschemaConsumer.push_batch`` call, and every such route is
+        handed the same list.
+        """
+        relabelled: dict[Schema, _HeldRun] = {}
+        for route in routes:
+            schema = route.scan_schema
+            if schema is None:
+                yield route, route.port.consumer, elements
+                continue
+            held = relabelled.get(schema)
+            if held is None:
+                held = relabelled[schema] = _HeldRun()
+                _ReschemaConsumer(schema, held).push_batch(elements)
+            yield route, route.port.relabelled, held.elements
 
     @staticmethod
     def _multi_port_queries(routes: Sequence["_Route"]) -> set[int]:

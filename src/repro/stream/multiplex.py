@@ -77,9 +77,6 @@ __all__ = [
     "sharing_eligibility",
 ]
 
-#: Pseudo-source prefix naming a chain's output feed in compiled ports.
-_SHARED_PREFIX = "#shared:"
-
 #: Operators with no cross-element state: safe to tee into at any time.
 _STATELESS_OPS = (FilterOp, ProjectOp, FusedOp)
 
@@ -96,8 +93,11 @@ class TeeOp:
     """Fan one element stream out to many per-query consumers.
 
     The terminal consumer of every shared chain. Branches are the
-    per-query reschema shims (or nested chains' input shims); add and
-    remove are O(1) amortized and never disturb sibling branches.
+    subscribed queries' sinks and, for a cut chain, the operators of the
+    chains stacked on it — nothing sits in between, so every branch is
+    handed the same run and the same elements (the ``push_batch``
+    contract: a receiver neither mutates nor keeps the list). Add and
+    remove never disturb sibling branches.
     """
 
     def __init__(self) -> None:
@@ -130,9 +130,10 @@ class TeeOp:
 class SharedFeed(RemoteSource):
     """Pseudo-leaf standing in for a subtree executed by a shared chain.
 
-    Compiles through the existing RemoteSource path (a reschema shim
-    port); the registry then strips the port from the compiled plan and
-    attaches its shim as a tee branch instead of routing it to a source.
+    Lowers to the operator above it (no port, no shim: the producing
+    chain's rows already carry ``wrapped.schema``, checked once at
+    attach), which the registry attaches to that chain's tee as a
+    branch (``CompiledPlan.feeds``).
 
     ``walk`` yields the *wrapped* subtree's nodes rather than the feed
     itself so window inference (``PlanCompiler._side_window``) and
@@ -140,7 +141,7 @@ class SharedFeed(RemoteSource):
     """
 
     def __init__(self, wrapped: LogicalOp, chain_id: int):
-        super().__init__(f"{_SHARED_PREFIX}{chain_id}", wrapped.schema)
+        super().__init__(f"#shared:{chain_id}", wrapped.schema)
         self.wrapped = wrapped
         self.chain_id = chain_id
 
@@ -149,13 +150,6 @@ class SharedFeed(RemoteSource):
 
     def describe(self) -> str:
         return f"SharedFeed(chain={self.chain_id}, {self.wrapped.describe()})"
-
-
-def _port_chain_id(source_name: str) -> int | None:
-    """Chain id encoded in a SharedFeed port name, or None."""
-    if source_name.startswith(_SHARED_PREFIX):
-        return int(source_name[len(_SHARED_PREFIX):])
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -174,11 +168,14 @@ def plan_fingerprint(node: LogicalOp) -> tuple | None:
     if isinstance(node, SharedFeed):
         return plan_fingerprint(node.wrapped)
     if isinstance(node, Scan):
+        # The column layout participates: a source detached and attached
+        # again under the same name with other columns is another scan.
         return (
             "scan",
             node.entry.name.lower(),
             node.binding,
             node.window.render() if node.window is not None else None,
+            tuple((f.name, f.dtype.value) for f in node.schema),
         )
     if isinstance(node, Select):
         child = plan_fingerprint(node.child)
@@ -288,17 +285,19 @@ class SharedChain:
         chain_id: Unique id; also names the chain's routing entries.
         fingerprint: Structural identity of the *original* subtree.
         plan: The compiled plan — the subtree with nested cuts replaced
-            by :class:`SharedFeed` leaves.
-        compiled: The chain's pipeline; its ports are the real scan
-            ports only (feed ports are attached to parent tees).
+            by :class:`SharedFeed` leaves. Every row the chain emits
+            carries (a schema equal to) ``plan.schema``.
+        compiled: The chain's pipeline; its ports are scan ports, its
+            feeds hang on the parent chains' tees.
         tee: Terminal fan-out to branches (query sinks/nested chains).
         stateless: True when every chain operator is Filter/Project/
             Fused — attachable at any time.
         ingest_mark: ``engine.elements_ingested`` when built.
         punct_mark: ``engine.punctuations_seen`` when built.
         refs: Live references (query branches + child chains).
-        parents: ``(parent chain, branch consumer)`` attachments this
-            chain holds on narrower chains it consumes from.
+        parents: ``(parent chain, branch)`` attachments this chain
+            holds on narrower chains it consumes from; the branch is
+            the operator of this chain that the parent's tee feeds.
     """
 
     chain_id: int
@@ -350,37 +349,23 @@ class SubplanRegistry:
         """
         return sharing_eligibility(plan)[0]
 
-    def admit(self, plan: LogicalOp, sink: Any):
+    def admit(self, plan: LogicalOp, sink: Any) -> SharedChain | None:
         """Run ``plan`` as a branch of its whole-plan chain.
 
-        Returns ``(compiled, attachments)`` where ``compiled`` is the
-        query's residual pipeline (just the reschema shim from the
-        chain's tee into ``sink``) and ``attachments`` the
-        ``(chain, branch)`` references the caller must release on stop
-        — or None when the plan is ineligible or cannot be
-        fingerprinted (``last_decline`` then carries the coded reason),
-        in which case the engine compiles it privately.
+        Attaches ``sink`` to the chain's tee directly and returns the
+        chain — the one reference the caller releases on stop, with
+        ``sink`` as the branch — or None when the plan is ineligible or
+        cannot be fingerprinted (``last_decline`` then carries the coded
+        reason), in which case the engine compiles it privately.
         """
         shareable, code, reason = sharing_eligibility(plan)
         if not shareable:
             self.declined += 1
             self.last_decline = (code, reason)
             return None
-        fingerprint = plan_fingerprint(plan)
-        chain = self._acquire(plan, fingerprint)
-        feed = SharedFeed(plan, chain.chain_id)
-        compiled = self._engine._compiler.compile(feed, sink)
-        attachments: list[tuple[SharedChain, Any]] = []
-        real_ports = []
-        for port in compiled.ports:
-            target = self._port_target(port)
-            if target is None:
-                real_ports.append(port)
-            else:
-                target.tee.add_branch(port.consumer)
-                attachments.append((target, port.consumer))
-        compiled.ports[:] = real_ports
-        return compiled, attachments
+        chain = self._acquire(plan)
+        chain.tee.add_branch(sink)
+        return chain
 
     def release(self, chain: SharedChain, branch: Any) -> None:
         """Drop one reference; tear the chain down at zero.
@@ -402,16 +387,14 @@ class SubplanRegistry:
         self._by_id.clear()
 
     # ------------------------------------------------------------------
-    def _port_target(self, port: Any) -> SharedChain | None:
-        chain_id = _port_chain_id(port.source_name)
-        return None if chain_id is None else self._by_id[chain_id]
-
-    def _acquire(self, subtree: LogicalOp, fingerprint: tuple | None = None) -> SharedChain:
-        if fingerprint is None:
-            fingerprint = plan_fingerprint(subtree)
-            assert fingerprint is not None
+    def _acquire(self, subtree: LogicalOp) -> SharedChain:
+        fingerprint = plan_fingerprint(subtree)
+        assert fingerprint is not None
         for chain in self._chains.get(fingerprint, ()):
-            if self._attachable(chain):
+            # Nothing relabels rows between a tee and its branches, so
+            # the chain must emit the very schema the new consumer was
+            # planned against; one that does not gets a sibling chain.
+            if chain.plan.schema == subtree.schema and self._attachable(chain):
                 chain.refs += 1
                 self.attached += 1
                 return chain
@@ -449,15 +432,10 @@ class SubplanRegistry:
             punct_mark=engine.punctuations_seen,
             refs=1,
         )
-        real_ports = []
-        for port in compiled.ports:
-            target = self._port_target(port)
-            if target is None:
-                real_ports.append(port)
-            else:
-                target.tee.add_branch(port.consumer)
-                chain.parents.append((target, port.consumer))
-        compiled.ports[:] = real_ports
+        for feed, branch in compiled.feeds:
+            parent = self._by_id[feed.chain_id]
+            parent.tee.add_branch(branch)
+            chain.parents.append((parent, branch))
         self._by_id[chain.chain_id] = chain
         self._chains.setdefault(fingerprint, []).append(chain)
         engine._register_chain_routes(chain)

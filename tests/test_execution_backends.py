@@ -623,16 +623,40 @@ def _ab(build, items):
     state is something other than ``rows_in`` / ``rows_out``."""
     states = []
     for send in (lambda consumer: replay(items, consumer), lambda c: deliver(c, items)):
-        sink = CollectingConsumer()
-        built = build(sink)
-        if isinstance(built, tuple):
-            consumer, probe = built
-        else:
-            consumer, probe = built, lambda op=built: (op.rows_in, op.rows_out)
+        consumer, state = _built(build)
         send(consumer)
-        states.append((sink.elements, sink.punctuations, probe()))
+        states.append(state())
     assert states[0] == states[1]
     return states[0]
+
+
+def _built(build):
+    """``(consumer, state)``: one consumer under test over its own sink
+    and a callable reading ``(elements, punctuations, probe)``."""
+    sink = CollectingConsumer()
+    built = build(sink)
+    if isinstance(built, tuple):
+        consumer, probe = built
+    else:
+        consumer, probe = built, lambda op=built: (op.rows_in, op.rows_out)
+    return consumer, lambda: (sink.elements, sink.punctuations, probe())
+
+
+class _CheckedRuns:
+    """Stands in for a producer that reuses what it handed over: after
+    each ``push_batch`` the run must be element-for-element what it was,
+    and is then emptied — a receiver that kept the list loses it."""
+
+    def __init__(self, downstream):
+        self._downstream = downstream
+        self.push = downstream.push
+
+    def push_batch(self, elements):
+        before = list(elements)
+        self._downstream.push_batch(elements)
+        assert len(elements) == len(before)
+        assert all(now is was for now, was in zip(elements, before))
+        elements.clear()
 
 
 _X = Schema.of(("x", DataType.INT))
@@ -742,6 +766,25 @@ class TestBatchedStatefulOperators:
         elements, punctuations, probed = _ab(_CONSUMERS[name], items)
         # Not vacuous: every configuration here produces output.
         assert elements or probed
+
+    @pytest.mark.parametrize("name", _CONSUMERS)
+    def test_tee_branches_share_one_run(self, name):
+        """Nothing sits between a tee and its branches, so every branch
+        is handed the same list: a receiver neither mutates nor keeps it
+        (the batch-ownership rule on ``StreamConsumer``)."""
+        items = _mixed_items(40)
+        if name.startswith("merge-"):
+            items = _partial_output(_TUMBLING if name == "merge-windowed" else None, items)
+        tee = TeeOp()
+        states = []
+        for _ in range(2):
+            consumer, state = _built(_CONSUMERS[name])
+            tee.add_branch(consumer)
+            states.append(state)
+        deliver(_CheckedRuns(tee), items)
+        private, private_state = _built(_CONSUMERS[name])
+        deliver(private, items)
+        assert states[0]() == states[1]() == private_state()
 
     def test_distinct_batched_identity(self):
         _ab(DistinctOp, _mixed_items(40))

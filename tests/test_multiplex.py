@@ -16,6 +16,11 @@ surface:
   a stale plan is evicted, never run.
 * **Stats** — ``session.stats()`` exposes the cache and sharing
   counters, summed across shard engines.
+* **Relabel once** — nothing sits between a tee and its branches (two
+  cursors of one template hold the very same elements), every shared
+  result carries the labels the private run gives it, and an input row
+  is relabelled at most once per distinct scan schema — counted, so a
+  shim creeping back fails tier-1 without a benchmark.
 
 Seed count: ``REPRO_MUX_SEEDS`` (default 6).
 """
@@ -28,8 +33,11 @@ import random
 import pytest
 
 from repro.api import StreamSource, connect
-from repro.data import DataType, Row, Schema
+from repro.data import DataType, Field, Row, Schema
 from repro.errors import QueryError
+from repro.plan import PlanBuilder
+from repro.plan.logical import Distinct
+from repro.stream.compiler import _ReschemaConsumer
 
 SEEDS = int(os.environ.get("REPRO_MUX_SEEDS", "6"))
 
@@ -396,3 +404,245 @@ class TestStats:
         session.close()
         with pytest.raises(Exception):
             session.stats()
+
+
+# ----------------------------------------------------------------------
+# Relabel once: no shim at a tee, right labels, a counted budget
+# ----------------------------------------------------------------------
+def _ledger():
+    """The ledger's deployments, so the budget below is counted on what
+    the benchmark times: generator, 7 standing texts, 20 tenant
+    templates, tenant count."""
+    from benchmarks.ledger import gen
+    from benchmarks.ledger.workloads import STANDING7, TENANT_TEMPLATES, TENANTS
+
+    return gen, STANDING7, TENANT_TEMPLATES, TENANTS
+
+
+def _ledger_rows(count: int):
+    gen = _ledger()[0]
+    values, stamps = gen.readings(7, count)
+    return [dict(zip(READINGS.names, row)) for row in values], stamps
+
+
+class TestNoShimAtTheTee:
+    def test_branches_are_sinks_and_twins_hold_the_same_elements(self):
+        _, standing7, templates, _ = _ledger()
+        session = _open_session(share=True)
+        for sql in standing7:
+            session.query(sql)
+        firsts = [session.query(sql) for sql in templates]
+        twins = [session.query(sql) for sql in templates]
+        chains = session.engine.subplans.live_chains
+        assert chains
+        for chain in chains:
+            assert not any(
+                isinstance(branch, _ReschemaConsumer) for branch in chain.tee.branches
+            )
+        rows, stamps = _ledger_rows(600)
+        session.push_many("Readings", rows[:300], stamps[:300])
+        for row, stamp in zip(rows[300:], stamps[300:]):
+            session.push("Readings", row, stamp)
+        session.punctuate(stamps[-1] + 100.0)
+        for sql, first, twin in zip(templates, firsts, twins):
+            ours, theirs = first._handle.sink.elements, twin._handle.sink.elements
+            assert ours and len(ours) == len(theirs), sql
+            assert all(a is b for a, b in zip(ours, theirs)), sql
+        session.close()
+
+    def test_close_mid_stream_detaches_exactly_its_own_sink(self):
+        sql = "select r.host, r.temp from Readings r where r.temp > 20.0"
+        session = _open_session(share=True)
+        c1, c2, c3 = (session.query(sql) for _ in range(3))
+        (chain,) = [
+            chain
+            for chain in session.engine.subplans.live_chains
+            if c1._handle.sink in chain.tee.branches
+        ]
+        assert chain.tee.branches == [c._handle.sink for c in (c1, c2, c3)]
+        row = {"room": "lab1", "host": "ws1", "temp": 30.0, "load": 0.5}
+        session.push("Readings", row, 1.0)
+        c2.close()
+        assert chain.tee.branches == [c1._handle.sink, c3._handle.sink]
+        session.push_many("Readings", [row, row], [2.0, 3.0])
+        assert [len(c.results()) for c in (c1, c2, c3)] == [3, 1, 3]
+        session.close()
+
+
+def _labelled(handle):
+    """Sorted ``(timestamp, values, names, types)`` of every result."""
+    return sorted(
+        (
+            element.timestamp,
+            repr(element.row.values),
+            tuple(element.row.schema.names),
+            tuple(f.dtype for f in element.row.schema),
+        )
+        for element in handle.sink.elements
+    )
+
+
+class TestSharedLabels:
+    """Every shared result carries the schema the private run gives it —
+    names, types, order — whether the chain relabelled it (projection,
+    aggregate) or it reaches the sink under the scan's own label."""
+
+    FILTER = "select * from Readings r where r.temp > 20.0"
+    JOIN = (
+        "select * from Readings r [range 5 seconds], Readings q [range 5 seconds] "
+        "where r.host = q.host and r.temp > q.temp"
+    )
+
+    @staticmethod
+    def _plans(session):
+        """Hand-cut plans (the SQL front end always tops a SELECT with a
+        Project): a bare filter, DISTINCT over it, a bare windowed join,
+        then a projected and an aggregated plan as built."""
+        build = PlanBuilder(session.catalog).build_sql
+        select = build(TestSharedLabels.FILTER).child
+        return [
+            select,
+            Distinct(select),
+            build(TestSharedLabels.JOIN).child,
+            build("select r.host, r.temp * 2.0 as t2 from Readings r where r.temp > 20.0"),
+            build(
+                "select r.room, count(*) as n, avg(r.temp) as mean from Readings r "
+                "[range 10 seconds slide 10 seconds] group by r.room"
+            ),
+        ]
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("batched", [False, True], ids=["push", "push_many"])
+    def test_labels_equal_private_run(self, batched, shards):
+        rows, stamps = _ledger_rows(240)
+        runs = {}
+        for share in (False, True):
+            session = _open_session(share=share, shards=shards)
+            handles = [
+                session.engine.execute(plan)
+                for plan in self._plans(session)
+                for _ in range(2)  # twice each: the second attaches
+            ]
+            for lo in range(0, len(rows), 60):
+                if batched:
+                    session.push_many("Readings", rows[lo : lo + 60], stamps[lo : lo + 60])
+                else:
+                    for row, stamp in zip(rows[lo : lo + 60], stamps[lo : lo + 60]):
+                        session.push("Readings", row, stamp)
+                session.punctuate(stamps[lo + 59])
+            session.punctuate(stamps[-1] + 100.0)
+            runs[share] = [_labelled(handle) for handle in handles]
+            if share:
+                assert session.stats()["sharing"]["attached"] > 0
+            session.close()
+        assert all(runs[False])  # not vacuous: every plan emitted
+        assert runs[True] == runs[False]
+
+
+class TestReattachedSource:
+    """A source detached and attached again under the same name with
+    another column layout is another scan: a query admitted afterwards
+    must not join a chain compiled for the old layout."""
+
+    SQL = "select x.a from S x where x.a > 0"
+
+    def _second_cursor(self, share, first, second, rows):
+        session = connect(share_plans=share)
+        session.attach(StreamSource("S", first))
+        session.query(self.SQL)  # stays open: its chain is live
+        session.detach("S")
+        session.attach(StreamSource("S", second))
+        before = session.stats()["sharing"]
+        cursor = session.query(self.SQL)
+        after = session.stats()["sharing"]
+        session.push_many("S", rows, [2.0] * len(rows))
+        session.punctuate(3.0)
+        results = [(row.values, row.schema) for row in cursor.results()]
+        session.close()
+        return results, before, after
+
+    @pytest.mark.parametrize(
+        "second, rows",
+        [
+            (
+                Schema.of(("b", DataType.INT), ("a", DataType.INT)),
+                [{"a": 5, "b": -1}, {"a": -7, "b": 9}],
+            ),
+            (
+                Schema.of(("a", DataType.FLOAT), ("b", DataType.INT)),
+                [{"a": 5.5, "b": -1}, {"a": -7.0, "b": 9}],
+            ),
+        ],
+        ids=["reordered", "retyped"],
+    )
+    def test_new_layout_builds_its_own_chain(self, second, rows):
+        first = Schema.of(("a", DataType.INT), ("b", DataType.INT))
+        private, _, _ = self._second_cursor(False, first, second, rows)
+        shared, before, after = self._second_cursor(True, first, second, rows)
+        assert shared == private and len(shared) == 1
+        assert after["created"] > before["created"]
+        assert after["attached"] == before["attached"]
+
+    def test_equal_fingerprint_unequal_schema_gets_a_sibling_chain(self):
+        """The attach-time check: same names and types (one fingerprint)
+        but another ``doc`` is another schema, so a plan whose results
+        keep the scan's label gets a sibling chain, never rows under
+        the old label."""
+
+        def documented(doc):
+            return Schema([Field("a", DataType.INT, doc), Field("b", DataType.INT)])
+
+        def admit(session):
+            plan = PlanBuilder(session.catalog).build_sql("select * from S x where x.a > 0")
+            return session.engine.execute(plan.child)  # the bare filter
+
+        session = connect()
+        session.attach(StreamSource("S", documented("old")))
+        admit(session)
+        session.detach("S")
+        session.attach(StreamSource("S", documented("new")))
+        handle = admit(session)
+        stats = session.stats()["sharing"]
+        assert stats["created"] == 2 and stats["attached"] == 0
+        session.push("S", {"a": 5, "b": -1}, 1.0)
+        assert [row.schema.fields[0].doc for row in handle.results] == ["new"]
+        session.close()
+
+
+class TestRelabelBudget:
+    """At most one relabel per input row per distinct scan schema, on
+    the deployments the ledger times — a count, not a timing."""
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["push_many", "push"])
+    @pytest.mark.parametrize("deployment", ["standing7", "tenants1k"])
+    def test_one_relabel_per_input_row(self, deployment, batched, monkeypatch):
+        _, standing7, templates, tenants = _ledger()
+        queries = (
+            standing7
+            if deployment == "standing7"
+            else [templates[i % len(templates)] for i in range(tenants)]
+        )
+        session = _open_session(share=True)
+        for sql in queries:
+            session.query(sql)
+        relabels = 0
+        with_schema = Row.with_schema
+
+        def counting(row, schema):
+            nonlocal relabels
+            relabels += 1
+            return with_schema(row, schema)
+
+        monkeypatch.setattr(Row, "with_schema", counting)
+        rows, stamps = _ledger_rows(4096)
+        for lo in range(0, len(rows), 256):
+            if batched:
+                session.push_many("Readings", rows[lo : lo + 256], stamps[lo : lo + 256])
+            else:
+                for row, stamp in zip(rows[lo : lo + 256], stamps[lo : lo + 256]):
+                    session.push("Readings", row, stamp)
+            session.punctuate(stamps[lo + 255])
+        monkeypatch.undo()
+        session.close()
+        # Every query here scans ``Readings r``: one scan schema.
+        assert 0 < relabels <= len(rows)
