@@ -93,6 +93,7 @@ CODES: dict[str, str] = {
     "RA902": "push_batch receives a punctuation-free run; punctuation travels by push",
     "RA903": "import crosses a layering boundary",
     "RA904": "worker boundary must stay pickle-safe",
+    "RA905": "generated source is compiled only by the one memoized helper",
 }
 
 

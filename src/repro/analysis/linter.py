@@ -40,6 +40,15 @@ by ``make lint`` / ``make check``):
   the worker import path (the layers a worker transitively imports)
   must not construct engine/session singletons at module top level —
   each process would duplicate them, and fork/spawn would disagree.
+
+* **RA905 — one compile call.** Generated source becomes a code object
+  in exactly one place, ``sql/compiled.py::_code_object``, which
+  memoizes on the text: every replica of a plan on every shard
+  generates the same source, and admission should pay for compiling it
+  once. A bare-name call to builtin ``compile`` anywhere else under
+  ``src/repro`` is a generator bypassing the memo (``re.compile`` and
+  ``PlanCompiler.compile`` are attribute calls and not this rule's
+  business).
 """
 
 from __future__ import annotations
@@ -132,6 +141,7 @@ def lint_engine(root: Path | None = None) -> list[Diagnostic]:
     _check_push_batch(modules, out)
     _check_layering(modules, out)
     _check_worker_boundary(modules, out)
+    _check_compile_calls(modules, out)
     return out
 
 
@@ -411,3 +421,44 @@ def _engine_singleton_call(value: ast.AST) -> str | None:
         if name in _ENGINE_SINGLETON_CALLS:
             return name
     return None
+
+
+# ----------------------------------------------------------------------
+# RA905: generated source is compiled in one memoized place
+# ----------------------------------------------------------------------
+#: (module, function) of the one sanctioned ``compile(...)`` call site.
+_CODE_OBJECT_HELPER = ("sql/compiled.py", "_code_object")
+
+
+def _check_compile_calls(modules: dict[str, ast.Module], out: list[Diagnostic]) -> None:
+    helper_module, helper_name = _CODE_OBJECT_HELPER
+    for rel, tree in modules.items():
+        sanctioned: set[ast.Call] = set()
+        if Path(rel).as_posix() == helper_module:
+            for fn in ast.walk(tree):
+                if isinstance(fn, ast.FunctionDef) and fn.name == helper_name:
+                    sanctioned.update(_bare_compile_calls(fn))
+        for call in _bare_compile_calls(tree):
+            if call in sanctioned:
+                continue
+            out.append(
+                diag(
+                    "RA905",
+                    ERROR,
+                    "bare compile(...) outside "
+                    f"{helper_module}::{helper_name}; generated source "
+                    "must go through that memoized helper so each "
+                    "distinct text is compiled once",
+                    operator=f"{rel}:{call.lineno}",
+                )
+            )
+
+
+def _bare_compile_calls(tree: ast.AST) -> list[ast.Call]:
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "compile"
+    ]

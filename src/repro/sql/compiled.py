@@ -59,18 +59,31 @@ returns, projections rebind the tuple), and :func:`compile_fused_batch`
 wraps that chain in a generated loop over a list of stream elements so
 a whole ingest batch clears an N-stage chain with a single Python call.
 Both honour the compile/fallback contract stage by stage.
+:func:`compile_accumulate` does the same for a grouped-aggregation fold
+and :func:`compile_join_probe` for one side of a windowed symmetric
+hash join (key, bucket append, window test and residual predicate in
+one generated loop per run); both return ``None`` for shapes they do
+not cover, and the operator keeps its per-element body.
+
+Generated text becomes a code object in exactly one place,
+:func:`_code_object`, memoized on the text: every replica of a plan on
+every shard generates the same source, so admission compiles each
+distinct source once and ``exec``s it into each closure's own
+namespace (lint rule RA905 keeps that the only ``compile`` call).
 """
 
 from __future__ import annotations
 
 import math as _math
 import operator as _operator
+from collections import deque as _deque
 from functools import lru_cache
 from typing import Any, Callable, Sequence
 
 from repro.data.schema import Schema
 from repro.data.streams import StreamElement as _StreamElement
 from repro.data.tuples import Row
+from repro.data.windows import WindowKind, WindowSpec
 from repro.errors import ExecutionError
 from repro.sql.expressions import (
     _ARITHMETIC,
@@ -246,11 +259,7 @@ def _codegen_fused_batch(
     else:
         gen.emit(2, "append(_e)")
     source = "def _fused_batch(elements, out):\n" + "\n".join(gen.lines) + "\n"
-    code = compile(source, "<repro.sql.compiled.fused_batch>", "exec")
-    exec(code, gen.env)
-    fn = gen.env["_fused_batch"]
-    fn.__compiled_source__ = source  # introspection / debugging aid
-    return fn
+    return _define("_fused_batch", source, "<repro.sql.compiled.fused_batch>", gen.env)
 
 
 #: Aggregate kinds compile_accumulate can lower (DISTINCT or not).
@@ -362,10 +371,7 @@ def _codegen_accumulate(
             gen.emit(3, f"if {best} is None or {atom} {op} {best}:")
             gen.emit(4, f"_s[{base}] = {atom}")
     source = "def _fold(elements, groups, lo, hi):\n" + "\n".join(gen.lines) + "\n"
-    code = compile(source, "<repro.sql.compiled.accumulate>", "exec")
-    exec(code, gen.env)
-    fold = gen.env["_fold"]
-    fold.__compiled_source__ = source  # introspection / debugging aid
+    fold = _define("_fold", source, "<repro.sql.compiled.accumulate>", gen.env)
 
     parts: list[str] = []
     for kind, base, distinct in slots:
@@ -393,11 +399,131 @@ def _codegen_accumulate(
         else:
             parts.append(f"state[{base}]")
     fin_source = f"def _finalize(state):\n    return [{', '.join(parts)}]\n"
-    fin_env: dict[str, Any] = {}
-    exec(compile(fin_source, "<repro.sql.compiled.finalize>", "exec"), fin_env)
-    finalize = fin_env["_finalize"]
-    finalize.__compiled_source__ = fin_source
+    finalize = _define("_finalize", fin_source, "<repro.sql.compiled.finalize>", {})
     return fold, finalize
+
+
+def compile_join_probe(
+    left_schema: Schema,
+    right_schema: Schema,
+    left_keys: Sequence[str],
+    right_keys: Sequence[str],
+    left_window: WindowSpec,
+    right_window: WindowSpec,
+    predicate: Expr | None,
+    left: bool,
+) -> Callable[[list, dict, dict, list], None] | None:
+    """Compile one side of a windowed symmetric hash join into a
+    generated *batch probe* function, or ``None`` when that side has no
+    batch body (then the caller keeps its per-element loop).
+
+    ``probe(elements, own, other, out)`` takes a punctuation-free run
+    arriving on one side (the ``left`` one, or the right), the two
+    per-key bucket dicts and an output list. Per element, in arrival
+    order: extract the equi-key positionally; skip the row when a key
+    component is NULL (it can match nothing, so it is neither buffered
+    nor probed); append the element to its own bucket; walk the opposite
+    bucket in bucket order and append one joined ``StreamElement`` per
+    live, predicate-passing pair to ``out``, stamped with the later of
+    the two timestamps. The opposite buffer does not change while one
+    side's run is probed, so the pairs and their order are exactly those
+    of per-element delivery.
+
+    The liveness test is the two-sided window test inlined as arithmetic
+    on the two timestamps: an opposite row *later* than the arriving one
+    must have it inside the arriving side's window, an earlier one must
+    itself be inside the opposite side's window (RANGE compares the
+    distance with the size, NOW demands equality, UNBOUNDED — and a ROWS
+    window on the opposite side, which bounds by count at its own
+    ingest — always passes). The residual ``predicate`` is lowered over
+    the concatenated value tuple with :func:`compile_expr`'s semantics.
+
+    A side whose *own* window is ROWS has no kernel: every arrival there
+    also evicts by count, a per-element state change.
+    """
+    own_window = left_window if left else right_window
+    if own_window.kind is WindowKind.ROWS:
+        return None
+    try:
+        return _codegen_join_probe(
+            left_schema,
+            right_schema,
+            tuple(left_keys if left else right_keys),
+            own_window,
+            right_window if left else left_window,
+            predicate,
+            left,
+        )
+    except Exception:
+        return None
+
+
+def _codegen_join_probe(
+    left_schema: Schema,
+    right_schema: Schema,
+    own_keys: tuple[str, ...],
+    own_window: WindowSpec,
+    other_window: WindowSpec,
+    predicate: Expr | None,
+    left: bool,
+) -> Callable[[list, dict, dict, list], None]:
+    joined_schema = left_schema.concat(right_schema)
+    own_schema = left_schema if left else right_schema
+    gen = _CodeGen(joined_schema)  # `v` is the concatenated value tuple
+    key_atoms = [f"_w[{own_schema.index_of(name)}]" for name in own_keys]
+    gen.emit(1, "append = out.append")
+    gen.emit(1, "own_get = own.get")
+    gen.emit(1, "other_get = other.get")
+    gen.emit(1, "for _e in elements:")
+    gen.emit(2, "_w = _e.row.values")
+    # Same key convention as the per-element body: a single column
+    # hashes the bare value, several a tuple, none the empty tuple.
+    if len(key_atoms) == 1:
+        gen.emit(2, f"_k = {key_atoms[0]}")
+        gen.emit(2, "if _k is None:")
+        gen.emit(3, "continue")
+    else:
+        if key_atoms:
+            gen.emit(2, f"if {' or '.join(f'{a} is None' for a in key_atoms)}:")
+            gen.emit(3, "continue")
+        gen.emit(2, f"_k = ({', '.join(key_atoms)})")
+    gen.emit(2, "_b = own_get(_k)")
+    gen.emit(2, "if _b is None:")
+    gen.emit(3, f"_b = own[_k] = {gen.bind(_deque, 'dq')}()")
+    gen.emit(2, "_b.append(_e)")
+    gen.emit(2, "_c = other_get(_k)")
+    gen.emit(2, "if _c is None:")
+    gen.emit(3, "continue")
+    gen.emit(2, "_t = _e.timestamp")
+    gen.emit(2, "for _x in _c:")
+    gen.emit(3, "_o = _x.timestamp")
+    gen.emit(3, "if _o > _t:")
+    if own_window.kind is WindowKind.NOW:
+        gen.emit(4, "continue")
+    else:
+        if own_window.kind is WindowKind.RANGE:
+            gen.emit(4, f"if _o - _t > {gen.atom(own_window.size)}:")
+            gen.emit(5, "continue")
+        gen.emit(4, "_m = _o")
+    gen.emit(3, "else:")
+    if other_window.kind is WindowKind.RANGE:
+        gen.emit(4, f"if _o != _t and not (_t - _o <= {gen.atom(other_window.size)}):")
+        gen.emit(5, "continue")
+    elif other_window.kind is WindowKind.NOW:
+        gen.emit(4, "if _o != _t:")
+        gen.emit(5, "continue")
+    gen.emit(4, "_m = _t")
+    gen.emit(3, "v = _w + _x.row.values" if left else "v = _x.row.values + _w")
+    if predicate is not None:
+        atom = gen.as_var(gen.gen(predicate, 3), 3)
+        gen.emit(3, f"if {atom} is not True:")
+        gen.emit(4, "continue")
+    raw = gen.bind(Row.raw, "raw")
+    element_cls = gen.bind(_StreamElement, "se")
+    schema_name = gen.bind(joined_schema, "js")
+    gen.emit(3, f"append({element_cls}({raw}({schema_name}, v), _m))")
+    source = "def _probe(elements, own, other, out):\n" + "\n".join(gen.lines) + "\n"
+    return _define("_probe", source, "<repro.sql.compiled.join_probe>", gen.env)
 
 
 def _codegen_fused(
@@ -418,11 +544,7 @@ def _codegen_fused(
             gen.schema = out_schema
     gen.emit(1, "return v")
     source = "def _fused(v):\n" + "\n".join(gen.lines) + "\n"
-    code = compile(source, "<repro.sql.compiled.fused>", "exec")
-    exec(code, gen.env)
-    fn = gen.env["_fused"]
-    fn.__compiled_source__ = source  # introspection / debugging aid
-    return fn
+    return _define("_fused", source, "<repro.sql.compiled.fused>", gen.env)
 
 
 def _fused_fallback(
@@ -476,6 +598,29 @@ def _fold_constant(expr: Expr) -> tuple[bool, Any]:
 @lru_cache(maxsize=512)
 def _like_regex_cached(pattern: str):
     return _like_to_regex(pattern)
+
+
+@lru_cache(maxsize=512)
+def _code_object(source: str, filename: str):
+    """The one call to builtin ``compile`` for generated source (lint
+    rule RA905 keeps it the only one).
+
+    Every replica of a plan on every shard generates the same text, so
+    the code object is memoized on it. Code objects are immutable and
+    carry no bindings: each caller still ``exec``s into its own ``env``,
+    so closures from one source share bytecode, never constants or
+    bound objects.
+    """
+    return compile(source, filename, "exec")
+
+
+def _define(name: str, source: str, filename: str, env: dict[str, Any]) -> Callable:
+    """Run generated ``source`` in ``env`` and return the function
+    ``name`` it defines, its text attached for introspection."""
+    exec(_code_object(source, filename), env)
+    fn = env[name]
+    fn.__compiled_source__ = source
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -710,11 +855,7 @@ def _codegen(exprs: list[Expr], schema: Schema, single: bool) -> Callable:
     else:
         gen.emit(1, f"return ({', '.join(results)}{',' if len(results) == 1 else ''})")
     source = "def _compiled(v):\n" + "\n".join(gen.lines) + "\n"
-    code = compile(source, "<repro.sql.compiled>", "exec")
-    exec(code, gen.env)
-    fn = gen.env["_compiled"]
-    fn.__compiled_source__ = source  # introspection / debugging aid
-    return fn
+    return _define("_compiled", source, "<repro.sql.compiled>", gen.env)
 
 
 # ---------------------------------------------------------------------------

@@ -207,7 +207,7 @@ def _compile_join(plan: Join):
     left_key = _positional_key(plan.left.schema, [lk for lk, _ in equi])
     right_key = _positional_key(plan.right.schema, [rk for _, rk in equi])
     residual_fn = compile_expr(conjoin(residual), plan.schema) if residual else None
-    return bool(equi), left_key, right_key, residual_fn
+    return len(equi), left_key, right_key, residual_fn
 
 
 def _join(plan: Join, tables: dict[str, Iterable[Row]], compiled: bool) -> list[Row]:
@@ -228,6 +228,8 @@ def _join(plan: Join, tables: dict[str, Iterable[Row]], compiled: bool) -> list[
             index.setdefault(key, []).append(row)
         for left_row in left_rows:
             key = tuple(left_row[lk] for lk, _ in equi)
+            if None in key:
+                continue  # NULL = NULL is not TRUE: a NULL key matches nothing
             for right_row in index.get(key, ()):  # hash probe
                 joined = left_row.concat(right_row)
                 if keep(joined):
@@ -244,28 +246,30 @@ def _join(plan: Join, tables: dict[str, Iterable[Row]], compiled: bool) -> list[
 def _join_compiled(plan: Join, tables: dict[str, Iterable[Row]]) -> list[Row]:
     left_rows = _input_rows(plan.left, tables, True)
     right_rows = _input_rows(plan.right, tables, True)
-    has_equi, left_key, right_key, residual_fn = _node_compiled(
+    key_count, left_key, right_key, residual_fn = _node_compiled(
         plan, lambda: _compile_join(plan)
     )
     joined_schema = plan.schema  # == left.concat(right), built once
     raw = Row.raw
     out: list[Row] = []
-    if has_equi:
+    if key_count:
         index: dict[Any, list[Row]] = {}
         for row in right_rows:
             index.setdefault(right_key(row.values), []).append(row)
-        if residual_fn is not None:
-            for left_row in left_rows:
-                left_values = left_row.values
-                for right_row in index.get(left_key(left_values), ()):  # hash probe
-                    joined = raw(joined_schema, left_values + right_row.values)
-                    if residual_fn(joined.values) is True:
-                        out.append(joined)
-        else:
-            for left_row in left_rows:
-                left_values = left_row.values
-                for right_row in index.get(left_key(left_values), ()):
-                    out.append(raw(joined_schema, left_values + right_row.values))
+        # A NULL key component matches nothing (NULL = NULL is not
+        # TRUE), so such a row never probes — which also leaves the
+        # index's NULL-keyed buckets unreachable. _positional_key keys a
+        # single column by its bare value, several by a tuple.
+        single = key_count == 1
+        for left_row in left_rows:
+            left_values = left_row.values
+            key = left_key(left_values)
+            if (key is None) if single else (None in key):
+                continue
+            for right_row in index.get(key, ()):  # hash probe
+                joined = raw(joined_schema, left_values + right_row.values)
+                if residual_fn is None or residual_fn(joined.values) is True:
+                    out.append(joined)
     else:
         for left_row in left_rows:
             left_values = left_row.values

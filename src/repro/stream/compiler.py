@@ -277,7 +277,12 @@ class PlanCompiler:
                 node.window is not None and node.window.kind is WindowKind.RANGE
             ) else None
             op = PartialAggregateOp(
-                group_by, aggregates, node.schema, downstream, window
+                group_by,
+                aggregates,
+                node.schema,
+                downstream,
+                window,
+                self._input_schema(node.child),
             )
             compiled.operators.append(op)
             return self._compile_node(node.child, op, compiled)

@@ -51,9 +51,10 @@ from repro.sql.compiled import (
     compile_expr,
     compile_fused,
     compile_fused_batch,
+    compile_join_probe,
     compile_projection,
 )
-from repro.sql.expressions import AggregateCall, Expr
+from repro.sql.expressions import AggregateCall, Expr, Literal
 
 
 _NEG_INF = float("-inf")
@@ -82,6 +83,30 @@ def _positional_key(schema: Schema, names: list[str]) -> Callable[[tuple], Any]:
     if not indexes:
         return lambda values: ()
     return itemgetter(*indexes)
+
+
+def _bind_group_projections(
+    group_by: list[tuple[Expr, str]],
+    aggregates: list[tuple[AggregateCall, str]],
+    input_schema: Schema | None,
+) -> tuple[Callable[[tuple], tuple] | None, Callable[[tuple], tuple] | None]:
+    """``(key_fn, args_fn)`` over the row's value tuple — the group key
+    and every aggregate argument as one generated projection each — or
+    ``(None, None)`` without a schema to bind. COUNT(*) has no argument;
+    a non-NULL dummy literal keeps the argument tuple aligned with the
+    calls (``add_value`` counts it)."""
+    if input_schema is None:
+        return None, None
+    return (
+        compile_projection([expr for expr, _ in group_by], input_schema),
+        compile_projection(
+            [
+                call.argument if call.argument is not None else Literal(0)
+                for call, _ in aggregates
+            ],
+            input_schema,
+        ),
+    )
 
 
 class Operator:
@@ -359,6 +384,24 @@ class SymmetricHashJoin(Operator):
     present, index the buffers so probing is O(matches); the residual
     predicate is applied to each candidate pair.
 
+    A row whose equi-key has a NULL component can match nothing (SQL:
+    ``NULL = NULL`` is not TRUE), so it is neither probed nor buffered
+    and holds no state.
+
+    Two data bodies, one meaning. ``_push_side`` is the per-element
+    body (``push``, and the only body that handles punctuation). A run
+    arriving by a side port's ``push_batch`` goes through one generated
+    probe kernel per side (:func:`~repro.sql.compiled.compile_join_probe`:
+    positional key, bucket append, the two-sided window test inlined as
+    timestamp arithmetic, the residual predicate inlined) and leaves as
+    **one** ``emit_batch`` — the same pairs in the same order (input
+    order × bucket order) as per-element delivery, because one side's
+    run never changes the buffer it probes. Which body a run gets
+    follows from what the operator is, never from a setting: a side
+    whose own window is ROWS (every arrival also evicts by count), the
+    interpreted reference (``compile_exprs=False``) and schemas the
+    compiler cannot bind have no kernel and loop ``_push_side``.
+
     Punctuation handling: the operator tracks the latest watermark per
     side and forwards ``min(left, right)`` when it advances, evicting
     expired rows from both buffers first.
@@ -384,6 +427,7 @@ class SymmetricHashJoin(Operator):
         # Keys resolvable on each side, in matched order.
         self.left_keys = [lk for lk, _ in equi_keys]
         self.right_keys = [rk for _, rk in equi_keys]
+        self._single_key = len(equi_keys) == 1
         # Schema-bound compilation: key columns resolve to positions once
         # and the residual predicate runs over the joined value tuple.
         # Schemas the compiler cannot bind (duplicate names in the
@@ -393,6 +437,10 @@ class SymmetricHashJoin(Operator):
         self._right_key_fn: Callable[[tuple], Any] | None = None
         self._compiled_predicate = None
         self._joined_schema: Schema | None = None
+        # The generated batch bodies, one per side (None: that side's
+        # runs loop the per-element body).
+        self._left_probe: Callable[[list, dict, dict, list], None] | None = None
+        self._right_probe: Callable[[list, dict, dict, list], None] | None = None
         if compile_exprs:
             try:
                 joined_schema = left_schema.concat(right_schema)
@@ -405,6 +453,20 @@ class SymmetricHashJoin(Operator):
                 self._left_key_fn = self._right_key_fn = None
                 self._compiled_predicate = None
                 self._joined_schema = None
+            else:
+                self._left_probe, self._right_probe = (
+                    compile_join_probe(
+                        left_schema,
+                        right_schema,
+                        self.left_keys,
+                        self.right_keys,
+                        left_window,
+                        right_window,
+                        predicate,
+                        left,
+                    )
+                    for left in (True, False)
+                )
         self._left_buffer: dict[tuple, deque[StreamElement]] = {}
         self._right_buffer: dict[tuple, deque[StreamElement]] = {}
         self._left_fifo: deque[tuple[tuple, StreamElement]] = deque()
@@ -436,10 +498,22 @@ class SymmetricHashJoin(Operator):
             self._join._push_side(item, left=self._left)
 
         def push_batch(self, elements: list[StreamElement]) -> None:
-            push_side = self._join._push_side
+            join = self._join
             left = self._left
-            for element in elements:
-                push_side(element, left=left)
+            probe = join._left_probe if left else join._right_probe
+            if probe is None:  # ROWS side / interpreted reference
+                push_side = join._push_side
+                for element in elements:
+                    push_side(element, left=left)
+                return
+            out: list[StreamElement] = []
+            if left:
+                probe(elements, join._left_buffer, join._right_buffer, out)
+            else:
+                probe(elements, join._right_buffer, join._left_buffer, out)
+            join.rows_in += len(elements)
+            if out:
+                join.emit_batch(out)
 
     @property
     def left_port(self) -> StreamConsumer:
@@ -450,7 +524,12 @@ class SymmetricHashJoin(Operator):
         return SymmetricHashJoin._SidePort(self, False)
 
     # -- core ----------------------------------------------------------
-    def _key(self, row: Row, names: list[str]) -> tuple:
+    def _key(self, row: Row, names: list[str]) -> Any:
+        """The interpreted key, in ``_positional_key``'s convention (a
+        single column hashes the bare value) so buffers and snapshots
+        have one layout however the operator was compiled."""
+        if len(names) == 1:
+            return row[names[0]]
         return tuple(row[name] for name in names)
 
     def _push_side(self, item: StreamItem, left: bool) -> None:
@@ -476,6 +555,9 @@ class SymmetricHashJoin(Operator):
             key = key_fn(item.row.values)
         else:
             key = self._key(item.row, self.left_keys if left else self.right_keys)
+        # A NULL key component matches nothing: no probe, no state.
+        if (key is None) if self._single_key else (None in key):
+            return
         own_buffer.setdefault(key, deque()).append(item)
 
         # ROWS windows bound the buffer by count, not time.
@@ -667,25 +749,10 @@ class AggregateOp(Operator):
         self.window = window
         # Schema-bound compilation: the group keys and every aggregate
         # argument lower to one generated projection each, so the
-        # accumulate loop touches only the row's value tuple. COUNT(*)
-        # has no argument; a dummy literal keeps the projection aligned
-        # (add_value ignores it).
-        self._key_fn = (
-            compile_projection([expr for expr, _ in group_by], input_schema)
-            if input_schema is not None
-            else None
+        # accumulate loop touches only the row's value tuple.
+        self._key_fn, self._args_fn = _bind_group_projections(
+            group_by, aggregates, input_schema
         )
-        self._args_fn = None
-        if input_schema is not None:
-            from repro.sql.expressions import Literal
-
-            self._args_fn = compile_projection(
-                [
-                    call.argument if call.argument is not None else Literal(0)
-                    for call, _ in aggregates
-                ],
-                input_schema,
-            )
         # The whole fold — key extraction, NULL skipping, per-group
         # seen-sets for DISTINCT calls, state update — as one generated
         # loop: a window scan or a running-mode ingest batch costs one
@@ -903,6 +970,11 @@ class _PartialItem:
     (``None`` when no value arrived); ``("s", [(ts, value), ...])`` for
     SUM/AVG; ``("d", [(ts, value), ...])`` for DISTINCT calls
     (post-shard-dedup — the merge dedups again globally).
+
+    ``add_value(ts, value)`` folds one already-evaluated argument (the
+    compiled operator's path; COUNT(*) receives a non-NULL dummy and
+    lands in the plain count branch); ``add(ts, row)`` is the
+    interpreted reference, evaluating the argument itself.
     """
 
     __slots__ = (
@@ -932,7 +1004,9 @@ class _PartialItem:
         if self._counts_rows:
             self.count += 1
             return
-        value = self.call.argument.eval(row)
+        self.add_value(timestamp, self.call.argument.eval(row))
+
+    def add_value(self, timestamp: float, value: Any) -> None:
         if value is None:
             return
         kind = self._kind
@@ -993,12 +1067,19 @@ class PartialAggregateOp(AggregateOp):
     Aggregates its shard's slice of the input but emits encoded
     :class:`_PartialItem` payloads instead of finalized values, under
     the partial schema (group keys + one payload column per call).
-    Always interpreted (``input_schema=None``): the fold must see
-    element timestamps, which the generated accumulate loop drops.
+
+    Given its input schema (the plan compiler passes it, as for
+    :class:`AggregateOp`) the group key and the aggregate arguments are
+    two generated projections over the row's value tuple, folded by
+    ``_PartialItem.add_value`` — never the generated accumulate loop,
+    which drops the element timestamps the merge needs to re-fold in
+    global arrival order. Without a schema to bind (the interpreted
+    reference) the same bodies evaluate the expressions per row.
 
     * **Windowed**: window boundaries are absolute slide-grid multiples,
       identical on every shard, so each closing window's partials are
-      emitted with the boundary timestamp and merge segment-locally.
+      emitted with the boundary timestamp and merge segment-locally. A
+      run is buffered with one ``extend``.
     * **Running**: per punctuation, every group touched this segment
       emits the *delta* since the previous punctuation (the merge shard
       owns the running totals).
@@ -1011,24 +1092,54 @@ class PartialAggregateOp(AggregateOp):
         output_schema: Schema,
         downstream: StreamConsumer,
         window: WindowSpec | None = None,
+        input_schema: Schema | None = None,
     ):
+        # The base binds nothing (schema None): its generated fold and
+        # finalize are never used here.
         super().__init__(
             group_by, aggregates, output_schema, downstream, window, None
         )
+        self._key_fn, self._args_fn = _bind_group_projections(
+            group_by, aggregates, input_schema
+        )
+        self.consumes_values_only = self._args_fn is not None
         self._pgroups: dict[tuple, list[_PartialItem]] = {}  # running mode
         self._ptouched: dict[tuple, None] = {}  # keys with deltas, in first-touch order
 
+    def _fold_partials(
+        self,
+        elements,
+        groups: dict[tuple, list[_PartialItem]],
+        touched: dict[tuple, None] | None = None,
+    ) -> None:
+        """Fold a run into its groups' items (both modes' one body),
+        recording each key folded into in ``touched``."""
+        key_fn, args_fn = self._key_fn, self._args_fn
+        aggregates = self.aggregates
+        get = groups.get
+        for element in elements:
+            timestamp = element.timestamp
+            row = element.row
+            if args_fn is not None:
+                values = row.values
+                key = key_fn(values)
+            else:
+                key = self._group_key(row)
+            items = get(key)
+            if items is None:
+                items = groups[key] = [_PartialItem(call) for call, _ in aggregates]
+            if touched is not None:
+                touched[key] = None
+            if args_fn is not None:
+                for item, value in zip(items, args_fn(values)):
+                    item.add_value(timestamp, value)
+            else:
+                for item in items:
+                    item.add(timestamp, row)
+
     # -- running mode ---------------------------------------------------
     def _running_add(self, element: StreamElement) -> None:
-        key = self._group_key(element.row)
-        items = self._pgroups.get(key)
-        if items is None:
-            items = [_PartialItem(call) for call, _ in self.aggregates]
-            self._pgroups[key] = items
-        self._ptouched[key] = None
-        timestamp = element.timestamp
-        for item in items:
-            item.add(timestamp, element.row)
+        self._fold_partials((element,), self._pgroups, self._ptouched)
 
     def _emit_deltas(self, watermark: float) -> None:
         if not self._ptouched:
@@ -1051,15 +1162,9 @@ class PartialAggregateOp(AggregateOp):
     # -- windowed mode --------------------------------------------------
     def _close_window(self, start: float, boundary: float) -> None:
         groups: dict[tuple, list[_PartialItem]] = {}
-        for element in self._buffer:
-            if start < element.timestamp <= boundary:
-                key = self._group_key(element.row)
-                items = groups.get(key)
-                if items is None:
-                    items = [_PartialItem(call) for call, _ in self.aggregates]
-                    groups[key] = items
-                for item in items:
-                    item.add(element.timestamp, element.row)
+        self._fold_partials(
+            [e for e in self._buffer if start < e.timestamp <= boundary], groups
+        )
         if not groups:
             return
         schema = self.output_schema
@@ -1079,9 +1184,14 @@ class PartialAggregateOp(AggregateOp):
 
     # -- operator protocol ----------------------------------------------
     def push_batch(self, elements: list[StreamElement]) -> None:
-        # The base fast paths fold rows without their timestamps; the
-        # partial fold needs them, so runs dispatch per element.
-        Operator.push_batch(self, elements)
+        """Windowed mode buffers a run with one ``extend``; running mode
+        folds it in one call (never through the base's generated fold,
+        which drops the timestamps the partials carry)."""
+        if self.window is not None and self.window.kind is WindowKind.RANGE:
+            self._buffer.extend(elements)
+        else:
+            self._fold_partials(elements, self._pgroups, self._ptouched)
+        self.rows_in += len(elements)
 
     def on_punctuation(self, punctuation: Punctuation) -> None:
         if self.window is not None and self.window.kind is WindowKind.RANGE:

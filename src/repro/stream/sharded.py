@@ -256,7 +256,7 @@ class _ExchangeState:
     """
 
     __slots__ = ("recipe", "keys", "dests", "names", "key_positions", "sources",
-                 "flushed", "_pending")
+                 "flushed", "_pending", "_owners")
 
     def __init__(self, recipe: ExchangeRecipe, dests: list[int], keys: dict):
         self.recipe = recipe
@@ -272,36 +272,47 @@ class _ExchangeState:
         #: (ordinal, src shard) -> rows delivered to destinations so far.
         self.flushed: dict[tuple[int, int], int] = {}
         # dest shard -> [(ts, src, ordinal, values), ...] since last flush
-        self._pending: dict[int, list[tuple]] = {}
-
-    def route(self, ordinal: int, values: tuple) -> int:
-        """Destination shard of one stage-1 output row."""
-        dests = self.dests
-        positions = self.key_positions[ordinal]
-        if len(dests) == 1 or not positions:
-            return dests[0]
-        if len(positions) == 1:
-            key = values[positions[0]]
-        else:
-            key = tuple(values[p] for p in positions)
-        return dests[stable_hash(key) % len(dests)]
-
-    def deposit(self, ordinal: int, src: int, element: StreamElement) -> None:
-        values = element.row.values
-        dest = self.route(ordinal, values)
-        self._pending.setdefault(dest, []).append(
-            (element.timestamp, src, ordinal, values)
-        )
+        self._pending: dict[int, list[tuple]] = {dest: [] for dest in self.dests}
+        # per ordinal: exchange-key value -> slot in ``dests`` (bounded
+        # like the pool's ingest owner cache)
+        self._owners: list[dict[Any, int]] = [{} for _ in self.names]
 
     def deposit_run(
         self, ordinal: int, src: int, values: list[tuple], stamps: list[float]
     ) -> None:
-        """Deposit a decoded emission run (a framed channel ships
-        stage-1 output as column runs, not elements)."""
+        """Deposit one stage-1 emission run — value tuples and their
+        timestamps, in emission order — into the destination buffers.
+
+        One loop per run: the destination of a key value is
+        ``stable_hash(key) % len(dests)``, memoized per port (exchange
+        keys are join / group keys — low-cardinality, like the ingest
+        partition keys the pool's owner cache serves), so a row costs a
+        dict probe and an append.
+        """
         pending = self._pending
+        dests = self.dests
+        positions = self.key_positions[ordinal]
+        if len(dests) == 1 or not positions:
+            pending[dests[0]] += [
+                (ts, src, ordinal, row) for row, ts in zip(values, stamps)
+            ]
+            return
+        owners = self._owners[ordinal]
+        limit = ShardedStreamEngine._OWNER_CACHE_LIMIT
+        get = owners.get
+        position = positions[0] if len(positions) == 1 else None
+        appends = [pending[dest].append for dest in dests]
         for row, ts in zip(values, stamps):
-            dest = self.route(ordinal, row)
-            pending.setdefault(dest, []).append((ts, src, ordinal, row))
+            if position is not None:
+                key = row[position]
+            else:
+                key = tuple([row[p] for p in positions])
+            slot = get(key)
+            if slot is None:
+                if len(owners) >= limit:
+                    del owners[next(iter(owners))]
+                slot = owners[key] = stable_hash(key) % len(dests)
+            appends[slot]((ts, src, ordinal, row))
 
     def flush(self, dest: int) -> list[tuple[str, list, list]]:
         """Drain ``dest``'s buffer into delivery runs.
@@ -311,9 +322,10 @@ class _ExchangeState:
         ordinal rows group into ``(port name, values, timestamps)``
         runs, each delivered with one ``push_exchange`` call.
         """
-        pending = self._pending.pop(dest, None)
+        pending = self._pending[dest]
         if not pending:
             return []
+        self._pending[dest] = []
         pending.sort(key=_ts_src)
         flushed = self.flushed
         names = self.names
@@ -334,12 +346,8 @@ class _ExchangeState:
         """Discard unflushed rows from a dead shard: its recovering
         stage-1 replicas re-derive them during log replay (the flushed
         counts arm the skip that drops already-delivered re-derivations)."""
-        for dest in list(self._pending):
-            kept = [e for e in self._pending[dest] if e[1] != src]
-            if kept:
-                self._pending[dest] = kept
-            else:
-                del self._pending[dest]
+        for dest, rows in self._pending.items():
+            self._pending[dest] = [e for e in rows if e[1] != src]
 
     def pending_rows(self) -> int:
         return sum(len(rows) for rows in self._pending.values())
@@ -361,7 +369,10 @@ class _ExchangeFeed:
     ``arm(skip)`` mirror :class:`_ShardFeed` for failover dedup, with
     the skip counted against this ``(ordinal, src)``'s flushed rows.
     The feed lives in the parent on every transport: a loopback host
-    pushes elements into it, a framed channel the decoded column runs.
+    pushes elements into it, a framed channel the decoded column runs
+    — and either way a run is deposited by one
+    :meth:`_ExchangeState.deposit_run` call (one loop, destinations
+    memoized per key value), never row by row.
     """
 
     __slots__ = ("_state", "_ordinal", "_src", "_skip", "_muted")
@@ -386,14 +397,21 @@ class _ExchangeFeed:
         if self._skip > 0:
             self._skip -= 1
             return
-        self._state.deposit(self._ordinal, self._src, item)
+        self._state.deposit_run(
+            self._ordinal, self._src, [item.row.values], [item.timestamp]
+        )
 
     def push_batch(self, elements: list[StreamElement]) -> None:
         if self._muted:
             return
-        deposit = self._state.deposit
-        for element in _past_skip(self, elements):
-            deposit(self._ordinal, self._src, element)
+        elements = _past_skip(self, elements)
+        if elements:
+            self._state.deposit_run(
+                self._ordinal,
+                self._src,
+                [element.row.values for element in elements],
+                [element.timestamp for element in elements],
+            )
 
     def push_run(self, values: list[tuple], stamps: list[float]) -> None:
         if self._muted:

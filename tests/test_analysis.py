@@ -1039,6 +1039,51 @@ class TestEngineLinter:
         )
         assert lint_engine(root) == []
 
+    def test_ra905_bare_compile_outside_the_helper(self, tmp_path):
+        """A generator calling builtin compile itself bypasses the
+        code-object memo — anywhere, including beside the helper."""
+        root = self._tree(
+            tmp_path,
+            {
+                "sql/__init__.py": "",
+                "sql/compiled.py": (
+                    "def _code_object(source, filename):\n"
+                    "    return compile(source, filename, 'exec')\n"
+                    "def _codegen(source):\n"
+                    "    exec(compile(source, '<gen>', 'exec'), {})\n"
+                ),
+                "stream/__init__.py": "",
+                "stream/gen.py": (
+                    "def _code_object(source):\n"
+                    "    return compile(source, '<elsewhere>', 'exec')\n"
+                ),
+            },
+        )
+        diags = lint_engine(root)
+        assert _codes(diags) == ["RA905", "RA905"]
+        assert {d.operator for d in diags} == {"sql/compiled.py:4", "stream/gen.py:2"}
+
+    def test_ra905_attribute_compile_calls_are_exempt(self, tmp_path):
+        root = self._tree(
+            tmp_path,
+            {
+                "sql/__init__.py": "",
+                "sql/compiled.py": (
+                    "import re\n"
+                    "def _code_object(source, filename):\n"
+                    "    return compile(source, filename, 'exec')\n"
+                    "def like(pattern):\n"
+                    "    return re.compile(pattern)\n"
+                ),
+                "stream/__init__.py": "",
+                "stream/run.py": (
+                    "def lower(compiler, plan, sink):\n"
+                    "    return compiler.compile(plan, sink)\n"
+                ),
+            },
+        )
+        assert lint_engine(root) == []
+
 
 # ----------------------------------------------------------------------
 # CLI

@@ -249,3 +249,56 @@ class TestCompiledProjection:
         assert single(ROWS[0].values) == ("lab1",)
         multi = compile_projection((col("s"), col("x")), SCHEMA)
         assert multi(ROWS[0].values) == ("lab1", 3)
+
+
+class TestCodeObjectMemo:
+    """Generated source is compiled to a code object once per distinct
+    text; closures share the bytecode, never the bindings."""
+
+    def test_exchanged_admission_compiles_each_source_once(self, monkeypatch):
+        import builtins
+
+        import repro.sql.compiled as compiled_module
+        from repro.api import StreamSource, connect
+
+        readings = Schema.of(
+            ("room", DataType.STRING), ("host", DataType.STRING), ("temp", DataType.FLOAT)
+        )
+        compiled_module._code_object.cache_clear()
+        compiled_sources: list[tuple[str, str]] = []
+
+        def counting(source, filename, mode):
+            compiled_sources.append((source, filename))
+            return builtins.compile(source, filename, mode)
+
+        # A module global shadows the builtin inside the one helper.
+        monkeypatch.setattr(compiled_module, "compile", counting, raising=False)
+        generated = []
+        memo = compiled_module._code_object
+        monkeypatch.setattr(
+            compiled_module,
+            "_code_object",
+            lambda source, filename: (generated.append(source), memo(source, filename))[1],
+        )
+        with connect(shards=4) as session:
+            session.attach(StreamSource("Readings", readings, partition_by="room"))
+            cursor = session.query(
+                "select r.host, count(*) as n, sum(r.temp * 2.0) as total "
+                "from Readings r [range 10 seconds slide 10 seconds] "
+                "where r.temp > 5.0 group by r.host"
+            )
+            assert cursor._handle.exchanged
+        # Four shards each generated the stage-1 sources again ...
+        assert len(generated) > len(set(generated))
+        # ... and builtin compile ran exactly once per distinct text.
+        assert len(compiled_sources) == len(set(compiled_sources)) == len(set(generated))
+
+    def test_closures_from_one_source_keep_their_own_bindings(self):
+        starts_a = compile_expr(BinaryOp("LIKE", col("s"), lit("lab%")), SCHEMA)
+        starts_o = compile_expr(BinaryOp("LIKE", col("s"), lit("office%")), SCHEMA)
+        # Same text (the pattern is a bound regex, not a literal) ...
+        assert starts_a.__compiled_source__ == starts_o.__compiled_source__
+        assert starts_a.__code__ is starts_o.__code__
+        # ... different constants: they disagree where they should.
+        assert starts_a(ROWS[0].values) is True and starts_o(ROWS[0].values) is False
+        assert starts_a(ROWS[4].values) is False and starts_o(ROWS[4].values) is True

@@ -677,21 +677,31 @@ def _partial_output(window, items):
     return out
 
 
-def _join_left_port(sink):
-    join = SymmetricHashJoin(
-        _X,
-        Schema.of(("y", DataType.INT)),
-        WindowSpec.range(100.0),
-        WindowSpec.range(100.0),
-        None,
-        [("x", "y")],
-        sink,
-    )
-    right = Schema.of(("y", DataType.INT))
-    for y in range(4):
-        join.right_port.push(StreamElement(Row(right, (y,)), float(y)))
-    join.right_port.push(Punctuation(100.0))
-    return join.left_port, lambda: (join.rows_in, join.rows_out, join.buffered_rows)
+def _join_left_port(left_window=WindowSpec.range(100.0), compile_exprs=True):
+    """A join's left port over a primed right side: the generated probe
+    kernel by default; a ROWS left window or the interpreted reference
+    keeps the per-element loop — same contract either way."""
+
+    def build(sink):
+        join = SymmetricHashJoin(
+            _X,
+            Schema.of(("y", DataType.INT)),
+            left_window,
+            WindowSpec.range(100.0),
+            None,
+            [("x", "y")],
+            sink,
+            compile_exprs=compile_exprs,
+        )
+        right = Schema.of(("y", DataType.INT))
+        for y in range(4):
+            join.right_port.push(StreamElement(Row(right, (y,)), float(y)))
+        join.right_port.push(Punctuation(100.0))
+        return join.left_port, lambda: (
+            join.rows_in, join.rows_out, join.buffered_rows, join.state_snapshot()
+        )
+
+    return build
 
 
 def _output_op(sink):
@@ -733,12 +743,15 @@ _CONSUMERS = {
     "fused": lambda sink: FusedOp(
         [("filter", _X_POSITIVE), ("project", [_X_DOUBLED], _X)], _X, sink, _X
     ),
-    "join-side-port": _join_left_port,
+    "join-side-port": _join_left_port(),
+    "join-side-port-rows": _join_left_port(left_window=WindowSpec.rows(6)),
+    "join-side-port-interpreted": _join_left_port(compile_exprs=False),
     "aggregate-windowed": lambda sink: AggregateOp(_BY_X, _COUNT, _XN, sink, _TUMBLING, _X),
     "aggregate-running": lambda sink: AggregateOp(_BY_X, _COUNT, _XN, sink, None, _X),
     "aggregate-interpreted": lambda sink: AggregateOp(_BY_X, _COUNT, _XN, sink, None),
-    "partial-windowed": lambda sink: PartialAggregateOp(_BY_X, _COUNT, _XP, sink, _TUMBLING),
-    "partial-running": lambda sink: PartialAggregateOp(_BY_X, _COUNT, _XP, sink, None),
+    "partial-windowed": lambda sink: PartialAggregateOp(_BY_X, _COUNT, _XP, sink, _TUMBLING, _X),
+    "partial-running": lambda sink: PartialAggregateOp(_BY_X, _COUNT, _XP, sink, None, _X),
+    "partial-interpreted": lambda sink: PartialAggregateOp(_BY_X, _COUNT, _XP, sink, None),
     "merge-windowed": lambda sink: MergeAggregateOp(1, _COUNT, _XN, sink, True),
     "merge-running": lambda sink: MergeAggregateOp(1, _COUNT, _XN, sink, False),
     "distinct": DistinctOp,
@@ -954,3 +967,117 @@ class TestCompiledAccumulate:
             return [(e.timestamp, e.row.values) for e in sink.elements]
 
         assert run(True) == run(False)
+
+
+# ----------------------------------------------------------------------
+# NULL equi-keys never join
+# ----------------------------------------------------------------------
+_NA = Schema.of(("k", DataType.INT), ("g", DataType.STRING), ("x", DataType.INT))
+_NB = Schema.of(("k", DataType.INT), ("g", DataType.STRING), ("y", DataType.INT))
+_NA_ROWS = [
+    {"k": None, "g": "a", "x": 1},
+    {"k": 1, "g": "a", "x": 2},
+    {"k": 2, "g": None, "x": 3},
+    {"k": None, "g": None, "x": 4},
+]
+_NB_ROWS = [
+    {"k": None, "g": "a", "y": 10},
+    {"k": 1, "g": "a", "y": 20},
+    {"k": 2, "g": None, "y": 30},
+    {"k": None, "g": None, "y": 40},
+]
+_NULL_JOINS = {
+    # ``a.k = b.k`` is hoisted into the hash key; NULL = NULL must
+    # still be "not TRUE", exactly as when it stays in the residual.
+    "single": (
+        "select a.x, b.y from A a [range 10 seconds], B b [range 10 seconds] "
+        "where a.k = b.k",
+        [(2, 20), (3, 30)],
+    ),
+    "composite": (
+        "select a.x, b.y from A a [range 10 seconds], B b [range 10 seconds] "
+        "where a.k = b.k and a.g = b.g",
+        [(2, 20)],
+    ),
+}
+
+
+class TestNullEquiKeys:
+    @staticmethod
+    def _feed(target, batched):
+        """Both sides into a session or an engine (same push verbs)."""
+        for source, rows in (("A", _NA_ROWS), ("B", _NB_ROWS)):
+            if batched:
+                target.push_many(source, rows, [1.0] * len(rows))
+            else:
+                for row in rows:
+                    target.push(source, row, 1.0)
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["push_many", "push"])
+    @pytest.mark.parametrize("share", [True, False], ids=["shared", "private"])
+    @pytest.mark.parametrize("shape", _NULL_JOINS)
+    def test_stream_engine(self, shape, share, batched):
+        sql, expected = _NULL_JOINS[shape]
+        with connect(share_plans=share) as session:
+            session.attach(StreamSource("A", _NA))
+            session.attach(StreamSource("B", _NB))
+            cursor = session.query(sql)
+            self._feed(session, batched)
+            pipelines = [cursor._handle.compiled] + [
+                chain.compiled for chain in session.engine.subplans.live_chains
+            ]
+            (join,) = [
+                op
+                for pipeline in pipelines
+                for op in pipeline.operators
+                if isinstance(op, SymmetricHashJoin)
+            ]
+            # Only rows with a complete key hold join state.
+            assert join.buffered_rows == 2 * len(expected)
+            session.punctuate(2.0)
+            assert sorted(row.values for row in cursor.results()) == expected
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["push_many", "push"])
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("shape", _NULL_JOINS)
+    def test_exchanged_pool(self, shape, shards, batched):
+        sql, expected = _NULL_JOINS[shape]
+        catalog = Catalog()
+        catalog.register_stream("A", _NA, rate=1.0)
+        catalog.register_stream("B", _NB, rate=1.0)
+        pool = ShardedStreamEngine(catalog, shards=shards)
+        pool.set_partition_key("A", "x")  # not the join key: shuffle
+        pool.set_partition_key("B", "y")
+        handle = pool.execute(_plan(sql, catalog))
+        assert handle.exchanged
+        self._feed(pool, batched)
+        pool.punctuate(2.0)
+        assert sorted(row.values for row in handle.results) == expected
+
+    @pytest.mark.parametrize("shape", _NULL_JOINS)
+    def test_batch_tables(self, shape):
+        sql, expected = _NULL_JOINS[shape]
+        sql = sql.replace(" [range 10 seconds]", "")
+        with connect() as session:
+            session.attach(TableSource("A", _NA, rows=_NA_ROWS))
+            session.attach(TableSource("B", _NB, rows=_NB_ROWS))
+            cursor = session.query(sql)
+            assert cursor.kind == "batch"
+            assert sorted(row.values for row in cursor.results()) == expected
+
+    @pytest.mark.parametrize("shape", _NULL_JOINS)
+    def test_batch_interpreted_evaluator(self, shape):
+        from repro.stream.batch import evaluate
+
+        sql, expected = _NULL_JOINS[shape]
+        catalog = Catalog()
+        catalog.register_table("A", _NA, cardinality=4)
+        catalog.register_table("B", _NB, cardinality=4)
+        plan = _plan(sql.replace(" [range 10 seconds]", ""), catalog)
+        tables = {
+            "A": [Row.from_mapping(_NA, row) for row in _NA_ROWS],
+            "B": [Row.from_mapping(_NB, row) for row in _NB_ROWS],
+        }
+        for compiled in (True, False):
+            rows = evaluate(plan, tables, compiled=compiled)
+            assert sorted(row.values for row in rows) == expected

@@ -369,6 +369,14 @@ EXCHANGED_QUERIES = [
     "[range 20 seconds slide 20 seconds] group by r.room",
     # DISTINCT without the key: row-hash shuffle.
     "select distinct r.room from Readings r where r.temp > 20.0",
+    # Every partial payload kind over a sliding window (a kill lands
+    # mid-window: the compiled stage-1 buffer is snapshot state), and
+    # running deltas whose DISTINCT seen-sets persist across segments.
+    "select r.room, sum(r.temp) as total, avg(r.load) as mean, min(r.temp) as lo, "
+    "count(distinct r.host) as hosts from Readings r "
+    "[range 20 seconds slide 10 seconds] group by r.room",
+    "select r.room, sum(r.temp) as total, count(distinct r.host) as hosts "
+    "from Readings r group by r.room",
 ]
 
 
@@ -411,6 +419,20 @@ def _check_kill_shard_mid_shuffle(transport, seed):
         replay = coordinator.last_replay
         assert replay is not None and replay["target"] == victim
         assert pool.worker_stats().get("restarts", 1) == 1
+        if transport == "loopback":
+            # The snapshot of a compiled stage 1 restored into a
+            # compiled one (the replacement binds its schema again).
+            from repro.stream.operators import PartialAggregateOp
+
+            restored = [
+                op
+                for replicas in pool._channels[victim].stage1.values()
+                for replica in replicas
+                for op in replica.compiled.operators
+                if isinstance(op, PartialAggregateOp)
+            ]
+            assert len(restored) == 4
+            assert all(op._args_fn is not None for op in restored)
 
 
 def _check_kill_merge_shard(transport):

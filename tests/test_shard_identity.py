@@ -425,3 +425,72 @@ class TestShardedJoins:
             got, handle = self._run(sharded, sql, 11)
             assert got == expected
             assert handle.exchanged
+
+
+# ----------------------------------------------------------------------
+# Two-phase aggregation: compiled stage 1 vs the interpreted reference
+# ----------------------------------------------------------------------
+TWO_PHASE_QUERIES = [
+    # Global (no GROUP BY) and non-covering GROUP BY (the pool is keyed
+    # by host), float folds included: SUM/AVG re-fold in arrival order.
+    "select count(*) as n, sum(r.temp) as total, avg(r.load) as mean, "
+    "min(r.temp) as lo, count(distinct r.host) as hosts from Readings r "
+    "[range 20 seconds slide 20 seconds]",
+    "select r.room, count(*) as n, sum(r.temp * 1.5) as total, avg(r.temp) as mean, "
+    "min(r.load) as lo, count(distinct r.host) as hosts from Readings r "
+    "[range 20 seconds slide 10 seconds] where r.load >= 0.05 group by r.room",
+    # Running (unwindowed) totals: per-punctuation deltas.
+    "select r.room, sum(r.temp) as total, count(distinct r.host) as hosts "
+    "from Readings r group by r.room",
+]
+
+
+def _stage1_partials(handle):
+    """The stage-1 partial aggregates of an exchanged loopback handle,
+    shard 0's replica."""
+    from repro.stream.operators import PartialAggregateOp
+
+    replica = handle.engine._channels[0].stage1[handle.query_id][0]
+    return [op for op in replica.compiled.operators if isinstance(op, PartialAggregateOp)]
+
+
+class TestTwoPhaseCompiledIdentity:
+    """Exchanged global / non-covering GROUP BY: the compiled partial
+    aggregate emits bit-identical rows to the interpreted reference
+    (``PlanCompiler(compiled_exprs=False)``), on every shard count and
+    either transport."""
+
+    @pytest.mark.parametrize("seed", range(min(SEEDS, 3)))
+    def test_compiled_pool_matches_interpreted_reference(self, seed, monkeypatch):
+        import functools
+
+        import repro.stream.engine as engine_module
+
+        rng = random.Random(7000 + seed)
+        rows, stamps = _rows(rng.randint(200, 320), rng)
+        with monkeypatch.context() as patch:
+            # Engines built in here interpret (this process only: worker
+            # processes always compile).
+            patch.setattr(
+                engine_module,
+                "PlanCompiler",
+                functools.partial(engine_module.PlanCompiler, compiled_exprs=False),
+            )
+            expected = _run_unsharded(TWO_PHASE_QUERIES, rows, stamps, seed)
+            pooled, handles = _run_sharded(TWO_PHASE_QUERIES, rows, stamps, seed, 2)
+            assert all(handle.exchanged for handle in handles)
+            assert all(op._args_fn is None for op in _stage1_partials(handles[0]))
+            assert pooled == expected
+        assert all(any(segments) for segments in expected)  # not vacuous
+        pools = [("loopback", 1), ("loopback", 2), ("loopback", 4)]
+        if usable_start_method() is not None:
+            pools.append(("framed", 2))
+        for transport, shards in pools:
+            got, handles = _run_pool(
+                transport, TWO_PHASE_QUERIES, rows, stamps, seed, shards
+            )
+            assert all(handle.exchanged for handle in handles)
+            if transport == "loopback":
+                partials = _stage1_partials(handles[0])
+                assert partials and all(op._args_fn is not None for op in partials)
+            assert got == expected, f"seed={seed} {transport} shards={shards}"

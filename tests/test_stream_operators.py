@@ -1,7 +1,10 @@
 """Unit tests for the stream engine's physical operators."""
 
+import random
+
 import pytest
 
+from conftest import deliver
 from repro.data import (
     CollectingConsumer,
     DataType,
@@ -190,6 +193,262 @@ class TestSymmetricHashJoin:
         self.push_right(join, 1, "earlier", -9.0)  # arrives after, ts before
         assert len(self.sink) == 1
         assert self.sink.elements[0].timestamp == -1.0
+
+
+# ----------------------------------------------------------------------
+# The join identity corpus: per-element, in runs, interpreted
+# ----------------------------------------------------------------------
+_JL = Schema.of(("l.k", DataType.INT), ("l.g", DataType.STRING), ("l.n", DataType.INT))
+_JR = Schema.of(("r.k", DataType.INT), ("r.g", DataType.STRING), ("r.n", DataType.INT))
+_JOIN_WINDOWS = {
+    "range": WindowSpec.range(6.0),
+    "now": WindowSpec.now(),
+    "unbounded": WindowSpec.unbounded(),
+    "rows": WindowSpec.rows(3),
+}
+_JOIN_KEYS = {
+    "single": [("l.k", "r.k")],
+    "composite": [("l.k", "r.k"), ("l.g", "r.g")],
+    "nokey": [],
+}
+_JOIN_RESIDUAL = BinaryOp("<=", ColumnRef("l.n"), ColumnRef("r.n"))
+
+
+def _join_script(seed: int, empty_right: bool = False):
+    """A seeded two-sided feed as ``(left?, [items])`` chunks: same-side
+    chunks of elements and punctuations. Keys are few (so buckets hold
+    several rows) and sometimes NULL; inside a punctuation segment
+    timestamps repeat and run out of order, never below the side's last
+    watermark."""
+    rng = random.Random(seed)
+    chunks: list[tuple[bool, list]] = []
+    marks = {True: 0.0, False: 0.0}
+    for _ in range(rng.randint(6, 10)):
+        left = rng.random() < 0.5
+        if empty_right:
+            left = True
+        schema = _JL if left else _JR
+        base = marks[left]
+        items: list = []
+        for _ in range(rng.randint(0, 9)):
+            values = (
+                rng.choice([1, 2, 3, None]),
+                rng.choice(["a", "b", None, "a"]),
+                rng.randrange(4),
+            )
+            stamp = base + float(rng.randrange(0, 9))  # dups, any order
+            items.append(StreamElement(Row.raw(schema, values), stamp))
+            if rng.random() < 0.15:
+                marks[left] = base = base + float(rng.randrange(0, 5))
+                items.append(Punctuation(base))
+        chunks.append((left, items))
+    for left in (True, False):
+        chunks.append((left, [Punctuation(marks[left] + 50.0)]))
+    return chunks
+
+
+def _run_join(left_window, right_window, keys, predicate, chunks, *, compiled, runs):
+    sink = CollectingConsumer()
+    join = SymmetricHashJoin(
+        _JL, _JR, left_window, right_window, predicate, keys, sink,
+        compile_exprs=compiled,
+    )
+    for left, items in chunks:
+        port = join.left_port if left else join.right_port
+        if runs:
+            deliver(port, items)
+        else:
+            for item in items:
+                port.push(item)
+    return (
+        sink.elements,
+        sink.punctuations,
+        (join.rows_in, join.rows_out, join.buffered_rows),
+        join.state_snapshot(),
+    )
+
+
+class TestJoinIdentityCorpus:
+    """The same feed all by ``push``, as runs by ``push_batch`` and
+    through the interpreted operator: equal emissions *in order*,
+    punctuations, counters and checkpoint state."""
+
+    @pytest.mark.parametrize("residual", [False, True], ids=["plain", "residual"])
+    @pytest.mark.parametrize("keys", _JOIN_KEYS)
+    @pytest.mark.parametrize("right", _JOIN_WINDOWS)
+    @pytest.mark.parametrize("left", _JOIN_WINDOWS)
+    def test_three_ways(self, left, right, keys, residual):
+        predicate = _JOIN_RESIDUAL if residual else None
+        emitted = 0
+        for seed in range(4):
+            chunks = _join_script(seed, empty_right=seed == 3)
+            args = (_JOIN_WINDOWS[left], _JOIN_WINDOWS[right], _JOIN_KEYS[keys], predicate, chunks)
+            pushed = _run_join(*args, compiled=True, runs=False)
+            assert _run_join(*args, compiled=True, runs=True) == pushed
+            assert _run_join(*args, compiled=False, runs=False) == pushed
+            assert _run_join(*args, compiled=False, runs=True) == pushed
+            emitted += len(pushed[0])
+            if seed == 3:
+                assert not pushed[0]  # nothing to join against
+        assert emitted  # not vacuous
+
+    def test_kernel_is_selected_from_window_kind_and_compile_result(self):
+        def probes(left_window, right_window, **kwargs):
+            join = SymmetricHashJoin(
+                _JL, _JR, left_window, right_window, None, _JOIN_KEYS["single"],
+                CollectingConsumer(), **kwargs,
+            )
+            return join._left_probe is not None, join._right_probe is not None
+
+        rng, rows = WindowSpec.range(5.0), WindowSpec.rows(3)
+        assert probes(rng, rng) == (True, True)
+        assert probes(WindowSpec.now(), WindowSpec.unbounded()) == (True, True)
+        assert probes(rows, rng) == (False, True)  # a ROWS side evicts per arrival
+        assert probes(rng, rows) == (True, False)
+        assert probes(rng, rng, compile_exprs=False) == (False, False)
+
+
+class TestJoinNullKeys:
+    """A row whose equi-key has a NULL component matches nothing — not
+    even another NULL — and holds no state."""
+
+    def _join(self, keys, **kwargs):
+        self.sink = CollectingConsumer()
+        return SymmetricHashJoin(
+            _JL, _JR, WindowSpec.range(10.0), WindowSpec.range(10.0), None,
+            _JOIN_KEYS[keys], self.sink, **kwargs,
+        )
+
+    @staticmethod
+    def _elements(schema, rows):
+        return [StreamElement(Row.raw(schema, values), 1.0) for values in rows]
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "interpreted"])
+    @pytest.mark.parametrize("runs", [True, False], ids=["push_batch", "push"])
+    def test_single_key(self, runs, compiled):
+        join = self._join("single", compile_exprs=compiled)
+        left = self._elements(_JL, [(None, "a", 0), (1, "a", 1)])
+        right = self._elements(_JR, [(None, "a", 2), (1, "a", 3), (None, "b", 4)])
+        for port, elements in ((join.left_port, left), (join.right_port, right)):
+            if runs:
+                port.push_batch(elements)
+            else:
+                for element in elements:
+                    port.push(element)
+        assert [row.values for row in self.sink.rows] == [(1, "a", 1, 1, "a", 3)]
+        assert (join.rows_in, join.rows_out) == (5, 1)
+        assert join.buffered_rows == 2  # the NULL-keyed rows hold no state
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "interpreted"])
+    @pytest.mark.parametrize("runs", [True, False], ids=["push_batch", "push"])
+    def test_composite_key_with_one_null_component(self, runs, compiled):
+        join = self._join("composite", compile_exprs=compiled)
+        left = self._elements(_JL, [(1, None, 0), (None, "a", 1), (1, "a", 2)])
+        right = self._elements(_JR, [(1, None, 3), (None, "a", 4), (1, "a", 5)])
+        for port, elements in ((join.right_port, right), (join.left_port, left)):
+            if runs:
+                port.push_batch(elements)
+            else:
+                for element in elements:
+                    port.push(element)
+        assert [row.values for row in self.sink.rows] == [(1, "a", 2, 1, "a", 5)]
+        assert join.buffered_rows == 2
+
+
+class _CountingSink(CollectingConsumer):
+    def __init__(self):
+        super().__init__()
+        self.pushes = 0
+        self.batches = 0
+
+    def push(self, item):
+        self.pushes += not isinstance(item, Punctuation)
+        super().push(item)
+
+    def push_batch(self, elements):
+        self.batches += 1
+        super().push_batch(elements)
+
+
+class TestJoinRunBudget:
+    """A run into a compiled side port leaves as at most one run: a
+    count, so per-row emission cannot creep back unnoticed."""
+
+    @pytest.mark.parametrize("left", [True, False], ids=["left-port", "right-port"])
+    def test_one_downstream_batch_per_run(self, left):
+        sink = _CountingSink()
+        join = SymmetricHashJoin(
+            _JL, _JR, WindowSpec.range(10.0), WindowSpec.range(10.0),
+            _JOIN_RESIDUAL, _JOIN_KEYS["single"], sink,
+        )
+        own, other = (_JL, _JR) if left else (_JR, _JL)
+        own_port, other_port = (
+            (join.left_port, join.right_port) if left else (join.right_port, join.left_port)
+        )
+        other_port.push_batch(
+            [StreamElement(Row.raw(other, (i % 3, "a", 3)), float(i)) for i in range(9)]
+        )
+        assert (sink.batches, sink.pushes) == (0, 0)  # nothing to join yet
+        run = [StreamElement(Row.raw(own, (i % 3, "a", 3)), 5.0) for i in range(64)]
+        own_port.push_batch(run)
+        assert len(sink.elements) == 64 * 3
+        assert (sink.batches, sink.pushes) == (1, 0)
+
+    def test_partial_aggregate_never_interprets_on_the_ledger_pool(self, monkeypatch):
+        """One 1,024-unit step of the ledger's ``xchg_pool4`` deployment:
+        no ``Expr.eval`` runs inside a ``PartialAggregateOp``."""
+        from benchmarks.ledger.workloads import BY_NAME
+        from repro.sql.expressions import Expr
+        from repro.stream.operators import PartialAggregateOp
+
+        inside = 0
+        entered = 0
+        evals: list[str] = []
+
+        def scoped(method):
+            def wrapper(self, *args):
+                nonlocal inside, entered
+                inside += 1
+                entered += 1
+                try:
+                    return method(self, *args)
+                finally:
+                    inside -= 1
+
+            return wrapper
+
+        def counted(cls, method):
+            def wrapper(self, row):
+                if inside:
+                    evals.append(cls.__name__)
+                return method(self, row)
+
+            return wrapper
+
+        for name in ("push", "push_batch", "on_punctuation"):
+            monkeypatch.setattr(
+                PartialAggregateOp, name, scoped(getattr(PartialAggregateOp, name))
+            )
+        kinds, pending = [], [Expr]
+        while pending:
+            cls = pending.pop()
+            kinds.append(cls)
+            pending.extend(cls.__subclasses__())
+        for cls in kinds:
+            if "eval" in vars(cls):
+                monkeypatch.setattr(cls, "eval", counted(cls, vars(cls)["eval"]))
+
+        workload = BY_NAME["xchg_pool4"]
+        deployment = workload.open(workload.build_input(7, 2048))
+        try:
+            deployment.deliver(0, 1024)
+            deployment.deliver(1024, 2048)
+            deployment.finish()
+            assert all(cursor.results() for cursor in deployment.cursors)
+        finally:
+            deployment.close()
+        assert entered  # the partial aggregates did run
+        assert evals == []
 
 
 class TestAggregateOp:
