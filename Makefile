@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint check bench bench-expr bench-fusion bench-session bench-shard bench-federated bench-recovery bench-tenancy ledger ledger-compare
+.PHONY: test lint check bench bench-federated bench-recovery ledger ledger-compare
 
 ## Tier-1 verification: the full unit/integration suite.
 test:
@@ -29,22 +29,6 @@ check: lint test
 bench:
 	$(PYTHON) -m benchmarks
 
-## Just the expression-compilation microbenchmark (fast feedback).
-bench-expr:
-	$(PYTHON) -m benchmarks.bench_expr_compile
-
-## Just the fusion + batched-push microbenchmark (writes BENCH_fusion.json).
-bench-fusion:
-	$(PYTHON) -m benchmarks.bench_fusion
-
-## Just the session-facade overhead benchmark (writes BENCH_session.json).
-bench-session:
-	$(PYTHON) -m pytest benchmarks/bench_session.py -q -s
-
-## Just the sharded engine-pool benchmark (writes BENCH_shard.json).
-bench-shard:
-	$(PYTHON) -m benchmarks.bench_shard
-
 ## Just the in-network vs ship-everything radio-cost benchmark
 ## (writes BENCH_federated.json).
 bench-federated:
@@ -54,11 +38,6 @@ bench-federated:
 ## (writes BENCH_recovery.json).
 bench-recovery:
 	$(PYTHON) -m benchmarks.bench_recovery
-
-## Just the multi-tenancy plan-multiplexing benchmark (writes
-## BENCH_tenancy.json). Also runs at smoke scale as part of `check`.
-bench-tenancy:
-	$(PYTHON) -m pytest benchmarks/bench_tenancy.py -q -s
 
 ## The layered performance ledger (benchmarks/ledger/README.md): every
 ## workload end to end, one child process each. LEDGER_OUT names the

@@ -1,14 +1,14 @@
 """Non-interactive bench runner: ``python -m benchmarks`` (or ``make bench``).
 
 Runs every ``benchmarks/bench_*.py`` under pytest with output shown,
-writes a ``BENCH_run_summary.json`` artifact recording per-file status
-and duration, and exits non-zero if any bench fails. Individual benches
-may write their own ``BENCH_*.json`` artifacts (e.g.
-``bench_expr_compile.py`` → ``BENCH_expr_compile.json``).
+writes an untracked ``BENCH_run_summary.json`` recording per-file
+status and duration, and exits non-zero if any bench fails. Individual
+benches may write their own tracked ``BENCH_*.json`` artifacts (e.g.
+``bench_recovery.py`` → ``BENCH_recovery.json``).
 
 Extra arguments are passed through to pytest, e.g.::
 
-    python -m benchmarks -k expr_compile
+    python -m benchmarks -k recovery
 
 ``--smoke`` (used by ``make check``) shrinks every scale-aware bench via
 ``REPRO_BENCH_SCALE`` so the whole suite doubles as a fast CI gate:

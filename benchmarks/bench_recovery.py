@@ -1,8 +1,8 @@
 """Microbenchmark — checkpointing overhead and shard-failover latency.
 
-Two questions about the recovery subsystem, both on the same standing
-deployment as ``bench_shard`` (seven concurrent queries, four shards,
-batched ingest through the ``Session`` surface):
+Two questions about the recovery subsystem, both on the ledger's
+``STANDING7`` deployment and seeded ``Readings`` feed (seven concurrent
+queries, four shards, batched ingest through the ``Session`` surface):
 
 * **What does protection cost?** The same feed is ingested with no
   :class:`CheckpointCoordinator` and with
@@ -31,18 +31,16 @@ import os
 import time
 from pathlib import Path
 
-from benchmarks.bench_shard import (
-    BATCH_SIZE,
-    QUERIES,
-    READINGS,
-    _reading_rows,
-)
+from benchmarks.ledger import gen
+from benchmarks.ledger.workloads import STANDING7 as QUERIES
 from repro.api import StreamSource, connect
+from repro.data import Row
 from repro.runtime.faults import kill_shard
 
 ARTIFACT_NAME = "BENCH_recovery.json"
 
 SHARDS = 4
+BATCH_SIZE = 4096
 
 #: Event-time seconds between barriers. Stamps advance at 100 rows per
 #: event-second, so the full-scale feed takes ~10 barriers.
@@ -52,7 +50,7 @@ CHECKPOINT_INTERVAL = 40.0
 def _session(checkpoint_interval: float | None):
     session = connect(shards=SHARDS, checkpoint_interval=checkpoint_interval)
     session.attach(
-        StreamSource("Readings", READINGS, rate=10.0, partition_by="host")
+        StreamSource("Readings", gen.READINGS, rate=10.0, partition_by="host")
     )
     cursors = [session.query(sql) for sql in QUERIES]
     return session, cursors
@@ -135,7 +133,8 @@ def run_benchmarks(scale: float | None = None) -> dict:
     if scale is None:
         scale = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
     n = max(400, int(40_000 * scale))
-    rows, stamps = _reading_rows(n)
+    values, stamps = gen.readings(0, n)
+    rows = [Row.raw(gen.READINGS, row) for row in values]
 
     plain_s, (plain_results, _) = _best_of(lambda: _run_ingest(None, rows, stamps))
     ck_s, (ck_results, taken) = _best_of(

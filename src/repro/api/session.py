@@ -750,13 +750,17 @@ class Session:
     def stats(self) -> dict:
         """Multiplexing observability counters.
 
-        ``{"plan_cache": {...}, "sharing": {...}, "analysis": {...},
-        "schema_epoch": n}`` — the plan cache's
+        ``{"plan_cache": {...}, "sharing": {...}, "compile": {...},
+        "analysis": {...}, "schema_epoch": n}`` — the plan cache's
         size/hits/misses/evictions/invalidations, the stream engine's
         shared-subplan counters (live chains, total fan-out, chains
         created/attached/detached/torn down, declined admissions; summed
         across every shard and the fallback engine under
-        ``connect(shards=N)``), the static-analysis counters (``runs``:
+        ``connect(shards=N)``), its codegen counters (whole functions
+        ``generated``, and whole-function ``fallbacks`` to the
+        interpreter — counted once per function at admission, never per
+        row, summed the same way; anything but 0 fallbacks means a plan
+        is running interpreted), the static-analysis counters (``runs``:
         fresh analyses on cache-miss compiles, ``hits``: cache hits that
         reused the stored verdict, ``skipped``: compiles under
         ``analysis="off"``, plus the session's ``mode``), and the
@@ -775,6 +779,7 @@ class Session:
         out = {
             "plan_cache": self._plan_cache.stats(),
             "sharing": self.engine.sharing_stats(),
+            "compile": self.engine.compile_stats(),
             "analysis": dict(self._analysis_counters, mode=self._analysis_mode),
             "schema_epoch": self.catalog.schema_epoch,
         }

@@ -24,26 +24,43 @@ function over the row's value tuple:
   compiled once; dynamic patterns go through a bounded regex cache.
 * **Scalar functions** are resolved to their implementation once.
 
-The compile/fallback contract
------------------------------
+Two rungs: generated code, else the interpreter
+-----------------------------------------------
 ``compile_expr(expr, schema)`` returns a callable ``f`` such that for
 every row ``r`` with ``r.schema == schema``::
 
     f(r.values)  ==  expr.eval(r)          # same value, or
     f(r.values)  raises the same exception type as expr.eval(r)
 
-Anything code generation does not cover — :class:`AggregateCall` (whose
-per-row evaluation is intentionally an error; aggregates keep their
-accumulator path in the operators) and any future exotic node — is
-compiled as a call to a closure that rehydrates a :class:`Row` via
-:meth:`Row.raw` and delegates to ``expr.eval``, so the contract holds
-for *every* expression, just without the speedup. If code generation
-itself fails for a tree, :func:`compile_expr` falls back to a
-closure-combinator compiler with identical semantics, and ultimately to
-the interpreter. Name-resolution errors (unknown or ambiguous columns)
-surface at compile time rather than per row; plans that reach the
-physical operators have already been validated by the analyzer, so this
-only moves the failure earlier.
+There are exactly two evaluators behind that contract, and nothing
+hand-written in between:
+
+1. **Generated code.** A *node* code generation does not cover —
+   :class:`AggregateCall` (whose per-row evaluation is intentionally an
+   error; aggregates keep their accumulator path in the operators) and
+   any future exotic node — becomes one call, inside the generated
+   function, to a closure that rehydrates a :class:`Row` via
+   :meth:`Row.raw` and delegates to ``expr.eval``
+   (:meth:`_CodeGen.gen_fallback`). Malformed nodes the parser cannot
+   produce (an unknown operator or function name) generate a ``raise``
+   of the interpreter's own :class:`~repro.errors.ExecutionError`.
+2. **The interpreter.** When a generator cannot produce a *whole
+   function* (:func:`_generate` is the one ``except``), the caller gets
+   :meth:`Expr.eval` over a rehydrated row — the evaluator the identity
+   corpora verify and the reference knobs (``compiled_exprs=False`` /
+   ``compile_exprs=False`` / ``fuse=False`` / ``evaluate(compiled=
+   False)``) select: :func:`compile_expr` and :func:`compile_projection`
+   return that closure; :func:`compile_fused`,
+   :func:`compile_fused_batch`, :func:`compile_accumulate` and
+   :func:`compile_join_probe` return ``None``, on which each operator
+   runs the per-element interpreted body it has for a missing schema
+   (a fused chain lowers one operator per node instead). A column the
+   schema cannot resolve is such a failure, so the row-time error is
+   the interpreter's.
+
+Every such fallback is counted, once, at admission
+(:func:`compile_counts`; ``session.stats()["compile"]``), never per
+row, and reads 0 across the ledger workloads and the identity corpora.
 
 Every evaluation site compiles once and keeps the closure: operators
 compile at construction, and the batch evaluator memoizes per plan
@@ -58,12 +75,11 @@ generated function over the input value tuple (filters become early
 returns, projections rebind the tuple), and :func:`compile_fused_batch`
 wraps that chain in a generated loop over a list of stream elements so
 a whole ingest batch clears an N-stage chain with a single Python call.
-Both honour the compile/fallback contract stage by stage.
 :func:`compile_accumulate` does the same for a grouped-aggregation fold
 and :func:`compile_join_probe` for one side of a windowed symmetric
 hash join (key, bucket append, window test and residual predicate in
-one generated loop per run); both return ``None`` for shapes they do
-not cover, and the operator keeps its per-element body.
+one generated loop per run; a side whose own window is ROWS has no
+kernel by design, which is not a fallback and is not counted).
 
 Generated text becomes a code object in exactly one place,
 :func:`_code_object`, memoized on the text: every replica of a plan on
@@ -86,16 +102,14 @@ from repro.data.tuples import Row
 from repro.data.windows import WindowKind, WindowSpec
 from repro.errors import ExecutionError
 from repro.sql.expressions import (
-    _ARITHMETIC,
-    _COMPARISONS,
     _SCALAR_FUNCTIONS,
     _like_to_regex,
+    AGGREGATE_NAMES,
     AggregateCall,
     BinaryOp,
     ColumnRef,
     Expr,
     FunctionCall,
-    Literal,
     Parameter,
     UnaryOp,
 )
@@ -111,18 +125,40 @@ FusedStage = tuple
 # ---------------------------------------------------------------------------
 # Public API
 # ---------------------------------------------------------------------------
+_counts = {"generated": 0, "fallbacks": 0}
+
+
+def compile_counts() -> dict[str, int]:
+    """Process-wide totals of the two rungs: whole functions
+    ``generated``, and whole-function ``fallbacks`` to the interpreter.
+    Monotonic; :class:`~repro.stream.compiler.PlanCompiler` attributes
+    the delta across one plan's lowering to its engine."""
+    return dict(_counts)
+
+
+def _generate(codegen: Callable, *args: Any) -> Callable | None:
+    """The ladder's one step down: the function ``codegen`` generates,
+    or ``None`` — counted — when it cannot produce one. Every public
+    compiler goes through here, so no fallback is silent and nothing
+    hand-written sits between generated code and the interpreter."""
+    try:
+        fn = codegen(*args)
+    except Exception:
+        _counts["fallbacks"] += 1
+        return None
+    _counts["generated"] += 1
+    return fn
+
+
 def compile_expr(expr: Expr, schema: Schema) -> CompiledExpr:
     """Compile ``expr`` against ``schema`` into a value-tuple function.
 
-    See the module docstring for the compile/fallback contract.
+    See the module docstring for the two-rung contract.
     """
     folded, value = _fold_constant(expr)
     if folded:
         return lambda values, _v=value: _v
-    try:
-        return _codegen([expr], schema, single=True)
-    except Exception:
-        return _compile(expr, schema)
+    return _generate(_codegen, [expr], schema, True) or _fallback(expr, schema)
 
 
 def compile_projection(exprs: Sequence[Expr], schema: Schema) -> Callable[[tuple], tuple]:
@@ -138,21 +174,17 @@ def compile_projection(exprs: Sequence[Expr], schema: Schema) -> Callable[[tuple
         if len(indexes) == 1:
             return lambda values, _i=indexes[0]: (values[_i],)
         return _operator.itemgetter(*indexes)
-    try:
-        return _codegen(list(exprs), schema, single=False)
-    except Exception:
-        fns = tuple(compile_expr(e, schema) for e in exprs)
-
-        def project(values: tuple, _fns=fns) -> tuple:
-            return tuple(f(values) for f in _fns)
-
-        return project
+    return _generate(_codegen, list(exprs), schema, False) or _fallback_projection(
+        exprs, schema
+    )
 
 
 def compile_fused(
     stages: Sequence[FusedStage], schema: Schema
-) -> Callable[[tuple], tuple | None]:
-    """Compile a Filter/Project chain into one generated function.
+) -> Callable[[tuple], tuple | None] | None:
+    """Compile a Filter/Project chain into one generated function, or
+    ``None`` when code generation fails (the plan compiler then lowers
+    the chain one operator per node).
 
     ``stages`` lists the chain in dataflow order. Each stage is either
 
@@ -168,23 +200,17 @@ def compile_fused(
     projections to a tuple rebind, so no intermediate
     :class:`~repro.data.tuples.Row` or ``StreamElement`` is ever
     allocated between fused stages. Per-stage semantics are exactly
-    those of :func:`compile_expr` / :func:`compile_projection` — if code
-    generation fails for the chain, the fallback composes those
-    per-stage closures inside one Python-level loop, so the contract
-    (same values, same exception types as the unfused operators) holds
-    for every chain.
+    those of :func:`compile_expr` / :func:`compile_projection`.
     """
-    stages = tuple(stages)
-    try:
-        return _codegen_fused(stages, schema)
-    except Exception:
-        return _fused_fallback(stages, schema)
+    return _generate(_codegen_fused, tuple(stages), schema)
 
 
 def compile_fused_batch(
     stages: Sequence[FusedStage], schema: Schema, output_schema: Schema
-) -> Callable[[list, list], None]:
-    """Compile a Filter/Project chain into one generated *batch* function.
+) -> Callable[[list, list], None] | None:
+    """Compile a Filter/Project chain into one generated *batch*
+    function, or ``None`` when code generation fails (the operator then
+    loops its per-element body over the run).
 
     The returned function has signature ``fn(elements, out)``: it runs
     the whole fused chain over a list of ``StreamElement`` items inside
@@ -196,44 +222,15 @@ def compile_fused_batch(
     ``StreamElement`` (over ``output_schema``) in generated code; pure
     filter chains append the original element, preserving row identity.
 
-    Semantics per element are identical to :func:`compile_fused`; if
-    code generation fails, the fallback loops the fused closure in
-    Python.
+    Semantics per element are identical to :func:`compile_fused`.
     """
-    stages = tuple(stages)
-    projects = any(stage[0] == "project" for stage in stages)
-    try:
-        return _codegen_fused_batch(stages, schema, output_schema, projects)
-    except Exception:
-        fused = compile_fused(stages, schema)
-
-        def run_batch(elements: list, out: list, _fused=fused) -> None:
-            append = out.append
-            if projects:
-                for element in elements:
-                    values = _fused(element.row.values)
-                    if values is not None:
-                        append(
-                            _StreamElement(
-                                Row.raw(output_schema, values),
-                                element.timestamp,
-                                element.source,
-                            )
-                        )
-            else:
-                for element in elements:
-                    if _fused(element.row.values) is not None:
-                        append(element)
-
-        return run_batch
+    return _generate(_codegen_fused_batch, tuple(stages), schema, output_schema)
 
 
 def _codegen_fused_batch(
-    stages: tuple[FusedStage, ...],
-    schema: Schema,
-    output_schema: Schema,
-    projects: bool,
+    stages: tuple[FusedStage, ...], schema: Schema, output_schema: Schema
 ) -> Callable[[list, list], None]:
+    projects = any(stage[0] == "project" for stage in stages)
     gen = _CodeGen(schema)
     gen.emit(1, "append = out.append")
     gen.emit(1, "for _e in elements:")
@@ -262,11 +259,6 @@ def _codegen_fused_batch(
     return _define("_fused_batch", source, "<repro.sql.compiled.fused_batch>", gen.env)
 
 
-#: Aggregate kinds compile_accumulate can lower (DISTINCT or not).
-#: Anything else keeps the interpreted accumulator path.
-_FOLDABLE_AGGREGATES = ("COUNT", "SUM", "AVG", "MIN", "MAX")
-
-
 def compile_accumulate(
     group_exprs: Sequence[Expr],
     calls: Sequence[AggregateCall],
@@ -274,8 +266,9 @@ def compile_accumulate(
 ) -> tuple[Callable, Callable] | None:
     """Compile a grouped-aggregation fold into one generated loop.
 
-    Returns ``(fold, finalize)`` or ``None`` when any call is outside
-    the supported kinds (then the caller keeps its accumulator objects).
+    Returns ``(fold, finalize)``, or ``None`` when code generation
+    fails (the operator then folds through its interpreted
+    accumulators). Every call the analyzer admits is covered.
 
     ``fold(elements, groups, lo, hi)`` scans a list of StreamElements,
     keeps those with ``lo < timestamp <= hi`` (pass ``±inf`` for an
@@ -291,15 +284,7 @@ def compile_accumulate(
     interpreter's semantics (COUNT of nothing is 0; SUM/AVG/MIN/MAX of
     nothing — or of only NULLs — is NULL).
     """
-    for call in calls:
-        if call.name.upper() not in _FOLDABLE_AGGREGATES:
-            return None
-        if call.distinct and call.argument is None:
-            return None  # COUNT(DISTINCT *) has no value to deduplicate
-    try:
-        return _codegen_accumulate(tuple(group_exprs), tuple(calls), schema)
-    except Exception:
-        return None
+    return _generate(_codegen_accumulate, tuple(group_exprs), tuple(calls), schema)
 
 
 def _codegen_accumulate(
@@ -317,6 +302,10 @@ def _codegen_accumulate(
     init: list[str] = []
     for call in calls:
         kind = call.name.upper()
+        if kind not in AGGREGATE_NAMES or (call.distinct and call.argument is None):
+            # Nothing the analyzer admits: a hand-built plan keeps the
+            # interpreted accumulators.
+            raise ExecutionError(f"no generated fold for {call.render()}")
         slots.append((kind, len(init), call.distinct))
         if call.distinct:
             init.append("set()")
@@ -444,18 +433,16 @@ def compile_join_probe(
     own_window = left_window if left else right_window
     if own_window.kind is WindowKind.ROWS:
         return None
-    try:
-        return _codegen_join_probe(
-            left_schema,
-            right_schema,
-            tuple(left_keys if left else right_keys),
-            own_window,
-            right_window if left else left_window,
-            predicate,
-            left,
-        )
-    except Exception:
-        return None
+    return _generate(
+        _codegen_join_probe,
+        left_schema,
+        right_schema,
+        tuple(left_keys if left else right_keys),
+        own_window,
+        right_window if left else left_window,
+        predicate,
+        left,
+    )
 
 
 def _codegen_join_probe(
@@ -545,31 +532,6 @@ def _codegen_fused(
     gen.emit(1, "return v")
     source = "def _fused(v):\n" + "\n".join(gen.lines) + "\n"
     return _define("_fused", source, "<repro.sql.compiled.fused>", gen.env)
-
-
-def _fused_fallback(
-    stages: tuple[FusedStage, ...], schema: Schema
-) -> Callable[[tuple], tuple | None]:
-    steps: list[tuple[bool, Callable]] = []
-    current = schema
-    for stage in stages:
-        if stage[0] == "filter":
-            steps.append((True, compile_expr(stage[1], current)))
-        else:
-            _, exprs, out_schema = stage
-            steps.append((False, compile_projection(exprs, current)))
-            current = out_schema
-
-    def fused(values: tuple, _steps=tuple(steps)) -> tuple | None:
-        for is_filter, fn in _steps:
-            if is_filter:
-                if fn(values) is not True:
-                    return None
-            else:
-                values = fn(values)
-        return values
-
-    return fused
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +677,12 @@ class _CodeGen:
         """``a is None or b is None`` with known-non-NULL atoms elided."""
         return " or ".join(f"{a} is None" for a in atoms if a not in self.non_null)
 
+    @staticmethod
+    def raise_unknown(message: str) -> str:
+        """A ``raise`` statement carrying ``message`` (the interpreter's
+        own text) as one repr'd literal, whatever quotes it holds."""
+        return f"raise ExecutionError({message!r})"
+
     def gen_fallback(self, expr: Expr, indent: int) -> str:
         fallback = self.bind(_fallback(expr, self.schema), "fb")
         out = self.name("t")
@@ -795,7 +763,7 @@ class _CodeGen:
             self.emit(indent + 1, f"{out} = None")
             self.emit(indent, "else:")
             body = indent + 1
-        self.emit(body, f"raise ExecutionError('unknown binary operator {op!r}')")
+        self.emit(body, self.raise_unknown(f"unknown binary operator {op!r}"))
         self.non_null.discard(out)
         return out
 
@@ -818,7 +786,7 @@ class _CodeGen:
         elif op == "IS NOT NULL":
             self.emit(indent, f"{out} = {a} is not None")
         else:
-            self.emit(indent, f"raise ExecutionError('unknown unary operator {op!r}')")
+            self.emit(indent, self.raise_unknown(f"unknown unary operator {op!r}"))
             return "None"
         return out
 
@@ -827,7 +795,7 @@ class _CodeGen:
         out = self.name("t")
         if upper not in _SCALAR_FUNCTIONS:
             # The interpreter raises before evaluating arguments.
-            self.emit(indent, f"raise ExecutionError('unknown function {expr.name!r}')")
+            self.emit(indent, self.raise_unknown(f"unknown function {expr.name!r}"))
             return "None"
         impl, _ = _SCALAR_FUNCTIONS[upper]
         fn = self.bind(impl, "fn")
@@ -859,25 +827,8 @@ def _codegen(exprs: list[Expr], schema: Schema, single: bool) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# Closure-combinator fallback (same semantics, one call per node)
+# The second rung: the interpreter, over a rehydrated Row
 # ---------------------------------------------------------------------------
-def _compile(expr: Expr, schema: Schema) -> CompiledExpr:
-    if isinstance(expr, Literal):
-        return lambda values, _v=expr.value: _v
-    if isinstance(expr, ColumnRef):
-        return _operator.itemgetter(schema.index_of(expr.name))
-    if isinstance(expr, Parameter):
-        return lambda values, _p=expr: _p.value()
-    if isinstance(expr, BinaryOp):
-        return _compile_binary(expr, schema)
-    if isinstance(expr, UnaryOp):
-        return _compile_unary(expr, schema)
-    if isinstance(expr, FunctionCall):
-        return _compile_function(expr, schema)
-    # AggregateCall and anything exotic: delegate to the interpreter.
-    return _fallback(expr, schema)
-
-
 def _fallback(expr: Expr, schema: Schema) -> CompiledExpr:
     def run(values: tuple, _e=expr, _s=schema) -> Any:
         return _e.eval(Row.raw(_s, values))
@@ -885,144 +836,11 @@ def _fallback(expr: Expr, schema: Schema) -> CompiledExpr:
     return run
 
 
-def _compile_binary(expr: BinaryOp, schema: Schema) -> CompiledExpr:
-    op = expr.op
-    left = compile_expr(expr.left, schema)
-    right = compile_expr(expr.right, schema)
+def _fallback_projection(
+    exprs: tuple[Expr, ...], schema: Schema
+) -> Callable[[tuple], tuple]:
+    def run(values: tuple, _exprs=exprs, _s=schema) -> tuple:
+        row = Row.raw(_s, values)
+        return tuple(e.eval(row) for e in _exprs)
 
-    if op == "AND":
-
-        def and_(values: tuple, _l=left, _r=right) -> Any:
-            a = _l(values)
-            if a is False:
-                return False
-            b = _r(values)
-            if b is False:
-                return False
-            if a is None or b is None:
-                return None
-            return True
-
-        return and_
-
-    if op == "OR":
-
-        def or_(values: tuple, _l=left, _r=right) -> Any:
-            a = _l(values)
-            if a is True:
-                return True
-            b = _r(values)
-            if b is True:
-                return True
-            if a is None or b is None:
-                return None
-            return False
-
-        return or_
-
-    fn = _COMPARISONS.get(op) or (_ARITHMETIC.get(op) if op in ("+", "-", "*") else None)
-    if fn is not None:
-
-        def apply(values: tuple, _l=left, _r=right, _f=fn, _op=op) -> Any:
-            a = _l(values)
-            b = _r(values)
-            if a is None or b is None:
-                return None
-            try:
-                return _f(a, b)
-            except TypeError as exc:
-                raise ExecutionError(f"cannot apply {_op} to {a!r} and {b!r}") from exc
-
-        return apply
-
-    if op in ("/", "%"):
-        fn = _ARITHMETIC[op]
-
-        def divide(values: tuple, _l=left, _r=right, _f=fn, _op=op) -> Any:
-            a = _l(values)
-            b = _r(values)
-            if a is None or b is None:
-                return None
-            if b == 0:
-                return None  # SQL: division by zero yields NULL here
-            try:
-                return _f(a, b)
-            except TypeError as exc:
-                raise ExecutionError(f"cannot apply {_op} to {a!r} and {b!r}") from exc
-
-        return divide
-
-    if op in ("LIKE", "NOT LIKE"):
-        negate = op == "NOT LIKE"
-
-        def like(values: tuple, _l=left, _r=right, _neg=negate) -> Any:
-            a = _l(values)
-            b = _r(values)
-            if a is None or b is None:
-                return None
-            matched = _like_regex_cached(str(b)).match(str(a))
-            return (not matched) if _neg else bool(matched)
-
-        return like
-
-    def unknown(values: tuple, _l=left, _r=right, _op=op) -> Any:
-        # Match the interpreter: operands evaluate first, then the raise.
-        a = _l(values)
-        b = _r(values)
-        if a is None or b is None:
-            return None
-        raise ExecutionError(f"unknown binary operator {_op!r}")
-
-    return unknown
-
-
-def _compile_unary(expr: UnaryOp, schema: Schema) -> CompiledExpr:
-    op = expr.op
-    operand = compile_expr(expr.operand, schema)
-
-    if op == "NOT":
-        return lambda values, _f=operand: (
-            None if (v := _f(values)) is None else (not v)
-        )
-    if op == "-":
-        return lambda values, _f=operand: (None if (v := _f(values)) is None else -v)
-    if op == "IS NULL":
-        return lambda values, _f=operand: _f(values) is None
-    if op == "IS NOT NULL":
-        return lambda values, _f=operand: _f(values) is not None
-
-    def unknown(values: tuple, _f=operand, _op=op) -> Any:
-        _f(values)
-        raise ExecutionError(f"unknown unary operator {_op!r}")
-
-    return unknown
-
-
-def _compile_function(expr: FunctionCall, schema: Schema) -> CompiledExpr:
-    upper = expr.name.upper()
-    if upper not in _SCALAR_FUNCTIONS:
-        # The interpreter raises before evaluating arguments; match it.
-        def unknown(values: tuple, _name=expr.name) -> Any:
-            raise ExecutionError(f"unknown function {_name!r}")
-
-        return unknown
-
-    fn, _ = _SCALAR_FUNCTIONS[upper]
-    arg_fns = tuple(compile_expr(a, schema) for a in expr.args)
-
-    if upper == "COALESCE":
-        # COALESCE evaluates every argument (as the interpreter does) and
-        # the implementation picks the first non-NULL.
-        def coalesce(values: tuple, _fns=arg_fns, _fn=fn) -> Any:
-            return _fn(*[f(values) for f in _fns])
-
-        return coalesce
-
-    def call(values: tuple, _fns=arg_fns, _fn=fn) -> Any:
-        args = [f(values) for f in _fns]
-        for v in args:
-            if v is None:
-                return None
-        return _fn(*args)
-
-    return call
+    return run

@@ -442,10 +442,11 @@ class AggregateCall(Expr):
         upper = self.name.upper()
         if upper not in AGGREGATE_NAMES:
             raise AnalysisError(f"unknown aggregate {self.name!r}")
+        if self.argument is None and (upper != "COUNT" or self.distinct):
+            # COUNT(DISTINCT *) names no value to deduplicate.
+            raise AnalysisError(f"{self.render()} requires an argument")
         if upper == "COUNT":
             return DataType.INT
-        if self.argument is None:
-            raise AnalysisError(f"{upper} requires an argument")
         inner = self.argument.dtype(schema)
         if upper == "AVG":
             if inner not in NUMERIC_TYPES | {DataType.NULL}:

@@ -415,6 +415,10 @@ class Parser:
         if upper in AGGREGATE_NAMES:
             distinct = self._match_keyword("DISTINCT")
             if self._peek().type is TokenType.OPERATOR and self._peek().value == "*":
+                if distinct:
+                    # Caught here for the source position; AggregateCall.dtype
+                    # rejects the same node when built without a parser.
+                    raise self._error(f"{upper}(DISTINCT *) names no value to deduplicate")
                 self._advance()
                 self._expect_punct(")")
                 return AggregateCall(upper, None, distinct)

@@ -11,8 +11,8 @@ Evaluation uses the schema-bound compiled evaluators of
 projections, join keys and group keys resolve column positions once per
 plan node instead of per row, and compilation is memoized so the
 fixpoint's repeated step evaluations reuse the same closures.
-``compiled=False`` keeps the original tree-walking interpreter — the
-ablation baseline measured by ``benchmarks/bench_expr_compile.py``.
+``compiled=False`` keeps the tree-walking interpreter — the reference
+the compiled evaluators are tested against.
 """
 
 from __future__ import annotations

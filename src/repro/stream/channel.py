@@ -27,6 +27,7 @@ verb                effect on the shard
 ``snapshot`` /      per-query operator states + shared-chain states at
 ``restore``         a barrier, and back
 ``sharing_stats``   the host engine's shared-subplan counters
+``compile_stats``   the host engine's generated / fallback counters
 ``kill`` /          fault injection, and a fresh empty host after a
 ``respawn``         death
 ==================  ====================================================
@@ -206,3 +207,6 @@ class LoopbackChannel(ShardHost):
 
     def sharing_stats(self) -> dict:
         return self._live().sharing_stats()
+
+    def compile_stats(self) -> dict:
+        return self._live().compile_stats()

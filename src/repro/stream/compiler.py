@@ -10,7 +10,9 @@ Project/Project, and longer mixed chains — lower to a single
 :class:`~repro.stream.operators.FusedOp` whose generated closure runs
 the whole chain per element (see
 :func:`~repro.sql.compiled.compile_fused`). ``fuse=False`` keeps one
-physical operator per logical node as the A/B baseline.
+physical operator per logical node — the reference the fusion identity
+corpus compares against, and the lowering a chain takes when its fused
+code cannot be generated.
 
 Window inference: a Scan's explicit window wins; otherwise streams get
 the engine's default window and stored tables get UNBOUNDED. A join
@@ -43,6 +45,7 @@ from repro.plan.logical import (
     Scan,
     Select,
 )
+from repro.sql.compiled import compile_counts
 from repro.sql.expressions import is_equijoin_conjunct, split_conjuncts
 from repro.stream.multiplex import SharedFeed
 from repro.stream.operators import (
@@ -182,18 +185,21 @@ class PlanCompiler:
         self._default_window = default_window
         # When True (default), operators evaluate expressions via the
         # schema-bound compiled closures of repro.sql.compiled; False
-        # keeps the tree-walking interpreter (the A/B baseline used by
-        # benchmarks/bench_expr_compile.py).
+        # keeps the tree-walking interpreter, the oracle of the
+        # compiled-vs-interpreted identity corpus.
         self._compiled_exprs = compiled_exprs
         # When True (default), maximal runs of adjacent Select/Project
         # nodes lower to one FusedOp running the whole chain as a single
         # generated closure, and scan ports feeding a fully positional
         # chain skip the renaming shim. False keeps one operator per
-        # node and a renaming port per scan — the pre-fusion pipeline,
-        # kept as the A/B baseline for benchmarks/bench_fusion.py and
-        # the fused-vs-unfused identity tests. Fusion requires the
+        # node and a renaming port per scan, the oracle of the
+        # fused-vs-unfused identity corpus. Fusion requires the
         # compiled expression path (the fused closure is schema-bound).
         self._fuse = fuse and compiled_exprs
+        #: Whole functions generated / fallen back to the interpreter
+        #: across every plan this compiler lowered (see
+        #: :func:`repro.sql.compiled.compile_counts`).
+        self.counts = {"generated": 0, "fallbacks": 0}
 
     def _input_schema(self, child: LogicalOp):
         return child.schema if self._compiled_exprs else None
@@ -201,7 +207,10 @@ class PlanCompiler:
     def compile(self, plan: LogicalOp, sink: StreamConsumer) -> CompiledPlan:
         """Compile ``plan`` so results flow into ``sink``."""
         compiled = CompiledPlan(root=plan)
+        before = compile_counts()
         self._compile_node(plan, sink, compiled)
+        for key, total in compile_counts().items():
+            self.counts[key] += total - before[key]
         return compiled
 
     # ------------------------------------------------------------------
@@ -340,7 +349,9 @@ class PlanCompiler:
 
         Returns the fused pipeline's input consumer, or None when the
         run is a single node (a dedicated FilterOp/ProjectOp is at least
-        as fast and keeps per-node stats readable).
+        as fast and keeps per-node stats readable) or its fused code
+        could not be generated (a counted fallback; the chain lowers
+        one operator per node).
         """
         chain: list[LogicalOp] = []
         bottom: LogicalOp = node
@@ -358,6 +369,8 @@ class PlanCompiler:
                     ("project", [item.expr for item in link.items], link.schema)
                 )
         op = FusedOp(stages, node.schema, downstream, bottom.schema)
+        if not op.generated:
+            return None
         compiled.operators.append(op)
         return self._compile_node(bottom, op, compiled)
 

@@ -331,6 +331,12 @@ class StreamEngine:
         """Shared-subplan counters (see :meth:`SubplanRegistry.stats`)."""
         return self.subplans.stats()
 
+    def compile_stats(self) -> dict:
+        """Whole functions generated, and whole-function fallbacks to
+        the interpreter, across every plan and shared chain this engine
+        lowered (see :func:`repro.sql.compiled.compile_counts`)."""
+        return dict(self._compiler.counts)
+
     def subscribed(self, source: str) -> bool:
         """True when any running query reads ``source`` — the sharded
         engine probes this to skip feeding its designated fallback

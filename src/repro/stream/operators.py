@@ -85,30 +85,6 @@ def _positional_key(schema: Schema, names: list[str]) -> Callable[[tuple], Any]:
     return itemgetter(*indexes)
 
 
-def _bind_group_projections(
-    group_by: list[tuple[Expr, str]],
-    aggregates: list[tuple[AggregateCall, str]],
-    input_schema: Schema | None,
-) -> tuple[Callable[[tuple], tuple] | None, Callable[[tuple], tuple] | None]:
-    """``(key_fn, args_fn)`` over the row's value tuple — the group key
-    and every aggregate argument as one generated projection each — or
-    ``(None, None)`` without a schema to bind. COUNT(*) has no argument;
-    a non-NULL dummy literal keeps the argument tuple aligned with the
-    calls (``add_value`` counts it)."""
-    if input_schema is None:
-        return None, None
-    return (
-        compile_projection([expr for expr, _ in group_by], input_schema),
-        compile_projection(
-            [
-                call.argument if call.argument is not None else Literal(0)
-                for call, _ in aggregates
-            ],
-            input_schema,
-        ),
-    )
-
-
 class Operator:
     """Base class: a consumer with one downstream and simple counters."""
 
@@ -229,7 +205,8 @@ class FilterOp(Operator):
         # Schema-bound compilation: with the input schema known, the
         # predicate runs as a closure over the row's value tuple, and a
         # generated batch loop (one Python call per ingest batch) serves
-        # push_batch — the same codegen a fused chain of one uses.
+        # push_batch — the same codegen a fused chain of one uses, and
+        # None when it fails (runs then loop on_element).
         self._compiled = (
             compile_expr(predicate, input_schema) if input_schema is not None else None
         )
@@ -259,7 +236,7 @@ class FilterOp(Operator):
     def push_batch(self, elements: list[StreamElement]) -> None:
         if self._batch_fn is not None:
             self._push_batch_generated(self._batch_fn, elements)
-        else:  # interpreted reference: no generated loop
+        else:  # no generated loop: interpreted reference, or codegen failed
             super().push_batch(elements)
 
 
@@ -315,7 +292,7 @@ class ProjectOp(Operator):
     def push_batch(self, elements: list[StreamElement]) -> None:
         if self._batch_fn is not None:
             self._push_batch_generated(self._batch_fn, elements)
-        else:  # interpreted reference: no generated loop
+        else:  # no generated loop: interpreted reference, or codegen failed
             super().push_batch(elements)
 
 
@@ -331,6 +308,10 @@ class FusedOp(Operator):
     StreamElement instead of N dispatches and up to N intermediate
     allocations. Chains without a projection stage forward the original
     element untouched, preserving row identity like ``FilterOp``.
+
+    There is no interpreted body: when either generator fails,
+    ``generated`` is False and the plan compiler lowers the chain one
+    operator per node instead of using this one.
     """
 
     def __init__(
@@ -346,6 +327,7 @@ class FusedOp(Operator):
         self.input_schema = input_schema
         self._fused = compile_fused(stages, input_schema)
         self._fused_batch = compile_fused_batch(stages, input_schema, output_schema)
+        self.generated = self._fused is not None and self._fused_batch is not None
         self._projects = any(stage[0] == "project" for stage in stages)
         # With a projection in the chain the incoming row is consumed
         # positionally and replaced; filter-only chains forward the
@@ -399,8 +381,9 @@ class SymmetricHashJoin(Operator):
     run never changes the buffer it probes. Which body a run gets
     follows from what the operator is, never from a setting: a side
     whose own window is ROWS (every arrival also evicts by count), the
-    interpreted reference (``compile_exprs=False``) and schemas the
-    compiler cannot bind have no kernel and loop ``_push_side``.
+    interpreted reference (``compile_exprs=False``), schemas the
+    compiler cannot bind and a kernel that failed to generate (a counted
+    fallback) have no kernel and loop ``_push_side``.
 
     Punctuation handling: the operator tracks the latest watermark per
     side and forwards ``min(left, right)`` when it advances, evicting
@@ -679,9 +662,8 @@ class _Accumulator:
         self.add_value(self.call.argument.eval(row))
 
     def add_value(self, value: Any) -> None:
-        """Fold one already-evaluated argument value (the compiled
-        accumulate path — COUNT(*) receives a non-null dummy, so it
-        lands in the plain count branch)."""
+        """Fold one already-evaluated argument value (the merge of
+        shard partials feeds these)."""
         if value is None:
             return
         if self._dedups:
@@ -747,17 +729,13 @@ class AggregateOp(Operator):
         self.aggregates = aggregates
         self.output_schema = output_schema
         self.window = window
-        # Schema-bound compilation: the group keys and every aggregate
-        # argument lower to one generated projection each, so the
-        # accumulate loop touches only the row's value tuple.
-        self._key_fn, self._args_fn = _bind_group_projections(
-            group_by, aggregates, input_schema
-        )
-        # The whole fold — key extraction, NULL skipping, per-group
-        # seen-sets for DISTINCT calls, state update — as one generated
-        # loop: a window scan or a running-mode ingest batch costs one
-        # Python call. None for exotic calls or the interpreted
-        # baseline; those keep accumulator objects.
+        # Schema-bound compilation: the whole fold — key extraction,
+        # NULL skipping, per-group seen-sets for DISTINCT calls, state
+        # update — is one generated loop over value tuples, so a window
+        # scan or a running-mode ingest batch costs one Python call.
+        # None without a schema (the interpreted reference) or when
+        # code generation fails: groups then hold _Accumulator objects
+        # fed by Expr.eval. There is no third shape.
         fold = (
             compile_accumulate(
                 [expr for expr, _ in group_by],
@@ -767,38 +745,23 @@ class AggregateOp(Operator):
             if input_schema is not None
             else None
         )
-        self._fold, self._finalize = fold if fold is not None else (None, None)
-        # Fully compiled aggregation is purely positional and emits rows
-        # under output_schema only, so the scan-port renaming shim can be
+        self._fold, self._finalize = fold or (None, None)
+        # A generated fold is purely positional and emits rows under
+        # output_schema only, so the scan-port renaming shim can be
         # elided beneath it (see Operator.consumes_values_only).
-        self.consumes_values_only = (
-            self._key_fn is not None and self._args_fn is not None
-        )
+        self.consumes_values_only = self._fold is not None
         self._buffer: list[StreamElement] = []  # windowed mode
         self._groups: dict[tuple, list[_Accumulator]] = {}  # running mode
         self._next_boundary: float | None = None
 
     def _group_key(self, row: Row) -> tuple:
-        if self._key_fn is not None:
-            return self._key_fn(row.values)
         return tuple(expr.eval(row) for expr, _ in self.group_by)
 
     def _accumulate(
         self, row: Row, groups: dict[tuple, list[_Accumulator]]
     ) -> None:
-        """Fold one row into its group's accumulators (shared by the
-        running mode and the windowed boundary scan)."""
-        args_fn = self._args_fn
-        if args_fn is not None:
-            values = row.values
-            key = self._key_fn(values)
-            accumulators = groups.get(key)
-            if accumulators is None:
-                accumulators = [_Accumulator(call) for call, _ in self.aggregates]
-                groups[key] = accumulators
-            for accumulator, value in zip(accumulators, args_fn(values)):
-                accumulator.add_value(value)
-            return
+        """Fold one row into its group's interpreted accumulators
+        (shared by the running mode and the windowed boundary scan)."""
         key = self._group_key(row)
         accumulators = groups.get(key)
         if accumulators is None:
@@ -1099,10 +1062,21 @@ class PartialAggregateOp(AggregateOp):
         super().__init__(
             group_by, aggregates, output_schema, downstream, window, None
         )
-        self._key_fn, self._args_fn = _bind_group_projections(
-            group_by, aggregates, input_schema
-        )
-        self.consumes_values_only = self._args_fn is not None
+        # COUNT(*) has no argument; a non-NULL dummy literal keeps the
+        # argument tuple aligned with the calls (add_value counts it).
+        self._key_fn = self._args_fn = None
+        if input_schema is not None:
+            self._key_fn = compile_projection(
+                [expr for expr, _ in group_by], input_schema
+            )
+            self._args_fn = compile_projection(
+                [
+                    call.argument if call.argument is not None else Literal(0)
+                    for call, _ in aggregates
+                ],
+                input_schema,
+            )
+        self.consumes_values_only = input_schema is not None
         self._pgroups: dict[tuple, list[_PartialItem]] = {}  # running mode
         self._ptouched: dict[tuple, None] = {}  # keys with deltas, in first-touch order
 

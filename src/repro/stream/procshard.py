@@ -336,6 +336,9 @@ class FramedChannel:
     def sharing_stats(self) -> dict:
         return self._request("stats")
 
+    def compile_stats(self) -> dict:
+        return self._request("compile_stats")
+
     # -- frames out -----------------------------------------------------
     def _take(self, reason: str) -> list[tuple[str, list[tuple], list[float]]]:
         """Drain the row buffers into ``(source, values, stamps)``
@@ -646,6 +649,8 @@ def _worker_main(index, inq, outq, share_plans, default_window) -> None:
                     reply = host.snapshot()
                 elif kind == "stats":
                     reply = engine.sharing_stats()
+                elif kind == "compile_stats":
+                    reply = engine.compile_stats()
                 elif kind == "shutdown":
                     running = False
                     break

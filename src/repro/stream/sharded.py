@@ -561,9 +561,18 @@ class ShardedStreamEngine:
         """Shared-subplan counters summed over every shard engine and
         the designated fallback (same keys as
         :meth:`StreamEngine.sharing_stats`)."""
+        return self._summed("sharing_stats")
+
+    def compile_stats(self) -> dict:
+        """Generated / fallback counters, summed like
+        :meth:`sharing_stats` (same keys as
+        :meth:`StreamEngine.compile_stats`)."""
+        return self._summed("compile_stats")
+
+    def _summed(self, verb: str) -> dict:
         totals: dict = {}
         for index in self._everyone():
-            for key, value in self._call(index, "sharing_stats", retry=True).items():
+            for key, value in self._call(index, verb, retry=True).items():
                 totals[key] = totals.get(key, 0) + value
         return totals
 

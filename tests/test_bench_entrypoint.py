@@ -1,34 +1,50 @@
 """Tier-1 smoke for the bench tooling (`make bench` / python -m benchmarks).
 
-Runs the expression-compilation bench at a tiny scale and checks the
-artifact contract — not the speedup thresholds, which are asserted by
-the bench itself when run at full scale (timing assertions would be
-flaky inside the CI test suite).
+Runs the recovery bench at a tiny scale and checks the artifact
+contract — not the overhead thresholds, which are asserted by the bench
+itself when run at full scale (timing assertions would be flaky inside
+the CI test suite).
 """
 
 import json
 
 
-def test_bench_expr_compile_smoke(tmp_path):
-    from benchmarks.bench_expr_compile import run_benchmarks, write_artifact
+def test_bench_recovery_smoke(tmp_path):
+    from benchmarks.bench_recovery import run_benchmarks, write_artifact
 
     results = run_benchmarks(scale=0.01)
     path = write_artifact(results, tmp_path)
 
     data = json.loads(path.read_text())
-    assert data["benchmark"] == "expr_compile"
-    pipelines = data["pipelines"]
-    for name in ("filter_project", "join", "recursive_fixpoint"):
-        entry = pipelines[name]
-        assert entry["rows"] > 0
-        assert entry["compiled_rows_per_s"] > 0
-        assert entry["interpreted_rows_per_s"] > 0
-        assert entry["speedup"] is not None
+    assert data["benchmark"] == "recovery"
+    assert data["queries"] == 7 and data["checkpoints_taken"] >= 1
+    for name in ("unprotected", "checkpointed"):
+        assert data["workloads"][name]["rows_per_s"] > 0
+    assert data["checkpoint_overhead"] is not None
+    assert data["failover"]["replay_from_seq"] > 0
 
 
 def test_bench_runner_module_lists_all_benches():
     from benchmarks.__main__ import BENCH_DIR
 
     names = sorted(p.name for p in BENCH_DIR.glob("bench_*.py"))
-    assert "bench_expr_compile.py" in names
-    assert len(names) >= 12
+    assert "bench_recovery.py" in names
+    assert "bench_fig1_federation.py" in names
+
+
+def test_ledger_deployments_never_fall_back_to_the_interpreter():
+    """Every ledger workload admits its queries onto generated code:
+    ``stats()["compile"]["fallbacks"]`` is the counter that would say
+    otherwise, summed across shards and worker processes."""
+    from benchmarks.ledger.workloads import WORKLOADS
+
+    for workload in WORKLOADS:
+        units = 4 if workload.name == "federated" else 64
+        deployment = workload.open(workload.build_input(1, units))
+        try:
+            deployment.deliver(0, units)
+            counts = deployment.session.stats()["compile"]
+        finally:
+            deployment.close()
+        assert counts["generated"] > 0, workload.name
+        assert counts["fallbacks"] == 0, workload.name

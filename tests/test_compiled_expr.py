@@ -14,9 +14,10 @@ import random
 
 import pytest
 
+from repro.api import StreamSource, connect
 from repro.data import DataType, Row, Schema
 from repro.errors import ExecutionError
-from repro.sql import compile_expr, compile_projection, parse_select
+from repro.sql import compile_expr, compile_projection, compiled, parse_select
 from repro.sql.expressions import (
     AggregateCall,
     BinaryOp,
@@ -179,9 +180,24 @@ class TestHandWrittenCorpus:
         with pytest.raises(ExecutionError, match="cannot be evaluated per-row"):
             compiled(ROWS[0].values)
 
-    def test_unknown_operators(self):
-        assert_agree(BinaryOp("XOR", col("b"), col("b")))
-        assert_agree(UnaryOp("~", col("x")))
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            (BinaryOp("XOR", col("b"), col("b")), "unknown binary operator 'XOR'"),
+            (UnaryOp("~", col("x")), "unknown unary operator '~'"),
+            (FunctionCall("UNKNOWN_FN", (col("x"),)), "unknown function 'UNKNOWN_FN'"),
+        ],
+        ids=["binary", "unary", "function"],
+    )
+    def test_unknown_operators(self, expr, message):
+        """Malformed nodes the parser cannot produce raise the
+        interpreter's error *from generated code* — the message's own
+        quotes must not break the generated source."""
+        compiled = compile_expr(expr, SCHEMA)
+        assert message in compiled.__compiled_source__
+        assert_agree(expr)
+        with pytest.raises(ExecutionError, match=message):
+            compiled(ROWS[0].values)
 
     def test_parsed_where_clause(self):
         query = parse_select(
@@ -302,3 +318,92 @@ class TestCodeObjectMemo:
         # ... different constants: they disagree where they should.
         assert starts_a(ROWS[0].values) is True and starts_o(ROWS[0].values) is False
         assert starts_a(ROWS[4].values) is False and starts_o(ROWS[4].values) is True
+
+
+# ---------------------------------------------------------------------------
+# The second rung: a generator that fails hands the operator to the
+# interpreter — counted, and invisible in the emissions
+# ---------------------------------------------------------------------------
+_READINGS = Schema.of(
+    ("host", DataType.STRING), ("temp", DataType.FLOAT), ("load", DataType.FLOAT)
+)
+_EVENTS = Schema.of(("host", DataType.STRING), ("level", DataType.FLOAT))
+_FALLBACK_QUERIES = (
+    # filter -> windowed aggregate -> project
+    "select r.host, count(*) as n, sum(r.temp * 1.8) as total, "
+    "count(distinct r.load) as loads from Readings r "
+    "[range 10 seconds slide 10 seconds] "
+    "where r.temp > 5.0 and r.load < 0.9 group by r.host",
+    # a fused filter -> project chain
+    "select r.host, r.temp * 1.8 + 32.0 as f from Readings r where r.temp > 5.0",
+    # a windowed join with a residual predicate
+    "select r.host, r.temp, e.level from Readings r [range 10 seconds], "
+    "Events e [range 10 seconds] where r.host = e.host and e.level > r.load",
+)
+_GENERATORS = (
+    "_codegen",
+    "_codegen_fused",
+    "_codegen_fused_batch",
+    "_codegen_accumulate",
+    "_codegen_join_probe",
+)
+
+
+def _run_fallback_queries(share: bool):
+    rng = random.Random(7)
+    with connect(share_plans=share) as session:
+        session.attach(StreamSource("Readings", _READINGS))
+        session.attach(StreamSource("Events", _EVENTS))
+        cursors = [session.query(sql) for sql in _FALLBACK_QUERIES]
+        for chunk in range(6):
+            stamps = [chunk * 5.0 + i * 0.25 for i in range(20)]
+            session.push_many(
+                "Readings",
+                [
+                    {
+                        "host": f"ws{rng.randrange(4)}",
+                        "temp": None if rng.random() < 0.1 else rng.uniform(0, 40),
+                        "load": round(rng.random(), 1),
+                    }
+                    for _ in stamps
+                ],
+                stamps,
+            )
+            session.push_many(
+                "Events",
+                [
+                    {"host": f"ws{rng.randrange(4)}", "level": rng.random()}
+                    for _ in stamps[::2]
+                ],
+                stamps[::2],
+            )
+            session.punctuate(stamps[-1])
+        session.punctuate(100.0)
+        emissions = [
+            [(e.timestamp, e.row.schema.names, e.row.values) for e in c._handle.sink.elements]
+            for c in cursors
+        ]
+        return emissions, session.stats()["compile"]
+
+
+@pytest.mark.parametrize(
+    "broken, share",
+    # Private pipelines hold every operator kind (shared chains never
+    # fuse across a cut); sharing rides along with everything broken.
+    [*((name, False) for name in _GENERATORS), ("all", False), ("all", True)],
+)
+def test_failed_generator_falls_back_to_the_interpreter(monkeypatch, broken, share):
+    expected, clean = _run_fallback_queries(share)
+    assert all(expected), "every query must emit, or the comparison is vacuous"
+    assert clean["generated"] > 0 and clean["fallbacks"] == 0
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("code generation disabled by the test")
+
+    for name in _GENERATORS if broken == "all" else (broken,):
+        monkeypatch.setattr(compiled, name, fail)
+    got, counts = _run_fallback_queries(share)
+    assert got == expected
+    assert counts["fallbacks"] > 0
+    if broken == "all":
+        assert counts["generated"] == 0

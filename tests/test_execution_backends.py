@@ -897,8 +897,9 @@ class TestCompiledAccumulate:
             assert finalize(state) == [a.result() for a in expected[key]]
 
     def test_count_distinct_star_falls_back(self):
-        # COUNT(DISTINCT *) has no value to deduplicate; the fold
-        # declines so the caller keeps interpreted accumulators.
+        # COUNT(DISTINCT *) has no value to deduplicate and the analyzer
+        # rejects it; for a hand-built call the fold declines (a counted
+        # fallback) and the operator keeps interpreted accumulators.
         calls = [AggregateCall("COUNT", None, distinct=True)]
         assert compile_accumulate([ColumnRef("k")], calls, self.SCHEMA) is None
 

@@ -172,6 +172,12 @@ class TestTyping:
         with pytest.raises(AnalysisError):
             AggregateCall("SUM", ColumnRef("a.s")).dtype(SCHEMA)
 
+    def test_star_argument_only_for_plain_count(self):
+        with pytest.raises(AnalysisError, match=r"COUNT\(DISTINCT \*\)"):
+            AggregateCall("COUNT", None, distinct=True).dtype(SCHEMA)
+        with pytest.raises(AnalysisError, match=r"SUM\(\*\)"):
+            AggregateCall("SUM", None).dtype(SCHEMA)
+
 
 class TestUtilities:
     def test_split_and_conjoin_roundtrip(self):

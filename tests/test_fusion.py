@@ -19,12 +19,7 @@ from repro.data.streams import CollectingConsumer, Punctuation, StreamElement
 from repro.errors import ExecutionError
 from repro.plan import PlanBuilder
 from repro.plan.logical import Project, ProjectItem, Select
-from repro.sql.compiled import (
-    _codegen_fused,
-    _fused_fallback,
-    compile_fused,
-    compile_fused_batch,
-)
+from repro.sql.compiled import compile_fused, compile_fused_batch
 from repro.sql.expressions import (
     BinaryOp,
     ColumnRef,
@@ -107,13 +102,6 @@ class TestCompileFused:
         fn = compile_fused(stages, self.SCHEMA)
         values = (1.0, 2.0)
         assert fn(values) is values
-
-    def test_codegen_and_fallback_agree(self):
-        stages = tuple(self.stages())
-        generated = _codegen_fused(stages, self.SCHEMA)
-        fallback = _fused_fallback(stages, self.SCHEMA)
-        for values in [(2.0, 3.0), (-1.0, 1.0), (None, None), (99.0, 50.0)]:
-            assert generated(values) == fallback(values)
 
     def test_execution_error_propagates(self):
         stages = [("filter", BinaryOp(">", ColumnRef("a"), ColumnRef("b")))]

@@ -179,6 +179,7 @@ class TestSharedIdentityCorpus:
         rows, stamps = _rows(rng.randint(120, 300), rng)
         expected, baseline = _run(queries, rows, stamps, seed, share=False)
         assert baseline["sharing"]["chains"] == 0  # share_plans=False is private
+        assert baseline["compile"]["fallbacks"] == 0
         for shards in (1, 2, 4):
             got, stats = _run(queries, rows, stamps, seed, share=True, shards=shards)
             assert got == expected, (
@@ -187,6 +188,9 @@ class TestSharedIdentityCorpus:
             # The duplicated statements really were multiplexed.
             assert stats["sharing"]["attached"] > 0
             assert stats["sharing"]["fan_out"] > stats["sharing"]["chains"]
+            # Every plan of the corpus runs generated code on every shard.
+            assert stats["compile"]["generated"] > 0
+            assert stats["compile"]["fallbacks"] == 0
 
     def test_table_join_is_declined_but_correct(self):
         session = _open_session(share=True)
@@ -382,7 +386,9 @@ class TestStats:
 
         single, _ = run(1)
         sharded, emptied = run(2)
-        assert set(single) == {"plan_cache", "sharing", "analysis", "schema_epoch"}
+        assert set(single) == {
+            "plan_cache", "sharing", "compile", "analysis", "schema_epoch",
+        }
         # A sharded session adds the pool's own counters, nothing else.
         assert set(sharded) == set(single) | {"pool"}
         assert set(sharded["pool"]["exchange"]) == {
@@ -397,6 +403,11 @@ class TestStats:
         # chain structure, and stats() sums them.
         for key in ("chains", "fan_out", "created", "attached"):
             assert sharded["sharing"][key] == 2 * single["sharing"][key]
+        # One shared chain per engine: its filter compiles once however
+        # many queries attach, and nothing fell back to the interpreter.
+        assert single["compile"]["generated"] > 0
+        assert sharded["compile"]["generated"] == 2 * single["compile"]["generated"]
+        assert single["compile"]["fallbacks"] == sharded["compile"]["fallbacks"] == 0
         assert emptied["chains"] == 0 and emptied["fan_out"] == 0
 
     def test_stats_raises_after_close(self):

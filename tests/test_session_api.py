@@ -390,6 +390,28 @@ def test_analysis_and_catalog_errors_become_query_errors():
             session.query("select x.a from NoSuchSource x")
 
 
+@pytest.mark.parametrize("route", ["stream", "batch", "exchanged"])
+def test_count_distinct_star_is_rejected_on_every_route(route):
+    """COUNT(DISTINCT *) names no value to deduplicate (it used to
+    answer 1 per group compiled and N interpreted): a positioned
+    QueryError whichever engine the statement would have reached."""
+    sql = "select count(distinct *) as n from Readings r"
+    with connect(shards=2 if route == "exchanged" else 1) as session:
+        if route == "batch":
+            session.attach(TableSource("Readings", READINGS, READING_ROWS))
+        else:
+            session.attach(StreamSource("Readings", READINGS, partition_by="room"))
+        # The plain forms are admitted, on the route the name says.
+        session.query("select count(distinct r.room) as n from Readings r").close()
+        with session.query("select count(*) as n from Readings r") as cursor:
+            assert cursor.kind == ("batch" if route == "batch" else "stream")
+            assert getattr(cursor._handle, "exchanged", False) == (route == "exchanged")
+        with pytest.raises(QueryError, match=r"DISTINCT \*") as excinfo:
+            session.query(sql)
+        assert (excinfo.value.line, excinfo.value.column) == (1, sql.index("*") + 1)
+        assert session.stats()["compile"]["fallbacks"] == 0
+
+
 def test_closed_session_raises_everywhere():
     session = connect()
     session.attach(StreamSource("Readings", READINGS))
