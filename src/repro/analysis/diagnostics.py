@@ -94,6 +94,7 @@ CODES: dict[str, str] = {
     "RA903": "import crosses a layering boundary",
     "RA904": "worker boundary must stay pickle-safe",
     "RA905": "generated source is compiled only by the one memoized helper",
+    "RA906": "the stream engine reaches the interpreter only through sql.compiled",
 }
 
 

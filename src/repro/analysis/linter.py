@@ -49,6 +49,13 @@ by ``make lint`` / ``make check``):
   ``src/repro`` is a generator bypassing the memo (``re.compile`` and
   ``PlanCompiler.compile`` are attribute calls and not this rule's
   business).
+
+* **RA906 — one road to the interpreter.** Every operator and batch
+  evaluator node has one body, written against the value-tuple
+  callables of ``sql/compiled.py``; whether one of those is generated
+  code or ``Expr.eval`` behind the same signature is decided there and
+  counted. An ``.eval(`` call anywhere under ``stream/`` is a second,
+  by-name body growing back beside the first.
 """
 
 from __future__ import annotations
@@ -142,6 +149,7 @@ def lint_engine(root: Path | None = None) -> list[Diagnostic]:
     _check_layering(modules, out)
     _check_worker_boundary(modules, out)
     _check_compile_calls(modules, out)
+    _check_stream_eval_calls(modules, out)
     return out
 
 
@@ -462,3 +470,29 @@ def _bare_compile_calls(tree: ast.AST) -> list[ast.Call]:
         and isinstance(node.func, ast.Name)
         and node.func.id == "compile"
     ]
+
+
+# ----------------------------------------------------------------------
+# RA906: the stream engine reaches the interpreter only through
+# sql.compiled's fallback closures
+# ----------------------------------------------------------------------
+def _check_stream_eval_calls(modules: dict[str, ast.Module], out: list[Diagnostic]) -> None:
+    for rel, tree in modules.items():
+        if Path(rel).parts[0] != "stream":
+            continue
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "eval"
+            ):
+                out.append(
+                    diag(
+                        "RA906",
+                        ERROR,
+                        ".eval(...) under stream/: evaluate through the "
+                        "schema-bound callables of sql.compiled, which "
+                        "fall back to the interpreter themselves (counted)",
+                        operator=f"{rel}:{node.lineno}",
+                    )
+                )

@@ -37,8 +37,8 @@ hand-written in between:
 
 1. **Generated code.** A *node* code generation does not cover —
    :class:`AggregateCall` (whose per-row evaluation is intentionally an
-   error; aggregates keep their accumulator path in the operators) and
-   any future exotic node — becomes one call, inside the generated
+   error; aggregates fold through :func:`compile_accumulate`) and any
+   future exotic node — becomes one call, inside the generated
    function, to a closure that rehydrates a :class:`Row` via
    :meth:`Row.raw` and delegates to ``expr.eval``
    (:meth:`_CodeGen.gen_fallback`). Malformed nodes the parser cannot
@@ -46,21 +46,31 @@ hand-written in between:
    of the interpreter's own :class:`~repro.errors.ExecutionError`.
 2. **The interpreter.** When a generator cannot produce a *whole
    function* (:func:`_generate` is the one ``except``), the caller gets
-   :meth:`Expr.eval` over a rehydrated row — the evaluator the identity
-   corpora verify and the reference knobs (``compiled_exprs=False`` /
-   ``compile_exprs=False`` / ``fuse=False`` / ``evaluate(compiled=
-   False)``) select: :func:`compile_expr` and :func:`compile_projection`
-   return that closure; :func:`compile_fused`,
-   :func:`compile_fused_batch`, :func:`compile_accumulate` and
-   :func:`compile_join_probe` return ``None``, on which each operator
-   runs the per-element interpreted body it has for a missing schema
-   (a fused chain lowers one operator per node instead). A column the
-   schema cannot resolve is such a failure, so the row-time error is
-   the interpreter's.
+   :meth:`Expr.eval` over a rehydrated row behind the generated
+   function's own signature, so no operator knows which rung it runs
+   on: :func:`compile_expr` and :func:`compile_projection` return
+   :func:`_fallback` / :func:`_fallback_projection`,
+   :func:`compile_accumulate` an interpreter-backed ``(fold,
+   finalize)`` over :class:`~repro.sql.expressions.Accumulator` state.
+   A column the schema cannot resolve is such a failure, so the
+   row-time error is the interpreter's.
 
-Every such fallback is counted, once, at admission
-(:func:`compile_counts`; ``session.stats()["compile"]``), never per
-row, and reads 0 across the ledger workloads and the identity corpora.
+Three generators have no interpreter twin because what they generate is
+a *loop around* an evaluator, not an evaluator, and return ``None``
+instead: without :func:`compile_fused_batch` an operator loops its
+per-element body over the run, without :func:`compile_fused` the plan
+compiler lowers the chain one operator per node, without
+:func:`compile_join_probe` a join side loops its per-element body. Each
+is one test at one site and none selects a different evaluator.
+
+This module is the only place the choice is made. Nothing outside it
+takes a switch for it and nothing under ``repro.stream`` calls
+``Expr.eval`` (lint rule RA906); the identity corpora reach the second
+rung the way production does, by making the generators decline
+(``tests/conftest.py``: ``interpreted`` / ``unfused``). Every fallback
+is counted, once, at admission (:func:`compile_counts`;
+``session.stats()["compile"]``), never per row, and reads 0 across the
+ledger workloads and the corpora's default arms.
 
 Every evaluation site compiles once and keeps the closure: operators
 compile at construction, and the batch evaluator memoizes per plan
@@ -105,6 +115,7 @@ from repro.sql.expressions import (
     _SCALAR_FUNCTIONS,
     _like_to_regex,
     AGGREGATE_NAMES,
+    Accumulator,
     AggregateCall,
     BinaryOp,
     ColumnRef,
@@ -263,12 +274,12 @@ def compile_accumulate(
     group_exprs: Sequence[Expr],
     calls: Sequence[AggregateCall],
     schema: Schema,
-) -> tuple[Callable, Callable] | None:
+) -> tuple[Callable, Callable]:
     """Compile a grouped-aggregation fold into one generated loop.
 
-    Returns ``(fold, finalize)``, or ``None`` when code generation
-    fails (the operator then folds through its interpreted
-    accumulators). Every call the analyzer admits is covered.
+    Returns ``(fold, finalize)`` — generated for every call the
+    analyzer admits, else the interpreter's pair with the same
+    signatures (:func:`_fallback_accumulate`).
 
     ``fold(elements, groups, lo, hi)`` scans a list of StreamElements,
     keeps those with ``lo < timestamp <= hi`` (pass ``±inf`` for an
@@ -284,7 +295,10 @@ def compile_accumulate(
     interpreter's semantics (COUNT of nothing is 0; SUM/AVG/MIN/MAX of
     nothing — or of only NULLs — is NULL).
     """
-    return _generate(_codegen_accumulate, tuple(group_exprs), tuple(calls), schema)
+    group_exprs, calls = tuple(group_exprs), tuple(calls)
+    return _generate(
+        _codegen_accumulate, group_exprs, calls, schema
+    ) or _fallback_accumulate(group_exprs, calls, schema)
 
 
 def _codegen_accumulate(
@@ -303,8 +317,8 @@ def _codegen_accumulate(
     for call in calls:
         kind = call.name.upper()
         if kind not in AGGREGATE_NAMES or (call.distinct and call.argument is None):
-            # Nothing the analyzer admits: a hand-built plan keeps the
-            # interpreted accumulators.
+            # Nothing the analyzer admits: a hand-built plan folds
+            # through the interpreter's accumulators.
             raise ExecutionError(f"no generated fold for {call.render()}")
         slots.append((kind, len(init), call.distinct))
         if call.distinct:
@@ -844,3 +858,24 @@ def _fallback_projection(
         return tuple(e.eval(row) for e in _exprs)
 
     return run
+
+
+def _fallback_accumulate(
+    group_exprs: tuple[Expr, ...], calls: tuple[AggregateCall, ...], schema: Schema
+) -> tuple[Callable, Callable]:
+    def fold(elements, groups: dict, lo: float, hi: float) -> None:
+        for element in elements:
+            if not lo < element.timestamp <= hi:
+                continue
+            row = Row.raw(schema, element.row.values)
+            key = tuple(e.eval(row) for e in group_exprs)
+            state = groups.get(key)
+            if state is None:
+                state = groups[key] = [Accumulator(call) for call in calls]
+            for accumulator in state:
+                accumulator.add(row)
+
+    def finalize(state: list) -> list:
+        return [accumulator.result() for accumulator in state]
+
+    return fold, finalize

@@ -467,6 +467,75 @@ class AggregateCall(Expr):
         return f"{self.name.upper()}({distinct}{arg})"
 
 
+class Accumulator:
+    """The interpreter's incremental state for one aggregate call within
+    one group: what :class:`AggregateCall` declines to do per row."""
+
+    __slots__ = (
+        "call", "name", "count", "total", "values", "distinct",
+        "_counts_rows", "_sums", "_orders", "_dedups",
+    )
+
+    def __init__(self, call: AggregateCall):
+        self.call = call
+        self.name = call.name.upper()
+        self.count = 0
+        self.total: Any = 0
+        self.values: list[Any] = []  # only kept for MIN/MAX/DISTINCT
+        self.distinct: set[Any] = set()
+        # Kind flags resolved once: add_value runs per row per call on
+        # the hot accumulate path, so no string comparison happens there.
+        self._counts_rows = call.argument is None  # COUNT(*)
+        self._sums = self.name in ("SUM", "AVG")
+        self._orders = self.name in ("MIN", "MAX")
+        self._dedups = call.distinct
+
+    def add(self, row: Any) -> None:
+        if self._counts_rows:
+            self.count += 1
+            return
+        self.add_value(self.call.argument.eval(row))
+
+    def add_value(self, value: Any) -> None:
+        """Fold one already-evaluated argument value (the merge of
+        shard partials feeds these)."""
+        if value is None:
+            return
+        if self._dedups:
+            if value in self.distinct:
+                return
+            self.distinct.add(value)
+        self.count += 1
+        if self._sums:
+            self.total += value
+        elif self._orders:
+            self.values.append(value)
+
+    def result(self) -> Any:
+        if self.name == "COUNT":
+            return self.count
+        if self.count == 0:
+            return None
+        if self.name == "SUM":
+            return self.total
+        if self.name == "AVG":
+            return self.total / self.count
+        if self.name == "MIN":
+            return min(self.values)
+        if self.name == "MAX":
+            return max(self.values)
+        raise ExecutionError(f"unknown aggregate {self.name}")
+
+    def copy(self) -> "Accumulator":
+        """Detached copy for checkpoints (the call itself is immutable)."""
+        dup = Accumulator(self.call)
+        dup.count = self.count
+        dup.total = self.total
+        dup.values = list(self.values)
+        dup.distinct = set(self.distinct)
+        return dup
+
+
 # ---------------------------------------------------------------------------
 # Predicate utilities used by the rewriter and the optimizers
 # ---------------------------------------------------------------------------

@@ -6,13 +6,11 @@ pipeline is the wrong tool for that, so this module provides a direct
 batch evaluator. It is also the oracle that integration tests compare
 the streaming operators against.
 
-Evaluation uses the schema-bound compiled evaluators of
-:mod:`repro.sql.compiled` by default (``compiled=True``): predicates,
-projections, join keys and group keys resolve column positions once per
-plan node instead of per row, and compilation is memoized so the
-fixpoint's repeated step evaluations reuse the same closures.
-``compiled=False`` keeps the tree-walking interpreter — the reference
-the compiled evaluators are tested against.
+Evaluation uses the schema-bound evaluators of
+:mod:`repro.sql.compiled`: predicates, projections, join keys and group
+keys resolve column positions once per plan node instead of per row,
+and compilation is memoized on the node so the fixpoint's repeated step
+evaluations reuse the same closures.
 """
 
 from __future__ import annotations
@@ -38,8 +36,13 @@ from repro.plan.logical import (
     Select,
 )
 from repro.sql.compiled import compile_expr, compile_projection
-from repro.sql.expressions import conjoin, is_equijoin_conjunct, split_conjuncts
-from repro.stream.operators import _Accumulator, _Descending, _positional_key
+from repro.sql.expressions import (
+    Accumulator,
+    conjoin,
+    is_equijoin_conjunct,
+    split_conjuncts,
+)
+from repro.stream.operators import _Descending, _positional_key
 
 
 def _node_compiled(node, factory):
@@ -57,15 +60,12 @@ def _node_compiled(node, factory):
     return cached
 
 
-def evaluate(
-    plan: LogicalOp, tables: dict[str, Iterable[Row]], compiled: bool = True
-) -> list[Row]:
+def evaluate(plan: LogicalOp, tables: dict[str, Iterable[Row]]) -> list[Row]:
     """Evaluate ``plan`` against ``tables``.
 
     ``tables`` maps *source names* (and CTE names) to row collections;
     Scan leaves look up by their catalog entry name, CteRef leaves by
     their CTE name. Rows are re-qualified to the plan's binding names.
-    ``compiled=False`` forces interpreted expression evaluation.
     """
     if isinstance(plan, Scan):
         return _scan_rows(plan.entry.name, plan.schema, tables)
@@ -74,62 +74,45 @@ def evaluate(
     if isinstance(plan, RemoteSource):
         return _scan_rows(plan.name, plan.schema, tables)
     if isinstance(plan, Select):
-        rows = evaluate(plan.child, tables, compiled)
-        if compiled:
-            predicate = _node_compiled(
-                plan, lambda: compile_expr(plan.predicate, plan.child.schema)
-            )
-            return [row for row in rows if predicate(row.values) is True]
-        return [row for row in rows if plan.predicate.eval(row) is True]
+        rows = evaluate(plan.child, tables)
+        predicate = _node_compiled(
+            plan, lambda: compile_expr(plan.predicate, plan.child.schema)
+        )
+        return [row for row in rows if predicate(row.values) is True]
     if isinstance(plan, Project):
         schema = plan.schema
-        if compiled:
-            rows = _input_rows(plan.child, tables, compiled)
-            project = _node_compiled(
-                plan,
-                lambda: compile_projection(
-                    [item.expr for item in plan.items], plan.child.schema
-                ),
-            )
-            raw = Row.raw
-            return [raw(schema, project(row.values)) for row in rows]
-        rows = evaluate(plan.child, tables, compiled)
-        return [
-            Row(schema, [item.expr.eval(row) for item in plan.items], validate=False)
-            for row in rows
-        ]
+        rows = _input_rows(plan.child, tables)
+        project = _node_compiled(
+            plan,
+            lambda: compile_projection(
+                [item.expr for item in plan.items], plan.child.schema
+            ),
+        )
+        raw = Row.raw
+        return [raw(schema, project(row.values)) for row in rows]
     if isinstance(plan, Join):
-        return _join(plan, tables, compiled)
+        return _join(plan, tables)
     if isinstance(plan, Aggregate):
-        return _aggregate(plan, tables, compiled)
+        return _aggregate(plan, tables)
     if isinstance(plan, Distinct):
         seen: set[tuple] = set()
         out = []
-        for row in evaluate(plan.child, tables, compiled):
+        for row in evaluate(plan.child, tables):
             if row.values not in seen:
                 seen.add(row.values)
                 out.append(row)
         return out
     if isinstance(plan, OrderBy):
-        rows = evaluate(plan.child, tables, compiled)
-        key_fns = (
-            _node_compiled(
-                plan,
-                lambda: [
-                    compile_expr(item.expr, plan.child.schema) for item in plan.items
-                ],
-            )
-            if compiled
-            else None
+        rows = evaluate(plan.child, tables)
+        key_fns = _node_compiled(
+            plan,
+            lambda: [compile_expr(item.expr, plan.child.schema) for item in plan.items],
         )
 
         def key(row: Row) -> tuple:
             parts = []
-            for position, item in enumerate(plan.items):
-                if key_fns is not None:
-                    value = key_fns[position](row.values)
-                else:
-                    value = item.expr.eval(row)
+            for item, key_fn in zip(plan.items, key_fns):
+                value = key_fn(row.values)
                 null_rank = 0 if value is None else 1
                 base = (null_rank, value if value is not None else 0)
                 parts.append(base if item.ascending else _Descending(base))
@@ -137,11 +120,11 @@ def evaluate(
 
         return sorted(rows, key=key)
     if isinstance(plan, Limit):
-        return evaluate(plan.child, tables, compiled)[: plan.count]
+        return evaluate(plan.child, tables)[: plan.count]
     if isinstance(plan, Output):
-        return evaluate(plan.child, tables, compiled)
+        return evaluate(plan.child, tables)
     if isinstance(plan, Recursive):
-        return fixpoint(plan, tables, compiled)
+        return fixpoint(plan, tables)
     raise ExecutionError(f"batch evaluator cannot handle {type(plan).__name__}")
 
 
@@ -157,10 +140,10 @@ def _table_rows(name: str, tables: dict[str, Iterable[Row]]) -> list[Row]:
     raise ExecutionError(f"no table provided for {name!r}; have {sorted(tables)}")
 
 
-def _input_rows(node: LogicalOp, tables: dict[str, Iterable[Row]], compiled: bool) -> list[Row]:
+def _input_rows(node: LogicalOp, tables: dict[str, Iterable[Row]]) -> list[Row]:
     """Child rows for an operator that *rebuilds* its output rows.
 
-    Compiled (positional) evaluation never consults row schemas, and a
+    Positional evaluation never consults row schemas, and a
     Project/Join parent constructs fresh rows under its own schema — so
     leaf rows can skip the per-row binding rebase entirely. Arity is
     checked once per table instead of once per row.
@@ -170,7 +153,7 @@ def _input_rows(node: LogicalOp, tables: dict[str, Iterable[Row]], compiled: boo
     elif isinstance(node, (CteRef, RemoteSource)):
         rows = _table_rows(node.name, tables)
     else:
-        return evaluate(node, tables, compiled)
+        return evaluate(node, tables)
     arity = len(node.schema.fields)
     if any(len(row.values) != arity for row in rows):
         bad = next(row for row in rows if len(row.values) != arity)
@@ -210,42 +193,9 @@ def _compile_join(plan: Join):
     return len(equi), left_key, right_key, residual_fn
 
 
-def _join(plan: Join, tables: dict[str, Iterable[Row]], compiled: bool) -> list[Row]:
-    if compiled:
-        return _join_compiled(plan, tables)
-    left_rows = evaluate(plan.left, tables, compiled)
-    right_rows = evaluate(plan.right, tables, compiled)
-    equi, residual = _classify_join(plan)
-
-    def keep(joined: Row) -> bool:
-        return all(c.eval(joined) is True for c in residual)
-
-    out: list[Row] = []
-    if equi:
-        index: dict[tuple, list[Row]] = {}
-        for row in right_rows:
-            key = tuple(row[rk] for _, rk in equi)
-            index.setdefault(key, []).append(row)
-        for left_row in left_rows:
-            key = tuple(left_row[lk] for lk, _ in equi)
-            if None in key:
-                continue  # NULL = NULL is not TRUE: a NULL key matches nothing
-            for right_row in index.get(key, ()):  # hash probe
-                joined = left_row.concat(right_row)
-                if keep(joined):
-                    out.append(joined)
-    else:
-        for left_row in left_rows:
-            for right_row in right_rows:
-                joined = left_row.concat(right_row)
-                if keep(joined):
-                    out.append(joined)
-    return out
-
-
-def _join_compiled(plan: Join, tables: dict[str, Iterable[Row]]) -> list[Row]:
-    left_rows = _input_rows(plan.left, tables, True)
-    right_rows = _input_rows(plan.right, tables, True)
+def _join(plan: Join, tables: dict[str, Iterable[Row]]) -> list[Row]:
+    left_rows = _input_rows(plan.left, tables)
+    right_rows = _input_rows(plan.right, tables)
     key_count, left_key, right_key, residual_fn = _node_compiled(
         plan, lambda: _compile_join(plan)
     )
@@ -280,30 +230,23 @@ def _join_compiled(plan: Join, tables: dict[str, Iterable[Row]]) -> list[Row]:
     return out
 
 
-def _aggregate(plan: Aggregate, tables: dict[str, Iterable[Row]], compiled: bool) -> list[Row]:
-    rows = evaluate(plan.child, tables, compiled)
-    key_fn = (
-        _node_compiled(
-            plan, lambda: compile_projection(plan.group_by, plan.child.schema)
-        )
-        if compiled
-        else None
+def _aggregate(plan: Aggregate, tables: dict[str, Iterable[Row]]) -> list[Row]:
+    rows = evaluate(plan.child, tables)
+    key_fn = _node_compiled(
+        plan, lambda: compile_projection(plan.group_by, plan.child.schema)
     )
-    groups: dict[tuple, list[_Accumulator]] = {}
+    groups: dict[tuple, list[Accumulator]] = {}
     for row in rows:
-        if key_fn is not None:
-            key = key_fn(row.values)
-        else:
-            key = tuple(expr.eval(row) for expr in plan.group_by)
+        key = key_fn(row.values)
         accumulators = groups.get(key)
         if accumulators is None:
-            accumulators = [_Accumulator(item.call) for item in plan.aggregates]
+            accumulators = [Accumulator(item.call) for item in plan.aggregates]
             groups[key] = accumulators
         for accumulator in accumulators:
             accumulator.add(row)
     if not groups and not plan.group_by:
         # Global aggregate over empty input still produces one row.
-        groups[()] = [_Accumulator(item.call) for item in plan.aggregates]
+        groups[()] = [Accumulator(item.call) for item in plan.aggregates]
     out = []
     for key, accumulators in groups.items():
         values = list(key) + [a.result() for a in accumulators]
@@ -311,9 +254,7 @@ def _aggregate(plan: Aggregate, tables: dict[str, Iterable[Row]], compiled: bool
     return out
 
 
-def fixpoint(
-    plan: Recursive, tables: dict[str, Iterable[Row]], compiled: bool = True
-) -> list[Row]:
+def fixpoint(plan: Recursive, tables: dict[str, Iterable[Row]]) -> list[Row]:
     """Naive-from-scratch fixpoint of a Recursive plan (set semantics).
 
     Used as the recomputation baseline for the incremental maintainer
@@ -325,7 +266,7 @@ def fixpoint(
     # for set semantics (Row equality/hash treat equal schemas alike).
     base_rebase = plan.base.schema != cte_schema
     step_rebase = plan.step.schema != cte_schema
-    base_rows = evaluate(plan.base, tables, compiled)
+    base_rows = evaluate(plan.base, tables)
     if base_rebase:
         base_rows = [row.with_schema(cte_schema) for row in base_rows]
     total: set[Row] = set(base_rows)
@@ -337,7 +278,7 @@ def fixpoint(
             raise ExecutionError(f"recursive plan {plan.name} did not converge")
         step_tables = dict(tables)
         step_tables[plan.name] = list(delta)
-        produced = evaluate(plan.step, step_tables, compiled)
+        produced = evaluate(plan.step, step_tables)
         new_delta: set[Row] = set()
         for row in produced:
             rebased = row.with_schema(cte_schema) if step_rebase else row

@@ -4,15 +4,12 @@ The compiler walks a logical plan bottom-up, instantiating the physical
 operator for each node and wiring downstream links. Scan leaves become
 *ports*: named entry points the engine connects to source feeds.
 
-Operator fusion: with ``fuse=True`` (the default), maximal runs of
-adjacent Select/Project nodes — Filter/Project, Filter/Filter,
-Project/Project, and longer mixed chains — lower to a single
-:class:`~repro.stream.operators.FusedOp` whose generated closure runs
-the whole chain per element (see
-:func:`~repro.sql.compiled.compile_fused`). ``fuse=False`` keeps one
-physical operator per logical node — the reference the fusion identity
-corpus compares against, and the lowering a chain takes when its fused
-code cannot be generated.
+Operator fusion: maximal runs of adjacent Select/Project nodes —
+Filter/Project, Filter/Filter, Project/Project, and longer mixed chains
+— lower to a single :class:`~repro.stream.operators.FusedOp` whose
+generated closure runs the whole chain per element (see
+:func:`~repro.sql.compiled.compile_fused`). A chain whose fused code
+cannot be generated keeps one physical operator per logical node.
 
 Window inference: a Scan's explicit window wins; otherwise streams get
 the engine's default window and stored tables get UNBOUNDED. A join
@@ -178,31 +175,13 @@ class PlanCompiler:
         self,
         deliver: Callable[[str, StreamElement], None] | None = None,
         default_window: WindowSpec = DEFAULT_STREAM_WINDOW,
-        compiled_exprs: bool = True,
-        fuse: bool = True,
     ):
         self._deliver = deliver or (lambda display, element: None)
         self._default_window = default_window
-        # When True (default), operators evaluate expressions via the
-        # schema-bound compiled closures of repro.sql.compiled; False
-        # keeps the tree-walking interpreter, the oracle of the
-        # compiled-vs-interpreted identity corpus.
-        self._compiled_exprs = compiled_exprs
-        # When True (default), maximal runs of adjacent Select/Project
-        # nodes lower to one FusedOp running the whole chain as a single
-        # generated closure, and scan ports feeding a fully positional
-        # chain skip the renaming shim. False keeps one operator per
-        # node and a renaming port per scan, the oracle of the
-        # fused-vs-unfused identity corpus. Fusion requires the
-        # compiled expression path (the fused closure is schema-bound).
-        self._fuse = fuse and compiled_exprs
         #: Whole functions generated / fallen back to the interpreter
         #: across every plan this compiler lowered (see
         #: :func:`repro.sql.compiled.compile_counts`).
         self.counts = {"generated": 0, "fallbacks": 0}
-
-    def _input_schema(self, child: LogicalOp):
-        return child.schema if self._compiled_exprs else None
 
     def compile(self, plan: LogicalOp, sink: StreamConsumer) -> CompiledPlan:
         """Compile ``plan`` so results flow into ``sink``."""
@@ -223,9 +202,9 @@ class PlanCompiler:
         also returned (the engine pushes into it).
         """
         if isinstance(node, Scan):
-            if self._fuse and getattr(downstream, "consumes_values_only", False):
+            if getattr(downstream, "consumes_values_only", False):
                 # The operator chain above this scan is fully positional
-                # (compiled closures, projected output schemas): feeding
+                # (schema-bound closures, projected output schemas): feeding
                 # catalog-schema rows straight in saves one Row and one
                 # StreamElement allocation per element at the port.
                 port = ScanPort(node.entry.name, node.binding, downstream, scan=node)
@@ -264,17 +243,14 @@ class PlanCompiler:
                 "repro.stream.recursive.RecursiveView for recursive queries"
             )
         if isinstance(node, (Select, Project)):
-            if self._fuse:
-                fused = self._try_fuse(node, downstream, compiled)
-                if fused is not None:
-                    return fused
+            fused = self._try_fuse(node, downstream, compiled)
+            if fused is not None:
+                return fused
             if isinstance(node, Select):
-                op = FilterOp(node.predicate, downstream, self._input_schema(node.child))
+                op = FilterOp(node.predicate, downstream, node.child.schema)
             else:
                 items = [(item.expr, item.name) for item in node.items]
-                op = ProjectOp(
-                    items, node.schema, downstream, self._input_schema(node.child)
-                )
+                op = ProjectOp(items, node.schema, downstream, node.child.schema)
             compiled.operators.append(op)
             return self._compile_node(node.child, op, compiled)
         if isinstance(node, Join):
@@ -290,8 +266,8 @@ class PlanCompiler:
                 aggregates,
                 node.schema,
                 downstream,
+                node.child.schema,
                 window,
-                self._input_schema(node.child),
             )
             compiled.operators.append(op)
             return self._compile_node(node.child, op, compiled)
@@ -319,8 +295,8 @@ class PlanCompiler:
                 aggregates,
                 node.schema,
                 downstream,
+                node.child.schema,
                 window,
-                self._input_schema(node.child),
             )
             compiled.operators.append(op)
             return self._compile_node(node.child, op, compiled)
@@ -329,7 +305,7 @@ class PlanCompiler:
             compiled.operators.append(op)
             return self._compile_node(node.child, op, compiled)
         if isinstance(node, OrderBy):
-            op = OrderByOp(node.items, downstream, self._input_schema(node.child))
+            op = OrderByOp(node.items, downstream, node.child.schema)
             compiled.operators.append(op)
             return self._compile_node(node.child, op, compiled)
         if isinstance(node, Limit):
@@ -404,7 +380,6 @@ class PlanCompiler:
             conjoin(residual),
             equi,
             downstream,
-            compile_exprs=self._compiled_exprs,
         )
         compiled.operators.append(join)
         self._compile_node(node.left, join.left_port, compiled)
@@ -452,7 +427,3 @@ class PlanCompiler:
         if rows_windows:
             return max(rows_windows, key=lambda w: w.size)
         return ranges[0]
-
-    def _inherited_window(self, node: LogicalOp) -> WindowSpec | None:
-        window = self._side_window(node)
-        return None if window.kind is WindowKind.UNBOUNDED else window

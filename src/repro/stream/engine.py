@@ -712,17 +712,7 @@ class StreamEngine:
             self.load_table(name, rows, timestamp)
         elif kind == "drop":
             self.drop_table(entry[2])
-        elif kind == "xdeliver":
-            # Recorded exchange delivery: the rows other shards shuffled
-            # here. Replayed verbatim (the live shards do not re-derive
-            # their contributions during this engine's recovery).
-            _, _, runs = entry
-            for name, values, stamps in runs:
-                self.push_exchange(name, values, stamps)
-        elif kind == "xpunct":
-            _, _, watermark, names = entry
-            self.punctuate(watermark, names)
-        else:  # pragma: no cover - log corruption guard
+        else:  # log corruption, or a pool's exchange record (it replays those)
             raise ExecutionError(f"unknown replay-log entry kind {kind!r}")
 
     # ------------------------------------------------------------------

@@ -338,17 +338,6 @@ class SubplanRegistry:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-    def eligible(self, plan: LogicalOp) -> bool:
-        """Whether ``plan`` may run shared at all.
-
-        Plans with display side effects, remote feeds, recursion, or
-        stored-table scans run private pipelines: tables are replayed
-        into fresh queries at execute time, which a late tee attach
-        cannot reproduce, and OUTPUT must fire once per query. The
-        coded explanation lives in :func:`sharing_eligibility`.
-        """
-        return sharing_eligibility(plan)[0]
-
     def admit(self, plan: LogicalOp, sink: Any) -> SharedChain | None:
         """Run ``plan`` as a branch of its whole-plan chain.
 

@@ -13,11 +13,14 @@ element or one punctuation, ``push_batch(elements)`` a punctuation-free
 run of elements. Each operator therefore has exactly two data bodies —
 the per-element ``on_element`` and one batch body over a pure run —
 plus ``on_punctuation``. Where codegen provides a loop
-(:class:`FilterOp`, :class:`ProjectOp`, :class:`FusedOp`, the compiled
+(:class:`FilterOp`, :class:`ProjectOp`, :class:`FusedOp`, the
 :class:`AggregateOp` fold) the batch body is that loop, called
 directly, so a 1000-row ingest costs one Python call per operator
 instead of 1000; operators without a batch body of their own loop
-``on_element`` over the run. Both entry points stay because each wins
+``on_element`` over the run. Every body is written once, against the
+value-tuple callables of :mod:`repro.sql.compiled`: whether one of them
+is generated code or the interpreter is decided there, and no operator
+can tell. Both entry points stay because each wins
 the ledger workload the caller's verb selects (a row at a time through
 ``push``, a bulk batch through ``push_batch``; measurements in
 ROADMAP.md, Open items). Downstream consumers that don't implement
@@ -43,7 +46,7 @@ from repro.data.streams import (
 )
 from repro.data.tuples import Row
 from repro.data.windows import WindowKind, WindowSpec
-from repro.errors import ExecutionError, SchemaError, UnknownFieldError
+from repro.errors import ExecutionError
 from repro.sql.ast import OrderItem
 from repro.sql.compiled import (
     FusedStage,
@@ -54,21 +57,25 @@ from repro.sql.compiled import (
     compile_join_probe,
     compile_projection,
 )
-from repro.sql.expressions import AggregateCall, Expr, Literal
+from repro.sql.expressions import Accumulator, AggregateCall, Expr, Literal
 
 
 _NEG_INF = float("-inf")
 _INF = float("inf")
 
 
-def _copy_generated_state(state: list) -> list:
+def _copy_group_state(state: list) -> list:
     """Copy one ``compile_accumulate`` group-state list.
 
-    Generated state slots are ints, floats, None, or seen-sets (for
-    DISTINCT calls) — only the sets are mutable, so a shallow copy with
-    per-set duplication detaches the state from the live operator.
+    Generated slots are ints, floats, None, extremes or seen-sets (for
+    DISTINCT calls), the interpreter's are accumulators — only the sets
+    and the accumulators are mutable, so a shallow copy duplicating
+    those detaches the state from the live operator.
     """
-    return [slot.copy() if isinstance(slot, set) else slot for slot in state]
+    return [
+        slot.copy() if isinstance(slot, (set, Accumulator)) else slot
+        for slot in state
+    ]
 
 
 def _positional_key(schema: Schema, names: list[str]) -> Callable[[tuple], Any]:
@@ -130,11 +137,15 @@ class Operator:
 
     def _push_batch_generated(
         self,
-        batch_fn: Callable[[list, list], None],
+        batch_fn: Callable[[list, list], None] | None,
         elements: list[StreamElement],
     ) -> None:
         """Run one generated batch loop over the run and forward its
-        output."""
+        output; without one (``compile_fused_batch`` declined),
+        ``on_element`` over the run."""
+        if batch_fn is None:
+            Operator.push_batch(self, elements)
+            return
         out: list[StreamElement] = []
         batch_fn(elements, out)
         self.rows_in += len(elements)
@@ -198,120 +209,86 @@ class FilterOp(Operator):
         self,
         predicate: Expr,
         downstream: StreamConsumer,
-        input_schema: Schema | None = None,
+        input_schema: Schema,
     ):
         super().__init__(downstream)
         self.predicate = predicate
-        # Schema-bound compilation: with the input schema known, the
-        # predicate runs as a closure over the row's value tuple, and a
-        # generated batch loop (one Python call per ingest batch) serves
-        # push_batch — the same codegen a fused chain of one uses, and
-        # None when it fails (runs then loop on_element).
-        self._compiled = (
-            compile_expr(predicate, input_schema) if input_schema is not None else None
+        # Schema-bound compilation: the predicate runs as a closure over
+        # the row's value tuple, and a generated batch loop (one Python
+        # call per ingest batch) serves push_batch — the same codegen a
+        # fused chain of one uses.
+        self._compiled = compile_expr(predicate, input_schema)
+        self._batch_fn = compile_fused_batch(
+            [("filter", predicate)], input_schema, input_schema
         )
-        self._batch_fn = (
-            compile_fused_batch([("filter", predicate)], input_schema, input_schema)
-            if input_schema is not None
-            else None
-        )
-        # A compiled filter never reads the row's schema, but it forwards
-        # the element unchanged — so it is schema-oblivious only when
+        # A filter never reads the row's schema, but it forwards the
+        # element unchanged — so it is schema-oblivious only when
         # everything downstream is too (see Operator.consumes_values_only).
-        self.consumes_values_only = self._compiled is not None and getattr(
-            downstream, "consumes_values_only", False
-        )
+        self.consumes_values_only = getattr(downstream, "consumes_values_only", False)
 
     def on_element(self, element: StreamElement) -> None:
-        compiled = self._compiled
-        if compiled is not None:
-            if compiled(element.row.values) is True:
-                # emit() inlined: this is the hottest call site.
-                self.rows_out += 1
-                self.downstream.push(element)
-        elif self.predicate.eval(element.row) is True:
+        if self._compiled(element.row.values) is True:
+            # emit() inlined: this is the hottest call site.
             self.rows_out += 1
             self.downstream.push(element)
 
     def push_batch(self, elements: list[StreamElement]) -> None:
-        if self._batch_fn is not None:
-            self._push_batch_generated(self._batch_fn, elements)
-        else:  # no generated loop: interpreted reference, or codegen failed
-            super().push_batch(elements)
+        self._push_batch_generated(self._batch_fn, elements)
 
 
 class ProjectOp(Operator):
     """Compute output columns; one output row per input row."""
+
+    # A projection is purely positional and every output row carries
+    # output_schema — incoming names are never read.
+    consumes_values_only = True
 
     def __init__(
         self,
         items: list[tuple[Expr, str]],
         output_schema: Schema,
         downstream: StreamConsumer,
-        input_schema: Schema | None = None,
+        input_schema: Schema,
     ):
         super().__init__(downstream)
         if len(items) != len(output_schema):
             raise ExecutionError("project items and output schema disagree")
         self.items = items
         self.output_schema = output_schema
-        # One generated function computes the whole output tuple; a
-        # generated batch loop serves push_batch (see FilterOp).
-        self._compiled = (
-            compile_projection([expr for expr, _ in items], input_schema)
-            if input_schema is not None
-            else None
+        # One function computes the whole output tuple; a generated
+        # batch loop serves push_batch (see FilterOp).
+        exprs = [expr for expr, _ in items]
+        self._compiled = compile_projection(exprs, input_schema)
+        self._batch_fn = compile_fused_batch(
+            [("project", exprs, output_schema)], input_schema, output_schema
         )
-        self._batch_fn = (
-            compile_fused_batch(
-                [("project", [expr for expr, _ in items], output_schema)],
-                input_schema,
-                output_schema,
-            )
-            if input_schema is not None
-            else None
-        )
-        # A compiled projection is purely positional and every output
-        # row carries output_schema — incoming names are never read.
-        self.consumes_values_only = self._compiled is not None
 
     def on_element(self, element: StreamElement) -> None:
-        compiled = self._compiled
-        if compiled is not None:
-            row = Row.raw(self.output_schema, compiled(element.row.values))
-        else:
-            row = Row(
-                self.output_schema,
-                [expr.eval(element.row) for expr, _ in self.items],
-                validate=False,
-            )
+        row = Row.raw(self.output_schema, self._compiled(element.row.values))
         # emit() inlined: this is the hottest call site.
         self.rows_out += 1
         self.downstream.push(StreamElement(row, element.timestamp, element.source))
 
     def push_batch(self, elements: list[StreamElement]) -> None:
-        if self._batch_fn is not None:
-            self._push_batch_generated(self._batch_fn, elements)
-        else:  # no generated loop: interpreted reference, or codegen failed
-            super().push_batch(elements)
+        self._push_batch_generated(self._batch_fn, elements)
 
 
 class FusedOp(Operator):
     """A fused Filter/Project chain: one generated closure per element.
 
     The plan compiler collapses maximal runs of adjacent Select/Project
-    nodes into one of these (see ``PlanCompiler(fuse=True)``). The whole
-    chain — every predicate and every projection list, in dataflow
-    order — runs as a single compiled function over the input value
-    tuple (:func:`~repro.sql.compiled.compile_fused`), so a row passing
-    an N-stage chain costs one Python call, one output Row and one
+    nodes into one of these. The whole chain — every predicate and every
+    projection list, in dataflow order — runs as a single compiled
+    function over the input value tuple
+    (:func:`~repro.sql.compiled.compile_fused`), so a row passing an
+    N-stage chain costs one Python call, one output Row and one
     StreamElement instead of N dispatches and up to N intermediate
     allocations. Chains without a projection stage forward the original
     element untouched, preserving row identity like ``FilterOp``.
 
-    There is no interpreted body: when either generator fails,
-    ``generated`` is False and the plan compiler lowers the chain one
-    operator per node instead of using this one.
+    There is no per-stage body: when the chain's closure cannot be
+    generated, ``generated`` is False and the plan compiler lowers the
+    chain one operator per node instead of using this one.
     """
 
     def __init__(
@@ -327,7 +304,7 @@ class FusedOp(Operator):
         self.input_schema = input_schema
         self._fused = compile_fused(stages, input_schema)
         self._fused_batch = compile_fused_batch(stages, input_schema, output_schema)
-        self.generated = self._fused is not None and self._fused_batch is not None
+        self.generated = self._fused is not None
         self._projects = any(stage[0] == "project" for stage in stages)
         # With a projection in the chain the incoming row is consumed
         # positionally and replaced; filter-only chains forward the
@@ -380,10 +357,13 @@ class SymmetricHashJoin(Operator):
     order × bucket order) as per-element delivery, because one side's
     run never changes the buffer it probes. Which body a run gets
     follows from what the operator is, never from a setting: a side
-    whose own window is ROWS (every arrival also evicts by count), the
-    interpreted reference (``compile_exprs=False``), schemas the
-    compiler cannot bind and a kernel that failed to generate (a counted
-    fallback) have no kernel and loop ``_push_side``.
+    whose own window is ROWS (every arrival also evicts by count) and a
+    kernel that failed to generate (a counted fallback) have no kernel
+    and loop ``_push_side``.
+
+    The two schemas always concatenate: the analyzer rejects duplicate
+    relation bindings and :class:`~repro.plan.logical.Join` builds the
+    same concatenation before the compiler sees the node.
 
     Punctuation handling: the operator tracks the latest watermark per
     side and forwards ``min(left, right)`` when it advances, evicting
@@ -399,7 +379,6 @@ class SymmetricHashJoin(Operator):
         predicate: Expr | None,
         equi_keys: list[tuple[str, str]],
         downstream: StreamConsumer,
-        compile_exprs: bool = True,
     ):
         super().__init__(downstream)
         self.left_schema = left_schema
@@ -412,44 +391,31 @@ class SymmetricHashJoin(Operator):
         self.right_keys = [rk for _, rk in equi_keys]
         self._single_key = len(equi_keys) == 1
         # Schema-bound compilation: key columns resolve to positions once
-        # and the residual predicate runs over the joined value tuple.
-        # Schemas the compiler cannot bind (duplicate names in the
-        # concatenated schema, keys resolvable only per-row) fall back
-        # to interpretation; anything else propagates.
-        self._left_key_fn: Callable[[tuple], Any] | None = None
-        self._right_key_fn: Callable[[tuple], Any] | None = None
-        self._compiled_predicate = None
-        self._joined_schema: Schema | None = None
+        # and the residual predicate (None: the join has none) runs over
+        # the joined value tuple.
+        self._joined_schema = left_schema.concat(right_schema)
+        self._left_key_fn = _positional_key(left_schema, self.left_keys)
+        self._right_key_fn = _positional_key(right_schema, self.right_keys)
+        self._compiled_predicate = (
+            compile_expr(predicate, self._joined_schema)
+            if predicate is not None
+            else None
+        )
         # The generated batch bodies, one per side (None: that side's
         # runs loop the per-element body).
-        self._left_probe: Callable[[list, dict, dict, list], None] | None = None
-        self._right_probe: Callable[[list, dict, dict, list], None] | None = None
-        if compile_exprs:
-            try:
-                joined_schema = left_schema.concat(right_schema)
-                self._left_key_fn = _positional_key(left_schema, self.left_keys)
-                self._right_key_fn = _positional_key(right_schema, self.right_keys)
-                if predicate is not None:
-                    self._compiled_predicate = compile_expr(predicate, joined_schema)
-                self._joined_schema = joined_schema
-            except (SchemaError, UnknownFieldError):
-                self._left_key_fn = self._right_key_fn = None
-                self._compiled_predicate = None
-                self._joined_schema = None
-            else:
-                self._left_probe, self._right_probe = (
-                    compile_join_probe(
-                        left_schema,
-                        right_schema,
-                        self.left_keys,
-                        self.right_keys,
-                        left_window,
-                        right_window,
-                        predicate,
-                        left,
-                    )
-                    for left in (True, False)
-                )
+        self._left_probe, self._right_probe = (
+            compile_join_probe(
+                left_schema,
+                right_schema,
+                self.left_keys,
+                self.right_keys,
+                left_window,
+                right_window,
+                predicate,
+                left,
+            )
+            for left in (True, False)
+        )
         self._left_buffer: dict[tuple, deque[StreamElement]] = {}
         self._right_buffer: dict[tuple, deque[StreamElement]] = {}
         self._left_fifo: deque[tuple[tuple, StreamElement]] = deque()
@@ -484,7 +450,7 @@ class SymmetricHashJoin(Operator):
             join = self._join
             left = self._left
             probe = join._left_probe if left else join._right_probe
-            if probe is None:  # ROWS side / interpreted reference
+            if probe is None:  # ROWS side / the kernel failed to generate
                 push_side = join._push_side
                 for element in elements:
                     push_side(element, left=left)
@@ -507,14 +473,6 @@ class SymmetricHashJoin(Operator):
         return SymmetricHashJoin._SidePort(self, False)
 
     # -- core ----------------------------------------------------------
-    def _key(self, row: Row, names: list[str]) -> Any:
-        """The interpreted key, in ``_positional_key``'s convention (a
-        single column hashes the bare value) so buffers and snapshots
-        have one layout however the operator was compiled."""
-        if len(names) == 1:
-            return row[names[0]]
-        return tuple(row[name] for name in names)
-
     def _push_side(self, item: StreamItem, left: bool) -> None:
         if isinstance(item, Punctuation):
             if left:
@@ -533,11 +491,7 @@ class SymmetricHashJoin(Operator):
         other_buffer = self._right_buffer if left else self._left_buffer
         other_window = self.right_window if left else self.left_window
 
-        key_fn = self._left_key_fn if left else self._right_key_fn
-        if key_fn is not None:
-            key = key_fn(item.row.values)
-        else:
-            key = self._key(item.row, self.left_keys if left else self.right_keys)
+        key = (self._left_key_fn if left else self._right_key_fn)(item.row.values)
         # A NULL key component matches nothing: no probe, no state.
         if (key is None) if self._single_key else (None in key):
             return
@@ -571,18 +525,12 @@ class SymmetricHashJoin(Operator):
             ):
                 continue
             left_row, right_row = (item.row, other.row) if left else (other.row, item.row)
-            if self._joined_schema is not None:
-                joined = Row.raw(self._joined_schema, left_row.values + right_row.values)
-            else:
-                joined = left_row.concat(right_row)
-            if self.predicate is not None:
-                if self._compiled_predicate is not None:
-                    if self._compiled_predicate(joined.values) is not True:
-                        continue
-                elif self.predicate.eval(joined) is not True:
-                    continue
+            values = left_row.values + right_row.values
+            residual = self._compiled_predicate
+            if residual is not None and residual(values) is not True:
+                continue
             timestamp = max(item.timestamp, other.timestamp)
-            self.emit(StreamElement(joined, timestamp))
+            self.emit(StreamElement(Row.raw(self._joined_schema, values), timestamp))
 
     def _evict(self, watermark: float) -> None:
         for buffer, window in (
@@ -633,74 +581,6 @@ class SymmetricHashJoin(Operator):
         ) = state["watermarks"]
 
 
-class _Accumulator:
-    """Incremental state for one aggregate call within one group."""
-
-    __slots__ = (
-        "call", "name", "count", "total", "values", "distinct",
-        "_counts_rows", "_sums", "_orders", "_dedups",
-    )
-
-    def __init__(self, call: AggregateCall):
-        self.call = call
-        self.name = call.name.upper()
-        self.count = 0
-        self.total: Any = 0
-        self.values: list[Any] = []  # only kept for MIN/MAX/DISTINCT
-        self.distinct: set[Any] = set()
-        # Kind flags resolved once: add_value runs per row per call on
-        # the hot accumulate path, so no string comparison happens there.
-        self._counts_rows = call.argument is None  # COUNT(*)
-        self._sums = self.name in ("SUM", "AVG")
-        self._orders = self.name in ("MIN", "MAX")
-        self._dedups = call.distinct
-
-    def add(self, row: Row) -> None:
-        if self._counts_rows:
-            self.count += 1
-            return
-        self.add_value(self.call.argument.eval(row))
-
-    def add_value(self, value: Any) -> None:
-        """Fold one already-evaluated argument value (the merge of
-        shard partials feeds these)."""
-        if value is None:
-            return
-        if self._dedups:
-            if value in self.distinct:
-                return
-            self.distinct.add(value)
-        self.count += 1
-        if self._sums:
-            self.total += value
-        elif self._orders:
-            self.values.append(value)
-
-    def result(self) -> Any:
-        if self.name == "COUNT":
-            return self.count
-        if self.count == 0:
-            return None
-        if self.name == "SUM":
-            return self.total
-        if self.name == "AVG":
-            return self.total / self.count
-        if self.name == "MIN":
-            return min(self.values)
-        if self.name == "MAX":
-            return max(self.values)
-        raise ExecutionError(f"unknown aggregate {self.name}")
-
-    def clone(self) -> "_Accumulator":
-        """Detached copy for checkpoints (the call itself is immutable)."""
-        dup = _Accumulator(self.call)
-        dup.count = self.count
-        dup.total = self.total
-        dup.values = list(self.values)
-        dup.distinct = set(self.distinct)
-        return dup
-
-
 class AggregateOp(Operator):
     """Grouped, windowed aggregation.
 
@@ -715,93 +595,61 @@ class AggregateOp(Operator):
       the semantics SmartCIS uses for "total resources by user").
     """
 
+    # The fold is purely positional and emits rows under output_schema
+    # only, so the scan-port renaming shim can be elided beneath it (see
+    # Operator.consumes_values_only).
+    consumes_values_only = True
+
     def __init__(
         self,
         group_by: list[tuple[Expr, str]],
         aggregates: list[tuple[AggregateCall, str]],
         output_schema: Schema,
         downstream: StreamConsumer,
+        input_schema: Schema,
         window: WindowSpec | None = None,
-        input_schema: Schema | None = None,
     ):
         super().__init__(downstream)
         self.group_by = group_by
         self.aggregates = aggregates
         self.output_schema = output_schema
         self.window = window
-        # Schema-bound compilation: the whole fold — key extraction,
-        # NULL skipping, per-group seen-sets for DISTINCT calls, state
-        # update — is one generated loop over value tuples, so a window
-        # scan or a running-mode ingest batch costs one Python call.
-        # None without a schema (the interpreted reference) or when
-        # code generation fails: groups then hold _Accumulator objects
-        # fed by Expr.eval. There is no third shape.
-        fold = (
-            compile_accumulate(
-                [expr for expr, _ in group_by],
-                [call for call, _ in aggregates],
-                input_schema,
-            )
-            if input_schema is not None
-            else None
-        )
-        self._fold, self._finalize = fold or (None, None)
-        # A generated fold is purely positional and emits rows under
-        # output_schema only, so the scan-port renaming shim can be
-        # elided beneath it (see Operator.consumes_values_only).
-        self.consumes_values_only = self._fold is not None
         self._buffer: list[StreamElement] = []  # windowed mode
-        self._groups: dict[tuple, list[_Accumulator]] = {}  # running mode
         self._next_boundary: float | None = None
+        self._bind(input_schema)
 
-    def _group_key(self, row: Row) -> tuple:
-        return tuple(expr.eval(row) for expr, _ in self.group_by)
-
-    def _accumulate(
-        self, row: Row, groups: dict[tuple, list[_Accumulator]]
-    ) -> None:
-        """Fold one row into its group's interpreted accumulators
-        (shared by the running mode and the windowed boundary scan)."""
-        key = self._group_key(row)
-        accumulators = groups.get(key)
-        if accumulators is None:
-            accumulators = [_Accumulator(call) for call, _ in self.aggregates]
-            groups[key] = accumulators
-        for accumulator in accumulators:
-            accumulator.add(row)
+    def _bind(self, input_schema: Schema) -> None:
+        """Schema-bound compilation: the whole fold — key extraction,
+        NULL skipping, per-group seen-sets for DISTINCT calls, state
+        update — is one loop over value tuples, so a window scan or a
+        running-mode ingest batch costs one Python call. Groups hold
+        whatever state lists the fold builds and ``finalize`` reads."""
+        self._fold, self._finalize = compile_accumulate(
+            [expr for expr, _ in self.group_by],
+            [call for call, _ in self.aggregates],
+            input_schema,
+        )
+        # Recorded in snapshots: generated slots and the interpreter's
+        # accumulators cannot restore into one another.
+        self._generated = hasattr(self._fold, "__compiled_source__")
+        self._groups: dict[tuple, list] = {}  # running mode
 
     # -- running mode ---------------------------------------------------
     def _running_add(self, element: StreamElement) -> None:
-        if self._fold is not None:
-            self._fold((element,), self._groups, _NEG_INF, _INF)
-        else:
-            self._accumulate(element.row, self._groups)
+        self._fold((element,), self._groups, _NEG_INF, _INF)
 
     def _emit_groups(self, timestamp: float, groups: dict) -> None:
         if not groups:
             return
         schema = self.output_schema
         finalize = self._finalize
-        if finalize is not None:  # groups hold generated state lists
-            out = [
-                StreamElement(
-                    Row(schema, list(key) + finalize(state), validate=False),
-                    timestamp,
-                )
-                for key, state in groups.items()
-            ]
-        else:  # groups hold _Accumulator objects
-            out = [
-                StreamElement(
-                    Row(
-                        schema,
-                        list(key) + [a.result() for a in accumulators],
-                        validate=False,
-                    ),
-                    timestamp,
-                )
-                for key, accumulators in groups.items()
-            ]
+        out = [
+            StreamElement(
+                Row(schema, list(key) + finalize(state), validate=False),
+                timestamp,
+            )
+            for key, state in groups.items()
+        ]
         # One batched dispatch per report: a window closing over many
         # groups clears the downstream (project/sink) in one call.
         self.emit_batch(out)
@@ -848,15 +696,9 @@ class AggregateOp(Operator):
         """Scan the buffer for the window ``(start, boundary]`` and emit
         its groups (overridden by :class:`PartialAggregateOp`)."""
         groups: dict = {}
-        if self._fold is not None:
-            # The whole window scan — time filter, key extraction,
-            # accumulator updates — runs as one generated call.
-            self._fold(self._buffer, groups, start, boundary)
-        else:
-            accumulate = self._accumulate
-            for element in self._buffer:
-                if start < element.timestamp <= boundary:
-                    accumulate(element.row, groups)
+        # The whole window scan — time filter, key extraction,
+        # accumulator updates — runs as one call.
+        self._fold(self._buffer, groups, start, boundary)
         self._emit_groups(boundary, groups)
 
     # -- operator protocol -------------------------------------------------
@@ -875,13 +717,8 @@ class AggregateOp(Operator):
         """
         if self.window is not None and self.window.kind is WindowKind.RANGE:
             self._buffer.extend(elements)
-        elif self._fold is not None:
-            self._fold(elements, self._groups, _NEG_INF, _INF)
         else:
-            accumulate = self._accumulate
-            groups = self._groups
-            for element in elements:
-                accumulate(element.row, groups)
+            self._fold(elements, self._groups, _NEG_INF, _INF)
         self.rows_in += len(elements)
 
     def on_punctuation(self, punctuation: Punctuation) -> None:
@@ -891,28 +728,24 @@ class AggregateOp(Operator):
             self._emit_groups(punctuation.watermark, self._groups)
         self.downstream.push(punctuation)
 
-    def _copy_groups(self, groups: dict) -> dict:
-        if self._finalize is not None:  # generated compile_accumulate state
-            return {key: _copy_generated_state(state) for key, state in groups.items()}
-        return {
-            key: [accumulator.clone() for accumulator in accumulators]
-            for key, accumulators in groups.items()
-        }
+    @staticmethod
+    def _copy_groups(groups: dict) -> dict:
+        return {key: _copy_group_state(state) for key, state in groups.items()}
 
     def state_snapshot(self) -> dict:
         state = super().state_snapshot()
         state["buffer"] = list(self._buffer)
         state["next_boundary"] = self._next_boundary
-        state["generated"] = self._finalize is not None
+        state["generated"] = self._generated
         state["groups"] = self._copy_groups(self._groups)
         return state
 
     def state_restore(self, state: dict) -> None:
         super().state_restore(state)
-        if state["generated"] != (self._finalize is not None):
+        if state["generated"] != self._generated:
             raise ExecutionError(
-                "checkpointed aggregate state shape does not match the "
-                "recompiled operator (generated vs accumulator groups)"
+                "checkpointed aggregate state does not match the recompiled "
+                "operator (generated fold vs the interpreter's accumulators)"
             )
         self._buffer = list(state["buffer"])
         self._next_boundary = state["next_boundary"]
@@ -922,7 +755,7 @@ class AggregateOp(Operator):
 class _PartialItem:
     """Stage-1 exchange state for one aggregate call within one group.
 
-    Unlike :class:`_Accumulator` it keeps *encoded* state it can hand to
+    Unlike :class:`~repro.sql.expressions.Accumulator` it keeps *encoded* state it can hand to
     the merge shard: tagged tuples that are marshal-safe and — for the
     float-folding kinds — carry element timestamps so the merge can
     re-fold values in global arrival order and reproduce the
@@ -934,21 +767,16 @@ class _PartialItem:
     SUM/AVG; ``("d", [(ts, value), ...])`` for DISTINCT calls
     (post-shard-dedup — the merge dedups again globally).
 
-    ``add_value(ts, value)`` folds one already-evaluated argument (the
-    compiled operator's path; COUNT(*) receives a non-NULL dummy and
-    lands in the plain count branch); ``add(ts, row)`` is the
-    interpreted reference, evaluating the argument itself.
+    ``add_value(ts, value)`` folds one already-evaluated argument
+    (COUNT(*) receives a non-NULL dummy and lands in the plain count
+    branch).
     """
 
-    __slots__ = (
-        "call", "_counts_rows", "_kind", "_max", "distinct",
-        "count", "pairs", "values",
-    )
+    __slots__ = ("call", "_kind", "_max", "distinct", "count", "pairs", "values")
 
     def __init__(self, call: AggregateCall):
         self.call = call
         name = call.name.upper()
-        self._counts_rows = call.argument is None  # COUNT(*)
         if call.distinct:
             self._kind = "d"
         elif name in ("SUM", "AVG"):
@@ -962,12 +790,6 @@ class _PartialItem:
         self.count = 0
         self.pairs: list[tuple[float, Any]] = []
         self.values: list[Any] = []
-
-    def add(self, timestamp: float, row: Row) -> None:
-        if self._counts_rows:
-            self.count += 1
-            return
-        self.add_value(timestamp, self.call.argument.eval(row))
 
     def add_value(self, timestamp: float, value: Any) -> None:
         if value is None:
@@ -1031,13 +853,10 @@ class PartialAggregateOp(AggregateOp):
     :class:`_PartialItem` payloads instead of finalized values, under
     the partial schema (group keys + one payload column per call).
 
-    Given its input schema (the plan compiler passes it, as for
-    :class:`AggregateOp`) the group key and the aggregate arguments are
-    two generated projections over the row's value tuple, folded by
-    ``_PartialItem.add_value`` — never the generated accumulate loop,
-    which drops the element timestamps the merge needs to re-fold in
-    global arrival order. Without a schema to bind (the interpreted
-    reference) the same bodies evaluate the expressions per row.
+    The group key and the aggregate arguments are two projections over
+    the row's value tuple, folded by ``_PartialItem.add_value`` — never
+    the accumulate loop, which drops the element timestamps the merge
+    needs to re-fold in global arrival order.
 
     * **Windowed**: window boundaries are absolute slide-grid multiples,
       identical on every shard, so each closing window's partials are
@@ -1048,35 +867,19 @@ class PartialAggregateOp(AggregateOp):
       owns the running totals).
     """
 
-    def __init__(
-        self,
-        group_by: list[tuple[Expr, str]],
-        aggregates: list[tuple[AggregateCall, str]],
-        output_schema: Schema,
-        downstream: StreamConsumer,
-        window: WindowSpec | None = None,
-        input_schema: Schema | None = None,
-    ):
-        # The base binds nothing (schema None): its generated fold and
-        # finalize are never used here.
-        super().__init__(
-            group_by, aggregates, output_schema, downstream, window, None
+    def _bind(self, input_schema: Schema) -> None:
+        self._key_fn = compile_projection(
+            [expr for expr, _ in self.group_by], input_schema
         )
         # COUNT(*) has no argument; a non-NULL dummy literal keeps the
         # argument tuple aligned with the calls (add_value counts it).
-        self._key_fn = self._args_fn = None
-        if input_schema is not None:
-            self._key_fn = compile_projection(
-                [expr for expr, _ in group_by], input_schema
-            )
-            self._args_fn = compile_projection(
-                [
-                    call.argument if call.argument is not None else Literal(0)
-                    for call, _ in aggregates
-                ],
-                input_schema,
-            )
-        self.consumes_values_only = input_schema is not None
+        self._args_fn = compile_projection(
+            [
+                call.argument if call.argument is not None else Literal(0)
+                for call, _ in self.aggregates
+            ],
+            input_schema,
+        )
         self._pgroups: dict[tuple, list[_PartialItem]] = {}  # running mode
         self._ptouched: dict[tuple, None] = {}  # keys with deltas, in first-touch order
 
@@ -1093,23 +896,15 @@ class PartialAggregateOp(AggregateOp):
         get = groups.get
         for element in elements:
             timestamp = element.timestamp
-            row = element.row
-            if args_fn is not None:
-                values = row.values
-                key = key_fn(values)
-            else:
-                key = self._group_key(row)
+            values = element.row.values
+            key = key_fn(values)
             items = get(key)
             if items is None:
                 items = groups[key] = [_PartialItem(call) for call, _ in aggregates]
             if touched is not None:
                 touched[key] = None
-            if args_fn is not None:
-                for item, value in zip(items, args_fn(values)):
-                    item.add_value(timestamp, value)
-            else:
-                for item in items:
-                    item.add(timestamp, row)
+            for item, value in zip(items, args_fn(values)):
+                item.add_value(timestamp, value)
 
     # -- running mode ---------------------------------------------------
     def _running_add(self, element: StreamElement) -> None:
@@ -1159,8 +954,8 @@ class PartialAggregateOp(AggregateOp):
     # -- operator protocol ----------------------------------------------
     def push_batch(self, elements: list[StreamElement]) -> None:
         """Windowed mode buffers a run with one ``extend``; running mode
-        folds it in one call (never through the base's generated fold,
-        which drops the timestamps the partials carry)."""
+        folds it in one call (never through the base's fold, which drops
+        the timestamps the partials carry)."""
         if self.window is not None and self.window.kind is WindowKind.RANGE:
             self._buffer.extend(elements)
         else:
@@ -1208,7 +1003,8 @@ class MergeAggregateOp(Operator):
 
     Input rows carry group-key values followed by encoded partial
     payloads (:meth:`_PartialItem.take`); output restores the original
-    aggregate schema via the plain :class:`_Accumulator` semantics.
+    aggregate schema via the interpreter's
+    :class:`~repro.sql.expressions.Accumulator` semantics.
 
     * **Windowed**: every shard closes window *W* within the same
       punctuation segment (boundaries are absolute slide-grid
@@ -1240,9 +1036,9 @@ class MergeAggregateOp(Operator):
         self._windows: dict[float, dict[tuple, list]] = {}
         # running: this segment's deltas, and the cumulative groups
         self._pending: dict[tuple, list] = {}
-        self._groups: dict[tuple, list[_Accumulator]] = {}
+        self._groups: dict[tuple, list[Accumulator]] = {}
 
-    def _fold_parts(self, accumulators: list[_Accumulator], contributions: list) -> None:
+    def _fold_parts(self, accumulators: list[Accumulator], contributions: list) -> None:
         for index, accumulator in enumerate(accumulators):
             pairs: list[tuple[float, Any]] = []
             for parts in contributions:
@@ -1268,7 +1064,7 @@ class MergeAggregateOp(Operator):
         for boundary in sorted(self._windows):
             out = []
             for key, contributions in self._windows[boundary].items():
-                accumulators = [_Accumulator(call) for call, _ in self.aggregates]
+                accumulators = [Accumulator(call) for call, _ in self.aggregates]
                 self._fold_parts(accumulators, contributions)
                 out.append(
                     StreamElement(
@@ -1287,7 +1083,7 @@ class MergeAggregateOp(Operator):
         for key, contributions in self._pending.items():
             accumulators = self._groups.get(key)
             if accumulators is None:
-                accumulators = [_Accumulator(call) for call, _ in self.aggregates]
+                accumulators = [Accumulator(call) for call, _ in self.aggregates]
                 self._groups[key] = accumulators
             self._fold_parts(accumulators, contributions)
         self._pending = {}
@@ -1335,7 +1131,7 @@ class MergeAggregateOp(Operator):
         }
         state["pending"] = {key: list(c) for key, c in self._pending.items()}
         state["groups"] = {
-            key: [a.clone() for a in accumulators]
+            key: [a.copy() for a in accumulators]
             for key, accumulators in self._groups.items()
         }
         return state
@@ -1348,7 +1144,7 @@ class MergeAggregateOp(Operator):
         }
         self._pending = {key: list(c) for key, c in state["pending"].items()}
         self._groups = {
-            key: [a.clone() for a in accumulators]
+            key: [a.copy() for a in accumulators]
             for key, accumulators in state["groups"].items()
         }
 
@@ -1412,16 +1208,12 @@ class OrderByOp(Operator):
         self,
         items: list[OrderItem],
         downstream: StreamConsumer,
-        input_schema: Schema | None = None,
+        input_schema: Schema,
     ):
         super().__init__(downstream)
         self.items = items
         self._batch: list[StreamElement] = []
-        self._key_fns = (
-            [compile_expr(item.expr, input_schema) for item in items]
-            if input_schema is not None
-            else None
-        )
+        self._key_fns = [compile_expr(item.expr, input_schema) for item in items]
 
     def on_element(self, element: StreamElement) -> None:
         self._batch.append(element)
@@ -1434,7 +1226,7 @@ class OrderByOp(Operator):
     def on_punctuation(self, punctuation: Punctuation) -> None:
         decorated = []
         for index, element in enumerate(self._batch):
-            decorated.append((self._sort_key(element.row), index, element))
+            decorated.append((self._sort_key(element.row.values), index, element))
         decorated.sort(key=lambda entry: (entry[0], entry[1]))
         for _, _, element in decorated:
             self.emit(element)
@@ -1450,12 +1242,10 @@ class OrderByOp(Operator):
         super().state_restore(state)
         self._batch = list(state["batch"])
 
-    def _sort_key(self, row: Row) -> tuple:
+    def _sort_key(self, values: tuple) -> tuple:
         key: list[Any] = []
-        fns = self._key_fns
-        values = row.values if fns is not None else ()
-        for position, item in enumerate(self.items):
-            value = fns[position](values) if fns is not None else item.expr.eval(row)
+        for item, key_fn in zip(self.items, self._key_fns):
+            value = key_fn(values)
             # NULLs sort first ascending, last descending.
             null_rank = 0 if value is None else 1
             if item.ascending:

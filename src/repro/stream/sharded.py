@@ -640,10 +640,6 @@ class ShardedStreamEngine:
         """The declared partition column of ``source`` (None = round-robin)."""
         return self._keys.get(source.lower())
 
-    def analyze(self, plan: LogicalOp) -> PartitionAnalysis:
-        """The safety verdict ``execute`` would apply to ``plan``."""
-        return partition_safe(plan, self._keys)
-
     # ------------------------------------------------------------------
     # The channel seam
     # ------------------------------------------------------------------

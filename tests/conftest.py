@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.catalog import Catalog, DeviceInfo, SourceStatistics
@@ -9,7 +11,75 @@ from repro.data import DataType, Punctuation, Row, Schema
 from repro.plan import PlanBuilder
 from repro.runtime import Simulator
 from repro.sensor import Mote, MoteRole, Position, SensorNetwork
+from repro.sql import compiled
 from repro.stream import StreamEngine
+
+#: Every code generator behind ``repro.sql.compiled._generate``.
+GENERATORS = (
+    "_codegen",
+    "_codegen_fused",
+    "_codegen_fused_batch",
+    "_codegen_accumulate",
+    "_codegen_join_probe",
+)
+
+
+def _decline(*args, **kwargs):
+    raise RuntimeError("code generation declined by the test")
+
+
+@contextmanager
+def declining(*generators: str):
+    """Pipelines compiled inside this block find the named generators
+    declining — the counted fallback production takes when code
+    generation fails. This is how an identity corpus selects its
+    reference arm; the product has no switch for it. Yields a dict that
+    holds, once the block has exited, the ``compile_counts()`` delta
+    across it.
+
+    In-process only (worker processes generate normally), and
+    ``repro.stream.batch`` memoizes closures on the plan node, so build
+    a fresh plan per arm when comparing ``evaluate``.
+    """
+    counts: dict[str, int] = {}
+    before = compiled.compile_counts()
+    with pytest.MonkeyPatch.context() as patch:
+        for name in generators:
+            patch.setattr(compiled, name, _decline)
+        yield counts
+    for key, total in compiled.compile_counts().items():
+        counts[key] = total - before[key]
+
+
+@contextmanager
+def interpreted():
+    """The reference arm: every generator declines, so the whole
+    pipeline runs ``Expr.eval`` — and is checked to have."""
+    with declining(*GENERATORS) as counts:
+        yield counts
+    assert counts["generated"] == 0 and counts["fallbacks"] > 0, counts
+
+
+def unfused():
+    """``_codegen_fused`` declines: one operator per plan node, each
+    with its own generated loop."""
+    return declining("_codegen_fused")
+
+
+@contextmanager
+def generated():
+    """The default arm, checked to hold no fallback."""
+    with declining() as counts:
+        yield counts
+    assert counts["fallbacks"] == 0, counts
+
+
+@pytest.fixture
+def no_fallbacks():
+    """An identity corpus's default arm: nothing the test compiled (in
+    this process) fell back to the interpreter."""
+    with generated():
+        yield
 
 
 @pytest.fixture

@@ -1084,6 +1084,32 @@ class TestEngineLinter:
         )
         assert lint_engine(root) == []
 
+    def test_ra906_eval_call_under_stream(self, tmp_path):
+        """An operator evaluating an expression by name is a second body
+        beside the schema-bound one; the interpreter itself (sql/) and
+        everything outside stream/ are not this rule's business."""
+        root = self._tree(
+            tmp_path,
+            {
+                "sql/__init__.py": "",
+                "sql/compiled.py": (
+                    "def _fallback(expr, schema):\n"
+                    "    return lambda values: expr.eval(values)\n"
+                ),
+                "stream/__init__.py": "",
+                "stream/operators.py": (
+                    "class FilterOp:\n"
+                    "    def on_element(self, element):\n"
+                    "        if self._compiled(element.row.values) is True:\n"
+                    "            return element\n"
+                    "        return self.predicate.eval(element.row)\n"
+                ),
+            },
+        )
+        diags = lint_engine(root)
+        assert _codes(diags) == ["RA906"]
+        assert diags[0].operator == "stream/operators.py:5"
+
 
 # ----------------------------------------------------------------------
 # CLI

@@ -26,6 +26,7 @@ import random
 import warnings
 
 import pytest
+from conftest import generated, interpreted, unfused
 
 from repro.analysis import PlanAnalysisWarning, analyze_plan
 from repro.api import StreamSource, connect
@@ -89,9 +90,9 @@ def _elements(count: int, rng: random.Random) -> list:
     return items
 
 
-def _run(plan, items, **compiler_kwargs):
+def _run(plan, items):
     sink = CollectingConsumer()
-    compiled = PlanCompiler(**compiler_kwargs).compile(plan, sink)
+    compiled = PlanCompiler().compile(plan, sink)
     port = compiled.ports[0].consumer
     for item in items:
         port.push(item)
@@ -105,13 +106,16 @@ class TestIdentityCorpus:
         plan = PlanBuilder(_catalog()).build_sql(sql)
         assert analyze_plan(plan).ok
         items = _elements(80, random.Random(seed))
-        interpreted = _run(plan, items, compiled_exprs=False, fuse=False)
-        compiled = _run(plan, items, compiled_exprs=True, fuse=False)
-        fused = _run(plan, items, compiled_exprs=True, fuse=True)
-        assert compiled.elements == interpreted.elements
-        assert compiled.punctuations == interpreted.punctuations
-        assert fused.elements == interpreted.elements
-        assert fused.punctuations == interpreted.punctuations
+        with interpreted():
+            reference = _run(plan, items)
+        with unfused():
+            per_node = _run(plan, items)
+        with generated():
+            fused = _run(plan, items)
+        assert per_node.elements == reference.elements
+        assert per_node.punctuations == reference.punctuations
+        assert fused.elements == reference.elements
+        assert fused.punctuations == reference.punctuations
 
 
 class TestStrictRejection:

@@ -19,6 +19,7 @@ from repro.catalog import Catalog
 from repro.data import DataType, Row, Schema
 from repro.errors import ExecutionError, SchemaError
 from repro.plan import PlanBuilder
+from repro.plan.logical import RemoteSource
 from repro.stream.checkpoint import (
     CheckpointCoordinator,
     FileCheckpointStore,
@@ -199,6 +200,7 @@ class TestCoordinator:
             CheckpointCoordinator(StreamEngine(_catalog()), interval=-1.0)
 
 
+@pytest.mark.usefixtures("no_fallbacks")
 class TestEngineRestore:
     def test_failed_engine_rejects_work_until_restore(self):
         engine, coordinator, handles = _build(interval=10.0)
@@ -245,6 +247,65 @@ class TestEngineRestore:
         assert replay["entries"] == suffix_len
         # The barrier pruned everything before it out of the log.
         assert coordinator.log.base_seq >= barrier.log_seq > 0
+
+    @pytest.mark.parametrize("via", ["recover", "restore"])
+    def test_suffix_of_push_remote_table_and_drop_replays(self, via):
+        """Every single-engine ingest verb in the log suffix: a per-row
+        ``push``, a ``push_remote`` and a ``load_table`` followed by a
+        ``drop_table``. ``recover`` plans the suffix (the dropped load
+        never replays); ``restore`` over the raw suffix replays load
+        and drop as logged. Either way emissions match the failure-free
+        run and the table stays dropped."""
+        machines = Schema.of(("host", DataType.STRING), ("room", DataType.STRING))
+        remote = RemoteSource("upstream", Schema.of(("u.host", DataType.STRING)), 1.0)
+        rows, stamps = _rows(30)
+
+        def run(fail):
+            catalog = _catalog()
+            catalog.register_table("Machines", machines, cardinality=2)
+            engine = StreamEngine(catalog)
+            coordinator = CheckpointCoordinator(engine, interval=None)
+            handles = [
+                engine.execute(PlanBuilder(catalog).build_sql(QUERIES[0])),
+                engine.execute(remote),
+            ]
+            engine.push_many("Readings", rows[:10], stamps[:10])
+            engine.punctuate(stamps[9])
+            barrier = coordinator.checkpoint(stamps[9])
+            for row, stamp in zip(rows[10:20], stamps[10:20]):
+                engine.push("Readings", row, stamp)
+            engine.push_remote("upstream", {"host": "ws9"}, 12.0)
+            engine.load_table("Machines", [{"host": "ws0", "room": "lab1"}])
+            engine.drop_table("Machines")
+            if fail:
+                suffix = coordinator.log.suffix(barrier.log_seq)
+                assert [entry[0] for entry in suffix] == ["push"] * 10 + [
+                    "remote", "table", "drop",
+                ]
+                engine.fail()
+                if via == "recover":
+                    handles = coordinator.recover()
+                else:
+                    handles = engine.restore(barrier, replay=suffix)
+            engine.push_many("Readings", rows[20:], stamps[20:])
+            engine.punctuate(stamps[-1] + 100.0)
+            assert engine.table_rows("Machines") == []
+            return [
+                [(e.timestamp, e.row.values) for e in handle.sink.elements]
+                for handle in handles
+            ]
+
+        expected = run(fail=False)
+        assert all(expected)
+        assert run(fail=True) == expected
+
+    def test_plain_engine_rejects_a_pool_exchange_record(self):
+        """Exchange deliveries are the pool's to replay (through the
+        shard's channel); one reaching a plain engine is a corrupt log."""
+        engine, _, _ = _build(interval=None)
+        for entry in (("xdeliver", 0, []), ("xpunct", 0, 1.0, ["x"])):
+            with pytest.raises(ExecutionError, match="unknown replay-log entry"):
+                engine.replay_entry(entry)
 
     def test_restore_rejects_mismatched_operator_state(self):
         engine, coordinator, handles = _build(interval=None)

@@ -13,11 +13,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from conftest import GENERATORS, declining, generated
 
 from repro.api import StreamSource, connect
 from repro.data import DataType, Row, Schema
 from repro.errors import ExecutionError
-from repro.sql import compile_expr, compile_projection, compiled, parse_select
+from repro.sql import compile_expr, compile_projection, parse_select
 from repro.sql.expressions import (
     AggregateCall,
     BinaryOp,
@@ -47,7 +48,8 @@ ROWS = [
 
 
 def assert_agree(expr: Expr, rows=ROWS) -> None:
-    compiled = compile_expr(expr, SCHEMA)
+    with generated():  # the compared function is generated code, never a fallback
+        compiled = compile_expr(expr, SCHEMA)
     for row in rows:
         try:
             expected = expr.eval(row)
@@ -339,23 +341,27 @@ _FALLBACK_QUERIES = (
     # a windowed join with a residual predicate
     "select r.host, r.temp, e.level from Readings r [range 10 seconds], "
     "Events e [range 10 seconds] where r.host = e.host and e.level > r.load",
-)
-_GENERATORS = (
-    "_codegen",
-    "_codegen_fused",
-    "_codegen_fused_batch",
-    "_codegen_accumulate",
-    "_codegen_join_probe",
+    # running totals: per-group state that lives across punctuations
+    "select r.host, sum(r.temp) as total, max(r.load) as peak from Readings r "
+    "group by r.host",
 )
 
 
-def _run_fallback_queries(share: bool):
+def _run_fallback_queries(share: bool, fail_at: int | None = None, after=None):
+    """Run the three queries; with ``fail_at``, under checkpointing, and
+    the engine fails and recovers right before that chunk. ``after``
+    gets the session before it closes."""
     rng = random.Random(7)
-    with connect(share_plans=share) as session:
+    interval = None if fail_at is None else 10.0
+    with connect(share_plans=share, checkpoint_interval=interval) as session:
         session.attach(StreamSource("Readings", _READINGS))
         session.attach(StreamSource("Events", _EVENTS))
         cursors = [session.query(sql) for sql in _FALLBACK_QUERIES]
         for chunk in range(6):
+            if chunk == fail_at:
+                session.engine.fail()
+                for cursor, handle in zip(cursors, session.checkpointer.recover()):
+                    cursor._handle = handle
             stamps = [chunk * 5.0 + i * 0.25 for i in range(20)]
             session.push_many(
                 "Readings",
@@ -383,6 +389,8 @@ def _run_fallback_queries(share: bool):
             [(e.timestamp, e.row.schema.names, e.row.values) for e in c._handle.sink.elements]
             for c in cursors
         ]
+        if after is not None:
+            after(session)
         return emissions, session.stats()["compile"]
 
 
@@ -390,20 +398,32 @@ def _run_fallback_queries(share: bool):
     "broken, share",
     # Private pipelines hold every operator kind (shared chains never
     # fuse across a cut); sharing rides along with everything broken.
-    [*((name, False) for name in _GENERATORS), ("all", False), ("all", True)],
+    [*((name, False) for name in GENERATORS), ("all", False), ("all", True)],
 )
-def test_failed_generator_falls_back_to_the_interpreter(monkeypatch, broken, share):
+def test_failed_generator_falls_back_to_the_interpreter(broken, share):
     expected, clean = _run_fallback_queries(share)
     assert all(expected), "every query must emit, or the comparison is vacuous"
     assert clean["generated"] > 0 and clean["fallbacks"] == 0
 
-    def fail(*args, **kwargs):
-        raise RuntimeError("code generation disabled by the test")
+    taken = []
+    with declining(*(GENERATORS if broken == "all" else (broken,))):
+        got, counts = _run_fallback_queries(share)
+        assert got == expected
+        assert counts["fallbacks"] > 0
+        if broken == "all":
+            assert counts["generated"] == 0
+        if share or broken not in ("_codegen_accumulate", "all"):
+            return
+        # The interpreter's accumulators cross a barrier like generated
+        # slots do: fail and recover mid-window, still on this rung.
 
-    for name in _GENERATORS if broken == "all" else (broken,):
-        monkeypatch.setattr(compiled, name, fail)
-    got, counts = _run_fallback_queries(share)
-    assert got == expected
-    assert counts["fallbacks"] > 0
-    if broken == "all":
-        assert counts["generated"] == 0
+        def checkpoint(session):
+            taken.append((session.checkpointer.checkpoint(), session.engine))
+
+        got, _ = _run_fallback_queries(share, fail_at=3, after=checkpoint)
+        assert got == expected
+    # The rung is part of the snapshot: an engine whose generator works
+    # refuses accumulator state instead of finalizing it as slots.
+    (barrier, engine), = taken
+    with pytest.raises(ExecutionError, match="generated fold vs the interpreter"):
+        engine.restore(barrier)

@@ -1,6 +1,7 @@
 """Tests for the stream plan compiler and federated optimizer internals."""
 
 import pytest
+from conftest import generated, unfused
 
 from repro.data import (
     CollectingConsumer,
@@ -59,14 +60,15 @@ class TestPorts:
         assert compiled.ports[0].source_name == "r1"
 
     @pytest.mark.parametrize(
-        "fuse, op_name", [(True, "FusedOp"), (False, "FilterOp")]
+        "arm, op_name", [(generated, "FusedOp"), (unfused, "FilterOp")]
     )
-    def test_stats_accumulate(self, builder, fuse, op_name):
+    def test_stats_accumulate(self, builder, arm, op_name):
         # With fusion the Filter+Project chain is one FusedOp; unfused,
         # the FilterOp sees both rows and passes one.
         plan = builder.build_sql("select t.temp from Temps t where t.temp > 5")
         sink = CollectingConsumer()
-        compiled = PlanCompiler(fuse=fuse).compile(plan, sink)
+        with arm():
+            compiled = PlanCompiler().compile(plan, sink)
         schema_port = compiled.ports[0]
 
         temps_schema = Schema.of(("room", DataType.STRING), ("temp", DataType.FLOAT))

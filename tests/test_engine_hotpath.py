@@ -190,9 +190,9 @@ class TestBatchEvaluatorBoundary:
         ok = Row(good, ("h1", "lab1", "d1", "X"))
         short = Row(Schema.of(("host", DataType.STRING)), ("h2",))
         with pytest.raises(SchemaError, match="values but schema"):
-            evaluate(plan, {"Machines": [ok, short]}, compiled=True)
+            evaluate(plan, {"Machines": [ok, short]})
         # Well-formed rows still evaluate.
-        out = evaluate(plan, {"Machines": [ok]}, compiled=True)
+        out = evaluate(plan, {"Machines": [ok]})
         assert [r["m.host"] for r in out] == ["h1"]
 
 

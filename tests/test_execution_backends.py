@@ -10,8 +10,10 @@ the batched stateful operators, and the compiled aggregate fold.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
-from conftest import deliver
+from conftest import declining, deliver, generated, interpreted
 
 from repro.api import (
     BatchBackend,
@@ -38,7 +40,13 @@ from repro.data.windows import WindowSpec
 from repro.errors import CatalogError, QueryError
 from repro.plan import PlanBuilder
 from repro.sql.compiled import compile_accumulate
-from repro.sql.expressions import AggregateCall, BinaryOp, ColumnRef, Literal
+from repro.sql.expressions import (
+    Accumulator,
+    AggregateCall,
+    BinaryOp,
+    ColumnRef,
+    Literal,
+)
 from repro.stream.compiler import _ReschemaConsumer
 from repro.stream.engine import StreamEngine
 from repro.stream.multiplex import TeeOp
@@ -673,14 +681,14 @@ def _partial_output(window, items):
     """What a stage-1 partial aggregate emits for ``items``, elements
     and punctuations in order — the merge stage's input."""
     out: list = []
-    replay(items, PartialAggregateOp(_BY_X, _COUNT, _XP, CallbackConsumer(out.append), window))
+    replay(items, PartialAggregateOp(_BY_X, _COUNT, _XP, CallbackConsumer(out.append), _X, window))
     return out
 
 
-def _join_left_port(left_window=WindowSpec.range(100.0), compile_exprs=True):
+def _join_left_port(left_window=WindowSpec.range(100.0)):
     """A join's left port over a primed right side: the generated probe
-    kernel by default; a ROWS left window or the interpreted reference
-    keeps the per-element loop — same contract either way."""
+    kernel by default; a ROWS left window or a declined kernel keeps the
+    per-element loop — same contract either way."""
 
     def build(sink):
         join = SymmetricHashJoin(
@@ -691,7 +699,6 @@ def _join_left_port(left_window=WindowSpec.range(100.0), compile_exprs=True):
             None,
             [("x", "y")],
             sink,
-            compile_exprs=compile_exprs,
         )
         right = Schema.of(("y", DataType.INT))
         for y in range(4):
@@ -737,21 +744,16 @@ def _frame_sink(_sink):
 #: default), keyed by test id; each value is a ``build`` for ``_ab``.
 _CONSUMERS = {
     "filter": lambda sink: FilterOp(_X_POSITIVE, sink, _X),
-    "filter-interpreted": lambda sink: FilterOp(_X_POSITIVE, sink),
     "project": lambda sink: ProjectOp([(_X_DOUBLED, "x")], _X, sink, _X),
-    "project-interpreted": lambda sink: ProjectOp([(_X_DOUBLED, "x")], _X, sink),
     "fused": lambda sink: FusedOp(
         [("filter", _X_POSITIVE), ("project", [_X_DOUBLED], _X)], _X, sink, _X
     ),
     "join-side-port": _join_left_port(),
     "join-side-port-rows": _join_left_port(left_window=WindowSpec.rows(6)),
-    "join-side-port-interpreted": _join_left_port(compile_exprs=False),
-    "aggregate-windowed": lambda sink: AggregateOp(_BY_X, _COUNT, _XN, sink, _TUMBLING, _X),
-    "aggregate-running": lambda sink: AggregateOp(_BY_X, _COUNT, _XN, sink, None, _X),
-    "aggregate-interpreted": lambda sink: AggregateOp(_BY_X, _COUNT, _XN, sink, None),
-    "partial-windowed": lambda sink: PartialAggregateOp(_BY_X, _COUNT, _XP, sink, _TUMBLING, _X),
-    "partial-running": lambda sink: PartialAggregateOp(_BY_X, _COUNT, _XP, sink, None, _X),
-    "partial-interpreted": lambda sink: PartialAggregateOp(_BY_X, _COUNT, _XP, sink, None),
+    "aggregate-windowed": lambda sink: AggregateOp(_BY_X, _COUNT, _XN, sink, _X, _TUMBLING),
+    "aggregate-running": lambda sink: AggregateOp(_BY_X, _COUNT, _XN, sink, _X),
+    "partial-windowed": lambda sink: PartialAggregateOp(_BY_X, _COUNT, _XP, sink, _X, _TUMBLING),
+    "partial-running": lambda sink: PartialAggregateOp(_BY_X, _COUNT, _XP, sink, _X),
     "merge-windowed": lambda sink: MergeAggregateOp(1, _COUNT, _XN, sink, True),
     "merge-running": lambda sink: MergeAggregateOp(1, _COUNT, _XN, sink, False),
     "distinct": DistinctOp,
@@ -770,13 +772,37 @@ _CONSUMERS = {
 }
 
 
+def _interpreted(build):
+    """``build`` with every generator declining: the same operator over
+    the interpreter's closures."""
+
+    def built(sink):
+        with interpreted():
+            return build(sink)
+
+    return built
+
+
+_CONSUMERS.update(
+    {
+        f"{name.removesuffix('-running')}-interpreted": _interpreted(_CONSUMERS[name])
+        for name in (
+            "filter", "project", "join-side-port", "aggregate-running", "partial-running",
+        )
+    }
+)
+
+
 class TestBatchedStatefulOperators:
     @pytest.mark.parametrize("name", _CONSUMERS)
     def test_push_contract_identity(self, name):
         items = _mixed_items(40)
         if name.startswith("merge-"):
             items = _partial_output(_TUMBLING if name == "merge-windowed" else None, items)
-        elements, punctuations, probed = _ab(_CONSUMERS[name], items)
+        # The default arms hold no fallback (the -interpreted ones check
+        # themselves: see _interpreted).
+        with nullcontext() if name.endswith("-interpreted") else generated():
+            elements, punctuations, probed = _ab(_CONSUMERS[name], items)
         # Not vacuous: every configuration here produces output.
         assert elements or probed
 
@@ -837,11 +863,10 @@ class TestCompiledAccumulate:
         ]
 
     def test_fold_matches_interpreted_accumulators(self):
-        from repro.stream.operators import _Accumulator
-
-        compiled = compile_accumulate([ColumnRef("k")], self._calls(), self.SCHEMA)
-        assert compiled is not None
-        fold, finalize = compiled
+        with generated():
+            fold, finalize = compile_accumulate(
+                [ColumnRef("k")], self._calls(), self.SCHEMA
+            )
         groups: dict = {}
         fold(self._elements(), groups, float("-inf"), float("inf"))
 
@@ -849,7 +874,7 @@ class TestCompiledAccumulate:
         for element in self._elements():
             key = (element.row["k"],)
             accumulators = expected.setdefault(
-                key, [_Accumulator(call) for call in self._calls()]
+                key, [Accumulator(call) for call in self._calls()]
             )
             for accumulator in accumulators:
                 accumulator.add(element.row)
@@ -867,8 +892,6 @@ class TestCompiledAccumulate:
         assert sum(finalize(state)[0] for state in groups.values()) == 3
 
     def test_distinct_calls_fold_with_seen_sets(self):
-        from repro.stream.operators import _Accumulator
-
         calls = [
             AggregateCall("COUNT", ColumnRef("a"), distinct=True),
             AggregateCall("SUM", ColumnRef("a"), distinct=True),
@@ -877,9 +900,8 @@ class TestCompiledAccumulate:
             AggregateCall("MAX", ColumnRef("a"), distinct=True),
             AggregateCall("COUNT", None),  # mixed with non-distinct calls
         ]
-        compiled = compile_accumulate([ColumnRef("k")], calls, self.SCHEMA)
-        assert compiled is not None
-        fold, finalize = compiled
+        with generated():
+            fold, finalize = compile_accumulate([ColumnRef("k")], calls, self.SCHEMA)
         # Duplicate values per group so the seen-sets actually dedup.
         elements = self._elements() + self._elements()
         groups: dict = {}
@@ -888,7 +910,7 @@ class TestCompiledAccumulate:
         for element in elements:
             key = (element.row["k"],)
             accumulators = expected.setdefault(
-                key, [_Accumulator(call) for call in calls]
+                key, [Accumulator(call) for call in calls]
             )
             for accumulator in accumulators:
                 accumulator.add(element.row)
@@ -898,10 +920,20 @@ class TestCompiledAccumulate:
 
     def test_count_distinct_star_falls_back(self):
         # COUNT(DISTINCT *) has no value to deduplicate and the analyzer
-        # rejects it; for a hand-built call the fold declines (a counted
-        # fallback) and the operator keeps interpreted accumulators.
+        # rejects it; for a hand-built call the generator declines (a
+        # counted fallback) and the interpreter's fold comes back.
         calls = [AggregateCall("COUNT", None, distinct=True)]
-        assert compile_accumulate([ColumnRef("k")], calls, self.SCHEMA) is None
+        with declining() as counts:
+            fold, finalize = compile_accumulate([ColumnRef("k")], calls, self.SCHEMA)
+        assert counts == {"generated": 0, "fallbacks": 1}
+        assert not hasattr(fold, "__compiled_source__")
+        groups: dict = {}
+        fold(self._elements(), groups, float("-inf"), float("inf"))
+        assert all(isinstance(a, Accumulator) for state in groups.values() for a in state)
+        # The interpreter counts rows for an argument-less call.
+        assert {k: finalize(state) for k, state in groups.items()} == {
+            ("p",): [3], ("q",): [2], ("r",): [1],
+        }
 
     def test_distinct_aggregate_pipeline_identity(self):
         sql = (
@@ -911,12 +943,10 @@ class TestCompiledAccumulate:
         )
         from repro.stream.compiler import PlanCompiler
 
-        def run(compiled_exprs):
+        def run():
             catalog = _catalog()
             sink = CollectingConsumer()
-            compiled = PlanCompiler(compiled_exprs=compiled_exprs).compile(
-                _plan(sql, catalog), sink
-            )
+            compiled = PlanCompiler().compile(_plan(sql, catalog), sink)
             port = compiled.ports[0].consumer
             for index, row in enumerate(ROWS):
                 port.push(
@@ -925,7 +955,10 @@ class TestCompiledAccumulate:
             port.push(Punctuation(1000.0))
             return [(e.timestamp, e.row.values) for e in sink.elements]
 
-        assert run(True) == run(False)
+        with interpreted():
+            reference = run()
+        with generated():
+            assert run() == reference
 
     def test_empty_groups_no_emission_semantics(self):
         compiled = compile_accumulate(
@@ -950,12 +983,10 @@ class TestCompiledAccumulate:
         )
         from repro.stream.compiler import PlanCompiler
 
-        def run(compiled_exprs):
+        def run():
             catalog = _catalog()
             sink = CollectingConsumer()
-            compiled = PlanCompiler(compiled_exprs=compiled_exprs).compile(
-                _plan(sql, catalog), sink
-            )
+            compiled = PlanCompiler().compile(_plan(sql, catalog), sink)
             port = compiled.ports[0].consumer
             for index, row in enumerate(ROWS):
                 mapping = dict(row)
@@ -967,7 +998,10 @@ class TestCompiledAccumulate:
             port.push(Punctuation(1000.0))
             return [(e.timestamp, e.row.values) for e in sink.elements]
 
-        assert run(True) == run(False)
+        with interpreted():
+            reference = run()
+        with generated():
+            assert run() == reference
 
 
 # ----------------------------------------------------------------------
@@ -1065,20 +1099,3 @@ class TestNullEquiKeys:
             cursor = session.query(sql)
             assert cursor.kind == "batch"
             assert sorted(row.values for row in cursor.results()) == expected
-
-    @pytest.mark.parametrize("shape", _NULL_JOINS)
-    def test_batch_interpreted_evaluator(self, shape):
-        from repro.stream.batch import evaluate
-
-        sql, expected = _NULL_JOINS[shape]
-        catalog = Catalog()
-        catalog.register_table("A", _NA, cardinality=4)
-        catalog.register_table("B", _NB, cardinality=4)
-        plan = _plan(sql.replace(" [range 10 seconds]", ""), catalog)
-        tables = {
-            "A": [Row.from_mapping(_NA, row) for row in _NA_ROWS],
-            "B": [Row.from_mapping(_NB, row) for row in _NB_ROWS],
-        }
-        for compiled in (True, False):
-            rows = evaluate(plan, tables, compiled=compiled)
-            assert sorted(row.values for row in rows) == expected

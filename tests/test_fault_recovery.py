@@ -253,6 +253,7 @@ def _check_failover_without_coordinator_raises(transport):
             pool.punctuate(stamps[-1])
 
 
+@pytest.mark.usefixtures("no_fallbacks")
 class TestShardFailoverIdentity:
     """Kill one shard engine mid-corpus: post-recovery emissions must be
     identical to the failure-free (and the unsharded) run."""
@@ -454,6 +455,7 @@ def _check_kill_merge_shard(transport):
         assert coordinator.last_replay["target"] == 0
 
 
+@pytest.mark.usefixtures("no_fallbacks")
 class TestExchangedShardFailover:
     @pytest.mark.parametrize("seed", range(min(SEEDS, 4)))
     def test_kill_shard_mid_shuffle(self, seed):
@@ -807,6 +809,7 @@ class TestUndeployIdempotence:
             assert all(task._stopped for task in deployment.tasks)
 
 
+@pytest.mark.usefixtures("no_fallbacks")
 class TestSharedChainFailover:
     """Kill an engine hosting *shared* operator chains: recovery must
     re-admit every replica pinned to its recorded sharing decision,

@@ -11,7 +11,7 @@ emit exactly the same elements on both paths.
 import random
 
 import pytest
-from conftest import deliver
+from conftest import deliver, generated, interpreted, unfused
 
 from repro.catalog import Catalog
 from repro.data import DataType, Row, Schema
@@ -197,26 +197,27 @@ class TestPlanCompilerFusion:
 
     def test_filter_project_collapses_to_one_op(self):
         plan = self._plan("select r.temp from Readings r where r.temp > 5.0")
-        compiled = PlanCompiler(fuse=True).compile(plan, CollectingConsumer())
+        compiled = PlanCompiler().compile(plan, CollectingConsumer())
         assert [type(op).__name__ for op in compiled.operators] == ["FusedOp"]
         assert compiled.operators[0].fused_stages == 2
 
-    def test_fuse_false_keeps_per_node_operators(self):
+    def test_declined_fusion_keeps_per_node_operators(self):
         plan = self._plan("select r.temp from Readings r where r.temp > 5.0")
-        compiled = PlanCompiler(fuse=False).compile(plan, CollectingConsumer())
+        with unfused() as counts:
+            compiled = PlanCompiler().compile(plan, CollectingConsumer())
         names = sorted(type(op).__name__ for op in compiled.operators)
         assert names == ["FilterOp", "ProjectOp"]
+        assert counts["fallbacks"] == 1 and counts["generated"] > 0
 
     def test_single_node_chain_not_fused(self):
         plan = self._plan("select r.temp from Readings r")
-        compiled = PlanCompiler(fuse=True).compile(plan, CollectingConsumer())
+        compiled = PlanCompiler().compile(plan, CollectingConsumer())
         assert [type(op).__name__ for op in compiled.operators] == ["ProjectOp"]
 
     def test_interpreted_baseline_never_fuses(self):
         plan = self._plan("select r.temp from Readings r where r.temp > 5.0")
-        compiled = PlanCompiler(compiled_exprs=False, fuse=True).compile(
-            plan, CollectingConsumer()
-        )
+        with interpreted():
+            compiled = PlanCompiler().compile(plan, CollectingConsumer())
         assert all(not isinstance(op, FusedOp) for op in compiled.operators)
 
     def test_longer_chains_fuse_whole_run(self):
@@ -228,7 +229,7 @@ class TestPlanCompilerFusion:
             ),
             BinaryOp("<", ColumnRef("t"), Literal(50.0)),
         )
-        compiled = PlanCompiler(fuse=True).compile(wrapped, CollectingConsumer())
+        compiled = PlanCompiler().compile(wrapped, CollectingConsumer())
         assert [type(op).__name__ for op in compiled.operators] == ["FusedOp"]
         # Project, Select, Project, Select, Select — one fused run of 5.
         assert compiled.operators[0].fused_stages == 5
@@ -238,7 +239,7 @@ class TestPlanCompilerFusion:
             "select r.room, count(*) as n from Readings r "
             "where r.temp > 5.0 group by r.room"
         )
-        compiled = PlanCompiler(fuse=True).compile(plan, CollectingConsumer())
+        compiled = PlanCompiler().compile(plan, CollectingConsumer())
         names = [type(op).__name__ for op in compiled.operators]
         assert "AggregateOp" in names and "FilterOp" in names
 
@@ -292,9 +293,9 @@ def _random_pipeline(rng: random.Random):
     return plan
 
 
-def _run(plan, items, *, fuse: bool, batched: bool):
+def _run(plan, items, *, batched: bool):
     sink = CollectingConsumer()
-    compiled = PlanCompiler(fuse=fuse).compile(plan, sink)
+    compiled = PlanCompiler().compile(plan, sink)
     port = compiled.ports[0].consumer
     if batched:
         deliver(port, items)
@@ -317,14 +318,17 @@ class TestFusedUnfusedIdentity:
         for _ in range(4):
             items.insert(rng.randrange(len(items)), Punctuation(rng.uniform(0, 100)))
 
-        unfused = _run(plan, items, fuse=False, batched=False)
-        fused = _run(plan, items, fuse=True, batched=False)
-        fused_batch = _run(plan, items, fuse=True, batched=True)
+        with unfused() as counts:
+            reference = _run(plan, items, batched=False)
+        assert counts["fallbacks"] > 0  # the chain really lowered per node
+        with generated():
+            fused = _run(plan, items, batched=False)
+            fused_batch = _run(plan, items, batched=True)
 
-        assert fused.elements == unfused.elements
-        assert fused.punctuations == unfused.punctuations
-        assert fused_batch.elements == unfused.elements
-        assert fused_batch.punctuations == unfused.punctuations
+        assert fused.elements == reference.elements
+        assert fused.punctuations == reference.punctuations
+        assert fused_batch.elements == reference.elements
+        assert fused_batch.punctuations == reference.punctuations
 
     def test_filter_only_chain_identity(self):
         base = PlanBuilder(_catalog()).build_sql(
@@ -336,9 +340,10 @@ class TestFusedUnfusedIdentity:
             BinaryOp("<", ColumnRef("r.temp"), Literal(80.0)),
         )
         items = _elements(60)
-        unfused = _run(plan, items, fuse=False, batched=False)
-        fused = _run(plan, items, fuse=True, batched=True)
-        assert fused.elements == unfused.elements
+        with unfused():
+            reference = _run(plan, items, batched=False)
+        fused = _run(plan, items, batched=True)
+        assert fused.elements == reference.elements
 
     def test_error_rows_raise_on_both_paths(self):
         plan = PlanBuilder(_catalog()).build_sql(
@@ -349,9 +354,10 @@ class TestFusedUnfusedIdentity:
         bad = StreamElement(
             Row(READINGS, ("lab1", "ws1", "oops", 0.5), validate=False), 1.0
         )
-        for fuse in (False, True):
+        for arm in (unfused, generated):
             sink = CollectingConsumer()
-            port = PlanCompiler(fuse=fuse).compile(plan, sink).ports[0].consumer
+            with arm():
+                port = PlanCompiler().compile(plan, sink).ports[0].consumer
             with pytest.raises(ExecutionError):
                 port.push(bad)
 

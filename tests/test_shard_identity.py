@@ -21,6 +21,7 @@ import os
 import random
 
 import pytest
+from conftest import generated, interpreted
 
 from repro.catalog import Catalog
 from repro.data import DataType, Row, Schema
@@ -192,6 +193,7 @@ def _run_sharded(queries, rows, stamps, seed, shards, partition_by="host"):
     return _run_pool("loopback", queries, rows, stamps, seed, shards, partition_by)
 
 
+@pytest.mark.usefixtures("no_fallbacks")
 class TestShardIdentityCorpus:
     """Random safe+unsafe pipelines: every shard count must reproduce
     the single engine's sorted per-segment emissions exactly."""
@@ -306,6 +308,7 @@ class TestProcessWorkerIdentity:
             engine.shutdown()
 
 
+@pytest.mark.usefixtures("no_fallbacks")
 class TestShardedJoins:
     def _catalogs(self):
         catalog = Catalog()
@@ -457,40 +460,31 @@ def _stage1_partials(handle):
 class TestTwoPhaseCompiledIdentity:
     """Exchanged global / non-covering GROUP BY: the compiled partial
     aggregate emits bit-identical rows to the interpreted reference
-    (``PlanCompiler(compiled_exprs=False)``), on every shard count and
-    either transport."""
+    (every generator declining), on every shard count and either
+    transport."""
 
     @pytest.mark.parametrize("seed", range(min(SEEDS, 3)))
-    def test_compiled_pool_matches_interpreted_reference(self, seed, monkeypatch):
-        import functools
-
-        import repro.stream.engine as engine_module
-
+    def test_compiled_pool_matches_interpreted_reference(self, seed):
         rng = random.Random(7000 + seed)
         rows, stamps = _rows(rng.randint(200, 320), rng)
-        with monkeypatch.context() as patch:
-            # Engines built in here interpret (this process only: worker
-            # processes always compile).
-            patch.setattr(
-                engine_module,
-                "PlanCompiler",
-                functools.partial(engine_module.PlanCompiler, compiled_exprs=False),
-            )
+        # Engines built in here interpret (this process only: worker
+        # processes always generate).
+        with interpreted():
             expected = _run_unsharded(TWO_PHASE_QUERIES, rows, stamps, seed)
             pooled, handles = _run_sharded(TWO_PHASE_QUERIES, rows, stamps, seed, 2)
             assert all(handle.exchanged for handle in handles)
-            assert all(op._args_fn is None for op in _stage1_partials(handles[0]))
+            assert _stage1_partials(handles[0])
             assert pooled == expected
         assert all(any(segments) for segments in expected)  # not vacuous
         pools = [("loopback", 1), ("loopback", 2), ("loopback", 4)]
         if usable_start_method() is not None:
             pools.append(("framed", 2))
         for transport, shards in pools:
-            got, handles = _run_pool(
-                transport, TWO_PHASE_QUERIES, rows, stamps, seed, shards
-            )
+            with generated():
+                got, handles = _run_pool(
+                    transport, TWO_PHASE_QUERIES, rows, stamps, seed, shards
+                )
             assert all(handle.exchanged for handle in handles)
             if transport == "loopback":
-                partials = _stage1_partials(handles[0])
-                assert partials and all(op._args_fn is not None for op in partials)
+                assert _stage1_partials(handles[0])
             assert got == expected, f"seed={seed} {transport} shards={shards}"

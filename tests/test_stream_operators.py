@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import deliver
+from conftest import GENERATORS, declining, deliver, generated, interpreted
 from repro.data import (
     CollectingConsumer,
     DataType,
@@ -37,26 +37,26 @@ def element(x: int, y: str, ts: float) -> StreamElement:
 class TestFilter:
     def test_passes_true_only(self):
         sink = CollectingConsumer()
-        op = FilterOp(BinaryOp(">", ColumnRef("x"), Literal(2)), sink)
+        op = FilterOp(BinaryOp(">", ColumnRef("x"), Literal(2)), sink, XY)
         for i in range(5):
             op.push(element(i, "a", float(i)))
         assert [r["x"] for r in sink.rows] == [3, 4]
 
     def test_null_does_not_pass(self):
         sink = CollectingConsumer()
-        op = FilterOp(BinaryOp(">", ColumnRef("x"), Literal(None)), sink)
+        op = FilterOp(BinaryOp(">", ColumnRef("x"), Literal(None)), sink, XY)
         op.push(element(5, "a", 0.0))
         assert len(sink) == 0
 
     def test_punctuation_forwarded(self):
         sink = CollectingConsumer()
-        op = FilterOp(Literal(False), sink)
+        op = FilterOp(Literal(False), sink, XY)
         op.push(Punctuation(3.0))
         assert sink.punctuations == [Punctuation(3.0)]
 
     def test_counters(self):
         sink = CollectingConsumer()
-        op = FilterOp(BinaryOp(">", ColumnRef("x"), Literal(0)), sink)
+        op = FilterOp(BinaryOp(">", ColumnRef("x"), Literal(0)), sink, XY)
         op.push(element(0, "a", 0.0))
         op.push(element(1, "a", 1.0))
         assert op.rows_in == 2 and op.rows_out == 1
@@ -67,7 +67,7 @@ class TestProject:
         out_schema = Schema.of(("doubled", DataType.INT))
         sink = CollectingConsumer()
         op = ProjectOp(
-            [(BinaryOp("*", ColumnRef("x"), Literal(2)), "doubled")], out_schema, sink
+            [(BinaryOp("*", ColumnRef("x"), Literal(2)), "doubled")], out_schema, sink, XY
         )
         op.push(element(3, "a", 1.0))
         assert sink.rows[0]["doubled"] == 6
@@ -76,7 +76,7 @@ class TestProject:
     def test_timestamp_preserved(self):
         out_schema = Schema.of(("x", DataType.INT))
         sink = CollectingConsumer()
-        op = ProjectOp([(ColumnRef("x"), "x")], out_schema, sink)
+        op = ProjectOp([(ColumnRef("x"), "x")], out_schema, sink, XY)
         op.push(element(1, "a", 42.5))
         assert sink.elements[0].timestamp == 42.5
 
@@ -96,6 +96,24 @@ class TestSymmetricHashJoin:
             [("l.k", "r.k")],
             self.sink,
         )
+
+    def test_sides_can_never_share_a_qualified_name(self):
+        """Why the operator binds ``left.concat(right)`` with no handler
+        for a clash: the plan node builds the same concatenation first,
+        and the analyzer rejects the only SQL that would ask for one."""
+        from repro.api import StreamSource, connect
+        from repro.errors import QueryError, SchemaError
+        from repro.plan.logical import Join, RemoteSource
+
+        side = Schema.of(("r.k", DataType.INT))
+        with pytest.raises(SchemaError):
+            Join(RemoteSource("a", side, 1.0), RemoteSource("b", side, 1.0))
+        sql = "select r.x from Readings r, Readings r where r.x > 1"
+        with connect() as session:
+            session.attach(StreamSource("Readings", XY))
+            with pytest.raises(QueryError, match="duplicate relation binding 'r'") as info:
+                session.query(sql)
+        assert info.value.sql == sql
 
     def push_left(self, join, k, v, ts):
         join.push_left(StreamElement(Row(self.left_schema, (k, v)), ts))
@@ -247,12 +265,9 @@ def _join_script(seed: int, empty_right: bool = False):
     return chunks
 
 
-def _run_join(left_window, right_window, keys, predicate, chunks, *, compiled, runs):
+def _run_join(left_window, right_window, keys, predicate, chunks, *, runs):
     sink = CollectingConsumer()
-    join = SymmetricHashJoin(
-        _JL, _JR, left_window, right_window, predicate, keys, sink,
-        compile_exprs=compiled,
-    )
+    join = SymmetricHashJoin(_JL, _JR, left_window, right_window, predicate, keys, sink)
     for left, items in chunks:
         port = join.left_port if left else join.right_port
         if runs:
@@ -270,7 +285,7 @@ def _run_join(left_window, right_window, keys, predicate, chunks, *, compiled, r
 
 class TestJoinIdentityCorpus:
     """The same feed all by ``push``, as runs by ``push_batch`` and
-    through the interpreted operator: equal emissions *in order*,
+    through the operator with every generator declining: equal emissions *in order*,
     punctuations, counters and checkpoint state."""
 
     @pytest.mark.parametrize("residual", [False, True], ids=["plain", "residual"])
@@ -283,20 +298,25 @@ class TestJoinIdentityCorpus:
         for seed in range(4):
             chunks = _join_script(seed, empty_right=seed == 3)
             args = (_JOIN_WINDOWS[left], _JOIN_WINDOWS[right], _JOIN_KEYS[keys], predicate, chunks)
-            pushed = _run_join(*args, compiled=True, runs=False)
-            assert _run_join(*args, compiled=True, runs=True) == pushed
-            assert _run_join(*args, compiled=False, runs=False) == pushed
-            assert _run_join(*args, compiled=False, runs=True) == pushed
+            with generated():
+                pushed = _run_join(*args, runs=False)
+                assert _run_join(*args, runs=True) == pushed
+            with declining(*GENERATORS) as counts:
+                assert _run_join(*args, runs=False) == pushed
+                assert _run_join(*args, runs=True) == pushed
+            assert counts["generated"] == 0
+            # Two ROWS sides and no residual: nothing there to interpret.
+            assert counts["fallbacks"] or (left == right == "rows" and not residual)
             emitted += len(pushed[0])
             if seed == 3:
                 assert not pushed[0]  # nothing to join against
         assert emitted  # not vacuous
 
     def test_kernel_is_selected_from_window_kind_and_compile_result(self):
-        def probes(left_window, right_window, **kwargs):
+        def probes(left_window, right_window):
             join = SymmetricHashJoin(
                 _JL, _JR, left_window, right_window, None, _JOIN_KEYS["single"],
-                CollectingConsumer(), **kwargs,
+                CollectingConsumer(),
             )
             return join._left_probe is not None, join._right_probe is not None
 
@@ -305,28 +325,30 @@ class TestJoinIdentityCorpus:
         assert probes(WindowSpec.now(), WindowSpec.unbounded()) == (True, True)
         assert probes(rows, rng) == (False, True)  # a ROWS side evicts per arrival
         assert probes(rng, rows) == (True, False)
-        assert probes(rng, rng, compile_exprs=False) == (False, False)
+        with interpreted():  # a kernel that declines is a counted fallback
+            assert probes(rng, rng) == (False, False)
 
 
 class TestJoinNullKeys:
     """A row whose equi-key has a NULL component matches nothing — not
     even another NULL — and holds no state."""
 
-    def _join(self, keys, **kwargs):
+    def _join(self, keys, arm):
         self.sink = CollectingConsumer()
-        return SymmetricHashJoin(
-            _JL, _JR, WindowSpec.range(10.0), WindowSpec.range(10.0), None,
-            _JOIN_KEYS[keys], self.sink, **kwargs,
-        )
+        with arm():
+            return SymmetricHashJoin(
+                _JL, _JR, WindowSpec.range(10.0), WindowSpec.range(10.0), None,
+                _JOIN_KEYS[keys], self.sink,
+            )
 
     @staticmethod
     def _elements(schema, rows):
         return [StreamElement(Row.raw(schema, values), 1.0) for values in rows]
 
-    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "interpreted"])
+    @pytest.mark.parametrize("arm", [generated, interpreted], ids=["compiled", "interpreted"])
     @pytest.mark.parametrize("runs", [True, False], ids=["push_batch", "push"])
-    def test_single_key(self, runs, compiled):
-        join = self._join("single", compile_exprs=compiled)
+    def test_single_key(self, runs, arm):
+        join = self._join("single", arm)
         left = self._elements(_JL, [(None, "a", 0), (1, "a", 1)])
         right = self._elements(_JR, [(None, "a", 2), (1, "a", 3), (None, "b", 4)])
         for port, elements in ((join.left_port, left), (join.right_port, right)):
@@ -339,10 +361,10 @@ class TestJoinNullKeys:
         assert (join.rows_in, join.rows_out) == (5, 1)
         assert join.buffered_rows == 2  # the NULL-keyed rows hold no state
 
-    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "interpreted"])
+    @pytest.mark.parametrize("arm", [generated, interpreted], ids=["compiled", "interpreted"])
     @pytest.mark.parametrize("runs", [True, False], ids=["push_batch", "push"])
-    def test_composite_key_with_one_null_component(self, runs, compiled):
-        join = self._join("composite", compile_exprs=compiled)
+    def test_composite_key_with_one_null_component(self, runs, arm):
+        join = self._join("composite", arm)
         left = self._elements(_JL, [(1, None, 0), (None, "a", 1), (1, "a", 2)])
         right = self._elements(_JR, [(1, None, 3), (None, "a", 4), (1, "a", 5)])
         for port, elements in ((join.right_port, right), (join.left_port, left)):
@@ -460,6 +482,7 @@ class TestAggregateOp:
             [(AggregateCall("COUNT", None), "agg_0")],
             schema,
             self.sink,
+            XY,
             window,
         )
 
@@ -516,6 +539,7 @@ class TestAggregateOp:
             ],
             schema,
             sink,
+            XY,
         )
         for i in (1, 2, 3):
             op.push(element(i, "z", float(i)))
@@ -531,6 +555,7 @@ class TestAggregateOp:
             [(AggregateCall("COUNT", ColumnRef("x"), distinct=True), "n")],
             schema,
             sink,
+            XY,
         )
         for x in (1, 1, 2, 2, 3):
             op.push(element(x, "z", 1.0))
@@ -602,6 +627,7 @@ class TestAggregateOp:
             ],
             schema,
             sink,
+            XY,
         )
         op.push(StreamElement(Row(XY, (None, "a")), 1.0))
         op.push(StreamElement(Row(XY, (4, "a")), 1.0))
@@ -619,7 +645,7 @@ class TestDistinctOrderLimitOutput:
 
     def test_order_by_batches_on_punctuation(self):
         sink = CollectingConsumer()
-        op = OrderByOp([OrderItem(ColumnRef("x"), ascending=False)], sink)
+        op = OrderByOp([OrderItem(ColumnRef("x"), ascending=False)], sink, XY)
         for x in (2, 5, 1):
             op.push(element(x, "a", 1.0))
         assert len(sink) == 0
@@ -628,7 +654,7 @@ class TestDistinctOrderLimitOutput:
 
     def test_order_by_stable_on_ties(self):
         sink = CollectingConsumer()
-        op = OrderByOp([OrderItem(ColumnRef("x"))], sink)
+        op = OrderByOp([OrderItem(ColumnRef("x"))], sink, XY)
         op.push(element(1, "first", 1.0))
         op.push(element(1, "second", 1.0))
         op.push(Punctuation(2.0))
@@ -636,7 +662,7 @@ class TestDistinctOrderLimitOutput:
 
     def test_order_by_nulls(self):
         sink = CollectingConsumer()
-        op = OrderByOp([OrderItem(ColumnRef("x"))], sink)
+        op = OrderByOp([OrderItem(ColumnRef("x"))], sink, XY)
         op.push(StreamElement(Row(XY, (None, "n")), 1.0))
         op.push(element(1, "one", 1.0))
         op.push(Punctuation(2.0))
