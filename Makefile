@@ -18,10 +18,12 @@ lint:
 	$(PYTHON) -m repro.analysis --self
 
 ## CI gate: the invariant linter, tier-1 tests, the sharded-vs-unsharded
-## identity corpus and the fault-injection corpus at reduced seed
+## identity corpus, the shared-vs-private multiplex corpus (cold and
+## staggered admission) and the fault-injection corpus at reduced seed
 ## counts, then every bench at smoke scale.
 check: lint test
 	REPRO_SHARD_SEEDS=4 $(PYTHON) -m pytest tests/test_shard_identity.py -q
+	REPRO_MUX_SEEDS=12 $(PYTHON) -m pytest tests/test_multiplex.py -q
 	REPRO_FAULT_SEEDS=3 $(PYTHON) -m pytest tests/test_fault_recovery.py -q
 	$(PYTHON) -m benchmarks --smoke
 

@@ -20,13 +20,37 @@ operator pipeline per query). This module removes both:
 Chain model
 -----------
 Every shared-eligible query becomes one tee branch on a *whole-plan*
-chain; whole-plan chains themselves stack on narrower *cut* chains
-(a Select/Project run over a stream scan, optionally capped by the
-Aggregate directly above). Chains therefore form a refcounted DAG:
-two identical templates share everything; two different templates over
-the same filtered scan share the scan+filter prefix. Closing a cursor
+chain; whole-plan chains stack on narrower *cut* chains — a
+Select/Project run over a stream scan, optionally capped by the
+Aggregate directly above. Chains therefore form a refcounted DAG: two
+identical templates share everything; two different templates over the
+same filtered scan share the scan+filter prefix. Closing a cursor
 releases exactly its branch; a chain tears down (and releases its
 parents) only when its last reference drops.
+
+**A cut is made where it is shared.** A chain that will hold state —
+its root is an Aggregate, Distinct, Join, OrderBy or Limit — always
+cuts the Select/Project run (or Aggregate-capped run) below itself into
+a chain of its own, so a stateful chain's operator list, fingerprint
+and multiplicity depend on its subtree alone, never on what was
+admitted before it (checkpoints rely on that). A chain that *is* a pure
+Select/Project run holds no state, and lowers a prefix of the run
+inside itself while it is that prefix's only consumer: the compiler
+sees the run whole, fuses it into one generated loop, and — when the
+run projects — the scan port takes source rows as they are. The
+registry records which chains inlined which prefix; the moment a second
+distinct consumer asks for one (another projection, a DISTINCT, an
+aggregate over the same filter), the prefix becomes a chain and each
+inliner is *re-lowered* onto it, into the tee it already has. That is
+safe warm because only stateless chains ever inline: there is no state
+to move, and its branches never notice.
+
+There is no merge-back. When the second consumer leaves, the prefix
+chain keeps feeding its one remaining consumer until the last reference
+drops: re-fusing would recompile a live chain for a saving that the
+next admission of the same template takes back. The stateless part of
+the DAG is therefore history-dependent, which is why checkpoints record
+stateful chains only (:meth:`SubplanRegistry.snapshot_chains`).
 
 Correctness gates: a query shares only if its plan has no Output,
 RemoteSource or CteRef nodes and reads only stream sources (stored
@@ -97,7 +121,12 @@ class TeeOp:
     chains stacked on it — nothing sits in between, so every branch is
     handed the same run and the same elements (the ``push_batch``
     contract: a receiver neither mutates nor keeps the list). Add and
-    remove never disturb sibling branches.
+    remove never disturb sibling branches, even from inside a delivery
+    (a subscriber callback that closes or opens a cursor): a removal
+    rebinds ``branches`` so the fan-out in flight finishes over the list
+    it started with, and an addition appends in place — the engine's
+    route list behaves the same way on both counts, so either reads
+    like the private pipelines would.
     """
 
     def __init__(self) -> None:
@@ -108,10 +137,12 @@ class TeeOp:
 
     def remove_branch(self, consumer: Any) -> bool:
         """Detach one branch; returns whether it was attached."""
+        branches = self.branches
         try:
-            self.branches.remove(consumer)
+            index = branches.index(consumer)
         except ValueError:
             return False
+        self.branches = branches[:index] + branches[index + 1 :]
         return True
 
     @property
@@ -283,13 +314,16 @@ class SharedChain:
 
     Attributes:
         chain_id: Unique id; also names the chain's routing entries.
-        fingerprint: Structural identity of the *original* subtree.
-        plan: The compiled plan — the subtree with nested cuts replaced
-            by :class:`SharedFeed` leaves. Every row the chain emits
-            carries (a schema equal to) ``plan.schema``.
+        fingerprint: Structural identity of ``subtree``.
+        subtree: The original subtree this chain computes — what a
+            re-lowering compiles again.
+        plan: The compiled plan — ``subtree`` with the cuts below it
+            replaced by :class:`SharedFeed` leaves. Every row the chain
+            emits carries (a schema equal to) ``plan.schema``.
         compiled: The chain's pipeline; its ports are scan ports, its
             feeds hang on the parent chains' tees.
         tee: Terminal fan-out to branches (query sinks/nested chains).
+            Survives a re-lowering, so branches never notice one.
         stateless: True when every chain operator is Filter/Project/
             Fused — attachable at any time.
         ingest_mark: ``engine.elements_ingested`` when built.
@@ -298,10 +332,14 @@ class SharedChain:
         parents: ``(parent chain, branch)`` attachments this chain
             holds on narrower chains it consumes from; the branch is
             the operator of this chain that the parent's tee feeds.
+        inlined: Fingerprints of the run prefixes lowered inside this
+            chain (it is their only consumer); always empty for a chain
+            that is not a pure Select/Project run.
     """
 
     chain_id: int
     fingerprint: tuple
+    subtree: LogicalOp
     plan: LogicalOp
     compiled: Any
     tee: TeeOp
@@ -310,6 +348,7 @@ class SharedChain:
     punct_mark: int
     refs: int = 0
     parents: list[tuple["SharedChain", Any]] = field(default_factory=list)
+    inlined: list[tuple] = field(default_factory=list)
 
 
 class SubplanRegistry:
@@ -327,6 +366,11 @@ class SubplanRegistry:
         #: chain that declined an attach grows a sibling).
         self._chains: dict[tuple, list[SharedChain]] = {}
         self._by_id: dict[int, SharedChain] = {}
+        #: fingerprint of a run prefix -> the chains that lowered it
+        #: inside themselves (``SharedChain.inlined`` is the reverse
+        #: index). An inlined prefix never has a live attachable chain
+        #: emitting the schema its inliner was planned against.
+        self._inliners: dict[tuple, list[SharedChain]] = {}
         self.created = 0
         self.attached = 0
         self.detached = 0
@@ -374,20 +418,55 @@ class SubplanRegistry:
         """Forget every chain (engine crash; routes die with the engine)."""
         self._chains.clear()
         self._by_id.clear()
+        self._inliners.clear()
 
     # ------------------------------------------------------------------
     def _acquire(self, subtree: LogicalOp) -> SharedChain:
+        """One reference on the chain computing ``subtree``.
+
+        A live attachable chain is joined. Otherwise the chain is
+        created — and if other chains had lowered this very subtree
+        inside themselves, this is the second consumer they were
+        waiting for: the *split*. Each inliner is re-lowered onto the
+        new chain (see :meth:`_relower`).
+        """
         fingerprint = plan_fingerprint(subtree)
         assert fingerprint is not None
+        chain = self._live(fingerprint, subtree.schema)
+        if chain is not None:
+            chain.refs += 1
+            self.attached += 1
+            return chain
+        inliners = list(self._inliners.get(fingerprint, ()))
+        for inliner in inliners:
+            # Every record, the deeper ones too: left in place, the new
+            # chain's own lowering would split those off as chains with
+            # one consumer.
+            self._forget(inliner)
+            # Off its feeders before the new chain goes onto them. Both
+            # removals rebind the list they edit, so a run in flight
+            # (this admission came from a subscriber callback) finishes
+            # on the old pipeline over the old lists and never reaches
+            # the new chain, which would hand it to the inliner again.
+            self._engine._drop_routes(inliner.chain_id)
+            for parent, branch in inliner.parents:
+                parent.tee.remove_branch(branch)
+        chain = self._create(subtree, fingerprint)
+        for inliner in inliners:
+            self._relower(inliner)
+        return chain
+
+    def _live(self, fingerprint: tuple, schema: Any) -> SharedChain | None:
+        """The attachable chain under ``fingerprint`` emitting ``schema``.
+
+        Nothing relabels rows between a tee and its branches, so the
+        chain must emit the very schema the new consumer was planned
+        against; one that does not gets a sibling chain.
+        """
         for chain in self._chains.get(fingerprint, ()):
-            # Nothing relabels rows between a tee and its branches, so
-            # the chain must emit the very schema the new consumer was
-            # planned against; one that does not gets a sibling chain.
-            if chain.plan.schema == subtree.schema and self._attachable(chain):
-                chain.refs += 1
-                self.attached += 1
+            if chain.plan.schema == schema and self._attachable(chain):
                 return chain
-        return self._create(subtree, fingerprint)
+        return None
 
     def _attachable(self, chain: SharedChain) -> bool:
         """A new branch sees exactly what a fresh pipeline would see.
@@ -407,12 +486,12 @@ class SubplanRegistry:
 
     def _create(self, subtree: LogicalOp, fingerprint: tuple) -> SharedChain:
         engine = self._engine
-        plan = self._rewrite(subtree)
         tee = TeeOp()
-        compiled = engine._compiler.compile(plan, tee)
+        plan, compiled, inlined = self._lower(subtree, tee)
         chain = SharedChain(
             chain_id=_next_chain_id(),
             fingerprint=fingerprint,
+            subtree=subtree,
             plan=plan,
             compiled=compiled,
             tee=tee,
@@ -421,37 +500,103 @@ class SubplanRegistry:
             punct_mark=engine.punctuations_seen,
             refs=1,
         )
-        for feed, branch in compiled.feeds:
-            parent = self._by_id[feed.chain_id]
-            parent.tee.add_branch(branch)
-            chain.parents.append((parent, branch))
         self._by_id[chain.chain_id] = chain
         self._chains.setdefault(fingerprint, []).append(chain)
-        engine._register_chain_routes(chain)
+        self._wire(chain, inlined)
         self.created += 1
         return chain
 
-    def _rewrite(self, node: LogicalOp) -> LogicalOp:
-        """Replace cut-eligible child subtrees with SharedFeed leaves.
+    def _relower(self, chain: SharedChain) -> None:
+        """Compile a stateless chain's subtree again, into the same tee.
+
+        Called on each chain that had inlined a prefix which just became
+        a chain (:meth:`_acquire` has forgotten its records and taken
+        its old pipeline off routes and parent tees). Branches, refs, id
+        and fingerprint survive; the operators are new, so their
+        ``rows_in`` / ``rows_out`` restart at zero. The new parents are
+        acquired before the references on the old ones are released, so
+        a warm stateful chain further down is never torn down in
+        passing.
+        """
+        old_parents = chain.parents
+        chain.plan, chain.compiled, inlined = self._lower(chain.subtree, chain.tee)
+        chain.parents = []
+        self._wire(chain, inlined)
+        for parent, branch in old_parents:
+            self.release(parent, branch)
+
+    def _lower(self, subtree: LogicalOp, tee: TeeOp) -> tuple[LogicalOp, Any, list[tuple]]:
+        """``(plan, compiled, inlined fingerprints)`` of a chain over
+        ``subtree`` ending in ``tee``; holds one reference on each chain
+        the plan's :class:`SharedFeed` leaves name."""
+        inlined: list[tuple] | None = [] if self._is_run(subtree) else None
+        plan = self._rewrite(subtree, inlined)
+        return plan, self._engine._compiler.compile(plan, tee), inlined or []
+
+    def _wire(self, chain: SharedChain, inlined: list[tuple]) -> None:
+        """Hang ``chain.compiled`` on its parents' tees and the engine's
+        routes, and record what it inlined."""
+        for feed, branch in chain.compiled.feeds:
+            parent = self._by_id[feed.chain_id]
+            parent.tee.add_branch(branch)
+            chain.parents.append((parent, branch))
+        chain.inlined = inlined
+        for fingerprint in inlined:
+            self._inliners.setdefault(fingerprint, []).append(chain)
+        self._engine._register_chain_routes(chain)
+
+    def _forget(self, chain: SharedChain) -> None:
+        """Drop every inliner record ``chain`` holds."""
+        for fingerprint in chain.inlined:
+            group = self._inliners[fingerprint]
+            group.remove(chain)
+            if not group:
+                del self._inliners[fingerprint]
+        chain.inlined = []
+
+    def _rewrite(self, node: LogicalOp, inlined: list[tuple] | None) -> LogicalOp:
+        """Replace the cuts below ``node`` with SharedFeed leaves.
 
         Top-down, so each replacement is the *maximal* cut at its
         position; the node itself is never cut (it is the chain).
+
+        ``inlined`` is None for a chain that will hold state (or reads
+        anything but one stream scan through a Select/Project run): it
+        cuts below itself unconditionally. A pure run passes a list:
+        it cuts a prefix only where somebody else wants it — a live
+        chain to feed from, or another chain that inlined the same
+        prefix, which :meth:`_acquire` then splits — and otherwise
+        descends, noting the prefix's fingerprint in ``inlined``, so
+        the compiler is shown the run whole.
         """
         for child in node.children:
             if self._is_cut(child):
-                inner = self._acquire(child)
-                node = replace_child(node, child, SharedFeed(child, inner.chain_id))
-            else:
-                rewritten = self._rewrite(child)
-                if rewritten is not child:
-                    node = replace_child(node, child, rewritten)
+                if inlined is None or self._wanted(child):
+                    inner = self._acquire(child)
+                    node = replace_child(node, child, SharedFeed(child, inner.chain_id))
+                    continue
+                inlined.append(plan_fingerprint(child))
+            rewritten = self._rewrite(child, inlined)
+            if rewritten is not child:
+                node = replace_child(node, child, rewritten)
         return node
+
+    def _wanted(self, prefix: LogicalOp) -> bool:
+        """Does anybody besides the chain being lowered want ``prefix``?"""
+        fingerprint = plan_fingerprint(prefix)
+        return (
+            fingerprint in self._inliners
+            or self._live(fingerprint, prefix.schema) is not None
+        )
 
     @staticmethod
     def _is_cut(node: LogicalOp) -> bool:
         """A shareable prefix: [Aggregate] over a Select/Project run
         over a stream Scan. Bare scans are excluded — a pure fan-out
-        chain saves no compute but adds a tee hop."""
+        chain saves no compute but adds a tee hop. Whether a shareable
+        prefix *is* cut is its consumer's call (:meth:`_rewrite`):
+        always below a chain that holds state, only once shared below a
+        pure run."""
         inner = node
         if isinstance(inner, Aggregate):
             inner = inner.child
@@ -465,6 +610,12 @@ class SubplanRegistry:
             and inner.entry.kind is SourceKind.STREAM
         )
 
+    @classmethod
+    def _is_run(cls, node: LogicalOp) -> bool:
+        """A pure Select/Project run over a stream Scan: the one chain
+        shape that is stateless by construction and may inline."""
+        return isinstance(node, (Select, Project)) and cls._is_cut(node)
+
     def _teardown(self, chain: SharedChain) -> None:
         self._by_id.pop(chain.chain_id, None)
         group = self._chains.get(chain.fingerprint)
@@ -473,6 +624,7 @@ class SubplanRegistry:
                 group.remove(chain)
             if not group:
                 del self._chains[chain.fingerprint]
+        self._forget(chain)
         self._engine._drop_routes(chain.chain_id)
         self.torn_down += 1
         for parent, branch in chain.parents:
@@ -497,10 +649,18 @@ class SubplanRegistry:
         }
 
     def snapshot_chains(self) -> dict[tuple, list[list[dict]]]:
-        """Operator state of every live chain, grouped by fingerprint.
+        """Operator state of every live chain that holds any, grouped by
+        fingerprint.
 
         One snapshot per chain regardless of fan-out — the whole point:
         N branches over one chain checkpoint one copy of its state.
+        Stateless chains are left out: they hold nothing but their
+        ``rows_in`` / ``rows_out`` counters (which therefore restart at
+        zero after a restore, as they do after a re-lowering), and where
+        their cuts fall depends on admission history — a restore regrows
+        them from the queries alone, maybe fused where the barrier saw
+        them split — while a stateful chain is the same chain whatever
+        was admitted around it.
         """
         return {
             fingerprint: [
@@ -508,6 +668,7 @@ class SubplanRegistry:
                 for chain in group
             ]
             for fingerprint, group in self._chains.items()
+            if not group[0].stateless  # one fingerprint, one operator list
         }
 
     def restore_chains(self, snapshot: dict[tuple, list[list[dict]]]) -> None:

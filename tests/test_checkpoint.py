@@ -336,6 +336,69 @@ class TestEngineRestore:
         assert after == before
 
 
+@pytest.mark.usefixtures("no_fallbacks")
+class TestStatelessCutsAcrossRecovery:
+    """Where a stateless cut falls depends on admission history (a
+    prefix becomes a chain when a second consumer asks, and stays one
+    after that consumer leaves); a restore regrows the DAG from the
+    surviving queries alone. Checkpoints therefore carry stateful
+    chains only, and recovery is indifferent to the difference."""
+
+    FILTERED = "select r.host, r.temp from Readings r where r.load > 0.2"
+
+    def _run(self, fail):
+        catalog = _catalog()
+        engine = StreamEngine(catalog, share_plans=True)
+        coordinator = CheckpointCoordinator(engine, interval=None)
+        build = PlanBuilder(catalog).build_sql
+        # A windowed aggregate (state crosses the barrier) beside the
+        # stateless tenant whose prefix gets split.
+        handles = [engine.execute(build(QUERIES[0])), engine.execute(build(self.FILTERED))]
+        rows, stamps = _rows(60)
+        registry = engine.subplans
+
+        def shapes():
+            return sorted(
+                [type(op).__name__ for op in chain.compiled.operators]
+                for chain in registry.live_chains
+                if chain.stateless
+            )
+
+        def feed(lo, hi):
+            engine.push_many("Readings", rows[lo:hi], stamps[lo:hi])
+            engine.punctuate(stamps[hi - 1])
+
+        feed(0, 10)
+        assert shapes() == [["FusedOp"], ["ProjectOp"]]
+        second = engine.execute(build(QUERIES[2]))  # same filter: the split
+        feed(10, 20)
+        engine.stop(second)  # no merge-back: the cut stays
+        assert shapes() == [["FilterOp"], ["ProjectOp"], ["ProjectOp"]]
+        feed(20, 30)
+        barrier = coordinator.checkpoint(stamps[29])
+        stateful = [states for states in barrier.chains.values()]
+        assert [[op["type"] for op in chain] for chains in stateful for chain in chains] == [
+            ["AggregateOp"]
+        ]
+        feed(30, 40)
+        if fail:
+            engine.fail()
+            handles = coordinator.recover()
+            # Regrown from the two surviving queries: fused again.
+            assert shapes() == [["FusedOp"], ["ProjectOp"]]
+        feed(40, 60)
+        engine.punctuate(stamps[-1] + 100.0)
+        return [
+            [(e.timestamp, e.row.values) for e in handle.sink.elements]
+            for handle in handles
+        ]
+
+    def test_split_then_close_then_barrier_then_fail(self):
+        expected = self._run(fail=False)
+        assert all(expected)
+        assert self._run(fail=True) == expected
+
+
 class TestRejectedIngestLeavesNoLogRecord:
     """Regression: the replay log recorded a row before coercing it, so
     one malformed row made every later recovery raise from replay."""

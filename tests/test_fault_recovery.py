@@ -873,6 +873,52 @@ class TestSharedChainFailover:
         assert replay is not None and replay["target"] == victim
 
     @pytest.mark.parametrize("seed", range(min(SEEDS, 3)))
+    def test_kill_shard_after_a_split_lost_its_second_consumer(self, seed):
+        """A second projection over ``QUERIES[0]``'s filter arrives warm
+        (every shard splits the prefix off the fused chain), leaves
+        again (no merge-back: the cut stays), barriers pass, a shard
+        dies. The replica regrows from the surviving queries alone —
+        fused, where the barrier saw the chain split — which only
+        restores because stateless chains are not in the checkpoint."""
+        rng = random.Random(1100 + seed)
+        rows, stamps = _rows(300, rng)
+        chunks = _chunks(rows, stamps, random.Random(seed * 31 + 7))
+        assert len(chunks) >= 5
+        expected = self._unshared(stamps, chunks)
+
+        pool, coordinator, handles = self._pool(2, interval=0.0)
+        victim = seeded_point(seed, 2, salt=1)
+        second_sql = "select r.host, r.temp from Readings r where r.temp > 10.0"
+        second = []
+
+        def fused_chains(engine):
+            return sum(
+                type(op).__name__ == "FusedOp"
+                for chain in engine.subplans.live_chains
+                for op in chain.compiled.operators
+            )
+
+        def inject(chunk_no):
+            if chunk_no == 1:
+                before = pool.sharing_stats()["chains"]
+                second.append(pool.execute(PlanBuilder(_catalog()).build_sql(second_sql)))
+                # Per shard: the filter chain and the newcomer's projection.
+                assert pool.sharing_stats()["chains"] == before + 2 * 2
+            elif chunk_no == 2:
+                pool.stop(second[0])
+            elif chunk_no == 4:
+                assert [fused_chains(engine) for engine in pool.engines[:2]] == [0, 0]
+                kill_shard(pool, victim)
+
+        got = _drive(pool, handles, chunks, stamps[-1] + 200.0, on_chunk=inject)
+        assert got == expected, f"seed={seed}: emissions diverged across recovery"
+        assert coordinator.last_replay["target"] == victim
+        # The survivor keeps its cut; the restored replica runs the
+        # twin tenants' chain fused again.
+        counts = [fused_chains(engine) for engine in pool.engines[:2]]
+        assert counts[victim] == 1 and counts[1 - victim] == 0
+
+    @pytest.mark.parametrize("seed", range(min(SEEDS, 3)))
     def test_kill_fallback_with_shared_chains(self, seed):
         rng = random.Random(1300 + seed)
         rows, stamps = _rows(200, rng)

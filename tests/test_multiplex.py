@@ -7,7 +7,9 @@ surface:
   (duplicated texts, shared filter prefixes, stateful windows, and
   shared-ineligible table joins) run on ``connect(share_plans=False)``
   and on sharing sessions with 1, 2 and 4 shards; every cursor's sorted
-  per-punctuation-segment emissions must match exactly.
+  per-punctuation-segment emissions must match exactly. A second arm
+  staggers admission: cursors over one filter literal open and close
+  between chunks, so chains are attached to, split and released warm.
 * **Lifecycle** — interleaved ``Cursor.close`` / ``Session.close`` over
   cursors sharing one chain: closes are idempotent, siblings keep
   receiving, and the last release tears the chain DAG down exactly once.
@@ -21,6 +23,12 @@ surface:
   result carries the labels the private run gives it, and an input row
   is relabelled at most once per distinct scan schema — counted, so a
   shim creeping back fails tier-1 without a benchmark.
+* **Cut where it is shared** — one tenant runs one fused chain on
+  source rows as they are (counted on the ledger's deployments: no
+  unshared stateless cut); a second distinct consumer splits the prefix
+  off warm and the DAG and counters are then the eager cut's; every
+  open/close order leaves nothing behind; closing or admitting from a
+  subscriber callback reads like private pipelines.
 
 Seed count: ``REPRO_MUX_SEEDS`` (default 6).
 """
@@ -36,8 +44,9 @@ from repro.api import StreamSource, connect
 from repro.data import DataType, Field, Row, Schema
 from repro.errors import QueryError
 from repro.plan import PlanBuilder
-from repro.plan.logical import Distinct
+from repro.plan.logical import Distinct, Project, Select
 from repro.stream.compiler import _ReschemaConsumer
+from repro.stream.multiplex import plan_fingerprint
 
 SEEDS = int(os.environ.get("REPRO_MUX_SEEDS", "6"))
 
@@ -167,6 +176,75 @@ def _run(queries, rows, stamps, seed, *, share: bool, shards: int = 1):
     return segments, stats
 
 
+#: One filter literal, five consumers: two projections, a
+#: conjunct-extended filter, a DISTINCT and a grouped aggregate over it.
+STAGGER_POOL = [
+    "select r.host, r.temp from Readings r where r.temp > {t0}",
+    "select r.host, r.temp * 2.0 as t2 from Readings r where r.temp > {t0}",
+    "select r.host, r.load from Readings r where r.temp > {t0} and r.load > {l0}",
+    "select distinct r.host, r.room from Readings r where r.temp > {t0}",
+    "select r.room, count(*) as n from Readings r where r.temp > {t0} group by r.room",
+]
+
+
+def _run_staggered(seed, *, share: bool, shards: int = 1):
+    """Open and close cursors from ``STAGGER_POOL`` between seeded
+    chunks (``push`` or ``push_many``); per cursor, in admission order,
+    its sorted per-punctuation segments of ``(timestamp, values,
+    names)``. The schedule is a function of the seed alone."""
+    rng = random.Random(7000 + seed)
+    pool = [_fill(template, random.Random(seed)) for template in STAGGER_POOL]
+    rows, stamps = _rows(rng.randint(150, 260), rng)
+    session = _open_session(share=share, shards=shards)
+    cursors, live, segments, marks = [], [], [], []
+
+    def snapshot():
+        for index, cursor in enumerate(cursors):
+            elements = cursor._handle.sink.elements
+            fresh, marks[index] = elements[marks[index]:], len(elements)
+            segments[index].append(
+                sorted(
+                    (e.timestamp, repr(e.row.values), tuple(e.row.schema.names))
+                    for e in fresh
+                )
+            )
+
+    def admit(sql):
+        cursor = session.query(sql)
+        cursors.append(cursor)
+        live.append(cursor)
+        segments.append([])
+        marks.append(0)
+
+    offset = 0
+    while offset < len(rows):
+        if len(cursors) < 2:
+            # One tenant alone, then a second projection over its
+            # filter: every seed splits a warm chain at least once.
+            admit(pool[len(cursors)])
+        else:
+            for _ in range(rng.randint(0, 2)):
+                if live and rng.random() < 0.4:
+                    live.pop(rng.randrange(len(live))).close()
+                else:
+                    admit(rng.choice(pool))
+        size = rng.randint(5, 40)
+        chunk_rows, chunk_stamps = rows[offset : offset + size], stamps[offset : offset + size]
+        if rng.random() < 0.5:
+            session.push_many("Readings", chunk_rows, chunk_stamps)
+        else:
+            for row, stamp in zip(chunk_rows, chunk_stamps):
+                session.push("Readings", row, stamp)
+        offset += size
+        session.punctuate(chunk_stamps[-1])
+        snapshot()
+    session.punctuate(stamps[-1] + 200.0)
+    snapshot()
+    stats = session.stats()
+    session.close()
+    return segments, stats
+
+
 class TestSharedIdentityCorpus:
     """Sharing must be invisible in every cursor's emissions — same
     rows, same timestamps, same punctuation segments as fully private
@@ -190,6 +268,20 @@ class TestSharedIdentityCorpus:
             assert stats["sharing"]["fan_out"] > stats["sharing"]["chains"]
             # Every plan of the corpus runs generated code on every shard.
             assert stats["compile"]["generated"] > 0
+            assert stats["compile"]["fallbacks"] == 0
+
+    @pytest.mark.parametrize("seed", range(SEEDS))
+    def test_staggered_admission(self, seed):
+        """Cursors open and close *between* chunks, so chains are
+        attached to, split and released warm; every cursor — values,
+        timestamps and field names — reads as it does on private
+        pipelines under the same schedule."""
+        expected, _ = _run_staggered(seed, share=False)
+        assert any(segment for cursor in expected for segment in cursor)  # not vacuous
+        for shards in (1, 2):
+            got, stats = _run_staggered(seed, share=True, shards=shards)
+            assert got == expected, f"seed={seed} shards={shards}"
+            assert stats["sharing"]["attached"] > 0
             assert stats["compile"]["fallbacks"] == 0
 
     def test_table_join_is_declined_but_correct(self):
@@ -657,3 +749,386 @@ class TestRelabelBudget:
         session.close()
         # Every query here scans ``Readings r``: one scan schema.
         assert 0 < relabels <= len(rows)
+
+
+def _fusion_violations(registry):
+    """Unshared cuts: a stateless chain whose tee feeds exactly one
+    branch, that branch being the operator of another stateless chain —
+    two generated loops and a tee hop where one loop would do."""
+    return [
+        (parent.chain_id, chain.chain_id)
+        for chain in registry.live_chains
+        if chain.stateless
+        for parent, _ in chain.parents
+        if parent.stateless and parent.tee.fan_out == 1
+    ]
+
+
+class TestFusionBudget:
+    """No unshared stateless cut on the deployments the ledger times —
+    a count, not a timing: a Select/Project prefix with one consumer is
+    lowered inside that consumer, so ``one_query`` is one generated loop
+    over source rows as they arrive."""
+
+    @pytest.mark.parametrize(
+        "deployment, chains, fan_out",
+        [("one_query", 1, 1), ("standing7", 14, 14), ("tenants1k", 30, 1010)],
+    )
+    def test_no_unshared_stateless_cut(self, deployment, chains, fan_out):
+        _, standing7, templates, tenants = _ledger()
+        queries = {
+            "one_query": standing7[:1],
+            "standing7": standing7,
+            "tenants1k": [templates[i % len(templates)] for i in range(tenants)],
+        }[deployment]
+        session = _open_session(share=True)
+        for sql in queries:
+            session.query(sql)
+        registry = session.engine.subplans
+        assert _fusion_violations(registry) == []
+        stats = registry.stats()
+        assert (stats["chains"], stats["fan_out"]) == (chains, fan_out)
+        session.close()
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["push_many", "push"])
+    def test_one_query_is_one_loop_over_source_rows(self, batched, monkeypatch):
+        _, standing7, _, _ = _ledger()
+        session = _open_session(share=True)
+        cursor = session.query(standing7[0])
+        (chain,) = session.engine.subplans.live_chains
+        (fused,) = chain.compiled.operators
+        assert type(fused).__name__ == "FusedOp"
+        reschemas = 0
+        push_batch = _ReschemaConsumer.push_batch
+
+        def counting(shim, elements):
+            nonlocal reschemas
+            reschemas += 1
+            push_batch(shim, elements)
+
+        monkeypatch.setattr(_ReschemaConsumer, "push_batch", counting)
+        relabels = 0
+        with_schema = Row.with_schema
+
+        def relabelling(row, schema):
+            nonlocal relabels
+            relabels += 1
+            return with_schema(row, schema)
+
+        rows, stamps = _ledger_rows(2048)
+        rows = [Row(READINGS, tuple(row.values()), validate=False) for row in rows]
+        monkeypatch.setattr(Row, "with_schema", relabelling)
+        for lo in range(0, len(rows), 256):
+            if batched:
+                session.push_many("Readings", rows[lo : lo + 256], stamps[lo : lo + 256])
+            else:
+                for row, stamp in zip(rows[lo : lo + 256], stamps[lo : lo + 256]):
+                    session.push("Readings", row, stamp)
+            session.punctuate(stamps[lo + 255])
+        monkeypatch.undo()
+        assert fused.rows_in == len(rows)
+        assert fused.rows_out == len(cursor.results()) > 0
+        assert reschemas == 0 and relabels == 0
+        session.close()
+
+
+# ----------------------------------------------------------------------
+# A cut is made where it is shared: the split, its lifecycle, callbacks
+# ----------------------------------------------------------------------
+def _dag(registry):
+    """The chain DAG, order-free: per chain its operators, fan-out,
+    references and the operator lists of the chains it feeds from."""
+    return sorted(
+        (
+            [type(op).__name__ for op in chain.compiled.operators],
+            chain.tee.fan_out,
+            chain.refs,
+            sorted(
+                [type(op).__name__ for op in parent.compiled.operators]
+                for parent, _ in chain.parents
+            ),
+        )
+        for chain in registry.live_chains
+    )
+
+
+_HOT = {"room": "lab1", "host": "ws1", "temp": 30.0, "load": 0.5}
+
+
+class TestSplitLifecycle:
+    """One tenant runs one fused chain; the prefix becomes a chain of
+    its own when a second distinct consumer asks, and from then on the
+    DAG and the counters are the ones the eager cut used to build for
+    the same admission sequence (numbers below are copied from a run of
+    that sequence at the commit before the lazy cut)."""
+
+    A = "select r.host, r.temp from Readings r where r.temp > 20.0"
+    B = "select r.host, r.temp * 2.0 as t2 from Readings r where r.temp > 20.0"
+    D = "select distinct r.host, r.room from Readings r where r.temp > 20.0"
+    G = "select r.room, count(*) as n from Readings r where r.temp > 20.0 group by r.room"
+    COUNTERS = ("chains", "fan_out", "created", "attached", "detached", "torn_down")
+
+    def _admit_warm(self, session, sequence):
+        cursors, stamp = [], 0.0
+        for sql in sequence:
+            cursors.append(session.query(sql))
+            stamp += 1.0
+            session.push("Readings", _HOT, stamp)
+            session.push_many("Readings", [_HOT, _HOT], [stamp + 0.1, stamp + 0.2])
+        return cursors
+
+    def _counters(self, session):
+        stats = session.engine.subplans.stats()
+        return tuple(stats[key] for key in self.COUNTERS)
+
+    def test_one_tenant_is_one_fused_chain_on_source_rows(self):
+        session = _open_session(share=True)
+        self._admit_warm(session, [self.A, self.A])
+        registry = session.engine.subplans
+        assert _dag(registry) == [(["FusedOp"], 2, 2, [])]
+        (route,) = session.engine._routes["readings"]
+        assert route.query_id == registry.live_chains[0].chain_id
+        assert route.scan_schema is None  # source rows as they are: no relabel
+        assert list(registry._inliners) == registry.live_chains[0].inlined != []
+        session.close()
+
+    def test_second_distinct_consumer_splits_warm(self):
+        session = _open_session(share=True)
+        first, second = self._admit_warm(session, [self.A, self.B])
+        registry = session.engine.subplans
+        assert _dag(registry) == [
+            (["FilterOp"], 2, 2, []),
+            (["ProjectOp"], 1, 1, [["FilterOp"]]),
+            (["ProjectOp"], 1, 1, [["FilterOp"]]),
+        ]
+        assert self._counters(session) == (3, 4, 3, 1, 0, 0)
+        assert registry._inliners == {}
+        # The first tenant never noticed: 3 rows before the split, 3 after.
+        assert len(first.results()) == 6 and len(second.results()) == 3
+        assert [route.scan_schema is None for route in session.engine._routes["readings"]] == [False]
+        session.close()
+
+    @pytest.mark.parametrize(
+        "sequence, dag, counters",
+        [
+            (
+                ["A", "D"],
+                [
+                    (["DistinctOp"], 1, 1, [["ProjectOp"]]),
+                    (["FilterOp"], 2, 2, []),
+                    (["ProjectOp"], 1, 1, [["FilterOp"]]),
+                    (["ProjectOp"], 1, 1, [["FilterOp"]]),
+                ],
+                (4, 5, 4, 1, 0, 0),
+            ),
+            (
+                ["A", "G"],
+                [
+                    (["AggregateOp"], 1, 1, [["FilterOp"]]),
+                    (["FilterOp"], 2, 2, []),
+                    (["ProjectOp"], 1, 1, [["AggregateOp"]]),
+                    (["ProjectOp"], 1, 1, [["FilterOp"]]),
+                ],
+                (4, 5, 4, 1, 0, 0),
+            ),
+            (
+                ["A", "A", "B", "D", "G"],
+                [
+                    (["AggregateOp"], 1, 1, [["FilterOp"]]),
+                    (["DistinctOp"], 1, 1, [["ProjectOp"]]),
+                    (["FilterOp"], 4, 4, []),
+                    (["ProjectOp"], 1, 1, [["AggregateOp"]]),
+                    (["ProjectOp"], 1, 1, [["FilterOp"]]),
+                    (["ProjectOp"], 1, 1, [["FilterOp"]]),
+                    (["ProjectOp"], 2, 2, [["FilterOp"]]),
+                ],
+                (7, 11, 7, 4, 0, 0),
+            ),
+        ],
+        ids=["distinct", "aggregate", "all"],
+    )
+    def test_stateful_consumers_split_too_and_never_inline(self, sequence, dag, counters):
+        session = _open_session(share=True)
+        self._admit_warm(session, [getattr(self, name) for name in sequence])
+        registry = session.engine.subplans
+        assert _dag(registry) == dag
+        assert self._counters(session) == counters
+        assert all(chain.stateless or not chain.inlined for chain in registry.live_chains)
+        assert registry._inliners == {}
+        session.close()
+
+    def test_no_merge_back_until_the_last_reference_drops(self):
+        session = _open_session(share=True)
+        first, second = self._admit_warm(session, [self.A, self.B])
+        registry = session.engine.subplans
+        second.close()
+        assert _dag(registry) == [
+            (["FilterOp"], 1, 1, []),
+            (["ProjectOp"], 1, 1, [["FilterOp"]]),
+        ]
+        session.push("Readings", _HOT, 9.0)
+        assert len(first.results()) == 7
+        # The same template again attaches to what is there.
+        third = session.query(self.B)
+        assert registry.stats()["chains"] == 3
+        for cursor in (first, third):
+            cursor.close()
+        assert registry.stats()["chains"] == 0
+        session.close()
+
+    def test_a_deeper_prefix_is_inlined_by_the_new_chain(self):
+        """Project(Select(Select(Scan))) alone inlines both prefixes; a
+        second consumer of the upper Select makes *that* a chain, which
+        in turn inlines the lower Select — it is its only consumer."""
+        session = _open_session(share=True)
+        build = PlanBuilder(session.catalog).build_sql
+        inner = build("select * from Readings r where r.temp > 20.0").child
+        upper = Select(inner, build("select * from Readings r where r.load < 0.9").child.predicate)
+        items = build(self.A).items
+        engine = session.engine
+        registry = engine.subplans
+        whole = engine.execute(Project(upper, items))
+        assert _dag(registry) == [(["FusedOp"], 1, 1, [])]
+        assert len(registry._inliners) == 2
+        other = engine.execute(Distinct(upper))
+        assert _dag(registry) == [
+            (["DistinctOp"], 1, 1, [["FusedOp"]]),
+            (["FusedOp"], 2, 2, []),  # Select over Select, filter-only
+            (["ProjectOp"], 1, 1, [["FusedOp"]]),
+        ]
+        assert list(registry._inliners) == [plan_fingerprint(inner)]
+        session.push_many("Readings", [_HOT, _HOT], [1.0, 2.0])
+        assert len(whole.results) == 2 and len(other.results) == 1
+        # Now the lower Select is wanted as well: split again.
+        engine.execute(inner)
+        assert _dag(registry) == [
+            (["DistinctOp"], 1, 1, [["FilterOp"]]),
+            (["FilterOp"], 2, 2, []),
+            (["FilterOp"], 2, 2, [["FilterOp"]]),
+            (["ProjectOp"], 1, 1, [["FilterOp"]]),
+        ]
+        assert registry._inliners == {}
+        session.push("Readings", _HOT, 3.0)
+        assert len(whole.results) == 3
+        session.close()
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_any_open_close_schedule_leaves_nothing_behind(self, seed):
+        rng = random.Random(seed)
+        session = _open_session(share=True)
+        engine = session.engine
+        registry = engine.subplans
+        pool = [self.A, self.B, self.D, self.G]
+        opened, stamp = [], 0.0
+        for _ in range(rng.randint(6, 14)):
+            if opened and rng.random() < 0.4:
+                opened.pop(rng.randrange(len(opened))).close()
+            else:
+                opened.append(session.query(rng.choice(pool)))
+            stamp += 1.0
+            session.push("Readings", _HOT, stamp)
+            assert sorted(registry._inliners) == sorted(
+                fingerprint for chain in registry.live_chains for fingerprint in chain.inlined
+            )
+        rng.shuffle(opened)
+        for cursor in opened:
+            cursor.close()
+        stats = registry.stats()
+        assert stats["chains"] == 0 and stats["fan_out"] == 0
+        assert stats["detached"] == stats["created"] + stats["attached"]
+        assert stats["torn_down"] == stats["created"]
+        assert engine._routes == {} and registry._inliners == {}
+        session.close()
+
+
+class TestCursorLifecycleFromACallback:
+    """Closing or opening a cursor from inside a subscriber callback —
+    while a tee is half way through its branches — reads like private
+    pipelines for every cursor that was already there."""
+
+    SQL = TestSplitLifecycle.A
+
+    @staticmethod
+    def _feed(session, order):
+        if order == "push_many first":
+            session.push_many("Readings", [_HOT, _HOT], [1.0, 2.0])
+            session.push("Readings", _HOT, 3.0)
+        else:
+            session.push("Readings", _HOT, 1.0)
+            session.push_many("Readings", [_HOT, _HOT], [2.0, 3.0])
+
+    @pytest.mark.parametrize("order", ["push_many first", "push first"])
+    def test_closing_itself_starves_no_tee_sibling(self, order):
+        counts = {}
+        for share in (False, True):
+            session = _open_session(share=share)
+            c1, c2, c3 = (session.query(self.SQL) for _ in range(3))
+            c1.subscribe(lambda *_: c1.close())
+            self._feed(session, order)
+            counts[share] = [len(c.results()) for c in (c1, c2, c3)]
+            session.close()
+        assert counts[True] == counts[False]
+        assert counts[True][1:] == [3, 3]
+
+    @pytest.mark.parametrize("order", ["push_many first", "push first"])
+    @pytest.mark.parametrize("newcomer", ["twin", "split"])
+    def test_admitting_from_a_callback_never_doubles_a_row(self, newcomer, order):
+        """``twin`` attaches to the tee in flight (appended in place, so
+        it reads the run like a private newcomer does); ``split`` makes
+        the running chain's prefix a chain: the old pipeline finishes
+        its run, which never reaches the new chain."""
+        sql = self.SQL if newcomer == "twin" else TestSplitLifecycle.B
+        seen = {}
+        for share in (False, True):
+            session = _open_session(share=share)
+            c1, c2 = session.query(self.SQL), session.query(self.SQL)
+            late = []
+            c1.subscribe(lambda *_: late or late.append(session.query(sql)))
+            self._feed(session, order)
+            session.push_many("Readings", [_HOT, _HOT], [4.0, 5.0])
+            seen[share] = [_labelled(c._handle) for c in (c1, c2)], [
+                item for item in _labelled(late[0]._handle) if item[0] > 3.0
+            ]
+            if share and newcomer == "split":
+                assert session.stats()["sharing"]["chains"] == 3
+            session.close()
+        assert seen[True] == seen[False]
+        assert len(seen[True][0][0]) == 5 and len(seen[True][1]) == 2
+
+    @pytest.mark.parametrize("order", ["push_many first", "push first"])
+    def test_split_in_flight_below_a_tee_never_doubles_a_row(self, order):
+        """The same, one level down: the running chain is fed by a
+        tee (the view's chain), so the run in flight would reach the new
+        prefix chain through that tee's branch list, not a route."""
+        seen = {}
+        for share in (False, True):
+            session = _open_session(share=share)
+            session.query(
+                "create view hot as select r.host, r.temp, r.load "
+                "from Readings r where r.temp > 20.0"
+            )
+            session.query("select distinct h.host from hot h")
+            c1 = session.query("select h.host from hot h where h.load < 0.9")
+            if share:
+                # The view is a chain (two consumers); c1 runs fused on
+                # its tee, inlining the filter over the view.
+                (chain,) = [
+                    chain
+                    for chain in session.engine.subplans.live_chains
+                    if c1._handle.sink in chain.tee.branches
+                ]
+                assert chain.parents and chain.inlined
+            late = []
+            c1.subscribe(
+                lambda *_: late
+                or late.append(
+                    session.query("select distinct h.temp from hot h where h.load < 0.9")
+                )
+            )
+            self._feed(session, order)
+            session.push_many("Readings", [_HOT, _HOT], [4.0, 5.0])
+            seen[share] = _labelled(c1._handle)
+            if share:
+                assert not chain.inlined  # split: fed by the filter's chain now
+            session.close()
+        assert seen[True] == seen[False] and len(seen[True]) == 5
