@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint check bench bench-federated bench-recovery ledger ledger-compare
+.PHONY: test lint check bench bench-federated bench-recovery ledger ledger-trace ledger-compare
 
 ## Tier-1 verification: the full unit/integration suite.
 test:
@@ -48,6 +48,12 @@ bench-recovery:
 LEDGER_OUT ?= ledger-out/run.json
 ledger:
 	$(PYTHON) -m benchmarks.ledger run --out $(LEDGER_OUT) $(LEDGER_ARGS)
+
+## The per-layer evidence a change cites: every workload traced at seed 7
+## and scale 0.2 (where a row's time goes, span by span), e.g.
+##   make ledger-trace LEDGER_OUT=ledger-out/trace.json LEDGER_ARGS="--workloads standing7,xchg_pool4"
+ledger-trace:
+	$(PYTHON) -m benchmarks.ledger trace --out $(LEDGER_OUT) --seed 7 --scale 0.2 $(LEDGER_ARGS)
 
 ## Compare two ledger result files (the parent's, then the change's);
 ## exits non-zero on a regression beyond a metric's BENCHMARK.json bound.

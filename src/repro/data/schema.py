@@ -93,13 +93,8 @@ class Schema:
         return cls(Field(name, dtype) for name, dtype in pairs)
 
     def qualified(self, relation: str) -> "Schema":
-        """Return this schema with every field qualified by ``relation``.
-
-        Memoized like :meth:`concat`: equal scans (every ``Readings r``)
-        then carry one Schema object, so schema comparisons on the
-        ingest path are identity hits.
-        """
-        return _qualify_schema(self, relation)
+        """Return this schema with every field qualified by ``relation``."""
+        return Schema(f.qualified(relation) for f in self._fields)
 
     def unqualified(self) -> "Schema":
         """Return this schema with all qualifiers stripped.
@@ -211,11 +206,6 @@ class Schema:
 @lru_cache(maxsize=1024)
 def _concat_schemas(a: "Schema", b: "Schema") -> "Schema":
     return Schema(a._fields + b._fields)
-
-
-@lru_cache(maxsize=1024)
-def _qualify_schema(schema: "Schema", relation: str) -> "Schema":
-    return Schema(f.qualified(relation) for f in schema._fields)
 
 
 EMPTY_SCHEMA = Schema(())

@@ -98,7 +98,12 @@ class ReplayLog:
 # ----------------------------------------------------------------------
 @dataclass
 class QueryCheckpoint:
-    """One query's barrier state on a plain engine."""
+    """One query's barrier state on a plain engine.
+
+    Operator state holds rows as the operators hold them (a buffered
+    source row keeps its catalog schema); restore re-executes ``plan``,
+    which rebuilds a hand-built plan's exit label with the pipeline.
+    """
 
     plan: LogicalOp
     operators: list[dict]

@@ -2,7 +2,10 @@
 
 The compiler walks a logical plan bottom-up, instantiating the physical
 operator for each node and wiring downstream links. Scan leaves become
-*ports*: named entry points the engine connects to source feeds.
+*ports*: named entry points the engine connects to source feeds. A scan
+builds no rows, so source rows keep their catalog schema through every
+operator that forwards them; a plan whose results are such rows gets
+its label once, on the way out (:func:`result_sink`).
 
 Operator fusion: maximal runs of adjacent Select/Project nodes —
 Filter/Project, Filter/Filter, Project/Project, and longer mixed chains
@@ -71,13 +74,11 @@ class ScanPort:
     ``scan`` is None for :class:`~repro.plan.logical.RemoteSource` leaves
     (streams arriving from another engine, fed by name).
 
-    ``consumer`` takes rows under the source's catalog schema. Where the
-    chain resolves columns by name it is a renaming shim, and
-    ``relabelled`` is what sits behind the shim: it takes rows already
-    under ``scan.schema``. The engine relabels an ingest run once per
-    distinct scan schema and feeds every such port's ``relabelled``
-    the same run; ``consumer`` stays for whoever pushes source rows at
-    one port directly.
+    ``consumer`` is the operator above the leaf itself. A scan port
+    takes rows under the source's catalog schema and nothing relabels
+    them: every operator reads values by position, against the input
+    schema it was compiled for. A remote or exchange port takes rows the
+    engine built under the leaf's own schema.
     """
 
     source_name: str
@@ -88,7 +89,6 @@ class ScanPort:
     #: Exchange feeds are punctuated explicitly by the pool's shuffle
     #: barrier, never by the engine's broadcast punctuate.
     exchange: bool = False
-    relabelled: StreamConsumer | None = None
 
 
 @dataclass
@@ -124,7 +124,8 @@ class CompiledPlan:
 
 
 class _ReschemaConsumer:
-    """Rebases incoming rows positionally onto a fixed schema.
+    """Rebases incoming rows positionally onto a fixed schema: the exit
+    label :func:`result_sink` puts in front of a hand-built plan's sink.
 
     ``with_schema`` reuses the value tuple untouched, so a relabelled
     element costs one arity check plus two allocations (a ``Row`` and a
@@ -156,16 +157,27 @@ class _ReschemaConsumer:
         push_all(self._downstream, rebased)
 
 
-class _RenamingConsumer(_ReschemaConsumer):
-    """Rebases incoming rows onto the scan's qualified schema.
+def result_sink(plan: LogicalOp, sink: StreamConsumer) -> StreamConsumer:
+    """``sink``, labelled when ``plan`` hands it source rows.
 
-    Sources emit rows under their catalog schema (bare names); plans
-    reference ``binding.column``. Positional re-schema is free — values
-    are untouched.
+    A scan does not build rows: they keep the catalog schema they were
+    ingested under. Project, Aggregate, Join and the partial/merge
+    aggregates build rows under their own output schema, and the engine
+    builds remote and exchange rows under the leaf's; Select, Distinct,
+    OrderBy and Limit forward what they receive. So only a plan that
+    reaches a :class:`Scan` through those four alone delivers catalog
+    rows — a hand-built plan: the SQL front end tops every SELECT with a
+    Project — and only its sink gets one :class:`_ReschemaConsumer` to
+    ``plan.schema``. The walk stops at Output: the compiler applies this
+    to the node below ``OutputOp``, so the display reads the labels the
+    sink does.
     """
-
-    def __init__(self, scan: Scan, downstream: StreamConsumer):
-        super().__init__(scan.schema, downstream)
+    node = plan
+    while isinstance(node, (Select, Distinct, OrderBy, Limit)):
+        node = node.child
+    if isinstance(node, Scan):
+        return _ReschemaConsumer(plan.schema, sink)
+    return sink
 
 
 class PlanCompiler:
@@ -202,41 +214,27 @@ class PlanCompiler:
         also returned (the engine pushes into it).
         """
         if isinstance(node, Scan):
-            if getattr(downstream, "consumes_values_only", False):
-                # The operator chain above this scan is fully positional
-                # (schema-bound closures, projected output schemas): feeding
-                # catalog-schema rows straight in saves one Row and one
-                # StreamElement allocation per element at the port.
-                port = ScanPort(node.entry.name, node.binding, downstream, scan=node)
-            else:
-                port = ScanPort(
-                    node.entry.name,
-                    node.binding,
-                    _RenamingConsumer(node, downstream),
-                    scan=node,
-                    relabelled=downstream,
-                )
-            compiled.ports.append(port)
-            return port.consumer
+            # Source rows enter as they are (see ScanPort).
+            compiled.ports.append(
+                ScanPort(node.entry.name, node.binding, downstream, scan=node)
+            )
+            return downstream
         if isinstance(node, SharedFeed):
-            # Fed by another chain's tee, whose rows already carry this
-            # schema (the registry checks that once, at attach): the
-            # operator above the cut is itself the tee branch.
+            # Fed by another chain's tee: the operator above the cut is
+            # itself the tee branch, and reads the rows by position.
             compiled.feeds.append((node, downstream))
             return downstream
         if isinstance(node, ExchangeSource):
-            # A shuffled feed from the other shards: rows arrive already
-            # under the stage-2 schema via ShardedStreamEngine.push_exchange.
-            shim = _ReschemaConsumer(node.schema, downstream)
+            # A shuffled feed from the other shards: push_exchange builds
+            # its rows under the stage-2 schema.
             compiled.ports.append(
-                ScanPort(node.name, node.name, shim, exchange=True)
+                ScanPort(node.name, node.name, downstream, exchange=True)
             )
-            return shim
+            return downstream
         if isinstance(node, RemoteSource):
-            # Rows from remote engines already carry the plan schema.
-            shim = _ReschemaConsumer(node.schema, downstream)
-            compiled.ports.append(ScanPort(node.name, node.name, shim))
-            return shim
+            # push_remote builds rows under the leaf's schema.
+            compiled.ports.append(ScanPort(node.name, node.name, downstream))
+            return downstream
         if isinstance(node, CteRef):
             raise PlanError(
                 "CteRef cannot run inside a streaming pipeline; use "
@@ -315,7 +313,7 @@ class PlanCompiler:
         if isinstance(node, Output):
             op = OutputOp(node.display, self._deliver, downstream, node.every)
             compiled.operators.append(op)
-            return self._compile_node(node.child, op, compiled)
+            return self._compile_node(node.child, result_sink(node.child, op), compiled)
         raise PlanError(f"stream compiler cannot handle {type(node).__name__}")
 
     def _try_fuse(

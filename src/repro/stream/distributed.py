@@ -229,11 +229,11 @@ class DistributedStreamEngine:
         in-flight elements.
         """
         from repro.data.streams import CollectingConsumer
-        from repro.stream.compiler import PlanCompiler
+        from repro.stream.compiler import PlanCompiler, result_sink
 
         placement = placement or self.default_placement(plan)
         sink = CollectingConsumer()
-        compiled = PlanCompiler().compile(plan, sink)
+        compiled = PlanCompiler().compile(plan, result_sink(plan, sink))
         network = self._catalog.network
 
         # The compiler wired Scan ports directly; interpose an Exchange

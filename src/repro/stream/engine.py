@@ -13,9 +13,11 @@ every port. :meth:`push_many` amortizes the lookup (and the catalog
 resolution) across a whole batch of rows and hands each port the whole
 batch via the optional ``push_batch`` protocol, so vectorized operators
 (Filter/Project/Fused) traverse it with one dispatch per operator. Rows
-are relabelled from the catalog schema to a scan's ``binding.column``
-schema here, once per distinct scan schema however many ports want it
-(:meth:`StreamEngine._runs`), and never again downstream.
+enter every port under the catalog schema and keep it: operators read
+them by position, and a row is built under another schema only by an
+operator that builds rows anyway. A hand-built plan that forwards source
+rows to its sink gets one label on the way out
+(:func:`~repro.stream.compiler.result_sink`), applied in :meth:`execute`.
 
 The engine is deliberately synchronous: pushing an element runs the
 whole operator pipeline inline. Distribution (operators placed on
@@ -48,7 +50,7 @@ from repro.stream.compiler import (
     CompiledPlan,
     PlanCompiler,
     ScanPort,
-    _ReschemaConsumer,
+    result_sink,
 )
 from repro.stream.multiplex import SharedChain, SubplanRegistry
 
@@ -142,24 +144,6 @@ class _Route:
     query_id: int
     port: ScanPort
     remote_schema: Schema | None = None  # set for RemoteSource ports
-    #: The port's scan schema when source rows must be relabelled to it
-    #: (ingest then feeds ``port.relabelled``); None for ports that take
-    #: source rows as they are.
-    scan_schema: Schema | None = field(init=False)
-
-    def __post_init__(self) -> None:
-        port = self.port
-        self.scan_schema = port.scan.schema if port.relabelled is not None else None
-
-
-class _HeldRun:
-    """Downstream of an ingest relabel: keeps the relabelled run so that
-    every route wanting its schema can be handed the same list."""
-
-    __slots__ = ("elements",)
-
-    def push_batch(self, elements: list[StreamElement]) -> None:
-        self.elements = elements
 
 
 class StreamEngine:
@@ -195,8 +179,9 @@ class StreamEngine:
         self.share_plans = share_plans
         #: Shared-subplan registry (chains live here; see multiplex.py).
         self.subplans = SubplanRegistry(self)
-        #: query_id -> the shared chain whose tee feeds the query's sink.
-        self._attachments: dict[int, SharedChain] = {}
+        #: query_id -> (the shared chain whose tee feeds the query's
+        #: sink, the branch on that tee: the sink or its exit label).
+        self._attachments: dict[int, tuple[SharedChain, StreamConsumer]] = {}
         #: Recovery plumbing (see :mod:`repro.stream.checkpoint`). A
         #: coordinator attaches itself here; ingestion then appends to
         #: its bounded replay log. ``failed`` marks a simulated crash:
@@ -227,10 +212,9 @@ class StreamEngine:
         if self.checkpointer is not None and not self._replaying:
             self.checkpointer.record(("table", None, name, rows, timestamp))
         self._tables.setdefault(entry.name, []).extend(elements)
-        routes = self._routes.get(entry.name.lower(), ())
-        for _, consumer, run in self._runs(routes, elements):
-            for element in run:
-                consumer.push(element)
+        for route in self._routes.get(entry.name.lower(), ()):
+            for element in elements:
+                route.port.consumer.push(element)
 
     def table_rows(self, name: str) -> list[Row]:
         """Current contents of a loaded table."""
@@ -272,6 +256,11 @@ class StreamEngine:
         ``share`` overrides the engine's ``share_plans`` default for
         this one query (checkpoint restore pins each query to the
         sharing decision recorded at the barrier).
+
+        A plan that hands its sink source rows as they were ingested
+        (a hand-built one; see :func:`~repro.stream.compiler.result_sink`)
+        feeds the sink through its exit label; ``handle.sink`` is the
+        sink itself either way.
         """
         if self.failed:
             raise ExecutionError(
@@ -279,17 +268,18 @@ class StreamEngine:
             )
         if sink is None:
             sink = CollectingConsumer()
+        terminal = result_sink(plan, sink)
         use_share = self.share_plans if share is None else share
-        chain = self.subplans.admit(plan, sink) if use_share else None
+        chain = self.subplans.admit(plan, terminal) if use_share else None
         if chain is not None:
             compiled = CompiledPlan(root=plan)  # the pipeline is the chain's
         else:
-            compiled = self._compiler.compile(plan, sink)
+            compiled = self._compiler.compile(plan, terminal)
         handle = QueryHandle(next(_query_ids), plan, compiled, sink, self)
         handle.shared = chain is not None
         self._queries[handle.query_id] = handle
         if chain is not None:
-            self._attachments[handle.query_id] = chain
+            self._attachments[handle.query_id] = (chain, terminal)
         self._register_routes(handle)
         # Replay stored tables into the new query's table scans.
         for port in compiled.ports:
@@ -309,9 +299,9 @@ class StreamEngine:
         if self._queries.pop(handle.query_id, None) is None:
             return
         self._drop_routes(handle.query_id)
-        chain = self._attachments.pop(handle.query_id, None)
-        if chain is not None:
-            self.subplans.release(chain, handle.sink)
+        attachment = self._attachments.pop(handle.query_id, None)
+        if attachment is not None:
+            self.subplans.release(*attachment)
 
     def _drop_routes(self, owner_id: int) -> None:
         """Remove every routing entry registered under ``owner_id`` (a
@@ -379,19 +369,8 @@ class StreamEngine:
         if self.checkpointer is not None and not self._replaying:
             self.checkpointer.record(("push", None, source, row, timestamp))
         self.elements_ingested += 1
-        relabelled: dict[Schema, StreamElement] = {}
         for route in self._routes.get(entry.name.lower(), ()):
-            schema = route.scan_schema
-            if schema is None:
-                route.port.consumer.push(element)
-                continue
-            # Relabelled once per distinct scan schema, like a batch.
-            renamed = relabelled.get(schema)
-            if renamed is None:
-                renamed = relabelled[schema] = StreamElement(
-                    element.row.with_schema(schema), timestamp, entry.name
-                )
-            route.port.relabelled.push(renamed)
+            route.port.consumer.push(element)
 
     def push_many(
         self,
@@ -479,41 +458,18 @@ class StreamEngine:
         routes = self._routes.get(name.lower(), ())
         multi_port_queries = self._multi_port_queries(routes)
         interleaved = []
-        for route, consumer, run in self._runs(routes, elements):
+        for route in routes:
             if route.query_id in multi_port_queries:
-                interleaved.append((consumer, run))
+                interleaved.append(route.port.consumer)
             else:
-                push_all(consumer, run)
+                push_all(route.port.consumer, elements)
         if interleaved:
             # Element-major delivery across this query's ports, exactly
             # as repeated push() would interleave them.
-            for index in range(len(elements)):
-                for consumer, run in interleaved:
-                    consumer.push(run[index])
+            for element in elements:
+                for consumer in interleaved:
+                    consumer.push(element)
         return len(elements)
-
-    @staticmethod
-    def _runs(routes: Sequence["_Route"], elements: list[StreamElement]):
-        """``(route, consumer, run)`` per route, in route order.
-
-        A port that takes source rows as they are gets ``elements``
-        itself. A renaming port gets the run relabelled to its scan
-        schema, fed behind its shim — relabelled once per distinct scan
-        schema however many routes want it, by the one
-        ``_ReschemaConsumer.push_batch`` call, and every such route is
-        handed the same list.
-        """
-        relabelled: dict[Schema, _HeldRun] = {}
-        for route in routes:
-            schema = route.scan_schema
-            if schema is None:
-                yield route, route.port.consumer, elements
-                continue
-            held = relabelled.get(schema)
-            if held is None:
-                held = relabelled[schema] = _HeldRun()
-                _ReschemaConsumer(schema, held).push_batch(elements)
-            yield route, route.port.relabelled, held.elements
 
     @staticmethod
     def _multi_port_queries(routes: Sequence["_Route"]) -> set[int]:
@@ -560,23 +516,25 @@ class StreamEngine:
         """Push an element into RemoteSource ports (no catalog entry).
 
         ``values`` may be a mapping over the remote schema's bare or full
-        names, or an already-shaped Row; positional reschema happens at
-        the port.
+        names, or an already-shaped Row; each port gets a row built under
+        its leaf's schema. Shaped before it is logged: a rejected tuple
+        leaves no replay record.
         """
         if self.failed:
             return
+        deliveries = [
+            (
+                route.port.consumer,
+                StreamElement(self._remote_row(route.remote_schema, values), timestamp, name),
+            )
+            for route in self._routes.get(name.lower(), ())
+            if route.port.scan is None
+        ]
         if self.checkpointer is not None and not self._replaying:
             self.checkpointer.record(("remote", None, name, values, timestamp))
         self.elements_ingested += 1
-        for route in self._routes.get(name.lower(), ()):
-            if route.port.scan is not None:
-                continue
-            schema = route.remote_schema
-            if isinstance(values, Row):
-                row = values.with_schema(schema)
-            else:
-                row = self._remote_row(schema, values)
-            route.port.consumer.push(StreamElement(row, timestamp, name))
+        for consumer, element in deliveries:
+            consumer.push(element)
 
     def _remote_schema(self, handle: QueryHandle, name: str) -> Schema:
         for node in handle.plan.walk():
@@ -585,7 +543,10 @@ class StreamEngine:
         raise ExecutionError(f"query {handle.query_id} has no remote source {name!r}")
 
     @staticmethod
-    def _remote_row(schema, values: Mapping[str, Any]) -> Row:
+    def _remote_row(schema, values: Mapping[str, Any] | Row) -> Row:
+        """``values`` shaped onto ``schema``; raises when it does not fit."""
+        if isinstance(values, Row):
+            return values.with_schema(schema)
         out = []
         for f in schema:
             if f.name in values:

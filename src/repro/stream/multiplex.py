@@ -36,8 +36,8 @@ and multiplicity depend on its subtree alone, never on what was
 admitted before it (checkpoints rely on that). A chain that *is* a pure
 Select/Project run holds no state, and lowers a prefix of the run
 inside itself while it is that prefix's only consumer: the compiler
-sees the run whole, fuses it into one generated loop, and — when the
-run projects — the scan port takes source rows as they are. The
+sees the run whole and fuses it into one generated loop over the source
+rows. The
 registry records which chains inlined which prefix; the moment a second
 distinct consumer asks for one (another projection, a DISTINCT, an
 aggregate over the same filter), the prefix becomes a chain and each
@@ -118,9 +118,11 @@ class TeeOp:
 
     The terminal consumer of every shared chain. Branches are the
     subscribed queries' sinks and, for a cut chain, the operators of the
-    chains stacked on it — nothing sits in between, so every branch is
-    handed the same run and the same elements (the ``push_batch``
-    contract: a receiver neither mutates nor keeps the list). Add and
+    chains stacked on it — nothing sits in between but a hand-built
+    query's exit label (:func:`~repro.stream.compiler.result_sink`,
+    never on a SQL query), so every branch is handed the same run and
+    the same elements (the ``push_batch`` contract: a receiver neither
+    mutates nor keeps the list). Add and
     remove never disturb sibling branches, even from inside a delivery
     (a subscriber callback that closes or opens a cursor): a removal
     rebinds ``branches`` so the fan-out in flight finishes over the list
@@ -161,10 +163,11 @@ class TeeOp:
 class SharedFeed(RemoteSource):
     """Pseudo-leaf standing in for a subtree executed by a shared chain.
 
-    Lowers to the operator above it (no port, no shim: the producing
-    chain's rows already carry ``wrapped.schema``, checked once at
-    attach), which the registry attaches to that chain's tee as a
-    branch (``CompiledPlan.feeds``).
+    Lowers to the operator above it (no port), which the registry
+    attaches to that chain's tee as a branch (``CompiledPlan.feeds``).
+    That operator is compiled against ``wrapped.schema`` and reads the
+    producing chain's rows by position, whatever schema they carry — a
+    filter-only chain forwards source rows under their catalog schema.
 
     ``walk`` yields the *wrapped* subtree's nodes rather than the feed
     itself so window inference (``PlanCompiler._side_window``) and
@@ -193,8 +196,10 @@ def plan_fingerprint(node: LogicalOp) -> tuple | None:
     that transform identical inputs into identical outputs: every
     semantic detail — source, binding, window, predicate and projection
     renders, aggregate calls, key names — participates. Bindings matter
-    because the output schema is binding-qualified; sharing across
-    bindings would hand downstream closures rows with wrong field names.
+    because a chain's output schema is binding-qualified: a projecting
+    or aggregating chain builds its rows under that schema, so sharing
+    across bindings would deliver rows under another query's field
+    names.
     """
     if isinstance(node, SharedFeed):
         return plan_fingerprint(node.wrapped)
@@ -318,8 +323,12 @@ class SharedChain:
         subtree: The original subtree this chain computes — what a
             re-lowering compiles again.
         plan: The compiled plan — ``subtree`` with the cuts below it
-            replaced by :class:`SharedFeed` leaves. Every row the chain
-            emits carries (a schema equal to) ``plan.schema``.
+            replaced by :class:`SharedFeed` leaves. A chain that builds
+            rows (a projection, an aggregate, a join) emits them under
+            ``plan.schema``; one that only forwards (a filter-only cut,
+            a DISTINCT over one) emits source rows under their catalog
+            schema, read by position by the chains stacked on it and
+            labelled per query by a hand-built query's exit label.
         compiled: The chain's pipeline; its ports are scan ports, its
             feeds hang on the parent chains' tees.
         tee: Terminal fan-out to branches (query sinks/nested chains).
@@ -459,9 +468,12 @@ class SubplanRegistry:
     def _live(self, fingerprint: tuple, schema: Any) -> SharedChain | None:
         """The attachable chain under ``fingerprint`` emitting ``schema``.
 
-        Nothing relabels rows between a tee and its branches, so the
-        chain must emit the very schema the new consumer was planned
-        against; one that does not gets a sibling chain.
+        Nothing relabels rows between a tee and its branches, and a
+        chain that builds rows builds them under its own
+        ``plan.schema``, so that schema must equal the one the new
+        consumer was planned against — names, types and docs, which the
+        fingerprint does not carry; a chain that does not match gets a
+        sibling.
         """
         for chain in self._chains.get(fingerprint, ()):
             if chain.plan.schema == schema and self._attachable(chain):

@@ -26,6 +26,14 @@ the ledger workload the caller's verb selects (a row at a time through
 ROADMAP.md, Open items). Downstream consumers that don't implement
 ``push_batch`` (it is optional) receive per-element pushes.
 
+Schemas: every operator binds the input schema it was compiled for and
+reads ``element.row.values`` by position, never the row's own schema.
+Rows keep the schema they were built with: Filter, Distinct, OrderBy,
+Limit and Output forward the elements they receive (source rows keep
+their catalog schema), while Project, Fused chains that project,
+Aggregate, the join and the partial/merge aggregates build their output
+rows under their own output schema.
+
 State bounds: window joins evict expired rows on punctuation, so memory
 is proportional to window size times input rate — the property the paper
 relies on for long-running monitoring queries.
@@ -162,14 +170,6 @@ class Operator:
             for element in elements:
                 push(element)
 
-    #: True when the operator only ever reads ``element.row.values`` (its
-    #: expressions are positionally compiled) and emits rows whose schema
-    #: does not derive from the incoming row's. The plan compiler elides
-    #: the port's renaming shim for such operators: sources can feed
-    #: catalog-schema rows straight in because nobody downstream will
-    #: ever resolve a column by the incoming names.
-    consumes_values_only = False
-
     # -- checkpointing ----------------------------------------------------
     def state_snapshot(self) -> dict:
         """Detached recovery state (see :mod:`repro.stream.checkpoint`).
@@ -221,10 +221,6 @@ class FilterOp(Operator):
         self._batch_fn = compile_fused_batch(
             [("filter", predicate)], input_schema, input_schema
         )
-        # A filter never reads the row's schema, but it forwards the
-        # element unchanged — so it is schema-oblivious only when
-        # everything downstream is too (see Operator.consumes_values_only).
-        self.consumes_values_only = getattr(downstream, "consumes_values_only", False)
 
     def on_element(self, element: StreamElement) -> None:
         if self._compiled(element.row.values) is True:
@@ -238,10 +234,6 @@ class FilterOp(Operator):
 
 class ProjectOp(Operator):
     """Compute output columns; one output row per input row."""
-
-    # A projection is purely positional and every output row carries
-    # output_schema — incoming names are never read.
-    consumes_values_only = True
 
     def __init__(
         self,
@@ -306,13 +298,6 @@ class FusedOp(Operator):
         self._fused_batch = compile_fused_batch(stages, input_schema, output_schema)
         self.generated = self._fused is not None
         self._projects = any(stage[0] == "project" for stage in stages)
-        # With a projection in the chain the incoming row is consumed
-        # positionally and replaced; filter-only chains forward the
-        # original element, so they are schema-oblivious only when the
-        # downstream is too.
-        self.consumes_values_only = self._projects or getattr(
-            downstream, "consumes_values_only", False
-        )
 
     @property
     def fused_stages(self) -> int:
@@ -594,11 +579,6 @@ class AggregateOp(Operator):
       aggregate over *all* rows seen so far (continuous running totals —
       the semantics SmartCIS uses for "total resources by user").
     """
-
-    # The fold is purely positional and emits rows under output_schema
-    # only, so the scan-port renaming shim can be elided beneath it (see
-    # Operator.consumes_values_only).
-    consumes_values_only = True
 
     def __init__(
         self,
@@ -1161,9 +1141,6 @@ class DistinctOp(Operator):
     def __init__(self, downstream: StreamConsumer):
         super().__init__(downstream)
         self._seen: set[tuple] = set()
-        # Dedup keys on the value tuple and forwards elements unchanged:
-        # schema-oblivious exactly when everything downstream is.
-        self.consumes_values_only = getattr(downstream, "consumes_values_only", False)
 
     def on_element(self, element: StreamElement) -> None:
         key = element.row.values

@@ -182,6 +182,9 @@ class FramedChannel:
         #: for none) — receiving it proves the worker is caught up.
         self._awaiting: int | None = None
         #: query id -> (feed, result schema) / stage-1 deposit feeds.
+        #: Emissions cross as value tuples and are rebuilt under the
+        #: result schema (``handle.plan.schema``): the label on the way
+        #: out, as ``StreamEngine.execute`` gives a hand-built plan.
         self._feeds: dict[int, tuple] = {}
         self._xfeeds: dict[int, list] = {}
         self._rows: dict[str, list[tuple]] = {}

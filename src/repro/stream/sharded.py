@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.catalog import Catalog
+from repro.data.schema import Schema
 from repro.data.streams import (
     CollectingConsumer,
     Punctuation,
@@ -514,8 +515,11 @@ class ShardedStreamEngine:
         self._owner_evictions = 0
         #: Remote-source routing recipes learned from executed plans:
         #: source.lower() -> tuple of (position, full name, bare name)
-        #: per declared key column (see ``_register_remote_keys``).
+        #: per declared key column, and source.lower() -> the remote
+        #: schema ``push_remote`` validates against (see
+        #: ``_register_remotes``).
         self._remote_keys: dict[str, tuple] = {}
+        self._remote_schemas: dict[str, Schema] = {}
         self._handles: dict[int, ShardedQueryHandle] = {}
         #: source.lower() -> how many partitioned / fallback queries
         #: read it: who is fed what, and what ``subscribed`` answers
@@ -741,8 +745,7 @@ class ShardedStreamEngine:
         self._handles[query_id] = handle
         self._subscribe(handle, +1)
         try:
-            if handle.partitioned:
-                self._register_remote_keys(plan)
+            self._register_remotes(handle)
             for index in range(shards) if handle.partitioned else (FALLBACK,):
                 try:
                     self._admit(handle, index)
@@ -818,17 +821,21 @@ class ShardedStreamEngine:
             handle.compiled = replica.compiled
         return arms
 
-    def _register_remote_keys(self, plan: LogicalOp) -> None:
-        """Learn the routing key of every keyed remote source in
-        ``plan``: a federated fragment whose :class:`RemoteSource`
-        declares ``partition_by`` ships pre-partitioned output, so
-        ``push_remote`` can hash-route its elements to the owning shard
-        instead of round-robining them (exchange ports are internal —
-        the shuffle barrier routes those itself)."""
-        for node in plan.walk():
+    def _register_remotes(self, handle: ShardedQueryHandle) -> None:
+        """Learn the schema of every remote source ``handle`` reads, so
+        ``push_remote`` rejects a tuple that does not fit before it is
+        logged or routed, and — for a partitioned handle — the routing
+        key of every keyed one: a federated fragment whose
+        :class:`RemoteSource` declares ``partition_by`` ships
+        pre-partitioned output, so ``push_remote`` can hash-route its
+        elements to the owning shard instead of round-robining them
+        (exchange ports are internal — the shuffle barrier routes those
+        itself)."""
+        for node in handle.plan.walk():
             if not isinstance(node, RemoteSource) or isinstance(node, ExchangeSource):
                 continue
-            if not node.partition_by:
+            self._remote_schemas[node.name.lower()] = node.schema
+            if not handle.partitioned or not node.partition_by:
                 continue
             recipe = []
             for key in node.partition_by:
@@ -1008,8 +1015,13 @@ class ShardedStreamEngine:
         ``partition_by`` key or round-robins across them; an unsafe
         residual's ports live on the fallback engine and receive the
         full feed there."""
-        self.elements_ingested += 1
         lower = name.lower()
+        schema = self._remote_schemas.get(lower)
+        if schema is not None:
+            # Shaped here, as push_many coerces: a tuple that does not
+            # fit raises before it is logged, counted or routed.
+            StreamEngine._remote_row(schema, values)
+        self.elements_ingested += 1
         checkpointer = self.checkpointer
         targets = []
         if lower in self._shard_subs:

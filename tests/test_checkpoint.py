@@ -20,6 +20,7 @@ from repro.data import DataType, Row, Schema
 from repro.errors import ExecutionError, SchemaError
 from repro.plan import PlanBuilder
 from repro.plan.logical import RemoteSource
+from repro.runtime.faults import kill_shard
 from repro.stream.checkpoint import (
     CheckpointCoordinator,
     FileCheckpointStore,
@@ -448,6 +449,67 @@ class TestRejectedIngestLeavesNoLogRecord:
     @pytest.mark.parametrize("verb", sorted(REJECTED))
     def test_recovery_after_rejected_ingest(self, verb):
         assert self._run(verb) == self._run()
+
+
+class TestRejectedRemoteTupleLeavesNoLogRecord:
+    """Regression: ``push_remote`` logged a tuple before shaping it, so
+    one tuple missing a field made every later recovery raise from
+    replay, losing the good tuples after it too. The pool also counted
+    it and stepped its round-robin before any shard looked at it."""
+
+    UPSTREAM = Schema.of(("u.host", DataType.STRING), ("u.temp", DataType.FLOAT))
+
+    def _run(self, engine, coordinator, rejected, fail):
+        handle = engine.execute(RemoteSource("upstream", self.UPSTREAM, 1.0))
+        engine.push_remote("upstream", {"host": "ws1", "temp": 20.0}, 1.0)
+        engine.push_remote("upstream", {"u.host": "ws2", "u.temp": 21.0}, 2.0)
+        engine.punctuate(2.0)
+        coordinator.checkpoint(2.0)
+        if rejected:
+            logged, ingested = coordinator.log.next_seq, engine.elements_ingested
+            with pytest.raises(ExecutionError, match="missing field 'u.host'"):
+                engine.push_remote("upstream", {"wrong": 1}, 2.5)
+            assert coordinator.log.next_seq == logged
+            assert engine.elements_ingested == ingested
+        engine.push_remote("upstream", {"host": "ws3", "temp": 22.0}, 3.0)
+        engine.push_remote("upstream", {"host": "ws4", "temp": 23.0}, 4.0)
+        handle = fail(engine, coordinator) or handle
+        engine.punctuate(5.0)
+        assert all(e.row.schema == self.UPSTREAM for e in handle.sink.elements)
+        return sorted((e.timestamp, e.row.values) for e in handle.sink.elements)
+
+    @staticmethod
+    def _recover(engine, coordinator):
+        engine.fail()
+        (handle,) = coordinator.recover()
+        return handle
+
+    @staticmethod
+    def _kill_both(pool, _):
+        for index in range(pool.shard_count):
+            kill_shard(pool, index)
+
+    def test_single_engine_recovers_as_if_never_sent(self):
+        def run(rejected):
+            engine = StreamEngine(_catalog())
+            coordinator = CheckpointCoordinator(engine, interval=None)
+            return self._run(engine, coordinator, rejected, self._recover)
+
+        expected = run(rejected=False)
+        assert len(expected) == 4
+        assert run(rejected=True) == expected
+
+    def test_pool_rejects_in_the_parent_and_fails_over(self):
+        def run(rejected):
+            pool = ShardedStreamEngine(_catalog(), shards=2)
+            coordinator = CheckpointCoordinator(pool, interval=None)
+            got = self._run(pool, coordinator, rejected, self._kill_both)
+            assert coordinator.last_replay is not None  # a shard was replayed
+            return got, pool.elements_ingested
+
+        expected = run(rejected=False)
+        assert len(expected[0]) == 4
+        assert run(rejected=True) == expected
 
 
 class TestSessionWiring:

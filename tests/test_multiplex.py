@@ -18,11 +18,14 @@ surface:
   a stale plan is evicted, never run.
 * **Stats** — ``session.stats()`` exposes the cache and sharing
   counters, summed across shard engines.
-* **Relabel once** — nothing sits between a tee and its branches (two
-  cursors of one template hold the very same elements), every shared
-  result carries the labels the private run gives it, and an input row
-  is relabelled at most once per distinct scan schema — counted, so a
-  shim creeping back fails tier-1 without a benchmark.
+* **A row keeps the schema it was built with** — nothing sits between
+  a tee and its branches or anywhere in a SQL query's pipeline (two
+  cursors of one template hold the very same elements); every result
+  and display row carries its plan's schema, on every execution path,
+  the hand-built plans that forward source rows included (labelled
+  once, on the way out); and ingest relabels nothing on the ledger's
+  deployments — counted, so a shim creeping back fails tier-1 without a
+  benchmark.
 * **Cut where it is shared** — one tenant runs one fused chain on
   source rows as they are (counted on the ledger's deployments: no
   unshared stateless cut); a second distinct consumer splits the prefix
@@ -44,9 +47,16 @@ from repro.api import StreamSource, connect
 from repro.data import DataType, Field, Row, Schema
 from repro.errors import QueryError
 from repro.plan import PlanBuilder
-from repro.plan.logical import Distinct, Project, Select
+from repro.plan.logical import Distinct, Limit, OrderBy, Output, Project, Select
+from repro.runtime import Simulator
+from repro.sql.ast import OrderItem
+from repro.sql.expressions import ColumnRef
+from repro.stream import DistributedStreamEngine
+from repro.stream.checkpoint import CheckpointCoordinator
 from repro.stream.compiler import _ReschemaConsumer
 from repro.stream.multiplex import plan_fingerprint
+from repro.stream.operators import OutputOp
+from repro.stream.procshard import usable_start_method
 
 SEEDS = int(os.environ.get("REPRO_MUX_SEEDS", "6"))
 
@@ -510,7 +520,8 @@ class TestStats:
 
 
 # ----------------------------------------------------------------------
-# Relabel once: no shim at a tee, right labels, a counted budget
+# A row keeps the schema it was built with: no shim, right labels on
+# every path, a counted budget
 # ----------------------------------------------------------------------
 def _ledger():
     """The ledger's deployments, so the budget below is counted on what
@@ -528,7 +539,48 @@ def _ledger_rows(count: int):
     return [dict(zip(READINGS.names, row)) for row in values], stamps
 
 
+def _count_relabels(monkeypatch) -> list[int]:
+    """A one-slot counter of ``Row.with_schema`` calls, live until
+    ``monkeypatch.undo()``."""
+    calls = [0]
+    with_schema = Row.with_schema
+
+    def counting(row, schema):
+        calls[0] += 1
+        return with_schema(row, schema)
+
+    monkeypatch.setattr(Row, "with_schema", counting)
+    return calls
+
+
+def _labels_in(engine):
+    """Every exit label in ``engine``: after an operator or at a port of
+    a private pipeline or a shared chain, or on a chain's tee."""
+    chains = engine.subplans.live_chains
+    pipelines = [h.compiled for h in engine.running_queries]
+    pipelines += [chain.compiled for chain in chains]
+    consumers = [op.downstream for p in pipelines for op in p.operators]
+    consumers += [port.consumer for p in pipelines for port in p.ports]
+    consumers += [branch for chain in chains for branch in chain.tee.branches]
+    return [c for c in consumers if isinstance(c, _ReschemaConsumer)]
+
+
 class TestNoShimAtTheTee:
+    @pytest.mark.parametrize("share", [True, False], ids=["shared", "private"])
+    def test_no_label_on_a_sql_deployment(self, share):
+        """The front end tops every SELECT with a Project, so no SQL
+        query of the ledger's deployments is labelled on the way out; a
+        hand-built bare filter is, exactly once."""
+        _, standing7, templates, _ = _ledger()
+        session = _open_session(share=share)
+        for sql in (*standing7, *templates):
+            session.query(sql)
+        assert _labels_in(session.engine) == []
+        select = PlanBuilder(session.catalog).build_sql(TestSharedLabels.FILTER).child
+        session.engine.execute(select)
+        assert len(_labels_in(session.engine)) == 1
+        session.close()
+
     def test_branches_are_sinks_and_twins_hold_the_same_elements(self):
         _, standing7, templates, _ = _ledger()
         session = _open_session(share=True)
@@ -536,12 +588,8 @@ class TestNoShimAtTheTee:
             session.query(sql)
         firsts = [session.query(sql) for sql in templates]
         twins = [session.query(sql) for sql in templates]
-        chains = session.engine.subplans.live_chains
-        assert chains
-        for chain in chains:
-            assert not any(
-                isinstance(branch, _ReschemaConsumer) for branch in chain.tee.branches
-            )
+        assert session.engine.subplans.live_chains
+        assert _labels_in(session.engine) == []
         rows, stamps = _ledger_rows(600)
         session.push_many("Readings", rows[:300], stamps[:300])
         for row, stamp in zip(rows[300:], stamps[300:]):
@@ -572,74 +620,192 @@ class TestNoShimAtTheTee:
         session.close()
 
 
-def _labelled(handle):
-    """Sorted ``(timestamp, values, names, types)`` of every result."""
+def _labels(elements):
+    """Sorted ``(timestamp, values, (name, type, doc) per field)``."""
     return sorted(
         (
             element.timestamp,
             repr(element.row.values),
-            tuple(element.row.schema.names),
-            tuple(f.dtype for f in element.row.schema),
+            tuple((f.name, f.dtype.value, f.doc) for f in element.row.schema),
         )
-        for element in handle.sink.elements
+        for element in elements
     )
 
 
+def _labelled(handle):
+    """:func:`_labels` of every result of ``handle``."""
+    return _labels(handle.sink.elements)
+
+
 class TestSharedLabels:
-    """Every shared result carries the schema the private run gives it —
-    names, types, order — whether the chain relabelled it (projection,
-    aggregate) or it reaches the sink under the scan's own label."""
+    """Every result row and every display row carries its plan's schema
+    — names, types and docs, what the private run (and the engine
+    before rows kept their ingest schema) gives it — on every execution
+    path: built under it by the chain (projection, aggregate, join) or a
+    source row labelled once, on the way out (a hand-built plan)."""
 
     FILTER = "select * from Readings r where r.temp > 20.0"
     JOIN = (
         "select * from Readings r [range 5 seconds], Readings q [range 5 seconds] "
         "where r.host = q.host and r.temp > q.temp"
     )
+    PROJECT = "select r.host, r.temp * 2.0 as t2 from Readings r where r.temp > 20.0"
+    AGGREGATE = (
+        "select r.room, count(*) as n, avg(r.temp) as mean from Readings r "
+        "[range 10 seconds slide 10 seconds] group by r.room"
+    )
+    #: A doc on every column, so a label that loses them is caught.
+    DOCUMENTED = Schema([Field(f.name, f.dtype, f"the {f.name}") for f in READINGS])
+    CONFIGS = {
+        "loopback1": {"shards": 1},
+        "loopback2": {"shards": 2},
+        "framed2": {"shards": 2, "workers": "process"},
+    }
 
-    @staticmethod
-    def _plans(session):
-        """Hand-cut plans (the SQL front end always tops a SELECT with a
-        Project): a bare filter, DISTINCT over it, a bare windowed join,
-        then a projected and an aggregated plan as built."""
-        build = PlanBuilder(session.catalog).build_sql
-        select = build(TestSharedLabels.FILTER).child
-        return [
+    @classmethod
+    def _plans(cls, catalog):
+        """``(plan, sql)`` pairs. Hand-cut plans (the SQL front end
+        always tops a SELECT with a Project; ``sql`` is None): a bare
+        filter, then DISTINCT, ORDER BY, LIMIT and OUTPUT TO over it, a
+        bare windowed join. Then a projected and an aggregated plan as
+        built, admitted by their text so the framed channel ships them."""
+        build = PlanBuilder(catalog).build_sql
+        select = build(cls.FILTER).child
+        hand_cut = [
             select,
             Distinct(select),
-            build(TestSharedLabels.JOIN).child,
-            build("select r.host, r.temp * 2.0 as t2 from Readings r where r.temp > 20.0"),
-            build(
-                "select r.room, count(*) as n, avg(r.temp) as mean from Readings r "
-                "[range 10 seconds slide 10 seconds] group by r.room"
-            ),
+            OrderBy(select, [OrderItem(ColumnRef("r.temp"), ascending=False)]),
+            Limit(select, 3),
+            Output(select, "wall"),
+            build(cls.JOIN).child,
         ]
+        built = [(build(sql), sql) for sql in (cls.PROJECT, cls.AGGREGATE)]
+        return [(plan, None) for plan in hand_cut] + built
 
-    @pytest.mark.parametrize("shards", [1, 2])
+    def _open(self, share, **options):
+        """A session running every plan twice (the second attaches),
+        its handles, and the display rows it delivers."""
+        displays = []
+        session = connect(
+            share_plans=share,
+            deliver=lambda _, element: displays.append(element),
+            **options,
+        )
+        session.attach(StreamSource("Readings", self.DOCUMENTED, rate=10.0, partition_by="host"))
+        handles = [
+            session.engine.execute(plan) if sql is None else session.query(sql)._handle
+            for plan, sql in self._plans(session.catalog)
+            for _ in range(2)
+        ]
+        return session, handles, displays
+
+    @staticmethod
+    def _feed(session, rows, stamps, batched):
+        """Chunks of 60, punctuated after each."""
+        for lo in range(0, len(rows), 60):
+            chunk_rows, chunk_stamps = rows[lo : lo + 60], stamps[lo : lo + 60]
+            if batched:
+                session.push_many("Readings", chunk_rows, chunk_stamps)
+            else:
+                for row, stamp in zip(chunk_rows, chunk_stamps):
+                    session.push("Readings", row, stamp)
+            session.punctuate(chunk_stamps[-1])
+
+    def _checked(self, handles, displays):
+        """Assert every row carries its plan's schema; the sorted labels
+        per handle, and of the display rows."""
+        for handle in handles:
+            elements = handle.sink.elements
+            assert all(e.row.schema == handle.plan.schema for e in elements), (
+                handle.plan.describe()
+            )
+        wall = self.DOCUMENTED.qualified("r")
+        assert displays and all(e.row.schema == wall for e in displays)
+        return [_labelled(handle) for handle in handles], _labels(displays)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            "loopback1",
+            "loopback2",
+            pytest.param(
+                "framed2",
+                marks=pytest.mark.skipif(
+                    usable_start_method() is None, reason="no multiprocessing start method"
+                ),
+            ),
+        ],
+    )
     @pytest.mark.parametrize("batched", [False, True], ids=["push", "push_many"])
-    def test_labels_equal_private_run(self, batched, shards):
+    def test_labels_equal_private_run(self, batched, config):
         rows, stamps = _ledger_rows(240)
         runs = {}
         for share in (False, True):
-            session = _open_session(share=share, shards=shards)
-            handles = [
-                session.engine.execute(plan)
-                for plan in self._plans(session)
-                for _ in range(2)  # twice each: the second attaches
-            ]
-            for lo in range(0, len(rows), 60):
-                if batched:
-                    session.push_many("Readings", rows[lo : lo + 60], stamps[lo : lo + 60])
-                else:
-                    for row, stamp in zip(rows[lo : lo + 60], stamps[lo : lo + 60]):
-                        session.push("Readings", row, stamp)
-                session.punctuate(stamps[lo + 59])
+            session, handles, displays = self._open(share, **self.CONFIGS[config])
+            self._feed(session, rows, stamps, batched)
             session.punctuate(stamps[-1] + 100.0)
-            runs[share] = [_labelled(handle) for handle in handles]
+            runs[share] = self._checked(handles, displays)
             if share:
                 assert session.stats()["sharing"]["attached"] > 0
             session.close()
-        assert all(runs[False])  # not vacuous: every plan emitted
+        assert all(runs[False][0])  # not vacuous: every plan emitted
+        assert runs[True] == runs[False]  # displays too: Output never shares
+
+    @pytest.mark.parametrize("share", [False, True], ids=["private", "shared"])
+    def test_labels_survive_fail_restore_replay(self, share):
+        """A restore re-executes every plan, so the exit labels are
+        rebuilt with the pipelines; results equal the failure-free run
+        and the replayed display rows are labelled too."""
+        rows, stamps = _ledger_rows(240)
+        runs = {}
+        for fail in (False, True):
+            session, handles, displays = self._open(share)
+            coordinator = CheckpointCoordinator(session.engine, interval=None)
+            self._feed(session, rows[:120], stamps[:120], batched=True)
+            coordinator.checkpoint(stamps[119])
+            self._feed(session, rows[120:180], stamps[120:180], batched=False)
+            if fail:
+                session.engine.fail()
+                handles = coordinator.recover()
+            self._feed(session, rows[180:], stamps[180:], batched=True)
+            session.punctuate(stamps[-1] + 100.0)
+            runs[fail] = self._checked(handles, displays)[0]
+            session.close()
+        assert all(runs[False])
         assert runs[True] == runs[False]
+
+    def test_distributed_engine_labels_like_a_private_run(self):
+        rows, stamps = _ledger_rows(240)
+        session, handles, _ = self._open(share=False)
+        self._feed(session, rows, stamps, batched=False)
+        session.punctuate(stamps[-1] + 100.0)
+        expected = [_labelled(handle) for handle in handles[::2]]
+        simulator = Simulator(seed=1)
+        engine = DistributedStreamEngine(session.catalog, simulator, ["coord", "w1", "w2"])
+        displays = []
+        queries = [engine.execute(plan) for plan, _ in self._plans(session.catalog)]
+        for query in queries:
+            for op in query.compiled.operators:
+                if isinstance(op, OutputOp):  # this engine has no display hook
+                    op.deliver = lambda _, element: displays.append(element)
+
+        def punctuate(watermark):
+            for query in queries:
+                query.punctuate(watermark)
+            simulator.run_for(1.0)
+
+        for lo in range(0, len(rows), 60):
+            for row, stamp in zip(rows[lo : lo + 60], stamps[lo : lo + 60]):
+                for query in queries:
+                    query.push("Readings", row, stamp)
+                simulator.run_for(1.0)  # delivered before the next row
+            punctuate(stamps[lo + 59])
+        punctuate(stamps[-1] + 100.0)
+        assert engine.total_network_elements() > 0  # rows crossed the LAN
+        got = self._checked(queries, displays)[0]
+        session.close()
+        assert all(expected)
+        assert got == expected
 
 
 class TestReattachedSource:
@@ -713,42 +879,48 @@ class TestReattachedSource:
 
 
 class TestRelabelBudget:
-    """At most one relabel per input row per distinct scan schema, on
-    the deployments the ledger times — a count, not a timing."""
+    """No relabel while the ledger's deployments ingest — a count, not a
+    timing. The one label left is a hand-built plan's, on the way out,
+    and the only hand-built plans there are ``xchg_pool4``'s exchanged
+    join sides (each a stage-1 ``Select(Scan)`` replica, whose
+    survivors are deposited by value): at most one per survivor."""
+
+    UNITS = 1024
 
     @pytest.mark.parametrize("batched", [True, False], ids=["push_many", "push"])
-    @pytest.mark.parametrize("deployment", ["standing7", "tenants1k"])
-    def test_one_relabel_per_input_row(self, deployment, batched, monkeypatch):
-        _, standing7, templates, tenants = _ledger()
-        queries = (
-            standing7
-            if deployment == "standing7"
-            else [templates[i % len(templates)] for i in range(tenants)]
-        )
-        session = _open_session(share=True)
-        for sql in queries:
-            session.query(sql)
-        relabels = 0
-        with_schema = Row.with_schema
+    @pytest.mark.parametrize(
+        "workload", ["one_query", "standing7", "tenants1k", "xchg_pool4"]
+    )
+    def test_relabels(self, workload, batched, monkeypatch):
+        from benchmarks.ledger.workloads import BY_NAME
 
-        def counting(row, schema):
-            nonlocal relabels
-            relabels += 1
-            return with_schema(row, schema)
-
-        monkeypatch.setattr(Row, "with_schema", counting)
-        rows, stamps = _ledger_rows(4096)
-        for lo in range(0, len(rows), 256):
-            if batched:
-                session.push_many("Readings", rows[lo : lo + 256], stamps[lo : lo + 256])
-            else:
-                for row, stamp in zip(rows[lo : lo + 256], stamps[lo : lo + 256]):
-                    session.push("Readings", row, stamp)
-            session.punctuate(stamps[lo + 255])
+        spec = BY_NAME[workload]
+        feeds = spec.build_input(7, self.UNITS)
+        deployment = spec.open(feeds)
+        deliver = spec._deliverer(deployment.session, feeds, per_row=not batched)
+        relabels = _count_relabels(monkeypatch)
+        for lo in range(0, self.UNITS, 256):
+            deliver(lo, lo + 256)
+        deployment.finish()
         monkeypatch.undo()
-        session.close()
-        # Every query here scans ``Readings r``: one scan schema.
-        assert 0 < relabels <= len(rows)
+        assert sum(len(cursor.results()) for cursor in deployment.cursors) > 0
+        budget = self._join_side_survivors(deployment) if workload == "xchg_pool4" else 0
+        deployment.close()
+        assert relabels[0] <= budget
+
+    @staticmethod
+    def _join_side_survivors(deployment) -> int:
+        """Rows out of the exchanged join's stage-1 replicas, all shards."""
+        join = deployment.cursors[0]._handle
+        assert join.exchanged
+        replicas = [
+            replica
+            for channel in deployment.session.engine._channels
+            for replica in channel.stage1[join.query_id]
+        ]
+        survivors = sum(replica.compiled.operators[0].rows_out for replica in replicas)
+        assert survivors > 0
+        return survivors
 
 
 def _fusion_violations(registry):
@@ -807,17 +979,9 @@ class TestFusionBudget:
             push_batch(shim, elements)
 
         monkeypatch.setattr(_ReschemaConsumer, "push_batch", counting)
-        relabels = 0
-        with_schema = Row.with_schema
-
-        def relabelling(row, schema):
-            nonlocal relabels
-            relabels += 1
-            return with_schema(row, schema)
-
         rows, stamps = _ledger_rows(2048)
         rows = [Row(READINGS, tuple(row.values()), validate=False) for row in rows]
-        monkeypatch.setattr(Row, "with_schema", relabelling)
+        relabels = _count_relabels(monkeypatch)
         for lo in range(0, len(rows), 256):
             if batched:
                 session.push_many("Readings", rows[lo : lo + 256], stamps[lo : lo + 256])
@@ -828,7 +992,7 @@ class TestFusionBudget:
         monkeypatch.undo()
         assert fused.rows_in == len(rows)
         assert fused.rows_out == len(cursor.results()) > 0
-        assert reschemas == 0 and relabels == 0
+        assert reschemas == 0 and relabels == [0]
         session.close()
 
 
@@ -881,20 +1045,24 @@ class TestSplitLifecycle:
         stats = session.engine.subplans.stats()
         return tuple(stats[key] for key in self.COUNTERS)
 
-    def test_one_tenant_is_one_fused_chain_on_source_rows(self):
+    def test_one_tenant_is_one_fused_chain_on_source_rows(self, monkeypatch):
         session = _open_session(share=True)
+        relabels = _count_relabels(monkeypatch)
         self._admit_warm(session, [self.A, self.A])
+        monkeypatch.undo()
         registry = session.engine.subplans
         assert _dag(registry) == [(["FusedOp"], 2, 2, [])]
         (route,) = session.engine._routes["readings"]
         assert route.query_id == registry.live_chains[0].chain_id
-        assert route.scan_schema is None  # source rows as they are: no relabel
+        assert relabels == [0]  # source rows as they are
         assert list(registry._inliners) == registry.live_chains[0].inlined != []
         session.close()
 
-    def test_second_distinct_consumer_splits_warm(self):
+    def test_second_distinct_consumer_splits_warm(self, monkeypatch):
         session = _open_session(share=True)
+        relabels = _count_relabels(monkeypatch)
         first, second = self._admit_warm(session, [self.A, self.B])
+        monkeypatch.undo()
         registry = session.engine.subplans
         assert _dag(registry) == [
             (["FilterOp"], 2, 2, []),
@@ -905,7 +1073,8 @@ class TestSplitLifecycle:
         assert registry._inliners == {}
         # The first tenant never noticed: 3 rows before the split, 3 after.
         assert len(first.results()) == 6 and len(second.results()) == 3
-        assert [route.scan_schema is None for route in session.engine._routes["readings"]] == [False]
+        # The filter-only chain forwards source rows as they are too.
+        assert len(session.engine._routes["readings"]) == 1 and relabels == [0]
         session.close()
 
     @pytest.mark.parametrize(
