@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint check bench bench-federated bench-recovery ledger ledger-trace ledger-compare
+.PHONY: test lint check bench bench-federated bench-recovery ledger ledger-trace ledger-compare ledger-pairs
 
 ## Tier-1 verification: the full unit/integration suite.
 test:
@@ -61,3 +61,14 @@ ledger-trace:
 ledger-compare:
 	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make ledger-compare A=base.json B=change.json"; exit 2; }
 	$(PYTHON) -m benchmarks.ledger compare $(A) $(B)
+
+## Alternating pairs against a base revision, the check a perf claim
+## cites (benchmarks/pairs.py): BASE's committed files run from
+## ledger-out/.base-<sha>/, this tree from here, seeds 1..PAIRS, base
+## first on odd pairs; prints every pair and "ahead k/N" per metric.
+##   make ledger-pairs BASE=HEAD~1 WORKLOAD=standing7 PAIRS=10 SECONDS=25
+PAIRS ?= 10
+SECONDS ?= 25
+ledger-pairs:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make ledger-pairs BASE=rev WORKLOAD=name [PAIRS=10] [SECONDS=25]"; exit 2; }
+	$(PYTHON) -m benchmarks.pairs --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS) --seconds $(SECONDS)

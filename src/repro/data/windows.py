@@ -9,9 +9,13 @@ queries use::
     Readings    [NOW]
     Config      [UNBOUNDED]
 
-A :class:`WindowSpec` describes the clause; :func:`assign_windows` maps
-an element timestamp to the set of window end-times it belongs to, which
-is how the aggregate operator buckets elements.
+A :class:`WindowSpec` describes the clause. A windowed aggregate numbers
+its RANGE windows: window *k* ends at ``k * hop`` and the spec's index
+methods (:meth:`WindowSpec.first_index`, :meth:`~WindowSpec.indexes`,
+:meth:`~WindowSpec.start`, :meth:`~WindowSpec.closed_through`) say which
+windows a row belongs to and which a watermark closes.
+:func:`assign_windows` maps a timestamp to its window end-times,
+independently of those methods.
 """
 
 from __future__ import annotations
@@ -39,9 +43,10 @@ class WindowSpec:
     Attributes:
         kind: The window flavour.
         size: Window extent — seconds for RANGE, row count for ROWS.
-        slide: Hop between consecutive window ends, in seconds. ``0``
-            means "slide on every element" (a pure sliding window). Only
-            meaningful for RANGE windows.
+        slide: Hop between consecutive window ends, in seconds. Only
+            meaningful for RANGE windows. ``0`` (no SLIDE clause) means
+            tumbling to an aggregate, which then hops by ``size`` (see
+            :attr:`hop`). A join ignores the slide.
     """
 
     kind: WindowKind
@@ -109,6 +114,69 @@ class WindowSpec:
             return element_ts
         return math.inf
 
+    # Window indexes (RANGE windows of an aggregate) ---------------------------
+    # Window k covers (start(k), k * hop]. Ends are computed as k * hop,
+    # never by repeated addition, so a fractional hop does not drift.
+    @property
+    def hop(self) -> float:
+        """Distance between consecutive window ends: the slide, or the
+        size when no SLIDE was given (a tumbling window)."""
+        return self.slide or self.size
+
+    @property
+    def panes(self) -> int | None:
+        """``size / hop`` when it is a whole number, else ``None``. Then a
+        row belongs to exactly that many consecutive windows."""
+        span = self.size / self.hop
+        return int(span) if span == int(span) else None
+
+    def first_index(self, timestamp: float) -> int:
+        """The first window a row stamped ``timestamp`` can belong to:
+        the smallest ``k`` with ``k * hop >= timestamp`` (ceil semantics
+        — a row exactly on an end belongs to the window ending there)."""
+        hop = self.hop
+        index = math.ceil(timestamp / hop)
+        # The quotient can round across an integer; the product decides.
+        if index * hop < timestamp:
+            index += 1
+        elif (index - 1) * hop >= timestamp:
+            index -= 1
+        return index
+
+    def start(self, index: int) -> float:
+        """Exclusive lower bound of window ``index``: ``(index - panes) *
+        hop`` when the size is a whole number of hops, else ``index * hop
+        - size``."""
+        panes = self.panes
+        if panes is not None:
+            return (index - panes) * self.hop
+        return index * self.hop - self.size
+
+    def indexes(self, timestamp: float) -> range:
+        """The windows a row stamped ``timestamp`` belongs to (empty when
+        it falls in the gap of a hop longer than the size)."""
+        first = self.first_index(timestamp)
+        panes = self.panes
+        if panes is not None:
+            return range(first, first + panes)
+        end = first
+        while end * self.hop - self.size < timestamp:
+            end += 1
+        return range(first, end)
+
+    def closed_through(self, watermark: float) -> int | float:
+        """The last window a watermark closes: the largest ``k`` with
+        ``k * hop <= watermark`` (``±inf`` for an infinite watermark)."""
+        if math.isinf(watermark):
+            return watermark
+        hop = self.hop
+        index = math.floor(watermark / hop)
+        if index * hop > watermark:
+            index -= 1
+        elif (index + 1) * hop <= watermark:
+            index += 1
+        return index
+
     def render(self) -> str:
         """Render back to Stream SQL surface syntax."""
         if self.kind is WindowKind.UNBOUNDED:
@@ -127,21 +195,22 @@ def assign_windows(timestamp: float, spec: WindowSpec) -> list[float]:
 
     Only meaningful for RANGE windows with a positive slide (hopping /
     tumbling windows): returns every window end ``e`` with
-    ``e - size < timestamp <= e`` and ``e`` a multiple of ``slide``.
+    ``e - size < timestamp <= e`` and ``e`` a multiple of ``slide``
+    (computed as ``k * slide``: adding the slide once per window drifts
+    for a fractional slide).
 
-    >>> assign_windows(25.0, WindowSpec.range(30, slide=10))
+    >>> assign_windows(25.0, WindowSpec.range(30.0, slide=10.0))
     [30.0, 40.0, 50.0]
     """
     if spec.kind is not WindowKind.RANGE or not spec.slide:
         raise SchemaError("assign_windows requires a RANGE window with a SLIDE")
-    first_end = math.floor(timestamp / spec.slide) * spec.slide
-    if first_end < timestamp:
-        first_end += spec.slide
+    index = math.floor(timestamp / spec.slide)
+    if index * spec.slide < timestamp:
+        index += 1
     ends = []
-    end = first_end
-    while end - spec.size < timestamp:
-        ends.append(end)
-        end += spec.slide
+    while index * spec.slide - spec.size < timestamp:
+        ends.append(index * spec.slide)
+        index += 1
         if len(ends) > 100000:  # pragma: no cover - guard against bad specs
             raise SchemaError("window assignment exploded; check size/slide")
     return ends

@@ -274,37 +274,49 @@ def compile_accumulate(
     group_exprs: Sequence[Expr],
     calls: Sequence[AggregateCall],
     schema: Schema,
+    window: WindowSpec | None = None,
 ) -> tuple[Callable, Callable]:
     """Compile a grouped-aggregation fold into one generated loop.
 
     Returns ``(fold, finalize)`` — generated for every call the
     analyzer admits, else the interpreter's pair with the same
-    signatures (:func:`_fallback_accumulate`).
+    signatures (:func:`_fallback_accumulate`). The fold has one of two
+    signatures:
 
-    ``fold(elements, groups, lo, hi)`` scans a list of StreamElements,
-    keeps those with ``lo < timestamp <= hi`` (pass ``±inf`` for an
-    unwindowed fold), computes the group key and updates each group's
-    state list in place — group-key extraction, NULL-skipping and every
-    accumulator update all live inside the generated loop, so a whole
-    window scan (or ingest batch, for running aggregates) costs one
-    Python call instead of several per element. DISTINCT aggregates fold
-    too: each gets a per-group seen-set in the generated state, and only
-    first occurrences update the running totals (values must be hashable
-    — exactly the interpreter's ``set`` requirement). ``finalize(state)``
-    returns the aggregate result values in call order with the
-    interpreter's semantics (COUNT of nothing is 0; SUM/AVG/MIN/MAX of
-    nothing — or of only NULLs — is NULL).
+    * ``fold(elements, groups)`` without a window (running aggregates):
+      every element updates ``groups[key]``.
+    * ``fold(elements, windows, closed)`` for a RANGE ``window``: every
+      element updates ``windows[k][key]`` for each window ``k`` it
+      belongs to (:meth:`WindowSpec.indexes`) with ``k > closed``; a row
+      whose windows have all closed is folded nowhere. A tumbling window
+      binds one group dict per slide interval, a size that is a whole
+      number of hops one list of them, so a run in time order resolves
+      its windows once per interval; other shapes resolve them per row.
+
+    Group-key extraction, NULL-skipping and every accumulator update
+    live inside the generated loop, so a whole run costs one Python call
+    instead of several per element, and each window's groups fold their
+    rows in arrival order (float SUM/AVG associate as a scan of the run
+    would). DISTINCT aggregates fold too: each gets a per-group seen-set
+    in the generated state — per window, since every window owns its
+    groups — and only first occurrences update the running totals
+    (values must be hashable — exactly the interpreter's ``set``
+    requirement). ``finalize(state)`` returns the aggregate result
+    values in call order with the interpreter's semantics (COUNT of
+    nothing is 0; SUM/AVG/MIN/MAX of nothing — or of only NULLs — is
+    NULL).
     """
     group_exprs, calls = tuple(group_exprs), tuple(calls)
     return _generate(
-        _codegen_accumulate, group_exprs, calls, schema
-    ) or _fallback_accumulate(group_exprs, calls, schema)
+        _codegen_accumulate, group_exprs, calls, schema, window
+    ) or _fallback_accumulate(group_exprs, calls, schema, window)
 
 
 def _codegen_accumulate(
     group_exprs: tuple[Expr, ...],
     calls: tuple[AggregateCall, ...],
     schema: Schema,
+    window: WindowSpec | None,
 ) -> tuple[Callable, Callable]:
     # State layout: one or two slots per call, assigned in call order.
     #   COUNT                     -> [count]
@@ -334,46 +346,60 @@ def _codegen_accumulate(
     init_literal = f"[{', '.join(init)}]"
 
     gen = _CodeGen(schema)
-    gen.emit(1, "get = groups.get")
-    gen.emit(1, "for _e in elements:")
-    gen.emit(2, "_t = _e.timestamp")
-    gen.emit(2, "if _t <= lo or _t > hi:")
-    gen.emit(3, "continue")
+    if window is None:
+        signature = "elements, groups"
+        gen.emit(1, "get = groups.get")
+        gen.emit(1, "for _e in elements:")
+        table = "groups"  # the one group dict every row updates
+    else:
+        signature = "elements, windows, closed"
+        table = _emit_window_lookup(gen, window)
     gen.emit(2, "v = _e.row.values")
     key_atoms = [gen.gen(expr, 2) for expr in group_exprs]
     trailing = "," if len(key_atoms) == 1 else ""
     gen.emit(2, f"_k = ({', '.join(key_atoms)}{trailing})")
-    gen.emit(2, "_s = get(_k)")
-    gen.emit(2, "if _s is None:")
-    gen.emit(3, f"_s = groups[_k] = {init_literal}")
-    for call, (kind, base, distinct) in zip(calls, slots):
-        if kind == "COUNT" and call.argument is None:  # COUNT(*)
-            gen.emit(2, f"_s[{base}] += 1")
+    # Arguments evaluate once per row, however many windows it updates.
+    atoms = [
+        None if call.argument is None else gen.as_var(gen.gen(call.argument, 2), 2)
+        for call in calls
+    ]
+    indent = 2
+    if table is None:  # several windows: `gs` lists their group dicts
+        gen.emit(2, "for g in gs:")
+        gen.emit(3, "_s = g.get(_k)")
+        table, indent = "g", 3
+    else:
+        gen.emit(2, "_s = get(_k)")
+    gen.emit(indent, "if _s is None:")
+    gen.emit(indent + 1, f"_s = {table}[_k] = {init_literal}")
+    for atom, (kind, base, distinct) in zip(atoms, slots):
+        if atom is None:  # COUNT(*)
+            gen.emit(indent, f"_s[{base}] += 1")
             continue
-        atom = gen.as_var(gen.gen(call.argument, 2), 2)
-        gen.emit(2, f"if {atom} is not None:")
+        gen.emit(indent, f"if {atom} is not None:")
+        body = indent + 1
         if distinct:
             # Per-group seen-set: only the first occurrence of a value
             # touches the running state, matching the interpreter's
             # dedup (including its arrival-order float addition).
             seen = gen.name("d")
-            gen.emit(3, f"{seen} = _s[{base}]")
-            gen.emit(3, f"if {atom} not in {seen}:")
-            gen.emit(4, f"{seen}.add({atom})")
+            gen.emit(body, f"{seen} = _s[{base}]")
+            gen.emit(body, f"if {atom} not in {seen}:")
+            gen.emit(body + 1, f"{seen}.add({atom})")
             if kind in ("SUM", "AVG"):
-                gen.emit(4, f"_s[{base + 1}] += {atom}")
+                gen.emit(body + 1, f"_s[{base + 1}] += {atom}")
         elif kind == "COUNT":
-            gen.emit(3, f"_s[{base}] += 1")
+            gen.emit(body, f"_s[{base}] += 1")
         elif kind in ("SUM", "AVG"):
-            gen.emit(3, f"_s[{base}] += 1")
-            gen.emit(3, f"_s[{base + 1}] += {atom}")
+            gen.emit(body, f"_s[{base}] += 1")
+            gen.emit(body, f"_s[{base + 1}] += {atom}")
         else:
             best = gen.name("t")
             op = "<" if kind == "MIN" else ">"
-            gen.emit(3, f"{best} = _s[{base}]")
-            gen.emit(3, f"if {best} is None or {atom} {op} {best}:")
-            gen.emit(4, f"_s[{base}] = {atom}")
-    source = "def _fold(elements, groups, lo, hi):\n" + "\n".join(gen.lines) + "\n"
+            gen.emit(body, f"{best} = _s[{base}]")
+            gen.emit(body, f"if {best} is None or {atom} {op} {best}:")
+            gen.emit(body + 1, f"_s[{base}] = {atom}")
+    source = f"def _fold({signature}):\n" + "\n".join(gen.lines) + "\n"
     fold = _define("_fold", source, "<repro.sql.compiled.accumulate>", gen.env)
 
     parts: list[str] = []
@@ -404,6 +430,71 @@ def _codegen_accumulate(
     fin_source = f"def _finalize(state):\n    return [{', '.join(parts)}]\n"
     finalize = _define("_finalize", fin_source, "<repro.sql.compiled.finalize>", {})
     return fold, finalize
+
+
+def _emit_window_lookup(gen: _CodeGen, window: WindowSpec) -> str | None:
+    """Emit the windowed fold's loop head: per element, the open windows
+    it belongs to (the arithmetic of :meth:`WindowSpec.indexes`), or
+    ``continue`` when there are none. Returns ``"g"`` when that is one
+    group dict (``g``, its ``get`` bound) — a tumbling window — and
+    ``None`` when it is a list ``gs``.
+
+    A row's window set depends only on its first window when the size
+    is a whole number of hops, so it is cached for the slide interval
+    ``(_lo, _hi]`` that first window owns; other shapes resolve per row.
+    """
+    hop, size, panes = gen.atom(window.hop), gen.atom(window.size), window.panes
+
+    def first_index(indent: int) -> None:  # WindowSpec.first_index, inlined
+        gen.emit(indent, f"_i = {gen.bind(_math.ceil, 'ceil')}(_t / {hop})")
+        gen.emit(indent, f"if _i * {hop} < _t:")
+        gen.emit(indent + 1, "_i += 1")
+        gen.emit(indent, f"elif (_i - 1) * {hop} >= _t:")
+        gen.emit(indent + 1, "_i -= 1")
+
+    def open_window(indent: int, index: str) -> None:
+        gen.emit(indent, f"g = windows.get({index})")
+        gen.emit(indent, "if g is None:")
+        gen.emit(indent + 1, f"g = windows[{index}] = {{}}")
+
+    if panes is None:
+        gen.emit(1, "for _e in elements:")
+        gen.emit(2, "_t = _e.timestamp")
+        first_index(2)
+        gen.emit(2, "gs = []")
+        gen.emit(2, f"while _i * {hop} - {size} < _t:")
+        gen.emit(3, "if _i > closed:")
+        open_window(4, "_i")
+        gen.emit(4, "gs.append(g)")
+        gen.emit(3, "_i += 1")
+        gen.emit(2, "if not gs:")
+        gen.emit(3, "continue")
+        return None
+    gen.emit(1, "get = None" if panes == 1 else "gs = ()")
+    gen.emit(1, "_lo = _hi = 0")  # an empty interval: the first row misses
+    gen.emit(1, "for _e in elements:")
+    gen.emit(2, "_t = _e.timestamp")
+    gen.emit(2, "if not _lo < _t <= _hi:")
+    first_index(3)
+    gen.emit(3, f"_lo = (_i - 1) * {hop}")
+    gen.emit(3, f"_hi = _i * {hop}")
+    if panes == 1:
+        gen.emit(3, "if _i <= closed:")
+        gen.emit(4, "get = None")
+        gen.emit(3, "else:")
+        open_window(4, "_i")
+        gen.emit(4, "get = g.get")
+        gen.emit(2, "if get is None:")
+        gen.emit(3, "continue")
+        return "g"
+    gen.emit(3, "gs = []")
+    gen.emit(3, f"for _j in range(_i, _i + {panes}):")
+    gen.emit(4, "if _j > closed:")
+    open_window(5, "_j")
+    gen.emit(5, "gs.append(g)")
+    gen.emit(2, "if not gs:")
+    gen.emit(3, "continue")
+    return None
 
 
 def compile_join_probe(
@@ -861,21 +952,37 @@ def _fallback_projection(
 
 
 def _fallback_accumulate(
-    group_exprs: tuple[Expr, ...], calls: tuple[AggregateCall, ...], schema: Schema
+    group_exprs: tuple[Expr, ...],
+    calls: tuple[AggregateCall, ...],
+    schema: Schema,
+    window: WindowSpec | None,
 ) -> tuple[Callable, Callable]:
-    def fold(elements, groups: dict, lo: float, hi: float) -> None:
+    def add(groups: dict, key: tuple, row: Row) -> None:
+        state = groups.get(key)
+        if state is None:
+            state = groups[key] = [Accumulator(call) for call in calls]
+        for accumulator in state:
+            accumulator.add(row)
+
+    def running_fold(elements, groups: dict) -> None:
         for element in elements:
-            if not lo < element.timestamp <= hi:
+            row = Row.raw(schema, element.row.values)
+            add(groups, tuple(e.eval(row) for e in group_exprs), row)
+
+    def windowed_fold(elements, windows: dict, closed: float) -> None:
+        for element in elements:
+            indexes = [k for k in window.indexes(element.timestamp) if k > closed]
+            if not indexes:
                 continue
             row = Row.raw(schema, element.row.values)
             key = tuple(e.eval(row) for e in group_exprs)
-            state = groups.get(key)
-            if state is None:
-                state = groups[key] = [Accumulator(call) for call in calls]
-            for accumulator in state:
-                accumulator.add(row)
+            for index in indexes:
+                groups = windows.get(index)
+                if groups is None:
+                    groups = windows[index] = {}
+                add(groups, key, row)
 
     def finalize(state: list) -> list:
         return [accumulator.result() for accumulator in state]
 
-    return fold, finalize
+    return (running_fold if window is None else windowed_fold), finalize

@@ -13,10 +13,12 @@ element or one punctuation, ``push_batch(elements)`` a punctuation-free
 run of elements. Each operator therefore has exactly two data bodies —
 the per-element ``on_element`` and one batch body over a pure run —
 plus ``on_punctuation``. Where codegen provides a loop
-(:class:`FilterOp`, :class:`ProjectOp`, :class:`FusedOp`, the
+(:class:`FilterOp`, :class:`ProjectOp`, :class:`FusedOp`, the running
 :class:`AggregateOp` fold) the batch body is that loop, called
 directly, so a 1000-row ingest costs one Python call per operator
-instead of 1000; operators without a batch body of their own loop
+instead of 1000; a windowed aggregate extends its pending segment and
+folds it with one call at the next punctuation; operators without a
+batch body of their own loop
 ``on_element`` over the run. Every body is written once, against the
 value-tuple callables of :mod:`repro.sql.compiled`: whether one of them
 is generated code or the interpreter is decided there, and no operator
@@ -36,12 +38,15 @@ rows under their own output schema.
 
 State bounds: window joins evict expired rows on punctuation, so memory
 is proportional to window size times input rate — the property the paper
-relies on for long-running monitoring queries.
+relies on for long-running monitoring queries. A windowed aggregate
+keeps no rows past the punctuation that follows them: it holds group
+state per open window, so memory is proportional to groups times open
+windows; only the stage-1 :class:`PartialAggregateOp` still buffers
+rows.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Any, Callable
 
@@ -66,10 +71,6 @@ from repro.sql.compiled import (
     compile_projection,
 )
 from repro.sql.expressions import Accumulator, AggregateCall, Expr, Literal
-
-
-_NEG_INF = float("-inf")
-_INF = float("inf")
 
 
 def _copy_group_state(state: list) -> list:
@@ -571,13 +572,25 @@ class AggregateOp(Operator):
 
     Two emission modes:
 
-    * **Windowed** (RANGE window): elements are buffered; when the
-      watermark passes a window boundary the window's groups are computed
-      and emitted with the boundary timestamp. Slide defaults to the
-      window size (tumbling) when unset.
+    * **Windowed** (RANGE window): window *k* covers ``(window.start(k),
+      k * hop]`` (:meth:`~repro.data.windows.WindowSpec.indexes`; the hop
+      is the slide, or the size when unset — tumbling) and is emitted,
+      stamped ``k * hop``, by the first punctuation at or past its end.
+      State is ``{window index -> {group key -> state}}``, not rows.
+      Rows between two punctuations collect in a pending segment
+      (``push_batch`` extends it, ``on_element`` appends to it); the
+      punctuation folds the segment into every open window of each row
+      with one generated call, then pops and emits, in index order,
+      every window it closes — O(groups) per window, no scan. Each
+      window folds its rows in arrival order, so float SUM/AVG and
+      DISTINCT seen-sets equal a scan over the window's rows.
     * **Punctuation-driven** (no window): on every punctuation, emit the
       aggregate over *all* rows seen so far (continuous running totals —
       the semantics SmartCIS uses for "total resources by user").
+
+    Lateness: the operator records the last window it closed, and a row
+    whose every window has closed is folded nowhere. Nothing is late
+    before the first punctuation that follows a row (:meth:`_opened`).
     """
 
     def __init__(
@@ -594,29 +607,30 @@ class AggregateOp(Operator):
         self.aggregates = aggregates
         self.output_schema = output_schema
         self.window = window
-        self._buffer: list[StreamElement] = []  # windowed mode
-        self._next_boundary: float | None = None
+        self._windowed = window is not None and window.kind is WindowKind.RANGE
+        # The last window closed; None until the first window opens.
+        self._closed: int | float | None = None
         self._bind(input_schema)
 
     def _bind(self, input_schema: Schema) -> None:
-        """Schema-bound compilation: the whole fold — key extraction,
-        NULL skipping, per-group seen-sets for DISTINCT calls, state
-        update — is one loop over value tuples, so a window scan or a
-        running-mode ingest batch costs one Python call. Groups hold
-        whatever state lists the fold builds and ``finalize`` reads."""
+        """Schema-bound compilation: the whole fold — window lookup, key
+        extraction, NULL skipping, per-group seen-sets for DISTINCT
+        calls, state update — is one loop over value tuples, so a
+        punctuation's segment or a running-mode ingest batch costs one
+        Python call. Groups hold whatever state lists the fold builds
+        and ``finalize`` reads."""
         self._fold, self._finalize = compile_accumulate(
             [expr for expr, _ in self.group_by],
             [call for call, _ in self.aggregates],
             input_schema,
+            self.window if self._windowed else None,
         )
         # Recorded in snapshots: generated slots and the interpreter's
         # accumulators cannot restore into one another.
         self._generated = hasattr(self._fold, "__compiled_source__")
         self._groups: dict[tuple, list] = {}  # running mode
-
-    # -- running mode ---------------------------------------------------
-    def _running_add(self, element: StreamElement) -> None:
-        self._fold((element,), self._groups, _NEG_INF, _INF)
+        self._windows: dict[int, dict[tuple, list]] = {}  # windowed mode
+        self._pending: list[StreamElement] = []  # rows since the last punctuation
 
     def _emit_groups(self, timestamp: float, groups: dict) -> None:
         if not groups:
@@ -635,77 +649,63 @@ class AggregateOp(Operator):
         self.emit_batch(out)
 
     # -- windowed mode ----------------------------------------------------
-    def _window_slide(self) -> float:
-        assert self.window is not None
-        return self.window.slide or self.window.size
+    def _opened(self, rows: list[StreamElement]) -> bool:
+        """Whether a window has opened, opening the first one if ``rows``
+        allow: nothing closes until a punctuation follows a row, and that
+        punctuation opens the first window at the earliest row so far —
+        every window before it counts as closed — so rows arriving
+        before it are never late. Shared with
+        :class:`PartialAggregateOp`, so both phases close alike."""
+        if self._closed is None:
+            if not rows:
+                return False
+            self._closed = self.window.first_index(min(e.timestamp for e in rows)) - 1
+        return True
 
-    def _emit_windows_until(self, watermark: float) -> None:
-        assert self.window is not None
-        slide = self._window_slide()
-        if self._next_boundary is None:
-            if not self._buffer:
-                return
-            first = min(e.timestamp for e in self._buffer)
-            # The smallest slide multiple >= first. Windows are (start,
-            # boundary], so a row exactly on a slide multiple belongs to
-            # the window *ending* there — ceil keeps it (int()+1 pushed
-            # it past its own window and truncated toward zero, dropping
-            # boundary-exact and negative-timestamp rows entirely).
-            boundary = math.ceil(first / slide) * slide
-            self._next_boundary = boundary
-        while self._next_boundary is not None and self._next_boundary <= watermark:
-            if not self._buffer:
-                # Nothing buffered: every window ending at or before the
-                # watermark is empty (late arrivals would violate the
-                # punctuation contract), so jump to the last boundary at
-                # or before the watermark instead of iterating one slide
-                # at a time — a watermark far in the future (an engine
-                # flush, a long source gap) must not cost O(gap/slide).
-                skip = math.floor(watermark / slide) * slide
-                if skip > self._next_boundary:
-                    self._next_boundary = skip
-            boundary = self._next_boundary
-            start = boundary - self.window.size
-            self._close_window(start, boundary)
-            self._next_boundary = boundary + slide
-            # Evict rows no longer needed by any future window.
-            horizon = self._next_boundary - self.window.size
-            self._buffer = [e for e in self._buffer if e.timestamp > horizon]
-
-    def _close_window(self, start: float, boundary: float) -> None:
-        """Scan the buffer for the window ``(start, boundary]`` and emit
-        its groups (overridden by :class:`PartialAggregateOp`)."""
-        groups: dict = {}
-        # The whole window scan — time filter, key extraction,
-        # accumulator updates — runs as one call.
-        self._fold(self._buffer, groups, start, boundary)
-        self._emit_groups(boundary, groups)
+    def _advance(self, watermark: float) -> int | None:
+        """Close every window ending at or before ``watermark``: returns
+        the first index newly closed (the last is ``self._closed``), or
+        None when the watermark closes nothing new."""
+        last = self.window.closed_through(watermark)
+        if last <= self._closed:
+            return None
+        first = self._closed + 1
+        self._closed = last
+        return first
 
     # -- operator protocol -------------------------------------------------
     def on_element(self, element: StreamElement) -> None:
-        if self.window is not None and self.window.kind is WindowKind.RANGE:
-            self._buffer.append(element)
+        if self._windowed:
+            self._pending.append(element)
         else:
-            self._running_add(element)
+            self._fold((element,), self._groups)
 
     def push_batch(self, elements: list[StreamElement]) -> None:
         """Accumulate a whole run with one dispatch.
 
-        Windowed mode buffers elements until a boundary closes, so a
-        run is a single C-level ``extend``; running mode folds each
-        element into its group's accumulators within one call.
+        Windowed mode extends the pending segment (a single C-level
+        ``extend``; the next punctuation folds it); running mode folds
+        each element into its group's accumulators within one call.
         """
-        if self.window is not None and self.window.kind is WindowKind.RANGE:
-            self._buffer.extend(elements)
+        if self._windowed:
+            self._pending.extend(elements)
         else:
-            self._fold(elements, self._groups, _NEG_INF, _INF)
+            self._fold(elements, self._groups)
         self.rows_in += len(elements)
 
     def on_punctuation(self, punctuation: Punctuation) -> None:
-        if self.window is not None and self.window.kind is WindowKind.RANGE:
-            self._emit_windows_until(punctuation.watermark)
-        else:
+        if not self._windowed:
             self._emit_groups(punctuation.watermark, self._groups)
+        elif self._opened(self._pending):
+            if self._pending:
+                self._fold(self._pending, self._windows, self._closed)
+                self._pending = []
+            if self._advance(punctuation.watermark) is not None:
+                windows, hop = self._windows, self.window.hop
+                for index in sorted(windows):
+                    if index > self._closed:
+                        break
+                    self._emit_groups(index * hop, windows.pop(index))
         self.downstream.push(punctuation)
 
     @staticmethod
@@ -714,22 +714,41 @@ class AggregateOp(Operator):
 
     def state_snapshot(self) -> dict:
         state = super().state_snapshot()
-        state["buffer"] = list(self._buffer)
-        state["next_boundary"] = self._next_boundary
+        state["windows"] = {
+            index: self._copy_groups(groups) for index, groups in self._windows.items()
+        }
+        state["closed"] = self._closed
+        state["pending"] = list(self._pending)
         state["generated"] = self._generated
         state["groups"] = self._copy_groups(self._groups)
         return state
 
     def state_restore(self, state: dict) -> None:
         super().state_restore(state)
+        _refuse_row_buffer_layout(state)
         if state["generated"] != self._generated:
             raise ExecutionError(
                 "checkpointed aggregate state does not match the recompiled "
                 "operator (generated fold vs the interpreter's accumulators)"
             )
-        self._buffer = list(state["buffer"])
-        self._next_boundary = state["next_boundary"]
+        self._windows = {
+            index: self._copy_groups(groups) for index, groups in state["windows"].items()
+        }
+        self._closed = state["closed"]
+        self._pending = list(state["pending"])
         self._groups = self._copy_groups(state["groups"])
+
+
+def _refuse_row_buffer_layout(state: dict) -> None:
+    """Checkpoints written before windows were tracked by index carry
+    ``buffer`` / ``next_boundary``; they cannot restore into operators
+    that count closed windows."""
+    if "next_boundary" in state:
+        raise ExecutionError(
+            f"checkpointed {state['type']} state uses the row-buffer window "
+            "layout ('buffer' / 'next_boundary'), which this engine does not "
+            "restore: windows are tracked by index ('closed')"
+        )
 
 
 class _PartialItem:
@@ -838,10 +857,13 @@ class PartialAggregateOp(AggregateOp):
     the accumulate loop, which drops the element timestamps the merge
     needs to re-fold in global arrival order.
 
-    * **Windowed**: window boundaries are absolute slide-grid multiples,
-      identical on every shard, so each closing window's partials are
-      emitted with the boundary timestamp and merge segment-locally. A
-      run is buffered with one ``extend``.
+    * **Windowed**: the one aggregate that still buffers rows (a run
+      is buffered with one ``extend``). Windows close by the same index
+      arithmetic as :class:`AggregateOp` (``_opened`` / ``_advance``),
+      so each closing window's partials are scanned from the buffer,
+      emitted stamped with the window's end — the single engine's
+      timestamps, identical on every shard — and merge
+      segment-locally.
     * **Running**: per punctuation, every group touched this segment
       emits the *delta* since the previous punctuation (the merge shard
       owns the running totals).
@@ -862,6 +884,7 @@ class PartialAggregateOp(AggregateOp):
         )
         self._pgroups: dict[tuple, list[_PartialItem]] = {}  # running mode
         self._ptouched: dict[tuple, None] = {}  # keys with deltas, in first-touch order
+        self._buffer: list[StreamElement] = []  # windowed mode
 
     def _fold_partials(
         self,
@@ -887,9 +910,6 @@ class PartialAggregateOp(AggregateOp):
                 item.add_value(timestamp, value)
 
     # -- running mode ---------------------------------------------------
-    def _running_add(self, element: StreamElement) -> None:
-        self._fold_partials((element,), self._pgroups, self._ptouched)
-
     def _emit_deltas(self, watermark: float) -> None:
         if not self._ptouched:
             return
@@ -909,42 +929,57 @@ class PartialAggregateOp(AggregateOp):
         self.emit_batch(out)
 
     # -- windowed mode --------------------------------------------------
-    def _close_window(self, start: float, boundary: float) -> None:
-        groups: dict[tuple, list[_PartialItem]] = {}
-        self._fold_partials(
-            [e for e in self._buffer if start < e.timestamp <= boundary], groups
-        )
-        if not groups:
+    def _close_windows(self, watermark: float) -> None:
+        """Scan the buffer once per window the watermark closes, emit
+        its partials and evict the rows no later window needs."""
+        if not self._opened(self._buffer):
             return
-        schema = self.output_schema
-        self.emit_batch(
-            [
-                StreamElement(
-                    Row(
-                        schema,
-                        list(key) + [item.take() for item in items],
-                        validate=False,
-                    ),
-                    boundary,
+        index = self._advance(watermark)
+        if index is None:
+            return
+        window, buffer, schema = self.window, self._buffer, self.output_schema
+        while index <= self._closed and buffer:
+            start, end = window.start(index), index * window.hop
+            groups: dict[tuple, list[_PartialItem]] = {}
+            self._fold_partials([e for e in buffer if start < e.timestamp <= end], groups)
+            if groups:
+                self.emit_batch(
+                    [
+                        StreamElement(
+                            Row(
+                                schema,
+                                list(key) + [item.take() for item in items],
+                                validate=False,
+                            ),
+                            end,
+                        )
+                        for key, items in groups.items()
+                    ]
                 )
-                for key, items in groups.items()
-            ]
-        )
+            index += 1
+            horizon = window.start(index)
+            buffer = self._buffer = [e for e in buffer if e.timestamp > horizon]
 
     # -- operator protocol ----------------------------------------------
+    def on_element(self, element: StreamElement) -> None:
+        if self._windowed:
+            self._buffer.append(element)
+        else:
+            self._fold_partials((element,), self._pgroups, self._ptouched)
+
     def push_batch(self, elements: list[StreamElement]) -> None:
         """Windowed mode buffers a run with one ``extend``; running mode
         folds it in one call (never through the base's fold, which drops
         the timestamps the partials carry)."""
-        if self.window is not None and self.window.kind is WindowKind.RANGE:
+        if self._windowed:
             self._buffer.extend(elements)
         else:
             self._fold_partials(elements, self._pgroups, self._ptouched)
         self.rows_in += len(elements)
 
     def on_punctuation(self, punctuation: Punctuation) -> None:
-        if self.window is not None and self.window.kind is WindowKind.RANGE:
-            self._emit_windows_until(punctuation.watermark)
+        if self._windowed:
+            self._close_windows(punctuation.watermark)
         else:
             self._emit_deltas(punctuation.watermark)
         self.downstream.push(punctuation)
@@ -952,7 +987,7 @@ class PartialAggregateOp(AggregateOp):
     def state_snapshot(self) -> dict:
         state = Operator.state_snapshot(self)
         state["buffer"] = list(self._buffer)
-        state["next_boundary"] = self._next_boundary
+        state["closed"] = self._closed
         state["pgroups"] = {
             key: [item.snapshot() for item in items]
             for key, items in self._pgroups.items()
@@ -962,8 +997,9 @@ class PartialAggregateOp(AggregateOp):
 
     def state_restore(self, state: dict) -> None:
         Operator.state_restore(self, state)
+        _refuse_row_buffer_layout(state)
         self._buffer = list(state["buffer"])
-        self._next_boundary = state["next_boundary"]
+        self._closed = state["closed"]
         pgroups: dict[tuple, list[_PartialItem]] = {}
         for key, snaps in state["pgroups"].items():
             items = [_PartialItem(call) for call, _ in self.aggregates]

@@ -157,6 +157,33 @@ class TestStores:
         assert latest.checkpoint_id == 3
         assert len(latest.queries) == len(QUERIES)
 
+    def test_row_buffer_layout_file_is_refused_by_name(self, tmp_path):
+        """A checkpoint file written while windowed aggregates buffered
+        rows (``buffer`` / ``next_boundary``) fails recovery with an
+        ``ExecutionError`` naming that layout, not a ``KeyError``."""
+        import pickle
+
+        engine, coordinator, _ = _build(interval=None)
+        coordinator.store = FileCheckpointStore(tmp_path)
+        rows, stamps = _rows(15)
+        engine.push_many("Readings", rows, stamps)
+        engine.punctuate(stamps[-1])
+        coordinator.checkpoint(stamps[-1])
+        (path,) = tmp_path.glob("checkpoint-*.pkl")
+        checkpoint = pickle.loads(path.read_bytes())
+        states = [s for q in checkpoint.queries for s in q.operators]
+        states += [s for chain in checkpoint.chains.values() for s in chain]
+        aggregates = [s for s in states if s["type"] == "AggregateOp"]
+        assert aggregates
+        for state in aggregates:
+            state.update(buffer=state.pop("pending"), next_boundary=state.pop("closed"))
+            del state["windows"]
+        path.write_bytes(pickle.dumps(checkpoint))
+        coordinator.store = FileCheckpointStore(tmp_path)
+        engine.fail()
+        with pytest.raises(ExecutionError, match="row-buffer window layout"):
+            coordinator.recover()
+
 
 class TestCoordinator:
     def test_interval_zero_checkpoints_every_punctuation(self):

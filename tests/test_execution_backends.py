@@ -36,7 +36,7 @@ from repro.data.streams import (
     StreamElement,
     replay,
 )
-from repro.data.windows import WindowSpec
+from repro.data.windows import WindowSpec, assign_windows
 from repro.errors import CatalogError, QueryError
 from repro.plan import PlanBuilder
 from repro.sql.compiled import compile_accumulate
@@ -842,6 +842,7 @@ class TestBatchedStatefulOperators:
 
 class TestCompiledAccumulate:
     SCHEMA = Schema.of(("k", DataType.STRING), ("a", DataType.FLOAT))
+    NEG_INF = float("-inf")  # ``closed`` before any window has closed
 
     def _elements(self):
         rows = [
@@ -862,34 +863,42 @@ class TestCompiledAccumulate:
             AggregateCall("MAX", ColumnRef("a")),
         ]
 
+    @staticmethod
+    def _scan(elements, calls, keep=lambda element: True):
+        """The reference: the interpreter's accumulators over the kept
+        elements in arrival order, per group key."""
+        expected: dict = {}
+        for element in elements:
+            if keep(element):
+                key = (element.row["k"],)
+                accumulators = expected.setdefault(key, [Accumulator(c) for c in calls])
+                for accumulator in accumulators:
+                    accumulator.add(element.row)
+        return {key: [a.result() for a in accs] for key, accs in expected.items()}
+
     def test_fold_matches_interpreted_accumulators(self):
         with generated():
             fold, finalize = compile_accumulate(
                 [ColumnRef("k")], self._calls(), self.SCHEMA
             )
         groups: dict = {}
-        fold(self._elements(), groups, float("-inf"), float("inf"))
-
-        expected: dict = {}
-        for element in self._elements():
-            key = (element.row["k"],)
-            accumulators = expected.setdefault(
-                key, [Accumulator(call) for call in self._calls()]
-            )
-            for accumulator in accumulators:
-                accumulator.add(element.row)
-        assert set(groups) == set(expected)
-        for key, state in groups.items():
-            assert finalize(state) == [a.result() for a in expected[key]]
+        fold(self._elements(), groups)
+        assert {key: finalize(state) for key, state in groups.items()} == self._scan(
+            self._elements(), self._calls()
+        )
 
     def test_fold_honours_window_bounds(self):
-        compiled = compile_accumulate(
-            [ColumnRef("k")], [AggregateCall("COUNT", None)], self.SCHEMA
+        # RANGE 2: t=0 -> window 0, t=1,2 -> 1, t=3,4 -> 2, t=5 -> 3.
+        fold, finalize = compile_accumulate(
+            [ColumnRef("k")], [AggregateCall("COUNT", None)], self.SCHEMA,
+            WindowSpec.range(2.0),
         )
-        fold, finalize = compiled
-        groups: dict = {}
-        fold(self._elements(), groups, 1.0, 4.0)  # (1, 4] -> timestamps 2,3,4
-        assert sum(finalize(state)[0] for state in groups.values()) == 3
+        windows: dict = {}
+        fold(self._elements(), windows, 1)  # windows 0 and 1 have closed
+        assert {
+            index: sum(finalize(state)[0] for state in groups.values())
+            for index, groups in windows.items()
+        } == {2: 2, 3: 1}
 
     def test_distinct_calls_fold_with_seen_sets(self):
         calls = [
@@ -905,35 +914,172 @@ class TestCompiledAccumulate:
         # Duplicate values per group so the seen-sets actually dedup.
         elements = self._elements() + self._elements()
         groups: dict = {}
-        fold(elements, groups, float("-inf"), float("inf"))
-        expected: dict = {}
-        for element in elements:
-            key = (element.row["k"],)
-            accumulators = expected.setdefault(
-                key, [Accumulator(call) for call in calls]
-            )
-            for accumulator in accumulators:
-                accumulator.add(element.row)
-        assert set(groups) == set(expected)
-        for key, state in groups.items():
-            assert finalize(state) == [a.result() for a in expected[key]]
+        fold(elements, groups)
+        assert {key: finalize(state) for key, state in groups.items()} == self._scan(
+            elements, calls
+        )
 
-    def test_count_distinct_star_falls_back(self):
+    @pytest.mark.parametrize("window", [None, WindowSpec.range(4.0)], ids=["running", "windowed"])
+    def test_count_distinct_star_falls_back(self, window):
         # COUNT(DISTINCT *) has no value to deduplicate and the analyzer
         # rejects it; for a hand-built call the generator declines (a
-        # counted fallback) and the interpreter's fold comes back.
+        # counted fallback) and the interpreter's fold comes back, with
+        # the generated fold's signature.
         calls = [AggregateCall("COUNT", None, distinct=True)]
         with declining() as counts:
-            fold, finalize = compile_accumulate([ColumnRef("k")], calls, self.SCHEMA)
+            fold, finalize = compile_accumulate([ColumnRef("k")], calls, self.SCHEMA, window)
         assert counts == {"generated": 0, "fallbacks": 1}
         assert not hasattr(fold, "__compiled_source__")
         groups: dict = {}
-        fold(self._elements(), groups, float("-inf"), float("inf"))
+        if window is None:
+            fold(self._elements(), groups)
+        else:
+            windows: dict = {}
+            fold(self._elements(), windows, self.NEG_INF)
+            assert sorted(windows) == [0, 1, 2]  # t=0 | 1..4 | 5
+            groups = windows[1]
         assert all(isinstance(a, Accumulator) for state in groups.values() for a in state)
         # The interpreter counts rows for an argument-less call.
-        assert {k: finalize(state) for k, state in groups.items()} == {
-            ("p",): [3], ("q",): [2], ("r",): [1],
+        assert {k: finalize(state) for k, state in groups.items()} == (
+            {("p",): [3], ("q",): [2], ("r",): [1]}
+            if window is None
+            else {("q",): [2], ("p",): [2]}
+        )
+
+    def test_empty_groups_no_emission_semantics(self):
+        compiled = compile_accumulate(
+            [], [AggregateCall("SUM", ColumnRef("a"))], self.SCHEMA
+        )
+        fold, finalize = compiled
+        groups: dict = {}
+        fold([StreamElement(Row(self.SCHEMA, ("p", None), validate=False), 1.0)], groups)
+        (state,) = groups.values()
+        assert finalize(state) == [None]  # SUM over only-NULL input is NULL
+
+    # -- windowed folds ----------------------------------------------------
+    STAMPS = [25.0, 30.0, -5.0, 0.0, 10.0, 9.999, 47.5, 3.0, 20.0, 61.0, -20.0, 15.0]
+
+    def _stamped(self, stamps, values=None):
+        values = values if values is not None else [float(i) for i in range(len(stamps))]
+        return [
+            StreamElement(Row(self.SCHEMA, ("pq"[i % 2], value), validate=False), stamp)
+            for i, (stamp, value) in enumerate(zip(stamps, values))
+        ]
+
+    @pytest.mark.parametrize("rung", ["generated", "interpreted"])
+    @pytest.mark.parametrize(
+        "window",
+        [WindowSpec.range(20, slide=10), WindowSpec.range(25, slide=10), WindowSpec.range(10)],
+        ids=["range20-slide10", "range25-slide10", "tumbling10"],
+    )
+    def test_windows_agree_with_assign_windows(self, window, rung):
+        """Every row lands in exactly the windows ``assign_windows``
+        gives it, whatever order the rows arrive in."""
+        with generated() if rung == "generated" else interpreted():
+            fold, finalize = compile_accumulate(
+                [ColumnRef("k")], [AggregateCall("COUNT", None)], self.SCHEMA, window
+            )
+        windows: dict = {}
+        fold(self._stamped(self.STAMPS), windows, self.NEG_INF)
+        got = {
+            index * window.hop: {key: finalize(state)[0] for key, state in groups.items()}
+            for index, groups in windows.items()
         }
+        spec = window if window.slide else WindowSpec.range(window.size, slide=window.size)
+        expected: dict = {}
+        for element in self._stamped(self.STAMPS):
+            for end in assign_windows(element.timestamp, spec):
+                per_key = expected.setdefault(end, {})
+                key = (element.row["k"],)
+                per_key[key] = per_key.get(key, 0) + 1
+        assert got == expected
+
+    @pytest.mark.parametrize("rung", ["generated", "interpreted"])
+    def test_distinct_seen_sets_are_per_window(self, rung):
+        calls = [
+            AggregateCall("COUNT", ColumnRef("a"), distinct=True),
+            AggregateCall("SUM", ColumnRef("a"), distinct=True),
+        ]
+        window = WindowSpec.range(20, slide=10)
+        with generated() if rung == "generated" else interpreted():
+            fold, finalize = compile_accumulate([], calls, self.SCHEMA, window)
+        # The same value in every window: each window counts it once.
+        elements = self._stamped([5.0, 12.0, 18.0, 25.0, 33.0], [1.5, 1.5, 2.5, 1.5, 1.5])
+        windows: dict = {}
+        fold(elements, windows, self.NEG_INF)
+        assert {index * 10: finalize(groups[()]) for index, groups in windows.items()} == {
+            10: [1, 1.5], 20: [2, 4.0], 30: [2, 4.0], 40: [1, 1.5], 50: [1, 1.5],
+        }
+        states = [groups[()] for groups in windows.values()]
+        assert len({id(state[0]) for state in states}) == len(states)
+
+    @pytest.mark.parametrize(
+        "window",
+        [WindowSpec.range(10), WindowSpec.range(20, slide=10), WindowSpec.range(25, slide=10)],
+        ids=["tumbling10", "range20-slide10", "range25-slide10"],
+    )
+    def test_float_sums_match_an_arrival_order_scan(self, window):
+        """Out-of-order rows inside one segment: every window's float
+        SUM/AVG equal a scan of its rows in arrival order, bit for bit
+        (these values do not associate)."""
+        calls = [AggregateCall("SUM", ColumnRef("a")), AggregateCall("AVG", ColumnRef("a"))]
+        stamps = [14.0, 3.0, 17.0, 9.0, 12.0, 1.0, 19.0, 6.0, 15.0, 4.0]
+        values = [1e16, 1.0, -1e16, 0.1, 3.3, 1e16, 0.7, -1e16, 2.2, 1.1]
+        elements = self._stamped(stamps, values)
+        with generated():
+            fold, finalize = compile_accumulate([ColumnRef("k")], calls, self.SCHEMA, window)
+        windows: dict = {}
+        fold(elements, windows, self.NEG_INF)
+        assert windows
+        for index, groups in windows.items():
+            start, end = window.start(index), index * window.hop
+            expected = self._scan(
+                elements, calls, lambda e: start < e.timestamp <= end
+            )
+            got = {key: finalize(state) for key, state in groups.items()}
+            assert repr(got) == repr(expected)
+
+    @pytest.mark.parametrize(
+        "window",
+        [
+            WindowSpec.range(10),
+            WindowSpec.range(20, slide=10),
+            WindowSpec.range(25, slide=10),
+            WindowSpec.range(0.3, slide=0.1),
+            WindowSpec.range(0.1),
+        ],
+        ids=["tumbling10", "range20-slide10", "range25-slide10", "range0.3-slide0.1", "tumbling0.1"],
+    )
+    def test_interpreted_rung_emits_the_same(self, window):
+        """The aggregate over both rungs: identical emissions, late and
+        out-of-order rows included, across several punctuations."""
+        calls = [
+            (AggregateCall("COUNT", None), "n"),
+            (AggregateCall("SUM", ColumnRef("a")), "s"),
+            (AggregateCall("COUNT", ColumnRef("a"), distinct=True), "d"),
+        ]
+        out = Schema.of(
+            ("k", DataType.STRING), ("n", DataType.INT), ("s", DataType.FLOAT),
+            ("d", DataType.INT),
+        )
+        scale = window.hop / 10
+        stamps = [s * scale for s in (5, 2, 14, 9, 30, 21, 3, 44, 38, 45, 60, 52)]
+        items = list(self._stamped(stamps, [float(i % 4) / 4 for i in range(12)]))
+        items.insert(4, Punctuation(10 * scale))
+        items.insert(9, Punctuation(40 * scale))  # the row stamped 3 after it is late
+        items.append(Punctuation(100 * scale))
+
+        def run():
+            sink = CollectingConsumer()
+            op = AggregateOp([(ColumnRef("k"), "k")], calls, out, sink, self.SCHEMA, window)
+            deliver(op, items)
+            return [(e.timestamp, e.row.values) for e in sink.elements]
+
+        with interpreted():
+            reference = run()
+        with generated():
+            assert run() == reference
+        assert reference
 
     def test_distinct_aggregate_pipeline_identity(self):
         sql = (
@@ -959,21 +1105,6 @@ class TestCompiledAccumulate:
             reference = run()
         with generated():
             assert run() == reference
-
-    def test_empty_groups_no_emission_semantics(self):
-        compiled = compile_accumulate(
-            [], [AggregateCall("SUM", ColumnRef("a"))], self.SCHEMA
-        )
-        fold, finalize = compiled
-        groups: dict = {}
-        fold(
-            [StreamElement(Row(self.SCHEMA, ("p", None), validate=False), 1.0)],
-            groups,
-            float("-inf"),
-            float("inf"),
-        )
-        (state,) = groups.values()
-        assert finalize(state) == [None]  # SUM over only-NULL input is NULL
 
     def test_compiled_vs_interpreted_pipeline_identity(self):
         sql = (

@@ -634,6 +634,80 @@ class TestAggregateOp:
         op.push(Punctuation(2.0))
         assert sink.rows[0]["n"] == 1 and sink.rows[0]["s"] == 4
 
+    # -- window state: groups per open window, never rows ----------------
+    def emitted(self):
+        return [(e.timestamp, e.row["key_0"], e.row["agg_0"]) for e in self.sink.elements]
+
+    def test_row_for_closed_windows_is_folded_nowhere(self):
+        op = self.make(window=WindowSpec.range(20, slide=10))
+        op.push(element(1, "a", 5.0))
+        op.push(Punctuation(20.0))  # closes the windows ending at 10 and 20
+        assert self.emitted() == [(10, "a", 1), (20, "a", 1)]
+        op.push(element(2, "late", 8.0))  # windows 10 and 20: both closed
+        op.push(Punctuation(25.0))
+        assert op.state_snapshot()["windows"] == {}
+        assert op.state_snapshot()["pending"] == []
+        op.push(element(3, "b", 15.0))  # windows 20 (closed) and 30 (open)
+        op.push(Punctuation(30.0))
+        assert self.emitted()[2:] == [(30, "b", 1)]
+
+    def test_rows_before_the_first_data_punctuation_are_never_late(self):
+        op = self.make(window=WindowSpec.range(10))
+        op.push(Punctuation(100.0))  # nothing has arrived: closes nothing
+        for ts in (95.0, 5.0, 15.0):
+            op.push(element(1, "a", ts))
+        op.push(Punctuation(100.0))
+        assert self.emitted() == [(10, "a", 1), (20, "a", 1), (100, "a", 1)]
+
+    def test_first_window_opens_at_the_earliest_row(self):
+        # The first data-carrying punctuation opens the first window at
+        # the earliest row so far, even ahead of its watermark: a later
+        # row for an earlier window is late.
+        op = self.make(window=WindowSpec.range(10))
+        op.push(element(1, "a", 100.0))
+        op.push(Punctuation(26.0))
+        op.push(element(2, "late", 45.0))
+        op.push(Punctuation(200.0))
+        assert self.emitted() == [(100, "a", 1)]
+
+    def test_snapshot_holds_groups_not_rows(self):
+        op = self.make(window=WindowSpec.range(40))
+        op.push_batch([element(i, f"host{i % 8}", i / 100) for i in range(4000)])
+        op.push(Punctuation(20.0))
+        state = op.state_snapshot()
+        assert state["pending"] == []
+        assert state["windows"]  # (0, 40] is still open
+        assert all(len(groups) <= 8 for groups in state["windows"].values())
+        assert sum(
+            count for groups in state["windows"].values() for count, in groups.values()
+        ) == 3999  # every row but t=0, which window 0 emitted
+        assert self.emitted() == [(0, "host0", 1)]
+
+    @pytest.mark.parametrize("partial", [False, True], ids=["aggregate", "partial"])
+    def test_row_buffer_layout_snapshot_is_refused(self, partial):
+        from repro.errors import ExecutionError
+        from repro.stream.operators import PartialAggregateOp
+
+        cls = PartialAggregateOp if partial else AggregateOp
+        schema = Schema.of(("key_0", DataType.STRING), ("agg_0", DataType.NULL))
+
+        def make():
+            return cls(
+                [(ColumnRef("y"), "key_0")],
+                [(AggregateCall("COUNT", None), "agg_0")],
+                schema, CollectingConsumer(), XY, WindowSpec.range(10),
+            )
+
+        op = make()
+        op.push(element(1, "a", 5.0))
+        state = op.state_snapshot()
+        # The layout checkpoints had before windows were tracked by index.
+        for key in ("windows", "closed", "pending"):
+            state.pop(key, None)
+        state.update(buffer=[element(1, "a", 5.0)], next_boundary=None)
+        with pytest.raises(ExecutionError, match=r"row-buffer window layout \('buffer' / 'next_boundary'\)"):
+            make().state_restore(state)
+
 
 class TestDistinctOrderLimitOutput:
     def test_distinct(self):

@@ -1,5 +1,7 @@
 """Unit tests for window specs and the stream protocol helpers."""
 
+from collections import Counter
+
 import pytest
 
 from repro.data import (
@@ -15,6 +17,7 @@ from repro.data import (
     assign_windows,
     replay,
 )
+from repro.api import StreamSource, connect
 from repro.errors import SchemaError
 
 
@@ -83,6 +86,96 @@ class TestAssignWindows:
     def test_requires_slide(self):
         with pytest.raises(SchemaError):
             assign_windows(1.0, WindowSpec.range(10))
+
+
+class TestWindowIndexes:
+    """Window *k* ends at ``k * hop``; the index arithmetic an aggregate
+    closes windows by."""
+
+    @pytest.mark.parametrize(
+        "spec, timestamp, indexes",
+        [
+            (WindowSpec.range(10), 10.0, [1]),  # on an end: the window ending there
+            (WindowSpec.range(10), 10.001, [2]),
+            (WindowSpec.range(10), -5.0, [0]),
+            (WindowSpec.range(10), -10.0, [-1]),
+            (WindowSpec.range(30, slide=10), 25.0, [3, 4, 5]),
+            (WindowSpec.range(25, slide=10), 12.0, [2, 3]),
+            (WindowSpec.range(25, slide=10), 16.0, [2, 3, 4]),
+            (WindowSpec.range(5, slide=10), 3.0, []),  # in the gap of a hop > size
+            (WindowSpec.range(0.1), 0.8, [8]),
+        ],
+    )
+    def test_indexes(self, spec, timestamp, indexes):
+        assert list(spec.indexes(timestamp)) == indexes
+        for index in indexes:
+            assert spec.start(index) < timestamp <= index * spec.hop
+
+    def test_hop_and_panes(self):
+        assert WindowSpec.range(10).hop == 10 and WindowSpec.range(10).panes == 1
+        assert WindowSpec.range(20, slide=10).panes == 2
+        assert WindowSpec.range(25, slide=10).panes is None
+        assert WindowSpec.range(0.3, slide=0.1).panes is None  # 2.9999999999999996
+
+    def test_closed_through(self):
+        spec = WindowSpec.range(0.1)
+        assert [spec.closed_through(i / 10) for i in range(1, 3001)] == [
+            i if i * 0.1 <= i / 10 else i - 1 for i in range(1, 3001)
+        ]
+        assert spec.closed_through(-0.05) == -1
+        assert spec.closed_through(float("inf")) == float("inf")
+
+
+_T = Schema.of(("k", DataType.INT))
+
+
+def _run_fractional(sql: str, count: int, **options):
+    """One row at each ``t = i/10`` (i = 1..count), punctuated at each t,
+    then a flush: every emission as ``(timestamp, values)``."""
+    session = connect(**options)
+    try:
+        session.attach(StreamSource("T", _T, rate=10.0))
+        cursor = session.query(sql)
+        got = []
+        cursor.subscribe(lambda e: got.append((e.timestamp, e.row.values)), elements=True)
+        for i in range(1, count + 1):
+            session.push("T", {"k": i}, i / 10)
+            session.punctuate(i / 10)
+        session.punctuate(count / 10 + 1.0)
+        return got, cursor
+    finally:
+        session.close()
+
+
+class TestFractionalSlides:
+    """Regression: window ends were computed by adding the slide once per
+    window, so with ``SLIDE 0.1`` the end drifted (0.7999999999999999 by
+    window 8) and rows spilled into the next window — 2,997 windows for
+    3,000 rows, two of them counting 2."""
+
+    TUMBLING = "SELECT COUNT(*) AS n FROM T t [RANGE 0.1 SECONDS SLIDE 0.1 SECONDS]"
+
+    @pytest.mark.parametrize("shards", [None, 2], ids=["single", "pool2-exchanged"])
+    def test_every_row_its_own_window(self, shards):
+        got, cursor = _run_fractional(
+            self.TUMBLING, 3000, **({} if shards is None else {"shards": shards})
+        )
+        if shards is not None:
+            assert cursor._handle.exchanged  # the aggregate runs two-phase
+        assert got == [(i * 0.1, (1,)) for i in range(1, 3001)]
+
+    def test_sliding_matches_assign_windows(self):
+        spec = WindowSpec.range(0.3, slide=0.1)
+        got, _ = _run_fractional(
+            "SELECT COUNT(*) AS n FROM T t [RANGE 0.3 SECONDS SLIDE 0.1 SECONDS]", 300
+        )
+        expected = Counter(
+            round(end / spec.slide)
+            for i in range(1, 301)
+            for end in assign_windows(i / 10, spec)
+        )
+        assert Counter({round(ts / spec.slide): n for ts, (n,) in got}) == expected
+        assert len(got) == len(expected) == 302
 
 
 class TestStreamHelpers:
