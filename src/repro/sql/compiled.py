@@ -51,7 +51,9 @@ hand-written in between:
    on: :func:`compile_expr` and :func:`compile_projection` return
    :func:`_fallback` / :func:`_fallback_projection`,
    :func:`compile_accumulate` an interpreter-backed ``(fold,
-   finalize)`` over :class:`~repro.sql.expressions.Accumulator` state.
+   finalize)`` over :class:`~repro.sql.expressions.Accumulator` state
+   and :func:`compile_partial` an interpreter-backed ``(fold, take)``
+   over ``_PartialItem`` state.
    A column the schema cannot resolve is such a failure, so the
    row-time error is the interpreter's.
 
@@ -86,6 +88,7 @@ returns, projections rebind the tuple), and :func:`compile_fused_batch`
 wraps that chain in a generated loop over a list of stream elements so
 a whole ingest batch clears an N-stage chain with a single Python call.
 :func:`compile_accumulate` does the same for a grouped-aggregation fold
+(and :func:`compile_partial` for stage 1 of an exchanged one)
 and :func:`compile_join_probe` for one side of a windowed symmetric
 hash join (key, bucket append, window test and residual predicate in
 one generated loop per run; a side whose own window is ROWS has no
@@ -114,6 +117,7 @@ from repro.errors import ExecutionError
 from repro.sql.expressions import (
     _SCALAR_FUNCTIONS,
     _like_to_regex,
+    _PartialItem,
     AGGREGATE_NAMES,
     Accumulator,
     AggregateCall,
@@ -305,11 +309,55 @@ def compile_accumulate(
     values in call order with the interpreter's semantics (COUNT of
     nothing is 0; SUM/AVG/MIN/MAX of nothing — or of only NULLs — is
     NULL).
+
+    A group's state is one list, one or two slots per call in call
+    order; :func:`compile_partial` folds the same loop into the
+    *partial* layout, where ``pairs`` lists ``(timestamp, value)`` in
+    arrival order::
+
+        call                      this layout       partial layout
+        COUNT                     [count]           [count]
+        MIN / MAX                 [best-or-None]    [best-or-None]
+        SUM / AVG                 [count, total]    [pairs]
+        COUNT/MIN/MAX DISTINCT    [seen-set]        [seen-set, pairs]
+        SUM / AVG DISTINCT        [seen-set, total] [seen-set, pairs]
     """
     group_exprs, calls = tuple(group_exprs), tuple(calls)
     return _generate(
-        _codegen_accumulate, group_exprs, calls, schema, window
+        _codegen_accumulate, group_exprs, calls, schema, window, False
     ) or _fallback_accumulate(group_exprs, calls, schema, window)
+
+
+def compile_partial(
+    group_exprs: Sequence[Expr],
+    calls: Sequence[AggregateCall],
+    schema: Schema,
+    window: WindowSpec | None = None,
+) -> tuple[Callable, Callable]:
+    """Compile stage 1 of a two-phase (exchanged) aggregation: the
+    :func:`compile_accumulate` loop — the same window lookup, key
+    extraction and NULL skipping — over the partial slot layout, which
+    keeps what a merge shard needs to reproduce the single engine bit
+    for bit. Float addition commutes but does not associate, so SUM/AVG
+    and DISTINCT calls keep ``(timestamp, value)`` pairs the merge
+    re-adds in global arrival order; COUNT keeps a count and MIN/MAX an
+    extreme.
+
+    Returns ``(fold, take)`` — generated, else the interpreter's pair
+    over ``_PartialItem`` state (:func:`_fallback_partial`). A windowed
+    fold has :func:`compile_accumulate`'s signature. The running one is
+    ``fold(elements, groups, touched)``: ``groups`` holds every group's
+    state, and ``touched`` gains each group folded into, in first-touch
+    order, bound to the same state list. ``take(state)`` encodes a
+    group as one tagged payload per call — ``("c", count)``, ``("m",
+    extreme-or-None)``, ``("s", pairs)``, ``("d", pairs)`` — and resets
+    it for the next delta; a DISTINCT seen-set persists, so a running
+    aggregate ships a value at most once.
+    """
+    group_exprs, calls = tuple(group_exprs), tuple(calls)
+    return _generate(
+        _codegen_accumulate, group_exprs, calls, schema, window, True
+    ) or _fallback_partial(group_exprs, calls, schema, window)
 
 
 def _codegen_accumulate(
@@ -317,13 +365,9 @@ def _codegen_accumulate(
     calls: tuple[AggregateCall, ...],
     schema: Schema,
     window: WindowSpec | None,
+    partial: bool,
 ) -> tuple[Callable, Callable]:
-    # State layout: one or two slots per call, assigned in call order.
-    #   COUNT                     -> [count]
-    #   SUM / AVG                 -> [count, total]
-    #   MIN / MAX                 -> [best-or-None]
-    #   COUNT/MIN/MAX DISTINCT    -> [seen-set]
-    #   SUM / AVG DISTINCT        -> [seen-set, total]
+    # State layout: compile_accumulate's table, one column per `partial`.
     slots: list[tuple[str, int, bool]] = []  # (kind, first slot, distinct)
     init: list[str] = []
     for call in calls:
@@ -335,10 +379,12 @@ def _codegen_accumulate(
         slots.append((kind, len(init), call.distinct))
         if call.distinct:
             init.append("set()")
-            if kind in ("SUM", "AVG"):
+            if partial:
+                init.append("[]")
+            elif kind in ("SUM", "AVG"):
                 init.append("0")
         elif kind in ("SUM", "AVG"):
-            init.extend(("0", "0"))
+            init.extend(("[]",) if partial else ("0", "0"))
         elif kind == "COUNT":
             init.append("0")
         else:  # MIN / MAX
@@ -346,14 +392,19 @@ def _codegen_accumulate(
     init_literal = f"[{', '.join(init)}]"
 
     gen = _CodeGen(schema)
-    if window is None:
-        signature = "elements, groups"
-        gen.emit(1, "get = groups.get")
-        gen.emit(1, "for _e in elements:")
-        table = "groups"  # the one group dict every row updates
-    else:
+    running_partial = partial and window is None
+    if window is not None:
         signature = "elements, windows, closed"
         table = _emit_window_lookup(gen, window)
+    else:
+        signature = "elements, groups, touched" if partial else "elements, groups"
+        # A running partial looks a group up among this delta's first:
+        # `touched` binds the same state lists `groups` keeps.
+        gen.emit(1, f"get = {'touched' if partial else 'groups'}.get")
+        gen.emit(1, "for _e in elements:")
+        if partial:
+            gen.emit(2, "_t = _e.timestamp")
+        table = "groups"  # the one group dict every row updates
     gen.emit(2, "v = _e.row.values")
     key_atoms = [gen.gen(expr, 2) for expr in group_exprs]
     trailing = "," if len(key_atoms) == 1 else ""
@@ -371,7 +422,13 @@ def _codegen_accumulate(
     else:
         gen.emit(2, "_s = get(_k)")
     gen.emit(indent, "if _s is None:")
-    gen.emit(indent + 1, f"_s = {table}[_k] = {init_literal}")
+    if running_partial:
+        gen.emit(3, "_s = groups.get(_k)")
+        gen.emit(3, "if _s is None:")
+        gen.emit(4, f"_s = groups[_k] = {init_literal}")
+        gen.emit(3, "touched[_k] = _s")
+    else:
+        gen.emit(indent + 1, f"_s = {table}[_k] = {init_literal}")
     for atom, (kind, base, distinct) in zip(atoms, slots):
         if atom is None:  # COUNT(*)
             gen.emit(indent, f"_s[{base}] += 1")
@@ -386,13 +443,18 @@ def _codegen_accumulate(
             gen.emit(body, f"{seen} = _s[{base}]")
             gen.emit(body, f"if {atom} not in {seen}:")
             gen.emit(body + 1, f"{seen}.add({atom})")
-            if kind in ("SUM", "AVG"):
+            if partial:
+                gen.emit(body + 1, f"_s[{base + 1}].append((_t, {atom}))")
+            elif kind in ("SUM", "AVG"):
                 gen.emit(body + 1, f"_s[{base + 1}] += {atom}")
         elif kind == "COUNT":
             gen.emit(body, f"_s[{base}] += 1")
         elif kind in ("SUM", "AVG"):
-            gen.emit(body, f"_s[{base}] += 1")
-            gen.emit(body, f"_s[{base + 1}] += {atom}")
+            if partial:
+                gen.emit(body, f"_s[{base}].append((_t, {atom}))")
+            else:
+                gen.emit(body, f"_s[{base}] += 1")
+                gen.emit(body, f"_s[{base + 1}] += {atom}")
         else:
             best = gen.name("t")
             op = "<" if kind == "MIN" else ">"
@@ -401,6 +463,8 @@ def _codegen_accumulate(
             gen.emit(body + 1, f"_s[{base}] = {atom}")
     source = f"def _fold({signature}):\n" + "\n".join(gen.lines) + "\n"
     fold = _define("_fold", source, "<repro.sql.compiled.accumulate>", gen.env)
+    if partial:
+        return fold, _define_take(slots)
 
     parts: list[str] = []
     for kind, base, distinct in slots:
@@ -430,6 +494,30 @@ def _codegen_accumulate(
     fin_source = f"def _finalize(state):\n    return [{', '.join(parts)}]\n"
     finalize = _define("_finalize", fin_source, "<repro.sql.compiled.finalize>", {})
     return fold, finalize
+
+
+def _define_take(slots: list[tuple[str, int, bool]]) -> Callable:
+    """The partial layout's ``take``: one tagged payload per call, then
+    the slot reset to empty (a seen-set stays)."""
+    payloads: list[str] = []
+    resets: list[str] = []
+    for kind, base, distinct in slots:
+        if distinct:
+            tag, slot, empty = "d", base + 1, "[]"
+        elif kind in ("SUM", "AVG"):
+            tag, slot, empty = "s", base, "[]"
+        elif kind == "COUNT":
+            tag, slot, empty = "c", base, "0"
+        else:
+            tag, slot, empty = "m", base, "None"
+        payloads.append(f"({tag!r}, state[{slot}])")
+        resets.append(f"    state[{slot}] = {empty}\n")
+    source = (
+        f"def _take(state):\n    out = [{', '.join(payloads)}]\n"
+        + "".join(resets)
+        + "    return out\n"
+    )
+    return _define("_take", source, "<repro.sql.compiled.take>", {})
 
 
 def _emit_window_lookup(gen: _CodeGen, window: WindowSpec) -> str | None:
@@ -951,23 +1039,31 @@ def _fallback_projection(
     return run
 
 
-def _fallback_accumulate(
+def _fallback_fold(
     group_exprs: tuple[Expr, ...],
-    calls: tuple[AggregateCall, ...],
     schema: Schema,
     window: WindowSpec | None,
-) -> tuple[Callable, Callable]:
-    def add(groups: dict, key: tuple, row: Row) -> None:
+    new_state: Callable[[], list],
+    add: Callable[[list, Row, float], None],
+) -> Callable:
+    """The interpreter's fold behind the generated folds' signatures:
+    ``new_state()`` builds a group's state and ``add(state, row,
+    timestamp)`` folds one row into it."""
+
+    def group(groups: dict, key: tuple) -> list:
         state = groups.get(key)
         if state is None:
-            state = groups[key] = [Accumulator(call) for call in calls]
-        for accumulator in state:
-            accumulator.add(row)
+            state = groups[key] = new_state()
+        return state
 
-    def running_fold(elements, groups: dict) -> None:
+    def running_fold(elements, groups: dict, touched: dict | None = None) -> None:
         for element in elements:
             row = Row.raw(schema, element.row.values)
-            add(groups, tuple(e.eval(row) for e in group_exprs), row)
+            key = tuple(e.eval(row) for e in group_exprs)
+            state = group(groups, key)
+            if touched is not None:  # compile_partial's running signature
+                touched[key] = state
+            add(state, row, element.timestamp)
 
     def windowed_fold(elements, windows: dict, closed: float) -> None:
         for element in elements:
@@ -980,9 +1076,38 @@ def _fallback_accumulate(
                 groups = windows.get(index)
                 if groups is None:
                     groups = windows[index] = {}
-                add(groups, key, row)
+                add(group(groups, key), row, element.timestamp)
 
-    def finalize(state: list) -> list:
-        return [accumulator.result() for accumulator in state]
+    return running_fold if window is None else windowed_fold
 
-    return (running_fold if window is None else windowed_fold), finalize
+
+def _fallback_accumulate(
+    group_exprs: tuple[Expr, ...],
+    calls: tuple[AggregateCall, ...],
+    schema: Schema,
+    window: WindowSpec | None,
+) -> tuple[Callable, Callable]:
+    def add(state: list, row: Row, timestamp: float) -> None:
+        for accumulator in state:
+            accumulator.add(row)
+
+    fold = _fallback_fold(
+        group_exprs, schema, window, lambda: [Accumulator(call) for call in calls], add
+    )
+    return fold, lambda state: [accumulator.result() for accumulator in state]
+
+
+def _fallback_partial(
+    group_exprs: tuple[Expr, ...],
+    calls: tuple[AggregateCall, ...],
+    schema: Schema,
+    window: WindowSpec | None,
+) -> tuple[Callable, Callable]:
+    def add(state: list, row: Row, timestamp: float) -> None:
+        for item in state:
+            item.add(row, timestamp)
+
+    fold = _fallback_fold(
+        group_exprs, schema, window, lambda: [_PartialItem(call) for call in calls], add
+    )
+    return fold, lambda state: [item.take() for item in state]

@@ -536,6 +536,89 @@ class Accumulator:
         return dup
 
 
+class _PartialItem:
+    """The interpreter's stage-1 state for one aggregate call within one
+    group of a two-phase (exchanged) aggregation: what the generated
+    partial fold (``repro.sql.compiled.compile_partial``) keeps in its
+    slots, kept by the interpreter's rung instead.
+
+    Unlike :class:`Accumulator` it keeps state the merge shard can
+    re-fold: :meth:`take` encodes it as tagged, marshal-safe tuples —
+    ``("c", count)`` for COUNT; ``("m", extreme)`` for MIN/MAX (``None``
+    when no value arrived); ``("s", [(ts, value), ...])`` for SUM/AVG;
+    ``("d", [(ts, value), ...])`` for DISTINCT calls (deduplicated per
+    shard, the merge dedups again globally). The float-folding kinds
+    carry element timestamps so the merge can re-add values in global
+    arrival order (float addition commutes but does not associate).
+    """
+
+    __slots__ = ("call", "_kind", "_max", "distinct", "count", "pairs", "values")
+
+    def __init__(self, call: AggregateCall):
+        self.call = call
+        name = call.name.upper()
+        if call.distinct:
+            self._kind = "d"
+        elif name in ("SUM", "AVG"):
+            self._kind = "s"
+        elif name in ("MIN", "MAX"):
+            self._kind = "m"
+        else:
+            self._kind = "c"
+        self._max = name == "MAX"
+        self.distinct: set[Any] = set()  # persistent across takes
+        self.count = 0
+        self.pairs: list[tuple[float, Any]] = []
+        self.values: list[Any] = []
+
+    def add(self, row: Any, timestamp: float) -> None:
+        """Fold one row (COUNT(*) counts a non-NULL stand-in)."""
+        argument = self.call.argument
+        value = 0 if argument is None else argument.eval(row)
+        if value is None:
+            return
+        kind = self._kind
+        if kind == "d":
+            if value in self.distinct:
+                return
+            self.distinct.add(value)
+            self.pairs.append((timestamp, value))
+        elif kind == "s":
+            self.pairs.append((timestamp, value))
+        elif kind == "m":
+            self.values.append(value)
+        else:
+            self.count += 1
+
+    def take(self) -> tuple:
+        """Encode and reset the state gathered since the last call. The
+        DISTINCT seen-set is the one piece that persists, so a running
+        aggregate ships a value at most once per shard."""
+        kind = self._kind
+        if kind in ("d", "s"):
+            out = (kind, self.pairs)
+            self.pairs = []
+            return out
+        if kind == "m":
+            if not self.values:
+                return ("m", None)
+            out = ("m", max(self.values) if self._max else min(self.values))
+            self.values = []
+            return out
+        out = ("c", self.count)
+        self.count = 0
+        return out
+
+    def copy(self) -> "_PartialItem":
+        """Detached copy for checkpoints."""
+        dup = _PartialItem(self.call)
+        dup.distinct = set(self.distinct)
+        dup.count = self.count
+        dup.pairs = list(self.pairs)
+        dup.values = list(self.values)
+        return dup
+
+
 # ---------------------------------------------------------------------------
 # Predicate utilities used by the rewriter and the optimizers
 # ---------------------------------------------------------------------------

@@ -38,16 +38,16 @@ rows under their own output schema.
 
 State bounds: window joins evict expired rows on punctuation, so memory
 is proportional to window size times input rate — the property the paper
-relies on for long-running monitoring queries. A windowed aggregate
-keeps no rows past the punctuation that follows them: it holds group
-state per open window, so memory is proportional to groups times open
-windows; only the stage-1 :class:`PartialAggregateOp` still buffers
-rows.
+relies on for long-running monitoring queries. A windowed aggregate —
+the stage-1 :class:`PartialAggregateOp` included — keeps no rows past
+the punctuation that follows them: it holds group state per open
+window, so memory is proportional to groups times open windows.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 from typing import Any, Callable
 
 from repro.data.schema import Schema
@@ -68,21 +68,25 @@ from repro.sql.compiled import (
     compile_fused,
     compile_fused_batch,
     compile_join_probe,
+    compile_partial,
     compile_projection,
 )
-from repro.sql.expressions import Accumulator, AggregateCall, Expr, Literal
+from repro.sql.expressions import _PartialItem, Accumulator, AggregateCall, Expr
 
 
 def _copy_group_state(state: list) -> list:
-    """Copy one ``compile_accumulate`` group-state list.
+    """Copy one ``compile_accumulate`` / ``compile_partial`` group-state
+    list.
 
-    Generated slots are ints, floats, None, extremes or seen-sets (for
-    DISTINCT calls), the interpreter's are accumulators — only the sets
-    and the accumulators are mutable, so a shallow copy duplicating
-    those detaches the state from the live operator.
+    Generated slots are ints, floats, None, extremes, seen-sets (for
+    DISTINCT calls) or ``(ts, value)`` pair lists (partial SUM/AVG and
+    DISTINCT), the interpreter's are accumulators or partial items —
+    only the sets, lists and interpreter objects are mutable, so a
+    shallow copy duplicating those detaches the state from the live
+    operator.
     """
     return [
-        slot.copy() if isinstance(slot, (set, Accumulator)) else slot
+        slot.copy() if isinstance(slot, (set, list, Accumulator, _PartialItem)) else slot
         for slot in state
     ]
 
@@ -93,8 +97,6 @@ def _positional_key(schema: Schema, names: list[str]) -> Callable[[tuple], Any]:
     Single-column keys hash the bare value (both join sides use the same
     convention within one operator, so grouping is unaffected).
     """
-    from operator import itemgetter
-
     indexes = [schema.index_of(name) for name in names]
     if not indexes:
         return lambda values: ()
@@ -588,10 +590,20 @@ class AggregateOp(Operator):
       aggregate over *all* rows seen so far (continuous running totals —
       the semantics SmartCIS uses for "total resources by user").
 
-    Lateness: the operator records the last window it closed, and a row
-    whose every window has closed is folded nowhere. Nothing is late
-    before the first punctuation that follows a row (:meth:`_opened`).
+    Lateness is a function of the watermark alone. The operator records
+    the last window closed — none before the first punctuation, then
+    ``closed_through(watermark)`` of every punctuation — and a row is
+    late, and folded nowhere, when every window it belongs to ended at
+    or before the watermark in force when its segment is folded (the
+    punctuation before the one that folds it). Rows ahead of the first
+    punctuation are never late. Punctuation is broadcast, so every
+    stage-1 replica of an exchanged aggregate drops exactly the rows
+    the single engine drops, whichever shard a row reaches.
     """
+
+    #: The fold generator; :class:`PartialAggregateOp` folds into the
+    #: partial layout instead.
+    _compile = staticmethod(compile_accumulate)
 
     def __init__(
         self,
@@ -608,8 +620,8 @@ class AggregateOp(Operator):
         self.output_schema = output_schema
         self.window = window
         self._windowed = window is not None and window.kind is WindowKind.RANGE
-        # The last window closed; None until the first window opens.
-        self._closed: int | float | None = None
+        # The last window closed: none until a punctuation closes one.
+        self._closed: int | float = float("-inf")
         self._bind(input_schema)
 
     def _bind(self, input_schema: Schema) -> None:
@@ -619,7 +631,7 @@ class AggregateOp(Operator):
         punctuation's segment or a running-mode ingest batch costs one
         Python call. Groups hold whatever state lists the fold builds
         and ``finalize`` reads."""
-        self._fold, self._finalize = compile_accumulate(
+        self._fold, self._finalize = self._compile(
             [expr for expr, _ in self.group_by],
             [call for call, _ in self.aggregates],
             input_schema,
@@ -648,30 +660,20 @@ class AggregateOp(Operator):
         # groups clears the downstream (project/sink) in one call.
         self.emit_batch(out)
 
-    # -- windowed mode ----------------------------------------------------
-    def _opened(self, rows: list[StreamElement]) -> bool:
-        """Whether a window has opened, opening the first one if ``rows``
-        allow: nothing closes until a punctuation follows a row, and that
-        punctuation opens the first window at the earliest row so far —
-        every window before it counts as closed — so rows arriving
-        before it are never late. Shared with
-        :class:`PartialAggregateOp`, so both phases close alike."""
-        if self._closed is None:
-            if not rows:
-                return False
-            self._closed = self.window.first_index(min(e.timestamp for e in rows)) - 1
-        return True
-
-    def _advance(self, watermark: float) -> int | None:
-        """Close every window ending at or before ``watermark``: returns
-        the first index newly closed (the last is ``self._closed``), or
-        None when the watermark closes nothing new."""
+    def _close_windows(self, watermark: float) -> None:
+        """Fold the pending segment under the last watermark, then pop
+        and emit, in index order, every window ``watermark`` closes."""
+        if self._pending:
+            self._fold(self._pending, self._windows, self._closed)
+            self._pending = []
         last = self.window.closed_through(watermark)
-        if last <= self._closed:
-            return None
-        first = self._closed + 1
-        self._closed = last
-        return first
+        if last > self._closed:
+            self._closed = last
+            windows, hop = self._windows, self.window.hop
+            for index in sorted(windows):
+                if index > last:
+                    break
+                self._emit_groups(index * hop, windows.pop(index))
 
     # -- operator protocol -------------------------------------------------
     def on_element(self, element: StreamElement) -> None:
@@ -694,18 +696,10 @@ class AggregateOp(Operator):
         self.rows_in += len(elements)
 
     def on_punctuation(self, punctuation: Punctuation) -> None:
-        if not self._windowed:
+        if self._windowed:
+            self._close_windows(punctuation.watermark)
+        else:
             self._emit_groups(punctuation.watermark, self._groups)
-        elif self._opened(self._pending):
-            if self._pending:
-                self._fold(self._pending, self._windows, self._closed)
-                self._pending = []
-            if self._advance(punctuation.watermark) is not None:
-                windows, hop = self._windows, self.window.hop
-                for index in sorted(windows):
-                    if index > self._closed:
-                        break
-                    self._emit_groups(index * hop, windows.pop(index))
         self.downstream.push(punctuation)
 
     @staticmethod
@@ -713,14 +707,18 @@ class AggregateOp(Operator):
         return {key: _copy_group_state(state) for key, state in groups.items()}
 
     def state_snapshot(self) -> dict:
+        """The state of the operator's mode: open windows, the last one
+        closed and the pending segment, or the running groups."""
         state = super().state_snapshot()
-        state["windows"] = {
-            index: self._copy_groups(groups) for index, groups in self._windows.items()
-        }
-        state["closed"] = self._closed
-        state["pending"] = list(self._pending)
         state["generated"] = self._generated
-        state["groups"] = self._copy_groups(self._groups)
+        if self._windowed:
+            state["windows"] = {
+                index: self._copy_groups(groups) for index, groups in self._windows.items()
+            }
+            state["closed"] = self._closed
+            state["pending"] = list(self._pending)
+        else:
+            state["groups"] = self._copy_groups(self._groups)
         return state
 
     def state_restore(self, state: dict) -> None:
@@ -731,295 +729,106 @@ class AggregateOp(Operator):
                 "checkpointed aggregate state does not match the recompiled "
                 "operator (generated fold vs the interpreter's accumulators)"
             )
-        self._windows = {
-            index: self._copy_groups(groups) for index, groups in state["windows"].items()
-        }
-        self._closed = state["closed"]
-        self._pending = list(state["pending"])
-        self._groups = self._copy_groups(state["groups"])
+        if self._windowed:
+            self._windows = {
+                index: self._copy_groups(groups)
+                for index, groups in state["windows"].items()
+            }
+            self._closed = state["closed"]
+            self._pending = list(state["pending"])
+        else:
+            self._groups = self._copy_groups(state["groups"])
 
 
 def _refuse_row_buffer_layout(state: dict) -> None:
-    """Checkpoints written before windows were tracked by index carry
-    ``buffer`` / ``next_boundary``; they cannot restore into operators
-    that count closed windows."""
-    if "next_boundary" in state:
+    """Checkpoints written while windowed aggregates buffered rows carry
+    ``buffer`` (and, before windows were tracked by index,
+    ``next_boundary``); they cannot restore into operators that fold
+    rows into per-window group state."""
+    if "buffer" in state or "next_boundary" in state:
         raise ExecutionError(
             f"checkpointed {state['type']} state uses the row-buffer window "
             "layout ('buffer' / 'next_boundary'), which this engine does not "
-            "restore: windows are tracked by index ('closed')"
+            "restore: windows hold folded group state by index ('windows' / "
+            "'closed')"
         )
-
-
-class _PartialItem:
-    """Stage-1 exchange state for one aggregate call within one group.
-
-    Unlike :class:`~repro.sql.expressions.Accumulator` it keeps *encoded* state it can hand to
-    the merge shard: tagged tuples that are marshal-safe and — for the
-    float-folding kinds — carry element timestamps so the merge can
-    re-fold values in global arrival order and reproduce the
-    single-engine result bit for bit (float addition commutes but does
-    not associate).
-
-    Tags: ``("c", count)`` for COUNT; ``("m", extreme)`` for MIN/MAX
-    (``None`` when no value arrived); ``("s", [(ts, value), ...])`` for
-    SUM/AVG; ``("d", [(ts, value), ...])`` for DISTINCT calls
-    (post-shard-dedup — the merge dedups again globally).
-
-    ``add_value(ts, value)`` folds one already-evaluated argument
-    (COUNT(*) receives a non-NULL dummy and lands in the plain count
-    branch).
-    """
-
-    __slots__ = ("call", "_kind", "_max", "distinct", "count", "pairs", "values")
-
-    def __init__(self, call: AggregateCall):
-        self.call = call
-        name = call.name.upper()
-        if call.distinct:
-            self._kind = "d"
-        elif name in ("SUM", "AVG"):
-            self._kind = "s"
-        elif name in ("MIN", "MAX"):
-            self._kind = "m"
-        else:
-            self._kind = "c"
-        self._max = name == "MAX"
-        self.distinct: set[Any] = set()  # persistent across segments
-        self.count = 0
-        self.pairs: list[tuple[float, Any]] = []
-        self.values: list[Any] = []
-
-    def add_value(self, timestamp: float, value: Any) -> None:
-        if value is None:
-            return
-        kind = self._kind
-        if kind == "d":
-            if value in self.distinct:
-                return
-            self.distinct.add(value)
-            self.pairs.append((timestamp, value))
-        elif kind == "s":
-            self.pairs.append((timestamp, value))
-        elif kind == "m":
-            self.values.append(value)
-        else:
-            self.count += 1
-
-    def take(self) -> tuple:
-        """Encode and reset the state gathered since the last call.
-
-        Running mode ships *deltas* per punctuation (the merge shard
-        keeps the cumulative accumulators); the DISTINCT seen-set is the
-        one piece that persists, so a value is shipped at most once per
-        shard. Windowed mode builds a fresh item per window scan, so the
-        single ``take`` covers the whole window.
-        """
-        kind = self._kind
-        if kind in ("d", "s"):
-            out = (kind, self.pairs)
-            self.pairs = []
-            return out
-        if kind == "m":
-            if not self.values:
-                return ("m", None)
-            out = ("m", max(self.values) if self._max else min(self.values))
-            self.values = []
-            return out
-        out = ("c", self.count)
-        self.count = 0
-        return out
-
-    def snapshot(self) -> dict:
-        return {
-            "distinct": set(self.distinct),
-            "count": self.count,
-            "pairs": list(self.pairs),
-            "values": list(self.values),
-        }
-
-    def restore(self, state: dict) -> None:
-        self.distinct = set(state["distinct"])
-        self.count = state["count"]
-        self.pairs = list(state["pairs"])
-        self.values = list(state["values"])
 
 
 class PartialAggregateOp(AggregateOp):
     """Stage 1 of a two-phase (exchanged) aggregation.
 
-    Aggregates its shard's slice of the input but emits encoded
-    :class:`_PartialItem` payloads instead of finalized values, under
-    the partial schema (group keys + one payload column per call).
+    Aggregates its shard's slice of the input exactly as
+    :class:`AggregateOp` does — one generated fold per segment, the same
+    window lookup, key and NULL handling and watermark-defined lateness —
+    but into the partial slot layout
+    (:func:`~repro.sql.compiled.compile_partial`), which keeps what the
+    merge needs to re-fold in global arrival order: ``(ts, value)``
+    pairs for SUM/AVG and DISTINCT calls, a count, an extreme. A group
+    leaves as ``take``'s tagged payloads (``("c", n)``, ``("m", x)``,
+    ``("s", pairs)``, ``("d", pairs)``) under the partial schema (group
+    keys + one payload column per call).
 
-    The group key and the aggregate arguments are two projections over
-    the row's value tuple, folded by ``_PartialItem.add_value`` — never
-    the accumulate loop, which drops the element timestamps the merge
-    needs to re-fold in global arrival order.
-
-    * **Windowed**: the one aggregate that still buffers rows (a run
-      is buffered with one ``extend``). Windows close by the same index
-      arithmetic as :class:`AggregateOp` (``_opened`` / ``_advance``),
-      so each closing window's partials are scanned from the buffer,
-      emitted stamped with the window's end — the single engine's
-      timestamps, identical on every shard — and merge
-      segment-locally.
-    * **Running**: per punctuation, every group touched this segment
-      emits the *delta* since the previous punctuation (the merge shard
-      owns the running totals).
+    * **Windowed**: rows collect in the pending segment; a punctuation
+      folds it into ``{window index -> {group key -> slots}}`` with one
+      call, then pops and emits every window it closes, in index order,
+      stamped ``k * hop`` — the single engine's timestamps, identical on
+      every shard — so the merge is segment-local.
+    * **Running**: per punctuation, every group folded into this segment
+      emits the *delta* since the previous punctuation (``take`` resets
+      it; the merge shard owns the running totals).
     """
 
+    _compile = staticmethod(compile_partial)
+
     def _bind(self, input_schema: Schema) -> None:
-        self._key_fn = compile_projection(
-            [expr for expr, _ in self.group_by], input_schema
-        )
-        # COUNT(*) has no argument; a non-NULL dummy literal keeps the
-        # argument tuple aligned with the calls (add_value counts it).
-        self._args_fn = compile_projection(
-            [
-                call.argument if call.argument is not None else Literal(0)
-                for call, _ in self.aggregates
-            ],
-            input_schema,
-        )
-        self._pgroups: dict[tuple, list[_PartialItem]] = {}  # running mode
-        self._ptouched: dict[tuple, None] = {}  # keys with deltas, in first-touch order
-        self._buffer: list[StreamElement] = []  # windowed mode
+        super()._bind(input_schema)
+        # Running mode: the groups folded into since the last punctuation,
+        # in first-touch order, bound to their state in `_groups`.
+        self._touched: dict[tuple, list] = {}
 
-    def _fold_partials(
-        self,
-        elements,
-        groups: dict[tuple, list[_PartialItem]],
-        touched: dict[tuple, None] | None = None,
-    ) -> None:
-        """Fold a run into its groups' items (both modes' one body),
-        recording each key folded into in ``touched``."""
-        key_fn, args_fn = self._key_fn, self._args_fn
-        aggregates = self.aggregates
-        get = groups.get
-        for element in elements:
-            timestamp = element.timestamp
-            values = element.row.values
-            key = key_fn(values)
-            items = get(key)
-            if items is None:
-                items = groups[key] = [_PartialItem(call) for call, _ in aggregates]
-            if touched is not None:
-                touched[key] = None
-            for item, value in zip(items, args_fn(values)):
-                item.add_value(timestamp, value)
-
-    # -- running mode ---------------------------------------------------
-    def _emit_deltas(self, watermark: float) -> None:
-        if not self._ptouched:
-            return
-        schema = self.output_schema
-        out = [
-            StreamElement(
-                Row(
-                    schema,
-                    list(key) + [item.take() for item in self._pgroups[key]],
-                    validate=False,
-                ),
-                watermark,
-            )
-            for key in self._ptouched
-        ]
-        self._ptouched = {}
-        self.emit_batch(out)
-
-    # -- windowed mode --------------------------------------------------
-    def _close_windows(self, watermark: float) -> None:
-        """Scan the buffer once per window the watermark closes, emit
-        its partials and evict the rows no later window needs."""
-        if not self._opened(self._buffer):
-            return
-        index = self._advance(watermark)
-        if index is None:
-            return
-        window, buffer, schema = self.window, self._buffer, self.output_schema
-        while index <= self._closed and buffer:
-            start, end = window.start(index), index * window.hop
-            groups: dict[tuple, list[_PartialItem]] = {}
-            self._fold_partials([e for e in buffer if start < e.timestamp <= end], groups)
-            if groups:
-                self.emit_batch(
-                    [
-                        StreamElement(
-                            Row(
-                                schema,
-                                list(key) + [item.take() for item in items],
-                                validate=False,
-                            ),
-                            end,
-                        )
-                        for key, items in groups.items()
-                    ]
-                )
-            index += 1
-            horizon = window.start(index)
-            buffer = self._buffer = [e for e in buffer if e.timestamp > horizon]
-
-    # -- operator protocol ----------------------------------------------
     def on_element(self, element: StreamElement) -> None:
         if self._windowed:
-            self._buffer.append(element)
+            self._pending.append(element)
         else:
-            self._fold_partials((element,), self._pgroups, self._ptouched)
+            self._fold((element,), self._groups, self._touched)
 
     def push_batch(self, elements: list[StreamElement]) -> None:
-        """Windowed mode buffers a run with one ``extend``; running mode
-        folds it in one call (never through the base's fold, which drops
-        the timestamps the partials carry)."""
         if self._windowed:
-            self._buffer.extend(elements)
+            self._pending.extend(elements)
         else:
-            self._fold_partials(elements, self._pgroups, self._ptouched)
+            self._fold(elements, self._groups, self._touched)
         self.rows_in += len(elements)
 
     def on_punctuation(self, punctuation: Punctuation) -> None:
         if self._windowed:
             self._close_windows(punctuation.watermark)
         else:
-            self._emit_deltas(punctuation.watermark)
+            touched, self._touched = self._touched, {}
+            self._emit_groups(punctuation.watermark, touched)
         self.downstream.push(punctuation)
 
     def state_snapshot(self) -> dict:
-        state = Operator.state_snapshot(self)
-        state["buffer"] = list(self._buffer)
-        state["closed"] = self._closed
-        state["pgroups"] = {
-            key: [item.snapshot() for item in items]
-            for key, items in self._pgroups.items()
-        }
-        state["touched"] = list(self._ptouched)
+        state = super().state_snapshot()
+        if not self._windowed:
+            state["touched"] = list(self._touched)
         return state
 
     def state_restore(self, state: dict) -> None:
-        Operator.state_restore(self, state)
-        _refuse_row_buffer_layout(state)
-        self._buffer = list(state["buffer"])
-        self._closed = state["closed"]
-        pgroups: dict[tuple, list[_PartialItem]] = {}
-        for key, snaps in state["pgroups"].items():
-            items = [_PartialItem(call) for call, _ in self.aggregates]
-            for item, snap in zip(items, snaps):
-                item.restore(snap)
-            pgroups[key] = items
-        self._pgroups = pgroups
-        self._ptouched = dict.fromkeys(state["touched"])
+        super().state_restore(state)
+        if not self._windowed:
+            self._touched = {key: self._groups[key] for key in state["touched"]}
 
 
-def _pair_ts(pair: tuple[float, Any]) -> float:
-    return pair[0]
+_by_timestamp = itemgetter(0)
 
 
 class MergeAggregateOp(Operator):
     """Stage 2 of a two-phase aggregation: fold shard partials.
 
-    Input rows carry group-key values followed by encoded partial
-    payloads (:meth:`_PartialItem.take`); output restores the original
-    aggregate schema via the interpreter's
+    Input rows carry group-key values followed by the tagged payloads a
+    stage-1 :class:`PartialAggregateOp` takes from each group
+    (:func:`~repro.sql.compiled.compile_partial`); output restores the
+    original aggregate schema via the interpreter's
     :class:`~repro.sql.expressions.Accumulator` semantics.
 
     * **Windowed**: every shard closes window *W* within the same
@@ -1033,6 +842,8 @@ class MergeAggregateOp(Operator):
     Timestamped payloads ("s"/"d") from different shards are re-sorted
     into global arrival order before folding, so float sums reproduce
     the baseline bit for bit; dedup and extremes commute on their own.
+    A SUM/AVG run is added in one local loop — the float sequence
+    ``Accumulator.add_value`` would produce, without a call per value.
     """
 
     def __init__(
@@ -1067,11 +878,19 @@ class MergeAggregateOp(Operator):
                         accumulator.count += 1
                 else:  # "s" / "d": one shard's (ts, value) run
                     pairs.extend(payload)
-            if pairs:
-                pairs.sort(key=_pair_ts)
+            if not pairs:
+                continue
+            pairs.sort(key=_by_timestamp)
+            if accumulator.call.distinct:  # dedup again, across shards
                 add_value = accumulator.add_value
                 for _, value in pairs:
                     add_value(value)
+            else:  # SUM / AVG: stage 1 shipped no NULLs
+                total = accumulator.total
+                for _, value in pairs:
+                    total += value
+                accumulator.total = total
+                accumulator.count += len(pairs)
 
     def _close_windows(self) -> None:
         if not self._windows:
@@ -1139,7 +958,7 @@ class MergeAggregateOp(Operator):
 
     def state_snapshot(self) -> dict:
         state = super().state_snapshot()
-        # Payload tuples are handed off by _PartialItem.take and never
+        # Payload tuples are handed off by stage 1's take and never
         # mutated afterwards, so contribution lists copy shallowly.
         state["windows"] = {
             boundary: {key: list(c) for key, c in groups.items()}

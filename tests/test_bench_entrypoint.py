@@ -32,19 +32,41 @@ def test_bench_runner_module_lists_all_benches():
     assert "bench_fig1_federation.py" in names
 
 
+#: Whole functions each ledger deployment generates while it opens,
+#: summed over shards and worker processes. Admission work is gated
+#: (``admit_qps``, ``setup_s``), so a change that generates more — or
+#: less — edits this pin on purpose. ``xchg_pool4`` read 61 while each
+#: stage-1 partial aggregate compiled a key and an argument projection;
+#: its one ``compile_partial`` fold-and-take pair per operator reads 57.
+ADMISSION_CODEGEN = {
+    "one_query": 2,
+    "standing7": 18,
+    "standing7_rowpush": 18,
+    "tenants1k": 42,
+    "xchg_pool4": 57,
+    "standing7_proc2": 36,
+    "federated": 3,
+}
+
+
 def test_ledger_deployments_never_fall_back_to_the_interpreter():
-    """Every ledger workload admits its queries onto generated code:
-    ``stats()["compile"]["fallbacks"]`` is the counter that would say
-    otherwise, summed across shards and worker processes."""
+    """Every ledger workload admits its queries onto generated code —
+    exactly the functions :data:`ADMISSION_CODEGEN` pins, and none
+    while rows flow: ``stats()["compile"]["fallbacks"]`` is the counter
+    that would say otherwise, summed across shards and worker
+    processes."""
     from benchmarks.ledger.workloads import WORKLOADS
 
+    assert sorted(ADMISSION_CODEGEN) == sorted(w.name for w in WORKLOADS)
     for workload in WORKLOADS:
         units = 4 if workload.name == "federated" else 64
         deployment = workload.open(workload.build_input(1, units))
         try:
+            admitted = dict(deployment.session.stats()["compile"])
             deployment.deliver(0, units)
             counts = deployment.session.stats()["compile"]
         finally:
             deployment.close()
-        assert counts["generated"] > 0, workload.name
+        assert admitted["generated"] == ADMISSION_CODEGEN[workload.name], workload.name
+        assert counts == admitted, workload.name
         assert counts["fallbacks"] == 0, workload.name

@@ -184,6 +184,56 @@ class TestStores:
         with pytest.raises(ExecutionError, match="row-buffer window layout"):
             coordinator.recover()
 
+    def test_row_buffer_stage1_file_is_refused_by_name(self, tmp_path):
+        """A pool checkpoint file written while the stage-1 partial
+        aggregate buffered rows (``buffer`` + ``closed``, no
+        ``next_boundary``) fails shard failover with an
+        ``ExecutionError`` naming that layout, not a ``KeyError``."""
+        import dataclasses
+        import pickle
+
+        def partial_states(node):
+            if dataclasses.is_dataclass(node):
+                node = vars(node)
+            if isinstance(node, dict):
+                if node.get("type") == "PartialAggregateOp":
+                    yield node
+                    return
+                node = list(node.values())
+            if isinstance(node, (list, tuple)):
+                for child in node:
+                    yield from partial_states(child)
+
+        catalog = _catalog()
+        pool = ShardedStreamEngine(catalog, shards=2)
+        pool.set_partition_key("Readings", "host")
+        coordinator = CheckpointCoordinator(
+            pool, store=FileCheckpointStore(tmp_path), interval=None
+        )
+        sql = (
+            "select count(*) as n, avg(r.temp) as mean from Readings r "
+            "[range 10 seconds slide 10 seconds]"
+        )
+        handle = pool.execute(PlanBuilder(catalog).build_sql(sql), sql=sql)
+        assert handle.exchanged
+        rows, stamps = _rows(15)
+        pool.push_many("Readings", rows, stamps)
+        pool.punctuate(stamps[-1])
+        coordinator.checkpoint(stamps[-1])
+        (path,) = tmp_path.glob("checkpoint-*.pkl")
+        checkpoint = pickle.loads(path.read_bytes())
+        stage1 = list(partial_states(checkpoint))
+        assert stage1
+        for state in stage1:
+            buffered = state.pop("pending")
+            del state["windows"], state["generated"]
+            state.update(buffer=buffered, pgroups={}, touched=[])
+        path.write_bytes(pickle.dumps(checkpoint))
+        coordinator.store = FileCheckpointStore(tmp_path)
+        kill_shard(pool, 0)
+        with pytest.raises(ExecutionError, match="row-buffer window layout"):
+            pool.punctuate(stamps[-1] + 100.0)
+
 
 class TestCoordinator:
     def test_interval_zero_checkpoints_every_punctuation(self):

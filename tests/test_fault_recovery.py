@@ -433,7 +433,7 @@ def _check_kill_shard_mid_shuffle(transport, seed):
                 if isinstance(op, PartialAggregateOp)
             ]
             assert len(restored) == 4
-            assert all(op._args_fn is not None for op in restored)
+            assert all(op._generated for op in restored)
 
 
 def _check_kill_merge_shard(transport):

@@ -150,7 +150,7 @@ def _drive(engine, handles, rows, stamps, plan_rng: random.Random):
             for row, stamp in zip(chunk_rows, chunk_stamps):
                 engine.push("Readings", row, stamp)
         offset += size
-        engine.punctuate(chunk_stamps[-1])
+        engine.punctuate(max(chunk_stamps))
         snapshot()
     engine.punctuate(stamps[-1] + 200.0)
     snapshot()
@@ -442,6 +442,13 @@ TWO_PHASE_QUERIES = [
     "select r.room, count(*) as n, sum(r.temp * 1.5) as total, avg(r.temp) as mean, "
     "min(r.load) as lo, count(distinct r.host) as hosts from Readings r "
     "[range 20 seconds slide 10 seconds] where r.load >= 0.05 group by r.room",
+    # A size that is no whole number of hops: windows resolved per row.
+    "select r.room, count(*) as n, sum(r.temp) as total, max(r.temp) as hi "
+    "from Readings r [range 25 seconds slide 10 seconds] group by r.room",
+    # Windowed DISTINCT folds: per-window seen-sets, deduplicated again
+    # across shards, summed in arrival order.
+    "select sum(distinct r.temp) as st, avg(distinct r.load) as al, "
+    "count(distinct r.room) as rooms from Readings r [range 30 seconds slide 10 seconds]",
     # Running (unwindowed) totals: per-punctuation deltas.
     "select r.room, sum(r.temp) as total, count(distinct r.host) as hosts "
     "from Readings r group by r.room",
@@ -457,6 +464,28 @@ def _stage1_partials(handle):
     return [op for op in replica.compiled.operators if isinstance(op, PartialAggregateOp)]
 
 
+def _out_of_order(rows, stamps, rng: random.Random):
+    """The same feed with every value a multiple of 1/8 — float sums are
+    then exact in any order, as the merge re-adds by timestamp and the
+    single engine by arrival — and each run of four rows shuffled, so
+    rows arrive out of timestamp order inside a segment and, across a
+    chunk boundary, sometimes behind the watermark."""
+    eighths = [
+        Row(
+            READINGS,
+            (room, host, None if temp is None else round(temp * 8) / 8, round(load * 8) / 8),
+            validate=False,
+        )
+        for room, host, temp, load in (row.values for row in rows)
+    ]
+    order = list(range(len(rows)))
+    for start in range(0, len(order), 4):
+        block = order[start : start + 4]
+        rng.shuffle(block)
+        order[start : start + 4] = block
+    return [eighths[i] for i in order], [stamps[i] for i in order]
+
+
 class TestTwoPhaseCompiledIdentity:
     """Exchanged global / non-covering GROUP BY: the compiled partial
     aggregate emits bit-identical rows to the interpreted reference
@@ -467,6 +496,16 @@ class TestTwoPhaseCompiledIdentity:
     def test_compiled_pool_matches_interpreted_reference(self, seed):
         rng = random.Random(7000 + seed)
         rows, stamps = _rows(rng.randint(200, 320), rng)
+        self._check(rows, stamps, seed)
+
+    @pytest.mark.parametrize("seed", range(min(SEEDS, 3)))
+    def test_out_of_order_rows_inside_a_segment(self, seed):
+        rng = random.Random(7100 + seed)
+        rows, stamps = _out_of_order(*_rows(rng.randint(200, 320), rng), rng)
+        assert stamps != sorted(stamps)
+        self._check(rows, stamps, seed)
+
+    def _check(self, rows, stamps, seed):
         # Engines built in here interpret (this process only: worker
         # processes always generate).
         with interpreted():
@@ -488,3 +527,69 @@ class TestTwoPhaseCompiledIdentity:
             if transport == "loopback":
                 assert _stage1_partials(handles[0])
             assert got == expected, f"seed={seed} {transport} shards={shards}"
+
+
+#: Out-of-order rows a first window used to swallow on a pool: each
+#: stage-1 replica opened its first window at *its own* earliest row,
+#: the single engine at the whole stream's. A script step is a
+#: ``(host, timestamp)`` row or a watermark.
+LATENESS_REPROS = {
+    # The row at 39 was lost on 3 and 4 shards: [(1,), (1,)].
+    "tumbling-40": (
+        "SELECT COUNT(*) AS n FROM Readings r [RANGE 40 SECONDS SLIDE 40 SECONDS]",
+        [("h0", 0.5), 1.0, ("h1", 45.0), 38.0, ("h1", 39.0), 100.0],
+        [(2,), (1,)],
+    ),
+    # The single engine dropped the row at 45 ([(1,)]), 3 and 4 shards
+    # kept it.
+    "range-10": (
+        "SELECT COUNT(*) AS n FROM Readings r [RANGE 10 SECONDS]",
+        [("h0", 100.0), 26.0, ("h1", 45.0), 200.0],
+        [(1,), (1,)],
+    ),
+}
+
+
+def _run_script(sql, script, transport=None, shards=1):
+    """Drive ``script`` through one engine (``transport=None``) or a
+    pool keyed by host; returns the result values and the handle."""
+    catalog = _catalog()
+    plan = PlanBuilder(catalog).build_sql(sql)
+    if transport is None:
+        engine = StreamEngine(catalog)
+        handle = engine.execute(plan)
+    else:
+        engine = POOLS[transport](catalog, shards=shards)
+        engine.set_partition_key("Readings", "host")
+        handle = engine.execute(plan, sql=sql)
+    try:
+        for step in script:
+            if isinstance(step, tuple):
+                host, stamp = step
+                engine.push("Readings", Row(READINGS, ("lab1", host, 20.0, 0.5)), stamp)
+            else:
+                engine.punctuate(step)
+        return [row.values for row in handle.results], handle
+    finally:
+        if transport == "framed":
+            engine.shutdown()
+
+
+@pytest.mark.usefixtures("no_fallbacks")
+class TestWatermarkLateness:
+    """A row is late only when every window it belongs to ended at or
+    before the watermark in force when it is folded — a function of the
+    broadcast watermark alone, so an exchanged aggregate drops exactly
+    the rows the single engine drops, on any shard count."""
+
+    @pytest.mark.parametrize("case", sorted(LATENESS_REPROS))
+    def test_pool_matches_single_engine(self, case):
+        sql, script, expected = LATENESS_REPROS[case]
+        assert _run_script(sql, script)[0] == expected
+        pools = [("loopback", shards) for shards in (1, 2, 3, 4)]
+        if usable_start_method() is not None:
+            pools.append(("framed", 3))
+        for transport, shards in pools:
+            got, handle = _run_script(sql, script, transport, shards)
+            assert handle.exchanged, (transport, shards)
+            assert got == expected, (transport, shards)

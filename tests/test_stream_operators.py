@@ -651,24 +651,38 @@ class TestAggregateOp:
         op.push(Punctuation(30.0))
         assert self.emitted()[2:] == [(30, "b", 1)]
 
-    def test_rows_before_the_first_data_punctuation_are_never_late(self):
+    def test_rows_before_the_first_punctuation_are_never_late(self):
+        # Lateness follows the watermark alone. Rows ahead of the first
+        # punctuation are never late, however old; but a punctuation
+        # closes windows even when no row has arrived (it used to close
+        # nothing then), because a pool shard that has seen no rows must
+        # drop what the single engine drops.
         op = self.make(window=WindowSpec.range(10))
-        op.push(Punctuation(100.0))  # nothing has arrived: closes nothing
         for ts in (95.0, 5.0, 15.0):
             op.push(element(1, "a", ts))
         op.push(Punctuation(100.0))
         assert self.emitted() == [(10, "a", 1), (20, "a", 1), (100, "a", 1)]
+        fresh = self.make(window=WindowSpec.range(10))
+        fresh.push(Punctuation(100.0))  # closes every window through (90, 100]
+        for ts in (95.0, 5.0, 105.0):
+            fresh.push(element(1, "a", ts))
+        fresh.push(Punctuation(110.0))
+        assert self.emitted() == [(110, "a", 1)]
 
-    def test_first_window_opens_at_the_earliest_row(self):
-        # The first data-carrying punctuation opens the first window at
-        # the earliest row so far, even ahead of its watermark: a later
-        # row for an earlier window is late.
+    def test_lateness_follows_the_watermark_not_the_earliest_row(self):
+        # A row is late only when every window it belongs to ended at or
+        # before the watermark in force when it is folded. The first
+        # window used to open at the earliest row so far, so the row at
+        # 45 below was late here — and on a pool every stage-1 replica
+        # opened at its *own* earliest row, disagreeing with the single
+        # engine.
         op = self.make(window=WindowSpec.range(10))
         op.push(element(1, "a", 100.0))
-        op.push(Punctuation(26.0))
-        op.push(element(2, "late", 45.0))
+        op.push(Punctuation(26.0))  # closes every window through (10, 20]
+        op.push(element(2, "b", 45.0))  # (40, 50] is still open
+        op.push(element(3, "late", 15.0))  # (10, 20] closed at 26
         op.push(Punctuation(200.0))
-        assert self.emitted() == [(100, "a", 1)]
+        assert self.emitted() == [(50, "b", 1), (100, "a", 1)]
 
     def test_snapshot_holds_groups_not_rows(self):
         op = self.make(window=WindowSpec.range(40))
@@ -683,8 +697,12 @@ class TestAggregateOp:
         ) == 3999  # every row but t=0, which window 0 emitted
         assert self.emitted() == [(0, "host0", 1)]
 
-    @pytest.mark.parametrize("partial", [False, True], ids=["aggregate", "partial"])
-    def test_row_buffer_layout_snapshot_is_refused(self, partial):
+    @pytest.mark.parametrize(
+        "partial, layout",
+        [(False, "next_boundary"), (True, "next_boundary"), (True, "buffer")],
+        ids=["aggregate", "partial", "partial-row-buffer"],
+    )
+    def test_row_buffer_layout_snapshot_is_refused(self, partial, layout):
         from repro.errors import ExecutionError
         from repro.stream.operators import PartialAggregateOp
 
@@ -701,12 +719,94 @@ class TestAggregateOp:
         op = make()
         op.push(element(1, "a", 5.0))
         state = op.state_snapshot()
-        # The layout checkpoints had before windows were tracked by index.
-        for key in ("windows", "closed", "pending"):
+        for key in ("windows", "closed", "pending", "generated", "groups", "touched"):
             state.pop(key, None)
-        state.update(buffer=[element(1, "a", 5.0)], next_boundary=None)
+        if layout == "next_boundary":
+            # The layout checkpoints had before windows were tracked by index.
+            state.update(buffer=[element(1, "a", 5.0)], next_boundary=None)
+        else:
+            # A stage 1 that buffered rows and scanned them per closing
+            # window: windows by index, but no folded group state.
+            state.update(buffer=[element(1, "a", 5.0)], closed=None, pgroups={}, touched=[])
         with pytest.raises(ExecutionError, match=r"row-buffer window layout \('buffer' / 'next_boundary'\)"):
             make().state_restore(state)
+
+
+class TestPartialAggregateOp:
+    """Stage 1 of an exchanged aggregate folds each segment into group
+    state exactly as :class:`AggregateOp` does, keeping the timestamps
+    the merge re-folds by."""
+
+    def make(self, window=None, distinct=False):
+        from repro.stream.operators import PartialAggregateOp
+
+        schema = Schema.of(
+            ("key_0", DataType.STRING), ("agg_0", DataType.NULL), ("agg_1", DataType.NULL)
+        )
+        self.sink = CollectingConsumer()
+        return PartialAggregateOp(
+            [(ColumnRef("y"), "key_0")],
+            [
+                (AggregateCall("COUNT", None), "agg_0"),
+                (AggregateCall("SUM", ColumnRef("x"), distinct=distinct), "agg_1"),
+            ],
+            schema, self.sink, XY, window,
+        )
+
+    def emitted(self):
+        return [(e.timestamp, e.row.values) for e in self.sink.elements]
+
+    def test_snapshot_holds_groups_not_rows(self):
+        op = self.make(WindowSpec.range(40))
+        op.push_batch([element(i, f"host{i % 8}", i / 100) for i in range(4000)])
+        op.push(Punctuation(20.0))
+        state = op.state_snapshot()
+        assert state["pending"] == [] and "buffer" not in state
+        assert state["windows"]  # (0, 40] is still open
+        groups = [group for window in state["windows"].values() for group in window.values()]
+        assert all(len(window) <= 8 for window in state["windows"].values())
+        # One [count, pairs] entry per group, together covering every row
+        # but t=0, which window 0 emitted.
+        assert sum(count for count, _ in groups) == 3999
+        assert sum(len(pairs) for _, pairs in groups) == 3999
+        assert self.emitted() == [(0, ("host0", ("c", 1), ("s", [(0.0, 0)])))]
+
+    def test_windows_keep_arrival_order_and_drop_late_rows(self):
+        op = self.make(WindowSpec.range(25, slide=10))
+        op.push_batch([element(1, "a", 12.0), element(2, "a", 3.0), element(None, "a", 14.0)])
+        op.push(Punctuation(20.0))  # closes (-5, 20]
+        op.push(element(4, "a", 4.0))  # (-15, 10] and (-5, 20]: both closed
+        op.push(Punctuation(30.0))
+        assert self.emitted() == [
+            (10, ("a", ("c", 1), ("s", [(3.0, 2)]))),
+            (20, ("a", ("c", 3), ("s", [(12.0, 1), (3.0, 2)]))),
+            (30, ("a", ("c", 2), ("s", [(12.0, 1)]))),
+        ]
+
+    def test_running_mode_ships_deltas_across_a_restore(self):
+        op = self.make(distinct=True)
+        deliver(op, [element(1, "a", 1.0), element(2, "b", 2.0), element(1, "a", 3.0)])
+        op.push(Punctuation(3.0))
+        op.push(element(1, "a", 4.0))  # a repeat: counted, not re-shipped
+        op.push(element(5, "a", 5.0))
+        restored = self.make(distinct=True)
+        restored.state_restore(op.state_snapshot())
+        restored.push(Punctuation(6.0))
+        assert self.emitted() == [(6.0, ("a", ("c", 2), ("d", [(5.0, 5)])))]
+
+    def test_cross_rung_restore_is_refused(self):
+        from repro.errors import ExecutionError
+
+        op = self.make(WindowSpec.range(10))
+        op.push(element(1, "a", 5.0))
+        with interpreted():
+            reference = self.make(WindowSpec.range(10))
+        reference.push(element(1, "a", 5.0))
+        assert op.state_snapshot()["generated"]
+        assert not reference.state_snapshot()["generated"]
+        for source, target in ((op, reference), (reference, op)):
+            with pytest.raises(ExecutionError, match="generated fold vs the interpreter"):
+                target.state_restore(source.state_snapshot())
 
 
 class TestDistinctOrderLimitOutput:
