@@ -16,6 +16,10 @@ median and quartiles, the working tree's median, and "ahead k/N": the
 pairs in which the working tree was better by ``BENCHMARK.json``'s
 direction. A claim needs k ≥ 9 of 10 and a median difference larger
 than the base's interquartile distance; ``claim holds`` marks both.
+A median worse than the base's by more than the metric's
+``BENCHMARK.json`` bound is marked ``REGRESSION``, and a run reporting
+``correct: false`` stops the pairs and refuses the comparison; either
+makes the exit status 1.
 """
 
 from __future__ import annotations
@@ -62,12 +66,28 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if not lines:
         raise SystemExit(f"{tree}: no result (exit {done.returncode})\n{done.stderr}")
     result = json.loads(lines[-1])
-    return {"failed": result["failed"], **{
+    return {"correct": result["correct"], "failed": result["failed"], **{
         name: metric["value"] for name, metric in result["metrics"].items()
     }}
 
 
-def summarize(metrics: list[dict], base: list[dict], change: list[dict]) -> None:
+def summarize(metrics: list[dict], base: list[dict], change: list[dict]) -> int:
+    """Print the per-metric summary of the pairs so far; returns the
+    exit status. A run that reported ``correct: false`` is refused — its
+    numbers measure something other than the workload — and so is the
+    whole comparison (1). A metric whose change median is worse than the
+    base median by more than its ``bound`` (a fraction) is marked
+    ``REGRESSION`` (1)."""
+    refused = [
+        f"{side} run of pair {pair}"
+        for side, runs in (("base", base), ("change", change))
+        for pair, run in enumerate(runs, 1)
+        if not run["correct"]
+    ]
+    if refused:
+        print(f"\nREFUSED: correct: false from the {', '.join(refused)}")
+        return 1
+    status = 0
     print(f"\n{'metric':<14} {'base median [q1, q3]':>32} {'change':>12} {'delta':>8}  ahead")
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -78,13 +98,17 @@ def summarize(metrics: list[dict], base: list[dict], change: list[dict]) -> None
         median_a, median_b = statistics.median(a), statistics.median(b)
         gain = (median_b - median_a) if higher else (median_a - median_b)
         holds = ahead >= 0.9 * len(a) and gain > q3 - q1
+        regressed = median_a != 0 and -gain / abs(median_a) > metric["bound"]
+        status |= regressed
         print(
             f"{name:<14} {median_a:>12.5g} [{q1:.5g}, {q3:.5g}] {median_b:>12.5g} "
             f"{(median_b / median_a - 1) * 100 if median_a else 0.0:>+7.1f}%  "
             f"ahead {ahead}/{len(a)}{'  claim holds' if holds else ''}"
+            f"{'  REGRESSION' if regressed else ''}"
         )
     failed = sum(run["failed"] for run in base), sum(run["failed"] for run in change)
     print(f"failed ops: base {failed[0]}, change {failed[1]}")
+    return status
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -108,8 +132,9 @@ def main(argv: list[str] | None = None) -> int:
             f"{m['name']} {base[-1][m['name']]:.4g}→{change[-1][m['name']]:.4g}"
             for m in metrics
         ), flush=True)
-    summarize(metrics, base, change)
-    return 0
+        if not (base[-1]["correct"] and change[-1]["correct"]):
+            break  # refused: no later pair can make the comparison valid
+    return summarize(metrics, base, change)
 
 
 if __name__ == "__main__":

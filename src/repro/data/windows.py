@@ -114,6 +114,13 @@ class WindowSpec:
             return element_ts
         return math.inf
 
+    @property
+    def evicts_by_time(self) -> bool:
+        """True when :meth:`expiry` is finite (RANGE, NOW): a buffer of
+        this window drops rows as watermarks pass. ROWS bounds by count
+        and UNBOUNDED keeps every row."""
+        return self.kind in (WindowKind.RANGE, WindowKind.NOW)
+
     # Window indexes (RANGE windows of an aggregate) ---------------------------
     # Window k covers (start(k), k * hop]. Ends are computed as k * hop,
     # never by repeated addition, so a fractional hop does not drift.

@@ -90,9 +90,10 @@ a whole ingest batch clears an N-stage chain with a single Python call.
 :func:`compile_accumulate` does the same for a grouped-aggregation fold
 (and :func:`compile_partial` for stage 1 of an exchanged one)
 and :func:`compile_join_probe` for one side of a windowed symmetric
-hash join (key, bucket append, window test and residual predicate in
-one generated loop per run; a side whose own window is ROWS has no
-kernel by design, which is not a fallback and is not counted).
+hash join (key, bucket append, window test, residual predicate and the
+Select/Project run above the join in one generated loop per run; a side
+whose own window is ROWS has no kernel by design, which is not a
+fallback and is not counted).
 
 Generated text becomes a code object in exactly one place,
 :func:`_code_object`, memoized on the text: every replica of a plan on
@@ -242,6 +243,26 @@ def compile_fused_batch(
     return _generate(_codegen_fused_batch, tuple(stages), schema, output_schema)
 
 
+def _emit_stages(
+    gen: _CodeGen, stages: Sequence[FusedStage], indent: int, reject: str
+) -> None:
+    """Lower a Filter/Project chain over the value tuple ``v``: a filter
+    runs ``reject`` unless its predicate is exactly TRUE, a projection
+    rebinds ``v``, and later stages resolve columns against the
+    projection's output schema."""
+    for stage in stages:
+        if stage[0] == "filter":
+            atom = gen.as_var(gen.gen(stage[1], indent), indent)
+            gen.emit(indent, f"if {atom} is not True:")
+            gen.emit(indent + 1, reject)
+        else:
+            _, exprs, out_schema = stage
+            results = [gen.gen(e, indent) for e in exprs]
+            trailing = "," if len(results) == 1 else ""
+            gen.emit(indent, f"v = ({', '.join(results)}{trailing})")
+            gen.schema = out_schema
+
+
 def _codegen_fused_batch(
     stages: tuple[FusedStage, ...], schema: Schema, output_schema: Schema
 ) -> Callable[[list, list], None]:
@@ -250,17 +271,7 @@ def _codegen_fused_batch(
     gen.emit(1, "append = out.append")
     gen.emit(1, "for _e in elements:")
     gen.emit(2, "v = _e.row.values")
-    for stage in stages:
-        if stage[0] == "filter":
-            atom = gen.as_var(gen.gen(stage[1], 2), 2)
-            gen.emit(2, f"if {atom} is not True:")
-            gen.emit(3, "continue")
-        else:
-            _, exprs, out_schema = stage
-            results = [gen.gen(e, 2) for e in exprs]
-            trailing = "," if len(results) == 1 else ""
-            gen.emit(2, f"v = ({', '.join(results)}{trailing})")
-            gen.schema = out_schema
+    _emit_stages(gen, stages, 2, "continue")
     if projects:
         raw = gen.bind(Row.raw, "raw")
         element_cls = gen.bind(_StreamElement, "se")
@@ -594,22 +605,33 @@ def compile_join_probe(
     right_window: WindowSpec,
     predicate: Expr | None,
     left: bool,
-) -> Callable[[list, dict, dict, list], None] | None:
+    stages: Sequence[FusedStage] = (),
+    output_schema: Schema | None = None,
+) -> Callable[[list, dict, dict, list, set | None], None] | None:
     """Compile one side of a windowed symmetric hash join into a
     generated *batch probe* function, or ``None`` when that side has no
     batch body (then the caller keeps its per-element loop).
 
-    ``probe(elements, own, other, out)`` takes a punctuation-free run
-    arriving on one side (the ``left`` one, or the right), the two
-    per-key bucket dicts and an output list. Per element, in arrival
+    ``probe(elements, own, other, out, unsorted)`` takes a
+    punctuation-free run arriving on one side (the ``left`` one, or the
+    right), the two per-key bucket dicts, an output list and the own
+    side's set of out-of-order bucket keys. Per element, in arrival
     order: extract the equi-key positionally; skip the row when a key
     component is NULL (it can match nothing, so it is neither buffered
-    nor probed); append the element to its own bucket; walk the opposite
-    bucket in bucket order and append one joined ``StreamElement`` per
-    live, predicate-passing pair to ``out``, stamped with the later of
-    the two timestamps. The opposite buffer does not change while one
-    side's run is probed, so the pairs and their order are exactly those
-    of per-element delivery.
+    nor probed); append the element to its own bucket — adding the key
+    to ``unsorted`` when it lands behind the bucket's tail on a side
+    that evicts by time (RANGE, NOW); walk the opposite bucket in bucket
+    order and append one ``StreamElement`` per live, predicate-passing
+    pair to ``out``, stamped with the later of the two timestamps. The
+    opposite buffer does not change while one side's run is probed, so
+    the pairs and their order are exactly those of per-element delivery.
+
+    ``stages`` is the Select/Project run above the join, lowered after
+    the residual exactly as :func:`compile_fused` lowers it over the
+    joined tuple: a filter skips the pair, a projection rebinds the
+    tuple, and each surviving pair appends one ``Row.raw(output_schema,
+    v)`` — no joined row is built first. Without stages the row is the
+    joined tuple under the concatenated schema.
 
     The liveness test is the two-sided window test inlined as arithmetic
     on the two timestamps: an opposite row *later* than the arriving one
@@ -635,6 +657,8 @@ def compile_join_probe(
         right_window if left else left_window,
         predicate,
         left,
+        tuple(stages),
+        output_schema,
     )
 
 
@@ -646,7 +670,9 @@ def _codegen_join_probe(
     other_window: WindowSpec,
     predicate: Expr | None,
     left: bool,
-) -> Callable[[list, dict, dict, list], None]:
+    stages: tuple[FusedStage, ...],
+    output_schema: Schema | None,
+) -> Callable[[list, dict, dict, list, set | None], None]:
     joined_schema = left_schema.concat(right_schema)
     own_schema = left_schema if left else right_schema
     gen = _CodeGen(joined_schema)  # `v` is the concatenated value tuple
@@ -670,6 +696,10 @@ def _codegen_join_probe(
     gen.emit(2, "_b = own_get(_k)")
     gen.emit(2, "if _b is None:")
     gen.emit(3, f"_b = own[_k] = {gen.bind(_deque, 'dq')}()")
+    if own_window.evicts_by_time:
+        # Buckets hold at least one row; eviction rescans marked ones.
+        gen.emit(2, "elif _e.timestamp < _b[-1].timestamp:")
+        gen.emit(3, "unsorted.add(_k)")
     gen.emit(2, "_b.append(_e)")
     gen.emit(2, "_c = other_get(_k)")
     gen.emit(2, "if _c is None:")
@@ -698,11 +728,14 @@ def _codegen_join_probe(
         atom = gen.as_var(gen.gen(predicate, 3), 3)
         gen.emit(3, f"if {atom} is not True:")
         gen.emit(4, "continue")
+    _emit_stages(gen, stages, 3, "continue")
     raw = gen.bind(Row.raw, "raw")
     element_cls = gen.bind(_StreamElement, "se")
-    schema_name = gen.bind(joined_schema, "js")
+    schema_name = gen.bind(output_schema if stages else joined_schema, "js")
     gen.emit(3, f"append({element_cls}({raw}({schema_name}, v), _m))")
-    source = "def _probe(elements, own, other, out):\n" + "\n".join(gen.lines) + "\n"
+    source = (
+        "def _probe(elements, own, other, out, unsorted):\n" + "\n".join(gen.lines) + "\n"
+    )
     return _define("_probe", source, "<repro.sql.compiled.join_probe>", gen.env)
 
 
@@ -710,18 +743,7 @@ def _codegen_fused(
     stages: tuple[FusedStage, ...], schema: Schema
 ) -> Callable[[tuple], tuple | None]:
     gen = _CodeGen(schema)
-    for stage in stages:
-        if stage[0] == "filter":
-            atom = gen.as_var(gen.gen(stage[1], 1), 1)
-            gen.emit(1, f"if {atom} is not True:")
-            gen.emit(2, "return None")
-        else:
-            _, exprs, out_schema = stage
-            results = [gen.gen(e, 1) for e in exprs]
-            trailing = "," if len(results) == 1 else ""
-            gen.emit(1, f"v = ({', '.join(results)}{trailing})")
-            # Later stages reference columns of the projected tuple.
-            gen.schema = out_schema
+    _emit_stages(gen, stages, 1, "return None")
     gen.emit(1, "return v")
     source = "def _fused(v):\n" + "\n".join(gen.lines) + "\n"
     return _define("_fused", source, "<repro.sql.compiled.fused>", gen.env)

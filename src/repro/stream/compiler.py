@@ -11,8 +11,12 @@ Operator fusion: maximal runs of adjacent Select/Project nodes —
 Filter/Project, Filter/Filter, Project/Project, and longer mixed chains
 — lower to a single :class:`~repro.stream.operators.FusedOp` whose
 generated closure runs the whole chain per element (see
-:func:`~repro.sql.compiled.compile_fused`). A chain whose fused code
-cannot be generated keeps one physical operator per logical node.
+:func:`~repro.sql.compiled.compile_fused`). A run that ends at a Join —
+a single node included — lowers into the
+:class:`~repro.stream.operators.SymmetricHashJoin` instead, as its
+output stages: the join emits the run's rows, one Row per result, and
+no operator sits above it. A run whose fused code cannot be generated
+keeps one physical operator per logical node.
 
 Window inference: a Scan's explicit window wins; otherwise streams get
 the engine's default window and stored tables get UNBOUNDED. A join
@@ -24,9 +28,10 @@ side only).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.catalog import SourceKind
+from repro.data.schema import Schema
 from repro.data.streams import StreamConsumer, StreamElement, push_all
 from repro.data.windows import WindowKind, WindowSpec
 from repro.errors import PlanError
@@ -241,16 +246,7 @@ class PlanCompiler:
                 "repro.stream.recursive.RecursiveView for recursive queries"
             )
         if isinstance(node, (Select, Project)):
-            fused = self._try_fuse(node, downstream, compiled)
-            if fused is not None:
-                return fused
-            if isinstance(node, Select):
-                op = FilterOp(node.predicate, downstream, node.child.schema)
-            else:
-                items = [(item.expr, item.name) for item in node.items]
-                op = ProjectOp(items, node.schema, downstream, node.child.schema)
-            compiled.operators.append(op)
-            return self._compile_node(node.child, op, compiled)
+            return self._compile_run(node, downstream, compiled)
         if isinstance(node, Join):
             return self._compile_join(node, downstream, compiled)
         if isinstance(node, PartialAggregate):
@@ -316,41 +312,66 @@ class PlanCompiler:
             return self._compile_node(node.child, result_sink(node.child, op), compiled)
         raise PlanError(f"stream compiler cannot handle {type(node).__name__}")
 
-    def _try_fuse(
-        self, node: LogicalOp, downstream: StreamConsumer, compiled: CompiledPlan
-    ) -> StreamConsumer | None:
-        """Collapse a maximal Select/Project run rooted at ``node``.
+    def _compile_run(
+        self, node: Select | Project, downstream: StreamConsumer, compiled: CompiledPlan
+    ) -> StreamConsumer:
+        """Lower the maximal Select/Project run rooted at ``node``.
 
-        Returns the fused pipeline's input consumer, or None when the
-        run is a single node (a dedicated FilterOp/ProjectOp is at least
-        as fast and keeps per-node stats readable) or its fused code
-        could not be generated (a counted fallback; the chain lowers
-        one operator per node).
+        The run's stages are built once, here, and its rung is chosen
+        once: a run ending at a :class:`Join` — a single node included —
+        becomes the join's output stages (:meth:`_compile_join`), and a
+        run of two or more over anything else one :class:`FusedOp`. When
+        the run's fused code cannot be generated (a counted fallback),
+        or it is a single node over a non-join (a dedicated operator is
+        at least as fast and keeps per-node stats readable), each node
+        lowers to its own FilterOp / ProjectOp.
         """
-        chain: list[LogicalOp] = []
+        chain: list[Select | Project] = []
         bottom: LogicalOp = node
         while isinstance(bottom, (Select, Project)):
             chain.append(bottom)
             bottom = bottom.child
-        if len(chain) < 2:
-            return None
-        stages = []
-        for link in reversed(chain):  # dataflow order: leaf-most first
+        stages = [
+            ("filter", link.predicate)
+            if isinstance(link, Select)
+            else ("project", [item.expr for item in link.items], link.schema)
+            for link in reversed(chain)  # dataflow order: leaf-most first
+        ]
+        if isinstance(bottom, Join):
+            join = self._compile_join(bottom, downstream, compiled, stages, node.schema)
+            if join is not None:
+                return join
+        elif len(chain) > 1:
+            op = FusedOp(stages, node.schema, downstream, bottom.schema)
+            if op.generated:
+                compiled.operators.append(op)
+                return self._compile_node(bottom, op, compiled)
+        for link in chain:
             if isinstance(link, Select):
-                stages.append(("filter", link.predicate))
+                op = FilterOp(link.predicate, downstream, link.child.schema)
             else:
-                stages.append(
-                    ("project", [item.expr for item in link.items], link.schema)
-                )
-        op = FusedOp(stages, node.schema, downstream, bottom.schema)
-        if not op.generated:
-            return None
-        compiled.operators.append(op)
-        return self._compile_node(bottom, op, compiled)
+                items = [(item.expr, item.name) for item in link.items]
+                op = ProjectOp(items, link.schema, downstream, link.child.schema)
+            compiled.operators.append(op)
+            downstream = op
+        return self._compile_node(bottom, downstream, compiled)
 
     def _compile_join(
-        self, node: Join, downstream: StreamConsumer, compiled: CompiledPlan
-    ) -> StreamConsumer:
+        self,
+        node: Join,
+        downstream: StreamConsumer,
+        compiled: CompiledPlan,
+        stages: Sequence = (),
+        output_schema: Schema | None = None,
+    ) -> StreamConsumer | None:
+        """Lower a join, with the Select/Project run above it as its
+        output ``stages`` (producing ``output_schema``) when there is one.
+
+        Equi-join conjuncts become the buckets' keys, the rest the
+        residual predicate. Returns None — and compiles nothing — when
+        the stages' fused code cannot be generated: the caller then
+        lowers the run above a join without stages.
+        """
         left_schema = node.left.schema
         right_schema = node.right.schema
         equi: list[tuple[str, str]] = []
@@ -378,7 +399,11 @@ class PlanCompiler:
             conjoin(residual),
             equi,
             downstream,
+            stages,
+            output_schema,
         )
+        if not join.generated:
+            return None
         compiled.operators.append(join)
         self._compile_node(node.left, join.left_port, compiled)
         self._compile_node(node.right, join.right_port, compiled)

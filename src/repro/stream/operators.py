@@ -34,7 +34,8 @@ Rows keep the schema they were built with: Filter, Distinct, OrderBy,
 Limit and Output forward the elements they receive (source rows keep
 their catalog schema), while Project, Fused chains that project,
 Aggregate, the join and the partial/merge aggregates build their output
-rows under their own output schema.
+rows under their own output schema — the join's being that of the
+Select/Project run lowered into it, when there is one.
 
 State bounds: window joins evict expired rows on punctuation, so memory
 is proportional to window size times input rate — the property the paper
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 from collections import deque
 from operator import itemgetter
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.data.schema import Schema
 from repro.data.streams import (
@@ -101,6 +102,16 @@ def _positional_key(schema: Schema, names: list[str]) -> Callable[[tuple], Any]:
     if not indexes:
         return lambda values: ()
     return itemgetter(*indexes)
+
+
+def _in_time_order(elements) -> bool:
+    stamps = [element.timestamp for element in elements]
+    return all(a <= b for a, b in zip(stamps, stamps[1:]))
+
+
+def _unsorted_keys(buffer: dict) -> set:
+    """The keys of a join buffer's buckets that are out of time order."""
+    return {key for key, bucket in buffer.items() if not _in_time_order(bucket)}
 
 
 class Operator:
@@ -335,19 +346,33 @@ class SymmetricHashJoin(Operator):
     ``NULL = NULL`` is not TRUE), so it is neither probed nor buffered
     and holds no state.
 
+    Output stages: the plan compiler lowers the maximal Select/Project
+    run directly above the join into the operator as ``stages``
+    (:data:`~repro.sql.compiled.FusedStage`, dataflow order), applied to
+    each residual-passing pair's concatenated values — a filter drops
+    the pair, a projection rebinds the values — so every surviving pair
+    leaves as one ``Row`` under ``output_schema`` and one
+    ``StreamElement``, and no operator sits above the join for the run.
+    Without stages a pair leaves as the joined row under the
+    concatenated schema. The stages' per-pair function
+    (:func:`~repro.sql.compiled.compile_fused`) is generated first; when
+    it cannot be, ``generated`` is False, nothing else is compiled, and
+    the plan compiler lowers the run above a join without stages
+    instead.
+
     Two data bodies, one meaning. ``_push_side`` is the per-element
     body (``push``, and the only body that handles punctuation). A run
     arriving by a side port's ``push_batch`` goes through one generated
     probe kernel per side (:func:`~repro.sql.compiled.compile_join_probe`:
     positional key, bucket append, the two-sided window test inlined as
-    timestamp arithmetic, the residual predicate inlined) and leaves as
-    **one** ``emit_batch`` — the same pairs in the same order (input
-    order × bucket order) as per-element delivery, because one side's
-    run never changes the buffer it probes. Which body a run gets
-    follows from what the operator is, never from a setting: a side
-    whose own window is ROWS (every arrival also evicts by count) and a
-    kernel that failed to generate (a counted fallback) have no kernel
-    and loop ``_push_side``.
+    timestamp arithmetic, the residual predicate and the stages inlined)
+    and leaves as **one** ``emit_batch`` — the same rows in the same
+    order (input order × bucket order) as per-element delivery, because
+    one side's run never changes the buffer it probes. Which body a run
+    gets follows from what the operator is, never from a setting: a
+    side whose own window is ROWS (every arrival also evicts by count)
+    and a kernel that failed to generate (a counted fallback) have no
+    kernel and loop ``_push_side``.
 
     The two schemas always concatenate: the analyzer rejects duplicate
     relation bindings and :class:`~repro.plan.logical.Join` builds the
@@ -355,7 +380,13 @@ class SymmetricHashJoin(Operator):
 
     Punctuation handling: the operator tracks the latest watermark per
     side and forwards ``min(left, right)`` when it advances, evicting
-    expired rows from both buffers first.
+    expired rows from both buffers first. Eviction is a function of the
+    watermark alone: afterwards no bucket of a RANGE or NOW side holds a
+    row with ``expiry(ts) < watermark``, whatever order rows arrived in.
+    A bucket stays in timestamp order while appends land at or after its
+    tail and its expired rows are a prefix; an append that lands behind
+    the tail marks the bucket, and only marked buckets are rescanned, so
+    time-ordered input pays one comparison per row.
     """
 
     def __init__(
@@ -367,6 +398,8 @@ class SymmetricHashJoin(Operator):
         predicate: Expr | None,
         equi_keys: list[tuple[str, str]],
         downstream: StreamConsumer,
+        stages: Sequence[FusedStage] = (),
+        output_schema: Schema | None = None,
     ):
         super().__init__(downstream)
         self.left_schema = left_schema
@@ -378,15 +411,21 @@ class SymmetricHashJoin(Operator):
         self.left_keys = [lk for lk, _ in equi_keys]
         self.right_keys = [rk for _, rk in equi_keys]
         self._single_key = len(equi_keys) == 1
+        self._joined_schema = left_schema.concat(right_schema)
+        self.stages = list(stages)
+        self.output_schema = output_schema if self.stages else self._joined_schema
+        # The stages' per-pair function comes first: a run it cannot
+        # generate is not lowered here, and nothing below is compiled.
+        self._tail = compile_fused(self.stages, self._joined_schema) if self.stages else None
+        self.generated = not self.stages or self._tail is not None
         # Schema-bound compilation: key columns resolve to positions once
         # and the residual predicate (None: the join has none) runs over
         # the joined value tuple.
-        self._joined_schema = left_schema.concat(right_schema)
         self._left_key_fn = _positional_key(left_schema, self.left_keys)
         self._right_key_fn = _positional_key(right_schema, self.right_keys)
         self._compiled_predicate = (
             compile_expr(predicate, self._joined_schema)
-            if predicate is not None
+            if predicate is not None and self.generated
             else None
         )
         # The generated batch bodies, one per side (None: that side's
@@ -401,11 +440,19 @@ class SymmetricHashJoin(Operator):
                 right_window,
                 predicate,
                 left,
+                self.stages,
+                self.output_schema,
             )
+            if self.generated
+            else None
             for left in (True, False)
         )
         self._left_buffer: dict[tuple, deque[StreamElement]] = {}
         self._right_buffer: dict[tuple, deque[StreamElement]] = {}
+        # Keys of the buckets an append landed behind the tail of, on a
+        # side that evicts by time (None on a ROWS / UNBOUNDED side).
+        self._left_unsorted: set | None = set() if left_window.evicts_by_time else None
+        self._right_unsorted: set | None = set() if right_window.evicts_by_time else None
         self._left_fifo: deque[tuple[tuple, StreamElement]] = deque()
         self._right_fifo: deque[tuple[tuple, StreamElement]] = deque()
         self._left_watermark = float("-inf")
@@ -445,9 +492,9 @@ class SymmetricHashJoin(Operator):
                 return
             out: list[StreamElement] = []
             if left:
-                probe(elements, join._left_buffer, join._right_buffer, out)
+                probe(elements, join._left_buffer, join._right_buffer, out, join._left_unsorted)
             else:
-                probe(elements, join._right_buffer, join._left_buffer, out)
+                probe(elements, join._right_buffer, join._left_buffer, out, join._right_unsorted)
             join.rows_in += len(elements)
             if out:
                 join.emit_batch(out)
@@ -483,7 +530,14 @@ class SymmetricHashJoin(Operator):
         # A NULL key component matches nothing: no probe, no state.
         if (key is None) if self._single_key else (None in key):
             return
-        own_buffer.setdefault(key, deque()).append(item)
+        bucket = own_buffer.get(key)
+        if bucket is None:
+            bucket = own_buffer[key] = deque()
+        else:
+            unsorted = self._left_unsorted if left else self._right_unsorted
+            if unsorted is not None and item.timestamp < bucket[-1].timestamp:
+                unsorted.add(key)
+        bucket.append(item)
 
         # ROWS windows bound the buffer by count, not time.
         own_window = self.left_window if left else self.right_window
@@ -517,19 +571,36 @@ class SymmetricHashJoin(Operator):
             residual = self._compiled_predicate
             if residual is not None and residual(values) is not True:
                 continue
+            if self._tail is not None:
+                values = self._tail(values)
+                if values is None:
+                    continue
             timestamp = max(item.timestamp, other.timestamp)
-            self.emit(StreamElement(Row.raw(self._joined_schema, values), timestamp))
+            self.emit(StreamElement(Row.raw(self.output_schema, values), timestamp))
 
     def _evict(self, watermark: float) -> None:
-        for buffer, window in (
-            (self._left_buffer, self.left_window),
-            (self._right_buffer, self.right_window),
+        """Drop every row with ``expiry(ts) < watermark`` from the sides
+        that evict by time: the expired prefix of each bucket, and every
+        expired row of a bucket marked out of order, which is then
+        unmarked if what is left is in order."""
+        for buffer, window, unsorted in (
+            (self._left_buffer, self.left_window, self._left_unsorted),
+            (self._right_buffer, self.right_window, self._right_unsorted),
         ):
-            if window.kind is WindowKind.UNBOUNDED:
+            if unsorted is None:
                 continue
+            expiry = window.expiry
+            for key in list(unsorted):
+                bucket = buffer[key]
+                live = [e for e in bucket if expiry(e.timestamp) >= watermark]
+                if len(live) < len(bucket):
+                    bucket.clear()
+                    bucket.extend(live)
+                if _in_time_order(live):
+                    unsorted.discard(key)
             empty_keys = []
             for key, elements in buffer.items():
-                while elements and window.expiry(elements[0].timestamp) < watermark:
+                while elements and expiry(elements[0].timestamp) < watermark:
                     elements.popleft()
                 if not elements:
                     empty_keys.append(key)
@@ -560,6 +631,11 @@ class SymmetricHashJoin(Operator):
         super().state_restore(state)
         self._left_buffer = {k: deque(d) for k, d in state["left_buffer"].items()}
         self._right_buffer = {k: deque(d) for k, d in state["right_buffer"].items()}
+        # The out-of-order marks follow from the buckets themselves.
+        if self._left_unsorted is not None:
+            self._left_unsorted = _unsorted_keys(self._left_buffer)
+        if self._right_unsorted is not None:
+            self._right_unsorted = _unsorted_keys(self._right_buffer)
         self._left_fifo = deque(state["left_fifo"])
         self._right_fifo = deque(state["right_fifo"])
         (

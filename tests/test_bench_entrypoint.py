@@ -8,6 +8,8 @@ the CI test suite).
 
 import json
 
+import pytest
+
 
 def test_bench_recovery_smoke(tmp_path):
     from benchmarks.bench_recovery import run_benchmarks, write_artifact
@@ -70,3 +72,65 @@ def test_ledger_deployments_never_fall_back_to_the_interpreter():
         assert admitted["generated"] == ADMISSION_CODEGEN[workload.name], workload.name
         assert counts == admitted, workload.name
         assert counts["fallbacks"] == 0, workload.name
+
+
+_PAIR_METRICS = [
+    {"name": "rows_per_s", "better": "higher", "bound": 0.25},
+    {"name": "emit_p50_ms", "better": "lower", "bound": 0.25},
+]
+
+
+def _pair_runs(rows_per_s, p50):
+    return [
+        {"correct": True, "failed": 0, "rows_per_s": r, "emit_p50_ms": p}
+        for r, p in zip(rows_per_s, p50)
+    ]
+
+
+class TestPairsSummary:
+    """``benchmarks/pairs.py::summarize``: the verdict a perf claim cites."""
+
+    def _summarize(self, capsys, base, change):
+        from benchmarks.pairs import summarize
+
+        status = summarize(_PAIR_METRICS, base, change)
+        return status, {
+            line.split()[0]: line for line in capsys.readouterr().out.splitlines() if line
+        }
+
+    def test_claim_holds_when_ahead_in_every_pair_beyond_the_spread(self, capsys):
+        base = _pair_runs([100, 101, 99, 100, 102, 98, 100, 101, 99, 100], [1.0] * 10)
+        change = _pair_runs([120, 121, 119, 120, 122, 118, 120, 121, 119, 120], [1.0] * 10)
+        status, lines = self._summarize(capsys, base, change)
+        assert status == 0
+        assert "ahead 10/10  claim holds" in lines["rows_per_s"]
+        assert "claim holds" not in lines["emit_p50_ms"]  # tied is not ahead
+        assert "REGRESSION" not in "".join(lines.values())
+
+    def test_worse_inside_the_bound_is_not_a_regression(self, capsys):
+        base = _pair_runs([100] * 4, [1.0] * 4)
+        change = _pair_runs([80] * 4, [1.2] * 4)  # -20 %, +20 %: inside 0.25
+        status, lines = self._summarize(capsys, base, change)
+        assert status == 0
+        assert "REGRESSION" not in "".join(lines.values())
+
+    @pytest.mark.parametrize(
+        "metric, change",
+        [("rows_per_s", _pair_runs([70] * 4, [1.0] * 4)),
+         ("emit_p50_ms", _pair_runs([100] * 4, [1.3] * 4))],
+    )
+    def test_worse_beyond_the_bound_is_a_regression(self, capsys, metric, change):
+        status, lines = self._summarize(capsys, _pair_runs([100] * 4, [1.0] * 4), change)
+        assert status == 1
+        assert lines[metric].endswith("REGRESSION")
+        (other,) = set(lines) & {"rows_per_s", "emit_p50_ms"} - {metric}
+        assert "REGRESSION" not in lines[other]
+
+    @pytest.mark.parametrize("side", ["base", "change"])
+    def test_an_incorrect_run_refuses_the_comparison(self, capsys, side):
+        runs = {"base": _pair_runs([100] * 3, [1.0] * 3), "change": _pair_runs([150] * 3, [1.0] * 3)}
+        runs[side][1]["correct"] = False
+        status, lines = self._summarize(capsys, runs["base"], runs["change"])
+        assert status == 1
+        assert f"{side} run of pair 2" in lines["REFUSED:"]
+        assert "rows_per_s" not in lines  # no verdict on numbers from a wrong run

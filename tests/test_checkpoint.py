@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import unfused
 from repro.api import connect
 from repro.api.sources import StreamSource
 from repro.catalog import Catalog
@@ -475,6 +476,73 @@ class TestStatelessCutsAcrossRecovery:
         expected = self._run(fail=False)
         assert all(expected)
         assert self._run(fail=True) == expected
+
+
+class TestProjectAboveJoinLayout:
+    """A barrier whose join still had a ProjectOp above it (as when the
+    run's fused code declines, and in every checkpoint written before the
+    run lowered into the join) cannot restore into a pipeline where the
+    join emits the projection itself: recovery raises ``ExecutionError``
+    on the operator count — never a ``KeyError``, and no state poured
+    into the wrong operator."""
+
+    JOIN = (
+        "select r.host, r.temp, s.load from Readings r [range 10 seconds], "
+        "Readings s [range 10 seconds] where r.host = s.host"
+    )
+
+    @pytest.mark.parametrize("share", [False, True], ids=["private", "shared"])
+    def test_single_engine(self, share):
+        catalog = _catalog()
+        engine = StreamEngine(catalog, share_plans=share)
+        coordinator = CheckpointCoordinator(engine, interval=None)
+        with unfused():
+            handle = engine.execute(PlanBuilder(catalog).build_sql(self.JOIN))
+        pipelines = [handle.compiled] + [c.compiled for c in engine.subplans.live_chains]
+        layout = [type(op).__name__ for p in pipelines for op in p.operators]
+        assert layout == ["ProjectOp", "SymmetricHashJoin"]
+        rows, stamps = _rows(20)
+        engine.push_many("Readings", rows, stamps)
+        engine.punctuate(stamps[-1])
+        coordinator.checkpoint(stamps[-1])
+        engine.fail()
+        with pytest.raises(ExecutionError, match="operator count"):
+            coordinator.recover()
+
+    def test_pool_file_on_shard_failover(self, tmp_path):
+        import pickle
+
+        catalog = _catalog()
+        pool = ShardedStreamEngine(catalog, shards=2)
+        pool.set_partition_key("Readings", "load")  # not the join key: shuffle
+        coordinator = CheckpointCoordinator(
+            pool, store=FileCheckpointStore(tmp_path), interval=None
+        )
+        handle = pool.execute(PlanBuilder(catalog).build_sql(self.JOIN), sql=self.JOIN)
+        assert handle.exchanged
+        rows, stamps = _rows(20)
+        pool.push_many("Readings", rows, stamps)
+        pool.punctuate(stamps[-1])
+        coordinator.checkpoint(stamps[-1])
+        (path,) = tmp_path.glob("checkpoint-*.pkl")
+        checkpoint = pickle.loads(path.read_bytes())
+        rewritten = 0
+        for replica in checkpoint.handles[handle.query_id].replicas:
+            stage2 = replica["s2"]
+            if stage2 is None:
+                continue
+            assert [state["type"] for state in stage2] == ["SymmetricHashJoin"]
+            join = stage2[0]
+            stage2.insert(0, {
+                "type": "ProjectOp", "rows_in": join["rows_out"], "rows_out": join["rows_out"],
+            })
+            rewritten += 1
+        assert rewritten == 2
+        path.write_bytes(pickle.dumps(checkpoint))
+        coordinator.store = FileCheckpointStore(tmp_path)
+        kill_shard(pool, 0)
+        with pytest.raises(ExecutionError, match="operator count"):
+            pool.punctuate(stamps[-1] + 100.0)
 
 
 class TestRejectedIngestLeavesNoLogRecord:

@@ -593,3 +593,82 @@ class TestWatermarkLateness:
             got, handle = _run_script(sql, script, transport, shards)
             assert handle.exchanged, (transport, shards)
             assert got == expected, (transport, shards)
+
+
+#: Join sides keyed off the join column, so a pool shuffles both. A
+#: script step is ``(source, [(host, tag, value, timestamp), ...])`` —
+#: one ``push_many`` — or a watermark.
+_JOIN_A = Schema.of(("host", DataType.STRING), ("room", DataType.STRING), ("v", DataType.INT))
+_JOIN_B = Schema.of(("host", DataType.STRING), ("kind", DataType.STRING), ("w", DataType.INT))
+_LATE_JOIN = (
+    "SELECT a.host, a.v, b.w FROM A a [RANGE 10 SECONDS], B b [RANGE 10 SECONDS] "
+    "WHERE a.host = b.host"
+)
+JOIN_EVICTION_REPROS = {
+    # The row at 50 sat behind the row at 100 in its bucket: the single
+    # engine kept it past the punctuation at 105 and joined it
+    # ([('h', 2, 9)]); every pool, fed (ts, src)-sorted, evicted it.
+    "behind-the-tail": (
+        [("A", [("h", "r1", 1, 100.0), ("h", "r2", 2, 50.0)]), 105.0,
+         ("B", [("h", "k", 9, 55.0)]), 200.0],
+        [],
+    ),
+    # Out of order but live: both rows stay and join.
+    "live-stragglers": (
+        [("A", [("h", "r1", 1, 100.0), ("h", "r2", 2, 98.0)]), 99.0,
+         ("B", [("h", "k", 9, 101.0)]), 200.0],
+        [("h", 1, 9), ("h", 2, 9)],
+    ),
+}
+
+
+def _run_join_script(script, transport=None, shards=1):
+    catalog = Catalog()
+    catalog.register_stream("A", _JOIN_A, rate=10.0)
+    catalog.register_stream("B", _JOIN_B, rate=10.0)
+    plan = PlanBuilder(catalog).build_sql(_LATE_JOIN)
+    if transport is None:
+        engine = StreamEngine(catalog)
+        handle = engine.execute(plan)
+    else:
+        engine = POOLS[transport](catalog, shards=shards)
+        engine.set_partition_key("A", "room")
+        engine.set_partition_key("B", "kind")
+        handle = engine.execute(plan, sql=_LATE_JOIN)
+    schemas = {"A": _JOIN_A, "B": _JOIN_B}
+    try:
+        for step in script:
+            if isinstance(step, tuple):
+                source, rows = step
+                engine.push_many(
+                    source,
+                    [Row(schemas[source], row[:3]) for row in rows],
+                    [row[3] for row in rows],
+                )
+            else:
+                engine.punctuate(step)
+        return sorted(row.values for row in handle.results), handle
+    finally:
+        if transport == "framed":
+            engine.shutdown()
+
+
+@pytest.mark.usefixtures("no_fallbacks")
+class TestJoinEvictionByWatermark:
+    """A join evicts every row whose window expired before the
+    watermark, whatever order its bucket received rows in — so the
+    single engine and a pool, which delivers each shuffled segment
+    sorted by ``(ts, src)``, keep the same rows and join the same
+    pairs."""
+
+    @pytest.mark.parametrize("case", sorted(JOIN_EVICTION_REPROS))
+    def test_pool_matches_single_engine(self, case):
+        script, expected = JOIN_EVICTION_REPROS[case]
+        assert _run_join_script(script)[0] == expected
+        pools = [("loopback", shards) for shards in (1, 2, 4)]
+        if usable_start_method() is not None:
+            pools.append(("framed", 2))
+        for transport, shards in pools:
+            got, handle = _run_join_script(script, transport, shards)
+            assert handle.exchanged, (transport, shards)
+            assert got == expected, (transport, shards)

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from conftest import GENERATORS, declining, deliver, generated, interpreted
+from conftest import GENERATORS, declining, deliver, generated, interpreted, unfused
+from repro.catalog import Catalog
 from repro.data import (
     CollectingConsumer,
     DataType,
@@ -14,12 +15,15 @@ from repro.data import (
     StreamElement,
     WindowSpec,
 )
+from repro.plan.logical import Join, Project, ProjectItem, Scan, Select
 from repro.sql.ast import OrderItem
 from repro.sql.expressions import AggregateCall, BinaryOp, ColumnRef, Literal
+from repro.stream.compiler import PlanCompiler
 from repro.stream.operators import (
     AggregateOp,
     DistinctOp,
     FilterOp,
+    FusedOp,
     LimitOp,
     OrderByOp,
     OutputOp,
@@ -212,6 +216,31 @@ class TestSymmetricHashJoin:
         assert len(self.sink) == 1
         assert self.sink.elements[0].timestamp == -1.0
 
+    @pytest.mark.parametrize("runs", [True, False], ids=["push_batch", "push"])
+    def test_eviction_depends_on_the_watermark_alone(self, runs):
+        """A row that arrived behind its bucket's tail is evicted by the
+        punctuation that expires it, not once the rows ahead of it do —
+        and a restored operator knows which buckets are out of order."""
+        join = self.make_join()
+        rows = [StreamElement(Row(self.left_schema, (1, v)), ts)
+                for v, ts in (("a", 100.0), ("b", 50.0), ("c", 99.0))]
+        if runs:
+            join.left_port.push_batch(rows)
+        else:
+            for row in rows:
+                join.push_left(row)
+        join.push_left(Punctuation(105.0))
+        join.push_right(Punctuation(105.0))
+        state = join.state_snapshot()
+        assert [e.row["l.v"] for e in state["left_buffer"][1]] == ["a", "c"]
+        restored = self.make_join()
+        restored.state_restore(state)
+        restored.push_left(Punctuation(109.5))  # expiry(99) = 109, expiry(100) = 110
+        restored.push_right(Punctuation(109.5))
+        assert [e.row["l.v"] for e in restored.state_snapshot()["left_buffer"][1]] == ["a"]
+        # An in-order bucket is unmarked again once its stragglers expire.
+        assert join._left_unsorted == {1} and restored._left_unsorted == set()
+
 
 # ----------------------------------------------------------------------
 # The join identity corpus: per-element, in runs, interpreted
@@ -265,22 +294,98 @@ def _join_script(seed: int, empty_right: bool = False):
     return chunks
 
 
-def _run_join(left_window, right_window, keys, predicate, chunks, *, runs):
-    sink = CollectingConsumer()
-    join = SymmetricHashJoin(_JL, _JR, left_window, right_window, predicate, keys, sink)
+def _feed_join(left_port, right_port, chunks, runs):
     for left, items in chunks:
-        port = join.left_port if left else join.right_port
+        port = left_port if left else right_port
         if runs:
             deliver(port, items)
         else:
             for item in items:
                 port.push(item)
+
+
+def _run_join(left_window, right_window, keys, predicate, chunks, *, runs):
+    sink = CollectingConsumer()
+    join = SymmetricHashJoin(_JL, _JR, left_window, right_window, predicate, keys, sink)
+    _feed_join(join.left_port, join.right_port, chunks, runs)
     return (
         sink.elements,
         sink.punctuations,
         (join.rows_in, join.rows_out, join.buffered_rows),
         join.state_snapshot(),
     )
+
+
+# The Select/Project run above a join, as plan nodes over the join node.
+_LN, _RN, _LG, _RG = ColumnRef("l.n"), ColumnRef("r.n"), ColumnRef("l.g"), ColumnRef("r.g")
+_JOIN_STAGES = {
+    "project": lambda j: Project(
+        j, [ProjectItem(_LG, "g"), ProjectItem(BinaryOp("+", _LN, _RN), "s")]
+    ),
+    "filter": lambda j: Select(j, BinaryOp(">", _LN, Literal(0))),
+    "filter_both_sides": lambda j: Select(j, BinaryOp("=", _LG, _RG)),
+    "filter_project": lambda j: Project(
+        Select(j, BinaryOp("<", _LN, _RN)), [ProjectItem(_RN, "n"), ProjectItem(_LG, "g")]
+    ),
+    # Division by zero and NULL groups yield NULL columns.
+    "null_project": lambda j: Project(
+        j, [ProjectItem(_RG, "g"), ProjectItem(BinaryOp("/", _LN, _RN), "q")]
+    ),
+}
+
+
+def _staged_join_plan(stages, left, right):
+    """``stages`` over ``L l [left] ⋈ R r [right]`` on ``l.k = r.k`` with
+    the corpus residual."""
+    catalog = Catalog()
+    entries = [
+        catalog.register_stream(
+            name, Schema.of(("k", DataType.INT), ("g", DataType.STRING), ("n", DataType.INT))
+        )
+        for name in ("L", "R")
+    ]
+    join = Join(
+        Scan(entries[0], "l", _JOIN_WINDOWS[left]),
+        Scan(entries[1], "r", _JOIN_WINDOWS[right]),
+        BinaryOp("AND", BinaryOp("=", ColumnRef("l.k"), ColumnRef("r.k")), _JOIN_RESIDUAL),
+    )
+    return _JOIN_STAGES[stages](join)
+
+
+def _buffers(join):
+    state = join.state_snapshot()
+    return join.rows_in, state["left_buffer"], state["right_buffer"]
+
+
+def _run_staged_oracle(plan, left, right, chunks):
+    """What the run lowered to before it lowered into the join: a join
+    without stages, then one FilterOp / ProjectOp per node, fed by
+    ``push``. Returns the emissions and the join's pair count."""
+    sink = CollectingConsumer()
+    downstream, node = sink, plan
+    while isinstance(node, (Select, Project)):
+        if isinstance(node, Select):
+            downstream = FilterOp(node.predicate, downstream, node.child.schema)
+        else:
+            items = [(item.expr, item.name) for item in node.items]
+            downstream = ProjectOp(items, node.schema, downstream, node.child.schema)
+        node = node.child
+    join = SymmetricHashJoin(
+        _JL, _JR, _JOIN_WINDOWS[left], _JOIN_WINDOWS[right], _JOIN_RESIDUAL,
+        _JOIN_KEYS["single"], downstream,
+    )
+    _feed_join(join.left_port, join.right_port, chunks, runs=False)
+    return (sink.elements, sink.punctuations, _buffers(join)), join.rows_out
+
+
+def _run_staged(plan, chunks, runs):
+    """The plan as the compiler lowers it in the enclosing arm."""
+    sink = CollectingConsumer()
+    compiled = PlanCompiler().compile(plan, sink)
+    left_port, right_port = (port.consumer for port in compiled.ports)
+    _feed_join(left_port, right_port, chunks, runs)
+    (join,) = [op for op in compiled.operators if isinstance(op, SymmetricHashJoin)]
+    return sink.elements, sink.punctuations, _buffers(join)
 
 
 class TestJoinIdentityCorpus:
@@ -327,6 +432,48 @@ class TestJoinIdentityCorpus:
         assert probes(rng, rows) == (True, False)
         with interpreted():  # a kernel that declines is a counted fallback
             assert probes(rng, rng) == (False, False)
+
+    @pytest.mark.parametrize("stages", _JOIN_STAGES)
+    @pytest.mark.parametrize("right", _JOIN_WINDOWS)
+    @pytest.mark.parametrize("left", _JOIN_WINDOWS)
+    def test_stages_lowered_into_the_join(self, left, right, stages):
+        """The run above the join, lowered into it, emits what the join
+        followed by FilterOp / ProjectOp emitted — in order, by ``push``
+        and by ``push_batch``, with every generator declining and with
+        fusion declining (then the run lowers above the join again).
+        ROWS sides have no kernel: their pairs take ``_push_side``."""
+        plan = _staged_join_plan(stages, left, right)
+        pairs = 0
+        for seed in range(4):
+            chunks = _join_script(seed, empty_right=seed == 3)
+            with generated():
+                expected, joined = _run_staged_oracle(plan, left, right, chunks)
+                assert _run_staged(plan, chunks, runs=False) == expected
+                assert _run_staged(plan, chunks, runs=True) == expected
+            for arm in (interpreted, unfused):
+                with arm():
+                    assert _run_staged(plan, chunks, runs=False) == expected
+                    assert _run_staged(plan, chunks, runs=True) == expected
+            pairs += joined
+        assert pairs  # not vacuous
+
+    @pytest.mark.parametrize("stages", ["project", "filter_project"])
+    def test_run_above_a_join_has_no_operator_of_its_own(self, stages):
+        plan = _staged_join_plan(stages, "range", "range")
+        sink = CollectingConsumer()
+        with generated():
+            compiled = PlanCompiler().compile(plan, sink)
+        (join,) = compiled.operators
+        assert isinstance(join, SymmetricHashJoin) and join.downstream is sink
+        assert len(join.stages) == (2 if stages == "filter_project" else 1)
+        assert join.output_schema == plan.schema
+        with unfused():  # the run's code declines: it lowers as before
+            compiled = PlanCompiler().compile(plan, CollectingConsumer())
+        names = [type(op).__name__ for op in compiled.operators]
+        expected = ["ProjectOp", "FilterOp"] if stages == "filter_project" else ["ProjectOp"]
+        assert names == [*expected, "SymmetricHashJoin"]
+        assert compiled.operators[-1].downstream is compiled.operators[-2]
+        assert not compiled.operators[-1].stages
 
 
 class TestJoinNullKeys:
@@ -415,6 +562,57 @@ class TestJoinRunBudget:
         own_port.push_batch(run)
         assert len(sink.elements) == 64 * 3
         assert (sink.batches, sink.pushes) == (1, 0)
+
+    @pytest.mark.parametrize("left", [True, False], ids=["left-port", "right-port"])
+    def test_a_projection_on_top_builds_one_row_per_result(self, left, monkeypatch):
+        own, other = (_JL, _JR) if left else (_JR, _JL)
+        buffered = [StreamElement(Row.raw(other, (i % 3, "a", 3)), float(i)) for i in range(9)]
+        run = [StreamElement(Row.raw(own, (i % 3, "a", 3)), 5.0) for i in range(64)]
+        built = []
+        raw = Row.raw.__func__
+        monkeypatch.setattr(
+            Row, "raw", classmethod(lambda cls, s, v: built.append(s) or raw(cls, s, v))
+        )
+        out = Schema.of(("g", DataType.STRING), ("s", DataType.INT))
+        sink = _CountingSink()
+        join = SymmetricHashJoin(
+            _JL, _JR, WindowSpec.range(10.0), WindowSpec.range(10.0),
+            _JOIN_RESIDUAL, _JOIN_KEYS["single"], sink,
+            [("project", [_LG, BinaryOp("+", _LN, _RN)], out)], out,
+        )
+        own_port, other_port = (
+            (join.left_port, join.right_port) if left else (join.right_port, join.left_port)
+        )
+        other_port.push_batch(buffered)
+        own_port.push_batch(run)
+        assert len(sink.elements) == 64 * 3
+        assert (sink.batches, sink.pushes) == (1, 0)
+        assert built == [out] * (64 * 3)  # no joined row first
+
+    def test_no_operator_above_the_join_on_the_ledger_pool(self):
+        """``xchg_pool4``'s exchanged join emits its projection itself:
+        no replica has a Filter, Project or Fused operator directly
+        downstream of a join."""
+        from benchmarks.ledger.workloads import BY_NAME
+
+        workload = BY_NAME["xchg_pool4"]
+        deployment = workload.open(workload.build_input(7, 256))
+        try:
+            joins = [
+                op
+                for channel in deployment.session.engine._channels
+                for replica in channel.queries.values()
+                for op in replica.compiled.operators
+                if isinstance(op, SymmetricHashJoin)
+            ]
+            deployment.deliver(0, 256)
+            assert all(cursor.results() for cursor in deployment.cursors)
+        finally:
+            deployment.close()
+        assert len(joins) == 4  # one stage-2 replica per shard
+        for join in joins:
+            assert join.stages
+            assert not isinstance(join.downstream, (FilterOp, ProjectOp, FusedOp))
 
     def test_partial_aggregate_never_interprets_on_the_ledger_pool(self, monkeypatch):
         """One 1,024-unit step of the ledger's ``xchg_pool4`` deployment:
