@@ -17,9 +17,11 @@ pairs in which the working tree was better by ``BENCHMARK.json``'s
 direction. A claim needs k ≥ 9 of 10 and a median difference larger
 than the base's interquartile distance; ``claim holds`` marks both.
 A median worse than the base's by more than the metric's
-``BENCHMARK.json`` bound is marked ``REGRESSION``, and a run reporting
-``correct: false`` stops the pairs and refuses the comparison; either
-makes the exit status 1.
+``BENCHMARK.json`` bound is marked ``REGRESSION``; a larger share of
+failed operations (failed over attempted steps, summed over the pairs)
+on the working tree than on the base is marked ``FAILED-OPS``; and a
+run reporting ``correct: false`` stops the pairs and refuses the
+comparison. Any of the three makes the exit status 1.
 """
 
 from __future__ import annotations
@@ -66,9 +68,18 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if not lines:
         raise SystemExit(f"{tree}: no result (exit {done.returncode})\n{done.stderr}")
     result = json.loads(lines[-1])
-    return {"correct": result["correct"], "failed": result["failed"], **{
-        name: metric["value"] for name, metric in result["metrics"].items()
-    }}
+    return {
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        **{name: metric["value"] for name, metric in result["metrics"].items()},
+    }
+
+
+def failed_share(runs: list[dict]) -> float:
+    """Failed operations over attempted ones, summed across ``runs``."""
+    attempted = sum(run["attempted"] for run in runs)
+    return sum(run["failed"] for run in runs) / attempted if attempted else 0.0
 
 
 def summarize(metrics: list[dict], base: list[dict], change: list[dict]) -> int:
@@ -77,7 +88,8 @@ def summarize(metrics: list[dict], base: list[dict], change: list[dict]) -> int:
     numbers measure something other than the workload — and so is the
     whole comparison (1). A metric whose change median is worse than the
     base median by more than its ``bound`` (a fraction) is marked
-    ``REGRESSION`` (1)."""
+    ``REGRESSION`` (1), and so is a larger failed-ops share on the
+    change than on the base, as ``FAILED-OPS`` (1)."""
     refused = [
         f"{side} run of pair {pair}"
         for side, runs in (("base", base), ("change", change))
@@ -106,9 +118,13 @@ def summarize(metrics: list[dict], base: list[dict], change: list[dict]) -> int:
             f"ahead {ahead}/{len(a)}{'  claim holds' if holds else ''}"
             f"{'  REGRESSION' if regressed else ''}"
         )
-    failed = sum(run["failed"] for run in base), sum(run["failed"] for run in change)
-    print(f"failed ops: base {failed[0]}, change {failed[1]}")
-    return status
+    shares = failed_share(base), failed_share(change)
+    worse = shares[1] > shares[0]
+    print(
+        f"failed ops: base {shares[0]:.2%}, change {shares[1]:.2%}"
+        f"{'  FAILED-OPS' if worse else ''}"
+    )
+    return status | worse
 
 
 def main(argv: list[str] | None = None) -> int:

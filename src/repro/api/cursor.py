@@ -49,13 +49,20 @@ from repro.sql.expressions import collect_parameters, substitute_parameters
 class Subscription:
     """One callback registered on a :class:`Cursor`.
 
-    Every subscription is queue-backed: the emit path only appends to a
-    deque — user code never runs inside a shard's (or engine's) emit
-    stack. ``mode="direct"`` drains the queue immediately after each
-    delivery, preserving the classic inline-callback behaviour;
-    ``mode="queue"`` leaves draining to the consumer
-    (:meth:`drain`, or :meth:`Cursor.drain` for all subscriptions), so
-    a slow or raising callback can never stall the producer.
+    The cursor's sink hands each emitted run to every subscription in
+    one call. ``mode="queue"`` appends the run to a deque and leaves
+    draining to the consumer (:meth:`drain`, or :meth:`Cursor.drain`),
+    so user code never runs inside a shard's (or engine's) emit stack
+    and a slow or raising callback can never stall the producer.
+    ``mode="direct"`` (the default) calls back inline: with nothing
+    queued ahead of it, straight from the run; otherwise the run joins
+    the queue and the queue drains.
+
+    Either way delivery is at-least-once and in the order rows entered
+    the cursor's sink: if the callback raises at element *k* of a run,
+    *k* and everything behind it stay queued, in order, and the
+    exception propagates (out of the emitting verb, for a direct
+    subscription, after every sibling subscription got the run).
     """
 
     __slots__ = ("callback", "elements", "mode", "_pending", "_draining")
@@ -71,37 +78,60 @@ class Subscription:
 
     @property
     def pending(self) -> int:
-        """Queued deliveries not yet drained."""
+        """Queued deliveries not yet drained; a run being called back
+        is not counted."""
         return len(self._pending)
 
-    def _enqueue(self, element: StreamElement) -> None:
-        self._pending.append(element)
+    def _enqueue(self, run: list[StreamElement]) -> None:
+        """Take one run (the producer's list: read, never kept)."""
+        if self.mode == "direct" and not self._pending and not self._draining:
+            self._deliver(run)
+            return
+        self._pending.extend(run)
         if self.mode == "direct":
             self.drain()
+
+    def _deliver(self, run: list[StreamElement]) -> int:
+        """Call back every element of ``run`` in order; returns how many.
+        When a callback raises, the failing element and the rest of the
+        run go back to the head of the queue — ahead of anything queued
+        meanwhile — before the exception propagates."""
+        callback = self.callback
+        rest = iter(run)
+        try:
+            if self.elements:
+                for element in rest:
+                    callback(element)
+            else:
+                for element in rest:
+                    callback(element.row)
+        except BaseException:
+            self._pending.extendleft(reversed([element, *rest]))
+            raise
+        return len(run)
 
     def drain(self, limit: int | None = None) -> int:
         """Deliver up to ``limit`` queued items (all, by default) to the
         callback, in emission order; returns how many were delivered.
 
-        Delivery is at-least-once: callback exceptions surface here —
-        in the consumer's frame, not the producer's — and the failing
-        item stays at the head of the queue (an item is dequeued only
-        *after* its callback returns), so neither it nor anything
-        behind it is lost; the next ``drain()`` retries it. Reentrant
-        drains (a callback that triggers another delivery) are a no-op
-        rather than a double delivery.
+        Callback exceptions surface here — in the consumer's frame, not
+        the producer's — with the failing item back at the head of the
+        queue and nothing behind it lost; the next ``drain()`` retries
+        it. Items queued while draining (a callback that feeds the
+        session) are delivered by the same call, after the ones before
+        them. A drain from inside this subscription's own callback is a
+        no-op rather than a double delivery.
         """
         if self._draining:
             return 0
         self._draining = True
-        delivered = 0
         pending = self._pending
+        delivered = 0
         try:
             while pending and (limit is None or delivered < limit):
-                element = pending[0]
-                self.callback(element if self.elements else element.row)
-                pending.popleft()
-                delivered += 1
+                take = len(pending) if limit is None else min(len(pending), limit - delivered)
+                run = [pending.popleft() for _ in range(take)]
+                delivered += self._deliver(run)
         finally:
             self._draining = False
         return delivered
@@ -134,8 +164,14 @@ class Cursor:
         self._rows = rows  # batch: materialized rows
         self.view_name = view_name
         self._closed = False
+        #: Rebound, never mutated, on subscribe: a fan-out in flight
+        #: keeps the list it started with.
         self._subscribers: list[Subscription] = []
         self._tapped = False
+        #: Set while a run fans out; runs a callback feeds into the sink
+        #: meanwhile wait here, each with the subscriptions it reaches.
+        self._dispatching = False
+        self._reentrant: list[tuple[list[StreamElement], list[Subscription]]] = []
         #: Federated execution state (set by FederatedBackend via
         #: _promote_federated; empty/None everywhere else).
         self.federated_plan = None
@@ -224,36 +260,68 @@ class Cursor:
         defers delivery: emissions are buffered and the consumer drains
         them (:meth:`Subscription.drain` / :meth:`Cursor.drain`) at its
         own pace, so a slow callback never stalls the engine's — or a
-        shard's — emit path. Every subscription (sharded merge cursors
-        included) runs through the same queue internally; ``"direct"``
-        simply drains inline after each delivery. On one-shot cursors
-        the already-materialized rows are replayed (direct) or queued
-        (queue) immediately. Returns the :class:`Subscription`.
+        shard's — emit path; ``"direct"`` calls back inline. The sink
+        hands each emitted run to every subscription in one dispatch
+        (sharded merge, federated and distributed cursors alike):
+
+        * each subscription sees rows in the order they entered the
+          sink (:meth:`results`), at least once — see
+          :class:`Subscription`;
+        * a fan-out finishes before it raises: a raising direct
+          callback still lets every other subscription (and every other
+          cursor the verb feeds) take the run, then the verb re-raises;
+        * a callback that feeds the session (reentrant delivery) gets
+          the rows it caused after the current run, exactly once;
+        * a subscription made inside a callback starts with the next
+          run: it gets exactly the rows that enter the sink after
+          ``subscribe()`` returns.
+
+        On one-shot cursors the already-materialized rows are replayed
+        (direct) or queued (queue) immediately, as one run. Returns the
+        :class:`Subscription`.
         """
         subscription = Subscription(callback, elements=elements, mode=mode)
-        self._subscribers.append(subscription)
+        self._subscribers = [*self._subscribers, subscription]
         if self._rows is not None:
             # One-shot cursor: replay (direct) or enqueue (queue) the
             # materialized rows; the subscription stays registered so
             # Cursor.drain() reaches it like any other.
-            for row in self._rows:
-                subscription._enqueue(StreamElement(row, 0.0))
+            subscription._enqueue([StreamElement(row, 0.0) for row in self._rows])
             return subscription
         self._install_tap()
         return subscription
 
     def drain(self, limit: int | None = None) -> int:
-        """Drain every queue-mode subscription (see
-        :meth:`Subscription.drain`); returns total deliveries."""
-        return sum(
-            subscription.drain(limit)
-            for subscription in list(self._subscribers)
-            if subscription.mode == "queue"
-        )
+        """Drain every subscription's queue (see
+        :meth:`Subscription.drain`): a queue-mode subscription's
+        backlog, and whatever a raising direct-mode callback left
+        behind. Returns total deliveries."""
+        return sum(subscription.drain(limit) for subscription in self._subscribers)
 
-    def _dispatch(self, element: StreamElement) -> None:
-        for subscription in list(self._subscribers):
-            subscription._enqueue(element)
+    def _dispatch(self, run: list[StreamElement]) -> None:
+        """The sink's observer: hand ``run`` to every subscription. A
+        run a callback feeds into the sink meanwhile fans out after this
+        one, to the subscriptions there were when it arrived."""
+        if self._dispatching:
+            self._reentrant.append((list(run), self._subscribers))
+            return
+        self._dispatching = True
+        subscriptions = self._subscribers
+        error = None
+        try:
+            while True:
+                for subscription in subscriptions:
+                    try:
+                        subscription._enqueue(run)
+                    except Exception as exc:  # a fan-out finishes first
+                        error = error or exc
+                if not self._reentrant:
+                    break
+                run, subscriptions = self._reentrant.pop(0)
+        finally:
+            self._dispatching = False
+        if error is not None:
+            raise error
 
     def _install_tap(self) -> None:
         if not self._tapped:

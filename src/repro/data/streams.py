@@ -112,6 +112,14 @@ class StreamConsumer(Protocol):
       to every route of a source and a shared chain's tee hands one run
       to every branch, so the next receiver reads the same list.
 
+    **A fan-out finishes before it raises.** A producer handing one item
+    or run to several consumers — the engine's routes of a source, a
+    tee's branches, a pool's shards, a cursor's subscriptions — delivers
+    to every one of them even when one raises, then re-raises the first
+    exception. The verb still raises, and what it carried counts as
+    ingested (it is in the replay log), so a caller that retries it
+    duplicates it; one raising consumer never starves its siblings.
+
     ``push_batch`` is optional and deliberately *not* part of this
     runtime-checkable protocol — a ``push``-only consumer is still a
     StreamConsumer. Producers discover it by duck typing
@@ -151,11 +159,18 @@ class CollectingConsumer:
         #: Times clear() has run — lets incremental readers (e.g.
         #: QueryHandle.latest_batch) detect a reset even after a refill.
         self.clears = 0
-        self._observers: list[Callable[[StreamElement], None]] = []
+        self._observers: list[Callable[[list[StreamElement]], None]] = []
 
-    def observe(self, callback: Callable[[StreamElement], None]) -> None:
-        """Call ``callback`` with every element from now on, after it
-        is stored (a Cursor's subscriptions hang off this)."""
+    def observe(self, callback: Callable[[list[StreamElement]], None]) -> None:
+        """Call ``callback`` once with every run stored from now on,
+        after it is stored (a Cursor's subscriptions hang off this).
+
+        A ``push_batch`` run arrives as it was handed over and a
+        ``push`` as a one-element run, so an observer has one body. The
+        run is the producer's list: an observer neither mutates nor
+        keeps it (the ``push_batch`` rule on :class:`StreamConsumer`).
+        Empty runs and punctuations are not observed.
+        """
         self._observers.append(callback)
 
     def push(self, item: StreamItem) -> None:
@@ -164,15 +179,15 @@ class CollectingConsumer:
         else:
             self.elements.append(item)
             if self._observers:
+                run = [item]
                 for callback in self._observers:
-                    callback(item)
+                    callback(run)
 
     def push_batch(self, elements: list[StreamElement]) -> None:
         self.elements.extend(elements)
-        if self._observers:
-            for element in elements:
-                for callback in self._observers:
-                    callback(element)
+        if self._observers and elements:
+            for callback in self._observers:
+                callback(elements)
 
     @property
     def rows(self) -> list[Row]:

@@ -113,10 +113,19 @@ class ShardHost:
 
     def deliver(self, runs, puncts) -> None:
         engine = self._live()
+        error = None
         for name, values, stamps in runs:
-            engine.push_exchange(name, values, stamps)
+            try:
+                engine.push_exchange(name, values, stamps)
+            except Exception as exc:  # a fan-out finishes first
+                error = error or exc
         for watermark, names in puncts:
-            engine.punctuate(watermark, names)
+            try:
+                engine.punctuate(watermark, names)
+            except Exception as exc:
+                error = error or exc
+        if error is not None:
+            raise error
 
     def seed(self, tables) -> None:
         self._live()._tables = {

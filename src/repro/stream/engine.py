@@ -369,8 +369,14 @@ class StreamEngine:
         if self.checkpointer is not None and not self._replaying:
             self.checkpointer.record(("push", None, source, row, timestamp))
         self.elements_ingested += 1
+        error = None
         for route in self._routes.get(entry.name.lower(), ()):
-            route.port.consumer.push(element)
+            try:
+                route.port.consumer.push(element)
+            except Exception as exc:  # a fan-out finishes first
+                error = error or exc
+        if error is not None:
+            raise error
 
     def push_many(
         self,
@@ -458,17 +464,26 @@ class StreamEngine:
         routes = self._routes.get(name.lower(), ())
         multi_port_queries = self._multi_port_queries(routes)
         interleaved = []
+        error = None
         for route in routes:
             if route.query_id in multi_port_queries:
                 interleaved.append(route.port.consumer)
-            else:
+                continue
+            try:
                 push_all(route.port.consumer, elements)
+            except Exception as exc:  # a fan-out finishes first
+                error = error or exc
         if interleaved:
             # Element-major delivery across this query's ports, exactly
             # as repeated push() would interleave them.
             for element in elements:
                 for consumer in interleaved:
-                    consumer.push(element)
+                    try:
+                        consumer.push(element)
+                    except Exception as exc:
+                        error = error or exc
+        if error is not None:
+            raise error
         return len(elements)
 
     @staticmethod
@@ -571,19 +586,25 @@ class StreamEngine:
             # punctuates each port exactly once. Exchange ports are
             # excluded: their watermark comes from the pool's shuffle
             # barrier *after* buffered rows are delivered.
-            for routes in self._routes.values():
-                for route in routes:
-                    if not route.port.exchange:
-                        route.port.consumer.push(punctuation)
+            groups = self._routes.values()
         else:
-            for source in sources:
-                for route in self._routes.get(source.lower(), ()):
+            groups = (self._routes.get(source.lower(), ()) for source in sources)
+        error = None
+        for routes in groups:
+            for route in routes:
+                if sources is None and route.port.exchange:
+                    continue
+                try:
                     route.port.consumer.push(punctuation)
+                except Exception as exc:  # a fan-out finishes first
+                    error = error or exc
         # Punctuation-aligned barriers: the coordinator logs the
         # watermark (replay must reproduce window emissions) and, when
         # its interval elapsed, snapshots post-punctuation state.
         if self.checkpointer is not None and not self._replaying:
             self.checkpointer.on_punctuation(watermark, sources)
+        if error is not None:
+            raise error
 
     # ------------------------------------------------------------------
     # Failure and recovery

@@ -128,7 +128,8 @@ class TeeOp:
     rebinds ``branches`` so the fan-out in flight finishes over the list
     it started with, and an addition appends in place — the engine's
     route list behaves the same way on both counts, so either reads
-    like the private pipelines would.
+    like the private pipelines would. A raising branch does not starve
+    the ones after it (the fan-out rule on ``StreamConsumer``).
     """
 
     def __init__(self) -> None:
@@ -152,12 +153,24 @@ class TeeOp:
         return len(self.branches)
 
     def push(self, item: Any) -> None:
+        error = None
         for branch in self.branches:
-            branch.push(item)
+            try:
+                branch.push(item)
+            except Exception as exc:  # a fan-out finishes first
+                error = error or exc
+        if error is not None:
+            raise error
 
     def push_batch(self, elements: list[Any]) -> None:
+        error = None
         for branch in self.branches:
-            push_all(branch, elements)
+            try:
+                push_all(branch, elements)
+            except Exception as exc:  # a fan-out finishes first
+                error = error or exc
+        if error is not None:
+            raise error
 
 
 class SharedFeed(RemoteSource):

@@ -989,6 +989,7 @@ class ShardedStreamEngine:
         checkpointer = self.checkpointer
         fed = lower in self._shard_subs
         per_rows, per_stamps = self._route(lower, rows, stamps)
+        error = None
         for shard, shard_rows in enumerate(per_rows):
             if not shard_rows:
                 continue
@@ -996,13 +997,21 @@ class ShardedStreamEngine:
             if checkpointer is not None:
                 checkpointer.record(("many", shard, source, shard_rows, shard_stamps))
             if fed:
-                self._call(shard, "ingest", source, shard_rows, shard_stamps)
+                try:
+                    self._call(shard, "ingest", source, shard_rows, shard_stamps)
+                except Exception as exc:  # a fan-out finishes first
+                    error = error or exc
         if lower in self._fallback_subs:
             whole = timestamps if stamps is None else stamps
             if checkpointer is not None:
                 checkpointer.record(("many", FALLBACK, source, rows, whole))
-            self._call(FALLBACK, "ingest", source, rows, whole)
+            try:
+                self._call(FALLBACK, "ingest", source, rows, whole)
+            except Exception as exc:
+                error = error or exc
         self.elements_ingested += len(rows)
+        if error is not None:
+            raise error
         return len(rows)
 
     def push_remote(
@@ -1051,12 +1060,16 @@ class ShardedStreamEngine:
         checkpointer = self.checkpointer
         if checkpointer is not None:
             checkpointer.record(("punct", None, watermark, sources))
+        error = None
         if self._shard_subs:
             # Round 1: every shard punctuates (sent to all before any
             # is waited for — worker processes run it concurrently).
             shards = range(len(self._channels))
             for index in shards:
-                self._call(index, "punctuate", watermark, sources)
+                try:
+                    self._call(index, "punctuate", watermark, sources)
+                except Exception as exc:  # a fan-out finishes first
+                    error = error or exc
             for index in shards:
                 self._call(index, "settle")
             # Round 2, the shuffle barrier: stage-1 emissions (including
@@ -1064,10 +1077,15 @@ class ShardedStreamEngine:
             # to their destination shards, then the exchange ports are
             # punctuated — so stage 2 sees everything ≤ watermark before
             # its own watermark advances, exactly like a single engine.
-            self._deliver_exchanges(watermark, sources)
+            try:
+                self._deliver_exchanges(watermark, sources)
+            except Exception as exc:
+                error = error or exc
         self._call(FALLBACK, "punctuate", watermark, sources)
         if checkpointer is not None:
             checkpointer.barrier(watermark)
+        if error is not None:
+            raise error
 
     def _deliver_exchanges(
         self, watermark: float, sources: list[str] | None = None
@@ -1108,10 +1126,16 @@ class ShardedStreamEngine:
         if not deliveries:
             return
         self._exchange_rounds += 1
+        error = None
         for dest, (runs, puncts) in deliveries.items():
-            self._call(dest, "deliver", runs, puncts)
+            try:
+                self._call(dest, "deliver", runs, puncts)
+            except Exception as exc:  # a fan-out finishes first
+                error = error or exc
         for dest in deliveries:
             self._call(dest, "settle")
+        if error is not None:
+            raise error
 
     # ------------------------------------------------------------------
     # Tables (replicated to every engine)

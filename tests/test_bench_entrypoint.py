@@ -80,9 +80,12 @@ _PAIR_METRICS = [
 ]
 
 
-def _pair_runs(rows_per_s, p50):
+def _pair_runs(rows_per_s, p50, failed=0, attempted=100):
     return [
-        {"correct": True, "failed": 0, "rows_per_s": r, "emit_p50_ms": p}
+        {
+            "correct": True, "attempted": attempted, "failed": failed,
+            "rows_per_s": r, "emit_p50_ms": p,
+        }
         for r, p in zip(rows_per_s, p50)
     ]
 
@@ -134,3 +137,23 @@ class TestPairsSummary:
         assert status == 1
         assert f"{side} run of pair 2" in lines["REFUSED:"]
         assert "rows_per_s" not in lines  # no verdict on numbers from a wrong run
+
+    def test_a_larger_failed_share_on_the_change_fails(self, capsys):
+        base = _pair_runs([100] * 4, [1.0] * 4, failed=1, attempted=200)
+        change = _pair_runs([100] * 4, [1.0] * 4, failed=2, attempted=200)
+        status, lines = self._summarize(capsys, base, change)
+        assert status == 1
+        assert lines["failed"] == "failed ops: base 0.50%, change 1.00%  FAILED-OPS"
+        assert "REGRESSION" not in "".join(lines.values())
+
+    def test_failed_ops_compare_as_shares_of_attempted(self, capsys):
+        """More failures over more attempts is not a worse share, and an
+        equal share is not worse either."""
+        base = _pair_runs([100] * 4, [1.0] * 4, failed=1, attempted=100)
+        for change in (
+            _pair_runs([100] * 4, [1.0] * 4, failed=2, attempted=400),
+            _pair_runs([100] * 4, [1.0] * 4, failed=1, attempted=100),
+        ):
+            status, lines = self._summarize(capsys, base, change)
+            assert status == 0
+            assert "FAILED-OPS" not in lines["failed"]

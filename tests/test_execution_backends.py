@@ -27,6 +27,7 @@ from repro.api import (
     TableSource,
     connect,
 )
+from repro.api.cursor import Cursor
 from repro.catalog import Catalog
 from repro.data import DataType, Row, Schema, stable_hash
 from repro.data.streams import (
@@ -580,6 +581,346 @@ class TestQueueSubscriptions:
                 cursor.subscribe(lambda row: None, mode="async")
 
 
+class _Flaky:
+    """A callback that raises once, on the ``fail_at``-th call, and
+    records every row it accepted."""
+
+    def __init__(self, fail_at: int):
+        self.fail_at = fail_at
+        self.calls = 0
+        self.seen: list = []
+
+    def __call__(self, row):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise RuntimeError("consumer hiccup")
+        self.seen.append(row)
+
+
+class TestRunDelivery:
+    """A cursor's sink hands each emitted run to every subscription in
+    one dispatch; delivery stays at-least-once and in sink order."""
+
+    SQL = "select r.host from Readings r"
+
+    def _session(self, shards=1, **options):
+        session = connect(shards=shards, **options) if shards > 1 else connect()
+        session.attach(StreamSource("Readings", READINGS, partition_by="host"))
+        return session
+
+    def test_a_raising_callback_keeps_the_rest_of_its_run(self):
+        """The callback raises on the 2nd of a 5-row run: rows 2-5 stay
+        queued in order (one used to be delivered and three lost), and
+        a drain delivers each of them once."""
+        with self._session() as session:
+            cursor = session.query(self.SQL)
+            flaky = _Flaky(fail_at=2)
+            subscription = cursor.subscribe(flaky)
+            with pytest.raises(RuntimeError, match="hiccup"):
+                session.push_many("Readings", ROWS[:5], 1.0)
+            assert flaky.seen == cursor.results()[:1] and subscription.pending == 4
+            assert cursor.drain() == 4
+            assert flaky.seen == cursor.results() and len(flaky.seen) == 5
+            session.push("Readings", ROWS[5], 2.0)  # later runs deliver inline
+            assert flaky.seen == cursor.results() and subscription.pending == 0
+
+    def test_one_shot_replay_keeps_the_rest_of_its_run(self):
+        with connect() as session:
+            session.attach(TableSource("T", READINGS, rows=ROWS[:5]))
+            cursor = session.query("select t.host from T t")
+            assert cursor.kind == "batch"
+            flaky = _Flaky(fail_at=2)
+            with pytest.raises(RuntimeError, match="hiccup"):
+                cursor.subscribe(flaky)
+            assert len(flaky.seen) == 1
+            assert cursor.drain() == 4
+            assert flaky.seen == cursor.results() and len(flaky.seen) == 5
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_reentrant_push_is_delivered_after_the_run_exactly_once(self, shards):
+        """A callback that feeds the session: the rows it causes reach
+        every subscription after the run in flight, once, and every
+        subscription — the feeding one and the one after it — sees the
+        sink's order."""
+        with self._session(shards) as session:
+            cursor = session.query(self.SQL)
+            fed, other = [], []
+
+            def feeding(row):
+                fed.append(row)
+                if len(fed) == 1:
+                    session.push("Readings", ROWS[10], 5.0)
+                    session.push_many("Readings", ROWS[11:13], 6.0)
+
+            cursor.subscribe(feeding)
+            cursor.subscribe(other.append)
+            session.push_many("Readings", ROWS[:4], 1.0)
+            session.push("Readings", ROWS[4], 2.0)
+            assert len(cursor.results()) == 8
+            assert fed == other == cursor.results()
+
+    @pytest.mark.parametrize("order", ["subscribe then push", "push then subscribe"])
+    def test_a_subscription_made_in_a_callback_starts_with_the_next_run(self, order):
+        """It gets exactly the rows that enter the sink after
+        ``subscribe()`` returns — not the rest of the run in flight, nor
+        a run the callback fed in before subscribing."""
+        with self._session() as session:
+            cursor = session.query(self.SQL)
+            late, mark = [], []
+
+            def opener(row):
+                if mark:
+                    return
+                if order == "push then subscribe":
+                    session.push("Readings", ROWS[10], 5.0)
+                mark.append(len(cursor.results()))
+                cursor.subscribe(late.append)
+                if order == "subscribe then push":
+                    session.push("Readings", ROWS[11], 5.0)
+
+            cursor.subscribe(opener)
+            session.push_many("Readings", ROWS[:3], 1.0)
+            session.push_many("Readings", ROWS[3:5], 2.0)
+            assert mark == [4 if order == "push then subscribe" else 3]
+            assert late == cursor.results()[mark[0]:]
+            assert len(late) == (2 if order == "push then subscribe" else 3)
+
+    def test_close_inside_a_callback_finishes_the_run(self):
+        """The run entered the sink before the close, so every
+        subscription still gets all of it; nothing arrives after."""
+        with self._session() as session:
+            cursor = session.query(self.SQL)
+            closer, other = [], []
+            cursor.subscribe(lambda row: (closer.append(row), cursor.close()))
+            cursor.subscribe(other.append)
+            session.push_many("Readings", ROWS[:3], 1.0)
+            session.push_many("Readings", ROWS[3:6], 2.0)
+            assert cursor.closed
+            assert closer == other == cursor.results() and len(other) == 3
+
+    def test_several_subscriptions_rows_and_elements(self):
+        with self._session() as session:
+            cursor = session.query(self.SQL)
+            rows, elements, queued = [], [], []
+            cursor.subscribe(rows.append)
+            cursor.subscribe(elements.append, elements=True)
+            queue = cursor.subscribe(queued.append, mode="queue")
+            session.push_many("Readings", ROWS[:3], [1.0, 2.0, 3.0])
+            session.push("Readings", ROWS[3], 4.0)
+            assert rows == [e.row for e in elements] == cursor.results()
+            assert [e.timestamp for e in elements] == [1.0, 2.0, 3.0, 4.0]
+            assert queued == [] and queue.pending == 4
+            assert cursor.drain() == 4 and queued == rows
+
+    def test_queue_mode_drain_limit_crosses_runs(self):
+        with self._session() as session:
+            cursor = session.query(self.SQL)
+            seen = []
+            subscription = cursor.subscribe(seen.append, mode="queue")
+            session.push_many("Readings", ROWS[:3], 1.0)
+            session.push_many("Readings", ROWS[3:6], 2.0)
+            assert subscription.drain(limit=4) == 4 and subscription.pending == 2
+            subscription.callback = _Flaky(fail_at=1)
+            with pytest.raises(RuntimeError, match="hiccup"):
+                subscription.drain(limit=2)
+            assert subscription.pending == 2  # the failing row is back at the head
+            subscription.callback = seen.append
+            assert subscription.drain() == 2
+            assert seen == cursor.results()
+
+    @pytest.mark.parametrize("shards, workers", [(1, None), (2, None), (4, None), (2, "process")])
+    def test_pool_cursors_deliver_in_sink_order(self, shards, workers):
+        if workers == "process":
+            from repro.stream.procshard import usable_start_method
+
+            if usable_start_method() is None:
+                pytest.skip("no multiprocessing start method")
+        options = {"workers": workers} if workers else {}
+        with self._session(shards, **options) as session:
+            cursors = [
+                session.query(self.SQL),
+                session.query(
+                    "select r.host, count(*) as n from Readings r "
+                    "[range 10 seconds slide 10 seconds] group by r.host"
+                ),
+            ]
+            seen = [[] for _ in cursors]
+            for cursor, out in zip(cursors, seen):
+                cursor.subscribe(out.append)
+            session.push_many("Readings", ROWS[:20], [float(i) for i in range(20)])
+            for index, row in enumerate(ROWS[20:30], 20):
+                session.push("Readings", row, float(index))
+            session.punctuate(50.0)
+            for cursor, out in zip(cursors, seen):
+                assert out and out == cursor.results()
+
+    def test_a_run_costs_one_dispatch(self, monkeypatch):
+        calls = []
+        dispatch = Cursor._dispatch
+
+        def counted(self, run):
+            calls.append(len(run))
+            return dispatch(self, run)
+
+        monkeypatch.setattr(Cursor, "_dispatch", counted)
+        with self._session() as session:
+            cursor = session.query(self.SQL)
+            seen = []
+            cursor.subscribe(seen.append)
+            session.push_many("Readings", ROWS[:25], 1.0)
+            assert calls == [25] and len(seen) == 25
+
+
+class TestFanOutFinishesFirst:
+    """A raising direct subscriber on one cursor no longer costs any
+    other cursor its rows: every fan-out (subscriptions, tee branches,
+    engine routes, pool shards) delivers to all, then re-raises."""
+
+    @staticmethod
+    def _raises(row):
+        raise RuntimeError("subscriber bug")
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "select r.host, r.temp from R r where r.temp > 1.0",
+            # A ROWS window runs on a pool's fallback engine.
+            "select r.host, r.temp from R r [rows 50] where r.temp > 1.0",
+        ],
+        ids=["replicated", "fallback"],
+    )
+    @pytest.mark.parametrize("verb", ["push_many", "push"])
+    @pytest.mark.parametrize("share", [True, False])
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_raising_subscriber_starves_no_other_cursor(self, shards, share, verb, sql):
+        session = connect(shards=shards, share_plans=share)
+        session.attach(StreamSource("R", READINGS, partition_by="host"))
+        a, b = session.query(sql), session.query(sql)
+        failing = a.subscribe(self._raises)
+        seen = []
+        b.subscribe(seen.append)
+        # Eight hosts, so both shards of two get some.
+        rows = ROWS[:8] if verb == "push_many" else ROWS[:1]
+        with pytest.raises(RuntimeError, match="subscriber bug"):
+            if verb == "push_many":
+                session.push_many("R", rows, 1.0)
+            else:
+                session.push("R", rows[0], 1.0)
+        assert session.engine.elements_ingested == len(rows)  # the batch counts
+        assert seen == b.results() and len(seen) == len(rows)
+        assert a.results() == b.results()
+        assert failing.pending == len(rows)  # the failing row, and all behind it
+        failing.callback = seen.append
+        assert a.drain() == len(rows) and seen == b.results() + a.results()
+        session.close()
+
+    @pytest.mark.parametrize("key", ["host", "room"], ids=["replicated", "exchanged"])
+    @pytest.mark.parametrize("share", [True, False])
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_raising_subscriber_at_a_window_close(self, shards, share, key):
+        """The same at a punctuation closing one window — on two shards
+        grouped by the partition key it closes on every shard's
+        replica, grouped by another column it is exchanged, so the
+        shuffle barrier's deliveries fan out too. (The raise still
+        unwinds the operator that emitted the run: a punctuation closing
+        several windows stops after the first; see ROADMAP, Open item
+        6.)"""
+        session = connect(shards=shards, share_plans=share)
+        session.attach(StreamSource("R", READINGS, partition_by="host"))
+        sql = (
+            f"select r.{key}, count(*) as n from R r "
+            f"[range 10 seconds slide 10 seconds] group by r.{key}"
+        )
+        a, b = session.query(sql), session.query(sql)
+        if shards > 1:
+            assert a._handle.exchanged == (key == "room")
+        a.subscribe(self._raises)
+        seen = []
+        b.subscribe(seen.append)
+        stamps = [float(i) for i in range(1, 11)]  # all in the window (0, 10]
+        session.push_many("R", ROWS[:10], stamps)
+        with pytest.raises(RuntimeError, match="subscriber bug"):
+            session.punctuate(10.0)
+        with connect() as reference:
+            reference.attach(StreamSource("R", READINGS))
+            expected = reference.query(sql)
+            reference.push_many("R", ROWS[:10], stamps)
+            reference.punctuate(10.0)
+            expected = sorted(row.values for row in expected.results())
+        assert len(expected) == (3 if key == "room" else 8)
+        assert seen == b.results()
+        assert sorted(row.values for row in a.results()) == expected
+        assert sorted(row.values for row in seen) == expected
+        session.close()
+
+    def test_a_raising_subscriber_at_a_shuffle_barrier(self):
+        """Exchanged DISTINCTs emit as the barrier delivers their runs,
+        destination by destination; a fallback ORDER BY emits when the
+        fallback engine is punctuated after the barrier."""
+        session = connect(shards=2)
+        session.attach(StreamSource("R", READINGS, partition_by="host"))
+        distinct = "select distinct r.room, r.temp from R r"  # rows on both shards
+        a, b = session.query(distinct), session.query(distinct)
+        ordered = session.query("select r.room from R r order by r.room")
+        assert a._handle.exchanged and not ordered._handle.partitioned
+        a.subscribe(self._raises)
+        seen = []
+        b.subscribe(seen.append)
+        session.push_many("R", ROWS[:20], 1.0)
+        with pytest.raises(RuntimeError, match="subscriber bug"):
+            session.punctuate(10.0)
+        distinct_rows = {(row["room"], row["temp"]) for row in ROWS[:20]}
+        assert {row.values for row in seen} == distinct_rows and seen == b.results()
+        assert sorted(row.values for row in a.results()) == sorted(distinct_rows)
+        assert len(ordered.results()) == 20
+        session.close()
+
+    def test_a_raising_subscription_starves_no_sibling_subscription(self):
+        with connect() as session:
+            session.attach(StreamSource("R", READINGS))
+            cursor = session.query("select r.host from R r")
+            failing = cursor.subscribe(self._raises)
+            seen = []
+            cursor.subscribe(seen.append)
+            with pytest.raises(RuntimeError, match="subscriber bug"):
+                session.push_many("R", ROWS[:3], 1.0)
+            assert seen == cursor.results() and len(seen) == 3
+            assert failing.pending == 3
+
+    @pytest.mark.parametrize("share", [True, False])
+    def test_a_raising_subscriber_on_a_self_join(self, share):
+        """A query reading one source through two ports takes a batch
+        element by element across its ports; that loop finishes too."""
+        session = connect(share_plans=share)
+        session.attach(StreamSource("R", READINGS))
+        sql = (
+            "select r.host, s.temp from R r [range 10 seconds], R s [range 10 seconds] "
+            "where r.host = s.host"
+        )
+        a, b = session.query(sql), session.query(sql)
+        a.subscribe(self._raises)
+        seen = []
+        b.subscribe(seen.append)
+        with pytest.raises(RuntimeError, match="subscriber bug"):
+            session.push_many("R", ROWS[:4], 1.0)
+        assert len(seen) == 4 and seen == b.results() == a.results()
+        session.close()
+
+    def test_tee_branches_finish_then_raise(self):
+        tee, kept = TeeOp(), CollectingConsumer()
+        tee.add_branch(CallbackConsumer(self._raises))
+        tee.add_branch(kept)
+        elements = _elements(3)
+        with pytest.raises(RuntimeError):
+            tee.push_batch(elements)
+        with pytest.raises(RuntimeError):
+            tee.push(elements[0])
+        with pytest.raises(RuntimeError):
+            tee.push(Punctuation(9.0))
+        assert kept.elements == [*elements, elements[0]]
+        assert kept.punctuations == [Punctuation(9.0)]
+
+
 # ----------------------------------------------------------------------
 # Satellite: close() invalidates prepared statements
 # ----------------------------------------------------------------------
@@ -724,10 +1065,39 @@ def _tee(sink):
     return tee, lambda: (second.elements, second.punctuations)
 
 
+class _RunLog:
+    """Hands items on to a sink, logging every non-empty run it hands
+    over (a ``push`` is a run of one)."""
+
+    def __init__(self, sink):
+        self._sink = sink
+        self.runs: list = []
+
+    def push(self, item):
+        if not isinstance(item, Punctuation):
+            self.runs.append([item])
+        self._sink.push(item)
+
+    def push_batch(self, elements):
+        if elements:
+            self.runs.append(list(elements))
+        self._sink.push_batch(elements)
+
+
 def _observed_sink(sink):
-    observed: list = []
-    sink.observe(observed.append)
-    return sink, lambda: observed
+    """Each observer receives each run once: two observers each see
+    exactly the runs handed to the sink, in order (copied — an observer
+    does not keep the producer's list). The probe is what they saw,
+    flattened, so ``push`` and ``push_batch`` compare equal."""
+    log, observed = _RunLog(sink), ([], [])
+    for runs in observed:
+        sink.observe(lambda run, runs=runs: runs.append(list(run)))
+
+    def probe():
+        assert observed[0] == observed[1] == log.runs
+        return [element for run in observed[0] for element in run]
+
+    return log, probe
 
 
 def _shard_feed(sink):

@@ -44,6 +44,7 @@ import random
 import pytest
 
 from repro.api import StreamSource, connect
+from repro.catalog import Catalog
 from repro.data import DataType, Field, Row, Schema
 from repro.errors import QueryError
 from repro.plan import PlanBuilder
@@ -54,8 +55,9 @@ from repro.sql.expressions import ColumnRef
 from repro.stream import DistributedStreamEngine
 from repro.stream.checkpoint import CheckpointCoordinator
 from repro.stream.compiler import _ReschemaConsumer
-from repro.stream.multiplex import plan_fingerprint
+from repro.stream.multiplex import plan_fingerprint, sharing_eligibility
 from repro.stream.operators import OutputOp
+from repro.stream.partition import partition_safe
 from repro.stream.procshard import usable_start_method
 
 SEEDS = int(os.environ.get("REPRO_MUX_SEEDS", "6"))
@@ -102,15 +104,28 @@ def _fill(template: str, rng: random.Random) -> str:
     )
 
 
+def _shares_everywhere(sql: str) -> bool:
+    """Whether two admissions of ``sql`` share a chain on every session
+    the corpus runs: sharing must accept the plan, and a pool must not
+    exchange it (exchanged stages always run private)."""
+    catalog = Catalog()
+    catalog.register_stream("Readings", READINGS, rate=10.0)
+    catalog.register_table("Machines", MACHINES, cardinality=len(MACHINES_ROWS))
+    plan = PlanBuilder(catalog).build_sql(sql)
+    shareable, _, _ = sharing_eligibility(plan)
+    return shareable and partition_safe(plan, {"readings": "host"}).exchange is None
+
+
 def _corpus(rng: random.Random) -> list[str]:
     """Overlapping statement batch: every chosen text appears 1-3 times,
-    and at least one is guaranteed duplicated (the sharing case)."""
+    and at least one that shares everywhere is guaranteed duplicated
+    (the sharing case)."""
     chosen = [
         _fill(template, rng)
         for template in rng.sample(TEMPLATES, rng.randint(3, 5))
     ]
     queries = [sql for sql in chosen for _ in range(rng.randint(1, 3))]
-    queries.append(chosen[0])
+    queries.append(next(sql for sql in chosen if _shares_everywhere(sql)))
     rng.shuffle(queries)
     return queries
 
