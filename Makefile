@@ -64,11 +64,16 @@ ledger-compare:
 
 ## Alternating pairs against a base revision, the check a perf claim
 ## cites (benchmarks/pairs.py): BASE's committed files run from
-## ledger-out/.base-<sha>/, this tree from here, seeds 1..PAIRS, base
-## first on odd pairs; prints every pair and "ahead k/N" per metric.
+## ledger-out/.base-<sha>/, this tree from here, seeds FIRST_SEED..
+## FIRST_SEED+PAIRS-1 (a held-out repeat starts past the seeds the
+## change was written against), base first on odd pairs; prints every
+## pair and "ahead k/N" per metric. WORKLOAD=all runs every
+## BENCHMARK.json workload and ends with one summary row each.
 ##   make ledger-pairs BASE=HEAD~1 WORKLOAD=standing7 PAIRS=10 SECONDS=25
+##   make ledger-pairs BASE=HEAD~1 WORKLOAD=all FIRST_SEED=11
 PAIRS ?= 10
 SECONDS ?= 25
+FIRST_SEED ?= 1
 ledger-pairs:
-	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make ledger-pairs BASE=rev WORKLOAD=name [PAIRS=10] [SECONDS=25]"; exit 2; }
-	$(PYTHON) -m benchmarks.pairs --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS) --seconds $(SECONDS)
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make ledger-pairs BASE=rev WORKLOAD=name|all [PAIRS=10] [SECONDS=25] [FIRST_SEED=1]"; exit 2; }
+	$(PYTHON) -m benchmarks.pairs --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS) --seconds $(SECONDS) --first-seed $(FIRST_SEED)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from repro.catalog import NetworkInfo
 from repro.sensor.optimizer import SensorCost
-from repro.stream.optimizer import StreamCost
+from repro.stream.optimizer import CPU_SECONDS_PER_ROW, StreamCost
 
 #: Relative price of one second of mote radio time vs one second of LAN
 #: CPU time. Radio spends battery on both ends, occupies a shared
@@ -39,9 +39,6 @@ from repro.stream.optimizer import StreamCost
 RADIO_WEIGHT = 50.0
 #: Price of one second of stream-engine CPU per second (commodity PCs).
 CPU_WEIGHT = 1.0
-#: Seconds of CPU work one stream-engine row costs (matches the stream
-#: optimizer's calibration).
-CPU_SECONDS_PER_ROW = 2e-6
 
 
 @dataclass(frozen=True)

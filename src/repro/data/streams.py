@@ -68,8 +68,8 @@ def elements_from_columns(
     append = out.append
     for values, stamp in zip(values_list, timestamps):
         row = new(Row)
-        row._schema = schema
-        row._values = values
+        row.schema = schema
+        row.values = values
         row._hash = None
         element = new(StreamElement)
         element.row = row

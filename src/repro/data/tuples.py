@@ -1,9 +1,9 @@
 """Row values flowing through ASPEN plans.
 
 A :class:`Row` pairs a :class:`~repro.data.schema.Schema` with a tuple of
-values. Rows are immutable and hashable (required by the provenance
-machinery of the recursive stream-view maintainer, which counts
-derivations per distinct row).
+values. Rows are immutable by convention and hashable (required by the
+provenance machinery of the recursive stream-view maintainer, which
+counts derivations per distinct row).
 """
 
 from __future__ import annotations
@@ -64,19 +64,25 @@ class Row:
     Values are validated against the schema's types on construction so
     that malformed data from a wrapper fails at the boundary, not deep
     inside an operator.
+
+    ``schema`` and ``values`` are plain slots, as ``StreamElement``'s
+    fields are: generated per-row loops read them without a property
+    call and build rows by slot stores (``object.__new__`` plus
+    assignments, the body of :meth:`raw`). Rows are immutable by
+    convention — nothing assigns either slot after construction.
     """
 
-    __slots__ = ("_schema", "_values", "_hash")
+    __slots__ = ("schema", "values", "_hash")
 
     def __init__(self, schema: Schema, values: Iterable[Any], *, validate: bool = True):
-        self._schema = schema
-        self._values = tuple(values)
-        if len(self._values) != len(schema):
+        self.schema = schema
+        self.values = tuple(values)
+        if len(self.values) != len(schema):
             raise SchemaError(
-                f"row has {len(self._values)} values but schema has {len(schema)} fields"
+                f"row has {len(self.values)} values but schema has {len(schema)} fields"
             )
         if validate:
-            for field, value in zip(schema, self._values):
+            for field, value in zip(schema, self.values):
                 if not conforms(value, field.dtype):
                     raise TypeMismatchError(
                         f"value {value!r} does not conform to {field.name}:{field.dtype.value}"
@@ -97,8 +103,8 @@ class Row:
         :meth:`from_mapping`.
         """
         row = object.__new__(cls)
-        row._schema = schema
-        row._values = values
+        row.schema = schema
+        row.values = values
         row._hash = None
         return row
 
@@ -106,7 +112,7 @@ class Row:
     def from_mapping(cls, schema: Schema, mapping: Mapping[str, Any]) -> "Row":
         """Build a row by looking up each schema field in ``mapping``.
 
-        Field names are matched on their bare name first, then full name,
+        Field names are matched on their full name first, then bare name,
         so wrappers can supply plain column names for qualified schemas.
         """
         values = []
@@ -122,28 +128,20 @@ class Row:
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
-    @property
-    def schema(self) -> Schema:
-        return self._schema
-
-    @property
-    def values(self) -> tuple[Any, ...]:
-        return self._values
-
     def __getitem__(self, key: str | int) -> Any:
         if isinstance(key, int):
-            return self._values[key]
-        return self._values[self._schema.index_of(key)]
+            return self.values[key]
+        return self.values[self.schema.index_of(key)]
 
     def get(self, key: str, default: Any = None) -> Any:
         """Value for ``key`` or ``default`` if the field does not exist."""
-        if self._schema.has(key):
+        if self.schema.has(key):
             return self[key]
         return default
 
     def as_dict(self) -> dict[str, Any]:
         """A name→value dict (full field names)."""
-        return dict(zip(self._schema.names, self._values))
+        return dict(zip(self.schema.names, self.values))
 
     # ------------------------------------------------------------------
     # Derivation
@@ -151,16 +149,16 @@ class Row:
     def project(self, names: Iterable[str]) -> "Row":
         """Row restricted to ``names``, with a correspondingly projected schema."""
         names = list(names)
-        schema = self._schema.project(names)
+        schema = self.schema.project(names)
         return Row(schema, (self[name] for name in names), validate=False)
 
     def concat(self, other: "Row") -> "Row":
         """The join of two rows (schema and values concatenated)."""
-        return Row.raw(self._schema.concat(other._schema), self._values + other._values)
+        return Row.raw(self.schema.concat(other.schema), self.values + other.values)
 
     def with_schema(self, schema: Schema) -> "Row":
         """This row's values reinterpreted under an equally-long ``schema``."""
-        values = self._values
+        values = self.values
         if len(values) != len(schema._fields):
             raise SchemaError(
                 f"row has {len(values)} values but schema has {len(schema)} fields"
@@ -169,33 +167,33 @@ class Row:
 
     def replace(self, **updates: Any) -> "Row":
         """A copy of this row with the named fields replaced."""
-        values = list(self._values)
+        values = list(self.values)
         for name, value in updates.items():
-            values[self._schema.index_of(name)] = value
-        return Row(self._schema, values)
+            values[self.schema.index_of(name)] = value
+        return Row(self.schema, values)
 
     # ------------------------------------------------------------------
     # Dunder protocol
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self.values)
 
     def __iter__(self) -> Iterator[Any]:
-        return iter(self._values)
+        return iter(self.values)
 
     def __contains__(self, name: object) -> bool:
-        return isinstance(name, str) and self._schema.has(name)
+        return isinstance(name, str) and self.schema.has(name)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Row):
             return NotImplemented
-        return self._values == other._values and self._schema == other._schema
+        return self.values == other.values and self.schema == other.schema
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self._schema, self._values))
+            self._hash = hash((self.schema, self.values))
         return self._hash
 
     def __repr__(self) -> str:
-        pairs = ", ".join(f"{n}={v!r}" for n, v in zip(self._schema.names, self._values))
+        pairs = ", ".join(f"{n}={v!r}" for n, v in zip(self.schema.names, self.values))
         return f"Row({pairs})"

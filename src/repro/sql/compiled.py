@@ -93,7 +93,25 @@ and :func:`compile_join_probe` for one side of a windowed symmetric
 hash join (key, bucket append, window test, residual predicate and the
 Select/Project run above the join in one generated loop per run; a side
 whose own window is ROWS has no kernel by design, which is not a
-fallback and is not counted).
+fallback and is not counted). :func:`compile_ingest` generates the
+loop rows enter an engine or a pool through, once per catalog schema:
+a Row under that schema passes through, a ``dict`` is read field by
+field with its exact types checked inline, and anything else goes to
+the engine's own coercion, which is also the loop's interpreter twin.
+
+**Call-free per-row bodies.** On its common path a generated loop
+makes no Python-level call per row: it reads ``element.row.values``
+and the row's ``schema`` as plain slots, builds an output Row and
+StreamElement by ``object.__new__`` plus slot stores (:func:`_emit_row`,
+:func:`_emit_element` — :meth:`Row.raw`'s body without its frame),
+lowers COALESCE to a conditional chain over its already-evaluated
+arguments and a constant LIKE to ``rx.match(a) is not None`` (``str(a)``
+only for what is not an exact ``str``). Rows and elements are immutable
+by convention, so nothing needs the constructor's frame to guard them.
+What stays a call is the uncommon path — a scalar function, a dynamic
+LIKE pattern, a row the ingest loop hands to the engine's coercion, an
+interpreter fallback node — and every NULL check and ``TypeError``
+handler stays inline (``tests/test_call_free.py`` pins the rule).
 
 Generated text becomes a code object in exactly one place,
 :func:`_code_object`, memoized on the text: every replica of a plan on
@@ -113,6 +131,7 @@ from typing import Any, Callable, Sequence
 from repro.data.schema import Schema
 from repro.data.streams import StreamElement as _StreamElement
 from repro.data.tuples import Row
+from repro.data.types import DataType
 from repro.data.windows import WindowKind, WindowSpec
 from repro.errors import ExecutionError
 from repro.sql.expressions import (
@@ -263,6 +282,27 @@ def _emit_stages(
             gen.schema = out_schema
 
 
+def _emit_row(gen: _CodeGen, indent: int, schema: str, values: str) -> None:
+    """Build ``_r``, a Row of ``values`` under the bound ``schema``, by
+    slot stores — :meth:`Row.raw`'s body with no call frame."""
+    gen.env["_new"], gen.env["_Row"] = object.__new__, Row
+    gen.emit(indent, "_r = _new(_Row)")
+    gen.emit(indent, f"_r.schema = {schema}")
+    gen.emit(indent, f"_r.values = {values}")
+    gen.emit(indent, "_r._hash = None")
+
+
+def _emit_element(gen: _CodeGen, indent: int, row: str, stamp: str, source: str) -> None:
+    """Append a ``StreamElement`` of ``row`` to ``out`` (bound as
+    ``append``) by slot stores, as :func:`_emit_row` builds a row."""
+    gen.env["_new"], gen.env["_Element"] = object.__new__, _StreamElement
+    gen.emit(indent, "_n = _new(_Element)")
+    gen.emit(indent, f"_n.row = {row}")
+    gen.emit(indent, f"_n.timestamp = {stamp}")
+    gen.emit(indent, f"_n.source = {source}")
+    gen.emit(indent, "append(_n)")
+
+
 def _codegen_fused_batch(
     stages: tuple[FusedStage, ...], schema: Schema, output_schema: Schema
 ) -> Callable[[list, list], None]:
@@ -273,12 +313,8 @@ def _codegen_fused_batch(
     gen.emit(2, "v = _e.row.values")
     _emit_stages(gen, stages, 2, "continue")
     if projects:
-        raw = gen.bind(Row.raw, "raw")
-        element_cls = gen.bind(_StreamElement, "se")
-        schema_name = gen.bind(output_schema, "os")
-        gen.emit(
-            2, f"append({element_cls}({raw}({schema_name}, v), _e.timestamp, _e.source))"
-        )
+        _emit_row(gen, 2, gen.bind(output_schema, "os"), "v")
+        _emit_element(gen, 2, "_r", "_e.timestamp", "_e.source")
     else:
         gen.emit(2, "append(_e)")
     source = "def _fused_batch(elements, out):\n" + "\n".join(gen.lines) + "\n"
@@ -729,10 +765,8 @@ def _codegen_join_probe(
         gen.emit(3, f"if {atom} is not True:")
         gen.emit(4, "continue")
     _emit_stages(gen, stages, 3, "continue")
-    raw = gen.bind(Row.raw, "raw")
-    element_cls = gen.bind(_StreamElement, "se")
-    schema_name = gen.bind(output_schema if stages else joined_schema, "js")
-    gen.emit(3, f"append({element_cls}({raw}({schema_name}, v), _m))")
+    _emit_row(gen, 3, gen.bind(output_schema if stages else joined_schema, "js"), "v")
+    _emit_element(gen, 3, "_r", "_m", '""')
     source = (
         "def _probe(elements, own, other, out, unsorted):\n" + "\n".join(gen.lines) + "\n"
     )
@@ -747,6 +781,85 @@ def _codegen_fused(
     gen.emit(1, "return v")
     source = "def _fused(v):\n" + "\n".join(gen.lines) + "\n"
     return _define("_fused", source, "<repro.sql.compiled.fused>", gen.env)
+
+
+def compile_ingest(schema: Schema, coerce: Callable, elements: bool) -> Callable:
+    """Compile the ingest loop of one catalog ``schema``: rows as a
+    caller hands them in, out as Rows under ``schema`` — generated, else
+    ``coerce`` over every row (:func:`fallback_ingest`).
+
+    With ``elements`` the loop is ``ingest(rows, stamps, source)`` and
+    returns one ``StreamElement`` per row (an engine's ingest), without
+    it ``ingest(rows)`` returns the Rows (a pool's, which routes them).
+    Per row, in order:
+
+    * a :class:`Row` under ``schema`` itself passes through;
+    * a ``dict`` is looked up field by field — full name first, then
+      bare name, as :meth:`Row.from_mapping` does — with each value's
+      exact type checked inline (``conforms``: ``int`` in FLOAT is kept
+      as an int, a ``bool`` is no INT), and becomes a Row by slot stores;
+    * anything else, and any dict that misses a field or fails a check,
+      goes to ``coerce(schema, row)`` — ``StreamEngine._coerce_row`` —
+      so what it accepts and the error it raises are the interpreter's.
+    """
+    return _generate(_codegen_ingest, schema, coerce, elements) or fallback_ingest(
+        schema, coerce, elements
+    )
+
+
+#: Exact-type tests per column type, over a value known not to be NULL:
+#: the common cases of ``repro.data.types.conforms``, which the slow
+#: path applies in full (a subclass passes there, not here).
+_EXACT_TYPE = {
+    DataType.INT: "{x}.__class__ is int",
+    DataType.FLOAT: "{x}.__class__ is float or {x}.__class__ is int",
+    DataType.TIMESTAMP: "{x}.__class__ is float or {x}.__class__ is int",
+    DataType.STRING: "{x}.__class__ is str",
+    DataType.BOOL: "{x} is True or {x} is False",
+}
+
+#: Marks a mapping's missing key inside generated ingest loops.
+_MISSING = object()
+
+
+def _codegen_ingest(schema: Schema, coerce: Callable, elements: bool) -> Callable:
+    gen = _CodeGen(schema)
+    gen.env.update(_S=schema, _Row=Row, _coerce=coerce, _M=_MISSING)
+    checks = ["r.__class__ is dict"]
+    for position, field in enumerate(schema):
+        x = f"a{position}"
+        full, bare = repr(field.name), repr(field.bare_name)
+        if full == bare:  # a membership test and a subscript beat dict.get
+            checks.append(f"{full} in r")
+            value = f"({x} := r[{full}])"
+        else:
+            lookup = f"r[{full}] if {full} in r else r.get({bare}, _M)"
+            checks.append(f"({x} := ({lookup})) is not _M")
+            value = x
+        exact = _EXACT_TYPE.get(field.dtype)
+        checks.append(f"({value} is None or {exact.format(x=x)})" if exact else f"{value} is None")
+    atoms = [f"a{position}" for position in range(len(schema))]
+    values = f"({', '.join(atoms)}{',' if len(atoms) == 1 else ''})"
+    gen.emit(1, "out = []")
+    gen.emit(1, "append = out.append")
+    gen.emit(1, "for r, _t in zip(rows, stamps):" if elements else "for r in rows:")
+    gen.emit(2, "if r.__class__ is not _Row or r.schema is not _S:")
+    gen.emit(3, "if (")
+    for position, check in enumerate(checks):
+        gen.emit(4, f"{'and ' if position else ''}{check}")
+    gen.emit(3, "):")
+    _emit_row(gen, 4, "_S", values)
+    gen.emit(4, "r = _r")
+    gen.emit(3, "else:")
+    gen.emit(4, "r = _coerce(_S, r)")
+    if elements:
+        _emit_element(gen, 2, "r", "_t", "source")
+    else:
+        gen.emit(2, "append(r)")
+    gen.emit(1, "return out")
+    signature = "rows, stamps, source" if elements else "rows"
+    source = f"def _ingest({signature}):\n" + "\n".join(gen.lines) + "\n"
+    return _define("_ingest", source, "<repro.sql.compiled.ingest>", gen.env)
 
 
 # ---------------------------------------------------------------------------
@@ -952,8 +1065,12 @@ class _CodeGen:
         if op in ("LIKE", "NOT LIKE"):
             pattern_const, pattern = _fold_constant(expr.right)
             if pattern_const and pattern is not None:
+                # A constant pattern's regex is compiled here, and an
+                # exact str needs no str() call (a subclass still gets
+                # one: it may override __str__, as the interpreter sees).
                 regex = self.bind(_like_to_regex(str(pattern)), "rx")
-                match = f"{regex}.match(str({a}))"
+                a = self.as_var(a, indent)
+                match = f"{regex}.match({a} if {a}.__class__ is str else str({a}))"
                 checks = self.null_check(a)
             else:
                 like = self.bind(_like_regex_cached, "lk")
@@ -965,10 +1082,8 @@ class _CodeGen:
                 self.emit(indent + 1, f"{out} = None")
                 self.emit(indent, "else:")
                 body = indent + 1
-            if op == "NOT LIKE":
-                self.emit(body, f"{out} = not {match}")
-            else:
-                self.emit(body, f"{out} = bool({match})")
+            test = "is None" if op == "NOT LIKE" else "is not None"
+            self.emit(body, f"{out} = {match} {test}")
             return out
         # Unknown operator: operands evaluate first, as in the interpreter.
         checks = self.null_check(a, b)
@@ -1012,11 +1127,12 @@ class _CodeGen:
             # The interpreter raises before evaluating arguments.
             self.emit(indent, self.raise_unknown(f"unknown function {expr.name!r}"))
             return "None"
-        impl, _ = _SCALAR_FUNCTIONS[upper]
-        fn = self.bind(impl, "fn")
         args = [self.gen(a, indent) for a in expr.args]
-        call = f"{fn}({', '.join(args)})"
-        if upper == "COALESCE" or not args:
+        if upper == "COALESCE":
+            return self.gen_coalesce(args, out, indent)
+        impl, _ = _SCALAR_FUNCTIONS[upper]
+        call = f"{self.bind(impl, 'fn')}({', '.join(args)})"
+        if not args:
             self.emit(indent, f"{out} = {call}")
             return out
         checks = self.null_check(*args)
@@ -1027,6 +1143,25 @@ class _CodeGen:
             self.emit(indent + 1, f"{out} = {call}")
         else:
             self.emit(indent, f"{out} = {call}")
+        return out
+
+    def gen_coalesce(self, args: list[str], out: str, indent: int) -> str:
+        """COALESCE over its already-evaluated arguments (every one was
+        evaluated, as in the interpreter): a conditional chain that
+        stops at the first argument known non-NULL and skips NULL
+        literals."""
+        chain = "None"
+        for atom in reversed(args):
+            if atom == "None":
+                continue
+            if atom in self.non_null:
+                chain = atom
+            else:
+                atom = self.as_var(atom, indent)
+                chain = f"{atom} if {atom} is not None else {chain}"
+        self.emit(indent, f"{out} = {chain}")
+        if chain in self.non_null:
+            self.non_null.add(out)
         return out
 
 
@@ -1059,6 +1194,25 @@ def _fallback_projection(
         return tuple(e.eval(row) for e in _exprs)
 
     return run
+
+
+def fallback_ingest(schema: Schema, coerce: Callable, elements: bool) -> Callable:
+    """:func:`compile_ingest`'s interpreter twin: ``coerce`` over every
+    row, with the same signature and the same results."""
+    if elements:
+
+        def ingest(rows, stamps, source) -> list:
+            return [
+                _StreamElement(coerce(schema, row), stamp, source)
+                for row, stamp in zip(rows, stamps)
+            ]
+
+    else:
+
+        def ingest(rows) -> list:
+            return [coerce(schema, row) for row in rows]
+
+    return ingest
 
 
 def _fallback_fold(

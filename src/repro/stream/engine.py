@@ -45,6 +45,7 @@ from repro.data.tuples import Row
 from repro.data.windows import WindowSpec
 from repro.errors import ExecutionError
 from repro.plan.logical import LogicalOp, RemoteSource
+from repro.sql.compiled import compile_counts, compile_ingest, fallback_ingest
 from repro.stream.compiler import (
     DEFAULT_STREAM_WINDOW,
     CompiledPlan,
@@ -55,6 +56,29 @@ from repro.stream.compiler import (
 from repro.stream.multiplex import SharedChain, SubplanRegistry
 
 _query_ids = itertools.count(1)
+
+
+def generate_ingest_loop(loops: dict, counts: dict, schema: Schema, elements: bool) -> None:
+    """Generate, at admission, the ingest loop for catalog ``schema``
+    into ``loops`` (keyed by the schema's id, which the loop keeps
+    alive) by :func:`~repro.sql.compiled.compile_ingest` over
+    :meth:`StreamEngine._coerce_row`, its rung added to ``counts``."""
+    if id(schema) in loops:
+        return
+    before = compile_counts()
+    loops[id(schema)] = compile_ingest(schema, StreamEngine._coerce_row, elements)
+    for key, total in compile_counts().items():
+        counts[key] += total - before[key]
+
+
+def ingest_loop(loops: dict, schema: Schema, elements: bool) -> Callable:
+    """The ingest loop for catalog ``schema``: the one admission
+    generated, or, for a stream no query has scanned, the interpreter's
+    (``_coerce_row`` over every row). Rows flowing never generate code."""
+    loop = loops.get(id(schema))
+    if loop is None:
+        return fallback_ingest(schema, StreamEngine._coerce_row, elements)
+    return loop
 
 
 @dataclass
@@ -174,6 +198,8 @@ class StreamEngine:
         #: Routing index: lowercased source name -> subscribed ports.
         #: Maintained on execute/stop so ingestion never scans queries.
         self._routes: dict[str, list[_Route]] = {}
+        #: id(catalog schema) -> this engine's ingest loop for it.
+        self._ingest_loops: dict[int, Callable] = {}
         self.elements_ingested = 0
         self.punctuations_seen = 0
         self.share_plans = share_plans
@@ -338,18 +364,29 @@ class StreamEngine:
             remote_schema = None
             if port.scan is None:
                 remote_schema = self._remote_schema(handle, port.source_name)
-            self._routes.setdefault(port.source_name.lower(), []).append(
-                _Route(handle.query_id, port, remote_schema)
-            )
+            self._add_route(handle.query_id, port, remote_schema)
 
     def _register_chain_routes(self, chain) -> None:
         """Subscribe a shared chain's scan ports to source feeds. Chain
         ids share the query-id route namespace, so batched ingestion's
         multi-port interleaving treats a chain like any other query."""
         for port in chain.compiled.ports:
-            self._routes.setdefault(port.source_name.lower(), []).append(
-                _Route(chain.chain_id, port, None)
+            self._add_route(chain.chain_id, port, None)
+
+    def _add_route(self, owner_id: int, port: ScanPort, remote_schema: Schema | None) -> None:
+        self._routes.setdefault(port.source_name.lower(), []).append(
+            _Route(owner_id, port, remote_schema)
+        )
+        if port.scan is not None and port.scan.entry.kind is not SourceKind.TABLE:
+            # Generated at admission, with the plan's functions: rows
+            # flowing never generate code.
+            generate_ingest_loop(
+                self._ingest_loops, self._compiler.counts, port.scan.entry.schema, True
             )
+
+    def _ingest_loop(self, schema: Schema) -> Callable:
+        """This engine's element-building ingest loop for ``schema``."""
+        return ingest_loop(self._ingest_loops, schema, True)
 
     # ------------------------------------------------------------------
     # Stream ingestion
@@ -364,7 +401,7 @@ class StreamEngine:
         if self.failed:
             return
         entry = self._catalog.source(source)
-        element = StreamElement(self._coerce_row(entry.schema, row), timestamp, entry.name)
+        (element,) = self._ingest_loop(entry.schema)((row,), (timestamp,), entry.name)
         # Logged after coercion: a rejected row leaves no replay record.
         if self.checkpointer is not None and not self._replaying:
             self.checkpointer.record(("push", None, source, row, timestamp))
@@ -387,11 +424,14 @@ class StreamEngine:
         """Batched ingestion: push many elements of ``source`` at once.
 
         The catalog entry and the routing-index lookup are resolved once
-        for the whole batch, and each subscribed port receives the whole
-        batch with one ``push_batch`` call (falling back to per-element
-        ``push`` for consumers without the batched protocol), so the
-        batch traverses each vectorized operator with one dispatch
-        instead of one per element. ``timestamps`` is either one
+        for the whole batch, the rows become elements in one generated
+        loop (the catalog schema's :func:`ingest_loop`: a Row under the
+        catalog schema passes through, a ``dict`` is read inline, the
+        rest goes to :meth:`_coerce_row`), and each subscribed port
+        receives the whole batch with one ``push_batch`` call (falling
+        back to per-element ``push`` for consumers without the batched
+        protocol), so the batch traverses each vectorized operator with
+        one dispatch instead of one per element. ``timestamps`` is either one
         timestamp applied to every row or a sequence (any iterable,
         including a generator — it is materialized up front) aligned
         with ``rows``. Every port sees its elements in row order; ports
@@ -406,7 +446,6 @@ class StreamEngine:
         if self.failed:
             return 0
         entry = self._catalog.source(source)
-        schema = entry.schema
         rows = rows if isinstance(rows, list) else list(rows)
         if isinstance(timestamps, (int, float)):
             stamps: Sequence[float] = [float(timestamps)] * len(rows)
@@ -420,22 +459,11 @@ class StreamEngine:
                 raise ExecutionError(
                     f"push_many got {len(rows)} rows but {len(stamps)} timestamps"
                 )
-        name = entry.name
-        coerce = self._coerce_row
-        elements = [
-            StreamElement(
-                # Inlined hot path: wrapper/bench rows arrive as Rows
-                # already carrying the catalog schema object.
-                row if (type(row) is Row and row.schema is schema) else coerce(schema, row),
-                stamp,
-                name,
-            )
-            for row, stamp in zip(rows, stamps)
-        ]
+        elements = self._ingest_loop(entry.schema)(rows, stamps, entry.name)
         # Logged only once the whole batch coerced (see push).
         if self.checkpointer is not None and not self._replaying:
             self.checkpointer.record(("many", None, source, rows, stamps))
-        return self._dispatch_batch(name, elements)
+        return self._dispatch_batch(entry.name, elements)
 
     def push_values(
         self,

@@ -16,12 +16,13 @@ the pool constructed over it:
   federated residuals, prepared statements with baked parameters — run
   on the pool's in-parent fallback engine like partition-unsafe plans).
   The parent constructs no shard engine and keeps no shard table copy.
-* **Bounded batched frames.** ``ingest`` coerces rows in the parent
-  (errors surface at the call site, as on a single engine), buffers
-  them as plain value tuples and flushes one ``("data", ...)`` frame per
-  source at :data:`MAX_BATCH_ROWS` rows, when the oldest buffered row
-  is :data:`FLUSH_TIMEOUT_S` old, or ahead of any control frame. The
-  input queue is bounded (:data:`MAX_QUEUE_FRAMES`) for backpressure;
+* **Bounded batched frames.** ``ingest`` takes rows the pool's ingest
+  loop coerced in the parent (errors surface at the call site, as on a
+  single engine), buffers them as plain value tuples and flushes one
+  ``("data", ...)`` frame per source at :data:`MAX_BATCH_ROWS` rows,
+  when the oldest buffered row is :data:`FLUSH_TIMEOUT_S` old, or ahead
+  of any control frame. The input queue is bounded
+  (:data:`MAX_QUEUE_FRAMES`) for backpressure;
   the output queue is unbounded so a worker never blocks shipping
   results while the parent blocks feeding it.
 * **Barriers are acked frames.** ``punctuate`` and ``deliver`` send a
@@ -75,7 +76,7 @@ from repro.errors import ExecutionError
 from repro.plan import PlanBuilder
 from repro.stream.channel import ShardDied, ShardHost
 from repro.stream.compiler import DEFAULT_STREAM_WINDOW
-from repro.stream.engine import QueryHandle, StreamEngine
+from repro.stream.engine import QueryHandle
 from repro.stream.partition import build_exchange
 from repro.stream.sharded import ShardedStreamEngine
 
@@ -267,14 +268,11 @@ class FramedChannel:
         self._control(("stop", None, query_id))
 
     def ingest(self, source, rows, stamps) -> None:
+        # The pool's ingest loop has coerced every row onto the catalog
+        # schema (and logged it so), live and in replay alike.
         self._live()
         entry = self._catalog.source(source)
-        schema = entry.schema
-        coerce = StreamEngine._coerce_row
-        values = [
-            (row if (type(row) is Row and row.schema is schema) else coerce(schema, row)).values
-            for row in rows
-        ]
+        values = [row.values for row in rows]
         if isinstance(stamps, (int, float)):
             stamps = [float(stamps)] * len(values)
         self.elements_ingested += len(values)
@@ -314,8 +312,7 @@ class FramedChannel:
 
     def load_table(self, name, rows, timestamp) -> None:
         entry = self._catalog.source(name)
-        coerce = StreamEngine._coerce_row
-        values = [coerce(entry.schema, row).values for row in rows]
+        values = [row.values for row in rows]  # coerced by the pool, as ingest's
         self._control(("table", None, entry.name, values, timestamp))
         self._drain()
 
@@ -409,9 +406,13 @@ class FramedChannel:
     # -- frames in ------------------------------------------------------
     def _await(self) -> tuple:
         """The one ack-wait loop: drain the worker's output (forwarding
-        emissions into the feeds) until the ack of the newest frame."""
+        emissions into the feeds) until the ack of the newest frame. A
+        feed that raises does not end the wait: everything up to the ack
+        is forwarded, the ack clears ``_awaiting``, then the first
+        exception is raised (the fan-out rule on ``StreamConsumer``)."""
         seq = self._awaiting
         deadline = time.monotonic() + ACK_DEADLINE_S
+        error = None
         while True:
             try:
                 frame = self.outq.get(timeout=_POLL_S)
@@ -420,29 +421,43 @@ class FramedChannel:
                 continue
             except (EOFError, OSError):
                 raise ShardDied(self.index) from None
-            if self._on_frame(frame) and frame[1] == seq:
+            exc = self._on_frame(frame)  # forwarded even after a raise
+            error = error or exc
+            if frame[0] == "ack" and frame[1] == seq:
                 self._awaiting = None
+                if error is not None:
+                    raise error
                 return frame
 
     def _drain(self) -> None:
+        error = None
         while True:
             try:
                 frame = self.outq.get_nowait()
             except (queue.Empty, EOFError, OSError):
-                return
-            self._on_frame(frame)
+                break
+            exc = self._on_frame(frame)
+            error = error or exc
+        if error is not None:
+            raise error
 
-    def _on_frame(self, frame: tuple) -> bool:
-        """Forward one frame's emissions; True when it is an ack."""
+    def _on_frame(self, frame: tuple) -> Exception | None:
+        """Forward one frame's emissions — every query's items, in frame
+        order, even past a feed that raises — and return the first
+        exception a feed raised. A worker's own failure raises."""
         kind = frame[0]
         if kind == "error":
             raise ExecutionError(f"shard worker {self.index} failed:\n{frame[1]}")
+        error = None
         if kind == "xout":
             for query_id, ordinal, values, stamps in _unpack(frame[2]):
                 feeds = self._xfeeds.get(query_id)
                 if feeds is not None:  # else: stopped with deposits in flight
-                    feeds[ordinal].push_run(values, stamps)
-            return False
+                    try:
+                        feeds[ordinal].push_run(values, stamps)
+                    except Exception as exc:
+                        error = error or exc
+            return error
         # ("out", None, emissions) and ("ack", seq, emissions, reply)
         for query_id, items in _unpack(frame[2]):
             entry = self._feeds.get(query_id)
@@ -452,13 +467,16 @@ class FramedChannel:
             # Runs by push_batch, watermarks by push, in frame order:
             # the merge coordinator depends on the interleaving.
             for item in items:
-                if item[0] == "p":
-                    feed.push(Punctuation(item[1]))
-                else:
-                    feed.push_batch(
-                        elements_from_columns(schema, item[1], item[2], item[3])
-                    )
-        return kind == "ack"
+                try:
+                    if item[0] == "p":
+                        feed.push(Punctuation(item[1]))
+                    else:
+                        feed.push_batch(
+                            elements_from_columns(schema, item[1], item[2], item[3])
+                        )
+                except Exception as exc:
+                    error = error or exc
+        return error
 
 
 # ----------------------------------------------------------------------

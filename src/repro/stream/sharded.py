@@ -51,7 +51,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.catalog import Catalog
+from repro.catalog import Catalog, SourceKind
 from repro.data.schema import Schema
 from repro.data.streams import (
     CollectingConsumer,
@@ -68,7 +68,12 @@ from repro.plan.logical import LogicalOp, RemoteSource, Scan
 from repro.stream.channel import LoopbackChannel, ShardDied
 from repro.stream.checkpoint import FALLBACK
 from repro.stream.compiler import DEFAULT_STREAM_WINDOW
-from repro.stream.engine import QueryHandle, StreamEngine
+from repro.stream.engine import (
+    QueryHandle,
+    StreamEngine,
+    generate_ingest_loop,
+    ingest_loop,
+)
 from repro.stream.partition import (
     PartitionAnalysis,
     build_exchange,
@@ -526,6 +531,10 @@ class ShardedStreamEngine:
         #: (a dead shard has lost its routes, the pool has not).
         self._shard_subs: dict[str, int] = {}
         self._fallback_subs: dict[str, int] = {}
+        #: id(catalog schema) -> the pool's row-coercing ingest loop,
+        #: and what generating them cost (summed into compile_stats).
+        self._ingest_loops: dict[int, Callable] = {}
+        self._compile_counts = {"generated": 0, "fallbacks": 0}
         self.elements_ingested = 0
         self._exchange_rounds = 0
         self._exchange_delivered = 0
@@ -570,8 +579,12 @@ class ShardedStreamEngine:
     def compile_stats(self) -> dict:
         """Generated / fallback counters, summed like
         :meth:`sharing_stats` (same keys as
-        :meth:`StreamEngine.compile_stats`)."""
-        return self._summed("compile_stats")
+        :meth:`StreamEngine.compile_stats`), the pool's own ingest loops
+        included."""
+        totals = self._summed("compile_stats")
+        for key, value in self._compile_counts.items():
+            totals[key] = totals.get(key, 0) + value
+        return totals
 
     def _summed(self, verb: str) -> dict:
         totals: dict = {}
@@ -739,6 +752,11 @@ class ShardedStreamEngine:
             sql=sql,
             sources=_plan_sources(plan),
         )
+        for node in plan.walk():
+            if isinstance(node, Scan) and node.entry.kind is not SourceKind.TABLE:
+                generate_ingest_loop(  # at admission, not mid-ingest
+                    self._ingest_loops, self._compile_counts, node.entry.schema, False
+                )
         # Tracked before its replicas start: a shard found dead while
         # admitting is failed over, and failover re-admits every
         # tracked handle — this one included.
@@ -947,6 +965,10 @@ class ShardedStreamEngine:
             per_stamps[owner].append(stamp)
         return per_rows, per_stamps
 
+    def _ingest_loop(self, schema: Schema) -> Callable:
+        """The pool's row-coercing ingest loop for ``schema``."""
+        return ingest_loop(self._ingest_loops, schema, False)
+
     def push(
         self,
         source: str,
@@ -970,15 +992,10 @@ class ShardedStreamEngine:
         engine would see."""
         entry = self._catalog.source(source)
         lower = entry.name.lower()
-        schema = entry.schema
-        coerce = StreamEngine._coerce_row
         # Coerced once, here: a malformed row raises before anything is
         # routed, logged or sent, so no shard sees part of a rejected
         # batch, and every host takes the identity pass-through.
-        rows = [
-            row if (type(row) is Row and row.schema is schema) else coerce(schema, row)
-            for row in rows
-        ]
+        rows = self._ingest_loop(entry.schema)(rows)
         stamps = None
         if not isinstance(timestamps, (int, float)):
             stamps = timestamps if isinstance(timestamps, list) else list(timestamps)
@@ -1071,7 +1088,10 @@ class ShardedStreamEngine:
                 except Exception as exc:  # a fan-out finishes first
                     error = error or exc
             for index in shards:
-                self._call(index, "settle")
+                try:  # a framed channel forwards emissions while settling
+                    self._call(index, "settle")
+                except Exception as exc:
+                    error = error or exc
             # Round 2, the shuffle barrier: stage-1 emissions (including
             # this punctuation's window closes and running deltas) flush
             # to their destination shards, then the exchange ports are
@@ -1133,7 +1153,10 @@ class ShardedStreamEngine:
             except Exception as exc:  # a fan-out finishes first
                 error = error or exc
         for dest in deliveries:
-            self._call(dest, "settle")
+            try:
+                self._call(dest, "settle")
+            except Exception as exc:
+                error = error or exc
         if error is not None:
             raise error
 

@@ -21,6 +21,7 @@ GENERATORS = (
     "_codegen_fused_batch",
     "_codegen_accumulate",
     "_codegen_join_probe",
+    "_codegen_ingest",
 )
 
 

@@ -40,14 +40,18 @@ def test_bench_runner_module_lists_all_benches():
 #: less — edits this pin on purpose. ``xchg_pool4`` read 61 while each
 #: stage-1 partial aggregate compiled a key and an argument projection;
 #: its one ``compile_partial`` fold-and-take pair per operator reads 57.
+#: Each engine (and each pool) also generates one ingest loop per stream
+#: a query scans (``compile_ingest``), at admission so that rows flowing
+#: never generate code: +1 on one engine, +10 on ``xchg_pool4`` (two
+#: streams on four shards and the pool), +3 on ``standing7_proc2``.
 ADMISSION_CODEGEN = {
-    "one_query": 2,
-    "standing7": 18,
-    "standing7_rowpush": 18,
-    "tenants1k": 42,
-    "xchg_pool4": 57,
-    "standing7_proc2": 36,
-    "federated": 3,
+    "one_query": 3,
+    "standing7": 19,
+    "standing7_rowpush": 19,
+    "tenants1k": 43,
+    "xchg_pool4": 67,
+    "standing7_proc2": 39,
+    "federated": 4,
 }
 
 
@@ -96,7 +100,7 @@ class TestPairsSummary:
     def _summarize(self, capsys, base, change):
         from benchmarks.pairs import summarize
 
-        status = summarize(_PAIR_METRICS, base, change)
+        status, _ = summarize(_PAIR_METRICS, base, change)
         return status, {
             line.split()[0]: line for line in capsys.readouterr().out.splitlines() if line
         }
@@ -145,6 +149,55 @@ class TestPairsSummary:
         assert status == 1
         assert lines["failed"] == "failed ops: base 0.50%, change 1.00%  FAILED-OPS"
         assert "REGRESSION" not in "".join(lines.values())
+
+    def test_the_digest_reads_each_metric(self, capsys):
+        from benchmarks.pairs import summarize
+
+        base = _pair_runs([100] * 10, [1.0] * 10)
+        change = _pair_runs([120] * 10, [1.5] * 10)
+        status, digest = summarize(_PAIR_METRICS, base, change)
+        assert status == 1
+        assert digest.startswith("rows_per_s +20.0% 10/10  claim holds; ")
+        assert "emit_p50_ms +50.0% 0/10  REGRESSION" in digest
+        assert digest.endswith("[FAIL]")
+        change[0]["correct"] = False
+        assert summarize(_PAIR_METRICS, base, change) == (1, "REFUSED")
+
+    def test_all_workloads_on_held_out_seeds(self, capsys, monkeypatch):
+        """``--workload all`` runs each BENCHMARK.json workload on the
+        seeds from ``--first-seed``, base first on odd pairs, prints one
+        summary row each and exits with the OR of their statuses."""
+        import benchmarks.pairs as pairs
+
+        spec = json.loads((pairs.REPO_ROOT / "BENCHMARK.json").read_text())
+        names = [w["name"] for w in spec["workloads"]]
+        calls = []
+
+        def fake_run(tree, workload, seed, seconds):
+            side = "change" if tree == pairs.REPO_ROOT else "base"
+            calls.append((workload, seed, side))
+            worse = workload == "xchg_pool4" and side == "change"  # twice as bad
+            return {
+                "correct": True, "attempted": 100, "failed": 0,
+                **{
+                    m["name"]: (50 if m["better"] == "higher" else 200) if worse else 100
+                    for m in spec["end_to_end"]
+                },
+            }
+
+        monkeypatch.setattr(pairs, "extract", lambda rev: pairs.REPO_ROOT / "base")
+        monkeypatch.setattr(pairs, "run", fake_run)
+        status = pairs.main(
+            ["--base", "HEAD", "--workload", "all", "--pairs", "2", "--first-seed", "11"]
+        )
+        assert [c for c in calls if c[2] == "base"] == [
+            (name, seed, "base") for name in names for seed in (11, 12)
+        ]
+        assert [c[2] for c in calls[:4]] == ["base", "change", "change", "base"]
+        assert status == 1  # one workload regressed
+        rows = capsys.readouterr().out.splitlines()[-len(names):]
+        assert [row.split()[0] for row in rows] == names
+        assert [row.endswith("[FAIL]") for row in rows] == [n == "xchg_pool4" for n in names]
 
     def test_failed_ops_compare_as_shares_of_attempted(self, capsys):
         """More failures over more attempts is not a worse share, and an

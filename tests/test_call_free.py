@@ -1,0 +1,472 @@
+"""Call-free kernels: the generated per-row bodies, from ingest to the
+sink, make no Python-level call on their common path.
+
+* :class:`TestCallFreeKernels` pins the rule on every generated loop of
+  the ledger's deployments: rows and elements are built by slot stores,
+  never through a bound ``Row.raw`` or ``StreamElement``, and COALESCE
+  and a constant LIKE are inlined, never a bound helper.
+* :class:`TestInlinedCoalesceAndLike` compares the inlined lowerings
+  with the interpreter (``conftest.interpreted``), row by row in order.
+* :class:`TestIngestIdentity` compares the generated ingest loop with
+  ``StreamEngine._coerce_row`` — ``Row.from_mapping`` for a mapping —
+  element for element on one engine, two loopback shards and the framed
+  channel, errors included.
+"""
+
+from __future__ import annotations
+
+import types
+
+import pytest
+from conftest import generated, interpreted
+
+from repro.api import StreamSource, connect
+from repro.catalog import Catalog
+from repro.data import DataType, Row, Schema
+from repro.data.streams import CollectingConsumer, StreamElement
+from repro.errors import ExecutionError, SchemaError, SourceError, TypeMismatchError
+from repro.plan.logical import Scan, Select
+from repro.sql.compiled import _like_regex_cached, compile_projection
+from repro.sql.expressions import (
+    _SCALAR_FUNCTIONS,
+    BinaryOp,
+    ColumnRef,
+    FunctionCall,
+    Literal,
+)
+from repro.stream.engine import StreamEngine
+
+_COALESCE = _SCALAR_FUNCTIONS["COALESCE"][0]
+
+
+# ----------------------------------------------------------------------
+# The rule, on the ledger's deployments
+# ----------------------------------------------------------------------
+def _engines(session) -> list[StreamEngine]:
+    """The in-process engines behind a session: the engine, or a pool's
+    fallback and loopback shards (a worker process's engines run the
+    texts ``standing7`` admits in process)."""
+    engine = session.engine
+    if isinstance(engine, StreamEngine):
+        return [engine]
+    shards = [shard for shard in engine.engines if isinstance(shard, StreamEngine)]
+    return [engine.fallback_engine, *shards]
+
+
+def _kernels(session) -> list:
+    """Every generated function an operator of ``session`` holds, and
+    every ingest loop of its engines and pool."""
+    operators = []
+    for engine in _engines(session):
+        operators += [op for h in engine.running_queries for op in h.compiled.operators]
+        operators += [op for c in engine.subplans.live_chains for op in c.compiled.operators]
+    found = [
+        value
+        for op in operators
+        for value in vars(op).values()
+        if hasattr(value, "__compiled_source__")
+    ]
+    owners = dict.fromkeys([session.engine, *_engines(session)])  # a pool's own too
+    loops = [loop for owner in owners for loop in owner._ingest_loops.values()]
+    return found + [loop for loop in loops if hasattr(loop, "__compiled_source__")]
+
+
+def _calls_to(fn, *targets) -> list[str]:
+    """Names ``fn``'s generated text calls that are bound to ``targets``."""
+    source = fn.__compiled_source__
+    return [
+        name
+        for name, value in fn.__globals__.items()
+        if any(value is t or value == t for t in targets) and f"{name}(" in source
+    ]
+
+
+class TestCallFreeKernels:
+    def test_no_generated_loop_calls_a_row_or_element_constructor(self):
+        from benchmarks.ledger.workloads import WORKLOADS
+
+        assert len(WORKLOADS) == 7
+        loops = likes = 0
+        for workload in WORKLOADS:
+            units = 4 if workload.name == "federated" else 64
+            deployment = workload.open(workload.build_input(1, units))
+            try:
+                deployment.deliver(0, units)
+                for fn in _kernels(deployment.session):
+                    assert _calls_to(fn, Row.raw, StreamElement) == [], (
+                        workload.name, fn.__compiled_source__,
+                    )
+                    assert _calls_to(fn, _COALESCE, _like_regex_cached) == [], (
+                        workload.name, fn.__compiled_source__,
+                    )
+                    source = fn.__compiled_source__
+                    loops += "for " in source
+                    likes += ".match(" in source
+            finally:
+                deployment.close()
+        assert loops > 0 and likes > 0  # tenants1k filters with LIKE 'lab%'
+
+    def test_coalesce_and_constant_like_lower_to_no_call(self):
+        exprs = [
+            FunctionCall("COALESCE", (ColumnRef("a"), ColumnRef("b"), Literal(0))),
+            BinaryOp("LIKE", ColumnRef("s"), Literal("lab%")),
+            BinaryOp("NOT LIKE", ColumnRef("s"), Literal("lab%")),
+        ]
+        with generated():
+            fn = compile_projection(exprs, _SCHEMA)
+        source = fn.__compiled_source__
+        assert _calls_to(fn, _COALESCE, _like_regex_cached) == []
+        assert "bool(" not in source and "fn" not in source
+        assert fn((None, 4, 1.0, "Lab1")) == (4, True, False)
+
+
+# ----------------------------------------------------------------------
+# COALESCE and LIKE inlined: generated against the interpreter
+# ----------------------------------------------------------------------
+_SCHEMA = Schema.of(
+    ("a", DataType.INT),
+    ("b", DataType.INT),
+    ("c", DataType.FLOAT),
+    ("s", DataType.STRING),
+)
+
+
+class _Prefixed(str):
+    """A str subclass whose ``str()`` differs from its own text."""
+
+    def __str__(self) -> str:
+        return "x" + self
+
+
+_VALUES = [
+    (None, None, None, None),
+    (1, None, 2.5, "lab1"),
+    (None, 2, None, "Lab22"),
+    (None, None, 3.0, ""),
+    (0, 0, 0.0, _Prefixed("lab3")),
+    (None, None, None, _Prefixed("office")),
+]
+
+
+def _outcomes(exprs, values_list) -> list:
+    """Per row in order: the projected tuple, or the raised exception's
+    type and message."""
+    fn = compile_projection(exprs, _SCHEMA)
+    out = []
+    for values in values_list:
+        try:
+            out.append(fn(values))
+        except Exception as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def _both_arms(exprs, values_list=_VALUES):
+    with generated():
+        ours = _outcomes(exprs, values_list)
+    with interpreted():
+        theirs = _outcomes(exprs, values_list)
+    assert ours == theirs
+    assert [tuple(map(type, row)) for row in ours if isinstance(row, tuple)] == [
+        tuple(map(type, row)) for row in theirs if isinstance(row, tuple)
+    ]
+    return ours
+
+
+def _coalesce(*args):
+    return FunctionCall("COALESCE", tuple(args))
+
+
+a, b, c, s = (ColumnRef(name) for name in "abcs")
+NULL = Literal(None)
+
+
+class TestInlinedCoalesceAndLike:
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            _coalesce(a),
+            _coalesce(a, b),
+            _coalesce(a, b, c),
+            _coalesce(a, b, c, Literal(7)),
+            _coalesce(NULL, a, NULL, b),
+            _coalesce(NULL, NULL, NULL, NULL),
+            _coalesce(Literal(5), a),  # constant first: known non-NULL
+            _coalesce(Literal("k"), s, NULL),
+            _coalesce(a, Literal(0.5), b),
+            _coalesce(_coalesce(a, b), _coalesce(c, Literal(1.5))),
+        ],
+        ids=lambda e: e.render(),
+    )
+    def test_coalesce(self, expr):
+        _both_arms([expr])
+
+    def test_coalesce_of_only_nulls_is_null_in_every_row(self):
+        rows = _both_arms([_coalesce(a, b), _coalesce(NULL, a)], [(None,) * 4] * 3)
+        assert rows == [(None, None)] * 3
+
+    def test_a_raising_later_argument_still_raises(self):
+        """Evaluation stays eager: a non-NULL first argument does not
+        spare the rest, as in the interpreter."""
+        raising = BinaryOp("+", s, Literal(1))  # str + int
+        rows = _both_arms([_coalesce(a, raising)])
+        assert (ExecutionError, "cannot apply + to 'lab1' and 1") in rows
+        assert rows[0] == (None,)  # s NULL: the sum is NULL, nothing raises
+
+    def test_a_constant_first_argument_compiles_without_warnings(self, recwarn):
+        with generated():
+            fn = compile_projection([_coalesce(Literal(5), a, Literal("x"))], _SCHEMA)
+        assert fn((None, None, None, None)) == (5,)
+        assert " is not None" not in fn.__compiled_source__
+        assert not [w for w in recwarn if issubclass(w.category, SyntaxWarning)]
+
+    @pytest.mark.parametrize("op", ["LIKE", "NOT LIKE"])
+    @pytest.mark.parametrize("pattern", ["lab%", "x%", "%", "", "LAB_", None])
+    def test_like(self, op, pattern):
+        """NULL on either side, a str subclass whose ``str()`` differs
+        (``x%`` matches it only through ``str()``), an empty string."""
+        _both_arms([BinaryOp(op, s, Literal(pattern))])
+
+    def test_dynamic_pattern(self):
+        _both_arms([BinaryOp("LIKE", Literal("lab1"), s), BinaryOp("NOT LIKE", s, s)])
+
+    @pytest.mark.parametrize("op", ["LIKE", "NOT LIKE"])
+    def test_like_in_a_hand_built_plan(self, op):
+        """The analyzer rejects LIKE over an INT, a hand-built plan does
+        not: the value matches through ``str()`` on both arms, in the
+        order the engine emits."""
+        catalog = Catalog()
+        catalog.register_stream("T", _SCHEMA, rate=1.0)
+        scan = Scan(catalog.source("T"), "t")
+        plans = [  # Select does not type its predicate; Project would
+            Select(scan, BinaryOp(op, ColumnRef("t.a"), Literal("1%"))),
+            Select(scan, BinaryOp(op, ColumnRef("t.s"), Literal("x%"))),
+        ]
+        rows = [Row(_SCHEMA, values, validate=False) for values in _VALUES * 2]
+
+        def run():
+            engine = StreamEngine(catalog)
+            handles = [engine.execute(plan, CollectingConsumer()) for plan in plans]
+            engine.push_many("T", rows[:6], [float(i) for i in range(6)])
+            for i, row in enumerate(rows[6:], 6):
+                engine.push("T", row, float(i))
+            return [
+                [(e.row.values, e.timestamp) for e in handle.sink.elements]
+                for handle in handles
+            ]
+
+        with generated():
+            ours = run()
+        with interpreted():
+            theirs = run()
+        assert ours == theirs
+        ints, strs = ours
+        if op == "LIKE":  # 1 and 'xlab3', 'xoffice' (through str()), twice
+            assert [(v[0], t) for v, t in ints] == [(1, 1.0), (1, 7.0)]
+            assert [v[3] for v, _ in strs] == ["lab3", "office"] * 2
+        else:  # NULLs match neither way
+            assert [v[0] for v, _ in ints] == [0, 0]
+            assert [v[3] for v, _ in strs] == ["lab1", "Lab22", ""] * 2
+
+
+# ----------------------------------------------------------------------
+# The ingest loop: generated against _coerce_row, on every channel
+# ----------------------------------------------------------------------
+#: Every DataType, one qualified field (full name 'T.q', bare 'q').
+_TYPES = Schema.of(
+    ("i", DataType.INT),
+    ("f", DataType.FLOAT),
+    ("s", DataType.STRING),
+    ("b", DataType.BOOL),
+    ("ts", DataType.TIMESTAMP),
+    ("z", DataType.NULL),
+    ("T.q", DataType.STRING),
+)
+
+
+class _Flag(int):
+    """An int subclass: a legal INT the inline exact-type test leaves to
+    the slow path."""
+
+
+def _good_rows(schema: Schema) -> list:
+    base = {"i": 1, "f": 2.5, "s": "x", "b": True, "ts": 10.0, "z": None, "q": "bare"}
+    same = Schema.of(*((f.name, f.dtype) for f in schema))
+    other = Schema.of(*((f"o{n}", f.dtype) for n, f in enumerate(schema)))
+    return [
+        base,
+        {**base, "f": 3, "ts": 4},  # int in FLOAT / TIMESTAMP: kept an int
+        dict.fromkeys(base),  # every column NULL
+        {**base, "T.q": "full"},  # full name wins over bare
+        {key: value for key, value in {**base, "T.q": "only"}.items() if key != "q"},
+        {**base, "s": _Prefixed("sub"), "i": _Flag(3)},  # subclasses: slow path
+        {**base, "extra": object()},  # unknown keys are ignored
+        types.MappingProxyType(base),  # a Mapping that is no dict
+        Row(schema, (5, 1.0, "r", False, 1.5, None, "row")),
+        Row(same, (6, 2.0, "eq", True, 2.5, None, "equal schema")),
+        Row(other, (7, 3.0, "ot", None, 3.5, None, "relabelled")),
+    ]
+
+
+_BAD_ROWS = [
+    ({"i": True, "f": 1.0, "s": "x", "b": True, "ts": 1.0, "z": None, "q": "q"}, TypeMismatchError),
+    ({"i": 1, "f": False, "s": "x", "b": True, "ts": 1.0, "z": None, "q": "q"}, TypeMismatchError),
+    ({"i": 1, "f": 1.0, "s": 3, "b": True, "ts": 1.0, "z": None, "q": "q"}, TypeMismatchError),
+    ({"i": 1, "f": 1.0, "s": "x", "b": 1, "ts": 1.0, "z": None, "q": "q"}, TypeMismatchError),
+    ({"i": 1, "f": 1.0, "s": "x", "b": True, "ts": 1.0, "z": 0, "q": "q"}, TypeMismatchError),
+    ({"i": 1, "f": 1.0, "s": "x", "b": True, "ts": 1.0, "z": None}, SchemaError),
+    ({"f": 1.0}, SchemaError),
+    (("a", "tuple"), SchemaError),
+]
+
+#: connect() options per channel.
+_CHANNELS = {
+    "engine": {},
+    "loopback2": {"shards": 2},
+    "framed2": {"shards": 2, "workers": "process"},
+}
+
+
+def _session(channel: str, checkpoint: bool = False):
+    session = connect(
+        **_CHANNELS[channel], **({"checkpoint_interval": 1e9} if checkpoint else {})
+    )
+    session.attach(StreamSource("T", _TYPES))
+    schema = session.catalog.source("T").schema
+    cursor = session.query("select * from T t")
+    return session, schema, cursor
+
+
+def _observed(cursor) -> list:
+    """Each result's values, their exact types and its timestamp, in
+    timestamp order (every row has its own)."""
+    elements = sorted(cursor._handle.sink.elements, key=lambda e: e.timestamp)
+    return [(e.row.values, tuple(map(type, e.row.values)), e.timestamp) for e in elements]
+
+
+class TestIngestIdentity:
+    @pytest.mark.parametrize("verb", ["push_many", "push"])
+    @pytest.mark.parametrize("channel", list(_CHANNELS))
+    def test_rows_enter_as_coerce_row_builds_them(self, channel, verb):
+        session, schema, cursor = _session(channel)
+        rows = _good_rows(schema)
+        stamps = [float(i) for i in range(len(rows))]
+        if verb == "push_many":
+            session.push_many("T", rows, stamps)
+        else:
+            for row, stamp in zip(rows, stamps):
+                session.push("T", row, stamp)
+        session.punctuate(100.0)
+        got = _observed(cursor)
+        session.close()
+        expected = []
+        for row, stamp in zip(rows, stamps):
+            values = StreamEngine._coerce_row(schema, row).values
+            expected.append((values, tuple(map(type, values)), stamp))
+        assert got == expected
+        assert expected[1][1][1] is int and expected[1][1][4] is int
+        assert [values[-1] for values, _, _ in got[:5]] == [
+            "bare", "bare", None, "full", "only",
+        ]
+
+    @pytest.mark.parametrize("channel", ["engine", "loopback2"])
+    def test_the_engine_builds_what_coerce_row_builds(self, channel):
+        """On the engine the ingest emits: a Row under the catalog
+        schema object passes through as itself, everything else is
+        rebuilt under it, exactly as ``_coerce_row`` would."""
+        session, schema, _ = _session(channel)
+        engine = session.engine if channel == "engine" else session.engine.engines[0]
+        loop = engine._ingest_loops[id(schema)]
+        assert hasattr(loop, "__compiled_source__")
+        rows = _good_rows(schema)
+        elements = loop(rows, [1.0] * len(rows), "T")
+        for row, element in zip(rows, elements):
+            reference = StreamEngine._coerce_row(schema, row)
+            assert element.row.values == reference.values
+            assert element.row.schema == reference.schema
+            assert (element.timestamp, element.source) == (1.0, "T")
+        assert elements[8].row is rows[8]
+        session.close()
+
+    @pytest.mark.parametrize("verb", ["push_many", "push"])
+    @pytest.mark.parametrize("channel", list(_CHANNELS))
+    @pytest.mark.parametrize("bad, error", _BAD_ROWS, ids=repr)
+    def test_a_rejected_row_raises_as_coerce_row_does(self, channel, verb, bad, error):
+        """Same type, same message (behind the session's
+        ``SourceError``); nothing of the batch is ingested and the replay
+        log holds no record of it."""
+        session, schema, cursor = _session(channel, checkpoint=True)
+        with pytest.raises(error) as expected:
+            StreamEngine._coerce_row(schema, bad)
+        log = session.checkpointer.log
+        before = log.next_seq
+        good = _good_rows(schema)[0]
+        with pytest.raises(SourceError) as raised:
+            if verb == "push_many":
+                session.push_many("T", [good, bad, good], [1.0, 2.0, 3.0])
+            else:
+                session.push("T", bad, 2.0)
+        cause = raised.value.__cause__
+        assert type(cause) is type(expected.value)
+        assert str(cause) == str(raised.value) == str(expected.value)
+        assert log.next_seq == before
+        session.punctuate(10.0)
+        assert cursor.results() == []
+        session.close()
+
+    def test_a_row_of_the_wrong_arity(self):
+        session, schema, _ = _session("engine")
+        short = Row(Schema.of(("i", DataType.INT)), (1,))
+        message = "row arity 1 does not match schema arity 7"
+        for verb, rows in (("push_many", [short]), ("push", short)):
+            with pytest.raises(SourceError, match=message) as raised:
+                getattr(session, verb)("T", rows, 1.0)
+            assert type(raised.value.__cause__) is ExecutionError
+        session.close()
+
+    @pytest.mark.parametrize("verb", ["push_many", "push"])
+    def test_the_interpreted_arm_is_the_same(self, verb):
+        """``interpreted()`` takes the ingest loop down to ``_coerce_row``
+        over every row — the reference the generated loop is held to."""
+
+        def run():
+            session, schema, cursor = _session("engine")
+            rows = _good_rows(schema)
+            stamps = [float(i) for i in range(len(rows))]
+            if verb == "push_many":
+                session.push_many("T", rows, stamps)
+            else:
+                for row, stamp in zip(rows, stamps):
+                    session.push("T", row, stamp)
+            session.punctuate(100.0)
+            loop = session.engine._ingest_loops[id(schema)]
+            got = _observed(cursor)
+            session.close()
+            return got, hasattr(loop, "__compiled_source__")
+
+        with generated():
+            ours, ours_generated = run()
+        with interpreted():
+            theirs, theirs_generated = run()
+        assert ours == theirs
+        assert (ours_generated, theirs_generated) == (True, False)
+
+    @pytest.mark.parametrize("channel", ["engine", "loopback2"])
+    def test_rows_into_an_unscanned_stream_generate_nothing(self, channel):
+        """A stream no query scans has no ingest loop: its rows are
+        checked by ``_coerce_row`` and nothing is generated while they
+        flow. The first query that scans it generates the loop."""
+        session = connect(**_CHANNELS[channel])
+        session.attach(StreamSource("T", _TYPES))
+        schema = session.catalog.source("T").schema
+        rows = _good_rows(schema)
+        before = session.stats()["compile"]
+        session.push_many("T", rows, 1.0)
+        session.push("T", rows[0], 2.0)
+        with pytest.raises(SourceError):
+            session.push("T", ("a", "tuple"), 3.0)
+        assert session.stats()["compile"] == before
+        assert session.engine._ingest_loops == {}
+        session.query("select * from T t")
+        assert hasattr(session.engine._ingest_loops[id(schema)], "__compiled_source__")
+        session.close()

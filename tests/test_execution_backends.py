@@ -875,6 +875,38 @@ class TestFanOutFinishesFirst:
         assert len(ordered.results()) == 20
         session.close()
 
+    @pytest.mark.parametrize("workers", ["thread", "process"])
+    def test_a_raising_subscriber_starves_no_cursor_in_a_frame(self, workers):
+        """A worker ships every query's emissions in one frame; the
+        framed channel forwards all of them, then raises — so the
+        sibling cursor gets every row on both channels, and the error
+        does not resurface from a later request."""
+        options = {"workers": "process"} if workers == "process" else {}
+        session = connect(shards=2, **options)
+        session.attach(StreamSource("R", READINGS, partition_by="host"))
+        sql = "select r.host, r.temp from R r where r.temp > 1.0"
+        a, b = session.query(sql), session.query(sql)
+        a.subscribe(self._raises)
+        seen = []
+        b.subscribe(seen.append)
+        raised = 0
+        for step in range(2):
+            rows, stamps = ROWS[20 * step : 20 * step + 20], float(step + 1)
+            for verb, args in (("push_many", ("R", rows, stamps)), ("punctuate", (stamps,))):
+                try:
+                    getattr(session, verb)(*args)
+                except RuntimeError as exc:
+                    assert str(exc) == "subscriber bug"
+                    raised += 1
+        assert raised >= 2  # each step raised, at ingest or at its barrier
+        assert len(b.results()) == len(a.results()) == len(ROWS)
+        assert seen == b.results()
+        assert sorted(row.values for row in a.results()) == sorted(
+            row.values for row in b.results()
+        )
+        assert session.stats()["compile"]["fallbacks"] == 0  # nothing left to raise
+        session.close()
+
     def test_a_raising_subscription_starves_no_sibling_subscription(self):
         with connect() as session:
             session.attach(StreamSource("R", READINGS))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import queue
 import random
 import re
 
@@ -360,10 +361,49 @@ class TestAckFrameInterleaving:
             parent = object.__new__(FramedChannel)  # no worker process
             parent.index = 0
             parent._feeds = {7: (feed, schema)}
-            assert parent._on_frame(("ack", 1, _pack([(7, frame_items)]), None))
+            # Every item forwarded, and no feed raised.
+            assert parent._on_frame(("ack", 1, _pack([(7, frame_items)]), None)) is None
 
         assert self._merged_order(framed) == loopback
         assert loopback[0] == items and loopback[1] == [7]
+
+    @pytest.mark.parametrize("wait", ["_await", "_drain"])
+    def test_a_raising_feed_loses_no_later_frame(self, wait):
+        """Once a feed has raised, every later frame up to the ack is
+        still forwarded — the ack's own emissions included — and the
+        first exception is raised after ``_awaiting`` is cleared."""
+        schema = Schema.of(("x", DataType.INT))
+
+        def frame_items(*xs):
+            sink = _FrameSink()
+            deliver(sink, [StreamElement(Row(schema, (x,)), float(x), "a") for x in xs])
+            return sink.take()
+
+        class Raising:
+            def push(self, item):
+                raise RuntimeError(f"feed bug {item!r}")
+
+            def push_batch(self, items):
+                raise RuntimeError(f"feed bug {items[0].row.values!r}")
+
+        seen: list = []
+        parent = object.__new__(FramedChannel)  # no worker process
+        parent.index = 0
+        parent._feeds = {7: (Raising(), schema), 8: (CallbackConsumer(seen.append), schema)}
+        parent.outq = queue.Queue()
+        for frame in [
+            ("out", None, _pack([(7, frame_items(1)), (8, frame_items(1))])),
+            ("out", None, _pack([(7, frame_items(2)), (8, frame_items(2, 3))])),
+            ("ack", 5, _pack([(8, frame_items(4))]), "reply"),
+        ]:
+            parent.outq.put(frame)
+        parent._awaiting = 5
+        with pytest.raises(RuntimeError, match=r"feed bug \(1,\)"):
+            getattr(parent, wait)()
+        assert [element.row.values for element in seen] == [(1,), (2,), (3,), (4,)]
+        assert parent.outq.empty()
+        if wait == "_await":
+            assert parent._awaiting is None
 
 
 class TestSessionSurfacesPoolStats:

@@ -564,15 +564,14 @@ class TestJoinRunBudget:
         assert (sink.batches, sink.pushes) == (1, 0)
 
     @pytest.mark.parametrize("left", [True, False], ids=["left-port", "right-port"])
-    def test_a_projection_on_top_builds_one_row_per_result(self, left, monkeypatch):
+    def test_a_projection_on_top_builds_one_row_per_result(self, left):
+        """Read off the outputs: every result is its own Row under the
+        projection's schema, and none is the joined row. The probe
+        kernel binds only the output schema and builds one Row per
+        result, so no joined Row is built and then discarded."""
         own, other = (_JL, _JR) if left else (_JR, _JL)
         buffered = [StreamElement(Row.raw(other, (i % 3, "a", 3)), float(i)) for i in range(9)]
         run = [StreamElement(Row.raw(own, (i % 3, "a", 3)), 5.0) for i in range(64)]
-        built = []
-        raw = Row.raw.__func__
-        monkeypatch.setattr(
-            Row, "raw", classmethod(lambda cls, s, v: built.append(s) or raw(cls, s, v))
-        )
         out = Schema.of(("g", DataType.STRING), ("s", DataType.INT))
         sink = _CountingSink()
         join = SymmetricHashJoin(
@@ -587,7 +586,13 @@ class TestJoinRunBudget:
         own_port.push_batch(run)
         assert len(sink.elements) == 64 * 3
         assert (sink.batches, sink.pushes) == (1, 0)
-        assert built == [out] * (64 * 3)  # no joined row first
+        rows = sink.rows
+        assert len({id(row) for row in rows}) == 64 * 3
+        assert all(row.schema is out for row in rows)  # no joined row first
+        probe = join._left_probe if left else join._right_probe
+        schemas = [v for v in probe.__globals__.values() if isinstance(v, Schema)]
+        assert schemas == [out]
+        assert probe.__compiled_source__.count("_new(_Row)") == 1
 
     def test_no_operator_above_the_join_on_the_ledger_pool(self):
         """``xchg_pool4``'s exchanged join emits its projection itself:
