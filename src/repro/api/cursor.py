@@ -164,14 +164,8 @@ class Cursor:
         self._rows = rows  # batch: materialized rows
         self.view_name = view_name
         self._closed = False
-        #: Rebound, never mutated, on subscribe: a fan-out in flight
-        #: keeps the list it started with.
+        #: What drain() reaches; each also observes the sink (its fan-out).
         self._subscribers: list[Subscription] = []
-        self._tapped = False
-        #: Set while a run fans out; runs a callback feeds into the sink
-        #: meanwhile wait here, each with the subscriptions it reaches.
-        self._dispatching = False
-        self._reentrant: list[tuple[list[StreamElement], list[Subscription]]] = []
         #: Federated execution state (set by FederatedBackend via
         #: _promote_federated; empty/None everywhere else).
         self.federated_plan = None
@@ -219,31 +213,33 @@ class Cursor:
         """Output column names (DB-API flavoured convenience)."""
         return None if self._schema is None else list(self._schema.names)
 
+    @property
+    def _sink(self):
+        """The continuous query's sink (or view); None for one-shots."""
+        owner = self._handle if self._handle is not None else self._query
+        return None if owner is None else owner.sink
+
     def results(self) -> list[Row]:
         """Every result row produced so far (all rows, for one-shots)."""
-        if self._handle is not None:
-            return list(self._handle.results)
-        if self._query is not None:
-            return list(self._query.results)
-        return list(self._rows or [])
+        sink = self._sink
+        return list(self._rows or []) if sink is None else sink.rows
 
     def latest_batch(self) -> list[Row]:
         """Rows since the last punctuation boundary (one-shots: all rows)."""
         if self._handle is not None:
             return self._handle.latest_batch()
-        if self._query is not None:
-            sink = self._query.sink
-            watermark = (
-                sink.punctuations[-1].watermark if sink.punctuations else float("-inf")
-            )
-            return [e.row for e in sink.elements if e.timestamp >= watermark]
-        return self.results()
+        if self._query is None:
+            return self.results()
+        elements, lo, hi, watermark = self._query.sink.extent()
+        return [e.row for e in elements[lo:hi] if e.timestamp >= watermark]
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self.results())
 
     def __len__(self) -> int:
-        return len(self.results())
+        """Result count, read off the sink (or view) without copying rows."""
+        sink = self._sink
+        return len(self._rows or ()) if sink is None else len(sink)
 
     # -- subscriptions -------------------------------------------------
     def subscribe(
@@ -260,9 +256,10 @@ class Cursor:
         defers delivery: emissions are buffered and the consumer drains
         them (:meth:`Subscription.drain` / :meth:`Cursor.drain`) at its
         own pace, so a slow callback never stalls the engine's — or a
-        shard's — emit path; ``"direct"`` calls back inline. The sink
-        hands each emitted run to every subscription in one dispatch
-        (sharded merge, federated and distributed cursors alike):
+        shard's — emit path; ``"direct"`` calls back inline. Each
+        subscription observes the cursor's sink, which hands it each
+        emitted run in one dispatch (see
+        :meth:`~repro.data.streams.CollectingConsumer.observe`):
 
         * each subscription sees rows in the order they entered the
           sink (:meth:`results`), at least once — see
@@ -270,25 +267,32 @@ class Cursor:
         * a fan-out finishes before it raises: a raising direct
           callback still lets every other subscription (and every other
           cursor the verb feeds) take the run, then the verb re-raises;
-        * a callback that feeds the session (reentrant delivery) gets
-          the rows it caused after the current run, exactly once;
+        * a callback that feeds the session (reentrant delivery): every
+          subscription on the sink gets the rows it caused after the
+          current run, exactly once;
         * a subscription made inside a callback starts with the next
           run: it gets exactly the rows that enter the sink after
           ``subscribe()`` returns.
+
+        A shared query's sink is a view of its chain's one result log
+        (:class:`~repro.data.streams.LogView`): a cursor admitted inside
+        a callback starts with the next run, never the one in flight;
+        ``close()`` freezes its results and unsubscribes it from the
+        log; neither close nor clear touches a sibling cursor.
 
         On one-shot cursors the already-materialized rows are replayed
         (direct) or queued (queue) immediately, as one run. Returns the
         :class:`Subscription`.
         """
         subscription = Subscription(callback, elements=elements, mode=mode)
-        self._subscribers = [*self._subscribers, subscription]
+        self._subscribers.append(subscription)
         if self._rows is not None:
             # One-shot cursor: replay (direct) or enqueue (queue) the
             # materialized rows; the subscription stays registered so
             # Cursor.drain() reaches it like any other.
             subscription._enqueue([StreamElement(row, 0.0) for row in self._rows])
-            return subscription
-        self._install_tap()
+        else:
+            self._sink.observe(subscription._enqueue)
         return subscription
 
     def drain(self, limit: int | None = None) -> int:
@@ -297,37 +301,6 @@ class Cursor:
         backlog, and whatever a raising direct-mode callback left
         behind. Returns total deliveries."""
         return sum(subscription.drain(limit) for subscription in self._subscribers)
-
-    def _dispatch(self, run: list[StreamElement]) -> None:
-        """The sink's observer: hand ``run`` to every subscription. A
-        run a callback feeds into the sink meanwhile fans out after this
-        one, to the subscriptions there were when it arrived."""
-        if self._dispatching:
-            self._reentrant.append((list(run), self._subscribers))
-            return
-        self._dispatching = True
-        subscriptions = self._subscribers
-        error = None
-        try:
-            while True:
-                for subscription in subscriptions:
-                    try:
-                        subscription._enqueue(run)
-                    except Exception as exc:  # a fan-out finishes first
-                        error = error or exc
-                if not self._reentrant:
-                    break
-                run, subscriptions = self._reentrant.pop(0)
-        finally:
-            self._dispatching = False
-        if error is not None:
-            raise error
-
-    def _install_tap(self) -> None:
-        if not self._tapped:
-            sink = self._handle.sink if self._handle is not None else self._query.sink
-            sink.observe(self._dispatch)
-            self._tapped = True
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -355,7 +328,7 @@ class Cursor:
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
-        return f"<Cursor {self.kind} {state} rows={len(self.results())}>"
+        return f"<Cursor {self.kind} {state} rows={len(self)}>"
 
 
 class PreparedStatement:

@@ -114,7 +114,7 @@ class StreamConsumer(Protocol):
 
     **A fan-out finishes before it raises.** A producer handing one item
     or run to several consumers — the engine's routes of a source, a
-    tee's branches, a pool's shards, a cursor's subscriptions — delivers
+    tee's branches, a pool's shards, a sink's observers — delivers
     to every one of them even when one raises, then re-raises the first
     exception. The verb still raises, and what it carried counts as
     ingested (it is in the replay log), so a caller that retries it
@@ -149,9 +149,14 @@ class CallbackConsumer:
             fn(element)
 
 
+Observer = Callable[[list[StreamElement]], None]
+
+
 class CollectingConsumer:
     """Consumer that buffers everything it receives — used by tests,
-    benches and as the terminal sink of executed query plans."""
+    benches, as the terminal sink of executed query plans, and as a
+    shared chain's append-only result log, which each of the chain's
+    queries reads through its own :class:`LogView`."""
 
     def __init__(self) -> None:
         self.elements: list[StreamElement] = []
@@ -159,9 +164,13 @@ class CollectingConsumer:
         #: Times clear() has run — lets incremental readers (e.g.
         #: QueryHandle.latest_batch) detect a reset even after a refill.
         self.clears = 0
-        self._observers: list[Callable[[list[StreamElement]], None]] = []
+        #: Rebound, never mutated: a fan-out in flight keeps its list.
+        self._observers: list[Observer] = []
+        #: ``(run, observers)`` stored while a fan-out is in flight;
+        #: None when no fan-out is.
+        self._queued: list[tuple[list[StreamElement], list[Observer]]] | None = None
 
-    def observe(self, callback: Callable[[list[StreamElement]], None]) -> None:
+    def observe(self, callback: Observer) -> None:
         """Call ``callback`` once with every run stored from now on,
         after it is stored (a Cursor's subscriptions hang off this).
 
@@ -169,9 +178,19 @@ class CollectingConsumer:
         ``push`` as a one-element run, so an observer has one body. The
         run is the producer's list: an observer neither mutates nor
         keeps it (the ``push_batch`` rule on :class:`StreamConsumer`).
-        Empty runs and punctuations are not observed.
+        Empty runs and punctuations are not observed. The rules of the
+        observer fan-out:
+
+        * *a fan-out finishes before it raises* — every observer gets
+          the run, then the first exception is re-raised;
+        * *log order* — every observer sees runs in the order they were
+          stored. A run stored while a fan-out is in flight (a callback
+          that feeds the session) is delivered after it, exactly once,
+          to the observers there were when it was stored;
+        * *late observers* — an observer added inside a callback starts
+          with the next run stored.
         """
-        self._observers.append(callback)
+        self._observers = [*self._observers, callback]
 
     def push(self, item: StreamItem) -> None:
         if isinstance(item, Punctuation):
@@ -179,20 +198,54 @@ class CollectingConsumer:
         else:
             self.elements.append(item)
             if self._observers:
-                run = [item]
-                for callback in self._observers:
-                    callback(run)
+                self._fan_out([item])
 
     def push_batch(self, elements: list[StreamElement]) -> None:
         self.elements.extend(elements)
         if self._observers and elements:
-            for callback in self._observers:
-                callback(elements)
+            self._fan_out(elements)
+
+    def _fan_out(self, run: list[StreamElement]) -> None:
+        observers = self._observers
+        if self._queued is not None:
+            self._queued.append((list(run), observers))
+            return
+        self._queued = queued = []
+        error = None
+        try:
+            while True:
+                for callback in observers:
+                    try:
+                        callback(run)
+                    except Exception as exc:  # a fan-out finishes first
+                        error = error or exc
+                if not queued:
+                    break
+                run, observers = queued.pop(0)
+        finally:
+            self._queued = None
+        if error is not None:
+            raise error
 
     @property
     def rows(self) -> list[Row]:
         """The received data rows, in arrival order."""
         return [e.row for e in self.elements]
+
+    def extent(self) -> tuple[list[StreamElement], int, int, float]:
+        """``(elements, lo, hi, watermark)``: the results are
+        ``elements[lo:hi]`` and ``watermark`` is the latest punctuation's
+        (``-inf`` before the first) — what an incremental reader
+        (``QueryHandle.latest_batch``) needs, without a copy."""
+        punctuations = self.punctuations
+        watermark = punctuations[-1].watermark if punctuations else float("-inf")
+        return self.elements, 0, len(self.elements), watermark
+
+    def restore(self, state: dict) -> None:
+        """Refill from a checkpointed ``snapshot_sink`` state."""
+        self.elements[:] = state["elements"]
+        self.punctuations[:] = state["punctuations"]
+        self.clears = state["clears"]
 
     def clear(self) -> None:
         self.elements.clear()
@@ -201,6 +254,103 @@ class CollectingConsumer:
 
     def __len__(self) -> int:
         return len(self.elements)
+
+
+class LogView:
+    """One query's window onto a shared result log.
+
+    A shared chain stores its results once, in one
+    :class:`CollectingConsumer` (the *log*, never cleared); every query
+    the engine gave a default sink on that chain reads it through a view
+    with a sink's surface, which costs nothing per row:
+
+    * the view starts at the log's length when it is made — a query
+      admitted inside a subscriber callback, when the run in flight is
+      already stored, starts with the next run;
+    * :meth:`close` fixes its end: its results stay readable and stop
+      growing, its observers leave the log, and its siblings and the log
+      are untouched;
+    * :meth:`clear` moves its start to the current end (its siblings
+      keep theirs) and counts in its own ``clears``;
+    * :meth:`observe` registers on the log (the log's fan-out rules
+      hold) until the view closes.
+
+    ``elements`` / ``punctuations`` / ``rows`` are copies of the
+    view's slice; :meth:`extent` reads it without one.
+    """
+
+    def __init__(self, log: CollectingConsumer) -> None:
+        self.log = log
+        self._start = len(log.elements)
+        self._pstart = len(log.punctuations)
+        #: End offsets, fixed at close; None while open.
+        self._end: int | None = None
+        self._pend: int | None = None
+        self.clears = 0
+        self._observers: list[Observer] = []
+
+    def _bounds(self) -> tuple[int, int]:
+        """End offsets into the log's elements and punctuations."""
+        if self._end is None:
+            return len(self.log.elements), len(self.log.punctuations)
+        return self._end, self._pend
+
+    @property
+    def elements(self) -> list[StreamElement]:
+        return self.log.elements[self._start : self._bounds()[0]]
+
+    @property
+    def punctuations(self) -> list[Punctuation]:
+        return self.log.punctuations[self._pstart : self._bounds()[1]]
+
+    @property
+    def rows(self) -> list[Row]:
+        return [e.row for e in self.elements]
+
+    def __len__(self) -> int:
+        return self._bounds()[0] - self._start
+
+    def extent(self) -> tuple[list[StreamElement], int, int, float]:
+        """As :meth:`CollectingConsumer.extent`, over the log's list."""
+        end, pend = self._bounds()
+        log = self.log
+        watermark = log.punctuations[pend - 1].watermark if pend > self._pstart else float("-inf")
+        return log.elements, self._start, end, watermark
+
+    def observe(self, callback: Observer) -> None:
+        """Observe the log's runs until this view closes (a closed view
+        takes no observer)."""
+        if self._end is None:
+            self._observers.append(callback)
+            self.log.observe(callback)
+
+    def close(self) -> None:
+        """Fix the end offsets and take this view's observers off the
+        log. Idempotent."""
+        if self._end is not None:
+            return
+        self._end, self._pend = self._bounds()
+        mine, log = self._observers, self.log
+        log._observers = [callback for callback in log._observers if callback not in mine]
+        self._observers = []
+
+    def clear(self) -> None:
+        self._start, self._pstart = self._bounds()
+        self.clears += 1
+
+    def restore(self, state: dict) -> None:
+        """Take a checkpointed slice back. Every open view's slice is a
+        suffix of its log, so the longest one refills a fresh log and
+        the others start where their suffix does: restore the views of
+        one log longest slice first."""
+        log, elements, punctuations = self.log, state["elements"], state["punctuations"]
+        if len(elements) > len(log.elements):
+            log.elements[:] = elements
+        if len(punctuations) > len(log.punctuations):
+            log.punctuations[:] = punctuations
+        self._start = len(log.elements) - len(elements)
+        self._pstart = len(log.punctuations) - len(punctuations)
+        self.clears = state["clears"]
 
 
 def push_all(consumer: StreamConsumer, elements: list[StreamElement]) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.data.streams import Punctuation, StreamElement, StreamItem
+from repro.data.streams import StreamElement
 from repro.data.tuples import Row
 from repro.plan import PlanBuilder
 from repro.sql.expressions import Expr
@@ -76,18 +76,14 @@ class AlarmService:
             raise ValueError(f"alarm rule {rule.name!r} already registered")
         plan = self._builder.build_sql(rule.sql)
         handle = self._engine.execute(plan)  # type: ignore[arg-type]
-        # Splice an observer onto the sink by wrapping its push.
-        sink = handle.sink
-        original_push = sink.push
-        service = self
 
-        def observing_push(item: StreamItem) -> None:
-            original_push(item)
-            if isinstance(item, Punctuation):
-                return
-            service._fire(rule, item)
+        def fire(run: list[StreamElement]) -> None:
+            for element in run:
+                self._fire(rule, element)
 
-        sink.push = observing_push  # type: ignore[method-assign]
+        # The sink's one observer hook: every stored run, whether a
+        # push or a push_many emitted it (and over a shared log's view).
+        handle.sink.observe(fire)
         self._rules[rule.name] = rule
         self._handles[rule.name] = handle
         self._active_keys[rule.name] = set()

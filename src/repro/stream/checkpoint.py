@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.data.streams import CollectingConsumer, StreamElement
+from repro.data.streams import CollectingConsumer, LogView, StreamElement
 from repro.errors import ExecutionError
 from repro.plan.logical import LogicalOp
 
@@ -107,7 +107,7 @@ class QueryCheckpoint:
 
     plan: LogicalOp
     operators: list[dict]
-    sink: dict | None  # CollectingConsumer contents, None for custom sinks
+    sink: dict | None  # default sink (or view) contents, None for custom sinks
     #: Whether the query ran as tee branches of shared chains at the
     #: barrier; ``operators`` then holds only its residual pipeline and
     #: the chain state lives in ``EngineCheckpoint.chains``. Restore
@@ -361,8 +361,10 @@ class CheckpointCoordinator:
 # Snapshot helpers (same-package access to engine internals)
 # ----------------------------------------------------------------------
 def snapshot_sink(sink) -> dict | None:
-    """Contents of a standard sink, None for custom consumers."""
-    if isinstance(sink, CollectingConsumer):
+    """Contents of a standard sink, None for custom consumers. A view's
+    contents are its own slice of its chain's log, so every running
+    view's slice is a suffix of the log (``LogView.restore``)."""
+    if isinstance(sink, (CollectingConsumer, LogView)):
         return {
             "elements": list(sink.elements),
             "punctuations": list(sink.punctuations),

@@ -35,6 +35,7 @@ from repro.catalog import Catalog, SourceKind
 from repro.data.schema import Schema
 from repro.data.streams import (
     CollectingConsumer,
+    LogView,
     Punctuation,
     StreamConsumer,
     StreamElement,
@@ -89,7 +90,9 @@ class QueryHandle:
         query_id: Engine-assigned identifier.
         plan: The logical plan being executed.
         compiled: The operator pipeline.
-        sink: Collects every result row the query emits.
+        sink: Collects every result row the query emits — a
+            :class:`LogView` over its shared chain's result log when the
+            engine chose the sink and the query is shared.
         engine: The hosting engine (set by :meth:`StreamEngine.execute`);
             enables :meth:`stop` and use as a context manager.
     """
@@ -97,11 +100,11 @@ class QueryHandle:
     query_id: int
     plan: LogicalOp
     compiled: CompiledPlan
-    sink: CollectingConsumer
+    sink: CollectingConsumer | LogView
     engine: "StreamEngine | None" = field(default=None, repr=False)
-    #: True when this query runs as a tee branch of a shared chain: its
-    #: sink hangs off the chain's tee directly, ``compiled`` is empty
-    #: and the chain's operators live in the registry.
+    #: True when this query reads a shared chain (through a view of its
+    #: log, or as a tee branch): ``compiled`` is empty and the chain's
+    #: operators live in the registry.
     shared: bool = field(default=False, repr=False)
     # latest_batch incremental state: sink elements before _scan_pos have
     # been classified against _cached_watermark; _batch keeps the ones
@@ -131,15 +134,14 @@ class QueryHandle:
 
     def latest_batch(self) -> list[Row]:
         """Rows emitted since the last punctuation boundary observed."""
-        watermark = self._last_watermark()
-        elements = self.sink.elements
+        elements, lo, hi, watermark = self.sink.extent()
         if (
-            self._seen_clears != getattr(self.sink, "clears", 0)
-            or self._scan_pos > len(elements)
+            self._seen_clears != self.sink.clears
+            or self._scan_pos > hi - lo
             or watermark < self._cached_watermark
         ):
             # Sink was cleared, or the watermark regressed: rescan.
-            self._seen_clears = getattr(self.sink, "clears", 0)
+            self._seen_clears = self.sink.clears
             self._scan_pos = 0
             self._batch = []
             self._cached_watermark = watermark
@@ -148,17 +150,9 @@ class QueryHandle:
             # elements stay excluded; prune the kept ones.
             self._batch = [e for e in self._batch if e.timestamp >= watermark]
             self._cached_watermark = watermark
-        while self._scan_pos < len(elements):
-            element = elements[self._scan_pos]
-            self._scan_pos += 1
-            if element.timestamp >= watermark:
-                self._batch.append(element)
+        self._batch += [e for e in elements[lo + self._scan_pos : hi] if e.timestamp >= watermark]
+        self._scan_pos = hi - lo
         return [e.row for e in self._batch]
-
-    def _last_watermark(self) -> float:
-        if not self.sink.punctuations:
-            return float("-inf")
-        return self.sink.punctuations[-1].watermark
 
 
 @dataclass
@@ -205,9 +199,9 @@ class StreamEngine:
         self.share_plans = share_plans
         #: Shared-subplan registry (chains live here; see multiplex.py).
         self.subplans = SubplanRegistry(self)
-        #: query_id -> (the shared chain whose tee feeds the query's
-        #: sink, the branch on that tee: the sink or its exit label).
-        self._attachments: dict[int, tuple[SharedChain, StreamConsumer]] = {}
+        #: query_id -> (the shared chain the query reads, its reader:
+        #: a view of the chain's log, or its own branch on the tee).
+        self._attachments: dict[int, tuple[SharedChain, Any]] = {}
         #: Recovery plumbing (see :mod:`repro.stream.checkpoint`). A
         #: coordinator attaches itself here; ingestion then appends to
         #: its bounded replay log. ``failed`` marks a simulated crash:
@@ -283,29 +277,38 @@ class StreamEngine:
         this one query (checkpoint restore pins each query to the
         sharing decision recorded at the barrier).
 
+        What the sink is decides how a shared query reads its chain:
+        with ``sink`` None, ``handle.sink`` is a
+        :class:`~repro.data.streams.LogView` over the chain's one result
+        log (see there for admission mid-fan-out, close, clear and
+        observers); a custom sink is a tee branch of its own. Either way
+        a private query (``share_plans=False``, or a declined plan) gets
+        its own sink.
+
         A plan that hands its sink source rows as they were ingested
         (a hand-built one; see :func:`~repro.stream.compiler.result_sink`)
-        feeds the sink through its exit label; ``handle.sink`` is the
-        sink itself either way.
+        feeds the sink (or the log) through its exit label;
+        ``handle.sink`` is the sink itself either way.
         """
         if self.failed:
             raise ExecutionError(
                 "engine has failed; restore() it from a checkpoint first"
             )
-        if sink is None:
-            sink = CollectingConsumer()
-        terminal = result_sink(plan, sink)
         use_share = self.share_plans if share is None else share
-        chain = self.subplans.admit(plan, terminal) if use_share else None
-        if chain is not None:
+        admitted = self.subplans.admit(plan, sink) if use_share else None
+        if admitted is not None:
             compiled = CompiledPlan(root=plan)  # the pipeline is the chain's
+            if sink is None:
+                sink = admitted[1]
         else:
-            compiled = self._compiler.compile(plan, terminal)
+            if sink is None:
+                sink = CollectingConsumer()
+            compiled = self._compiler.compile(plan, result_sink(plan, sink))
         handle = QueryHandle(next(_query_ids), plan, compiled, sink, self)
-        handle.shared = chain is not None
+        handle.shared = admitted is not None
         self._queries[handle.query_id] = handle
-        if chain is not None:
-            self._attachments[handle.query_id] = (chain, terminal)
+        if admitted is not None:
+            self._attachments[handle.query_id] = admitted
         self._register_routes(handle)
         # Replay stored tables into the new query's table scans.
         for port in compiled.ports:
@@ -320,8 +323,8 @@ class StreamEngine:
     def stop(self, handle: QueryHandle) -> None:
         """Stop routing data into a query. Idempotent: stopping a query
         that is already stopped (or was never started here) is a no-op.
-        A shared query detaches only its own sink from the chain's tee;
-        sibling queries on the same chain are undisturbed."""
+        A shared query closes only its own view (or detaches only its
+        own branch); sibling queries on the same chain are undisturbed."""
         if self._queries.pop(handle.query_id, None) is None:
             return
         self._drop_routes(handle.query_id)
@@ -661,7 +664,8 @@ class StreamEngine:
 
         ``sinks`` optionally overrides the terminal consumer per query
         (aligned with ``checkpoint.queries``); entries set to None get a
-        fresh :class:`CollectingConsumer` restored from the snapshot.
+        fresh default sink — a :class:`CollectingConsumer`, or a view of
+        a regrown chain's log — restored from the snapshot.
         Returns the new handles in checkpoint order.
         """
         for handle in self.running_queries:
@@ -671,6 +675,7 @@ class StreamEngine:
             name: list(elements) for name, elements in checkpoint.tables.items()
         }
         handles: list[QueryHandle] = []
+        pours: list[tuple[Any, dict]] = []
         for position, query_cp in enumerate(checkpoint.queries):
             sink = sinks[position] if sinks is not None else None
             # Pin each query to the sharing decision recorded at the
@@ -689,10 +694,12 @@ class StreamEngine:
             for operator, state in zip(operators, query_cp.operators):
                 operator.state_restore(state)
             if sink is None and query_cp.sink is not None:
-                handle.sink.elements[:] = list(query_cp.sink["elements"])
-                handle.sink.punctuations[:] = list(query_cp.sink["punctuations"])
-                handle.sink.clears = query_cp.sink["clears"]
+                pours.append((handle.sink, query_cp.sink))
             handles.append(handle)
+        # Longest slice first: it refills a view's log (LogView.restore).
+        pours.sort(key=lambda pour: (len(pour[1]["elements"]), len(pour[1]["punctuations"])), reverse=True)
+        for sink, state in pours:
+            sink.restore(state)
         self.subplans.restore_chains(getattr(checkpoint, "chains", {}))
         self._replaying = True
         try:

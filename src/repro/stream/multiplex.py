@@ -14,19 +14,21 @@ operator pipeline per query). This module removes both:
   .StreamEngine`) detects structurally identical plans and common
   scan/filter/fused-chain/window prefixes across live queries by
   structural fingerprint and runs *one* operator chain per distinct
-  structure, fanned out to per-query sinks via :class:`TeeOp` with
-  reference-counted teardown.
+  structure, fanned out to its distinct consumers via :class:`TeeOp`
+  with reference-counted teardown.
 
 Chain model
 -----------
-Every shared-eligible query becomes one tee branch on a *whole-plan*
-chain; whole-plan chains stack on narrower *cut* chains — a
-Select/Project run over a stream scan, optionally capped by the
-Aggregate directly above. Chains therefore form a refcounted DAG: two
-identical templates share everything; two different templates over the
-same filtered scan share the scan+filter prefix. Closing a cursor
-releases exactly its branch; a chain tears down (and releases its
-parents) only when its last reference drops.
+Every shared-eligible query reads a *whole-plan* chain — through a
+:class:`~repro.data.streams.LogView` of the chain's one result log, or,
+with a custom sink, as a tee branch of its own; whole-plan chains stack
+on narrower *cut* chains — a Select/Project run over a stream scan,
+optionally capped by the Aggregate directly above. Chains therefore
+form a refcounted DAG: two identical templates share everything; two
+different templates over the same filtered scan share the scan+filter
+prefix. Closing a cursor releases exactly its view or branch; a chain
+tears down (and releases its parents) only when its last reference
+drops.
 
 **A cut is made where it is shared.** A chain that will hold state —
 its root is an Aggregate, Distinct, Join, OrderBy or Limit — always
@@ -72,7 +74,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.catalog import SourceKind
-from repro.data.streams import push_all
+from repro.data.streams import CollectingConsumer, LogView, push_all
 from repro.errors import ExecutionError
 from repro.plan.logical import (
     Aggregate,
@@ -114,13 +116,13 @@ def _next_chain_id() -> int:
 
 
 class TeeOp:
-    """Fan one element stream out to many per-query consumers.
+    """Fan one element stream out to a chain's distinct consumers.
 
     The terminal consumer of every shared chain. Branches are the
-    subscribed queries' sinks and, for a cut chain, the operators of the
-    chains stacked on it — nothing sits in between but a hand-built
-    query's exit label (:func:`~repro.stream.compiler.result_sink`,
-    never on a SQL query), so every branch is handed the same run and
+    chain's result log, custom query sinks and, for a cut chain, the
+    operators of the chains stacked on it — nothing sits in between but
+    a hand-built query's exit label (:func:`~repro.stream.compiler
+    .result_sink`), so every branch is handed the same run and
     the same elements (the ``push_batch`` contract: a receiver neither
     mutates nor keeps the list). Add and
     remove never disturb sibling branches, even from inside a delivery
@@ -344,13 +346,14 @@ class SharedChain:
             labelled per query by a hand-built query's exit label.
         compiled: The chain's pipeline; its ports are scan ports, its
             feeds hang on the parent chains' tees.
-        tee: Terminal fan-out to branches (query sinks/nested chains).
-            Survives a re-lowering, so branches never notice one.
+        tee: Terminal fan-out to branches (the log, query sinks, nested
+            chains). Survives a re-lowering, so branches never notice one.
+        log: The result log ``views`` queries read; tee branch ``log_branch``.
         stateless: True when every chain operator is Filter/Project/
             Fused — attachable at any time.
         ingest_mark: ``engine.elements_ingested`` when built.
         punct_mark: ``engine.punctuations_seen`` when built.
-        refs: Live references (query branches + child chains).
+        refs: Live references (views, query branches, child chains).
         parents: ``(parent chain, branch)`` attachments this chain
             holds on narrower chains it consumes from; the branch is
             the operator of this chain that the parent's tee feeds.
@@ -371,6 +374,9 @@ class SharedChain:
     refs: int = 0
     parents: list[tuple["SharedChain", Any]] = field(default_factory=list)
     inlined: list[tuple] = field(default_factory=list)
+    log: CollectingConsumer | None = None
+    log_branch: Any = None
+    views: int = 0
 
 
 class SubplanRegistry:
@@ -383,7 +389,10 @@ class SubplanRegistry:
     """
 
     def __init__(self, engine: Any):
+        from repro.stream.compiler import result_sink  # the compiler imports this module
+
         self._engine = engine
+        self._result_sink = result_sink
         #: fingerprint -> live chains (usually one; a warm stateful
         #: chain that declined an attach grows a sibling).
         self._chains: dict[tuple, list[SharedChain]] = {}
@@ -404,12 +413,14 @@ class SubplanRegistry:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-    def admit(self, plan: LogicalOp, sink: Any) -> SharedChain | None:
-        """Run ``plan`` as a branch of its whole-plan chain.
+    def admit(self, plan: LogicalOp, sink: Any | None) -> tuple[SharedChain, Any] | None:
+        """Run ``plan`` as a reader of its whole-plan chain.
 
-        Attaches ``sink`` to the chain's tee directly and returns the
-        chain — the one reference the caller releases on stop, with
-        ``sink`` as the branch — or None when the plan is ineligible or
+        ``sink`` None: the reader is a new :class:`LogView` of the
+        chain's result log (hung on the tee by the first view); a custom
+        sink is a tee branch of its own. Returns ``(chain, reader)`` —
+        the one reference the caller releases on stop — or None when
+        the plan is ineligible or
         cannot be fingerprinted (``last_decline`` then carries the coded
         reason), in which case the engine compiles it privately.
         """
@@ -419,18 +430,34 @@ class SubplanRegistry:
             self.last_decline = (code, reason)
             return None
         chain = self._acquire(plan)
-        chain.tee.add_branch(sink)
-        return chain
+        if sink is not None:
+            reader = self._result_sink(plan, sink)
+            chain.tee.add_branch(reader)
+            return chain, reader
+        if chain.log is None:
+            chain.log = CollectingConsumer()
+            chain.log_branch = self._result_sink(plan, chain.log)
+            chain.tee.add_branch(chain.log_branch)
+        chain.views += 1
+        return chain, LogView(chain.log)
 
-    def release(self, chain: SharedChain, branch: Any) -> None:
+    def release(self, chain: SharedChain, reader: Any) -> None:
         """Drop one reference; tear the chain down at zero.
 
         Refcounted teardown is what makes cursor lifecycle idempotent
-        under sharing: closing one cursor detaches exactly its branch,
-        and siblings (and the chain's upstream routing) are untouched
-        until the last reference goes.
+        under sharing: closing one cursor closes exactly its view (the
+        last view takes the log off the tee) or detaches its branch, and
+        siblings and upstream routing are untouched until the last
+        reference goes.
         """
-        chain.tee.remove_branch(branch)
+        if isinstance(reader, LogView):
+            reader.close()
+            chain.views -= 1
+            if not chain.views:
+                chain.tee.remove_branch(chain.log_branch)
+                chain.log = chain.log_branch = None
+        else:
+            chain.tee.remove_branch(reader)
         chain.refs -= 1
         self.detached += 1
         if chain.refs <= 0:

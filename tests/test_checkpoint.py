@@ -478,6 +478,58 @@ class TestStatelessCutsAcrossRecovery:
         assert self._run(fail=True) == expected
 
 
+class TestLogViewsAcrossRecovery:
+    """Three queries read one shared chain's result log through views:
+    one admitted late, one cleared, one closed before the barrier. A
+    view snapshots its own slice of the log — every running view's
+    slice is a suffix of it — and a restore refills the regrown chain's
+    log from the longest, so each query reads after fail → recover() →
+    replay exactly what it reads in the failure-free run."""
+
+    SQL = QUERIES[2]
+
+    def _run(self, fail):
+        catalog = _catalog()
+        engine = StreamEngine(catalog, share_plans=True)
+        coordinator = CheckpointCoordinator(engine, interval=None)
+        build = PlanBuilder(catalog).build_sql
+        rows, stamps = _rows(60)
+
+        def feed(lo, hi):
+            engine.push_many("Readings", rows[lo:hi], stamps[lo:hi])
+            engine.punctuate(stamps[hi - 1] - 0.5)
+
+        aggregate = engine.execute(build(QUERIES[0]))
+        cleared, closed = engine.execute(build(self.SQL)), engine.execute(build(self.SQL))
+        feed(0, 10)
+        late = engine.execute(build(self.SQL))
+        feed(10, 20)
+        cleared.sink.clear()
+        feed(20, 25)
+        engine.stop(closed)
+        feed(25, 30)
+        barrier = coordinator.checkpoint(stamps[29])
+        slices = [query.sink["elements"] for query in barrier.queries[1:]]
+        assert len(slices[0]) < len(slices[1])  # the cleared one's is shorter...
+        assert slices[1][-len(slices[0]) :] == slices[0]  # ...and a suffix
+        feed(30, 40)
+        if fail:
+            engine.fail()
+            aggregate, cleared, late = coordinator.recover()
+            assert cleared.sink.log is late.sink.log and cleared.sink.clears == 1
+        feed(40, 60)
+        engine.punctuate(stamps[-1] + 100.0)
+        return [
+            ([(e.timestamp, e.row.values) for e in handle.sink.elements], handle.latest_batch())
+            for handle in (aggregate, cleared, late, closed)
+        ]
+
+    def test_every_view_reads_as_if_nothing_failed(self):
+        expected = self._run(fail=False)
+        assert all(elements for elements, _ in expected)
+        assert self._run(fail=True) == expected
+
+
 class TestProjectAboveJoinLayout:
     """A barrier whose join still had a ProjectOp above it (as when the
     run's fused code declines, and in every checkpoint written before the

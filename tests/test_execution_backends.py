@@ -27,7 +27,7 @@ from repro.api import (
     TableSource,
     connect,
 )
-from repro.api.cursor import Cursor
+from repro.api.cursor import Subscription
 from repro.catalog import Catalog
 from repro.data import DataType, Row, Schema, stable_hash
 from repro.data.streams import (
@@ -636,14 +636,20 @@ class TestRunDelivery:
             assert cursor.drain() == 4
             assert flaky.seen == cursor.results() and len(flaky.seen) == 5
 
+    @pytest.mark.parametrize("twin", [False, True], ids=["alone", "twin on one log"])
     @pytest.mark.parametrize("shards", [1, 2])
-    def test_reentrant_push_is_delivered_after_the_run_exactly_once(self, shards):
+    def test_reentrant_push_is_delivered_after_the_run_exactly_once(self, shards, twin):
         """A callback that feeds the session: the rows it causes reach
         every subscription after the run in flight, once, and every
         subscription — the feeding one and the one after it — sees the
-        sink's order."""
+        sink's order. With a twin cursor (on one engine, a second view
+        of the same result log) the twin's subscription, after the
+        feeding one on the log, never sees the nested run first."""
         with self._session(shards) as session:
             cursor = session.query(self.SQL)
+            other_cursor = session.query(self.SQL) if twin else cursor
+            if twin and shards == 1:
+                assert cursor._handle.sink.log is other_cursor._handle.sink.log
             fed, other = [], []
 
             def feeding(row):
@@ -653,11 +659,13 @@ class TestRunDelivery:
                     session.push_many("Readings", ROWS[11:13], 6.0)
 
             cursor.subscribe(feeding)
-            cursor.subscribe(other.append)
+            other_cursor.subscribe(other.append)
             session.push_many("Readings", ROWS[:4], 1.0)
             session.push("Readings", ROWS[4], 2.0)
-            assert len(cursor.results()) == 8
-            assert fed == other == cursor.results()
+            assert len(cursor.results()) == len(other_cursor.results()) == 8
+            assert fed == cursor.results() and other == other_cursor.results()
+            if shards == 1:
+                assert fed == other  # one log, one order
 
     @pytest.mark.parametrize("order", ["subscribe then push", "push then subscribe"])
     def test_a_subscription_made_in_a_callback_starts_with_the_next_run(self, order):
@@ -754,21 +762,29 @@ class TestRunDelivery:
             for cursor, out in zip(cursors, seen):
                 assert out and out == cursor.results()
 
-    def test_a_run_costs_one_dispatch(self, monkeypatch):
+    @pytest.mark.parametrize("twin", [False, True], ids=["alone", "twin on one log"])
+    def test_a_run_costs_one_dispatch(self, twin, monkeypatch):
+        """One call per run per subscription — the sink hands the run
+        to each subscription directly (a cursor has no dispatcher of
+        its own), and a twin cursor's subscription on the same log is
+        one more call, not one more copy."""
         calls = []
-        dispatch = Cursor._dispatch
+        enqueue = Subscription._enqueue
 
         def counted(self, run):
             calls.append(len(run))
-            return dispatch(self, run)
+            return enqueue(self, run)
 
-        monkeypatch.setattr(Cursor, "_dispatch", counted)
+        monkeypatch.setattr(Subscription, "_enqueue", counted)
         with self._session() as session:
-            cursor = session.query(self.SQL)
+            cursors = [session.query(self.SQL) for _ in range(2 if twin else 1)]
             seen = []
-            cursor.subscribe(seen.append)
+            for cursor in cursors:
+                cursor.subscribe(seen.append)
             session.push_many("Readings", ROWS[:25], 1.0)
-            assert calls == [25] and len(seen) == 25
+            assert calls == [25] * len(cursors) and len(seen) == 25 * len(cursors)
+            if twin:
+                assert cursors[0]._handle.sink.log is cursors[1]._handle.sink.log
 
 
 class TestFanOutFinishesFirst:
@@ -907,16 +923,23 @@ class TestFanOutFinishesFirst:
         assert session.stats()["compile"]["fallbacks"] == 0  # nothing left to raise
         session.close()
 
-    def test_a_raising_subscription_starves_no_sibling_subscription(self):
+    @pytest.mark.parametrize("twin", [False, True], ids=["one cursor", "twins on one log"])
+    def test_a_raising_subscription_starves_no_sibling_subscription(self, twin):
+        """The sink's observers are a fan-out too: a raising one leaves
+        the rest their run — the same cursor's, or (``twin``) a sibling
+        cursor's reading the same shared result log."""
         with connect() as session:
             session.attach(StreamSource("R", READINGS))
             cursor = session.query("select r.host from R r")
+            sibling = session.query("select r.host from R r") if twin else cursor
+            if twin:
+                assert cursor._handle.sink.log is sibling._handle.sink.log
             failing = cursor.subscribe(self._raises)
             seen = []
-            cursor.subscribe(seen.append)
+            sibling.subscribe(seen.append)
             with pytest.raises(RuntimeError, match="subscriber bug"):
                 session.push_many("R", ROWS[:3], 1.0)
-            assert seen == cursor.results() and len(seen) == 3
+            assert seen == sibling.results() == cursor.results() and len(seen) == 3
             assert failing.pending == 3
 
     @pytest.mark.parametrize("share", [True, False])

@@ -7,6 +7,7 @@ from repro.errors import ExecutionError
 from repro.smartcis.alarms import AlarmEvent, AlarmRule, AlarmService
 from repro.smartcis.display import DisplayManager
 from repro.smartcis.monitoring import BuildingStateStore
+from repro.stream.engine import StreamEngine
 
 
 class TestBuildingStateStore:
@@ -168,6 +169,41 @@ class TestAlarmService:
         service.clear_all()
         engine.push("Temps", {"room": "a", "temp": 1.0}, 3.0)
         assert len(service.events) == 2
+
+    @pytest.mark.parametrize("share", [False, True], ids=["private", "shared"])
+    def test_push_and_push_many_fire_the_same_events(self, catalog, builder, share):
+        """A rule hangs on its sink's observer hook, so a batched
+        emission fires like per-row ones — dedupe included — also when
+        the rule's sink is a view of a shared result log."""
+        rows = [
+            {"room": "lab1", "temp": 35.0},
+            {"room": "lab1", "temp": 36.0},  # same key: deduped
+            {"room": "lab2", "temp": 20.0},  # not hot
+            {"room": "lab3", "temp": 40.0},
+        ]
+        stamps = [1.0, 2.0, 3.0, 4.0]
+        fired = {}
+        for verb in ("push", "push_many"):
+            engine = StreamEngine(catalog, share_plans=share)
+            service, clock = self.make_service(catalog, engine, builder)
+            service.add_rule(
+                AlarmRule(
+                    "hot",
+                    "select t.room, t.temp from Temps t where t.temp > 30",
+                    key_column="t.room",
+                    message=lambda row: f"{row['t.room']} at {row['t.temp']}",
+                )
+            )
+            clock["now"] = 10.0
+            if verb == "push":
+                for row, stamp in zip(rows, stamps):
+                    engine.push("Temps", row, stamp)
+            else:
+                engine.push_many("Temps", rows, stamps)
+            assert len(service._handles["hot"].results) == 3
+            fired[verb] = service.events
+        assert fired["push"] == fired["push_many"]
+        assert [(e.key, e.event_time) for e in fired["push_many"]] == [("lab1", 1.0), ("lab3", 4.0)]
 
     def test_mean_latency_empty(self, catalog, engine, builder):
         service, _ = self.make_service(catalog, engine, builder)

@@ -32,6 +32,10 @@ surface:
   off warm and the DAG and counters are then the eager cut's; every
   open/close order leaves nothing behind; closing or admitting from a
   subscriber callback reads like private pipelines.
+* **One result log per chain** — tenants of one template read views of
+  one log (counted on ``tenants1k``: one store per chain per step), and
+  each view lifecycle event — admission inside a callback, close, clear
+  — is pinned against private sinks.
 
 Seed count: ``REPRO_MUX_SEEDS`` (default 6).
 """
@@ -46,6 +50,7 @@ import pytest
 from repro.api import StreamSource, connect
 from repro.catalog import Catalog
 from repro.data import DataType, Field, Row, Schema
+from repro.data.streams import CollectingConsumer, Punctuation
 from repro.errors import QueryError
 from repro.plan import PlanBuilder
 from repro.plan.logical import Distinct, Limit, OrderBy, Output, Project, Select
@@ -288,9 +293,9 @@ class TestSharedIdentityCorpus:
             assert got == expected, (
                 f"seed={seed} shards={shards}: emissions diverged under sharing"
             )
-            # The duplicated statements really were multiplexed.
+            # The duplicated statements really were multiplexed. (Tee
+            # fan-out counts distinct consumers: duplicates read one log.)
             assert stats["sharing"]["attached"] > 0
-            assert stats["sharing"]["fan_out"] > stats["sharing"]["chains"]
             # Every plan of the corpus runs generated code on every shard.
             assert stats["compile"]["generated"] > 0
             assert stats["compile"]["fallbacks"] == 0
@@ -342,7 +347,9 @@ class TestSharedCursorLifecycle:
         c1 = session.query(self.SQL)
         c2 = session.query(self.SQL)
         c3 = session.query(self.SQL)
-        assert sum(chain.tee.fan_out for chain in registry.live_chains) >= 3
+        # Three views of one log: one tee branch, three references.
+        (chain,) = registry.live_chains
+        assert (chain.tee.fan_out, chain.refs, chain.views) == (1, 3, 3)
         self._push(session, 25.0, 1.0)
         assert [len(c.results()) for c in (c1, c2, c3)] == [1, 1, 1]
 
@@ -518,8 +525,12 @@ class TestStats:
         assert single["sharing"]["attached"] > 0
         # Partition-parallel replicas: every shard engine hosts the same
         # chain structure, and stats() sums them.
-        for key in ("chains", "fan_out", "created", "attached"):
+        for key in ("chains", "created", "attached"):
             assert sharded["sharing"][key] == 2 * single["sharing"][key]
+        # On one engine both cursors read the chain's one log; a shard's
+        # replicas feed the pool's merge sinks, one tee branch each.
+        assert single["sharing"]["fan_out"] == 1
+        assert sharded["sharing"]["fan_out"] == 2 * 2
         # One shared chain per engine: its filter compiles once however
         # many queries attach, and nothing fell back to the interpreter.
         # The pool adds its own ingest loop for the one stream.
@@ -617,22 +628,24 @@ class TestNoShimAtTheTee:
             assert all(a is b for a, b in zip(ours, theirs)), sql
         session.close()
 
-    def test_close_mid_stream_detaches_exactly_its_own_sink(self):
+    def test_close_mid_stream_closes_exactly_its_own_view(self):
+        """The three cursors read one result log, the chain's one tee
+        branch; closing one freezes its view and leaves the log and its
+        siblings as they were."""
         sql = "select r.host, r.temp from Readings r where r.temp > 20.0"
         session = _open_session(share=True)
         c1, c2, c3 = (session.query(sql) for _ in range(3))
-        (chain,) = [
-            chain
-            for chain in session.engine.subplans.live_chains
-            if c1._handle.sink in chain.tee.branches
-        ]
-        assert chain.tee.branches == [c._handle.sink for c in (c1, c2, c3)]
+        (chain,) = session.engine.subplans.live_chains
+        log = chain.log
+        assert chain.tee.branches == [log]
+        assert all(c._handle.sink.log is log for c in (c1, c2, c3))
         row = {"room": "lab1", "host": "ws1", "temp": 30.0, "load": 0.5}
         session.push("Readings", row, 1.0)
         c2.close()
-        assert chain.tee.branches == [c1._handle.sink, c3._handle.sink]
+        assert chain.tee.branches == [log] and chain.views == 2
         session.push_many("Readings", [row, row], [2.0, 3.0])
         assert [len(c.results()) for c in (c1, c2, c3)] == [3, 1, 3]
+        assert len(log) == 3  # stored once, whatever the reader count
         session.close()
 
 
@@ -939,6 +952,52 @@ class TestRelabelBudget:
         return survivors
 
 
+class TestSinkBudget:
+    """Results are stored once per shared chain, not once per tenant —
+    a count, not a timing. On the ``tenants1k`` deployment (1,000
+    tenants over 20 templates, so 20 whole-plan chains) one
+    ``push_many`` step stores into at most one log per chain, and one
+    punctuation is appended to at most one list per chain, where every
+    tenant's own sink used to take both (≈1,000 each)."""
+
+    UNITS, STEP = 512, 64
+
+    def test_one_store_per_chain_log(self, monkeypatch):
+        from benchmarks.ledger.workloads import BY_NAME
+
+        spec = BY_NAME["tenants1k"]
+        feeds = spec.build_input(7, self.UNITS)
+        rows, stamps = feeds["Readings"]
+        deployment = spec.open(feeds)
+        session = deployment.session
+        logs = sum(chain.log is not None for chain in session.engine.subplans.live_chains)
+        assert logs == len(set(spec.queries)) == 20
+        stores, appends = [0], [0]
+        push_batch, push = CollectingConsumer.push_batch, CollectingConsumer.push
+
+        def counting_batch(sink, elements):
+            stores[0] += 1
+            push_batch(sink, elements)
+
+        def counting_push(sink, item):
+            appends[0] += isinstance(item, Punctuation)
+            push(sink, item)
+
+        monkeypatch.setattr(CollectingConsumer, "push_batch", counting_batch)
+        monkeypatch.setattr(CollectingConsumer, "push", counting_push)
+        most_stores = most_appends = 0
+        for lo in range(0, self.UNITS, self.STEP):
+            stores[0] = appends[0] = 0
+            session.push_many("Readings", rows[lo : lo + self.STEP], stamps[lo : lo + self.STEP])
+            most_stores = max(most_stores, stores[0])
+            session.punctuate(stamps[lo + self.STEP - 1])
+            most_appends = max(most_appends, appends[0])
+        monkeypatch.undo()
+        assert 0 < most_stores <= logs and 0 < most_appends <= logs
+        assert sum(len(cursor) for cursor in deployment.cursors) > 0
+        deployment.close()
+
+
 def _fusion_violations(registry):
     """Unshared cuts: a stateless chain whose tee feeds exactly one
     branch, that branch being the operator of another stateless chain —
@@ -960,7 +1019,10 @@ class TestFusionBudget:
 
     @pytest.mark.parametrize(
         "deployment, chains, fan_out",
-        [("one_query", 1, 1), ("standing7", 14, 14), ("tenants1k", 30, 1010)],
+        # tenants1k: 20 whole-plan chains, each with one log whatever its
+        # 50 tenants (not 1,000 sink branches), plus the 10 operator
+        # branches of its cut chains.
+        [("one_query", 1, 1), ("standing7", 14, 14), ("tenants1k", 30, 30)],
     )
     def test_no_unshared_stateless_cut(self, deployment, chains, fan_out):
         _, standing7, templates, tenants = _ledger()
@@ -1040,7 +1102,9 @@ class TestSplitLifecycle:
     its own when a second distinct consumer asks, and from then on the
     DAG and the counters are the ones the eager cut used to build for
     the same admission sequence (numbers below are copied from a run of
-    that sequence at the commit before the lazy cut)."""
+    that sequence at the commit before the lazy cut, except that a tee
+    now counts one branch for a chain's result log however many
+    tenants read it)."""
 
     A = "select r.host, r.temp from Readings r where r.temp > 20.0"
     B = "select r.host, r.temp * 2.0 as t2 from Readings r where r.temp > 20.0"
@@ -1067,7 +1131,8 @@ class TestSplitLifecycle:
         self._admit_warm(session, [self.A, self.A])
         monkeypatch.undo()
         registry = session.engine.subplans
-        assert _dag(registry) == [(["FusedOp"], 2, 2, [])]
+        # Two views of one log: one tee branch, two references.
+        assert _dag(registry) == [(["FusedOp"], 1, 2, [])]
         (route,) = session.engine._routes["readings"]
         assert route.query_id == registry.live_chains[0].chain_id
         assert relabels == [0]  # source rows as they are
@@ -1125,9 +1190,10 @@ class TestSplitLifecycle:
                     (["ProjectOp"], 1, 1, [["AggregateOp"]]),
                     (["ProjectOp"], 1, 1, [["FilterOp"]]),
                     (["ProjectOp"], 1, 1, [["FilterOp"]]),
-                    (["ProjectOp"], 2, 2, [["FilterOp"]]),
+                    # A's two tenants: two views of one log, one branch.
+                    (["ProjectOp"], 1, 2, [["FilterOp"]]),
                 ],
-                (7, 11, 7, 4, 0, 0),
+                (7, 10, 7, 4, 0, 0),
             ),
         ],
         ids=["distinct", "aggregate", "all"],
@@ -1297,10 +1363,12 @@ class TestCursorLifecycleFromACallback:
             if share:
                 # The view is a chain (two consumers); c1 runs fused on
                 # its tee, inlining the filter over the view.
+                # (c1 reads its chain's log through a view, so the chain
+                # is found by the log, not by a per-cursor tee branch.)
                 (chain,) = [
                     chain
                     for chain in session.engine.subplans.live_chains
-                    if c1._handle.sink in chain.tee.branches
+                    if c1._handle.sink.log in chain.tee.branches
                 ]
                 assert chain.parents and chain.inlined
             late = []
@@ -1317,3 +1385,89 @@ class TestCursorLifecycleFromACallback:
                 assert not chain.inlined  # split: fed by the filter's chain now
             session.close()
         assert seen[True] == seen[False] and len(seen[True]) == 5
+
+
+class TestLogViews:
+    """One rule per lifecycle event of a view over a chain's result log,
+    each pinned against the ``share_plans=False`` arm (private sinks)."""
+
+    SQL = TestSplitLifecycle.A
+
+    @staticmethod
+    def _values(cursor):
+        return [row.values for row in cursor.results()]
+
+    @pytest.mark.parametrize("order", ["push_many first", "push first"])
+    def test_admitted_in_a_callback_starts_with_the_next_run(self, order):
+        """A view starts at the log's length at admission; the run in
+        flight is already stored, so the newcomer starts with the next
+        run. A private newcomer's route is appended to the route list in
+        flight, so it reads that run too — the one difference, and it is
+        exactly the run in flight."""
+        got = {}
+        for share in (False, True):
+            session = _open_session(share=share)
+            c1 = session.query(self.SQL)
+            late, mark = [], []
+
+            def admit(*_):
+                if not late:
+                    late.append(session.query(self.SQL))
+                    mark.append(len(c1))
+
+            c1.subscribe(admit)
+            TestCursorLifecycleFromACallback._feed(session, order)
+            session.push_many("Readings", [_HOT, _HOT], [4.0, 5.0])
+            got[share] = self._values(c1), self._values(late[0]), mark[0]
+            session.close()
+        (everything, private, mark), (shared_all, shared, shared_mark) = got[False], got[True]
+        assert everything == shared_all and mark == shared_mark
+        assert shared == everything[mark:] and len(shared) == 5 - mark
+        assert private == everything  # the run in flight came first
+
+    def test_closing_one_of_fifty_views_leaves_the_log_and_siblings(self):
+        got = {}
+        for share in (False, True):
+            session = _open_session(share=share)
+            cursors = [session.query(self.SQL) for _ in range(50)]
+            session.push_many("Readings", [_HOT] * 3, [1.0, 2.0, 3.0])
+            session.punctuate(3.0)
+            cursors[17].close()
+            frozen = self._values(cursors[17])
+            session.push("Readings", _HOT, 4.0)
+            session.push_many("Readings", [_HOT, _HOT], [5.0, 6.0])
+            session.punctuate(6.0)
+            assert self._values(cursors[17]) == frozen and len(frozen) == 3
+            if share:
+                (chain,) = session.engine.subplans.live_chains
+                assert chain.views == 49 and chain.tee.branches == [chain.log]
+                assert cursors[17]._handle.sink.log is chain.log
+                assert len(chain.log) == 6
+            got[share] = [
+                (self._values(c), c._handle.sink.punctuations, c.latest_batch())
+                for c in cursors
+            ]
+            for cursor in cursors:
+                cursor.close()
+            if share:
+                assert session.engine.subplans.stats()["chains"] == 0
+            session.close()
+        assert got[True] == got[False]
+
+    def test_clearing_one_view_leaves_its_siblings(self):
+        got = {}
+        for share in (False, True):
+            session = _open_session(share=share)
+            cursors = [session.query(self.SQL) for _ in range(3)]
+            session.push_many("Readings", [_HOT] * 3, [1.0, 2.0, 3.0])
+            session.punctuate(2.5)
+            cursors[1].latest_batch()
+            cursors[1]._handle.sink.clear()
+            session.push("Readings", _HOT, 4.0)
+            got[share] = [
+                (self._values(c), len(c), c._handle.sink.clears, c.latest_batch())
+                for c in cursors
+            ]
+            session.close()
+        assert got[True] == got[False]
+        assert [entry[1] for entry in got[True]] == [4, 1, 4]

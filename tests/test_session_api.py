@@ -18,6 +18,7 @@ from repro.api import (
     WrapperSource,
     connect,
 )
+from repro.api.cursor import Cursor
 from repro.data import DataType, Schema
 from repro.errors import QueryError, SessionClosedError, SourceError
 from repro.runtime import Simulator
@@ -326,6 +327,28 @@ def test_cursor_subscribe_and_iteration():
         assert [row["r.room"] for row in cursor] == seen
         assert len(cursor) == 4
         assert cursor.description == ["r.room"]
+
+
+@pytest.mark.parametrize("share", [True, False], ids=["view", "private sink"])
+def test_cursor_len_counts_without_materialising_rows(share, monkeypatch):
+    """``len(cursor)`` (and ``repr``) read the sink's or view's length:
+    live, closed (frozen at close) and one-shot cursors alike, with
+    ``results()`` never called."""
+    with connect(share_plans=share) as session:
+        session.attach(StreamSource("Readings", READINGS))
+        session.attach(TableSource("T", READINGS, rows=READING_ROWS[:3]))
+        sql = "select r.room from Readings r where r.temp > 20.0"
+        live, closed = session.query(sql), session.query(sql)
+        one_shot = session.query("select t.room from T t")
+        assert one_shot.kind == "batch"
+        for i, row in enumerate(READING_ROWS):
+            session.push("Readings", row, float(i))
+            if i == 1:
+                closed.close()
+        expected = [len(c.results()) for c in (live, closed, one_shot)]
+        monkeypatch.setattr(Cursor, "results", lambda self: pytest.fail("rows copied"))
+        assert [len(c) for c in (live, closed, one_shot)] == expected == [4, 1, 3]
+        assert repr(closed) == "<Cursor stream closed rows=1>"
 
 
 def test_cursor_latest_batch_follows_punctuation():
