@@ -57,13 +57,15 @@ hand-written in between:
    A column the schema cannot resolve is such a failure, so the
    row-time error is the interpreter's.
 
-Three generators have no interpreter twin because what they generate is
+Four generators have no interpreter twin because what they generate is
 a *loop around* an evaluator, not an evaluator, and return ``None``
 instead: without :func:`compile_fused_batch` an operator loops its
 per-element body over the run, without :func:`compile_fused` the plan
 compiler lowers the chain one operator per node, without
-:func:`compile_join_probe` a join side loops its per-element body. Each
-is one test at one site and none selects a different evaluator.
+:func:`compile_join_probe` a join side loops its per-element body,
+without :func:`compile_fused_ingest` the engine runs ingest and the
+operator's batch loop one after the other. Each is one test at one
+site and none selects a different evaluator.
 
 This module is the only place the choice is made. Nothing outside it
 takes a switch for it and nothing under ``repro.stream`` calls
@@ -98,6 +100,8 @@ loop rows enter an engine or a pool through, once per catalog schema:
 a Row under that schema passes through, a ``dict`` is read field by
 field with its exact types checked inline, and anything else goes to
 the engine's own coercion, which is also the loop's interpreter twin.
+:func:`compile_fused_ingest` runs it and the Filter/Project run a
+source's one port feeds as one loop: these three are :func:`_codegen_loop`.
 
 **Call-free per-row bodies.** On its common path a generated loop
 makes no Python-level call per row: it reads ``element.row.values``
@@ -306,19 +310,7 @@ def _emit_element(gen: _CodeGen, indent: int, row: str, stamp: str, source: str)
 def _codegen_fused_batch(
     stages: tuple[FusedStage, ...], schema: Schema, output_schema: Schema
 ) -> Callable[[list, list], None]:
-    projects = any(stage[0] == "project" for stage in stages)
-    gen = _CodeGen(schema)
-    gen.emit(1, "append = out.append")
-    gen.emit(1, "for _e in elements:")
-    gen.emit(2, "v = _e.row.values")
-    _emit_stages(gen, stages, 2, "continue")
-    if projects:
-        _emit_row(gen, 2, gen.bind(output_schema, "os"), "v")
-        _emit_element(gen, 2, "_r", "_e.timestamp", "_e.source")
-    else:
-        gen.emit(2, "append(_e)")
-    source = "def _fused_batch(elements, out):\n" + "\n".join(gen.lines) + "\n"
-    return _define("_fused_batch", source, "<repro.sql.compiled.fused_batch>", gen.env)
+    return _codegen_loop((schema, None, True), (schema, stages), output_schema)
 
 
 def compile_accumulate(
@@ -789,9 +781,10 @@ def compile_ingest(schema: Schema, coerce: Callable, elements: bool) -> Callable
     ``coerce`` over every row (:func:`fallback_ingest`).
 
     With ``elements`` the loop is ``ingest(rows, stamps, source)`` and
-    returns one ``StreamElement`` per row (an engine's ingest), without
-    it ``ingest(rows)`` returns the Rows (a pool's, which routes them).
-    Per row, in order:
+    returns one ``StreamElement`` per row (an engine's: ``push``, and
+    ``push_many`` where :func:`compile_fused_ingest` did not fuse it
+    with a port's stages), without it ``ingest(rows)`` returns the Rows
+    (a pool's, which routes them). Per row, in order:
 
     * a :class:`Row` under ``schema`` itself passes through;
     * a ``dict`` is looked up field by field — full name first, then
@@ -805,6 +798,14 @@ def compile_ingest(schema: Schema, coerce: Callable, elements: bool) -> Callable
     return _generate(_codegen_ingest, schema, coerce, elements) or fallback_ingest(
         schema, coerce, elements
     )
+
+
+def compile_fused_ingest(
+    schema: Schema, coerce: Callable, stages: Sequence[FusedStage], reads: Schema, output_schema: Schema
+) -> Callable[[list, list, str], list] | None:
+    """:func:`compile_ingest` and an operator's :func:`compile_fused_batch`
+    loop as one that returns the survivors, or ``None`` (run the two)."""
+    return _generate(_codegen_loop, (schema, coerce, True), (reads, tuple(stages)), output_schema)
 
 
 #: Exact-type tests per column type, over a value known not to be NULL:
@@ -823,43 +824,67 @@ _MISSING = object()
 
 
 def _codegen_ingest(schema: Schema, coerce: Callable, elements: bool) -> Callable:
-    gen = _CodeGen(schema)
-    gen.env.update(_S=schema, _Row=Row, _coerce=coerce, _M=_MISSING)
-    checks = ["r.__class__ is dict"]
-    for position, field in enumerate(schema):
-        x = f"a{position}"
-        full, bare = repr(field.name), repr(field.bare_name)
-        if full == bare:  # a membership test and a subscript beat dict.get
-            checks.append(f"{full} in r")
-            value = f"({x} := r[{full}])"
-        else:
-            lookup = f"r[{full}] if {full} in r else r.get({bare}, _M)"
-            checks.append(f"({x} := ({lookup})) is not _M")
-            value = x
-        exact = _EXACT_TYPE.get(field.dtype)
-        checks.append(f"({value} is None or {exact.format(x=x)})" if exact else f"{value} is None")
-    atoms = [f"a{position}" for position in range(len(schema))]
-    values = f"({', '.join(atoms)}{',' if len(atoms) == 1 else ''})"
-    gen.emit(1, "out = []")
-    gen.emit(1, "append = out.append")
-    gen.emit(1, "for r, _t in zip(rows, stamps):" if elements else "for r in rows:")
-    gen.emit(2, "if r.__class__ is not _Row or r.schema is not _S:")
-    gen.emit(3, "if (")
-    for position, check in enumerate(checks):
-        gen.emit(4, f"{'and ' if position else ''}{check}")
-    gen.emit(3, "):")
-    _emit_row(gen, 4, "_S", values)
-    gen.emit(4, "r = _r")
-    gen.emit(3, "else:")
-    gen.emit(4, "r = _coerce(_S, r)")
-    if elements:
-        _emit_element(gen, 2, "r", "_t", "source")
+    return _codegen_loop((schema, coerce, elements), (schema, ()), None)
+
+
+def _codegen_loop(source: tuple, stages: tuple, sink: Schema | None) -> Callable:
+    """The one generated loop: ``source``, ``(schema, coerce, elements)``,
+    is a run of elements (``fn(elements, out)``) without ``coerce``, else
+    rows :func:`compile_ingest` checks (``fn(rows, stamps, source)``, or
+    ``fn(rows)``, returning ``out``); ``stages``, ``(schema, chain)``, a
+    Filter/Project chain and the schema it reads; a survivor is appended
+    as a row under ``sink`` when the chain projects, else as it came."""
+    (schema, coerce, elements), (reads, chain) = source, stages
+    gen = _CodeGen(reads)
+    if coerce is None:
+        kind, signature, stamp, origin = "fused_batch", "elements, out", "_e.timestamp", "_e.source"
+        gen.emit(1, "append = out.append")
+        gen.emit(1, "for _e in elements:")
+        gen.emit(2, "v = _e.row.values")
     else:
-        gen.emit(2, "append(r)")
-    gen.emit(1, "return out")
-    signature = "rows, stamps, source" if elements else "rows"
-    source = f"def _ingest({signature}):\n" + "\n".join(gen.lines) + "\n"
-    return _define("_ingest", source, "<repro.sql.compiled.ingest>", gen.env)
+        kind, stamp, origin = ("fused_ingest" if chain else "ingest"), "_t", "source"
+        signature = "rows, stamps, source" if elements else "rows"
+        gen.env.update(_S=schema, _Row=Row, _coerce=coerce, _M=_MISSING)
+        checks = ["r.__class__ is dict"]
+        for position, field in enumerate(schema):
+            x = f"a{position}"
+            full, bare = repr(field.name), repr(field.bare_name)
+            if full == bare:  # a membership test and a subscript beat dict.get
+                checks.append(f"{full} in r")
+                value = f"({x} := r[{full}])"
+            else:
+                lookup = f"r[{full}] if {full} in r else r.get({bare}, _M)"
+                checks.append(f"({x} := ({lookup})) is not _M")
+                value = x
+            exact = _EXACT_TYPE.get(field.dtype)
+            checks.append(f"({value} is None or {exact.format(x=x)})" if exact else f"{value} is None")
+        atoms = ", ".join(f"a{position}" for position in range(len(schema)))
+        gen.emit(1, "out = []")
+        gen.emit(1, "append = out.append")
+        gen.emit(1, "for r, _t in zip(rows, stamps):" if elements else "for r in rows:")
+        gen.emit(2, "if r.__class__ is not _Row or r.schema is not _S:")
+        gen.emit(3, "if (")
+        for position, check in enumerate(checks):
+            gen.emit(4, f"{'and ' if position else ''}{check}")
+        gen.emit(3, "):")
+        _emit_row(gen, 4, "_S", f"({atoms}{',' if len(schema) == 1 else ''})")
+        gen.emit(4, "r = _r")
+        gen.emit(3, "else:")
+        gen.emit(4, "r = _coerce(_S, r)")
+        if chain:
+            gen.emit(2, "v = r.values")
+    _emit_stages(gen, chain, 2, "continue")
+    if any(stage[0] == "project" for stage in chain):
+        _emit_row(gen, 2, gen.bind(sink, "os"), "v")
+        _emit_element(gen, 2, "_r", stamp, origin)
+    elif coerce is None or not elements:
+        gen.emit(2, "append(_e)" if coerce is None else "append(r)")
+    else:
+        _emit_element(gen, 2, "r", stamp, origin)
+    if coerce is not None:
+        gen.emit(1, "return out")
+    text = f"def _{kind}({signature}):\n" + "\n".join(gen.lines) + "\n"
+    return _define(f"_{kind}", text, f"<repro.sql.compiled.{kind}>", gen.env)
 
 
 # ---------------------------------------------------------------------------

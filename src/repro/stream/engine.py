@@ -12,7 +12,9 @@ lookup plus one push per subscribed port — not a scan of every query's
 every port. :meth:`push_many` amortizes the lookup (and the catalog
 resolution) across a whole batch of rows and hands each port the whole
 batch via the optional ``push_batch`` protocol, so vectorized operators
-(Filter/Project/Fused) traverse it with one dispatch per operator. Rows
+(Filter/Project/Fused) traverse it with one dispatch per operator — or,
+for a stream whose one port feeds such an operator, runs ingest and its
+stages as one generated loop (:meth:`StreamEngine._fuse_ingest`). Rows
 enter every port under the catalog schema and keep it: operators read
 them by position, and a row is built under another schema only by an
 operator that builds rows anyway. A hand-built plan that forwards source
@@ -31,7 +33,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.catalog import Catalog, SourceKind
+from repro.catalog import Catalog, SourceEntry, SourceKind
 from repro.data.schema import Schema
 from repro.data.streams import (
     CollectingConsumer,
@@ -46,7 +48,7 @@ from repro.data.tuples import Row
 from repro.data.windows import WindowSpec
 from repro.errors import ExecutionError
 from repro.plan.logical import LogicalOp, RemoteSource
-from repro.sql.compiled import compile_counts, compile_ingest, fallback_ingest
+from repro.sql.compiled import compile_counts, compile_fused_ingest, compile_ingest, fallback_ingest
 from repro.stream.compiler import (
     DEFAULT_STREAM_WINDOW,
     CompiledPlan,
@@ -55,8 +57,19 @@ from repro.stream.compiler import (
     result_sink,
 )
 from repro.stream.multiplex import SharedChain, SubplanRegistry
+from repro.stream.operators import StageOp
 
 _query_ids = itertools.count(1)
+
+
+def counted(counts: dict, compile_fn: Callable, *args) -> Any:
+    """``compile_fn(*args)``, the functions it generated (and its
+    fallbacks) added to ``counts``."""
+    before = compile_counts()
+    compiled = compile_fn(*args)
+    for key, total in compile_counts().items():
+        counts[key] += total - before[key]
+    return compiled
 
 
 def generate_ingest_loop(loops: dict, counts: dict, schema: Schema, elements: bool) -> None:
@@ -64,12 +77,10 @@ def generate_ingest_loop(loops: dict, counts: dict, schema: Schema, elements: bo
     into ``loops`` (keyed by the schema's id, which the loop keeps
     alive) by :func:`~repro.sql.compiled.compile_ingest` over
     :meth:`StreamEngine._coerce_row`, its rung added to ``counts``."""
-    if id(schema) in loops:
-        return
-    before = compile_counts()
-    loops[id(schema)] = compile_ingest(schema, StreamEngine._coerce_row, elements)
-    for key, total in compile_counts().items():
-        counts[key] += total - before[key]
+    if id(schema) not in loops:
+        loops[id(schema)] = counted(
+            counts, compile_ingest, schema, StreamEngine._coerce_row, elements
+        )
 
 
 def ingest_loop(loops: dict, schema: Schema, elements: bool) -> Callable:
@@ -194,6 +205,10 @@ class StreamEngine:
         self._routes: dict[str, list[_Route]] = {}
         #: id(catalog schema) -> this engine's ingest loop for it.
         self._ingest_loops: dict[int, Callable] = {}
+        #: Lowercased source name -> (ingest and its one route's stages
+        #: as one loop, that route's StageOp, the catalog schema); see
+        #: :meth:`_fuse_ingest`.
+        self._fused_ingest: dict[str, tuple[Callable, StageOp, Schema]] = {}
         self.elements_ingested = 0
         self.punctuations_seen = 0
         self.share_plans = share_plans
@@ -216,7 +231,8 @@ class StreamEngine:
     # ------------------------------------------------------------------
     def load_table(self, name: str, rows: list[Row | Mapping[str, Any]], timestamp: float = 0.0) -> None:
         """Load (or extend) a stored table; replayed into future queries
-        and pushed into currently running ones."""
+        and handed to each running one's ports as one run, every port
+        getting it before an error raises (:meth:`_dispatch_batch`)."""
         if self.failed:
             return
         entry = self._catalog.source(name)
@@ -232,9 +248,7 @@ class StreamEngine:
         if self.checkpointer is not None and not self._replaying:
             self.checkpointer.record(("table", None, name, rows, timestamp))
         self._tables.setdefault(entry.name, []).extend(elements)
-        for route in self._routes.get(entry.name.lower(), ()):
-            for element in elements:
-                route.port.consumer.push(element)
+        self._dispatch_batch(entry.name, elements)
 
     def table_rows(self, name: str) -> list[Row]:
         """Current contents of a loaded table."""
@@ -336,11 +350,14 @@ class StreamEngine:
         """Remove every routing entry registered under ``owner_id`` (a
         query id or a shared chain id)."""
         for key in list(self._routes):
-            kept = [r for r in self._routes[key] if r.query_id != owner_id]
+            routes = self._routes[key]
+            kept = [r for r in routes if r.query_id != owner_id]
             if kept:
                 self._routes[key] = kept
             else:
                 del self._routes[key]
+            if len(kept) != len(routes):
+                self._fuse_ingest(key)
 
     @property
     def running_queries(self) -> list[QueryHandle]:
@@ -377,15 +394,42 @@ class StreamEngine:
             self._add_route(chain.chain_id, port, None)
 
     def _add_route(self, owner_id: int, port: ScanPort, remote_schema: Schema | None) -> None:
-        self._routes.setdefault(port.source_name.lower(), []).append(
-            _Route(owner_id, port, remote_schema)
-        )
+        key = port.source_name.lower()
+        self._routes.setdefault(key, []).append(_Route(owner_id, port, remote_schema))
         if port.scan is not None and port.scan.entry.kind is not SourceKind.TABLE:
             # Generated at admission, with the plan's functions: rows
             # flowing never generate code.
             generate_ingest_loop(
                 self._ingest_loops, self._compiler.counts, port.scan.entry.schema, True
             )
+        self._fuse_ingest(key)
+
+    def _fuse_ingest(self, key: str) -> None:
+        """Rebuild or drop source ``key``'s fused-ingest loop after its
+        routes changed — at admission, stop and chain re-lowering, never
+        while rows flow. A stream with exactly one route whose consumer
+        is a :class:`StageOp` with a generated batch loop gets ingest and
+        those stages as one loop (:meth:`push_many`); any other keeps the
+        two."""
+        self._fused_ingest.pop(key, None)
+        routes = self._routes.get(key, ())
+        if len(routes) != 1:
+            return
+        port, op = routes[0].port, routes[0].port.consumer
+        if (
+            port.scan is None
+            or port.scan.entry.kind is SourceKind.TABLE
+            or not isinstance(op, StageOp)
+            or op._batch_fn is None
+        ):
+            return
+        schema = port.scan.entry.schema
+        loop = counted(
+            self._compiler.counts, compile_fused_ingest, schema, StreamEngine._coerce_row,
+            op.stages, op.input_schema, op.output_schema,
+        )
+        if loop is not None:
+            self._fused_ingest[key] = (loop, op, schema)
 
     def _ingest_loop(self, schema: Schema) -> Callable:
         """This engine's element-building ingest loop for ``schema``."""
@@ -427,24 +471,29 @@ class StreamEngine:
         """Batched ingestion: push many elements of ``source`` at once.
 
         The catalog entry and the routing-index lookup are resolved once
-        for the whole batch, the rows become elements in one generated
-        loop (the catalog schema's :func:`ingest_loop`: a Row under the
-        catalog schema passes through, a ``dict`` is read inline, the
-        rest goes to :meth:`_coerce_row`), and each subscribed port
-        receives the whole batch with one ``push_batch`` call (falling
-        back to per-element ``push`` for consumers without the batched
-        protocol), so the batch traverses each vectorized operator with
-        one dispatch instead of one per element. ``timestamps`` is either one
-        timestamp applied to every row or a sequence (any iterable,
-        including a generator — it is materialized up front) aligned
-        with ``rows``. Every port sees its elements in row order; ports
-        of *different* queries each receive the full batch in turn
-        (queries are independent pipelines, so inter-query interleaving
-        cannot change any query's result). The one order-sensitive case
-        — a single query scanning the same source through several ports
-        (a self-join, whose ROWS windows evict by arrival count) —
-        keeps the element-major interleaving of repeated :meth:`push`.
-        Returns the number of elements ingested.
+        for the whole batch. ``timestamps`` is either one timestamp
+        applied to every row or a sequence (any iterable, including a
+        generator — it is materialized up front) aligned with ``rows``.
+        Returns the number of elements ingested. In order:
+
+        1. One generated loop checks the rows (the catalog schema's
+           :func:`ingest_loop`: a Row under the catalog schema passes
+           through, a ``dict`` is read inline, the rest goes to
+           :meth:`_coerce_row`), so a rejected row raises before
+           anything is logged or forwarded.
+        2. The batch is recorded for replay.
+        3. It is handed downstream. A source whose one route feeds a
+           :class:`~repro.stream.operators.StageOp` ran that operator's
+           stages in the same loop (:meth:`_fuse_ingest`): a rejected
+           row never became an element, and the survivors leave as the
+           operator's ``push_batch`` would send them (``rows_in`` counts
+           the batch, then ``emit_batch``). Otherwise each route gets
+           the elements as one ``push_batch`` (per-element ``push``
+           without it), in row order and one route after another —
+           queries are independent pipelines — except that a query
+           scanning the source through several ports (a self-join,
+           whose ROWS windows evict by arrival count) keeps the
+           element-major interleaving of repeated :meth:`push`.
         """
         if self.failed:
             return 0
@@ -462,11 +511,49 @@ class StreamEngine:
                 raise ExecutionError(
                     f"push_many got {len(rows)} rows but {len(stamps)} timestamps"
                 )
-        elements = self._ingest_loop(entry.schema)(rows, stamps, entry.name)
+        out = None
+        fused = self._fused_ingest.get(entry.name.lower())
+        if fused is not None and fused[2] is entry.schema:
+            try:
+                out = fused[0](rows, stamps, entry.name)
+            except Exception:  # raised again below, where the two loops raise it
+                pass
+        if out is None:
+            elements = self._ingest_loop(entry.schema)(rows, stamps, entry.name)
         # Logged only once the whole batch coerced (see push).
         if self.checkpointer is not None and not self._replaying:
             self.checkpointer.record(("many", None, source, rows, stamps))
-        return self._dispatch_batch(entry.name, elements)
+        self.elements_ingested += len(rows)
+        if out is None:
+            self._dispatch_batch(entry.name, elements)
+        else:
+            self._dispatch_fused(fused[1], out, entry, rows, stamps)
+        return len(rows)
+
+    def _dispatch_fused(
+        self, op: StageOp, out: list, entry: SourceEntry, rows: list, stamps: Sequence[float]
+    ) -> None:
+        """Hand a fused-ingest run's survivors to the source's one route
+        as ``op.push_batch`` would have; a route a callback admitted
+        meanwhile reads the run in flight too, as in
+        :meth:`_dispatch_batch`."""
+        routes = self._routes.get(entry.name.lower(), ())
+        op.rows_in += len(rows)
+        error = None
+        try:
+            if out:
+                op.emit_batch(out)
+        except Exception as exc:  # a fan-out finishes first
+            error = exc
+        if len(routes) > 1:
+            elements = self._ingest_loop(entry.schema)(rows, stamps, entry.name)
+            for route in itertools.islice(routes, 1, None):
+                try:
+                    push_all(route.port.consumer, elements)
+                except Exception as exc:
+                    error = error or exc
+        if error is not None:
+            raise error
 
     def push_values(
         self,
@@ -488,10 +575,11 @@ class StreamEngine:
         elements = elements_from_columns(
             entry.schema, entry.name, values, timestamps
         )
-        return self._dispatch_batch(entry.name, elements)
-
-    def _dispatch_batch(self, name: str, elements: list[StreamElement]) -> int:
         self.elements_ingested += len(elements)
+        self._dispatch_batch(entry.name, elements)
+        return len(elements)
+
+    def _dispatch_batch(self, name: str, elements: list[StreamElement]) -> None:
         routes = self._routes.get(name.lower(), ())
         multi_port_queries = self._multi_port_queries(routes)
         interleaved = []
@@ -515,7 +603,6 @@ class StreamEngine:
                         error = error or exc
         if error is not None:
             raise error
-        return len(elements)
 
     @staticmethod
     def _multi_port_queries(routes: Sequence["_Route"]) -> set[int]:
@@ -648,6 +735,7 @@ class StreamEngine:
         self.failed = True
         self._queries.clear()
         self._routes.clear()
+        self._fused_ingest.clear()
         self._tables.clear()
         self._attachments.clear()
         self.subplans.clear()

@@ -91,7 +91,7 @@ from repro.plan.logical import (
     Select,
     replace_child,
 )
-from repro.stream.operators import FilterOp, FusedOp, ProjectOp
+from repro.stream.operators import StageOp
 
 __all__ = [
     "PlanCache",
@@ -103,8 +103,6 @@ __all__ = [
     "sharing_eligibility",
 ]
 
-#: Operators with no cross-element state: safe to tee into at any time.
-_STATELESS_OPS = (FilterOp, ProjectOp, FusedOp)
 
 # Chain ids are negative so they can share the engine's routing index
 # (keyed by query id) without ever colliding with a query.
@@ -547,7 +545,8 @@ class SubplanRegistry:
             plan=plan,
             compiled=compiled,
             tee=tee,
-            stateless=all(isinstance(op, _STATELESS_OPS) for op in compiled.operators),
+            # Select/Project runs hold no cross-element state: safe to tee into at any time.
+            stateless=all(isinstance(op, StageOp) for op in compiled.operators),
             ingest_mark=engine.elements_ingested,
             punct_mark=engine.punctuations_seen,
             refs=1,

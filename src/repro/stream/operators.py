@@ -157,23 +157,6 @@ class Operator:
         self.rows_out += 1
         self.downstream.push(element)
 
-    def _push_batch_generated(
-        self,
-        batch_fn: Callable[[list, list], None] | None,
-        elements: list[StreamElement],
-    ) -> None:
-        """Run one generated batch loop over the run and forward its
-        output; without one (``compile_fused_batch`` declined),
-        ``on_element`` over the run."""
-        if batch_fn is None:
-            Operator.push_batch(self, elements)
-            return
-        out: list[StreamElement] = []
-        batch_fn(elements, out)
-        self.rows_in += len(elements)
-        if out:
-            self.emit_batch(out)
-
     def emit_batch(self, elements: list[StreamElement]) -> None:
         """Forward a run of output elements, batched when possible."""
         self.rows_out += len(elements)
@@ -213,7 +196,42 @@ class Operator:
         self.rows_out = state["rows_out"]
 
 
-class FilterOp(Operator):
+class StageOp(Operator):
+    """A Select/Project run over one input: ``stages`` in dataflow order
+    (:data:`~repro.sql.compiled.FusedStage`), read against
+    ``input_schema``. A run of elements clears them all in one generated
+    loop (``compile_fused_batch``: ``_batch_fn``, None when it declined,
+    and then ``on_element`` loops). A source port with this operator as
+    its only consumer runs the same stages inside the engine's ingest
+    loop instead (:meth:`StreamEngine.push_many
+    <repro.stream.engine.StreamEngine.push_many>`), which then counts
+    ``rows_in`` and calls :meth:`emit_batch` as this body does."""
+
+    def __init__(
+        self,
+        stages: list[FusedStage],
+        output_schema: Schema,
+        downstream: StreamConsumer,
+        input_schema: Schema,
+    ):
+        super().__init__(downstream)
+        self.stages = list(stages)
+        self.output_schema = output_schema
+        self.input_schema = input_schema
+        self._batch_fn = compile_fused_batch(self.stages, input_schema, output_schema)
+
+    def push_batch(self, elements: list[StreamElement]) -> None:
+        if self._batch_fn is None:
+            Operator.push_batch(self, elements)
+            return
+        out: list[StreamElement] = []
+        self._batch_fn(elements, out)
+        self.rows_in += len(elements)
+        if out:
+            self.emit_batch(out)
+
+
+class FilterOp(StageOp):
     """Row filter: forwards elements whose predicate evaluates to TRUE.
 
     SQL three-valued logic: NULL (unknown) does not pass.
@@ -225,16 +243,12 @@ class FilterOp(Operator):
         downstream: StreamConsumer,
         input_schema: Schema,
     ):
-        super().__init__(downstream)
-        self.predicate = predicate
         # Schema-bound compilation: the predicate runs as a closure over
-        # the row's value tuple, and a generated batch loop (one Python
-        # call per ingest batch) serves push_batch — the same codegen a
-        # fused chain of one uses.
+        # the row's value tuple, and the generated batch loop is the one
+        # a fused chain of one uses.
+        super().__init__([("filter", predicate)], input_schema, downstream, input_schema)
+        self.predicate = predicate
         self._compiled = compile_expr(predicate, input_schema)
-        self._batch_fn = compile_fused_batch(
-            [("filter", predicate)], input_schema, input_schema
-        )
 
     def on_element(self, element: StreamElement) -> None:
         if self._compiled(element.row.values) is True:
@@ -242,11 +256,8 @@ class FilterOp(Operator):
             self.rows_out += 1
             self.downstream.push(element)
 
-    def push_batch(self, elements: list[StreamElement]) -> None:
-        self._push_batch_generated(self._batch_fn, elements)
 
-
-class ProjectOp(Operator):
+class ProjectOp(StageOp):
     """Compute output columns; one output row per input row."""
 
     def __init__(
@@ -256,18 +267,13 @@ class ProjectOp(Operator):
         downstream: StreamConsumer,
         input_schema: Schema,
     ):
-        super().__init__(downstream)
         if len(items) != len(output_schema):
             raise ExecutionError("project items and output schema disagree")
-        self.items = items
-        self.output_schema = output_schema
-        # One function computes the whole output tuple; a generated
-        # batch loop serves push_batch (see FilterOp).
+        # One function computes the whole output tuple (see FilterOp).
         exprs = [expr for expr, _ in items]
+        super().__init__([("project", exprs, output_schema)], output_schema, downstream, input_schema)
+        self.items = items
         self._compiled = compile_projection(exprs, input_schema)
-        self._batch_fn = compile_fused_batch(
-            [("project", exprs, output_schema)], input_schema, output_schema
-        )
 
     def on_element(self, element: StreamElement) -> None:
         row = Row.raw(self.output_schema, self._compiled(element.row.values))
@@ -275,11 +281,8 @@ class ProjectOp(Operator):
         self.rows_out += 1
         self.downstream.push(StreamElement(row, element.timestamp, element.source))
 
-    def push_batch(self, elements: list[StreamElement]) -> None:
-        self._push_batch_generated(self._batch_fn, elements)
 
-
-class FusedOp(Operator):
+class FusedOp(StageOp):
     """A fused Filter/Project chain: one generated closure per element.
 
     The plan compiler collapses maximal runs of adjacent Select/Project
@@ -304,12 +307,8 @@ class FusedOp(Operator):
         downstream: StreamConsumer,
         input_schema: Schema,
     ):
-        super().__init__(downstream)
-        self.stages = list(stages)
-        self.output_schema = output_schema
-        self.input_schema = input_schema
+        super().__init__(stages, output_schema, downstream, input_schema)
         self._fused = compile_fused(stages, input_schema)
-        self._fused_batch = compile_fused_batch(stages, input_schema, output_schema)
         self.generated = self._fused is not None
         self._projects = any(stage[0] == "project" for stage in stages)
 
@@ -328,9 +327,6 @@ class FusedOp(Operator):
                 Row.raw(self.output_schema, values), element.timestamp, element.source
             )
         self.downstream.push(element)
-
-    def push_batch(self, elements: list[StreamElement]) -> None:
-        self._push_batch_generated(self._fused_batch, elements)
 
 
 class SymmetricHashJoin(Operator):

@@ -1175,8 +1175,14 @@ class ShardedStreamEngine:
         rows = [StreamEngine._coerce_row(schema, row) for row in rows]
         if self.checkpointer is not None:
             self.checkpointer.record(("table", None, name, rows, timestamp))
+        error = None
         for index in self._everyone():
-            self._call(index, "load_table", name, rows, timestamp)
+            try:
+                self._call(index, "load_table", name, rows, timestamp)
+            except Exception as exc:  # a fan-out finishes first
+                error = error or exc
+        if error is not None:
+            raise error
 
     def table_rows(self, name: str) -> list[Row]:
         return self._fallback.engine.table_rows(name)

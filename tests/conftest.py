@@ -22,6 +22,7 @@ GENERATORS = (
     "_codegen_accumulate",
     "_codegen_join_probe",
     "_codegen_ingest",
+    "_codegen_loop",
 )
 
 

@@ -10,7 +10,12 @@ sink, make no Python-level call on their common path.
 * :class:`TestIngestIdentity` compares the generated ingest loop with
   ``StreamEngine._coerce_row`` — ``Row.from_mapping`` for a mapping —
   element for element on one engine, two loopback shards and the framed
-  channel, errors included.
+  channel, errors included, and the fused-ingest loop (ingest and a
+  source's one Filter/Project consumer as one loop) with the two loops
+  it replaces.
+* :class:`TestFusedIngestRoutes` counts, on the ledger's deployments,
+  where the fused-ingest loop runs, when it is built and dropped, and
+  that rows flowing generate nothing.
 """
 
 from __future__ import annotations
@@ -18,14 +23,16 @@ from __future__ import annotations
 import types
 
 import pytest
-from conftest import generated, interpreted
+from conftest import GENERATORS, generated, interpreted, unfused
 
+from benchmarks.ledger.workloads import BY_NAME, STANDING7
 from repro.api import StreamSource, connect
 from repro.catalog import Catalog
 from repro.data import DataType, Row, Schema
 from repro.data.streams import CollectingConsumer, StreamElement
 from repro.errors import ExecutionError, SchemaError, SourceError, TypeMismatchError
-from repro.plan.logical import Scan, Select
+from repro.plan.logical import Project, ProjectItem, Scan, Select
+from repro.sql import compiled
 from repro.sql.compiled import _like_regex_cached, compile_projection
 from repro.sql.expressions import (
     _SCALAR_FUNCTIONS,
@@ -34,7 +41,9 @@ from repro.sql.expressions import (
     FunctionCall,
     Literal,
 )
+from repro.stream import engine as engine_module
 from repro.stream.engine import StreamEngine
+from repro.stream.operators import FilterOp, FusedOp, ProjectOp
 
 _COALESCE = _SCALAR_FUNCTIONS["COALESCE"][0]
 
@@ -68,6 +77,7 @@ def _kernels(session) -> list:
     ]
     owners = dict.fromkeys([session.engine, *_engines(session)])  # a pool's own too
     loops = [loop for owner in owners for loop in owner._ingest_loops.values()]
+    loops += [fused[0] for engine in _engines(session) for fused in engine._fused_ingest.values()]
     return found + [loop for loop in loops if hasattr(loop, "__compiled_source__")]
 
 
@@ -470,3 +480,211 @@ class TestIngestIdentity:
         session.query("select * from T t")
         assert hasattr(session.engine._ingest_loops[id(schema)], "__compiled_source__")
         session.close()
+
+    # -- the fused-ingest loop: ingest and the port's stages as one ----
+    @staticmethod
+    def _plan(shape: str, catalog: Catalog):
+        """``shape``'s plan over ``T``: a filter→project run (one fused
+        chain), or a projection under a filter (ProjectOp first once
+        unfused)."""
+        scan = Scan(catalog.source("T"), "t")
+        kept = BinaryOp(">", ColumnRef("t.i"), Literal(2))
+        if shape == "filter_project":
+            items = [ProjectItem(ColumnRef("t.i"), "i"), ProjectItem(ColumnRef("t.s"), "s")]
+            return Project(Select(scan, kept), items)
+        items = [ProjectItem(ColumnRef("t.i"), "i"), ProjectItem(ColumnRef("t.f"), "f")]
+        return Select(Project(scan, items), BinaryOp(">", ColumnRef("i"), Literal(2)))
+
+    @staticmethod
+    def _shape(elements) -> list:
+        return [
+            (e.row.values, tuple(map(type, e.row.values)), e.row.schema, e.timestamp, e.source)
+            for e in elements
+        ]
+
+    @pytest.mark.parametrize(
+        "shape, arm, consumer",
+        [
+            ("filter_project", generated, FusedOp),
+            ("filter_project", unfused, FilterOp),
+            ("project_filter", unfused, ProjectOp),
+        ],
+    )
+    def test_the_fused_loop_emits_what_the_two_loops_emit(self, shape, arm, consumer):
+        """Element for element — values, their exact types, the row's
+        schema, timestamp and source — what the operator's batch loop
+        appends over the elements the ingest loop builds; a pure
+        filter's survivors carry the ingested Row itself."""
+        catalog = Catalog()
+        catalog.register_stream("T", _TYPES, rate=1.0)
+        schema = catalog.source("T").schema
+        engine = StreamEngine(catalog)
+        with arm():
+            handle = engine.execute(self._plan(shape, catalog), CollectingConsumer())
+        op = handle.compiled.ports[0].consumer
+        loop, fused_op, fused_schema = engine._fused_ingest["t"]
+        assert type(op) is consumer and fused_op is op and fused_schema is schema
+        rows = _good_rows(schema) + [
+            Row(schema, (i, 1.0, "r", True, 1.0, None, "q")) for i in (2, 3, None, 4)
+        ]
+        stamps = [float(i) for i in range(len(rows))]
+        ours = loop(rows, stamps, "T")
+        theirs: list = []
+        op._batch_fn(engine._ingest_loops[id(schema)](rows, stamps, "T"), theirs)
+        assert self._shape(ours) == self._shape(theirs)
+        assert 0 < len(ours) < len(rows) if consumer is not ProjectOp else len(ours) == len(rows)
+        if consumer is FilterOp:  # i = 3 and i = 4 pass, as themselves
+            assert ours[-1].row is rows[-1] and ours[-2].row is rows[-3]
+
+    @pytest.mark.parametrize("arm", [generated, unfused])
+    def test_a_bad_row_mid_batch_leaves_no_trace(self, arm):
+        """The ``_coerce_row`` error, no replay record, nothing forwarded,
+        ``rows_in`` unchanged — and the batch after it runs as if the bad
+        one had never come."""
+        session = connect(checkpoint_interval=1e9)
+        session.attach(StreamSource("T", _TYPES))
+        schema = session.catalog.source("T").schema
+        with arm():
+            cursor = session.query("select t.i, t.s from T t where t.i > 0")
+        _, op, _ = session.engine._fused_ingest["t"]
+        log = session.checkpointer.log
+        before = log.next_seq
+        good = _good_rows(schema)[0]
+        bad, error = _BAD_ROWS[0]
+        with pytest.raises(SourceError) as raised:
+            session.push_many("T", [good, bad, good], [1.0, 2.0, 3.0])
+        assert type(raised.value.__cause__) is error
+        assert log.next_seq == before
+        assert (op.rows_in, op.rows_out, session.engine.elements_ingested) == (0, 0, 0)
+        session.push_many("T", [good, good], [4.0, 5.0])
+        assert log.next_seq == before + 1
+        assert (op.rows_in, op.rows_out) == (2, 2) and len(cursor.results()) == 2
+        session.close()
+
+    def test_an_operator_error_raises_after_the_replay_record(self):
+        """Only coercion raises before the batch is logged: a stage that
+        raises (``str > int`` in a hand-built plan) does so after it, as
+        the operator's own loop would, and forwards nothing."""
+        catalog = Catalog()
+        catalog.register_stream("T", _TYPES, rate=1.0)
+        engine = StreamEngine(catalog)
+        scan = Scan(catalog.source("T"), "t")
+        handle = engine.execute(Select(scan, BinaryOp(">", ColumnRef("t.s"), Literal(1))))
+        _, op, _ = engine._fused_ingest["t"]
+        records: list = []
+        engine.checkpointer = types.SimpleNamespace(record=records.append)
+        rows = _good_rows(catalog.source("T").schema)
+        with pytest.raises(ExecutionError, match="cannot apply > to 'x' and 1"):
+            engine.push_many("T", rows, 1.0)
+        assert [entry[0] for entry in records] == ["many"]
+        assert engine.elements_ingested == len(rows)
+        assert (op.rows_in, op.rows_out, handle.sink.elements) == (0, 0, [])
+
+    @pytest.mark.parametrize("shape", ["filter_project", "project_filter"])
+    def test_the_interpreted_arm_emits_the_same_through_push_many(self, shape):
+        """``interpreted()`` builds no fused loop (nor any other): the
+        same rows through ``push_many`` reach the sink the same."""
+
+        def run():
+            catalog = Catalog()
+            catalog.register_stream("T", _TYPES, rate=1.0)
+            engine = StreamEngine(catalog)
+            handle = engine.execute(self._plan(shape, catalog), CollectingConsumer())
+            rows = _good_rows(catalog.source("T").schema)
+            engine.push_many("T", rows, [float(i) for i in range(len(rows))])
+            return self._shape(handle.sink.elements), bool(engine._fused_ingest)
+
+        with generated():
+            ours, fused = run()
+        with interpreted():
+            theirs, interpreted_fused = run()
+        assert ours == theirs and ours
+        assert (fused, interpreted_fused) == (True, False)
+
+
+def test_every_generator_is_listed_for_the_reference_arm():
+    """``interpreted()`` declines exactly the generators ``conftest``
+    lists, so a ``_codegen*`` missing there would keep generating."""
+    names = {name for name, value in vars(compiled).items() if name.startswith("_codegen") and callable(value)}
+    assert names == set(GENERATORS)
+
+
+# ----------------------------------------------------------------------
+# Where the fused-ingest loop runs, on the ledger's deployments
+# ----------------------------------------------------------------------
+def _counting(calls: dict, name: str, fn):
+    def counted(*args):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args)
+
+    return counted
+
+
+class TestFusedIngestRoutes:
+    """A count, not a timing: which loop a step runs, and when the fused
+    one is built and dropped (``stats()["compile"]`` at those verbs)."""
+
+    def test_a_one_query_step_runs_the_fused_loop_alone(self, monkeypatch):
+        workload = BY_NAME["one_query"]
+        deployment = workload.open(workload.build_input(1, 512))
+        try:
+            engine = deployment.session.engine
+            loop, op, schema = engine._fused_ingest["readings"]
+            assert type(op) is FusedOp
+            calls: dict = {}
+            engine._fused_ingest["readings"] = (_counting(calls, "fused", loop), op, schema)
+            ingest = engine._ingest_loops[id(schema)]
+            engine._ingest_loops[id(schema)] = _counting(calls, "elements", ingest)
+            monkeypatch.setattr(FusedOp, "push_batch", _counting(calls, "push_batch", FusedOp.push_batch))
+            compiled_before = dict(deployment.session.stats()["compile"])
+            deployment.deliver(0, 512)
+            assert calls == {"fused": 1}
+            assert op.rows_in == 512 and 0 < op.rows_out < 512
+            assert len(deployment.cursors[0].results()) == op.rows_out
+            assert deployment.session.stats()["compile"] == compiled_before
+        finally:
+            deployment.close()
+
+    @pytest.mark.parametrize("name", ["standing7", "tenants1k"])
+    def test_many_consumers_keep_the_two_loops(self, name):
+        """Every source there has several routes: no fused loop survives
+        admission, and a step runs none."""
+        workload = BY_NAME[name]
+        deployment = workload.open(workload.build_input(1, 64))
+        try:
+            engine = deployment.session.engine
+            assert engine._fused_ingest == {} and len(engine._routes["readings"]) > 1
+            deployment.deliver(0, 64)
+            assert engine._fused_ingest == {}
+        finally:
+            deployment.close()
+
+    def test_a_second_consumer_drops_the_loop_and_closing_it_rebuilds_it(self, monkeypatch):
+        workload = BY_NAME["one_query"]
+        deployment = workload.open(workload.build_input(1, 192))
+        session = deployment.session
+        engine = session.engine
+        builds: dict = {}
+        monkeypatch.setattr(
+            engine_module, "compile_fused_ingest",
+            _counting(builds, "built", engine_module.compile_fused_ingest),
+        )
+        try:
+            first = engine._fused_ingest["readings"]
+            second = session.query(STANDING7[2])  # an aggregate over Readings
+            admitted = dict(session.stats()["compile"])
+            assert "readings" not in engine._fused_ingest and builds == {}
+            deployment.deliver(0, 64)
+            assert session.stats()["compile"] == admitted
+            second.close()
+            rebuilt = engine._fused_ingest["readings"]
+            assert builds == {"built": 1} and rebuilt[1] is first[1]
+            assert session.stats()["compile"] == {
+                "generated": admitted["generated"] + 1, "fallbacks": 0,
+            }
+            deployment.deliver(64, 192)
+            assert session.stats()["compile"]["generated"] == admitted["generated"] + 1
+            results = deployment.cursors[0].results()
+            assert first[1].rows_in == 192 and len(results) == first[1].rows_out
+        finally:
+            deployment.close()

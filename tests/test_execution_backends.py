@@ -869,6 +869,34 @@ class TestFanOutFinishesFirst:
         assert sorted(row.values for row in seen) == expected
         session.close()
 
+    @pytest.mark.parametrize("share", [True, False])
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_raising_subscriber_during_a_load(self, shards, share):
+        """A table load reaches every running query's ports as one run
+        and every host of a pool before the error raises, so a callback
+        raising on one query's first join result truncates no query's
+        copy of the table: later stream rows still find all of it."""
+        session = connect(shards=shards, share_plans=share)
+        session.attach(StreamSource("S", READINGS, partition_by="host"))
+        session.attach(TableSource("T", READINGS))
+        sql = "select s.host, t.room from S s [range 100 seconds], T t where s.host = t.host"
+        a, b = session.query(sql), session.query(sql)
+        raised = []
+
+        def raise_once(row):
+            if not raised:
+                raised.append(row)
+                raise RuntimeError("subscriber bug")
+
+        a.subscribe(raise_once)
+        session.push_many("S", ROWS[:8], 1.0)
+        with pytest.raises(RuntimeError, match="subscriber bug"):
+            session.load("T", ROWS[:8])
+        session.push_many("S", ROWS[8:16], 2.0)
+        assert len(a.results()) == len(b.results()) == 16
+        assert sorted(r.values for r in a.results()) == sorted(r.values for r in b.results())
+        session.close()
+
     def test_a_raising_subscriber_at_a_shuffle_barrier(self):
         """Exchanged DISTINCTs emit as the barrier delivers their runs,
         destination by destination; a fallback ORDER BY emits when the
