@@ -95,6 +95,7 @@ CODES: dict[str, str] = {
     "RA904": "worker boundary must stay pickle-safe",
     "RA905": "generated source is compiled only by the one memoized helper",
     "RA906": "the stream engine reaches the interpreter only through sql.compiled",
+    "RA907": "an error is handed to the edge",
 }
 
 

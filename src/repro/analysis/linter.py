@@ -56,6 +56,15 @@ by ``make lint`` / ``make check``):
   code or ``Expr.eval`` behind the same signature is decided there and
   counted. An ``.eval(`` call anywhere under ``stream/`` is a second,
   by-name body growing back beside the first.
+
+* **RA907 — an error is handed to the edge.** A hand-off that raises
+  under an open verb is parked, and the outermost verb raises it (the
+  rule on :class:`~repro.data.streams.StreamConsumer`). Under
+  ``stream/`` and ``data/``, an ``except Exception as NAME`` handler
+  that does not re-raise must pass ``NAME`` to ``park``: one holding
+  on to it instead is a per-site error protocol growing back. Bare
+  ``except Exception:`` handlers keep nothing and are not this rule's
+  business.
 """
 
 from __future__ import annotations
@@ -150,6 +159,7 @@ def lint_engine(root: Path | None = None) -> list[Diagnostic]:
     _check_worker_boundary(modules, out)
     _check_compile_calls(modules, out)
     _check_stream_eval_calls(modules, out)
+    _check_parked_errors(modules, out)
     return out
 
 
@@ -496,3 +506,40 @@ def _check_stream_eval_calls(modules: dict[str, ast.Module], out: list[Diagnosti
                         operator=f"{rel}:{node.lineno}",
                     )
                 )
+
+
+# ----------------------------------------------------------------------
+# RA907: an error is handed to the edge
+# ----------------------------------------------------------------------
+def _check_parked_errors(modules: dict[str, ast.Module], out: list[Diagnostic]) -> None:
+    for rel, tree in modules.items():
+        if Path(rel).parts[0] not in ("stream", "data"):
+            continue
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.ExceptHandler)
+                and isinstance(node.type, ast.Name)
+                and node.type.id == "Exception"
+                and node.name is not None
+                and not any(_hands_on(inner, node.name) for inner in ast.walk(node))
+            ):
+                out.append(
+                    diag(
+                        "RA907",
+                        ERROR,
+                        f"'except Exception as {node.name}' neither re-raises "
+                        f"nor parks {node.name}: pass it to park(), and the "
+                        "outermost verb raises it",
+                        operator=f"{rel}:{node.lineno}",
+                    )
+                )
+
+
+def _hands_on(node: ast.AST, name: str) -> bool:
+    """Whether ``node`` raises, or calls ``park`` with ``name``."""
+    return isinstance(node, ast.Raise) or (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "park"
+        and any(isinstance(arg, ast.Name) and arg.id == name for arg in node.args)
+    )

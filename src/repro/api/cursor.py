@@ -61,8 +61,9 @@ class Subscription:
     Either way delivery is at-least-once and in the order rows entered
     the cursor's sink: if the callback raises at element *k* of a run,
     *k* and everything behind it stay queued, in order, and the
-    exception propagates (out of the emitting verb, for a direct
-    subscription, after every sibling subscription got the run).
+    exception propagates — for a direct subscription, to the sink's
+    fan-out, which parks it: the emitting verb raises it once all of its
+    work is done.
     """
 
     __slots__ = ("callback", "elements", "mode", "_pending", "_draining")
@@ -264,9 +265,11 @@ class Cursor:
         * each subscription sees rows in the order they entered the
           sink (:meth:`results`), at least once — see
           :class:`Subscription`;
-        * a fan-out finishes before it raises: a raising direct
-          callback still lets every other subscription (and every other
-          cursor the verb feeds) take the run, then the verb re-raises;
+        * a hand-off never raises into its producer: a raising direct
+          callback's exception is parked, every other subscription (and
+          every other cursor the verb feeds) takes the run and every
+          operator finishes, then the verb raises the first exception
+          (the rule on :class:`~repro.data.streams.StreamConsumer`);
         * a callback that feeds the session (reentrant delivery): every
           subscription on the sink gets the rows it caused after the
           current run, exactly once;

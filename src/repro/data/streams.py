@@ -9,6 +9,8 @@ window closing and allow bounded state in joins and aggregates.
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Protocol, runtime_checkable
 
@@ -112,13 +114,23 @@ class StreamConsumer(Protocol):
       to every route of a source and a shared chain's tee hands one run
       to every branch, so the next receiver reads the same list.
 
-    **A fan-out finishes before it raises.** A producer handing one item
-    or run to several consumers — the engine's routes of a source, a
-    tee's branches, a pool's shards, a sink's observers — delivers
-    to every one of them even when one raises, then re-raises the first
-    exception. The verb still raises, and what it carried counts as
-    ingested (it is in the replay log), so a caller that retries it
-    duplicates it; one raising consumer never starves its siblings.
+    **A hand-off never raises into its producer.** A *hand-off* passes
+    a run, an item or a callback argument to someone else: a fan-out
+    (the engine's routes of a source, a tee's branches, a pool's
+    shards, a sink's observers, the frame pump's feeds) or an
+    operator's ``emit`` / ``emit_batch``. When one raises while a
+    *verb* is open — an engine verb through which rows or punctuations
+    enter (``push``, ``push_many``, ``punctuate``, ``load_table``,
+    ``execute`` and the rest), or a shard worker's frame — the
+    exception is *parked* (:func:`park`) and the producer carries on as
+    if the hand-off had returned. Verbs nest (:func:`edge`); the
+    outermost one raises the first parked exception once its own work
+    is done. So the verb still raises, what it carried counts as
+    ingested (it is in the replay log: a caller that retries it
+    duplicates it), and one raising consumer costs no sibling — nor the
+    operator that emitted, which finishes its loop — a row. A fan-out
+    reached with no verb open is an edge of its own: it finishes, then
+    raises.
 
     ``push_batch`` is optional and deliberately *not* part of this
     runtime-checkable protocol — a ``push``-only consumer is still a
@@ -132,6 +144,72 @@ class StreamConsumer(Protocol):
     def push(self, item: StreamItem) -> None:
         """Receive one element or punctuation."""
         ...
+
+
+class _Edge:
+    """The error edge's state: ``open`` while a verb runs, and
+    ``parked``, the first exception the hand-offs under it parked (later
+    ones drop).
+
+    One per process, not per engine: verbs of different engines nest (a
+    pool's around its in-process shards', a callback's feeding another
+    session), and the engine is synchronous — one thread drives it."""
+
+    __slots__ = ("open", "parked")
+
+    def __init__(self) -> None:
+        self.open = False
+        self.parked: Exception | None = None
+
+
+#: The one edge. A fan-out on the per-row path reads ``EDGE.open``
+#: inline; only this module assigns it.
+EDGE = _Edge()
+# A forked shard worker starts with no verb open, whatever its parent
+# was in the middle of.
+os.register_at_fork(after_in_child=EDGE.__init__)
+
+
+def park(exc: Exception) -> None:
+    """Hand a raising hand-off's exception to the edge: parked for the
+    outermost open verb, or — no verb open — raised on the spot (a
+    fan-out is an edge, so only a lone ``emit`` gets here without one).
+
+    Never park a failover signal (``ShardDied``): the pool's retry has
+    to see it, so no hand-off sits between it and its ``_call``."""
+    if not EDGE.open:
+        raise exc
+    if EDGE.parked is None:
+        EDGE.parked = exc
+
+
+def edge(verb: Callable) -> Callable:
+    """Make ``verb`` an edge: inside another edge it is part of that
+    one's work; outermost, it raises the first exception parked under it
+    once it returned. An exception of its own propagates as it is, and
+    what was parked is dropped."""
+
+    @functools.wraps(verb)
+    def edged(*args, **kwargs):
+        if EDGE.open:
+            return verb(*args, **kwargs)
+        EDGE.open = True
+        try:
+            result = verb(*args, **kwargs)
+        finally:
+            EDGE.open = False
+            parked, EDGE.parked = EDGE.parked, None
+        if parked is not None:
+            raise parked
+        return result
+
+    return edged
+
+
+#: ``outermost(fn, *args)`` is ``fn(*args)`` as an edge. A fan-out on the
+#: per-row path tests ``EDGE.open`` inline and calls this only when no
+#: verb is open, so under a verb it pays no extra call.
+outermost = edge(lambda fn, *args: fn(*args))
 
 
 class CallbackConsumer:
@@ -181,8 +259,9 @@ class CollectingConsumer:
         Empty runs and punctuations are not observed. The rules of the
         observer fan-out:
 
-        * *a fan-out finishes before it raises* — every observer gets
-          the run, then the first exception is re-raised;
+        * *a hand-off never raises into its producer* — every observer
+          gets the run; an observer's exception is parked for the verb
+          (the rule on :class:`StreamConsumer`);
         * *log order* — every observer sees runs in the order they were
           stored. A run stored while a fan-out is in flight (a callback
           that feeds the session) is delivered after it, exactly once,
@@ -206,26 +285,25 @@ class CollectingConsumer:
             self._fan_out(elements)
 
     def _fan_out(self, run: list[StreamElement]) -> None:
+        if not EDGE.open:  # no verb open: this fan-out is the edge
+            return outermost(self._fan_out, run)
         observers = self._observers
         if self._queued is not None:
             self._queued.append((list(run), observers))
             return
         self._queued = queued = []
-        error = None
         try:
             while True:
                 for callback in observers:
                     try:
                         callback(run)
-                    except Exception as exc:  # a fan-out finishes first
-                        error = error or exc
+                    except Exception as exc:
+                        park(exc)
                 if not queued:
                     break
                 run, observers = queued.pop(0)
         finally:
             self._queued = None
-        if error is not None:
-            raise error
 
     @property
     def rows(self) -> list[Row]:

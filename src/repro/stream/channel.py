@@ -40,6 +40,10 @@ view of a remote one: ``elements_ingested`` / ``failed``) and
 
 A dead shard surfaces as one :class:`ShardDied` from whichever verb
 finds it; the pool's single retry wrapper turns that into failover.
+A data error never travels that way: the host's verbs are edges (the
+hand-off rule on :class:`~repro.data.streams.StreamConsumer`), so one
+raised under a pool verb is parked, and the pool verb raises it once
+every shard has its work.
 
 :class:`LoopbackChannel` — this module — is the in-process transport:
 the channel *is* a local host, called synchronously, handed the
@@ -49,6 +53,7 @@ worker OS process per shard) lives in :mod:`repro.stream.procshard`.
 
 from __future__ import annotations
 
+from repro.data.streams import edge
 from repro.errors import ExecutionError
 from repro.stream.checkpoint import restore_operators, snapshot_operators
 from repro.stream.engine import QueryHandle, StreamEngine
@@ -111,21 +116,13 @@ class ShardHost:
         for replica in replicas:
             engine.stop(replica)
 
+    @edge
     def deliver(self, runs, puncts) -> None:
         engine = self._live()
-        error = None
         for name, values, stamps in runs:
-            try:
-                engine.push_exchange(name, values, stamps)
-            except Exception as exc:  # a fan-out finishes first
-                error = error or exc
+            engine.push_exchange(name, values, stamps)
         for watermark, names in puncts:
-            try:
-                engine.punctuate(watermark, names)
-            except Exception as exc:
-                error = error or exc
-        if error is not None:
-            raise error
+            engine.punctuate(watermark, names)
 
     def seed(self, tables) -> None:
         self._live()._tables = {

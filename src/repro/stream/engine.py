@@ -41,7 +41,9 @@ from repro.data.streams import (
     Punctuation,
     StreamConsumer,
     StreamElement,
+    edge,
     elements_from_columns,
+    park,
     push_all,
 )
 from repro.data.tuples import Row
@@ -229,10 +231,11 @@ class StreamEngine:
     # ------------------------------------------------------------------
     # Tables
     # ------------------------------------------------------------------
+    @edge
     def load_table(self, name: str, rows: list[Row | Mapping[str, Any]], timestamp: float = 0.0) -> None:
         """Load (or extend) a stored table; replayed into future queries
-        and handed to each running one's ports as one run, every port
-        getting it before an error raises (:meth:`_dispatch_batch`)."""
+        and handed to each running one's ports as one run
+        (:meth:`_dispatch_batch`)."""
         if self.failed:
             return
         entry = self._catalog.source(name)
@@ -303,6 +306,10 @@ class StreamEngine:
         (a hand-built one; see :func:`~repro.stream.compiler.result_sink`)
         feeds the sink (or the log) through its exit label;
         ``handle.sink`` is the sink itself either way.
+
+        Stored tables are replayed into the new query before this
+        returns; when that raises here, the query is stopped first, so
+        a failed admission leaves nothing running.
         """
         if self.failed:
             raise ExecutionError(
@@ -324,15 +331,20 @@ class StreamEngine:
         if admitted is not None:
             self._attachments[handle.query_id] = admitted
         self._register_routes(handle)
-        # Replay stored tables into the new query's table scans.
-        for port in compiled.ports:
-            if port.scan is None:
-                continue
-            stored = self._tables.get(port.scan.entry.name)
-            if stored:
-                for element in stored:
-                    port.consumer.push(element)
+        try:
+            self._replay_tables(handle)
+        except BaseException:
+            self.stop(handle)
+            raise
         return handle
+
+    @edge
+    def _replay_tables(self, handle: QueryHandle) -> None:
+        """Replay stored tables into a new query's table scans."""
+        for port in handle.compiled.ports:
+            if port.scan is not None:
+                for element in self._tables.get(port.scan.entry.name, ()):
+                    port.consumer.push(element)
 
     def stop(self, handle: QueryHandle) -> None:
         """Stop routing data into a query. Idempotent: stopping a query
@@ -438,6 +450,7 @@ class StreamEngine:
     # ------------------------------------------------------------------
     # Stream ingestion
     # ------------------------------------------------------------------
+    @edge
     def push(
         self,
         source: str,
@@ -453,15 +466,13 @@ class StreamEngine:
         if self.checkpointer is not None and not self._replaying:
             self.checkpointer.record(("push", None, source, row, timestamp))
         self.elements_ingested += 1
-        error = None
         for route in self._routes.get(entry.name.lower(), ()):
             try:
                 route.port.consumer.push(element)
-            except Exception as exc:  # a fan-out finishes first
-                error = error or exc
-        if error is not None:
-            raise error
+            except Exception as exc:
+                park(exc)
 
+    @edge
     def push_many(
         self,
         source: str,
@@ -516,7 +527,7 @@ class StreamEngine:
         if fused is not None and fused[2] is entry.schema:
             try:
                 out = fused[0](rows, stamps, entry.name)
-            except Exception:  # raised again below, where the two loops raise it
+            except Exception:  # the two loops below raise (or park) it again
                 pass
         if out is None:
             elements = self._ingest_loop(entry.schema)(rows, stamps, entry.name)
@@ -539,22 +550,17 @@ class StreamEngine:
         :meth:`_dispatch_batch`."""
         routes = self._routes.get(entry.name.lower(), ())
         op.rows_in += len(rows)
-        error = None
-        try:
-            if out:
-                op.emit_batch(out)
-        except Exception as exc:  # a fan-out finishes first
-            error = exc
+        if out:
+            op.emit_batch(out)
         if len(routes) > 1:
             elements = self._ingest_loop(entry.schema)(rows, stamps, entry.name)
             for route in itertools.islice(routes, 1, None):
                 try:
                     push_all(route.port.consumer, elements)
                 except Exception as exc:
-                    error = error or exc
-        if error is not None:
-            raise error
+                    park(exc)
 
+    @edge
     def push_values(
         self,
         source: str,
@@ -583,15 +589,14 @@ class StreamEngine:
         routes = self._routes.get(name.lower(), ())
         multi_port_queries = self._multi_port_queries(routes)
         interleaved = []
-        error = None
         for route in routes:
             if route.query_id in multi_port_queries:
                 interleaved.append(route.port.consumer)
                 continue
             try:
                 push_all(route.port.consumer, elements)
-            except Exception as exc:  # a fan-out finishes first
-                error = error or exc
+            except Exception as exc:
+                park(exc)
         if interleaved:
             # Element-major delivery across this query's ports, exactly
             # as repeated push() would interleave them.
@@ -600,9 +605,7 @@ class StreamEngine:
                     try:
                         consumer.push(element)
                     except Exception as exc:
-                        error = error or exc
-        if error is not None:
-            raise error
+                        park(exc)
 
     @staticmethod
     def _multi_port_queries(routes: Sequence["_Route"]) -> set[int]:
@@ -615,6 +618,7 @@ class StreamEngine:
             seen.add(route.query_id)
         return multi
 
+    @edge
     def push_exchange(
         self,
         name: str,
@@ -639,10 +643,14 @@ class StreamEngine:
             routes[0].remote_schema, name, values, timestamps
         )
         for route in routes:
-            push_all(route.port.consumer, elements)
+            try:
+                push_all(route.port.consumer, elements)
+            except Exception as exc:
+                park(exc)
         self.elements_ingested += len(elements)
         return len(elements)
 
+    @edge
     def push_remote(
         self, name: str, values: Mapping[str, Any] | Row, timestamp: float
     ) -> None:
@@ -667,7 +675,10 @@ class StreamEngine:
             self.checkpointer.record(("remote", None, name, values, timestamp))
         self.elements_ingested += 1
         for consumer, element in deliveries:
-            consumer.push(element)
+            try:
+                consumer.push(element)
+            except Exception as exc:
+                park(exc)
 
     def _remote_schema(self, handle: QueryHandle, name: str) -> Schema:
         for node in handle.plan.walk():
@@ -690,6 +701,7 @@ class StreamEngine:
                 raise ExecutionError(f"remote tuple is missing field {f.name!r}")
         return Row(schema, out, validate=False)
 
+    @edge
     def punctuate(self, watermark: float, sources: list[str] | None = None) -> None:
         """Advance the watermark on ``sources`` (default: every source any
         running query reads, including table scans)."""
@@ -707,22 +719,19 @@ class StreamEngine:
             groups = self._routes.values()
         else:
             groups = (self._routes.get(source.lower(), ()) for source in sources)
-        error = None
         for routes in groups:
             for route in routes:
                 if sources is None and route.port.exchange:
                     continue
                 try:
                     route.port.consumer.push(punctuation)
-                except Exception as exc:  # a fan-out finishes first
-                    error = error or exc
+                except Exception as exc:
+                    park(exc)
         # Punctuation-aligned barriers: the coordinator logs the
         # watermark (replay must reproduce window emissions) and, when
         # its interval elapsed, snapshots post-punctuation state.
         if self.checkpointer is not None and not self._replaying:
             self.checkpointer.on_punctuation(watermark, sources)
-        if error is not None:
-            raise error
 
     # ------------------------------------------------------------------
     # Failure and recovery

@@ -74,7 +74,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.catalog import SourceKind
-from repro.data.streams import CollectingConsumer, LogView, push_all
+from repro.data.streams import EDGE, CollectingConsumer, LogView, outermost, park, push_all
 from repro.errors import ExecutionError
 from repro.plan.logical import (
     Aggregate,
@@ -129,7 +129,7 @@ class TeeOp:
     it started with, and an addition appends in place — the engine's
     route list behaves the same way on both counts, so either reads
     like the private pipelines would. A raising branch does not starve
-    the ones after it (the fan-out rule on ``StreamConsumer``).
+    the ones after it (the hand-off rule on ``StreamConsumer``).
     """
 
     def __init__(self) -> None:
@@ -153,24 +153,22 @@ class TeeOp:
         return len(self.branches)
 
     def push(self, item: Any) -> None:
-        error = None
+        if not EDGE.open:  # no verb open: this fan-out is the edge
+            return outermost(self.push, item)
         for branch in self.branches:
             try:
                 branch.push(item)
-            except Exception as exc:  # a fan-out finishes first
-                error = error or exc
-        if error is not None:
-            raise error
+            except Exception as exc:
+                park(exc)
 
     def push_batch(self, elements: list[Any]) -> None:
-        error = None
+        if not EDGE.open:
+            return outermost(self.push_batch, elements)
         for branch in self.branches:
             try:
                 push_all(branch, elements)
-            except Exception as exc:  # a fan-out finishes first
-                error = error or exc
-        if error is not None:
-            raise error
+            except Exception as exc:
+                park(exc)
 
 
 class SharedFeed(RemoteSource):

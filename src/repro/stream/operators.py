@@ -57,6 +57,7 @@ from repro.data.streams import (
     StreamConsumer,
     StreamElement,
     StreamItem,
+    park,
 )
 from repro.data.tuples import Row
 from repro.data.windows import WindowKind, WindowSpec
@@ -154,18 +155,28 @@ class Operator:
         self.downstream.push(punctuation)
 
     def emit(self, element: StreamElement) -> None:
+        """Forward one output element: a hand-off, so a raising
+        downstream is parked and this operator carries on (the rule on
+        :class:`~repro.data.streams.StreamConsumer`)."""
         self.rows_out += 1
-        self.downstream.push(element)
+        try:
+            self.downstream.push(element)
+        except Exception as exc:
+            park(exc)
 
     def emit_batch(self, elements: list[StreamElement]) -> None:
-        """Forward a run of output elements, batched when possible."""
+        """Forward a run of output elements, batched when possible (a
+        hand-off, as :meth:`emit`)."""
         self.rows_out += len(elements)
-        if self._down_batch is not None:
-            self._down_batch(elements)
-        else:
-            push = self.downstream.push
-            for element in elements:
-                push(element)
+        try:
+            if self._down_batch is not None:
+                self._down_batch(elements)
+            else:
+                push = self.downstream.push
+                for element in elements:
+                    push(element)
+        except Exception as exc:
+            park(exc)
 
     # -- checkpointing ----------------------------------------------------
     def state_snapshot(self) -> dict:
@@ -254,7 +265,10 @@ class FilterOp(StageOp):
         if self._compiled(element.row.values) is True:
             # emit() inlined: this is the hottest call site.
             self.rows_out += 1
-            self.downstream.push(element)
+            try:
+                self.downstream.push(element)
+            except Exception as exc:
+                park(exc)
 
 
 class ProjectOp(StageOp):
@@ -279,7 +293,10 @@ class ProjectOp(StageOp):
         row = Row.raw(self.output_schema, self._compiled(element.row.values))
         # emit() inlined: this is the hottest call site.
         self.rows_out += 1
-        self.downstream.push(StreamElement(row, element.timestamp, element.source))
+        try:
+            self.downstream.push(StreamElement(row, element.timestamp, element.source))
+        except Exception as exc:
+            park(exc)
 
 
 class FusedOp(StageOp):
@@ -326,7 +343,10 @@ class FusedOp(StageOp):
             element = StreamElement(
                 Row.raw(self.output_schema, values), element.timestamp, element.source
             )
-        self.downstream.push(element)
+        try:
+            self.downstream.push(element)
+        except Exception as exc:
+            park(exc)
 
 
 class SymmetricHashJoin(Operator):

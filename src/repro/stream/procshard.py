@@ -31,7 +31,11 @@ the pool constructed over it:
   (:meth:`FramedChannel._await`). Queue FIFO puts every emission for
   the boundary ahead of — or inside — its ack, so what reaches the
   parent-side feeds per punctuation segment is byte-identical to the
-  loopback channel. The wait has one overall deadline
+  loopback channel. Each frame is one edge in the worker (the hand-off
+  rule on :class:`~repro.data.streams.StreamConsumer`): a frame that
+  raised did all its work, is acked, and reports its first exception
+  in an ``("error", ...)`` frame ahead of the ack, which the parent
+  parks like any other hand-off's. The wait has one overall deadline
   (:data:`ACK_DEADLINE_S`): a worker that hangs instead of dying is
   killed and reported dead like any other.
 * **Death is one exception.** A missing process, a broken pipe or an
@@ -60,6 +64,7 @@ import os
 import pickle
 import queue
 import signal
+import sys
 import time
 import traceback
 from typing import Callable
@@ -68,7 +73,9 @@ from repro.catalog import Catalog
 from repro.data.streams import (
     Punctuation,
     StreamElement,
+    edge,
     elements_from_columns,
+    park,
 )
 from repro.data.tuples import Row
 from repro.data.windows import WindowSpec
@@ -404,15 +411,14 @@ class FramedChannel:
         raise ShardDied(self.index)
 
     # -- frames in ------------------------------------------------------
+    @edge
     def _await(self) -> tuple:
         """The one ack-wait loop: drain the worker's output (forwarding
-        emissions into the feeds) until the ack of the newest frame. A
-        feed that raises does not end the wait: everything up to the ack
-        is forwarded, the ack clears ``_awaiting``, then the first
-        exception is raised (the fan-out rule on ``StreamConsumer``)."""
+        emissions into the feeds) until the ack of the newest frame. An
+        edge, like :meth:`_drain`: what a feed or the worker raised is
+        parked, so the wait always reaches the ack."""
         seq = self._awaiting
         deadline = time.monotonic() + ACK_DEADLINE_S
-        error = None
         while True:
             try:
                 frame = self.outq.get(timeout=_POLL_S)
@@ -421,34 +427,34 @@ class FramedChannel:
                 continue
             except (EOFError, OSError):
                 raise ShardDied(self.index) from None
-            exc = self._on_frame(frame)  # forwarded even after a raise
-            error = error or exc
+            self._on_frame(frame)
             if frame[0] == "ack" and frame[1] == seq:
                 self._awaiting = None
-                if error is not None:
-                    raise error
                 return frame
 
+    @edge
     def _drain(self) -> None:
-        error = None
         while True:
             try:
                 frame = self.outq.get_nowait()
             except (queue.Empty, EOFError, OSError):
                 break
-            exc = self._on_frame(frame)
-            error = error or exc
-        if error is not None:
-            raise error
+            self._on_frame(frame)
 
-    def _on_frame(self, frame: tuple) -> Exception | None:
+    def _on_frame(self, frame: tuple) -> None:
         """Forward one frame's emissions — every query's items, in frame
-        order, even past a feed that raises — and return the first
-        exception a feed raised. A worker's own failure raises."""
+        order, each feed a hand-off — or park the exception a worker's
+        frame raised: its own when it pickled, else an ExecutionError
+        carrying the worker's traceback."""
         kind = frame[0]
         if kind == "error":
-            raise ExecutionError(f"shard worker {self.index} failed:\n{frame[1]}")
-        error = None
+            _, _, exported, trace = frame
+            exc = ExecutionError(f"shard worker {self.index} failed:\n{trace}")
+            if exported is not None:
+                exc = pickle.loads(exported)
+                exc.add_note(f"raised in shard worker {self.index}:\n{trace}")
+            park(exc)
+            return
         if kind == "xout":
             for query_id, ordinal, values, stamps in _unpack(frame[2]):
                 feeds = self._xfeeds.get(query_id)
@@ -456,8 +462,8 @@ class FramedChannel:
                     try:
                         feeds[ordinal].push_run(values, stamps)
                     except Exception as exc:
-                        error = error or exc
-            return error
+                        park(exc)
+            return
         # ("out", None, emissions) and ("ack", seq, emissions, reply)
         for query_id, items in _unpack(frame[2]):
             entry = self._feeds.get(query_id)
@@ -475,8 +481,7 @@ class FramedChannel:
                             elements_from_columns(schema, item[1], item[2], item[3])
                         )
                 except Exception as exc:
-                    error = error or exc
-        return error
+                    park(exc)
 
 
 # ----------------------------------------------------------------------
@@ -588,9 +593,23 @@ def _ship(outq, host: ShardHost, seq=None, reply=None) -> None:
         outq.put(("out", None, _pack(emissions)))
 
 
+def _exported() -> bytes | None:
+    """The exception being handled, pickled, when it survives the round
+    trip (the parent then raises it with its type); else None."""
+    try:
+        exported = pickle.dumps(sys.exc_info()[1])
+        pickle.loads(exported)
+    except Exception:
+        return None
+    return exported
+
+
 def _worker_main(index, inq, outq, share_plans, default_window) -> None:
     """One shard worker: a :class:`ShardHost` driven entirely by frames
     ``(kind, seq, *args)``; a frame with a ``seq`` is acked once done.
+    Each frame is one edge: it does all its work, then reports the
+    first exception it raised in an ``("error", ...)`` frame — ahead of
+    its ack, which it still gets.
 
     The host, catalog and plan builder are constructed *here* — the
     worker import path carries no parent engine state (RA904), so fork
@@ -606,8 +625,64 @@ def _worker_main(index, inq, outq, share_plans, default_window) -> None:
     builder = PlanBuilder(catalog)
     host = ShardHost(index, catalog, None, default_window, share_plans)
     engine = host.engine
-    running = True
-    while running:
+
+    @edge
+    def run(frame: tuple):
+        """Do one frame's work; returns its reply (None for most)."""
+        kind = frame[0]
+        if kind == "data":
+            values, stamps = _unpack(frame[3])
+            engine.push_values(frame[2], values, stamps)
+        elif kind == "punct":
+            for source, values, stamps in _unpack(frame[4]):
+                engine.push_values(source, values, stamps)
+            engine.punctuate(frame[2], frame[3])
+        elif kind == "xdel":
+            host.deliver(_unpack(frame[2]), frame[3])
+        elif kind == "execute":
+            host.start(frame[2], builder.build_sql(frame[3]), _FrameSink(), frame[4])
+        elif kind == "xexec":
+            recipe = build_exchange(builder.build_sql(frame[3]), frame[4], token=frame[2])
+            host.start_exchanged(
+                frame[2],
+                recipe,
+                [_FrameSink() for _ in recipe.specs],
+                _FrameSink() if frame[5] else None,
+            )
+        elif kind == "stop":
+            host.stop(frame[2])
+            if not host.queries and not host.stage1:
+                gc.collect()  # stopped plans drop cyclic graphs
+        elif kind == "table":
+            schema = catalog.source(frame[2]).schema
+            engine.load_table(
+                frame[2], [Row.raw(schema, values) for values in frame[3]], frame[4]
+            )
+        elif kind == "drop":
+            engine.drop_table(frame[2])
+        elif kind == "catalog":
+            _adopt_catalog(catalog, pickle.loads(frame[2]))
+        elif kind == "seed":
+            host.seed(
+                {
+                    name: [
+                        StreamElement(Row.raw(catalog.source(name).schema, values), ts, name)
+                        for values, ts in items
+                    ]
+                    for name, items in frame[2].items()
+                }
+            )
+        elif kind == "restore":
+            host.restore(frame[2], frame[3])
+        elif kind == "checkpoint":
+            return host.snapshot()
+        elif kind == "stats":
+            return engine.sharing_stats()
+        elif kind == "compile_stats":
+            return engine.compile_stats()
+        # ("sync", seq) does nothing but ask for its ack.
+
+    while True:
         frames = [inq.get()]
         while len(frames) < PREFETCH_FRAMES:
             try:
@@ -615,71 +690,15 @@ def _worker_main(index, inq, outq, share_plans, default_window) -> None:
             except queue.Empty:
                 break
         for frame in frames:
-            kind, seq = frame[0], frame[1]
+            if frame[0] == "shutdown":
+                return
             reply = None
             try:
-                if kind == "data":
-                    values, stamps = _unpack(frame[3])
-                    engine.push_values(frame[2], values, stamps)
-                elif kind == "punct":
-                    for source, values, stamps in _unpack(frame[4]):
-                        engine.push_values(source, values, stamps)
-                    engine.punctuate(frame[2], frame[3])
-                elif kind == "xdel":
-                    host.deliver(_unpack(frame[2]), frame[3])
-                elif kind == "execute":
-                    host.start(frame[2], builder.build_sql(frame[3]), _FrameSink(), frame[4])
-                elif kind == "xexec":
-                    recipe = build_exchange(
-                        builder.build_sql(frame[3]), frame[4], token=frame[2]
-                    )
-                    host.start_exchanged(
-                        frame[2],
-                        recipe,
-                        [_FrameSink() for _ in recipe.specs],
-                        _FrameSink() if frame[5] else None,
-                    )
-                elif kind == "stop":
-                    host.stop(frame[2])
-                    if not host.queries and not host.stage1:
-                        gc.collect()  # stopped plans drop cyclic graphs
-                elif kind == "table":
-                    schema = catalog.source(frame[2]).schema
-                    engine.load_table(
-                        frame[2], [Row.raw(schema, values) for values in frame[3]], frame[4]
-                    )
-                elif kind == "drop":
-                    engine.drop_table(frame[2])
-                elif kind == "catalog":
-                    _adopt_catalog(catalog, pickle.loads(frame[2]))
-                elif kind == "seed":
-                    host.seed(
-                        {
-                            name: [
-                                StreamElement(
-                                    Row.raw(catalog.source(name).schema, values), ts, name
-                                )
-                                for values, ts in items
-                            ]
-                            for name, items in frame[2].items()
-                        }
-                    )
-                elif kind == "restore":
-                    host.restore(frame[2], frame[3])
-                elif kind == "checkpoint":
-                    reply = host.snapshot()
-                elif kind == "stats":
-                    reply = engine.sharing_stats()
-                elif kind == "compile_stats":
-                    reply = engine.compile_stats()
-                elif kind == "shutdown":
-                    running = False
-                    break
-                # ("sync", seq) does nothing but ask for its ack.
-                if seq is not None:
-                    _ship(outq, host, seq, reply)
+                reply = run(frame)
             except Exception:
-                outq.put(("error", traceback.format_exc()))
+                outq.put(("error", None, _exported(), traceback.format_exc()))
+            if frame[1] is not None:
+                _ship(outq, host, frame[1], reply)
         _ship(outq, host)
 
 

@@ -58,6 +58,7 @@ from repro.data.streams import (
     Punctuation,
     StreamElement,
     StreamItem,
+    edge,
     push_all,
 )
 from repro.data.tuples import Row, stable_hash
@@ -978,6 +979,7 @@ class ShardedStreamEngine:
         """Push one element to its owning shard (and the fallback feed)."""
         self.push_many(source, [row], [timestamp])
 
+    @edge
     def push_many(
         self,
         source: str,
@@ -1006,7 +1008,6 @@ class ShardedStreamEngine:
         checkpointer = self.checkpointer
         fed = lower in self._shard_subs
         per_rows, per_stamps = self._route(lower, rows, stamps)
-        error = None
         for shard, shard_rows in enumerate(per_rows):
             if not shard_rows:
                 continue
@@ -1014,23 +1015,16 @@ class ShardedStreamEngine:
             if checkpointer is not None:
                 checkpointer.record(("many", shard, source, shard_rows, shard_stamps))
             if fed:
-                try:
-                    self._call(shard, "ingest", source, shard_rows, shard_stamps)
-                except Exception as exc:  # a fan-out finishes first
-                    error = error or exc
+                self._call(shard, "ingest", source, shard_rows, shard_stamps)
         if lower in self._fallback_subs:
             whole = timestamps if stamps is None else stamps
             if checkpointer is not None:
                 checkpointer.record(("many", FALLBACK, source, rows, whole))
-            try:
-                self._call(FALLBACK, "ingest", source, rows, whole)
-            except Exception as exc:
-                error = error or exc
+            self._call(FALLBACK, "ingest", source, rows, whole)
         self.elements_ingested += len(rows)
-        if error is not None:
-            raise error
         return len(rows)
 
+    @edge
     def push_remote(
         self, name: str, values: Mapping[str, Any] | Row, timestamp: float
     ) -> None:
@@ -1063,6 +1057,7 @@ class ShardedStreamEngine:
                 checkpointer.record(("remote", target, name, values, timestamp))
             self._call(target, "ingest_remote", name, values, timestamp)
 
+    @edge
     def punctuate(self, watermark: float, sources: list[str] | None = None) -> None:
         """Broadcast the watermark to every engine; merged sinks forward
         one punctuation once all replicas have processed it.
@@ -1077,35 +1072,23 @@ class ShardedStreamEngine:
         checkpointer = self.checkpointer
         if checkpointer is not None:
             checkpointer.record(("punct", None, watermark, sources))
-        error = None
         if self._shard_subs:
             # Round 1: every shard punctuates (sent to all before any
             # is waited for — worker processes run it concurrently).
             shards = range(len(self._channels))
             for index in shards:
-                try:
-                    self._call(index, "punctuate", watermark, sources)
-                except Exception as exc:  # a fan-out finishes first
-                    error = error or exc
-            for index in shards:
-                try:  # a framed channel forwards emissions while settling
-                    self._call(index, "settle")
-                except Exception as exc:
-                    error = error or exc
+                self._call(index, "punctuate", watermark, sources)
+            for index in shards:  # a framed channel forwards emissions while settling
+                self._call(index, "settle")
             # Round 2, the shuffle barrier: stage-1 emissions (including
             # this punctuation's window closes and running deltas) flush
             # to their destination shards, then the exchange ports are
             # punctuated — so stage 2 sees everything ≤ watermark before
             # its own watermark advances, exactly like a single engine.
-            try:
-                self._deliver_exchanges(watermark, sources)
-            except Exception as exc:
-                error = error or exc
+            self._deliver_exchanges(watermark, sources)
         self._call(FALLBACK, "punctuate", watermark, sources)
         if checkpointer is not None:
             checkpointer.barrier(watermark)
-        if error is not None:
-            raise error
 
     def _deliver_exchanges(
         self, watermark: float, sources: list[str] | None = None
@@ -1146,23 +1129,15 @@ class ShardedStreamEngine:
         if not deliveries:
             return
         self._exchange_rounds += 1
-        error = None
         for dest, (runs, puncts) in deliveries.items():
-            try:
-                self._call(dest, "deliver", runs, puncts)
-            except Exception as exc:  # a fan-out finishes first
-                error = error or exc
+            self._call(dest, "deliver", runs, puncts)
         for dest in deliveries:
-            try:
-                self._call(dest, "settle")
-            except Exception as exc:
-                error = error or exc
-        if error is not None:
-            raise error
+            self._call(dest, "settle")
 
     # ------------------------------------------------------------------
     # Tables (replicated to every engine)
     # ------------------------------------------------------------------
+    @edge
     def load_table(
         self,
         name: str,
@@ -1175,14 +1150,8 @@ class ShardedStreamEngine:
         rows = [StreamEngine._coerce_row(schema, row) for row in rows]
         if self.checkpointer is not None:
             self.checkpointer.record(("table", None, name, rows, timestamp))
-        error = None
         for index in self._everyone():
-            try:
-                self._call(index, "load_table", name, rows, timestamp)
-            except Exception as exc:  # a fan-out finishes first
-                error = error or exc
-        if error is not None:
-            raise error
+            self._call(index, "load_table", name, rows, timestamp)
 
     def table_rows(self, name: str) -> list[Row]:
         return self._fallback.engine.table_rows(name)

@@ -1110,6 +1110,53 @@ class TestEngineLinter:
         assert _codes(diags) == ["RA906"]
         assert diags[0].operator == "stream/operators.py:5"
 
+    def test_ra907_a_caught_error_is_parked_or_raised(self, tmp_path):
+        """Under stream/ and data/, a handler that names what it caught
+        and keeps it (threading it to a later raise) is flagged; one
+        that parks it or re-raises is not, nor is a bare handler, nor
+        anything outside those two packages."""
+        threading = (
+            "def fan_out(consumers, item):\n"
+            "    error = None\n"
+            "    for consumer in consumers:\n"
+            "        try:\n"
+            "            consumer.push(item)\n"
+            "        except Exception as exc:\n"
+            "            error = error or exc\n"
+            "    if error is not None:\n"
+            "        raise error\n"
+        )
+        root = self._tree(
+            tmp_path,
+            {
+                "data/__init__.py": "",
+                "data/streams.py": threading,
+                "stream/__init__.py": "",
+                "stream/engine.py": (
+                    "from repro.data.streams import park\n"
+                    "def push(routes, item):\n"
+                    "    for route in routes:\n"
+                    "        try:\n"
+                    "            route.push(item)\n"
+                    "        except Exception as exc:\n"
+                    "            park(exc)\n"
+                    "        try:\n"
+                    "            route.push(item)\n"
+                    "        except Exception as exc:\n"
+                    "            raise RuntimeError('wrapped') from exc\n"
+                    "        try:\n"
+                    "            route.push(item)\n"
+                    "        except Exception:\n"
+                    "            pass\n"
+                ),
+                "api/__init__.py": "",
+                "api/session.py": threading,
+            },
+        )
+        diags = lint_engine(root)
+        assert _codes(diags) == ["RA907"]
+        assert diags[0].operator == "data/streams.py:6"
+
 
 # ----------------------------------------------------------------------
 # CLI

@@ -35,6 +35,8 @@ from repro.data.streams import (
     CollectingConsumer,
     Punctuation,
     StreamElement,
+    edge,
+    park,
     replay,
 )
 from repro.data.windows import WindowSpec, assign_windows
@@ -52,7 +54,7 @@ from repro.stream.compiler import _ReschemaConsumer
 from repro.stream.engine import StreamEngine
 from repro.stream.multiplex import TeeOp
 from repro.stream.partition import partition_safe
-from repro.stream.procshard import _FrameSink
+from repro.stream.procshard import _FrameSink, usable_start_method
 from repro.stream.sharded import (
     ShardedStreamEngine,
     _MergeCoordinator,
@@ -787,14 +789,60 @@ class TestRunDelivery:
                 assert cursors[0]._handle.sink.log is cursors[1]._handle.sink.log
 
 
+#: Every pool the hand-off rule must hold on: one engine, two loopback
+#: shards, two worker processes behind the framed channel (ids as the
+#: ``shards`` parameters they replaced).
+POOLS = [
+    pytest.param({}, id="1"),
+    pytest.param({"shards": 2}, id="2"),
+    pytest.param(
+        {"shards": 2, "workers": "process"},
+        id="framed",
+        marks=pytest.mark.skipif(
+            usable_start_method() is None, reason="no multiprocessing start method"
+        ),
+    ),
+]
+#: Stamps 1…30: one punctuate(30.0) closes three 10-second windows.
+STAMPS = [float(i) for i in range(1, 31)]
+COUNT = (
+    "select r.host, count(*) as n from R r "
+    "[range 10 seconds slide 10 seconds] group by r.host"
+)
+
+
 class TestFanOutFinishesFirst:
-    """A raising direct subscriber on one cursor no longer costs any
-    other cursor its rows: every fan-out (subscriptions, tee branches,
-    engine routes, pool shards) delivers to all, then re-raises."""
+    """A raise never crosses a hand-off: a raising subscriber or
+    operator on one cursor costs no other cursor — nor the operator
+    that emitted the run — a row. Every fan-out (subscriptions, tee
+    branches, engine routes, pool shards, the frame pump) and every
+    ``emit`` parks the exception, and the verb raises the first one
+    once its work is done."""
 
     @staticmethod
     def _raises(row):
         raise RuntimeError("subscriber bug")
+
+    @staticmethod
+    def _session(pool, share):
+        session = connect(share_plans=share, **pool)
+        session.attach(StreamSource("R", READINGS, partition_by="host"))
+        return session
+
+    @staticmethod
+    def _reference(sql):
+        """Sorted result values of ``sql`` on a plain engine fed the 30
+        rows and the punctuation that closes three windows."""
+        with connect() as reference:
+            reference.attach(StreamSource("R", READINGS))
+            cursor = reference.query(sql)
+            reference.push_many("R", ROWS[:30], STAMPS)
+            reference.punctuate(30.0)
+            return sorted(row.values for row in cursor.results())
+
+    @staticmethod
+    def _punctuations(cursor) -> int:
+        return len(cursor._handle.sink.punctuations)
 
     @pytest.mark.parametrize(
         "sql",
@@ -832,41 +880,100 @@ class TestFanOutFinishesFirst:
 
     @pytest.mark.parametrize("key", ["host", "room"], ids=["replicated", "exchanged"])
     @pytest.mark.parametrize("share", [True, False])
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_a_raising_subscriber_at_a_window_close(self, shards, share, key):
-        """The same at a punctuation closing one window — on two shards
-        grouped by the partition key it closes on every shard's
-        replica, grouped by another column it is exchanged, so the
-        shuffle barrier's deliveries fan out too. (The raise still
-        unwinds the operator that emitted the run: a punctuation closing
-        several windows stops after the first; see ROADMAP, Open item
-        6.)"""
-        session = connect(shards=shards, share_plans=share)
-        session.attach(StreamSource("R", READINGS, partition_by="host"))
+    @pytest.mark.parametrize("pool", POOLS)
+    def test_a_raising_subscriber_at_a_window_close(self, pool, share, key):
+        """The same at a punctuation closing three windows — on two
+        shards grouped by the partition key they close on every shard's
+        replica, grouped by another column they are exchanged, so the
+        shuffle barrier's deliveries fan out too. Every window reaches
+        the twin cursor, and the punctuation after them: the aggregate
+        both cursors share (under ``share_plans``) finishes its loop
+        over the closing windows instead of being unwound by the first
+        window's raise."""
+        session = self._session(pool, share)
         sql = (
             f"select r.{key}, count(*) as n from R r "
             f"[range 10 seconds slide 10 seconds] group by r.{key}"
         )
         a, b = session.query(sql), session.query(sql)
-        if shards > 1:
+        if pool:
             assert a._handle.exchanged == (key == "room")
-        a.subscribe(self._raises)
+        failing = a.subscribe(self._raises)
         seen = []
         b.subscribe(seen.append)
-        stamps = [float(i) for i in range(1, 11)]  # all in the window (0, 10]
-        session.push_many("R", ROWS[:10], stamps)
+        session.push_many("R", ROWS[:30], STAMPS)
         with pytest.raises(RuntimeError, match="subscriber bug"):
-            session.punctuate(10.0)
-        with connect() as reference:
-            reference.attach(StreamSource("R", READINGS))
-            expected = reference.query(sql)
-            reference.push_many("R", ROWS[:10], stamps)
-            reference.punctuate(10.0)
-            expected = sorted(row.values for row in expected.results())
-        assert len(expected) == (3 if key == "room" else 8)
+            session.punctuate(30.0)
+        assert self._punctuations(a) == self._punctuations(b) == 1
+        session.punctuate(30.0)  # raised once: nothing stays parked
+        expected = self._reference(sql)
+        assert len(expected) == (9 if key == "room" else 24)
         assert seen == b.results()
         assert sorted(row.values for row in a.results()) == expected
         assert sorted(row.values for row in seen) == expected
+        assert failing.pending == len(expected)  # the failing row, and all behind it
+        session.close()
+
+    @pytest.mark.parametrize("share", [True, False])
+    @pytest.mark.parametrize("pool", POOLS)
+    def test_an_operator_error_at_a_window_close(self, pool, share):
+        """A query whose projection raises on every window it closes,
+        beside the count query: under ``share_plans`` both read one
+        windowed aggregate, and the count query still gets all three
+        windows and the punctuation — exactly what it gets unshared."""
+        session = self._session(pool, share)
+        a = session.query(
+            "select r.host, sqrt(count(*) - 5.0) as x from R r "
+            "[range 10 seconds slide 10 seconds] group by r.host"
+        )
+        b = session.query(COUNT)
+        session.push_many("R", ROWS[:30], STAMPS)
+        with pytest.raises(ValueError, match="math domain error"):
+            session.punctuate(30.0)
+        expected = self._reference(COUNT)
+        assert len(expected) == 24
+        assert sorted(row.values for row in b.results()) == expected
+        assert self._punctuations(b) == 1
+        assert a.results() == []  # no host counts 5 rows in a window
+        session.close()
+
+    @pytest.mark.parametrize("share", [True, False])
+    @pytest.mark.parametrize("pool", POOLS)
+    def test_a_raising_emit_keeps_the_later_windows(self, pool, share):
+        """One host's rows at 5 (×1), 15 (×5) and 25 (×5): the first
+        window's ``sqrt(1 - 3.0)`` raises as the aggregate emits it, and
+        the aggregate goes on to emit the other two windows."""
+        session = self._session(pool, share)
+        sql = (
+            "select r.host, sqrt(count(*) - 3.0) as x from R r "
+            "[range 10 seconds slide 10 seconds] group by r.host"
+        )
+        a = session.query(sql)
+        rows, stamps = [ROWS[0]] * 11, [5.0] + [15.0] * 5 + [25.0] * 5
+        session.push_many("R", rows, stamps)
+        with pytest.raises(ValueError, match="math domain error"):
+            session.punctuate(30.0)
+        assert [row.values for row in a.results()] == [("ws0", 2.0**0.5)] * 2
+        assert self._punctuations(a) == 1
+        session.close()
+
+    @pytest.mark.parametrize("share", [True, False])
+    @pytest.mark.parametrize("pool", POOLS)
+    def test_an_operator_error_starves_no_sibling(self, pool, share):
+        """Operators raise too, not only subscribers: a projection
+        raising on every row beside a plain filter query. The sibling
+        gets every row, the verb raises (on a framed pool, the first
+        verb that waits for the workers), and the batch counts."""
+        session = self._session(pool, share)
+        session.query("select r.host, sqrt(r.temp - 40.0) as x from R r")
+        sibling = session.query("select r.host, r.temp from R r where r.temp > 1.0")
+        seen = []
+        sibling.subscribe(seen.append)
+        with pytest.raises(ValueError, match="math domain error"):
+            session.push_many("R", ROWS[:8], 1.0)
+            session.punctuate(1.0)
+        assert session.engine.elements_ingested == 8
+        assert seen == sibling.results() and len(seen) == 8
         session.close()
 
     @pytest.mark.parametrize("share", [True, False])
@@ -1002,6 +1109,81 @@ class TestFanOutFinishesFirst:
             tee.push(Punctuation(9.0))
         assert kept.elements == [*elements, elements[0]]
         assert kept.punctuations == [Punctuation(9.0)]
+
+
+class TestTheErrorEdge:
+    """``park`` and ``edge`` on their own: the outermost edge raises the
+    first exception parked under it, once, after its work; a nested one
+    raises nothing; an edge's own exception wins; with no edge open,
+    ``park`` raises on the spot."""
+
+    def test_the_outermost_edge_raises_the_first_parked_error_once(self):
+        done = []
+
+        @edge
+        def inner(tag):
+            park(RuntimeError(tag))
+            done.append(tag)
+
+        @edge
+        def outer():
+            inner("first")
+            inner("second")
+            done.append("outer")
+
+        with pytest.raises(RuntimeError, match="first"):
+            outer()
+        assert done == ["first", "second", "outer"]
+        outer_ok = edge(lambda: "returned")
+        assert outer_ok() == "returned"  # nothing stayed parked
+
+    def test_an_edges_own_error_wins_and_park_outside_raises(self):
+        @edge
+        def failing():
+            park(RuntimeError("parked"))
+            raise ValueError("own")
+
+        with pytest.raises(ValueError, match="own"):
+            failing()
+        assert edge(lambda: "clean")() == "clean"
+        with pytest.raises(KeyError):
+            park(KeyError("no verb open"))
+
+
+class TestFailedAdmission:
+    """A query whose stored-table replay raises is stopped before the
+    error leaves ``session.query``: nothing stays running or routed."""
+
+    @pytest.mark.parametrize("share", [True, False])
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_raising_table_replay_leaves_no_query(self, shards, share):
+        session = connect(shards=shards, share_plans=share)
+        session.attach(StreamSource("S", READINGS, partition_by="host"))
+        session.attach(TableSource("T", READINGS))
+        session.load("T", ROWS[:4])
+        pool = session.engine
+        engines = [pool] if shards == 1 else [*pool.engines, pool.fallback_engine]
+
+        def state():
+            sharing = dict(session.stats()["sharing"])
+            # The admission's sharing decision is made (and counted)
+            # before the replay runs.
+            sharing.pop("declined")
+            return (
+                len(pool.running_queries),
+                [(len(e.running_queries), sorted(e._routes)) for e in engines],
+                sharing,
+            )
+
+        before = state()
+        with pytest.raises(ValueError, match="math domain error"):
+            session.query(
+                "select s.host, t.room from S s [range 100 seconds], T t "
+                "where s.host = t.host and sqrt(t.temp - 40.0) > 1.0"
+            )
+        assert state() == before
+        assert not pool.subscribed("S")
+        session.close()
 
 
 # ----------------------------------------------------------------------

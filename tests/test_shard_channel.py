@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import pickle
 import queue
 import random
 import re
@@ -27,6 +28,7 @@ from repro.api import StreamSource, connect
 from repro.catalog import Catalog
 from repro.data import DataType, Row, Schema
 from repro.data.streams import CallbackConsumer, Punctuation, StreamElement
+from repro.errors import ExecutionError
 from repro.plan import PlanBuilder
 from repro.plan.logical import LogicalOp
 from repro.runtime.faults import kill_shard
@@ -36,6 +38,7 @@ from repro.stream.engine import StreamEngine
 from repro.stream.procshard import (
     FramedChannel,
     ProcessShardEngine,
+    _exported,
     _FrameSink,
     _pack,
     usable_start_method,
@@ -361,8 +364,9 @@ class TestAckFrameInterleaving:
             parent = object.__new__(FramedChannel)  # no worker process
             parent.index = 0
             parent._feeds = {7: (feed, schema)}
-            # Every item forwarded, and no feed raised.
-            assert parent._on_frame(("ack", 1, _pack([(7, frame_items)]), None)) is None
+            # Every item forwarded (no verb is open: a raising feed
+            # would raise here).
+            parent._on_frame(("ack", 1, _pack([(7, frame_items)]), None))
 
         assert self._merged_order(framed) == loopback
         assert loopback[0] == items and loopback[1] == [7]
@@ -404,6 +408,89 @@ class TestAckFrameInterleaving:
         assert parent.outq.empty()
         if wait == "_await":
             assert parent._awaiting is None
+
+
+class TestWorkerErrors:
+    """A frame that raised in a worker did all its work and is acked;
+    the parent parks the worker's exception and keeps forwarding up to
+    the ack, so a raising query costs its siblings nothing a loopback
+    pool would not."""
+
+    @staticmethod
+    def _steps(workers):
+        """(rows, punctuations) of the windowed count after each verb,
+        beside a query raising on every row, and which verb raised."""
+        with connect(shards=2, workers=workers) as session:
+            session.attach(StreamSource("Readings", READINGS, partition_by="host"))
+            session.query("select r.host, sqrt(r.temp - 40.0) as x from Readings r")
+            count = session.query(
+                "select r.host, count(*) as n from Readings r "
+                "[range 10 seconds slide 10 seconds] group by r.host"
+            )
+            rows = [
+                Row.raw(READINGS, (ROOMS[i % 3], f"ws{i}", 10.0 + i, 0.5)) for i in range(8)
+            ]
+            steps, raised = [], []
+            for verb, args in (
+                ("push_many", ("Readings", rows, [float(i) for i in range(1, 9)])),
+                ("punctuate", (10.0,)),
+                ("punctuate", (20.0,)),
+            ):
+                try:
+                    getattr(session, verb)(*args)
+                except ValueError:
+                    raised.append(verb)
+                steps.append((len(count.results()), len(count._handle.sink.punctuations)))
+            return steps, raised
+
+    @pytest.mark.skipif(usable_start_method() is None, reason="no multiprocessing start method")
+    def test_no_punctuation_is_lost(self):
+        """The worker's punctuation frame runs its rows (whose error it
+        parks), then the punctuation; the parent forwards the window
+        close before raising."""
+        loopback, loopback_raised = self._steps("inline")
+        framed, framed_raised = self._steps("process")
+        assert loopback == [(0, 0), (8, 1), (8, 2)]
+        assert framed[1:] == loopback[1:]  # every verb that awaits an ack
+        assert loopback_raised == ["push_many"]
+        assert framed_raised == ["punctuate"]  # once, with the worker's type
+
+    def test_the_parent_parks_error_frames_up_to_the_ack(self):
+        """The first exception wins: with its type when it pickled
+        (the worker's traceback as a note), else an ExecutionError
+        carrying the traceback."""
+        parent = object.__new__(FramedChannel)  # no worker process
+        parent.index = 0
+        parent._feeds = {}
+        parent.outq = queue.Queue()
+        for frame in [
+            ("error", None, pickle.dumps(ValueError("first")), "Traceback: first"),
+            ("error", None, None, "Traceback: second"),
+            ("ack", 5, _pack([]), None),
+        ]:
+            parent.outq.put(frame)
+        parent._awaiting = 5
+        with pytest.raises(ValueError, match="first") as raised:
+            parent._await()
+        assert raised.value.__notes__ == ["raised in shard worker 0:\nTraceback: first"]
+        assert parent._awaiting is None and parent.outq.empty()
+        parent.outq.put(("error", None, None, "Traceback: second"))
+        with pytest.raises(ExecutionError, match="shard worker 0 failed:\nTraceback: second"):
+            parent._drain()
+
+    def test_an_unpicklable_exception_ships_as_its_traceback(self):
+        class Local(Exception):  # a local class does not pickle
+            pass
+
+        for exc in (ValueError("kept"), Local("lost")):
+            try:
+                raise exc
+            except Exception:
+                exported = _exported()
+            if isinstance(exc, Local):
+                assert exported is None
+            else:
+                assert repr(pickle.loads(exported)) == "ValueError('kept')"
 
 
 class TestSessionSurfacesPoolStats:
