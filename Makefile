@@ -20,12 +20,14 @@ lint:
 ## CI gate: the invariant linter, tier-1 tests, the sharded-vs-unsharded
 ## identity corpus, the shared-vs-private multiplex corpus (cold and
 ## staggered admission) and the fault-injection corpus at reduced seed
-## counts, then every bench at smoke scale.
+## counts, every bench at smoke scale, then every example script (they
+## drive the public repro.api surface end to end; each must exit 0).
 check: lint test
 	REPRO_SHARD_SEEDS=4 $(PYTHON) -m pytest tests/test_shard_identity.py -q
 	REPRO_MUX_SEEDS=12 $(PYTHON) -m pytest tests/test_multiplex.py -q
 	REPRO_FAULT_SEEDS=3 $(PYTHON) -m pytest tests/test_fault_recovery.py -q
 	$(PYTHON) -m benchmarks --smoke
+	for example in examples/*.py; do $(PYTHON) $$example > /dev/null || exit 1; done
 
 ## Run every bench_*.py non-interactively; writes BENCH_*.json artifacts.
 bench:

@@ -101,13 +101,33 @@ a Row under that schema passes through, a ``dict`` is read field by
 field with its exact types checked inline, and anything else goes to
 the engine's own coercion, which is also the loop's interpreter twin.
 :func:`compile_fused_ingest` runs it and the Filter/Project run a
-source's one port feeds as one loop: these three are :func:`_codegen_loop`.
+source's one port feeds as one loop.
+
+**One loop template.** Every one of these is :func:`_codegen_loop`
+composing three pieces (produce/consume, after Neumann, VLDB 2011): a
+*source* that emits the prelude and the loop head binding the value
+tuple ``v``, the *stages* — a Filter/Project chain :func:`_emit_stages`
+lowers, a filter skipping the row — and a *sink* saying what a
+survivor becomes. A join's residual predicate is its chain's first
+filter. ::
+
+    loop            source (its head)                 sink
+    _fused          one value tuple, no loop          return v
+    _fused_batch    an element run (_emit_run)        append an element (_append)
+    _fold           an element run, or each element's fold into group slots
+                    open windows (_emit_run)          (_fold_into)
+    _probe          a join's live pairs (_emit_pairs) append a joined element (_append)
+    _ingest         a caller's rows (_emit_rows)      append a row or element (_append)
+    _fused_ingest   the same                          append an element (_append)
+
+A new loop — a Select run folded inside an aggregate, an exchanged
+join's runs — is a new composition of these pieces.
 
 **Call-free per-row bodies.** On its common path a generated loop
 makes no Python-level call per row: it reads ``element.row.values``
 and the row's ``schema`` as plain slots, builds an output Row and
 StreamElement by ``object.__new__`` plus slot stores (:func:`_emit_row`,
-:func:`_emit_element` — :meth:`Row.raw`'s body without its frame),
+:func:`_append` — :meth:`Row.raw`'s body without its frame),
 lowers COALESCE to a conditional chain over its already-evaluated
 arguments and a constant LIKE to ``rx.match(a) is not None`` (``str(a)``
 only for what is not an exact ``str``). Rows and elements are immutable
@@ -296,21 +316,138 @@ def _emit_row(gen: _CodeGen, indent: int, schema: str, values: str) -> None:
     gen.emit(indent, "_r._hash = None")
 
 
-def _emit_element(gen: _CodeGen, indent: int, row: str, stamp: str, source: str) -> None:
-    """Append a ``StreamElement`` of ``row`` to ``out`` (bound as
-    ``append``) by slot stores, as :func:`_emit_row` builds a row."""
-    gen.env["_new"], gen.env["_Element"] = object.__new__, _StreamElement
-    gen.emit(indent, "_n = _new(_Element)")
-    gen.emit(indent, f"_n.row = {row}")
-    gen.emit(indent, f"_n.timestamp = {stamp}")
-    gen.emit(indent, f"_n.source = {source}")
-    gen.emit(indent, "append(_n)")
+def _codegen_loop(source: tuple, stages: tuple, sink: tuple) -> Callable:
+    """The one template of every generated loop: ``def _{name}(...)``
+    composed of three pieces, in dataflow order.
+
+    * ``source`` is ``(name, signature, head)``. ``head(gen)`` emits the
+      prelude and the loop head that binds the value tuple ``v``, and
+      returns the body's indent: 1 for a source with no loop, where a
+      rejected row returns ``None`` instead of taking the next.
+    * ``stages`` is ``(schema, chain)``: the Filter/Project chain
+      :func:`_emit_stages` lowers, and the schema it reads ``v`` under.
+    * ``sink`` is ``(prelude, body, epilogue)``. ``body(gen, indent)``
+      emits what a survivor becomes; the prelude lines open the function
+      and the epilogue lines close it (:func:`_append`'s output list).
+
+    The module docstring tables each loop's source and sink.
+    """
+    (name, signature, head), (schema, chain), (prelude, body, epilogue) = source, stages, sink
+    gen = _CodeGen(schema)
+    for line in prelude:
+        gen.emit(1, line)
+    indent = head(gen)
+    _emit_stages(gen, chain, indent, "continue" if indent > 1 else "return None")
+    body(gen, indent)
+    for line in epilogue:
+        gen.emit(1, line)
+    text = f"def _{name}({signature}):\n" + "\n".join(gen.lines) + "\n"
+    return _define(f"_{name}", text, f"<repro.sql.compiled.{name}>", gen.env)
 
 
-def _codegen_fused_batch(
-    stages: tuple[FusedStage, ...], schema: Schema, output_schema: Schema
-) -> Callable[[list, list], None]:
-    return _codegen_loop((schema, None, True), (schema, stages), output_schema)
+def _append(
+    row: Schema | str, stamp: str | None = None, origin: str = "", fresh: bool = False
+) -> tuple:
+    """The sink that appends each survivor to ``out``, bound as
+    ``append``: a new list the function returns when ``fresh``, else its
+    argument. The survivor is ``_r``, a Row of ``v`` under ``row`` when
+    that is a schema, else the variable ``row`` names, as it came. With
+    a ``stamp`` it is wrapped in ``_n``, a ``StreamElement`` stamped
+    ``stamp`` from ``origin``, by slot stores as :func:`_emit_row`
+    builds a row."""
+
+    def body(gen: _CodeGen, indent: int) -> None:
+        survivor = row
+        if isinstance(row, Schema):
+            _emit_row(gen, indent, gen.bind(row, "os"), "v")
+            survivor = "_r"
+        if stamp is not None:
+            gen.env["_new"], gen.env["_Element"] = object.__new__, _StreamElement
+            gen.emit(indent, "_n = _new(_Element)")
+            gen.emit(indent, f"_n.row = {survivor}")
+            gen.emit(indent, f"_n.timestamp = {stamp}")
+            gen.emit(indent, f"_n.source = {origin}")
+            survivor = "_n"
+        gen.emit(indent, f"append({survivor})")
+
+    if fresh:
+        return ("out = []", "append = out.append"), body, ("return out",)
+    return ("append = out.append",), body, ()
+
+
+def _emit_run(gen: _CodeGen, window: WindowSpec | None = None, stamped: bool = False) -> int:
+    """An element run's loop head: ``_e``, and ``_t`` its stamp when
+    ``stamped``, then ``v``. With a ``window`` (a fold's) it first finds
+    the open windows the element belongs to (the arithmetic of
+    :meth:`WindowSpec.indexes`), or ``continue``s when there are none: a
+    tumbling window binds one group dict ``g`` and its ``get``, other
+    shapes a list ``gs``.
+
+    A row's window set depends only on its first window when the size
+    is a whole number of hops, so it is cached for the slide interval
+    ``(_lo, _hi]`` that first window owns; other shapes resolve per row.
+    """
+    if window is None:
+        gen.emit(1, "for _e in elements:")
+        if stamped:
+            gen.emit(2, "_t = _e.timestamp")
+        gen.emit(2, "v = _e.row.values")
+        return 2
+    hop, size, panes = gen.atom(window.hop), gen.atom(window.size), window.panes
+
+    def first_index(indent: int) -> None:  # WindowSpec.first_index, inlined
+        gen.emit(indent, f"_i = {gen.bind(_math.ceil, 'ceil')}(_t / {hop})")
+        gen.emit(indent, f"if _i * {hop} < _t:")
+        gen.emit(indent + 1, "_i += 1")
+        gen.emit(indent, f"elif (_i - 1) * {hop} >= _t:")
+        gen.emit(indent + 1, "_i -= 1")
+
+    def open_window(indent: int, index: str) -> None:
+        gen.emit(indent, f"g = windows.get({index})")
+        gen.emit(indent, "if g is None:")
+        gen.emit(indent + 1, f"g = windows[{index}] = {{}}")
+
+    if panes is None:
+        gen.emit(1, "for _e in elements:")
+        gen.emit(2, "_t = _e.timestamp")
+        first_index(2)
+        gen.emit(2, "gs = []")
+        gen.emit(2, f"while _i * {hop} - {size} < _t:")
+        gen.emit(3, "if _i > closed:")
+        open_window(4, "_i")
+        gen.emit(4, "gs.append(g)")
+        gen.emit(3, "_i += 1")
+    else:
+        gen.emit(1, "get = None" if panes == 1 else "gs = ()")
+        gen.emit(1, "_lo = _hi = 0")  # an empty interval: the first row misses
+        gen.emit(1, "for _e in elements:")
+        gen.emit(2, "_t = _e.timestamp")
+        gen.emit(2, "if not _lo < _t <= _hi:")
+        first_index(3)
+        gen.emit(3, f"_lo = (_i - 1) * {hop}")
+        gen.emit(3, f"_hi = _i * {hop}")
+        if panes == 1:
+            gen.emit(3, "if _i <= closed:")
+            gen.emit(4, "get = None")
+            gen.emit(3, "else:")
+            open_window(4, "_i")
+            gen.emit(4, "get = g.get")
+        else:
+            gen.emit(3, "gs = []")
+            gen.emit(3, f"for _j in range(_i, _i + {panes}):")
+            gen.emit(4, "if _j > closed:")
+            open_window(5, "_j")
+            gen.emit(5, "gs.append(g)")
+    gen.emit(2, "if get is None:" if panes == 1 else "if not gs:")
+    gen.emit(3, "continue")
+    gen.emit(2, "v = _e.row.values")
+    return 2
+
+
+def _codegen_fused_batch(stages: tuple, schema: Schema, output_schema: Schema) -> Callable:
+    projects = any(stage[0] == "project" for stage in stages)
+    sink = _append(output_schema, "_e.timestamp", "_e.source") if projects else _append("_e")
+    return _codegen_loop(("fused_batch", "elements, out", _emit_run), (schema, stages), sink)
 
 
 def compile_accumulate(
@@ -428,83 +565,91 @@ def _codegen_accumulate(
             init.append("0")
         else:  # MIN / MAX
             init.append("None")
-    init_literal = f"[{', '.join(init)}]"
+    running = "elements, groups, touched" if partial else "elements, groups"
+    fold = _codegen_loop(
+        (
+            "fold",
+            running if window is None else "elements, windows, closed",
+            lambda gen: _emit_run(gen, window, partial),
+        ),
+        (schema, ()),
+        _fold_into(group_exprs, calls, slots, f"[{', '.join(init)}]", window, partial),
+    )
+    return fold, (_define_take if partial else _define_finalize)(slots)
 
-    gen = _CodeGen(schema)
-    running_partial = partial and window is None
-    if window is not None:
-        signature = "elements, windows, closed"
-        table = _emit_window_lookup(gen, window)
-    else:
-        signature = "elements, groups, touched" if partial else "elements, groups"
-        # A running partial looks a group up among this delta's first:
-        # `touched` binds the same state lists `groups` keeps.
-        gen.emit(1, f"get = {'touched' if partial else 'groups'}.get")
-        gen.emit(1, "for _e in elements:")
-        if partial:
-            gen.emit(2, "_t = _e.timestamp")
-        table = "groups"  # the one group dict every row updates
-    gen.emit(2, "v = _e.row.values")
-    key_atoms = [gen.gen(expr, 2) for expr in group_exprs]
-    trailing = "," if len(key_atoms) == 1 else ""
-    gen.emit(2, f"_k = ({', '.join(key_atoms)}{trailing})")
-    # Arguments evaluate once per row, however many windows it updates.
-    atoms = [
-        None if call.argument is None else gen.as_var(gen.gen(call.argument, 2), 2)
-        for call in calls
-    ]
-    indent = 2
-    if table is None:  # several windows: `gs` lists their group dicts
-        gen.emit(2, "for g in gs:")
-        gen.emit(3, "_s = g.get(_k)")
-        table, indent = "g", 3
-    else:
-        gen.emit(2, "_s = get(_k)")
-    gen.emit(indent, "if _s is None:")
-    if running_partial:
-        gen.emit(3, "_s = groups.get(_k)")
-        gen.emit(3, "if _s is None:")
-        gen.emit(4, f"_s = groups[_k] = {init_literal}")
-        gen.emit(3, "touched[_k] = _s")
-    else:
-        gen.emit(indent + 1, f"_s = {table}[_k] = {init_literal}")
-    for atom, (kind, base, distinct) in zip(atoms, slots):
-        if atom is None:  # COUNT(*)
-            gen.emit(indent, f"_s[{base}] += 1")
-            continue
-        gen.emit(indent, f"if {atom} is not None:")
-        body = indent + 1
-        if distinct:
-            # Per-group seen-set: only the first occurrence of a value
-            # touches the running state, matching the interpreter's
-            # dedup (including its arrival-order float addition).
-            seen = gen.name("d")
-            gen.emit(body, f"{seen} = _s[{base}]")
-            gen.emit(body, f"if {atom} not in {seen}:")
-            gen.emit(body + 1, f"{seen}.add({atom})")
-            if partial:
-                gen.emit(body + 1, f"_s[{base + 1}].append((_t, {atom}))")
-            elif kind in ("SUM", "AVG"):
-                gen.emit(body + 1, f"_s[{base + 1}] += {atom}")
-        elif kind == "COUNT":
-            gen.emit(body, f"_s[{base}] += 1")
-        elif kind in ("SUM", "AVG"):
-            if partial:
-                gen.emit(body, f"_s[{base}].append((_t, {atom}))")
-            else:
-                gen.emit(body, f"_s[{base}] += 1")
-                gen.emit(body, f"_s[{base + 1}] += {atom}")
+
+def _fold_into(
+    group_exprs: tuple, calls: tuple, slots: list, init: str, window: WindowSpec | None, partial: bool
+) -> tuple:
+    """The fold's sink: a survivor's group key, then each call's update
+    of its slots in the group state — created as ``init`` — of every
+    group dict :func:`_emit_run` found for it, or of the one
+    dict a running fold's ``get`` looks up (``touched``'s for a
+    ``partial``: it binds the same state lists as ``groups``)."""
+
+    def body(gen: _CodeGen, indent: int) -> None:
+        key_atoms = [gen.gen(expr, indent) for expr in group_exprs]
+        trailing = "," if len(key_atoms) == 1 else ""
+        gen.emit(indent, f"_k = ({', '.join(key_atoms)}{trailing})")
+        # Arguments evaluate once per row, however many windows it updates.
+        atoms = [
+            None if call.argument is None else gen.as_var(gen.gen(call.argument, indent), indent)
+            for call in calls
+        ]
+        if window is not None and window.panes != 1:  # `gs` lists the group dicts
+            gen.emit(indent, "for g in gs:")
+            indent += 1
+            gen.emit(indent, "_s = g.get(_k)")
         else:
-            best = gen.name("t")
-            op = "<" if kind == "MIN" else ">"
-            gen.emit(body, f"{best} = _s[{base}]")
-            gen.emit(body, f"if {best} is None or {atom} {op} {best}:")
-            gen.emit(body + 1, f"_s[{base}] = {atom}")
-    source = f"def _fold({signature}):\n" + "\n".join(gen.lines) + "\n"
-    fold = _define("_fold", source, "<repro.sql.compiled.accumulate>", gen.env)
-    if partial:
-        return fold, _define_take(slots)
+            gen.emit(indent, "_s = get(_k)")
+        gen.emit(indent, "if _s is None:")
+        if partial and window is None:  # new to this delta, maybe not to `groups`
+            gen.emit(indent + 1, "_s = groups.get(_k)")
+            gen.emit(indent + 1, "if _s is None:")
+            gen.emit(indent + 2, f"_s = groups[_k] = {init}")
+            gen.emit(indent + 1, "touched[_k] = _s")
+        else:
+            gen.emit(indent + 1, f"_s = {'groups' if window is None else 'g'}[_k] = {init}")
+        for atom, (kind, base, distinct) in zip(atoms, slots):
+            if atom is None:  # COUNT(*)
+                gen.emit(indent, f"_s[{base}] += 1")
+                continue
+            gen.emit(indent, f"if {atom} is not None:")
+            update = indent + 1
+            if distinct:
+                # Per-group seen-set: only the first occurrence of a value
+                # touches the running state, matching the interpreter's
+                # dedup (including its arrival-order float addition).
+                seen = gen.name("d")
+                gen.emit(update, f"{seen} = _s[{base}]")
+                gen.emit(update, f"if {atom} not in {seen}:")
+                gen.emit(update + 1, f"{seen}.add({atom})")
+                if partial:
+                    gen.emit(update + 1, f"_s[{base + 1}].append((_t, {atom}))")
+                elif kind in ("SUM", "AVG"):
+                    gen.emit(update + 1, f"_s[{base + 1}] += {atom}")
+            elif kind == "COUNT":
+                gen.emit(update, f"_s[{base}] += 1")
+            elif kind in ("SUM", "AVG"):
+                if partial:
+                    gen.emit(update, f"_s[{base}].append((_t, {atom}))")
+                else:
+                    gen.emit(update, f"_s[{base}] += 1")
+                    gen.emit(update, f"_s[{base + 1}] += {atom}")
+            else:
+                best = gen.name("t")
+                op = "<" if kind == "MIN" else ">"
+                gen.emit(update, f"{best} = _s[{base}]")
+                gen.emit(update, f"if {best} is None or {atom} {op} {best}:")
+                gen.emit(update + 1, f"_s[{base}] = {atom}")
 
+    lookup = (f"get = {'touched' if partial else 'groups'}.get",) if window is None else ()
+    return lookup, body, ()
+
+
+def _define_finalize(slots: list[tuple[str, int, bool]]) -> Callable:
+    """The accumulate layout's ``finalize``: each call's result, with
+    the interpreter's empty and all-NULL values."""
     parts: list[str] = []
     for kind, base, distinct in slots:
         if distinct:
@@ -530,9 +675,8 @@ def _codegen_accumulate(
             parts.append(f"({value}) if state[{base}] else None")
         else:
             parts.append(f"state[{base}]")
-    fin_source = f"def _finalize(state):\n    return [{', '.join(parts)}]\n"
-    finalize = _define("_finalize", fin_source, "<repro.sql.compiled.finalize>", {})
-    return fold, finalize
+    source = f"def _finalize(state):\n    return [{', '.join(parts)}]\n"
+    return _define("_finalize", source, "<repro.sql.compiled.finalize>", {})
 
 
 def _define_take(slots: list[tuple[str, int, bool]]) -> Callable:
@@ -557,71 +701,6 @@ def _define_take(slots: list[tuple[str, int, bool]]) -> Callable:
         + "    return out\n"
     )
     return _define("_take", source, "<repro.sql.compiled.take>", {})
-
-
-def _emit_window_lookup(gen: _CodeGen, window: WindowSpec) -> str | None:
-    """Emit the windowed fold's loop head: per element, the open windows
-    it belongs to (the arithmetic of :meth:`WindowSpec.indexes`), or
-    ``continue`` when there are none. Returns ``"g"`` when that is one
-    group dict (``g``, its ``get`` bound) — a tumbling window — and
-    ``None`` when it is a list ``gs``.
-
-    A row's window set depends only on its first window when the size
-    is a whole number of hops, so it is cached for the slide interval
-    ``(_lo, _hi]`` that first window owns; other shapes resolve per row.
-    """
-    hop, size, panes = gen.atom(window.hop), gen.atom(window.size), window.panes
-
-    def first_index(indent: int) -> None:  # WindowSpec.first_index, inlined
-        gen.emit(indent, f"_i = {gen.bind(_math.ceil, 'ceil')}(_t / {hop})")
-        gen.emit(indent, f"if _i * {hop} < _t:")
-        gen.emit(indent + 1, "_i += 1")
-        gen.emit(indent, f"elif (_i - 1) * {hop} >= _t:")
-        gen.emit(indent + 1, "_i -= 1")
-
-    def open_window(indent: int, index: str) -> None:
-        gen.emit(indent, f"g = windows.get({index})")
-        gen.emit(indent, "if g is None:")
-        gen.emit(indent + 1, f"g = windows[{index}] = {{}}")
-
-    if panes is None:
-        gen.emit(1, "for _e in elements:")
-        gen.emit(2, "_t = _e.timestamp")
-        first_index(2)
-        gen.emit(2, "gs = []")
-        gen.emit(2, f"while _i * {hop} - {size} < _t:")
-        gen.emit(3, "if _i > closed:")
-        open_window(4, "_i")
-        gen.emit(4, "gs.append(g)")
-        gen.emit(3, "_i += 1")
-        gen.emit(2, "if not gs:")
-        gen.emit(3, "continue")
-        return None
-    gen.emit(1, "get = None" if panes == 1 else "gs = ()")
-    gen.emit(1, "_lo = _hi = 0")  # an empty interval: the first row misses
-    gen.emit(1, "for _e in elements:")
-    gen.emit(2, "_t = _e.timestamp")
-    gen.emit(2, "if not _lo < _t <= _hi:")
-    first_index(3)
-    gen.emit(3, f"_lo = (_i - 1) * {hop}")
-    gen.emit(3, f"_hi = _i * {hop}")
-    if panes == 1:
-        gen.emit(3, "if _i <= closed:")
-        gen.emit(4, "get = None")
-        gen.emit(3, "else:")
-        open_window(4, "_i")
-        gen.emit(4, "get = g.get")
-        gen.emit(2, "if get is None:")
-        gen.emit(3, "continue")
-        return "g"
-    gen.emit(3, "gs = []")
-    gen.emit(3, f"for _j in range(_i, _i + {panes}):")
-    gen.emit(4, "if _j > closed:")
-    open_window(5, "_j")
-    gen.emit(5, "gs.append(g)")
-    gen.emit(2, "if not gs:")
-    gen.emit(3, "continue")
-    return None
 
 
 def compile_join_probe(
@@ -667,8 +746,9 @@ def compile_join_probe(
     itself be inside the opposite side's window (RANGE compares the
     distance with the size, NOW demands equality, UNBOUNDED — and a ROWS
     window on the opposite side, which bounds by count at its own
-    ingest — always passes). The residual ``predicate`` is lowered over
-    the concatenated value tuple with :func:`compile_expr`'s semantics.
+    ingest — always passes). The residual ``predicate`` is the chain's
+    first filter stage, over the concatenated value tuple with
+    :func:`compile_expr`'s semantics.
 
     A side whose *own* window is ROWS has no kernel: every arrival there
     also evicts by count, a per-element state change.
@@ -702,10 +782,27 @@ def _codegen_join_probe(
     output_schema: Schema | None,
 ) -> Callable[[list, dict, dict, list, set | None], None]:
     joined_schema = left_schema.concat(right_schema)
-    own_schema = left_schema if left else right_schema
-    gen = _CodeGen(joined_schema)  # `v` is the concatenated value tuple
-    key_atoms = [f"_w[{own_schema.index_of(name)}]" for name in own_keys]
-    gen.emit(1, "append = out.append")
+    keys = [(left_schema if left else right_schema).index_of(name) for name in own_keys]
+    residual = () if predicate is None else (("filter", predicate),)
+    return _codegen_loop(
+        (
+            "probe",
+            "elements, own, other, out, unsorted",
+            lambda gen: _emit_pairs(gen, keys, own_window, other_window, left),
+        ),
+        (joined_schema, residual + stages),
+        _append(output_schema if stages else joined_schema, "_m", '""'),
+    )
+
+
+def _emit_pairs(
+    gen: _CodeGen, keys: list[int], own_window: WindowSpec, other_window: WindowSpec, left: bool
+) -> int:
+    """The probe kernel's loop head: per arriving element its key (at
+    positions ``keys``) and bucket append, then per live opposite row in
+    the key's bucket ``v``, the concatenated value tuple, and ``_m``,
+    the pair's stamp."""
+    key_atoms = [f"_w[{position}]" for position in keys]
     gen.emit(1, "own_get = own.get")
     gen.emit(1, "other_get = other.get")
     gen.emit(1, "for _e in elements:")
@@ -752,27 +849,12 @@ def _codegen_join_probe(
         gen.emit(5, "continue")
     gen.emit(4, "_m = _t")
     gen.emit(3, "v = _w + _x.row.values" if left else "v = _x.row.values + _w")
-    if predicate is not None:
-        atom = gen.as_var(gen.gen(predicate, 3), 3)
-        gen.emit(3, f"if {atom} is not True:")
-        gen.emit(4, "continue")
-    _emit_stages(gen, stages, 3, "continue")
-    _emit_row(gen, 3, gen.bind(output_schema if stages else joined_schema, "js"), "v")
-    _emit_element(gen, 3, "_r", "_m", '""')
-    source = (
-        "def _probe(elements, own, other, out, unsorted):\n" + "\n".join(gen.lines) + "\n"
-    )
-    return _define("_probe", source, "<repro.sql.compiled.join_probe>", gen.env)
+    return 3
 
 
-def _codegen_fused(
-    stages: tuple[FusedStage, ...], schema: Schema
-) -> Callable[[tuple], tuple | None]:
-    gen = _CodeGen(schema)
-    _emit_stages(gen, stages, 1, "return None")
-    gen.emit(1, "return v")
-    source = "def _fused(v):\n" + "\n".join(gen.lines) + "\n"
-    return _define("_fused", source, "<repro.sql.compiled.fused>", gen.env)
+def _codegen_fused(stages: tuple[FusedStage, ...], schema: Schema) -> Callable[[tuple], tuple | None]:
+    returns = ((), lambda gen, indent: gen.emit(indent, "return v"), ())
+    return _codegen_loop(("fused", "v", lambda gen: 1), (schema, stages), returns)
 
 
 def compile_ingest(schema: Schema, coerce: Callable, elements: bool) -> Callable:
@@ -795,7 +877,7 @@ def compile_ingest(schema: Schema, coerce: Callable, elements: bool) -> Callable
       goes to ``coerce(schema, row)`` — ``StreamEngine._coerce_row`` —
       so what it accepts and the error it raises are the interpreter's.
     """
-    return _generate(_codegen_ingest, schema, coerce, elements) or fallback_ingest(
+    return _generate(_codegen_ingest, schema, coerce, elements, (), schema, None) or fallback_ingest(
         schema, coerce, elements
     )
 
@@ -805,7 +887,7 @@ def compile_fused_ingest(
 ) -> Callable[[list, list, str], list] | None:
     """:func:`compile_ingest` and an operator's :func:`compile_fused_batch`
     loop as one that returns the survivors, or ``None`` (run the two)."""
-    return _generate(_codegen_loop, (schema, coerce, True), (reads, tuple(stages)), output_schema)
+    return _generate(_codegen_ingest, schema, coerce, True, tuple(stages), reads, output_schema)
 
 
 #: Exact-type tests per column type, over a value known not to be NULL:
@@ -823,68 +905,53 @@ _EXACT_TYPE = {
 _MISSING = object()
 
 
-def _codegen_ingest(schema: Schema, coerce: Callable, elements: bool) -> Callable:
-    return _codegen_loop((schema, coerce, elements), (schema, ()), None)
+def _codegen_ingest(
+    schema: Schema, coerce: Callable, elements: bool, stages: tuple, reads: Schema, output_schema: Schema | None
+) -> Callable:
+    projects = any(stage[0] == "project" for stage in stages)
+    return _codegen_loop(
+        (
+            "fused_ingest" if stages else "ingest",
+            "rows, stamps, source" if elements else "rows",
+            lambda gen: _emit_rows(gen, schema, coerce, elements, bool(stages)),
+        ),
+        (reads, stages),
+        _append(output_schema if projects else "r", "_t" if elements else None, "source", fresh=True),
+    )
 
 
-def _codegen_loop(source: tuple, stages: tuple, sink: Schema | None) -> Callable:
-    """The one generated loop: ``source``, ``(schema, coerce, elements)``,
-    is a run of elements (``fn(elements, out)``) without ``coerce``, else
-    rows :func:`compile_ingest` checks (``fn(rows, stamps, source)``, or
-    ``fn(rows)``, returning ``out``); ``stages``, ``(schema, chain)``, a
-    Filter/Project chain and the schema it reads; a survivor is appended
-    as a row under ``sink`` when the chain projects, else as it came."""
-    (schema, coerce, elements), (reads, chain) = source, stages
-    gen = _CodeGen(reads)
-    if coerce is None:
-        kind, signature, stamp, origin = "fused_batch", "elements, out", "_e.timestamp", "_e.source"
-        gen.emit(1, "append = out.append")
-        gen.emit(1, "for _e in elements:")
-        gen.emit(2, "v = _e.row.values")
-    else:
-        kind, stamp, origin = ("fused_ingest" if chain else "ingest"), "_t", "source"
-        signature = "rows, stamps, source" if elements else "rows"
-        gen.env.update(_S=schema, _Row=Row, _coerce=coerce, _M=_MISSING)
-        checks = ["r.__class__ is dict"]
-        for position, field in enumerate(schema):
-            x = f"a{position}"
-            full, bare = repr(field.name), repr(field.bare_name)
-            if full == bare:  # a membership test and a subscript beat dict.get
-                checks.append(f"{full} in r")
-                value = f"({x} := r[{full}])"
-            else:
-                lookup = f"r[{full}] if {full} in r else r.get({bare}, _M)"
-                checks.append(f"({x} := ({lookup})) is not _M")
-                value = x
-            exact = _EXACT_TYPE.get(field.dtype)
-            checks.append(f"({value} is None or {exact.format(x=x)})" if exact else f"{value} is None")
-        atoms = ", ".join(f"a{position}" for position in range(len(schema)))
-        gen.emit(1, "out = []")
-        gen.emit(1, "append = out.append")
-        gen.emit(1, "for r, _t in zip(rows, stamps):" if elements else "for r in rows:")
-        gen.emit(2, "if r.__class__ is not _Row or r.schema is not _S:")
-        gen.emit(3, "if (")
-        for position, check in enumerate(checks):
-            gen.emit(4, f"{'and ' if position else ''}{check}")
-        gen.emit(3, "):")
-        _emit_row(gen, 4, "_S", f"({atoms}{',' if len(schema) == 1 else ''})")
-        gen.emit(4, "r = _r")
-        gen.emit(3, "else:")
-        gen.emit(4, "r = _coerce(_S, r)")
-        if chain:
-            gen.emit(2, "v = r.values")
-    _emit_stages(gen, chain, 2, "continue")
-    if any(stage[0] == "project" for stage in chain):
-        _emit_row(gen, 2, gen.bind(sink, "os"), "v")
-        _emit_element(gen, 2, "_r", stamp, origin)
-    elif coerce is None or not elements:
-        gen.emit(2, "append(_e)" if coerce is None else "append(r)")
-    else:
-        _emit_element(gen, 2, "r", stamp, origin)
-    if coerce is not None:
-        gen.emit(1, "return out")
-    text = f"def _{kind}({signature}):\n" + "\n".join(gen.lines) + "\n"
-    return _define(f"_{kind}", text, f"<repro.sql.compiled.{kind}>", gen.env)
+def _emit_rows(gen: _CodeGen, schema: Schema, coerce: Callable, elements: bool, fused: bool) -> int:
+    """The ingest loop's head: each row as :func:`compile_ingest` checks
+    it, bound as ``r`` (and its stamp as ``_t`` with ``elements``), and
+    its values as ``v`` when ``fused`` stages read them."""
+    gen.env.update(_S=schema, _Row=Row, _coerce=coerce, _M=_MISSING)
+    checks = ["r.__class__ is dict"]
+    for position, field in enumerate(schema):
+        x = f"a{position}"
+        full, bare = repr(field.name), repr(field.bare_name)
+        if full == bare:  # a membership test and a subscript beat dict.get
+            checks.append(f"{full} in r")
+            value = f"({x} := r[{full}])"
+        else:
+            lookup = f"r[{full}] if {full} in r else r.get({bare}, _M)"
+            checks.append(f"({x} := ({lookup})) is not _M")
+            value = x
+        exact = _EXACT_TYPE.get(field.dtype)
+        checks.append(f"({value} is None or {exact.format(x=x)})" if exact else f"{value} is None")
+    atoms = ", ".join(f"a{position}" for position in range(len(schema)))
+    gen.emit(1, "for r, _t in zip(rows, stamps):" if elements else "for r in rows:")
+    gen.emit(2, "if r.__class__ is not _Row or r.schema is not _S:")
+    gen.emit(3, "if (")
+    for position, check in enumerate(checks):
+        gen.emit(4, f"{'and ' if position else ''}{check}")
+    gen.emit(3, "):")
+    _emit_row(gen, 4, "_S", f"({atoms}{',' if len(schema) == 1 else ''})")
+    gen.emit(4, "r = _r")
+    gen.emit(3, "else:")
+    gen.emit(4, "r = _coerce(_S, r)")
+    if fused:
+        gen.emit(2, "v = r.values")
+    return 2
 
 
 # ---------------------------------------------------------------------------

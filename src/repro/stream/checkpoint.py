@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import os
 import pickle
 from collections import deque
 from dataclasses import dataclass, field
@@ -195,7 +196,11 @@ class FileCheckpointStore:
 
     Existing ``checkpoint-*.pkl`` files are picked up on construction,
     so a store pointed at a previous run's directory can serve
-    :meth:`latest` across process restarts.
+    :meth:`latest` across process restarts. A file is written under a
+    temporary name the glob skips and then renamed into place, so a
+    process killed mid-save leaves the previous checkpoint the latest;
+    a file that does not unpickle fails :meth:`latest` with an
+    ``ExecutionError`` naming it.
     """
 
     def __init__(self, directory, keep: int = 4):
@@ -210,9 +215,16 @@ class FileCheckpointStore:
     def save(self, checkpoint) -> None:
         path = self.directory / f"checkpoint-{checkpoint.checkpoint_id:08d}.pkl"
         try:
-            path.write_bytes(pickle.dumps(checkpoint))
+            data = pickle.dumps(checkpoint)
         except (pickle.PicklingError, TypeError) as exc:
             raise ExecutionError(f"checkpoint is not serializable: {exc}") from exc
+        temp = path.with_name(path.name + ".tmp")
+        try:
+            temp.write_bytes(data)
+            os.replace(temp, path)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
         self._paths.append(path)
         while len(self._paths) > self.keep:
             stale = self._paths.pop(0)
@@ -221,7 +233,11 @@ class FileCheckpointStore:
     def latest(self):
         if not self._paths:
             return None
-        return pickle.loads(self._paths[-1].read_bytes())
+        path = self._paths[-1]
+        try:
+            return pickle.loads(path.read_bytes())
+        except Exception as exc:  # whatever a damaged pickle raises
+            raise ExecutionError(f"checkpoint file {path} does not unpickle: {exc!r}") from exc
 
 
 # ----------------------------------------------------------------------

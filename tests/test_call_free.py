@@ -20,7 +20,9 @@ sink, make no Python-level call on their common path.
 
 from __future__ import annotations
 
+import ast
 import types
+from pathlib import Path
 
 import pytest
 from conftest import GENERATORS, generated, interpreted, unfused
@@ -607,6 +609,23 @@ def test_every_generator_is_listed_for_the_reference_arm():
     lists, so a ``_codegen*`` missing there would keep generating."""
     names = {name for name, value in vars(compiled).items() if name.startswith("_codegen") and callable(value)}
     assert names == set(GENERATORS)
+
+
+def test_every_loop_is_a_composition_of_the_one_template():
+    """Only ``_codegen_loop`` (every generated loop), ``_codegen`` (an
+    expression) and the fold state's ``_define_take`` /
+    ``_define_finalize`` turn text into a function: a new loop is a
+    source, stages and a sink handed to the template, not a sixth
+    ``def`` line. RA905 keeps each one on the compile memo."""
+    tree = ast.parse(Path(compiled.__file__).read_text())
+    callers = {
+        function.name
+        for function in tree.body
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_define"
+    }
+    assert callers == {"_codegen_loop", "_codegen", "_define_take", "_define_finalize"}
 
 
 # ----------------------------------------------------------------------

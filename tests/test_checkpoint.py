@@ -11,6 +11,9 @@ history.
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from conftest import unfused
@@ -234,6 +237,72 @@ class TestStores:
         kill_shard(pool, 0)
         with pytest.raises(ExecutionError, match="row-buffer window layout"):
             pool.punctuate(stamps[-1] + 100.0)
+
+
+class TestDamagedFiles:
+    """A file store's newest checkpoint is whole or absent: a save
+    writes a temporary name and renames it into place, and a file that
+    does not unpickle fails recovery with an ``ExecutionError`` naming
+    it."""
+
+    WINDOWED_COUNT = (
+        "select r.host, count(*) as n from Readings r "
+        "[range 10 seconds slide 10 seconds] group by r.host"
+    )
+
+    def _open(self, directory):
+        catalog = _catalog()
+        engine = StreamEngine(catalog)
+        coordinator = CheckpointCoordinator(engine, store=FileCheckpointStore(directory))
+        handle = engine.execute(PlanBuilder(catalog).build_sql(self.WINDOWED_COUNT))
+        return engine, coordinator, handle
+
+    def test_a_truncated_newest_file_fails_recovery_by_name(self, tmp_path):
+        engine, coordinator, _ = self._open(tmp_path)
+        rows, stamps = _rows(5)
+        engine.push_many("Readings", rows, stamps)
+        engine.punctuate(5.0)
+        coordinator.checkpoint(5.0)
+        (path,) = tmp_path.glob("checkpoint-*.pkl")
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        engine.fail()
+        with pytest.raises(ExecutionError, match=re.escape(str(path))):
+            coordinator.recover()
+
+    def test_a_save_that_dies_mid_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        rows, stamps = _rows(30)
+
+        def dying_write(path, data):
+            with open(path, "wb") as handle:
+                handle.write(data[: len(data) // 2])
+            raise OSError("no space left on device")
+
+        def run(directory, dies):
+            engine, coordinator, handle = self._open(directory)
+            engine.push_many("Readings", rows[:10], stamps[:10])
+            engine.punctuate(stamps[9])
+            first = coordinator.checkpoint(stamps[9])
+            engine.push_many("Readings", rows[10:20], stamps[10:20])
+            engine.punctuate(stamps[19])
+            if dies:
+                with monkeypatch.context() as patch:
+                    patch.setattr(Path, "write_bytes", dying_write)
+                    with pytest.raises(OSError, match="no space"):
+                        coordinator.checkpoint(stamps[19])
+                # Only the first file is left, under its own name.
+                assert [p.name for p in directory.iterdir()] == [
+                    f"checkpoint-{first.checkpoint_id:08d}.pkl"
+                ]
+                assert coordinator.latest().checkpoint_id == first.checkpoint_id
+                engine.fail()
+                (handle,) = coordinator.recover()
+            engine.push_many("Readings", rows[20:], stamps[20:])
+            engine.punctuate(100.0)
+            return [(e.timestamp, e.row.values) for e in handle.sink.elements]
+
+        expected = run(tmp_path / "clean", dies=False)
+        assert expected and run(tmp_path / "dies", dies=True) == expected
 
 
 class TestCoordinator:

@@ -15,7 +15,21 @@ from repro.data import (
     conforms,
     infer_type,
 )
-from repro.sql.expressions import BinaryOp, ColumnRef, Literal, conjoin, split_conjuncts
+from repro.data.streams import StreamElement
+from repro.sql.compiled import (
+    _fallback_accumulate,
+    _fallback_partial,
+    compile_accumulate,
+    compile_partial,
+)
+from repro.sql.expressions import (
+    AggregateCall,
+    BinaryOp,
+    ColumnRef,
+    Literal,
+    conjoin,
+    split_conjuncts,
+)
 
 # ---------------------------------------------------------------------------
 # Types
@@ -255,3 +269,108 @@ def test_join_operator_matches_batch_oracle(data):
     )
     got = sorted(tuple(r.values) for r in sink.rows)
     assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# The generated fold equals its interpreter twin
+# ---------------------------------------------------------------------------
+FOLD_SCHEMA = Schema.of(("k", DataType.STRING), ("a", DataType.FLOAT))
+
+#: Tumbling, whole-pane hopping and fractional-slide RANGE windows (the
+#: last one with a gap between windows), and None: a running fold.
+FOLD_WINDOWS = [
+    None,
+    WindowSpec.range(10.0),
+    WindowSpec.range(0.5),
+    WindowSpec.range(20.0, slide=10.0),
+    WindowSpec.range(1.5, slide=0.5),
+    WindowSpec.range(25.0, slide=10.0),
+    WindowSpec.range(0.3, slide=0.2),
+    WindowSpec.range(1.0, slide=2.5),
+]
+
+fold_calls = st.lists(
+    st.one_of(
+        st.just(AggregateCall("COUNT", None)),
+        st.builds(
+            AggregateCall,
+            st.sampled_from(["COUNT", "SUM", "AVG", "MIN", "MAX"]),
+            st.just(ColumnRef("a")),
+            st.booleans(),
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+fold_elements = st.lists(
+    st.builds(
+        lambda key, value, stamp: StreamElement(Row(FOLD_SCHEMA, (key, value)), stamp),
+        st.sampled_from("pqr"),
+        st.one_of(st.none(), st.integers(-3, 3).map(float), st.floats(-1e3, 1e3)),
+        # Negative, fractional, on a window edge, in any order.
+        st.one_of(
+            st.floats(-20.0, 40.0),
+            st.integers(-20, 40).map(float),
+            st.sampled_from([-2.5, 0.0, 0.1, 0.2, 0.3, 0.5, 2.5, 10.0, 20.0]),
+        ),
+    ),
+    max_size=24,
+)
+
+
+def _fold_output(pair, runs, window, partial, closed):
+    """Fold ``runs`` into one state with ``pair``'s fold, then finish
+    every window's groups (or, for a running partial, each run's
+    touched groups in touch order, as a delta ships them)."""
+    fold, finish = pair
+    state: dict = {}
+    deltas = []
+    for run in runs:
+        if window is not None:
+            fold(run, state, closed)
+        elif partial:
+            touched: dict = {}
+            fold(run, state, touched)
+            deltas.append([(key, finish(group)) for key, group in touched.items()])
+        else:
+            fold(run, state)
+    if window is None:
+        return deltas if partial else {key: finish(group) for key, group in state.items()}
+    return {
+        index: {key: finish(group) for key, group in groups.items()}
+        for index, groups in state.items()
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    calls=fold_calls,
+    window=st.sampled_from(FOLD_WINDOWS),
+    grouped=st.booleans(),
+    partial=st.booleans(),
+    elements=fold_elements,
+    cut=st.integers(0, 24),
+    # Windows up to the one a watermark at this stamp would close.
+    watermark=st.one_of(st.none(), st.floats(-25.0, 45.0)),
+)
+def test_generated_fold_equals_its_interpreter_twin(
+    calls, window, grouped, partial, elements, cut, watermark
+):
+    """``compile_accumulate`` / ``compile_partial``'s generated ``(fold,
+    finalize | take)`` against ``_fallback_accumulate`` /
+    ``_fallback_partial``: two runs folded into one state finish equal
+    per window and group."""
+    group_exprs = (ColumnRef("k"),) if grouped else ()
+    calls = tuple(calls)
+    compile_pair = compile_partial if partial else compile_accumulate
+    twin = _fallback_partial if partial else _fallback_accumulate
+    generated = compile_pair(group_exprs, calls, FOLD_SCHEMA, window)
+    assert hasattr(generated[0], "__compiled_source__")
+    runs = (elements[:cut], elements[cut:])
+    closed = float("-inf")
+    if window is not None and watermark is not None:
+        closed = window.first_index(watermark) - 1
+    assert _fold_output(generated, runs, window, partial, closed) == _fold_output(
+        twin(group_exprs, calls, FOLD_SCHEMA, window), runs, window, partial, closed
+    )
