@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint check bench bench-federated bench-recovery ledger ledger-trace ledger-compare ledger-pairs
+.PHONY: test lint check bench bench-federated bench-recovery ledger ledger-trace ledger-compare ledger-pairs loc
 
 ## Tier-1 verification: the full unit/integration suite.
 test:
@@ -79,3 +79,11 @@ FIRST_SEED ?= 1
 ledger-pairs:
 	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make ledger-pairs BASE=rev WORKLOAD=name|all [PAIRS=10] [SECONDS=25] [FIRST_SEED=1]"; exit 2; }
 	$(PYTHON) -m benchmarks.pairs --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS) --seconds $(SECONDS) --first-seed $(FIRST_SEED)
+
+## Net code lines of src/repro against a base revision, docstrings and
+## comments counted apart (benchmarks/loc.py): one row per module, then
+## the totals. Every simplicity change reports it.
+##   make loc BASE=HEAD~1
+loc:
+	@test -n "$(BASE)" || { echo "usage: make loc BASE=rev"; exit 2; }
+	$(PYTHON) -m benchmarks.loc --base $(BASE)

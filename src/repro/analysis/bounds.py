@@ -1,27 +1,28 @@
 """Unbounded-state detection: prove each stateful operator's memory bounded.
 
-Mirrors the plan compiler's window inference exactly
-(:meth:`~repro.stream.compiler.PlanCompiler._scan_window` /
-``_side_window``): an un-windowed stream scan receives the engine's
-default RANGE window, stored tables are UNBOUNDED but finite, and a
-join side's window is the widest RANGE window beneath it. With those
-rules, each stateful operator's memory is provably bounded — or not:
+Reads the windows the plan nodes carry, the ones the compiler hands the
+operators: ``Join.windows`` (each side's
+:func:`~repro.plan.logical.side_window` — an un-windowed stream scan
+runs under the default RANGE window, stored tables are UNBOUNDED but
+finite) and ``Aggregate.closing_window``. From those, each stateful
+operator's memory is provably bounded — or not:
 
 * A **join** side whose inferred window is UNBOUNDED over an *infinite*
   input (a stream scan or remote feed beneath it) never evicts its
   buffer → ``RA101`` (error).
-* **DISTINCT** keeps one entry per distinct row forever; over an
-  infinite input the seen-set is bounded only by value cardinality →
-  ``RA102`` (warning — SmartCIS value domains are small, but nothing
-  enforces that).
-* An **aggregate without a RANGE window** runs in running mode
+* **DISTINCT** keeps one entry per distinct row forever, whatever
+  window its scans declare; over an infinite input the seen-set is
+  bounded only by value cardinality → ``RA102`` (warning — SmartCIS
+  value domains are small, but nothing enforces that).
+* An **aggregate without a closing window** runs in running mode
   (:class:`~repro.stream.operators.AggregateOp`): groups accumulate for
-  the stream's lifetime and are never cleared. With group keys or
-  DISTINCT calls the state grows with key/value cardinality →
-  ``RA103`` warning; a global aggregate of plain calls keeps O(1)
-  accumulators → ``RA103`` info (running totals, bounded). An
-  *explicit* ``[unbounded]`` window says "aggregate the whole history"
-  over a stream that has no end → ``RA104`` (error).
+  the stream's lifetime and are never cleared, and a declared ROWS or
+  NOW window is not applied. With group keys or DISTINCT calls the
+  state grows with key/value cardinality → ``RA103`` warning; a global
+  aggregate of plain calls keeps O(1) accumulators → ``RA103`` info
+  (running totals, bounded). An *explicit* ``[unbounded]`` window says
+  "aggregate the whole history" over a stream that has no end →
+  ``RA104`` (error).
 
 RANGE-windowed operators evict past the window horizon and are bounded;
 plans reading only stored tables are bounded by the tables themselves.
@@ -30,7 +31,7 @@ plans reading only stored tables are bounded by the tables themselves.
 from __future__ import annotations
 
 from repro.catalog import SourceKind
-from repro.data.windows import WindowKind, WindowSpec
+from repro.data.windows import WindowKind
 from repro.plan.logical import (
     Aggregate,
     Distinct,
@@ -38,8 +39,8 @@ from repro.plan.logical import (
     LogicalOp,
     RemoteSource,
     Scan,
+    scans_of,
 )
-from repro.stream.compiler import DEFAULT_STREAM_WINDOW
 
 from repro.analysis.diagnostics import ERROR, INFO, WARNING, Diagnostic, diag
 
@@ -55,47 +56,13 @@ def is_infinite(node: LogicalOp) -> bool:
     return False
 
 
-def scan_window(scan: Scan, default: WindowSpec = DEFAULT_STREAM_WINDOW) -> WindowSpec:
-    """The window the compiler will give ``scan``."""
-    if scan.window is not None:
-        return scan.window
-    if scan.entry.kind is SourceKind.TABLE:
-        return WindowSpec.unbounded()
-    return default
-
-
-def side_window(
-    node: LogicalOp, default: WindowSpec = DEFAULT_STREAM_WINDOW
-) -> WindowSpec:
-    """The join-side window the compiler will infer for ``node``'s
-    subtree: widest RANGE (then ROWS, then NOW) window beneath it;
-    UNBOUNDED when nothing beneath carries a finite window."""
-    finite: list[WindowSpec] = []
-    for leaf in node.walk():
-        if isinstance(leaf, RemoteSource):
-            finite.append(default)
-        elif isinstance(leaf, Scan):
-            window = scan_window(leaf, default)
-            if window.kind in (WindowKind.RANGE, WindowKind.ROWS, WindowKind.NOW):
-                finite.append(window)
-    if not finite:
-        return WindowSpec.unbounded()
-    for kind in (WindowKind.RANGE, WindowKind.ROWS):
-        sized = [w for w in finite if w.kind is kind]
-        if sized:
-            return max(sized, key=lambda w: w.size)
-    return finite[0]
-
-
-def check_bounds(
-    plan: LogicalOp, default_window: WindowSpec = DEFAULT_STREAM_WINDOW
-) -> list[Diagnostic]:
+def check_bounds(plan: LogicalOp) -> list[Diagnostic]:
     """Prove every stateful operator bounded; ``RA1xx`` diagnostics
     where the proof fails."""
     out: list[Diagnostic] = []
     for node in plan.walk():
         if isinstance(node, Join):
-            _check_join(node, default_window, out)
+            _check_join(node, out)
         elif isinstance(node, Distinct):
             _check_distinct(node, out)
         elif isinstance(node, Aggregate):
@@ -103,11 +70,11 @@ def check_bounds(
     return out
 
 
-def _check_join(node: Join, default: WindowSpec, out: list[Diagnostic]) -> None:
-    for label, side in (("left", node.left), ("right", node.right)):
+def _check_join(node: Join, out: list[Diagnostic]) -> None:
+    sides = zip(("left", "right"), (node.left, node.right), node.windows)
+    for label, side, window in sides:
         if not is_infinite(side):
             continue  # finite side: buffer bounded by the stored rows
-        window = side_window(side, default)
         if window.kind is WindowKind.UNBOUNDED:
             out.append(
                 diag(
@@ -123,13 +90,16 @@ def _check_join(node: Join, default: WindowSpec, out: list[Diagnostic]) -> None:
 
 def _check_distinct(node: Distinct, out: list[Diagnostic]) -> None:
     if is_infinite(node.child):
+        # DISTINCT takes no window: a declared one is not applied.
+        windowed = any(scan.window is not None for scan in scans_of(node.child))
         out.append(
             diag(
                 "RA102",
                 WARNING,
                 "DISTINCT over an infinite stream keeps one entry per "
                 "distinct row forever; memory is bounded only by the "
-                "value domain",
+                "value domain"
+                + ("; the declared window is ignored" if windowed else ""),
                 operator=node.describe(),
             )
         )
@@ -138,9 +108,9 @@ def _check_distinct(node: Distinct, out: list[Diagnostic]) -> None:
 def _check_aggregate(node: Aggregate, out: list[Diagnostic]) -> None:
     if not is_infinite(node.child):
         return
-    window = node.window
-    if window is not None and window.kind is WindowKind.RANGE:
+    if node.closing_window is not None:
         return  # windowed mode evicts past the horizon: bounded
+    window = node.window
     if window is not None and window.kind is WindowKind.UNBOUNDED:
         out.append(
             diag(
@@ -159,17 +129,18 @@ def _check_aggregate(node: Aggregate, out: list[Diagnostic]) -> None:
     unbounded = bool(node.group_by) or any(
         item.call.distinct for item in node.aggregates
     )
-    out.append(
-        diag(
-            "RA103",
-            WARNING if unbounded else INFO,
-            (
-                "running-mode aggregate state grows with group-key / "
-                "DISTINCT-value cardinality and is never cleared"
-                if unbounded
-                else "global running totals keep O(1) accumulators for the "
-                "stream's lifetime"
-            ),
-            operator=node.describe(),
+    message = (
+        "running-mode aggregate state grows with group-key / "
+        "DISTINCT-value cardinality and is never cleared"
+        if unbounded
+        else "global running totals keep O(1) accumulators for the "
+        "stream's lifetime"
+    )
+    if window is not None:
+        message = (
+            f"the declared {window.render()} window is not applied: running "
+            f"totals are emitted at each punctuation; {message}"
         )
+    out.append(
+        diag("RA103", WARNING if unbounded else INFO, message, operator=node.describe())
     )

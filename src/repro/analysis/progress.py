@@ -21,7 +21,6 @@ plan before it spins.
 
 from __future__ import annotations
 
-from repro.data.windows import WindowKind
 from repro.plan.logical import Aggregate, Limit, LogicalOp, OrderBy, Recursive
 
 from repro.analysis.diagnostics import ERROR, INFO, Diagnostic, diag
@@ -47,13 +46,14 @@ def check_progress(plan: LogicalOp) -> list[Diagnostic]:
                 )
             continue
         if isinstance(node, Aggregate) and is_infinite(node.child):
-            if node.window is not None and node.window.kind is WindowKind.RANGE:
+            window = node.closing_window
+            if window is not None:
                 out.append(
                     diag(
                         "RA200",
                         INFO,
                         "aggregate emits when the watermark closes each "
-                        f"window (every {node.window.slide or node.window.size:g}s)",
+                        f"window (every {window.hop:g}s)",
                         operator=node.describe(),
                     )
                 )

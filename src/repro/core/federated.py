@@ -12,7 +12,8 @@ sensor-executable fragments* (subtrees the in-network engine can run:
 filtered collections, single aggregates, pairwise joins over sensor
 relations). Every subset of those fragments yields one partitioning
 alternative: chosen fragments are pushed in-network and replaced by
-:class:`~repro.plan.logical.RemoteSource` leaves; sensor scans left
+:class:`~repro.plan.logical.RemoteSource` leaves carrying the
+fragment's window; sensor scans left
 behind become raw collections (data pulled to the basestation
 unfiltered). The stream optimizer then reorders and prices the
 remainder, each engine's native cost is normalised
@@ -35,6 +36,7 @@ from repro.plan.logical import (
     Scan,
     Select,
     replace_child,
+    side_window,
 )
 from repro.sql.expressions import is_equijoin_conjunct, split_conjuncts
 from repro.sensor.network import SensorNetwork
@@ -253,6 +255,7 @@ class FederatedOptimizer:
                 fragment.schema,
                 rate,
                 partition_by=_fragment_partition_by(fragment),
+                window=side_window(fragment),
             )
             working = _replace_subtree(working, fragment, remote)
             pushed.append(PushedFragment(name, fragment, deployment, cost, rate))
@@ -267,7 +270,7 @@ class FederatedOptimizer:
                 scan, output_name=name
             )
             rate = self._result_rate(deployment, cost)
-            remote = RemoteSource(name, scan.schema, rate)
+            remote = RemoteSource(name, scan.schema, rate, window=side_window(scan))
             working = _replace_subtree(working, scan, remote)
             pushed.append(PushedFragment(name, scan, deployment, cost, rate))
             sensor_costs.append(cost)

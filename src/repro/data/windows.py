@@ -197,6 +197,13 @@ class WindowSpec:
         return f"[RANGE {self.size:g} SECONDS]"
 
 
+
+#: The window a stream scan runs under when its FROM entry declares
+#: none (stored tables get UNBOUNDED; see
+#: :func:`repro.plan.logical.scan_window`).
+DEFAULT_STREAM_WINDOW = WindowSpec.range(60.0)
+
+
 def assign_windows(timestamp: float, spec: WindowSpec) -> list[float]:
     """Window end-times that an element at ``timestamp`` contributes to.
 

@@ -13,8 +13,9 @@ the decision logic lives in :mod:`repro.stream.partition`):
 * :class:`ExchangeSource` — the stage-2 leaf standing in for a shuffled
   feed. It subclasses :class:`~repro.plan.logical.RemoteSource`, so the
   compiler and engine treat it as a named port; ``partition_by``
-  declares the key the feed is hashed on and ``origin`` keeps the
-  replaced subtree for window inference and diagnostics.
+  declares the key the feed is hashed on and ``window`` (inherited)
+  carries the replaced subtree's window, so a shuffled join side keeps
+  the window its scans declared.
 * :class:`PartialAggregate` / :class:`MergeAggregate` — the two halves
   of two-phase aggregation. Stage 1 emits per-shard *partial* state
   (opaque payload columns); stage 2 merges partials into the original
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 
 from repro.data.schema import Field, Schema
 from repro.data.types import DataType
+from repro.data.windows import WindowSpec
 from repro.errors import PlanError
 from repro.plan.logical import (
     Aggregate,
@@ -70,21 +72,19 @@ class ExchangeSource(RemoteSource):
     ``partition_by`` names the columns of ``schema`` the feed is hashed
     on (empty = everything gathers on one merge shard), which
     ``partition_safe`` consumes exactly like a declared source key.
-    ``origin`` is the stage-1 subtree this leaf replaced — window
-    inference walks it so a shuffled join side keeps the window its
-    scans declared.
+    ``window`` is the :func:`~repro.plan.logical.side_window` of the
+    stage-1 subtree this leaf replaced.
     """
 
     def __init__(
         self,
         name: str,
         schema: Schema,
-        origin: LogicalOp,
+        window: WindowSpec,
         partition_by: tuple[str, ...] = (),
         ordinal: int = 0,
     ):
-        super().__init__(name, schema, partition_by=partition_by)
-        self.origin = origin
+        super().__init__(name, schema, partition_by=partition_by, window=window)
         self.ordinal = ordinal
 
     def describe(self) -> str:

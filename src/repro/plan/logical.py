@@ -10,14 +10,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Iterator
 
-from repro.catalog import SourceEntry
+from repro.catalog import SourceEntry, SourceKind
 from repro.data.schema import Field, Schema
-from repro.data.windows import WindowSpec
+from repro.data.windows import DEFAULT_STREAM_WINDOW, WindowKind, WindowSpec
 from repro.errors import PlanError
 from repro.sql.ast import OrderItem
-from repro.sql.expressions import AggregateCall, Expr
+from repro.sql.expressions import (
+    AggregateCall,
+    Expr,
+    conjoin,
+    is_equijoin_conjunct,
+    split_conjuncts,
+)
 
 _plan_ids = itertools.count(1)
 
@@ -100,7 +107,9 @@ class RemoteSource(LogicalOp):
     The federated optimizer replaces a pushed-down sensor fragment with a
     RemoteSource carrying the fragment's output schema and estimated
     arrival rate; the stream engine treats it like any other feed whose
-    port is wired to the basestation delivery callback.
+    port is wired to the basestation delivery callback. ``window`` is
+    the window of the subtree the leaf replaced (:func:`side_window`),
+    so a join over the feed buffers it as it would the subtree.
     """
 
     def __init__(
@@ -109,11 +118,13 @@ class RemoteSource(LogicalOp):
         schema: Schema,
         rate: float = 1.0,
         partition_by: tuple[str, ...] = (),
+        window: WindowSpec = DEFAULT_STREAM_WINDOW,
     ):
         super().__init__()
         self.name = name
         self._schema = schema
         self.rate = rate
+        self.window = window
         #: Columns of ``schema`` the feed is already hashed on (the
         #: fragment's GROUP BY / join-site key, set by the federated
         #: optimizer; exchange feeds set their shuffle key). Empty means
@@ -209,7 +220,13 @@ class Project(LogicalOp):
 
 
 class Join(LogicalOp):
-    """Binary (window) join. ``predicate`` may be None for a cross product."""
+    """Binary (window) join. ``predicate`` may be None for a cross product.
+
+    The join's physical shape — :attr:`windows`, :attr:`equi` and
+    :attr:`residual` — is resolved on the node, once, when first read:
+    the compiler, the analyses and the partitioner all read it there.
+    (Lazily, so the join orders an optimizer only prices never pay.)
+    """
 
     def __init__(self, left: LogicalOp, right: LogicalOp, predicate: Expr | None = None):
         super().__init__()
@@ -217,6 +234,37 @@ class Join(LogicalOp):
         self.right = right
         self.predicate = predicate
         self._schema = left.schema.concat(right.schema)
+
+    @cached_property
+    def windows(self) -> tuple[WindowSpec, WindowSpec]:
+        """Each side's :func:`side_window`: how long its rows stay buffered."""
+        return side_window(self.left), side_window(self.right)
+
+    @cached_property
+    def equi(self) -> tuple[tuple[str, str], ...]:
+        """``(left column, right column)`` per conjunct ``a = b`` that
+        compares one side with the other: the join's hash keys."""
+        pairs = map(self._oriented, split_conjuncts(self.predicate))
+        return tuple(pair for pair in pairs if pair is not None)
+
+    @cached_property
+    def residual(self) -> Expr | None:
+        """Every conjunct that is not an :attr:`equi` key, conjoined
+        (None when there is none)."""
+        conjuncts = split_conjuncts(self.predicate)
+        return conjoin([c for c in conjuncts if self._oriented(c) is None])
+
+    def _oriented(self, conjunct: Expr) -> tuple[str, str] | None:
+        pair = is_equijoin_conjunct(conjunct)
+        if pair is None:
+            return None
+        a, b = pair
+        left, right = self.left.schema, self.right.schema
+        if left.has(a) and right.has(b):
+            return (a, b)
+        if left.has(b) and right.has(a):
+            return (b, a)
+        return None
 
     @property
     def schema(self) -> Schema:
@@ -228,7 +276,8 @@ class Join(LogicalOp):
 
     def describe(self) -> str:
         pred = self.predicate.render() if self.predicate is not None else "TRUE"
-        return f"Join({pred})"
+        left, right = (window.render()[1:-1] for window in self.windows)
+        return f"Join({pred}) [{left} | {right}]"
 
 
 @dataclass(frozen=True)
@@ -243,9 +292,8 @@ class Aggregate(LogicalOp):
     """Grouped (windowed) aggregation.
 
     Output schema is group keys followed by aggregate columns. The
-    ``window`` controls when groups are emitted: for RANGE windows with a
-    slide, results are produced per window close; otherwise per
-    punctuation.
+    ``window`` is the one the query declared; :attr:`closing_window` is
+    the one that decides when groups are emitted.
     """
 
     def __init__(
@@ -281,6 +329,16 @@ class Aggregate(LogicalOp):
     @property
     def children(self) -> tuple[LogicalOp, ...]:
         return (self.child,)
+
+    @property
+    def closing_window(self) -> WindowSpec | None:
+        """The RANGE window whose close emits the groups, or None: the
+        aggregate then emits running totals at every punctuation (a
+        declared ROWS or NOW window is not applied)."""
+        window = self.window
+        if window is not None and window.kind is WindowKind.RANGE:
+            return window
+        return None
 
     def describe(self) -> str:
         keys = ", ".join(e.render() for e in self.group_by) or "<global>"
@@ -406,6 +464,44 @@ class Output(LogicalOp):
 def scans_of(plan: LogicalOp) -> list[Scan]:
     """All Scan leaves of a plan, left-to-right."""
     return [node for node in plan.walk() if isinstance(node, Scan)]
+
+
+def scan_window(scan: Scan) -> WindowSpec:
+    """The window ``scan`` runs under: the declared one, else UNBOUNDED
+    for a stored table and :data:`DEFAULT_STREAM_WINDOW` for a stream."""
+    if scan.window is not None:
+        return scan.window
+    if scan.entry.kind is SourceKind.TABLE:
+        return WindowSpec.unbounded()
+    return DEFAULT_STREAM_WINDOW
+
+
+def side_window(node: LogicalOp) -> WindowSpec:
+    """The window a join buffers ``node``'s rows under.
+
+    The widest RANGE window among the leaves beneath ``node``, else the
+    widest ROWS window, else the first NOW; UNBOUNDED when every leaf
+    is (the side reads only stored tables). A scan contributes
+    :func:`scan_window`, a remote or exchange feed the window it
+    carries.
+    """
+    finite: list[WindowSpec] = []
+    for leaf in node.walk():
+        if isinstance(leaf, Scan):
+            window = scan_window(leaf)
+        elif isinstance(leaf, RemoteSource):
+            window = leaf.window
+        else:
+            continue
+        if window.kind is not WindowKind.UNBOUNDED:
+            finite.append(window)
+    if not finite:
+        return WindowSpec.unbounded()
+    for kind in (WindowKind.RANGE, WindowKind.ROWS):
+        sized = [w for w in finite if w.kind is kind]
+        if sized:
+            return max(sized, key=lambda w: w.size)
+    return finite[0]
 
 
 def replace_child(op: LogicalOp, old: LogicalOp, new: LogicalOp) -> LogicalOp:

@@ -6,12 +6,7 @@ simulated distributed runtime.
 """
 
 from repro.stream.batch import evaluate, fixpoint
-from repro.stream.compiler import (
-    DEFAULT_STREAM_WINDOW,
-    CompiledPlan,
-    PlanCompiler,
-    ScanPort,
-)
+from repro.stream.compiler import CompiledPlan, PlanCompiler, ScanPort
 from repro.stream.distributed import (
     DistributedQuery,
     DistributedStreamEngine,
@@ -51,7 +46,6 @@ __all__ = [
     "PlanCompiler",
     "CompiledPlan",
     "ScanPort",
-    "DEFAULT_STREAM_WINDOW",
     "Operator",
     "FilterOp",
     "FusedOp",

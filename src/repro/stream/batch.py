@@ -36,12 +36,7 @@ from repro.plan.logical import (
     Select,
 )
 from repro.sql.compiled import compile_expr, compile_projection
-from repro.sql.expressions import (
-    Accumulator,
-    conjoin,
-    is_equijoin_conjunct,
-    split_conjuncts,
-)
+from repro.sql.expressions import Accumulator
 from repro.stream.operators import _Descending, _positional_key
 
 
@@ -163,34 +158,14 @@ def _input_rows(node: LogicalOp, tables: dict[str, Iterable[Row]]) -> list[Row]:
     return rows
 
 
-def _classify_join(plan: Join) -> tuple[list[tuple[str, str]], list]:
-    """Split the join predicate into usable equi-key pairs + residual."""
-    left_schema = plan.left.schema
-    right_schema = plan.right.schema
-    equi: list[tuple[str, str]] = []
-    residual = []
-    for conjunct in split_conjuncts(plan.predicate):
-        pair = is_equijoin_conjunct(conjunct)
-        if pair is not None:
-            a, b = pair
-            if left_schema.has(a) and right_schema.has(b):
-                equi.append((a, b))
-                continue
-            if left_schema.has(b) and right_schema.has(a):
-                equi.append((b, a))
-                continue
-        residual.append(conjunct)
-    return equi, residual
-
-
 def _compile_join(plan: Join):
     """One-time compiled state for a Join node: key extractors and the
     residual predicate, bound to the children's schemas."""
-    equi, residual = _classify_join(plan)
-    left_key = _positional_key(plan.left.schema, [lk for lk, _ in equi])
-    right_key = _positional_key(plan.right.schema, [rk for _, rk in equi])
-    residual_fn = compile_expr(conjoin(residual), plan.schema) if residual else None
-    return len(equi), left_key, right_key, residual_fn
+    left_key = _positional_key(plan.left.schema, [lk for lk, _ in plan.equi])
+    right_key = _positional_key(plan.right.schema, [rk for _, rk in plan.equi])
+    residual = plan.residual
+    residual_fn = compile_expr(residual, plan.schema) if residual is not None else None
+    return len(plan.equi), left_key, right_key, residual_fn
 
 
 def _join(plan: Join, tables: dict[str, Iterable[Row]]) -> list[Row]:

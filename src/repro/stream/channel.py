@@ -77,9 +77,9 @@ class ShardHost:
     stage-1 replicas, whose output feeds the pool's shuffle buffers.
     """
 
-    def __init__(self, index, catalog, deliver, default_window, share_plans):
+    def __init__(self, index, catalog, deliver, share_plans):
         self.index = index
-        self.engine = StreamEngine(catalog, deliver, default_window, share_plans)
+        self.engine = StreamEngine(catalog, deliver, share_plans)
         self.queries: dict[int, QueryHandle] = {}
         self.stage1: dict[int, list[QueryHandle]] = {}
 
@@ -173,8 +173,8 @@ class LoopbackChannel(ShardHost):
     ships_plans = True
     transport = None
 
-    def __init__(self, index, catalog, deliver, default_window, share_plans):
-        self._host_args = (index, catalog, deliver, default_window, share_plans)
+    def __init__(self, index, catalog, deliver, share_plans):
+        self._host_args = (index, catalog, deliver, share_plans)
         self.respawn()
 
     def respawn(self) -> None:

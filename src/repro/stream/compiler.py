@@ -18,11 +18,10 @@ output stages: the join emits the run's rows, one Row per result, and
 no operator sits above it. A run whose fused code cannot be generated
 keeps one physical operator per logical node.
 
-Window inference: a Scan's explicit window wins; otherwise streams get
-the engine's default window and stored tables get UNBOUNDED. A join
-side's window is the widest RANGE window beneath it (a join of windowed
-streams stays windowed; a join against a table side is unbounded on that
-side only).
+Windows and join keys are not inferred here: the plan node carries
+them (``Join.windows`` / ``equi`` / ``residual``,
+``Aggregate.closing_window``; see :func:`repro.plan.logical.side_window`),
+and the compiler passes them to the operators as they are.
 """
 
 from __future__ import annotations
@@ -30,10 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.catalog import SourceKind
 from repro.data.schema import Schema
 from repro.data.streams import StreamConsumer, StreamElement, push_all
-from repro.data.windows import WindowKind, WindowSpec
 from repro.errors import PlanError
 from repro.plan.exchange import ExchangeSource, MergeAggregate, PartialAggregate
 from repro.plan.logical import (
@@ -51,7 +48,6 @@ from repro.plan.logical import (
     Select,
 )
 from repro.sql.compiled import compile_counts
-from repro.sql.expressions import is_equijoin_conjunct, split_conjuncts
 from repro.stream.multiplex import SharedFeed
 from repro.stream.operators import (
     AggregateOp,
@@ -67,9 +63,6 @@ from repro.stream.operators import (
     ProjectOp,
     SymmetricHashJoin,
 )
-
-#: Default window applied to stream scans that carry no window clause.
-DEFAULT_STREAM_WINDOW = WindowSpec.range(60.0)
 
 
 @dataclass
@@ -188,13 +181,8 @@ def result_sink(plan: LogicalOp, sink: StreamConsumer) -> StreamConsumer:
 class PlanCompiler:
     """Compiles logical plans to operator pipelines."""
 
-    def __init__(
-        self,
-        deliver: Callable[[str, StreamElement], None] | None = None,
-        default_window: WindowSpec = DEFAULT_STREAM_WINDOW,
-    ):
+    def __init__(self, deliver: Callable[[str, StreamElement], None] | None = None):
         self._deliver = deliver or (lambda display, element: None)
-        self._default_window = default_window
         #: Whole functions generated / fallen back to the interpreter
         #: across every plan this compiler lowered (see
         #: :func:`repro.sql.compiled.compile_counts`).
@@ -252,24 +240,19 @@ class PlanCompiler:
         if isinstance(node, PartialAggregate):
             group_by = list(zip(node.group_by, node.key_names))
             aggregates = [(item.call, item.name) for item in node.aggregates]
-            window = node.window if (
-                node.window is not None and node.window.kind is WindowKind.RANGE
-            ) else None
             op = PartialAggregateOp(
                 group_by,
                 aggregates,
                 node.schema,
                 downstream,
                 node.child.schema,
-                window,
+                node.closing_window,
             )
             compiled.operators.append(op)
             return self._compile_node(node.child, op, compiled)
         if isinstance(node, MergeAggregate):
             aggregates = [(item.call, item.name) for item in node.aggregates]
-            windowed = (
-                node.window is not None and node.window.kind is WindowKind.RANGE
-            )
+            windowed = node.closing_window is not None
             op = MergeAggregateOp(
                 len(node.key_names), aggregates, node.schema, downstream, windowed
             )
@@ -278,19 +261,15 @@ class PlanCompiler:
         if isinstance(node, Aggregate):
             group_by = [(expr, name) for expr, name in zip(node.group_by, node.key_names)]
             aggregates = [(item.call, item.name) for item in node.aggregates]
-            # An explicit window (from the windowed FROM entry) gives
-            # window-at-a-time emission; otherwise run continuous running
-            # aggregates emitted on every punctuation.
-            window = node.window if (
-                node.window is not None and node.window.kind is WindowKind.RANGE
-            ) else None
+            # A closing window gives window-at-a-time emission; otherwise
+            # running aggregates are emitted on every punctuation.
             op = AggregateOp(
                 group_by,
                 aggregates,
                 node.schema,
                 downstream,
                 node.child.schema,
-                window,
+                node.closing_window,
             )
             compiled.operators.append(op)
             return self._compile_node(node.child, op, compiled)
@@ -367,37 +346,17 @@ class PlanCompiler:
         """Lower a join, with the Select/Project run above it as its
         output ``stages`` (producing ``output_schema``) when there is one.
 
-        Equi-join conjuncts become the buckets' keys, the rest the
-        residual predicate. Returns None — and compiles nothing — when
-        the stages' fused code cannot be generated: the caller then
-        lowers the run above a join without stages.
+        The node's equi-keys become the buckets' keys, its residual the
+        predicate. Returns None — and compiles nothing — when the
+        stages' fused code cannot be generated: the caller then lowers
+        the run above a join without stages.
         """
-        left_schema = node.left.schema
-        right_schema = node.right.schema
-        equi: list[tuple[str, str]] = []
-        residual = []
-        for conjunct in split_conjuncts(node.predicate):
-            pair = is_equijoin_conjunct(conjunct)
-            placed = False
-            if pair is not None:
-                a, b = pair
-                if left_schema.has(a) and right_schema.has(b):
-                    equi.append((a, b))
-                    placed = True
-                elif left_schema.has(b) and right_schema.has(a):
-                    equi.append((b, a))
-                    placed = True
-            if not placed:
-                residual.append(conjunct)
-        from repro.sql.expressions import conjoin
-
         join = SymmetricHashJoin(
-            left_schema,
-            right_schema,
-            self._side_window(node.left),
-            self._side_window(node.right),
-            conjoin(residual),
-            equi,
+            node.left.schema,
+            node.right.schema,
+            *node.windows,
+            node.residual,
+            node.equi,
             downstream,
             stages,
             output_schema,
@@ -408,45 +367,3 @@ class PlanCompiler:
         self._compile_node(node.left, join.left_port, compiled)
         self._compile_node(node.right, join.right_port, compiled)
         return join  # not used as an input port
-
-    # ------------------------------------------------------------------
-    # Window inference
-    # ------------------------------------------------------------------
-    def _scan_window(self, scan: Scan) -> WindowSpec:
-        if scan.window is not None:
-            return scan.window
-        if scan.entry.kind is SourceKind.TABLE:
-            return WindowSpec.unbounded()
-        return self._default_window
-
-    def _side_window(self, node: LogicalOp) -> WindowSpec:
-        """Widest RANGE/ROWS window beneath ``node``; UNBOUNDED if the
-        subtree reads only stored tables."""
-        ranges: list[WindowSpec] = []
-        unbounded_only = True
-        for leaf in node.walk():
-            if isinstance(leaf, ExchangeSource):
-                # A shuffled feed keeps whatever window the replaced
-                # stage-1 subtree declared (a table-only side must stay
-                # unbounded, not pick up the stream default).
-                inner = self._side_window(leaf.origin)
-                if inner.kind is not WindowKind.UNBOUNDED:
-                    ranges.append(inner)
-                    unbounded_only = False
-            elif isinstance(leaf, RemoteSource):
-                ranges.append(self._default_window)
-                unbounded_only = False
-            elif isinstance(leaf, Scan):
-                window = self._scan_window(leaf)
-                if window.kind in (WindowKind.RANGE, WindowKind.ROWS, WindowKind.NOW):
-                    ranges.append(window)
-                    unbounded_only = False
-        if unbounded_only:
-            return WindowSpec.unbounded()
-        range_windows = [w for w in ranges if w.kind is WindowKind.RANGE]
-        if range_windows:
-            return max(range_windows, key=lambda w: w.size)
-        rows_windows = [w for w in ranges if w.kind is WindowKind.ROWS]
-        if rows_windows:
-            return max(rows_windows, key=lambda w: w.size)
-        return ranges[0]

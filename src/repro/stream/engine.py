@@ -47,12 +47,10 @@ from repro.data.streams import (
     push_all,
 )
 from repro.data.tuples import Row
-from repro.data.windows import WindowSpec
 from repro.errors import ExecutionError
 from repro.plan.logical import LogicalOp, RemoteSource
 from repro.sql.compiled import compile_counts, compile_fused_ingest, compile_ingest, fallback_ingest
 from repro.stream.compiler import (
-    DEFAULT_STREAM_WINDOW,
     CompiledPlan,
     PlanCompiler,
     ScanPort,
@@ -184,7 +182,6 @@ class StreamEngine:
         catalog: Shared catalog (source schemas and kinds).
         deliver: Optional display callback for OUTPUT TO plans
             ``(display_name, element) -> None``.
-        default_window: Window applied to un-windowed stream scans.
         share_plans: Run structurally identical plans (and common
             prefixes) as shared chains via the subplan registry. Off by
             default at engine level; ``Session`` turns it on.
@@ -194,11 +191,10 @@ class StreamEngine:
         self,
         catalog: Catalog,
         deliver: Callable[[str, StreamElement], None] | None = None,
-        default_window: WindowSpec = DEFAULT_STREAM_WINDOW,
         share_plans: bool = False,
     ):
         self._catalog = catalog
-        self._compiler = PlanCompiler(deliver, default_window)
+        self._compiler = PlanCompiler(deliver)
         self._queries: dict[int, QueryHandle] = {}
         self._tables: dict[str, list[StreamElement]] = {}
         self._watermarks: dict[str, float] = {}

@@ -181,8 +181,10 @@ class SharedFeed(RemoteSource):
     filter-only chain forwards source rows under their catalog schema.
 
     ``walk`` yields the *wrapped* subtree's nodes rather than the feed
-    itself so window inference (``PlanCompiler._side_window``) and
-    relation discovery keep seeing the real scans beneath the cut.
+    itself, so :func:`~repro.plan.logical.side_window` (a join over the
+    cut keeps the window its scans declared), infinite-input checks and
+    relation discovery all see the real scans beneath the cut; the
+    inherited ``window`` field is never read.
     """
 
     def __init__(self, wrapped: LogicalOp, chain_id: int):

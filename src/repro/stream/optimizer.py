@@ -37,6 +37,7 @@ from repro.plan.logical import (
     Scan,
     Select,
     replace_child,
+    scan_window,
 )
 from repro.sql.expressions import (
     BinaryOp,
@@ -47,7 +48,6 @@ from repro.sql.expressions import (
     is_equijoin_conjunct,
     split_conjuncts,
 )
-from repro.stream.compiler import DEFAULT_STREAM_WINDOW
 
 #: Seconds of CPU per row processed by one operator (calibration knob).
 CPU_SECONDS_PER_ROW = 2e-6
@@ -78,6 +78,18 @@ class StreamCost:
         return self.combined() < other.combined()
 
 
+def window_live_rows(window: WindowSpec, rate: float) -> float:
+    """Rows a feed arriving at ``rate`` rows/s keeps live under ``window``."""
+    if window.kind is WindowKind.UNBOUNDED:
+        # Unbounded stream history: treat one hour as the planning horizon.
+        return max(rate * 3600.0, 1.0)
+    if window.kind is WindowKind.ROWS:
+        return max(float(window.size), 1.0)
+    if window.kind is WindowKind.NOW:
+        return max(rate * 1.0, 1.0)
+    return max(rate * window.size, 1.0)
+
+
 @dataclass
 class _RelationInfo:
     """Estimation state for one base relation in the join graph."""
@@ -92,9 +104,8 @@ class _RelationInfo:
 class StreamCostModel:
     """Cardinality and latency estimation for stream plans."""
 
-    def __init__(self, catalog: Catalog, default_window: WindowSpec = DEFAULT_STREAM_WINDOW):
+    def __init__(self, catalog: Catalog):
         self._catalog = catalog
-        self._default_window = default_window
 
     # ------------------------------------------------------------------
     # Cardinality
@@ -104,15 +115,7 @@ class StreamCostModel:
         stats = scan.entry.statistics
         if scan.entry.kind is SourceKind.TABLE:
             return max(float(stats.cardinality), 1.0)
-        window = scan.window or self._default_window
-        if window.kind is WindowKind.UNBOUNDED:
-            # Unbounded stream history: treat one hour as the planning horizon.
-            return max(stats.rate * 3600.0, 1.0)
-        if window.kind is WindowKind.ROWS:
-            return max(float(window.size), 1.0)
-        if window.kind is WindowKind.NOW:
-            return max(stats.rate * 1.0, 1.0)
-        return max(stats.rate * window.size, 1.0)
+        return window_live_rows(scan_window(scan), stats.rate)
 
     def scan_rate(self, scan: Scan) -> float:
         """Arrival rate of a scan (0 for stored tables)."""
@@ -190,9 +193,9 @@ class StreamCostModel:
 class StreamEngineOptimizer:
     """Join reordering + costing for stream-engine fragments."""
 
-    def __init__(self, catalog: Catalog, default_window: WindowSpec = DEFAULT_STREAM_WINDOW):
+    def __init__(self, catalog: Catalog):
         self._catalog = catalog
-        self._model = StreamCostModel(catalog, default_window)
+        self._model = StreamCostModel(catalog)
         self._ndv = self._model.ndv  # replaced per-plan by cost()
 
     # ------------------------------------------------------------------
@@ -224,7 +227,7 @@ class StreamEngineOptimizer:
         if isinstance(node, Scan):
             return (0.0, 0.0, 0.0, model.scan_live_rows(node), model.scan_rate(node))
         if isinstance(node, RemoteSource):
-            live = max(node.rate * DEFAULT_STREAM_WINDOW.size, 1.0)
+            live = window_live_rows(node.window, node.rate)
             return (0.0, 0.0, 0.0, live, node.rate)
         if isinstance(node, (Select,)):
             lat, work, state, rows, rate = self._cost_node(node.child)

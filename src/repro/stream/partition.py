@@ -71,8 +71,9 @@ from repro.plan.logical import (
     RemoteSource,
     Scan,
     Select,
+    side_window,
 )
-from repro.sql.expressions import ColumnRef, is_equijoin_conjunct, split_conjuncts
+from repro.sql.expressions import ColumnRef
 
 
 @dataclass(frozen=True)
@@ -306,23 +307,13 @@ def _analyze_join(node: Join, keys: Mapping[str, str]) -> _Part:
             else streamed.key_positions
         )
         return _Part(key_positions=positions, partitioned=True)
-    # Two partitioned streams: some equi-conjunct must align both
-    # partition keys, or matching rows could live on different shards.
-    aligned = False
-    for conjunct in split_conjuncts(node.predicate):
-        pair = is_equijoin_conjunct(conjunct)
-        if pair is None:
-            continue
-        for a, b in (pair, tuple(reversed(pair))):
-            a_pos = _resolve(node.left.schema, a)
-            b_pos = _resolve(node.right.schema, b)
-            if (
-                a_pos is not None
-                and b_pos is not None
-                and a_pos in left.key_positions
-                and b_pos in right.key_positions
-            ):
-                aligned = True
+    # Two partitioned streams: some equi-key must align both partition
+    # keys, or matching rows could live on different shards.
+    aligned = any(
+        node.left.schema.index_of(a) in left.key_positions
+        and node.right.schema.index_of(b) in right.key_positions
+        for a, b in node.equi
+    )
     if not aligned:
         raise _Unsafe(
             "RA310",
@@ -409,7 +400,7 @@ def _aggregate_recipe(
     source = ExchangeSource(
         exchange_name(token, 0),
         partial.schema,
-        origin=partial,
+        side_window(partial),
         partition_by=key_names,
         ordinal=0,
     )
@@ -457,38 +448,26 @@ def _aggregate_recipe(
 def _join_recipe(
     plan: LogicalOp, join: Join, keys: Mapping[str, str], token: int
 ) -> ExchangeRecipe | None:
-    """Hash-shuffle both join inputs on an equi-key so matching rows
-    meet on one shard. None when the predicate has no equi conjunct
+    """Hash-shuffle both join inputs on their first equi-key so
+    matching rows meet on one shard. None when the join has no equi-key
     (a theta/cross join needs the full cross feed)."""
-    chosen: tuple[int, int] | None = None
-    for conjunct in split_conjuncts(join.predicate):
-        pair = is_equijoin_conjunct(conjunct)
-        if pair is None:
-            continue
-        for a, b in (pair, tuple(reversed(pair))):
-            a_pos = _resolve(join.left.schema, a)
-            b_pos = _resolve(join.right.schema, b)
-            if a_pos is not None and b_pos is not None:
-                chosen = (a_pos, b_pos)
-                break
-        if chosen is not None:
-            break
-    if chosen is None:
+    if not join.equi:
         return None
-    a_pos, b_pos = chosen
-    left_key = join.left.schema.names[a_pos]
-    right_key = join.right.schema.names[b_pos]
+    left_key, right_key = join.equi[0]
+    a_pos = join.left.schema.index_of(left_key)
+    b_pos = join.right.schema.index_of(right_key)
+    left_window, right_window = join.windows
     left_source = ExchangeSource(
         exchange_name(token, 0),
         join.left.schema,
-        origin=join.left,
+        left_window,
         partition_by=(left_key,),
         ordinal=0,
     )
     right_source = ExchangeSource(
         exchange_name(token, 1),
         join.right.schema,
-        origin=join.right,
+        right_window,
         partition_by=(right_key,),
         ordinal=1,
     )
@@ -542,7 +521,7 @@ def _distinct_recipe(
     source = ExchangeSource(
         exchange_name(token, 0),
         child.schema,
-        origin=child,
+        side_window(child),
         partition_by=tuple(child.schema.names),
         ordinal=0,
     )

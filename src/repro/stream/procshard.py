@@ -78,11 +78,9 @@ from repro.data.streams import (
     park,
 )
 from repro.data.tuples import Row
-from repro.data.windows import WindowSpec
 from repro.errors import ExecutionError
 from repro.plan import PlanBuilder
 from repro.stream.channel import ShardDied, ShardHost
-from repro.stream.compiler import DEFAULT_STREAM_WINDOW
 from repro.stream.engine import QueryHandle
 from repro.stream.partition import build_exchange
 from repro.stream.sharded import ShardedStreamEngine
@@ -156,10 +154,10 @@ class FramedChannel:
 
     ships_plans = False
 
-    def __init__(self, index, catalog, default_window, share_plans, ctx):
+    def __init__(self, index, catalog, share_plans, ctx):
         self.index = index
         self._catalog = catalog
-        self._worker_args = (share_plans, default_window)
+        self._share_plans = share_plans
         self._ctx = ctx
         #: Transport counters; they out-live worker restarts.
         self.transport = {
@@ -180,7 +178,7 @@ class FramedChannel:
         self.outq = self._ctx.Queue()
         self.process = self._ctx.Process(
             target=_worker_main,
-            args=(self.index, self.inq, self.outq, *self._worker_args),
+            args=(self.index, self.inq, self.outq, self._share_plans),
             daemon=True,
             name=f"repro-shard-{self.index}",
         )
@@ -604,7 +602,7 @@ def _exported() -> bytes | None:
     return exported
 
 
-def _worker_main(index, inq, outq, share_plans, default_window) -> None:
+def _worker_main(index, inq, outq, share_plans) -> None:
     """One shard worker: a :class:`ShardHost` driven entirely by frames
     ``(kind, seq, *args)``; a frame with a ``seq`` is acked once done.
     Each frame is one edge: it does all its work, then reports the
@@ -623,7 +621,7 @@ def _worker_main(index, inq, outq, share_plans, default_window) -> None:
     gc.disable()
     catalog = Catalog()
     builder = PlanBuilder(catalog)
-    host = ShardHost(index, catalog, None, default_window, share_plans)
+    host = ShardHost(index, catalog, None, share_plans)
     engine = host.engine
 
     @edge
@@ -718,7 +716,6 @@ class ProcessShardEngine(ShardedStreamEngine):
         catalog: Catalog,
         shards: int = 2,
         deliver: Callable[[str, StreamElement], None] | None = None,
-        default_window: WindowSpec = DEFAULT_STREAM_WINDOW,
         share_plans: bool = False,
         start_method: str | None = None,
     ):
@@ -729,12 +726,10 @@ class ProcessShardEngine(ShardedStreamEngine):
                 "ShardedStreamEngine instead"
             )
         self._ctx = multiprocessing.get_context(method)
-        super().__init__(catalog, shards, deliver, default_window, share_plans)
+        super().__init__(catalog, shards, deliver, share_plans)
 
     def _open_channel(self, index: int) -> FramedChannel:
-        return FramedChannel(
-            index, self._catalog, self._default_window, self.share_plans, self._ctx
-        )
+        return FramedChannel(index, self._catalog, self.share_plans, self._ctx)
 
     def shutdown(self) -> None:
         """Stop every worker process and release the queues. Idempotent."""

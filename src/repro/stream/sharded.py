@@ -62,13 +62,11 @@ from repro.data.streams import (
     push_all,
 )
 from repro.data.tuples import Row, stable_hash
-from repro.data.windows import WindowSpec
 from repro.errors import CatalogError, ExecutionError
 from repro.plan.exchange import ExchangeRecipe, ExchangeSource
 from repro.plan.logical import LogicalOp, RemoteSource, Scan
 from repro.stream.channel import LoopbackChannel, ShardDied
 from repro.stream.checkpoint import FALLBACK
-from repro.stream.compiler import DEFAULT_STREAM_WINDOW
 from repro.stream.engine import (
     QueryHandle,
     StreamEngine,
@@ -479,7 +477,6 @@ class ShardedStreamEngine:
         catalog: Shared catalog (all engines resolve sources in it).
         shards: Number of partitions (≥ 1).
         deliver: Display callback, forwarded to every in-process engine.
-        default_window: Forwarded to every engine.
         share_plans: Forwarded to every engine (and to failover
             replacements): replicas of structurally identical plans
             share one operator chain per shard.
@@ -490,20 +487,16 @@ class ShardedStreamEngine:
         catalog: Catalog,
         shards: int = 2,
         deliver: Callable[[str, StreamElement], None] | None = None,
-        default_window: WindowSpec = DEFAULT_STREAM_WINDOW,
         share_plans: bool = False,
     ):
         if shards < 1:
             raise ExecutionError(f"shard count must be >= 1, got {shards}")
         self._catalog = catalog
         self._deliver = deliver
-        self._default_window = default_window
         self.share_plans = share_plans
         self._channels = [self._open_channel(index) for index in range(shards)]
         #: The designated fallback engine: always in this process.
-        self._fallback = LoopbackChannel(
-            FALLBACK, catalog, deliver, default_window, share_plans
-        )
+        self._fallback = LoopbackChannel(FALLBACK, catalog, deliver, share_plans)
         #: Recovery plumbing: a CheckpointCoordinator attaches itself
         #: here (same protocol as on a plain engine); failover then
         #: restores dead shards from its barriers + log.
@@ -544,9 +537,7 @@ class ShardedStreamEngine:
         """The transport to shard ``index``: a local host, called
         directly (:class:`~repro.stream.procshard.ProcessShardEngine`
         opens worker processes instead)."""
-        return LoopbackChannel(
-            index, self._catalog, self._deliver, self._default_window, self.share_plans
-        )
+        return LoopbackChannel(index, self._catalog, self._deliver, self.share_plans)
 
     # ------------------------------------------------------------------
     # Pool introspection

@@ -310,6 +310,26 @@ class TestUnboundedState:
         assert _codes(diags) == ["RA103"]
         assert diags[0].severity == INFO
 
+    @pytest.mark.parametrize("window", ["[rows 5]", "[now]"])
+    def test_ra103_names_a_declared_window_that_is_not_applied(self, window):
+        plan = _plan(
+            f"select r.room, count(*) as n from Readings r {window} group by r.room"
+        )
+        aggregate = next(n for n in plan.walk() if isinstance(n, Aggregate))
+        assert aggregate.window is not None and aggregate.closing_window is None
+        diags = check_bounds(plan)
+        assert _codes(diags) == ["RA103"] and diags[0].severity == WARNING
+        assert f"declared {window.upper()} window is not applied" in diags[0].message
+        assert "running totals are emitted" in diags[0].message
+
+    def test_ra102_names_an_ignored_window(self):
+        plan = _plan("select distinct r.room from Readings r [range 5 seconds]")
+        diags = [d for d in check_bounds(plan) if d.code == "RA102"]
+        assert diags and diags[0].severity == WARNING
+        assert "the declared window is ignored" in diags[0].message
+        unwindowed = _plan("select distinct r.room from Readings r")
+        assert "ignored" not in check_bounds(unwindowed)[0].message
+
     def test_ra104_explicit_unbounded_window(self):
         plan = _plan("select r.room from Readings r [unbounded] group by r.room")
         report = analyze_plan(plan)

@@ -12,9 +12,12 @@ from repro.data import (
     WindowKind,
     WindowSpec,
 )
-from repro.plan import PlanBuilder, Scan, scans_of
-from repro.plan.logical import RemoteSource
-from repro.stream.compiler import DEFAULT_STREAM_WINDOW, PlanCompiler
+from repro.data.windows import DEFAULT_STREAM_WINDOW
+from repro.plan import Join, PlanBuilder, Scan, scans_of
+from repro.plan.logical import RemoteSource, scan_window, side_window
+from repro.sql.expressions import BinaryOp, ColumnRef
+from repro.stream.compiler import PlanCompiler
+from repro.stream.multiplex import SharedFeed
 
 
 @pytest.fixture
@@ -81,30 +84,112 @@ class TestPorts:
 
 
 class TestWindowInference:
-    def test_table_side_unbounded(self, builder, compiler):
+    """The one window resolver (``scan_window`` / ``side_window``) the
+    compiler, the analyses and the optimizers read through the plan."""
+
+    def test_table_side_unbounded(self, builder):
         plan = builder.build_sql(
             "select t.temp from Temps t, Machines m where t.room = m.room"
         )
         scans = {s.binding: s for s in scans_of(plan)}
-        assert compiler._side_window(scans["m"]).kind is WindowKind.UNBOUNDED
-        assert compiler._side_window(scans["t"]) == DEFAULT_STREAM_WINDOW
+        assert side_window(scans["m"]).kind is WindowKind.UNBOUNDED
+        assert side_window(scans["t"]) == DEFAULT_STREAM_WINDOW
 
-    def test_explicit_window_wins(self, builder, compiler):
+    def test_explicit_window_wins(self, builder):
         plan = builder.build_sql("select t.temp from Temps t [RANGE 7 SECONDS]")
         scan = scans_of(plan)[0]
-        assert compiler._scan_window(scan).size == 7
+        assert scan_window(scan).size == 7
 
-    def test_widest_range_propagates_up(self, builder, compiler):
+    def test_widest_range_propagates_up(self, builder):
         plan = builder.build_sql(
             "select a.temp from Temps a [RANGE 5 SECONDS], "
             "Temps b [RANGE 50 SECONDS] where a.room = b.room"
         )
         # The join's output window (for a hypothetical parent) is the max.
-        assert compiler._side_window(plan).size == 50
+        assert side_window(plan).size == 50
 
-    def test_remote_source_treated_as_stream(self, compiler):
+    def test_remote_source_treated_as_stream(self):
         remote = RemoteSource("r", Schema.of(("x", DataType.INT)), 1.0)
-        assert compiler._side_window(remote) == DEFAULT_STREAM_WINDOW
+        assert side_window(remote) == DEFAULT_STREAM_WINDOW
+
+    def test_remote_source_keeps_the_window_it_carries(self):
+        remote = RemoteSource(
+            "r", Schema.of(("x", DataType.INT)), 1.0, window=WindowSpec.range(5.0)
+        )
+        assert side_window(remote) == WindowSpec.range(5.0)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("[ROWS 3]", "[RANGE 5 SECONDS]"), ("[RANGE 5 SECONDS]", "[ROWS 3]")],
+    )
+    def test_range_outranks_rows(self, builder, first, second):
+        # Whatever the order, a side mixing a RANGE and a ROWS scan
+        # buffers under the RANGE window (ROWS 3 is wider as a number).
+        plan = builder.build_sql(
+            f"select a.temp from Temps a {first}, Temps b {second} "
+            "where a.room = b.room"
+        )
+        assert side_window(plan) == WindowSpec.range(5.0)
+
+    def test_now_only_side_stays_now(self, builder):
+        plan = builder.build_sql(
+            "select a.temp from Temps a [NOW], Temps b [NOW] where a.room = b.room"
+        )
+        assert side_window(plan) == WindowSpec.now()
+
+    def test_table_only_side_is_unbounded(self, builder):
+        plan = builder.build_sql(
+            "select m.host from Machines m, Route r where m.room = r.start"
+        )
+        assert side_window(plan) == WindowSpec.unbounded()
+
+    def test_shared_feed_keeps_the_wrapped_scan_window(self, builder):
+        plan = builder.build_sql(
+            "select t.temp from Temps t [RANGE 7 SECONDS], Machines m "
+            "where t.room = m.room"
+        )
+        scans = {s.binding: s for s in scans_of(plan)}
+        feed = SharedFeed(scans["t"], chain_id=1)
+        assert side_window(feed) == WindowSpec.range(7.0)
+        join = Join(feed, scans["m"], None)
+        assert join.windows == (WindowSpec.range(7.0), WindowSpec.unbounded())
+
+
+class TestJoinKeys:
+    """``Join.equi`` / ``residual``: the one split of a join predicate."""
+
+    @pytest.fixture
+    def scans(self, builder):
+        plan = builder.build_sql(
+            "select t.temp from Temps t, Machines m, Person p "
+            "where t.room = m.room and m.room = p.room"
+        )
+        return {s.binding: s for s in scans_of(plan)}
+
+    def test_equi_pairs_are_oriented_left_then_right(self, scans):
+        predicate = BinaryOp("=", ColumnRef("m.room"), ColumnRef("t.room"))
+        join = Join(scans["t"], scans["m"], predicate)
+        assert join.equi == (("t.room", "m.room"),)
+        assert join.residual is None
+
+    def test_same_side_equality_is_residual(self, scans):
+        same_side = BinaryOp("=", ColumnRef("t.room"), ColumnRef("m.room"))
+        across = BinaryOp("=", ColumnRef("p.room"), ColumnRef("m.room"))
+        inner = Join(scans["t"], scans["m"], None)
+        join = Join(inner, scans["p"], BinaryOp("AND", same_side, across))
+        assert join.equi == (("m.room", "p.room"),)
+        assert join.residual == same_side
+
+    def test_no_predicate_no_keys(self, scans):
+        join = Join(scans["t"], scans["m"])
+        assert join.equi == () and join.residual is None
+
+    def test_describe_shows_each_side_window(self, builder):
+        plan = builder.build_sql("select t.temp from Temps t, Temps u [ROWS 3]")
+        scans = {s.binding: s for s in scans_of(plan)}
+        predicate = BinaryOp("=", ColumnRef("t.room"), ColumnRef("u.room"))
+        join = Join(scans["t"], scans["u"], predicate)
+        assert join.describe() == "Join((t.room = u.room)) [RANGE 60 SECONDS | ROWS 3]"
 
 
 class TestFederatedInternals:

@@ -129,6 +129,35 @@ CORPUS = [
     "where t.room = r.room and t.temp > {x}",
 ]
 
+#: Windowed sensor scans: the fragment feed replacing the sensor scan
+#: must keep the window the scan declared, or the residual join buffers
+#: it under the 60 s default (both sides windowed; the sensor side only).
+WINDOWED = [
+    "select t.room, t.temp, l.load from RoomTemps t [RANGE 5 SECONDS], "
+    "RoomLoad l [RANGE 5 SECONDS] where t.room = l.room and t.temp > {x}",
+    "select t.room, t.temp, l.load from RoomTemps t [RANGE 5 SECONDS], "
+    "RoomLoad l where t.room = l.room and t.temp > {x}",
+]
+CORPUS += WINDOWED
+
+
+def _run_both(seed: int, sql: str, shards: int = 1):
+    """``sql`` federated, then with ``engine="stream"`` forced, on a
+    fresh world each: ``(kind, fragments, segments)`` per run."""
+
+    def run(engine):
+        session, simulator = _build_world(seed, shards=shards)
+        cursor = (
+            session.query(sql) if engine is None else session.query(sql, engine=engine)
+        )
+        segments = _drive(session, simulator, cursor)
+        kind = cursor.kind
+        fragments = len(cursor.fragments)
+        session.close()
+        return kind, fragments, segments
+
+    return run(None), run("stream")
+
 
 class TestFederatedIdentityCorpus:
     """Federated execution must emit exactly what the all-stream run
@@ -140,23 +169,24 @@ class TestFederatedIdentityCorpus:
         sql = CORPUS[seed % len(CORPUS)].format(
             x=round(rng.uniform(14.0, 24.0), 1), y=round(rng.uniform(0.2, 0.7), 2)
         )
-
-        def run(engine):
-            session, simulator = _build_world(seed)
-            cursor = (
-                session.query(sql) if engine is None else session.query(sql, engine=engine)
-            )
-            segments = _drive(session, simulator, cursor)
-            kind = cursor.kind
-            fragments = len(cursor.fragments)
-            session.close()
-            return kind, fragments, segments
-
-        fed_kind, fragments, federated = run(None)
-        stream_kind, _, streamed = run("stream")
+        (fed_kind, fragments, federated), (stream_kind, _, streamed) = _run_both(
+            seed, sql
+        )
         assert fed_kind == "federated" and fragments >= 1
         assert stream_kind == "stream"
         assert federated == streamed, f"seed={seed} sql={sql!r}: emissions diverged"
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize(
+        "template", WINDOWED, ids=["both_windowed", "sensor_windowed"]
+    )
+    def test_windowed_sensor_scan_keeps_its_window(self, template, shards):
+        sql = template.format(x=20.0)
+        (fed_kind, fragments, federated), (_, _, streamed) = _run_both(
+            1, sql, shards=shards
+        )
+        assert fed_kind == "federated" and fragments >= 1
+        assert federated == streamed, f"shards={shards} sql={sql!r}: emissions diverged"
 
     @pytest.mark.parametrize("shards", [2, 3])
     def test_federated_composes_with_sharding(self, shards):
