@@ -13,8 +13,16 @@ network:
   every sample to the basestation and the PC-side stream engine filters
   there (the pre-federation Session behaviour for sensor scans).
 
-Both runs must produce identical result rows (asserted), so the
-reduction is pure message savings, not dropped answers. Results go to
+The **aggregate** arm runs ``COUNT(*), MAX(temp) WHERE temp > x`` the
+same two ways: in-network, every mote folds its filtered reading into
+one epoch record and forwards one message per collection-tree edge,
+which the residual's own Aggregate finishes; ship-everything collects
+every sample raw.
+
+Both runs of each arm must produce identical result rows (asserted),
+so the reduction is pure message savings, not dropped answers. The
+runs punctuate once per sampling period, so a running aggregate emits
+its totals per epoch. Results go to
 ``BENCH_federated.json`` (directory override: ``REPRO_BENCH_DIR``);
 ``REPRO_BENCH_SCALE`` shrinks the simulated duration for smoke runs,
 where the reduction threshold is skipped.
@@ -47,6 +55,9 @@ THRESHOLD = 24.0
 QUERY = (
     "select g.room, g.temp, l.load from GridTemps g, GridLoad l "
     f"where g.room = l.room and g.temp > {THRESHOLD}"
+)
+AGGREGATE_QUERY = (
+    f"select count(*), max(g.temp) from GridTemps g where g.temp > {THRESHOLD}"
 )
 
 
@@ -99,14 +110,14 @@ def _build_world(seed: int):
     return session, simulator, network, relation
 
 
-def _run(seed: int, duration: float, federated: bool):
+def _run(seed: int, duration: float, federated: bool, query: str):
     session, simulator, network, relation = _build_world(seed)
     # The federated run deploys its own (filtered) fragment collection;
     # the ship-everything run needs the raw collection the SensorSource
     # deploys, feeding the stream engine's sensor scan directly.
     session.attach(SensorSource(relation, deploy=not federated))
     session.attach(StreamSource("GridLoad", LOAD, rate=1.0))
-    cursor = session.query(QUERY) if federated else session.query(QUERY, engine="stream")
+    cursor = session.query(query) if federated else session.query(query, engine="stream")
     before = network.stats.snapshot()
     clock = 0.0
     while clock < duration:
@@ -118,6 +129,7 @@ def _run(seed: int, duration: float, federated: bool):
                 {"room": f"room{room}", "load": round((clock + room) % 1.0, 3)},
                 simulator.now,
             )
+        session.punctuate(simulator.now)
     simulator.run_for(2.0)  # drain in-flight radio deliveries
     session.punctuate(simulator.now)
     stats = network.stats.delta(before)
@@ -126,9 +138,11 @@ def _run(seed: int, duration: float, federated: bool):
         for e in cursor._handle.sink.elements
     )
     kind = cursor.kind
+    deployments = [f.deployment.kind for f in cursor.federated_plan.pushed] if federated else []
     session.close()
     return {
         "kind": kind,
+        "deployments": deployments,
         "transmissions": stats.transmissions,
         "bytes": stats.bytes_transmitted,
         "messages_per_second": round(stats.transmissions / duration, 3),
@@ -136,32 +150,39 @@ def _run(seed: int, duration: float, federated: bool):
     }
 
 
-def run_benchmarks(scale: float | None = None) -> dict:
-    if scale is None:
-        scale = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-    duration = max(4, int(80 * scale)) * SAMPLE_PERIOD
-    in_network = _run(7, duration, federated=True)
-    ship = _run(7, duration, federated=False)
+def _compare(query: str, duration: float) -> dict:
+    """One arm: ``query`` in-network, then shipping everything."""
+    in_network = _run(7, duration, True, query)
+    ship = _run(7, duration, False, query)
     assert in_network["kind"] == "federated" and ship["kind"] == "stream"
-    identical = in_network["rows"] == ship["rows"]
     reduction = (
         ship["transmissions"] / in_network["transmissions"]
         if in_network["transmissions"]
         else None
     )
     return {
+        "query": " ".join(query.split()),
+        "in_network": {k: v for k, v in in_network.items() if k != "rows"},
+        "ship_everything": {k: v for k, v in ship.items() if k != "rows"},
+        "result_rows": len(in_network["rows"]),
+        "identical_results": in_network["rows"] == ship["rows"],
+        # The acceptance ratio: radio messages the in-network plan saves
+        # over pulling every sample to the basestation.
+        "radio_message_reduction": round(reduction, 2) if reduction else None,
+    }
+
+
+def run_benchmarks(scale: float | None = None) -> dict:
+    if scale is None:
+        scale = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
+    duration = max(4, int(80 * scale)) * SAMPLE_PERIOD
+    return {
         "benchmark": "federated",
         "scale": scale,
         "simulated_seconds": duration,
         "motes": ARMS * MOTES_PER_ARM,
-        "query": " ".join(QUERY.split()),
-        "in_network": {k: v for k, v in in_network.items() if k != "rows"},
-        "ship_everything": {k: v for k, v in ship.items() if k != "rows"},
-        "result_rows": len(in_network["rows"]),
-        "identical_results": identical,
-        # The acceptance ratio: radio messages the in-network plan saves
-        # over pulling every sample to the basestation.
-        "radio_message_reduction": round(reduction, 2) if reduction else None,
+        **_compare(QUERY, duration),
+        "aggregate": _compare(AGGREGATE_QUERY, duration),
     }
 
 
@@ -178,26 +199,26 @@ def write_artifact(results: dict, directory: str | os.PathLike | None = None) ->
 def test_federated_radio_reduction(table_printer):
     results = run_benchmarks()
     path = write_artifact(results)
+    aggregate = results["aggregate"]
     table_printer(
         f"in-network vs ship-everything radio cost (artifact: {path})",
-        ["plan", "transmissions", "msgs/s"],
+        ["arm", "plan", "transmissions", "msgs/s"],
         [
-            [
-                name,
-                results[name]["transmissions"],
-                results[name]["messages_per_second"],
-            ]
+            [arm, name, result[name]["transmissions"], result[name]["messages_per_second"]]
+            for arm, result in (("join", results), ("aggregate", aggregate))
             for name in ("in_network", "ship_everything")
         ],
     )
-    print(
-        f"  reduction: {results['radio_message_reduction']}x over "
-        f"{results['simulated_seconds']:.0f} simulated seconds "
-        f"({results['result_rows']} identical result rows)"
-    )
-    # Correctness first: the savings must not come from lost answers.
-    assert results["identical_results"]
-    assert results["in_network"]["transmissions"] > 0
+    for arm, result in (("join", results), ("aggregate", aggregate)):
+        print(
+            f"  {arm} reduction: {result['radio_message_reduction']}x over "
+            f"{results['simulated_seconds']:.0f} simulated seconds "
+            f"({result['result_rows']} identical result rows)"
+        )
+        # Correctness first: the savings must not come from lost answers.
+        assert result["identical_results"]
+        assert result["in_network"]["transmissions"] > 0
+    assert aggregate["in_network"]["deployments"] == ["aggregation"]
     # Acceptance threshold of the federated path, full scale only —
     # smoke durations are a handful of epochs.
     if results["scale"] >= 1.0:

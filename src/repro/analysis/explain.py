@@ -13,9 +13,10 @@ module funnels them all through the diagnostics framework:
   (:func:`~repro.stream.multiplex.sharing_eligibility`): would this
   plan join a multiplexed chain, and if not, why;
 * ``RA5xx`` — the federated optimizer's decisions: which fragments were
-  pushed in-network, which sensor scans are collected raw (the
-  "absorbed into the residual" outcome), and what runs as the stream
-  residual.
+  pushed in-network (for an aggregation: the predicate, the arguments
+  the epoch record folds and the residual's combiners), which sensor
+  scans are collected raw (the "absorbed into the residual" outcome: a
+  pushed bare Scan), and what runs as the stream residual.
 
 All of these are *explanations* (severity ``info``): the engine already
 handles every outcome correctly; the diagnostics say which outcome was
@@ -26,9 +27,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.catalog import EngineLocation
 from repro.core.federated import FederatedPlan
-from repro.plan.logical import LogicalOp, Scan
+from repro.plan.logical import Aggregate, LogicalOp, Scan
 from repro.stream.multiplex import sharing_eligibility
 from repro.stream.partition import partition_safe
 
@@ -109,35 +109,48 @@ def sharing_diagnostic(plan: LogicalOp) -> Diagnostic:
 
 
 def federated_diagnostics(federated: FederatedPlan) -> list[Diagnostic]:
-    """The chosen federated partitioning as coded diagnostics."""
+    """The chosen federated partitioning as coded diagnostics: RA502
+    for a sensor scan collected raw (a pushed bare Scan), RA501 for
+    every other pushed fragment."""
     out: list[Diagnostic] = []
     for fragment in federated.pushed:
+        deployment, pushed = fragment.deployment, fragment.fragment
+        if isinstance(pushed, Scan) and deployment.kind == "collection":
+            out.append(
+                diag(
+                    "RA502",
+                    INFO,
+                    f"sensor scan {pushed.entry.name!r} was not pushed; every sample "
+                    f"ships to the basestation unfiltered as {fragment.name}",
+                    operator=pushed.describe(),
+                )
+            )
+            continue
+        detail = ""
+        if deployment.kind == "aggregation":
+            finish = next(
+                node
+                for node in federated.stream_plan.walk()
+                if isinstance(node, Aggregate)
+                and getattr(node.child, "name", None) == fragment.name
+            )
+            folded = ", ".join("*" if a is None else a.render() for a in deployment.arguments)
+            where = "TRUE" if deployment.predicate is None else deployment.predicate.render()
+            detail = (
+                f"; the motes fold ({folded}) where {where} into one epoch record, which "
+                f"the residual finishes with {', '.join(i.call.render() for i in finish.aggregates)}"
+            )
         out.append(
             diag(
                 "RA501",
                 INFO,
-                f"fragment {fragment.name}: {fragment.deployment.kind} over "
-                f"{', '.join(fragment.deployment.relations)} "
+                f"fragment {fragment.name}: {deployment.kind} over "
+                f"{', '.join(deployment.relations)} "
                 f"({fragment.cost.messages_per_epoch:.2f} msgs/epoch, "
-                f"{fragment.result_rate:g} rows/s at the base)",
+                f"{fragment.result_rate:g} rows/s at the base){detail}",
             )
         )
-    raw = [
-        node
-        for node in federated.stream_plan.walk()
-        if isinstance(node, Scan) and node.entry.location is EngineLocation.SENSOR
-    ]
-    for scan in raw:
-        out.append(
-            diag(
-                "RA502",
-                INFO,
-                f"sensor scan {scan.entry.name!r} was not pushed; every "
-                "sample ships to the basestation unfiltered",
-                operator=scan.describe(),
-            )
-        )
-    if not federated.pushed and not raw:
+    if not federated.pushed:
         out.append(
             diag(
                 "RA500",

@@ -284,9 +284,8 @@ class FederatedBackend:
                 "connect(network=...) or inject a sensor_engine",
                 sql=sql,
             )
-        # Residual first (exactly like FederatedExecutor.execute): its
-        # RemoteSource ports must exist before the first fragment
-        # delivery, or early results would be dropped.
+        # Residual first: its RemoteSource ports must exist before the
+        # first fragment delivery, or early results would be dropped.
         cursor = self._delegate.compile_and_run(federated.stream_plan, sql)
         if not federated.pushed:
             # Nothing sensor-hosted: the delegate's plain stream cursor

@@ -9,7 +9,7 @@ from repro.core.cost import (
     normalize_sensor_cost,
     normalize_stream_cost,
 )
-from repro.core.executor import FederatedExecution, FederatedExecutor
+from repro.core.executor import FederatedExecutor
 from repro.core.mappings import (
     MappingRegistry,
     MediatedExecution,
@@ -28,7 +28,6 @@ __all__ = [
     "Alternative",
     "PushedFragment",
     "FederatedExecutor",
-    "FederatedExecution",
     "MappingRegistry",
     "MediatedRelation",
     "MediatedExecution",

@@ -1,84 +1,58 @@
 """Federated plan execution: deploy fragments, wire engines together.
 
-Given a :class:`~repro.core.federated.FederatedPlan`, the executor
+For each pushed fragment of a
+:class:`~repro.core.federated.FederatedPlan` whose stream residual is
+already running, the executor
 
-1. deploys every pushed fragment on the :class:`SensorEngine`
-   (collection / aggregation / pairwise join, with the optimizer's
-   per-pair join strategies),
+1. deploys the fragment on the :class:`SensorEngine` (collection /
+   aggregation / pairwise join, with the optimizer's per-pair join
+   strategies), and
 2. wires the basestation delivery callback so fragment results are
-   projected to the fragment's output schema and pushed into the
-   :class:`StreamEngine` as RemoteSource feeds, and
-3. starts the stream plan as a continuous query.
+   pushed into the :class:`StreamEngine` as RemoteSource feeds.
 
-The fragment's non-leaf operators above the in-network primitive
-(Projects and Selects introduced by view expansion) are re-applied at
-the basestation by composing their expressions — the network already
-filtered and joined, so this is just column shaping.
+A collection or join tuple is projected to the fragment's output
+schema first: the fragment's non-leaf operators above the in-network
+primitive (Projects and Selects introduced by view expansion) are
+re-applied at the basestation by composing their expressions — the
+network already filtered and joined, so this is just column shaping.
+An aggregation's epoch record is a row under the record schema already
+and is pushed as it arrives; the residual's own Aggregate finishes it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.data.tuples import Row
 from repro.errors import ExecutionError
 from repro.plan.logical import (
-    Aggregate,
     Join,
     LogicalOp,
     Project,
     Scan,
     Select,
 )
-from repro.core.federated import FederatedPlan, PushedFragment
+from repro.core.federated import PushedFragment
 from repro.sensor.engine import DeployedQuery, SensorEngine, _DictRow
 from repro.sql.expressions import ColumnRef, Expr, substitute_columns
-from repro.stream.engine import QueryHandle, StreamEngine
-
-
-@dataclass
-class FederatedExecution:
-    """A running federated query."""
-
-    plan: FederatedPlan
-    stream_handle: QueryHandle
-    deployments: list[DeployedQuery] = field(default_factory=list)
-
-    @property
-    def results(self) -> list[Row]:
-        return self.stream_handle.results
-
-    def stop(self) -> None:
-        for deployment in self.deployments:
-            deployment.stop()
+from repro.stream.engine import StreamEngine
 
 
 class FederatedExecutor:
     """Deploys federated plans across the two engines.
 
-    ``stream_engine`` is anything with ``push_remote(name, row, time)``
-    (and, for :meth:`execute`, ``execute(plan)``): the single
-    :class:`StreamEngine`, a
+    ``stream_engine`` is anything with ``push_remote(name, row, time)``:
+    the single :class:`StreamEngine`, a
     :class:`~repro.stream.sharded.ShardedStreamEngine` pool, or a test
-    double — fragment deliveries are projected and handed to it as
-    RemoteSource feeds either way. The Session's ``FederatedBackend``
-    uses :meth:`deploy` fragment by fragment (its delegate backend owns
-    the residual's cursor); :meth:`execute` remains the one-call form
-    over a raw engine pair.
+    double — fragment deliveries are handed to it as RemoteSource feeds
+    either way. The Session's ``FederatedBackend`` runs the residual on
+    its delegate backend first, then calls :meth:`deploy` fragment by
+    fragment.
     """
 
     def __init__(self, sensor_engine: SensorEngine, stream_engine: StreamEngine):
         self.sensor_engine = sensor_engine
         self.stream_engine = stream_engine
-
-    def execute(self, plan: FederatedPlan) -> FederatedExecution:
-        """Deploy fragments, start the stream query, return the handle."""
-        stream_handle = self.stream_engine.execute(plan.stream_plan)
-        execution = FederatedExecution(plan, stream_handle)
-        for fragment in plan.pushed:
-            execution.deployments.append(self.deploy(fragment))
-        return execution
 
     # ------------------------------------------------------------------
     def deploy(self, fragment: PushedFragment) -> DeployedQuery:
@@ -105,10 +79,12 @@ class FederatedExecutor:
         if deployment.kind == "aggregation":
             return engine.deploy_aggregation(
                 deployment.relations[0],
-                deployment.attribute or "",
-                deployment.aggregate or "AVG",
+                [projector.rewrite_to_base(a) for a in deployment.arguments],
+                projector.rewrite_to_base(deployment.predicate),
                 target_name=fragment.name,
-                on_result=deliver,
+                on_result=lambda name, record, time: self.stream_engine.push_remote(
+                    fragment.name, record, time
+                ),
             )
         if deployment.kind == "join":
             join = next(n for n in fragment.fragment.walk() if isinstance(n, Join))
@@ -145,56 +121,38 @@ class FederatedExecutor:
 class _FragmentProjector:
     """Re-applies a fragment's column shaping at the basestation.
 
-    The sensor engine delivers tuples keyed by qualified base-column
-    names (``sa.room``) — or ``{agg_0: value}`` for aggregations. The
-    projector composes the fragment's Project layers into one expression
-    per output field and evaluates them per delivery.
+    The sensor engine delivers collection and join tuples keyed by
+    qualified base-column names (``sa.room``). The projector composes
+    the fragment's Project layers into one expression per output field
+    and evaluates them per delivery.
     """
 
     def __init__(self, fragment: PushedFragment):
         self._fragment = fragment
         self._schema = fragment.fragment.schema
-        self._aggregate = next(
-            (n for n in fragment.fragment.walk() if isinstance(n, Aggregate)), None
-        )
         items = _compose_projection(fragment.fragment)
         if items is None:
             items = [(ColumnRef(f.name), f.name) for f in self._schema]
         self._items = items
 
-    def rewrite_to_base(self, predicate: Expr | None) -> Expr | None:
-        """Rewrite derived-column references in a pushed predicate back to
-        base-column expressions.
+    def rewrite_to_base(self, expr: Expr | None) -> Expr | None:
+        """Rewrite derived-column references in a pushed predicate or
+        aggregate argument back to base-column expressions.
 
         View expansion can leave predicates like ``t.celsius > 0`` above
         a renaming Project (``wt.temp_c AS t.celsius``); the mote only
-        sees base columns, so the predicate must be substituted through
+        sees base columns, so the expression must be substituted through
         the composed projection before deployment.
         """
-        if predicate is None:
+        if expr is None:
             return None
-        mapping = {name: expr for expr, name in self._items}
-        return substitute_columns(predicate, mapping)
+        mapping = {name: item for item, name in self._items}
+        return substitute_columns(expr, mapping)
 
     def project(self, values: dict[str, Any]) -> Row:
-        if self._aggregate is not None:
-            values = self._aggregate_values(values)
         row_view = _DictRow(values)
         out = [expr.eval(row_view) for expr, _ in self._items]
         return Row(self._schema, out, validate=False)
-
-    def _aggregate_values(self, values: dict[str, Any]) -> dict[str, Any]:
-        """Map the engine's ``{value, count}`` payload onto the Aggregate
-        node's output column names."""
-        assert self._aggregate is not None
-        if not self._aggregate.aggregates:
-            raise ExecutionError("aggregate fragment without aggregate items")
-        name = self._aggregate.aggregates[0].name
-        call = self._aggregate.aggregates[0].call
-        raw = values.get("value")
-        if call.name.upper() == "COUNT":
-            raw = int(values.get("count", raw or 0))
-        return {name: raw}
 
 
 def _compose_projection(node: LogicalOp) -> list[tuple[Expr, str]] | None:
@@ -202,7 +160,7 @@ def _compose_projection(node: LogicalOp) -> list[tuple[Expr, str]] | None:
 
     Returns None when the fragment has no Project (identity over the
     base schema). Selects are transparent (already applied in-network);
-    Join/Scan/Aggregate terminate composition.
+    Join/Scan terminate composition.
     """
     if isinstance(node, Project):
         inner = _compose_projection(node.child)

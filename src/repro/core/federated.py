@@ -9,7 +9,7 @@ execute, and (2) what the cost of the query partition would be."
 
 Implementation: the canonical logical plan is scanned for *maximal
 sensor-executable fragments* (subtrees the in-network engine can run:
-filtered collections, single aggregates, pairwise joins over sensor
+filtered collections, global aggregates, pairwise joins over sensor
 relations). Every subset of those fragments yields one partitioning
 alternative: chosen fragments are pushed in-network and replaced by
 :class:`~repro.plan.logical.RemoteSource` leaves carrying the
@@ -18,6 +18,16 @@ behind become raw collections (data pulled to the basestation
 unfiltered). The stream optimizer then reorders and prices the
 remainder, each engine's native cost is normalised
 (:mod:`repro.core.cost`), and the cheapest alternative wins.
+
+An aggregate is pushed as a *partial* (TAG, Madden et al., OSDI 2002):
+only the Aggregate's child runs in-network, where the motes fold each
+epoch's filtered readings into one ``(count, sum, min, max)`` record
+per argument. The residual keeps the same Aggregate over the record
+feed with every call swapped for its combiner (:func:`_finish`), so
+running, tumbling and sliding windows mean exactly what they mean on
+the stream engine: a record is stamped at its sample time and lands in
+the windows its readings would. Float SUM/AVG add in tree order, which
+can differ from the stream fold's arrival order in the last bit.
 """
 
 from __future__ import annotations
@@ -27,18 +37,24 @@ from dataclasses import dataclass, field
 
 from repro.catalog import Catalog, EngineLocation
 from repro.errors import OptimizerError, UnsupportedQueryError
+from repro.data import DataType, Field, Schema
 from repro.plan.logical import (
     Aggregate,
+    AggregateItem,
     Join,
     LogicalOp,
     Project,
+    ProjectItem,
     RemoteSource,
     Scan,
     Select,
     replace_child,
+    scans_of,
     side_window,
 )
+from repro.sql.expressions import AggregateCall, BinaryOp, ColumnRef, Expr
 from repro.sql.expressions import is_equijoin_conjunct, split_conjuncts
+from repro.sensor.engine import PSR_FIELDS, psr_name
 from repro.sensor.network import SensorNetwork
 from repro.sensor.optimizer import (
     SensorCost,
@@ -240,43 +256,37 @@ class FederatedOptimizer:
     def _build_alternative(
         self, plan: LogicalOp, pushed_fragments: list[LogicalOp]
     ) -> Alternative:
+        # Sensor scans not covered by a pushed fragment: raw collection.
+        covered = {id(n) for fragment in pushed_fragments for n in fragment.walk()}
+        raw = [n for n in scans_of(plan) if self._touches_sensor(n) and id(n) not in covered]
         working = plan
         pushed: list[PushedFragment] = []
-        sensor_costs: list[SensorCost] = []
-
-        for fragment in pushed_fragments:
-            name = f"remote_{next(_fragment_ids)}"
+        for fragment in pushed_fragments + raw:
+            number = next(_fragment_ids)
+            name = f"raw_{fragment.binding}_{number}" if fragment in raw else f"remote_{number}"
+            # An aggregation pushes only the Aggregate's child: the motes
+            # ship an epoch record, and the residual finishes it.
+            aggregate = next((n for n in fragment.walk() if isinstance(n, Aggregate)), None)
             deployment, cost = self.sensor_optimizer.plan_fragment(
-                fragment, output_name=name
+                aggregate or fragment, output_name=name
             )
             rate = self._result_rate(deployment, cost)
-            remote = RemoteSource(
-                name,
-                fragment.schema,
-                rate,
-                partition_by=_fragment_partition_by(fragment),
-                window=side_window(fragment),
-            )
-            working = _replace_subtree(working, fragment, remote)
+            if aggregate is None:
+                residual = RemoteSource(
+                    name,
+                    fragment.schema,
+                    rate,
+                    partition_by=_fragment_partition_by(fragment),
+                    window=side_window(fragment),
+                )
+            else:
+                residual = _finish(aggregate, name, rate, deployment.arguments)
+            working = _replace_subtree(working, aggregate or fragment, residual)
+            fragment = aggregate.child if aggregate else fragment
             pushed.append(PushedFragment(name, fragment, deployment, cost, rate))
-            sensor_costs.append(cost)
-
-        # Sensor scans not covered by a pushed fragment: raw collection.
-        for scan in [n for n in working.walk() if isinstance(n, Scan)]:
-            if scan.entry.location is not EngineLocation.SENSOR:
-                continue
-            name = f"raw_{scan.binding}_{next(_fragment_ids)}"
-            deployment, cost = self.sensor_optimizer.plan_fragment(
-                scan, output_name=name
-            )
-            rate = self._result_rate(deployment, cost)
-            remote = RemoteSource(name, scan.schema, rate, window=side_window(scan))
-            working = _replace_subtree(working, scan, remote)
-            pushed.append(PushedFragment(name, scan, deployment, cost, rate))
-            sensor_costs.append(cost)
 
         stream_plan, stream_cost = self.stream_optimizer.optimize(working)
-
+        sensor_costs = [fragment.cost for fragment in pushed]
         normalized = ZERO_COST
         network = self._catalog.network
         for cost in sensor_costs:
@@ -309,10 +319,9 @@ class FederatedOptimizer:
 def _fragment_partition_by(fragment: LogicalOp) -> tuple[str, ...]:
     """Columns a pushed fragment's output feed is already hashed on.
 
-    An in-network aggregation surfaces one row per group, so its feed is
-    keyed by the GROUP BY columns; an in-network join is keyed by the
-    join-site equi-key. Anything else (filtered collections, raw scans)
-    carries no key and round-robins across shards.
+    An in-network join is keyed by the join-site equi-key. Anything else
+    (filtered collections, raw scans, epoch records) carries no key and
+    round-robins across shards.
     """
     node = fragment
     conjuncts = []
@@ -320,14 +329,6 @@ def _fragment_partition_by(fragment: LogicalOp) -> tuple[str, ...]:
         if isinstance(node, Select):
             conjuncts.extend(split_conjuncts(node.predicate))
         node = node.child
-    if isinstance(node, Aggregate) and node.group_by:
-        names = {f.name for f in fragment.schema} | {
-            f.bare_name for f in fragment.schema
-        }
-        keys = tuple(node.key_names)
-        if all(key in names for key in keys):
-            return keys
-        return ()
     if isinstance(node, Join):
         if node.predicate is not None:
             conjuncts.extend(split_conjuncts(node.predicate))
@@ -337,6 +338,52 @@ def _fragment_partition_by(fragment: LogicalOp) -> tuple[str, ...]:
             if pair is not None and pair[0] in names:
                 return (pair[0],)
     return ()
+
+
+#: The aggregate that folds each epoch-record field across epochs.
+_COMBINERS = {"count": "SUM", "sum": "SUM", "min": "MIN", "max": "MAX"}
+
+
+def _finish(
+    aggregate: Aggregate, name: str, rate: float, arguments: list[Expr | None]
+) -> Project:
+    """The residual that finishes an in-network aggregate: the same
+    aggregate over the epoch record feed ``name``, each call swapped for
+    its combiner (COUNT → SUM(count), SUM → SUM(sum), MIN → MIN(min),
+    MAX → MAX(max), AVG → SUM(sum) / SUM(count)) under a Project
+    restoring the original output columns. Each record field is typed
+    as the aggregate of its name over its argument (INT for the row)."""
+    child = aggregate.child
+    record = Schema(
+        Field(
+            psr_name(i, field),
+            DataType.INT if arg is None else AggregateCall(field, arg).dtype(child.schema),
+        )
+        for i, arg in enumerate(arguments)
+        for field in PSR_FIELDS
+    )
+    remote = RemoteSource(name, record, rate, window=side_window(child))
+    combiners: dict[str, AggregateItem] = {}
+
+    def combined(call: AggregateCall, field: str) -> ColumnRef:
+        column = psr_name(arguments.index(call.argument), field)
+        combiners[column] = AggregateItem(
+            AggregateCall(_COMBINERS[field], ColumnRef(column)), column
+        )
+        return ColumnRef(column)
+
+    outputs = [
+        ProjectItem(
+            BinaryOp("/", combined(item.call, "sum"), combined(item.call, "count"))
+            if item.call.name.upper() == "AVG"
+            else combined(item.call, item.call.name.lower()),
+            item.name,
+        )
+        for item in aggregate.aggregates
+    ]
+    return Project(
+        Aggregate(remote, [], list(combiners.values()), aggregate.window), outputs
+    )
 
 
 def _replace_subtree(root: LogicalOp, target: LogicalOp, new: LogicalOp) -> LogicalOp:

@@ -173,7 +173,7 @@ class MappingRegistry:
 class MediatedExecution:
     """Handles of every variant of a reformulated continuous query."""
 
-    variants: list[object]  # QueryHandle, FederatedExecution or api.Cursor
+    variants: list[object]  # QueryHandle or api.Cursor
 
     @property
     def results(self):
@@ -181,7 +181,7 @@ class MediatedExecution:
         out = []
         for handle in self.variants:
             rows = handle.results
-            # QueryHandle/FederatedExecution expose a property; the
+            # A QueryHandle exposes a property; the
             # Session API's Cursor exposes a results() method.
             out.extend(rows() if callable(rows) else rows)
         return out

@@ -10,8 +10,16 @@ Three deployment primitives:
   epoch, applies the pushed-down predicate locally, and routes passing
   tuples up the collection tree (acquisitional processing à la TinyDB).
 * :meth:`SensorEngine.deploy_aggregation` — TAG-style tree aggregation:
-  partial state records are combined at every tree level, one message
-  per tree edge per epoch regardless of fan-in.
+  each mote folds its filtered reading into one ``(count, sum, min,
+  max)`` partial state record (PSR) group per argument, records combine
+  at every tree level — one message per tree edge per epoch regardless
+  of fan-in — and the base delivers the epoch's record stamped with the
+  sample time. The record is a partial, not an answer: the federated
+  residual's own Aggregate finishes it under the query's running,
+  tumbling or sliding semantics. Float sums associate in tree order,
+  not in the stream engine's arrival order, so SUM/AVG may differ from
+  a stream fold of the same readings in the last bit (they agree
+  exactly whenever every partial sum is exact).
 * :meth:`SensorEngine.deploy_join` — pairwise in-network join (e.g.
   seat-light ⋈ machine-temperature on the same desk). Each pair runs one
   of three strategies; the per-pair choice is the sensor optimizer's
@@ -26,20 +34,61 @@ stream engine, closing the federation loop.
 from __future__ import annotations
 
 import enum
+import itertools
+import operator
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.data.schema import Schema
 from repro.data.types import size_in_bytes
 from repro.errors import SensorNetworkError
 from repro.runtime import PeriodicTask
 from repro.sensor.mote import Mote
-from repro.sensor.network import SensorNetwork
+from repro.sensor.network import HOP_LATENCY, SensorNetwork
 from repro.sql.expressions import Expr
 
 #: Callback type for results surfacing at the basestation:
 #: (relation name, tuple values, delivery timestamp).
 ResultCallback = Callable[[str, dict[str, Any], float], None]
+
+#: One folded argument's partial state record, in delivery order. sum,
+#: min and max are NULL while count is 0 (and always, for the row).
+PSR_FIELDS = ("count", "sum", "min", "max")
+#: Radio payload of one argument's PSR: four 8-byte slots.
+PSR_BYTES = 4 * 8
+
+
+def psr_name(argument: int, name: str) -> str:
+    """The flattened epoch record's column for one argument's PSR field
+    (``a0_count``). The record is ``psr_name(i, f)`` for each argument
+    ``i`` and each of :data:`PSR_FIELDS` in turn: the one definition of
+    its layout, which the federated optimizer reads for the residual's
+    feed schema and combiners."""
+    return f"a{argument}_{name}"
+
+
+def _single_psr(value: Any) -> tuple:
+    """The PSR of one reading's value (a NULL folds into nothing)."""
+    return (0, None, None, None) if value is None else (1, value, value, value)
+
+
+def _nulls(combine: Callable[[Any, Any], Any], left: Any, right: Any) -> Any:
+    return right if left is None else left if right is None else combine(left, right)
+
+
+def _merge_psr(existing: tuple | None, incoming: tuple | None) -> tuple | None:
+    """Combine two records group by group; ``None`` is no record."""
+    if existing is None or incoming is None:
+        return incoming if existing is None else existing
+    return tuple(
+        (
+            a[0] + b[0],
+            _nulls(operator.add, a[1], b[1]),
+            _nulls(min, a[2], b[2]),
+            _nulls(max, a[3], b[3]),
+        )
+        for a, b in zip(existing, incoming)
+    )
 
 
 class JoinStrategy(enum.Enum):
@@ -240,32 +289,44 @@ class SensorEngine:
     def deploy_aggregation(
         self,
         relation_name: str,
-        attribute: str,
-        aggregate: str,
+        arguments: Sequence[Expr | None],
+        predicate: Expr | None = None,
         *,
         target_name: str | None = None,
         on_result: ResultCallback | None = None,
     ) -> DeployedQuery:
-        """One message per collection-tree edge per epoch: every mote
-        samples, combines its children's partial state records with its
-        own reading, and forwards a single PSR to its parent.
+        """One message per collection-tree edge per epoch: every member
+        mote samples, applies ``predicate`` as :meth:`deploy_collection`
+        does, and folds each of ``arguments`` (``None`` stands for the
+        row, for ``COUNT(*)``) into a ``(count, sum, min, max)`` group.
+        A mote combines its children's partial state records with its
+        own and forwards a single PSR to its parent; a mote with nothing
+        to report stays silent.
 
-        Supported aggregates: COUNT, SUM, AVG, MIN, MAX (all decompose
-        into (count, sum, min, max) partial states).
+        The base delivers the flattened record (:func:`psr_name`) as
+        one tuple stamped with the sample time, one tree depth of
+        ``HOP_LATENCY`` later — no earlier than that epoch's collection
+        tuples would arrive. It is a partial, not an answer: the stream
+        residual's own Aggregate finishes it.
         """
-        aggregate = aggregate.upper()
-        if aggregate not in ("COUNT", "SUM", "AVG", "MIN", "MAX"):
-            raise SensorNetworkError(f"aggregate {aggregate!r} is not tree-decomposable")
         relation = self.relation(relation_name)
         deployed = DeployedQuery(
-            target_name or f"{relation.name}_{aggregate.lower()}",
-            on_result=on_result,
-            engine=self,
+            target_name or f"{relation.name}_psr", on_result=on_result, engine=self
         )
         member_ids = set(relation.mote_ids)
         base_id = self.network.basestation.mote_id
-        #: Partial state record: (count, sum, min, max).
-        psr_bytes = 4 * 8
+        names = [psr_name(i, name) for i in range(len(arguments)) for name in PSR_FIELDS]
+        psr_bytes = PSR_BYTES * len(arguments)
+
+        def sample(mote: Mote) -> tuple | None:
+            row = _DictRow(relation.sampler(mote))
+            if predicate is not None and predicate.eval(row) is not True:
+                return None
+            return tuple(
+                (1, None, None, None) if argument is None
+                else _single_psr(argument.eval(row))
+                for argument in arguments
+            )
 
         def epoch() -> None:
             deployed.epochs += 1
@@ -274,78 +335,43 @@ class SensorEngine:
             # Post-order over the collection tree: children before parents,
             # so a mote's inbox is complete by the time it runs. The inbox
             # is keyed by *recipient*: child PSRs accumulate at the parent.
-            order = self._postorder()
-            inbox: dict[int, tuple[int, float, float, float]] = {}
-            for mote_id in order:
+            inbox: dict[int, tuple] = {}
+            for mote_id in self._postorder():
                 mote = self.network.mote(mote_id)
                 if not mote.alive:
                     self._report_mote_death(mote_id)
                     continue
-                psr: tuple[int, float, float, float] | None = inbox.pop(mote_id, None)
+                psr = inbox.pop(mote_id, None)
                 if mote_id in member_ids:
-                    values = relation.sampler(mote)
-                    reading = float(values[attribute])
-                    psr = self._merge_psr(psr, (1, reading, reading, reading))
-                if psr is not None and psr != inbox.get(mote_id):
-                    mote.account_cpu()
-                if mote_id == base_id:
-                    inbox[base_id] = psr if psr is not None else (0, 0.0, 0.0, 0.0)
-                    continue
-                if psr is None or psr[0] == 0:
+                    psr = _merge_psr(psr, sample(mote))
+                if psr is None:
                     continue  # nothing to report this epoch
+                mote.account_cpu()
+                if mote_id == base_id:
+                    record = dict(zip(names, itertools.chain.from_iterable(psr)))
+                    self.network.simulator.schedule_in(
+                        HOP_LATENCY * self.network.diameter,
+                        lambda record=record, sample_time=self.network.simulator.now: (
+                            self._deliver(deployed, deployed.name, record, sample_time)
+                        ),
+                    )
+                    continue
                 try:
                     parent = self.network.parent_of(mote_id)
                     # One PSR message up the tree edge (loss modelled as
                     # a single-hop send).
-                    self.network.send(
-                        mote_id,
-                        parent,
-                        psr_bytes,
-                        payload=None,
-                        on_delivered=None,
-                    )
+                    self.network.send(mote_id, parent, psr_bytes)
                 except SensorNetworkError:
                     # Disconnected from the tree: this mote's partial
                     # state is lost for the epoch.
                     self._drop_disconnected(mote_id)
                     continue
-                inbox[parent] = self._merge_psr(inbox.get(parent), psr)
-            final = inbox.get(base_id)
-            if final is None or final[0] == 0:
-                return
-            count, total, minimum, maximum = final
-            value = {
-                "COUNT": float(count),
-                "SUM": total,
-                "AVG": total / count,
-                "MIN": minimum,
-                "MAX": maximum,
-            }[aggregate]
-            self._deliver(
-                deployed,
-                deployed.name,
-                {"value": value, "count": count},
-                self.network.simulator.now,
-            )
+                inbox[parent] = _merge_psr(inbox.get(parent), psr)
 
         task = self.network.simulator.schedule_periodic(relation.period, epoch)
         deployed.tasks.append(task)
         self.deployed.append(deployed)
         return deployed
-
-    @staticmethod
-    def _merge_psr(
-        existing: tuple[int, float, float, float] | None,
-        incoming: tuple[int, float, float, float],
-    ) -> tuple[int, float, float, float]:
-        if existing is None:
-            return incoming
-        return (
-            existing[0] + incoming[0],
-            existing[1] + incoming[1],
-            min(existing[2], incoming[2]),
-            max(existing[3], incoming[3]),
-        )
 
     def _postorder(self) -> list[int]:
         """Collection-tree post-order (children before parents)."""

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.catalog import Catalog, EngineLocation
+from repro.data.windows import WindowKind
 from repro.errors import OptimizerError, UnsupportedQueryError
 from repro.plan.logical import (
     Aggregate,
@@ -36,7 +37,7 @@ from repro.plan.logical import (
     Scan,
     Select,
 )
-from repro.sensor.engine import JoinPair, JoinStrategy
+from repro.sensor.engine import PSR_BYTES, JoinPair, JoinStrategy
 from repro.sensor.network import SensorNetwork
 from repro.sql.expressions import (
     AggregateCall,
@@ -44,9 +45,9 @@ from repro.sql.expressions import (
     ColumnRef,
     Expr,
     FunctionCall,
-    Literal,
     UnaryOp,
     SENSOR_PUSHABLE_AGGREGATES,
+    conjoin,
     split_conjuncts,
 )
 
@@ -102,15 +103,15 @@ class SensorDeployment:
 
     One of three shapes (mirroring the engine's primitives):
     ``kind == "collection"`` (relation + local predicate),
-    ``kind == "aggregation"`` (relation + attribute + aggregate), or
+    ``kind == "aggregation"`` (relation + local predicate + the distinct
+    arguments the epoch record folds, ``None`` for the row), or
     ``kind == "join"`` (two relations + per-pair strategies).
     """
 
     kind: str
     relations: list[str]
     predicate: Expr | None = None
-    aggregate: str | None = None
-    attribute: str | None = None
+    arguments: list[Expr | None] = field(default_factory=list)
     pairs: list[JoinPair] = field(default_factory=list)
     decisions: list[JoinSiteDecision] = field(default_factory=list)
     output_name: str = ""
@@ -185,7 +186,8 @@ class SensorCostModel:
         return messages, messages * row_bytes
 
     def aggregation_cost(self, mote_ids: tuple[int, ...]) -> tuple[float, float]:
-        """(messages, bytes): one PSR per participating tree edge.
+        """(messages, bytes): one single-argument PSR per participating
+        tree edge.
 
         Approximated as one message per member mote plus the relay edges
         on paths to the base that are not member motes themselves; with
@@ -193,7 +195,7 @@ class SensorCostModel:
         """
         if self._network is None:
             messages = float(len(mote_ids))
-            return messages, messages * 32
+            return messages, messages * PSR_BYTES
         edges: set[tuple[int, int]] = set()
         for mote_id in mote_ids:
             current = mote_id
@@ -201,7 +203,7 @@ class SensorCostModel:
                 parent = self._network.parent_of(current)
                 edges.add((current, parent))
                 current = parent
-        return float(len(edges)), float(len(edges)) * 32
+        return float(len(edges)), float(len(edges)) * PSR_BYTES
 
     def join_pair_costs(
         self,
@@ -247,12 +249,12 @@ class SensorEngineOptimizer:
     def can_execute(self, plan: LogicalOp) -> bool:
         """True when the fragment can run entirely in-network."""
         try:
-            self._check(plan, top=True)
+            self._check(plan)
             return True
         except UnsupportedQueryError:
             return False
 
-    def _check(self, node: LogicalOp, top: bool = False) -> None:
+    def _check(self, node: LogicalOp) -> None:
         if isinstance(node, Scan):
             if node.entry.location is not EngineLocation.SENSOR:
                 raise UnsupportedQueryError(
@@ -281,11 +283,20 @@ class SensorEngineOptimizer:
         if isinstance(node, Aggregate):
             if node.group_by:
                 raise UnsupportedQueryError("grouped aggregation not supported in-network")
+            if any(isinstance(inner, Join) for inner in node.child.walk()):
+                # The motes fold readings; joined pairs meet at the base.
+                raise UnsupportedQueryError("aggregation over an in-network join unsupported")
+            if node.window is not None and node.window.kind is WindowKind.ROWS:
+                # ROWS counts readings, and one epoch record stands for many.
+                raise UnsupportedQueryError(
+                    f"{node.window.render()} aggregate counts readings; collected raw"
+                )
             for item in node.aggregates:
                 if item.call.name.upper() not in SENSOR_PUSHABLE_AGGREGATES:
                     raise UnsupportedQueryError(f"{item.call.name} not tree-decomposable")
                 if item.call.distinct:
                     raise UnsupportedQueryError("DISTINCT aggregates not supported in-network")
+                self._check_expr(item.call.argument)
             self._check(node.child)
             return
         raise UnsupportedQueryError(
@@ -304,8 +315,6 @@ class SensorEngineOptimizer:
                 raise UnsupportedQueryError(f"operator {node.op} unsupported on motes")
             if isinstance(node, AggregateCall):
                 raise UnsupportedQueryError("aggregate in scalar position")
-            if isinstance(node, (ColumnRef, Literal)):
-                continue
 
     # ------------------------------------------------------------------
     # Join-site selection (the per-sensor decision)
@@ -347,25 +356,18 @@ class SensorEngineOptimizer:
         joins = [n for n in plan.walk() if isinstance(n, Join)]
         aggregates = [n for n in plan.walk() if isinstance(n, Aggregate)]
         selects = [n for n in plan.walk() if isinstance(n, Select)]
-        predicate = None
-        if selects:
-            from repro.sql.expressions import conjoin
-
-            predicate = conjoin(
-                [c for s in selects for c in split_conjuncts(s.predicate)]
-            )
+        predicate = conjoin([c for s in selects for c in split_conjuncts(s.predicate)])
         selectivity = self.model.selectivity(predicate)
 
         if joins:
             join = joins[0]
             left_scan = next(n for n in join.left.walk() if isinstance(n, Scan))
             right_scan = next(n for n in join.right.walk() if isinstance(n, Scan))
-            join_selectivity = self.model.selectivity(
-                self._local_predicate_for(join, selects)
-            )
             if pairs is None:
                 pairs = self.default_pairs(left_scan, right_scan)
-            decisions = self.choose_join_sites(pairs, join_selectivity)
+            # The filters below the join decide its selectivity: the
+            # equi-pairing itself is structural.
+            decisions = self.choose_join_sites(pairs, selectivity)
             messages = sum(d.chosen_cost for d in decisions)
             row_bytes = left_scan.entry.schema.row_size_bytes() + (
                 right_scan.entry.schema.row_size_bytes()
@@ -382,13 +384,9 @@ class SensorEngineOptimizer:
             return deployment, SensorCost(messages, messages * row_bytes, period)
 
         if aggregates:
-            aggregate = aggregates[0]
             scan = scans[0]
-            item = aggregate.aggregates[0]
-            attribute = (
-                item.call.argument.columns()[0].rsplit(".", 1)[-1]
-                if item.call.argument is not None
-                else scan.entry.schema.names[0]
+            arguments = list(
+                dict.fromkeys(item.call.argument for item in aggregates[0].aggregates)
             )
             mote_ids = tuple(scan.entry.device.node_ids if scan.entry.device else ())
             messages, payload = self.model.aggregation_cost(mote_ids)
@@ -396,11 +394,12 @@ class SensorEngineOptimizer:
                 kind="aggregation",
                 relations=[scan.entry.name],
                 predicate=predicate,
-                aggregate=item.call.name.upper(),
-                attribute=attribute,
-                output_name=output_name or f"{scan.entry.name}_{item.call.name.lower()}",
+                arguments=arguments,
+                output_name=output_name or f"{scan.entry.name}_psr",
             )
-            return deployment, SensorCost(messages, payload, self._period(scan))
+            return deployment, SensorCost(
+                messages, payload * len(arguments), self._period(scan)
+            )
 
         scan = scans[0]
         mote_ids = tuple(scan.entry.device.node_ids if scan.entry.device else ())
@@ -426,16 +425,6 @@ class SensorEngineOptimizer:
         left_ids = left_scan.entry.device.node_ids if left_scan.entry.device else ()
         right_ids = right_scan.entry.device.node_ids if right_scan.entry.device else ()
         return [JoinPair(l, r) for l, r in zip(left_ids, right_ids)]
-
-    def _local_predicate_for(self, join: Join, selects: list[Select]) -> Expr | None:
-        """Selectivity-relevant predicate: the filters below the join
-        (the light threshold) — equi-pairing itself is structural."""
-        from repro.sql.expressions import conjoin
-
-        conjuncts = []
-        for select in selects:
-            conjuncts.extend(split_conjuncts(select.predicate))
-        return conjoin(conjuncts)
 
     def _period(self, *scans: Scan) -> float:
         periods = [

@@ -661,7 +661,7 @@ class TestFederatedCodes:
 
     def test_ra501_pushed_fragment(self):
         class _Deployment:
-            kind = "aggregation"
+            kind = "collection"
             relations = ("RoomTemps",)
 
         class _SensorCost:
@@ -669,6 +669,7 @@ class TestFederatedCodes:
 
         class _Fragment:
             name = "remote_1"
+            fragment = _plan("select r.room from Readings r where r.temp > 1.0")
             deployment = _Deployment()
             cost = _SensorCost()
             result_rate = 0.2
@@ -679,19 +680,32 @@ class TestFederatedCodes:
         )
         assert codes == ["RA501", "RA503"]
 
-    def test_ra502_raw_sensor_scan_left_in_residual(self):
+    def test_ra502_raw_sensor_scan_pushed_as_bare_collection(self):
         from repro.catalog import EngineLocation, SourceKind
 
         catalog = Catalog()
         catalog.register_source(
             "RoomTemps", READINGS, SourceKind.STREAM, EngineLocation.SENSOR
         )
+
+        class _Deployment:
+            kind = "collection"
+            relations = ("RoomTemps",)
+
+        class _Fragment:
+            name = "raw_t_1"
+            fragment = Scan(catalog.source("RoomTemps"), "t")
+            deployment = _Deployment()
+
         residual = Select(
-            Scan(catalog.source("RoomTemps"), "t"),
+            RemoteSource("raw_t_1", READINGS.qualified("t")),
             BinaryOp(">", ColumnRef("t.temp"), Literal(20.0)),
         )
-        codes = _codes(federated_diagnostics(self._federated(residual)))
-        assert codes == ["RA502", "RA503"]
+        diagnostics = federated_diagnostics(
+            self._federated(residual, pushed=[_Fragment()])
+        )
+        assert _codes(diagnostics) == ["RA502", "RA503"]
+        assert "raw_t_1" in diagnostics[0].render()
 
     def test_explain_diagnostics_orders_sections(self):
         plan = _plan("select r.room from Readings r where r.temp > 1.0")

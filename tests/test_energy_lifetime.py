@@ -62,7 +62,7 @@ class TestEnergyAccounting:
 
     def test_aggregation_preserves_battery_vs_collection(self):
         sim_a, net_a, eng_a = line_world()
-        eng_a.deploy_aggregation("Temps", "temp", "AVG")
+        eng_a.deploy_aggregation("Temps", [ColumnRef("temp")])
         sim_a.run_until(101.0)
 
         sim_c, net_c, eng_c = line_world()

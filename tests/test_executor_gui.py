@@ -95,15 +95,18 @@ class TestFederatedProjection:
         federated = optimizer.optimize(plan)
         assert federated.pushed and federated.pushed[0].deployment.kind == "join"
 
+        # The residual first, then the fragments: the FederatedBackend's order.
         stream_engine = StreamEngine(catalog)
+        handle = stream_engine.execute(federated.stream_plan)
         executor = FederatedExecutor(sensor_engine, stream_engine)
-        execution = executor.execute(federated)
+        deployments = [executor.deploy(fragment) for fragment in federated.pushed]
         simulator.run_until(6.0)
-        assert execution.results
-        row = execution.results[0]
+        assert handle.results
+        row = handle.results[0]
         assert row.schema.names == ["o.room", "o.desk"]
         assert row["o.room"].startswith("r") and row["o.desk"] == "d1"
-        execution.stop()
+        for deployment in deployments:
+            deployment.stop()
 
 
 class TestAsciiMap:

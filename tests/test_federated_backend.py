@@ -9,11 +9,13 @@ SELECTs through ``FederatedBackend`` and through a forced
 composition with ``connect(shards=N)``, the QueryError funnel and
 ``Session.close`` stopping in-flight federated executions.
 
-Seed count: ``REPRO_FED_SEEDS`` (default 6).
+Every corpus template runs; ``REPRO_FED_SEEDS`` (default 6) scales the
+literal draws per template.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import random
 
@@ -29,7 +31,7 @@ from repro.api import (
 from repro.catalog import Catalog, DeviceInfo, EngineLocation
 from repro.data import DataType, Schema
 from repro.errors import QueryError
-from repro.plan.logical import OrderBy, RemoteSource, Scan
+from repro.plan.logical import Aggregate, OrderBy, RemoteSource, Scan
 from repro.runtime import Simulator
 from repro.sensor import (
     JoinPair,
@@ -53,14 +55,22 @@ ROOMS = Schema.of(("room", DataType.STRING), ("floor", DataType.INT))
 # A small deterministic world: motes in the basestation's reliable disc
 # (loss-free links) sampling a pure function of mote id and sim time,
 # so a federated run and an all-stream run of the same seed see
-# byte-identical sensor data.
+# byte-identical sensor data. At the default range every mote is one
+# hop from the base; ``radio_range=14.0`` makes a loss-free chain (motes
+# 8 ft apart inside an 8.4 ft reliable disc), a tree 4 deep.
 # ----------------------------------------------------------------------
-def _build_world(seed: int, motes: int = 4, shards: int = 1):
+def _build_world(
+    seed: int,
+    motes: int = 4,
+    shards: int = 1,
+    radio_range: float = 100.0,
+    period: float = 5.0,
+):
     simulator = Simulator(seed)
     network = SensorNetwork(simulator)
     network.add_basestation(Position(0.0, 0.0))
     for i in range(1, motes + 1):
-        mote = Mote(i, Position(i * 8.0, 0.0), MoteRole.ROOM, radio_range=100.0)
+        mote = Mote(i, Position(i * 8.0, 0.0), MoteRole.ROOM, radio_range=radio_range)
         mote.attach_sensor(
             "temp", lambda i=i, sim=simulator: 12.0 + 3.0 * i + (sim.now * 1.7) % 11.0
         )
@@ -75,7 +85,7 @@ def _build_world(seed: int, motes: int = 4, shards: int = 1):
             "room": f"room{mote.mote_id % 3}",
             "temp": round(mote.sample("temp"), 2),
         },
-        period=5.0,
+        period=period,
     )
     session.attach(SensorSource(relation))
     session.attach(StreamSource("RoomLoad", LOAD, rate=1.0))
@@ -140,21 +150,48 @@ WINDOWED = [
 ]
 CORPUS += WINDOWED
 
+#: Global aggregates over the sensor stream, run on the chain world: the
+#: motes ship one epoch record and the residual's own Aggregate finishes
+#: it under the query's running, tumbling or sliding semantics. A ROWS
+#: window counts readings, which a record does not keep, so that one is
+#: collected raw. The world's readings are multiples of 0.5, so float
+#: sums are exact in any order and the comparison is exact.
+AGGREGATES = [
+    ("select count(t.temp) from RoomTemps t", "aggregation"),
+    ("select count(t.temp) from RoomTemps t where t.temp > 25.0", "aggregation"),
+    ("select count(*) from RoomTemps t", "aggregation"),
+    ("select count(*), max(t.temp) from RoomTemps t", "aggregation"),
+    ("select sum(t.temp) from RoomTemps t where t.temp > 20.0", "aggregation"),
+    ("select sum(t.temp * 2.0) from RoomTemps t", "aggregation"),
+    ("select avg(t.temp) from RoomTemps t", "aggregation"),
+    (
+        "select max(t.temp) from RoomTemps t [RANGE 10 SECONDS SLIDE 10 SECONDS]",
+        "aggregation",
+    ),
+    (
+        "select min(t.temp) from RoomTemps t [RANGE 20 SECONDS SLIDE 10 SECONDS]",
+        "aggregation",
+    ),
+    ("select max(t.temp) from RoomTemps t [ROWS 2]", "collection"),
+]
+CHAIN = {"radio_range": 14.0}
 
-def _run_both(seed: int, sql: str, shards: int = 1):
+
+def _run_both(seed: int, sql: str, shards: int = 1, **world):
     """``sql`` federated, then with ``engine="stream"`` forced, on a
-    fresh world each: ``(kind, fragments, segments)`` per run."""
+    fresh world each: ``(kind, deployment kinds, segments)`` per run."""
 
     def run(engine):
-        session, simulator = _build_world(seed, shards=shards)
+        session, simulator = _build_world(seed, shards=shards, **world)
         cursor = (
             session.query(sql) if engine is None else session.query(sql, engine=engine)
         )
         segments = _drive(session, simulator, cursor)
         kind = cursor.kind
-        fragments = len(cursor.fragments)
+        plan = cursor.federated_plan
+        kinds = [f.deployment.kind for f in plan.pushed] if plan is not None else []
         session.close()
-        return kind, fragments, segments
+        return kind, kinds, segments
 
     return run(None), run("stream")
 
@@ -164,17 +201,58 @@ class TestFederatedIdentityCorpus:
     emits, per punctuation segment."""
 
     @pytest.mark.parametrize("seed", range(SEEDS))
-    def test_identity_corpus(self, seed):
+    @pytest.mark.parametrize("template", range(len(CORPUS)))
+    def test_identity_corpus(self, template, seed):
         rng = random.Random(seed)
-        sql = CORPUS[seed % len(CORPUS)].format(
+        sql = CORPUS[template].format(
             x=round(rng.uniform(14.0, 24.0), 1), y=round(rng.uniform(0.2, 0.7), 2)
         )
         (fed_kind, fragments, federated), (stream_kind, _, streamed) = _run_both(
             seed, sql
         )
-        assert fed_kind == "federated" and fragments >= 1
+        assert fed_kind == "federated" and fragments
         assert stream_kind == "stream"
         assert federated == streamed, f"seed={seed} sql={sql!r}: emissions diverged"
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("sql,deployment", AGGREGATES)
+    def test_aggregate_corpus(self, sql, deployment, shards):
+        (fed_kind, kinds, federated), (_, _, streamed) = _run_both(
+            1, sql, shards=shards, **CHAIN
+        )
+        assert fed_kind == "federated" and kinds == [deployment]
+        assert federated == streamed, f"shards={shards} sql={sql!r}: emissions diverged"
+
+    def test_aggregate_on_inexact_readings_agrees_to_rounding(self):
+        """On readings that are not dyadic, TAG adds in tree order — each
+        epoch's readings first, combined child by child up the tree, then
+        epoch by epoch in the residual — while the stream fold adds every
+        reading in arrival order. Float addition does not associate, so
+        SUM and AVG may differ in the last bits; COUNT, MIN and MAX must
+        not differ at all."""
+        sql = (
+            "select count(t.temp), min(t.temp), max(t.temp), sum(t.temp), "
+            "avg(t.temp) from RoomTemps t"
+        )
+
+        def run(engine):
+            session, simulator = _build_world(1, period=3.0, **CHAIN)
+            cursor = session.query(sql, engine=engine)
+            _drive(session, simulator, cursor)
+            plan = cursor.federated_plan
+            kinds = [f.deployment.kind for f in plan.pushed] if plan is not None else []
+            rows = [(e.timestamp, e.row.values) for e in cursor._handle.sink.elements]
+            session.close()
+            return kinds, rows
+
+        kinds, federated = run("federated")
+        _, streamed = run("stream")
+        assert kinds == ["aggregation"]
+        assert len(federated) == len(streamed) > 0
+        for (fed_ts, fed), (stream_ts, stream) in zip(federated, streamed):
+            assert fed_ts == stream_ts
+            assert fed[:3] == stream[:3]
+            assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(fed[3:], stream[3:]))
 
     @pytest.mark.parametrize("shards", [1, 2])
     @pytest.mark.parametrize(
@@ -185,7 +263,7 @@ class TestFederatedIdentityCorpus:
         (fed_kind, fragments, federated), (_, _, streamed) = _run_both(
             1, sql, shards=shards
         )
-        assert fed_kind == "federated" and fragments >= 1
+        assert fed_kind == "federated" and fragments
         assert federated == streamed, f"shards={shards} sql={sql!r}: emissions diverged"
 
     @pytest.mark.parametrize("shards", [2, 3])
@@ -289,6 +367,18 @@ class TestPartitionPlan:
             (p.left_mote, p.right_mote) for p in federated.pushed[0].deployment.pairs
         ] == [(1, 3), (2, 4)]
 
+    def test_aggregate_over_an_in_network_join_stays_in_the_residual(
+        self, catalog, line_network, builder
+    ):
+        plan = builder.build_sql(
+            "select count(*) from AreaSensors sa, SeatSensors ss "
+            "where sa.room = ss.room and sa.status = 'open'"
+        )
+        federated = partition_plan(plan, catalog, line_network)
+        assert [f.deployment.kind for f in federated.pushed] == ["join"]
+        assert any(isinstance(n, Aggregate) for n in federated.stream_plan.walk())
+        assert not any(isinstance(n, Aggregate) for n in federated.pushed[0].fragment.walk())
+
     def test_every_alternative_clears_sensor_scans(self, catalog, line_network, builder):
         plan = builder.build_sql(
             "select sa.room from AreaSensors sa, SeatSensors ss, Person p "
@@ -380,6 +470,28 @@ class TestFederatedBackendLayer:
             assert session.sensor_engine.deployed == before  # nothing ran
         finally:
             session.close()
+
+    def test_explain_names_raw_collection_and_pushed_aggregate(self):
+        def diagnostics(sql, **world):
+            session, _ = _build_world(1, **world)
+            try:
+                return {d.code: d.render() for d in session.explain(sql).diagnostics}
+            finally:
+                session.close()
+
+        # One hop from the base, shipping every sample costs what the
+        # epoch record does: the scan is collected raw.
+        raw = diagnostics("select count(*) from RoomTemps t")
+        assert "RA502" in raw and "RA501" not in raw
+        assert "'RoomTemps' was not pushed" in raw["RA502"]
+        pushed = diagnostics(
+            "select count(*), avg(t.temp) from RoomTemps t where t.temp > 20.0",
+            **CHAIN,
+        )
+        assert "RA502" not in pushed
+        assert "aggregation over RoomTemps" in pushed["RA501"]
+        assert "fold (*, t.temp) where (t.temp > 20)" in pushed["RA501"]
+        assert "SUM(a0_count), SUM(a1_sum), SUM(a1_count)" in pushed["RA501"]
 
     def test_cursor_close_stops_fragment_deployments(self):
         session, simulator = _build_world(3)

@@ -4,11 +4,14 @@ import pytest
 
 from repro.data import DataType, Schema
 from repro.sensor import (
+    HEADER_BYTES,
+    HOP_LATENCY,
     JoinPair,
     JoinStrategy,
     SensorEngine,
     SensorRelation,
 )
+from repro.sensor.engine import PSR_BYTES
 from repro.sql.expressions import BinaryOp, ColumnRef, Literal
 
 TEMPS_SCHEMA = Schema.of(("node", DataType.INT), ("temp", DataType.FLOAT))
@@ -80,35 +83,77 @@ class TestCollection:
 
 
 class TestAggregation:
-    @pytest.mark.parametrize(
-        "aggregate,expected",
-        [("AVG", 23.0), ("SUM", 115.0), ("MIN", 21.0), ("MAX", 25.0), ("COUNT", 5.0)],
-    )
-    def test_aggregates_correct(self, sensor_engine, simulator, aggregate, expected):
-        sensor_engine.deploy_aggregation("Temps", "temp", aggregate)
+    """The epoch record: one ``(count, sum, min, max)`` group per folded
+    argument, flattened under ``a<i>_<field>`` names."""
+
+    TEMP = ColumnRef("temp")
+
+    def test_record_folds_every_reading(self, sensor_engine, simulator):
+        sensor_engine.deploy_aggregation("Temps", [self.TEMP])
         simulator.run_until(10.5)
-        name, values, _ = sensor_engine.results[-1]
-        assert values["value"] == pytest.approx(expected)
-        assert values["count"] == 5
+        _, record, time = sensor_engine.results[-1]
+        # Five motes reading 21..25.
+        assert record == {"a0_count": 5, "a0_sum": 115.0, "a0_min": 21.0, "a0_max": 25.0}
+        assert time == 10.0  # stamped with the sample time
 
-    def test_unsupported_aggregate_rejected(self, sensor_engine):
-        from repro.errors import SensorNetworkError
+    def test_predicate_row_and_expression_arguments(self, sensor_engine, simulator):
+        double = BinaryOp("*", self.TEMP, Literal(2.0))
+        sensor_engine.deploy_aggregation(
+            "Temps",
+            [None, self.TEMP, double],
+            BinaryOp(">", self.TEMP, Literal(22.5)),
+        )
+        simulator.run_until(10.5)
+        _, record, _ = sensor_engine.results[-1]
+        # None is the row (COUNT(*)): counted, never summed.
+        assert [record[f"a0_{f}"] for f in ("count", "sum", "min", "max")] == [
+            3, None, None, None
+        ]
+        assert [record[f"a1_{f}"] for f in ("count", "sum", "min", "max")] == [
+            3, 72.0, 23.0, 25.0
+        ]
+        assert record["a2_sum"] == 144.0
 
-        with pytest.raises(SensorNetworkError):
-            sensor_engine.deploy_aggregation("Temps", "temp", "MEDIAN")
+    def test_nothing_passes_nothing_sent(self, sensor_engine, line_network, simulator):
+        before = line_network.stats.snapshot()
+        sensor_engine.deploy_aggregation(
+            "Temps", [self.TEMP], BinaryOp(">", self.TEMP, Literal(99.0))
+        )
+        simulator.run_until(10.5)
+        assert sensor_engine.results == []
+        assert line_network.stats.delta(before).transmissions == 0
+
+    def test_record_arrives_one_hop_per_tree_level(self, line_network, simulator):
+        arrivals = []
+        engine = SensorEngine(
+            line_network,
+            on_result=lambda n, v, t: arrivals.append((simulator.now, t)),
+        )
+        engine.register_relation(
+            SensorRelation(
+                "Temps", TEMPS_SCHEMA, [1, 2, 3, 4, 5],
+                lambda m: {"node": m.mote_id, "temp": m.sample("temp")}, period=10.0,
+            )
+        )
+        engine.deploy_aggregation("Temps", [self.TEMP])
+        simulator.run_until(10.5)
+        # A five-deep chain: no earlier than the deepest collection tuple.
+        assert arrivals == [(pytest.approx(10.0 + 5 * HOP_LATENCY), 10.0)]
 
     def test_message_count_one_per_tree_edge(self, sensor_engine, line_network, simulator):
-        sensor_engine.deploy_aggregation("Temps", "temp", "AVG")
+        sensor_engine.deploy_aggregation("Temps", [None, self.TEMP])
         before = line_network.stats.snapshot()
         simulator.run_until(10.5)
         delta = line_network.stats.delta(before)
-        # Line of 5 motes: exactly 5 PSR transmissions (plus possible retries).
+        # Line of 5 motes: exactly 5 PSR transmissions (plus possible retries),
+        # each carrying 32 bytes per argument.
         assert 5 <= delta.transmissions <= 8
+        assert delta.bytes_transmitted == delta.transmissions * (2 * PSR_BYTES + HEADER_BYTES)
 
     def test_aggregation_cheaper_than_collection(self, sensor_engine, line_network, simulator):
         """TAG's point: tree aggregation sends one PSR per edge; raw
         collection pays full depth per tuple."""
-        agg = sensor_engine.deploy_aggregation("Temps", "temp", "AVG")
+        agg = sensor_engine.deploy_aggregation("Temps", [self.TEMP])
         before = line_network.stats.snapshot()
         simulator.run_until(10.5)
         agg_msgs = line_network.stats.delta(before).transmissions

@@ -9,6 +9,7 @@ from repro.sensor import (
     SensorCostModel,
     SensorEngineOptimizer,
 )
+from repro.sql.expressions import ColumnRef
 
 
 @pytest.fixture
@@ -37,6 +38,20 @@ class TestCapabilities:
     def test_functions_not_supported(self, optimizer, builder):
         plan = builder.build_sql("select lower(sa.room) from AreaSensors sa")
         assert not optimizer.can_execute(plan)
+
+    def test_aggregate_argument_checked_like_a_predicate(self, optimizer, builder):
+        plan = builder.build_sql("select max(lower(sa.room)) from AreaSensors sa")
+        assert not optimizer.can_execute(plan)
+
+    def test_rows_windowed_aggregate_stays_in_the_residual(self, optimizer, builder):
+        """One epoch record stands for many readings; ROWS counts readings."""
+        plan = builder.build_sql("select count(*) from AreaSensors sa [ROWS 2]")
+        with pytest.raises(UnsupportedQueryError, match="ROWS"):
+            optimizer.plan_fragment(plan)
+        ranged = builder.build_sql(
+            "select count(*) from AreaSensors sa [RANGE 20 SECONDS SLIDE 10 SECONDS]"
+        )
+        assert optimizer.can_execute(ranged)
 
     def test_grouped_aggregate_not_supported(self, optimizer, builder):
         plan = builder.build_sql(
@@ -126,7 +141,17 @@ class TestFragmentPlanning:
         plan = builder.build_sql("select count(*) from SeatSensors ss")
         deployment, cost = optimizer.plan_fragment(plan)
         assert deployment.kind == "aggregation"
-        assert deployment.aggregate == "COUNT"
+        assert deployment.arguments == [None]  # the row, for COUNT(*)
+        # Several calls share one record: one group per distinct argument.
+        plan = builder.build_sql(
+            "select count(*), count(ss.desk), max(ss.desk) from SeatSensors ss "
+            "where ss.status = 'free'"
+        )
+        deployment, wide = optimizer.plan_fragment(plan)
+        assert deployment.arguments == [None, ColumnRef("ss.desk")]
+        assert deployment.predicate is not None
+        assert wide.messages_per_epoch == cost.messages_per_epoch
+        assert wide.bytes_per_epoch == 2 * cost.bytes_per_epoch
 
     def test_join_fragment_records_decisions(self, optimizer, builder):
         plan = builder.build_sql(
