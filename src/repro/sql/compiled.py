@@ -123,14 +123,36 @@ filter. ::
 A new loop — a Select run folded inside an aggregate, an exchanged
 join's runs — is a new composition of these pieces.
 
+**A predicate in filter position lowers as a filter**, not as a boolean
+expression (:func:`_emit_filter`). Its AND tree, of any shape, flattens
+to conjuncts in evaluation order — under three-valued AND conjunct *i*
+evaluates iff none before it was FALSE, whatever the shape — and each
+gets an early exit: FALSE rejects the row; NULL dooms it, so the
+remaining conjuncts still evaluate (stopping at a FALSE, raising what
+the interpreter raises) before it is rejected; anything else passes, as
+AND lets it. A lone conjunct must be exactly TRUE, and so must a WHERE
+of more than :data:`_FLAT_CONJUNCTS` conjuncts, lowered as one
+value-producing AND: a doomed row's path repeats every conjunct after
+the one that doomed it, so flat text grows with the square of the
+chain's length. A stage reads each column of ``v`` into a local once,
+and past a conjunct that passed, every column under its comparisons,
+arithmetic, LIKE, NOT, unary minus or IS NOT NULL is known non-NULL (:meth:`_CodeGen.prove`): later
+conjuncts and projections drop its ``is None`` test, until ``v`` is
+rebound — a projected local keeps what was proven of it. An arithmetic
+*result* is never known non-NULL (an operand's ``__mul__`` may return
+``None``). A doomed row's path knows only what held when the filter
+began, so each conjunct's code there is generated once and placed
+wherever it runs; it is inline, and the common path makes no call it
+did not make before.
+
 **Call-free per-row bodies.** On its common path a generated loop
 makes no Python-level call per row: it reads ``element.row.values``
 and the row's ``schema`` as plain slots, builds an output Row and
 StreamElement by ``object.__new__`` plus slot stores (:func:`_emit_row`,
 :func:`_append` — :meth:`Row.raw`'s body without its frame),
 lowers COALESCE to a conditional chain over its already-evaluated
-arguments and a constant LIKE to ``rx.match(a) is not None`` (``str(a)``
-only for what is not an exact ``str``). Rows and elements are immutable
+arguments and a constant LIKE to its pattern's bound ``match(a) is not
+None`` (``str(a)`` only for what is not an exact ``str``). Rows and elements are immutable
 by convention, so nothing needs the constructor's frame to guard them.
 What stays a call is the uncommon path — a scalar function, a dynamic
 LIKE pattern, a row the ingest loop hands to the engine's coercion, an
@@ -146,6 +168,7 @@ namespace (lint rule RA905 keeps that the only ``compile`` call).
 
 from __future__ import annotations
 
+import keyword as _keyword
 import math as _math
 import operator as _operator
 from collections import deque as _deque
@@ -169,8 +192,10 @@ from repro.sql.expressions import (
     ColumnRef,
     Expr,
     FunctionCall,
+    Literal,
     Parameter,
     UnaryOp,
+    split_conjuncts,
 )
 
 #: A compiled evaluator: row value tuple -> result.
@@ -290,20 +315,89 @@ def _emit_stages(
     gen: _CodeGen, stages: Sequence[FusedStage], indent: int, reject: str
 ) -> None:
     """Lower a Filter/Project chain over the value tuple ``v``: a filter
-    runs ``reject`` unless its predicate is exactly TRUE, a projection
-    rebinds ``v``, and later stages resolve columns against the
-    projection's output schema."""
+    runs ``reject`` unless its predicate is exactly TRUE
+    (:func:`_emit_filter`), a projection rebinds ``v``, and later stages
+    resolve columns against the projection's output schema. Each column
+    is read into a local once per binding of ``v``, at the top of the
+    stage that first reads it; an output already in a local stays there,
+    with what was proven of it."""
     for stage in stages:
+        top, gen.reads = len(gen.lines), []
         if stage[0] == "filter":
-            atom = gen.as_var(gen.gen(stage[1], indent), indent)
-            gen.emit(indent, f"if {atom} is not True:")
-            gen.emit(indent + 1, reject)
+            _emit_filter(gen, stage[1], indent, reject)
         else:
             _, exprs, out_schema = stage
-            results = [gen.gen(e, indent) for e in exprs]
+            # A bare column is a subscript in the tuple unless a local
+            # already holds it: a read would only add a store.
+            results = [None if isinstance(e, ColumnRef) else gen.gen(e, indent) for e in exprs]
+            for index, expr in enumerate(exprs):
+                if results[index] is None:
+                    position = gen.schema.index_of(expr.name)
+                    results[index] = gen.columns.get(position) or f"v[{position}]"
             trailing = "," if len(results) == 1 else ""
             gen.emit(indent, f"v = ({', '.join(results)}{trailing})")
+        if gen.reads:
+            gen.lines[top:top] = ["    " * indent + line for line in gen.reads]
+        if stage[0] == "project":
             gen.schema = out_schema
+            gen.columns = {
+                position: atom
+                for position, atom in enumerate(results)
+                if atom.isidentifier() and not _keyword.iskeyword(atom)
+            }
+    gen.reads = None
+
+
+def _emit_filter(gen: _CodeGen, predicate: Expr, indent: int, reject: str) -> None:
+    """A filter stage: its AND tree, of any shape, as conjuncts in
+    evaluation order, each with an early exit. A FALSE conjunct runs
+    ``reject``; a NULL one dooms the row, which still evaluates the rest
+    before it is rejected; anything else passes, as under AND. A single
+    conjunct must be exactly TRUE, and so must a chain longer than
+    :data:`_FLAT_CONJUNCTS`, lowered as one value-producing AND: its
+    doomed paths would grow quadratically. Past each conjunct, the
+    columns it proves non-NULL (:meth:`_CodeGen.prove`) lose their
+    ``is None`` tests."""
+    conjuncts = split_conjuncts(predicate)
+    if not 1 < len(conjuncts) <= _FLAT_CONJUNCTS:
+        atom = gen.as_var(gen.gen(predicate, indent), indent)
+        gen.emit(indent, f"if {atom} is not True:")
+        gen.emit(indent + 1, reject)
+        gen.prove(predicate)
+        return
+    entry = set(gen.non_null)
+    # Each conjunct's statements, knowing what those before it proved,
+    # and whether they know no more than the filter's entry did.
+    lowered = []
+    for conjunct in conjuncts:
+        gen.used = set()
+        lines, atom = gen.apart(conjunct)
+        lowered.append((lines, atom, not (gen.used & gen.non_null) - entry))
+        gen.prove(conjunct)
+    # The path of a row each conjunct dooms: the rest still evaluate,
+    # each while none before it was FALSE — what AND evaluates, so they
+    # raise what the interpreter raises — and then it is rejected. It
+    # knows only what held at the filter's entry; built from the last
+    # conjunct back, each one's test is generated at most once.
+    inner = "    " * (indent + 2)
+    path = [inner + reject]
+    paths = [path]
+    for position in range(len(conjuncts) - 1, 0, -1):
+        lines, atom, plain = lowered[position]
+        if not plain:
+            known, gen.non_null = gen.non_null, set(entry)
+            lines, atom = gen.apart(conjuncts[position])
+            gen.non_null = known
+        test = [inner + line for line in lines]
+        path = [*test, f"{inner}if {atom} is False:", f"{inner}    {reject}", *path]
+        paths.append(path)
+    for (lines, atom, _), path in zip(lowered, reversed(paths)):
+        gen.lines += ["    " * indent + line for line in lines]
+        gen.emit(indent, f"if {atom} is not True:")
+        gen.emit(indent + 1, f"if {atom} is False:")
+        gen.emit(indent + 2, reject)
+        gen.emit(indent + 1, f"if {atom} is None:")
+        gen.lines += path
 
 
 def _emit_row(gen: _CodeGen, indent: int, schema: str, values: str) -> None:
@@ -1011,6 +1105,12 @@ def _define(name: str, source: str, filename: str, env: dict[str, Any]) -> Calla
 _CMP_SOURCE = {"=": "==", "!=": "!=", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 _ARITH_SOURCE = {"+": "+", "-": "-", "*": "*", "/": "/", "%": "%"}
 _INLINE_CONSTS = (bool, int, float, str, type(None))
+#: Binary operators whose result is NULL when an operand is: a non-NULL
+#: result proves every column under a chain of them non-NULL.
+_STRICT = frozenset(_CMP_SOURCE) | frozenset(_ARITH_SOURCE) | {"LIKE", "NOT LIKE"}
+#: The most conjuncts a filter lowers flat: each one's doomed path
+#: repeats those after it, so the text grows with the square of this.
+_FLAT_CONJUNCTS = 8
 
 
 class _CodeGen:
@@ -1029,9 +1129,16 @@ class _CodeGen:
         self.lines: list[str] = []
         self.env: dict[str, Any] = {"ExecutionError": ExecutionError}
         self.counter = 0
-        # Atoms statically known non-NULL (inlined/bound constants):
-        # their `is None` checks are elided from generated code.
+        # Atoms statically known non-NULL (inlined/bound constants, and
+        # columns a passed filter conjunct proved): their `is None`
+        # checks are elided from generated code.
         self.non_null: set[str] = set()
+        # Positions of `v` held in locals since `v` was last bound; in a
+        # stage, the reads of the ones it adds (else columns are `v[i]`),
+        # and the locals lowering has named.
+        self.columns: dict[int, str] = {}
+        self.reads: list[str] | None = None
+        self.used: set[str] = set()
 
     def name(self, prefix: str) -> str:
         self.counter += 1
@@ -1045,14 +1152,54 @@ class _CodeGen:
     def emit(self, indent: int, line: str) -> None:
         self.lines.append("    " * indent + line)
 
+    def apart(self, expr: Expr) -> tuple[list[str], str]:
+        """``expr``'s statements at indent 0, kept apart to be placed
+        where they run, and the variable holding its value."""
+        lines, self.lines = self.lines, []
+        atom = self.as_var(self.gen(expr, 0), 0)
+        out, self.lines = self.lines, lines
+        return out, atom
+
+    def prove(self, predicate: Expr) -> None:
+        """Past a filter predicate that passed, each of its conjuncts did
+        too — neither FALSE nor NULL — so every column under their
+        comparisons, arithmetic, LIKE, NOT and unary minus (each NULL
+        when an operand is), or under an IS NOT NULL, is known non-NULL.
+        An arithmetic *result* never is: an operand's ``__mul__`` may
+        return ``None``."""
+        nodes = [
+            node.operand if isinstance(node, UnaryOp) and node.op == "IS NOT NULL" else node
+            for node in split_conjuncts(predicate)
+        ]
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, ColumnRef):
+                atom = self.columns.get(self.schema.index_of(node.name))
+                if atom is not None:
+                    self.non_null.add(atom)
+            elif isinstance(node, BinaryOp) and node.op in _STRICT:
+                nodes += (node.left, node.right)
+            elif isinstance(node, UnaryOp) and node.op in ("NOT", "-"):
+                nodes.append(node.operand)
+
     # -- node lowering -------------------------------------------------
     def gen(self, expr: Expr, indent: int) -> str:
         """Emit statements computing ``expr``; returns the temp/atom."""
+        if isinstance(expr, ColumnRef):
+            position = self.schema.index_of(expr.name)
+            local = self.columns.get(position)
+            if local is None:
+                if self.reads is None:
+                    return f"v[{position}]"
+                local = self.columns[position] = self.name("x")
+                self.reads.append(f"{local} = v[{position}]")
+            self.used.add(local)
+            return local
+        if isinstance(expr, Literal):
+            return self.atom(expr.value)
         folded, value = _fold_constant(expr)
         if folded:
             return self.atom(value)
-        if isinstance(expr, ColumnRef):
-            return f"v[{self.schema.index_of(expr.name)}]"
         if isinstance(expr, Parameter):
             # Compiled once, re-bound per execution: the generated code
             # reads the parameter's current slot on every call.
@@ -1133,12 +1280,19 @@ class _CodeGen:
         b = self.gen(expr.right, indent)
         if op in _CMP_SOURCE or op in _ARITH_SOURCE:
             symbol = _CMP_SOURCE.get(op) or _ARITH_SOURCE[op]
+            # A literal divisor is tested once, here: zero folds to NULL
+            # whatever the dividend, anything else needs no test per row.
+            divides = op in ("/", "%")
+            literal, divisor = _fold_constant(expr.right) if divides else (False, None)
+            if literal and divisor is not None and divisor == 0:
+                self.emit(indent, f"{out} = None  # SQL: division by zero is NULL")
+                return out
             checks = self.null_check(a, b)
             body = indent
             if checks:
                 self.emit(indent, f"if {checks}:")
                 self.emit(indent + 1, f"{out} = None")
-            if op in ("/", "%"):
+            if divides and not literal:
                 self.emit(indent, f"{'elif' if checks else 'if'} {b} == 0:")
                 self.emit(indent + 1, f"{out} = None  # SQL: division by zero is NULL")
                 checks = True
@@ -1157,12 +1311,13 @@ class _CodeGen:
         if op in ("LIKE", "NOT LIKE"):
             pattern_const, pattern = _fold_constant(expr.right)
             if pattern_const and pattern is not None:
-                # A constant pattern's regex is compiled here, and an
-                # exact str needs no str() call (a subclass still gets
-                # one: it may override __str__, as the interpreter sees).
-                regex = self.bind(_like_to_regex(str(pattern)), "rx")
+                # A constant pattern's regex is compiled here and its
+                # bound `match` skips an attribute lookup per row; an exact
+                # str needs no str() call (a subclass still gets one: it
+                # may override __str__, as the interpreter sees).
+                match = self.bind(_like_to_regex(str(pattern)).match, "m")
                 a = self.as_var(a, indent)
-                match = f"{regex}.match({a} if {a}.__class__ is str else str({a}))"
+                match = f"{match}({a} if {a}.__class__ is str else str({a}))"
                 checks = self.null_check(a)
             else:
                 like = self.bind(_like_regex_cached, "lk")

@@ -48,7 +48,9 @@ LoopbackChannel`) and worker OS processes
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.catalog import Catalog, SourceKind
@@ -325,26 +327,27 @@ class _ExchangeState:
         Rows sort by ``(timestamp, src)`` — re-interleaving the shards'
         emissions into global arrival order — and consecutive same-
         ordinal rows group into ``(port name, values, timestamps)``
-        runs, each delivered with one ``push_exchange`` call.
+        runs, each delivered with one ``push_exchange`` call. The
+        ``flushed`` counts advance once per flush and ``(ordinal, src)``.
         """
         pending = self._pending[dest]
         if not pending:
             return []
         self._pending[dest] = []
-        pending.sort(key=_ts_src)
+        pending.sort(key=_TS_SRC)
         flushed = self.flushed
         names = self.names
         runs: list[tuple[str, list, list]] = []
         last = None
         for ts, src, ordinal, values in pending:
-            key = (ordinal, src)
-            flushed[key] = flushed.get(key, 0) + 1
-            if ordinal == last:
-                runs[-1][1].append(values)
-                runs[-1][2].append(ts)
-            else:
-                runs.append((names[ordinal], [values], [ts]))
+            if ordinal != last:
                 last = ordinal
+                run_values, run_stamps = [], []
+                runs.append((names[ordinal], run_values, run_stamps))
+            run_values.append(values)
+            run_stamps.append(ts)
+        for key, count in Counter(map(_ORDINAL_SRC, pending)).items():
+            flushed[key] = flushed.get(key, 0) + count
         return runs
 
     def drop_src(self, src: int) -> None:
@@ -361,8 +364,9 @@ class _ExchangeState:
         return {"flushed": dict(self.flushed), "dests": list(self.dests)}
 
 
-def _ts_src(entry: tuple) -> tuple[float, int]:
-    return (entry[0], entry[1])
+#: Keys of a pending ``(ts, src, ordinal, values)`` entry: its delivery
+#: order, and its ``flushed`` count.
+_TS_SRC, _ORDINAL_SRC = itemgetter(0, 1), itemgetter(2, 1)
 
 
 class _ExchangeFeed:

@@ -5,6 +5,10 @@ sink, make no Python-level call on their common path.
   the ledger's deployments: rows and elements are built by slot stores,
   never through a bound ``Row.raw`` or ``StreamElement``, and COALESCE
   and a constant LIKE are inlined, never a bound helper.
+* :class:`TestNullFacts` pins the filter lowering on the same loops: a
+  column a passed conjunct proved non-NULL is not tested again, a stage
+  subscripts each column of ``v`` once, and no literal is compared with
+  zero per row.
 * :class:`TestInlinedCoalesceAndLike` compares the inlined lowerings
   with the interpreter (``conftest.interpreted``), row by row in order.
 * :class:`TestIngestIdentity` compares the generated ingest loop with
@@ -21,6 +25,7 @@ sink, make no Python-level call on their common path.
 from __future__ import annotations
 
 import ast
+import re
 import types
 from pathlib import Path
 
@@ -42,10 +47,11 @@ from repro.sql.expressions import (
     ColumnRef,
     FunctionCall,
     Literal,
+    UnaryOp,
 )
 from repro.stream import engine as engine_module
 from repro.stream.engine import StreamEngine
-from repro.stream.operators import FilterOp, FusedOp, ProjectOp
+from repro.stream.operators import FilterOp, FusedOp, ProjectOp, StageOp, SymmetricHashJoin
 
 _COALESCE = _SCALAR_FUNCTIONS["COALESCE"][0]
 
@@ -93,6 +99,16 @@ def _calls_to(fn, *targets) -> list[str]:
     ]
 
 
+def _pattern_matches(fn) -> list:
+    """The bound ``match`` methods of compiled patterns ``fn`` holds: a
+    constant LIKE's, called once per row."""
+    return [
+        value
+        for value in fn.__globals__.values()
+        if isinstance(getattr(value, "__self__", None), re.Pattern)
+    ]
+
+
 class TestCallFreeKernels:
     def test_no_generated_loop_calls_a_row_or_element_constructor(self):
         from benchmarks.ledger.workloads import WORKLOADS
@@ -113,7 +129,7 @@ class TestCallFreeKernels:
                     )
                     source = fn.__compiled_source__
                     loops += "for " in source
-                    likes += ".match(" in source
+                    likes += bool(_calls_to(fn, *_pattern_matches(fn)))
             finally:
                 deployment.close()
         assert loops > 0 and likes > 0  # tenants1k filters with LIKE 'lab%'
@@ -130,6 +146,249 @@ class TestCallFreeKernels:
         assert _calls_to(fn, _COALESCE, _like_regex_cached) == []
         assert "bool(" not in source and "fn" not in source
         assert fn((None, 4, 1.0, "Lab1")) == (4, True, False)
+
+
+# ----------------------------------------------------------------------
+# The filter lowering, on the ledger's deployments
+# ----------------------------------------------------------------------
+def _stage_loops(session) -> list[tuple]:
+    """Every generated loop of ``session`` that lowers a Filter/Project
+    chain, with the chain (a join's residual first) and its schema."""
+    loops = []
+    for engine in _engines(session):
+        operators = [op for h in engine.running_queries for op in h.compiled.operators]
+        operators += [op for c in engine.subplans.live_chains for op in c.compiled.operators]
+        for op in operators:
+            if isinstance(op, SymmetricHashJoin):
+                residual = [("filter", op.predicate)] if op.predicate is not None else []
+                for fn in (op._left_probe, op._right_probe):
+                    if fn is not None:
+                        loops.append((fn, residual + op.stages, op._joined_schema))
+                if op._tail is not None:
+                    loops.append((op._tail, op.stages, op._joined_schema))
+            elif isinstance(op, StageOp):
+                for fn in (op._batch_fn, getattr(op, "_fused", None)):
+                    if fn is not None:
+                        loops.append((fn, op.stages, op.input_schema))
+        for loop, op, _ in engine._fused_ingest.values():
+            loops.append((loop, op.stages, op.input_schema))
+    return [entry for entry in loops if hasattr(entry[0], "__compiled_source__")]
+
+
+_STRICT = {"=", "!=", "<>", "<", "<=", ">", ">=", "+", "-", "*", "/", "%", "LIKE", "NOT LIKE"}
+
+
+def _strict_columns(expr) -> set[str]:
+    """Columns under a chain of comparisons, arithmetic and LIKE: NULL
+    whenever one of them is."""
+    if isinstance(expr, ColumnRef):
+        return {expr.name}
+    if isinstance(expr, BinaryOp) and expr.op in _STRICT:
+        return _strict_columns(expr.left) | _strict_columns(expr.right)
+    return set()
+
+
+def _passed(expr) -> set[str]:
+    """Columns a predicate that held proves non-NULL."""
+    if isinstance(expr, BinaryOp) and expr.op == "AND":
+        return _passed(expr.left) | _passed(expr.right)
+    if isinstance(expr, UnaryOp) and expr.op == "IS NOT NULL":
+        return _strict_columns(expr.operand)
+    return _strict_columns(expr)
+
+
+def _conjuncts(expr) -> list:
+    if isinstance(expr, BinaryOp) and expr.op == "AND":
+        return _conjuncts(expr.left) + _conjuncts(expr.right)
+    return [expr]
+
+
+def _row_body(fn) -> list:
+    """The statements a row runs: the innermost loop's body, or the
+    function's when it has no loop."""
+    body = ast.parse(fn.__compiled_source__).body[0].body
+    while True:
+        loops = [node for node in body if isinstance(node, ast.For)]
+        if not loops:
+            return body
+        body = loops[-1].body
+
+
+def _column_of(node) -> int | None:
+    """``i`` when ``node`` is ``v[i]``."""
+    if (
+        isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "v"
+        and isinstance(node.slice, ast.Constant)
+    ):
+        return node.slice.value
+    return None
+
+
+def _is_conjunct_test(node) -> str | None:
+    """``t`` when ``node`` is ``if t is not True:`` rejecting the row."""
+    if not (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)):
+        return None
+    test = node.test
+    if (
+        isinstance(test.left, ast.Name)
+        and isinstance(test.ops[0], ast.IsNot)
+        and isinstance(test.comparators[0], ast.Constant)
+        and test.comparators[0].value is True
+    ):
+        return test.left.id
+    return None
+
+
+def _null_tested(node) -> list:
+    """The operands of every ``x is None`` / ``x is not None`` in ``node``."""
+    return [
+        inner.left
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Compare)
+        and isinstance(inner.ops[0], (ast.Is, ast.IsNot))
+        and isinstance(inner.comparators[0], ast.Constant)
+        and inner.comparators[0].value is None
+    ]
+
+
+def _findings(fn, stages, schema) -> tuple[list[str], int]:
+    """What :class:`TestNullFacts` forbids in ``fn``'s common path, and
+    how many proven columns it checked against.
+
+    Conjunct tests (``if t is not True:``) are matched to the chain's
+    filters in order: one per conjunct, or one per filter. Past each,
+    the columns the conjunct (or the whole predicate) proves are known
+    non-NULL until ``v`` is rebound; what the tests reject — the doomed
+    path included — is not the common path and is not read."""
+    facts: list[set[str]] = []  # per conjunct test, in order
+    filters = [stage[1] for stage in stages if stage[0] == "filter"]
+    body = _row_body(fn)
+    tests = sum(_is_conjunct_test(node) is not None for node in body)
+    per_conjunct = tests == sum(len(_conjuncts(p)) for p in filters)
+    assert per_conjunct or tests == len(filters), fn.__compiled_source__
+    schemas = []  # the schema each filter reads
+    current = schema
+    for stage in stages:
+        if stage[0] == "filter":
+            parts = _conjuncts(stage[1]) if per_conjunct else [stage[1]]
+            facts += [_passed(part) for part in parts]
+            schemas += [current] * len(parts)
+        else:
+            current = stage[2]
+    found, checked = [], 0
+    proven: set[int] = set()  # positions of `v` known non-NULL
+    locals_: dict[str, int] = {}  # local -> the position it read
+    reads: dict[int, int] = {}  # position -> subscripts since `v` was bound
+    for node in body:
+        conjunct = _is_conjunct_test(node)
+        scanned = [node.test] if conjunct is not None else [node]
+        for part in scanned:
+            for inner in ast.walk(part):
+                position = _column_of(inner)
+                if position is not None:
+                    reads[position] = reads.get(position, 0) + 1
+                    if reads[position] == 2:
+                        found.append(f"v[{position}] subscripted twice")
+                if (
+                    isinstance(inner, ast.Compare)
+                    and isinstance(inner.left, ast.Constant)
+                    and isinstance(inner.ops[0], ast.Eq)
+                    and isinstance(inner.comparators[0], ast.Constant)
+                    and inner.comparators[0].value == 0
+                ):
+                    found.append(f"{ast.unparse(inner)} per row")
+            for operand in _null_tested(part):
+                position = _column_of(operand)
+                if isinstance(operand, ast.Name):
+                    position = locals_.get(operand.id)
+                if position is not None and position in proven:
+                    found.append(f"{ast.unparse(operand)} tested after it was proven")
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            target = node.targets[0].id
+            if target == "v":
+                proven, locals_, reads = set(), {}, {}
+            elif _column_of(node.value) is not None:
+                locals_[target] = _column_of(node.value)
+        if conjunct is not None:
+            names, read = facts.pop(0), schemas.pop(0)
+            proven |= {read.index_of(name) for name in names}
+            checked += len(names)
+    return found, checked
+
+
+class TestNullFacts:
+    """The filter lowering on every generated Filter/Project loop of the
+    ledger's deployments — a fused chain's closure and batch loop, a
+    source's fused-ingest loop, a join's probe kernels — read from the
+    generated text against the chain it lowers."""
+
+    def test_no_proven_column_is_tested_again(self):
+        from benchmarks.ledger.workloads import WORKLOADS
+
+        loops = checked = 0
+        for workload in WORKLOADS:
+            units = 4 if workload.name == "federated" else 64
+            deployment = workload.open(workload.build_input(1, units))
+            try:
+                deployment.deliver(0, units)
+                for fn, stages, schema in _stage_loops(deployment.session):
+                    found, facts = _findings(fn, stages, schema)
+                    assert found == [], (workload.name, found, fn.__compiled_source__)
+                    loops += 1
+                    checked += facts
+            finally:
+                deployment.close()
+        assert loops > 0 and checked > 0
+
+    def test_the_guard_sees_an_and_ladder(self):
+        """The lowering this replaced — a value-producing AND, ``v[i]``
+        at every use, a literal divisor tested per row — trips all
+        three rules."""
+        source = (
+            "def _fused(v):\n"
+            "    if v[2] is None:\n"
+            "        t2 = None\n"
+            "    else:\n"
+            "        t2 = v[2] > 15.0\n"
+            "    if t2 is False:\n"
+            "        t1 = False\n"
+            "    else:\n"
+            "        if v[3] is None:\n"
+            "            t3 = None\n"
+            "        else:\n"
+            "            t3 = v[3] < 1.0\n"
+            "        t1 = t3 if t3 is False or t2 is not None and t3 is not None else None\n"
+            "    if t1 is not True:\n"
+            "        return None\n"
+            "    if v[2] is None:\n"
+            "        t4 = None\n"
+            "    elif 10.0 == 0:\n"
+            "        t4 = None\n"
+            "    else:\n"
+            "        t4 = v[2] / 10.0\n"
+            "    v = (t4,)\n"
+            "    return v\n"
+        )
+        fn = types.SimpleNamespace(__compiled_source__=source)
+        where = BinaryOp(
+            "AND",
+            BinaryOp(">", ColumnRef("temp"), Literal(15.0)),
+            BinaryOp("<", ColumnRef("load"), Literal(1.0)),
+        )
+        schema = Schema.of(
+            ("room", DataType.STRING),
+            ("host", DataType.STRING),
+            ("temp", DataType.FLOAT),
+            ("load", DataType.FLOAT),
+        )
+        tenth = [BinaryOp("/", ColumnRef("temp"), Literal(10.0))]
+        stages = [("filter", where), ("project", tenth, Schema.of(("x", DataType.FLOAT)))]
+        found, _ = _findings(fn, stages, schema)
+        assert "v[2] subscripted twice" in found
+        assert "10.0 == 0 per row" in found
+        assert "v[2] tested after it was proven" in found
 
 
 # ----------------------------------------------------------------------
