@@ -105,7 +105,6 @@ def connect(
     workers: str = "inline",
     checkpoint_interval: float | None = None,
     share_plans: bool = True,
-    plan_cache_size: int = 256,
     analysis: str = "warn",
 ) -> "Session":
     """Open a :class:`Session`.
@@ -150,8 +149,9 @@ def connect(
     structurally identical plan — or a common scan/filter/aggregate
     prefix — execute one shared operator chain fanned out to per-query
     sinks (see :mod:`repro.stream.multiplex`), and repeated SQL text is
-    served from a normalized-text plan cache of ``plan_cache_size``
-    entries that skips lex/parse/analyze/build on a hit.
+    served from a normalized-text plan cache (``PlanCache.CAPACITY``
+    entries, least recently used evicted) that skips
+    lex/parse/analyze/build on a hit.
     ``share_plans=False`` restores fully private per-query pipelines
     (the cache stays on — it never changes semantics, only compile
     cost). An *injected* engine keeps its own ``share_plans`` setting.
@@ -180,7 +180,6 @@ def connect(
         workers=workers,
         checkpoint_interval=checkpoint_interval,
         share_plans=share_plans,
-        plan_cache_size=plan_cache_size,
         analysis=analysis,
     )
 
@@ -203,7 +202,6 @@ class Session:
         workers: str = "inline",
         checkpoint_interval: float | None = None,
         share_plans: bool = True,
-        plan_cache_size: int = 256,
         analysis: str = "warn",
     ):
         from repro.api.backends import (
@@ -228,7 +226,7 @@ class Session:
         self._punctuators: list[Punctuator] = []
         self._statements: "weakref.WeakSet" = weakref.WeakSet()
         self._closed = False
-        self._plan_cache = PlanCache(capacity=plan_cache_size)
+        self._plan_cache = PlanCache()
         if analysis not in ("off", "warn", "strict"):
             raise QueryError(
                 f"unknown analysis mode {analysis!r}; "

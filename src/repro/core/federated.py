@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from repro.catalog import Catalog, EngineLocation
 from repro.errors import OptimizerError, UnsupportedQueryError
 from repro.data import DataType, Field, Schema
+from repro.plan.exchange import replace_node
 from repro.plan.logical import (
     Aggregate,
     AggregateItem,
@@ -48,7 +49,6 @@ from repro.plan.logical import (
     RemoteSource,
     Scan,
     Select,
-    replace_child,
     scans_of,
     side_window,
 )
@@ -281,7 +281,7 @@ class FederatedOptimizer:
                 )
             else:
                 residual = _finish(aggregate, name, rate, deployment.arguments)
-            working = _replace_subtree(working, aggregate or fragment, residual)
+            working = replace_node(working, aggregate or fragment, residual)
             fragment = aggregate.child if aggregate else fragment
             pushed.append(PushedFragment(name, fragment, deployment, cost, rate))
 
@@ -384,15 +384,3 @@ def _finish(
     return Project(
         Aggregate(remote, [], list(combiners.values()), aggregate.window), outputs
     )
-
-
-def _replace_subtree(root: LogicalOp, target: LogicalOp, new: LogicalOp) -> LogicalOp:
-    """Rebuild ``root`` with the subtree ``target`` replaced by ``new``."""
-    if root is target:
-        return new
-    rebuilt = root
-    for child in root.children:
-        new_child = _replace_subtree(child, target, new)
-        if new_child is not child:
-            rebuilt = replace_child(rebuilt, child, new_child)
-    return rebuilt

@@ -7,9 +7,9 @@ Three failure modes drive the recovery subsystem end to end:
   pool (window and join state lost); failover restores it from the
   attached :class:`~repro.stream.checkpoint.CheckpointCoordinator`.
   Over worker processes (:class:`~repro.stream.procshard.
-  ProcessShardEngine`) the same call SIGKILLs the shard's process —
-  :func:`kill_worker` is its older name — and :func:`hang_worker`
-  SIGSTOPs it instead: alive, but never answering again.
+  ProcessShardEngine`) the same call SIGKILLs the shard's process, and
+  :func:`hang_worker` SIGSTOPs it instead: alive, but never answering
+  again.
 * :func:`kill_mote` — deplete a mote's battery mid-run; the sensor
   engine reports the death and the federated backend re-partitions
   around the corpse.
@@ -39,9 +39,6 @@ def kill_shard(pool, index: int):
     checkpoint and the replay-log suffix.
     """
     return pool.fail_shard(index)
-
-
-kill_worker = kill_shard
 
 
 def hang_worker(pool, index: int):

@@ -139,13 +139,11 @@ class HandleCheckpoint:
     #: Per-shard operator states for partitioned handles; a single
     #: entry (the fallback replica) otherwise.
     replicas: list[list[dict]]
-    #: Merge-coordinator forwarded-element counts per shard at the
-    #: barrier (None for fallback handles) — failover skips exactly
-    #: this many re-derived emissions per recovering shard.
-    merge_counts: list[int] | None
-    #: Merged/fallback sink sizes at the barrier, for fallback dedup.
-    sink_len: int
-    sink_punct_len: int
+    #: Merge-coordinator forwarded-element counts per slot at the
+    #: barrier — one per shard, per stage-2 destination, or the
+    #: fallback replica's one. A recovering replica skips the elements
+    #: its slot forwarded since: ``forwarded(slot) - merge_counts[slot]``.
+    merge_counts: list[int]
     #: Per-replica sharing decisions (aligned with ``replicas``);
     #: failover re-executes each replica under the same decision.
     shared: list[bool] = field(default_factory=list)
@@ -437,15 +435,11 @@ def _snapshot_pool(pool, checkpoint_id, watermark, log_seq) -> PoolCheckpoint:
             replicas = [states[query_id] for states, _ in shards]
         else:
             replicas = [fallback_states[query_id]]
-        sink = handle.sink
-        collecting = isinstance(sink, CollectingConsumer)
         handles[query_id] = HandleCheckpoint(
             plan=handle.plan,
             partitioned=handle.partitioned,
             replicas=[states for states, _ in replicas],
-            merge_counts=handle.coordinator.counts if handle.partitioned else None,
-            sink_len=len(sink.elements) if collecting else 0,
-            sink_punct_len=len(sink.punctuations) if collecting else 0,
+            merge_counts=handle.coordinator.counts,
             shared=[shared for _, shared in replicas],
             exchange=handle.exchange.snapshot() if handle.exchanged else None,
         )

@@ -784,7 +784,11 @@ class PlanCache:
     against a changed catalog.
     """
 
-    def __init__(self, capacity: int = 256):
+    #: Entries a session's cache holds before evicting the least
+    #: recently used.
+    CAPACITY = 256
+
+    def __init__(self, capacity: int = CAPACITY):
         self._capacity = max(1, capacity)
         self._entries: OrderedDict[str, CachedStatement] = OrderedDict()
         self.hits = 0

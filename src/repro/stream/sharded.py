@@ -33,7 +33,10 @@ LoopbackChannel`) and worker OS processes
   that flushes them to the stage-2 owners). Anything else — and, on a
   channel that cannot ship plan objects, any plan that arrived without
   its SQL text — runs whole on the fallback engine against the full
-  feed: same results, no parallelism.
+  feed: same results, no parallelism. Its one replica writes through a
+  one-slot merge, so every pool query has exactly one merge coordinator
+  (a fallback sink, like a merged one, records a punctuation only when
+  the watermark advances).
 * **Tables replicate.** ``load_table`` broadcasts to every shard and
   the fallback. Punctuation broadcasts likewise.
 * **Shards fail over.** Every op is written to the attached
@@ -42,7 +45,9 @@ LoopbackChannel`) and worker OS processes
   (:class:`~repro.stream.channel.ShardDied`) is respawned, seeded,
   re-admitted muted and pinned, restored from the latest barrier and
   brought to the present by replaying the log suffix through the same
-  verbs live ingest uses.
+  verbs live ingest uses. Every recovering replica — the fallback's
+  included — then skips the re-derived output its merge slot (or
+  shuffle port) already forwarded.
 """
 
 from __future__ import annotations
@@ -85,34 +90,30 @@ _pool_query_ids = itertools.count(1)
 
 
 class _MergeCoordinator:
-    """Funnels N shard replica outputs into one merged sink.
+    """Funnels a query's replica outputs into one merged sink.
 
-    Elements pass straight through in arrival order. Watermarks merge:
-    each shard's latest watermark is tracked and a punctuation is
-    emitted downstream only when ``min(shard watermarks)`` advances —
-    by then every shard has flushed its window emissions for that
-    boundary into the merged sink.
+    One slot per feeding replica: per shard, per stage-2 destination,
+    or the fallback replica's one. Elements pass straight through in
+    arrival order. Watermarks merge: each slot's latest watermark is
+    tracked and a punctuation is emitted downstream only when
+    ``min(slot watermarks)`` advances — by then every replica has
+    flushed its window emissions for that boundary into the merged
+    sink. (With one slot, a punctuation that does not advance the
+    watermark is dropped.)
     """
 
     __slots__ = ("_sink", "_marks", "_sent", "_counts")
 
-    def __init__(self, sink: CollectingConsumer, shard_count: int):
+    def __init__(self, sink: CollectingConsumer, slots: int):
         self._sink = sink
-        self._marks = [float("-inf")] * shard_count
+        self._marks = [float("-inf")] * slots
         self._sent = float("-inf")
-        # Forwarded-element counts per shard: failover's dedup anchor.
+        # Forwarded-element counts per slot: failover's dedup anchor.
         # A recovering replica deterministically re-derives its past
         # emissions during log replay; skipping exactly
         # ``forwarded(i) - count_at_barrier(i)`` of them restores the
         # exactly-once merged output.
-        self._counts = [0] * shard_count
-
-    def receive(self, index: int, item: StreamItem) -> None:
-        if isinstance(item, Punctuation):
-            self._advance(index, item.watermark)
-        else:
-            self._counts[index] += 1
-            self._sink.push(item)
+        self._counts = [0] * slots
 
     def receive_batch(self, index: int, elements: list[StreamElement]) -> None:
         self._counts[index] += len(elements)
@@ -120,13 +121,13 @@ class _MergeCoordinator:
 
     @property
     def counts(self) -> list[int]:
-        """Forwarded-element counts per shard (checkpoint barrier state)."""
+        """Forwarded-element counts per slot (checkpoint barrier state)."""
         return list(self._counts)
 
     def forwarded(self, index: int) -> int:
         return self._counts[index]
 
-    def _advance(self, index: int, watermark: float) -> None:
+    def advance(self, index: int, watermark: float) -> None:
         marks = self._marks
         if watermark > marks[index]:
             marks[index] = watermark
@@ -136,35 +137,22 @@ class _MergeCoordinator:
             self._sink.push(Punctuation(merged))
 
 
-def _past_skip(feed, elements: list[StreamElement]) -> list[StreamElement]:
-    """The part of a run that flows through ``feed``: its armed skip
-    (recovery dedup) swallows the run's prefix first."""
-    drop = min(feed._skip, len(elements))
-    if not drop:
-        return elements
-    feed._skip -= drop
-    return elements[drop:]
+class _Feed:
+    """The terminal consumer of one replica pipeline, and failover's
+    dedup point. Subclasses say where a run of elements goes (``_run``)
+    and where a punctuation goes (``_punctuate``); the rest is here.
 
-
-class _ShardFeed:
-    """The terminal consumer of one shard's replica pipeline.
-
-    ``skip`` arms recovery dedup: the first ``skip`` elements are
-    dropped (they re-derive emissions the dead replica already
-    forwarded to the merged sink), then everything flows through.
-    Punctuations always pass — the coordinator's monotonic merge
-    deduplicates them for free.
+    A recovering replica's fresh feeds start muted: re-execution over
+    checkpointed tables re-derives output that is already downstream.
+    ``arm(skip)`` unmutes the feed and drops the next ``skip`` elements
+    (the re-derivations of what the dead replica already forwarded),
+    then everything flows through. Punctuations are never skipped.
     """
 
-    __slots__ = ("_coordinator", "_index", "_skip", "_muted")
+    __slots__ = ("_skip", "_muted")
 
-    def __init__(self, coordinator: _MergeCoordinator, index: int, skip: int = 0):
-        self._coordinator = coordinator
-        self._index = index
-        self._skip = skip
-        # Muted while a recovering replica re-executes over checkpointed
-        # tables: those emissions pre-date the barrier and are already
-        # in the merged sink.
+    def __init__(self):
+        self._skip = 0
         self._muted = False
 
     def mute(self) -> None:
@@ -177,64 +165,47 @@ class _ShardFeed:
     def push(self, item: StreamItem) -> None:
         if self._muted:
             return
-        if self._skip > 0 and not isinstance(item, Punctuation):
-            self._skip -= 1
-            return
-        self._coordinator.receive(self._index, item)
-
-    def push_batch(self, elements: list[StreamElement]) -> None:
-        if self._muted:
-            return
-        elements = _past_skip(self, elements)
-        if elements:
-            self._coordinator.receive_batch(self._index, elements)
-
-
-class _SinkFeed:
-    """Skip-dedup pass-through onto a surviving fallback sink.
-
-    The fallback engine's sink out-lives the engine (it hangs off the
-    pool handle), so everything emitted before the crash is still in
-    it. A recovering fallback replica re-derives those emissions during
-    log replay; the first ``skip`` elements and ``skip_puncts``
-    punctuations are dropped, and everything after (the output lost to
-    the crash, plus all post-recovery output) flows through.
-    """
-
-    __slots__ = ("_sink", "_skip", "_skip_puncts", "_muted")
-
-    def __init__(self, sink: CollectingConsumer, skip: int, skip_puncts: int):
-        self._sink = sink
-        self._skip = skip
-        self._skip_puncts = skip_puncts
-        self._muted = False
-
-    def mute(self) -> None:
-        self._muted = True
-
-    def arm(self, skip: int, skip_puncts: int) -> None:
-        self._muted = False
-        self._skip = skip
-        self._skip_puncts = skip_puncts
-
-    def push(self, item: StreamItem) -> None:
-        if self._muted:
-            return
         if isinstance(item, Punctuation):
-            if self._skip_puncts > 0:
-                self._skip_puncts -= 1
-                return
+            self._punctuate(item.watermark)
         elif self._skip > 0:
             self._skip -= 1
-            return
-        self._sink.push(item)
+        else:
+            self._run([item])
 
     def push_batch(self, elements: list[StreamElement]) -> None:
         if self._muted:
             return
-        elements = _past_skip(self, elements)
+        drop = self._skipped(len(elements))
+        if drop:
+            elements = elements[drop:]
         if elements:
-            push_all(self._sink, elements)
+            self._run(elements)
+
+    def _skipped(self, count: int) -> int:
+        """How many of the next ``count`` elements the armed skip drops."""
+        drop = min(self._skip, count)
+        self._skip -= drop
+        return drop
+
+
+class _ShardFeed(_Feed):
+    """Feeds one slot of a query's :class:`_MergeCoordinator`: a shard
+    replica, a stage-2 replica or the fallback replica. The skip counts
+    against the slot's forwarded elements; punctuations always pass —
+    the coordinator's monotonic merge deduplicates them."""
+
+    __slots__ = ("_coordinator", "_index")
+
+    def __init__(self, coordinator: _MergeCoordinator, index: int):
+        super().__init__()
+        self._coordinator = coordinator
+        self._index = index
+
+    def _run(self, elements: list[StreamElement]) -> None:
+        self._coordinator.receive_batch(self._index, elements)
+
+    def _punctuate(self, watermark: float) -> None:
+        self._coordinator.advance(self._index, watermark)
 
 
 def _plan_sources(plan: LogicalOp) -> frozenset[str]:
@@ -369,65 +340,44 @@ class _ExchangeState:
 _TS_SRC, _ORDINAL_SRC = itemgetter(0, 1), itemgetter(2, 1)
 
 
-class _ExchangeFeed:
+class _ExchangeFeed(_Feed):
     """Terminal consumer of one stage-1 replica: deposits emissions into
     the query's :class:`_ExchangeState` buffers.
 
     Punctuations never pass — exchange watermarks travel through the
-    pool's shuffle barrier, not through stage-1 pipelines. ``mute``/
-    ``arm(skip)`` mirror :class:`_ShardFeed` for failover dedup, with
-    the skip counted against this ``(ordinal, src)``'s flushed rows.
-    The feed lives in the parent on every transport: a loopback host
-    pushes elements into it, a framed channel the decoded column runs
-    — and either way a run is deposited by one
+    pool's shuffle barrier, not through stage-1 pipelines. The skip
+    counts against this ``(ordinal, src)``'s flushed rows. The feed
+    lives in the parent on every transport: a loopback host pushes
+    elements into it, a framed channel the decoded column runs
+    (``push_run``) — and either way a run is deposited by one
     :meth:`_ExchangeState.deposit_run` call (one loop, destinations
     memoized per key value), never row by row.
     """
 
-    __slots__ = ("_state", "_ordinal", "_src", "_skip", "_muted")
+    __slots__ = ("_state", "_ordinal", "_src")
 
     def __init__(self, state: _ExchangeState, ordinal: int, src: int):
+        super().__init__()
         self._state = state
         self._ordinal = ordinal
         self._src = src
-        self._skip = 0
-        self._muted = False
 
-    def mute(self) -> None:
-        self._muted = True
-
-    def arm(self, skip: int) -> None:
-        self._muted = False
-        self._skip = skip
-
-    def push(self, item: StreamItem) -> None:
-        if self._muted or isinstance(item, Punctuation):
-            return
-        if self._skip > 0:
-            self._skip -= 1
-            return
+    def _run(self, elements: list[StreamElement]) -> None:
         self._state.deposit_run(
-            self._ordinal, self._src, [item.row.values], [item.timestamp]
+            self._ordinal,
+            self._src,
+            [element.row.values for element in elements],
+            [element.timestamp for element in elements],
         )
 
-    def push_batch(self, elements: list[StreamElement]) -> None:
-        if self._muted:
-            return
-        elements = _past_skip(self, elements)
-        if elements:
-            self._state.deposit_run(
-                self._ordinal,
-                self._src,
-                [element.row.values for element in elements],
-                [element.timestamp for element in elements],
-            )
+    def _punctuate(self, watermark: float) -> None:
+        pass
 
     def push_run(self, values: list[tuple], stamps: list[float]) -> None:
         if self._muted:
             return
-        drop = min(self._skip, len(values))
+        drop = self._skipped(len(values))
         if drop:
-            self._skip -= drop
             values, stamps = values[drop:], stamps[drop:]
         if values:
             self._state.deposit_run(self._ordinal, self._src, values, stamps)
@@ -437,8 +387,7 @@ class _ExchangeFeed:
 class ShardedQueryHandle(QueryHandle):
     """Handle over a pool-hosted continuous query.
 
-    ``results``/``latest_batch``/``sink`` read the *merged* output (for
-    fallback queries, the fallback engine's sink directly).
+    ``results``/``latest_batch``/``sink`` read the *merged* output.
     ``partitioned`` tells whether the plan runs across the shards (one
     replica each, or exchanged) or fell back; ``analysis`` carries the
     safety verdict and reason. ``compiled`` is the lead replica's
@@ -452,9 +401,10 @@ class ShardedQueryHandle(QueryHandle):
     inner: list = field(default_factory=list)
     partitioned: bool = False
     analysis: PartitionAnalysis | None = None
-    #: The merge coordinator feeding ``sink`` (partitioned handles
-    #: only) — failover reads its per-shard forwarded counts.
-    coordinator: "_MergeCoordinator | None" = field(default=None, repr=False)
+    #: The merge coordinator feeding ``sink`` (one slot per shard, per
+    #: stage-2 destination, or the fallback replica's one) — failover
+    #: reads its per-slot forwarded counts.
+    coordinator: "_MergeCoordinator" = field(default=None, repr=False)
     #: The pool-side shuffle state when the plan runs as a repartitioned
     #: two-stage pipeline (see :mod:`repro.plan.exchange`).
     exchange: "_ExchangeState | None" = field(default=None, repr=False)
@@ -704,14 +654,14 @@ class ShardedStreamEngine:
         *,
         sql: str | None = None,
     ) -> ShardedQueryHandle:
-        """Start a continuous query: one replica per shard with a merged
-        sink when the plan is partition-safe, a two-stage exchanged
-        pipeline when a shuffle makes it so, else whole on the
-        designated fallback engine. ``sql`` is the text ``plan``
-        compiles from; a channel that cannot ship plan objects needs it
-        and falls back without. ``sink`` overrides the merged (or
-        fallback) sink — federated repair reuses a surviving cursor's
-        sink so subscription taps keep observing results."""
+        """Start a continuous query: one replica per shard when the
+        plan is partition-safe, a two-stage exchanged pipeline when a
+        shuffle makes it so, else whole on the designated fallback
+        engine — each writing into one merged sink. ``sql`` is the text
+        ``plan`` compiles from; a channel that cannot ship plan objects
+        needs it and falls back without. ``sink`` overrides the merged
+        sink — federated repair reuses a surviving cursor's sink so
+        subscription taps keep observing results."""
         analysis = partition_safe(plan, self._keys)
         shippable = bool(self._channels) and (
             sql is not None or self._channels[0].ships_plans
@@ -720,10 +670,10 @@ class ShardedStreamEngine:
         if sink is None:
             sink = CollectingConsumer()
         shards = len(self._channels)
-        state = coordinator = None
-        if shippable and analysis.safe:
-            coordinator = _MergeCoordinator(sink, shards)
-        elif shippable and analysis.exchange is not None:
+        partitioned = shippable and (analysis.safe or analysis.exchange is not None)
+        replicas = shards if partitioned else 1
+        slots, state = replicas, None
+        if partitioned and not analysis.safe:
             # Re-derive the recipe with the real pool query id as the
             # port-name token (the analysis carried a token-0 preview):
             # several exchanged queries may coexist on one engine.
@@ -733,17 +683,17 @@ class ShardedStreamEngine:
             # partitions by the exchange key, else on shard 0.
             dests = list(range(shards)) if recipe.distributed else [0]
             state = _ExchangeState(recipe, dests, self._keys)
-            coordinator = _MergeCoordinator(sink, len(dests))
+            slots = len(dests)
         handle = ShardedQueryHandle(
             query_id,
             plan,
             None,
             sink,
             self,
-            inner=[None] * (shards if coordinator is not None else 1),
-            partitioned=coordinator is not None,
+            inner=[None] * replicas,
+            partitioned=partitioned,
             analysis=analysis,
-            coordinator=coordinator,
+            coordinator=_MergeCoordinator(sink, slots),
             exchange=state,
             sql=sql,
             sources=_plan_sources(plan),
@@ -772,40 +722,26 @@ class ShardedStreamEngine:
 
     def _admit(
         self, handle: ShardedQueryHandle, index, handle_cp=None, recovering=False
-    ) -> list[tuple]:
+    ) -> list[tuple[_Feed, int]]:
         """Start ``handle``'s replicas on shard ``index`` (or the
         fallback) — at ``execute``, and again at failover, where the
         fresh feeds start *muted* (re-execution replays barrier tables:
         output the merged sink already holds) and the returned
-        ``(feed, arm arguments)`` pairs carry the emission skips that
+        ``(feed, skip)`` pairs carry the emission skips that
         deduplicate re-derived output once armed."""
         channel = self._channel(index)
-        arms: list[tuple] = []
+        arms: list[tuple[_Feed, int]] = []
 
         def merged(slot: int) -> _ShardFeed:
             feed = _ShardFeed(handle.coordinator, slot)
             at_barrier = handle_cp.merge_counts[slot] if handle_cp is not None else 0
-            arms.append((feed, (handle.coordinator.forwarded(slot) - at_barrier,)))
+            arms.append((feed, handle.coordinator.forwarded(slot) - at_barrier))
             return feed
 
         slot = 0 if index == FALLBACK else index
         share = handle_cp.shared[slot] if handle_cp is not None and handle_cp.shared else None
         lead = slot
-        if not handle.partitioned:
-            feed = sink = handle.sink
-            if recovering:
-                # The sink out-lives the engine: dedup re-derived output
-                # against what it held at the barrier.
-                feed = _SinkFeed(sink, 0, 0)
-                skips = (0, 0)
-                if isinstance(sink, CollectingConsumer):
-                    skips = (
-                        len(sink.elements) - (handle_cp.sink_len if handle_cp else 0),
-                        len(sink.punctuations)
-                        - (handle_cp.sink_punct_len if handle_cp else 0),
-                    )
-                arms.append((feed, skips))
-        elif handle.exchanged:
+        if handle.exchanged:
             state = handle.exchange
             if recovering:
                 # Unflushed rows from the dead shard are re-derived by
@@ -816,13 +752,11 @@ class ShardedStreamEngine:
             for ordinal in range(len(state.names)):
                 key = (ordinal, index)
                 feeds.append(_ExchangeFeed(state, ordinal, index))
-                arms.append(
-                    (feeds[-1], (state.flushed.get(key, 0) - at_barrier.get(key, 0),))
-                )
+                arms.append((feeds[-1], state.flushed.get(key, 0) - at_barrier.get(key, 0)))
             feed = merged(state.dests.index(index)) if index in state.dests else None
             lead = state.dests[0]
         else:
-            feed = merged(index)
+            feed = merged(slot)
         if recovering:
             for fresh, _ in arms:
                 fresh.mute()
@@ -1178,8 +1112,6 @@ class ShardedStreamEngine:
         CheckpointCoordinator. Returns the corpse."""
         return self._channels[index].kill(sig)
 
-    fail_worker = fail_shard
-
     def fail_fallback(self) -> None:
         """Kill the designated fallback engine."""
         self._fallback.kill()
@@ -1221,6 +1153,14 @@ class ShardedStreamEngine:
             handle_cp = None
             if checkpoint is not None:
                 handle_cp = checkpoint.handles.get(handle.query_id)
+            if handle_cp is not None and handle_cp.merge_counts is None:
+                raise ExecutionError(
+                    f"checkpointed pool query {handle.query_id} uses the "
+                    "sink-length fallback layout ('sink_len' / "
+                    "'sink_punct_len', no 'merge_counts'), which this pool "
+                    "does not restore: a fallback replica dedups on its "
+                    "one-slot merge's forwarded count"
+                )
             arms += self._admit(handle, index, handle_cp, recovering=True)
             if handle_cp is not None:
                 states[handle.query_id] = handle_cp.replicas[slot]
@@ -1232,8 +1172,8 @@ class ShardedStreamEngine:
             )
             channel.restore(states, chains)
         channel.settle()  # table-replay emissions have hit the muted feeds
-        for feed, skips in arms:
-            feed.arm(*skips)
+        for feed, skip in arms:
+            feed.arm(skip)
         replayed = 0
         for entry in suffix:
             kind, key = entry[0], entry[1]

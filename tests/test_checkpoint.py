@@ -24,7 +24,7 @@ from repro.data import DataType, Row, Schema
 from repro.errors import ExecutionError, SchemaError
 from repro.plan import PlanBuilder
 from repro.plan.logical import RemoteSource
-from repro.runtime.faults import kill_shard
+from repro.runtime.faults import kill_fallback, kill_shard
 from repro.stream.checkpoint import (
     CheckpointCoordinator,
     FileCheckpointStore,
@@ -236,6 +236,39 @@ class TestStores:
         coordinator.store = FileCheckpointStore(tmp_path)
         kill_shard(pool, 0)
         with pytest.raises(ExecutionError, match="row-buffer window layout"):
+            pool.punctuate(stamps[-1] + 100.0)
+
+    def test_sink_length_fallback_file_is_refused_by_name(self, tmp_path):
+        """A pool checkpoint file written while the fallback replica
+        wrote straight into its sink (``sink_len`` / ``sink_punct_len``,
+        ``merge_counts`` None) fails fallback failover with an
+        ``ExecutionError`` naming that layout, not a ``TypeError``."""
+        import pickle
+
+        catalog = _catalog()
+        pool = ShardedStreamEngine(catalog, shards=2)
+        pool.set_partition_key("Readings", "host")
+        coordinator = CheckpointCoordinator(
+            pool, store=FileCheckpointStore(tmp_path), interval=None
+        )
+        sql = "select r.host, r.temp from Readings r order by r.temp"
+        handle = pool.execute(PlanBuilder(catalog).build_sql(sql), sql=sql)
+        assert not handle.partitioned
+        rows, stamps = _rows(15)
+        pool.push_many("Readings", rows, stamps)
+        pool.punctuate(stamps[-1])
+        coordinator.checkpoint(stamps[-1])
+        (path,) = tmp_path.glob("checkpoint-*.pkl")
+        checkpoint = pickle.loads(path.read_bytes())
+        old = checkpoint.handles[handle.query_id]
+        assert old.merge_counts == [len(handle.sink.elements)]
+        old.merge_counts = None
+        old.sink_len = len(handle.sink.elements)
+        old.sink_punct_len = len(handle.sink.punctuations)
+        path.write_bytes(pickle.dumps(checkpoint))
+        coordinator.store = FileCheckpointStore(tmp_path)
+        kill_fallback(pool)
+        with pytest.raises(ExecutionError, match="sink-length fallback layout"):
             pool.punctuate(stamps[-1] + 100.0)
 
 

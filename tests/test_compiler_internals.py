@@ -193,15 +193,17 @@ class TestJoinKeys:
 
 
 class TestFederatedInternals:
-    def test_replace_subtree_swaps_exact_node(self, catalog, builder):
-        from repro.core.federated import _replace_subtree
+    def test_replace_node_swaps_exact_node(self, catalog, builder):
+        """The rebuild the federated optimizer swaps a pushed fragment
+        for its remote feed with."""
+        from repro.plan.exchange import replace_node
 
         plan = builder.build_sql(
             "select sa.room from AreaSensors sa where sa.status = 'open'"
         )
         scan = [n for n in plan.walk() if isinstance(n, Scan)][0]
         remote = RemoteSource("x", scan.schema, 1.0)
-        rebuilt = _replace_subtree(plan, scan, remote)
+        rebuilt = replace_node(plan, scan, remote)
         assert remote in list(rebuilt.walk())
         assert not any(isinstance(n, Scan) for n in rebuilt.walk())
         # Original untouched.

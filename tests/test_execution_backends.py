@@ -11,6 +11,7 @@ the batched stateful operators, and the compiled aggregate fold.
 from __future__ import annotations
 
 from contextlib import nullcontext
+from types import SimpleNamespace
 
 import pytest
 from conftest import declining, deliver, generated, interpreted
@@ -42,6 +43,7 @@ from repro.data.streams import (
 from repro.data.windows import WindowSpec, assign_windows
 from repro.errors import CatalogError, QueryError
 from repro.plan import PlanBuilder
+from repro.plan.logical import RemoteSource
 from repro.sql.compiled import compile_accumulate
 from repro.sql.expressions import (
     Accumulator,
@@ -57,9 +59,10 @@ from repro.stream.partition import partition_safe
 from repro.stream.procshard import _FrameSink, usable_start_method
 from repro.stream.sharded import (
     ShardedStreamEngine,
+    _ExchangeFeed,
+    _ExchangeState,
     _MergeCoordinator,
     _ShardFeed,
-    _SinkFeed,
 )
 from repro.stream.operators import (
     AggregateOp,
@@ -1367,7 +1370,20 @@ def _observed_sink(sink):
 
 def _shard_feed(sink):
     coordinator = _MergeCoordinator(sink, 1)
-    return _ShardFeed(coordinator, 0, skip=5), lambda: coordinator.counts
+    feed = _ShardFeed(coordinator, 0)
+    feed.arm(5)  # as failover arms a recovering replica's feed
+    return feed, lambda: coordinator.counts
+
+
+def _exchange_feed(_sink):
+    """A stage-1 feed armed like a recovering one, depositing into the
+    shuffle buffers of two destinations: the probe is what each
+    destination's flush delivers (punctuations never pass)."""
+    port = SimpleNamespace(name="x", key_positions=(0,), stage1=RemoteSource("xs", _X, 1.0))
+    state = _ExchangeState(SimpleNamespace(specs=[port]), [0, 1], {})
+    feed = _ExchangeFeed(state, 0, 0)
+    feed.arm(5)
+    return feed, lambda: [state.flush(dest) for dest in state.dests]
 
 
 def _frame_sink(_sink):
@@ -1402,7 +1418,7 @@ _CONSUMERS = {
     "tee": _tee,
     "collecting-consumer": _observed_sink,
     "shard-feed-armed": _shard_feed,
-    "sink-feed-armed": lambda sink: (_SinkFeed(sink, 5, 1), lambda: None),
+    "exchange-feed-armed": _exchange_feed,
     "frame-sink": _frame_sink,
 }
 

@@ -60,7 +60,12 @@ from repro.sql.expressions import ColumnRef
 from repro.stream import DistributedStreamEngine
 from repro.stream.checkpoint import CheckpointCoordinator
 from repro.stream.compiler import _ReschemaConsumer
-from repro.stream.multiplex import plan_fingerprint, sharing_eligibility
+from repro.stream.multiplex import (
+    CachedStatement,
+    PlanCache,
+    plan_fingerprint,
+    sharing_eligibility,
+)
 from repro.stream.operators import OutputOp
 from repro.stream.partition import partition_safe
 from repro.stream.procshard import usable_start_method
@@ -483,14 +488,24 @@ class TestPlanCache:
         session.close()
 
     def test_capacity_evicts_lru(self):
-        session = connect(plan_cache_size=2)
+        cache = PlanCache(capacity=2)
+        for key in ("a", "b"):
+            cache.store(key, CachedStatement(None, None, None, "stream", (), 0))
+        assert cache.lookup("a", 0) is not None  # "b" is now the LRU entry
+        cache.store("c", CachedStatement(None, None, None, "stream", (), 0))
+        assert len(cache) == 2 and cache.evictions == 1
+        assert cache.lookup("b", 0) is None
+        assert cache.lookup("a", 0) is not None and cache.lookup("c", 0) is not None
+        # A session's cache holds PlanCache.CAPACITY statements: one
+        # distinct statement more evicts exactly one.
+        session = connect()
         session.attach(StreamSource("Readings", READINGS, rate=10.0))
-        for threshold in (1.0, 2.0, 3.0):
+        for threshold in range(PlanCache.CAPACITY + 1):
             session.query(
-                f"select r.host from Readings r where r.temp > {threshold}"
+                f"select r.host from Readings r where r.temp > {threshold}.5"
             ).close()
         stats = session.stats()["plan_cache"]
-        assert stats["size"] == 2 and stats["evictions"] == 1
+        assert stats["size"] == PlanCache.CAPACITY and stats["evictions"] == 1
         session.close()
 
 

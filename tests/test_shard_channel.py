@@ -3,13 +3,14 @@
 :class:`~repro.stream.sharded.ShardedStreamEngine` reaches its shards
 only through the :mod:`repro.stream.channel` verbs. This file drives one
 scripted scenario — a partition-safe stream⋈table join, an exchanged
-(unaligned) stream join and an exchanged global aggregate; table loads
-on both sides of a checkpoint barrier; named punctuation; a shard kill
-and its failover — through the loopback channel and through the framed
-worker-process channel, and asserts that nothing observable tells them
-apart: per-punctuation-segment emissions (also equal to a single
-engine's), the ``PoolCheckpoint`` the barrier assembled, the replay the
-failover ran and the pool's ``stats()``.
+(unaligned) stream join, an exchanged global aggregate and a fallback
+ORDER BY; table loads on both sides of a checkpoint barrier; named
+punctuation; a shard kill, a fallback kill and their failovers —
+through the loopback channel and through the framed worker-process
+channel, and asserts that nothing observable tells them apart:
+per-punctuation-segment emissions (also equal to a single engine's),
+the ``PoolCheckpoint`` the barrier assembled, the replays the failovers
+ran and the pool's ``stats()``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.data.streams import CallbackConsumer, Punctuation, StreamElement
 from repro.errors import ExecutionError
 from repro.plan import PlanBuilder
 from repro.plan.logical import LogicalOp
-from repro.runtime.faults import kill_shard
+from repro.runtime.faults import kill_fallback, kill_shard
 from repro.stream import channel
 from repro.stream.checkpoint import CheckpointCoordinator, PoolCheckpoint
 from repro.stream.engine import StreamEngine
@@ -70,6 +71,9 @@ QUERIES = [
     # Exchanged: global aggregate, per-shard partials to one merge shard.
     "select count(*) as n, sum(r.temp) as total from Readings r "
     "[range 20 seconds slide 20 seconds]",
+    # Falls back: runs whole on the fallback engine, through a one-slot
+    # merge like every pool query.
+    "select r.host, r.temp from Readings r where r.load > 0.5 order by r.temp",
 ]
 
 POOLS = {"loopback": ShardedStreamEngine, "framed": ProcessShardEngine}
@@ -125,7 +129,8 @@ def _catalog() -> Catalog:
 
 def _script(engine, handles, coordinator=None):
     """The scenario. ``coordinator`` (pools only) adds the barrier and
-    the kill; the single-engine reference runs the same ingest."""
+    the kills; the single-engine reference runs the same ingest."""
+    replays = []
     segments = [[] for _ in handles]
     marks = [0 for _ in handles]
 
@@ -160,11 +165,16 @@ def _script(engine, handles, coordinator=None):
     push(third)
     engine.punctuate(t3)  # finds the corpse, fails over inside the barrier
     segment()
-    engine.punctuate(t3 + 15.0, ["Events"])
+    if coordinator is not None:
+        replays.append(coordinator.last_replay)
+        kill_fallback(engine)
+    engine.punctuate(t3 + 15.0, ["Events"])  # the fallback fails over
     segment()
+    if coordinator is not None:
+        replays.append(coordinator.last_replay)
     engine.punctuate(t3 + 100.0)
     segment()
-    return segments, barrier
+    return segments, barrier, replays
 
 
 @functools.lru_cache(maxsize=None)
@@ -187,12 +197,12 @@ def _scenario(transport):
         builder = PlanBuilder(catalog)
         handles = [pool.execute(builder.build_sql(sql), sql=sql) for sql in QUERIES]
         shapes = [(h.partitioned, h.exchanged) for h in handles]
-        segments, barrier = _script(pool, handles, coordinator)
+        segments, barrier, replays = _script(pool, handles, coordinator)
         return {
             "segments": segments,
             "shapes": shapes,
             "barrier": _normal(barrier, tuple(h.query_id for h in handles)),
-            "replay": coordinator.last_replay,
+            "replays": replays,
             "stats": pool.stats(),
             "transport": pool.worker_stats(),
         }
@@ -235,7 +245,9 @@ class TestChannelContract:
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_emissions_match_the_single_engine_segment_by_segment(self, transport):
         got = _scenario(transport)
-        assert got["shapes"] == [(True, False), (True, True), (True, True)]
+        assert got["shapes"] == [
+            (True, False), (True, True), (True, True), (False, False),
+        ]
         assert got["segments"] == _reference()
         for sql, per_query in zip(QUERIES, got["segments"]):
             assert any(per_query), f"vacuous scenario: no emissions from {sql!r}"
@@ -243,8 +255,9 @@ class TestChannelContract:
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_failover_replayed_only_the_suffix(self, transport):
         got = _scenario(transport)
-        assert got["replay"]["target"] == VICTIM
-        assert got["replay"]["from_seq"] > 0  # the barrier pruned the log
+        assert [replay["target"] for replay in got["replays"]] == [VICTIM, "fb"]
+        for replay in got["replays"]:
+            assert replay["from_seq"] > 0  # the barrier pruned the log
         assert got["transport"].get("restarts", 1) == 1
 
     @pytest.mark.skipif(
@@ -254,7 +267,7 @@ class TestChannelContract:
         loopback, framed = _scenario("loopback"), _scenario("framed")
         assert loopback["segments"] == framed["segments"]
         assert loopback["barrier"] == framed["barrier"]
-        assert loopback["replay"] == framed["replay"]
+        assert loopback["replays"] == framed["replays"]
         assert loopback["stats"] == framed["stats"]
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
@@ -264,8 +277,11 @@ class TestChannelContract:
             ("'Machines'", [(repr((f"ws{i}", f"lab{i % 3}")), 0.0, "Machines") for i in range(5)])
         ]
         assert len(barrier["'shard_chains'"]) == SHARDS
-        safe, join, aggregate = (dict(h) for h in barrier["'handles'"])
+        safe, join, aggregate, fallback = (dict(h) for h in barrier["'handles'"])
         assert len(safe["'replicas'"]) == len(safe["'merge_counts'"]) == SHARDS
+        # The fallback replica's merge has one slot.
+        assert len(fallback["'replicas'"]) == len(fallback["'merge_counts'"]) == 1
+        assert fallback["'merge_counts'"][0] > 0
         assert safe["'shared'"] == [False] * SHARDS and safe["'exchange'"] is None
         for exchanged in (join, aggregate):
             assert exchanged["'shared'"] == [False] * SHARDS
@@ -283,6 +299,32 @@ class TestChannelContract:
         assert exchange["rows_delivered"] > 0
         # Everything was flushed by the final, unnamed punctuation.
         assert exchange["rows_deposited"] == exchange["rows_delivered"]
+
+
+class TestOneMergePerQuery:
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_a_repeated_watermark_is_recorded_once(self, transport):
+        """Every pool query writes through one merge — a fallback
+        query's has one slot — so a cursor's sink records a punctuation
+        only when the watermark advances, however its plan runs."""
+        workers = {"loopback": "inline", "framed": "process"}[transport]
+        session = connect(shards=2, workers=workers)
+        try:
+            session.attach(StreamSource("Readings", READINGS, partition_by="host"))
+            cursors = [
+                session.query("select r.host, r.temp from Readings r where r.temp > 10.0"),
+                session.query(QUERIES[-1]),
+            ]
+            assert [c._handle.partitioned for c in cursors] == [True, False]
+            (chunk, stamp), *_ = _feed()
+            session.push_many("Readings", *chunk["Readings"])
+            session.punctuate(stamp)
+            session.punctuate(stamp)
+            for cursor in cursors:
+                assert cursor.results()
+                assert [p.watermark for p in cursor._handle.sink.punctuations] == [stamp]
+        finally:
+            session.close()
 
 
 @pytest.mark.skipif(
