@@ -10,8 +10,9 @@ module funnels them all through the diagnostics framework:
   verdict (one replica per shard vs designated-engine fallback), using
   the stable code the analysis attaches to each reason;
 * ``RA4xx`` — shared-subplan eligibility
-  (:func:`~repro.stream.multiplex.sharing_eligibility`): would this
-  plan join a multiplexed chain, and if not, why;
+  (:attr:`~repro.plan.logical.LogicalOp.sharing`, the verdict the
+  registry acts on at admission): would this plan join a multiplexed
+  chain, and if not, why;
 * ``RA5xx`` — the federated optimizer's decisions: which fragments were
   pushed in-network (for an aggregation: the predicate, the arguments
   the epoch record folds and the residual's combiners), which sensor
@@ -29,7 +30,6 @@ from typing import Mapping
 
 from repro.core.federated import FederatedPlan
 from repro.plan.logical import Aggregate, LogicalOp, Scan
-from repro.stream.multiplex import sharing_eligibility
 from repro.stream.partition import partition_safe
 
 from repro.analysis.diagnostics import INFO, Diagnostic, diag
@@ -103,7 +103,7 @@ def exchange_diagnostics(
 
 def sharing_diagnostic(plan: LogicalOp) -> Diagnostic:
     """The shared-subplan eligibility verdict as a coded diagnostic."""
-    shareable, code, reason = sharing_eligibility(plan)
+    shareable, code, reason = plan.sharing
     prefix = "joins a shared chain" if shareable else "runs a private pipeline"
     return diag(code, INFO, f"{prefix}: {reason}")
 

@@ -65,6 +65,18 @@ by ``make lint`` / ``make check``):
   on to it instead is a per-site error protocol growing back. Bare
   ``except Exception:`` handlers keep nothing and are not this rule's
   business.
+
+* **RA908 — plan nodes are write-once.** A logical plan node caches
+  what it derives from its subtree on itself (a join's shape, the
+  structural fingerprint, the sharing verdict) and the plan cache hands
+  one plan object to every admission of a statement, so both rest on
+  "operators are immutable; rewrites build new trees"
+  (:mod:`repro.plan.logical`). A ``LogicalOp`` class — the base or any
+  subclass — assigns or deletes an attribute of ``self`` (by
+  ``self.name = ...``, ``setattr``, ``object.__setattr__`` or
+  ``self.__dict__[...]``) in its own ``__init__`` only. The writes
+  ``functools.cached_property`` makes on first read happen inside the
+  library, not in the class body, and are not this rule's business.
 """
 
 from __future__ import annotations
@@ -152,6 +164,8 @@ def lint_engine(root: Path | None = None) -> list[Diagnostic]:
         modules[rel] = ast.parse(path.read_text(), filename=rel)
     classes = _collect_classes(modules)
     operator_classes = _subclasses_of("Operator", classes)
+    plan_classes = [info for info in classes if info.name == "LogicalOp"]
+    plan_classes += _subclasses_of("LogicalOp", classes)
     out: list[Diagnostic] = []
     _check_snapshot_pairs(operator_classes, out)
     _check_push_batch(modules, out)
@@ -160,6 +174,7 @@ def lint_engine(root: Path | None = None) -> list[Diagnostic]:
     _check_compile_calls(modules, out)
     _check_stream_eval_calls(modules, out)
     _check_parked_errors(modules, out)
+    _check_plan_writes(plan_classes, out)
     return out
 
 
@@ -543,3 +558,61 @@ def _hands_on(node: ast.AST, name: str) -> bool:
         and node.func.id == "park"
         and any(isinstance(arg, ast.Name) and arg.id == name for arg in node.args)
     )
+
+
+# ----------------------------------------------------------------------
+# RA908: plan nodes are write-once
+# ----------------------------------------------------------------------
+def _check_plan_writes(plan_classes: list[_ClassInfo], out: list[Diagnostic]) -> None:
+    for info in plan_classes:
+        for method in info.node.body:
+            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if method.name == "__init__" or not method.args.args:
+                continue
+            if any(
+                isinstance(d, ast.Name) and d.id in ("staticmethod", "classmethod")
+                for d in method.decorator_list
+            ):
+                continue
+            self_name = method.args.args[0].arg
+            for node in ast.walk(method):
+                if _writes_self(node, self_name):
+                    out.append(
+                        diag(
+                            "RA908",
+                            ERROR,
+                            f"{info.name}.{method.name} writes an attribute of "
+                            f"{self_name}: plan nodes are write-once, assigned in "
+                            "__init__ only (rewrites build new trees; a node's "
+                            "cached fingerprint and sharing verdict describe the "
+                            "tree it was built as)",
+                            operator=f"{info.module}:{node.lineno}",
+                        )
+                    )
+
+
+def _writes_self(node: ast.AST, self_name: str) -> bool:
+    """Whether ``node`` assigns or deletes an attribute of ``self_name``."""
+
+    def is_self(expr: ast.AST) -> bool:
+        return isinstance(expr, ast.Name) and expr.id == self_name
+
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+        return is_self(node.value)
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+        owner = node.value
+        return (
+            isinstance(owner, ast.Attribute)
+            and owner.attr == "__dict__"
+            and is_self(owner.value)
+        )
+    if isinstance(node, ast.Call) and node.args and is_self(node.args[0]):
+        func = node.func
+        return (isinstance(func, ast.Name) and func.id in ("setattr", "delattr")) or (
+            isinstance(func, ast.Attribute)
+            and func.attr in ("__setattr__", "__delattr__")
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "object"
+        )
+    return False

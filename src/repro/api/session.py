@@ -415,8 +415,14 @@ class Session:
         """
         cacheable = placement is None and engine is None
         if cacheable:
-            with self._compiling(sql):
+            # Inline rather than under ``_compiling``: a hit enters no
+            # context manager. The lexer raises ParseError alone.
+            try:
                 key = normalize_sql(sql)
+            except ParseError as exc:
+                raise QueryError(
+                    str(exc), line=exc.line, column=exc.column, sql=sql
+                ) from exc
             entry = self._plan_cache.lookup(key, self.catalog.schema_epoch)
             if entry is not None:
                 self._analyze_entry(entry, sql, cached=True)

@@ -3,7 +3,17 @@
 A logical plan is an operator tree independent of any engine. The
 federated optimizer partitions logical plans between the sensor and
 stream engines; each engine then instantiates physical operators for its
-fragment. Operators are immutable; rewrites build new trees.
+fragment.
+
+Operators are immutable; rewrites build new trees. That is load-bearing:
+a node caches what is derived from its subtree alone on itself, once,
+when first read — a join's shape (:attr:`Join.equi`, ...), the
+structural :attr:`~LogicalOp.fingerprint` and the :attr:`~LogicalOp
+.sharing` verdict — and the plan cache hands one plan object to every
+admission of a statement, so a write after construction would leave
+those values describing another tree. The engine-invariant linter
+enforces it (RA908): a subclass assigns attributes in its own
+``__init__`` only.
 """
 
 from __future__ import annotations
@@ -57,6 +67,75 @@ class LogicalOp:
                 out |= quals or {node.name}
         return out
 
+    @cached_property
+    def fingerprint(self) -> tuple | None:
+        """Structural identity of this subtree, or None when it is never
+        shared.
+
+        Two subtrees with equal fingerprints compile to operator
+        pipelines that transform identical inputs into identical
+        outputs: every semantic detail — source, binding, window,
+        predicate and projection renders, aggregate calls, key names —
+        participates. Bindings matter because a chain's output schema is
+        binding-qualified: a projecting or aggregating chain builds its
+        rows under that schema, so sharing across bindings would deliver
+        rows under another query's field names. A subtree over a node
+        without one has none. Output (display side effects would
+        dedupe), RemoteSource and ExchangeSource (fed by name from
+        another engine or shard), CteRef and Recursive keep this None.
+        """
+        return None
+
+    @cached_property
+    def sharing(self) -> tuple[bool, str, str]:
+        """Why this plan may (or may not) run as a shared chain
+        (:mod:`repro.stream.multiplex`).
+
+        ``(shareable, code, reason)`` with a stable ``RA4xx`` code (see
+        :mod:`repro.analysis.diagnostics`): the registry acts on it at
+        admission and ``session.explain`` reports it. Chain-warmth
+        declines are runtime state, not eligibility, and are not
+        reported here.
+        """
+        for node in self.walk():
+            if isinstance(node, Output):
+                return (
+                    False,
+                    "RA401",
+                    "OUTPUT TO DISPLAY has per-query side effects; a shared "
+                    "chain would fire the display once for N queries",
+                )
+            if isinstance(node, CteRef):
+                return (
+                    False,
+                    "RA403",
+                    "recursive CTE references evaluate per query on the batch "
+                    "engine and are never shared",
+                )
+            if isinstance(node, RemoteSource):
+                return (
+                    False,
+                    "RA402",
+                    f"remote feed {node.name!r} is delivered per engine; "
+                    "tee-sharing it would double-deliver fragment outputs",
+                )
+            if isinstance(node, Scan) and node.entry.kind is not SourceKind.STREAM:
+                return (
+                    False,
+                    "RA404",
+                    f"stored table {node.entry.name!r} is replayed into fresh "
+                    "queries at execute time, which a late tee attach cannot "
+                    "reproduce",
+                )
+        if self.fingerprint is None:
+            return (
+                False,
+                "RA405",
+                "plan shape has no structural fingerprint; identity cannot be "
+                "established across queries",
+            )
+        return True, "RA400", "structurally fingerprintable over stream scans only"
+
     def walk(self) -> Iterator["LogicalOp"]:
         """Pre-order traversal."""
         yield self
@@ -95,6 +174,18 @@ class Scan(LogicalOp):
     @property
     def schema(self) -> Schema:
         return self._schema
+
+    @cached_property
+    def fingerprint(self) -> tuple:
+        # The column layout participates: a source detached and attached
+        # again under the same name with other columns is another scan.
+        return (
+            "scan",
+            self.entry.name.lower(),
+            self.binding,
+            self.window.render() if self.window is not None else None,
+            tuple((f.name, f.dtype.value) for f in self._schema),
+        )
 
     def describe(self) -> str:
         window = f" {self.window.render()}" if self.window else ""
@@ -170,6 +261,11 @@ class Select(LogicalOp):
         self.child = child
         self.predicate = predicate
 
+    @cached_property
+    def fingerprint(self) -> tuple | None:
+        child = self.child.fingerprint
+        return None if child is None else ("select", child, self.predicate.render())
+
     @property
     def schema(self) -> Schema:
         return self.child.schema
@@ -203,6 +299,17 @@ class Project(LogicalOp):
             Field(item.name, item.expr.dtype(child.schema)) for item in items
         )
 
+    @cached_property
+    def fingerprint(self) -> tuple | None:
+        child = self.child.fingerprint
+        if child is None:
+            return None
+        return (
+            "project",
+            child,
+            tuple((item.expr.render(), item.name) for item in self.items),
+        )
+
     @property
     def schema(self) -> Schema:
         return self._schema
@@ -234,6 +341,14 @@ class Join(LogicalOp):
         self.right = right
         self.predicate = predicate
         self._schema = left.schema.concat(right.schema)
+
+    @cached_property
+    def fingerprint(self) -> tuple | None:
+        left, right = self.left.fingerprint, self.right.fingerprint
+        if left is None or right is None:
+            return None
+        predicate = self.predicate.render() if self.predicate is not None else None
+        return ("join", left, right, predicate)
 
     @cached_property
     def windows(self) -> tuple[WindowSpec, WindowSpec]:
@@ -322,6 +437,20 @@ class Aggregate(LogicalOp):
         ]
         self._schema = Schema(fields)
 
+    @cached_property
+    def fingerprint(self) -> tuple | None:
+        child = self.child.fingerprint
+        if child is None:
+            return None
+        return (
+            "aggregate",
+            child,
+            tuple(expr.render() for expr in self.group_by),
+            tuple(self.key_names),
+            tuple((item.call.render(), item.name) for item in self.aggregates),
+            self.window.render() if self.window is not None else None,
+        )
+
     @property
     def schema(self) -> Schema:
         return self._schema
@@ -354,6 +483,11 @@ class Distinct(LogicalOp):
         super().__init__()
         self.child = child
 
+    @cached_property
+    def fingerprint(self) -> tuple | None:
+        child = self.child.fingerprint
+        return None if child is None else ("distinct", child)
+
     @property
     def schema(self) -> Schema:
         return self.child.schema
@@ -373,6 +507,13 @@ class OrderBy(LogicalOp):
         super().__init__()
         self.child = child
         self.items = list(items)
+
+    @cached_property
+    def fingerprint(self) -> tuple | None:
+        child = self.child.fingerprint
+        if child is None:
+            return None
+        return ("orderby", child, tuple(item.render() for item in self.items))
 
     @property
     def schema(self) -> Schema:
@@ -396,6 +537,11 @@ class Limit(LogicalOp):
             raise PlanError("LIMIT must be non-negative")
         self.child = child
         self.count = count
+
+    @cached_property
+    def fingerprint(self) -> tuple | None:
+        child = self.child.fingerprint
+        return None if child is None else ("limit", child, self.count)
 
     @property
     def schema(self) -> Schema:

@@ -169,11 +169,17 @@ def result_sink(plan: LogicalOp, sink: StreamConsumer) -> StreamConsumer:
     ``plan.schema``. The walk stops at Output: the compiler applies this
     to the node below ``OutputOp``, so the display reads the labels the
     sink does.
+
+    A sink that reads nothing of an element but ``row.values``,
+    ``timestamp`` and ``source`` says so with a true ``positional``
+    class attribute — the pool's stage-1 exchange feeds and a worker's
+    frame sink, whose rows are built again under the right schema where
+    they land — and takes the rows as they come.
     """
     node = plan
     while isinstance(node, (Select, Distinct, OrderBy, Limit)):
         node = node.child
-    if isinstance(node, Scan):
+    if isinstance(node, Scan) and not getattr(sink, "positional", False):
         return _ReschemaConsumer(plan.schema, sink)
     return sink
 

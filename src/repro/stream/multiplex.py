@@ -17,6 +17,13 @@ operator pipeline per query). This module removes both:
   structure, fanned out to its distinct consumers via :class:`TeeOp`
   with reference-counted teardown.
 
+A fingerprint (:attr:`~repro.plan.logical.LogicalOp.fingerprint`) and a
+plan's sharing verdict (:attr:`~repro.plan.logical.LogicalOp.sharing`)
+live on the plan node, computed the first time they are read and never
+again: the plan cache hands every admission of a statement the same
+plan object, so a warm admission reads both without walking the tree
+or rendering an expression.
+
 Chain model
 -----------
 Every shared-eligible query reads a *whole-plan* chain — through a
@@ -54,10 +61,10 @@ next admission of the same template takes back. The stateless part of
 the DAG is therefore history-dependent, which is why checkpoints record
 stateful chains only (:meth:`SubplanRegistry.snapshot_chains`).
 
-Correctness gates: a query shares only if its plan has no Output,
-RemoteSource or CteRef nodes and reads only stream sources (stored
-tables are replayed at execute time, which a late tee attach cannot
-reproduce). A *stateless* chain (Filter/Project/Fused only) accepts
+Correctness gates (``LogicalOp.sharing``): a query shares only if its
+plan has no Output, RemoteSource or CteRef nodes and reads only stream
+sources (stored tables are replayed at execute time, which a late tee
+attach cannot reproduce). A *stateless* chain (Filter/Project/Fused only) accepts
 attaches at any time — a new branch sees exactly the future elements a
 fresh pipeline would. A *stateful* chain (aggregate/join/window state)
 accepts attaches only while cold (no ingest or punctuation since it was
@@ -78,13 +85,7 @@ from repro.data.streams import EDGE, CollectingConsumer, LogView, outermost, par
 from repro.errors import ExecutionError
 from repro.plan.logical import (
     Aggregate,
-    CteRef,
-    Distinct,
-    Join,
-    Limit,
     LogicalOp,
-    OrderBy,
-    Output,
     Project,
     RemoteSource,
     Scan,
@@ -99,8 +100,6 @@ __all__ = [
     "SharedChain",
     "SubplanRegistry",
     "TeeOp",
-    "plan_fingerprint",
-    "sharing_eligibility",
 ]
 
 
@@ -184,7 +183,8 @@ class SharedFeed(RemoteSource):
     itself, so :func:`~repro.plan.logical.side_window` (a join over the
     cut keeps the window its scans declared), infinite-input checks and
     relation discovery all see the real scans beneath the cut; the
-    inherited ``window`` field is never read.
+    inherited ``window`` field is never read. Its ``fingerprint`` is the
+    wrapped subtree's, so a chain over the cut keys as the subtree would.
     """
 
     def __init__(self, wrapped: LogicalOp, chain_id: int):
@@ -192,135 +192,15 @@ class SharedFeed(RemoteSource):
         self.wrapped = wrapped
         self.chain_id = chain_id
 
+    @property
+    def fingerprint(self) -> tuple | None:
+        return self.wrapped.fingerprint
+
     def walk(self) -> Iterator[LogicalOp]:
         yield from self.wrapped.walk()
 
     def describe(self) -> str:
         return f"SharedFeed(chain={self.chain_id}, {self.wrapped.describe()})"
-
-
-# ----------------------------------------------------------------------
-# Structural fingerprints
-# ----------------------------------------------------------------------
-def plan_fingerprint(node: LogicalOp) -> tuple | None:
-    """Structural identity of a plan subtree, or None when unshareable.
-
-    Two subtrees with equal fingerprints compile to operator pipelines
-    that transform identical inputs into identical outputs: every
-    semantic detail — source, binding, window, predicate and projection
-    renders, aggregate calls, key names — participates. Bindings matter
-    because a chain's output schema is binding-qualified: a projecting
-    or aggregating chain builds its rows under that schema, so sharing
-    across bindings would deliver rows under another query's field
-    names.
-    """
-    if isinstance(node, SharedFeed):
-        return plan_fingerprint(node.wrapped)
-    if isinstance(node, Scan):
-        # The column layout participates: a source detached and attached
-        # again under the same name with other columns is another scan.
-        return (
-            "scan",
-            node.entry.name.lower(),
-            node.binding,
-            node.window.render() if node.window is not None else None,
-            tuple((f.name, f.dtype.value) for f in node.schema),
-        )
-    if isinstance(node, Select):
-        child = plan_fingerprint(node.child)
-        return None if child is None else ("select", child, node.predicate.render())
-    if isinstance(node, Project):
-        child = plan_fingerprint(node.child)
-        if child is None:
-            return None
-        return (
-            "project",
-            child,
-            tuple((item.expr.render(), item.name) for item in node.items),
-        )
-    if isinstance(node, Join):
-        left = plan_fingerprint(node.left)
-        right = plan_fingerprint(node.right)
-        if left is None or right is None:
-            return None
-        predicate = node.predicate.render() if node.predicate is not None else None
-        return ("join", left, right, predicate)
-    if isinstance(node, Aggregate):
-        child = plan_fingerprint(node.child)
-        if child is None:
-            return None
-        return (
-            "aggregate",
-            child,
-            tuple(expr.render() for expr in node.group_by),
-            tuple(node.key_names),
-            tuple((item.call.render(), item.name) for item in node.aggregates),
-            node.window.render() if node.window is not None else None,
-        )
-    if isinstance(node, Distinct):
-        child = plan_fingerprint(node.child)
-        return None if child is None else ("distinct", child)
-    if isinstance(node, OrderBy):
-        child = plan_fingerprint(node.child)
-        if child is None:
-            return None
-        return ("orderby", child, tuple(item.render() for item in node.items))
-    if isinstance(node, Limit):
-        child = plan_fingerprint(node.child)
-        return None if child is None else ("limit", child, node.count)
-    # Output (display side effects would dedupe), RemoteSource (fed by
-    # name from another engine), CteRef, Recursive: never shared.
-    return None
-
-
-def sharing_eligibility(plan: LogicalOp) -> tuple[bool, str, str]:
-    """Why ``plan`` may (or may not) run as a shared chain.
-
-    Returns ``(shareable, code, reason)`` with a stable ``RA4xx`` code
-    (see :mod:`repro.analysis.diagnostics`) so ``session.explain`` and
-    the registry's decline path report the same explanation. Pure
-    function of the plan — the registry applies it at admission;
-    chain-warmth declines are runtime state, not eligibility, and are
-    not reported here.
-    """
-    for node in plan.walk():
-        if isinstance(node, Output):
-            return (
-                False,
-                "RA401",
-                "OUTPUT TO DISPLAY has per-query side effects; a shared "
-                "chain would fire the display once for N queries",
-            )
-        if isinstance(node, CteRef):
-            return (
-                False,
-                "RA403",
-                "recursive CTE references evaluate per query on the batch "
-                "engine and are never shared",
-            )
-        if isinstance(node, RemoteSource):
-            return (
-                False,
-                "RA402",
-                f"remote feed {node.name!r} is delivered per engine; "
-                "tee-sharing it would double-deliver fragment outputs",
-            )
-        if isinstance(node, Scan) and node.entry.kind is not SourceKind.STREAM:
-            return (
-                False,
-                "RA404",
-                f"stored table {node.entry.name!r} is replayed into fresh "
-                "queries at execute time, which a late tee attach cannot "
-                "reproduce",
-            )
-    if plan_fingerprint(plan) is None:
-        return (
-            False,
-            "RA405",
-            "plan shape has no structural fingerprint; identity cannot be "
-            "established across queries",
-        )
-    return True, "RA400", "structurally fingerprintable over stream scans only"
 
 
 # ----------------------------------------------------------------------
@@ -422,7 +302,7 @@ class SubplanRegistry:
         cannot be fingerprinted (``last_decline`` then carries the coded
         reason), in which case the engine compiles it privately.
         """
-        shareable, code, reason = sharing_eligibility(plan)
+        shareable, code, reason = plan.sharing
         if not shareable:
             self.declined += 1
             self.last_decline = (code, reason)
@@ -477,7 +357,7 @@ class SubplanRegistry:
         waiting for: the *split*. Each inliner is re-lowered onto the
         new chain (see :meth:`_relower`).
         """
-        fingerprint = plan_fingerprint(subtree)
+        fingerprint = subtree.fingerprint
         assert fingerprint is not None
         chain = self._live(fingerprint, subtree.schema)
         if chain is not None:
@@ -626,7 +506,7 @@ class SubplanRegistry:
                     inner = self._acquire(child)
                     node = replace_child(node, child, SharedFeed(child, inner.chain_id))
                     continue
-                inlined.append(plan_fingerprint(child))
+                inlined.append(child.fingerprint)
             rewritten = self._rewrite(child, inlined)
             if rewritten is not child:
                 node = replace_child(node, child, rewritten)
@@ -634,7 +514,7 @@ class SubplanRegistry:
 
     def _wanted(self, prefix: LogicalOp) -> bool:
         """Does anybody besides the chain being lowered want ``prefix``?"""
-        fingerprint = plan_fingerprint(prefix)
+        fingerprint = prefix.fingerprint
         return (
             fingerprint in self._inliners
             or self._live(fingerprint, prefix.schema) is not None

@@ -492,9 +492,13 @@ class _FrameSink:
     punctuations — preserving interleaving so the parent's merge
     coordinator sees the exact per-boundary order. Runs keep the frame
     one tuple per burst instead of one per element, which is most of
-    the transport's per-element pickle and allocation cost."""
+    the transport's per-element pickle and allocation cost. Only values,
+    timestamps and sources cross (``positional``): the parent builds the
+    rows again under the query's schema, so a replica hands this sink
+    its rows unlabelled."""
 
     __slots__ = ("items", "_source", "_values", "_stamps")
+    positional = True
 
     def __init__(self):
         self.items: list[tuple] = []

@@ -351,10 +351,14 @@ class _ExchangeFeed(_Feed):
     elements into it, a framed channel the decoded column runs
     (``push_run``) — and either way a run is deposited by one
     :meth:`_ExchangeState.deposit_run` call (one loop, destinations
-    memoized per key value), never row by row.
+    memoized per key value), never row by row. It reads only each
+    element's values and timestamp (``positional``): a hand-built
+    stage-1 replica hands it source rows unlabelled, and
+    ``push_exchange`` builds them again under the leaf's schema.
     """
 
     __slots__ = ("_state", "_ordinal", "_src")
+    positional = True
 
     def __init__(self, state: _ExchangeState, ordinal: int, src: int):
         super().__init__()

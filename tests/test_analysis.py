@@ -55,7 +55,6 @@ from repro.plan.logical import (
 )
 from repro.sql.ast import OrderItem
 from repro.sql.expressions import AggregateCall, BinaryOp, ColumnRef, Literal
-from repro.stream.multiplex import sharing_eligibility
 from repro.stream.partition import partition_safe
 
 READINGS = Schema.of(("room", DataType.STRING), ("temp", DataType.FLOAT))
@@ -588,20 +587,20 @@ class TestExchangeCodes:
 class TestSharingCodes:
     def test_ra400_plain_stream_plan(self):
         plan = _plan("select r.room from Readings r where r.temp > 1.0")
-        shareable, code, _ = sharing_eligibility(plan)
+        shareable, code, _ = plan.sharing
         assert shareable and code == "RA400"
         assert sharing_diagnostic(plan).code == "RA400"
 
     def test_ra401_output(self):
         plan = Output(_plan("select r.room from Readings r"), "display")
-        assert sharing_eligibility(plan)[1] == "RA401"
+        assert plan.sharing[1] == "RA401"
 
     def test_ra402_remote_source(self):
         plan = Project(
             RemoteSource("remote_1", READINGS.qualified("r")),
             [ProjectItem(ColumnRef("r.room"), "room")],
         )
-        assert sharing_eligibility(plan)[1] == "RA402"
+        assert plan.sharing[1] == "RA402"
 
     def test_ra403_cte_ref(self):
         from repro.plan.logical import CteRef
@@ -610,11 +609,11 @@ class TestSharingCodes:
             CteRef("c", "c", Schema.of(("n", DataType.STRING))),
             [ProjectItem(ColumnRef("c.n"), "n")],
         )
-        assert sharing_eligibility(plan)[1] == "RA403"
+        assert plan.sharing[1] == "RA403"
 
     def test_ra404_stored_table_scan(self):
         plan = _plan("select m.host from Machines m")
-        assert sharing_eligibility(plan)[1] == "RA404"
+        assert plan.sharing[1] == "RA404"
 
     def test_ra405_no_fingerprint(self):
         catalog = _catalog()
@@ -623,7 +622,7 @@ class TestSharingCodes:
             [ProjectItem(ColumnRef("r.room"), "n")],
         )
         recursive = Recursive("c", Schema.of(("n", DataType.STRING)), base, base)
-        shareable, code, _ = sharing_eligibility(recursive)
+        shareable, code, _ = recursive.sharing
         assert not shareable and code == "RA405"
 
 
@@ -1190,6 +1189,58 @@ class TestEngineLinter:
         diags = lint_engine(root)
         assert _codes(diags) == ["RA907"]
         assert diags[0].operator == "data/streams.py:6"
+
+    def test_ra908_plan_nodes_are_write_once(self, tmp_path):
+        """A plan node (the base or a subclass, in any module) that
+        writes an attribute of itself outside its own ``__init__`` is
+        flagged, by any spelling; ``__init__`` writes, cached
+        properties, static helpers and other classes are not."""
+        root = self._tree(
+            tmp_path,
+            {
+                "plan/__init__.py": "",
+                "plan/logical.py": (
+                    "from functools import cached_property\n"
+                    "class LogicalOp:\n"
+                    "    def __init__(self):\n"
+                    "        self.plan_id = 1\n"
+                    "    @cached_property\n"
+                    "    def fingerprint(self):\n"
+                    "        return None\n"
+                    "class Select(LogicalOp):\n"
+                    "    def __init__(self, child):\n"
+                    "        super().__init__()\n"
+                    "        self.child = child\n"
+                    "    def rebase(self, child):\n"
+                    "        self.child = child\n"
+                    "    @staticmethod\n"
+                    "    def helper(node):\n"
+                    "        return node\n"
+                    "class Counter:\n"
+                    "    def bump(self):\n"
+                    "        self.count = 1\n"
+                ),
+                "plan/exchange.py": (
+                    "from repro.plan.logical import Select\n"
+                    "class Partial(Select):\n"
+                    "    def forget(me):\n"
+                    "        del me.child\n"
+                    "        setattr(me, 'child', None)\n"
+                    "        object.__setattr__(me, 'child', None)\n"
+                    "        me.__dict__['fingerprint'] = None\n"
+                    "        me.items[0] = None\n"
+                ),
+            },
+        )
+        diags = lint_engine(root)
+        assert _codes(diags) == ["RA908"] * 5
+        assert [d.operator for d in diags] == [
+            "plan/exchange.py:4",
+            "plan/exchange.py:5",
+            "plan/exchange.py:6",
+            "plan/exchange.py:7",
+            "plan/logical.py:13",
+        ]
 
 
 # ----------------------------------------------------------------------
