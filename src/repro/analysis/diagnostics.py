@@ -96,7 +96,7 @@ CODES: dict[str, str] = {
     "RA905": "generated source is compiled only by the one memoized helper",
     "RA906": "the stream engine reaches the interpreter only through sql.compiled",
     "RA907": "an error is handed to the edge",
-    "RA908": "plan nodes are write-once: attributes are assigned in __init__ only",
+    "RA908": "plan nodes are write-once; nothing writes into another object's __dict__",
 }
 
 

@@ -77,6 +77,11 @@ by ``make lint`` / ``make check``):
   ``self.__dict__[...]``) in its own ``__init__`` only. The writes
   ``functools.cached_property`` makes on first read happen inside the
   library, not in the class body, and are not this rule's business.
+  Outside the plan classes the rule reads every module: a write into
+  another object's ``__dict__`` by subscript (``node.__dict__[key] =
+  ...`` or ``del``) is flagged anywhere under ``src/repro`` — a memo of
+  a node belongs in a mapping keyed by the node, not on it — except
+  ``self.__dict__[...]`` inside its own class's ``__init__``.
 """
 
 from __future__ import annotations
@@ -175,6 +180,7 @@ def lint_engine(root: Path | None = None) -> list[Diagnostic]:
     _check_stream_eval_calls(modules, out)
     _check_parked_errors(modules, out)
     _check_plan_writes(plan_classes, out)
+    _check_dict_writes(modules, out)
     return out
 
 
@@ -592,6 +598,36 @@ def _check_plan_writes(plan_classes: list[_ClassInfo], out: list[Diagnostic]) ->
                     )
 
 
+def _check_dict_writes(modules: dict[str, ast.Module], out: list[Diagnostic]) -> None:
+    """Every ``<expr>.__dict__[...]`` store or delete, bar ``self`` in
+    its own class's ``__init__`` and the plan-class writes flagged
+    already."""
+    flagged = {d.operator for d in out if d.code == "RA908"}
+    for rel, tree in modules.items():
+        inits = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+        allowed = {
+            id(n) for f in inits if f.args.args for n in ast.walk(f) if _dict_write(n, f.args.args[0].arg)
+        }
+        for node in ast.walk(tree):
+            where = f"{rel}:{getattr(node, 'lineno', 0)}"
+            if _dict_write(node) and id(node) not in allowed and where not in flagged:
+                message = "writes into another object's __dict__: memoize in a mapping keyed by it"
+                out.append(diag("RA908", ERROR, message, operator=where))
+
+
+def _dict_write(node: ast.AST, owner: str | None = None) -> bool:
+    """Whether ``node`` stores into or deletes from ``X.__dict__[...]``
+    (with ``owner``: only where ``X`` is that name)."""
+    target = getattr(node, "value", None)
+    return (
+        isinstance(node, ast.Subscript)
+        and isinstance(node.ctx, (ast.Store, ast.Del))
+        and isinstance(target, ast.Attribute)
+        and target.attr == "__dict__"
+        and (owner is None or isinstance(target.value, ast.Name) and target.value.id == owner)
+    )
+
+
 def _writes_self(node: ast.AST, self_name: str) -> bool:
     """Whether ``node`` assigns or deletes an attribute of ``self_name``."""
 
@@ -600,13 +636,8 @@ def _writes_self(node: ast.AST, self_name: str) -> bool:
 
     if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
         return is_self(node.value)
-    if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
-        owner = node.value
-        return (
-            isinstance(owner, ast.Attribute)
-            and owner.attr == "__dict__"
-            and is_self(owner.value)
-        )
+    if _dict_write(node, self_name):
+        return True
     if isinstance(node, ast.Call) and node.args and is_self(node.args[0]):
         func = node.func
         return (isinstance(func, ast.Name) and func.id in ("setattr", "delattr")) or (

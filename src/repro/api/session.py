@@ -141,8 +141,14 @@ def connect(
     punctuation-aligned barriers every ``W`` of watermark progress, and
     a failed engine — ``repro.runtime.faults.kill_shard``, or a real
     crash in an embedding — is restored from the latest barrier plus a
-    replay of the suffix of ingested elements since it. The coordinator
-    is exposed as ``session.checkpointer``.
+    replay of the suffix of ingested elements since it. A barrier holds
+    operator state and counts, never results: every cursor keeps its
+    sink through the failure, and what the replay derives again is
+    skipped, so ``results()`` and subscriptions read as if nothing had
+    failed (a single engine's ``session.checkpointer.recover()``
+    returns the cursors' own handles). A new process restored from a
+    ``FileCheckpointStore`` starts new sinks that read from the barrier
+    on. The coordinator is exposed as ``session.checkpointer``.
 
     ``share_plans`` (default True) turns on standing-query multiplexing
     on stream engines this session *builds*: continuous queries with a

@@ -240,8 +240,10 @@ class CollectingConsumer:
         self.elements: list[StreamElement] = []
         self.punctuations: list[Punctuation] = []
         #: Times clear() has run — lets incremental readers (e.g.
-        #: QueryHandle.latest_batch) detect a reset even after a refill.
+        #: QueryHandle.latest_batch) detect a reset.
         self.clears = 0
+        #: Elements clear() has dropped (see :attr:`received`).
+        self._cleared = 0
         #: Rebound, never mutated: a fan-out in flight keeps its list.
         self._observers: list[Observer] = []
         #: ``(run, observers)`` stored while a fan-out is in flight;
@@ -319,13 +321,14 @@ class CollectingConsumer:
         watermark = punctuations[-1].watermark if punctuations else float("-inf")
         return self.elements, 0, len(self.elements), watermark
 
-    def restore(self, state: dict) -> None:
-        """Refill from a checkpointed ``snapshot_sink`` state."""
-        self.elements[:] = state["elements"]
-        self.punctuations[:] = state["punctuations"]
-        self.clears = state["clears"]
+    @property
+    def received(self) -> int:
+        """Elements received since this sink was made — ``clear()`` does
+        not reset it (a restored query skips re-derived output by it)."""
+        return self._cleared + len(self.elements)
 
     def clear(self) -> None:
+        self._cleared += len(self.elements)
         self.elements.clear()
         self.punctuations.clear()
         self.clears += 1
@@ -354,7 +357,9 @@ class LogView:
       hold) until the view closes.
 
     ``elements`` / ``punctuations`` / ``rows`` are copies of the
-    view's slice; :meth:`extent` reads it without one.
+    view's slice; :meth:`extent` reads it without one. The log and its
+    views outlive an engine failure: the restored chain writes into the
+    same log again.
     """
 
     def __init__(self, log: CollectingConsumer) -> None:
@@ -388,6 +393,11 @@ class LogView:
     def __len__(self) -> int:
         return self._bounds()[0] - self._start
 
+    @property
+    def received(self) -> int:
+        """The log's :attr:`~CollectingConsumer.received`."""
+        return self.log.received
+
     def extent(self) -> tuple[list[StreamElement], int, int, float]:
         """As :meth:`CollectingConsumer.extent`, over the log's list."""
         end, pend = self._bounds()
@@ -415,20 +425,6 @@ class LogView:
     def clear(self) -> None:
         self._start, self._pstart = self._bounds()
         self.clears += 1
-
-    def restore(self, state: dict) -> None:
-        """Take a checkpointed slice back. Every open view's slice is a
-        suffix of its log, so the longest one refills a fresh log and
-        the others start where their suffix does: restore the views of
-        one log longest slice first."""
-        log, elements, punctuations = self.log, state["elements"], state["punctuations"]
-        if len(elements) > len(log.elements):
-            log.elements[:] = elements
-        if len(punctuations) > len(log.punctuations):
-            log.punctuations[:] = punctuations
-        self._start = len(log.elements) - len(elements)
-        self._pstart = len(log.punctuations) - len(punctuations)
-        self.clears = state["clears"]
 
 
 def push_all(consumer: StreamConsumer, elements: list[StreamElement]) -> None:

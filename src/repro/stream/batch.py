@@ -9,12 +9,13 @@ the streaming operators against.
 Evaluation uses the schema-bound evaluators of
 :mod:`repro.sql.compiled`: predicates, projections, join keys and group
 keys resolve column positions once per plan node instead of per row,
-and compilation is memoized on the node so the fixpoint's repeated step
+and compilation is memoized per node so the fixpoint's repeated step
 evaluations reuse the same closures.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Iterable
 
 from repro.data.schema import Schema
@@ -40,18 +41,22 @@ from repro.sql.expressions import Accumulator
 from repro.stream.operators import _Descending, _positional_key
 
 
+#: Plan node -> its compiled artifacts, held only as long as the node.
+_compiled: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _node_compiled(node, factory):
-    """Compiled artifacts memoized on the plan node itself.
+    """Compiled artifacts memoized per plan node.
 
     The recursive-view maintainer evaluates the same (immutable) plan
-    tree thousands of times over tiny deltas; an attribute read per call
-    is the only per-call cost this cache adds, unlike key-hashing the
-    expression tree.
+    tree thousands of times over tiny deltas; a lookup keyed by the node
+    (plan nodes hash by identity) is the only per-call cost this cache
+    adds, unlike key-hashing the expression tree. Plan nodes are
+    write-once (lint rule RA908), so the memo lives beside them.
     """
-    cached = node.__dict__.get("_batch_compiled")
+    cached = _compiled.get(node)
     if cached is None:
-        cached = factory()
-        node.__dict__["_batch_compiled"] = cached
+        cached = _compiled[node] = factory()
     return cached
 
 

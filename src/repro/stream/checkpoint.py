@@ -20,8 +20,24 @@ provides the recovery spine:
   operator order matches the snapshot positionally), loads state, and
   replays only the **log suffix since the barrier**; the sharded pool's
   failover (:meth:`ShardedStreamEngine._recover`) does the same per
-  shard through the shard's channel, deduplicating re-derived emissions
-  against the merge coordinator's forwarded counts.
+  shard through the shard's channel.
+
+A checkpoint holds operator state, tables and counts — never results.
+Results stay where they were delivered: a query's sink (a shared
+query's view reads its chain's log) outlives an engine death, and the
+restored pipeline writes into it again through a :class:`Feed`, which
+drops what the replay derives a second time, counted against what the
+sink had received at the barrier — on a pool, what the query's merge
+slot had forwarded. A recovery is therefore invisible to a cursor's
+``results()`` and subscriptions, and a checkpoint's size does not grow
+with the results delivered.
+
+**A process restart is not a recovery of the sinks.** A fresh engine
+restored from a :class:`FileCheckpointStore` has no sink to write into:
+each query comes back under a new handle with a new sink that reads
+from the barrier on (what the replay of the log suffix derives, then
+live output). ``results()`` history from before the barrier does not
+survive a process restart.
 
 Snapshots share :class:`StreamElement` objects (immutable by
 convention) and copy only the mutable containers, so a barrier costs
@@ -40,7 +56,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.data.streams import CollectingConsumer, LogView, StreamElement
+from repro.data.streams import Punctuation, StreamElement, StreamItem, push_all
 from repro.errors import ExecutionError
 from repro.plan.logical import LogicalOp
 
@@ -108,7 +124,14 @@ class QueryCheckpoint:
 
     plan: LogicalOp
     operators: list[dict]
-    sink: dict | None  # default sink (or view) contents, None for custom sinks
+    #: The handle's id: a restore re-executes the plan into the handle
+    #: the engine still holds under it.
+    query_id: int
+    #: Elements the query's sink — a view's: its chain's log — had
+    #: received at the barrier (``CollectingConsumer.received``, which
+    #: ``clear()`` does not reset); None for a custom consumer, which
+    #: keeps no count.
+    received: int | None
     #: Whether the query ran as tee branches of shared chains at the
     #: barrier; ``operators`` then holds only its residual pipeline and
     #: the chain state lives in ``EngineCheckpoint.chains``. Restore
@@ -239,6 +262,97 @@ class FileCheckpointStore:
 
 
 # ----------------------------------------------------------------------
+# Dedup feeds
+# ----------------------------------------------------------------------
+class Feed:
+    """The terminal consumer of one restored pipeline, and recovery's
+    dedup point. Subclasses say where a run of elements goes (``_run``)
+    and where a punctuation goes (``_punctuate``); the rest is here. The
+    pool's feeds stand in front of a merge slot or a shuffle port
+    (:mod:`repro.stream.sharded`), :class:`SinkFeed` in front of a
+    restored single-engine query's sink.
+
+    A muted feed drops everything: a pool replica's fresh feeds start
+    muted, since its re-execution over checkpointed tables re-derives
+    output that is already downstream. ``arm(skip)`` unmutes the feed
+    and drops the next ``skip`` elements (the re-derivations of what the
+    dead pipeline already delivered), then everything flows through.
+    The skip never counts a punctuation.
+    """
+
+    __slots__ = ("_skip", "_muted")
+
+    def __init__(self):
+        self._skip = 0
+        self._muted = False
+
+    def mute(self) -> None:
+        self._muted = True
+
+    def arm(self, skip: int) -> None:
+        self._muted = False
+        self._skip = skip
+
+    def push(self, item: StreamItem) -> None:
+        if self._muted:
+            return
+        if isinstance(item, Punctuation):
+            self._punctuate(item.watermark)
+        elif self._skip > 0:
+            self._skip -= 1
+        else:
+            self._run([item])
+
+    def push_batch(self, elements: list[StreamElement]) -> None:
+        if self._muted:
+            return
+        drop = self._skipped(len(elements))
+        if drop:
+            elements = elements[drop:]
+        if elements:
+            self._run(elements)
+
+    def _skipped(self, count: int) -> int:
+        """How many of the next ``count`` elements the armed skip drops."""
+        drop = min(self._skip, count)
+        self._skip -= drop
+        return drop
+
+
+class SinkFeed(Feed):
+    """Writes a restored single-engine query into the sink that outlived
+    the failure (a view's: into its chain's log again).
+
+    The sink already holds everything the replay of the log suffix
+    derives: the feed drops as many elements as it received since the
+    barrier (``received`` now minus ``at_barrier``) and every punctuation
+    until :meth:`release`, which the engine calls once the suffix is
+    replayed, so the sink records nothing twice. A custom consumer keeps
+    no count: its feed drops every element until then too.
+    """
+
+    __slots__ = ("_sink", "_held")
+
+    def __init__(self, sink, at_barrier: int | None):
+        super().__init__()
+        self._sink, self._held = sink, True
+        received = getattr(sink, "received", None)
+        self._muted = received is None
+        self._skip = 0 if received is None else received - at_barrier
+
+    def _run(self, elements: list[StreamElement]) -> None:
+        push_all(self._sink, elements)
+
+    def _punctuate(self, watermark: float) -> None:
+        if not self._held:
+            self._sink.push(Punctuation(watermark))
+
+    def release(self) -> None:
+        """The suffix is replayed: everything flows through from now on."""
+        self._muted = self._held = False
+
+
+# ----------------------------------------------------------------------
 # Coordinator
 # ----------------------------------------------------------------------
 class CheckpointCoordinator:
@@ -316,6 +430,9 @@ class CheckpointCoordinator:
     # -- recovery -------------------------------------------------------
     def recover(self):
         """Restore a plain engine from the latest barrier + log suffix.
+        Returns the restored handles in checkpoint order: those the
+        engine held at the failure, so a caller's cursors and
+        subscriptions carry on with no rebinding.
 
         Pools recover per shard through the pool's failover path
         instead; calling this on a pool is an error.
@@ -327,10 +444,10 @@ class CheckpointCoordinator:
             )
         checkpoint = self.store.latest()
         if checkpoint is None:
-            # A failed plain engine has lost its plans, so there is
-            # nothing to rebuild from without a barrier. (The pool does
-            # not have this restriction: its handles out-live shard
-            # engines, so cold failover replays the full log.)
+            # A plain engine restores the queries a barrier recorded,
+            # so there is nothing to rebuild from without one. (The
+            # pool's cold failover re-admits the handles it tracks and
+            # replays the full log.)
             raise ExecutionError(
                 "no checkpoint to recover from — set an interval or call "
                 "checkpoint() at least once before the failure"
@@ -374,26 +491,12 @@ class CheckpointCoordinator:
 # ----------------------------------------------------------------------
 # Snapshot helpers (same-package access to engine internals)
 # ----------------------------------------------------------------------
-def snapshot_sink(sink) -> dict | None:
-    """Contents of a standard sink, None for custom consumers. A view's
-    contents are its own slice of its chain's log, so every running
-    view's slice is a suffix of the log (``LogView.restore``)."""
-    if isinstance(sink, (CollectingConsumer, LogView)):
-        return {
-            "elements": list(sink.elements),
-            "punctuations": list(sink.punctuations),
-            "clears": sink.clears,
-        }
-    return None
-
-
 def restore_operators(handle, states: list[dict]) -> None:
-    """Load checkpointed operator states into a recompiled handle."""
+    """Load checkpointed operator states into a recompiled query (or
+    shared chain), refusing a snapshot of another shape."""
     operators = handle.compiled.operators
     if len(operators) != len(states):
-        raise ExecutionError(
-            "checkpointed operator count does not match the recompiled plan"
-        )
+        raise ExecutionError("checkpointed operator count does not match the recompiled plan")
     for operator, state in zip(operators, states):
         operator.state_restore(state)
 
@@ -408,7 +511,8 @@ def _snapshot_engine(engine, checkpoint_id, watermark, log_seq) -> EngineCheckpo
         QueryCheckpoint(
             plan=handle.plan,
             operators=snapshot_operators(handle),
-            sink=snapshot_sink(handle.sink),
+            query_id=handle.query_id,
+            received=getattr(handle.sink, "received", None),
             shared=handle.shared,
         )
         for handle in engine.running_queries

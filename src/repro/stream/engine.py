@@ -50,6 +50,7 @@ from repro.data.tuples import Row
 from repro.errors import ExecutionError
 from repro.plan.logical import LogicalOp, RemoteSource
 from repro.sql.compiled import compile_counts, compile_fused_ingest, compile_ingest, fallback_ingest
+from repro.stream.checkpoint import SinkFeed, restore_operators
 from repro.stream.compiler import (
     CompiledPlan,
     PlanCompiler,
@@ -60,6 +61,10 @@ from repro.stream.multiplex import SharedChain, SubplanRegistry
 from repro.stream.operators import StageOp
 
 _query_ids = itertools.count(1)
+
+#: Replay-log entry kind -> the engine verb that logged it.
+_REPLAY_VERBS = {"push": "push", "many": "push_many", "remote": "push_remote",
+                 "punct": "punctuate", "table": "load_table", "drop": "drop_table"}
 
 
 def counted(counts: dict, compile_fn: Callable, *args) -> Any:
@@ -146,11 +151,7 @@ class QueryHandle:
     def latest_batch(self) -> list[Row]:
         """Rows emitted since the last punctuation boundary observed."""
         elements, lo, hi, watermark = self.sink.extent()
-        if (
-            self._seen_clears != self.sink.clears
-            or self._scan_pos > hi - lo
-            or watermark < self._cached_watermark
-        ):
+        if self._seen_clears != self.sink.clears or watermark < self._cached_watermark:
             # Sink was cleared, or the watermark regressed: rescan.
             self._seen_clears = self.sink.clears
             self._scan_pos = 0
@@ -217,12 +218,12 @@ class StreamEngine:
         self._attachments: dict[int, tuple[SharedChain, Any]] = {}
         #: Recovery plumbing (see :mod:`repro.stream.checkpoint`). A
         #: coordinator attaches itself here; ingestion then appends to
-        #: its bounded replay log. ``failed`` marks a simulated crash:
-        #: the engine drops all state and ignores ingestion until
+        #: its bounded replay log (a restore detaches it while it
+        #: replays). ``failed`` marks a simulated crash: the engine drops
+        #: its pipelines and tables and ignores ingestion until
         #: :meth:`restore` brings it back.
         self.checkpointer = None
         self.failed = False
-        self._replaying = False
 
     # ------------------------------------------------------------------
     # Tables
@@ -244,7 +245,7 @@ class StreamEngine:
         ]
         # Logged only once every row coerced: a rejected load must leave
         # no record for recovery to replay.
-        if self.checkpointer is not None and not self._replaying:
+        if self.checkpointer is not None:
             self.checkpointer.record(("table", None, name, rows, timestamp))
         self._tables.setdefault(entry.name, []).extend(elements)
         self._dispatch_batch(entry.name, elements)
@@ -258,7 +259,7 @@ class StreamEngine:
         """Forget a stored table's contents (Session.detach). The name is
         matched case-insensitively; unknown names are a no-op so detach
         stays symmetric even when nothing was ever loaded."""
-        if self.checkpointer is not None and not self._replaying:
+        if self.checkpointer is not None:
             # Recovery must not replay loads of a table dropped later.
             self.checkpointer.record(("drop", None, name))
         for key in list(self._tables):
@@ -311,28 +312,37 @@ class StreamEngine:
             raise ExecutionError(
                 "engine has failed; restore() it from a checkpoint first"
             )
+        handle = QueryHandle(next(_query_ids), plan, None, sink, self)
+        self._start(handle, share)
+        return handle
+
+    def _start(self, handle: QueryHandle, share: bool | None, terminal=None) -> None:
+        """Compile (or admit) ``handle.plan`` into ``handle`` and route
+        it: the part of :meth:`execute` a restore repeats for a handle
+        it already holds. ``handle.sink`` None lets the engine choose
+        the sink; ``terminal`` (a restore's
+        :class:`~repro.stream.checkpoint.SinkFeed`) stands between the
+        pipeline and the sink, or a view's log."""
+        plan, sink = handle.plan, handle.sink
         use_share = self.share_plans if share is None else share
-        admitted = self.subplans.admit(plan, sink) if use_share else None
+        admitted = self.subplans.admit(plan, sink, terminal) if use_share else None
         if admitted is not None:
-            compiled = CompiledPlan(root=plan)  # the pipeline is the chain's
+            handle.compiled = CompiledPlan(root=plan)  # the pipeline is the chain's
             if sink is None:
-                sink = admitted[1]
+                handle.sink = admitted[1]
+            self._attachments[handle.query_id] = admitted
         else:
             if sink is None:
-                sink = CollectingConsumer()
-            compiled = self._compiler.compile(plan, result_sink(plan, sink))
-        handle = QueryHandle(next(_query_ids), plan, compiled, sink, self)
+                handle.sink = sink = CollectingConsumer()
+            handle.compiled = self._compiler.compile(plan, result_sink(plan, terminal or sink))
         handle.shared = admitted is not None
         self._queries[handle.query_id] = handle
-        if admitted is not None:
-            self._attachments[handle.query_id] = admitted
         self._register_routes(handle)
         try:
             self._replay_tables(handle)
         except BaseException:
             self.stop(handle)
             raise
-        return handle
 
     @edge
     def _replay_tables(self, handle: QueryHandle) -> None:
@@ -353,6 +363,8 @@ class StreamEngine:
         attachment = self._attachments.pop(handle.query_id, None)
         if attachment is not None:
             self.subplans.release(*attachment)
+        elif isinstance(handle.sink, LogView):  # its chain died with the engine
+            handle.sink.close()
 
     def _drop_routes(self, owner_id: int) -> None:
         """Remove every routing entry registered under ``owner_id`` (a
@@ -369,7 +381,9 @@ class StreamEngine:
 
     @property
     def running_queries(self) -> list[QueryHandle]:
-        return list(self._queries.values())
+        """The queries running here; none while the engine is failed
+        (it still holds their handles for :meth:`restore`)."""
+        return [] if self.failed else list(self._queries.values())
 
     def sharing_stats(self) -> dict:
         """Shared-subplan counters (see :meth:`SubplanRegistry.stats`)."""
@@ -459,7 +473,7 @@ class StreamEngine:
         entry = self._catalog.source(source)
         (element,) = self._ingest_loop(entry.schema)((row,), (timestamp,), entry.name)
         # Logged after coercion: a rejected row leaves no replay record.
-        if self.checkpointer is not None and not self._replaying:
+        if self.checkpointer is not None:
             self.checkpointer.record(("push", None, source, row, timestamp))
         self.elements_ingested += 1
         for route in self._routes.get(entry.name.lower(), ()):
@@ -528,7 +542,7 @@ class StreamEngine:
         if out is None:
             elements = self._ingest_loop(entry.schema)(rows, stamps, entry.name)
         # Logged only once the whole batch coerced (see push).
-        if self.checkpointer is not None and not self._replaying:
+        if self.checkpointer is not None:
             self.checkpointer.record(("many", None, source, rows, stamps))
         self.elements_ingested += len(rows)
         if out is None:
@@ -667,7 +681,7 @@ class StreamEngine:
             for route in self._routes.get(name.lower(), ())
             if route.port.scan is None
         ]
-        if self.checkpointer is not None and not self._replaying:
+        if self.checkpointer is not None:
             self.checkpointer.record(("remote", None, name, values, timestamp))
         self.elements_ingested += 1
         for consumer, element in deliveries:
@@ -726,104 +740,99 @@ class StreamEngine:
         # Punctuation-aligned barriers: the coordinator logs the
         # watermark (replay must reproduce window emissions) and, when
         # its interval elapsed, snapshots post-punctuation state.
-        if self.checkpointer is not None and not self._replaying:
+        if self.checkpointer is not None:
             self.checkpointer.on_punctuation(watermark, sources)
 
     # ------------------------------------------------------------------
     # Failure and recovery
     # ------------------------------------------------------------------
     def fail(self) -> None:
-        """Simulate a crash: every query, route and stored table is lost
-        and the engine ignores ingestion until :meth:`restore` (or
-        :meth:`ShardedStreamEngine` failover replaces it). Driven by
-        :mod:`repro.runtime.faults`."""
+        """Simulate a crash: every pipeline, route, shared chain and
+        stored table is lost and the engine ignores ingestion until
+        :meth:`restore` (or :meth:`ShardedStreamEngine` failover
+        replaces it). The query handles and their sinks survive — a
+        caller holds them — and ``restore`` writes into them again.
+        Driven by :mod:`repro.runtime.faults`."""
         self.failed = True
-        self._queries.clear()
         self._routes.clear()
         self._fused_ingest.clear()
         self._tables.clear()
         self._attachments.clear()
         self.subplans.clear()
 
-    def restore(self, checkpoint, *, sinks=None, replay=()) -> list[QueryHandle]:
+    def restore(self, checkpoint, *, replay=()) -> list[QueryHandle]:
         """Rebuild this engine from an ``EngineCheckpoint``.
 
-        Stops whatever is running, reloads the checkpointed tables,
-        recompiles each checkpointed plan (positionally — plan
-        compilation is deterministic, so operator order matches the
-        snapshot), loads operator and sink state, then replays the log
-        suffix ``replay`` so post-recovery emissions continue exactly
-        where the failure-free run would be.
+        Drops whatever still runs (as :meth:`fail`), re-executes each
+        checkpointed plan — into the handle this engine holds under its
+        id, so the same sink (or the same view over the same log)
+        receives it again — loads operator state (positionally:
+        compilation is deterministic), reloads the checkpointed tables,
+        then replays the log suffix ``replay``. The tables load after
+        the re-executions: replaying them into the new pipelines would
+        derive state the snapshot replaces and output the sinks hold.
 
-        ``sinks`` optionally overrides the terminal consumer per query
-        (aligned with ``checkpoint.queries``); entries set to None get a
-        fresh default sink — a :class:`CollectingConsumer`, or a view of
-        a regrown chain's log — restored from the snapshot.
-        Returns the new handles in checkpoint order.
+        A held query writes through a
+        :class:`~repro.stream.checkpoint.SinkFeed` that drops what the
+        replay derives a second time: as many elements as the sink (a
+        view's log) received since the barrier, and every replayed
+        punctuation. A held query the checkpoint lacks (admitted since
+        the barrier) is stopped. On a failed engine, a checkpointed query
+        it no longer holds (stopped since the barrier) stays stopped; on
+        one that did not fail — a fresh process's, which holds none —
+        it comes back under a new handle whose new sink reads from the
+        barrier on. Returns the handles in checkpoint order.
         """
-        for handle in self.running_queries:
-            self.stop(handle)
+        if any("sink" in vars(query_cp) for query_cp in checkpoint.queries):
+            raise ExecutionError(
+                "checkpoint uses the sink-content layout ('sink', no 'received' "
+                "count), which this engine does not restore"
+            )
+        held, handles, failed = dict(self._queries), [], self.failed
+        self.fail()
         self.failed = False
-        self._tables = {
-            name: list(elements) for name, elements in checkpoint.tables.items()
-        }
-        handles: list[QueryHandle] = []
-        pours: list[tuple[Any, dict]] = []
-        for position, query_cp in enumerate(checkpoint.queries):
-            sink = sinks[position] if sinks is not None else None
+        #: id(sink, or a view's log) -> its feed: one per log, however
+        #: many views read it.
+        feeds: dict[int, SinkFeed] = {}
+        for query_cp in checkpoint.queries:
+            handle, feed = held.pop(query_cp.query_id, None), None
+            if handle is None and failed:  # stopped since the barrier: it stays stopped
+                continue
+            if handle is None:
+                # A sink of its own, never a view: a regrown chain's log
+                # is the one a held view brings back.
+                handle = QueryHandle(next(_query_ids), query_cp.plan, None, CollectingConsumer(), self)
+            else:
+                target = handle.sink.log if isinstance(handle.sink, LogView) else handle.sink
+                feed = feeds.setdefault(id(target), SinkFeed(target, query_cp.received))
             # Pin each query to the sharing decision recorded at the
             # barrier: admission is deterministic, so re-executing in
             # checkpoint order regrows the same chain DAG, which the
             # chain-state restore below then fills in.
-            handle = self.execute(
-                query_cp.plan, sink=sink, share=getattr(query_cp, "shared", False)
-            )
-            operators = handle.compiled.operators
-            if len(operators) != len(query_cp.operators):
-                raise ExecutionError(
-                    "checkpointed operator count does not match the "
-                    "recompiled plan — was the plan edited since the barrier?"
-                )
-            for operator, state in zip(operators, query_cp.operators):
-                operator.state_restore(state)
-            if sink is None and query_cp.sink is not None:
-                pours.append((handle.sink, query_cp.sink))
+            self._start(handle, query_cp.shared, feed)
+            restore_operators(handle, query_cp.operators)
             handles.append(handle)
-        # Longest slice first: it refills a view's log (LogView.restore).
-        pours.sort(key=lambda pour: (len(pour[1]["elements"]), len(pour[1]["punctuations"])), reverse=True)
-        for sink, state in pours:
-            sink.restore(state)
-        self.subplans.restore_chains(getattr(checkpoint, "chains", {}))
-        self._replaying = True
+        for handle in held.values():  # admitted since the barrier: lost
+            self.stop(handle)
+        self.subplans.restore_chains(checkpoint.chains)
+        self._tables = {name: list(elements) for name, elements in checkpoint.tables.items()}
+        checkpointer, self.checkpointer = self.checkpointer, None  # replay logs nothing
         try:
             for entry in replay:
                 self.replay_entry(entry)
         finally:
-            self._replaying = False
+            self.checkpointer = checkpointer
+            for feed in feeds.values():
+                feed.release()
         return handles
 
     def replay_entry(self, entry: tuple) -> None:
-        """Re-ingest one replay-log entry (see CheckpointCoordinator)."""
-        kind = entry[0]
-        if kind == "push":
-            _, _, source, row, timestamp = entry
-            self.push(source, row, timestamp)
-        elif kind == "many":
-            _, _, source, rows, stamps = entry
-            self.push_many(source, rows, stamps)
-        elif kind == "remote":
-            _, _, name, values, timestamp = entry
-            self.push_remote(name, values, timestamp)
-        elif kind == "punct":
-            _, _, watermark, sources = entry
-            self.punctuate(watermark, sources)
-        elif kind == "table":
-            _, _, name, rows, timestamp = entry
-            self.load_table(name, rows, timestamp)
-        elif kind == "drop":
-            self.drop_table(entry[2])
-        else:  # log corruption, or a pool's exchange record (it replays those)
-            raise ExecutionError(f"unknown replay-log entry kind {kind!r}")
+        """Re-ingest one replay-log entry (see CheckpointCoordinator):
+        ``(kind, key, *arguments)`` of the verb that logged it."""
+        verb = _REPLAY_VERBS.get(entry[0])
+        if verb is None:  # log corruption, or a pool's exchange record (it replays those)
+            raise ExecutionError(f"unknown replay-log entry kind {entry[0]!r}")
+        getattr(self, verb)(*entry[2:])
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -92,6 +92,7 @@ from repro.plan.logical import (
     Select,
     replace_child,
 )
+from repro.stream.checkpoint import restore_operators
 from repro.stream.operators import StageOp
 
 __all__ = [
@@ -291,14 +292,19 @@ class SubplanRegistry:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-    def admit(self, plan: LogicalOp, sink: Any | None) -> tuple[SharedChain, Any] | None:
+    def admit(
+        self, plan: LogicalOp, sink: Any | None, terminal: Any | None = None
+    ) -> tuple[SharedChain, Any] | None:
         """Run ``plan`` as a reader of its whole-plan chain.
 
         ``sink`` None: the reader is a new :class:`LogView` of the
-        chain's result log (hung on the tee by the first view); a custom
-        sink is a tee branch of its own. Returns ``(chain, reader)`` —
-        the one reference the caller releases on stop — or None when
-        the plan is ineligible or
+        chain's result log (hung on the tee by the first view); a
+        :class:`LogView` (a restore re-admitting a query that kept its
+        view) reads again and the regrown chain writes into the view's
+        log; a custom sink is a tee branch of its own. ``terminal`` (a
+        restore's feed) stands between the tee and the log or the
+        custom sink. Returns ``(chain, reader)`` — the one reference the
+        caller releases on stop — or None when the plan is ineligible or
         cannot be fingerprinted (``last_decline`` then carries the coded
         reason), in which case the engine compiles it privately.
         """
@@ -308,16 +314,16 @@ class SubplanRegistry:
             self.last_decline = (code, reason)
             return None
         chain = self._acquire(plan)
-        if sink is not None:
-            reader = self._result_sink(plan, sink)
+        if sink is not None and not isinstance(sink, LogView):
+            reader = self._result_sink(plan, terminal or sink)
             chain.tee.add_branch(reader)
             return chain, reader
         if chain.log is None:
-            chain.log = CollectingConsumer()
-            chain.log_branch = self._result_sink(plan, chain.log)
+            chain.log = CollectingConsumer() if sink is None else sink.log
+            chain.log_branch = self._result_sink(plan, terminal or chain.log)
             chain.tee.add_branch(chain.log_branch)
         chain.views += 1
-        return chain, LogView(chain.log)
+        return chain, LogView(chain.log) if sink is None else sink
 
     def release(self, chain: SharedChain, reader: Any) -> None:
         """Drop one reference; tear the chain down at zero.
@@ -391,10 +397,13 @@ class SubplanRegistry:
         ``plan.schema``, so that schema must equal the one the new
         consumer was planned against — names, types and docs, which the
         fingerprint does not carry; a chain that does not match gets a
-        sibling.
+        sibling. It is read off ``subtree``, which ``plan`` was
+        rewritten from below its root and whose schema it keeps: a warm
+        plan-cache hit hands back that very node, so the comparison is
+        an identity check.
         """
         for chain in self._chains.get(fingerprint, ()):
-            if chain.plan.schema == schema and self._attachable(chain):
+            if chain.subtree.schema == schema and self._attachable(chain):
                 return chain
         return None
 
@@ -608,26 +617,21 @@ class SubplanRegistry:
         Callers re-admit every checkpointed query first (admission is
         deterministic, so the chain DAG regrows with the snapshot's
         shape); this then pours the state back by fingerprint and
-        position. A multiplicity mismatch means the admission decisions
+        position. A chain no re-admitted query reads (its queries were
+        stopped since the barrier) is not regrown and its state is
+        dropped. A multiplicity mismatch means the admission decisions
         diverged from the barrier (e.g. a warm-decline raced the
         crash) and is refused rather than silently mis-restored.
         """
         for fingerprint, states in snapshot.items():
             group = self._chains.get(fingerprint, [])
-            if len(group) != len(states):
+            if group and len(group) != len(states):  # none: no restored query reads it
                 raise ExecutionError(
                     "checkpointed shared-chain multiplicity does not match "
                     "the recreated sharing structure"
                 )
             for chain, operator_states in zip(group, states):
-                operators = chain.compiled.operators
-                if len(operators) != len(operator_states):
-                    raise ExecutionError(
-                        "checkpointed shared-chain operator count does not "
-                        "match the recompiled chain"
-                    )
-                for operator, state in zip(operators, operator_states):
-                    operator.state_restore(state)
+                restore_operators(chain, operator_states)
 
 
 # ----------------------------------------------------------------------

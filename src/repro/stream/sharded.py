@@ -64,7 +64,6 @@ from repro.data.streams import (
     CollectingConsumer,
     Punctuation,
     StreamElement,
-    StreamItem,
     edge,
     push_all,
 )
@@ -73,7 +72,7 @@ from repro.errors import CatalogError, ExecutionError
 from repro.plan.exchange import ExchangeRecipe, ExchangeSource
 from repro.plan.logical import LogicalOp, RemoteSource, Scan
 from repro.stream.channel import LoopbackChannel, ShardDied
-from repro.stream.checkpoint import FALLBACK
+from repro.stream.checkpoint import FALLBACK, Feed
 from repro.stream.engine import (
     QueryHandle,
     StreamEngine,
@@ -137,58 +136,7 @@ class _MergeCoordinator:
             self._sink.push(Punctuation(merged))
 
 
-class _Feed:
-    """The terminal consumer of one replica pipeline, and failover's
-    dedup point. Subclasses say where a run of elements goes (``_run``)
-    and where a punctuation goes (``_punctuate``); the rest is here.
-
-    A recovering replica's fresh feeds start muted: re-execution over
-    checkpointed tables re-derives output that is already downstream.
-    ``arm(skip)`` unmutes the feed and drops the next ``skip`` elements
-    (the re-derivations of what the dead replica already forwarded),
-    then everything flows through. Punctuations are never skipped.
-    """
-
-    __slots__ = ("_skip", "_muted")
-
-    def __init__(self):
-        self._skip = 0
-        self._muted = False
-
-    def mute(self) -> None:
-        self._muted = True
-
-    def arm(self, skip: int) -> None:
-        self._muted = False
-        self._skip = skip
-
-    def push(self, item: StreamItem) -> None:
-        if self._muted:
-            return
-        if isinstance(item, Punctuation):
-            self._punctuate(item.watermark)
-        elif self._skip > 0:
-            self._skip -= 1
-        else:
-            self._run([item])
-
-    def push_batch(self, elements: list[StreamElement]) -> None:
-        if self._muted:
-            return
-        drop = self._skipped(len(elements))
-        if drop:
-            elements = elements[drop:]
-        if elements:
-            self._run(elements)
-
-    def _skipped(self, count: int) -> int:
-        """How many of the next ``count`` elements the armed skip drops."""
-        drop = min(self._skip, count)
-        self._skip -= drop
-        return drop
-
-
-class _ShardFeed(_Feed):
+class _ShardFeed(Feed):
     """Feeds one slot of a query's :class:`_MergeCoordinator`: a shard
     replica, a stage-2 replica or the fallback replica. The skip counts
     against the slot's forwarded elements; punctuations always pass —
@@ -340,7 +288,7 @@ class _ExchangeState:
 _TS_SRC, _ORDINAL_SRC = itemgetter(0, 1), itemgetter(2, 1)
 
 
-class _ExchangeFeed(_Feed):
+class _ExchangeFeed(Feed):
     """Terminal consumer of one stage-1 replica: deposits emissions into
     the query's :class:`_ExchangeState` buffers.
 
@@ -726,7 +674,7 @@ class ShardedStreamEngine:
 
     def _admit(
         self, handle: ShardedQueryHandle, index, handle_cp=None, recovering=False
-    ) -> list[tuple[_Feed, int]]:
+    ) -> list[tuple[Feed, int]]:
         """Start ``handle``'s replicas on shard ``index`` (or the
         fallback) — at ``execute``, and again at failover, where the
         fresh feeds start *muted* (re-execution replays barrier tables:
@@ -734,7 +682,7 @@ class ShardedStreamEngine:
         ``(feed, skip)`` pairs carry the emission skips that
         deduplicate re-derived output once armed."""
         channel = self._channel(index)
-        arms: list[tuple[_Feed, int]] = []
+        arms: list[tuple[Feed, int]] = []
 
         def merged(slot: int) -> _ShardFeed:
             feed = _ShardFeed(handle.coordinator, slot)

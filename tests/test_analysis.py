@@ -1242,6 +1242,40 @@ class TestEngineLinter:
             "plan/logical.py:13",
         ]
 
+    def test_ra908_no_write_into_another_objects_dict(self, tmp_path):
+        """Outside the plan classes, a store into or a delete from
+        ``X.__dict__[...]`` is flagged in any module — a memo written
+        onto a plan node from outside its class, or a class writing its
+        own ``__dict__`` outside ``__init__`` — except ``self`` in its
+        own class's ``__init__``; reads are not this rule's business."""
+        root = self._tree(
+            tmp_path,
+            {
+                "stream/__init__.py": "",
+                "stream/batch.py": (
+                    "def _node_compiled(node, factory):\n"
+                    "    cached = node.__dict__.get('_batch_compiled')\n"
+                    "    if cached is None:\n"
+                    "        cached = factory()\n"
+                    "        node.__dict__['_batch_compiled'] = cached\n"
+                    "    return cached\n"
+                    "class Memo:\n"
+                    "    def __init__(self):\n"
+                    "        self.__dict__['hits'] = 0\n"
+                    "    def forget(self, other):\n"
+                    "        del other.__dict__['hits']\n"
+                    "        self.__dict__['hits'] = 0\n"
+                ),
+            },
+        )
+        diags = lint_engine(root)
+        assert _codes(diags) == ["RA908"] * 3
+        assert [d.operator for d in diags] == [
+            "stream/batch.py:5",
+            "stream/batch.py:11",
+            "stream/batch.py:12",
+        ]
+
 
 # ----------------------------------------------------------------------
 # CLI

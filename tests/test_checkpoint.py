@@ -272,6 +272,32 @@ class TestStores:
             pool.punctuate(stamps[-1] + 100.0)
 
 
+    def test_sink_content_layout_file_is_refused_by_name(self, tmp_path):
+        """A single-engine checkpoint file that carries every query's
+        sink contents (``sink``, no ``received`` count) fails recovery
+        with an ``ExecutionError`` naming that layout, before the
+        engine drops anything."""
+        import pickle
+
+        engine, coordinator, handles = _build(interval=None)
+        coordinator.store = FileCheckpointStore(tmp_path)
+        rows, stamps = _rows(15)
+        engine.push_many("Readings", rows, stamps)
+        engine.punctuate(stamps[-1])
+        coordinator.checkpoint(stamps[-1])
+        (path,) = tmp_path.glob("checkpoint-*.pkl")
+        checkpoint = pickle.loads(path.read_bytes())
+        for query in checkpoint.queries:
+            state = vars(query)
+            del state["query_id"], state["received"]
+            state["sink"] = {"elements": [], "punctuations": [], "clears": 0}
+        path.write_bytes(pickle.dumps(checkpoint))
+        coordinator.store = FileCheckpointStore(tmp_path)
+        with pytest.raises(ExecutionError, match="sink-content layout"):
+            coordinator.recover()
+        assert engine.running_queries == handles
+
+
 class TestDamagedFiles:
     """A file store's newest checkpoint is whole or absent: a save
     writes a temporary name and renames it into place, and a file that
@@ -582,11 +608,13 @@ class TestStatelessCutsAcrossRecovery:
 
 class TestLogViewsAcrossRecovery:
     """Three queries read one shared chain's result log through views:
-    one admitted late, one cleared, one closed before the barrier. A
-    view snapshots its own slice of the log — every running view's
-    slice is a suffix of it — and a restore refills the regrown chain's
-    log from the longest, so each query reads after fail → recover() →
-    replay exactly what it reads in the failure-free run."""
+    one admitted late, one cleared, one closed before the barrier. The
+    barrier records one count per view — its log's received elements,
+    the same for every view of one log — and no results; the views and
+    their log outlive the failure, the regrown chain writes into that
+    log again and skips what the replay re-derives, so each query reads
+    after fail → recover() → replay exactly what it reads in the
+    failure-free run, through the handles it held."""
 
     SQL = QUERIES[2]
 
@@ -611,14 +639,15 @@ class TestLogViewsAcrossRecovery:
         engine.stop(closed)
         feed(25, 30)
         barrier = coordinator.checkpoint(stamps[29])
-        slices = [query.sink["elements"] for query in barrier.queries[1:]]
-        assert len(slices[0]) < len(slices[1])  # the cleared one's is shorter...
-        assert slices[1][-len(slices[0]) :] == slices[0]  # ...and a suffix
+        log = late.sink.log
+        assert [query.received for query in barrier.queries[1:]] == [len(log)] * 2
+        assert len(cleared.sink) < len(late.sink)  # a clear moves the view, not the count
         feed(30, 40)
         if fail:
             engine.fail()
-            aggregate, cleared, late = coordinator.recover()
-            assert cleared.sink.log is late.sink.log and cleared.sink.clears == 1
+            restored = coordinator.recover()
+            assert [id(h) for h in restored] == [id(h) for h in (aggregate, cleared, late)]
+            assert cleared.sink.log is late.sink.log is log and cleared.sink.clears == 1
         feed(40, 60)
         engine.punctuate(stamps[-1] + 100.0)
         return [
@@ -843,8 +872,8 @@ class TestSessionWiring:
                 for offset in range(0, len(rows), 10):
                     if fail and offset == 30:
                         session.engine.fail()
-                        handles = session.checkpointer.recover()
-                        cursor._handle = handles[0]
+                        (handle,) = session.checkpointer.recover()
+                        assert handle is cursor._handle  # no rebinding
                     for row, stamp in zip(
                         rows[offset : offset + 10], stamps[offset : offset + 10]
                     ):
@@ -854,3 +883,163 @@ class TestSessionWiring:
                 return [tuple(r.values) for r in cursor.results()]
 
         assert run(fail=True) == run(fail=False)
+
+
+def _probe_session(shards):
+    """The probe shape: one filter and one tumbling grouped aggregate
+    under ``connect(checkpoint_interval=10.0)``."""
+    session = connect(shards=shards, checkpoint_interval=10.0)
+    session.attach(StreamSource("Readings", READINGS, rate=100.0, partition_by="host"))
+    cursors = [
+        session.query("select r.host, r.temp from Readings r where r.temp > 5.0"),
+        session.query(QUERIES[0]),
+    ]
+    return session, cursors
+
+
+class TestCheckpointSize:
+    """A checkpoint holds operator state, tables and counts — never the
+    results delivered — so its size stays flat however long a standing
+    query runs (5,000 rows per 50 s of stream time; a checkpoint that
+    carried every sink's contents grew ≈8x from 5,000 to 40,000 rows)."""
+
+    @pytest.mark.parametrize("shards", [1, 2], ids=["engine", "pool2"])
+    def test_bytes_flat_from_5k_to_40k_rows(self, shards):
+        import pickle
+
+        session, cursors = _probe_session(shards)
+        sizes = {}
+        for lo in range(0, 40_000, 1_000):
+            rows = [
+                Row(READINGS, (f"ws{i % 4}", float(i % 13), (i % 10) / 10.0), validate=False)
+                for i in range(lo, lo + 1_000)
+            ]
+            stamps = [i / 100.0 for i in range(lo, lo + 1_000)]
+            session.push_many("Readings", rows, stamps)
+            session.punctuate(stamps[-1])
+            if lo + 1_000 in (5_000, 40_000):
+                sizes[lo + 1_000] = len(pickle.dumps(session.checkpointer.latest()))
+        assert len(cursors[0]) > 20_000 and len(cursors[1]) > 100  # not vacuous
+        session.close()
+        assert sizes[40_000] <= 1.10 * sizes[5_000], sizes
+
+
+@pytest.mark.usefixtures("no_fallbacks")
+class TestSinksOutliveTheFailure:
+    """The cursor's sink survives ``fail()``: ``recover()`` re-executes
+    every query into the handle the caller holds, and the re-derived
+    output is skipped by count, so a cursor and its subscriptions read
+    through a recovery as if nothing failed."""
+
+    def _run(self, fail, share):
+        rows, stamps = _rows(60)
+        session = connect(checkpoint_interval=10.0, share_plans=share)
+        session.attach(StreamSource("Readings", READINGS, rate=10.0))
+        cursors = [session.query(sql) for sql in QUERIES + QUERIES[2:]]
+        seen = {}
+        for index, cursor in enumerate(cursors):
+            for mode in ("direct", "queue"):
+                got = seen[index, mode] = []
+                cursor.subscribe(
+                    lambda element, got=got: got.append((element.timestamp, element.row.values)),
+                    elements=True,
+                    mode=mode,
+                )
+        for offset in range(0, len(rows), 10):
+            if fail and offset == 30:
+                held = [cursor._handle for cursor in cursors]
+                session.engine.fail()
+                restored = session.checkpointer.recover()
+                assert [id(h) for h in restored] == [id(h) for h in held]
+            session.push_many("Readings", rows[offset : offset + 10], stamps[offset : offset + 10])
+            session.punctuate(stamps[offset + 9])
+            if offset == 20:
+                cursors[1]._handle.sink.clear()  # the count is cumulative
+        session.punctuate(stamps[-1] + 100.0)
+        for cursor in cursors:
+            cursor.drain()
+        results = [
+            (
+                [(e.timestamp, e.row.values) for e in cursor._handle.sink.elements],
+                [p.watermark for p in cursor._handle.sink.punctuations],
+                cursor.latest_batch(),
+            )
+            for cursor in cursors
+        ]
+        session.close()
+        return results, seen
+
+    @pytest.mark.parametrize("share", [False, True], ids=["private", "shared"])
+    def test_cursors_and_subscriptions_see_each_result_once(self, share):
+        expected, expected_seen = self._run(fail=False, share=share)
+        got, seen = self._run(fail=True, share=share)
+        assert all(elements for elements, _, _ in expected)
+        assert got == expected
+        assert seen == expected_seen
+        for index, (elements, _, _) in enumerate(expected):
+            if index != 1:  # the cleared sink holds only what came after
+                assert seen[index, "direct"] == seen[index, "queue"] == elements
+
+    @pytest.mark.parametrize("share", [False, True], ids=["private", "shared"])
+    def test_a_cursor_closed_since_the_barrier_stays_closed(self, share):
+        """A recovery restores the queries the engine still holds: a
+        cursor closed between the barrier and the failure, or while the
+        engine is failed, is not run again — its results stop growing
+        and it is not in what ``recover()`` returns — and the cursors
+        left read as in the failure-free run. On the shared engine the
+        closed aggregate was its chain's only reader (that chain's state
+        is dropped) and the closed filter shares its log with a kept
+        one."""
+        rows, stamps = _rows(60)
+
+        def run(fail):
+            session = connect(checkpoint_interval=10.0, share_plans=share)
+            session.attach(StreamSource("Readings", READINGS, rate=10.0))
+            kept = [session.query(QUERIES[1]), session.query(QUERIES[2])]
+            closed = [session.query(QUERIES[0]), session.query(QUERIES[2])]
+            for offset in range(0, len(rows), 10):
+                if offset == 30:
+                    closed[0].close()
+                    if fail:
+                        session.engine.fail()
+                    closed[1].close()
+                    frozen = [len(cursor) for cursor in closed]
+                    if fail:
+                        restored = session.checkpointer.recover()
+                        assert [id(h) for h in restored] == [id(c._handle) for c in kept]
+                session.push_many("Readings", rows[offset : offset + 10], stamps[offset : offset + 10])
+                session.punctuate(stamps[offset + 9])
+            assert [len(cursor) for cursor in closed] == frozen
+            results = [[(e.timestamp, e.row.values) for e in c._handle.sink.elements] for c in kept]
+            session.close()
+            return results
+
+        expected = run(fail=False)
+        assert all(expected)
+        assert run(fail=True) == expected
+
+    def test_a_process_restart_reads_from_the_barrier_on(self, tmp_path):
+        """A fresh engine restored from a file store has no sink to
+        write into: each query comes back under a new handle with a new
+        sink that holds what was delivered after the barrier, and none
+        of the history before it."""
+        rows, stamps = _rows(60)
+        engine, coordinator, handles = _build(interval=None)
+        coordinator.store = FileCheckpointStore(tmp_path)
+        engine.push_many("Readings", rows[:30], stamps[:30])
+        engine.punctuate(stamps[29])
+        coordinator.checkpoint(stamps[29])
+        at_barrier = [len(handle.sink) for handle in handles]
+        engine.push_many("Readings", rows[30:], stamps[30:])
+        engine.punctuate(stamps[-1] + 100.0)
+
+        restarted = StreamEngine(_catalog())
+        fresh = CheckpointCoordinator(restarted, store=FileCheckpointStore(tmp_path))
+        restored = fresh.recover()
+        restarted.push_many("Readings", rows[30:], stamps[30:])
+        restarted.punctuate(stamps[-1] + 100.0)
+        assert not set(map(id, restored)) & set(map(id, handles))
+        assert all(at_barrier) and all(len(handle.sink) for handle in restored)
+        assert [handle.sink.elements for handle in restored] == [
+            handle.sink.elements[count:] for handle, count in zip(handles, at_barrier)
+        ]

@@ -360,8 +360,7 @@ def _run_fallback_queries(share: bool, fail_at: int | None = None, after=None):
         for chunk in range(6):
             if chunk == fail_at:
                 session.engine.fail()
-                for cursor, handle in zip(cursors, session.checkpointer.recover()):
-                    cursor._handle = handle
+                session.checkpointer.recover()
             stamps = [chunk * 5.0 + i * 0.25 for i in range(20)]
             session.push_many(
                 "Readings",

@@ -1075,12 +1075,15 @@ def _nodes(plan):
 class TestAdmissionBudget:
     """A warm admission is a lookup — a count, not a timing. On a fresh
     ``tenants1k`` deployment (1,000 tenants over 20 templates) the 980
-    plan-cache hits walk no plan node and render no expression: the
-    cached plan carries its fingerprint and sharing verdict from its
-    template's first admission (≈3,100 visits and ≈11,200 renders
-    when both were derived per admission). Over a whole admission a
-    node computes its fingerprint at most once, shared sub-chains
-    included."""
+    plan-cache hits walk no plan node, render no expression and compare
+    no two schemas field by field: the cached plan carries its
+    fingerprint and sharing verdict from its template's first admission
+    (≈3,100 visits and ≈11,200 renders when both were derived per
+    admission), and a chain is matched on the schema of the node it was
+    planned from, which the hit returns by identity (343 field-by-field
+    comparisons against the compiled root's rebuilt schema). Over a
+    whole admission a node computes its fingerprint at most once, shared
+    sub-chains included."""
 
     def test_warm_admissions_walk_and_render_nothing(self, monkeypatch):
         _, _, templates, tenants = _ledger()
@@ -1090,13 +1093,40 @@ class TestAdmissionBudget:
             session.query(sql)
         walks = _count_calls(monkeypatch, [LogicalOp], "walk")
         renders = _count_calls(monkeypatch, _expression_classes(), "render")
+        compared = [0]
+
+        def counting_eq(schema, other, _eq=Schema.__eq__):
+            compared[0] += schema is not other
+            return _eq(schema, other)
+
+        monkeypatch.setattr(Schema, "__eq__", counting_eq)
         for sql in queries[len(templates) :]:
             session.query(sql)
         monkeypatch.undo()
         stats = session.stats()
         assert stats["plan_cache"]["hits"] == tenants - len(templates) == 980
         assert stats["sharing"]["attached"] >= 980
-        assert (walks[0], renders[0]) == (0, 0)
+        assert (walks[0], renders[0], compared[0]) == (0, 0, 0)
+        session.close()
+
+    @pytest.mark.parametrize("workload", ["standing7", "tenants1k"])
+    def test_a_chain_emits_its_subtrees_schema(self, workload):
+        """``_live`` matches a consumer on the schema of the subtree a
+        chain was planned from; the chain builds its rows under its
+        compiled root's schema. The two are equal on every chain."""
+        _, standing7, templates, tenants = _ledger()
+        queries = (
+            standing7
+            if workload == "standing7"
+            else [templates[i % len(templates)] for i in range(tenants)]
+        )
+        session = _ledger_session()
+        for sql in queries:
+            session.query(sql)
+        chains = session.engine.subplans.live_chains
+        assert chains
+        assert all(chain.subtree.schema == chain.plan.schema for chain in chains)
+        assert any(chain.subtree is not chain.plan for chain in chains)  # some were rewritten
         session.close()
 
     @pytest.mark.parametrize("workload", ["standing7", "tenants1k"])
