@@ -72,7 +72,7 @@ CODES: dict[str, str] = {
     # -- RA32x: exchange (mid-plan repartitioning) decisions -----------
     "RA320": "join inputs hash-shuffled on the equi-key",
     "RA321": "aggregate split into per-shard partials merged by shuffle",
-    "RA322": "DISTINCT rows shuffled by row hash",
+    "RA322": "DISTINCT deduplicated per shard, survivors shuffled by row hash",
     "RA323": "table side broadcast to every shard",
     "RA324": "no exchange strategy applies; plan runs on the fallback engine",
     "RA325": "unkeyed stream ingested round-robin before the shuffle",

@@ -57,15 +57,16 @@ hand-written in between:
    A column the schema cannot resolve is such a failure, so the
    row-time error is the interpreter's.
 
-Four generators have no interpreter twin because what they generate is
+Five generators have no interpreter twin because what they generate is
 a *loop around* an evaluator, not an evaluator, and return ``None``
 instead: without :func:`compile_fused_batch` an operator loops its
 per-element body over the run, without :func:`compile_fused` the plan
 compiler lowers the chain one operator per node, without
 :func:`compile_join_probe` a join side loops its per-element body,
-without :func:`compile_fused_ingest` the engine runs ingest and the
-operator's batch loop one after the other. Each is one test at one
-site and none selects a different evaluator.
+without :func:`compile_distinct_batch` a DISTINCT does, and without
+:func:`compile_fused_ingest` the engine runs ingest and the operator's
+batch loop one after the other. Each is one test at one site and none
+selects a different evaluator.
 
 This module is the only place the choice is made. Nothing outside it
 takes a switch for it and nothing under ``repro.stream`` calls
@@ -95,7 +96,10 @@ and :func:`compile_join_probe` for one side of a windowed symmetric
 hash join (key, bucket append, window test, residual predicate and the
 Select/Project run above the join in one generated loop per run; a side
 whose own window is ROWS has no kernel by design, which is not a
-fallback and is not counted). :func:`compile_ingest` generates the
+fallback and is not counted), and :func:`compile_distinct_batch` for a
+DISTINCT with the Select/Project run below it (the run, then the seen
+set's membership test, then — for a first occurrence only — the output
+element). :func:`compile_ingest` generates the
 loop rows enter an engine or a pool through, once per catalog schema:
 a Row under that schema passes through, a ``dict`` is read field by
 field with its exact types checked inline, and anything else goes to
@@ -114,6 +118,8 @@ filter. ::
     loop            source (its head)                 sink
     _fused          one value tuple, no loop          return v
     _fused_batch    an element run (_emit_run)        append an element (_append)
+    _distinct       an element run (_emit_run)        a first occurrence joins `seen`,
+                                                      then appends an element (_dedup)
     _fold           an element run, or each element's fold into group slots
                     open windows (_emit_run)          (_fold_into)
     _probe          a join's live pairs (_emit_pairs) append a joined element (_append)
@@ -121,7 +127,9 @@ filter. ::
     _fused_ingest   the same                          append an element (_append)
 
 A new loop — a Select run folded inside an aggregate, an exchanged
-join's runs — is a new composition of these pieces.
+join's runs — is a new composition of these pieces; ``_distinct`` is
+``_fused_batch``'s source, stages and sink with the membership test in
+front of the sink.
 
 **A predicate in filter position lowers as a filter**, not as a boolean
 expression (:func:`_emit_filter`). Its AND tree, of any shape, flattens
@@ -309,6 +317,25 @@ def compile_fused_batch(
     Semantics per element are identical to :func:`compile_fused`.
     """
     return _generate(_codegen_fused_batch, tuple(stages), schema, output_schema)
+
+
+def compile_distinct_batch(
+    stages: Sequence[FusedStage], schema: Schema, output_schema: Schema | None
+) -> Callable[[list, set, list], None] | None:
+    """Compile a DISTINCT over a Filter/Project chain into one generated
+    *batch* function, or ``None`` when code generation fails (the
+    operator then loops its per-element body over the run).
+
+    The returned function has signature ``fn(elements, seen, out)``: per
+    element, in order, the chain runs as in :func:`compile_fused_batch`;
+    a survivor whose value tuple ``seen`` holds is dropped, and a first
+    occurrence joins ``seen`` and is appended to ``out`` — the element
+    itself when the chain does not project (``stages`` may be empty),
+    else a new element of one Row under ``output_schema``, built only
+    after the membership test. ``seen`` is an argument, so the caller
+    may replace its set (a checkpoint restore) without recompiling.
+    """
+    return _generate(_codegen_distinct, tuple(stages), schema, output_schema)
 
 
 def _emit_stages(
@@ -539,9 +566,39 @@ def _emit_run(gen: _CodeGen, window: WindowSpec | None = None, stamped: bool = F
 
 
 def _codegen_fused_batch(stages: tuple, schema: Schema, output_schema: Schema) -> Callable:
-    projects = any(stage[0] == "project" for stage in stages)
-    sink = _append(output_schema, "_e.timestamp", "_e.source") if projects else _append("_e")
-    return _codegen_loop(("fused_batch", "elements, out", _emit_run), (schema, stages), sink)
+    return _codegen_loop(
+        ("fused_batch", "elements, out", _emit_run), (schema, stages), _survivor(stages, output_schema)
+    )
+
+
+def _survivor(stages: tuple, output_schema: Schema | None) -> tuple:
+    """The sink appending a survivor of an element run's ``stages``: the
+    element ``_e`` itself when they do not project, else a new one of a
+    Row under ``output_schema`` stamped as ``_e``."""
+    if any(stage[0] == "project" for stage in stages):
+        return _append(output_schema, "_e.timestamp", "_e.source")
+    return _append("_e")
+
+
+def _codegen_distinct(stages: tuple, schema: Schema, output_schema: Schema | None) -> Callable:
+    return _codegen_loop(
+        ("distinct", "elements, seen, out", _emit_run), (schema, stages), _dedup(_survivor(stages, output_schema))
+    )
+
+
+def _dedup(survivor: tuple) -> tuple:
+    """The DISTINCT sink: a value tuple ``seen`` holds is skipped, a
+    first occurrence is added to it and then becomes what ``survivor``
+    appends — so a duplicate builds nothing."""
+    prelude, append, epilogue = survivor
+
+    def body(gen: _CodeGen, indent: int) -> None:
+        gen.emit(indent, "if v in seen:")
+        gen.emit(indent + 1, "continue")
+        gen.emit(indent, "add(v)")
+        append(gen, indent)
+
+    return (*prelude, "add = seen.add"), body, epilogue
 
 
 def compile_accumulate(

@@ -15,8 +15,12 @@ generated closure runs the whole chain per element (see
 a single node included — lowers into the
 :class:`~repro.stream.operators.SymmetricHashJoin` instead, as its
 output stages: the join emits the run's rows, one Row per result, and
-no operator sits above it. A run whose fused code cannot be generated
-keeps one physical operator per logical node.
+no operator sits above it. A run directly below a Distinct over
+anything else lowers into the
+:class:`~repro.stream.operators.DistinctOp` as its input stages: the
+DISTINCT tests each survivor's values before it builds a row, so a
+duplicate builds none, and no operator sits below it. A run whose fused
+code cannot be generated keeps one physical operator per logical node.
 
 Windows and join keys are not inferred here: the plan node carries
 them (``Join.windows`` / ``equi`` / ``residual``,
@@ -184,6 +188,24 @@ def result_sink(plan: LogicalOp, sink: StreamConsumer) -> StreamConsumer:
     return sink
 
 
+def _run_at(node: LogicalOp) -> tuple[list[Select | Project], LogicalOp, list]:
+    """The maximal Select/Project run rooted at ``node`` (top first;
+    empty when ``node`` is neither), the node below it, and its stages
+    in dataflow order."""
+    chain: list[Select | Project] = []
+    bottom = node
+    while isinstance(bottom, (Select, Project)):
+        chain.append(bottom)
+        bottom = bottom.child
+    stages = [
+        ("filter", link.predicate)
+        if isinstance(link, Select)
+        else ("project", [item.expr for item in link.items], link.schema)
+        for link in reversed(chain)  # dataflow order: leaf-most first
+    ]
+    return chain, bottom, stages
+
+
 class PlanCompiler:
     """Compiles logical plans to operator pipelines."""
 
@@ -280,9 +302,7 @@ class PlanCompiler:
             compiled.operators.append(op)
             return self._compile_node(node.child, op, compiled)
         if isinstance(node, Distinct):
-            op = DistinctOp(downstream)
-            compiled.operators.append(op)
-            return self._compile_node(node.child, op, compiled)
+            return self._compile_distinct(node, downstream, compiled)
         if isinstance(node, OrderBy):
             op = OrderByOp(node.items, downstream, node.child.schema)
             compiled.operators.append(op)
@@ -297,10 +317,32 @@ class PlanCompiler:
             return self._compile_node(node.child, result_sink(node.child, op), compiled)
         raise PlanError(f"stream compiler cannot handle {type(node).__name__}")
 
+    def _compile_distinct(
+        self, node: Distinct, downstream: StreamConsumer, compiled: CompiledPlan
+    ) -> StreamConsumer:
+        """Lower a DISTINCT with the Select/Project run directly below it
+        as its input stages (producing the run's schema), one operator
+        for both. That is the run's one rung decision: when the stages'
+        fused code cannot be generated (a counted fallback), the
+        DISTINCT is built without stages and the run lowers below it
+        (:meth:`_compile_run`), as does a run ending at a :class:`Join`,
+        which lowers into the join instead.
+        """
+        chain, bottom, stages = _run_at(node.child)
+        if chain and not isinstance(bottom, Join):
+            op = DistinctOp(downstream, bottom.schema, stages, node.schema)
+            if op.generated:
+                compiled.operators.append(op)
+                return self._compile_node(bottom, op, compiled)
+        op = DistinctOp(downstream, node.child.schema)
+        compiled.operators.append(op)
+        return self._compile_node(node.child, op, compiled)
+
     def _compile_run(
         self, node: Select | Project, downstream: StreamConsumer, compiled: CompiledPlan
     ) -> StreamConsumer:
-        """Lower the maximal Select/Project run rooted at ``node``.
+        """Lower the maximal Select/Project run rooted at ``node`` — one
+        no DISTINCT took (:meth:`_compile_distinct`).
 
         The run's stages are built once, here, and its rung is chosen
         once: a run ending at a :class:`Join` — a single node included —
@@ -311,17 +353,7 @@ class PlanCompiler:
         at least as fast and keeps per-node stats readable), each node
         lowers to its own FilterOp / ProjectOp.
         """
-        chain: list[Select | Project] = []
-        bottom: LogicalOp = node
-        while isinstance(bottom, (Select, Project)):
-            chain.append(bottom)
-            bottom = bottom.child
-        stages = [
-            ("filter", link.predicate)
-            if isinstance(link, Select)
-            else ("project", [item.expr for item in link.items], link.schema)
-            for link in reversed(chain)  # dataflow order: leaf-most first
-        ]
+        chain, bottom, stages = _run_at(node)
         if isinstance(bottom, Join):
             join = self._compile_join(bottom, downstream, compiled, stages, node.schema)
             if join is not None:

@@ -40,9 +40,13 @@ drops.
 **A cut is made where it is shared.** A chain that will hold state —
 its root is an Aggregate, Distinct, Join, OrderBy or Limit — always
 cuts the Select/Project run (or Aggregate-capped run) below itself into
-a chain of its own, so a stateful chain's operator list, fingerprint
-and multiplicity depend on its subtree alone, never on what was
-admitted before it (checkpoints rely on that). A chain that *is* a pure
+a chain of its own, except the run a Distinct takes: the run directly
+below a Distinct is never cut, and lowers inside the Distinct's own
+operator, which tests each row against its seen set before it builds
+one. Either way a stateful chain's operator list, fingerprint and
+multiplicity depend on its subtree alone, never on what was admitted
+before it (checkpoints rely on that), and a Distinct never splits a
+sibling's inlined prefix. A chain that *is* a pure
 Select/Project run holds no state, and lowers a prefix of the run
 inside itself while it is that prefix's only consumer: the compiler
 sees the run whole and fuses it into one generated loop over the source
@@ -85,6 +89,7 @@ from repro.data.streams import EDGE, CollectingConsumer, LogView, outermost, par
 from repro.errors import ExecutionError
 from repro.plan.logical import (
     Aggregate,
+    Distinct,
     LogicalOp,
     Project,
     RemoteSource,
@@ -220,7 +225,7 @@ class SharedChain:
             replaced by :class:`SharedFeed` leaves. A chain that builds
             rows (a projection, an aggregate, a join) emits them under
             ``plan.schema``; one that only forwards (a filter-only cut,
-            a DISTINCT over one) emits source rows under their catalog
+            a DISTINCT over a filter-only run) emits source rows under their catalog
             schema, read by position by the chains stacked on it and
             labelled per query by a hand-built query's exit label.
         compiled: The chain's pipeline; its ports are scan ports, its
@@ -508,8 +513,15 @@ class SubplanRegistry:
         prefix, which :meth:`_acquire` then splits — and otherwise
         descends, noting the prefix's fingerprint in ``inlined``, so
         the compiler is shown the run whole.
+
+        The run directly below a :class:`Distinct` is never cut, nor
+        any prefix of it: the compiler lowers it into the DISTINCT's
+        own operator (:class:`~repro.stream.operators.DistinctOp`), so
+        a duplicate never leaves the loop that found it.
         """
         for child in node.children:
+            if isinstance(node, Distinct) and self._is_run(child):
+                continue  # the DISTINCT's own input stages (see above)
             if self._is_cut(child):
                 if inlined is None or self._wanted(child):
                     inner = self._acquire(child)
@@ -535,8 +547,8 @@ class SubplanRegistry:
         over a stream Scan. Bare scans are excluded — a pure fan-out
         chain saves no compute but adds a tee hop. Whether a shareable
         prefix *is* cut is its consumer's call (:meth:`_rewrite`):
-        always below a chain that holds state, only once shared below a
-        pure run."""
+        always below a chain that holds state (never directly below a
+        Distinct), only once shared below a pure run."""
         inner = node
         if isinstance(inner, Aggregate):
             inner = inner.child

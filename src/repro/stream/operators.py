@@ -13,8 +13,9 @@ element or one punctuation, ``push_batch(elements)`` a punctuation-free
 run of elements. Each operator therefore has exactly two data bodies —
 the per-element ``on_element`` and one batch body over a pure run —
 plus ``on_punctuation``. Where codegen provides a loop
-(:class:`FilterOp`, :class:`ProjectOp`, :class:`FusedOp`, the running
-:class:`AggregateOp` fold) the batch body is that loop, called
+(:class:`FilterOp`, :class:`ProjectOp`, :class:`FusedOp`,
+:class:`DistinctOp`, the running :class:`AggregateOp` fold) the batch
+body is that loop, called
 directly, so a 1000-row ingest costs one Python call per operator
 instead of 1000; a windowed aggregate extends its pending segment and
 folds it with one call at the next punctuation; operators without a
@@ -35,7 +36,8 @@ Limit and Output forward the elements they receive (source rows keep
 their catalog schema), while Project, Fused chains that project,
 Aggregate, the join and the partial/merge aggregates build their output
 rows under their own output schema — the join's being that of the
-Select/Project run lowered into it, when there is one.
+Select/Project run lowered into it, when there is one, as a Distinct's
+is that of the run lowered into it, when the run projects.
 
 State bounds: window joins evict expired rows on punctuation, so memory
 is proportional to window size times input rate — the property the paper
@@ -66,6 +68,7 @@ from repro.sql.ast import OrderItem
 from repro.sql.compiled import (
     FusedStage,
     compile_accumulate,
+    compile_distinct_batch,
     compile_expr,
     compile_fused,
     compile_fused_batch,
@@ -1079,36 +1082,84 @@ class MergeAggregateOp(Operator):
 class DistinctOp(Operator):
     """Forward only the first occurrence of each distinct row.
 
-    State is the set of seen rows; for windowed queries put the window
-    upstream (the join/aggregate) so distinct state stays proportional to
-    the distinct-value count, which is small for SmartCIS queries (rooms,
-    desks, machine names).
+    State is the set of seen value tuples; for windowed queries put the
+    window upstream (the join/aggregate) so distinct state stays
+    proportional to the distinct-value count, which is small for
+    SmartCIS queries (rooms, desks, machine names).
+
+    Input stages: the plan compiler lowers the maximal Select/Project
+    run directly below the DISTINCT into the operator as ``stages``
+    (:data:`~repro.sql.compiled.FusedStage`, dataflow order, read
+    against ``input_schema``), as the join takes the run above it. A
+    run of elements clears the stages and the dedup in one generated
+    loop (:func:`~repro.sql.compiled.compile_distinct_batch`:
+    ``_batch_fn``, None when it declined, and then ``on_element``
+    loops), which tests each survivor's value tuple against the seen
+    set and builds an output Row and StreamElement, under
+    ``output_schema``, for a first occurrence only; a run that does not
+    project forwards the element itself. So a duplicate allocates
+    nothing, and no operator sits below the DISTINCT for the run. The
+    stages' per-element function (:func:`~repro.sql.compiled
+    .compile_fused`) is generated first; when it cannot be,
+    ``generated`` is False, nothing else is compiled, and the plan
+    compiler lowers the run below a DISTINCT without stages instead.
+
+    A run that raises part way forwards the first occurrences found
+    before the raising element, as the per-element body does: the seen
+    set never holds a row that was not forwarded.
     """
 
-    def __init__(self, downstream: StreamConsumer):
+    def __init__(
+        self,
+        downstream: StreamConsumer,
+        input_schema: Schema | None = None,
+        stages: Sequence[FusedStage] = (),
+        output_schema: Schema | None = None,
+    ):
         super().__init__(downstream)
+        self.input_schema = input_schema
+        self.stages = list(stages)
+        self.output_schema = output_schema
         self._seen: set[tuple] = set()
+        # The stages' per-element function comes first: a run it cannot
+        # generate is not lowered here, and nothing below is compiled.
+        self._fused = compile_fused(self.stages, input_schema) if self.stages else None
+        self.generated = not self.stages or self._fused is not None
+        self._projects = any(stage[0] == "project" for stage in self.stages)
+        self._batch_fn = (
+            compile_distinct_batch(self.stages, input_schema, output_schema)
+            if self.generated
+            else None
+        )
 
     def on_element(self, element: StreamElement) -> None:
-        key = element.row.values
-        if key in self._seen:
+        values = element.row.values
+        if self._fused is not None:
+            values = self._fused(values)
+            if values is None:
+                return
+        if values in self._seen:
             return
-        self._seen.add(key)
+        self._seen.add(values)
+        if self._projects:
+            element = StreamElement(
+                Row.raw(self.output_schema, values), element.timestamp, element.source
+            )
         self.emit(element)
 
     def push_batch(self, elements: list[StreamElement]) -> None:
-        """Deduplicate a whole run with one dispatch, forwarding the
-        survivors as one output batch."""
-        seen = self._seen
+        """Deduplicate a whole run with one generated call, forwarding
+        the first occurrences as one output batch."""
+        if self._batch_fn is None:
+            Operator.push_batch(self, elements)
+            return
         out: list[StreamElement] = []
-        for element in elements:
-            key = element.row.values
-            if key not in seen:
-                seen.add(key)
-                out.append(element)
-        self.rows_in += len(elements)
-        if out:
-            self.emit_batch(out)
+        try:
+            self._batch_fn(elements, self._seen, out)
+        finally:
+            self.rows_in += len(elements)
+            if out:
+                self.emit_batch(out)
 
     def state_snapshot(self) -> dict:
         state = super().state_snapshot()

@@ -515,8 +515,16 @@ def _join_recipe(
 def _distinct_recipe(
     plan: LogicalOp, node: Distinct, keys: Mapping[str, str], token: int
 ) -> ExchangeRecipe:
-    """Shuffle the DISTINCT input by whole-row hash: every duplicate
-    lands on one shard, so per-shard dedup is global dedup."""
+    """Deduplicate per shard, then shuffle the survivors by whole-row
+    hash: every duplicate lands on one stage-2 shard, so per-shard dedup
+    there is global dedup.
+
+    Stage 1 is the DISTINCT itself (its run below, lowered into it), so
+    each stage-1 replica ships a row at most once per shard and its
+    seen set is checkpointed with the replica. Stage 2 emits the same
+    element as without it: the global first occurrence is always its
+    own shard's first, and stage 2 takes the shards' runs re-sorted by
+    ``(timestamp, src)``."""
     child = node.child
     source = ExchangeSource(
         exchange_name(token, 0),
@@ -530,7 +538,7 @@ def _distinct_recipe(
     spec = ExchangeSpec(
         ordinal=0,
         strategy=PStrategy.SHUFFLE_BY_KEY,
-        stage1=child,
+        stage1=Distinct(child),
         source=source,
         key_positions=tuple(range(len(child.schema))) if distributed else (),
         label="Distinct",
@@ -539,7 +547,8 @@ def _distinct_recipe(
     return ExchangeRecipe(
         code="RA322",
         note=(
-            "DISTINCT rows hash-shuffled by the full row; "
+            "DISTINCT rows deduplicated per shard, then hash-shuffled by "
+            "the full row; "
             + (
                 "each shard deduplicates its hash range"
                 if distributed

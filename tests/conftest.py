@@ -19,6 +19,7 @@ GENERATORS = (
     "_codegen",
     "_codegen_fused",
     "_codegen_fused_batch",
+    "_codegen_distinct",
     "_codegen_accumulate",
     "_codegen_join_probe",
     "_codegen_ingest",

@@ -51,12 +51,18 @@ def test_bench_runner_module_lists_all_benches():
 #: the second query arrives), and +1 per engine on the deployments whose
 #: first query is such a chain and whose second drops it (``standing7``,
 #: ``standing7_rowpush``, ``tenants1k``; +2 on ``standing7_proc2``).
+#: A DISTINCT's batch body is a generated dedup loop: one that takes the
+#: Select/Project run below it generates the run's closure and that
+#: loop — the two functions the FusedOp it replaces generated, so
+#: ``standing7``, ``tenants1k`` and ``standing7_proc2`` stay — and one
+#: with no run generates the loop alone: ``xchg_pool4`` read 75 before
+#: its stage-2 DISTINCT (over the exchange feed, on four shards) did.
 ADMISSION_CODEGEN = {
     "one_query": 4,
     "standing7": 20,
     "standing7_rowpush": 20,
     "tenants1k": 44,
-    "xchg_pool4": 75,
+    "xchg_pool4": 79,
     "standing7_proc2": 41,
     "federated": 4,
 }

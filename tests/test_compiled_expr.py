@@ -344,6 +344,8 @@ _FALLBACK_QUERIES = (
     # running totals: per-group state that lives across punctuations
     "select r.host, sum(r.temp) as total, max(r.load) as peak from Readings r "
     "group by r.host",
+    # a DISTINCT with the filter -> project run below it as its stages
+    "select distinct r.host, r.load from Readings r where r.temp > 5.0",
 )
 
 

@@ -1277,9 +1277,11 @@ class TestFusionBudget:
     @pytest.mark.parametrize(
         "deployment, chains, fan_out",
         # tenants1k: 20 whole-plan chains, each with one log whatever its
-        # 50 tenants (not 1,000 sink branches), plus the 10 operator
-        # branches of its cut chains.
-        [("one_query", 1, 1), ("standing7", 14, 14), ("tenants1k", 30, 30)],
+        # 50 tenants (not 1,000 sink branches), plus the 8 operator
+        # branches of its cut chains. A DISTINCT's run is never cut (it
+        # lowers inside the DistinctOp): standing7 read 14 and tenants1k
+        # 30 while each DISTINCT fed from a cut of fan-out 1.
+        [("one_query", 1, 1), ("standing7", 11, 11), ("tenants1k", 28, 28)],
     )
     def test_no_unshared_stateless_cut(self, deployment, chains, fan_out):
         _, standing7, templates, tenants = _ledger()
@@ -1415,19 +1417,30 @@ class TestSplitLifecycle:
         assert len(session.engine._routes["readings"]) == 1 and relabels == [0]
         session.close()
 
+    def test_a_distinct_takes_its_run_and_splits_nothing(self, monkeypatch):
+        """The run below a DISTINCT lowers inside its DistinctOp, so it
+        is nobody's second consumer: A stays one fused chain with its
+        prefix inlined. (The eager cut read four chains here: the
+        DISTINCT over a ProjectOp chain over a FilterOp chain, and A
+        split onto the filter.)"""
+        session = _open_session(share=True)
+        relabels = _count_relabels(monkeypatch)
+        first, distinct = self._admit_warm(session, [self.A, self.D])
+        monkeypatch.undo()
+        registry = session.engine.subplans
+        assert _dag(registry) == [(["DistinctOp"], 1, 1, []), (["FusedOp"], 1, 1, [])]
+        assert self._counters(session) == (2, 2, 2, 0, 0, 0)
+        (fused,) = [chain for chain in registry.live_chains if chain.stateless]
+        assert list(registry._inliners) == fused.inlined != []
+        (op,) = [chain for chain in registry.live_chains if not chain.stateless][0].compiled.operators
+        assert [stage[0] for stage in op.stages] == ["filter", "project"]
+        assert len(first.results()) == 6 and len(distinct.results()) == 1
+        assert len(session.engine._routes["readings"]) == 2 and relabels == [0]
+        session.close()
+
     @pytest.mark.parametrize(
         "sequence, dag, counters",
         [
-            (
-                ["A", "D"],
-                [
-                    (["DistinctOp"], 1, 1, [["ProjectOp"]]),
-                    (["FilterOp"], 2, 2, []),
-                    (["ProjectOp"], 1, 1, [["FilterOp"]]),
-                    (["ProjectOp"], 1, 1, [["FilterOp"]]),
-                ],
-                (4, 5, 4, 1, 0, 0),
-            ),
             (
                 ["A", "G"],
                 [
@@ -1442,18 +1455,20 @@ class TestSplitLifecycle:
                 ["A", "A", "B", "D", "G"],
                 [
                     (["AggregateOp"], 1, 1, [["FilterOp"]]),
-                    (["DistinctOp"], 1, 1, [["ProjectOp"]]),
-                    (["FilterOp"], 4, 4, []),
+                    # D's run lowers inside it (the eager cut read a
+                    # DistinctOp over a ProjectOp chain over the filter:
+                    # 7 chains, fan-out 10, 7 created, 4 attached).
+                    (["DistinctOp"], 1, 1, []),
+                    (["FilterOp"], 3, 3, []),
                     (["ProjectOp"], 1, 1, [["AggregateOp"]]),
-                    (["ProjectOp"], 1, 1, [["FilterOp"]]),
                     (["ProjectOp"], 1, 1, [["FilterOp"]]),
                     # A's two tenants: two views of one log, one branch.
                     (["ProjectOp"], 1, 2, [["FilterOp"]]),
                 ],
-                (7, 10, 7, 4, 0, 0),
+                (6, 8, 6, 3, 0, 0),
             ),
         ],
-        ids=["distinct", "aggregate", "all"],
+        ids=["aggregate", "all"],
     )
     def test_stateful_consumers_split_too_and_never_inline(self, sequence, dag, counters):
         session = _open_session(share=True)
@@ -1498,26 +1513,35 @@ class TestSplitLifecycle:
         whole = engine.execute(Project(upper, items))
         assert _dag(registry) == [(["FusedOp"], 1, 1, [])]
         assert len(registry._inliners) == 2
+        # A DISTINCT over the upper Select takes the run into its own
+        # operator: nobody's second consumer, so nothing splits (the
+        # eager cut made the upper Select a chain here).
         other = engine.execute(Distinct(upper))
+        assert _dag(registry) == [(["DistinctOp"], 1, 1, []), (["FusedOp"], 1, 1, [])]
+        assert len(registry._inliners) == 2
+        # A second projection of the upper Select is: it becomes a chain.
+        twin = engine.execute(Project(upper, build(self.B).items))
         assert _dag(registry) == [
-            (["DistinctOp"], 1, 1, [["FusedOp"]]),
+            (["DistinctOp"], 1, 1, []),
             (["FusedOp"], 2, 2, []),  # Select over Select, filter-only
+            (["ProjectOp"], 1, 1, [["FusedOp"]]),
             (["ProjectOp"], 1, 1, [["FusedOp"]]),
         ]
         assert list(registry._inliners) == [inner.fingerprint]
         session.push_many("Readings", [_HOT, _HOT], [1.0, 2.0])
-        assert len(whole.results) == 2 and len(other.results) == 1
+        assert len(whole.results) == 2 and len(other.results) == 1 and len(twin.results) == 2
         # Now the lower Select is wanted as well: split again.
         engine.execute(inner)
         assert _dag(registry) == [
-            (["DistinctOp"], 1, 1, [["FilterOp"]]),
+            (["DistinctOp"], 1, 1, []),
             (["FilterOp"], 2, 2, []),
             (["FilterOp"], 2, 2, [["FilterOp"]]),
+            (["ProjectOp"], 1, 1, [["FilterOp"]]),
             (["ProjectOp"], 1, 1, [["FilterOp"]]),
         ]
         assert registry._inliners == {}
         session.push("Readings", _HOT, 3.0)
-        assert len(whole.results) == 3
+        assert len(whole.results) == 3 and len(other.results) == 1 and len(twin.results) == 3
         session.close()
 
     @pytest.mark.parametrize("seed", range(30))
@@ -1607,7 +1631,9 @@ class TestCursorLifecycleFromACallback:
     def test_split_in_flight_below_a_tee_never_doubles_a_row(self, order):
         """The same, one level down: the running chain is fed by a
         tee (the view's chain), so the run in flight would reach the new
-        prefix chain through that tee's branch list, not a route."""
+        prefix chain through that tee's branch list, not a route. (The
+        second consumers are projections: a DISTINCT takes the run below
+        it into its own operator and splits nothing.)"""
         seen = {}
         for share in (False, True):
             session = _open_session(share=share)
@@ -1615,7 +1641,7 @@ class TestCursorLifecycleFromACallback:
                 "create view hot as select r.host, r.temp, r.load "
                 "from Readings r where r.temp > 20.0"
             )
-            session.query("select distinct h.host from hot h")
+            session.query("select h.host, h.temp * 2.0 as t2 from hot h")
             c1 = session.query("select h.host from hot h where h.load < 0.9")
             if share:
                 # The view is a chain (two consumers); c1 runs fused on
@@ -1632,7 +1658,7 @@ class TestCursorLifecycleFromACallback:
             c1.subscribe(
                 lambda *_: late
                 or late.append(
-                    session.query("select distinct h.temp from hot h where h.load < 0.9")
+                    session.query("select h.temp from hot h where h.load < 0.9")
                 )
             )
             self._feed(session, order)
