@@ -64,7 +64,8 @@ _query_ids = itertools.count(1)
 
 #: Replay-log entry kind -> the engine verb that logged it.
 _REPLAY_VERBS = {"push": "push", "many": "push_many", "remote": "push_remote",
-                 "punct": "punctuate", "table": "load_table", "drop": "drop_table"}
+                 "punct": "punctuate", "table": "load_table", "drop": "drop_table",
+                 "admit": "_readmit"}
 
 
 def counted(counts: dict, compile_fn: Callable, *args) -> Any:
@@ -224,6 +225,13 @@ class StreamEngine:
         #: :meth:`restore` brings it back.
         self.checkpointer = None
         self.failed = False
+        #: While :meth:`restore` replays: the handles admitted since the
+        #: barrier, by id, until their admission entry; the restored
+        #: sinks' feeds by ``id`` of the sink (or log); and the handles
+        #: restored so far, to which each replayed admission appends.
+        self._aside: dict[int, QueryHandle] | None = None
+        self._feeds: dict[int, SinkFeed] | None = None
+        self._readmitted: list[QueryHandle] | None = None
 
     # ------------------------------------------------------------------
     # Tables
@@ -307,13 +315,24 @@ class StreamEngine:
         Stored tables are replayed into the new query before this
         returns; when that raises here, the query is stopped first, so
         a failed admission leaves nothing running.
+
+        Under a checkpointer the admission is logged, with what the
+        sink (a view's: its log) held before it and the sharing
+        decision, so a recovery from an earlier barrier starts the query
+        again at the same point of the replay (:meth:`restore`).
         """
         if self.failed:
             raise ExecutionError(
                 "engine has failed; restore() it from a checkpoint first"
             )
         handle = QueryHandle(next(_query_ids), plan, None, sink, self)
+        # A new sink held nothing; a custom consumer keeps no count.
+        received = 0 if sink is None else getattr(sink, "received", None)
         self._start(handle, share)
+        if self.checkpointer is not None:
+            if isinstance(handle.sink, LogView):  # a shared admission emits nothing
+                received = handle.sink.log.received
+            self.checkpointer.record(("admit", None, handle.query_id, received, handle.shared))
         return handle
 
     def _start(self, handle: QueryHandle, share: bool | None, terminal=None) -> None:
@@ -776,12 +795,20 @@ class StreamEngine:
         :class:`~repro.stream.checkpoint.SinkFeed` that drops what the
         replay derives a second time: as many elements as the sink (a
         view's log) received since the barrier, and every replayed
-        punctuation. A held query the checkpoint lacks (admitted since
-        the barrier) is stopped. On a failed engine, a checkpointed query
-        it no longer holds (stopped since the barrier) stays stopped; on
-        one that did not fail — a fresh process's, which holds none —
-        it comes back under a new handle whose new sink reads from the
-        barrier on. Returns the handles in checkpoint order.
+        punctuation. A held query the checkpoint lacks was admitted
+        since the barrier: it is kept aside until the replay reaches its
+        ``("admit", ...)`` entry, which starts it again into its handle
+        through a feed armed with what its sink (its view's log) held at
+        admission (:meth:`_readmit`), so it too sees every result once;
+        one with no such entry (admitted before a checkpointer attached)
+        is stopped. On a failed engine, a checkpointed query it no
+        longer holds (stopped since the barrier) stays stopped, and so
+        does one admitted since the barrier and stopped since: its entry
+        is skipped. On an engine that did not fail — a fresh process's,
+        which holds none — a checkpointed query comes back under a new
+        handle whose new sink reads from the barrier on. Returns the
+        handles in checkpoint order, then those admitted since the
+        barrier in admission order.
         """
         if any("sink" in vars(query_cp) for query_cp in checkpoint.queries):
             raise ExecutionError(
@@ -812,11 +839,19 @@ class StreamEngine:
             self._start(handle, query_cp.shared, feed)
             restore_operators(handle, query_cp.operators)
             handles.append(handle)
-        for handle in held.values():  # admitted since the barrier: lost
-            self.stop(handle)
+        # Admitted since the barrier: aside until the replay reaches the
+        # admission, or stopped when the log has no record of it.
+        admitted = {entry[2] for entry in replay if entry[0] == "admit"}
+        self._aside = {}
+        for query_id, handle in held.items():
+            if query_id in admitted:
+                self._aside[query_id] = self._queries.pop(query_id)
+            else:
+                self.stop(handle)
         self.subplans.restore_chains(checkpoint.chains)
         self._tables = {name: list(elements) for name, elements in checkpoint.tables.items()}
         checkpointer, self.checkpointer = self.checkpointer, None  # replay logs nothing
+        self._feeds, self._readmitted = feeds, handles
         try:
             for entry in replay:
                 self.replay_entry(entry)
@@ -824,6 +859,7 @@ class StreamEngine:
             self.checkpointer = checkpointer
             for feed in feeds.values():
                 feed.release()
+            self._aside = self._feeds = self._readmitted = None
         return handles
 
     def replay_entry(self, entry: tuple) -> None:
@@ -833,6 +869,24 @@ class StreamEngine:
         if verb is None:  # log corruption, or a pool's exchange record (it replays those)
             raise ExecutionError(f"unknown replay-log entry kind {entry[0]!r}")
         getattr(self, verb)(*entry[2:])
+
+    def _readmit(self, query_id: int, received: int | None, shared: bool) -> None:
+        """Replay an admission logged since the barrier (:meth:`execute`):
+        start the handle :meth:`restore` kept aside again, at the same
+        point of the stream, under the same sharing decision, through a
+        feed that drops what its sink (its view's log) received since
+        the admission — or through the log's feed already there. An
+        admission whose handle is not held any more (the query stopped
+        since) is skipped; so is every admission outside a restore."""
+        handle = (self._aside or {}).pop(query_id, None)
+        if handle is None:
+            return
+        target = handle.sink.log if isinstance(handle.sink, LogView) else handle.sink
+        feed = self._feeds.get(id(target))
+        if feed is None:
+            feed = self._feeds[id(target)] = SinkFeed(target, received)
+        self._start(handle, shared, feed)
+        self._readmitted.append(handle)
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -318,7 +318,7 @@ class SubplanRegistry:
             self.declined += 1
             self.last_decline = (code, reason)
             return None
-        chain = self._acquire(plan)
+        chain = self._acquire(plan, sink.log if isinstance(sink, LogView) else None)
         if sink is not None and not isinstance(sink, LogView):
             reader = self._result_sink(plan, terminal or sink)
             chain.tee.add_branch(reader)
@@ -359,7 +359,7 @@ class SubplanRegistry:
         self._inliners.clear()
 
     # ------------------------------------------------------------------
-    def _acquire(self, subtree: LogicalOp) -> SharedChain:
+    def _acquire(self, subtree: LogicalOp, log: CollectingConsumer | None = None) -> SharedChain:
         """One reference on the chain computing ``subtree``.
 
         A live attachable chain is joined. Otherwise the chain is
@@ -367,10 +367,16 @@ class SubplanRegistry:
         inside themselves, this is the second consumer they were
         waiting for: the *split*. Each inliner is re-lowered onto the
         new chain (see :meth:`_relower`).
+
+        ``log`` is a restored view's: it names the chain the view read
+        before the failure. The live chain writing it is joined however
+        warm it reads now, and one writing another log never is — the
+        view was not its reader, whatever a regrown chain's coldness
+        says (a restore regrows every chain cold).
         """
         fingerprint = subtree.fingerprint
         assert fingerprint is not None
-        chain = self._live(fingerprint, subtree.schema)
+        chain = self._live(fingerprint, subtree.schema, log)
         if chain is not None:
             chain.refs += 1
             self.attached += 1
@@ -394,7 +400,9 @@ class SubplanRegistry:
             self._relower(inliner)
         return chain
 
-    def _live(self, fingerprint: tuple, schema: Any) -> SharedChain | None:
+    def _live(
+        self, fingerprint: tuple, schema: Any, log: CollectingConsumer | None = None
+    ) -> SharedChain | None:
         """The attachable chain under ``fingerprint`` emitting ``schema``.
 
         Nothing relabels rows between a tee and its branches, and a
@@ -405,10 +413,20 @@ class SubplanRegistry:
         sibling. It is read off ``subtree``, which ``plan`` was
         rewritten from below its root and whose schema it keeps: a warm
         plan-cache hit hands back that very node, so the comparison is
-        an identity check.
+        an identity check. With a restored view's ``log``, the chain
+        writing that log, else an attachable one writing none.
         """
-        for chain in self._chains.get(fingerprint, ()):
-            if chain.subtree.schema == schema and self._attachable(chain):
+        group = self._chains.get(fingerprint, ())
+        if log is not None:
+            for chain in group:
+                if chain.log is log:
+                    return chain
+        for chain in group:
+            if (
+                chain.subtree.schema == schema
+                and self._attachable(chain)
+                and (log is None or chain.log is None)
+            ):
                 return chain
         return None
 
@@ -631,9 +649,12 @@ class SubplanRegistry:
         shape); this then pours the state back by fingerprint and
         position. A chain no re-admitted query reads (its queries were
         stopped since the barrier) is not regrown and its state is
-        dropped. A multiplicity mismatch means the admission decisions
-        diverged from the barrier (e.g. a warm-decline raced the
-        crash) and is refused rather than silently mis-restored.
+        dropped. A re-admitted view finds its chain by its log, so a
+        sibling grown by a warm decline comes back a sibling; a
+        multiplicity mismatch means the admission decisions still
+        diverged from the barrier (a warm decline of a query whose
+        custom sink names no log) and is refused rather than silently
+        mis-restored.
         """
         for fingerprint, states in snapshot.items():
             group = self._chains.get(fingerprint, [])

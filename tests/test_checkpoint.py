@@ -1018,6 +1018,93 @@ class TestSinksOutliveTheFailure:
         assert all(expected)
         assert run(fail=True) == expected
 
+    @pytest.mark.parametrize("share", [False, True], ids=["private", "shared"])
+    def test_a_query_admitted_since_the_barrier_comes_back(self, share):
+        """A filter admitted between a barrier and the failure is in no
+        checkpoint: the replay starts it again at its admission into the
+        handle the caller holds, so ``recover()`` lists it (after the
+        checkpointed queries) and it reads as in the failure-free run —
+        as does a second reader of a checkpointed query's chain admitted
+        then. One admitted since the barrier and closed before the
+        failure stays closed."""
+        rows, stamps = _rows(60)
+
+        def run(fail):
+            session = connect(checkpoint_interval=10.0, share_plans=share)
+            session.attach(StreamSource("Readings", READINGS, rate=10.0))
+            cursors = [session.query(sql) for sql in QUERIES]
+            for offset in range(0, 30, 10):  # barriers at 9, 19 and 29
+                session.push_many("Readings", rows[offset : offset + 10], stamps[offset : offset + 10])
+                session.punctuate(stamps[offset + 9])
+            late = [
+                session.query("select r.host, r.temp from Readings r where r.temp > 5.0"),
+                session.query(QUERIES[2]),
+            ]
+            closed = session.query(QUERIES[1])
+            session.push_many("Readings", rows[30:35], stamps[30:35])
+            session.punctuate(stamps[34])  # no barrier: 34 < 29 + 10
+            closed.close()
+            frozen = len(closed)
+            session.push_many("Readings", rows[35:40], stamps[35:40])
+            if fail:
+                held = [cursor._handle for cursor in cursors + late]
+                session.engine.fail()
+                restored = session.checkpointer.recover()
+                assert session.checkpointer.latest().watermark == stamps[29]
+                assert [id(h) for h in restored] == [id(h) for h in held]
+            for offset in range(40, 60, 10):
+                session.push_many("Readings", rows[offset : offset + 10], stamps[offset : offset + 10])
+                session.punctuate(stamps[offset + 9])
+            session.punctuate(stamps[-1] + 100.0)
+            assert len(closed) == frozen
+            results = [
+                (
+                    [(e.timestamp, e.row.values) for e in c._handle.sink.elements],
+                    [p.watermark for p in c._handle.sink.punctuations],
+                )
+                for c in cursors + late
+            ]
+            session.close()
+            return results
+
+        expected = run(fail=False)
+        assert all(elements for elements, _ in expected)
+        assert run(fail=True) == expected
+
+    @pytest.mark.parametrize("admitted", [10, 30], ids=["before-barrier", "after-barrier"])
+    def test_a_warm_declined_twin_comes_back_as_a_sibling(self, admitted):
+        """A second DISTINCT of one template admitted once rows flowed
+        declines the warm chain and gets a sibling with a log of its
+        own. Every chain a restore regrows is cold, so the twin's view
+        names its chain by its log: the sibling comes back (a restore
+        used to attach the twin to the first chain and refuse the
+        multiplicity, or read nothing into the twin's log), whether the
+        twin is in the checkpoint or admitted after it."""
+        rows, stamps = _rows(60)
+        sql = "select distinct r.host, r.temp from Readings r where r.temp > 3.0"
+
+        def run(fail):
+            session = connect(checkpoint_interval=10.0)
+            session.attach(StreamSource("Readings", READINGS, rate=10.0))
+            cursors = [session.query(sql)]
+            for offset in range(0, 60, 10):
+                if offset == admitted:
+                    cursors.append(session.query(sql))
+                    assert session.stats()["sharing"]["chains"] == 2
+                session.push_many("Readings", rows[offset : offset + 10], stamps[offset : offset + 10])
+                if fail and offset == 30:
+                    session.engine.fail()
+                    session.checkpointer.recover()
+                    assert session.stats()["sharing"]["chains"] == 2
+                session.punctuate(stamps[offset + 9])
+            results = [[(e.timestamp, e.row.values) for e in c._handle.sink.elements] for c in cursors]
+            session.close()
+            return results
+
+        expected = run(fail=False)
+        assert all(expected)
+        assert run(fail=True) == expected
+
     def test_a_process_restart_reads_from_the_barrier_on(self, tmp_path):
         """A fresh engine restored from a file store has no sink to
         write into: each query comes back under a new handle with a new
