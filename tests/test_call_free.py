@@ -51,7 +51,14 @@ from repro.sql.expressions import (
 )
 from repro.stream import engine as engine_module
 from repro.stream.engine import StreamEngine
-from repro.stream.operators import FilterOp, FusedOp, ProjectOp, StageOp, SymmetricHashJoin
+from repro.stream.operators import (
+    DistinctOp,
+    FilterOp,
+    FusedOp,
+    ProjectOp,
+    StageOp,
+    SymmetricHashJoin,
+)
 
 _COALESCE = _SCALAR_FUNCTIONS["COALESCE"][0]
 
@@ -166,7 +173,7 @@ def _stage_loops(session) -> list[tuple]:
                         loops.append((fn, residual + op.stages, op._joined_schema))
                 if op._tail is not None:
                     loops.append((op._tail, op.stages, op._joined_schema))
-            elif isinstance(op, StageOp):
+            elif isinstance(op, (StageOp, DistinctOp)):
                 for fn in (op._batch_fn, getattr(op, "_fused", None)):
                     if fn is not None:
                         loops.append((fn, op.stages, op.input_schema))
@@ -321,8 +328,9 @@ def _findings(fn, stages, schema) -> tuple[list[str], int]:
 class TestNullFacts:
     """The filter lowering on every generated Filter/Project loop of the
     ledger's deployments — a fused chain's closure and batch loop, a
-    source's fused-ingest loop, a join's probe kernels — read from the
-    generated text against the chain it lowers."""
+    DISTINCT's closure and dedup loop, a source's fused-ingest loop, a
+    join's probe kernels — read from the generated text against the
+    chain it lowers."""
 
     def test_no_proven_column_is_tested_again(self):
         from benchmarks.ledger.workloads import WORKLOADS
@@ -341,6 +349,33 @@ class TestNullFacts:
             finally:
                 deployment.close()
         assert loops > 0 and checked > 0
+
+    def test_a_distinct_builds_its_row_after_the_membership_test(self):
+        """``standing7``'s three DISTINCTs each take their run: the dedup
+        loop lowers the run's filter, tests ``v`` against ``seen``, and
+        only past that test builds the output Row and StreamElement —
+        a duplicate allocates nothing."""
+        deployment = BY_NAME["standing7"].open(BY_NAME["standing7"].build_input(1, 64))
+        try:
+            deployment.deliver(0, 64)
+            ops = [
+                op
+                for chain in deployment.session.engine.subplans.live_chains
+                for op in chain.compiled.operators
+                if isinstance(op, DistinctOp)
+            ]
+            assert len(ops) == 3
+            for op in ops:
+                body = _row_body(op._batch_fn)
+                text = [ast.unparse(node) for node in body]
+                test = text.index("if v in seen:\n    continue")
+                builds = [i for i, line in enumerate(text) if "_new(" in line]
+                assert builds and min(builds) > test, op._batch_fn.__compiled_source__
+                assert [stage[0] for stage in op.stages] == ["filter", "project"]
+                found, facts = _findings(op._batch_fn, op.stages, op.input_schema)
+                assert found == [] and facts > 0
+        finally:
+            deployment.close()
 
     def test_the_guard_sees_an_and_ladder(self):
         """The lowering this replaced — a value-producing AND, ``v[i]``
@@ -885,6 +920,21 @@ def test_every_loop_is_a_composition_of_the_one_template():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_define"
     }
     assert callers == {"_codegen_loop", "_codegen", "_define_take", "_define_finalize"}
+    loops = {
+        function.name
+        for function in tree.body
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_codegen_loop"
+    }
+    assert loops == {
+        "_codegen_fused",
+        "_codegen_fused_batch",
+        "_codegen_distinct",
+        "_codegen_accumulate",
+        "_codegen_join_probe",
+        "_codegen_ingest",
+    }
 
 
 # ----------------------------------------------------------------------

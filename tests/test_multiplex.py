@@ -83,7 +83,7 @@ from repro.stream import DistributedStreamEngine
 from repro.stream.checkpoint import CheckpointCoordinator
 from repro.stream.compiler import _ReschemaConsumer
 from repro.stream.multiplex import CachedStatement, PlanCache, SharedFeed
-from repro.stream.operators import OutputOp
+from repro.stream.operators import DistinctOp, OutputOp
 from repro.stream.partition import partition_safe
 from repro.stream.procshard import usable_start_method
 
@@ -1019,6 +1019,31 @@ class TestSinkBudget:
         monkeypatch.undo()
         assert 0 < most_stores <= logs and 0 < most_appends <= logs
         assert sum(len(cursor) for cursor in deployment.cursors) > 0
+        deployment.close()
+
+    def test_a_distinct_chain_is_one_operator(self):
+        """On ``standing7`` each DISTINCT chain is its one DistinctOp,
+        fed by its route with the run below it inside, and no stateless
+        chain has a DistinctOp branch: a duplicate crosses no tee and
+        builds no row (the eager cut ran ``FusedOp → tee → DistinctOp``
+        three times, 14 chains)."""
+        from benchmarks.ledger.workloads import BY_NAME
+
+        spec = BY_NAME["standing7"]
+        deployment = spec.open(spec.build_input(7, self.UNITS))
+        registry = deployment.session.engine.subplans
+        chains = registry.live_chains
+        distinct = [c for c in chains if any(isinstance(op, DistinctOp) for op in c.compiled.operators)]
+        assert len(distinct) == 3 and len(chains) == 11
+        for chain in distinct:
+            (op,) = chain.compiled.operators
+            assert op.stages and chain.parents == [] and not chain.stateless
+            assert [port.consumer for port in chain.compiled.ports] == [op]
+        for chain in chains:
+            if chain.stateless:
+                assert not any(isinstance(branch, DistinctOp) for branch in chain.tee.branches)
+        deployment.deliver(0, self.UNITS)
+        assert all(len(cursor) for cursor in deployment.cursors)
         deployment.close()
 
 
