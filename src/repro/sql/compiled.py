@@ -566,9 +566,8 @@ def _emit_run(gen: _CodeGen, window: WindowSpec | None = None, stamped: bool = F
 
 
 def _codegen_fused_batch(stages: tuple, schema: Schema, output_schema: Schema) -> Callable:
-    return _codegen_loop(
-        ("fused_batch", "elements, out", _emit_run), (schema, stages), _survivor(stages, output_schema)
-    )
+    sink = _survivor(stages, output_schema)
+    return _codegen_loop(("fused_batch", "elements, out", _emit_run), (schema, stages), sink)
 
 
 def _survivor(stages: tuple, output_schema: Schema | None) -> tuple:
@@ -581,9 +580,8 @@ def _survivor(stages: tuple, output_schema: Schema | None) -> tuple:
 
 
 def _codegen_distinct(stages: tuple, schema: Schema, output_schema: Schema | None) -> Callable:
-    return _codegen_loop(
-        ("distinct", "elements, seen, out", _emit_run), (schema, stages), _dedup(_survivor(stages, output_schema))
-    )
+    sink = _dedup(_survivor(stages, output_schema))
+    return _codegen_loop(("distinct", "elements, seen, out", _emit_run), (schema, stages), sink)
 
 
 def _dedup(survivor: tuple) -> tuple:

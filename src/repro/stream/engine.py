@@ -226,12 +226,10 @@ class StreamEngine:
         self.checkpointer = None
         self.failed = False
         #: While :meth:`restore` replays: the handles admitted since the
-        #: barrier, by id, until their admission entry; the restored
-        #: sinks' feeds by ``id`` of the sink (or log); and the handles
-        #: restored so far, to which each replayed admission appends.
-        self._aside: dict[int, QueryHandle] | None = None
-        self._feeds: dict[int, SinkFeed] | None = None
-        self._readmitted: list[QueryHandle] | None = None
+        #: barrier, by id, until the replay reaches their admission; the
+        #: restored sinks' feeds, by ``id`` of the sink (or log); and the
+        #: handles restored so far, which each replayed admission joins.
+        self._restoring: tuple[dict[int, QueryHandle], dict[int, SinkFeed], list] | None = None
 
     # ------------------------------------------------------------------
     # Tables
@@ -842,24 +840,23 @@ class StreamEngine:
         # Admitted since the barrier: aside until the replay reaches the
         # admission, or stopped when the log has no record of it.
         admitted = {entry[2] for entry in replay if entry[0] == "admit"}
-        self._aside = {}
+        aside = {}
         for query_id, handle in held.items():
             if query_id in admitted:
-                self._aside[query_id] = self._queries.pop(query_id)
+                aside[query_id] = self._queries.pop(query_id)
             else:
                 self.stop(handle)
         self.subplans.restore_chains(checkpoint.chains)
         self._tables = {name: list(elements) for name, elements in checkpoint.tables.items()}
         checkpointer, self.checkpointer = self.checkpointer, None  # replay logs nothing
-        self._feeds, self._readmitted = feeds, handles
+        self._restoring = aside, feeds, handles
         try:
             for entry in replay:
                 self.replay_entry(entry)
         finally:
-            self.checkpointer = checkpointer
+            self.checkpointer, self._restoring = checkpointer, None
             for feed in feeds.values():
                 feed.release()
-            self._aside = self._feeds = self._readmitted = None
         return handles
 
     def replay_entry(self, entry: tuple) -> None:
@@ -887,15 +884,18 @@ class StreamEngine:
         the admission — or through the log's feed already there. An
         admission whose handle is not held any more (the query stopped
         since) is skipped; so is every admission outside a restore."""
-        handle = (self._aside or {}).pop(query_id, None)
+        if self._restoring is None:
+            return
+        aside, feeds, handles = self._restoring
+        handle = aside.pop(query_id, None)
         if handle is None:
             return
         target = handle.sink.log if isinstance(handle.sink, LogView) else handle.sink
-        feed = self._feeds.get(id(target))
+        feed = feeds.get(id(target))
         if feed is None:
-            feed = self._feeds[id(target)] = SinkFeed(target, received)
+            feed = feeds[id(target)] = SinkFeed(target, received)
         self._start(handle, shared, feed)
-        self._readmitted.append(handle)
+        handles.append(handle)
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -538,7 +538,7 @@ def _distinct_recipe(
     spec = ExchangeSpec(
         ordinal=0,
         strategy=PStrategy.SHUFFLE_BY_KEY,
-        stage1=Distinct(child),
+        stage1=node,
         source=source,
         key_positions=tuple(range(len(child.schema))) if distributed else (),
         label="Distinct",

@@ -68,11 +68,18 @@ def _filter_only(scan, rng):
 
 
 def _multi_stage(scan, rng):
+    """Filter, project, filter, project: four stages under the DISTINCT."""
     low = Select(scan, BinaryOp("<", _col("load"), Literal(rng.choice([0.6, 1.0]))))
     doubled = BinaryOp("*", _col("temp"), Literal(2.0))
-    items = [ProjectItem(_col("room"), "room"), ProjectItem(_col("host"), "host"), ProjectItem(doubled, "t2")]
-    upper = Select(Project(low, items), BinaryOp(">", ColumnRef("t2"), Literal(rng.choice([20.0, 50.0]))))
-    return Distinct(Project(upper, [ProjectItem(ColumnRef("room"), "room"), ProjectItem(ColumnRef("t2"), "t2")]))
+    items = [
+        ProjectItem(_col("room"), "room"),
+        ProjectItem(_col("host"), "host"),
+        ProjectItem(doubled, "t2"),
+    ]
+    hot = BinaryOp(">", ColumnRef("t2"), Literal(rng.choice([20.0, 50.0])))
+    upper = Select(Project(low, items), hot)
+    kept = [ProjectItem(ColumnRef("room"), "room"), ProjectItem(ColumnRef("t2"), "t2")]
+    return Distinct(Project(upper, kept))
 
 
 def _raising(scan, rng):
