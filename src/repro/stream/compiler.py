@@ -232,7 +232,11 @@ class PlanCompiler:
         """Returns the consumer that accepts this node's *input* items.
 
         For Scan leaves the returned consumer is registered as a port and
-        also returned (the engine pushes into it).
+        also returned (the engine pushes into it). A maximal
+        Select/Project run lowers in one place: into the Distinct
+        directly above it (:meth:`_compile_distinct`), else from its top
+        node (:meth:`_compile_run`), into the join below it when there
+        is one.
         """
         if isinstance(node, Scan):
             # Source rows enter as they are (see ScanPort).

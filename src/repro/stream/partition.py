@@ -521,10 +521,10 @@ def _distinct_recipe(
 
     Stage 1 is the DISTINCT itself (its run below, lowered into it), so
     each stage-1 replica ships a row at most once per shard and its
-    seen set is checkpointed with the replica. Stage 2 emits the same
-    element as without it: the global first occurrence is always its
-    own shard's first, and stage 2 takes the shards' runs re-sorted by
-    ``(timestamp, src)``."""
+    seen set is checkpointed with the replica. For rows arriving in
+    timestamp order stage 2 emits the same element as without it: the
+    global first occurrence is always its own shard's first, and stage
+    2 takes the shards' runs re-sorted by ``(timestamp, src)``."""
     child = node.child
     source = ExchangeSource(
         exchange_name(token, 0),
