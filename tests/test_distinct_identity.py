@@ -25,10 +25,11 @@ import os
 import random
 
 import pytest
-from conftest import generated, interpreted, unfused
+from conftest import declining, generated, interpreted, unfused
 
 from repro.catalog import Catalog
 from repro.data import DataType, Row, Schema
+from repro.data.streams import CollectingConsumer, StreamElement
 from repro.errors import ExecutionError
 from repro.plan import PlanBuilder
 from repro.plan.logical import Distinct, Project, ProjectItem, Scan, Select
@@ -336,3 +337,34 @@ class TestDistinctAcrossRecovery:
         got, _ = _drive(pool, handles, rows, stamps, chunks, "push_many", kill)
         assert got == expected
         assert coordinator.last_replay is not None and coordinator.last_replay["target"] == victim
+
+
+def test_a_run_that_raises_forwards_what_it_found_first():
+    """The generated dedup loop and the per-element body it stands for
+    agree when a stage raises part way through a run: the first
+    occurrences before the raising row are forwarded and seen, the rows
+    after it are not reached, and the seen set holds nothing that was
+    not forwarded."""
+    bare = Schema.of(*((field.bare_name, field.dtype) for field in READINGS))
+    good = BinaryOp("<>", ColumnRef("host"), Literal(BAD))
+    adds = BinaryOp(">", BinaryOp("+", ColumnRef("load"), ColumnRef("room")), Literal(1.0))
+    rooms = Schema.of(("room", DataType.STRING))
+    stages = [("filter", BinaryOp("OR", good, adds)), ("project", [ColumnRef("room")], rooms)]
+    values = [
+        ("lab1", "ws0", 1.0, 0.1),
+        ("lab1", "ws1", 2.0, 0.5),
+        ("lab2", "ws2", 3.0, 0.9),
+        ("lab1", BAD, 4.0, 0.5),
+        ("office3", "ws3", 5.0, 0.1),
+    ]
+    elements = [StreamElement(Row(bare, v), float(i)) for i, v in enumerate(values)]
+    outcomes = []
+    for arm in (generated, lambda: declining("_codegen_distinct")):
+        sink = CollectingConsumer()
+        with arm():
+            op = DistinctOp(sink, bare, stages, rooms)
+        assert (op._batch_fn is not None) == (not outcomes)
+        with pytest.raises(ExecutionError, match="cannot apply \\+"):
+            op.push_batch(elements)
+        outcomes.append(([e.row.values for e in sink.elements], set(op._seen), op.rows_out))
+    assert outcomes[0] == outcomes[1] == ([("lab1",), ("lab2",)], {("lab1",), ("lab2",)}, 2)
