@@ -206,6 +206,28 @@ def edge(verb: Callable) -> Callable:
     return edged
 
 
+def replayed(verb: Callable, *args, keep: type[Exception] | tuple = ()) -> None:
+    """Re-run a logged verb and drop the errors it raises again.
+
+    The verb raised them to its caller when it first ran (an operator's
+    error was parked and raised once the run was through; a row that
+    failed coercion was never logged), and the replay derives again all
+    it derived then. So the replay is an edge of its own: what it parks
+    or raises is dropped, and stays out of any verb open around it (a
+    pool fails a shard over inside the verb that found it dead). An
+    exception of a ``keep`` type — a failover signal — propagates."""
+    saved = EDGE.open, EDGE.parked
+    EDGE.open, EDGE.parked = True, None
+    try:
+        verb(*args)
+    except keep:
+        raise
+    except Exception:  # raised to the verb's caller when it first ran
+        pass
+    finally:
+        EDGE.open, EDGE.parked = saved
+
+
 #: ``outermost(fn, *args)`` is ``fn(*args)`` as an edge. A fan-out on the
 #: per-row path tests ``EDGE.open`` inline and calls this only when no
 #: verb is open, so under a verb it pays no extra call.

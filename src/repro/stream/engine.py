@@ -45,6 +45,7 @@ from repro.data.streams import (
     elements_from_columns,
     park,
     push_all,
+    replayed,
 )
 from repro.data.tuples import Row
 from repro.errors import ExecutionError
@@ -861,20 +862,13 @@ class StreamEngine:
 
     def replay_entry(self, entry: tuple) -> None:
         """Re-ingest one replay-log entry (see CheckpointCoordinator):
-        ``(kind, key, *arguments)`` of the verb that logged it.
-
-        An error the verb raises again is not raised: the verb raised it
-        to its caller when it first ran — an operator's error is parked
-        and raised once the run is through, and a row that fails
-        coercion is never logged — and the replay derives again all it
-        derived then, so the rest of the suffix replays."""
+        ``(kind, key, *arguments)`` of the verb that logged it. An error
+        the verb raises again is dropped (:func:`replayed`), so the rest
+        of the suffix replays."""
         verb = _REPLAY_VERBS.get(entry[0])
         if verb is None:  # log corruption, or a pool's exchange record (it replays those)
             raise ExecutionError(f"unknown replay-log entry kind {entry[0]!r}")
-        try:
-            getattr(self, verb)(*entry[2:])
-        except Exception:  # raised to the verb's caller when it first ran
-            return
+        replayed(getattr(self, verb), *entry[2:])
 
     def _readmit(self, query_id: int, received: int | None, shared: bool) -> None:
         """Replay an admission logged since the barrier (:meth:`execute`):

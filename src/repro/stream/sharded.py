@@ -66,6 +66,7 @@ from repro.data.streams import (
     StreamElement,
     edge,
     push_all,
+    replayed,
 )
 from repro.data.tuples import Row, stable_hash
 from repro.errors import CatalogError, ExecutionError
@@ -1126,24 +1127,29 @@ class ShardedStreamEngine:
         channel.settle()  # table-replay emissions have hit the muted feeds
         for feed, skip in arms:
             feed.arm(skip)
-        replayed = 0
+        count = 0
         for entry in suffix:
             kind, key = entry[0], entry[1]
             if kind == "punct":
-                channel.punctuate(entry[2], entry[3])
+                call = channel.punctuate, entry[2], entry[3]
             elif kind == "table":
-                channel.load_table(entry[2], entry[3], entry[4])
+                call = channel.load_table, entry[2], entry[3], entry[4]
             elif key != index:
                 continue
             elif kind == "many":
-                channel.ingest(entry[2], entry[3], entry[4])
+                call = channel.ingest, entry[2], entry[3], entry[4]
             elif kind == "remote":
-                channel.ingest_remote(entry[2], entry[3], entry[4])
+                call = channel.ingest_remote, entry[2], entry[3], entry[4]
             elif kind == "xdeliver":
-                channel.deliver(entry[2], [])
+                call = channel.deliver, entry[2], []
             else:  # "xpunct"
-                channel.deliver([], [(entry[2], entry[3])])
-            replayed += 1
-        channel.settle()  # replayed emissions have cleared the armed skips
+                call = channel.deliver, [], [(entry[2], entry[3])]
+            # What the verb raised reached its caller when it first ran;
+            # a second death of the shard is not dropped.
+            replayed(*call, keep=ShardDied)
+            count += 1
+        # Replayed emissions (a worker's errors ride along) have cleared
+        # the armed skips.
+        replayed(channel.settle, keep=ShardDied)
         from_seq = checkpoint.log_seq if checkpoint is not None else 0
-        coordinator.note_replay(index, from_seq, replayed)
+        coordinator.note_replay(index, from_seq, count)

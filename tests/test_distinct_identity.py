@@ -324,7 +324,7 @@ class TestDistinctAcrossRecovery:
 
     @pytest.mark.parametrize("seed", range(SEEDS))
     def test_a_shard_kill_on_the_pool(self, seed):
-        expected, _ = _reference(seed)
+        expected, raised = _reference(seed)
         queries, rows, stamps, chunks = _corpus(seed)
         pool, coordinator, handles = _open("loopback", False, queries, generated, interval=15.0)
         kill_at = seeded_point(seed, len(chunks))
@@ -334,8 +334,10 @@ class TestDistinctAcrossRecovery:
             if number == kill_at:
                 kill_shard(pool, victim)
 
-        got, _ = _drive(pool, handles, rows, stamps, chunks, "push_many", kill)
+        got, errors = _drive(pool, handles, rows, stamps, chunks, "push_many", kill)
         assert got == expected
+        # The replay of the dead shard's log raises nothing again.
+        assert errors == raised
         assert coordinator.last_replay is not None and coordinator.last_replay["target"] == victim
 
 
