@@ -5,7 +5,8 @@ goes in, live results come out — the session compiles each statement
 (lex/parse/analyze/plan) and routes it to the right backend:
 
 * continuous SELECTs        -> the stream engine,
-* table-only / WITH RECURSIVE -> the one-shot batch evaluator,
+* table-only / WITH RECURSIVE -> one-shot evaluation: the same operator
+  pipelines, fed the stored tables as a stream that ends,
 * ``placement=...``         -> the distributed stream engine,
 * SELECTs over sensor-hosted sources -> the federated optimizer:
   filters deploy *on the motes*, and only passing samples cross the
@@ -73,7 +74,8 @@ def main() -> None:
         )
         print("prepared route:", warm.route, "params:", warm.parameters)
 
-        # 3. One-shot: a table-only query routes to the batch evaluator.
+        # 3. One-shot: a table-only query runs on the operator pipelines
+        #    over the stored tables, which end, and returns its rows.
         cursor = session.query("select m.host from Machines m where m.room = 'lab1'")
         print("batch:", [row["m.host"] for row in cursor], f"(kind={cursor.kind})")
 

@@ -50,12 +50,14 @@ by ``make lint`` / ``make check``):
   ``PlanCompiler.compile`` are attribute calls and not this rule's
   business).
 
-* **RA906 — one road to the interpreter.** Every operator and batch
-  evaluator node has one body, written against the value-tuple
-  callables of ``sql/compiled.py``; whether one of those is generated
-  code or ``Expr.eval`` behind the same signature is decided there and
+* **RA906 — one road to the interpreter.** Every operator has one
+  body, written against the value-tuple callables of
+  ``sql/compiled.py``; whether one of those is generated code or
+  ``Expr.eval`` behind the same signature is decided there and
   counted. An ``.eval(`` call anywhere under ``stream/`` is a second,
-  by-name body growing back beside the first.
+  by-name body growing back beside the first, and so is an
+  ``Accumulator(...)`` constructed there: its ``add`` evaluates the
+  call's argument by name, uncounted.
 
 * **RA907 — an error is handed to the edge.** A hand-off that raises
   under an open verb is parked, and the outermost verb raises it (the
@@ -512,21 +514,26 @@ def _check_stream_eval_calls(modules: dict[str, ast.Module], out: list[Diagnosti
         if Path(rel).parts[0] != "stream":
             continue
         for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "eval"
-            ):
-                out.append(
-                    diag(
-                        "RA906",
-                        ERROR,
-                        ".eval(...) under stream/: evaluate through the "
-                        "schema-bound callables of sql.compiled, which "
-                        "fall back to the interpreter themselves (counted)",
-                        operator=f"{rel}:{node.lineno}",
-                    )
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if isinstance(func, ast.Attribute) and name == "eval":
+                what = ".eval(...)"
+            elif name == "Accumulator":
+                what = "Accumulator(...)"
+            else:
+                continue
+            out.append(
+                diag(
+                    "RA906",
+                    ERROR,
+                    f"{what} under stream/: evaluate and fold through the "
+                    "schema-bound callables of sql.compiled, which "
+                    "fall back to the interpreter themselves (counted)",
+                    operator=f"{rel}:{node.lineno}",
                 )
+            )
 
 
 # ----------------------------------------------------------------------

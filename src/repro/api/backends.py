@@ -466,7 +466,8 @@ def _match_fragments(old_fragments, new_fragments):
 
 
 class BatchBackend:
-    """One-shot evaluation over the current stored tables."""
+    """One-shot evaluation over the current stored tables: the plan's
+    operator pipeline, fed the tables as a stream that ends."""
 
     name = "batch"
 

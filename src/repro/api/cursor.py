@@ -19,9 +19,8 @@ completed) statement, whichever backend executes it:
 A :class:`PreparedStatement` is parsed, analyzed and planned **once**,
 with ``:name`` placeholders left in the plan as
 :class:`~repro.sql.expressions.Parameter` slots. Batch executions rebind
-the slots and re-run the same plan — the compiled closures the batch
-evaluator memoizes on plan nodes are reused across executions, so only
-the first execution pays compilation. Continuous executions (stream /
+the slots and re-run the same plan; each execution compiles its
+pipeline afresh, so it reads the slots as bound. Continuous executions (stream /
 distributed) bake the bindings in as literals instead: a running
 pipeline must own immutable parameter values, or a later ``execute()``
 would mutate a live query's predicate.
@@ -398,8 +397,7 @@ class PreparedStatement:
         return self._execute_continuous(params)
 
     def _execute_batch(self, params: dict[str, Any]) -> Cursor:
-        # Rebind the shared slots; the plan (and the compiled closures
-        # memoized on its nodes) is reused as-is.
+        # Rebind the shared slots; the plan is reused as-is.
         for name, occurrences in self._params.items():
             for parameter in occurrences:
                 parameter.bind(params[name])

@@ -13,9 +13,12 @@ Routing rules (``session.query(text)``):
 * ``CREATE VIEW``            → registered in the catalog; the cursor is
   complete immediately (``kind == "view"``).
 * ``WITH RECURSIVE``         → one-shot fixpoint over the current stored
-  tables via the batch evaluator (``kind == "batch"``).
-* ``SELECT`` over stored tables only → one-shot batch evaluation
-  (``kind == "batch"``; rows are materialized at call time).
+  tables (``kind == "batch"``).
+* ``SELECT`` over stored tables only → one-shot bounded evaluation
+  (``kind == "batch"``; rows are materialized at call time). A bounded
+  query runs on the same operator pipelines as a continuous one: the
+  stored tables are a stream that ends
+  (:func:`repro.stream.batch.evaluate`).
 * ``SELECT`` scanning a **sensor-hosted** source (on a session with
   sensor capability — ``connect(network=...)`` or an injected
   ``sensor_engine``) → the **federated** backend (``kind ==
@@ -646,8 +649,9 @@ class Session:
             route = "distributed"
         else:
             # OUTPUT TO DISPLAY needs the stream engine's deliver hook;
-            # the batch evaluator has no display path, so a table-only
-            # SELECT with an OUTPUT clause still runs continuous.
+            # a bounded evaluation delivers to no display, so a
+            # table-only SELECT with an OUTPUT clause still runs
+            # continuous.
             if self._has_output(plan) or not self._is_table_only(plan):
                 # Sensor-hosted scans go through the federated
                 # optimizer when this session can actually deploy
@@ -661,7 +665,7 @@ class Session:
             if self._has_output(plan):
                 raise QueryError(
                     "OUTPUT TO DISPLAY requires the stream engine "
-                    "(the batch evaluator has no display delivery)",
+                    "(a one-shot evaluation has no display delivery)",
                     sql=sql,
                 )
             if not self._is_table_only(plan):
@@ -719,7 +723,7 @@ class Session:
         return self.backend(route).compile_and_run(plan, sql, placement=placement)
 
     def _evaluate(self, plan: LogicalOp | RecursivePlan) -> list[Row]:
-        """One-shot batch evaluation over the current stored tables."""
+        """One-shot bounded evaluation over the current stored tables."""
         tables = self._scanned_tables(plan)
         if isinstance(plan, RecursivePlan):
             closure = fixpoint(plan.recursive, tables)

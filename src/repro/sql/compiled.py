@@ -78,8 +78,8 @@ is counted, once, at admission (:func:`compile_counts`;
 ledger workloads and the corpora's default arms.
 
 Every evaluation site compiles once and keeps the closure: operators
-compile at construction, and the batch evaluator memoizes per plan
-node (``repro.stream.batch._node_compiled``). :func:`compile_projection`
+compile at construction, bounded evaluations included (they run the
+same pipelines, :mod:`repro.stream.batch`). :func:`compile_projection`
 lowers a whole projection list into one generated function returning
 the output value tuple — one call per row instead of one per column.
 
@@ -683,6 +683,63 @@ def compile_partial(
     return _generate(
         _codegen_accumulate, group_exprs, calls, schema, window, True
     ) or _fallback_partial(group_exprs, calls, schema, window)
+
+
+def merge_partials(
+    calls: Sequence[AggregateCall],
+) -> tuple[Callable[[], list], Callable[[list, list], None], Callable[[list], list]]:
+    """Stage 2 of a two-phase aggregation: the merge of the payloads
+    :func:`compile_partial`'s ``take`` ships.
+
+    Returns ``(start, fold, finalize)`` over one group's merge state, a
+    list of :class:`~repro.sql.expressions.Accumulator` (``copy()`` each
+    for a checkpoint): ``start()`` is a fresh state, ``fold(state,
+    contributions)`` folds one payload tuple per arriving partial row,
+    and ``finalize(state)`` returns the results in call order with the
+    interpreter's semantics. Timestamped payloads ("s"/"d") from
+    different shards are re-sorted into global arrival order before
+    folding, so float sums reproduce the single engine bit for bit;
+    dedup and extremes commute on their own. A SUM/AVG run is added in
+    one local loop — the float sequence ``Accumulator.add_value`` would
+    produce, without a call per value.
+    """
+    calls = tuple(calls)
+    return (
+        lambda: [Accumulator(call) for call in calls],
+        _merge_fold,
+        lambda state: [accumulator.result() for accumulator in state],
+    )
+
+
+def _merge_fold(accumulators: list[Accumulator], contributions: list) -> None:
+    for index, accumulator in enumerate(accumulators):
+        pairs: list[tuple[float, Any]] = []
+        for parts in contributions:
+            tag, payload = parts[index]
+            if tag == "c":
+                accumulator.count += payload
+            elif tag == "m":
+                if payload is not None:
+                    accumulator.values.append(payload)
+                    accumulator.count += 1
+            else:  # "s" / "d": one shard's (ts, value) run
+                pairs.extend(payload)
+        if not pairs:
+            continue
+        pairs.sort(key=_first)
+        if accumulator.call.distinct:  # dedup again, across shards
+            add_value = accumulator.add_value
+            for _, value in pairs:
+                add_value(value)
+        else:  # SUM / AVG: stage 1 shipped no NULLs
+            total = accumulator.total
+            for _, value in pairs:
+                total += value
+            accumulator.total = total
+            accumulator.count += len(pairs)
+
+
+_first = _operator.itemgetter(0)
 
 
 def _codegen_accumulate(

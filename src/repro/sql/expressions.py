@@ -432,6 +432,11 @@ class AggregateCall(Expr):
     def children(self) -> tuple[Expr, ...]:
         return (self.argument,) if self.argument is not None else ()
 
+    @property
+    def empty(self) -> Any:
+        """The call's value over no rows: 0 for COUNT, NULL otherwise."""
+        return 0 if self.name.upper() == "COUNT" else None
+
     def eval(self, row: Any) -> Any:
         raise ExecutionError(
             f"aggregate {self.name} cannot be evaluated per-row; "

@@ -1,63 +1,42 @@
-"""Set-oriented evaluation of logical plans over in-memory tables.
+"""Bounded evaluation: a logical plan over in-memory tables.
 
-The recursive-view maintainer (semi-naive fixpoint, DRed deletion
-rewrites) repeatedly evaluates the *step* plan over deltas; a push
-pipeline is the wrong tool for that, so this module provides a direct
-batch evaluator. It is also the oracle that integration tests compare
-the streaming operators against.
+A bounded input is a stream that ends (CQL: a relation is a stream).
+:func:`evaluate` lowers the plan with the one compiler every continuous
+query takes (:class:`~repro.stream.compiler.PlanCompiler`), pushes each
+table into its ports as one run, punctuates them to
+:data:`~repro.stream.operators.END` and returns what the sink collected.
+It serves one-shot table queries (``kind == "batch"`` cursors), the
+recursive-view maintainer (semi-naive fixpoint, DRed deletion rewrites)
+and the tests' oracles.
 
-Evaluation uses the schema-bound evaluators of
-:mod:`repro.sql.compiled`: predicates, projections, join keys and group
-keys resolve column positions once per plan node instead of per row,
-and compilation is memoized per node so the fixpoint's repeated step
-evaluations reuse the same closures.
+Ports are fed in reverse plan order, each run followed by its
+punctuation. So a join's right side is buffered before its left side
+probes it, and the join emits left-major: each left row's matches, in
+right-side order. A side below an operator that holds rows until a
+punctuation (an aggregate, an ORDER BY) has emitted before its sibling
+arrives. A running global aggregate that folded no row emits SQL's
+empty-input row at the end (:class:`~repro.stream.operators.AggregateOp`).
+
+Leaves are fed by name, case-insensitively: a Scan by its catalog entry
+name, a CteRef or RemoteSource by its own. Rows go in as the caller
+holds them, each checked once against the leaf's arity; operators read
+them by position, and a result that forwards leaf rows gets the plan's
+schema on the way out (:func:`~repro.stream.compiler.result_sink`).
+:func:`evaluate` compiles the plan on every call; a caller that
+evaluates one plan many times keeps a :class:`BoundedPipeline`.
 """
 
 from __future__ import annotations
 
-import weakref
-from typing import Any, Iterable
+from operator import attrgetter
+from typing import Iterable
 
-from repro.data.schema import Schema
+from repro.data.streams import CollectingConsumer, Punctuation, StreamElement, push_all
 from repro.data.tuples import Row
 from repro.errors import ExecutionError, SchemaError
-from repro.plan.logical import (
-    Aggregate,
-    CteRef,
-    Distinct,
-    Join,
-    Limit,
-    LogicalOp,
-    OrderBy,
-    Output,
-    Project,
-    Recursive,
-    RemoteSource,
-    Scan,
-    Select,
-)
-from repro.sql.compiled import compile_expr, compile_projection
-from repro.sql.expressions import Accumulator
-from repro.stream.operators import _Descending, _positional_key
-
-
-#: Plan node -> its compiled artifacts, held only as long as the node.
-_compiled: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _node_compiled(node, factory):
-    """Compiled artifacts memoized per plan node.
-
-    The recursive-view maintainer evaluates the same (immutable) plan
-    tree thousands of times over tiny deltas; a lookup keyed by the node
-    (plan nodes hash by identity) is the only per-call cost this cache
-    adds, unlike key-hashing the expression tree. Plan nodes are
-    write-once (lint rule RA908), so the memo lives beside them.
-    """
-    cached = _compiled.get(node)
-    if cached is None:
-        cached = _compiled[node] = factory()
-    return cached
+from repro.plan.logical import LogicalOp, Recursive, Scan
+from repro.stream.compiler import PlanCompiler, result_sink
+from repro.stream.operators import END
 
 
 def evaluate(plan: LogicalOp, tables: dict[str, Iterable[Row]]) -> list[Row]:
@@ -65,173 +44,61 @@ def evaluate(plan: LogicalOp, tables: dict[str, Iterable[Row]]) -> list[Row]:
 
     ``tables`` maps *source names* (and CTE names) to row collections;
     Scan leaves look up by their catalog entry name, CteRef leaves by
-    their CTE name. Rows are re-qualified to the plan's binding names.
+    their CTE name. A Recursive plan evaluates to its :func:`fixpoint`.
     """
-    if isinstance(plan, Scan):
-        return _scan_rows(plan.entry.name, plan.schema, tables)
-    if isinstance(plan, CteRef):
-        return _scan_rows(plan.name, plan.schema, tables)
-    if isinstance(plan, RemoteSource):
-        return _scan_rows(plan.name, plan.schema, tables)
-    if isinstance(plan, Select):
-        rows = evaluate(plan.child, tables)
-        predicate = _node_compiled(
-            plan, lambda: compile_expr(plan.predicate, plan.child.schema)
-        )
-        return [row for row in rows if predicate(row.values) is True]
-    if isinstance(plan, Project):
-        schema = plan.schema
-        rows = _input_rows(plan.child, tables)
-        project = _node_compiled(
-            plan,
-            lambda: compile_projection(
-                [item.expr for item in plan.items], plan.child.schema
-            ),
-        )
-        raw = Row.raw
-        return [raw(schema, project(row.values)) for row in rows]
-    if isinstance(plan, Join):
-        return _join(plan, tables)
-    if isinstance(plan, Aggregate):
-        return _aggregate(plan, tables)
-    if isinstance(plan, Distinct):
-        seen: set[tuple] = set()
-        out = []
-        for row in evaluate(plan.child, tables):
-            if row.values not in seen:
-                seen.add(row.values)
-                out.append(row)
-        return out
-    if isinstance(plan, OrderBy):
-        rows = evaluate(plan.child, tables)
-        key_fns = _node_compiled(
-            plan,
-            lambda: [compile_expr(item.expr, plan.child.schema) for item in plan.items],
-        )
-
-        def key(row: Row) -> tuple:
-            parts = []
-            for item, key_fn in zip(plan.items, key_fns):
-                value = key_fn(row.values)
-                null_rank = 0 if value is None else 1
-                base = (null_rank, value if value is not None else 0)
-                parts.append(base if item.ascending else _Descending(base))
-            return tuple(parts)
-
-        return sorted(rows, key=key)
-    if isinstance(plan, Limit):
-        return evaluate(plan.child, tables)[: plan.count]
-    if isinstance(plan, Output):
-        return evaluate(plan.child, tables)
     if isinstance(plan, Recursive):
         return fixpoint(plan, tables)
-    raise ExecutionError(f"batch evaluator cannot handle {type(plan).__name__}")
+    return BoundedPipeline(plan)(tables)
 
 
-def _scan_rows(name: str, schema: Schema, tables: dict[str, Iterable[Row]]) -> list[Row]:
-    rows = _table_rows(name, tables)
-    return [row if row.schema is schema else row.with_schema(schema) for row in rows]
+class BoundedPipeline:
+    """``plan`` compiled once, for evaluating again and again: each call
+    first restores every operator to its state before any row (the
+    checkpoint pair, ``state_snapshot`` / ``state_restore``). The
+    recursive-view maintainer evaluates its step thousands of times over
+    small deltas and compiles it once."""
+
+    def __init__(self, plan: LogicalOp):
+        self._sink = CollectingConsumer()
+        self._compiled = PlanCompiler().compile(plan, result_sink(plan, self._sink))
+        self._fresh = [op.state_snapshot() for op in self._compiled.operators]
+        self._arities = {
+            (node.entry.name if isinstance(node, Scan) else node.name).lower(): len(node.schema)
+            for node in plan.walk()
+            if not node.children
+        }
+
+    def __call__(self, tables: dict[str, Iterable[Row]]) -> list[Row]:
+        for op, state in zip(self._compiled.operators, self._fresh):
+            op.state_restore(state)
+        self._sink.clear()
+        runs: dict[str, list[StreamElement]] = {}
+        for port in reversed(self._compiled.ports):
+            name = port.source_name.lower()
+            run = runs.get(name)
+            if run is None:
+                run = runs[name] = _run(port.source_name, self._arities[name], tables)
+            push_all(port.consumer, run)
+            port.consumer.push(_END)
+        return [element.row for element in self._sink.elements]
 
 
-def _table_rows(name: str, tables: dict[str, Iterable[Row]]) -> list[Row]:
+_END = Punctuation(END)
+_values = attrgetter("values")
+
+
+def _run(name: str, arity: int, tables: dict[str, Iterable[Row]]) -> list[StreamElement]:
+    """One table's rows as a run of elements, every row checked for arity."""
     for key, rows in tables.items():
         if key.lower() == name.lower():
-            return rows if isinstance(rows, list) else list(rows)
+            rows = rows if isinstance(rows, list) else list(rows)
+            if set(map(len, map(_values, rows))) - {arity}:
+                bad = next(row for row in rows if len(row.values) != arity)
+                raise SchemaError(
+                    f"row has {len(bad.values)} values but schema has {arity} fields"
+                )
+            return [StreamElement(row, 0.0) for row in rows]
     raise ExecutionError(f"no table provided for {name!r}; have {sorted(tables)}")
-
-
-def _input_rows(node: LogicalOp, tables: dict[str, Iterable[Row]]) -> list[Row]:
-    """Child rows for an operator that *rebuilds* its output rows.
-
-    Positional evaluation never consults row schemas, and a
-    Project/Join parent constructs fresh rows under its own schema — so
-    leaf rows can skip the per-row binding rebase entirely. Arity is
-    checked once per table instead of once per row.
-    """
-    if isinstance(node, Scan):
-        rows = _table_rows(node.entry.name, tables)
-    elif isinstance(node, (CteRef, RemoteSource)):
-        rows = _table_rows(node.name, tables)
-    else:
-        return evaluate(node, tables)
-    arity = len(node.schema.fields)
-    if any(len(row.values) != arity for row in rows):
-        bad = next(row for row in rows if len(row.values) != arity)
-        raise SchemaError(
-            f"row has {len(bad.values)} values but schema has {arity} fields"
-        )
-    return rows
-
-
-def _compile_join(plan: Join):
-    """One-time compiled state for a Join node: key extractors and the
-    residual predicate, bound to the children's schemas."""
-    left_key = _positional_key(plan.left.schema, [lk for lk, _ in plan.equi])
-    right_key = _positional_key(plan.right.schema, [rk for _, rk in plan.equi])
-    residual = plan.residual
-    residual_fn = compile_expr(residual, plan.schema) if residual is not None else None
-    return len(plan.equi), left_key, right_key, residual_fn
-
-
-def _join(plan: Join, tables: dict[str, Iterable[Row]]) -> list[Row]:
-    left_rows = _input_rows(plan.left, tables)
-    right_rows = _input_rows(plan.right, tables)
-    key_count, left_key, right_key, residual_fn = _node_compiled(
-        plan, lambda: _compile_join(plan)
-    )
-    joined_schema = plan.schema  # == left.concat(right), built once
-    raw = Row.raw
-    out: list[Row] = []
-    if key_count:
-        index: dict[Any, list[Row]] = {}
-        for row in right_rows:
-            index.setdefault(right_key(row.values), []).append(row)
-        # A NULL key component matches nothing (NULL = NULL is not
-        # TRUE), so such a row never probes — which also leaves the
-        # index's NULL-keyed buckets unreachable. _positional_key keys a
-        # single column by its bare value, several by a tuple.
-        single = key_count == 1
-        for left_row in left_rows:
-            left_values = left_row.values
-            key = left_key(left_values)
-            if (key is None) if single else (None in key):
-                continue
-            for right_row in index.get(key, ()):  # hash probe
-                joined = raw(joined_schema, left_values + right_row.values)
-                if residual_fn is None or residual_fn(joined.values) is True:
-                    out.append(joined)
-    else:
-        for left_row in left_rows:
-            left_values = left_row.values
-            for right_row in right_rows:
-                joined = raw(joined_schema, left_values + right_row.values)
-                if residual_fn is None or residual_fn(joined.values) is True:
-                    out.append(joined)
-    return out
-
-
-def _aggregate(plan: Aggregate, tables: dict[str, Iterable[Row]]) -> list[Row]:
-    rows = evaluate(plan.child, tables)
-    key_fn = _node_compiled(
-        plan, lambda: compile_projection(plan.group_by, plan.child.schema)
-    )
-    groups: dict[tuple, list[Accumulator]] = {}
-    for row in rows:
-        key = key_fn(row.values)
-        accumulators = groups.get(key)
-        if accumulators is None:
-            accumulators = [Accumulator(item.call) for item in plan.aggregates]
-            groups[key] = accumulators
-        for accumulator in accumulators:
-            accumulator.add(row)
-    if not groups and not plan.group_by:
-        # Global aggregate over empty input still produces one row.
-        groups[()] = [Accumulator(item.call) for item in plan.aggregates]
-    out = []
-    for key, accumulators in groups.items():
-        values = list(key) + [a.result() for a in accumulators]
-        out.append(Row(plan.schema, values, validate=False))
-    return out
 
 
 def fixpoint(plan: Recursive, tables: dict[str, Iterable[Row]]) -> list[Row]:
@@ -246,6 +113,7 @@ def fixpoint(plan: Recursive, tables: dict[str, Iterable[Row]]) -> list[Row]:
     # for set semantics (Row equality/hash treat equal schemas alike).
     base_rebase = plan.base.schema != cte_schema
     step_rebase = plan.step.schema != cte_schema
+    step = BoundedPipeline(plan.step)
     base_rows = evaluate(plan.base, tables)
     if base_rebase:
         base_rows = [row.with_schema(cte_schema) for row in base_rows]
@@ -258,7 +126,7 @@ def fixpoint(plan: Recursive, tables: dict[str, Iterable[Row]]) -> list[Row]:
             raise ExecutionError(f"recursive plan {plan.name} did not converge")
         step_tables = dict(tables)
         step_tables[plan.name] = list(delta)
-        produced = evaluate(plan.step, step_tables)
+        produced = step(step_tables)
         new_delta: set[Row] = set()
         for row in produced:
             rebased = row.with_schema(cte_schema) if step_rebase else row

@@ -5,7 +5,10 @@ operator for each node and wiring downstream links. Scan leaves become
 *ports*: named entry points the engine connects to source feeds. A scan
 builds no rows, so source rows keep their catalog schema through every
 operator that forwards them; a plan whose results are such rows gets
-its label once, on the way out (:func:`result_sink`).
+its label once, on the way out (:func:`result_sink`). It is the one
+lowering of the plan algebra: a bounded query (a table-only SELECT, a
+recursive CTE's step, whose CteRef leaves are ports too) compiles here
+and runs as a stream that ends (:mod:`repro.stream.batch`).
 
 Operator fusion: maximal runs of adjacent Select/Project nodes —
 Filter/Project, Filter/Filter, Project/Project, and longer mixed chains
@@ -74,13 +77,16 @@ class ScanPort:
     """A compiled source leaf: where the engine feeds source elements.
 
     ``scan`` is None for :class:`~repro.plan.logical.RemoteSource` leaves
-    (streams arriving from another engine, fed by name).
+    (streams arriving from another engine) and
+    :class:`~repro.plan.logical.CteRef` leaves (a recursive CTE's
+    working relation, :mod:`repro.stream.batch`), both fed by name.
 
     ``consumer`` is the operator above the leaf itself. A scan port
-    takes rows under the source's catalog schema and nothing relabels
-    them: every operator reads values by position, against the input
-    schema it was compiled for. A remote or exchange port takes rows the
-    engine built under the leaf's own schema.
+    takes rows under the source's catalog schema, and a CTE port the
+    CTE's rows as they are; nothing relabels them: every operator reads
+    values by position, against the input schema it was compiled for. A
+    remote or exchange port takes rows the engine built under the leaf's
+    own schema.
     """
 
     source_name: str
@@ -163,14 +169,15 @@ def result_sink(plan: LogicalOp, sink: StreamConsumer) -> StreamConsumer:
     """``sink``, labelled when ``plan`` hands it source rows.
 
     A scan does not build rows: they keep the catalog schema they were
-    ingested under. Project, Aggregate, Join and the partial/merge
-    aggregates build rows under their own output schema, and the engine
-    builds remote and exchange rows under the leaf's; Select, Distinct,
-    OrderBy and Limit forward what they receive. So only a plan that
-    reaches a :class:`Scan` through those four alone delivers catalog
-    rows — a hand-built plan: the SQL front end tops every SELECT with a
-    Project — and only its sink gets one :class:`_ReschemaConsumer` to
-    ``plan.schema``. The walk stops at Output: the compiler applies this
+    ingested under, and a CTE reference's keep the CTE's. Project,
+    Aggregate, Join and the partial/merge aggregates build rows under
+    their own output schema, and the engine builds remote and exchange
+    rows under the leaf's; Select, Distinct, OrderBy and Limit forward
+    what they receive. So only a plan that reaches a :class:`Scan` or a
+    :class:`CteRef` through those four alone delivers rows under another
+    schema — a hand-built plan: the SQL front end tops every SELECT with
+    a Project — and only its sink gets one :class:`_ReschemaConsumer`
+    to ``plan.schema``. The walk stops at Output: the compiler applies this
     to the node below ``OutputOp``, so the display reads the labels the
     sink does.
 
@@ -183,7 +190,7 @@ def result_sink(plan: LogicalOp, sink: StreamConsumer) -> StreamConsumer:
     node = plan
     while isinstance(node, (Select, Distinct, OrderBy, Limit)):
         node = node.child
-    if isinstance(node, Scan) and not getattr(sink, "positional", False):
+    if isinstance(node, (Scan, CteRef)) and not getattr(sink, "positional", False):
         return _ReschemaConsumer(plan.schema, sink)
     return sink
 
@@ -261,14 +268,13 @@ class PlanCompiler:
             compiled.ports.append(ScanPort(node.name, node.name, downstream))
             return downstream
         if isinstance(node, CteRef):
-            raise PlanError(
-                "CteRef cannot run inside a streaming pipeline; use "
-                "repro.stream.recursive.RecursiveView for recursive queries"
-            )
+            # Fed by name with the CTE's rows as they are, as a scan's.
+            compiled.ports.append(ScanPort(node.name, node.binding, downstream))
+            return downstream
         if isinstance(node, (Select, Project)):
             return self._compile_run(node, downstream, compiled)
         if isinstance(node, Join):
-            return self._compile_join(node, downstream, compiled)
+            return self._lower_join(node, downstream, compiled)
         if isinstance(node, PartialAggregate):
             group_by = list(zip(node.group_by, node.key_names))
             aggregates = [(item.call, item.name) for item in node.aggregates]
@@ -350,7 +356,7 @@ class PlanCompiler:
 
         The run's stages are built once, here, and its rung is chosen
         once: a run ending at a :class:`Join` — a single node included —
-        becomes the join's output stages (:meth:`_compile_join`), and a
+        becomes the join's output stages (:meth:`_lower_join`), and a
         run of two or more over anything else one :class:`FusedOp`. When
         the run's fused code cannot be generated (a counted fallback),
         or it is a single node over a non-join (a dedicated operator is
@@ -359,7 +365,7 @@ class PlanCompiler:
         """
         chain, bottom, stages = _run_at(node)
         if isinstance(bottom, Join):
-            join = self._compile_join(bottom, downstream, compiled, stages, node.schema)
+            join = self._lower_join(bottom, downstream, compiled, stages, node.schema)
             if join is not None:
                 return join
         elif len(chain) > 1:
@@ -377,7 +383,7 @@ class PlanCompiler:
             downstream = op
         return self._compile_node(bottom, downstream, compiled)
 
-    def _compile_join(
+    def _lower_join(
         self,
         node: Join,
         downstream: StreamConsumer,

@@ -75,8 +75,14 @@ from repro.sql.compiled import (
     compile_join_probe,
     compile_partial,
     compile_projection,
+    merge_partials,
 )
 from repro.sql.expressions import _PartialItem, Accumulator, AggregateCall, Expr
+
+
+#: The watermark of a stream's end: no element follows it. A bounded
+#: input (:mod:`repro.stream.batch`) is a stream punctuated to it.
+END = float("inf")
 
 
 def _copy_group_state(state: list) -> list:
@@ -683,7 +689,10 @@ class AggregateOp(Operator):
       DISTINCT seen-sets equal a scan over the window's rows.
     * **Punctuation-driven** (no window): on every punctuation, emit the
       aggregate over *all* rows seen so far (continuous running totals —
-      the semantics SmartCIS uses for "total resources by user").
+      the semantics SmartCIS uses for "total resources by user"). A
+      global one (no GROUP BY) that has folded no row emits nothing
+      until the stream ends — a punctuation at :data:`END` — and then
+      SQL's row over empty input (COUNT 0, every other call NULL).
 
     Lateness is a function of the watermark alone. The operator records
     the last window closed — none before the first punctuation, then
@@ -791,10 +800,14 @@ class AggregateOp(Operator):
         self.rows_in += len(elements)
 
     def on_punctuation(self, punctuation: Punctuation) -> None:
+        watermark = punctuation.watermark
         if self._windowed:
-            self._close_windows(punctuation.watermark)
-        else:
-            self._emit_groups(punctuation.watermark, self._groups)
+            self._close_windows(watermark)
+        elif self._groups or self.group_by or watermark != END:
+            self._emit_groups(watermark, self._groups)
+        else:  # a running global aggregate at the end, no row folded
+            values = [call.empty for call, _ in self.aggregates]
+            self.emit(StreamElement(Row(self.output_schema, values, validate=False), watermark))
         self.downstream.push(punctuation)
 
     @staticmethod
@@ -914,31 +927,24 @@ class PartialAggregateOp(AggregateOp):
             self._touched = {key: self._groups[key] for key in state["touched"]}
 
 
-_by_timestamp = itemgetter(0)
-
-
 class MergeAggregateOp(Operator):
     """Stage 2 of a two-phase aggregation: fold shard partials.
 
     Input rows carry group-key values followed by the tagged payloads a
     stage-1 :class:`PartialAggregateOp` takes from each group
     (:func:`~repro.sql.compiled.compile_partial`); output restores the
-    original aggregate schema via the interpreter's
-    :class:`~repro.sql.expressions.Accumulator` semantics.
+    original aggregate schema, folded by
+    :func:`~repro.sql.compiled.merge_partials`.
 
     * **Windowed**: every shard closes window *W* within the same
       punctuation segment (boundaries are absolute slide-grid
       multiples), so merging is segment-local — group contributions by
       (boundary, key), fold, emit at the boundary, clear.
     * **Running**: contributions are per-segment deltas; persistent
-      per-key accumulators fold them, and every punctuation re-emits all
-      groups — the single-engine running-totals contract.
-
-    Timestamped payloads ("s"/"d") from different shards are re-sorted
-    into global arrival order before folding, so float sums reproduce
-    the baseline bit for bit; dedup and extremes commute on their own.
-    A SUM/AVG run is added in one local loop — the float sequence
-    ``Accumulator.add_value`` would produce, without a call per value.
+      per-key states fold them, and every punctuation re-emits all
+      groups — the single-engine running-totals contract, the
+      empty-input row of a global aggregate at +∞ included
+      (:class:`AggregateOp`).
     """
 
     def __init__(
@@ -954,38 +960,14 @@ class MergeAggregateOp(Operator):
         self.aggregates = aggregates
         self.output_schema = output_schema
         self._windowed = windowed
+        self._start, self._fold, self._finalize = merge_partials(
+            [call for call, _ in aggregates]
+        )
         # windowed: boundary -> key -> [payload slice per arriving row]
         self._windows: dict[float, dict[tuple, list]] = {}
         # running: this segment's deltas, and the cumulative groups
         self._pending: dict[tuple, list] = {}
-        self._groups: dict[tuple, list[Accumulator]] = {}
-
-    def _fold_parts(self, accumulators: list[Accumulator], contributions: list) -> None:
-        for index, accumulator in enumerate(accumulators):
-            pairs: list[tuple[float, Any]] = []
-            for parts in contributions:
-                tag, payload = parts[index]
-                if tag == "c":
-                    accumulator.count += payload
-                elif tag == "m":
-                    if payload is not None:
-                        accumulator.values.append(payload)
-                        accumulator.count += 1
-                else:  # "s" / "d": one shard's (ts, value) run
-                    pairs.extend(payload)
-            if not pairs:
-                continue
-            pairs.sort(key=_by_timestamp)
-            if accumulator.call.distinct:  # dedup again, across shards
-                add_value = accumulator.add_value
-                for _, value in pairs:
-                    add_value(value)
-            else:  # SUM / AVG: stage 1 shipped no NULLs
-                total = accumulator.total
-                for _, value in pairs:
-                    total += value
-                accumulator.total = total
-                accumulator.count += len(pairs)
+        self._groups: dict[tuple, list] = {}
 
     def _close_windows(self) -> None:
         if not self._windows:
@@ -994,15 +976,11 @@ class MergeAggregateOp(Operator):
         for boundary in sorted(self._windows):
             out = []
             for key, contributions in self._windows[boundary].items():
-                accumulators = [Accumulator(call) for call, _ in self.aggregates]
-                self._fold_parts(accumulators, contributions)
+                state = self._start()
+                self._fold(state, contributions)
                 out.append(
                     StreamElement(
-                        Row(
-                            schema,
-                            list(key) + [a.result() for a in accumulators],
-                            validate=False,
-                        ),
+                        Row(schema, list(key) + self._finalize(state), validate=False),
                         boundary,
                     )
                 )
@@ -1011,26 +989,25 @@ class MergeAggregateOp(Operator):
 
     def _merge_running(self, watermark: float) -> None:
         for key, contributions in self._pending.items():
-            accumulators = self._groups.get(key)
-            if accumulators is None:
-                accumulators = [Accumulator(call) for call, _ in self.aggregates]
-                self._groups[key] = accumulators
-            self._fold_parts(accumulators, contributions)
+            state = self._groups.get(key)
+            if state is None:
+                state = self._groups[key] = self._start()
+            self._fold(state, contributions)
         self._pending = {}
-        if not self._groups:
-            return
+        groups = self._groups
+        if not groups:
+            if self._key_count or watermark != END:
+                return
+            groups = {(): self._start()}  # a global aggregate at the end, no row folded
         schema = self.output_schema
+        finalize = self._finalize
         self.emit_batch(
             [
                 StreamElement(
-                    Row(
-                        schema,
-                        list(key) + [a.result() for a in accumulators],
-                        validate=False,
-                    ),
+                    Row(schema, list(key) + finalize(state), validate=False),
                     watermark,
                 )
-                for key, accumulators in self._groups.items()
+                for key, state in groups.items()
             ]
         )
 

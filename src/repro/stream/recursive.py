@@ -29,7 +29,7 @@ from collections import Counter
 from repro.data.tuples import Row
 from repro.errors import ExecutionError
 from repro.plan.logical import CteRef, Recursive, Scan
-from repro.stream.batch import evaluate, fixpoint
+from repro.stream.batch import BoundedPipeline, fixpoint
 
 
 class RecursiveView:
@@ -49,6 +49,8 @@ class RecursiveView:
                 f"{plan.name}); found {len(cte_refs)}"
             )
         self.plan = plan
+        self._base = BoundedPipeline(plan.base)
+        self._step = BoundedPipeline(plan.step)
         self._tables: dict[str, list[Row]] = {k: list(v) for k, v in tables.items()}
         self._rows: set[Row] = set()
         #: Approximate derivation counts (provenance statistic; not used
@@ -87,13 +89,13 @@ class RecursiveView:
         seed: set[Row] = set()
         # Derivations of the base query that use a new tuple.
         if self._plan_reads(self.plan.base, key):
-            produced = evaluate(self.plan.base, self._with(key, delta_rows))
+            produced = self._base(self._with(key, delta_rows))
             seed |= self._rebase(produced)
         # Derivations of the step that use a new tuple (CTE = old view).
         if self._plan_reads(self.plan.step, key):
             step_tables = self._with(key, delta_rows)
             step_tables[self.plan.name] = list(self._rows)
-            produced = evaluate(self.plan.step, step_tables)
+            produced = self._step(step_tables)
             self.maintenance_steps += 1
             seed |= self._rebase(produced)
 
@@ -133,12 +135,12 @@ class RecursiveView:
         # Phase 1: over-deletion.
         seed: set[Row] = set()
         if self._plan_reads(self.plan.base, key):
-            produced = evaluate(self.plan.base, self._with(key, actually_removed))
+            produced = self._base(self._with(key, actually_removed))
             seed |= self._rebase(produced)
         if self._plan_reads(self.plan.step, key):
             step_tables = self._with(key, actually_removed)
             step_tables[self.plan.name] = list(self._rows)
-            produced = evaluate(self.plan.step, step_tables)
+            produced = self._step(step_tables)
             self.maintenance_steps += 1
             seed |= self._rebase(produced)
 
@@ -151,7 +153,7 @@ class RecursiveView:
             overdeleted |= frontier
             step_tables = dict(self._tables)
             step_tables[self.plan.name] = list(frontier)
-            produced = evaluate(self.plan.step, step_tables)
+            produced = self._step(step_tables)
             self.maintenance_steps += 1
             frontier = (self._rebase(produced) & self._rows) - overdeleted
 
@@ -159,13 +161,13 @@ class RecursiveView:
 
         # Phase 2: re-derivation.
         rederived: set[Row] = set()
-        base_now = self._rebase(evaluate(self.plan.base, self._tables))
+        base_now = self._rebase(self._base(self._tables))
         rederived |= base_now & overdeleted
         # One full step over the surviving view catches derivations from
         # non-deleted rows; then semi-naive closes over what came back.
         step_tables = dict(self._tables)
         step_tables[self.plan.name] = list(surviving | rederived)
-        produced = self._rebase(evaluate(self.plan.step, step_tables))
+        produced = self._rebase(self._step(step_tables))
         self.maintenance_steps += 1
         new_back = (produced & overdeleted) - rederived
         rederived |= new_back
@@ -174,7 +176,7 @@ class RecursiveView:
         while delta:
             step_tables = dict(self._tables)
             step_tables[self.plan.name] = list(delta)
-            produced = self._rebase(evaluate(self.plan.step, step_tables))
+            produced = self._rebase(self._step(step_tables))
             self.maintenance_steps += 1
             delta = (produced & overdeleted) - current
             current |= delta
@@ -194,7 +196,7 @@ class RecursiveView:
     # Internals
     # ------------------------------------------------------------------
     def _initialise(self) -> None:
-        base_rows = evaluate(self.plan.base, self._tables)
+        base_rows = self._base(self._tables)
         delta = self._rebase(base_rows)
         for row in delta:
             self.support[row] += 1
@@ -206,7 +208,7 @@ class RecursiveView:
         while delta:
             step_tables = dict(self._tables)
             step_tables[self.plan.name] = list(delta)
-            produced = evaluate(self.plan.step, step_tables)
+            produced = self._step(step_tables)
             self.maintenance_steps += 1
             rebased = self._rebase(produced)
             for row in rebased:

@@ -40,9 +40,8 @@ def declining(*generators: str):
     holds, once the block has exited, the ``compile_counts()`` delta
     across it.
 
-    In-process only (worker processes generate normally), and
-    ``repro.stream.batch`` memoizes closures on the plan node, so build
-    a fresh plan per arm when comparing ``evaluate``.
+    In-process only (worker processes generate normally). ``evaluate``
+    compiles its pipeline on every call, so one plan serves every arm.
     """
     counts: dict[str, int] = {}
     before = compiled.compile_counts()

@@ -1143,6 +1143,41 @@ class TestEngineLinter:
         assert _codes(diags) == ["RA906"]
         assert diags[0].operator == "stream/operators.py:5"
 
+    def test_ra906_accumulator_under_stream(self, tmp_path):
+        """An operator folding into interpreter accumulators of its own
+        evaluates each call's argument by name, uncounted; one folding
+        through sql.compiled's pair is clean, and sql/ may build them."""
+        accumulators = (
+            "from repro.sql.expressions import Accumulator\n"
+            "def fold(calls, rows):\n"
+            "    state = [Accumulator(call) for call in calls]\n"
+            "    for row in rows:\n"
+            "        for accumulator in state:\n"
+            "            accumulator.add(row)\n"
+            "    return [a.result() for a in state]\n"
+        )
+        compiled = (
+            "from repro.sql.compiled import compile_accumulate\n"
+            "def fold(calls, schema, elements):\n"
+            "    groups = {}\n"
+            "    fold, finalize = compile_accumulate([], calls, schema)\n"
+            "    fold(elements, groups)\n"
+            "    return [finalize(state) for state in groups.values()]\n"
+        )
+        found = {}
+        for arm, body in (("flagged", accumulators), ("clean", compiled)):
+            root = self._tree(
+                tmp_path / arm,
+                {
+                    "sql/__init__.py": "",
+                    "sql/compiled.py": accumulators,
+                    "stream/__init__.py": "",
+                    "stream/batch.py": body,
+                },
+            )
+            found[arm] = [(d.code, d.operator) for d in lint_engine(root)]
+        assert found == {"flagged": [("RA906", "stream/batch.py:3")], "clean": []}
+
     def test_ra907_a_caught_error_is_parked_or_raised(self, tmp_path):
         """Under stream/ and data/, a handler that names what it caught
         and keeps it (threading it to a later raise) is flagged; one

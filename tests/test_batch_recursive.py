@@ -1,11 +1,11 @@
-"""Tests for the batch evaluator and incrementally maintained recursive views."""
+"""Tests for bounded evaluation (evaluate, fixpoint) and incrementally maintained recursive views."""
 
 import random
 
 import pytest
 
 from conftest import GENERATORS, declining, generated
-from repro.api import TableSource, connect
+from repro.api import StreamSource, TableSource, connect
 from repro.catalog import Catalog
 from repro.data import DataType, Row, Schema
 from repro.errors import ExecutionError
@@ -387,3 +387,52 @@ def test_bounded_corpus_matches_brute_force(template, arm):
                 queried = [row.values for row in cursor.results()]
         assert evaluated == expected, (seed, t, u)
         assert queried == expected, (seed, t, u)
+
+
+# ---------------------------------------------------------------------------
+# A global aggregate over no rows: SQL's one row, once the input ends
+# ---------------------------------------------------------------------------
+EMPTY_SQL = "select count(*) as n, sum(t.v) as s from T t"
+END = float("inf")
+
+
+def _emissions(cursor) -> list[tuple]:
+    return [(e.timestamp, e.row.values) for e in cursor._handle.sink.elements]
+
+
+class TestEmptyGlobalAggregate:
+    def test_bounded_routes_return_one_row(self):
+        catalog = Catalog()
+        catalog.register_table("T", T)
+        plan = PlanBuilder(catalog).build_sql(EMPTY_SQL)
+        assert [row.values for row in evaluate(plan, {"T": []})] == [(0, None)]
+        with connect() as session:
+            session.attach(TableSource("T", T))
+            cursor = session.query(EMPTY_SQL)
+            assert cursor.kind == "batch"
+            assert [row.values for row in cursor.results()] == [(0, None)]
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_stream_emits_it_when_it_ends(self, shards):
+        """Nothing at a finite punctuation (more rows may come), then the
+        row over empty input at +inf, on the single engine and a pool."""
+        with connect(shards=shards) as session:
+            session.attach(StreamSource("T", T, partition_by="k"))
+            cursor = session.query(EMPTY_SQL)
+            session.punctuate(1.0)
+            session.punctuate(5.0)
+            assert _emissions(cursor) == []
+            session.punctuate(END)
+            assert _emissions(cursor) == [(END, (0, None))]
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_stream_with_rows_emits_its_running_totals(self, shards):
+        with connect(shards=shards) as session:
+            session.attach(StreamSource("T", T, partition_by="k"))
+            cursor = session.query(EMPTY_SQL)
+            session.punctuate(1.0)
+            session.push("T", {"k": 1, "v": 2, "a": "x"}, 2.0)
+            session.push("T", {"k": 2, "v": None, "a": "y"}, 3.0)
+            session.punctuate(5.0)
+            session.punctuate(END)
+            assert _emissions(cursor) == [(5.0, (2, 2)), (END, (2, 2))]
