@@ -44,10 +44,8 @@ def evaluate(plan: LogicalOp, tables: dict[str, Iterable[Row]]) -> list[Row]:
 
     ``tables`` maps *source names* (and CTE names) to row collections;
     Scan leaves look up by their catalog entry name, CteRef leaves by
-    their CTE name. A Recursive plan evaluates to its :func:`fixpoint`.
+    their CTE name. A Recursive plan goes to :func:`fixpoint` instead.
     """
-    if isinstance(plan, Recursive):
-        return fixpoint(plan, tables)
     return BoundedPipeline(plan)(tables)
 
 

@@ -11,6 +11,7 @@ from repro.data import DataType, Row, Schema
 from repro.errors import ExecutionError
 from repro.plan import PlanBuilder
 from repro.stream import RecursiveView, evaluate, fixpoint, recompute
+from repro.stream.batch import BoundedPipeline
 
 EDGES = Schema.of(("src", DataType.STRING), ("dst", DataType.STRING))
 
@@ -388,6 +389,23 @@ def test_bounded_corpus_matches_brute_force(template, arm):
         assert evaluated == expected, (seed, t, u)
         assert queried == expected, (seed, t, u)
 
+
+
+@pytest.mark.parametrize("template", sorted(TEMPLATES))
+def test_one_pipeline_serves_every_draw(template):
+    """A BoundedPipeline resets its operators before each call: one
+    compiled pipeline over every draw in turn reads what a fresh
+    evaluation reads — no join buffer, group, seen-set, sort batch or
+    LIMIT count carries over."""
+    sql, reference = TEMPLATES[template]
+    catalog = Catalog()
+    catalog.register_table("T", T)
+    catalog.register_table("U", U)
+    pipeline = BoundedPipeline(PlanBuilder(catalog).build_sql(sql))
+    for seed in range(DRAWS):
+        t, u = _draw(seed)
+        tables = {"T": [Row(T, row) for row in t], "U": [Row(U, row) for row in u]}
+        assert [row.values for row in pipeline(tables)] == reference(t, u), (seed, t, u)
 
 # ---------------------------------------------------------------------------
 # A global aggregate over no rows: SQL's one row, once the input ends
