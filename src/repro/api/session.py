@@ -87,7 +87,7 @@ from repro.sql.lexer import tokenize
 from repro.sql.normalize import normalize_sql
 from repro.sql.parser import parse
 from repro.stream.batch import evaluate, fixpoint
-from repro.stream.engine import StreamEngine
+from repro.stream.engine import StreamEngine, counted
 from repro.stream.multiplex import CachedStatement, PlanCache
 from repro.wrappers.base import Punctuator
 
@@ -245,6 +245,9 @@ class Session:
         #: Static-analysis observability: fresh runs, verdicts served
         #: from the plan cache, and compiles skipped under analysis="off".
         self._analysis_counters = {"runs": 0, "hits": 0, "skipped": 0}
+        #: What bounded evaluations compiled (:meth:`_evaluate`), added
+        #: to the stream engine's counts in ``stats()["compile"]``.
+        self._bounded_counts = {"generated": 0, "fallbacks": 0}
         if workers not in ("inline", "process"):
             raise QueryError(
                 f"unknown workers mode {workers!r}; expected 'inline' or 'process'"
@@ -723,7 +726,12 @@ class Session:
         return self.backend(route).compile_and_run(plan, sql, placement=placement)
 
     def _evaluate(self, plan: LogicalOp | RecursivePlan) -> list[Row]:
-        """One-shot bounded evaluation over the current stored tables."""
+        """One-shot bounded evaluation over the current stored tables.
+        What its pipelines generate, and any fallback, counts in
+        ``stats()["compile"]`` as a continuous query's does."""
+        return counted(self._bounded_counts, self._evaluate_tables, plan)
+
+    def _evaluate_tables(self, plan: LogicalOp | RecursivePlan) -> list[Row]:
         tables = self._scanned_tables(plan)
         if isinstance(plan, RecursivePlan):
             closure = fixpoint(plan.recursive, tables)
@@ -773,8 +781,9 @@ class Session:
         ``connect(shards=N)``), its codegen counters (whole functions
         ``generated``, and whole-function ``fallbacks`` to the
         interpreter — counted once per function at admission, never per
-        row, summed the same way; anything but 0 fallbacks means a plan
-        is running interpreted), the static-analysis counters (``runs``:
+        row, summed the same way, and plus what each bounded evaluation
+        compiled; anything but 0 fallbacks means a plan is running
+        interpreted), the static-analysis counters (``runs``:
         fresh analyses on cache-miss compiles, ``hits``: cache hits that
         reused the stored verdict, ``skipped``: compiles under
         ``analysis="off"``, plus the session's ``mode``), and the
@@ -793,7 +802,10 @@ class Session:
         out = {
             "plan_cache": self._plan_cache.stats(),
             "sharing": self.engine.sharing_stats(),
-            "compile": self.engine.compile_stats(),
+            "compile": {
+                key: value + self._bounded_counts[key]
+                for key, value in self.engine.compile_stats().items()
+            },
             "analysis": dict(self._analysis_counters, mode=self._analysis_mode),
             "schema_epoch": self.catalog.schema_epoch,
         }

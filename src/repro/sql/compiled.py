@@ -21,7 +21,11 @@ function over the row's value tuple:
   with ``exec``. Evaluating a predicate then costs one Python call
   instead of one per tree node.
 * **LIKE patterns** that are compile-time constants get their regex
-  compiled once; dynamic patterns go through a bounded regex cache.
+  compiled once and a bounded memo of its verdicts, keyed by exact
+  ``str`` value (:meth:`_CodeGen.gen_like_memo`): the regex decides each
+  distinct value once, IGNORECASE's Unicode folds included. Dynamic
+  patterns go through the one bounded regex cache the interpreter also
+  uses (``_like_regex_cached``).
 * **Scalar functions** are resolved to their implementation once.
 
 Two rungs: generated code, else the interpreter
@@ -159,13 +163,15 @@ and the row's ``schema`` as plain slots, builds an output Row and
 StreamElement by ``object.__new__`` plus slot stores (:func:`_emit_row`,
 :func:`_append` — :meth:`Row.raw`'s body without its frame),
 lowers COALESCE to a conditional chain over its already-evaluated
-arguments and a constant LIKE to its pattern's bound ``match(a) is not
-None`` (``str(a)`` only for what is not an exact ``str``). Rows and elements are immutable
-by convention, so nothing needs the constructor's frame to guard them.
+arguments and a constant LIKE to one ``dict.get`` on its verdict memo
+for a value seen before. Rows and elements are immutable by convention,
+so nothing needs the constructor's frame to guard them.
 What stays a call is the uncommon path — a scalar function, a dynamic
-LIKE pattern, a row the ingest loop hands to the engine's coercion, an
-interpreter fallback node — and every NULL check and ``TypeError``
-handler stays inline (``tests/test_call_free.py`` pins the rule).
+LIKE pattern, a constant pattern's bound ``match`` on a value its memo
+does not hold (``str(a)`` only for what is not an exact ``str``), a row
+the ingest loop hands to the engine's coercion, an interpreter fallback
+node — and every NULL check and ``TypeError`` handler stays inline
+(``tests/test_call_free.py`` pins the rule and the memo).
 
 Generated text becomes a code object in exactly one place,
 :func:`_code_object`, memoized on the text: every replica of a plan on
@@ -191,6 +197,7 @@ from repro.data.windows import WindowKind, WindowSpec
 from repro.errors import ExecutionError
 from repro.sql.expressions import (
     _SCALAR_FUNCTIONS,
+    _like_regex_cached,
     _like_to_regex,
     _PartialItem,
     AGGREGATE_NAMES,
@@ -1184,11 +1191,6 @@ def _fold_constant(expr: Expr) -> tuple[bool, Any]:
 
 
 @lru_cache(maxsize=512)
-def _like_regex_cached(pattern: str):
-    return _like_to_regex(pattern)
-
-
-@lru_cache(maxsize=512)
 def _code_object(source: str, filename: str):
     """The one call to builtin ``compile`` for generated source (lint
     rule RA905 keeps it the only one).
@@ -1223,6 +1225,9 @@ _STRICT = frozenset(_CMP_SOURCE) | frozenset(_ARITH_SOURCE) | {"LIKE", "NOT LIKE
 #: The most conjuncts a filter lowers flat: each one's doomed path
 #: repeats those after it, so the text grows with the square of this.
 _FLAT_CONJUNCTS = 8
+#: The most values a constant LIKE's verdict memo holds
+#: (:meth:`_CodeGen.gen_like_memo`); past it the kernel stops probing.
+_LIKE_MEMO = 1024
 
 
 class _CodeGen:
@@ -1344,7 +1349,12 @@ class _CodeGen:
     def as_var(self, atom: str, indent: int) -> str:
         """Bind literal atoms to a temp so identity tests read a variable
         (``0.5 is False`` is a SyntaxWarning; ``t1 is False`` is not)."""
-        if atom.isidentifier() or atom.startswith("v["):
+        return atom if atom.startswith("v[") else self.local(atom, indent)
+
+    def local(self, atom: str, indent: int) -> str:
+        """``atom`` in a variable, a subscript of ``v`` included, so a
+        value read several times is read once."""
+        if atom.isidentifier():
             return atom
         tmp = self.name("t")
         self.emit(indent, f"{tmp} = {atom}")
@@ -1421,40 +1431,63 @@ class _CodeGen:
             )
             return out
         if op in ("LIKE", "NOT LIKE"):
-            pattern_const, pattern = _fold_constant(expr.right)
-            if pattern_const and pattern is not None:
-                # A constant pattern's regex is compiled here and its
-                # bound `match` skips an attribute lookup per row; an exact
-                # str needs no str() call (a subclass still gets one: it
-                # may override __str__, as the interpreter sees).
-                match = self.bind(_like_to_regex(str(pattern)).match, "m")
-                a = self.as_var(a, indent)
-                match = f"{match}({a} if {a}.__class__ is str else str({a}))"
-                checks = self.null_check(a)
-            else:
-                like = self.bind(_like_regex_cached, "lk")
-                match = f"{like}(str({b})).match(str({a}))"
-                checks = self.null_check(a, b)
-            body = indent
-            if checks:
-                self.emit(indent, f"if {checks}:")
-                self.emit(indent + 1, f"{out} = None")
-                self.emit(indent, "else:")
-                body = indent + 1
             test = "is None" if op == "NOT LIKE" else "is not None"
-            self.emit(body, f"{out} = {match} {test}")
+            pattern_const, pattern = _fold_constant(expr.right)
+            if not (pattern_const and pattern is not None):
+                like = self.bind(_like_regex_cached, "lk")
+                checks = self.null_check(a, b)
+                body = self.emit_null(indent, checks, out)
+                self.emit(body, f"{out} = {like}(str({b})).match(str({a})) {test}")
+                return out
+            self.gen_like_memo(self.local(a, indent), pattern, test, out, indent)
             return out
         # Unknown operator: operands evaluate first, as in the interpreter.
-        checks = self.null_check(a, b)
-        body = indent
-        if checks:
-            self.emit(indent, f"if {checks}:")
-            self.emit(indent + 1, f"{out} = None")
-            self.emit(indent, "else:")
-            body = indent + 1
+        body = self.emit_null(indent, self.null_check(a, b), out)
         self.emit(body, self.raise_unknown(f"unknown binary operator {op!r}"))
         self.non_null.discard(out)
         return out
+
+    def emit_null(self, indent: int, checks: str, out: str) -> int:
+        """``out = None`` under ``checks`` (when there are any) and an
+        ``else:`` opened for the rest; returns the rest's indent."""
+        if not checks:
+            return indent
+        self.emit(indent, f"if {checks}:")
+        self.emit(indent + 1, f"{out} = None")
+        self.emit(indent, "else:")
+        return indent + 1
+
+    def gen_like_memo(self, a: str, pattern: Any, test: str, out: str, indent: int) -> None:
+        """A constant LIKE pattern: ``out = match(a) {test}`` answered
+        from a memo of the regex's own verdicts.
+
+        The pattern's regex is compiled here and its bound ``match``
+        decides each value the first time it is seen, through ``str()``
+        unless the value is an exact ``str`` (a subclass may override
+        ``__str__``, as the interpreter sees). Only an exact ``str`` keys
+        the memo — a subclass may hash and compare equal to a memoised
+        key — so on the common path a repeated value costs one class
+        test and one ``dict.get``. The memo holds at most
+        :data:`_LIKE_MEMO` values; the miss that finds it full rebinds
+        its key class to ``None``, which no value's class is, so from
+        then on no row probes it: each takes the branch a value that is
+        not an exact ``str`` takes, the regex alone."""
+        match = self.bind(_like_to_regex(str(pattern)).match, "m")
+        memo = {}
+        probe, key = self.bind(memo.get, "lm"), self.bind(str, "lc")
+        store = self.bind(memo, "lv")
+        self.env["_G"] = self.env  # the generated function's own globals
+        body = self.emit_null(indent, self.null_check(a), out)
+        self.emit(body, f"if {a}.__class__ is {key}:")
+        self.emit(body + 1, f"{out} = {probe}({a})")
+        self.emit(body + 1, f"if {out} is None:")
+        self.emit(body + 2, f"{out} = {match}({a}) {test}")
+        self.emit(body + 2, f"if len({store}) < {_LIKE_MEMO}:")
+        self.emit(body + 3, f"{store}[{a}] = {out}")
+        self.emit(body + 2, "else:")
+        self.emit(body + 3, f"_G[{key!r}] = None  # full: stop probing")
+        self.emit(body, "else:")
+        self.emit(body + 1, f"{out} = {match}({a} if {a}.__class__ is str else str({a})) {test}")
 
     def gen_unary(self, expr: UnaryOp, indent: int) -> str:
         op = expr.op

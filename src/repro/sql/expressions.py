@@ -14,6 +14,7 @@ import fnmatch
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, Iterator
 
 from repro.data.schema import Schema
@@ -190,7 +191,10 @@ def collect_parameters(exprs: "Iterator[Expr] | list[Expr]") -> dict[str, list[P
 
 
 def _like_to_regex(pattern: str) -> re.Pattern[str]:
-    """Compile a SQL LIKE pattern (``%``, ``_``) to an anchored regex."""
+    """Compile a SQL LIKE pattern (``%``, ``_``) to an anchored regex.
+
+    Uncached: :func:`_like_regex_cached` is the one cache in front of it,
+    shared by the interpreter and generated code's dynamic patterns."""
     out = []
     for ch in pattern:
         if ch == "%":
@@ -200,6 +204,11 @@ def _like_to_regex(pattern: str) -> re.Pattern[str]:
         else:
             out.append(re.escape(ch))
     return re.compile("^" + "".join(out) + "$", re.IGNORECASE | re.DOTALL)
+
+
+@lru_cache(maxsize=512)
+def _like_regex_cached(pattern: str) -> re.Pattern[str]:
+    return _like_to_regex(pattern)
 
 
 _COMPARISONS: dict[str, Callable[[Any, Any], bool]] = {
@@ -269,10 +278,17 @@ class BinaryOp(Expr):
                 if op in ("/", "%") and right == 0:
                     return None  # SQL: division by zero yields NULL here
                 return _ARITHMETIC[op](left, right)
-            if op == "LIKE":
-                return bool(_like_to_regex(str(right)).match(str(left)))
-            if op == "NOT LIKE":
-                return not _like_to_regex(str(right)).match(str(left))
+            if op == "LIKE" or op == "NOT LIKE":
+                # Only an exact str keys the cache: a subclass may hash
+                # and compare as some other pattern does.
+                pattern = str(right)
+                regex = (
+                    _like_regex_cached(pattern)
+                    if pattern.__class__ is str
+                    else _like_to_regex(pattern)
+                )
+                matched = regex.match(str(left)) is not None
+                return matched if op == "LIKE" else not matched
         except TypeError as exc:
             raise ExecutionError(f"cannot apply {op} to {left!r} and {right!r}") from exc
         raise ExecutionError(f"unknown binary operator {op!r}")

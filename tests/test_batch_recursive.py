@@ -454,3 +454,60 @@ class TestEmptyGlobalAggregate:
             session.punctuate(5.0)
             session.punctuate(END)
             assert _emissions(cursor) == [(5.0, (2, 2)), (END, (2, 2))]
+
+
+# ---------------------------------------------------------------------------
+# What a bounded query compiles shows in the session's compile counts
+# ---------------------------------------------------------------------------
+BOUNDED_SQL = "select t.k, t.v + 1 as w from T t where t.v > 0"
+
+
+class TestBoundedCompileCounts:
+    """``stats()["compile"]`` counts the functions a table-route query's
+    pipeline generates, and its fallbacks, as it counts a continuous
+    query's at admission."""
+
+    @staticmethod
+    def _session(shards: int):
+        session = connect(shards=shards)
+        rows = [{"k": 1, "v": 2, "a": "x"}, {"k": 2, "v": -1, "a": "y"}]
+        session.attach(TableSource("T", T, rows))
+        return session
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_each_evaluation_counts_what_it_generated(self, shards):
+        with self._session(shards) as session:
+            before = session.stats()["compile"]
+            cursor = session.query(BOUNDED_SQL)
+            assert cursor.kind == "batch"
+            assert [row.values for row in cursor.results()] == [(1, 3)]
+            once = session.stats()["compile"]
+            assert once["generated"] > before["generated"]
+            assert once["fallbacks"] == before["fallbacks"] == 0
+            session.query(BOUNDED_SQL)  # each evaluation compiles its pipeline
+            twice = session.stats()["compile"]
+            assert twice["generated"] - once["generated"] == once["generated"] - before["generated"]
+
+    def test_a_fallback_shows(self):
+        with self._session(1) as session, declining(*GENERATORS) as counts:
+            before = session.stats()["compile"]
+            assert [row.values for row in session.query(BOUNDED_SQL).results()] == [(1, 3)]
+            after = session.stats()["compile"]
+        assert counts["fallbacks"] > 0
+        assert after == {
+            "generated": before["generated"],
+            "fallbacks": before["fallbacks"] + counts["fallbacks"],
+        }
+
+    def test_a_recursive_query_counts_its_fixpoint(self):
+        with connect() as session:
+            session.attach(TableSource("E", EDGES, [{"src": "a", "dst": "b"}, {"src": "b", "dst": "c"}]))
+            before = session.stats()["compile"]["generated"]
+            cursor = session.query(
+                "WITH RECURSIVE tc(src, dst) AS ("
+                " SELECT e.src, e.dst FROM E e"
+                " UNION SELECT t.src, e.dst FROM tc t, E e WHERE t.dst = e.src"
+                ") SELECT src, dst FROM tc"
+            )
+            assert pairs(cursor.results()) == {("a", "b"), ("b", "c"), ("a", "c")}
+            assert session.stats()["compile"]["generated"] > before

@@ -4,7 +4,8 @@ sink, make no Python-level call on their common path.
 * :class:`TestCallFreeKernels` pins the rule on every generated loop of
   the ledger's deployments: rows and elements are built by slot stores,
   never through a bound ``Row.raw`` or ``StreamElement``, and COALESCE
-  and a constant LIKE are inlined, never a bound helper.
+  and a constant LIKE are inlined, never a bound helper; a constant
+  LIKE's regex runs only behind a probe of its verdict memo.
 * :class:`TestNullFacts` pins the filter lowering on the same loops: a
   column a passed conjunct proved non-NULL is not tested again, a stage
   subscripts each column of ``v`` once, and no literal is compared with
@@ -116,6 +117,45 @@ def _pattern_matches(fn) -> list:
     ]
 
 
+def _unmemoised_likes(fn) -> list[str]:
+    """The constant LIKEs ``fn`` calls a bound pattern ``match`` for
+    without probing a verdict memo first: a ``match`` called outside
+    every ``if x.__class__ is K:`` (``K`` bound to ``str``, or to
+    ``None`` once the memo filled) that first sets ``t = P(x)``, ``P`` a
+    dict's bound ``get``, and calls the ``match`` under the ``if t is
+    None:`` right after it. The other branch — a value no exact ``str``
+    — runs the regex alone and does not count either way."""
+    env = fn.__globals__
+    called = _calls_to(fn, *_pattern_matches(fn))
+    memoised = set()
+    for node in ast.walk(ast.parse(fn.__compiled_source__)):
+        test = getattr(node, "test", None)
+        if not (
+            isinstance(node, ast.If)
+            and isinstance(test, ast.Compare)
+            and isinstance(test.left, ast.Attribute)
+            and test.left.attr == "__class__"
+            and isinstance(test.comparators[0], ast.Name)
+            and env.get(test.comparators[0].id, 0) in (str, None)
+            and len(node.body) == 2
+        ):
+            continue
+        probe, miss = node.body
+        if (
+            isinstance(probe, ast.Assign)
+            and isinstance(probe.value, ast.Call)
+            and isinstance(getattr(env.get(ast.unparse(probe.value.func)), "__self__", None), dict)
+            and isinstance(miss, ast.If)
+            and ast.unparse(miss.test) == f"{ast.unparse(probe.targets[0])} is None"
+        ):
+            memoised |= {
+                call.func.id
+                for call in ast.walk(miss)
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            }
+    return [name for name in called if name not in memoised]
+
+
 class TestCallFreeKernels:
     def test_no_generated_loop_calls_a_row_or_element_constructor(self):
         from benchmarks.ledger.workloads import WORKLOADS
@@ -134,12 +174,46 @@ class TestCallFreeKernels:
                     assert _calls_to(fn, _COALESCE, _like_regex_cached) == [], (
                         workload.name, fn.__compiled_source__,
                     )
+                    assert _unmemoised_likes(fn) == [], (
+                        workload.name, fn.__compiled_source__,
+                    )
                     source = fn.__compiled_source__
                     loops += "for " in source
                     likes += bool(_calls_to(fn, *_pattern_matches(fn)))
             finally:
                 deployment.close()
         assert loops > 0 and likes > 0  # tenants1k filters with LIKE 'lab%'
+
+    def test_the_guard_sees_a_like_without_its_memo(self):
+        """The lowering the memo replaced — the bound ``match`` on every
+        row — and one whose probe is no dict's ``get`` are flagged; the
+        memo's own lowering is not."""
+        match = re.compile("^lab.*$", re.IGNORECASE | re.DOTALL).match
+        bare = (
+            "def _fused(v):\n"
+            "    x1 = v[0]\n"
+            "    t1 = m2(x1 if x1.__class__ is str else str(x1)) is not None\n"
+            "    return (t1,)\n"
+        )
+        memoised = (
+            "def _fused(v):\n"
+            "    x1 = v[0]\n"
+            "    if x1.__class__ is lc3:\n"
+            "        t1 = lm4(x1)\n"
+            "        if t1 is None:\n"
+            "            t1 = m2(x1) is not None\n"
+            "    else:\n"
+            "        t1 = m2(x1 if x1.__class__ is str else str(x1)) is not None\n"
+            "    return (t1,)\n"
+        )
+        env = {"m2": match, "lc3": str, "lm4": {}.get}
+        kernel = lambda source, **bound: types.SimpleNamespace(  # noqa: E731
+            __compiled_source__=source, __globals__={**env, **bound}
+        )
+        assert _unmemoised_likes(kernel(bare)) == ["m2"]
+        assert _unmemoised_likes(kernel(memoised)) == []
+        assert _unmemoised_likes(kernel(memoised, lc3=None)) == []  # a full memo
+        assert _unmemoised_likes(kernel(memoised, lm4=len)) == ["m2"]
 
     def test_coalesce_and_constant_like_lower_to_no_call(self):
         exprs = [

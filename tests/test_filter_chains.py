@@ -12,6 +12,12 @@ and whose arithmetic returns ``None`` — run through ``compile_fused``,
 residual, and are held to the ``interpreted()`` arm row by row: the
 same survivors with the same values and types, or the same exception
 type and message.
+
+The constant LIKE's verdict memo is held to the same arm through the
+same four paths, over IGNORECASE's Unicode folds, newlines under ``%``
+and ``_``, NULL, ``str`` subclasses (one colliding with a memoised key),
+LIKE and NOT LIKE of one pattern in one kernel, and more distinct
+values than the memo holds.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from repro.errors import ExecutionError
 from repro.plan.logical import Join, Project, ProjectItem, Scan, Select
 from repro.sql.compiled import (
     _FLAT_CONJUNCTS,
+    _LIKE_MEMO,
     compile_expr,
     compile_fused,
     compile_fused_batch,
@@ -435,3 +442,164 @@ def test_a_long_where_matches_the_interpreter_and_its_text_stays_linear(count):
             assert _outcome(fused, values) == _outcome(reference, values), (stages, values)
         rejects = fused.__compiled_source__.count("return None")
         assert rejects > count if count <= _FLAT_CONJUNCTS else rejects == 1
+
+
+# ----------------------------------------------------------------------
+# A constant LIKE answers from a memo of its regex's own verdicts
+# ----------------------------------------------------------------------
+class _Shown(str):
+    """A str subclass whose ``str()`` differs from its own text."""
+
+    def __str__(self) -> str:
+        return "x" + self
+
+
+class _Colliding(_Shown):
+    """...that also hashes and compares as ``'lab1'``, a key the memo
+    holds by the time it arrives, though its ``str()`` is another."""
+
+    def __hash__(self) -> int:
+        return hash("lab1")
+
+    def __eq__(self, other) -> bool:
+        return other == "lab1"
+
+    def __ne__(self, other) -> bool:
+        return other != "lab1"
+
+
+#: Each value is seen three times, in this order, so the memo answers
+#: the second and third sightings of every exact str.
+LIKE_VALUES = [
+    "lab1", "LAB1", "ſlab", "sx", "S", "ſ", "s",  # IGNORECASE folds 'ſ' to 's'
+    "K", "k", "K",  # the Kelvin sign folds to 'k'
+    "İ", "i", "I", "i̇",  # a dotted capital I
+    "ß", "ss", "SS", "ẞ",  # a sharp s is one character
+    "lab\n", "\n", "a\nb", "ab", "",  # DOTALL: '%' and '_' take a newline
+    None,
+    _Shown("lab1"), _Shown("s"), _Colliding("office"),
+]
+LIKE_PATTERNS = ["lab%", "s%", "ſ", "k", "K", "i%", "İ", "ß", "ss", "_", "%", "a_b", "lab_", "%\n"]
+#: What the LIKE chains project: the value, LIKE and NOT LIKE.
+LIKED = Schema.of(("s", DataType.STRING), ("l", DataType.BOOL), ("n", DataType.BOOL))
+
+
+def _like_chains(pattern: str, s: str = "s") -> list[list]:
+    """A projection, and a filter by LIKE or NOT LIKE under it: each row
+    meets LIKE and NOT LIKE with one pattern in one kernel."""
+    like, unlike = (BinaryOp(op, ColumnRef(s), Literal(pattern)) for op in ("LIKE", "NOT LIKE"))
+    project = ("project", [ColumnRef(s), like, unlike], LIKED)
+    return [[project], [("filter", like), project], [("filter", unlike), project]]
+
+
+def _memos(fn) -> list[dict]:
+    """The verdict memos ``fn`` probes: the dicts whose ``get`` it binds."""
+    return [
+        value.__self__
+        for value in fn.__globals__.values()
+        if isinstance(getattr(value, "__self__", None), dict)
+    ]
+
+
+def _batched(batch):
+    """``batch``, one run of one row per call: the row's survivor."""
+
+    def run(values):
+        out: list = []
+        batch([StreamElement(Row(SCHEMA, values, validate=False), 1.0, "T")], out)
+        return out[0].row.values if out else None
+
+    return run
+
+
+@pytest.mark.parametrize("pattern", LIKE_PATTERNS, ids=repr)
+def test_a_like_memo_answers_as_the_regex_does(pattern):
+    """Row by row and in order, through ``compile_fused`` and
+    ``compile_fused_batch`` (a row per run, then every row as one run):
+    what the interpreter answers, for a value first seen and seen
+    again, under LIKE and then NOT LIKE."""
+    rows = [(None, None, None, value, None) for value in LIKE_VALUES * 3]
+    for stages in _like_chains(pattern):
+        with generated():
+            fused = compile_fused(stages, SCHEMA)
+            batch = compile_fused_batch(stages, SCHEMA, LIKED)
+        reference = _interpreted_chain(stages, SCHEMA)
+        expected = [_outcome(reference, values) for values in rows]
+        assert [_outcome(fused, values) for values in rows] == expected, stages
+        assert [_outcome(_batched(batch), values) for values in rows] == expected, stages
+        out: list = []
+        batch([StreamElement(Row(SCHEMA, values, validate=False), 1.0, "T") for values in rows], out)
+        assert [("passed", _shape(e.row.values)) for e in out] == [x for x in expected if x]
+        assert any(_memos(fused)) and any(_memos(batch))  # exact strs were memoised
+
+
+def test_the_fused_ingest_loop_and_a_join_residual_answer_the_same():
+    """The engine's fused-ingest loop (a LIKE filter under a projection
+    of both verdicts) and a windowed join's probe kernel (the LIKE in
+    its residual, the projection above it), each over one engine that
+    sees every value three times, against the ``interpreted()`` arm."""
+    rows = [(None, None, 1, value, None) for value in LIKE_VALUES * 3]
+    right = [(1, 2.0)]
+    for pattern in LIKE_PATTERNS:
+        like, unlike = (
+            BinaryOp(op, ColumnRef("t.s"), Literal(pattern)) for op in ("LIKE", "NOT LIKE")
+        )
+        items = [ProjectItem(ColumnRef("t.s"), "s"), ProjectItem(unlike, "n")]
+
+        def ingest_plan(catalog):
+            return Project(Select(Scan(catalog.source("T"), "t"), like), items)
+
+        def join_plan(catalog):
+            window = WindowSpec.range(100.0)
+            key = BinaryOp("=", ColumnRef("t.n"), ColumnRef("r.k"))
+            join = Join(
+                Scan(catalog.source("T"), "t", window),
+                Scan(catalog.source("R"), "r", window),
+                BinaryOp("AND", key, like),
+            )
+            return Project(join, items)
+
+        for plan_of, feeds in ((ingest_plan, [("T", rows)]), (join_plan, [("R", right), ("T", rows)])):
+            with generated():
+                ours, engine = _engine_outcomes(plan_of, feeds, False)
+            if plan_of is ingest_plan:
+                assert engine._fused_ingest
+            else:
+                (join,) = [
+                    op
+                    for op in engine.running_queries[0].compiled.operators
+                    if isinstance(op, SymmetricHashJoin)
+                ]
+                assert join._left_probe is not None and join.predicate is not None
+            with interpreted():
+                theirs, _ = _engine_outcomes(plan_of, feeds, False)
+            assert ours == theirs, (pattern, plan_of.__name__)
+
+
+def test_a_full_memo_stops_probing():
+    """More distinct values than the memo holds: the outcomes equal the
+    interpreter's before and after it fills. Before, the kernel answers
+    from the memo (a flipped verdict shows); once it is full, no row
+    probes it (flipping every verdict changes nothing)."""
+    values = [f"lab{i}" if i % 3 else f"ſ{i}" for i in range(_LIKE_MEMO + 40)]
+    rows = [(None, None, None, value, None) for value in values]
+    stages = [("project", [BinaryOp("LIKE", ColumnRef("s"), Literal("lab%"))], LIKED)]
+    reference = _interpreted_chain(stages, SCHEMA)
+    with generated():
+        fused = compile_fused(stages, SCHEMA)
+        batch = compile_fused_batch(stages, SCHEMA, LIKED)
+    for kernel, run in ((fused, fused), (batch, _batched(batch))):
+        (memo,) = _memos(kernel)
+        early = [_outcome(run, values) for values in rows[:10]]
+        assert early == [_outcome(reference, values) for values in rows[:10]]
+        assert len(memo) == 10 and memo["lab1"] is True
+        memo["lab1"] = False  # the memo answers a value it holds
+        assert run(rows[1]) == (False,)
+        memo["lab1"] = True
+        outcomes = [_outcome(run, values) for values in rows]
+        assert outcomes == [_outcome(reference, values) for values in rows]
+        assert len(memo) == _LIKE_MEMO
+        for key in memo:
+            memo[key] = not memo[key]
+        again = [_outcome(run, values) for values in rows[:_LIKE_MEMO]]
+        assert again == outcomes[:_LIKE_MEMO] and len(memo) == _LIKE_MEMO
