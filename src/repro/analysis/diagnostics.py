@@ -94,7 +94,7 @@ CODES: dict[str, str] = {
     "RA903": "import crosses a layering boundary",
     "RA904": "worker boundary must stay pickle-safe",
     "RA905": "generated source is compiled only by the one memoized helper",
-    "RA906": "the stream engine reaches the interpreter only through sql.compiled",
+    "RA906": "nothing outside sql/ reaches the interpreter but through sql.compiled",
     "RA907": "an error is handed to the edge",
     "RA908": "plan nodes are write-once; nothing writes into another object's __dict__",
 }

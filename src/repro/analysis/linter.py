@@ -50,14 +50,14 @@ by ``make lint`` / ``make check``):
   ``PlanCompiler.compile`` are attribute calls and not this rule's
   business).
 
-* **RA906 — one road to the interpreter.** Every operator has one
-  body, written against the value-tuple callables of
-  ``sql/compiled.py``; whether one of those is generated code or
-  ``Expr.eval`` behind the same signature is decided there and
-  counted. An ``.eval(`` call anywhere under ``stream/`` is a second,
-  by-name body growing back beside the first, and so is an
-  ``Accumulator(...)`` constructed there: its ``add`` evaluates the
-  call's argument by name, uncounted.
+* **RA906 — one road to the interpreter.** Every evaluation site —
+  an operator, a mote, the basestation — has one body, written against
+  the value-tuple callables of ``sql/compiled.py``; whether one of
+  those is generated code or ``Expr.eval`` behind the same signature
+  is decided there and counted. An ``.eval(`` call anywhere outside
+  ``sql/`` is a second, by-name body growing back beside the first,
+  and so is an ``Accumulator(...)`` constructed there: its ``add``
+  evaluates the call's argument by name, uncounted.
 
 * **RA907 — an error is handed to the edge.** A hand-off that raises
   under an open verb is parked, and the outermost verb raises it (the
@@ -179,7 +179,7 @@ def lint_engine(root: Path | None = None) -> list[Diagnostic]:
     _check_layering(modules, out)
     _check_worker_boundary(modules, out)
     _check_compile_calls(modules, out)
-    _check_stream_eval_calls(modules, out)
+    _check_eval_calls(modules, out)
     _check_parked_errors(modules, out)
     _check_plan_writes(plan_classes, out)
     _check_dict_writes(modules, out)
@@ -506,12 +506,12 @@ def _bare_compile_calls(tree: ast.AST) -> list[ast.Call]:
 
 
 # ----------------------------------------------------------------------
-# RA906: the stream engine reaches the interpreter only through
+# RA906: everything outside sql/ reaches the interpreter only through
 # sql.compiled's fallback closures
 # ----------------------------------------------------------------------
-def _check_stream_eval_calls(modules: dict[str, ast.Module], out: list[Diagnostic]) -> None:
+def _check_eval_calls(modules: dict[str, ast.Module], out: list[Diagnostic]) -> None:
     for rel, tree in modules.items():
-        if Path(rel).parts[0] != "stream":
+        if Path(rel).parts[0] == "sql":
             continue
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
@@ -528,7 +528,7 @@ def _check_stream_eval_calls(modules: dict[str, ast.Module], out: list[Diagnosti
                 diag(
                     "RA906",
                     ERROR,
-                    f"{what} under stream/: evaluate and fold through the "
+                    f"{what} outside sql/: evaluate and fold through the "
                     "schema-bound callables of sql.compiled, which "
                     "fall back to the interpreter themselves (counted)",
                     operator=f"{rel}:{node.lineno}",

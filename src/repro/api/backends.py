@@ -42,7 +42,7 @@ from typing import Any, Protocol, runtime_checkable
 
 from repro.errors import AspenError, QueryError
 from repro.plan.logical import LogicalOp
-from repro.stream.engine import StreamEngine
+from repro.stream.engine import StreamEngine, counted
 from repro.stream.sharded import ShardedStreamEngine
 
 from repro.api.cursor import Cursor
@@ -326,11 +326,13 @@ class FederatedBackend:
         rolling the whole federated query back. A *deterministic*
         failure still exhausts the attempts and re-raises the last
         error, so the caller's rollback path is unchanged for real
-        planning bugs.
+        planning bugs. What a deployment compiles (the motes' predicates
+        and arguments, the basestation's projection) counts in
+        ``stats()["compile"]``, here and on the repair path.
         """
         for attempt in range(self.DEPLOY_ATTEMPTS):
             try:
-                return executor.deploy(fragment)
+                return counted(self._session._compile_counts, executor.deploy, fragment)
             except AspenError:
                 if attempt + 1 >= self.DEPLOY_ATTEMPTS:
                     raise
@@ -420,7 +422,7 @@ class FederatedBackend:
         """Repair-path deployment: failures reschedule on the simulator
         with exponential backoff instead of blocking the death event."""
         try:
-            deployment = executor.deploy(fragment)
+            deployment = counted(self._session._compile_counts, executor.deploy, fragment)
         except AspenError:
             if attempt + 1 >= self.DEPLOY_ATTEMPTS:
                 return  # gave up; the residual runs degraded
@@ -477,7 +479,7 @@ class BatchBackend:
     def compile_and_run(
         self, plan: LogicalOp, sql: str, *, placement: Any | None = None
     ) -> Cursor:
-        rows = self._session._evaluate(plan)
+        rows = self._session._bounded(plan)()
         return Cursor._materialized(self._session, rows, plan.schema, sql)
 
     def close(self) -> None:

@@ -19,8 +19,9 @@ completed) statement, whichever backend executes it:
 A :class:`PreparedStatement` is parsed, analyzed and planned **once**,
 with ``:name`` placeholders left in the plan as
 :class:`~repro.sql.expressions.Parameter` slots. Batch executions rebind
-the slots and re-run the same plan; each execution compiles its
-pipeline afresh, so it reads the slots as bound. Continuous executions (stream /
+the slots and re-run the same pipeline, compiled at the first
+execution: generated code reads each slot when it runs, and a slot is
+never folded into a constant. Continuous executions (stream /
 distributed) bake the bindings in as literals instead: a running
 pipeline must own immutable parameter values, or a later ``execute()``
 would mutate a live query's predicate.
@@ -354,6 +355,9 @@ class PreparedStatement:
         self._route = entry.route
         self._params = collect_parameters(self._expressions())
         self._schema = self._plan.schema
+        #: The batch route's compiled plan (``Session._bounded``), built
+        #: at the first execution and reused by every later one.
+        self._run: Callable[[], list[Row]] | None = None
 
     @property
     def parameters(self) -> list[str]:
@@ -402,7 +406,8 @@ class PreparedStatement:
             for parameter in occurrences:
                 parameter.bind(params[name])
         try:
-            rows = self.session._evaluate(self._plan)
+            self._run = self._run or self.session._bounded(self._plan)
+            rows = self._run()
         finally:
             for occurrences in self._params.values():
                 for parameter in occurrences:

@@ -54,7 +54,7 @@ from __future__ import annotations
 import warnings
 import weakref
 from contextlib import contextmanager
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.analysis import (
     PlanAnalysisWarning,
@@ -86,7 +86,7 @@ from repro.sql.expressions import collect_parameters
 from repro.sql.lexer import tokenize
 from repro.sql.normalize import normalize_sql
 from repro.sql.parser import parse
-from repro.stream.batch import evaluate, fixpoint
+from repro.stream.batch import BoundedPipeline, evaluate, fixpoint
 from repro.stream.engine import StreamEngine, counted
 from repro.stream.multiplex import CachedStatement, PlanCache
 from repro.wrappers.base import Punctuator
@@ -245,9 +245,10 @@ class Session:
         #: Static-analysis observability: fresh runs, verdicts served
         #: from the plan cache, and compiles skipped under analysis="off".
         self._analysis_counters = {"runs": 0, "hits": 0, "skipped": 0}
-        #: What bounded evaluations compiled (:meth:`_evaluate`), added
-        #: to the stream engine's counts in ``stats()["compile"]``.
-        self._bounded_counts = {"generated": 0, "fallbacks": 0}
+        #: What compiled beside the stream engine — bounded evaluations
+        #: (:meth:`_bounded`) and federated fragments' deployments —
+        #: added to the stream engine's counts in ``stats()["compile"]``.
+        self._compile_counts = {"generated": 0, "fallbacks": 0}
         if workers not in ("inline", "process"):
             raise QueryError(
                 f"unknown workers mode {workers!r}; expected 'inline' or 'process'"
@@ -603,7 +604,7 @@ class Session:
             return Cursor._view(self, sql, statement.name, analyzed.output_schema)
         if isinstance(statement, RecursiveQuery):
             return Cursor._materialized(
-                self, self._evaluate(entry.plan), entry.plan.schema, sql
+                self, self._bounded(entry.plan)(), entry.plan.schema, sql
             )
         return self._start(entry.plan, entry.route, placement, sql)
 
@@ -725,19 +726,20 @@ class Session:
     ) -> Cursor:
         return self.backend(route).compile_and_run(plan, sql, placement=placement)
 
-    def _evaluate(self, plan: LogicalOp | RecursivePlan) -> list[Row]:
-        """One-shot bounded evaluation over the current stored tables.
-        What its pipelines generate, and any fallback, counts in
-        ``stats()["compile"]`` as a continuous query's does."""
-        return counted(self._bounded_counts, self._evaluate_tables, plan)
-
-    def _evaluate_tables(self, plan: LogicalOp | RecursivePlan) -> list[Row]:
-        tables = self._scanned_tables(plan)
+    def _bounded(self, plan: LogicalOp | RecursivePlan) -> Callable[[], list[Row]]:
+        """``plan`` compiled once into a call that evaluates it over the
+        current stored tables (a recursive plan's fixpoint compiles its
+        pipelines per call). What it compiles, and any fallback, counts
+        in ``stats()["compile"]`` as a continuous query's does."""
         if isinstance(plan, RecursivePlan):
-            closure = fixpoint(plan.recursive, tables)
-            tables[plan.recursive.name] = closure
-            return evaluate(plan.main, tables)
-        return evaluate(plan, tables)
+            return lambda: counted(self._compile_counts, self._fixpoint, plan)
+        pipeline = counted(self._compile_counts, BoundedPipeline, plan)
+        return lambda: pipeline(self._scanned_tables(plan))
+
+    def _fixpoint(self, plan: RecursivePlan) -> list[Row]:
+        tables = self._scanned_tables(plan)
+        tables[plan.recursive.name] = fixpoint(plan.recursive, tables)
+        return evaluate(plan.main, tables)
 
     def _scanned_tables(self, plan: LogicalOp | RecursivePlan) -> dict[str, list[Row]]:
         """Current rows of just the stored tables ``plan`` scans.
@@ -781,9 +783,10 @@ class Session:
         ``connect(shards=N)``), its codegen counters (whole functions
         ``generated``, and whole-function ``fallbacks`` to the
         interpreter — counted once per function at admission, never per
-        row, summed the same way, and plus what each bounded evaluation
-        compiled; anything but 0 fallbacks means a plan is running
-        interpreted), the static-analysis counters (``runs``:
+        row, summed the same way, plus what each bounded evaluation and
+        each federated fragment's deployment compiled; anything but 0
+        fallbacks means a plan is running interpreted), the
+        static-analysis counters (``runs``:
         fresh analyses on cache-miss compiles, ``hits``: cache hits that
         reused the stored verdict, ``skipped``: compiles under
         ``analysis="off"``, plus the session's ``mode``), and the
@@ -803,7 +806,7 @@ class Session:
             "plan_cache": self._plan_cache.stats(),
             "sharing": self.engine.sharing_stats(),
             "compile": {
-                key: value + self._bounded_counts[key]
+                key: value + self._compile_counts[key]
                 for key, value in self.engine.compile_stats().items()
             },
             "analysis": dict(self._analysis_counters, mode=self._analysis_mode),

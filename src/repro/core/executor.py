@@ -10,19 +10,23 @@ already running, the executor
 2. wires the basestation delivery callback so fragment results are
    pushed into the :class:`StreamEngine` as RemoteSource feeds.
 
-A collection or join tuple is projected to the fragment's output
-schema first: the fragment's non-leaf operators above the in-network
-primitive (Projects and Selects introduced by view expansion) are
-re-applied at the basestation by composing their expressions — the
-network already filtered and joined, so this is just column shaping.
-An aggregation's epoch record is a row under the record schema already
-and is pushed as it arrives; the residual's own Aggregate finishes it.
+A collection or join delivery is a Row under the scanned relation's
+schema qualified by the scan binding (a join's: both, concatenated) and
+is projected to the fragment's output schema first: the fragment's
+non-leaf operators above the in-network primitive (Projects and Selects
+introduced by view expansion) are re-applied at the basestation by
+composing their expressions into one projection, compiled once at
+deploy — the network already filtered and joined, so this is just
+column shaping. An aggregation's epoch record is a row under the record
+schema already and is pushed as it arrives; the residual's own
+Aggregate finishes it.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Callable
 
+from repro.data.schema import Schema
 from repro.data.tuples import Row
 from repro.errors import ExecutionError
 from repro.plan.logical import (
@@ -33,7 +37,8 @@ from repro.plan.logical import (
     Select,
 )
 from repro.core.federated import PushedFragment
-from repro.sensor.engine import DeployedQuery, SensorEngine, _DictRow
+from repro.sensor.engine import DeployedQuery, ResultCallback, SensorEngine
+from repro.sql.compiled import compile_projection
 from repro.sql.expressions import ColumnRef, Expr, substitute_columns
 from repro.stream.engine import StreamEngine
 
@@ -61,20 +66,16 @@ class FederatedExecutor:
         stream engine as the fragment's RemoteSource feed."""
         deployment = fragment.deployment
         projector = _FragmentProjector(fragment)
-
-        def deliver(name: str, values: dict[str, Any], time: float) -> None:
-            row = projector.project(values)
-            self.stream_engine.push_remote(fragment.name, row, time)
-
+        push = self.stream_engine.push_remote
         engine = self.sensor_engine
+        scan = next(n for n in fragment.fragment.walk() if isinstance(n, Scan))
         if deployment.kind == "collection":
-            scan = next(n for n in fragment.fragment.walk() if isinstance(n, Scan))
             return engine.deploy_collection(
                 deployment.relations[0],
                 projector.rewrite_to_base(deployment.predicate),
                 target_name=fragment.name,
                 key_prefix=scan.binding,
-                on_result=deliver,
+                on_result=projector.deliver(self._delivered(scan), push),
             )
         if deployment.kind == "aggregation":
             return engine.deploy_aggregation(
@@ -82,9 +83,8 @@ class FederatedExecutor:
                 [projector.rewrite_to_base(a) for a in deployment.arguments],
                 projector.rewrite_to_base(deployment.predicate),
                 target_name=fragment.name,
-                on_result=lambda name, record, time: self.stream_engine.push_remote(
-                    fragment.name, record, time
-                ),
+                key_prefix=scan.binding,
+                on_result=lambda _, record, time: push(fragment.name, record, time),
             )
         if deployment.kind == "join":
             join = next(n for n in fragment.fragment.walk() if isinstance(n, Join))
@@ -101,9 +101,15 @@ class FederatedExecutor:
                 target_name=fragment.name,
                 left_prefix=left_scan.binding,
                 right_prefix=right_scan.binding,
-                on_result=deliver,
+                on_result=projector.deliver(
+                    self._delivered(left_scan).concat(self._delivered(right_scan)), push
+                ),
             )
         raise ExecutionError(f"unknown deployment kind {deployment.kind!r}")
+
+    def _delivered(self, scan: Scan) -> Schema:
+        """The schema the sensor engine delivers ``scan``'s tuples under."""
+        return self.sensor_engine.relation(scan.entry.name).bound(scan.binding)
 
     @staticmethod
     def _local_predicate(fragment: LogicalOp) -> Expr | None:
@@ -121,14 +127,14 @@ class FederatedExecutor:
 class _FragmentProjector:
     """Re-applies a fragment's column shaping at the basestation.
 
-    The sensor engine delivers collection and join tuples keyed by
-    qualified base-column names (``sa.room``). The projector composes
+    The sensor engine delivers collection and join tuples as Rows under
+    the scans' qualified schemas (``sa.room``). The projector composes
     the fragment's Project layers into one expression per output field
-    and evaluates them per delivery.
+    and compiles them into one projection over a delivery's values.
     """
 
     def __init__(self, fragment: PushedFragment):
-        self._fragment = fragment
+        self._name = fragment.name
         self._schema = fragment.fragment.schema
         items = _compose_projection(fragment.fragment)
         if items is None:
@@ -149,10 +155,13 @@ class _FragmentProjector:
         mapping = {name: item for item, name in self._items}
         return substitute_columns(expr, mapping)
 
-    def project(self, values: dict[str, Any]) -> Row:
-        row_view = _DictRow(values)
-        out = [expr.eval(row_view) for expr, _ in self._items]
-        return Row(self._schema, out, validate=False)
+    def deliver(self, schema: Schema, push: Callable[[str, Row, float], None]) -> ResultCallback:
+        """The delivery callback for rows under ``schema``: each is
+        projected by one call compiled here and pushed as the
+        fragment's feed."""
+        project = compile_projection([expr for expr, _ in self._items], schema)
+        name, output = self._name, self._schema
+        return lambda _, row, time: push(name, Row.raw(output, project(row.values)), time)
 
 
 def _compose_projection(node: LogicalOp) -> list[tuple[Expr, str]] | None:

@@ -26,6 +26,15 @@ Three deployment primitives:
   output (paper §3: "decides, on a sensor-by-sensor basis, where to
   perform the join").
 
+Each primitive compiles its predicate and arguments once, at deploy
+time, with :func:`~repro.sql.compiled.compile_expr` against the schema
+they are written in: the relation's, qualified by the scan binding the
+caller passes (a join's two qualified schemas, concatenated). An epoch
+reads the sampler's dict once into a value tuple in schema order, and a
+collection or join delivers it as a :class:`~repro.data.tuples.Row`
+under that schema, checked against its types as any input from outside
+the program is.
+
 Results arrive at the basestation and are handed to the engine's
 ``on_result`` callback — in SmartCIS that callback pushes into the
 stream engine, closing the federation loop.
@@ -40,16 +49,20 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.data.schema import Schema
+from repro.data.tuples import Row
 from repro.data.types import size_in_bytes
 from repro.errors import SensorNetworkError
 from repro.runtime import PeriodicTask
 from repro.sensor.mote import Mote
 from repro.sensor.network import HOP_LATENCY, SensorNetwork
+from repro.sql.compiled import CompiledExpr, compile_expr
 from repro.sql.expressions import Expr
 
-#: Callback type for results surfacing at the basestation:
-#: (relation name, tuple values, delivery timestamp).
-ResultCallback = Callable[[str, dict[str, Any], float], None]
+#: Callback type for results surfacing at the basestation: (relation
+#: name, the delivered tuple — a Row under the deployment's schema, or
+#: an aggregation's epoch record keyed by :func:`psr_name` —, sample
+#: timestamp).
+ResultCallback = Callable[[str, Row | dict[str, Any], float], None]
 
 #: One folded argument's partial state record, in delivery order. sum,
 #: min and max are NULL while count is 0 (and always, for the row).
@@ -120,6 +133,17 @@ class SensorRelation:
 
     def row_bytes(self) -> int:
         return sum(size_in_bytes(f.dtype) for f in self.schema)
+
+    def bound(self, binding: str | None) -> Schema:
+        """The schema a deployment's expressions are written in and its
+        tuples are delivered under: qualified by the scan ``binding``,
+        or bare without one."""
+        return self.schema.qualified(binding) if binding else self.schema
+
+    def read(self, mote: Mote) -> tuple:
+        """One sample: the sampler's dict read once, in schema order."""
+        sample = self.sampler(mote)
+        return tuple([sample[field.name] for field in self.schema])
 
 
 @dataclass
@@ -234,16 +258,17 @@ class SensorEngine:
         key_prefix: str | None = None,
         on_result: ResultCallback | None = None,
     ) -> DeployedQuery:
-        """Sample-filter-forward. ``predicate`` evaluates over the tuple
-        (qualified references fall back to bare names); only passing
-        tuples are transmitted. ``key_prefix`` qualifies the delivered
-        tuple's keys (``room`` → ``sa.room``) so federated plans can bind
-        them positionally."""
+        """Sample-filter-forward: only tuples passing ``predicate`` are
+        transmitted. ``key_prefix`` is the scan binding the predicate is
+        written in (``room`` → ``sa.room``); a tuple is delivered as a
+        Row under :meth:`SensorRelation.bound`."""
         relation = self.relation(relation_name)
         deployed = DeployedQuery(
             target_name or relation.name, on_result=on_result, engine=self
         )
         out_name = deployed.name
+        schema = relation.bound(key_prefix)
+        keep = _compiled(predicate, schema)
 
         def make_epoch(mote_id: int) -> Callable[[], None]:
             def epoch() -> None:
@@ -252,11 +277,9 @@ class SensorEngine:
                 if not mote.alive:
                     self._report_mote_death(mote_id)
                     return
-                values = relation.sampler(mote)
-                if key_prefix:
-                    values = {f"{key_prefix}.{k}": v for k, v in values.items()}
+                values = relation.read(mote)
                 mote.account_cpu()
-                if predicate is not None and predicate.eval(_DictRow(values)) is not True:
+                if keep is not None and keep(values) is not True:
                     return
                 # Deliver with the *sample* timestamp: downstream latency
                 # measurements then include real network delay.
@@ -265,7 +288,7 @@ class SensorEngine:
                     self.network.send_to_base(
                         mote_id,
                         relation.row_bytes(),
-                        payload=values,
+                        payload=Row(schema, values),
                         on_delivered=lambda payload, time, sample_time=sample_time: self._deliver(
                             deployed, out_name, payload, sample_time
                         ),
@@ -293,12 +316,14 @@ class SensorEngine:
         predicate: Expr | None = None,
         *,
         target_name: str | None = None,
+        key_prefix: str | None = None,
         on_result: ResultCallback | None = None,
     ) -> DeployedQuery:
         """One message per collection-tree edge per epoch: every member
         mote samples, applies ``predicate`` as :meth:`deploy_collection`
         does, and folds each of ``arguments`` (``None`` stands for the
         row, for ``COUNT(*)``) into a ``(count, sum, min, max)`` group.
+        Both are written in the scan binding ``key_prefix``.
         A mote combines its children's partial state records with its
         own and forwards a single PSR to its parent; a mote with nothing
         to report stays silent.
@@ -318,14 +343,17 @@ class SensorEngine:
         names = [psr_name(i, name) for i in range(len(arguments)) for name in PSR_FIELDS]
         psr_bytes = PSR_BYTES * len(arguments)
 
+        schema = relation.bound(key_prefix)
+        keep = _compiled(predicate, schema)
+        folds = [_compiled(argument, schema) for argument in arguments]
+
         def sample(mote: Mote) -> tuple | None:
-            row = _DictRow(relation.sampler(mote))
-            if predicate is not None and predicate.eval(row) is not True:
+            values = relation.read(mote)
+            if keep is not None and keep(values) is not True:
                 return None
             return tuple(
-                (1, None, None, None) if argument is None
-                else _single_psr(argument.eval(row))
-                for argument in arguments
+                (1, None, None, None) if fold is None else _single_psr(fold(values))
+                for fold in folds
             )
 
         def epoch() -> None:
@@ -398,23 +426,23 @@ class SensorEngine:
         *,
         target_name: str,
         period: float | None = None,
-        left_prefix: str | None = None,
-        right_prefix: str | None = None,
+        left_prefix: str,
+        right_prefix: str,
         on_result: ResultCallback | None = None,
     ) -> DeployedQuery:
         """Join tuples of paired motes every epoch.
 
-        The joined tuple is the union of both sides' values. When
-        ``left_prefix``/``right_prefix`` are given (the scan bindings),
-        keys are qualified — ``sa.room``, ``ss.room`` — so the predicate
-        and downstream federated bindings resolve unambiguously; without
-        prefixes, colliding right-side keys get a ``right_`` prefix.
+        The joined tuple is both sides' values under both sides' schemas
+        qualified by their scan bindings and concatenated — ``sa.room``,
+        ``ss.room`` — which is the schema ``predicate`` is written in.
         """
         left = self.relation(left_relation)
         right = self.relation(right_relation)
         epoch_period = period or max(left.period, right.period)
         deployed = DeployedQuery(target_name, on_result=on_result, engine=self)
         joined_bytes = left.row_bytes() + right.row_bytes()
+        schema = left.bound(left_prefix).concat(right.bound(right_prefix))
+        keep = _compiled(predicate, schema)
 
         def run_pair(pair: JoinPair) -> None:
             left_mote = self.network.mote(pair.left_mote)
@@ -425,41 +453,32 @@ class SensorEngine:
                         self._report_mote_death(mote.mote_id)
                 return
             sample_time = self.network.simulator.now
-            left_values = left.sampler(left_mote)
-            right_values = right.sampler(right_mote)
-            if left_prefix:
-                left_values = {f"{left_prefix}.{k}": v for k, v in left_values.items()}
-            if right_prefix:
-                right_values = {f"{right_prefix}.{k}": v for k, v in right_values.items()}
+            left_values = left.read(left_mote)
+            right_values = right.read(right_mote)
 
-            def merged() -> dict[str, Any]:
-                out = dict(left_values)
-                for key, value in right_values.items():
-                    out[key if key not in out else f"right_{key}"] = value
-                return out
+            def joined() -> Row | None:
+                values = left_values + right_values
+                if keep is None or keep(values) is True:
+                    return Row(schema, values)
+                return None
 
             if pair.strategy is JoinStrategy.AT_BASE:
                 # Both tuples travel to the base independently; the base
-                # performs the join.
-                state: dict[str, Any] = {"left": None, "right": None}
+                # performs the join when the second one arrives.
+                arrived: list[Any] = []
 
-                def on_side(side: str) -> Callable[[Any, float], None]:
-                    def callback(payload: Any, time: float) -> None:
-                        state[side] = payload
-                        if state["left"] is not None and state["right"] is not None:
-                            row = merged()
-                            if predicate is None or predicate.eval(_DictRow(row)) is True:
-                                self._deliver(deployed, target_name, row, sample_time)
-                    return callback
+                def at_base(payload: Any, time: float) -> None:
+                    arrived.append(payload)
+                    row = joined() if len(arrived) == 2 else None
+                    if row is not None:
+                        self._deliver(deployed, target_name, row, sample_time)
 
-                for mote_id, rel, values, side in (
-                    (pair.left_mote, left, left_values, "left"),
-                    (pair.right_mote, right, right_values, "right"),
+                for mote_id, rel, values in (
+                    (pair.left_mote, left, left_values),
+                    (pair.right_mote, right, right_values),
                 ):
                     try:
-                        self.network.send_to_base(
-                            mote_id, rel.row_bytes(), values, on_side(side)
-                        )
+                        self.network.send_to_base(mote_id, rel.row_bytes(), values, at_base)
                     except SensorNetworkError:
                         self._drop_disconnected(mote_id)
                 return
@@ -476,8 +495,8 @@ class SensorEngine:
             def at_join_site(payload: Any, time: float) -> None:
                 site_mote = self.network.mote(join_site)
                 site_mote.account_cpu()
-                row = merged()
-                if predicate is None or predicate.eval(_DictRow(row)) is True:
+                row = joined()
+                if row is not None:
                     try:
                         self.network.send_to_base(
                             join_site,
@@ -527,29 +546,13 @@ class SensorEngine:
 
     # ------------------------------------------------------------------
     def _deliver(
-        self, deployed: DeployedQuery, name: str, values: dict[str, Any], time: float
+        self, deployed: DeployedQuery, name: str, values: Row | dict[str, Any], time: float
     ) -> None:
         deployed.results_delivered += 1
         callback = deployed.on_result or self.on_result
         callback(name, values, time)
 
 
-class _DictRow:
-    """Adapter letting expressions evaluate over plain dicts.
-
-    Qualified references fall back to their bare name, so a predicate
-    written as ``ss.light < 50`` also works on mote-local tuples.
-    """
-
-    __slots__ = ("_values",)
-
-    def __init__(self, values: dict[str, Any]):
-        self._values = values
-
-    def __getitem__(self, name: str) -> Any:
-        if name in self._values:
-            return self._values[name]
-        bare = name.rsplit(".", 1)[-1]
-        if bare in self._values:
-            return self._values[bare]
-        raise KeyError(name)
+def _compiled(expr: Expr | None, schema: Schema) -> CompiledExpr | None:
+    """``expr`` compiled once against ``schema``; ``None`` stays ``None``."""
+    return None if expr is None else compile_expr(expr, schema)

@@ -607,9 +607,13 @@ class SmartCIS:
     def find_free_machines(self, needed: str = "%") -> list[tuple[str, str, str]]:
         """(host, room, desk) of free machines matching ``needed`` (LIKE),
         in open labs, per the current monitoring state."""
+        from repro.sql.compiled import compile_expr
         from repro.sql.expressions import BinaryOp, ColumnRef, Literal
 
-        matcher = BinaryOp("LIKE", ColumnRef("software"), Literal(needed))
+        matches = compile_expr(
+            BinaryOp("LIKE", ColumnRef("software"), Literal(needed)),
+            Schema.of(("software", DataType.STRING)),
+        )
         out = []
         for spec in self.deployment.machine_specs:
             if spec.room == "machineroom":
@@ -618,13 +622,7 @@ class SmartCIS:
                 continue
             if not self.state.seat_is_free(spec.room, spec.desk):
                 continue
-            row = {"software": spec.software}
-
-            class _R:  # minimal row adapter
-                def __getitem__(self, k, row=row):
-                    return row[k.rsplit(".", 1)[-1]]
-
-            if matcher.eval(_R()) is True:
+            if matches((spec.software,)) is True:
                 out.append((spec.host, spec.room, spec.desk))
         return sorted(out)
 

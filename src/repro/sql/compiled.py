@@ -73,7 +73,7 @@ batch loop one after the other. Each is one test at one site and none
 selects a different evaluator.
 
 This module is the only place the choice is made. Nothing outside it
-takes a switch for it and nothing under ``repro.stream`` calls
+takes a switch for it and nothing outside ``repro.sql`` calls
 ``Expr.eval`` (lint rule RA906); the identity corpora reach the second
 rung the way production does, by making the generators decline
 (``tests/conftest.py``: ``interpreted`` / ``unfused``). Every fallback
@@ -83,7 +83,9 @@ ledger workloads and the corpora's default arms.
 
 Every evaluation site compiles once and keeps the closure: operators
 compile at construction, bounded evaluations included (they run the
-same pipelines, :mod:`repro.stream.batch`). :func:`compile_projection`
+same pipelines, :mod:`repro.stream.batch`), and the motes' predicates
+and arguments and the basestation's fragment projection at deploy
+(:mod:`repro.sensor.engine`, :mod:`repro.core.executor`). :func:`compile_projection`
 lowers a whole projection list into one generated function returning
 the output value tuple — one call per row instead of one per column.
 

@@ -32,12 +32,14 @@ slot had forwarded. A recovery is therefore invisible to a cursor's
 ``results()`` and subscriptions, and a checkpoint's size does not grow
 with the results delivered.
 
-**A process restart is not a recovery of the sinks.** A fresh engine
-restored from a :class:`FileCheckpointStore` has no sink to write into:
-each query comes back under a new handle with a new sink that reads
-from the barrier on (what the replay of the log suffix derives, then
-live output). ``results()`` history from before the barrier does not
-survive a process restart.
+**A process restart is not a recovery of the sinks, and it replays
+nothing.** A fresh engine restored from a :class:`FileCheckpointStore`
+has no sink to write into: each query comes back under a new handle
+with a new sink that reads from the barrier on. The :class:`ReplayLog`
+lives in memory only, so a fresh coordinator replays no entry
+(``last_replay["entries"] == 0``): rows ingested after the latest
+barrier are lost unless the caller pushes them again, and ``results()``
+history from before the barrier does not survive either.
 
 Snapshots share :class:`StreamElement` objects (immutable by
 convention) and copy only the mutable containers, so a barrier costs

@@ -1118,30 +1118,50 @@ class TestEngineLinter:
         assert lint_engine(root) == []
 
     def test_ra906_eval_call_under_stream(self, tmp_path):
-        """An operator evaluating an expression by name is a second body
-        beside the schema-bound one; the interpreter itself (sql/) and
-        everything outside stream/ are not this rule's business."""
-        root = self._tree(
-            tmp_path,
-            {
-                "sql/__init__.py": "",
-                "sql/compiled.py": (
-                    "def _fallback(expr, schema):\n"
-                    "    return lambda values: expr.eval(values)\n"
-                ),
-                "stream/__init__.py": "",
-                "stream/operators.py": (
-                    "class FilterOp:\n"
-                    "    def on_element(self, element):\n"
-                    "        if self._compiled(element.row.values) is True:\n"
-                    "            return element\n"
-                    "        return self.predicate.eval(element.row)\n"
-                ),
-            },
-        )
-        diags = lint_engine(root)
-        assert _codes(diags) == ["RA906"]
-        assert diags[0].operator == "stream/operators.py:5"
+        """An evaluation site calling ``Expr.eval`` by name is a second
+        body beside the schema-bound one — an operator under stream/, a
+        mote's predicate under sensor/, an app's matcher under
+        smartcis/; the interpreter itself (sql/) is not this rule's
+        business."""
+        sites = {
+            "stream/operators.py": (
+                "class FilterOp:\n"
+                "    def on_element(self, element):\n"
+                "        if self._compiled(element.row.values) is True:\n"
+                "            return element\n"
+                "        return self.predicate.eval(element.row)\n"
+            ),
+            "sensor/engine.py": (
+                "def sample(predicate, row):\n"
+                "    return predicate.eval(row) is True\n"
+            ),
+            "smartcis/app.py": (
+                "def find(matcher, row):\n"
+                "    ok = True\n"
+                "    return ok and matcher.eval(row)\n"
+            ),
+        }
+        found = {}
+        for site, body in sites.items():
+            package = site.split("/")[0]
+            root = self._tree(
+                tmp_path / package,
+                {
+                    "sql/__init__.py": "",
+                    "sql/compiled.py": (
+                        "def _fallback(expr, schema):\n"
+                        "    return lambda values: expr.eval(values)\n"
+                    ),
+                    f"{package}/__init__.py": "",
+                    site: body,
+                },
+            )
+            found[site] = [(d.code, d.operator) for d in lint_engine(root)]
+        assert found == {
+            "stream/operators.py": [("RA906", "stream/operators.py:5")],
+            "sensor/engine.py": [("RA906", "sensor/engine.py:2")],
+            "smartcis/app.py": [("RA906", "smartcis/app.py:3")],
+        }
 
     def test_ra906_accumulator_under_stream(self, tmp_path):
         """An operator folding into interpreter accumulators of its own

@@ -511,3 +511,50 @@ class TestBoundedCompileCounts:
             )
             assert pairs(cursor.results()) == {("a", "b"), ("b", "c"), ("a", "c")}
             assert session.stats()["compile"]["generated"] > before
+
+
+PREPARED_SQL = "select t.k, t.v / :d as q from T t where t.v > :x and t.a like :p"
+
+
+class TestPreparedBatchCompilesOnce:
+    """A prepared table-route statement compiles its pipeline at its
+    first execution and reuses it: the generated code reads each
+    ``Parameter`` slot as bound when it runs."""
+
+    def test_executes_after_the_first_generate_nothing(self):
+        with TestBoundedCompileCounts._session(1) as session:
+            statement = session.prepare("select t.k, t.v + 1 as w from T t where t.v > :x")
+            reads = []
+            for _ in range(3):
+                assert [row.values for row in statement.execute(x=0).results()] == [(1, 3)]
+                reads.append(session.stats()["compile"]["generated"])
+        assert reads == [2, 2, 2]
+
+    def test_each_execution_reads_its_bindings_and_the_current_table(self):
+        bindings = [
+            {"x": 0, "d": 2, "p": "x%"},
+            {"x": -5, "d": 0, "p": "%"},
+            {"x": -5, "d": -1, "p": "y"},
+            {"x": 1, "d": 3, "p": "_%"},
+            {"x": -5, "d": 0, "p": "x_"},
+        ]
+        loads = {2: [{"k": 3, "v": 9, "a": "xy"}, {"k": 4, "v": 6, "a": "y"}]}
+        seen = []
+        with TestBoundedCompileCounts._session(1) as session, TestBoundedCompileCounts._session(
+            1
+        ) as oracle:
+            statement = session.prepare(PREPARED_SQL)
+            for step, params in enumerate(bindings):
+                for each in (session, oracle):
+                    each.load("T", loads.get(step, []))
+                got = [row.values for row in statement.execute(**params).results()]
+                assert got == [row.values for row in oracle.query(PREPARED_SQL, params=params).results()]
+                seen.append(got)
+            assert session.stats()["compile"]["generated"] == 2
+        assert seen == [
+            [(1, 1.0)],
+            [(1, None), (2, None)],
+            [(2, 1.0), (4, -6.0)],
+            [(1, 2 / 3), (3, 3.0), (4, 2.0)],
+            [(3, None)],
+        ]

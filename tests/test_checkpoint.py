@@ -1109,7 +1109,9 @@ class TestSinksOutliveTheFailure:
         """A fresh engine restored from a file store has no sink to
         write into: each query comes back under a new handle with a new
         sink that holds what was delivered after the barrier, and none
-        of the history before it."""
+        of the history before it. The replay log lives in memory, so the
+        fresh coordinator replays nothing: the rows after the barrier
+        come back only because the caller pushes them again."""
         rows, stamps = _rows(60)
         engine, coordinator, handles = _build(interval=None)
         coordinator.store = FileCheckpointStore(tmp_path)
@@ -1123,6 +1125,7 @@ class TestSinksOutliveTheFailure:
         restarted = StreamEngine(_catalog())
         fresh = CheckpointCoordinator(restarted, store=FileCheckpointStore(tmp_path))
         restored = fresh.recover()
+        assert fresh.last_replay["entries"] == 0
         restarted.push_many("Readings", rows[30:], stamps[30:])
         restarted.punctuate(stamps[-1] + 100.0)
         assert not set(map(id, restored)) & set(map(id, handles))

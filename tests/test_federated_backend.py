@@ -21,6 +21,7 @@ import random
 
 import pytest
 
+from conftest import generated, interpreted
 from repro.api import (
     FederatedBackend,
     SensorSource,
@@ -213,6 +214,34 @@ class TestFederatedIdentityCorpus:
         assert fed_kind == "federated" and fragments
         assert stream_kind == "stream"
         assert federated == streamed, f"seed={seed} sql={sql!r}: emissions diverged"
+
+    @pytest.mark.parametrize(
+        "sql,world",
+        [
+            (CORPUS[1].format(x=18.0, y=0.5), {}),
+            (CORPUS[3].format(x=16.0), {}),
+            (AGGREGATES[1][0], CHAIN),
+            ("select sum(t.temp * 2.0) from RoomTemps t", CHAIN),
+        ],
+        ids=["filtered_join", "double_temp", "count_where", "sum_double"],
+    )
+    def test_interpreted_arm(self, sql, world):
+        """The motes' and the basestation's evaluators, and the
+        residual's, all on the interpreter's fallback: the same
+        emissions as generated code."""
+
+        def run(arm):
+            session, simulator = _build_world(2, **world)
+            with arm():
+                cursor = session.query(sql)
+            segments = _drive(session, simulator, cursor)
+            kind = cursor.kind
+            session.close()
+            return kind, segments
+
+        kind, reference = run(interpreted)
+        assert kind == "federated" and any(reference)
+        assert run(generated) == (kind, reference)
 
     @pytest.mark.parametrize("shards", [1, 2])
     @pytest.mark.parametrize("sql,deployment", AGGREGATES)

@@ -2,13 +2,19 @@
 
 import pytest
 
+from conftest import generated, interpreted
 from repro.data import DataType, Schema
+from repro.runtime import Simulator
 from repro.sensor import (
     HEADER_BYTES,
     HOP_LATENCY,
     JoinPair,
     JoinStrategy,
+    Mote,
+    MoteRole,
+    Position,
     SensorEngine,
+    SensorNetwork,
     SensorRelation,
 )
 from repro.sensor.engine import PSR_BYTES
@@ -58,7 +64,7 @@ class TestCollection:
         sensor_engine.deploy_collection("Temps", key_prefix="t")
         simulator.run_until(11.0)
         _, values, _ = sensor_engine.results[0]
-        assert set(values) == {"t.node", "t.temp"}
+        assert values.schema.names == ["t.node", "t.temp"]
 
     def test_delivery_timestamp_is_sample_time(self, sensor_engine, simulator):
         sensor_engine.deploy_collection("Temps")
@@ -72,6 +78,22 @@ class TestCollection:
         deployed.stop()
         simulator.run_until(31.0)
         assert len(sensor_engine.results) == first
+
+    def test_a_reading_its_column_does_not_admit_raises(self, line_network, simulator):
+        """A sample is input from outside the program: it becomes a
+        checked Row, as a dict pushed into the stream engine does."""
+        from repro.errors import TypeMismatchError
+
+        engine = SensorEngine(line_network)
+        engine.register_relation(
+            SensorRelation(
+                "Temps", TEMPS_SCHEMA, [1],
+                lambda m: {"node": m.mote_id, "temp": "hot"}, period=10.0,
+            )
+        )
+        engine.deploy_collection("Temps")
+        with pytest.raises(TypeMismatchError, match="temp"):
+            simulator.run_until(11.0)
 
     def test_dead_mote_skips_epoch(self, sensor_engine, line_network, simulator):
         mote = line_network.motes[5]
@@ -195,7 +217,7 @@ class TestJoins:
         # Both pairs pass: right temps are 21 and 22 (< 23.5).
         assert len(rows) == 2
         assert {r["l.node"] for r in rows} == {4, 5}
-        assert all(set(r) == {"l.node", "l.temp", "r.node", "r.temp"} for r in rows)
+        assert all(r.schema.names == ["l.node", "l.temp", "r.node", "r.temp"] for r in rows)
 
     def test_local_join_filters_before_uplink(self, sensor_engine, line_network, simulator):
         # Predicate failing for every pair: local strategies send almost
@@ -243,3 +265,123 @@ class TestJoins:
             sensor_engine.register_relation(
                 SensorRelation("Temps", TEMPS_SCHEMA, [1], lambda m: {}, 1.0)
             )
+
+
+READINGS = Schema.of(("node", DataType.INT), ("temp", DataType.FLOAT), ("room", DataType.STRING))
+#: Per mote: a NULL reading (3), an int in the FLOAT column (2).
+TEMP = {1: 21.0, 2: 22, 3: None, 4: 24.0, 5: 21.5}
+ROOM = {1: "lab1", 2: "lab2", 3: "lab1", 4: "office", 5: "lab2"}
+
+
+def _column(name, binding=None):
+    return ColumnRef(f"{binding}.{name}" if binding else name)
+
+
+def _collect(binding):
+    def deploy(engine):
+        # lab1 or at least 22: motes 1-4 pass (3 with a NULL temp), 5 fails.
+        predicate = BinaryOp(
+            "OR",
+            BinaryOp("LIKE", _column("room", binding), Literal("lab1")),
+            BinaryOp(">=", _column("temp", binding), Literal(22)),
+        )
+        engine.deploy_collection("Readings", predicate, key_prefix=binding)
+
+    return deploy
+
+
+def _aggregate(engine):
+    temp = _column("temp", "r")
+    engine.deploy_aggregation(
+        "Readings",
+        [None, temp, BinaryOp("*", temp, Literal(2.0))],
+        BinaryOp("LIKE", _column("room", "r"), Literal("lab%")),
+        key_prefix="r",
+    )
+
+
+def _join(strategy):
+    def deploy(engine):
+        # (4, 1) passes on temps; (5, 2) on the right's room, against an
+        # int; (3, 1) compares a NULL and fails.
+        predicate = BinaryOp(
+            "OR",
+            BinaryOp(">=", _column("temp", "l"), _column("temp", "r")),
+            BinaryOp("LIKE", _column("room", "r"), Literal("%2")),
+        )
+        engine.deploy_join(
+            "Readings", "Readings",
+            [JoinPair(4, 1, strategy), JoinPair(5, 2, strategy), JoinPair(3, 1, strategy)],
+            predicate,
+            target_name="joined", left_prefix="l", right_prefix="r",
+        )
+
+    return deploy
+
+
+MOTE_DEPLOYS = {
+    "collection": _collect(None),
+    "collection_bound": _collect("r"),
+    "aggregation": _aggregate,
+    **{f"join_{s.value}": _join(s) for s in JoinStrategy},
+}
+
+
+def _deliveries(arm, deploy) -> list:
+    """What ``deploy`` delivers over three epochs on a fresh line world,
+    its evaluators compiled inside ``arm``: each tuple as its names and
+    the ``repr`` of its values, so an int read as a float shows."""
+    simulator = Simulator(seed=42)
+    network = SensorNetwork(simulator)
+    network.add_basestation(Position(0, 0))
+    for i in range(1, 6):
+        network.add_mote(Mote(i, Position(i * 80.0, 0.0), MoteRole.WORKSTATION, radio_range=100.0))
+    network.rebuild_topology()
+    results = []
+    engine = SensorEngine(
+        network,
+        on_result=lambda n, v, t: results.append(
+            (n, repr(v) if isinstance(v, dict) else (v.schema.names, repr(v.values)), t)
+        ),
+    )
+    engine.register_relation(
+        SensorRelation(
+            "Readings",
+            READINGS,
+            [1, 2, 3, 4, 5],
+            lambda m: {"node": m.mote_id, "temp": TEMP[m.mote_id], "room": ROOM[m.mote_id]},
+            period=10.0,
+        )
+    )
+    with arm():
+        deploy(engine)
+    simulator.run_until(31.0)
+    return results
+
+
+class TestMoteEvaluators:
+    """Each primitive compiles its predicate and arguments at deploy and
+    delivers exactly what the interpreter's fallback delivers."""
+
+    @pytest.mark.parametrize("case", sorted(MOTE_DEPLOYS))
+    def test_generated_delivers_what_interpreted_delivers(self, case):
+        reference = _deliveries(interpreted, MOTE_DEPLOYS[case])
+        assert reference
+        assert _deliveries(generated, MOTE_DEPLOYS[case]) == reference
+
+    def test_what_the_readings_deliver(self):
+        collected = _deliveries(generated, MOTE_DEPLOYS["collection"])
+        assert sorted({values for _, (_, values), _ in collected}) == [
+            "(1, 21.0, 'lab1')", "(2, 22, 'lab2')", "(3, None, 'lab1')", "(4, 24.0, 'office')",
+        ]
+        _, record, _ = _deliveries(generated, MOTE_DEPLOYS["aggregation"])[0]
+        # COUNT(*) counts mote 3's row; the NULL folds into no argument.
+        assert record == repr({
+            "a0_count": 4, "a0_sum": None, "a0_min": None, "a0_max": None,
+            "a1_count": 3, "a1_sum": 64.5, "a1_min": 21.0, "a1_max": 22,
+            "a2_count": 3, "a2_sum": 129.0, "a2_min": 42.0, "a2_max": 44.0,
+        })
+        joined = _deliveries(generated, MOTE_DEPLOYS["join_at-left"])
+        assert sorted({values for _, (_, values), _ in joined}) == [
+            "(4, 24.0, 'office', 1, 21.0, 'lab1')", "(5, 21.5, 'lab2', 2, 22, 'lab2')",
+        ]
