@@ -39,7 +39,11 @@ view of a remote one: ``elements_ingested`` / ``failed``) and
 ``transport`` (queue counters, None when nothing is transported).
 
 A dead shard surfaces as one :class:`ShardDied` from whichever verb
-finds it; the pool's single retry wrapper turns that into failover.
+finds it; the pool's single retry wrapper turns that into failover,
+which runs the coordinator's one recovery routine
+(:meth:`~repro.stream.checkpoint.CheckpointCoordinator.restore_host`)
+over these verbs — as a plain engine's recovery does over a
+:class:`ShardHost` wrapping the engine itself.
 A data error never travels that way: the host's verbs are edges (the
 hand-off rule on :class:`~repro.data.streams.StreamConsumer`), so one
 raised under a pool verb is parked, and the pool verb raises it once
@@ -75,11 +79,12 @@ class ShardHost:
     query's (the safe replica, the fallback replica, or an exchanged
     query's stage-2 merge); ``stage1`` maps exchanged query ids to their
     stage-1 replicas, whose output feeds the pool's shuffle buffers.
+    The data verbs run synchronously on the engine.
     """
 
-    def __init__(self, index, catalog, deliver, share_plans):
+    def __init__(self, index, engine: StreamEngine):
         self.index = index
-        self.engine = StreamEngine(catalog, deliver, share_plans)
+        self.engine = engine
         self.queries: dict[int, QueryHandle] = {}
         self.stage1: dict[int, list[QueryHandle]] = {}
 
@@ -164,35 +169,6 @@ class ShardHost:
             if state["s2"] is not None and query_id in self.queries:
                 restore_operators(self.queries[query_id], state["s2"])
 
-
-class LoopbackChannel(ShardHost):
-    """The in-process transport: the channel is its own host. Verbs run
-    synchronously, feeds and rows cross by reference — no packing, no
-    frames — so ``settle`` has nothing to wait for."""
-
-    ships_plans = True
-    transport = None
-
-    def __init__(self, index, catalog, deliver, share_plans):
-        self._host_args = (index, catalog, deliver, share_plans)
-        self.respawn()
-
-    def respawn(self) -> None:
-        ShardHost.__init__(self, *self._host_args)
-
-    def kill(self, sig=None) -> StreamEngine:
-        """Crash the engine (state loss); returns the corpse."""
-        self.engine.fail()
-        return self.engine
-
-    def admit(self, handle, feed, share):
-        return self.start(handle.query_id, handle.plan, feed, share)
-
-    def admit_exchanged(self, handle, feeds, stage2_feed):
-        return self.start_exchanged(
-            handle.query_id, handle.exchange.recipe, feeds, stage2_feed
-        )
-
     def ingest(self, source, rows, stamps) -> None:
         self._live().push_many(source, rows, stamps)
 
@@ -216,3 +192,34 @@ class LoopbackChannel(ShardHost):
 
     def compile_stats(self) -> dict:
         return self._live().compile_stats()
+
+
+class LoopbackChannel(ShardHost):
+    """The in-process transport: the channel is its own host. Verbs run
+    synchronously, feeds and rows cross by reference — no packing, no
+    frames — so ``settle`` has nothing to wait for. ``respawn`` makes a
+    fresh host over a new engine."""
+
+    ships_plans = True
+    transport = None
+
+    def __init__(self, index, catalog, deliver, share_plans):
+        self._host_args = (index, catalog, deliver, share_plans)
+        self.respawn()
+
+    def respawn(self) -> None:
+        index, catalog, deliver, share_plans = self._host_args
+        ShardHost.__init__(self, index, StreamEngine(catalog, deliver, share_plans))
+
+    def kill(self, sig=None) -> StreamEngine:
+        """Crash the engine (state loss); returns the corpse."""
+        self.engine.fail()
+        return self.engine
+
+    def admit(self, handle, feed, share):
+        return self.start(handle.query_id, handle.plan, feed, share)
+
+    def admit_exchanged(self, handle, feeds, stage2_feed):
+        return self.start_exchanged(
+            handle.query_id, handle.exchange.recipe, feeds, stage2_feed
+        )

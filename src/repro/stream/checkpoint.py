@@ -7,20 +7,25 @@ provides the recovery spine:
 
 * :class:`CheckpointCoordinator` — attaches to a :class:`StreamEngine`
   or a :class:`~repro.stream.sharded.ShardedStreamEngine` pool, appends
-  every ingest call to a bounded :class:`ReplayLog`, and snapshots
-  operator state at **punctuation-aligned barriers** (every
-  ``interval`` seconds of stream time) into a :class:`CheckpointStore`.
-  Barriers are aligned because punctuation is the only point where an
-  operator's externally observable state is well-defined: windows at or
-  before the watermark have been emitted, expired join rows evicted.
+  every ingest call (and every admission) to a bounded
+  :class:`ReplayLog`, and snapshots operator state at
+  **punctuation-aligned barriers** (every ``interval`` seconds of
+  stream time) into a :class:`CheckpointStore`. Barriers are aligned
+  because punctuation is the only point where an operator's externally
+  observable state is well-defined: windows at or before the watermark
+  have been emitted, expired join rows evicted.
 * :class:`MemoryCheckpointStore` / :class:`FileCheckpointStore` — keep
   the last few checkpoints in memory or pickled on disk.
-* Recovery — ``StreamEngine.restore(checkpoint, replay=suffix)``
-  recompiles each checkpointed plan (compilation is deterministic, so
-  operator order matches the snapshot positionally), loads state, and
-  replays only the **log suffix since the barrier**; the sharded pool's
-  failover (:meth:`ShardedStreamEngine._recover`) does the same per
-  shard through the shard's channel.
+* Recovery — one routine, :meth:`CheckpointCoordinator.restore_host`,
+  over the verbs of a :class:`~repro.stream.channel.ShardHost`: it
+  restarts each hosted query into fresh feeds, pinned to its barrier
+  sharing decision (compilation is deterministic, so operator order
+  matches the snapshot positionally), pours the barrier state back in,
+  seeds the barrier's tables and replays only the **log suffix since
+  the barrier**. The pool's failover
+  (:meth:`ShardedStreamEngine._recover`) runs it for each dead shard
+  through the shard's channel; :meth:`CheckpointCoordinator.recover`
+  runs it for a plain engine through a host over that same engine.
 
 A checkpoint holds operator state, tables and counts — never results.
 Results stay where they were delivered: a query's sink (a shared
@@ -28,9 +33,11 @@ query's view reads its chain's log) outlives an engine death, and the
 restored pipeline writes into it again through a :class:`Feed`, which
 drops what the replay derives a second time, counted against what the
 sink had received at the barrier — on a pool, what the query's merge
-slot had forwarded. A recovery is therefore invisible to a cursor's
-``results()`` and subscriptions, and a checkpoint's size does not grow
-with the results delivered.
+slot had forwarded. A query admitted since the barrier starts again
+where the replay reaches its admission, its skip counted from there,
+so its cursor too reads every result once. A recovery is therefore
+invisible to a cursor's ``results()`` and subscriptions, and a
+checkpoint's size does not grow with the results delivered.
 
 **A process restart is not a recovery of the sinks, and it replays
 nothing.** A fresh engine restored from a :class:`FileCheckpointStore`
@@ -39,7 +46,8 @@ with a new sink that reads from the barrier on. The :class:`ReplayLog`
 lives in memory only, so a fresh coordinator replays no entry
 (``last_replay["entries"] == 0``): rows ingested after the latest
 barrier are lost unless the caller pushes them again, and ``results()``
-history from before the barrier does not survive either.
+history from before the barrier does not survive either; nor does a
+query admitted since the barrier.
 
 Snapshots share :class:`StreamElement` objects (immutable by
 convention) and copy only the mutable containers, so a barrier costs
@@ -49,21 +57,32 @@ pays serialization only when explicitly chosen.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import itertools
+import math
 import os
 import pickle
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
 
-from repro.data.streams import Punctuation, StreamElement, StreamItem, push_all
+from repro.data.streams import (
+    CollectingConsumer,
+    LogView,
+    Punctuation,
+    StreamElement,
+    StreamItem,
+    push_all,
+    replayed,
+)
 from repro.errors import ExecutionError
 from repro.plan.logical import LogicalOp
 
 #: Replay-log key marking entries delivered to the pool's fallback engine.
 FALLBACK = "fb"
+#: What a recovery replays: every kind a verb logs but ``("drop", ...)``,
+#: which :meth:`CheckpointCoordinator.replay_plan` applies instead.
+_LOG_KINDS = frozenset({"admit", "punct", "table", "many", "push", "remote", "xdeliver", "xpunct"})
 
 
 class ReplayLog:
@@ -272,32 +291,19 @@ class Feed:
     and where a punctuation goes (``_punctuate``); the rest is here. The
     pool's feeds stand in front of a merge slot or a shuffle port
     (:mod:`repro.stream.sharded`), :class:`SinkFeed` in front of a
-    restored single-engine query's sink.
+    restarted plain-engine query's sink.
 
-    A muted feed drops everything: a pool replica's fresh feeds start
-    muted, since its re-execution over checkpointed tables re-derives
-    output that is already downstream. ``arm(skip)`` unmutes the feed
-    and drops the next ``skip`` elements (the re-derivations of what the
-    dead pipeline already delivered), then everything flows through.
-    The skip never counts a punctuation.
+    A feed drops the first ``skip`` elements it is handed (the
+    re-derivations of what the dead pipeline already delivered), then
+    everything flows through; the skip never counts a punctuation.
     """
 
-    __slots__ = ("_skip", "_muted")
+    __slots__ = ("_skip",)
 
-    def __init__(self):
-        self._skip = 0
-        self._muted = False
-
-    def mute(self) -> None:
-        self._muted = True
-
-    def arm(self, skip: int) -> None:
-        self._muted = False
+    def __init__(self, skip: float):
         self._skip = skip
 
     def push(self, item: StreamItem) -> None:
-        if self._muted:
-            return
         if isinstance(item, Punctuation):
             self._punctuate(item.watermark)
         elif self._skip > 0:
@@ -306,8 +312,6 @@ class Feed:
             self._run([item])
 
     def push_batch(self, elements: list[StreamElement]) -> None:
-        if self._muted:
-            return
         drop = self._skipped(len(elements))
         if drop:
             elements = elements[drop:]
@@ -315,32 +319,29 @@ class Feed:
             self._run(elements)
 
     def _skipped(self, count: int) -> int:
-        """How many of the next ``count`` elements the armed skip drops."""
+        """How many of the next ``count`` elements the skip drops."""
         drop = min(self._skip, count)
         self._skip -= drop
         return drop
 
 
 class SinkFeed(Feed):
-    """Writes a restored single-engine query into the sink that outlived
+    """Writes a restarted plain-engine query into the sink that outlived
     the failure (a view's: into its chain's log again).
 
     The sink already holds everything the replay of the log suffix
-    derives: the feed drops as many elements as it received since the
-    barrier (``received`` now minus ``at_barrier``) and every punctuation
-    until :meth:`release`, which the engine calls once the suffix is
-    replayed, so the sink records nothing twice. A custom consumer keeps
-    no count: its feed drops every element until then too.
+    derives: the feed drops as many elements as the sink received since
+    the barrier (or since the query's admission) and every punctuation
+    until :meth:`arm`, which the recovery calls once the suffix is
+    replayed, so the sink records nothing twice. A sink that keeps no
+    count (``skip`` None) gets no element until then either.
     """
 
     __slots__ = ("_sink", "_held")
 
-    def __init__(self, sink, at_barrier: int | None):
-        super().__init__()
+    def __init__(self, sink, skip: int | None):
+        super().__init__(math.inf if skip is None else skip)
         self._sink, self._held = sink, True
-        received = getattr(sink, "received", None)
-        self._muted = received is None
-        self._skip = 0 if received is None else received - at_barrier
 
     def _run(self, elements: list[StreamElement]) -> None:
         push_all(self._sink, elements)
@@ -349,9 +350,11 @@ class SinkFeed(Feed):
         if not self._held:
             self._sink.push(Punctuation(watermark))
 
-    def release(self) -> None:
+    def arm(self) -> None:
         """The suffix is replayed: everything flows through from now on."""
-        self._muted = self._held = False
+        self._held = False
+        if self._skip == math.inf:
+            self._skip = 0
 
 
 # ----------------------------------------------------------------------
@@ -431,13 +434,21 @@ class CheckpointCoordinator:
 
     # -- recovery -------------------------------------------------------
     def recover(self):
-        """Restore a plain engine from the latest barrier + log suffix.
-        Returns the restored handles in checkpoint order: those the
-        engine held at the failure, so a caller's cursors and
-        subscriptions carry on with no rebinding.
+        """Restore a plain engine from the latest barrier + log suffix,
+        by :meth:`restore_host` through a host over the engine itself.
+        Returns the restored handles: those the engine held at the
+        failure, in checkpoint order, then those admitted since the
+        barrier in admission order — so a caller's cursors and
+        subscriptions carry on with no rebinding, a query admitted since
+        the barrier included: it starts again where the replay reaches
+        its admission, and its cursor reads every result once. A query
+        stopped since the barrier stays stopped. On an engine that did
+        not fail — a fresh process's, which holds none — a checkpointed
+        query comes back under a new handle whose new sink reads from
+        the barrier on.
 
-        Pools recover per shard through the pool's failover path
-        instead; calling this on a pool is an error.
+        Pools recover per shard through the pool's failover path, which
+        runs the same routine; calling this on a pool is an error.
         """
         if hasattr(self.engine, "shard_count"):
             raise ExecutionError(
@@ -454,12 +465,152 @@ class CheckpointCoordinator:
                 "no checkpoint to recover from — set an interval or call "
                 "checkpoint() at least once before the failure"
             )
-        tables, suffix = self.replay_plan(checkpoint)
-        handles = self.engine.restore(
-            dataclasses.replace(checkpoint, tables=tables), replay=suffix
-        )
-        self.note_replay("engine", checkpoint.log_seq, len(suffix))
+        if any("sink" in vars(query_cp) for query_cp in checkpoint.queries):
+            raise ExecutionError(
+                "checkpoint uses the sink-content layout ('sink', no 'received' "
+                "count), which this engine does not restore"
+            )
+        from repro.stream.channel import ShardHost  # it imports this module
+        from repro.stream.engine import QueryHandle, _query_ids
+
+        replay = self.replay_plan(checkpoint)  # raises on a truncated log first
+        engine = self.engine
+        held, failed = engine._queries, engine.failed
+        outlived = set(held)
+        engine.fail()
+        engine.failed, engine._queries = False, {}
+        host = ShardHost("engine", engine)
+        feeds: dict[int, SinkFeed] = {}  # id(sink, or a view's log) -> its one feed
+        handles: list = []
+
+        def start(handle, shared, received, admission):
+            """Restart ``handle``: one whose sink outlived the failure
+            through that sink's feed, which skips what the sink took since
+            the barrier (or since ``admission``); a new handle straight
+            into its new sink."""
+            if admission is not None:  # ("admit", None, query_id, received, shared)
+                received, shared = admission[3], admission[4]
+            feed = None
+            if handle.query_id in outlived:
+                target = handle.sink.log if isinstance(handle.sink, LogView) else handle.sink
+                feed = feeds.get(id(target))
+                if feed is None:
+                    count = getattr(target, "received", None)
+                    skip = None if count is None or received is None else count - received
+                    feed = feeds[id(target)] = SinkFeed(target, skip)
+            engine._start(handle, shared, feed)
+            host.queries[handle.query_id] = handle
+            handles.append(handle)
+
+        states, starts = {}, {}
+        for query_cp in checkpoint.queries:
+            handle = held.pop(query_cp.query_id, None)
+            if handle is None and failed:  # stopped since the barrier: it stays stopped
+                continue
+            if handle is None:
+                # A sink of its own, never a view: a regrown chain's log
+                # is the one a held view brings back.
+                handle = QueryHandle(
+                    next(_query_ids), query_cp.plan, None, CollectingConsumer(), engine
+                )
+            states[handle.query_id] = query_cp.operators
+            starts[handle.query_id] = functools.partial(
+                start, handle, query_cp.shared, query_cp.received
+            )
+        for handle in held.values():  # admitted since the barrier (or before the log began)
+            starts[handle.query_id] = functools.partial(start, handle, None, None)
+        engine.checkpointer = None  # the replay logs nothing
+        try:
+            self.restore_host(host, None, checkpoint, replay, checkpoint.chains, states, starts)
+        finally:
+            engine.checkpointer = self
+            for feed in feeds.values():
+                feed.arm()
         return handles
+
+    def restore_host(
+        self, host, key, checkpoint, replay, chains, states: dict, starts: dict
+    ) -> None:
+        """The one recovery routine: bring ``host`` — a pool's respawned
+        shard or fallback, or a plain engine through a host over it —
+        from ``checkpoint`` (None before the first barrier) to the
+        present, through the verbs a
+        :class:`~repro.stream.channel.ShardHost` has.
+
+        ``key`` names the host's own log entries (a shard index,
+        ``FALLBACK``, or None on a plain engine, whose log holds no
+        other, and which names no shard); punctuations, table loads and
+        admissions reach every host. ``replay`` is :meth:`replay_plan`
+        of ``checkpoint``, which the caller makes before it touches the
+        host. ``chains`` is the barrier's shared-chain state here;
+        ``states`` maps each query the barrier holds to its operator
+        states here. ``starts`` maps every query to bring back, in start
+        order, to its start, which starts it into fresh :class:`Feed` s
+        whose skips count what its sink (or merge slot) took since the
+        barrier: ``start(None)`` for a query the barrier holds,
+        ``start(entry)`` — counting since then — for one admitted since,
+        at its ``("admit", ...)`` entry.
+
+        In order: start each query the barrier holds (and one whose
+        admission the suffix does not record: admitted before the log
+        began), pinned to its sharing decision at the barrier; pour the
+        barrier state back in; seed the barrier's tables — after the
+        starts, so no restarted pipeline derives again from them what
+        the state already holds; replay the log suffix through the verbs
+        live ingest uses, starting each query admitted since the barrier
+        where the replay reaches its admission.
+        """
+        from repro.stream.channel import ShardDied  # it imports this module
+
+        tables, suffix = replay
+        admitted = {entry[2] for entry in suffix if entry[0] == "admit"}
+        for query_id, start in starts.items():
+            if query_id in states or query_id not in admitted:
+                start(None)
+        if checkpoint is not None:
+            host.restore(states, chains)
+        host.seed(tables)
+        count = 0
+        for entry in suffix:
+            kind, at = entry[0], entry[1]
+            if kind not in _LOG_KINDS:  # log corruption
+                raise ExecutionError(f"unknown replay-log entry kind {kind!r}")
+            if at is not None and at != key:
+                if key is None:  # a plain engine logs nothing to a shard
+                    raise ExecutionError(
+                        f"replay-log entry {kind!r} names shard {at!r} on a plain engine"
+                    )
+                continue
+            if kind == "admit":
+                if entry[2] not in starts:  # hosted elsewhere, or stopped since
+                    continue
+                call = starts[entry[2]], entry
+            elif kind == "punct":
+                call = host.punctuate, entry[2], entry[3]
+            elif kind == "table":
+                call = host.load_table, entry[2], entry[3], entry[4]
+            elif kind == "many":
+                call = host.ingest, entry[2], entry[3], entry[4]
+            elif kind == "push":
+                call = host.ingest, entry[2], [entry[3]], [entry[4]]
+            elif kind == "remote":
+                call = host.ingest_remote, entry[2], entry[3], entry[4]
+            elif kind == "xdeliver":
+                call = host.deliver, entry[2], []
+            else:  # "xpunct"
+                call = host.deliver, [], [(entry[2], entry[3])]
+            # What the verb raised reached its caller when it first ran;
+            # a second death of the shard is not dropped.
+            replayed(*call, keep=ShardDied)
+            count += 1
+        # Replayed emissions (a worker's errors ride along) have cleared
+        # the skips.
+        replayed(host.settle, keep=ShardDied)
+        self.last_replay = {
+            "target": "engine" if key is None else key,
+            "from_seq": checkpoint.log_seq if checkpoint is not None else 0,
+            "entries": count,
+        }
 
     def replay_plan(self, checkpoint) -> tuple[dict, list[tuple]]:
         """What a recovery seeds and replays: the barrier's tables and
@@ -481,13 +632,6 @@ class CheckpointCoordinator:
             {n: list(e) for n, e in tables.items() if n.lower() not in dropped},
             kept,
         )
-
-    def note_replay(self, target: Any, from_seq: int, entries: int) -> None:
-        self.last_replay = {
-            "target": target,
-            "from_seq": from_seq,
-            "entries": entries,
-        }
 
 
 # ----------------------------------------------------------------------

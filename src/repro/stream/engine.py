@@ -45,13 +45,11 @@ from repro.data.streams import (
     elements_from_columns,
     park,
     push_all,
-    replayed,
 )
 from repro.data.tuples import Row
 from repro.errors import ExecutionError
 from repro.plan.logical import LogicalOp, RemoteSource
 from repro.sql.compiled import compile_counts, compile_fused_ingest, compile_ingest, fallback_ingest
-from repro.stream.checkpoint import SinkFeed, restore_operators
 from repro.stream.compiler import (
     CompiledPlan,
     PlanCompiler,
@@ -62,11 +60,6 @@ from repro.stream.multiplex import SharedChain, SubplanRegistry
 from repro.stream.operators import StageOp
 
 _query_ids = itertools.count(1)
-
-#: Replay-log entry kind -> the engine verb that logged it.
-_REPLAY_VERBS = {"push": "push", "many": "push_many", "remote": "push_remote",
-                 "punct": "punctuate", "table": "load_table", "drop": "drop_table",
-                 "admit": "_readmit"}
 
 
 def counted(counts: dict, compile_fn: Callable, *args) -> Any:
@@ -220,17 +213,12 @@ class StreamEngine:
         self._attachments: dict[int, tuple[SharedChain, Any]] = {}
         #: Recovery plumbing (see :mod:`repro.stream.checkpoint`). A
         #: coordinator attaches itself here; ingestion then appends to
-        #: its bounded replay log (a restore detaches it while it
+        #: its bounded replay log (a recovery detaches it while it
         #: replays). ``failed`` marks a simulated crash: the engine drops
-        #: its pipelines and tables and ignores ingestion until
-        #: :meth:`restore` brings it back.
+        #: its pipelines and tables and ignores ingestion until the
+        #: coordinator's ``recover()`` brings it back.
         self.checkpointer = None
         self.failed = False
-        #: While :meth:`restore` replays: the handles admitted since the
-        #: barrier, by id, until the replay reaches their admission; the
-        #: restored sinks' feeds, by ``id`` of the sink (or log); and the
-        #: handles restored so far, which each replayed admission joins.
-        self._restoring: tuple[dict[int, QueryHandle], dict[int, SinkFeed], list] | None = None
 
     # ------------------------------------------------------------------
     # Tables
@@ -295,7 +283,7 @@ class StreamEngine:
         such handles are internal plumbing, not user-facing.
 
         ``share`` overrides the engine's ``share_plans`` default for
-        this one query (checkpoint restore pins each query to the
+        this one query (a pool's failover pins each replica to the
         sharing decision recorded at the barrier).
 
         What the sink is decides how a shared query reads its chain:
@@ -318,11 +306,13 @@ class StreamEngine:
         Under a checkpointer the admission is logged, with what the
         sink (a view's: its log) held before it and the sharing
         decision, so a recovery from an earlier barrier starts the query
-        again at the same point of the replay (:meth:`restore`).
+        again at the same point of the replay
+        (:meth:`~repro.stream.checkpoint.CheckpointCoordinator.restore_host`).
         """
         if self.failed:
             raise ExecutionError(
-                "engine has failed; restore() it from a checkpoint first"
+                "engine has failed; restore it from a checkpoint first "
+                "(CheckpointCoordinator.recover)"
             )
         handle = QueryHandle(next(_query_ids), plan, None, sink, self)
         # A new sink held nothing; a custom consumer keeps no count.
@@ -336,9 +326,9 @@ class StreamEngine:
 
     def _start(self, handle: QueryHandle, share: bool | None, terminal=None) -> None:
         """Compile (or admit) ``handle.plan`` into ``handle`` and route
-        it: the part of :meth:`execute` a restore repeats for a handle
-        it already holds. ``handle.sink`` None lets the engine choose
-        the sink; ``terminal`` (a restore's
+        it: the part of :meth:`execute` a recovery repeats for a handle
+        the engine held at the failure. ``handle.sink`` None lets the
+        engine choose the sink; ``terminal`` (the recovery's
         :class:`~repro.stream.checkpoint.SinkFeed`) stands between the
         pipeline and the sink, or a view's log."""
         plan, sink = handle.plan, handle.sink
@@ -400,7 +390,7 @@ class StreamEngine:
     @property
     def running_queries(self) -> list[QueryHandle]:
         """The queries running here; none while the engine is failed
-        (it still holds their handles for :meth:`restore`)."""
+        (it still holds their handles for a recovery)."""
         return [] if self.failed else list(self._queries.values())
 
     def sharing_stats(self) -> dict:
@@ -766,130 +756,18 @@ class StreamEngine:
     # ------------------------------------------------------------------
     def fail(self) -> None:
         """Simulate a crash: every pipeline, route, shared chain and
-        stored table is lost and the engine ignores ingestion until
-        :meth:`restore` (or :meth:`ShardedStreamEngine` failover
-        replaces it). The query handles and their sinks survive — a
-        caller holds them — and ``restore`` writes into them again.
-        Driven by :mod:`repro.runtime.faults`."""
+        stored table is lost and the engine ignores ingestion until a
+        recovery (:meth:`~repro.stream.checkpoint.CheckpointCoordinator.recover`,
+        or a :class:`ShardedStreamEngine` failover) brings it back. The
+        query handles and their sinks survive — a caller holds them —
+        and the recovery writes into them again. Driven by
+        :mod:`repro.runtime.faults`."""
         self.failed = True
         self._routes.clear()
         self._fused_ingest.clear()
         self._tables.clear()
         self._attachments.clear()
         self.subplans.clear()
-
-    def restore(self, checkpoint, *, replay=()) -> list[QueryHandle]:
-        """Rebuild this engine from an ``EngineCheckpoint``.
-
-        Drops whatever still runs (as :meth:`fail`), re-executes each
-        checkpointed plan — into the handle this engine holds under its
-        id, so the same sink (or the same view over the same log)
-        receives it again — loads operator state (positionally:
-        compilation is deterministic), reloads the checkpointed tables,
-        then replays the log suffix ``replay``. The tables load after
-        the re-executions: replaying them into the new pipelines would
-        derive state the snapshot replaces and output the sinks hold.
-
-        A held query writes through a
-        :class:`~repro.stream.checkpoint.SinkFeed` that drops what the
-        replay derives a second time: as many elements as the sink (a
-        view's log) received since the barrier, and every replayed
-        punctuation. A held query the checkpoint lacks was admitted
-        since the barrier: it is kept aside until the replay reaches its
-        ``("admit", ...)`` entry, which starts it again into its handle
-        through a feed armed with what its sink (its view's log) held at
-        admission (:meth:`_readmit`), so it too sees every result once;
-        one with no such entry (admitted before a checkpointer attached)
-        is stopped. On a failed engine, a checkpointed query it no
-        longer holds (stopped since the barrier) stays stopped, and so
-        does one admitted since the barrier and stopped since: its entry
-        is skipped. On an engine that did not fail — a fresh process's,
-        which holds none — a checkpointed query comes back under a new
-        handle whose new sink reads from the barrier on. Returns the
-        handles in checkpoint order, then those admitted since the
-        barrier in admission order.
-        """
-        if any("sink" in vars(query_cp) for query_cp in checkpoint.queries):
-            raise ExecutionError(
-                "checkpoint uses the sink-content layout ('sink', no 'received' "
-                "count), which this engine does not restore"
-            )
-        held, handles, failed = dict(self._queries), [], self.failed
-        self.fail()
-        self.failed = False
-        #: id(sink, or a view's log) -> its feed: one per log, however
-        #: many views read it.
-        feeds: dict[int, SinkFeed] = {}
-        for query_cp in checkpoint.queries:
-            handle, feed = held.pop(query_cp.query_id, None), None
-            if handle is None and failed:  # stopped since the barrier: it stays stopped
-                continue
-            if handle is None:
-                # A sink of its own, never a view: a regrown chain's log
-                # is the one a held view brings back.
-                handle = QueryHandle(next(_query_ids), query_cp.plan, None, CollectingConsumer(), self)
-            else:
-                target = handle.sink.log if isinstance(handle.sink, LogView) else handle.sink
-                feed = feeds.setdefault(id(target), SinkFeed(target, query_cp.received))
-            # Pin each query to the sharing decision recorded at the
-            # barrier: admission is deterministic, so re-executing in
-            # checkpoint order regrows the same chain DAG, which the
-            # chain-state restore below then fills in.
-            self._start(handle, query_cp.shared, feed)
-            restore_operators(handle, query_cp.operators)
-            handles.append(handle)
-        # Admitted since the barrier: aside until the replay reaches the
-        # admission, or stopped when the log has no record of it.
-        admitted = {entry[2] for entry in replay if entry[0] == "admit"}
-        aside = {}
-        for query_id, handle in held.items():
-            if query_id in admitted:
-                aside[query_id] = self._queries.pop(query_id)
-            else:
-                self.stop(handle)
-        self.subplans.restore_chains(checkpoint.chains)
-        self._tables = {name: list(elements) for name, elements in checkpoint.tables.items()}
-        checkpointer, self.checkpointer = self.checkpointer, None  # replay logs nothing
-        self._restoring = aside, feeds, handles
-        try:
-            for entry in replay:
-                self.replay_entry(entry)
-        finally:
-            self.checkpointer, self._restoring = checkpointer, None
-            for feed in feeds.values():
-                feed.release()
-        return handles
-
-    def replay_entry(self, entry: tuple) -> None:
-        """Re-ingest one replay-log entry (see CheckpointCoordinator):
-        ``(kind, key, *arguments)`` of the verb that logged it. An error
-        the verb raises again is dropped (:func:`replayed`), so the rest
-        of the suffix replays."""
-        verb = _REPLAY_VERBS.get(entry[0])
-        if verb is None:  # log corruption, or a pool's exchange record (it replays those)
-            raise ExecutionError(f"unknown replay-log entry kind {entry[0]!r}")
-        replayed(getattr(self, verb), *entry[2:])
-
-    def _readmit(self, query_id: int, received: int | None, shared: bool) -> None:
-        """Replay an admission logged since the barrier (:meth:`execute`):
-        start the handle :meth:`restore` kept aside again, at the same
-        point of the stream, under the same sharing decision, through a
-        feed that drops what its sink (its view's log) received since
-        the admission — or through the log's feed already there. An
-        admission whose handle is not held any more (the query stopped
-        since) is skipped; so is every admission outside a restore."""
-        if self._restoring is None:
-            return
-        aside, feeds, handles = self._restoring
-        handle = aside.pop(query_id, None)
-        if handle is None:
-            return
-        target = handle.sink.log if isinstance(handle.sink, LogView) else handle.sink
-        feed = feeds.get(id(target))
-        if feed is None:
-            feed = feeds[id(target)] = SinkFeed(target, received)
-        self._start(handle, shared, feed)
-        handles.append(handle)
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -81,7 +81,7 @@ from repro.data.tuples import Row
 from repro.errors import ExecutionError
 from repro.plan import PlanBuilder
 from repro.stream.channel import ShardDied, ShardHost
-from repro.stream.engine import QueryHandle
+from repro.stream.engine import QueryHandle, StreamEngine
 from repro.stream.partition import build_exchange
 from repro.stream.sharded import ShardedStreamEngine
 
@@ -625,7 +625,7 @@ def _worker_main(index, inq, outq, share_plans) -> None:
     gc.disable()
     catalog = Catalog()
     builder = PlanBuilder(catalog)
-    host = ShardHost(index, catalog, None, share_plans)
+    host = ShardHost(index, StreamEngine(catalog, None, share_plans))
     engine = host.engine
 
     @edge

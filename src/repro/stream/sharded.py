@@ -39,15 +39,16 @@ LoopbackChannel`) and worker OS processes
   the watermark advances).
 * **Tables replicate.** ``load_table`` broadcasts to every shard and
   the fallback. Punctuation broadcasts likewise.
-* **Shards fail over.** Every op is written to the attached
-  :class:`~repro.stream.checkpoint.CheckpointCoordinator`'s log *before*
-  it is sent, so a shard found dead by any verb
-  (:class:`~repro.stream.channel.ShardDied`) is respawned, seeded,
-  re-admitted muted and pinned, restored from the latest barrier and
-  brought to the present by replaying the log suffix through the same
-  verbs live ingest uses. Every recovering replica — the fallback's
-  included — then skips the re-derived output its merge slot (or
-  shuffle port) already forwarded.
+* **Shards fail over.** Every op — and every admission — is written to
+  the attached :class:`~repro.stream.checkpoint.CheckpointCoordinator`'s
+  log *before* it is sent, so a shard found dead by any verb
+  (:class:`~repro.stream.channel.ShardDied`) is respawned and brought
+  back by the coordinator's one recovery routine (re-admitted pinned,
+  restored from the latest barrier, seeded, replayed through the same
+  verbs live ingest uses; a query admitted since the barrier starts
+  where the replay reaches its admission). Every recovering replica —
+  the fallback's included — skips the re-derived output its merge slot
+  (or shuffle port) already forwarded.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ from repro.data.streams import (
     StreamElement,
     edge,
     push_all,
-    replayed,
 )
 from repro.data.tuples import Row, stable_hash
 from repro.errors import CatalogError, ExecutionError
@@ -145,8 +145,8 @@ class _ShardFeed(Feed):
 
     __slots__ = ("_coordinator", "_index")
 
-    def __init__(self, coordinator: _MergeCoordinator, index: int):
-        super().__init__()
+    def __init__(self, coordinator: _MergeCoordinator, index: int, skip: int):
+        super().__init__(skip)
         self._coordinator = coordinator
         self._index = index
 
@@ -309,8 +309,8 @@ class _ExchangeFeed(Feed):
     __slots__ = ("_state", "_ordinal", "_src")
     positional = True
 
-    def __init__(self, state: _ExchangeState, ordinal: int, src: int):
-        super().__init__()
+    def __init__(self, state: _ExchangeState, ordinal: int, src: int, skip: int):
+        super().__init__(skip)
         self._state = state
         self._ordinal = ordinal
         self._src = src
@@ -327,8 +327,6 @@ class _ExchangeFeed(Feed):
         pass
 
     def push_run(self, values: list[tuple], stamps: list[float]) -> None:
-        if self._muted:
-            return
         drop = self._skipped(len(values))
         if drop:
             values, stamps = values[drop:], stamps[drop:]
@@ -656,11 +654,14 @@ class ShardedStreamEngine:
                 generate_ingest_loop(  # at admission, not mid-ingest
                     self._ingest_loops, self._compile_counts, node.entry.schema, False
                 )
-        # Tracked before its replicas start: a shard found dead while
-        # admitting is failed over, and failover re-admits every
-        # tracked handle — this one included.
+        # Tracked and logged before its replicas start: a shard found
+        # dead while admitting is failed over, and failover starts every
+        # tracked handle — this one where the replay reaches its
+        # admission, as for every query admitted since the barrier.
         self._handles[query_id] = handle
         self._subscribe(handle, +1)
+        if self.checkpointer is not None:
+            self.checkpointer.record(("admit", None, query_id))
         try:
             self._register_remotes(handle)
             for index in range(shards) if handle.partitioned else (FALLBACK,):
@@ -673,54 +674,43 @@ class ShardedStreamEngine:
             raise
         return handle
 
-    def _admit(
-        self, handle: ShardedQueryHandle, index, handle_cp=None, recovering=False
-    ) -> list[tuple[Feed, int]]:
+    def _admit(self, handle: ShardedQueryHandle, index, handle_cp=None) -> None:
         """Start ``handle``'s replicas on shard ``index`` (or the
-        fallback) — at ``execute``, and again at failover, where the
-        fresh feeds start *muted* (re-execution replays barrier tables:
-        output the merged sink already holds) and the returned
-        ``(feed, skip)`` pairs carry the emission skips that
-        deduplicate re-derived output once armed."""
+        fallback) into fresh feeds — at ``execute``, and again at
+        failover, where each feed's skip drops the re-derived output its
+        merge slot (or shuffle port) forwarded since the barrier
+        (``handle_cp``), or since the admission for a query the barrier
+        does not hold. (At ``execute`` every skip is 0.)"""
         channel = self._channel(index)
-        arms: list[tuple[Feed, int]] = []
+        coordinator = handle.coordinator
 
         def merged(slot: int) -> _ShardFeed:
-            feed = _ShardFeed(handle.coordinator, slot)
             at_barrier = handle_cp.merge_counts[slot] if handle_cp is not None else 0
-            arms.append((feed, handle.coordinator.forwarded(slot) - at_barrier))
-            return feed
+            return _ShardFeed(coordinator, slot, coordinator.forwarded(slot) - at_barrier)
 
         slot = 0 if index == FALLBACK else index
         share = handle_cp.shared[slot] if handle_cp is not None and handle_cp.shared else None
         lead = slot
         if handle.exchanged:
             state = handle.exchange
-            if recovering:
-                # Unflushed rows from the dead shard are re-derived by
-                # replay; already-delivered ones are dropped by the skips.
-                state.drop_src(index)
+            # At failover, unflushed rows from the dead shard are
+            # re-derived by replay; already-delivered ones are dropped by
+            # the skips. (At execute nothing is pending.)
+            state.drop_src(index)
             at_barrier = handle_cp.exchange["flushed"] if handle_cp is not None else {}
             feeds = []
             for ordinal in range(len(state.names)):
                 key = (ordinal, index)
-                feeds.append(_ExchangeFeed(state, ordinal, index))
-                arms.append((feeds[-1], state.flushed.get(key, 0) - at_barrier.get(key, 0)))
+                skip = state.flushed.get(key, 0) - at_barrier.get(key, 0)
+                feeds.append(_ExchangeFeed(state, ordinal, index, skip))
             feed = merged(state.dests.index(index)) if index in state.dests else None
             lead = state.dests[0]
-        else:
-            feed = merged(slot)
-        if recovering:
-            for fresh, _ in arms:
-                fresh.mute()
-        if handle.exchanged:
             replica = channel.admit_exchanged(handle, feeds, feed)
         else:
-            replica = channel.admit(handle, feed, share)
+            replica = channel.admit(handle, merged(slot), share)
         handle.inner[slot] = replica
         if replica is not None and slot == lead:
             handle.compiled = replica.compiled
-        return arms
 
     def _register_remotes(self, handle: ShardedQueryHandle) -> None:
         """Learn the schema of every remote source ``handle`` reads, so
@@ -1070,17 +1060,14 @@ class ShardedStreamEngine:
         self._fallback.kill()
 
     def _recover(self, index) -> None:
-        """Failover one dead shard (or the fallback).
-
-        A fresh host is seeded with the latest barrier's tables; every
-        query it hosts is re-admitted muted, pinned to the sharing
-        decision recorded at the barrier — only once all are back has
-        the shared-chain DAG regrown to the shape the chain snapshot
-        describes — then barrier state is restored, the dedup skips are
-        armed (``forwarded - count_at_barrier`` per feed, so each sink
-        sees each result exactly once) and the shard's log suffix — its
-        own rows and deliveries plus every broadcast — is replayed
-        through the verbs live ingest uses.
+        """Failover one dead shard (or the fallback): respawn it and run
+        the coordinator's one recovery routine
+        (:meth:`~repro.stream.checkpoint.CheckpointCoordinator.restore_host`)
+        over its channel, with every query it hosts — each started by
+        :meth:`_admit` into fresh merge (or shuffle) feeds, pinned to
+        the sharing decision recorded at the barrier, and skipping what
+        its slot forwarded since the barrier (or since its admission),
+        so each sink sees each result exactly once.
         """
         on_fallback = index == FALLBACK
         channel = self._channel(index)
@@ -1097,59 +1084,27 @@ class ShardedStreamEngine:
         if coordinator is None:
             return
         checkpoint = coordinator.latest()
-        tables, suffix = coordinator.replay_plan(checkpoint)
-        channel.seed(tables)
         slot = 0 if on_fallback else index
-        arms: list[tuple] = []
-        states = {}
+        states, starts = {}, {}
         for handle in hosted:
             handle_cp = None
             if checkpoint is not None:
                 handle_cp = checkpoint.handles.get(handle.query_id)
-            if handle_cp is not None and handle_cp.merge_counts is None:
-                raise ExecutionError(
-                    f"checkpointed pool query {handle.query_id} uses the "
-                    "sink-length fallback layout ('sink_len' / "
-                    "'sink_punct_len', no 'merge_counts'), which this pool "
-                    "does not restore: a fallback replica dedups on its "
-                    "one-slot merge's forwarded count"
-                )
-            arms += self._admit(handle, index, handle_cp, recovering=True)
             if handle_cp is not None:
+                if handle_cp.merge_counts is None:
+                    raise ExecutionError(
+                        f"checkpointed pool query {handle.query_id} uses the "
+                        "sink-length fallback layout ('sink_len' / "
+                        "'sink_punct_len', no 'merge_counts'), which this pool "
+                        "does not restore: a fallback replica dedups on its "
+                        "one-slot merge's forwarded count"
+                    )
                 states[handle.query_id] = handle_cp.replicas[slot]
-        if checkpoint is not None:
-            chains = (
-                checkpoint.fallback_chains
-                if on_fallback
-                else checkpoint.shard_chains[index]
+            starts[handle.query_id] = lambda _admission, handle=handle, handle_cp=handle_cp: (
+                self._admit(handle, index, handle_cp)
             )
-            channel.restore(states, chains)
-        channel.settle()  # table-replay emissions have hit the muted feeds
-        for feed, skip in arms:
-            feed.arm(skip)
-        count = 0
-        for entry in suffix:
-            kind, key = entry[0], entry[1]
-            if kind == "punct":
-                call = channel.punctuate, entry[2], entry[3]
-            elif kind == "table":
-                call = channel.load_table, entry[2], entry[3], entry[4]
-            elif key != index:
-                continue
-            elif kind == "many":
-                call = channel.ingest, entry[2], entry[3], entry[4]
-            elif kind == "remote":
-                call = channel.ingest_remote, entry[2], entry[3], entry[4]
-            elif kind == "xdeliver":
-                call = channel.deliver, entry[2], []
-            else:  # "xpunct"
-                call = channel.deliver, [], [(entry[2], entry[3])]
-            # What the verb raised reached its caller when it first ran;
-            # a second death of the shard is not dropped.
-            replayed(*call, keep=ShardDied)
-            count += 1
-        # Replayed emissions (a worker's errors ride along) have cleared
-        # the armed skips.
-        replayed(channel.settle, keep=ShardDied)
-        from_seq = checkpoint.log_seq if checkpoint is not None else 0
-        coordinator.note_replay(index, from_seq, count)
+        chains = None
+        if checkpoint is not None:
+            chains = checkpoint.fallback_chains if on_fallback else checkpoint.shard_chains[index]
+        replay = coordinator.replay_plan(checkpoint)
+        coordinator.restore_host(channel, index, checkpoint, replay, chains, states, starts)

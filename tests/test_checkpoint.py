@@ -455,14 +455,12 @@ class TestEngineRestore:
         # The barrier pruned everything before it out of the log.
         assert coordinator.log.base_seq >= barrier.log_seq > 0
 
-    @pytest.mark.parametrize("via", ["recover", "restore"])
-    def test_suffix_of_push_remote_table_and_drop_replays(self, via):
+    def test_suffix_of_push_remote_table_and_drop_replays(self):
         """Every single-engine ingest verb in the log suffix: a per-row
         ``push``, a ``push_remote`` and a ``load_table`` followed by a
         ``drop_table``. ``recover`` plans the suffix (the dropped load
-        never replays); ``restore`` over the raw suffix replays load
-        and drop as logged. Either way emissions match the failure-free
-        run and the table stays dropped."""
+        never replays); emissions match the failure-free run and the
+        table stays dropped."""
         machines = Schema.of(("host", DataType.STRING), ("room", DataType.STRING))
         remote = RemoteSource("upstream", Schema.of(("u.host", DataType.STRING)), 1.0)
         rows, stamps = _rows(30)
@@ -490,10 +488,7 @@ class TestEngineRestore:
                     "remote", "table", "drop",
                 ]
                 engine.fail()
-                if via == "recover":
-                    handles = coordinator.recover()
-                else:
-                    handles = engine.restore(barrier, replay=suffix)
+                handles = coordinator.recover()
             engine.push_many("Readings", rows[20:], stamps[20:])
             engine.punctuate(stamps[-1] + 100.0)
             assert engine.table_rows("Machines") == []
@@ -506,13 +501,25 @@ class TestEngineRestore:
         assert all(expected)
         assert run(fail=True) == expected
 
-    def test_plain_engine_rejects_a_pool_exchange_record(self):
-        """Exchange deliveries are the pool's to replay (through the
-        shard's channel); one reaching a plain engine is a corrupt log."""
-        engine, _, _ = _build(interval=None)
-        for entry in (("xdeliver", 0, []), ("xpunct", 0, 1.0, ["x"])):
-            with pytest.raises(ExecutionError, match="unknown replay-log entry"):
-                engine.replay_entry(entry)
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (("bogus", None, "Readings"), "unknown replay-log entry kind 'bogus'"),
+            (("xdeliver", 0, []), "names shard 0 on a plain engine"),
+            (("xpunct", 0, 1.0, ["x"]), "names shard 0 on a plain engine"),
+        ],
+        ids=["unknown-kind", "xdeliver", "xpunct"],
+    )
+    def test_recovery_rejects_a_corrupt_log_entry(self, entry, message):
+        """A log entry of a kind no verb logs, or one keyed to a shard
+        (a pool's exchange record) on a plain engine, is a corrupt log:
+        the recovery refuses it rather than skip input."""
+        engine, coordinator, _ = _build(interval=None)
+        coordinator.checkpoint()
+        coordinator.record(entry)
+        engine.fail()
+        with pytest.raises(ExecutionError, match=message):
+            coordinator.recover()
 
     def test_restore_rejects_mismatched_operator_state(self):
         engine, coordinator, handles = _build(interval=None)
@@ -528,7 +535,7 @@ class TestEngineRestore:
         )
         engine.fail()
         with pytest.raises(ExecutionError):
-            engine.restore(checkpoint)
+            coordinator.recover()
 
     def test_restore_preserves_sink_contents(self):
         engine, coordinator, handles = _build(interval=None)
@@ -979,6 +986,50 @@ class TestSinksOutliveTheFailure:
         for index, (elements, _, _) in enumerate(expected):
             if index != 1:  # the cleared sink holds only what came after
                 assert seen[index, "direct"] == seen[index, "queue"] == elements
+
+    @pytest.mark.parametrize("share", [False, True], ids=["private", "shared"])
+    def test_a_punctuation_of_another_source_holds_back_nothing_after(self, share):
+        """The suffix punctuates one source far ahead; after the
+        recovery a lower punctuation of the other source still reaches
+        the sink of the query that reads it, so its watermarks and
+        ``latest_batch()`` read as in the failure-free run."""
+        rows, stamps = _rows(40)
+
+        def run(fail):
+            catalog = _catalog()
+            catalog.register_stream("Other", READINGS, rate=10.0)
+            engine = StreamEngine(catalog, share_plans=share)
+            coordinator = CheckpointCoordinator(engine, interval=None)
+            builder = PlanBuilder(catalog)
+            handles = [
+                engine.execute(builder.build_sql(f"select r.host, r.temp from {name} r"))
+                for name in ("Readings", "Other")
+            ]
+            for name in ("Readings", "Other"):
+                engine.push_many(name, rows[:10], stamps[:10])
+            engine.punctuate(stamps[9])
+            coordinator.checkpoint(stamps[9])
+            for name in ("Readings", "Other"):
+                engine.push_many(name, rows[10:20], stamps[10:20])
+            engine.punctuate(100.0, ["Readings"])
+            if fail:
+                engine.fail()
+                assert [id(h) for h in coordinator.recover()] == [id(h) for h in handles]
+            engine.punctuate(stamps[15], ["Other"])
+            engine.push_many("Other", rows[20:30], stamps[20:30])
+            engine.punctuate(stamps[25], ["Other"])
+            return [
+                (
+                    [(e.timestamp, e.row.values) for e in h.sink.elements],
+                    [p.watermark for p in h.sink.punctuations],
+                    h.latest_batch(),
+                )
+                for h in handles
+            ]
+
+        expected = run(fail=False)
+        assert expected[1][1] == [stamps[9], stamps[15], stamps[25]]
+        assert run(fail=True) == expected
 
     @pytest.mark.parametrize("share", [False, True], ids=["private", "shared"])
     def test_a_cursor_closed_since_the_barrier_stays_closed(self, share):

@@ -419,12 +419,13 @@ def test_failed_generator_falls_back_to_the_interpreter(broken, share):
         # slots do: fail and recover mid-window, still on this rung.
 
         def checkpoint(session):
-            taken.append((session.checkpointer.checkpoint(), session.engine))
+            session.checkpointer.checkpoint()
+            taken.append(session.checkpointer)
 
         got, _ = _run_fallback_queries(share, fail_at=3, after=checkpoint)
         assert got == expected
     # The rung is part of the snapshot: an engine whose generator works
     # refuses accumulator state instead of finalizing it as slots.
-    (barrier, engine), = taken
+    (coordinator,) = taken
     with pytest.raises(ExecutionError, match="generated fold vs the interpreter"):
-        engine.restore(barrier)
+        coordinator.recover()

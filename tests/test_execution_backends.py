@@ -1370,8 +1370,7 @@ def _observed_sink(sink):
 
 def _shard_feed(sink):
     coordinator = _MergeCoordinator(sink, 1)
-    feed = _ShardFeed(coordinator, 0)
-    feed.arm(5)  # as failover arms a recovering replica's feed
+    feed = _ShardFeed(coordinator, 0, 5)  # as failover starts a recovering replica's feed
     return feed, lambda: coordinator.counts
 
 
@@ -1381,8 +1380,7 @@ def _exchange_feed(_sink):
     destination's flush delivers (punctuations never pass)."""
     port = SimpleNamespace(name="x", key_positions=(0,), stage1=RemoteSource("xs", _X, 1.0))
     state = _ExchangeState(SimpleNamespace(specs=[port]), [0, 1], {})
-    feed = _ExchangeFeed(state, 0, 0)
-    feed.arm(5)
+    feed = _ExchangeFeed(state, 0, 0, 5)
     return feed, lambda: [state.flush(dest) for dest in state.dests]
 
 

@@ -31,6 +31,7 @@ import pytest
 from repro.api import SensorSource, StreamSource, TableSource, connect
 from repro.catalog import Catalog
 from repro.data import DataType, Row, Schema
+from repro.data.tuples import stable_hash
 from repro.errors import ExecutionError, QueryError, SchemaError
 from repro.plan import PlanBuilder
 from repro.runtime import Simulator
@@ -121,12 +122,15 @@ def _chunks(rows, stamps, plan_rng):
 def _drive(engine, handles, chunks, final_stamp, on_chunk=None):
     """Feed the chunk plan, punctuating between chunks; per-segment
     sorted snapshots per handle. ``on_chunk(index)`` is the injection
-    hook, called before the chunk is pushed."""
-    segments = [[] for _ in handles]
-    marks = [0 for _ in handles]
+    hook, called before the chunk is pushed; a handle it appends to
+    ``handles`` (a late admission) is snapshot from there on."""
+    segments, marks = [], []
 
     def snapshot():
         for index, handle in enumerate(handles):
+            if index == len(segments):
+                segments.append([])
+                marks.append(0)
             elements = handle.sink.elements
             fresh = elements[marks[index]:]
             marks[index] = len(elements)
@@ -149,12 +153,47 @@ def _drive(engine, handles, chunks, final_stamp, on_chunk=None):
     return segments
 
 
-def _run_unsharded(rows, stamps, chunks):
+def _run_unsharded(rows, stamps, chunks, late=None):
     catalog = _catalog()
     engine = StreamEngine(catalog)
     builder = PlanBuilder(catalog)
     handles = [engine.execute(builder.build_sql(sql)) for sql in QUERIES]
-    return _drive(engine, handles, chunks, stamps[-1] + 200.0)
+    admit = _admitting(engine, builder, handles, late)
+    return _drive(engine, handles, chunks, stamps[-1] + 200.0, on_chunk=admit)
+
+
+#: The staggered-admission arm of the seeded corpora: one query admitted
+#: after the latest barrier before the kill (:func:`_admitted_at`) — on
+#: the shards (a keyed window, or an exchanged global aggregate) where a
+#: shard dies, on the fallback where the fallback does.
+LATE_SHARD_QUERIES = [
+    "select r.host, count(*) as n from Readings r [range 10 seconds] group by r.host",
+    "select count(*) as n, max(r.temp) as hi from Readings r [range 20 seconds slide 20 seconds]",
+]
+LATE_FALLBACK_QUERY = "select r.room, r.temp from Readings r order by r.temp limit 30"
+
+
+def _admitted_at(chunks, kill_at, interval, seed):
+    """A seeded chunk after the latest barrier before chunk ``kill_at``
+    and at or before it: a barrier fires at the first punctuation and
+    then once ``interval`` of watermark has passed since the last."""
+    latest, last = -1, None
+    for chunk_no, (_, chunk_stamps, _) in enumerate(chunks[:kill_at]):
+        if last is None or chunk_stamps[-1] >= last + interval:
+            latest, last = chunk_no, chunk_stamps[-1]
+    return latest + 1 + seeded_point(seed, kill_at - latest, salt=3)
+
+
+def _admitting(engine, builder, handles, late):
+    """An ``on_chunk`` hook admitting ``late`` — ``(chunk, sql)``, or
+    None for no late query — into ``handles`` before that chunk."""
+
+    def admit(chunk_no):
+        if late is not None and chunk_no == late[0]:
+            extra = {"sql": late[1]} if hasattr(engine, "shard_count") else {}
+            handles.append(engine.execute(builder.build_sql(late[1]), **extra))
+
+    return admit
 
 
 POOLS = {"loopback": ShardedStreamEngine, "framed": ProcessShardEngine}
@@ -199,14 +238,17 @@ def _check_kill_shard_mid_corpus(transport, seed):
     the failure-free (and the unsharded) run, replaying only the log
     suffix since the newest barrier."""
     rows, stamps, chunks = _corpus(seed)
-    expected = _run_unsharded(rows, stamps, chunks)
     shards = 4
+    kill_at = seeded_point(seed, len(chunks))
+    victim = seeded_point(seed, shards, salt=1)
+    late = (_admitted_at(chunks, kill_at, 25.0, seed), LATE_SHARD_QUERIES[seed % 2])
+    expected = _run_unsharded(rows, stamps, chunks, late)
     with _pool(transport, shards, interval=25.0) as (pool, coordinator, handles):
-        kill_at = seeded_point(seed, len(chunks))
-        victim = seeded_point(seed, shards, salt=1)
         state = {}
+        admit = _admitting(pool, PlanBuilder(pool._catalog), handles, late)
 
         def inject(chunk_no):
+            admit(chunk_no)
             if chunk_no == kill_at:
                 state["barrier"] = coordinator.latest()
                 kill_shard(pool, victim)
@@ -265,11 +307,14 @@ class TestShardFailoverIdentity:
     @pytest.mark.parametrize("seed", range(min(SEEDS, 3)))
     def test_kill_fallback_mid_corpus(self, seed):
         rows, stamps, chunks = _corpus(seed, salt=500, count=250)
-        expected = _run_unsharded(rows, stamps, chunks)
+        kill_at = seeded_point(seed, len(chunks), salt=2)
+        late = (_admitted_at(chunks, kill_at, 25.0, seed), LATE_FALLBACK_QUERY)
+        expected = _run_unsharded(rows, stamps, chunks, late)
         with _pool("loopback", 3, interval=25.0) as (pool, coordinator, handles):
-            kill_at = seeded_point(seed, len(chunks), salt=2)
+            admit = _admitting(pool, PlanBuilder(pool._catalog), handles, late)
 
             def inject(chunk_no):
+                admit(chunk_no)
                 if chunk_no == kill_at:
                     kill_fallback(pool)
 
@@ -937,3 +982,99 @@ class TestSharedChainFailover:
         assert got[4] == got[5]  # fallback-hosted shared chain survived
         assert coordinator.last_replay is not None
         assert coordinator.last_replay["target"] == "fb"
+
+
+# ----------------------------------------------------------------------
+# A query admitted since the barrier
+# ----------------------------------------------------------------------
+SINCE_BARRIER = {
+    "filter": "select r.host, r.temp from Readings r where r.temp > 1.0",
+    "grouped": "select r.host, count(*) as n from Readings r [range 5 seconds] group by r.host",
+    # Global: stage 1 on every shard, gathered to one stage-2 replica.
+    "exchanged": "select count(*) as n from Readings r [range 5 seconds slide 5 seconds]",
+    # Fallback-only on a pool.
+    "ordered": "select r.room, r.temp from Readings r order by r.temp limit 40",
+}
+#: Reads the source on the pool's fallback from the start, so the rows
+#: pushed before the late query's admission reach the fallback's log.
+EARLIER_FALLBACK = "select r.room, r.load from Readings r order by r.load"
+SINCE_BARRIER_ARMS = [
+    "engine", "loopback", "fallback", pytest.param("framed", marks=needs_processes),
+]
+
+
+def _run_admitted_since_barrier(arm, sql, kill):
+    """Barrier, rows, then the query's admission, more rows, and — with
+    ``kill`` — the death of the host holding the query's rows from
+    between the barrier and its admission: the engine, the shard owning
+    those rows, or the fallback for a query running there. Returns the
+    query's results per punctuation segment, sorted, and the victim."""
+    rng = random.Random(5)
+    rows, stamps = _rows(60, rng)
+    catalog = _catalog()
+    if arm == "engine":
+        engine = StreamEngine(catalog)
+    else:
+        engine = POOLS["framed" if arm == "framed" else "loopback"](catalog, shards=3)
+        engine.set_partition_key("Readings", "host")
+    try:
+        coordinator = CheckpointCoordinator(engine, interval=None)
+        builder = PlanBuilder(catalog)
+        extra = {} if arm == "engine" else {"sql": sql}
+        if arm == "fallback":
+            earlier = engine.execute(builder.build_sql(EARLIER_FALLBACK), sql=EARLIER_FALLBACK)
+            assert not earlier.partitioned
+        engine.push_many("Readings", rows[:15], stamps[:15])
+        engine.punctuate(stamps[14])
+        coordinator.checkpoint(stamps[14])
+        engine.push_many("Readings", rows[15:30], stamps[15:30])
+        handle = engine.execute(builder.build_sql(sql), **extra)
+        segments = []
+
+        def segment(lo, hi, watermark):
+            seen = len(handle.sink.elements)
+            if lo < hi:
+                engine.push_many("Readings", rows[lo:hi], stamps[lo:hi])
+            engine.punctuate(watermark)
+            segments.append(sorted(
+                (e.timestamp, repr(e.row.values)) for e in handle.sink.elements[seen:]
+            ))
+
+        segment(30, 45, stamps[44])
+        victim = None
+        if kill and arm == "engine":
+            engine.fail()
+            assert handle in coordinator.recover()
+        elif kill:
+            victim = "fb"
+            if handle.partitioned:
+                victim = stable_hash(rows[15].values[1]) % engine.shard_count
+                kill_shard(engine, victim)
+            else:
+                kill_fallback(engine)
+        segment(45, 60, stamps[59])
+        segment(60, 60, stamps[59] + 100.0)
+        if victim is not None:
+            assert coordinator.last_replay["target"] == victim
+        return segments
+    finally:
+        if arm == "framed":
+            engine.shutdown()
+
+
+@pytest.mark.usefixtures("no_fallbacks")
+class TestAdmittedSinceBarrierFailover:
+    """A query admitted after the latest barrier, with rows ingested
+    between the barrier and its admission, then its host dies. The
+    recovery replays the log suffix from the barrier; the query starts
+    again where the replay reaches its admission, so it neither sees
+    the rows from before it nor delivers a result twice — on a plain
+    engine and on every pool host alike."""
+
+    @pytest.mark.parametrize("shape", list(SINCE_BARRIER))
+    @pytest.mark.parametrize("arm", SINCE_BARRIER_ARMS)
+    def test_results_equal_the_failure_free_run(self, arm, shape):
+        sql = SINCE_BARRIER[shape]
+        expected = _run_admitted_since_barrier(arm, sql, kill=False)
+        assert any(expected), "the query must emit, or the comparison is vacuous"
+        assert _run_admitted_since_barrier(arm, sql, kill=True) == expected

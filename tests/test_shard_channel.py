@@ -377,7 +377,7 @@ class TestAckFrameInterleaving:
     def _merged_order(self, send) -> tuple[list, list[int]]:
         order: list = []
         coordinator = _MergeCoordinator(CallbackConsumer(order.append), 1)
-        send(_ShardFeed(coordinator, 0))
+        send(_ShardFeed(coordinator, 0, 0))
         return order, coordinator.counts
 
     def test_framed_ack_matches_loopback_delivery(self):
