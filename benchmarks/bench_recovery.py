@@ -7,9 +7,12 @@ queries, four shards, batched ingest through the ``Session`` surface):
 * **What does protection cost?** The same feed is ingested with no
   :class:`CheckpointCoordinator` and with
   ``connect(checkpoint_interval=...)`` taking punctuation-aligned
-  barriers throughout. ``checkpoint_overhead`` is the slowdown ratio;
-  the acceptance bar is ≤ 1.10 (checkpointing may cost at most 10% of
-  ingest throughput).
+  barriers throughout, in :data:`PAIRS` alternated pairs of runs (the
+  checkpointed run first on odd pairs). ``checkpoint_overhead`` is the
+  median of the pairs' slowdown ratios, each recorded in
+  ``overhead_ratios``; the acceptance bar is ≤ 1.10 (checkpointing may
+  cost at most 10% of ingest throughput). One ratio of two single runs
+  spreads wider than that bar on a shared machine, so it is not gated.
 * **How fast is failover?** Mid-feed, one shard engine is killed.
   ``time_to_first_emission_s`` is the wall-clock from the kill until
   the merged output grows again — covering detection, restore from the
@@ -28,6 +31,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -45,6 +49,9 @@ BATCH_SIZE = 4096
 #: Event-time seconds between barriers. Stamps advance at 100 rows per
 #: event-second, so the full-scale feed takes ~10 barriers.
 CHECKPOINT_INTERVAL = 40.0
+
+#: Alternated plain/checkpointed ingest pairs behind the overhead gate.
+PAIRS = 7
 
 
 def _session(checkpoint_interval: float | None):
@@ -120,6 +127,26 @@ def _run_failover(rows, stamps):
     return first_emission, (_collect(session, cursors), replay, barrier)
 
 
+def _overhead_pairs(rows, stamps) -> tuple[list[float], list[float], list[float], tuple]:
+    """:data:`PAIRS` pairs of one plain and one checkpointed ingest, the
+    checkpointed one first on odd pairs so neither arm always runs
+    second. Returns each pair's ``checkpointed / plain`` ratio, the two
+    arms' times, and the emissions, asserted equal across every run."""
+    ratios, plain, checked, expected = [], [], [], None
+    for pair in range(PAIRS):
+        arms = (CHECKPOINT_INTERVAL, None) if pair % 2 else (None, CHECKPOINT_INTERVAL)
+        timed = {interval: _run_ingest(interval, rows, stamps) for interval in arms}
+        (plain_s, (results, _)), (ck_s, (ck_results, taken)) = timed[None], timed[CHECKPOINT_INTERVAL]
+        assert ck_results == results, "checkpointing changed emissions"
+        assert expected is None or results == expected, "emissions differ between runs"
+        assert taken >= 1, "no barrier fired during the checkpointed run"
+        expected = results
+        plain.append(plain_s)
+        checked.append(ck_s)
+        ratios.append(ck_s / plain_s)
+    return ratios, plain, checked, (expected, taken)
+
+
 def _best_of(measure, repetitions: int = 3):
     best = None
     for _ in range(repetitions):
@@ -136,12 +163,8 @@ def run_benchmarks(scale: float | None = None) -> dict:
     values, stamps = gen.readings(0, n)
     rows = [Row.raw(gen.READINGS, row) for row in values]
 
-    plain_s, (plain_results, _) = _best_of(lambda: _run_ingest(None, rows, stamps))
-    ck_s, (ck_results, taken) = _best_of(
-        lambda: _run_ingest(CHECKPOINT_INTERVAL, rows, stamps)
-    )
-    assert ck_results == plain_results, "checkpointing changed emissions"
-    assert taken >= 1, "no barrier fired during the checkpointed run"
+    ratios, plain, checked, (plain_results, taken) = _overhead_pairs(rows, stamps)
+    plain_s, ck_s = statistics.median(plain), statistics.median(checked)
 
     recovery_s, (failover_results, replay, _) = _best_of(
         lambda: _run_failover(rows, stamps)
@@ -159,6 +182,7 @@ def run_benchmarks(scale: float | None = None) -> dict:
         "shards": SHARDS,
         "checkpoint_interval_s": CHECKPOINT_INTERVAL,
         "checkpoints_taken": taken,
+        # Median seconds over the pairs, per arm.
         "workloads": {
             "unprotected": {
                 "seconds": round(plain_s, 6),
@@ -169,8 +193,10 @@ def run_benchmarks(scale: float | None = None) -> dict:
                 "rows_per_s": round(n / ck_s) if ck_s else None,
             },
         },
-        # Acceptance ratio: barriers may cost at most 10% of ingest.
-        "checkpoint_overhead": round(ck_s / plain_s, 3) if plain_s else None,
+        # Acceptance ratio: barriers may cost at most 10% of ingest, read
+        # as the median of the alternated pairs' ratios.
+        "checkpoint_overhead": round(statistics.median(ratios), 3),
+        "overhead_ratios": [round(ratio, 3) for ratio in ratios],
         "failover": {
             "time_to_first_emission_s": round(recovery_s, 6),
             "replayed_entries": replay["entries"],
@@ -200,7 +226,10 @@ def test_recovery_overhead(table_printer):
         [
             ["unprotected rows/s", workloads["unprotected"]["rows_per_s"]],
             ["checkpointed rows/s", workloads["checkpointed"]["rows_per_s"]],
-            ["checkpoint overhead", f'{results["checkpoint_overhead"]:.3f}x'],
+            [
+                f"checkpoint overhead (median of {len(results['overhead_ratios'])} pairs)",
+                f'{results["checkpoint_overhead"]:.3f}x',
+            ],
             ["barriers taken", results["checkpoints_taken"]],
             [
                 "failover → first emission",

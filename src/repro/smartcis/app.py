@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from repro.building import (
     Deployment,
@@ -62,6 +62,8 @@ from repro.smartcis.monitoring import (
     BuildingStateStore,
 )
 from repro.sql import parse
+from repro.sql.compiled import compile_expr
+from repro.sql.expressions import BinaryOp, ColumnRef, Literal
 from repro.sql.ast import CreateView, RecursiveQuery, SelectQuery
 from repro.stream import StreamEngine
 from repro.wrappers import (
@@ -76,6 +78,10 @@ from repro.wrappers import (
 
 #: Room light level above which an area sensor reports "open".
 ROOM_OPEN_LIGHT_THRESHOLD = 300.0
+
+#: The most software patterns whose LIKE matcher an app keeps compiled.
+_MATCHERS = 64
+_SOFTWARE = Schema.of(("software", DataType.STRING))
 
 _beacon_ids = itertools.count(500)
 _person_ids = itertools.count(1)
@@ -157,6 +163,9 @@ class SmartCIS:
         self.rfid = RFIDService(self.network, on_sighting=self._on_sighting)
         self.occupants: dict[str, Occupant] = {}
         self._beacon_of: dict[str, int] = {}
+        # find_free_machines' compiled LIKE per pattern, oldest evicted
+        # first past _MATCHERS.
+        self._matchers: dict[str, Callable[[tuple], Any]] = {}
         self.wrappers: list[Any] = []
         self.punctuator: Punctuator | None = None
         self._collections: list[Any] = []  # deployed sensor collections
@@ -607,13 +616,13 @@ class SmartCIS:
     def find_free_machines(self, needed: str = "%") -> list[tuple[str, str, str]]:
         """(host, room, desk) of free machines matching ``needed`` (LIKE),
         in open labs, per the current monitoring state."""
-        from repro.sql.compiled import compile_expr
-        from repro.sql.expressions import BinaryOp, ColumnRef, Literal
-
-        matches = compile_expr(
-            BinaryOp("LIKE", ColumnRef("software"), Literal(needed)),
-            Schema.of(("software", DataType.STRING)),
-        )
+        matches = self._matchers.get(needed)
+        if matches is None:
+            if len(self._matchers) >= _MATCHERS:
+                del self._matchers[next(iter(self._matchers))]
+            matches = self._matchers[needed] = compile_expr(
+                BinaryOp("LIKE", ColumnRef("software"), Literal(needed)), _SOFTWARE
+            )
         out = []
         for spec in self.deployment.machine_specs:
             if spec.room == "machineroom":

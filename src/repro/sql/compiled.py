@@ -116,10 +116,9 @@ source's one port feeds as one loop.
 **One loop template.** Every one of these is :func:`_codegen_loop`
 composing three pieces (produce/consume, after Neumann, VLDB 2011): a
 *source* that emits the prelude and the loop head binding the value
-tuple ``v``, the *stages* — a Filter/Project chain :func:`_emit_stages`
-lowers, a filter skipping the row — and a *sink* saying what a
-survivor becomes. A join's residual predicate is its chain's first
-filter. ::
+tuple ``v``, the *stages* — a Filter/Project :class:`Chain`, a filter
+skipping the row — and a *sink* saying what a survivor becomes. A
+join's residual predicate is its probe chain's first filter. ::
 
     loop            source (its head)                 sink
     _fused          one value tuple, no loop          return v
@@ -136,6 +135,22 @@ A new loop — a Select run folded inside an aggregate, an exchanged
 join's runs — is a new composition of these pieces; ``_distinct`` is
 ``_fused_batch``'s source, stages and sink with the membership test in
 front of the sink.
+
+**An operator lowers its chain once.** The operator holds its stages
+as one :class:`Chain`, and the first function generated over it runs
+:func:`_emit_stages` once, at indent 0 with a placeholder reject: the
+lines, the bindings, and the schema, column locals and non-NULL facts
+the chain leaves. Every function generated over that chain — a
+FusedOp's ``_fused`` and ``_batch_fn``, the engine's fused-ingest loop
+over the operator (:meth:`StreamEngine._fuse_ingest
+<repro.stream.engine.StreamEngine._fuse_ingest>`), a DISTINCT's
+``_fused`` and dedup loop, a join's two probe kernels — splices those
+lines re-indented, with its own ``continue`` or ``return None``, so
+each generated text is what lowering the chain in place would give. A
+lowering is shared within one operator only, never through a memo keyed
+on expression equality (``Literal(1) == Literal(1.0)``): its functions
+share a constant LIKE's verdict memo, and each binds its own globals as
+``_G``.
 
 **A predicate in filter position lowers as a filter**, not as a boolean
 expression (:func:`_emit_filter`). Its AND tree, of any shape, flattens
@@ -280,20 +295,63 @@ def compile_projection(exprs: Sequence[Expr], schema: Schema) -> Callable[[tuple
     )
 
 
-def compile_fused(
-    stages: Sequence[FusedStage], schema: Schema
-) -> Callable[[tuple], tuple | None] | None:
-    """Compile a Filter/Project chain into one generated function, or
-    ``None`` when code generation fails (the plan compiler then lowers
-    the chain one operator per node).
+class Chain:
+    """A Filter/Project chain: ``stages`` in dataflow order, read
+    against ``schema``, and their lowering, made once.
 
-    ``stages`` lists the chain in dataflow order. Each stage is either
+    Each stage is either
 
     * ``("filter", predicate)`` — drop the row unless the predicate is
       exactly TRUE (SQL three-valued logic: NULL does not pass), or
     * ``("project", exprs, output_schema)`` — replace the value tuple
       with the computed output columns; subsequent stages resolve column
       references against ``output_schema``.
+
+    The first generator that splices the chain runs :func:`_emit_stages`
+    once, at indent 0 with a placeholder reject, into a
+    :class:`_CodeGen` (:meth:`lowered`): its lines, its bindings, and the
+    schema, column locals and non-NULL facts the chain leaves. Every
+    function generated over the chain — an operator's per-element
+    function and batch loop, a DISTINCT's dedup loop, a join's two probe
+    kernels, the engine's fused-ingest loop — splices those lines,
+    re-indented, with its own ``continue`` or ``return None``
+    (:func:`_codegen_loop`). An operator holds its chain, so functions
+    share a lowering only within one operator; a lowering that failed
+    fails each generator that splices it, each counted as its own
+    fallback.
+    """
+
+    __slots__ = ("stages", "schema", "projects", "_lowered")
+
+    def __init__(self, stages: Sequence[FusedStage], schema: Schema):
+        self.stages = tuple(stages)
+        self.schema = schema
+        self.projects = any(stage[0] == "project" for stage in self.stages)
+        self._lowered: _CodeGen | Exception | None = None
+
+    def lowered(self) -> "_CodeGen":
+        """The chain's one lowering, made on the first call; raises what
+        made it fail on every call."""
+        if self._lowered is None:
+            try:
+                gen = _CodeGen(self.schema)
+                _emit_stages(gen, self.stages, 0, _REJECT)
+                self._lowered = gen
+            except Exception as exc:
+                self._lowered = exc
+        if isinstance(self._lowered, Exception):
+            raise self._lowered
+        return self._lowered
+
+
+#: The placeholder a lowering's reject lines hold until a loop splices it.
+_REJECT = "<reject>"
+
+
+def compile_fused(chain: Chain) -> Callable[[tuple], tuple | None] | None:
+    """Compile a Filter/Project :class:`Chain` into one generated
+    function, or ``None`` when code generation fails (the plan compiler
+    then lowers the chain one operator per node).
 
     The returned function maps the input value tuple to the final value
     tuple, or ``None`` when any filter stage rejected the row. The whole
@@ -303,12 +361,10 @@ def compile_fused(
     allocated between fused stages. Per-stage semantics are exactly
     those of :func:`compile_expr` / :func:`compile_projection`.
     """
-    return _generate(_codegen_fused, tuple(stages), schema)
+    return _generate(_codegen_fused, chain)
 
 
-def compile_fused_batch(
-    stages: Sequence[FusedStage], schema: Schema, output_schema: Schema
-) -> Callable[[list, list], None] | None:
+def compile_fused_batch(chain: Chain, output_schema: Schema) -> Callable[[list, list], None] | None:
     """Compile a Filter/Project chain into one generated *batch*
     function, or ``None`` when code generation fails (the operator then
     loops its per-element body over the run).
@@ -325,11 +381,11 @@ def compile_fused_batch(
 
     Semantics per element are identical to :func:`compile_fused`.
     """
-    return _generate(_codegen_fused_batch, tuple(stages), schema, output_schema)
+    return _generate(_codegen_fused_batch, chain, output_schema)
 
 
 def compile_distinct_batch(
-    stages: Sequence[FusedStage], schema: Schema, output_schema: Schema | None
+    chain: Chain, output_schema: Schema | None
 ) -> Callable[[list, set, list], None] | None:
     """Compile a DISTINCT over a Filter/Project chain into one generated
     *batch* function, or ``None`` when code generation fails (the
@@ -339,12 +395,12 @@ def compile_distinct_batch(
     element, in order, the chain runs as in :func:`compile_fused_batch`;
     a survivor whose value tuple ``seen`` holds is dropped, and a first
     occurrence joins ``seen`` and is appended to ``out`` — the element
-    itself when the chain does not project (``stages`` may be empty),
+    itself when the chain does not project (it may be empty),
     else a new element of one Row under ``output_schema``, built only
     after the membership test. ``seen`` is an argument, so the caller
     may replace its set (a checkpoint restore) without recompiling.
     """
-    return _generate(_codegen_distinct, tuple(stages), schema, output_schema)
+    return _generate(_codegen_distinct, chain, output_schema)
 
 
 def _emit_stages(
@@ -446,7 +502,7 @@ def _emit_row(gen: _CodeGen, indent: int, schema: str, values: str) -> None:
     gen.emit(indent, "_r._hash = None")
 
 
-def _codegen_loop(source: tuple, stages: tuple, sink: tuple) -> Callable:
+def _codegen_loop(source: tuple, chain: Chain, sink: tuple) -> Callable:
     """The one template of every generated loop: ``def _{name}(...)``
     composed of three pieces, in dataflow order.
 
@@ -454,20 +510,31 @@ def _codegen_loop(source: tuple, stages: tuple, sink: tuple) -> Callable:
       prelude and the loop head that binds the value tuple ``v``, and
       returns the body's indent: 1 for a source with no loop, where a
       rejected row returns ``None`` instead of taking the next.
-    * ``stages`` is ``(schema, chain)``: the Filter/Project chain
-      :func:`_emit_stages` lowers, and the schema it reads ``v`` under.
+    * ``chain`` is the Filter/Project :class:`Chain` over ``v``: its one
+      lowering, spliced at the body's indent with this loop's reject.
+      The function starts from what the lowering bound, named and
+      proved, and binds its own globals as ``_G``.
     * ``sink`` is ``(prelude, body, epilogue)``. ``body(gen, indent)``
       emits what a survivor becomes; the prelude lines open the function
       and the epilogue lines close it (:func:`_append`'s output list).
 
     The module docstring tables each loop's source and sink.
     """
-    (name, signature, head), (schema, chain), (prelude, body, epilogue) = source, stages, sink
-    gen = _CodeGen(schema)
+    (name, signature, head), (prelude, body, epilogue) = source, sink
+    lowered = chain.lowered()
+    gen = _CodeGen(lowered.schema)
+    gen.env.update(lowered.env)
+    if "_G" in gen.env:
+        gen.env["_G"] = gen.env
+    gen.counter, gen.columns, gen.non_null = lowered.counter, dict(lowered.columns), set(lowered.non_null)
     for line in prelude:
         gen.emit(1, line)
     indent = head(gen)
-    _emit_stages(gen, chain, indent, "continue" if indent > 1 else "return None")
+    pad, reject = "    " * indent, "continue" if indent > 1 else "return None"
+    gen.lines += [
+        pad + (line[: -len(_REJECT)] + reject if line.endswith(_REJECT) else line)
+        for line in lowered.lines
+    ]
     body(gen, indent)
     for line in epilogue:
         gen.emit(1, line)
@@ -574,23 +641,22 @@ def _emit_run(gen: _CodeGen, window: WindowSpec | None = None, stamped: bool = F
     return 2
 
 
-def _codegen_fused_batch(stages: tuple, schema: Schema, output_schema: Schema) -> Callable:
-    sink = _survivor(stages, output_schema)
-    return _codegen_loop(("fused_batch", "elements, out", _emit_run), (schema, stages), sink)
+def _codegen_fused_batch(chain: Chain, output_schema: Schema) -> Callable:
+    return _codegen_loop(("fused_batch", "elements, out", _emit_run), chain, _survivor(chain, output_schema))
 
 
-def _survivor(stages: tuple, output_schema: Schema | None) -> tuple:
-    """The sink appending a survivor of an element run's ``stages``: the
-    element ``_e`` itself when they do not project, else a new one of a
+def _survivor(chain: Chain, output_schema: Schema | None) -> tuple:
+    """The sink appending a survivor of an element run's ``chain``: the
+    element ``_e`` itself when it does not project, else a new one of a
     Row under ``output_schema`` stamped as ``_e``."""
-    if any(stage[0] == "project" for stage in stages):
+    if chain.projects:
         return _append(output_schema, "_e.timestamp", "_e.source")
     return _append("_e")
 
 
-def _codegen_distinct(stages: tuple, schema: Schema, output_schema: Schema | None) -> Callable:
-    sink = _dedup(_survivor(stages, output_schema))
-    return _codegen_loop(("distinct", "elements, seen, out", _emit_run), (schema, stages), sink)
+def _codegen_distinct(chain: Chain, output_schema: Schema | None) -> Callable:
+    sink = _dedup(_survivor(chain, output_schema))
+    return _codegen_loop(("distinct", "elements, seen, out", _emit_run), chain, sink)
 
 
 def _dedup(survivor: tuple) -> tuple:
@@ -787,7 +853,7 @@ def _codegen_accumulate(
             running if window is None else "elements, windows, closed",
             lambda gen: _emit_run(gen, window, partial),
         ),
-        (schema, ()),
+        Chain((), schema),
         _fold_into(group_exprs, calls, slots, f"[{', '.join(init)}]", window, partial),
     )
     return fold, (_define_take if partial else _define_finalize)(slots)
@@ -925,10 +991,9 @@ def compile_join_probe(
     right_keys: Sequence[str],
     left_window: WindowSpec,
     right_window: WindowSpec,
-    predicate: Expr | None,
+    chain: Chain,
     left: bool,
-    stages: Sequence[FusedStage] = (),
-    output_schema: Schema | None = None,
+    output_schema: Schema,
 ) -> Callable[[list, dict, dict, list, set | None], None] | None:
     """Compile one side of a windowed symmetric hash join into a
     generated *batch probe* function, or ``None`` when that side has no
@@ -948,12 +1013,12 @@ def compile_join_probe(
     opposite buffer does not change while one side's run is probed, so
     the pairs and their order are exactly those of per-element delivery.
 
-    ``stages`` is the Select/Project run above the join, lowered after
-    the residual exactly as :func:`compile_fused` lowers it over the
-    joined tuple: a filter skips the pair, a projection rebinds the
-    tuple, and each surviving pair appends one ``Row.raw(output_schema,
-    v)`` — no joined row is built first. Without stages the row is the
-    joined tuple under the concatenated schema.
+    ``chain`` is the residual predicate as a filter, then the
+    Select/Project run above the join, over the joined tuple — one
+    :class:`Chain` both sides' kernels splice: a filter skips the pair,
+    a projection rebinds the tuple, and each surviving pair appends one
+    ``Row.raw(output_schema, v)`` — no joined row is built first.
+    Without stages ``output_schema`` is the concatenated schema.
 
     The liveness test is the two-sided window test inlined as arithmetic
     on the two timestamps: an opposite row *later* than the arriving one
@@ -961,9 +1026,7 @@ def compile_join_probe(
     itself be inside the opposite side's window (RANGE compares the
     distance with the size, NOW demands equality, UNBOUNDED — and a ROWS
     window on the opposite side, which bounds by count at its own
-    ingest — always passes). The residual ``predicate`` is the chain's
-    first filter stage, over the concatenated value tuple with
-    :func:`compile_expr`'s semantics.
+    ingest — always passes).
 
     A side whose *own* window is ROWS has no kernel: every arrival there
     also evicts by count, a per-element state change.
@@ -973,40 +1036,34 @@ def compile_join_probe(
         return None
     return _generate(
         _codegen_join_probe,
-        left_schema,
-        right_schema,
+        left_schema if left else right_schema,
         tuple(left_keys if left else right_keys),
         own_window,
         right_window if left else left_window,
-        predicate,
+        chain,
         left,
-        tuple(stages),
         output_schema,
     )
 
 
 def _codegen_join_probe(
-    left_schema: Schema,
-    right_schema: Schema,
+    own_schema: Schema,
     own_keys: tuple[str, ...],
     own_window: WindowSpec,
     other_window: WindowSpec,
-    predicate: Expr | None,
+    chain: Chain,
     left: bool,
-    stages: tuple[FusedStage, ...],
-    output_schema: Schema | None,
+    output_schema: Schema,
 ) -> Callable[[list, dict, dict, list, set | None], None]:
-    joined_schema = left_schema.concat(right_schema)
-    keys = [(left_schema if left else right_schema).index_of(name) for name in own_keys]
-    residual = () if predicate is None else (("filter", predicate),)
+    keys = [own_schema.index_of(name) for name in own_keys]
     return _codegen_loop(
         (
             "probe",
             "elements, own, other, out, unsorted",
             lambda gen: _emit_pairs(gen, keys, own_window, other_window, left),
         ),
-        (joined_schema, residual + stages),
-        _append(output_schema if stages else joined_schema, "_m", '""'),
+        chain,
+        _append(output_schema, "_m", '""'),
     )
 
 
@@ -1067,9 +1124,9 @@ def _emit_pairs(
     return 3
 
 
-def _codegen_fused(stages: tuple[FusedStage, ...], schema: Schema) -> Callable[[tuple], tuple | None]:
+def _codegen_fused(chain: Chain) -> Callable[[tuple], tuple | None]:
     returns = ((), lambda gen, indent: gen.emit(indent, "return v"), ())
-    return _codegen_loop(("fused", "v", lambda gen: 1), (schema, stages), returns)
+    return _codegen_loop(("fused", "v", lambda gen: 1), chain, returns)
 
 
 def compile_ingest(schema: Schema, coerce: Callable, elements: bool) -> Callable:
@@ -1092,17 +1149,18 @@ def compile_ingest(schema: Schema, coerce: Callable, elements: bool) -> Callable
       goes to ``coerce(schema, row)`` — ``StreamEngine._coerce_row`` —
       so what it accepts and the error it raises are the interpreter's.
     """
-    return _generate(_codegen_ingest, schema, coerce, elements, (), schema, None) or fallback_ingest(
+    return _generate(_codegen_ingest, schema, coerce, elements, Chain((), schema), None) or fallback_ingest(
         schema, coerce, elements
     )
 
 
 def compile_fused_ingest(
-    schema: Schema, coerce: Callable, stages: Sequence[FusedStage], reads: Schema, output_schema: Schema
+    schema: Schema, coerce: Callable, chain: Chain, output_schema: Schema
 ) -> Callable[[list, list, str], list] | None:
     """:func:`compile_ingest` and an operator's :func:`compile_fused_batch`
-    loop as one that returns the survivors, or ``None`` (run the two)."""
-    return _generate(_codegen_ingest, schema, coerce, True, tuple(stages), reads, output_schema)
+    loop as one that returns the survivors, or ``None`` (run the two):
+    it splices the operator's own ``chain``, lowered once."""
+    return _generate(_codegen_ingest, schema, coerce, True, chain, output_schema)
 
 
 #: Exact-type tests per column type, over a value known not to be NULL:
@@ -1121,17 +1179,16 @@ _MISSING = object()
 
 
 def _codegen_ingest(
-    schema: Schema, coerce: Callable, elements: bool, stages: tuple, reads: Schema, output_schema: Schema | None
+    schema: Schema, coerce: Callable, elements: bool, chain: Chain, output_schema: Schema | None
 ) -> Callable:
-    projects = any(stage[0] == "project" for stage in stages)
     return _codegen_loop(
         (
-            "fused_ingest" if stages else "ingest",
+            "fused_ingest" if chain.stages else "ingest",
             "rows, stamps, source" if elements else "rows",
-            lambda gen: _emit_rows(gen, schema, coerce, elements, bool(stages)),
+            lambda gen: _emit_rows(gen, schema, coerce, elements, bool(chain.stages)),
         ),
-        (reads, stages),
-        _append(output_schema if projects else "r", "_t" if elements else None, "source", fresh=True),
+        chain,
+        _append(output_schema if chain.projects else "r", "_t" if elements else None, "source", fresh=True),
     )
 
 

@@ -6,12 +6,34 @@ for transitive-closure queries, ``OUTPUT TO DISPLAY`` for routing
 results, ``^`` as an alternative spelling of ``AND`` (the paper's
 Figure 1 writes its demo query with ``^``), and named parameters
 (``:name``) for prepared statements.
+
+Comments: ``--`` to end of line. Whitespace: exactly space, tab, CR and
+LF. String literals: single quotes with ``''`` as the escape for a
+quote. Identifiers are case-preserved; keywords are recognised
+case-insensitively and normalised to upper case. A number is digits
+with at most one ``.`` before an optional exponent; a ``.`` followed by
+a digit starts one.
+
+The scanner is one compiled master pattern (:data:`_MASTER`) matched at
+the current offset in a loop: each match is one token, or one run of
+whitespace and comments, named by its group. The line advances by the
+newlines a skipped run or a string literal holds, and a column is the
+offset from the last newline, so a tab or a CR is one column. The
+pattern's classes are ASCII except ``\\w``, which is exactly
+``str.isalnum()`` or ``_`` — what an identifier continues with. Where a
+non-ASCII character could decide a token (one starts with it, or it
+follows a number or a ``.`` within three characters) and at every error,
+the pattern falls to its last group, and :func:`_slow_token` scans that
+one token with ``str.isalpha`` / ``str.isdigit``, which define letters
+and digits here: '²' starts a number, '½' nothing.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from functools import partial
+from typing import NamedTuple
 
 from repro.errors import ParseError
 
@@ -38,13 +60,8 @@ KEYWORDS = frozenset(
     }
 )
 
-_MULTI_CHAR_OPERATORS = ("<=", ">=", "!=", "<>")
-_SINGLE_CHAR_OPERATORS = "=<>+-*/%^"
-_PUNCTUATION = "(),.[];"
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token with its source position (1-based)."""
 
     type: TokenType
@@ -59,150 +76,109 @@ class Token:
         return f"{self.type.value}:{self.value!r}@{self.line}:{self.column}"
 
 
-class Lexer:
-    """Hand-written scanner producing a list of :class:`Token`.
+#: ``Token`` from one ``(type, value, line, column)`` tuple, without the
+#: generated ``__new__``'s frame.
+_token = partial(tuple.__new__, Token)
 
-    Comments: ``--`` to end of line. String literals: single quotes with
-    ``''`` as the escape for a quote. Identifiers are case-preserved;
-    keywords are recognised case-insensitively and normalised to upper
-    case.
-    """
-
-    def __init__(self, text: str):
-        self._text = text
-        self._pos = 0
-        self._line = 1
-        self._column = 1
-
-    def tokenize(self) -> list[Token]:
-        """Scan the whole input, returning tokens ending with EOF."""
-        tokens: list[Token] = []
-        while True:
-            token = self._next_token()
-            tokens.append(token)
-            if token.type is TokenType.EOF:
-                return tokens
-
-    # ------------------------------------------------------------------
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        return self._text[index] if index < len(self._text) else ""
-
-    def _advance(self, count: int = 1) -> str:
-        consumed = self._text[self._pos : self._pos + count]
-        for ch in consumed:
-            if ch == "\n":
-                self._line += 1
-                self._column = 1
-            else:
-                self._column += 1
-        self._pos += count
-        return consumed
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self._pos < len(self._text):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "-" and self._peek(1) == "-":
-                while self._pos < len(self._text) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_whitespace_and_comments()
-        line, column = self._line, self._column
-        if self._pos >= len(self._text):
-            return Token(TokenType.EOF, "", line, column)
-
-        ch = self._peek()
-
-        if ch == "'":
-            return self._string_literal(line, column)
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._number(line, column)
-        if ch.isalpha() or ch == "_":
-            return self._word(line, column)
-        if ch == ":":
-            self._advance()
-            if not (self._peek().isalpha() or self._peek() == "_"):
-                raise ParseError("expected parameter name after ':'", line, column)
-            out: list[str] = []
-            while self._peek().isalnum() or self._peek() == "_":
-                out.append(self._advance())
-            # Case-preserved even when the name collides with a keyword
-            # (":limit" is a fine parameter name).
-            return Token(TokenType.PARAMETER, "".join(out), line, column)
-        for op in _MULTI_CHAR_OPERATORS:
-            if self._text.startswith(op, self._pos):
-                self._advance(len(op))
-                return Token(TokenType.OPERATOR, op, line, column)
-        if ch in _SINGLE_CHAR_OPERATORS:
-            self._advance()
-            return Token(TokenType.OPERATOR, ch, line, column)
-        if ch in _PUNCTUATION:
-            self._advance()
-            return Token(TokenType.PUNCTUATION, ch, line, column)
-        raise ParseError(f"unexpected character {ch!r}", line, column)
-
-    def _string_literal(self, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        out: list[str] = []
-        while True:
-            if self._pos >= len(self._text):
-                raise ParseError("unterminated string literal", line, column)
-            ch = self._advance()
-            if ch == "'":
-                if self._peek() == "'":  # escaped quote
-                    out.append("'")
-                    self._advance()
-                else:
-                    return Token(TokenType.STRING, "".join(out), line, column)
-            else:
-                out.append(ch)
-
-    def _number(self, line: int, column: int) -> Token:
-        out: list[str] = []
-        seen_dot = False
-        seen_exp = False
-        while self._pos < len(self._text):
-            ch = self._peek()
-            if ch.isdigit():
-                out.append(self._advance())
-            elif ch == "." and not seen_dot and not seen_exp:
-                # A dot followed by a non-digit is punctuation (qualified name).
-                if not self._peek(1).isdigit():
-                    break
-                seen_dot = True
-                out.append(self._advance())
-            elif ch in "eE" and not seen_exp and out and out[-1].isdigit():
-                nxt = self._peek(1)
-                if nxt.isdigit() or (nxt in "+-" and self._peek(2).isdigit()):
-                    seen_exp = True
-                    out.append(self._advance())
-                    if self._peek() in "+-":
-                        out.append(self._advance())
-                else:
-                    break
-            else:
-                break
-        return Token(TokenType.NUMBER, "".join(out), line, column)
-
-    def _word(self, line: int, column: int) -> Token:
-        out: list[str] = []
-        while self._pos < len(self._text):
-            ch = self._peek()
-            if ch.isalnum() or ch == "_":
-                out.append(self._advance())
-            else:
-                break
-        word = "".join(out)
-        if word.upper() in KEYWORDS:
-            return Token(TokenType.KEYWORD, word.upper(), line, column)
-        return Token(TokenType.IDENTIFIER, word, line, column)
+_MASTER = re.compile(
+    r"(?P<skip>(?:[ \t\r\n]+|--[^\n]*)+)"
+    r"|(?P<string>'[^']*(?:''[^']*)*'(?!'))"
+    # Atomic, so a non-ASCII character within three after it sends the
+    # whole number to the slow path instead of a shorter match.
+    r"|(?P<number>(?>(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"(?![\x00-\x7f]{0,2}[^\x00-\x7f]))"
+    r"|(?P<word>[A-Za-z_]\w*)"
+    r"|:(?P<parameter>[A-Za-z_]\w*)"
+    r"|(?P<operator>[<>!]=|<>|[=<>+\-*/%^])"
+    r"|(?P<punctuation>[(),\[\];]|\.(?![0-9]|[^\x00-\x7f]))"
+    r"|(?P<slow>[\s\S])"
+)
+_WORD = re.compile(r"\w+")
+_KINDS = {
+    "number": TokenType.NUMBER,
+    "parameter": TokenType.PARAMETER,
+    "operator": TokenType.OPERATOR,
+    "punctuation": TokenType.PUNCTUATION,
+}
 
 
 def tokenize(text: str) -> list[Token]:
-    """Tokenize ``text``; convenience wrapper over :class:`Lexer`."""
-    return Lexer(text).tokenize()
+    """Scan the whole input, returning tokens ending with EOF."""
+    tokens: list[Token] = []
+    append = tokens.append
+    match = _MASTER.match
+    pos, line, line_start = 0, 1, 0
+    while pos < len(text):
+        found = match(text, pos)
+        kind, end = found.lastgroup, found.end()
+        column = pos - line_start + 1
+        if kind == "word":
+            value = found[0]
+            upper = value.upper()
+            if upper in KEYWORDS:
+                append(_token((TokenType.KEYWORD, upper, line, column)))
+            else:
+                append(_token((TokenType.IDENTIFIER, value, line, column)))
+        elif kind == "skip" or kind == "string":
+            if kind == "string":
+                value = text[pos + 1 : end - 1].replace("''", "'")
+                append(_token((TokenType.STRING, value, line, column)))
+            newlines = text.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, end) + 1
+        elif kind == "slow":
+            kind, value, end = _slow_token(text, pos, line, column)
+            append(_token((kind, value, line, column)))
+        else:
+            append(_token((_KINDS[kind], found[kind], line, column)))
+        pos = end
+    append(_token((TokenType.EOF, "", line, pos - line_start + 1)))
+    return tokens
+
+
+def _slow_token(text: str, pos: int, line: int, column: int) -> tuple[TokenType, str, int]:
+    """The token at ``pos`` the master pattern left to ``str``'s own
+    predicates, as ``(type, value, end)``, or the error it is."""
+    ch, after = text[pos], text[pos + 1 : pos + 2]
+    if ch == "'":  # the pattern matches every terminated literal
+        raise ParseError("unterminated string literal", line, column)
+    if ch.isdigit() or (ch == "." and after.isdigit()):
+        end = _number_end(text, pos)
+        return TokenType.NUMBER, text[pos:end], end
+    if ch == ".":
+        return TokenType.PUNCTUATION, ch, pos + 1
+    if ch == ":":
+        if not (after.isalpha() or after == "_"):
+            raise ParseError("expected parameter name after ':'", line, column)
+        end = _WORD.match(text, pos + 1).end()
+        # Case-preserved even when the name collides with a keyword
+        # (":limit" is a fine parameter name).
+        return TokenType.PARAMETER, text[pos + 1 : end], end
+    if ch.isalpha():
+        end = _WORD.match(text, pos).end()
+        word = text[pos:end]
+        if word.upper() in KEYWORDS:
+            return TokenType.KEYWORD, word.upper(), end
+        return TokenType.IDENTIFIER, word, end
+    raise ParseError(f"unexpected character {ch!r}", line, column)
+
+
+def _number_end(text: str, pos: int) -> int:
+    """Where the number starting at ``pos`` ends, digits being what
+    ``str.isdigit`` says: one ``.`` before the exponent and only before
+    a digit, and an exponent only before a digit or a signed one."""
+    end, seen_dot, seen_exp = pos, False, False
+    while end < len(text):
+        ch, after = text[end], text[end + 1 : end + 2]
+        if ch.isdigit():
+            end += 1
+        elif ch == "." and not (seen_dot or seen_exp) and after.isdigit():
+            seen_dot, end = True, end + 1
+        elif ch in "eE" and not seen_exp and (
+            after.isdigit() or (after in ("+", "-") and text[end + 2 : end + 3].isdigit())
+        ):
+            seen_exp, end = True, end + (2 if after in ("+", "-") else 1)
+        else:
+            break
+    return end

@@ -60,8 +60,10 @@ class Parser:
     # Token helpers
     # ------------------------------------------------------------------
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        # The position never passes the EOF token, which ends the list.
+        if offset:
+            return self._tokens[min(self._pos + offset, len(self._tokens) - 1)]
+        return self._tokens[self._pos]
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]
@@ -129,6 +131,22 @@ class Parser:
         if self._peek().type is not TokenType.EOF:
             raise self._error("unexpected trailing input")
         return statement
+
+    def parse_script(self) -> list[Statement]:
+        """Parse the token stream as statements split at ``;``: each
+        segment ends in an EOF token at its ``;``, so it parses exactly
+        as that statement alone would."""
+        tokens, statements, start = self._tokens, [], 0
+        for end, token in enumerate(tokens):
+            if token.type is TokenType.EOF or (
+                token.type is TokenType.PUNCTUATION and token.value == ";"
+            ):
+                if end > start:
+                    eof = Token(TokenType.EOF, "", token.line, token.column)
+                    self._tokens, self._pos = [*tokens[start:end], eof], 0
+                    statements.append(self.parse_statement())
+                start = end + 1
+        return statements
 
     def _create_view(self) -> CreateView:
         self._expect_keyword("CREATE")
@@ -455,46 +473,8 @@ def parse_select(text: str) -> SelectQuery:
 def parse_script(text: str) -> list[Statement]:
     """Parse a ``;``-separated sequence of statements.
 
-    Segments that are blank or contain only comments are skipped.
+    Segments that are blank or contain only comments are skipped. The
+    text is scanned once, so an error's position counts from the start
+    of the script.
     """
-    statements: list[Statement] = []
-    for segment in _split_statements(text):
-        tokens = tokenize(segment)
-        if len(tokens) == 1:  # EOF only: blank or comment-only segment
-            continue
-        statements.append(Parser(segment).parse_statement())
-    return statements
-
-
-def _split_statements(text: str) -> list[str]:
-    """Split on ``;`` outside string literals and comments."""
-    parts: list[str] = []
-    current: list[str] = []
-    in_string = False
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if in_string:
-            current.append(ch)
-            if ch == "'":
-                if i + 1 < len(text) and text[i + 1] == "'":
-                    current.append("'")
-                    i += 1
-                else:
-                    in_string = False
-        elif ch == "'":
-            in_string = True
-            current.append(ch)
-        elif ch == "-" and text[i : i + 2] == "--":
-            while i < len(text) and text[i] != "\n":
-                current.append(text[i])
-                i += 1
-            continue
-        elif ch == ";":
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-        i += 1
-    parts.append("".join(current))
-    return parts
+    return Parser(text).parse_script()

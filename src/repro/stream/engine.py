@@ -439,8 +439,8 @@ class StreamEngine:
         routes changed — at admission, stop and chain re-lowering, never
         while rows flow. A stream with exactly one route whose consumer
         is a :class:`StageOp` with a generated batch loop gets ingest and
-        those stages as one loop (:meth:`push_many`); any other keeps the
-        two."""
+        those stages as one loop (:meth:`push_many`), splicing the
+        operator's own lowering of them; any other keeps the two."""
         self._fused_ingest.pop(key, None)
         routes = self._routes.get(key, ())
         if len(routes) != 1:
@@ -456,7 +456,7 @@ class StreamEngine:
         schema = port.scan.entry.schema
         loop = counted(
             self._compiler.counts, compile_fused_ingest, schema, StreamEngine._coerce_row,
-            op.stages, op.input_schema, op.output_schema,
+            op.chain, op.output_schema,
         )
         if loop is not None:
             self._fused_ingest[key] = (loop, op, schema)

@@ -66,6 +66,7 @@ from repro.data.windows import WindowKind, WindowSpec
 from repro.errors import ExecutionError
 from repro.sql.ast import OrderItem
 from repro.sql.compiled import (
+    Chain,
     FusedStage,
     compile_accumulate,
     compile_distinct_batch,
@@ -219,11 +220,13 @@ class Operator:
 class StageOp(Operator):
     """A Select/Project run over one input: ``stages`` in dataflow order
     (:data:`~repro.sql.compiled.FusedStage`), read against
-    ``input_schema``. A run of elements clears them all in one generated
-    loop (``compile_fused_batch``: ``_batch_fn``, None when it declined,
-    and then ``on_element`` loops). A source port with this operator as
-    its only consumer runs the same stages inside the engine's ingest
-    loop instead (:meth:`StreamEngine.push_many
+    ``input_schema`` and held as one :class:`~repro.sql.compiled.Chain`,
+    lowered once for every function generated over it. A run of
+    elements clears them all in one generated loop
+    (``compile_fused_batch``: ``_batch_fn``, None when it declined, and
+    then ``on_element`` loops). A source port with this operator as its
+    only consumer runs the same chain inside the engine's ingest loop
+    instead (:meth:`StreamEngine.push_many
     <repro.stream.engine.StreamEngine.push_many>`), which then counts
     ``rows_in`` and calls :meth:`emit_batch` as this body does."""
 
@@ -238,7 +241,8 @@ class StageOp(Operator):
         self.stages = list(stages)
         self.output_schema = output_schema
         self.input_schema = input_schema
-        self._batch_fn = compile_fused_batch(self.stages, input_schema, output_schema)
+        self.chain = Chain(stages, input_schema)
+        self._batch_fn = compile_fused_batch(self.chain, output_schema)
 
     def push_batch(self, elements: list[StreamElement]) -> None:
         if self._batch_fn is None:
@@ -334,9 +338,8 @@ class FusedOp(StageOp):
         input_schema: Schema,
     ):
         super().__init__(stages, output_schema, downstream, input_schema)
-        self._fused = compile_fused(stages, input_schema)
+        self._fused = compile_fused(self.chain)
         self.generated = self._fused is not None
-        self._projects = any(stage[0] == "project" for stage in stages)
 
     @property
     def fused_stages(self) -> int:
@@ -348,7 +351,7 @@ class FusedOp(StageOp):
         if values is None:
             return
         self.rows_out += 1
-        if self._projects:
+        if self.chain.projects:
             element = StreamElement(
                 Row.raw(self.output_schema, values), element.timestamp, element.source
             )
@@ -383,7 +386,10 @@ class SymmetricHashJoin(Operator):
     (:func:`~repro.sql.compiled.compile_fused`) is generated first; when
     it cannot be, ``generated`` is False, nothing else is compiled, and
     the plan compiler lowers the run above a join without stages
-    instead.
+    instead. The stages are one :class:`~repro.sql.compiled.Chain`, and
+    the residual then the stages another, which both probe kernels
+    splice; without a residual the two are one, so each is lowered
+    once.
 
     Two data bodies, one meaning. ``_push_side`` is the per-element
     body (``push``, and the only body that handles punctuation). A run
@@ -441,7 +447,8 @@ class SymmetricHashJoin(Operator):
         self.output_schema = output_schema if self.stages else self._joined_schema
         # The stages' per-pair function comes first: a run it cannot
         # generate is not lowered here, and nothing below is compiled.
-        self._tail = compile_fused(self.stages, self._joined_schema) if self.stages else None
+        self.chain = Chain(stages, self._joined_schema)
+        self._tail = compile_fused(self.chain) if self.stages else None
         self.generated = not self.stages or self._tail is not None
         # Schema-bound compilation: key columns resolve to positions once
         # and the residual predicate (None: the join has none) runs over
@@ -454,7 +461,11 @@ class SymmetricHashJoin(Operator):
             else None
         )
         # The generated batch bodies, one per side (None: that side's
-        # runs loop the per-element body).
+        # runs loop the per-element body), over one chain: the residual
+        # as a filter, then the stages.
+        probed = self.chain
+        if predicate is not None:
+            probed = Chain((("filter", predicate), *self.stages), self._joined_schema)
         self._left_probe, self._right_probe = (
             compile_join_probe(
                 left_schema,
@@ -463,9 +474,8 @@ class SymmetricHashJoin(Operator):
                 self.right_keys,
                 left_window,
                 right_window,
-                predicate,
+                probed,
                 left,
-                self.stages,
                 self.output_schema,
             )
             if self.generated
@@ -1067,9 +1077,10 @@ class DistinctOp(Operator):
     Input stages: the plan compiler lowers the maximal Select/Project
     run directly below the DISTINCT into the operator as ``stages``
     (:data:`~repro.sql.compiled.FusedStage`, dataflow order, read
-    against ``input_schema``), as the join takes the run above it. A
-    run of elements clears the stages and the dedup in one generated
-    loop (:func:`~repro.sql.compiled.compile_distinct_batch`:
+    against ``input_schema``, one :class:`~repro.sql.compiled.Chain`
+    both generated functions splice), as the join takes the run above
+    it. A run of elements clears the stages and the dedup in one
+    generated loop (:func:`~repro.sql.compiled.compile_distinct_batch`:
     ``_batch_fn``, None when it declined, and then ``on_element``
     loops), which tests each survivor's value tuple against the seen
     set and builds an output Row and StreamElement, under
@@ -1100,14 +1111,10 @@ class DistinctOp(Operator):
         self._seen: set[tuple] = set()
         # The stages' per-element function comes first: a run it cannot
         # generate is not lowered here, and nothing below is compiled.
-        self._fused = compile_fused(self.stages, input_schema) if self.stages else None
+        self.chain = Chain(stages, input_schema)
+        self._fused = compile_fused(self.chain) if self.stages else None
         self.generated = not self.stages or self._fused is not None
-        self._projects = any(stage[0] == "project" for stage in self.stages)
-        self._batch_fn = (
-            compile_distinct_batch(self.stages, input_schema, output_schema)
-            if self.generated
-            else None
-        )
+        self._batch_fn = compile_distinct_batch(self.chain, output_schema) if self.generated else None
 
     def on_element(self, element: StreamElement) -> None:
         values = element.row.values
@@ -1118,7 +1125,7 @@ class DistinctOp(Operator):
         if values in self._seen:
             return
         self._seen.add(values)
-        if self._projects:
+        if self.chain.projects:
             element = StreamElement(
                 Row.raw(self.output_schema, values), element.timestamp, element.source
             )

@@ -754,7 +754,19 @@ class ShardedStreamEngine:
                 values.get(full, values.get(bare)) for _, full, bare in recipe
             ]
         key = parts[0] if len(parts) == 1 else tuple(parts)
-        return self._owner_of(lower, key)
+        owners = self._owners.setdefault(lower, {})
+        try:
+            owner = owners.get(key)
+        except TypeError:  # unhashable key value: no memo, direct hash
+            self._owner_misses += 1
+            return stable_hash(key) % len(self._channels)
+        if owner is None:
+            self._owner_misses += 1
+            owner = stable_hash(key) % len(self._channels)
+            self._remember(owners, key, owner)
+        else:
+            self._owner_hits += 1
+        return owner
 
     def stop(self, handle: QueryHandle) -> None:
         """Stop a pool query (all replicas / the fallback). Idempotent."""
@@ -777,31 +789,16 @@ class ShardedStreamEngine:
     # ------------------------------------------------------------------
     _OWNER_CACHE_LIMIT = 8192
 
-    def _owner_of(self, lower: str, value: Any) -> int:
-        """Owning shard for one partition-key value, memoized in a
-        bounded LRU (insertion-ordered dict; a hit moves the entry to
-        the back, a miss at capacity evicts the front — the least
-        recently routed value). A full ``clear()`` would stall ingest
-        with a burst of stable_hash recomputations each time a
-        high-cardinality key wraps the limit; eviction keeps the hot
-        working set resident instead."""
-        cache = self._owners.get(lower)
-        if cache is None:
-            cache = self._owners[lower] = {}
-        try:
-            owner = cache.pop(value, None)
-        except TypeError:  # unhashable key value: no memo, direct hash
-            return stable_hash(value) % len(self._channels)
-        if owner is None:
-            self._owner_misses += 1
-            if len(cache) >= self._OWNER_CACHE_LIMIT:
-                del cache[next(iter(cache))]
-                self._owner_evictions += 1
-            owner = stable_hash(value) % len(self._channels)
-        else:
-            self._owner_hits += 1
-        cache[value] = owner  # (re)insert at the back: most recent
-        return owner
+    def _remember(self, owners: dict, value: Any, owner: int) -> None:
+        """Memoize ``value``'s owner in one source's owner memo, a plain
+        dict bounded at :data:`_OWNER_CACHE_LIMIT` by evicting its
+        oldest entry (a full ``clear()`` would stall ingest with a burst
+        of stable_hash recomputations each time a high-cardinality key
+        wraps the limit)."""
+        if len(owners) >= self._OWNER_CACHE_LIMIT:
+            del owners[next(iter(owners))]
+            self._owner_evictions += 1
+        owners[value] = owner
 
     def _route(
         self, lower: str, rows: list, stamps: list[float] | None
@@ -823,20 +820,32 @@ class ShardedStreamEngine:
                     per_stamps[shard] = stamps[offset::shards]
             return per_rows, per_stamps
         # Rows arrive coerced onto the catalog schema, so the declared
-        # key's catalog position is authoritative.
+        # key's catalog position is authoritative. One loop over the
+        # source's owner memo (shared with ``_remote_owner``): a row
+        # whose key it holds costs a dict probe and two appends.
         index = self._key_index[lower]
-        owner_of = self._owner_of
+        owners = self._owners.setdefault(lower, {})
+        get = owners.get
         per_rows = [[] for _ in range(shards)]
-        if stamps is None:
-            for row in rows:
-                per_rows[owner_of(lower, row.values[index])].append(row)
-            return per_rows, None
         per_stamps = [[] for _ in range(shards)]
-        for row, stamp in zip(rows, stamps):
-            owner = owner_of(lower, row.values[index])
+        misses = 0
+        for row, stamp in zip(rows, itertools.repeat(None) if stamps is None else stamps):
+            value = row.values[index]
+            try:
+                owner = get(value)
+            except TypeError:  # unhashable key value: no memo, direct hash
+                owner = stable_hash(value) % shards
+                misses += 1
+            else:
+                if owner is None:
+                    misses += 1
+                    owner = stable_hash(value) % shards
+                    self._remember(owners, value, owner)
             per_rows[owner].append(row)
             per_stamps[owner].append(stamp)
-        return per_rows, per_stamps
+        self._owner_hits += len(rows) - misses
+        self._owner_misses += misses
+        return per_rows, None if stamps is None else per_stamps
 
     def _ingest_loop(self, schema: Schema) -> Callable:
         """The pool's row-coercing ingest loop for ``schema``."""

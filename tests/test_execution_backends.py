@@ -410,6 +410,39 @@ class TestShardedEngine:
         assert sum(e.elements_ingested for e in pool.engines) == 30
         assert pool.elements_ingested == 30
 
+    def test_ingest_and_exchange_send_equal_keys_to_equal_shards(self):
+        """The pool's ingest router (``_route``, over its owner memo) and
+        an exchange's ``deposit_run`` send each key value to the same
+        shard, first seen and seen again; the memo counts every keyed
+        row as a hit or a miss, and an unhashable key routes by
+        ``stable_hash`` alone."""
+        _, pool = self._pool(shards=3)
+        keys = [f"ws{i}" for i in range(12)] + [3, 3.0, None, ("a", 1)]
+        rows = [Row.raw(READINGS, ("lab", key, 1.0, 0.5)) for key in keys]
+        routed = {}
+        for _ in range(2):
+            per_rows, per_stamps = pool._route("readings", rows, [0.0] * len(rows))
+            assert [len(s) for s in per_stamps] == [len(r) for r in per_rows]
+            for shard, shard_rows in enumerate(per_rows):
+                for row in shard_rows:
+                    assert routed.setdefault(row.values[1], shard) == shard
+        stats = pool.stats()
+        assert stats["owner_cache_misses"] == len(set(keys)) == len(keys) - 1  # 3 == 3.0
+        assert stats["owner_cache_hits"] == 2 * len(keys) - stats["owner_cache_misses"]
+        port = SimpleNamespace(name="x", key_positions=(0,), stage1=RemoteSource("xs", _X, 1.0))
+        state = _ExchangeState(SimpleNamespace(specs=[port]), [0, 1, 2], {})
+        state.deposit_run(0, 0, [(key,) for key in keys], [0.0] * len(keys))
+        exchanged = {
+            values[0]: dest
+            for dest in state.dests
+            for _, run, _ in state.flush(dest)
+            for values in run
+        }
+        assert exchanged == routed
+        unhashable = Row.raw(READINGS, ("lab", ["ws1"], 1.0, 0.5))
+        per_rows, _ = pool._route("readings", [unhashable], None)
+        assert per_rows[stable_hash(["ws1"]) % 3] == [unhashable]
+
     def test_round_robin_spreads_without_a_key(self):
         catalog = _catalog()
         pool = ShardedStreamEngine(catalog, shards=3)

@@ -36,6 +36,7 @@ from repro.plan.logical import Join, Project, ProjectItem, Scan, Select
 from repro.sql.compiled import (
     _FLAT_CONJUNCTS,
     _LIKE_MEMO,
+    Chain,
     compile_expr,
     compile_fused,
     compile_fused_batch,
@@ -43,7 +44,7 @@ from repro.sql.compiled import (
 )
 from repro.sql.expressions import BinaryOp, ColumnRef, Expr, FunctionCall, Literal, UnaryOp
 from repro.stream.engine import StreamEngine
-from repro.stream.operators import SymmetricHashJoin
+from repro.stream.operators import FusedOp, SymmetricHashJoin
 
 SCHEMA = Schema.of(
     ("a", DataType.FLOAT),
@@ -241,8 +242,8 @@ def test_compile_fused_and_its_batch_loop_match_the_interpreter(seed):
         stages = _chain(rng)
         rows = _rows(rng, 24)
         with generated():
-            fused = compile_fused(stages, SCHEMA)
-            batch = compile_fused_batch(stages, SCHEMA, PROJECTED if len(stages) > 1 else SCHEMA)
+            fused = compile_fused(Chain(stages, SCHEMA))
+            batch = compile_fused_batch(Chain(stages, SCHEMA), PROJECTED if len(stages) > 1 else SCHEMA)
         reference = _interpreted_chain(stages, SCHEMA)
 
         def batched(values):
@@ -260,7 +261,7 @@ def test_a_doomed_rows_later_conjunct_raises_as_the_interpreter_does():
     """``b`` NULL dooms the row at the first conjunct; the second is
     NULL too, so the third still runs and raises on the string."""
     rows = [("x", None, 0, "lab1", True), ("x", 5.0, 0, "lab1", True), (3.0, None, 0, "", None)]
-    fused = compile_fused(DOOMED_RAISE, SCHEMA)
+    fused = compile_fused(Chain(DOOMED_RAISE, SCHEMA))
     reference = _interpreted_chain(DOOMED_RAISE, SCHEMA)
     outcomes = [_outcome(fused, values) for values in rows]
     assert outcomes == [_outcome(reference, values) for values in rows]
@@ -436,7 +437,7 @@ def test_a_long_where_matches_the_interpreter_and_its_text_stays_linear(count):
     for _ in range(6):
         stages = [("filter", _and_tree(rng, [_leaf(rng, names) for _ in range(count)]))]
         with generated():
-            fused = compile_fused(stages, SCHEMA)
+            fused = compile_fused(Chain(stages, SCHEMA))
         reference = _interpreted_chain(stages, SCHEMA)
         for values in _rows(rng, 48):
             assert _outcome(fused, values) == _outcome(reference, values), (stages, values)
@@ -521,8 +522,8 @@ def test_a_like_memo_answers_as_the_regex_does(pattern):
     rows = [(None, None, None, value, None) for value in LIKE_VALUES * 3]
     for stages in _like_chains(pattern):
         with generated():
-            fused = compile_fused(stages, SCHEMA)
-            batch = compile_fused_batch(stages, SCHEMA, LIKED)
+            fused = compile_fused(Chain(stages, SCHEMA))
+            batch = compile_fused_batch(Chain(stages, SCHEMA), LIKED)
         reference = _interpreted_chain(stages, SCHEMA)
         expected = [_outcome(reference, values) for values in rows]
         assert [_outcome(fused, values) for values in rows] == expected, stages
@@ -586,8 +587,8 @@ def test_a_full_memo_stops_probing():
     stages = [("project", [BinaryOp("LIKE", ColumnRef("s"), Literal("lab%"))], LIKED)]
     reference = _interpreted_chain(stages, SCHEMA)
     with generated():
-        fused = compile_fused(stages, SCHEMA)
-        batch = compile_fused_batch(stages, SCHEMA, LIKED)
+        fused = compile_fused(Chain(stages, SCHEMA))
+        batch = compile_fused_batch(Chain(stages, SCHEMA), LIKED)
     for kernel, run in ((fused, fused), (batch, _batched(batch))):
         (memo,) = _memos(kernel)
         early = [_outcome(run, values) for values in rows[:10]]
@@ -603,3 +604,26 @@ def test_a_full_memo_stops_probing():
             memo[key] = not memo[key]
         again = [_outcome(run, values) for values in rows[:_LIKE_MEMO]]
         assert again == outcomes[:_LIKE_MEMO] and len(memo) == _LIKE_MEMO
+
+
+def test_an_operators_functions_share_its_lowering_and_nothing_else():
+    """A FusedOp's per-element function and batch loop splice its one
+    lowering: one verdict memo, while ``_G`` is each function's own
+    globals, so a full memo stops the probes of the function that found
+    it full. Another operator over an equal chain lowers its own: a
+    memo is never shared across operators, and neither are constant
+    types (``Literal(1) == Literal(1.0) == Literal(True)``)."""
+    liked = [("project", [BinaryOp("LIKE", ColumnRef("s"), Literal("lab%"))], LIKED)]
+    ops = [FusedOp(liked, LIKED, CollectingConsumer(), SCHEMA) for _ in range(2)]
+    for op in ops:
+        assert _memos(op._fused)[0] is _memos(op._batch_fn)[0]
+        for fn in (op._fused, op._batch_fn):
+            assert fn.__globals__["_G"] is fn.__globals__
+    assert _memos(ops[0]._fused)[0] is not _memos(ops[1]._fused)[0]
+    constant = Schema.of(("k", DataType.FLOAT))
+    outputs = [
+        FusedOp([("project", [Literal(value)], constant)], constant, CollectingConsumer(), SCHEMA)
+        ._fused((1.0, 2.0, 3, "lab1", True))
+        for value in (1, 1.0, True)
+    ]
+    assert [type(value) for (value,) in outputs] == [int, float, bool]

@@ -19,7 +19,7 @@ from repro.data.streams import CollectingConsumer, Punctuation, StreamElement
 from repro.errors import ExecutionError
 from repro.plan import PlanBuilder
 from repro.plan.logical import Project, ProjectItem, Select
-from repro.sql.compiled import compile_fused, compile_fused_batch
+from repro.sql.compiled import Chain, compile_fused, compile_fused_batch
 from repro.sql.expressions import (
     BinaryOp,
     ColumnRef,
@@ -82,16 +82,16 @@ class TestCompileFused:
         ]
 
     def test_chain_passes_and_projects(self):
-        fn = compile_fused(self.stages(), self.SCHEMA)
+        fn = compile_fused(Chain(self.stages(), self.SCHEMA))
         assert fn((2.0, 3.0)) == (5.0, 2.0)
 
     def test_filter_rejects(self):
-        fn = compile_fused(self.stages(), self.SCHEMA)
+        fn = compile_fused(Chain(self.stages(), self.SCHEMA))
         assert fn((-1.0, 3.0)) is None  # first filter
         assert fn((99.0, 50.0)) is None  # post-projection filter
 
     def test_null_does_not_pass(self):
-        fn = compile_fused(self.stages(), self.SCHEMA)
+        fn = compile_fused(Chain(self.stages(), self.SCHEMA))
         assert fn((None, 3.0)) is None
 
     def test_filter_only_chain_returns_input_tuple(self):
@@ -99,20 +99,20 @@ class TestCompileFused:
             ("filter", BinaryOp(">", ColumnRef("a"), Literal(0.0))),
             ("filter", BinaryOp(">", ColumnRef("b"), Literal(0.0))),
         ]
-        fn = compile_fused(stages, self.SCHEMA)
+        fn = compile_fused(Chain(stages, self.SCHEMA))
         values = (1.0, 2.0)
         assert fn(values) is values
 
     def test_execution_error_propagates(self):
         stages = [("filter", BinaryOp(">", ColumnRef("a"), ColumnRef("b")))]
-        fn = compile_fused(stages, self.SCHEMA)
+        fn = compile_fused(Chain(stages, self.SCHEMA))
         with pytest.raises(ExecutionError):
             fn(("not-a-number", 1.0))
 
     def test_batch_variant_agrees_per_element(self):
         stages = self.stages()
-        fn = compile_fused(stages, self.SCHEMA)
-        batch = compile_fused_batch(stages, self.SCHEMA, self.OUT)
+        fn = compile_fused(Chain(stages, self.SCHEMA))
+        batch = compile_fused_batch(Chain(stages, self.SCHEMA), self.OUT)
         elements = [
             StreamElement(Row(self.SCHEMA, v, validate=False), float(i), "s")
             for i, v in enumerate([(2.0, 3.0), (-1.0, 1.0), (None, 4.0), (99.0, 50.0)])

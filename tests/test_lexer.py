@@ -1,9 +1,11 @@
 """Unit tests for the Stream SQL tokenizer."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ParseError
 from repro.sql import Token, TokenType, tokenize
+from repro.sql.lexer import KEYWORDS
 
 
 def kinds(text: str) -> list[tuple[TokenType, str]]:
@@ -94,3 +96,128 @@ class TestOperatorsAndComments:
     def test_brackets_for_windows(self):
         values = [v for _, v in kinds("[RANGE 30 SECONDS]")]
         assert values == ["[", "RANGE", "30", "SECONDS", "]"]
+
+
+def positioned(text: str) -> list[tuple[str, str, int, int]]:
+    return [(t.type.name, t.value, t.line, t.column) for t in tokenize(text)]
+
+
+def error_at(text: str) -> tuple[str, int, int]:
+    with pytest.raises(ParseError) as excinfo:
+        tokenize(text)
+    return str(excinfo.value).split(" at line")[0], excinfo.value.line, excinfo.value.column
+
+
+class TestEdgeCases:
+    """Positions and boundaries the scanner must keep: a tab or a CR is
+    one column, a line starts after each LF, and ``str.isalpha`` /
+    ``str.isdigit`` decide what a non-ASCII character starts."""
+
+    def test_crlf_and_tabs(self):
+        assert positioned("a\r\n\tb") == [
+            ("IDENTIFIER", "a", 1, 1), ("IDENTIFIER", "b", 2, 2), ("EOF", "", 2, 3),
+        ]
+
+    def test_comment_at_eof_without_newline(self):
+        assert positioned("x -- done") == [("IDENTIFIER", "x", 1, 1), ("EOF", "", 1, 10)]
+
+    def test_multiline_string_and_the_position_after_it(self):
+        assert positioned("'a\nbc' d") == [
+            ("STRING", "a\nbc", 1, 1), ("IDENTIFIER", "d", 2, 5), ("EOF", "", 2, 6),
+        ]
+
+    def test_empty_string_and_trailing_escapes(self):
+        assert positioned("''") == [("STRING", "", 1, 1), ("EOF", "", 1, 3)]
+        assert positioned("'it''s'''") == [("STRING", "it's'", 1, 1), ("EOF", "", 1, 10)]
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("1e", [("NUMBER", "1"), ("IDENTIFIER", "e")]),
+            ("1.e5", [("NUMBER", "1"), ("PUNCTUATION", "."), ("IDENTIFIER", "e5")]),
+            (".5", [("NUMBER", ".5")]),
+            ("1.2.3", [("NUMBER", "1.2"), ("NUMBER", ".3")]),
+            ("t.5", [("IDENTIFIER", "t"), ("NUMBER", ".5")]),
+            ("1e+5e-", [("NUMBER", "1e+5"), ("IDENTIFIER", "e"), ("OPERATOR", "-")]),
+        ],
+    )
+    def test_number_boundaries(self, text, expected):
+        assert [(kind, value) for kind, value, _, _ in positioned(text)[:-1]] == expected
+
+    def test_unicode_letters_and_digits(self):
+        assert positioned("café") == [("IDENTIFIER", "café", 1, 1), ("EOF", "", 1, 5)]
+        # '²' is a digit to str.isdigit, so it starts and continues a number ...
+        assert positioned("²") == [("NUMBER", "²", 1, 1), ("EOF", "", 1, 2)]
+        assert positioned("1²") == [("NUMBER", "1²", 1, 1), ("EOF", "", 1, 3)]
+        # ... while '½' is neither a letter nor a digit.
+        assert error_at("½") == ("unexpected character '½'", 1, 1)
+
+    @pytest.mark.parametrize("text", [":", ": x", ":1"])
+    def test_colon_without_a_name(self, text):
+        assert error_at(text) == ("expected parameter name after ':'", 1, 1)
+
+    def test_parameter_keeps_its_case(self):
+        assert positioned("x :limit")[1] == ("PARAMETER", "limit", 1, 3)
+
+    def test_characters_outside_the_dialect(self):
+        assert error_at("!") == ("unexpected character '!'", 1, 1)
+        assert error_at("a\x0cb") == ("unexpected character '\\x0c'", 1, 2)
+
+    def test_unterminated_string_position(self):
+        assert error_at("select\n  'oops") == ("unterminated string literal", 2, 3)
+        assert error_at("'a''") == ("unterminated string literal", 1, 1)
+
+
+# ----------------------------------------------------------------------
+# Property: rendered tokens come back where the rendering put them
+# ----------------------------------------------------------------------
+_NAME = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True)
+_TOKENS = st.one_of(
+    st.sampled_from(sorted(KEYWORDS)).flatmap(
+        lambda word: st.sampled_from([word, word.lower(), word.title()]).map(
+            lambda text: ("KEYWORD", word, text)
+        )
+    ),
+    st.one_of(_NAME.filter(lambda name: name.upper() not in KEYWORDS), st.sampled_from(["café", "Ωmega", "x²"])).map(
+        lambda name: ("IDENTIFIER", name, name)
+    ),
+    st.from_regex(r"(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?", fullmatch=True).map(
+        lambda number: ("NUMBER", number, number)
+    ),
+    st.text().map(lambda value: ("STRING", value, "'" + value.replace("'", "''") + "'")),
+    _NAME.map(lambda name: ("PARAMETER", name, ":" + name)),
+    st.sampled_from(["<=", ">=", "!=", "<>", "=", "<", ">", "+", "-", "*", "/", "%", "^"]).map(
+        lambda op: ("OPERATOR", op, op)
+    ),
+    st.sampled_from(list("(),.[];")).map(lambda mark: ("PUNCTUATION", mark, mark)),
+)
+# A separator opens with whitespace, so no two tokens run together and
+# no comment follows a '-'.
+_COMMENT = st.text().map(lambda text: "--" + text.replace("\n", " "))
+_SEPARATOR = st.tuples(
+    st.sampled_from(list(" \t\r\n")),
+    st.lists(st.one_of(st.text(" \t\r\n", min_size=1), _COMMENT.map(lambda c: c + "\n")), max_size=3),
+).map(lambda parts: parts[0] + "".join(parts[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_SEPARATOR, _TOKENS), max_size=12),
+    st.one_of(st.just(""), _SEPARATOR, _COMMENT.map(lambda c: " " + c)),
+)
+def test_rendered_tokens_come_back_at_their_positions(pieces, tail):
+    text, expected, line, column = "", [], 1, 1
+
+    def advance(chunk: str) -> None:
+        nonlocal line, column
+        for ch in chunk:
+            line, column = (line + 1, 1) if ch == "\n" else (line, column + 1)
+
+    for separator, (kind, value, rendered) in pieces:
+        advance(separator)
+        expected.append((kind, value, line, column))
+        advance(rendered)
+        text += separator + rendered
+    advance(tail)
+    expected.append(("EOF", "", line, column))
+    assert positioned(text + tail) == expected

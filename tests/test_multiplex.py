@@ -1134,6 +1134,56 @@ class TestAdmissionBudget:
         assert (walks[0], renders[0], compared[0]) == (0, 0, 0)
         session.close()
 
+    @pytest.mark.parametrize("workload", ["one_query", "standing7"])
+    def test_a_cold_admission_scans_once_and_lowers_each_chain_once(self, workload, monkeypatch):
+        """Each text is scanned once to normalize it and once to parse
+        it, and each operator's Filter/Project chain is lowered once
+        however many functions splice it: ``one_query``'s one chain
+        feeds its operator's per-element function, its batch loop and
+        the engine's fused-ingest loop (three lowerings before chains
+        were held)."""
+        from repro.sql import compiled, lexer, normalize, parser
+
+        _, standing7, _, _ = _ledger()
+        queries = standing7[:1] if workload == "one_query" else standing7
+        session = _ledger_session()
+        normalize.normalize_sql.cache_clear()
+        scans: list[str] = []
+        lowerings: dict[int, int] = {}
+        splices: dict[int, int] = {}
+
+        def scanning(text):
+            scans.append(text)
+            return lexer.tokenize(text)
+
+        def lowered(chain, _lowered=compiled.Chain.lowered):
+            splices[id(chain)] = splices.get(id(chain), 0) + 1
+            if chain._lowered is None and chain.stages:
+                lowerings[id(chain)] = lowerings.get(id(chain), 0) + 1
+            return _lowered(chain)
+
+        monkeypatch.setattr(parser, "tokenize", scanning)
+        monkeypatch.setattr(normalize, "tokenize", scanning)
+        monkeypatch.setattr(compiled.Chain, "lowered", lowered)
+        emitted = [0]
+        raw_emit = compiled._emit_stages
+
+        def emitting(gen, stages, *args):
+            emitted[0] += bool(stages)
+            return raw_emit(gen, stages, *args)
+
+        monkeypatch.setattr(compiled, "_emit_stages", emitting)
+        for sql in queries:
+            session.query(sql)
+        monkeypatch.undo()
+        assert sorted(scans) == sorted(list(queries) * 2)
+        assert emitted[0] == len(lowerings) and set(lowerings.values()) == {1}
+        if workload == "one_query":
+            (op,) = [op for chain in session.engine.subplans.live_chains for op in chain.compiled.operators]
+            assert list(lowerings) == [id(op.chain)] and splices[id(op.chain)] == 3
+            assert session.engine._fused_ingest["readings"][1] is op
+        session.close()
+
     @pytest.mark.parametrize("workload", ["standing7", "tenants1k"])
     def test_a_chain_emits_its_subtrees_schema(self, workload):
         """``_live`` matches a consumer on the schema of the subtree a

@@ -204,6 +204,25 @@ class TestStatements:
         statements = parse_script("select 'a;b' from T")
         assert len(statements) == 1
 
+    def test_parse_script_skips_blank_and_comment_only_segments(self):
+        statements = parse_script(";; select a from T ;\n-- only a comment\n; select b from T;")
+        assert [s.items[0].expr.render() for s in statements] == ["a", "b"]
+
+    def test_parse_script_errors_count_from_the_start_of_the_script(self):
+        """The script is scanned once: a segment's error is placed in
+        the script, and a segment still ends where its ``;`` is."""
+        with pytest.raises(ParseError) as excinfo:
+            parse_script("select a from T;\nselect b from")
+        assert "expected identifier (found '')" in str(excinfo.value)
+        assert (excinfo.value.line, excinfo.value.column) == (2, 14)
+        with pytest.raises(ParseError) as excinfo:
+            parse_script("select a from T; select b from ; select c from T")
+        assert "expected identifier (found '')" in str(excinfo.value)
+        assert (excinfo.value.line, excinfo.value.column) == (1, 32)
+        with pytest.raises(ParseError) as excinfo:
+            parse_script("select a from T;\n  select 'b")
+        assert (excinfo.value.line, excinfo.value.column) == (2, 10)
+
     def test_parse_select_rejects_view(self):
         with pytest.raises(ParseError):
             parse_select("create view V as select a from T")

@@ -5,6 +5,7 @@ import pytest
 from repro import SmartCIS
 from repro.errors import AspenError, BuildingModelError
 from repro.smartcis import render_app
+from repro.sql.compiled import compile_counts
 from repro.smartcis.queries import (
     FREE_MACHINE_QUERY,
     TEMPS_OF_MACHINES_IN_USE,
@@ -267,3 +268,19 @@ class TestGui:
 
     def test_rendering_is_deterministic(self, app):
         assert render_app(app) == render_app(app)
+
+
+def test_find_free_machines_compiles_each_pattern_once():
+    """The LIKE matcher of a pattern is generated at its first call and
+    kept on the app, at most 64 patterns, oldest evicted first: three
+    calls with ``'%'`` generate one function, not three."""
+    app = SmartCIS(seed=7, lab_count=2, desks_per_lab=2, server_count=2)
+    app.start()
+    app.simulator.run_for(25.0)
+    before = compile_counts()["generated"]
+    answers = [app.find_free_machines("%") for _ in range(3)]
+    assert compile_counts()["generated"] == before + 1
+    assert answers[0] == answers[1] == answers[2] and answers[0]
+    for index in range(64):
+        app.find_free_machines(f"%{index}%")
+    assert len(app._matchers) == 64 and "%" not in app._matchers
