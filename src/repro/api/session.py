@@ -84,7 +84,7 @@ from repro.sql.analyzer import Analyzer
 from repro.sql.ast import CreateView, RecursiveQuery, SelectQuery
 from repro.sql.expressions import collect_parameters
 from repro.sql.lexer import tokenize
-from repro.sql.normalize import normalize_sql
+from repro.sql.normalize import scan_sql
 from repro.sql.parser import parse
 from repro.stream.batch import BoundedPipeline, evaluate, fixpoint
 from repro.stream.engine import StreamEngine, counted
@@ -402,9 +402,9 @@ class Session:
         except (AnalysisError, CatalogError, PlanError, OptimizerError) as exc:
             raise QueryError(str(exc), sql=sql) from exc
 
-    def _parse(self, sql: str):
+    def _parse(self, sql: str, tokens: list | None = None):
         with self._compiling(sql):
-            return parse(sql)
+            return parse(sql if tokens is None else tokens)
 
     def _compile_statement(
         self,
@@ -432,11 +432,14 @@ class Session:
         catalog, and the two callers reject or handle it differently.
         """
         cacheable = placement is None and engine is None
+        tokens = None
         if cacheable:
             # Inline rather than under ``_compiling``: a hit enters no
-            # context manager. The lexer raises ParseError alone.
+            # context manager. The lexer raises ParseError alone. Text
+            # the memo has not seen comes with its tokens, which the
+            # parse below reads instead of scanning the text again.
             try:
-                key = normalize_sql(sql)
+                key, tokens = scan_sql(sql)
             except ParseError as exc:
                 raise QueryError(
                     str(exc), line=exc.line, column=exc.column, sql=sql
@@ -445,7 +448,7 @@ class Session:
             if entry is not None:
                 self._analyze_entry(entry, sql, cached=True)
                 return entry
-        statement = self._parse(sql)
+        statement = self._parse(sql, tokens)
         parameters = tuple(sorted(_statement_parameter_names(statement)))
         if isinstance(statement, CreateView):
             return CachedStatement(

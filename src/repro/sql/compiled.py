@@ -102,7 +102,9 @@ and :func:`compile_join_probe` for one side of a windowed symmetric
 hash join (key, bucket append, window test, residual predicate and the
 Select/Project run above the join in one generated loop per run; a side
 whose own window is ROWS has no kernel by design, which is not a
-fallback and is not counted), and :func:`compile_distinct_batch` for a
+fallback and is not counted) — or for both sides at once, over one
+exchange delivery's interleaved runs — and
+:func:`compile_distinct_batch` for a
 DISTINCT with the Select/Project run below it (the run, then the seen
 set's membership test, then — for a first occurrence only — the output
 element). :func:`compile_ingest` generates the
@@ -128,11 +130,14 @@ join's residual predicate is its probe chain's first filter. ::
     _fold           an element run, or each element's fold into group slots
                     open windows (_emit_run)          (_fold_into)
     _probe          a join's live pairs (_emit_pairs) append a joined element (_append)
+    _deliver        a delivery's runs, per row its    the same
+                    element built inline, then its
+                    side's live pairs (_emit_pairs)
     _ingest         a caller's rows (_emit_rows)      append a row or element (_append)
     _fused_ingest   the same                          append an element (_append)
 
-A new loop — a Select run folded inside an aggregate, an exchanged
-join's runs — is a new composition of these pieces; ``_distinct`` is
+A new loop — a Select run folded inside an aggregate — is a new
+composition of these pieces; ``_distinct`` is
 ``_fused_batch``'s source, stages and sink with the membership test in
 front of the sink.
 
@@ -207,7 +212,7 @@ from functools import lru_cache
 from typing import Any, Callable, Sequence
 
 from repro.data.schema import Schema
-from repro.data.streams import StreamElement as _StreamElement
+from repro.data.streams import StreamElement as _StreamElement, park as _park
 from repro.data.tuples import Row
 from repro.data.types import DataType
 from repro.data.windows import WindowKind, WindowSpec
@@ -509,7 +514,10 @@ def _codegen_loop(source: tuple, chain: Chain, sink: tuple) -> Callable:
     * ``source`` is ``(name, signature, head)``. ``head(gen)`` emits the
       prelude and the loop head that binds the value tuple ``v``, and
       returns the body's indent: 1 for a source with no loop, where a
-      rejected row returns ``None`` instead of taking the next.
+      rejected row returns ``None`` instead of taking the next. A head
+      with several loop heads (the two sides of a join delivery) is a
+      generator: it yields each body's indent where that body goes,
+      and what it emits after its last yield closes the function.
     * ``chain`` is the Filter/Project :class:`Chain` over ``v``: its one
       lowering, spliced at the body's indent with this loop's reject.
       The function starts from what the lowering bound, named and
@@ -529,13 +537,14 @@ def _codegen_loop(source: tuple, chain: Chain, sink: tuple) -> Callable:
     gen.counter, gen.columns, gen.non_null = lowered.counter, dict(lowered.columns), set(lowered.non_null)
     for line in prelude:
         gen.emit(1, line)
-    indent = head(gen)
-    pad, reject = "    " * indent, "continue" if indent > 1 else "return None"
-    gen.lines += [
-        pad + (line[: -len(_REJECT)] + reject if line.endswith(_REJECT) else line)
-        for line in lowered.lines
-    ]
-    body(gen, indent)
+    indents = head(gen)
+    for indent in (indents,) if isinstance(indents, int) else indents:
+        pad, reject = "    " * indent, "continue" if indent > 1 else "return None"
+        gen.lines += [
+            pad + (line[: -len(_REJECT)] + reject if line.endswith(_REJECT) else line)
+            for line in lowered.lines
+        ]
+        body(gen, indent)
     for line in epilogue:
         gen.emit(1, line)
     text = f"def _{name}({signature}):\n" + "\n".join(gen.lines) + "\n"
@@ -992,9 +1001,9 @@ def compile_join_probe(
     left_window: WindowSpec,
     right_window: WindowSpec,
     chain: Chain,
-    left: bool,
+    left: bool | None,
     output_schema: Schema,
-) -> Callable[[list, dict, dict, list, set | None], None] | None:
+) -> Callable | None:
     """Compile one side of a windowed symmetric hash join into a
     generated *batch probe* function, or ``None`` when that side has no
     batch body (then the caller keeps its per-element loop).
@@ -1013,12 +1022,25 @@ def compile_join_probe(
     opposite buffer does not change while one side's run is probed, so
     the pairs and their order are exactly those of per-element delivery.
 
+    With ``left`` None it compiles both sides' probes into one
+    *delivery* function, ``deliver(runs, left, right, out,
+    left_unsorted, right_unsorted)``, or ``None`` when either side has
+    no kernel. ``runs`` is one exchange delivery's runs for this join in
+    delivery order, each ``(is_left, values, stamps, source)``: per row
+    it builds the element inline (a Row of the values under that side's
+    schema, stamped, from ``source``) and runs that side's probe, every
+    run's pairs into the one ``out``. A run that raises has its pairs
+    removed from ``out`` and the rest of its rows skipped, its exception
+    goes to :func:`~repro.data.streams.park`, and the next run goes on;
+    the function returns the rows of the runs that completed. Runs on
+    alternate sides see each other exactly as per-run probes would.
+
     ``chain`` is the residual predicate as a filter, then the
     Select/Project run above the join, over the joined tuple — one
-    :class:`Chain` both sides' kernels splice: a filter skips the pair,
-    a projection rebinds the tuple, and each surviving pair appends one
-    ``Row.raw(output_schema, v)`` — no joined row is built first.
-    Without stages ``output_schema`` is the concatenated schema.
+    :class:`Chain` every kernel of the join splices: a filter skips the
+    pair, a projection rebinds the tuple, and each surviving pair
+    appends one ``Row.raw(output_schema, v)`` — no joined row is built
+    first. Without stages ``output_schema`` is the concatenated schema.
 
     The liveness test is the two-sided window test inlined as arithmetic
     on the two timestamps: an opposite row *later* than the arriving one
@@ -1031,97 +1053,137 @@ def compile_join_probe(
     A side whose *own* window is ROWS has no kernel: every arrival there
     also evicts by count, a per-element state change.
     """
-    own_window = left_window if left else right_window
-    if own_window.kind is WindowKind.ROWS:
+    windows = (left_window, right_window)
+    sides = (True, False) if left is None else (left,)
+    if any(windows[0 if side else 1].kind is WindowKind.ROWS for side in sides):
         return None
     return _generate(
         _codegen_join_probe,
-        left_schema if left else right_schema,
-        tuple(left_keys if left else right_keys),
-        own_window,
-        right_window if left else left_window,
+        (left_schema, right_schema),
+        (tuple(left_keys), tuple(right_keys)),
+        windows,
         chain,
-        left,
+        sides,
         output_schema,
     )
 
 
 def _codegen_join_probe(
-    own_schema: Schema,
-    own_keys: tuple[str, ...],
-    own_window: WindowSpec,
-    other_window: WindowSpec,
+    schemas: tuple[Schema, Schema],
+    keys: tuple[tuple[str, ...], tuple[str, ...]],
+    windows: tuple[WindowSpec, WindowSpec],
     chain: Chain,
-    left: bool,
+    sides: tuple[bool, ...],
     output_schema: Schema,
-) -> Callable[[list, dict, dict, list, set | None], None]:
-    keys = [own_schema.index_of(name) for name in own_keys]
-    return _codegen_loop(
-        (
-            "probe",
-            "elements, own, other, out, unsorted",
-            lambda gen: _emit_pairs(gen, keys, own_window, other_window, left),
-        ),
-        chain,
-        _append(output_schema, "_m", '""'),
-    )
+) -> Callable:
+    positions = [[schema.index_of(name) for name in names] for schema, names in zip(schemas, keys)]
+    if len(sides) == 1:
+
+        def probe(gen: _CodeGen) -> int:
+            gen.emit(1, "own_get = own.get")
+            gen.emit(1, "other_get = other.get")
+            gen.emit(1, "for _e in elements:")
+            gen.emit(2, "_w = _e.row.values")
+            gen.emit(2, "_t = _e.timestamp")
+            return _emit_pairs(gen, positions, windows, sides[0], 2, ("own", "other"), None)
+
+        source = ("probe", "elements, own, other, out, own_unsorted", probe)
+    else:
+
+        def deliver(gen: _CodeGen):
+            gen.emit(1, "left_get = left.get")
+            gen.emit(1, "right_get = right.get")
+            gen.emit(1, "rows = 0")
+            gen.emit(1, "for _s, _vs, _ts, _src in runs:")
+            gen.emit(2, "_mark = len(out)")
+            gen.emit(2, "try:")
+            for left, names in ((True, ("left", "right")), (False, ("right", "left"))):
+                gen.emit(3, "if _s:" if left else "else:")
+                gen.emit(4, "for _w, _t in zip(_vs, _ts):")
+                row_schema = gen.bind(schemas[0 if left else 1], "rs")
+                yield _emit_pairs(gen, positions, windows, left, 5, names, row_schema)
+            gen.emit(2, "except Exception as _exc:")
+            gen.emit(3, "del out[_mark:]")
+            gen.emit(3, f"{gen.bind(_park, 'park')}(_exc)")
+            gen.emit(2, "else:")
+            gen.emit(3, "rows += len(_vs)")
+            gen.emit(1, "return rows")
+
+        source = ("deliver", "runs, left, right, out, left_unsorted, right_unsorted", deliver)
+    return _codegen_loop(source, chain, _append(output_schema, "_m", '""'))
 
 
 def _emit_pairs(
-    gen: _CodeGen, keys: list[int], own_window: WindowSpec, other_window: WindowSpec, left: bool
+    gen: _CodeGen,
+    keys: list[list[int]],
+    windows: tuple[WindowSpec, WindowSpec],
+    left: bool,
+    indent: int,
+    names: tuple[str, str],
+    schema: str | None,
 ) -> int:
-    """The probe kernel's loop head: per arriving element its key (at
-    positions ``keys``) and bucket append, then per live opposite row in
-    the key's bucket ``v``, the concatenated value tuple, and ``_m``,
-    the pair's stamp."""
-    key_atoms = [f"_w[{position}]" for position in keys]
-    gen.emit(1, "own_get = own.get")
-    gen.emit(1, "other_get = other.get")
-    gen.emit(1, "for _e in elements:")
-    gen.emit(2, "_w = _e.row.values")
+    """One row arriving on the ``left`` side (or the right), at
+    ``indent`` inside its loop, with its value tuple ``_w`` and stamp
+    ``_t`` bound: its key (at its side's positions in ``keys``, left
+    first, as ``windows``), then — its element ``_e`` built here from
+    ``_src`` as a Row under the bound ``schema`` when one is named, else
+    already bound — its append to the bucket dict named ``names[0]``,
+    then per live row of the key's bucket in ``names[1]`` ``v``, the
+    concatenated value tuple, and ``_m``, the pair's stamp. Returns the
+    body's indent."""
+    own, other = names
+    own_window, other_window = windows if left else windows[::-1]
+    key_atoms = [f"_w[{position}]" for position in keys[0 if left else 1]]
     # Same key convention as the per-element body: a single column
     # hashes the bare value, several a tuple, none the empty tuple.
     if len(key_atoms) == 1:
-        gen.emit(2, f"_k = {key_atoms[0]}")
-        gen.emit(2, "if _k is None:")
-        gen.emit(3, "continue")
+        gen.emit(indent, f"_k = {key_atoms[0]}")
+        gen.emit(indent, "if _k is None:")
+        gen.emit(indent + 1, "continue")
     else:
         if key_atoms:
-            gen.emit(2, f"if {' or '.join(f'{a} is None' for a in key_atoms)}:")
-            gen.emit(3, "continue")
-        gen.emit(2, f"_k = ({', '.join(key_atoms)})")
-    gen.emit(2, "_b = own_get(_k)")
-    gen.emit(2, "if _b is None:")
-    gen.emit(3, f"_b = own[_k] = {gen.bind(_deque, 'dq')}()")
+            gen.emit(indent, f"if {' or '.join(f'{a} is None' for a in key_atoms)}:")
+            gen.emit(indent + 1, "continue")
+        gen.emit(indent, f"_k = ({', '.join(key_atoms)})")
+    if schema is not None:
+        _emit_row(gen, indent, schema, "_w")
+        gen.env["_Element"] = _StreamElement
+        gen.emit(indent, "_e = _new(_Element)")
+        gen.emit(indent, "_e.row = _r")
+        gen.emit(indent, "_e.timestamp = _t")
+        gen.emit(indent, "_e.source = _src")
+    gen.emit(indent, f"_b = {own}_get(_k)")
+    gen.emit(indent, "if _b is None:")
+    gen.emit(indent + 1, f"_b = {own}[_k] = {gen.bind(_deque, 'dq')}()")
     if own_window.evicts_by_time:
         # Buckets hold at least one row; eviction rescans marked ones.
-        gen.emit(2, "elif _e.timestamp < _b[-1].timestamp:")
-        gen.emit(3, "unsorted.add(_k)")
-    gen.emit(2, "_b.append(_e)")
-    gen.emit(2, "_c = other_get(_k)")
-    gen.emit(2, "if _c is None:")
-    gen.emit(3, "continue")
-    gen.emit(2, "_t = _e.timestamp")
-    gen.emit(2, "for _x in _c:")
-    gen.emit(3, "_o = _x.timestamp")
-    gen.emit(3, "if _o > _t:")
+        gen.emit(indent, "elif _t < _b[-1].timestamp:")
+        gen.emit(indent + 1, f"{own}_unsorted.add(_k)")
+    gen.emit(indent, "_b.append(_e)")
+    gen.emit(indent, f"_c = {other}_get(_k)")
+    gen.emit(indent, "if _c is None:")
+    gen.emit(indent + 1, "continue")
+    body = indent + 1
+    gen.emit(indent, "for _x in _c:")
+    gen.emit(body, "_o = _x.timestamp")
+    gen.emit(body, "if _o > _t:")
     if own_window.kind is WindowKind.NOW:
-        gen.emit(4, "continue")
+        gen.emit(body + 1, "continue")
     else:
         if own_window.kind is WindowKind.RANGE:
-            gen.emit(4, f"if _o - _t > {gen.atom(own_window.size)}:")
-            gen.emit(5, "continue")
-        gen.emit(4, "_m = _o")
-    gen.emit(3, "else:")
+            gen.emit(body + 1, f"if _o - _t > {gen.atom(own_window.size)}:")
+            gen.emit(body + 2, "continue")
+        gen.emit(body + 1, "_m = _o")
+    gen.emit(body, "else:")
     if other_window.kind is WindowKind.RANGE:
-        gen.emit(4, f"if _o != _t and not (_t - _o <= {gen.atom(other_window.size)}):")
-        gen.emit(5, "continue")
+        gen.emit(body + 1, f"if _o != _t and not (_t - _o <= {gen.atom(other_window.size)}):")
+        gen.emit(body + 2, "continue")
     elif other_window.kind is WindowKind.NOW:
-        gen.emit(4, "if _o != _t:")
-        gen.emit(5, "continue")
-    gen.emit(4, "_m = _t")
-    gen.emit(3, "v = _w + _x.row.values" if left else "v = _x.row.values + _w")
-    return 3
+        gen.emit(body + 1, "if _o != _t:")
+        gen.emit(body + 2, "continue")
+    gen.emit(body + 1, "_m = _t")
+    gen.emit(body, "v = _w + _x.row.values" if left else "v = _x.row.values + _w")
+    return body
 
 
 def _codegen_fused(chain: Chain) -> Callable[[tuple], tuple | None]:

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from repro.sql.lexer import TokenType, tokenize
 
-__all__ = ["normalize_sql"]
+__all__ = ["normalize_sql", "scan_sql"]
 
 
 def _render(token) -> str:
@@ -35,22 +35,35 @@ def _render(token) -> str:
 
 
 @lru_cache(maxsize=4096)
-def normalize_sql(text: str) -> str:
-    """Return the canonical cache key for ``text``.
+def _scanned(text: str) -> list:
+    """``[key, tokens]`` for ``text``: its canonical key, and the token
+    list the key was rendered from until :func:`scan_sql` takes it."""
+    tokens = tokenize(text)
+    return [" ".join(_render(token) for token in tokens[:-1]), tokens]
+
+
+def scan_sql(text: str) -> tuple[str, list | None]:
+    """Return the canonical cache key for ``text``, and the lexer's
+    tokens when this call is the first to see ``text`` — so a cold
+    admission hands them to the parser and the text is scanned once —
+    else None.
 
     Raises the lexer's :class:`~repro.errors.ParseError` on malformed
     input — callers funnel that into the same error path as parsing,
     so a statement that cannot be normalized is compiled (and fails)
     the ordinary way.
 
-    Memoized (pure text -> text): under multi-tenant admission the same
+    Memoized (pure text -> key): under multi-tenant admission the same
     few statement templates arrive thousands of times, and re-lexing
-    dominates an otherwise cache-hit ``session.query()`` call. Failures
-    are not cached, so malformed text re-raises on every call.
+    dominates an otherwise cache-hit ``session.query()`` call. The memo
+    keeps no tokens once they are taken. Failures are not cached, so
+    malformed text re-raises on every call.
     """
-    parts = []
-    for token in tokenize(text):
-        if token.type is TokenType.EOF:
-            break
-        parts.append(_render(token))
-    return " ".join(parts)
+    entry = _scanned(text)
+    tokens, entry[1] = entry[1], None
+    return entry[0], tokens
+
+
+def normalize_sql(text: str) -> str:
+    """The canonical cache key for ``text`` (:func:`scan_sql`'s)."""
+    return scan_sql(text)[0]

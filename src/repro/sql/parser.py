@@ -50,10 +50,11 @@ _COMPARISON_OPS = ("=", "!=", "<>", "<", "<=", ">", ">=")
 
 
 class Parser:
-    """Parses one Stream SQL statement from a token list."""
+    """Parses one Stream SQL statement from a token list: the text's,
+    or one the lexer already produced (:func:`~repro.sql.normalize.scan_sql`)."""
 
-    def __init__(self, text: str):
-        self._tokens = tokenize(text)
+    def __init__(self, text: str | list[Token]):
+        self._tokens = tokenize(text) if isinstance(text, str) else text
         self._pos = 0
 
     # ------------------------------------------------------------------
@@ -452,8 +453,8 @@ class Parser:
         return FunctionCall(upper, tuple(args))
 
 
-def parse(text: str) -> Statement:
-    """Parse one Stream SQL statement.
+def parse(text: str | list[Token]) -> Statement:
+    """Parse one Stream SQL statement (its text, or its tokens).
 
     >>> stmt = parse("select room, temp from Readings [RANGE 30 SECONDS] where temp > 30")
     >>> stmt.tables[0].window.size

@@ -17,8 +17,10 @@ verb                effect on the shard
 ``ingest``          a batch of rows of one source (``ingest_remote``:
                     one element of a remote fragment feed)
 ``punctuate``       advance the watermark on the sources' ports
-``deliver``         the shuffle barrier's round 2: exchanged runs into
-                    their ports, then the ports' watermarks
+``deliver``         the shuffle barrier's round 2: every run flushed to
+                    this shard, all queries', by one ``push_exchange``
+                    call (a join takes its two sides' interleaved runs
+                    in one call), then the ports' watermarks
 ``settle``          return once everything sent so far is processed and
                     its emissions have reached the feeds
 ``load_table`` /    replicated-table maintenance; ``seed`` installs a
@@ -124,8 +126,8 @@ class ShardHost:
     @edge
     def deliver(self, runs, puncts) -> None:
         engine = self._live()
-        for name, values, stamps in runs:
-            engine.push_exchange(name, values, stamps)
+        if runs:
+            engine.push_exchange(runs)
         for watermark, names in puncts:
             engine.punctuate(watermark, names)
 

@@ -258,7 +258,8 @@ class PlanCompiler:
             return downstream
         if isinstance(node, ExchangeSource):
             # A shuffled feed from the other shards: push_exchange builds
-            # its rows under the stage-2 schema.
+            # its rows under the stage-2 schema (a join's delivery loop
+            # builds them inline).
             compiled.ports.append(
                 ScanPort(node.name, node.name, downstream, exchange=True)
             )
@@ -411,6 +412,8 @@ class PlanCompiler:
         )
         if not join.generated:
             return None
+        if isinstance(node.left, ExchangeSource) and isinstance(node.right, ExchangeSource):
+            join.take_deliveries()
         compiled.operators.append(join)
         self._compile_node(node.left, join.left_port, compiled)
         self._compile_node(node.right, join.right_port, compiled)

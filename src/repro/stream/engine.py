@@ -57,7 +57,7 @@ from repro.stream.compiler import (
     result_sink,
 )
 from repro.stream.multiplex import SharedChain, SubplanRegistry
-from repro.stream.operators import StageOp
+from repro.stream.operators import StageOp, SymmetricHashJoin
 
 _query_ids = itertools.count(1)
 
@@ -169,6 +169,9 @@ class _Route:
     query_id: int
     port: ScanPort
     remote_schema: Schema | None = None  # set for RemoteSource ports
+    #: ``(join, is_left)`` for an exchange port feeding a join side whose
+    #: join takes a delivery whole (``SymmetricHashJoin.push_runs``).
+    side: tuple | None = None
 
 
 class StreamEngine:
@@ -425,7 +428,11 @@ class StreamEngine:
 
     def _add_route(self, owner_id: int, port: ScanPort, remote_schema: Schema | None) -> None:
         key = port.source_name.lower()
-        self._routes.setdefault(key, []).append(_Route(owner_id, port, remote_schema))
+        side = None
+        consumer = port.consumer
+        if isinstance(consumer, SymmetricHashJoin._SidePort) and consumer._join._deliver is not None:
+            side = (consumer._join, consumer._left)
+        self._routes.setdefault(key, []).append(_Route(owner_id, port, remote_schema, side))
         if port.scan is not None and port.scan.entry.kind is not SourceKind.TABLE:
             # Generated at admission, with the plan's functions: rows
             # flowing never generate code.
@@ -637,36 +644,48 @@ class StreamEngine:
         return multi
 
     @edge
-    def push_exchange(
-        self,
-        name: str,
-        values: Sequence[tuple],
-        timestamps: Sequence[float],
-    ) -> int:
-        """Trusted batch ingest into one exchange port.
+    def push_exchange(self, runs: Sequence[tuple[str, list, list]]) -> int:
+        """Trusted ingest of one exchange delivery: every run the pool's
+        shuffle barrier routed to this engine, in delivery order.
 
-        ``name`` is an :func:`~repro.plan.exchange.exchange_name` port;
-        ``values`` are positional tuples of the exchanged schema (the
-        stage-1 emissions, routed here by the pool's shuffle barrier).
-        No catalog entry exists and no replay-log recording happens —
-        the pool logs exchange deliveries itself so failover can replay
-        them deterministically.
+        Each run is ``(name, values, timestamps)``: ``name`` an
+        :func:`~repro.plan.exchange.exchange_name` port, ``values``
+        positional tuples of the exchanged schema (stage-1 emissions).
+        Consecutive runs into the sides of one join that takes a
+        delivery whole enter it by one ``push_runs`` call, which builds
+        their rows itself and parks what a run raises; every other run
+        is built into elements once and pushed to its ports. No catalog entry exists and no
+        replay-log recording happens — the pool logs exchange deliveries
+        itself so failover can replay them deterministically. Returns
+        the rows delivered to a port.
         """
         if self.failed:
             return 0
-        routes = self._routes.get(name.lower(), ())
-        if not routes:
-            return 0
-        elements = elements_from_columns(
-            routes[0].remote_schema, name, values, timestamps
-        )
-        for route in routes:
-            try:
-                push_all(route.port.consumer, elements)
-            except Exception as exc:
-                park(exc)
-        self.elements_ingested += len(elements)
-        return len(elements)
+        count = 0
+        join, taken = None, []
+        for name, values, stamps in runs:
+            routes = self._routes.get(name.lower(), ())
+            if not routes:
+                continue
+            count += len(values)
+            side = routes[0].side if len(routes) == 1 else None
+            if taken and (side is None or side[0] is not join):
+                join.push_runs(taken)
+                taken = []
+            if side is not None:
+                join = side[0]
+                taken.append((side[1], values, stamps, name))
+                continue
+            elements = elements_from_columns(routes[0].remote_schema, name, values, stamps)
+            for route in routes:
+                try:
+                    push_all(route.port.consumer, elements)
+                except Exception as exc:
+                    park(exc)
+        if taken:
+            join.push_runs(taken)
+        self.elements_ingested += count
+        return count
 
     @edge
     def push_remote(

@@ -12,7 +12,9 @@ The push protocol (stated once, on
 element or one punctuation, ``push_batch(elements)`` a punctuation-free
 run of elements. Each operator therefore has exactly two data bodies —
 the per-element ``on_element`` and one batch body over a pure run —
-plus ``on_punctuation``. Where codegen provides a loop
+plus ``on_punctuation``; an exchanged join's batch body also takes a
+whole shuffle delivery, both sides' runs in one call
+(:meth:`SymmetricHashJoin.push_runs`). Where codegen provides a loop
 (:class:`FilterOp`, :class:`ProjectOp`, :class:`FusedOp`,
 :class:`DistinctOp`, the running :class:`AggregateOp` fold) the batch
 body is that loop, called
@@ -399,11 +401,18 @@ class SymmetricHashJoin(Operator):
     timestamp arithmetic, the residual predicate and the stages inlined)
     and leaves as **one** ``emit_batch`` — the same rows in the same
     order (input order × bucket order) as per-element delivery, because
-    one side's run never changes the buffer it probes. Which body a run
-    gets follows from what the operator is, never from a setting: a
-    side whose own window is ROWS (every arrival also evicts by count)
-    and a kernel that failed to generate (a counted fallback) have no
-    kernel and loop ``_push_side``.
+    one side's run never changes the buffer it probes. A join both of
+    whose inputs are exchange feeds also takes a whole shuffle-barrier
+    delivery (:meth:`push_runs`): its two sides' runs, interleaved in
+    delivery order, through one generated loop holding both sides'
+    probes, which builds each row inline and leaves as one
+    ``emit_batch`` — what the runs' ``push_batch`` calls, one after the
+    other, would emit. Which body a run gets follows from what the
+    operator is, never from a setting: a side whose own window is ROWS
+    (every arrival also evicts by count) and a kernel that failed to
+    generate (a counted fallback) have no kernel and loop
+    ``_push_side``; a join with such a side takes no delivery whole,
+    and its exchange runs arrive by the side ports.
 
     The two schemas always concatenate: the analyzer rejects duplicate
     relation bindings and :class:`~repro.plan.logical.Join` builds the
@@ -466,22 +475,13 @@ class SymmetricHashJoin(Operator):
         probed = self.chain
         if predicate is not None:
             probed = Chain((("filter", predicate), *self.stages), self._joined_schema)
+        self._probed = probed
         self._left_probe, self._right_probe = (
-            compile_join_probe(
-                left_schema,
-                right_schema,
-                self.left_keys,
-                self.right_keys,
-                left_window,
-                right_window,
-                probed,
-                left,
-                self.output_schema,
-            )
-            if self.generated
-            else None
-            for left in (True, False)
+            self._compile_probe(left) if self.generated else None for left in (True, False)
         )
+        # The two-sided delivery loop (None: exchange runs arrive by the
+        # side ports), generated by take_deliveries.
+        self._deliver = None
         self._left_buffer: dict[tuple, deque[StreamElement]] = {}
         self._right_buffer: dict[tuple, deque[StreamElement]] = {}
         # Keys of the buckets an append landed behind the tail of, on a
@@ -494,7 +494,48 @@ class SymmetricHashJoin(Operator):
         self._right_watermark = float("-inf")
         self._sent_watermark = float("-inf")
 
+    def _compile_probe(self, left: bool | None) -> Callable | None:
+        return compile_join_probe(
+            self.left_schema,
+            self.right_schema,
+            self.left_keys,
+            self.right_keys,
+            self.left_window,
+            self.right_window,
+            self._probed,
+            left,
+            self.output_schema,
+        )
+
+    def take_deliveries(self) -> None:
+        """Generate the loop a whole exchange delivery enters by
+        (:meth:`push_runs`): the plan compiler's call for a join both of
+        whose inputs are exchange feeds. Nothing when a side has no
+        kernel — its runs then arrive by the side ports."""
+        if self._left_probe is not None and self._right_probe is not None:
+            self._deliver = self._compile_probe(None)
+
     # -- plumbing ------------------------------------------------------
+    def push_runs(self, runs: list[tuple[bool, list, list, str]]) -> None:
+        """One exchange delivery's runs into this join, in delivery
+        order, each ``(is_left, values, stamps, source)``: one call of
+        the generated delivery loop, whose pairs leave as one
+        ``emit_batch`` — the rows and order the runs' ``push_batch``
+        calls on the side ports would give, one after the other. A run
+        that raises loses its pairs and the rest of its rows and parks
+        its exception; the other runs' pairs still leave."""
+        out: list[StreamElement] = []
+        self.rows_in += self._deliver(
+            runs,
+            self._left_buffer,
+            self._right_buffer,
+            out,
+            self._left_unsorted,
+            self._right_unsorted,
+        )
+        if out:
+            self.emit_batch(out)
+
     def push_left(self, item: StreamItem) -> None:
         """Receive an item on the left input."""
         self._push_side(item, left=True)

@@ -247,8 +247,10 @@ class _ExchangeState:
         Rows sort by ``(timestamp, src)`` — re-interleaving the shards'
         emissions into global arrival order — and consecutive same-
         ordinal rows group into ``(port name, values, timestamps)``
-        runs, each delivered with one ``push_exchange`` call. The
-        ``flushed`` counts advance once per flush and ``(ordinal, src)``.
+        runs. A destination's runs at one barrier, every exchanged
+        query's, are delivered with one ``push_exchange`` call, which
+        hands a join's interleaved runs to it whole. The ``flushed``
+        counts advance once per flush and ``(ordinal, src)``.
         """
         pending = self._pending[dest]
         if not pending:
@@ -302,8 +304,9 @@ class _ExchangeFeed(Feed):
     :meth:`_ExchangeState.deposit_run` call (one loop, destinations
     memoized per key value), never row by row. It reads only each
     element's values and timestamp (``positional``): a hand-built
-    stage-1 replica hands it source rows unlabelled, and
-    ``push_exchange`` builds them again under the leaf's schema.
+    stage-1 replica hands it source rows unlabelled, and the
+    destination's ``push_exchange`` builds them again under the leaf's
+    schema.
     """
 
     __slots__ = ("_state", "_ordinal", "_src")
@@ -437,6 +440,7 @@ class ShardedStreamEngine:
         self.elements_ingested = 0
         self._exchange_rounds = 0
         self._exchange_delivered = 0
+        self._exchange_runs = 0
 
     def _open_channel(self, index: int):
         """The transport to shard ``index``: a local host, called
@@ -507,7 +511,9 @@ class ShardedStreamEngine:
         """Pool counters: total elements routed, owner-cache
         effectiveness, and the shuffle (``exchange``: exchanged queries
         live, rows deposited into / delivered out of the shuffle
-        buffers, barrier delivery rounds)."""
+        buffers, the runs those rows were delivered in — one per change
+        of port in a destination's ``(ts, src)`` order, summed over
+        barriers — and barrier delivery rounds)."""
         live = [h.exchange for h in self._handles.values() if h.exchanged]
         return {
             "elements_ingested": self.elements_ingested,
@@ -521,6 +527,7 @@ class ShardedStreamEngine:
                 "rows_deposited": self._exchange_delivered
                 + sum(state.pending_rows() for state in live),
                 "rows_delivered": self._exchange_delivered,
+                "runs_delivered": self._exchange_runs,
                 "barrier_rounds": self._exchange_rounds,
             },
         }
@@ -1001,6 +1008,7 @@ class ShardedStreamEngine:
                 flushed = state.flush(dest)
                 if flushed:
                     runs += flushed
+                    self._exchange_runs += len(flushed)
                     self._exchange_delivered += sum(len(run[1]) for run in flushed)
                     if checkpointer is not None:
                         checkpointer.record(("xdeliver", dest, flushed))

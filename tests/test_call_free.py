@@ -242,7 +242,7 @@ def _stage_loops(session) -> list[tuple]:
         for op in operators:
             if isinstance(op, SymmetricHashJoin):
                 residual = [("filter", op.predicate)] if op.predicate is not None else []
-                for fn in (op._left_probe, op._right_probe):
+                for fn in (op._left_probe, op._right_probe, op._deliver):
                     if fn is not None:
                         loops.append((fn, residual + op.stages, op._joined_schema))
                 if op._tail is not None:
@@ -287,12 +287,30 @@ def _conjuncts(expr) -> list:
 def _row_body(fn) -> list:
     """The statements a row runs: the innermost loop's body, or the
     function's when it has no loop."""
-    body = ast.parse(fn.__compiled_source__).body[0].body
-    while True:
+    (body,) = _row_bodies(fn)
+    return body
+
+
+def _row_bodies(fn) -> list[list]:
+    """:func:`_row_body`, once per place the chain is spliced: a join
+    delivery's loop over runs holds, inside its ``try``, one row loop
+    per side."""
+
+    def looping(node) -> bool:
+        return any(isinstance(inner, ast.For) for inner in ast.walk(node))
+
+    def bodies(body: list) -> list[list]:
         loops = [node for node in body if isinstance(node, ast.For)]
-        if not loops:
-            return body
-        body = loops[-1].body
+        if loops:
+            return bodies(loops[-1].body)
+        for node in body:
+            if isinstance(node, ast.Try) and looping(node):
+                return bodies(node.body)
+            if isinstance(node, ast.If) and looping(node):
+                return bodies(node.body) + bodies(node.orelse)
+        return [body]
+
+    return bodies(ast.parse(fn.__compiled_source__).body[0].body)
 
 
 def _column_of(node) -> int | None:
@@ -336,16 +354,25 @@ def _null_tested(node) -> list:
 
 def _findings(fn, stages, schema) -> tuple[list[str], int]:
     """What :class:`TestNullFacts` forbids in ``fn``'s common path, and
-    how many proven columns it checked against.
+    how many proven columns it checked against, over each place the
+    chain is spliced.
 
     Conjunct tests (``if t is not True:``) are matched to the chain's
     filters in order: one per conjunct, or one per filter. Past each,
     the columns the conjunct (or the whole predicate) proves are known
     non-NULL until ``v`` is rebound; what the tests reject — the doomed
     path included — is not the common path and is not read."""
+    found, checked = [], 0
+    for body in _row_bodies(fn):
+        more, facts = _body_findings(fn, body, stages, schema)
+        found += more
+        checked += facts
+    return found, checked
+
+
+def _body_findings(fn, body, stages, schema) -> tuple[list[str], int]:
     facts: list[set[str]] = []  # per conjunct test, in order
     filters = [stage[1] for stage in stages if stage[0] == "filter"]
-    body = _row_body(fn)
     tests = sum(_is_conjunct_test(node) is not None for node in body)
     per_conjunct = tests == sum(len(_conjuncts(p)) for p in filters)
     assert per_conjunct or tests == len(filters), fn.__compiled_source__
@@ -403,8 +430,8 @@ class TestNullFacts:
     """The filter lowering on every generated Filter/Project loop of the
     ledger's deployments — a fused chain's closure and batch loop, a
     DISTINCT's closure and dedup loop, a source's fused-ingest loop, a
-    join's probe kernels — read from the generated text against the
-    chain it lowers."""
+    join's probe kernels and delivery loop — read from the generated
+    text against the chain it lowers."""
 
     def test_no_proven_column_is_tested_again(self):
         from benchmarks.ledger.workloads import WORKLOADS

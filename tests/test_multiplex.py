@@ -548,7 +548,8 @@ class TestStats:
         # A sharded session adds the pool's own counters, nothing else.
         assert set(sharded) == set(single) | {"pool"}
         assert set(sharded["pool"]["exchange"]) == {
-            "queries", "rows_deposited", "rows_delivered", "barrier_rounds",
+            "queries", "rows_deposited", "rows_delivered", "runs_delivered",
+            "barrier_rounds",
         }
         assert set(sharded["sharing"]) == {
             "chains", "fan_out", "created", "attached",
@@ -1136,8 +1137,9 @@ class TestAdmissionBudget:
 
     @pytest.mark.parametrize("workload", ["one_query", "standing7"])
     def test_a_cold_admission_scans_once_and_lowers_each_chain_once(self, workload, monkeypatch):
-        """Each text is scanned once to normalize it and once to parse
-        it, and each operator's Filter/Project chain is lowered once
+        """Each text is scanned once — the parse reads the tokens its
+        normalization scanned — and malformed text re-raises on every
+        call; each operator's Filter/Project chain is lowered once
         however many functions splice it: ``one_query``'s one chain
         feeds its operator's per-element function, its batch loop and
         the engine's fused-ingest loop (three lowerings before chains
@@ -1147,7 +1149,7 @@ class TestAdmissionBudget:
         _, standing7, _, _ = _ledger()
         queries = standing7[:1] if workload == "one_query" else standing7
         session = _ledger_session()
-        normalize.normalize_sql.cache_clear()
+        normalize._scanned.cache_clear()
         scans: list[str] = []
         lowerings: dict[int, int] = {}
         splices: dict[int, int] = {}
@@ -1176,8 +1178,15 @@ class TestAdmissionBudget:
         for sql in queries:
             session.query(sql)
         monkeypatch.undo()
-        assert sorted(scans) == sorted(list(queries) * 2)
+        assert sorted(scans) == sorted(queries)
         assert emitted[0] == len(lowerings) and set(lowerings.values()) == {1}
+        # Text that does not scan, or scans and does not parse, fails on
+        # every call: a failed scan is not memoized, and a failed parse
+        # leaves no tokens behind for the next call to trust.
+        for malformed in ("select r.host from Readings r where r.room = 'lab", "select from"):
+            for _ in range(2):
+                with pytest.raises(QueryError):
+                    session.query(malformed)
         if workload == "one_query":
             (op,) = [op for chain in session.engine.subplans.live_chains for op in chain.compiled.operators]
             assert list(lowerings) == [id(op.chain)] and splices[id(op.chain)] == 3

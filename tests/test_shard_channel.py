@@ -28,14 +28,17 @@ from conftest import deliver
 from repro.api import StreamSource, connect
 from repro.catalog import Catalog
 from repro.data import DataType, Row, Schema
-from repro.data.streams import CallbackConsumer, Punctuation, StreamElement
+from repro.data.streams import CallbackConsumer, CollectingConsumer, Punctuation, StreamElement
 from repro.errors import ExecutionError
 from repro.plan import PlanBuilder
+from repro.plan.exchange import ExchangeSource
 from repro.plan.logical import LogicalOp
 from repro.runtime.faults import kill_fallback, kill_shard
 from repro.stream import channel
 from repro.stream.checkpoint import CheckpointCoordinator, PoolCheckpoint
+from repro.stream.compiler import PlanCompiler
 from repro.stream.engine import StreamEngine
+from repro.stream.operators import SymmetricHashJoin
 from repro.stream.procshard import (
     FramedChannel,
     ProcessShardEngine,
@@ -297,6 +300,8 @@ class TestChannelContract:
         assert exchange["queries"] == 2
         assert exchange["barrier_rounds"] == 5  # one per punctuate
         assert exchange["rows_delivered"] > 0
+        # Runs are counted as flush cut them, not as the engine took them.
+        assert 0 < exchange["runs_delivered"] <= exchange["rows_delivered"]
         # Everything was flushed by the final, unnamed punctuation.
         assert exchange["rows_deposited"] == exchange["rows_delivered"]
 
@@ -533,6 +538,88 @@ class TestWorkerErrors:
                 assert exported is None
             else:
                 assert repr(pickle.loads(exported)) == "ValueError('kept')"
+
+
+class TestADeliveryThatRaises:
+    """An exchanged join whose stage raises on some pairs, on two
+    shards: each destination's delivery enters the join by one call, a
+    run that raises loses its pairs and its later rows, every other
+    run's pairs leave — what feeding the same runs one by one through
+    the join's side ports gives — and the barrier raises once."""
+
+    SQL = (
+        "select r.host, e.kind, sqrt(e.level - 1.0) as s from Readings r "
+        "[range 20 seconds], Events e [range 20 seconds] where r.room = e.kind"
+    )
+
+    @staticmethod
+    def _by_ports(stage2, delivered):
+        """Each destination's runs through a twin of its stage-2 replica,
+        run by run by the side ports; how many runs raised."""
+        schemas = {
+            node.name: node.schema for node in stage2.walk() if isinstance(node, ExchangeSource)
+        }
+        twins, raised = {}, 0
+        for dest, runs, puncts in delivered:
+            if dest not in twins:
+                sink = CollectingConsumer()
+                compiled = PlanCompiler().compile(stage2, sink)
+                twins[dest] = sink, {port.source_name: port.consumer for port in compiled.ports}
+            ports = twins[dest][1]
+            for name, values, stamps in runs:
+                run = [StreamElement(Row.raw(schemas[name], v), t, name) for v, t in zip(values, stamps)]
+                try:
+                    ports[name].push_batch(run)
+                except ValueError:
+                    raised += 1
+            for watermark, names in puncts:
+                for name in names:
+                    ports[name].push(Punctuation(watermark))
+        rows = sorted(
+            (e.timestamp, e.row.values) for sink, _ in twins.values() for e in sink.elements
+        )
+        return rows, raised
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_a_raising_run_costs_only_its_own_pairs(self, transport, monkeypatch):
+        catalog = _catalog()
+        pool = POOLS[transport](catalog, shards=2)
+        delivered, entries = [], []
+        monkeypatch.setattr(
+            SymmetricHashJoin, "push_runs",
+            lambda join, runs, _raw=SymmetricHashJoin.push_runs: entries.append(len(runs)) or _raw(join, runs),
+        )
+        try:
+            pool.set_partition_key("Readings", "host")
+            pool.set_partition_key("Events", "host")
+            handle = pool.execute(PlanBuilder(catalog).build_sql(self.SQL), sql=self.SQL)
+            assert handle.exchanged
+            for index, shard in enumerate(pool._channels):
+                monkeypatch.setattr(
+                    shard, "deliver",
+                    lambda runs, puncts, _raw=shard.deliver, _dest=index: (
+                        delivered.append((_dest, runs, puncts)) or _raw(runs, puncts)
+                    ),
+                )
+            raised = 0
+            for chunk, stamp in _feed():
+                for source, (rows, stamps) in chunk.items():
+                    pool.push_many(source, rows, stamps)
+                try:
+                    pool.punctuate(stamp)
+                except ValueError:
+                    raised += 1
+            pool.punctuate(stamp + 100.0)  # nothing left parked
+            got = sorted((e.timestamp, e.row.values) for e in handle.sink.elements)
+        finally:
+            if transport == "framed":
+                pool.shutdown()
+        expected, failed_runs = self._by_ports(handle.exchange.recipe.stage2, delivered)
+        assert got == expected and got  # pairs from the runs that did not raise
+        # Every barrier whose delivery raised raised once, and some did.
+        assert raised == 3 and failed_runs > raised
+        if transport == "loopback":  # the workers' joins run out of process
+            assert len(entries) == sum(1 for _, runs, _ in delivered if runs)
 
 
 class TestSessionSurfacesPoolStats:

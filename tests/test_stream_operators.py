@@ -15,9 +15,12 @@ from repro.data import (
     StreamElement,
     WindowSpec,
 )
+from repro.data.streams import edge, park
+from repro.plan.exchange import ExchangeSource
 from repro.plan.logical import Join, Project, ProjectItem, Scan, Select
 from repro.sql.ast import OrderItem
-from repro.sql.expressions import AggregateCall, BinaryOp, ColumnRef, Literal
+from repro.sql.expressions import AggregateCall, BinaryOp, ColumnRef, FunctionCall, Literal
+from repro.stream import StreamEngine
 from repro.stream.compiler import PlanCompiler
 from repro.stream.operators import (
     AggregateOp,
@@ -619,6 +622,63 @@ class TestJoinRunBudget:
             assert join.stages
             assert not isinstance(join.downstream, (FilterOp, ProjectOp, FusedOp))
 
+    def test_one_join_call_per_destination_per_delivery_on_the_ledger_pool(self, monkeypatch):
+        """``xchg_pool4``'s closed loop: each destination's delivery is
+        one ``push_exchange`` call, in which the exchanged join's batch
+        body runs at most once and emits at most one batch; its side
+        ports' ``push_batch`` never runs."""
+        from benchmarks.ledger.workloads import BY_NAME
+        from repro.stream import channel
+
+        calls = {"deliveries": 0, "push_exchange": 0, "side_port": 0, "emit": 0}
+        per_delivery: list[list[int]] = []  # [entries, batches] per delivery
+
+        def counting(key, raw):
+            def counted(*args):
+                calls[key] += 1
+                return raw(*args)
+
+            return counted
+
+        def delivering(host, runs, puncts, _raw=channel.ShardHost.deliver):
+            calls["deliveries"] += bool(runs)
+            per_delivery.append([0, 0])
+            return _raw(host, runs, puncts)
+
+        def entering(join, runs, _raw=SymmetricHashJoin.push_runs):
+            per_delivery[-1][0] += 1
+            return _raw(join, runs)
+
+        def batching(join, elements, _raw=SymmetricHashJoin.emit_batch):
+            per_delivery[-1][1] += 1
+            return _raw(join, elements)
+
+        monkeypatch.setattr(channel.ShardHost, "deliver", delivering)
+        monkeypatch.setattr(
+            StreamEngine, "push_exchange", counting("push_exchange", StreamEngine.push_exchange)
+        )
+        monkeypatch.setattr(SymmetricHashJoin, "push_runs", entering)
+        monkeypatch.setattr(SymmetricHashJoin, "emit_batch", batching)
+        monkeypatch.setattr(SymmetricHashJoin, "emit", counting("emit", SymmetricHashJoin.emit))
+        monkeypatch.setattr(
+            SymmetricHashJoin._SidePort, "push_batch",
+            counting("side_port", SymmetricHashJoin._SidePort.push_batch),
+        )
+        workload = BY_NAME["xchg_pool4"]
+        closed, _ = workload.phases.steps(0.25)
+        deployment = workload.open(workload.build_input(7, closed[-1][1]))
+        try:
+            for lo, hi in closed:
+                deployment.deliver(lo, hi)
+            assert deployment.cursors[0].results()
+        finally:
+            deployment.close()
+        assert calls["deliveries"] and calls["push_exchange"] == calls["deliveries"]
+        assert calls["side_port"] == calls["emit"] == 0
+        assert {entries for entries, _ in per_delivery} <= {0, 1}
+        assert sum(entries for entries, _ in per_delivery) > len(closed)
+        assert all(batches <= entries for entries, batches in per_delivery)
+
     def test_partial_aggregate_never_interprets_on_the_ledger_pool(self, monkeypatch):
         """One 1,024-unit step of the ledger's ``xchg_pool4`` deployment:
         no ``Expr.eval`` runs inside a ``PartialAggregateOp``."""
@@ -674,6 +734,143 @@ class TestJoinRunBudget:
             deployment.close()
         assert entered  # the partial aggregates did run
         assert evals == []
+
+
+# One exchange delivery into a join: the engine's ``push_exchange``
+# against the same runs fed one by one through the side ports.
+_XL, _XR = "#x1:0", "#x1:1"
+
+
+def _delivery_plan(residual: bool, stages: str | None):
+    """``L ⋈ R`` on ``l.k = r.k`` (and the corpus residual) over two
+    exchange feeds, with the Select/Project run ``stages`` above it."""
+    predicate = BinaryOp("=", ColumnRef("l.k"), ColumnRef("r.k"))
+    if residual:
+        predicate = BinaryOp("AND", predicate, _JOIN_RESIDUAL)
+    window = _JOIN_WINDOWS["range"]
+    join = Join(
+        ExchangeSource(_XL, _JL, window, partition_by=("l.k",), ordinal=0),
+        ExchangeSource(_XR, _JR, window, partition_by=("r.k",), ordinal=1),
+        predicate,
+    )
+    return _JOIN_STAGES[stages](join) if stages else join
+
+
+def _delivery(seed: int) -> list[tuple[str, list, list]]:
+    """Alternating runs of one delivery, as a barrier flushes them: keys
+    few and sometimes NULL, stamps repeating within and across sides."""
+    rng = random.Random(seed)
+    runs = []
+    for index in range(rng.randint(4, 9)):
+        length = rng.randint(1, 5)
+        values = [
+            (rng.choice([1, 2, None]), rng.choice(["a", "b", None]), rng.randrange(4))
+            for _ in range(length)
+        ]
+        stamps = sorted(float(rng.randrange(0, 6)) for _ in range(length))
+        runs.append((_XL if index % 2 == 0 else _XR, values, stamps))
+    return runs
+
+
+class TestJoinDeliveryEntry:
+    """A whole delivery entering the join by one call equals the same
+    runs entering by its side ports one after the other: emissions in
+    order, buckets, and the watermark and buckets a closing punctuation
+    leaves."""
+
+    def _by_entry(self, plan, runs, raises=None):
+        engine = StreamEngine(Catalog())
+        sink = CollectingConsumer()
+        handle = engine.execute(plan, sink=sink)
+        (join,) = [op for op in handle.compiled.operators if isinstance(op, SymmetricHashJoin)]
+        calls = []
+        if join._deliver is not None:
+            join.push_runs = lambda taken, _raw=join.push_runs: calls.append(len(taken)) or _raw(taken)
+        if raises is None:
+            engine.push_exchange(runs)
+        else:
+            with pytest.raises(raises):
+                engine.push_exchange(runs)
+        before = _buffers(join)
+        engine.punctuate(50.0, [_XL, _XR])
+        return (sink.elements, sink.punctuations, before, _buffers(join)), join, calls
+
+    def _by_ports(self, plan, runs, park_errors=False):
+        sink = CollectingConsumer()
+        compiled = PlanCompiler().compile(plan, sink)
+        ports = {port.source_name: port.consumer for port in compiled.ports}
+        schemas = {_XL: _JL, _XR: _JR}
+        for name, values, stamps in runs:
+            run = [StreamElement(Row.raw(schemas[name], v), t, name) for v, t in zip(values, stamps)]
+            try:
+                ports[name].push_batch(run)
+            except Exception as exc:
+                if not park_errors:
+                    raise
+                park(exc)
+        (join,) = [op for op in compiled.operators if isinstance(op, SymmetricHashJoin)]
+        before = _buffers(join)
+        for port in ports.values():
+            port.push(Punctuation(50.0))
+        return sink.elements, sink.punctuations, before, _buffers(join)
+
+    @pytest.mark.parametrize("arm", [generated, unfused, interpreted])
+    @pytest.mark.parametrize(
+        "residual, stages",
+        [(False, None), (True, None), (False, "project"), (True, "filter_project"), (True, "null_project")],
+        ids=["plain", "residual", "project", "residual-filter-project", "null-project"],
+    )
+    def test_one_call_equals_the_runs_one_by_one(self, residual, stages, arm):
+        plan = _delivery_plan(residual, stages)
+        pairs = ties = nulls = 0
+        for seed in range(6):
+            runs = _delivery(seed)
+            with arm():
+                got, join, calls = self._by_entry(plan, runs)
+                expected = self._by_ports(plan, runs)
+            assert got == expected
+            # The generated arms take the delivery in one call; with no
+            # kernel the runs go through the side ports instead.
+            assert calls == ([] if arm is interpreted else [len(runs)])
+            assert (join._deliver is None) == (arm is interpreted)
+            pairs += len(got[0])
+            stamps = [set(run[2]) for run in runs]
+            ties += bool(set().union(*stamps[::2]) & set().union(*stamps[1::2]))
+            nulls += any(v[0] is None for run in runs for v in run[1])
+        assert pairs and ties and nulls  # not vacuous
+
+    def test_a_run_that_raises_loses_only_its_own_pairs(self):
+        """A stage raising on one pair: that run's pairs are gone and its
+        later rows unbuffered, every other run's pairs leave in order,
+        and the verb raises once — what the runs' side-port calls did."""
+        join_node = _delivery_plan(False, None)
+        root = FunctionCall("SQRT", (BinaryOp("-", _RN, Literal(1)),))
+        plan = Project(join_node, [ProjectItem(_LG, "g"), ProjectItem(root, "s")])
+        runs = [
+            (_XL, [(1, "a", 1), (2, "a", 2)], [1.0, 1.0]),
+            (_XR, [(1, "b", 1), (2, "b", 0), (2, "b", 3)], [2.0, 2.0, 2.0]),
+            (_XL, [(1, "c", 1), (3, "c", 5)], [3.0, 3.0]),
+        ]
+        got, join, calls = self._by_entry(plan, runs, raises=ValueError)
+        assert calls == [3]
+        # Run 2 pairs (1, b) with (1, a), then its second row raises: the
+        # pair goes, (2, b, 0) stays buffered and (2, b, 3) never is.
+        # Run 3's rows pair with the right rows buffered so far.
+        assert [e.row.values for e in got[0]] == [("c", 0.0)]
+        assert join.rows_in == 4
+        right = got[2][2]  # before the closing punctuation
+        assert {k: [e.row.values for e in b] for k, b in right.items()} == {
+            1: [(1, "b", 1)], 2: [(2, "b", 0)]
+        }
+        ported = []
+
+        @edge
+        def by_ports():
+            ported.append(self._by_ports(plan, runs, park_errors=True))
+
+        with pytest.raises(ValueError):
+            by_ports()
+        assert ported == [got]
 
 
 class TestAggregateOp:
