@@ -19,8 +19,12 @@ even ones, so drift on the host lands on both sides. Each pair's end-to-end metr
 are printed as they finish; the summary gives, per metric, the base's
 median and quartiles, the working tree's median, and "ahead k/N": the
 pairs in which the working tree was better by ``BENCHMARK.json``'s
-direction. A claim needs k ≥ 9 of 10 and a median difference larger
-than the base's interquartile distance; ``claim holds`` marks both.
+direction, and the per-pair ratio (the working tree's value over the
+base's on the same seed) as its median and quartiles: the base's
+quartiles mix seed-to-seed differences in the input with noise, the
+ratio's spread is the change's own. A claim needs k ≥ 9 of 10 and a
+median difference larger than the base's interquartile distance;
+``claim holds`` marks both.
 A median worse than the base's by more than the metric's
 ``BENCHMARK.json`` bound is marked ``REGRESSION``; a larger share of
 failed operations (failed over attempted steps, summed over the pairs)
@@ -87,20 +91,30 @@ def failed_share(runs: list[dict]) -> float:
     return sum(run["failed"] for run in runs) / attempted if attempted else 0.0
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """``(q1, median, q3)`` of ``values``; all three the value of one."""
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (values[0],) * 3
+    return q1, statistics.median(values), q3
+
+
 def verdict(metric: dict, base: list[dict], change: list[dict]) -> dict:
     """One metric over the pairs: the base's median and quartiles, the
-    change's median, the pairs the change was ahead in, whether a claim
-    holds and whether the change regressed beyond the metric's bound."""
+    change's median, the per-pair ratio's quartiles (change over base on
+    one seed; None when every base value is 0), the pairs the change was
+    ahead in, whether a claim holds and whether the change regressed
+    beyond the metric's bound."""
     name, higher = metric["name"], metric["better"] == "higher"
     a = [run[name] for run in base]
     b = [run[name] for run in change]
     ahead = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
-    q1, _, q3 = statistics.quantiles(a, n=4) if len(a) > 1 else (a[0],) * 3
-    median_a, median_b = statistics.median(a), statistics.median(b)
+    q1, median_a, q3 = quartiles(a)
+    median_b = statistics.median(b)
+    ratios = [y / x for x, y in zip(a, b) if x]
     gain = (median_b - median_a) if higher else (median_a - median_b)
     return {
         "median_a": median_a, "q1": q1, "q3": q3, "median_b": median_b,
         "delta_pct": (median_b / median_a - 1) * 100 if median_a else 0.0,
+        "ratio": quartiles(ratios) if ratios else None,
         "ahead": ahead, "pairs": len(a),
         "holds": ahead >= 0.9 * len(a) and gain > q3 - q1,
         "regressed": median_a != 0 and -gain / abs(median_a) > metric["bound"],
@@ -120,7 +134,8 @@ def refusals(base: list[dict], change: list[dict]) -> list[str]:
 def summarize(metrics: list[dict], base: list[dict], change: list[dict]) -> tuple[int, str]:
     """Print the per-metric summary of the pairs so far; returns the
     exit status and a one-line digest for ``--workload all`` (each
-    metric's median delta and pairs ahead, then the status). A run that
+    metric's median delta and pairs ahead, each one's per-pair ratio,
+    then the status). A run that
     reported ``correct: false`` is refused — its numbers measure
     something other than the workload — and so is the whole comparison
     (1). A metric whose change median is worse than the base median by
@@ -131,19 +146,25 @@ def summarize(metrics: list[dict], base: list[dict], change: list[dict]) -> tupl
     if refused:
         print(f"\nREFUSED: correct: false from the {', '.join(refused)}")
         return 1, "REFUSED"
-    status, cells = 0, []
-    print(f"\n{'metric':<14} {'base median [q1, q3]':>32} {'change':>12} {'delta':>8}  ahead")
+    status, cells, ratios = 0, [], []
+    print(
+        f"\n{'metric':<14} {'base median [q1, q3]':>32} {'change':>12} {'delta':>8}  "
+        f"{'pair ratio [q1, q3]':<25} ahead"
+    )
     for metric in metrics:
         v = verdict(metric, base, change)
         status |= v["regressed"]
+        ratio = "n/a" if v["ratio"] is None else "{1:.3f} [{0:.3f}, {2:.3f}]".format(*v["ratio"])
         print(
             f"{metric['name']:<14} {v['median_a']:>12.5g} [{v['q1']:.5g}, {v['q3']:.5g}] "
-            f"{v['median_b']:>12.5g} {v['delta_pct']:>+7.1f}%  "
+            f"{v['median_b']:>12.5g} {v['delta_pct']:>+7.1f}%  {ratio:<25} "
             f"ahead {v['ahead']}/{v['pairs']}{'  claim holds' if v['holds'] else ''}"
             f"{'  REGRESSION' if v['regressed'] else ''}"
         )
         flag = "  claim holds" if v["holds"] else "  REGRESSION" if v["regressed"] else ""
         cells.append(f"{metric['name']} {v['delta_pct']:+.1f}% {v['ahead']}/{v['pairs']}{flag}")
+        ratios.append(f"{metric['name']} {ratio}")
+    cells.append("pair ratios " + ", ".join(ratios))
     shares = failed_share(base), failed_share(change)
     worse = shares[1] > shares[0]
     print(

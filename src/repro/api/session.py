@@ -791,7 +791,8 @@ class Session:
         ``connect(shards=N)``), its codegen counters (whole functions
         ``generated``, and whole-function ``fallbacks`` to the
         interpreter — counted once per function at admission, never per
-        row, summed the same way, plus what each bounded evaluation and
+        row, summed the same way (a kernel a pool's shards share counts
+        once: it was generated once), plus what each bounded evaluation and
         each federated fragment's deployment compiled; anything but 0
         fallbacks means a plan is running interpreted), the
         static-analysis counters (``runs``:

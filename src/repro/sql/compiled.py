@@ -151,11 +151,20 @@ over the operator (:meth:`StreamEngine._fuse_ingest
 <repro.stream.engine.StreamEngine._fuse_ingest>`), a DISTINCT's
 ``_fused`` and dedup loop, a join's two probe kernels — splices those
 lines re-indented, with its own ``continue`` or ``return None``, so
-each generated text is what lowering the chain in place would give. A
-lowering is shared within one operator only, never through a memo keyed
-on expression equality (``Literal(1) == Literal(1.0)``): its functions
-share a constant LIKE's verdict memo, and each binds its own globals as
-``_G``.
+each generated text is what lowering the chain in place would give.
+Its functions share a constant LIKE's verdict memo, and each binds its
+own globals as ``_G``.
+
+**A pool generates each kernel once** (:func:`kernel_scope`). A pool
+lowers a query's replicas on every shard inside one scope, and there
+:func:`_generate` hands back the function it already made when the same
+generator runs again over the same argument *objects* — loopback shards
+compile the pool's own plan objects — so the shards' operators hold one
+function, its bindings (a LIKE verdict memo, ``_G``) included, and
+their own state, which every kernel takes as arguments. The key is
+identity, never expression equality (``Literal(1) == Literal(1.0)``, and
+two distinct ``Parameter`` slots may compare equal), and the scope holds
+the arguments, so no id it keys on is reused while it is open.
 
 **A predicate in filter position lowers as a filter**, not as a boolean
 expression (:func:`_emit_filter`). Its AND tree, of any shape, flattens
@@ -196,9 +205,9 @@ node — and every NULL check and ``TypeError`` handler stays inline
 (``tests/test_call_free.py`` pins the rule and the memo).
 
 Generated text becomes a code object in exactly one place,
-:func:`_code_object`, memoized on the text: every replica of a plan on
-every shard generates the same source, so admission compiles each
-distinct source once and ``exec``s it into each closure's own
+:func:`_code_object`, memoized on the text: replicas that generate the
+same source outside one scope (a worker process, a failover, a later
+admission) compile it once and ``exec`` it into each closure's own
 namespace (lint rule RA905 keeps that the only ``compile`` call).
 """
 
@@ -208,6 +217,8 @@ import keyword as _keyword
 import math as _math
 import operator as _operator
 from collections import deque as _deque
+from contextlib import contextmanager
+from contextvars import ContextVar
 from functools import lru_cache
 from typing import Any, Callable, Sequence
 
@@ -257,17 +268,60 @@ def compile_counts() -> dict[str, int]:
     return dict(_counts)
 
 
+#: Inside a :func:`kernel_scope`: generator call key -> (arguments, function).
+_kernels: ContextVar[dict | None] = ContextVar("kernels", default=None)
+
+
+@contextmanager
+def kernel_scope():
+    """Within this block :func:`_generate` runs each generator once per
+    argument objects and hands the function back to every later call
+    over the same objects: a pool's one admission on all its shards
+    (:meth:`ShardedStreamEngine.execute
+    <repro.stream.sharded.ShardedStreamEngine.execute>`). Nothing
+    outlives the block, and another thread's compiles never see it."""
+    token = _kernels.set({})
+    try:
+        yield
+    finally:
+        _kernels.reset(token)
+
+
+def _identity(arg: Any) -> Any:
+    """``arg``'s part of a kernel key: its id — a tuple or list its
+    items', a :class:`Chain` its schema's and stages', made once."""
+    cls = arg.__class__
+    if cls is Chain:
+        if arg._key is None:
+            arg._key = (id(arg.schema), _identity(arg.stages))
+        return arg._key
+    if cls is tuple or cls is list:
+        return tuple(map(_identity, arg))
+    return id(arg)
+
+
 def _generate(codegen: Callable, *args: Any) -> Callable | None:
     """The ladder's one step down: the function ``codegen`` generates,
     or ``None`` — counted — when it cannot produce one. Every public
     compiler goes through here, so no fallback is silent and nothing
-    hand-written sits between generated code and the interpreter."""
+    hand-written sits between generated code and the interpreter.
+    Inside a :func:`kernel_scope`, a call over the same argument objects
+    as an earlier one returns that call's function, uncounted: only
+    generation counts."""
+    memo = _kernels.get()
+    if memo is not None:
+        key = (codegen, *map(_identity, args))
+        made = memo.get(key)
+        if made is not None:
+            return made[1]
     try:
         fn = codegen(*args)
     except Exception:
         _counts["fallbacks"] += 1
         return None
     _counts["generated"] += 1
+    if memo is not None:
+        memo[key] = (args, fn)  # holds every object the key names alive
     return fn
 
 
@@ -320,19 +374,21 @@ class Chain:
     function and batch loop, a DISTINCT's dedup loop, a join's two probe
     kernels, the engine's fused-ingest loop — splices those lines,
     re-indented, with its own ``continue`` or ``return None``
-    (:func:`_codegen_loop`). An operator holds its chain, so functions
-    share a lowering only within one operator; a lowering that failed
-    fails each generator that splices it, each counted as its own
-    fallback.
+    (:func:`_codegen_loop`). An operator holds its chain, and inside a
+    :func:`kernel_scope` another operator's chain over the same stage
+    and schema objects gets the functions generated over this one, so
+    one lowering serves a pool's shards; a lowering that failed fails
+    each generator that splices it, each counted as its own fallback.
     """
 
-    __slots__ = ("stages", "schema", "projects", "_lowered")
+    __slots__ = ("stages", "schema", "projects", "_lowered", "_key")
 
     def __init__(self, stages: Sequence[FusedStage], schema: Schema):
         self.stages = tuple(stages)
         self.schema = schema
         self.projects = any(stage[0] == "project" for stage in self.stages)
         self._lowered: _CodeGen | Exception | None = None
+        self._key: tuple | None = None  # its kernel key (_identity)
 
     def lowered(self) -> "_CodeGen":
         """The chain's one lowering, made on the first call; raises what
@@ -1316,8 +1372,9 @@ def _code_object(source: str, filename: str):
     """The one call to builtin ``compile`` for generated source (lint
     rule RA905 keeps it the only one).
 
-    Every replica of a plan on every shard generates the same text, so
-    the code object is memoized on it. Code objects are immutable and
+    Many functions share one text — a shard recovering a replica,
+    plans that differ only in bound constants — so the code object is
+    memoized on it. Code objects are immutable and
     carry no bindings: each caller still ``exec``s into its own ``env``,
     so closures from one source share bytecode, never constants or
     bound objects.

@@ -101,8 +101,8 @@ class PartitionAnalysis:
     code: str = "RA300"
     #: For unsafe plans: the repartition recipe that still runs them on
     #: the whole pool (None when no exchange strategy applies and the
-    #: plan genuinely falls back). Built with a zero token — executors
-    #: rebuild it with their query id via :func:`build_exchange`.
+    #: plan genuinely falls back), its port names keyed by the token
+    #: :func:`partition_safe` was given — a pool's query id.
     exchange: "ExchangeRecipe | None" = None
 
 
@@ -130,14 +130,15 @@ class _Unsafe(Exception):
 
 
 def partition_safe(
-    plan: LogicalOp, keys: Mapping[str, str]
+    plan: LogicalOp, keys: Mapping[str, str], token: int = 0
 ) -> PartitionAnalysis:
     """Decide whether ``plan`` may run one replica per shard.
 
     ``keys`` maps lowercased source names to their declared bare
     partition column (sources absent from the mapping are round-robin
     partitioned). Returns a :class:`PartitionAnalysis`; unrecognized
-    plan shapes are unsafe by construction.
+    plan shapes are unsafe by construction. ``token`` keys the exchange
+    recipe's port names, as in :func:`build_exchange`.
     """
     try:
         part = _analyze(plan, keys)
@@ -146,7 +147,7 @@ def partition_safe(
             False,
             verdict.reason,
             code=verdict.code,
-            exchange=_recipe_for(plan, keys, verdict, token=0),
+            exchange=_recipe_for(plan, keys, verdict, token),
         )
     if part.replicated:
         return PartitionAnalysis(
@@ -339,7 +340,7 @@ def build_exchange(
     and legitimately fall back). ``token`` (the pool query id) keys the
     exchange port names, so the recipe is reproducible anywhere the
     same (plan, keys, token) are known — process workers rebuild it
-    from shipped SQL text.
+    from shipped SQL text (a pool takes :func:`partition_safe`'s).
     """
     try:
         _analyze(plan, keys)

@@ -72,6 +72,7 @@ from repro.data.tuples import Row, stable_hash
 from repro.errors import CatalogError, ExecutionError
 from repro.plan.exchange import ExchangeRecipe, ExchangeSource
 from repro.plan.logical import LogicalOp, RemoteSource, Scan
+from repro.sql.compiled import kernel_scope
 from repro.stream.channel import LoopbackChannel, ShardDied
 from repro.stream.checkpoint import FALLBACK, Feed
 from repro.stream.engine import (
@@ -80,11 +81,7 @@ from repro.stream.engine import (
     generate_ingest_loop,
     ingest_loop,
 )
-from repro.stream.partition import (
-    PartitionAnalysis,
-    build_exchange,
-    partition_safe,
-)
+from repro.stream.partition import PartitionAnalysis, partition_safe
 
 _pool_query_ids = itertools.count(1)
 
@@ -619,12 +616,19 @@ class ShardedStreamEngine:
         ``plan`` compiles from; a channel that cannot ship plan objects
         needs it and falls back without. ``sink`` overrides the merged
         sink — federated repair reuses a surviving cursor's sink so
-        subscription taps keep observing results."""
-        analysis = partition_safe(plan, self._keys)
+        subscription taps keep observing results.
+
+        The analysis runs once, its recipe's port names keyed by the
+        query id (several exchanged queries may coexist on one engine),
+        and every replica is lowered inside one
+        :func:`~repro.sql.compiled.kernel_scope`: shards compiling the
+        pool's plan objects share each generated kernel, so admission
+        generates it once, not once per shard."""
+        query_id = next(_pool_query_ids)
+        analysis = partition_safe(plan, self._keys, query_id)
         shippable = bool(self._channels) and (
             sql is not None or self._channels[0].ships_plans
         )
-        query_id = next(_pool_query_ids)
         if sink is None:
             sink = CollectingConsumer()
         shards = len(self._channels)
@@ -632,11 +636,7 @@ class ShardedStreamEngine:
         replicas = shards if partitioned else 1
         slots, state = replicas, None
         if partitioned and not analysis.safe:
-            # Re-derive the recipe with the real pool query id as the
-            # port-name token (the analysis carried a token-0 preview):
-            # several exchanged queries may coexist on one engine.
-            recipe = build_exchange(plan, self._keys, token=query_id)
-            assert recipe is not None  # analysis.exchange proved one exists
+            recipe = analysis.exchange
             # Stage 2 runs on every shard when the merge itself
             # partitions by the exchange key, else on shard 0.
             dests = list(range(shards)) if recipe.distributed else [0]
@@ -671,11 +671,12 @@ class ShardedStreamEngine:
             self.checkpointer.record(("admit", None, query_id))
         try:
             self._register_remotes(handle)
-            for index in range(shards) if handle.partitioned else (FALLBACK,):
-                try:
-                    self._admit(handle, index)
-                except ShardDied:
-                    self._recover(index)
+            with kernel_scope():
+                for index in range(shards) if handle.partitioned else (FALLBACK,):
+                    try:
+                        self._admit(handle, index)
+                    except ShardDied:
+                        self._recover(index)
         except BaseException:
             self.stop(handle)
             raise

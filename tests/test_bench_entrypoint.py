@@ -63,12 +63,16 @@ def test_bench_runner_module_lists_all_benches():
 #: is an ``itemgetter`` and generates nothing. A join both of whose
 #: inputs are exchange feeds also generates its two-sided delivery loop:
 #: ``xchg_pool4`` read 79 before its stage-2 join (on four shards) did.
+#: A pool lowers an admission's replicas on every shard in one kernel
+#: scope, so each distinct kernel is generated once per pool, not once
+#: per shard: ``xchg_pool4`` read 83 before; a process pool's workers
+#: generate their own, so ``standing7_proc2`` stays.
 ADMISSION_CODEGEN = {
     "one_query": 4,
     "standing7": 20,
     "standing7_rowpush": 20,
     "tenants1k": 44,
-    "xchg_pool4": 83,
+    "xchg_pool4": 23,
     "standing7_proc2": 41,
     "federated": 5,
 }
@@ -132,6 +136,25 @@ class TestPairsSummary:
         assert "ahead 10/10  claim holds" in lines["rows_per_s"]
         assert "claim holds" not in lines["emit_p50_ms"]  # tied is not ahead
         assert "REGRESSION" not in "".join(lines.values())
+
+    def test_the_per_pair_ratio_reads_the_change_apart_from_the_seeds(self, capsys):
+        """Seeds far apart spread the base's quartiles past a steady
+        +10 %, so the claim rule (unchanged) does not hold; the ratio of
+        each pair on its own seed reads the change exactly."""
+        from benchmarks.pairs import summarize
+
+        seeds = [100, 300, 150, 250, 200, 120, 280, 180, 220, 160]
+        base = _pair_runs(seeds, [1.0] * 10)
+        change = _pair_runs([1.1 * r for r in seeds], [0.9, 1.0] * 5)
+        status, lines = self._summarize(capsys, base, change)
+        assert status == 0
+        assert lines["rows_per_s"].split()[-5:] == ["1.100", "[1.100,", "1.100]", "ahead", "10/10"]
+        assert lines["emit_p50_ms"].split()[-5:] == ["0.950", "[0.900,", "1.000]", "ahead", "5/10"]
+        _, digest = summarize(_PAIR_METRICS, base, change)
+        assert digest.endswith(
+            "pair ratios rows_per_s 1.100 [1.100, 1.100], "
+            "emit_p50_ms 0.950 [0.900, 1.000]  [ok]"
+        )
 
     def test_worse_inside_the_bound_is_not_a_regression(self, capsys):
         base = _pair_runs([100] * 4, [1.0] * 4)

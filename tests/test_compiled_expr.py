@@ -10,14 +10,16 @@ seeded randomly generated corpus of expression trees.
 
 from __future__ import annotations
 
+import collections
 import random
 
 import pytest
-from conftest import GENERATORS, declining, generated
+from conftest import GENERATORS, declining, generated, interpreted
 
 from repro.api import StreamSource, connect
 from repro.data import DataType, Row, Schema
 from repro.errors import ExecutionError
+from repro.runtime.faults import kill_shard
 from repro.sql import compile_expr, compile_projection, parse_select
 from repro.sql.expressions import (
     AggregateCall,
@@ -306,10 +308,11 @@ class TestCodeObjectMemo:
                 "where r.temp > 5.0 group by r.host"
             )
             assert cursor._handle.exchanged
-        # Four shards each generated the stage-1 sources again ...
-        assert len(generated) > len(set(generated))
-        # ... and builtin compile ran exactly once per distinct text.
-        assert len(compiled_sources) == len(set(compiled_sources)) == len(set(generated))
+        # The four shards lowered their replicas in one kernel scope, so
+        # each source was generated once ...
+        assert len(generated) == len(set(generated))
+        # ... and builtin compile ran exactly once per text.
+        assert len(compiled_sources) == len(set(compiled_sources)) == len(generated)
 
     def test_closures_from_one_source_keep_their_own_bindings(self):
         starts_a = compile_expr(BinaryOp("LIKE", col("s"), lit("lab%")), SCHEMA)
@@ -320,6 +323,181 @@ class TestCodeObjectMemo:
         # ... different constants: they disagree where they should.
         assert starts_a(ROWS[0].values) is True and starts_o(ROWS[0].values) is False
         assert starts_a(ROWS[4].values) is False and starts_o(ROWS[4].values) is True
+
+
+# ---------------------------------------------------------------------------
+# A pool generates each kernel once: its shards' operators hold the
+# functions one admission generated, and keep their own state
+# ---------------------------------------------------------------------------
+_POOL_READINGS = Schema.of(
+    ("room", DataType.STRING), ("host", DataType.STRING),
+    ("temp", DataType.FLOAT), ("load", DataType.FLOAT),
+)
+_POOL_EVENTS = Schema.of(
+    ("kind", DataType.STRING), ("host", DataType.STRING), ("load", DataType.FLOAT)
+)
+#: Partition-unsafe under Readings by room and Events by kind, so each
+#: runs exchanged: a shuffled join, a global and a non-covering grouped
+#: aggregate, and a non-covering DISTINCT.
+_EXCHANGED = (
+    "select r.host, r.temp, e.load as eload from Readings r [range 10 seconds], "
+    "Events e [range 10 seconds] where r.host = e.host and e.load > 0.5 and r.temp > 20.0",
+    "select count(*) as n, avg(r.load) as mean, min(r.temp) as lo "
+    "from Readings r [range 20 seconds slide 20 seconds]",
+    "select r.host, count(*) as n, sum(r.temp) as total, max(r.load) as peak "
+    "from Readings r [range 20 seconds slide 20 seconds] where r.temp > 5.0 group by r.host",
+    "select distinct r.host from Readings r where r.temp > 25.0",
+)
+#: Every per-operator state container the exchanged operators hold.
+_STATE = ("_windows", "_groups", "_touched", "_pending", "_seen", "_left_buffer", "_right_buffer")
+
+
+def _run_pool(sqls, rooms, kill=None, after=None, per_chunk=40, **options):
+    """Admit ``sqls`` on ``connect(**options)`` (Readings by room, Events
+    by kind) and feed six seeded chunks of ``per_chunk`` readings,
+    ``room`` drawn from ``rooms``, each punctuated; with ``kill``, that
+    shard dies after the first chunk. ``after`` gets the session before
+    it closes. Returns each query's result multiset and the admission's
+    ``generated`` count."""
+    rng = random.Random(11)
+    with connect(**options) as session:
+        session.attach(StreamSource("Readings", _POOL_READINGS, partition_by="room"))
+        session.attach(StreamSource("Events", _POOL_EVENTS, partition_by="kind"))
+        cursors = [session.query(sql) for sql in sqls]
+        admitted = session.stats()["compile"]["generated"]
+        for chunk in range(6):
+            if chunk == 1 and kill is not None:
+                kill_shard(session.engine, kill)
+            stamps = [chunk * 10.0 + i * 10.0 / per_chunk for i in range(per_chunk)]
+            readings = [
+                {
+                    "room": rng.choice(rooms), "host": f"ws{rng.randrange(8)}",
+                    "temp": rng.uniform(0, 40), "load": rng.random(),
+                }
+                for _ in stamps
+            ]
+            events = [
+                {"kind": rng.choice(("warn", "err", "info")), "host": f"ws{rng.randrange(8)}",
+                 "load": rng.random()}
+                for _ in stamps[::2]
+            ]
+            session.push_many("Readings", readings, stamps)
+            session.push_many("Events", events, stamps[::2])
+            session.punctuate(stamps[-1])
+        session.punctuate(1000.0)
+        results = [collections.Counter(row.values for row in c.results()) for c in cursors]
+        if after is not None:
+            after(session)
+        return results, admitted
+
+
+def _replicas(session, cursor) -> list[list]:
+    """Per shard, the operators of ``cursor``'s stage-1 replicas, then
+    of its stage-2 replica where that shard hosts one."""
+    query_id = cursor._handle.query_id
+    hosts = []
+    for host in session.engine._channels:
+        replicas = [*host.stage1[query_id], *filter(None, [host.queries.get(query_id)])]
+        hosts.append([op for replica in replicas for op in replica.compiled.operators])
+    return hosts
+
+
+def _kernels(op) -> dict:
+    """``op``'s generated functions by attribute."""
+    return {k: v for k, v in vars(op).items() if hasattr(v, "__compiled_source__")}
+
+
+class TestPoolKernelScope:
+    """A pool lowers one admission's replicas on every shard inside one
+    kernel scope: each kernel is generated once and held by every
+    shard's operator, while state stays per operator."""
+
+    ROOMS = ("lab1", "lab2", "office3", "lab4")
+
+    def test_shards_share_kernels_and_keep_their_own_state(self):
+        def check(session):
+            assert all(c._handle.exchanged for c in session._cursors)
+            for cursor in session._cursors:
+                first, *others = _replicas(session, cursor)
+                for other in others:
+                    assert len(other) <= len(first)
+                    for mine, theirs in zip(first, other):
+                        assert type(mine) is type(theirs)
+                        kernels = _kernels(mine)
+                        assert kernels.keys() == _kernels(theirs).keys()
+                        for name, kernel in kernels.items():
+                            assert getattr(theirs, name) is kernel, name
+                        for name in _STATE:
+                            if hasattr(mine, name):
+                                assert getattr(theirs, name) is not getattr(mine, name), name
+                                checked.add(name)
+            # One shard generated every kernel; the others generated none.
+            pool = session.engine
+            per_engine = [engine.compile_stats()["generated"] for engine in pool.engines]
+            assert per_engine[0] > 0 and per_engine[1:] == [0, 0, 0]
+            assert pool.fallback_engine.compile_stats()["generated"] == 0
+            counts["pool"] = pool._compile_counts["generated"]
+            counts["shard"] = per_engine[0]
+
+        checked, counts = set(), {}
+        _, admitted = _run_pool(_EXCHANGED, self.ROOMS, after=check, shards=4)
+        assert checked >= {"_windows", "_seen", "_left_buffer", "_right_buffer"}
+        assert admitted == counts["shard"] + counts["pool"]
+
+    def test_process_workers_generate_their_own(self, monkeypatch):
+        """Each worker process compiles its own replicas, so a process
+        pool counts what a loopback pool without the scope counts."""
+        import contextlib
+
+        import repro.stream.sharded as sharded
+
+        loopback, shared = _run_pool(_EXCHANGED, self.ROOMS, shards=2)
+        processes, generated = _run_pool(_EXCHANGED, self.ROOMS, shards=2, workers="process")
+        monkeypatch.setattr(sharded, "kernel_scope", contextlib.nullcontext)
+        unscoped, per_shard = _run_pool(_EXCHANGED, self.ROOMS, shards=2)
+        assert processes == loopback == unscoped
+        assert generated == per_shard > shared
+
+    def test_a_killed_shard_recovers_with_kernels_of_its_own(self):
+        expected, _ = _run_pool(_EXCHANGED, self.ROOMS, shards=4, checkpoint_interval=10.0)
+        assert all(expected)
+
+        def check(session):
+            for cursor in session._cursors:
+                first, recovered = _replicas(session, cursor)[:2]
+                for mine, theirs in zip(first, recovered):
+                    for name, kernel in _kernels(mine).items():
+                        assert getattr(theirs, name) is not kernel, name
+            assert session.engine.engines[1].compile_stats()["generated"] > 0
+
+        got, _ = _run_pool(
+            _EXCHANGED, self.ROOMS, kill=1, after=check, shards=4, checkpoint_interval=10.0
+        )
+        assert got == expected
+
+    def test_a_shared_like_memo_fills_once_for_both_shards(self):
+        """The one mutable object a shared kernel binds: a constant
+        LIKE's verdict memo, and the key class that stops probing it once
+        full. More distinct rooms than the memo holds fill it from both
+        shards; every arm reads the same rows."""
+        sql = ("select r.room, r.temp from Readings r where r.room like 'lab%'",)
+        rooms = tuple(f"{kind}{i}" for i in range(700) for kind in ("lab", "office"))
+        filled = []
+
+        def memo(session):
+            loops = [engine._fused_ingest["readings"][0] for engine in session.engine.engines]
+            assert loops[0] is loops[1]
+            env = loops[0].__globals__
+            (store,) = [v for k, v in env.items() if k.startswith("lv")]
+            (key,) = [v for k, v in env.items() if k.startswith("lc")]
+            filled.append((len(store), key))
+
+        pooled, _ = _run_pool(sql, rooms, after=memo, per_chunk=500, shards=2)
+        assert filled == [(1024, None)]
+        single, _ = _run_pool(sql, rooms, per_chunk=500)
+        with interpreted():
+            reference, _ = _run_pool(sql, rooms, per_chunk=500, shards=2)
+        assert pooled[0] and pooled == single == reference
 
 
 # ---------------------------------------------------------------------------
