@@ -809,6 +809,12 @@ class Session:
         reports the process-transport counters: worker count,
         queue-depth high-water mark, batches flushed by size / timeout /
         barrier, rows and batches shipped, and worker restarts.
+
+        A sensor-capable session (``connect(network=...)`` or an injected
+        sensor engine) adds ``"sensor"``: the records its live in-network
+        deployments put on the radio (``records_sent``) and those that
+        counted nowhere (``records_lost``: unroutable, dropped by the
+        radio, or late for an aggregation parent's slot), summed.
         """
         self._ensure_open()
         out = {
@@ -826,6 +832,12 @@ class Session:
             workers = self.engine.worker_stats()
             if workers:
                 out["workers"] = workers
+        if self._sensor_capable:
+            deployed = self.sensor_engine.deployed
+            out["sensor"] = {
+                key: sum(getattr(d, key) for d in deployed)
+                for key in ("records_sent", "records_lost")
+            }
         return out
 
     def _forget_cursor(self, cursor: Cursor) -> None:

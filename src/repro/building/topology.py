@@ -67,9 +67,6 @@ class RoutingGraph:
             raise BuildingModelError(f"unknown routing point {name!r}")
         return point
 
-    def has_point(self, name: str) -> bool:
-        return name in self._points
-
     @property
     def points(self) -> list[RoutingPoint]:
         return list(self._points.values())

@@ -13,13 +13,14 @@ Three deployment primitives:
   each mote folds its filtered reading into one ``(count, sum, min,
   max)`` partial state record (PSR) group per argument, records combine
   at every tree level — one message per tree edge per epoch regardless
-  of fan-in — and the base delivers the epoch's record stamped with the
-  sample time. The record is a partial, not an answer: the federated
-  residual's own Aggregate finishes it under the query's running,
-  tumbling or sliding semantics. Float sums associate in tree order,
-  not in the stream engine's arrival order, so SUM/AVG may differ from
-  a stream fold of the same readings in the last bit (they agree
-  exactly whenever every partial sum is exact).
+  of fan-in, one :data:`SLOT` per level, deepest first — and the base
+  delivers the epoch's record stamped with the sample time in its own
+  slot, after the shallowest level's. The record is a partial, not an
+  answer: the federated residual's own Aggregate finishes it under the
+  query's running, tumbling or sliding semantics. Float sums associate
+  in tree order, not in the stream engine's arrival order, so SUM/AVG
+  may differ from a stream fold of the same readings in the last bit
+  (they agree exactly whenever every partial sum is exact).
 * :meth:`SensorEngine.deploy_join` — pairwise in-network join (e.g.
   seat-light ⋈ machine-temperature on the same desk). Each pair runs one
   of three strategies; the per-pair choice is the sensor optimizer's
@@ -35,14 +36,20 @@ collection or join delivers it as a :class:`~repro.data.tuples.Row`
 under that schema, checked against its types as any input from outside
 the program is.
 
-Results arrive at the basestation and are handed to the engine's
-``on_result`` callback — in SmartCIS that callback pushes into the
-stream engine, closing the federation loop.
+Every primitive moves data by the radio alone, under one rule: a
+tuple or record counts where it arrives, in its send's delivery
+callback. One the route or the radio loses, or an aggregation record
+that misses its parent's slot, is missing from the answer, and the
+deployment counts it in ``records_lost``. Results arrive at the
+basestation and are handed to the engine's ``on_result`` callback — in
+SmartCIS that callback pushes into the stream engine, closing the
+federation loop.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -54,7 +61,7 @@ from repro.data.types import size_in_bytes
 from repro.errors import SensorNetworkError
 from repro.runtime import PeriodicTask
 from repro.sensor.mote import Mote
-from repro.sensor.network import HOP_LATENCY, SensorNetwork
+from repro.sensor.network import HOP_LATENCY, MAX_RETRIES, SensorNetwork
 from repro.sql.compiled import CompiledExpr, compile_expr
 from repro.sql.expressions import Expr
 
@@ -69,6 +76,11 @@ ResultCallback = Callable[[str, Row | dict[str, Any], float], None]
 PSR_FIELDS = ("count", "sum", "min", "max")
 #: Radio payload of one argument's PSR: four 8-byte slots.
 PSR_BYTES = 4 * 8
+#: One tree level's share of an aggregation epoch: a hop and all its
+#: retries, plus half a hop, so a record delivered on its last retry
+#: lands strictly before its parent's slot opens (the simulator runs
+#: events of equal timestamp first in, first out).
+SLOT = (MAX_RETRIES + 1.5) * HOP_LATENCY
 
 
 def psr_name(argument: int, name: str) -> str:
@@ -166,11 +178,17 @@ class DeployedQuery:
     :meth:`stop` cancels the mote tasks *and* retires the handle from
     the engine's ``deployed`` registry, so a federated cursor closing
     its fragments leaves no ghost deployments behind. Idempotent.
+
+    ``records_sent`` counts the records the query handed the radio, and
+    ``records_lost`` those that counted nowhere: unroutable, dropped by
+    the radio, or (an aggregation's) late for the parent's slot.
     """
 
     name: str
     tasks: list[PeriodicTask] = field(default_factory=list)
     results_delivered: int = 0
+    records_sent: int = 0
+    records_lost: int = 0
     epochs: int = 0
     on_result: ResultCallback | None = None
     engine: "SensorEngine | None" = field(default=None, repr=False)
@@ -203,28 +221,17 @@ class SensorEngine:
     # ------------------------------------------------------------------
     # Failure detection
     # ------------------------------------------------------------------
-    def _report_mote_death(self, mote_id: int) -> None:
-        """Fire death subscribers the first time ``mote_id`` is seen dead."""
-        if mote_id in self._dead_reported:
-            return
-        self._dead_reported.add(mote_id)
-        for callback in list(self.on_mote_death):
-            callback(mote_id)
-
     def _scan_for_deaths(self) -> None:
-        """Report every newly dead mote.
+        """Fire death subscribers for every newly dead mote, once each.
 
         Run at the top of each deployment epoch so deaths surface even
         for pure-relay motes that no sampler ever touches.
         """
         for mote_id, mote in self.network.motes.items():
             if not mote.alive and mote_id not in self._dead_reported:
-                self._report_mote_death(mote_id)
-
-    def _drop_disconnected(self, mote_id: int) -> None:
-        """Account a message lost because its route no longer exists."""
-        self.network.stats.drops += 1
-        self.network._trace("drop", {"reason": "disconnected", "mote": mote_id})
+                self._dead_reported.add(mote_id)
+                for callback in list(self.on_mote_death):
+                    callback(mote_id)
 
     # ------------------------------------------------------------------
     # Relations
@@ -275,7 +282,6 @@ class SensorEngine:
                 self._scan_for_deaths()
                 mote = self.network.mote(mote_id)
                 if not mote.alive:
-                    self._report_mote_death(mote_id)
                     return
                 values = relation.read(mote)
                 mote.account_cpu()
@@ -284,20 +290,10 @@ class SensorEngine:
                 # Deliver with the *sample* timestamp: downstream latency
                 # measurements then include real network delay.
                 sample_time = self.network.simulator.now
-                try:
-                    self.network.send_to_base(
-                        mote_id,
-                        relation.row_bytes(),
-                        payload=Row(schema, values),
-                        on_delivered=lambda payload, time, sample_time=sample_time: self._deliver(
-                            deployed, out_name, payload, sample_time
-                        ),
-                    )
-                except SensorNetworkError:
-                    # A dead relay severed the route. Best-effort
-                    # collection drops the tuple; repair (if installed)
-                    # re-routes future epochs.
-                    self._drop_disconnected(mote_id)
+                self._send(
+                    deployed, mote_id, None, relation.row_bytes(), Row(schema, values),
+                    lambda payload, time: self._deliver(deployed, out_name, payload, sample_time),
+                )
             return epoch
 
         for mote_id in relation.mote_ids:
@@ -320,26 +316,30 @@ class SensorEngine:
         on_result: ResultCallback | None = None,
     ) -> DeployedQuery:
         """One message per collection-tree edge per epoch: every member
-        mote samples, applies ``predicate`` as :meth:`deploy_collection`
-        does, and folds each of ``arguments`` (``None`` stands for the
-        row, for ``COUNT(*)``) into a ``(count, sum, min, max)`` group.
-        Both are written in the scan binding ``key_prefix``.
-        A mote combines its children's partial state records with its
-        own and forwards a single PSR to its parent; a mote with nothing
-        to report stays silent.
+        mote samples at the epoch's start, applies ``predicate`` as
+        :meth:`deploy_collection` does, and folds each of ``arguments``
+        (``None`` stands for the row, for ``COUNT(*)``) into a ``(count,
+        sum, min, max)`` group. Both are written in the scan binding
+        ``key_prefix``.
 
-        The base delivers the flattened record (:func:`psr_name`) as
-        one tuple stamped with the sample time, one tree depth of
-        ``HOP_LATENCY`` later — no earlier than that epoch's collection
-        tuples would arrive. It is a partial, not an answer: the stream
-        residual's own Aggregate finishes it.
+        The epoch runs in :data:`SLOT`-long slots, one per tree level,
+        deepest first (TAG's epoch slotting). In its level's slot a mote
+        merges its own record with the children's records that reached
+        it and forwards a single PSR to its parent; a mote with nothing
+        to report stays silent. A child's record counts only where it
+        arrives, before its parent's slot: one the radio drops, or one
+        that arrives late, is missing from that epoch's answer and
+        counted in the deployment's ``records_lost``, never carried
+        over. In its own slot, one level after the shallowest motes',
+        the base delivers the flattened record (:func:`psr_name`) as one
+        tuple stamped with the sample time. It is a partial, not an
+        answer: the stream residual's own Aggregate finishes it.
         """
         relation = self.relation(relation_name)
         deployed = DeployedQuery(
             target_name or f"{relation.name}_psr", on_result=on_result, engine=self
         )
-        member_ids = set(relation.mote_ids)
-        base_id = self.network.basestation.mote_id
+        network = self.network
         names = [psr_name(i, name) for i in range(len(arguments)) for name in PSR_FIELDS]
         psr_bytes = PSR_BYTES * len(arguments)
 
@@ -359,60 +359,49 @@ class SensorEngine:
         def epoch() -> None:
             deployed.epochs += 1
             self._scan_for_deaths()
-            self.network._ensure_topology()
-            # Post-order over the collection tree: children before parents,
-            # so a mote's inbox is complete by the time it runs. The inbox
-            # is keyed by *recipient*: child PSRs accumulate at the parent.
-            inbox: dict[int, tuple] = {}
-            for mote_id in self._postorder():
-                mote = self.network.mote(mote_id)
-                if not mote.alive:
-                    self._report_mote_death(mote_id)
-                    continue
-                psr = inbox.pop(mote_id, None)
-                if mote_id in member_ids:
-                    psr = _merge_psr(psr, sample(mote))
-                if psr is None:
-                    continue  # nothing to report this epoch
-                mote.account_cpu()
-                if mote_id == base_id:
-                    record = dict(zip(names, itertools.chain.from_iterable(psr)))
-                    self.network.simulator.schedule_in(
-                        HOP_LATENCY * self.network.diameter,
-                        lambda record=record, sample_time=self.network.simulator.now: (
-                            self._deliver(deployed, deployed.name, record, sample_time)
-                        ),
-                    )
-                    continue
-                try:
-                    parent = self.network.parent_of(mote_id)
-                    # One PSR message up the tree edge (loss modelled as
-                    # a single-hop send).
-                    self.network.send(mote_id, parent, psr_bytes)
-                except SensorNetworkError:
-                    # Disconnected from the tree: this mote's partial
-                    # state is lost for the epoch.
-                    self._drop_disconnected(mote_id)
-                    continue
-                inbox[parent] = _merge_psr(inbox.get(parent), psr)
+            sample_time = network.simulator.now
+            depth = network.diameter
+            levels, parents = network._hops, network._parent
+            # held[level]: the records the motes at that tree depth hold,
+            # by mote; None once the level's slot has passed.
+            held: list[dict[int, tuple] | None] = [{} for _ in range(depth + 1)]
+            for mote_id in relation.mote_ids:
+                if mote_id in levels and network.motes[mote_id].alive:
+                    held[levels[mote_id]][mote_id] = sample(network.motes[mote_id])
 
-        task = self.network.simulator.schedule_periodic(relation.period, epoch)
+            def arrive(level: int, mote_id: int, psr: tuple, time: float) -> None:
+                records = held[level]
+                if records is None:
+                    deployed.records_lost += 1  # after its parent's slot
+                else:
+                    records[mote_id] = _merge_psr(records.get(mote_id), psr)
+
+            def forward(level: int) -> None:
+                records, held[level] = held[level], None
+                for mote_id, psr in sorted(records.items()):
+                    mote = network.motes[mote_id]
+                    if psr is None or not mote.alive:
+                        continue  # nothing to report, or no one to report it
+                    mote.account_cpu()
+                    if level == 0:
+                        record = dict(zip(names, itertools.chain.from_iterable(psr)))
+                        self._deliver(deployed, deployed.name, record, sample_time)
+                        continue
+                    parent = parents[mote_id]
+                    self._send(
+                        deployed, mote_id, parent, psr_bytes, psr,
+                        functools.partial(arrive, level - 1, parent),
+                    )
+
+            for level in range(depth + 1):
+                network.simulator.schedule_in(
+                    (depth - level) * SLOT, lambda level=level: forward(level)
+                )
+
+        task = network.simulator.schedule_periodic(relation.period, epoch)
         deployed.tasks.append(task)
         self.deployed.append(deployed)
         return deployed
-
-    def _postorder(self) -> list[int]:
-        """Collection-tree post-order (children before parents)."""
-        base_id = self.network.basestation.mote_id
-        order: list[int] = []
-
-        def visit(mote_id: int) -> None:
-            for child in sorted(self.network.children_of(mote_id)):
-                visit(child)
-            order.append(mote_id)
-
-        visit(base_id)
-        return order
 
     # ------------------------------------------------------------------
     # In-network pairwise join
@@ -448,9 +437,7 @@ class SensorEngine:
             left_mote = self.network.mote(pair.left_mote)
             right_mote = self.network.mote(pair.right_mote)
             if not (left_mote.alive and right_mote.alive):
-                for mote in (left_mote, right_mote):
-                    if not mote.alive:
-                        self._report_mote_death(mote.mote_id)
+                self._scan_for_deaths()  # one may have died this epoch
                 return
             sample_time = self.network.simulator.now
             left_values = left.read(left_mote)
@@ -477,10 +464,7 @@ class SensorEngine:
                     (pair.left_mote, left, left_values),
                     (pair.right_mote, right, right_values),
                 ):
-                    try:
-                        self.network.send_to_base(mote_id, rel.row_bytes(), values, at_base)
-                    except SensorNetworkError:
-                        self._drop_disconnected(mote_id)
+                    self._send(deployed, mote_id, None, rel.row_bytes(), values, at_base)
                 return
 
             # Local join: ship one side to the other, evaluate there, and
@@ -497,20 +481,12 @@ class SensorEngine:
                 site_mote.account_cpu()
                 row = joined()
                 if row is not None:
-                    try:
-                        self.network.send_to_base(
-                            join_site,
-                            joined_bytes,
-                            row,
-                            lambda p, t: self._deliver(deployed, target_name, p, sample_time),
-                        )
-                    except SensorNetworkError:
-                        self._drop_disconnected(join_site)
+                    self._send(
+                        deployed, join_site, None, joined_bytes, row,
+                        lambda p, t: self._deliver(deployed, target_name, p, sample_time),
+                    )
 
-            try:
-                self.network.send(carrier, join_site, carried_bytes, None, at_join_site)
-            except SensorNetworkError:
-                self._drop_disconnected(carrier)
+            self._send(deployed, carrier, join_site, carried_bytes, None, at_join_site)
 
         def epoch() -> None:
             deployed.epochs += 1
@@ -545,6 +521,47 @@ class SensorEngine:
             pass
 
     # ------------------------------------------------------------------
+    def _send(
+        self,
+        deployed: DeployedQuery,
+        source: int,
+        target: int | None,
+        payload_bytes: int,
+        payload: Any,
+        on_delivered: Callable[[Any, float], None],
+    ) -> None:
+        """Send one of ``deployed``'s records from ``source`` to
+        ``target``, or up the collection tree to the base when ``target``
+        is ``None``. The record counts only in ``on_delivered``, where it
+        arrives. One that no route reaches (a dead relay severed it;
+        repair, if installed, re-routes later epochs) or that the radio
+        drops is counted lost: at once, or once the longest route the
+        network could take has had every retry."""
+        network = self.network
+        deployed.records_sent += 1
+        arrived: list[float] = []
+
+        def delivered(payload: Any, time: float) -> None:
+            arrived.append(time)
+            on_delivered(payload, time)
+
+        def settle() -> None:
+            if not arrived:
+                deployed.records_lost += 1
+
+        try:
+            if target is None:
+                network.send_to_base(source, payload_bytes, payload, delivered)
+            else:
+                network.send(source, target, payload_bytes, payload, delivered)
+        except SensorNetworkError:
+            deployed.records_lost += 1
+            network.stats.drops += 1
+            network._trace("drop", {"reason": "disconnected", "mote": source})
+            return
+        # No route has as many hops as the network has motes.
+        network.simulator.schedule_in(len(network.motes) * (MAX_RETRIES + 1) * HOP_LATENCY, settle)
+
     def _deliver(
         self, deployed: DeployedQuery, name: str, values: Row | dict[str, Any], time: float
     ) -> None:

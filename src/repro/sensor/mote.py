@@ -92,9 +92,6 @@ class Mote:
         """Attach a sensing device producing ``attribute`` values."""
         self._sensors[attribute] = fn
 
-    def has_sensor(self, attribute: str) -> bool:
-        return attribute in self._sensors
-
     @property
     def sensor_attributes(self) -> list[str]:
         return list(self._sensors)

@@ -137,11 +137,6 @@ class SensorCostModel:
             return float(len(self._network.route(a, b)) - 1)
         return 1.0  # paired motes are deployed adjacently
 
-    def average_hops(self, mote_ids: tuple[int, ...]) -> float:
-        if not mote_ids:
-            return float(self._catalog.network.diameter) / 2.0
-        return sum(self.hops_to_base(m) for m in mote_ids) / len(mote_ids)
-
     # ------------------------------------------------------------------
     # Selectivity (simple; column NDVs from the catalog)
     # ------------------------------------------------------------------

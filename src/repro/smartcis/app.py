@@ -64,7 +64,7 @@ from repro.smartcis.monitoring import (
 from repro.sql import parse
 from repro.sql.compiled import compile_expr
 from repro.sql.expressions import BinaryOp, ColumnRef, Literal
-from repro.sql.ast import CreateView, RecursiveQuery, SelectQuery
+from repro.sql.ast import CreateView
 from repro.stream import StreamEngine
 from repro.wrappers import (
     MachineStateWrapper,
@@ -694,20 +694,6 @@ class SmartCIS:
         :class:`repro.api.Cursor` (thin alias of ``query`` with the
         federated route forced — mixed plans take it automatically)."""
         return self.session.query(text, engine="federated")
-
-    def execute_statement(self, text: str):
-        """Execute any statement (deprecation shim over the Session
-        API): CREATE VIEW registers a view and returns its name; SELECT
-        starts a *federated* continuous query and returns its Cursor;
-        WITH RECURSIVE materialises a snapshot and returns its rows."""
-        statement = parse(text)
-        if isinstance(statement, CreateView):
-            return self.session.query(text).view_name
-        if isinstance(statement, SelectQuery):
-            return self.execute_sql(text)
-        if isinstance(statement, RecursiveQuery):
-            return self.session.query(text).results()
-        raise AspenError(f"unsupported statement {type(statement).__name__}")
 
     # ==================================================================
     # Schema mappings (the paper's roadmap item, usable from the facade)

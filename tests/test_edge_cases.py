@@ -5,7 +5,7 @@ import pytest
 
 import repro.errors as errors
 from repro.data import DataType, Schema, WindowKind
-from repro.errors import AspenError, ParseError
+from repro.errors import AspenError, ParseError, QueryError
 from repro.smartcis import queries as canned
 from repro.sql import parse, parse_select, tokenize
 
@@ -140,20 +140,20 @@ class TestAppStatementHandling:
         with pytest.raises(AspenError, match="already started"):
             app.start()
 
-    def test_execute_statement_rejects_unknown(self):
+    def test_query_rejects_unknown_statement(self):
         from repro import SmartCIS
 
         app = SmartCIS(seed=1, lab_count=2)
         app.start()
-        with pytest.raises(ParseError):
-            app.execute_statement("drop table Machines")
+        with pytest.raises(QueryError):
+            app.query("drop table Machines")
 
     def test_view_registration_via_statement_then_query(self):
         from repro import SmartCIS
 
         app = SmartCIS(seed=1, lab_count=2)
         app.start()
-        app.execute_statement(
+        app.query(
             "create view Busy as (select ss.room, ss.desk from SeatSensors ss "
             "where ss.status = 'busy')"
         )

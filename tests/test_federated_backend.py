@@ -7,7 +7,9 @@ seeded federated-vs-all-stream identity corpus (mixed sensor+stream
 SELECTs through ``FederatedBackend`` and through a forced
 ``engine="stream"`` run must emit identical per-punctuation rows),
 composition with ``connect(shards=N)``, the QueryError funnel and
-``Session.close`` stopping in-flight federated executions.
+``Session.close`` stopping in-flight federated executions, and the
+aggregation templates on a lossy radio against a brute-force fold of
+the readings that arrived.
 
 Every corpus template runs; ``REPRO_FED_SEEDS`` (default 6) scales the
 literal draws per template.
@@ -39,10 +41,12 @@ from repro.sensor import (
     Mote,
     MoteRole,
     Position,
+    RadioModel,
     SensorNetwork,
     SensorRelation,
     partition_plan,
 )
+from repro.sensor.engine import SLOT
 from repro.stream.sharded import ShardedQueryHandle
 
 SEEDS = int(os.environ.get("REPRO_FED_SEEDS", "6"))
@@ -58,23 +62,28 @@ ROOMS = Schema.of(("room", DataType.STRING), ("floor", DataType.INT))
 # so a federated run and an all-stream run of the same seed see
 # byte-identical sensor data. At the default range every mote is one
 # hop from the base; ``radio_range=14.0`` makes a loss-free chain (motes
-# 8 ft apart inside an 8.4 ft reliable disc), a tree 4 deep.
+# 8 ft apart inside an 8.4 ft reliable disc), a tree 4 deep. ``radio``
+# swaps the link model (a lossy one makes a lossy world).
 # ----------------------------------------------------------------------
+def _temp(mote_id: int, now: float) -> float:
+    """Mote ``mote_id``'s reading at sim time ``now``, as sampled."""
+    return round(12.0 + 3.0 * mote_id + (now * 1.7) % 11.0, 2)
+
+
 def _build_world(
     seed: int,
     motes: int = 4,
     shards: int = 1,
     radio_range: float = 100.0,
     period: float = 5.0,
+    radio: RadioModel | None = None,
 ):
     simulator = Simulator(seed)
-    network = SensorNetwork(simulator)
+    network = SensorNetwork(simulator, radio)
     network.add_basestation(Position(0.0, 0.0))
     for i in range(1, motes + 1):
         mote = Mote(i, Position(i * 8.0, 0.0), MoteRole.ROOM, radio_range=radio_range)
-        mote.attach_sensor(
-            "temp", lambda i=i, sim=simulator: 12.0 + 3.0 * i + (sim.now * 1.7) % 11.0
-        )
+        mote.attach_sensor("temp", lambda i=i, sim=simulator: _temp(i, sim.now))
         network.add_mote(mote)
     network.rebuild_topology()
     session = connect(network=network, simulator=simulator, shards=shards)
@@ -82,10 +91,7 @@ def _build_world(
         "RoomTemps",
         TEMPS,
         list(range(1, motes + 1)),
-        lambda mote: {
-            "room": f"room{mote.mote_id % 3}",
-            "temp": round(mote.sample("temp"), 2),
-        },
+        lambda mote: {"room": f"room{mote.mote_id % 3}", "temp": mote.sample("temp")},
         period=period,
     )
     session.attach(SensorSource(relation))
@@ -341,6 +347,125 @@ class TestFederatedIdentityCorpus:
 
 
 # ----------------------------------------------------------------------
+# The lossy world: the aggregation templates on a radio that drops
+# ----------------------------------------------------------------------
+#: A chain 4 deep whose links deliver with probability 0.6 or less.
+LOSSY = {
+    "motes": 4,
+    "radio_range": 10.0,
+    "radio": RadioModel(reliable_fraction=0.1, floor_probability=0.05),
+}
+
+
+def _count(temps):
+    return (len(temps),)
+
+
+#: Each aggregation template's brute force: the readings its WHERE keeps
+#: (``t.temp`` above the threshold), the fold of them, the window
+#: ``(range, slide)`` or ``None`` for a running aggregate, and whether
+#: the fold must match exactly (SUM and AVG match to ``rel_tol=1e-12``).
+ORACLES = dict(
+    zip(
+        [sql for sql, deployment in AGGREGATES if deployment == "aggregation"],
+        [
+            (None, _count, None, True),  # count(t.temp)
+            (25.0, _count, None, True),  # count(t.temp) where t.temp > 25
+            (None, _count, None, True),  # count(*)
+            (None, lambda temps: (len(temps), max(temps)), None, True),
+            (20.0, lambda temps: (sum(temps),), None, False),
+            (None, lambda temps: (sum(2.0 * temp for temp in temps),), None, False),
+            (None, lambda temps: (sum(temps) / len(temps),), None, False),
+            (None, lambda temps: (max(temps),), (10.0, 10.0), True),
+            (None, lambda temps: (min(temps),), (20.0, 10.0), True),
+        ],
+        strict=True,
+    )
+)
+
+
+class TestLossyAggregateCorpus:
+    """On a dropping radio an epoch record carries exactly the readings
+    of the records that reached their parents in time: the federated
+    answer is a fold of those readings, never of every reading."""
+
+    PERIOD = 5.0
+    STEPS = 24
+
+    @pytest.mark.parametrize("seed", range(SEEDS))
+    @pytest.mark.parametrize("sql", sorted(ORACLES))
+    def test_answer_folds_the_readings_that_arrived(self, sql, seed, monkeypatch):
+        sends = []  # [source, target, sent at, arrived at or None]
+        send = SensorNetwork.send
+
+        def tapped(network, source, target, payload_bytes, payload=None, on_delivered=None):
+            entry = [source, target, network.simulator.now, None]
+            sends.append(entry)
+
+            def arrived(payload, time):
+                entry[3] = time
+                if on_delivered is not None:
+                    on_delivered(payload, time)
+
+            send(network, source, target, payload_bytes, payload, arrived)
+
+        monkeypatch.setattr(SensorNetwork, "send", tapped)
+        session, simulator = _build_world(seed, period=self.PERIOD, **LOSSY)
+        cursor = session.query(sql)
+        assert [f.deployment.kind for f in cursor.federated_plan.pushed] == ["aggregation"]
+        # Punctuate a second after each epoch, once its record is in.
+        punctuations = []
+        simulator.run_for(1.0)
+        for _ in range(self.STEPS):
+            simulator.run_for(self.PERIOD)
+            punctuations.append(simulator.now)
+            session.punctuate(simulator.now)
+        emitted = [(e.timestamp, e.row.values) for e in cursor._handle.sink.elements]
+        (deployment,) = cursor.fragments
+        session.close()
+
+        above, fold, window, exact = ORACLES[sql]
+        # What each mote's record carries, per epoch: its own reading
+        # and whatever its children's records carried, if they reached
+        # it before its slot (one slot after theirs).
+        carried: dict[tuple[float, int], list[float]] = {}
+        for source, target, sent, arrival in sorted(sends, key=lambda entry: entry[2]):
+            epoch = self.PERIOD * math.floor(sent / self.PERIOD)
+            own = _temp(source, epoch)
+            readings = carried.setdefault((epoch, source), [])
+            if above is None or own > above:
+                readings.append(own)
+            if arrival is not None and arrival < sent + SLOT:
+                carried.setdefault((epoch, target), []).extend(readings)
+        arrived = {
+            epoch: readings for (epoch, mote), readings in carried.items() if mote == 0
+        }
+        lost = sum(arrival is None or arrival >= sent + SLOT for *_, sent, arrival in sends)
+        assert lost > 0 and arrived, "the world must drop some records and deliver some"
+
+        # (emitted at, epochs after, epochs up to): a running fold at each
+        # punctuation, a window at its end; either emits only over data.
+        if window is None:
+            spans = [(at, -math.inf, at) for at in punctuations]
+        else:
+            size, slide = window
+            ends = [slide * k for k in range(1, int(punctuations[-1] // slide) + 1)]
+            spans = [(end, end - size, end) for end in ends]
+        expected = []
+        for at, after, upto in spans:
+            temps = [t for epoch, ts in arrived.items() if after < epoch <= upto for t in ts]
+            if temps:
+                expected.append((at, fold(temps)))
+        assert [at for at, _ in emitted] == [at for at, _ in expected], f"seed={seed} {sql!r}"
+        for (_, got), (_, want) in zip(emitted, expected):
+            if exact:
+                assert got == want, f"seed={seed} {sql!r}"
+            else:
+                assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(got, want))
+        assert deployment.records_lost == lost
+
+
+# ----------------------------------------------------------------------
 # partition_plan: the reusable fragment/residual boundary
 # ----------------------------------------------------------------------
 class TestPartitionPlan:
@@ -521,6 +646,26 @@ class TestFederatedBackendLayer:
         assert "aggregation over RoomTemps" in pushed["RA501"]
         assert "fold (*, t.temp) where (t.temp > 20)" in pushed["RA501"]
         assert "SUM(a0_count), SUM(a1_sum), SUM(a1_count)" in pushed["RA501"]
+
+    def test_stats_count_the_records_a_lossy_radio_loses(self):
+        session, simulator = _build_world(3, **LOSSY)
+        try:
+            network = session.sensor_engine.network
+            cursor = session.query("select count(*) from RoomTemps t")
+            simulator.run_for(62.0)  # twelve epochs, every record settled
+            sensor = session.stats()["sensor"]
+            # Every drop on this radio is a record of one of the two live
+            # deployments: the source's raw collection and the aggregation.
+            assert sensor["records_lost"] == network.stats.drops > 0
+            assert sensor["records_sent"] > sensor["records_lost"]
+            cursor.close()
+            (collection,) = session.sensor_engine.deployed
+            assert session.stats()["sensor"] == {
+                "records_sent": collection.records_sent,
+                "records_lost": collection.records_lost,
+            }
+        finally:
+            session.close()
 
     def test_cursor_close_stops_fragment_deployments(self):
         session, simulator = _build_world(3)

@@ -77,6 +77,7 @@ from repro.plan.logical import (
     Select,
 )
 from repro.runtime import Simulator
+from repro.sensor import Position, SensorNetwork
 from repro.sql.ast import OrderItem
 from repro.sql.expressions import ColumnRef
 from repro.stream import DistributedStreamEngine
@@ -547,6 +548,13 @@ class TestStats:
         }
         # A sharded session adds the pool's own counters, nothing else.
         assert set(sharded) == set(single) | {"pool"}
+        # A sensor-capable one adds its deployments' radio records.
+        network = SensorNetwork(Simulator(1))
+        network.add_basestation(Position(0.0, 0.0))
+        with connect(network=network, simulator=network.simulator) as session:
+            sensing = session.stats()
+        assert set(sensing) == set(single) | {"sensor"}
+        assert sensing["sensor"] == {"records_sent": 0, "records_lost": 0}
         assert set(sharded["pool"]["exchange"]) == {
             "queries", "rows_deposited", "rows_delivered", "runs_delivered",
             "barrier_rounds",

@@ -7,7 +7,6 @@ from repro.data import DataType, Schema
 from repro.runtime import Simulator
 from repro.sensor import (
     HEADER_BYTES,
-    HOP_LATENCY,
     JoinPair,
     JoinStrategy,
     Mote,
@@ -17,7 +16,8 @@ from repro.sensor import (
     SensorNetwork,
     SensorRelation,
 )
-from repro.sensor.engine import PSR_BYTES
+from repro.sensor.engine import PSR_BYTES, SLOT
+from repro.sensor.network import MAX_RETRIES
 from repro.sql.expressions import BinaryOp, ColumnRef, Literal
 
 TEMPS_SCHEMA = Schema.of(("node", DataType.INT), ("temp", DataType.FLOAT))
@@ -145,7 +145,7 @@ class TestAggregation:
         assert sensor_engine.results == []
         assert line_network.stats.delta(before).transmissions == 0
 
-    def test_record_arrives_one_hop_per_tree_level(self, line_network, simulator):
+    def test_record_arrives_one_slot_per_tree_level(self, line_network, simulator):
         arrivals = []
         engine = SensorEngine(
             line_network,
@@ -159,8 +159,76 @@ class TestAggregation:
         )
         engine.deploy_aggregation("Temps", [self.TEMP])
         simulator.run_until(10.5)
-        # A five-deep chain: no earlier than the deepest collection tuple.
-        assert arrivals == [(pytest.approx(10.0 + 5 * HOP_LATENCY), 10.0)]
+        # A five-deep chain: five levels forward, deepest first, one slot
+        # each, and the base delivers in its own slot after them.
+        assert arrivals == [(pytest.approx(10.0 + 5 * SLOT), 10.0)]
+
+    def test_record_delivered_on_its_last_retry_counts(
+        self, sensor_engine, line_network, simulator, monkeypatch
+    ):
+        # The deepest mote's record fails every attempt but its last; no
+        # other message is on the air before its parent's slot.
+        failures = iter([False] * MAX_RETRIES)
+        monkeypatch.setattr(
+            line_network.radio, "attempt_delivery", lambda link, rng: next(failures, True)
+        )
+        deployed = sensor_engine.deploy_aggregation("Temps", [self.TEMP])
+        before = line_network.stats.snapshot()
+        simulator.run_until(11.0)
+        _, record, _ = sensor_engine.results[-1]
+        assert record["a0_count"] == 5
+        assert line_network.stats.delta(before).transmissions == 5 + MAX_RETRIES
+        assert (deployed.records_sent, deployed.records_lost) == (5, 0)
+
+    def test_late_record_counts_in_neither_epoch(
+        self, sensor_engine, line_network, simulator, monkeypatch
+    ):
+        """Mote 5's first record reaches mote 4 a slot late: the first
+        epoch's answer lacks it, and the second does not carry it over."""
+        send = line_network.send
+        delayed = []
+
+        def late(source, target, payload_bytes, payload=None, on_delivered=None):
+            if source == 5 and not delayed:
+                delayed.append(source)
+                arrive = on_delivered
+
+                def on_delivered(payload, time):
+                    simulator.schedule_in(SLOT, lambda: arrive(payload, simulator.now))
+
+            send(source, target, payload_bytes, payload, on_delivered)
+
+        monkeypatch.setattr(line_network, "send", late)
+        deployed = sensor_engine.deploy_aggregation("Temps", [self.TEMP])
+        simulator.run_until(21.0)
+        counts = [record["a0_count"] for _, record, _ in sensor_engine.results]
+        assert counts == [4, 5]
+        assert (deployed.records_sent, deployed.records_lost) == (10, 1)
+
+    def test_dead_relay_subtree_is_missing(self, sensor_engine, line_network, simulator):
+        relay = line_network.motes[3]
+        relay.battery.spend(relay.battery.capacity_mj + 1, "idle")
+        deployed = sensor_engine.deploy_aggregation("Temps", [self.TEMP])
+        simulator.run_until(11.0)
+        _, record, _ = sensor_engine.results[-1]
+        # Motes 4 and 5 sit below the corpse; only 1 and 2 reach the base.
+        assert record == {"a0_count": 2, "a0_sum": 43.0, "a0_min": 21.0, "a0_max": 22.0}
+        # 5 -> 4, 2 -> 1 and 1 -> base arrive; 4 -> 3 dies at the corpse.
+        assert (deployed.records_sent, deployed.records_lost) == (4, 1)
+
+    def test_mote_with_nothing_and_no_arrivals_is_silent(
+        self, sensor_engine, line_network, simulator
+    ):
+        # Only mote 1, next to the base, passes: 2..5 sample, fail and
+        # hear nothing from below.
+        deployed = sensor_engine.deploy_aggregation(
+            "Temps", [self.TEMP], BinaryOp("<", self.TEMP, Literal(21.5))
+        )
+        before = line_network.stats.snapshot()
+        simulator.run_until(11.0)
+        assert line_network.stats.delta(before).transmissions == 1
+        assert deployed.records_sent == 1
+        assert sensor_engine.results[-1][1]["a0_count"] == 1
 
     def test_message_count_one_per_tree_edge(self, sensor_engine, line_network, simulator):
         sensor_engine.deploy_aggregation("Temps", [None, self.TEMP])

@@ -158,15 +158,15 @@ class TestQueries:
         rooms = {r["m.room"] for r in handle.results}
         assert "lab1" in rooms and "machineroom" in rooms
 
-    def test_execute_statement_view_and_recursive(self):
+    def test_query_statement_view_and_recursive(self):
         app = SmartCIS(seed=7, lab_count=2)
         app.start()
-        name = app.execute_statement(
+        name = app.query(
             "create view HotRooms as (select wt.room from WorkstationTemps wt "
             "where wt.temp_c > 30)"
-        )
+        ).view_name
         assert name == "HotRooms" and app.catalog.has_view("HotRooms")
-        rows = app.execute_statement(
+        rows = app.query(
             """
             WITH RECURSIVE reach(src, dst) AS (
               SELECT rp.src, rp.dst FROM RoutingPoints rp
@@ -174,7 +174,7 @@ class TestQueries:
               SELECT r.src, rp.dst FROM reach r, RoutingPoints rp WHERE r.dst = rp.src
             ) SELECT src, dst FROM reach WHERE src = 'lobby'
             """
-        )
+        ).results()
         destinations = {r["reach.dst"] for r in rows}
         assert "lab1.center" in destinations
 
