@@ -90,7 +90,10 @@ CODES: dict[str, str] = {
     "RA503": "residual runs on the stream engine",
     # -- RA9xx: engine-invariant linter --------------------------------
     "RA901": "state_snapshot/state_restore must be defined in pairs",
-    "RA902": "push_batch receives a punctuation-free run; punctuation travels by push",
+    "RA902": (
+        "push_batch receives a punctuation-free run of rows and their stamps; "
+        "punctuation travels by push and no StreamElement is built for a run"
+    ),
     "RA903": "import crosses a layering boundary",
     "RA904": "worker boundary must stay pickle-safe",
     "RA905": "generated source is compiled only by the one memoized helper",

@@ -10,14 +10,20 @@ by ``make lint`` / ``make check``):
   subclass defining one without the other has state that either never
   survives a failover or silently restores stale defaults.
 
-* **RA902 — a batch is a run of elements.** ``push_batch`` receives a
-  punctuation-free run of elements; every punctuation travels by
-  ``push`` (the contract on
+* **RA902 — a batch is a run of rows and their stamps.** ``push_batch``
+  receives a punctuation-free run, ``(rows, stamps, source)``; every
+  punctuation travels by ``push``, and no ``StreamElement`` is built
+  for a run (the contract on
   :class:`~repro.data.streams.StreamConsumer`). Any ``push_batch`` /
   ``receive_batch`` body — on an operator or any other consumer — that
   names ``Punctuation`` or catches ``AttributeError`` is splitting,
   scanning for or recovering from a case the contract rules out, and
-  taxing the hot batch path for it.
+  one that names ``StreamElement`` builds (or reads) the per-row object
+  the run exists to avoid; either taxes the hot batch path. One body is
+  exempt from the second half: ``Operator.push_batch`` in
+  ``stream/operators.py``, the per-element fallback of an operator with
+  no batch body of its own (or whose generated loop declined), which
+  hands its ``on_element`` one element per row.
 
 * **RA903 — layering.** Packages import strictly downward through the
   architecture (``errors → data → catalog → sql → plan → stream/sensor
@@ -256,31 +262,51 @@ def _check_snapshot_pairs(
 _BATCH_VERBS = ("push_batch", "receive_batch")
 
 
+#: ``(module, class)`` whose ``push_batch`` may name StreamElement: the
+#: operators' per-element fallback (see the module docstring).
+_ELEMENT_EXEMPT = {("stream/operators.py", "Operator")}
+
+
 def _check_push_batch(modules: dict[str, ast.Module], out: list[Diagnostic]) -> None:
     for rel, tree in modules.items():
-        for fn in ast.walk(tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
+        for owner, fn in _methods(tree):
             if fn.name not in _BATCH_VERBS:
                 continue
-            what = _punctuation_handling(fn)
+            exempt = (Path(rel).as_posix(), owner) in _ELEMENT_EXEMPT
+            what = _batch_violation(fn, exempt)
             if what is not None:
                 out.append(
                     diag(
                         "RA902",
                         ERROR,
                         f"{fn.name} {what}: a batch is a punctuation-free "
-                        "run of elements and punctuation travels by push, "
-                        "so the body must not look for one",
+                        "run of rows and their stamps, punctuation travels "
+                        "by push and no element is built for a run, so the "
+                        "body must neither look for one nor build one",
                         operator=f"{rel}:{fn.lineno}",
                     )
                 )
 
 
-def _punctuation_handling(fn: ast.AST) -> str | None:
+def _methods(tree: ast.AST, owner: str | None = None):
+    """Every function in ``tree`` with the name of the class directly
+    holding it (None for a module-level or nested function)."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield owner, node
+            yield from _methods(node, None)
+        elif isinstance(node, ast.ClassDef):
+            yield from _methods(node, node.name)
+        else:
+            yield from _methods(node, owner)
+
+
+def _batch_violation(fn: ast.AST, element_exempt: bool) -> str | None:
     for node in ast.walk(fn):
         if isinstance(node, ast.Name) and node.id == "Punctuation":
             return "names Punctuation"
+        if isinstance(node, ast.Name) and node.id == "StreamElement" and not element_exempt:
+            return "names StreamElement"
         if isinstance(node, ast.ExceptHandler) and node.type is not None:
             caught = ast.walk(node.type)
             if any(isinstance(n, ast.Name) and n.id == "AttributeError" for n in caught):

@@ -58,8 +58,10 @@ class Subscription:
     queued ahead of it, straight from the run; otherwise the run joins
     the queue and the queue drains.
 
+    A row subscription takes the run's rows as the sink stored them; an
+    ``elements`` one gets a :class:`StreamElement` built per row.
     Either way delivery is at-least-once and in the order rows entered
-    the cursor's sink: if the callback raises at element *k* of a run,
+    the cursor's sink: if the callback raises at item *k* of a run,
     *k* and everything behind it stay queued, in order, and the
     exception propagates — for a direct subscription, to the sink's
     fan-out, which parks it: the emitting verb raises it once all of its
@@ -74,7 +76,7 @@ class Subscription:
         self.callback = callback
         self.elements = elements
         self.mode = mode
-        self._pending: deque[StreamElement] = deque()
+        self._pending: deque[Row | StreamElement] = deque()
         self._draining = False
 
     @property
@@ -83,31 +85,38 @@ class Subscription:
         is not counted."""
         return len(self._pending)
 
-    def _enqueue(self, run: list[StreamElement]) -> None:
-        """Take one run (the producer's list: read, never kept)."""
+    def _enqueue(self, rows: list[Row], stamps: list[float], source: str) -> None:
+        """Take one run (the producer's lists: read, never kept)."""
+        if self.elements:
+            rows = [StreamElement(r, t, source) for r, t in zip(rows, stamps)]
         if self.mode == "direct" and not self._pending and not self._draining:
-            self._deliver(run)
+            # _deliver's loop, inlined: this is one call per run per
+            # subscription on the emitting verb's path.
+            callback = self.callback
+            rest = iter(rows)
+            try:
+                for item in rest:
+                    callback(item)
+            except BaseException:
+                self._pending.extendleft(reversed([item, *rest]))
+                raise
             return
-        self._pending.extend(run)
+        self._pending.extend(rows)
         if self.mode == "direct":
             self.drain()
 
-    def _deliver(self, run: list[StreamElement]) -> int:
-        """Call back every element of ``run`` in order; returns how many.
-        When a callback raises, the failing element and the rest of the
+    def _deliver(self, run: list) -> int:
+        """Call back every item of ``run`` in order; returns how many.
+        When a callback raises, the failing item and the rest of the
         run go back to the head of the queue — ahead of anything queued
         meanwhile — before the exception propagates."""
         callback = self.callback
         rest = iter(run)
         try:
-            if self.elements:
-                for element in rest:
-                    callback(element)
-            else:
-                for element in rest:
-                    callback(element.row)
+            for item in rest:
+                callback(item)
         except BaseException:
-            self._pending.extendleft(reversed([element, *rest]))
+            self._pending.extendleft(reversed([item, *rest]))
             raise
         return len(run)
 
@@ -231,8 +240,13 @@ class Cursor:
             return self._handle.latest_batch()
         if self._query is None:
             return self.results()
-        elements, lo, hi, watermark = self._query.sink.extent()
-        return [e.row for e in elements[lo:hi] if e.timestamp >= watermark]
+        log, lo, hi, watermark = self._query.sink.extent()
+        return [
+            row
+            for rows, stamps, _ in log.runs(lo, hi)
+            for row, stamp in zip(rows, stamps)
+            if stamp >= watermark
+        ]
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self.results())
@@ -293,7 +307,7 @@ class Cursor:
             # One-shot cursor: replay (direct) or enqueue (queue) the
             # materialized rows; the subscription stays registered so
             # Cursor.drain() reaches it like any other.
-            subscription._enqueue([StreamElement(row, 0.0) for row in self._rows])
+            subscription._enqueue(self._rows, [0.0] * len(self._rows), "")
         else:
             self._sink.observe(subscription._enqueue)
         return subscription

@@ -3,16 +3,18 @@
 ASPEN's stream engine is a push dataflow: sources call
 :meth:`StreamConsumer.push` with :class:`StreamElement` items (a row plus
 its event timestamp) and :class:`Punctuation` markers asserting that no
-element with a smaller timestamp will ever arrive. Punctuations drive
-window closing and allow bounded state in joins and aggregates.
+element with a smaller timestamp will ever arrive, and ``push_batch``
+with a run of rows and their stamps. Punctuations drive window closing
+and allow bounded state in joins and aggregates.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol, runtime_checkable
+from typing import Callable, Iterable, Iterator, Protocol, runtime_checkable
 
 from repro.data.tuples import Row
 
@@ -20,9 +22,9 @@ from repro.data.tuples import Row
 class StreamElement:
     """One timestamped row on a stream.
 
-    A slotted plain class rather than a dataclass: elements are created
-    once per row per pipeline stage, so construction cost is hot-path
-    cost. Treat instances as immutable.
+    The per-element verb's item (``push``): a run (``push_batch``) is
+    rows and their stamps, and builds none. A slotted plain class; treat
+    instances as immutable.
 
     Attributes:
         row: The data tuple.
@@ -53,31 +55,21 @@ class StreamElement:
         return f"@{self.timestamp:g} {self.row!r}"
 
 
-def elements_from_columns(
-    schema, source: str, values_list, timestamps
-) -> list[StreamElement]:
-    """Fused hot-path constructor: one element per (values, timestamp).
-
-    Builds ``StreamElement(Row.raw(schema, values), stamp, source)`` for
-    every pair, but with the ``Row.raw``/``__init__`` call frames
-    flattened into direct slot assignment — at tens of thousands of
-    elements per ingest batch the two frames per element are measurable.
-    Same trust contract as :meth:`Row.raw`: ``values`` must already be
-    tuples of the schema's arity.
-    """
+def rows_of(schema, values_list) -> list[Row]:
+    """Hot-path constructor: one ``Row.raw(schema, values)`` per value
+    tuple, with the call frame flattened into slot stores — at tens of
+    thousands of rows per shipped run the frame is measurable. Same
+    trust contract as :meth:`Row.raw`: ``values`` must already be
+    tuples of the schema's arity."""
     new = object.__new__
-    out: list[StreamElement] = []
+    out: list[Row] = []
     append = out.append
-    for values, stamp in zip(values_list, timestamps):
+    for values in values_list:
         row = new(Row)
         row.schema = schema
         row.values = values
         row._hash = None
-        element = new(StreamElement)
-        element.row = row
-        element.timestamp = stamp
-        element.source = source
-        append(element)
+        append(row)
     return out
 
 
@@ -103,16 +95,21 @@ class StreamConsumer(Protocol):
 
     * ``push(item)`` carries one :class:`StreamElement` **or** one
       :class:`Punctuation`. Every punctuation travels this way.
-    * ``push_batch(elements)`` carries a (possibly empty)
-      **punctuation-free run of StreamElements in arrival order**. A
-      producer holding elements and punctuations interleaved sends each
-      run by ``push_batch`` and each punctuation by ``push``; a consumer
-      never scans a batch for, splits a batch at, or recovers from a
-      punctuation inside one (lint rule RA902 enforces both halves).
-      The list stays the producer's: a receiver **neither mutates nor
-      keeps it** (it copies out what it buffers). Ingest hands one run
-      to every route of a source and a shared chain's tee hands one run
-      to every branch, so the next receiver reads the same list.
+    * ``push_batch(rows, stamps, source)`` carries a (possibly empty)
+      **punctuation-free run in arrival order**: ``rows[i]`` (a
+      :class:`Row`) stamped ``stamps[i]``, every row from ``source``.
+      No :class:`StreamElement` is built for a run — one exists only
+      for ``push``, for a cursor subscribed with ``elements=True``, for
+      a ``push``-only consumer (:func:`push_all`) and in an operator's
+      ``state_snapshot``. A producer holding elements and punctuations
+      interleaved sends each run by ``push_batch`` and each punctuation
+      by ``push``; a consumer never scans a batch for, splits a batch
+      at, or recovers from a punctuation inside one, and a batch body
+      builds no element (lint rule RA902 enforces all three). The lists
+      stay the producer's: a receiver **neither mutates nor keeps
+      them** (it copies out what it buffers). Ingest hands one run to
+      every route of a source and a shared chain's tee hands one run
+      to every branch, so the next receiver reads the same lists.
 
     **A hand-off never raises into its producer.** A *hand-off* passes
     a run, an item or a callback argument to someone else: a fan-out
@@ -135,8 +132,8 @@ class StreamConsumer(Protocol):
     ``push_batch`` is optional and deliberately *not* part of this
     runtime-checkable protocol — a ``push``-only consumer is still a
     StreamConsumer. Producers discover it by duck typing
-    (:func:`push_all` is the one fallback: per-element ``push`` in
-    order). Which verb runs is the caller's choice: a row at a time
+    (:func:`push_all` is the one fallback: one element per row, by
+    ``push``, in order). Which verb runs is the caller's choice: a row at a time
     (``session.push``) stays on ``push`` end to end, a bulk batch
     (``session.push_many``) on ``push_batch``.
     """
@@ -235,7 +232,9 @@ outermost = edge(lambda fn, *args: fn(*args))
 
 
 class CallbackConsumer:
-    """Adapter turning a plain callable into a :class:`StreamConsumer`."""
+    """Adapter turning a plain callable into a :class:`StreamConsumer`
+    (``push`` only: a run reaches it element by element through
+    :func:`push_all`)."""
 
     def __init__(self, fn: Callable[[StreamItem], None]):
         self._fn = fn
@@ -243,43 +242,54 @@ class CallbackConsumer:
     def push(self, item: StreamItem) -> None:
         self._fn(item)
 
-    def push_batch(self, elements: Iterable[StreamElement]) -> None:
-        fn = self._fn
-        for element in elements:
-            fn(element)
 
-
-Observer = Callable[[list[StreamElement]], None]
+#: ``observer(rows, stamps, source)``: one stored run, as it was handed over.
+Observer = Callable[[list[Row], list[float], str], None]
 
 
 class CollectingConsumer:
     """Consumer that buffers everything it receives — used by tests,
     benches, as the terminal sink of executed query plans, and as a
     shared chain's append-only result log, which each of the chain's
-    queries reads through its own :class:`LogView`."""
+    queries reads through its own :class:`LogView`.
+
+    The log stores each run as one *chunk* — ``(rows, stamps, source)``,
+    copies it owns — plus a running count, so a run costs two list
+    copies and no per-row object. A ``push`` appends its element's row
+    and stamp to the tail chunk when that chunk has the element's
+    source (else it opens one), so a row at a time allocates no chunk
+    per row. Rows are numbered in arrival order from the last
+    :meth:`clear`; :meth:`runs` reads any range of them, chunk by chunk.
+    """
 
     def __init__(self) -> None:
-        self.elements: list[StreamElement] = []
+        self._chunks: list[tuple[list[Row], list[float], str]] = []
+        #: The number of each chunk's first row.
+        self._starts: list[int] = []
+        #: The last chunk, which a ``push`` of its source extends.
+        self._tail: tuple | None = None
+        self._count = 0
         self.punctuations: list[Punctuation] = []
         #: Times clear() has run — lets incremental readers (e.g.
         #: QueryHandle.latest_batch) detect a reset.
         self.clears = 0
-        #: Elements clear() has dropped (see :attr:`received`).
+        #: Rows clear() has dropped (see :attr:`received`).
         self._cleared = 0
         #: Rebound, never mutated: a fan-out in flight keeps its list.
         self._observers: list[Observer] = []
-        #: ``(run, observers)`` stored while a fan-out is in flight;
-        #: None when no fan-out is.
-        self._queued: list[tuple[list[StreamElement], list[Observer]]] | None = None
+        #: ``(rows, stamps, source, observers)`` stored while a fan-out
+        #: is in flight; None when no fan-out is.
+        self._queued: list[tuple] | None = None
 
     def observe(self, callback: Observer) -> None:
-        """Call ``callback`` once with every run stored from now on,
-        after it is stored (a Cursor's subscriptions hang off this).
+        """Call ``callback(rows, stamps, source)`` once with every run
+        stored from now on, after it is stored (a Cursor's subscriptions
+        hang off this).
 
         A ``push_batch`` run arrives as it was handed over and a
-        ``push`` as a one-element run, so an observer has one body. The
-        run is the producer's list: an observer neither mutates nor
-        keeps it (the ``push_batch`` rule on :class:`StreamConsumer`).
+        ``push`` as a one-row run, so an observer has one body. The
+        lists are the producer's: an observer neither mutates nor keeps
+        them (the ``push_batch`` rule on :class:`StreamConsumer`).
         Empty runs and punctuations are not observed. The rules of the
         observer fan-out:
 
@@ -298,65 +308,109 @@ class CollectingConsumer:
     def push(self, item: StreamItem) -> None:
         if isinstance(item, Punctuation):
             self.punctuations.append(item)
-        else:
-            self.elements.append(item)
-            if self._observers:
-                self._fan_out([item])
+            return
+        tail, source = self._tail, item.source
+        if tail is None or tail[2] != source:
+            self._tail = tail = ([], [], source)
+            self._chunks.append(tail)
+            self._starts.append(self._count)
+        tail[0].append(item.row)
+        tail[1].append(item.timestamp)
+        self._count += 1
+        if self._observers:
+            self._fan_out([item.row], [item.timestamp], source)
 
-    def push_batch(self, elements: list[StreamElement]) -> None:
-        self.elements.extend(elements)
-        if self._observers and elements:
-            self._fan_out(elements)
+    def push_batch(self, rows: list[Row], stamps: list[float], source: str) -> None:
+        if not rows:
+            return
+        self._tail = tail = (list(rows), list(stamps), source)
+        self._chunks.append(tail)
+        self._starts.append(self._count)
+        self._count += len(rows)
+        if self._observers:
+            self._fan_out(rows, stamps, source)
 
-    def _fan_out(self, run: list[StreamElement]) -> None:
+    def _fan_out(self, rows: list[Row], stamps: list[float], source: str) -> None:
         if not EDGE.open:  # no verb open: this fan-out is the edge
-            return outermost(self._fan_out, run)
+            return outermost(self._fan_out, rows, stamps, source)
         observers = self._observers
         if self._queued is not None:
-            self._queued.append((list(run), observers))
+            self._queued.append((list(rows), list(stamps), source, observers))
             return
         self._queued = queued = []
         try:
             while True:
                 for callback in observers:
                     try:
-                        callback(run)
+                        callback(rows, stamps, source)
                     except Exception as exc:
                         park(exc)
                 if not queued:
                     break
-                run, observers = queued.pop(0)
+                rows, stamps, source, observers = queued.pop(0)
         finally:
             self._queued = None
+
+    def runs(self, lo: int = 0, hi: int | None = None) -> Iterator[tuple[list[Row], list[float], str]]:
+        """The stored rows ``lo`` to ``hi`` (default: the last), as
+        ``(rows, stamps, source)`` runs in arrival order — a whole chunk
+        as the log holds it, which the reader must not mutate, else a
+        slice of one."""
+        hi = self._count if hi is None else min(hi, self._count)
+        if lo >= hi:
+            return
+        chunks, starts = self._chunks, self._starts
+        index = bisect_right(starts, lo) - 1
+        while index < len(chunks) and starts[index] < hi:
+            rows, stamps, source = chunks[index]
+            first, end = lo - starts[index], hi - starts[index]
+            if first <= 0 and end >= len(rows):
+                yield chunks[index]
+            else:
+                first = max(first, 0)
+                yield rows[first:end], stamps[first:end], source
+            index += 1
+
+    @property
+    def elements(self) -> list[StreamElement]:
+        """The received elements, in arrival order (built on read)."""
+        return [
+            StreamElement(row, stamp, source)
+            for rows, stamps, source in self.runs()
+            for row, stamp in zip(rows, stamps)
+        ]
 
     @property
     def rows(self) -> list[Row]:
         """The received data rows, in arrival order."""
-        return [e.row for e in self.elements]
+        return [row for rows, _, _ in self.runs() for row in rows]
 
-    def extent(self) -> tuple[list[StreamElement], int, int, float]:
-        """``(elements, lo, hi, watermark)``: the results are
-        ``elements[lo:hi]`` and ``watermark`` is the latest punctuation's
-        (``-inf`` before the first) — what an incremental reader
-        (``QueryHandle.latest_batch``) needs, without a copy."""
+    def extent(self) -> tuple["CollectingConsumer", int, int, float]:
+        """``(log, lo, hi, watermark)``: the results are
+        ``log.runs(lo, hi)`` and ``watermark`` is the latest
+        punctuation's (``-inf`` before the first) — what an incremental
+        reader (``QueryHandle.latest_batch``) needs, without a copy."""
         punctuations = self.punctuations
         watermark = punctuations[-1].watermark if punctuations else float("-inf")
-        return self.elements, 0, len(self.elements), watermark
+        return self, 0, self._count, watermark
 
     @property
     def received(self) -> int:
-        """Elements received since this sink was made — ``clear()`` does
+        """Rows received since this sink was made — ``clear()`` does
         not reset it (a restored query skips re-derived output by it)."""
-        return self._cleared + len(self.elements)
+        return self._cleared + self._count
 
     def clear(self) -> None:
-        self._cleared += len(self.elements)
-        self.elements.clear()
+        self._cleared += self._count
+        self._chunks = []
+        self._starts = []
+        self._tail = None
+        self._count = 0
         self.punctuations.clear()
         self.clears += 1
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self._count
 
 
 class LogView:
@@ -386,7 +440,7 @@ class LogView:
 
     def __init__(self, log: CollectingConsumer) -> None:
         self.log = log
-        self._start = len(log.elements)
+        self._start = len(log)
         self._pstart = len(log.punctuations)
         #: End offsets, fixed at close; None while open.
         self._end: int | None = None
@@ -395,14 +449,18 @@ class LogView:
         self._observers: list[Observer] = []
 
     def _bounds(self) -> tuple[int, int]:
-        """End offsets into the log's elements and punctuations."""
+        """End offsets into the log's rows and punctuations."""
         if self._end is None:
-            return len(self.log.elements), len(self.log.punctuations)
+            return len(self.log), len(self.log.punctuations)
         return self._end, self._pend
 
     @property
     def elements(self) -> list[StreamElement]:
-        return self.log.elements[self._start : self._bounds()[0]]
+        return [
+            StreamElement(row, stamp, source)
+            for rows, stamps, source in self.log.runs(self._start, self._bounds()[0])
+            for row, stamp in zip(rows, stamps)
+        ]
 
     @property
     def punctuations(self) -> list[Punctuation]:
@@ -410,7 +468,7 @@ class LogView:
 
     @property
     def rows(self) -> list[Row]:
-        return [e.row for e in self.elements]
+        return [row for rows, _, _ in self.log.runs(self._start, self._bounds()[0]) for row in rows]
 
     def __len__(self) -> int:
         return self._bounds()[0] - self._start
@@ -420,12 +478,12 @@ class LogView:
         """The log's :attr:`~CollectingConsumer.received`."""
         return self.log.received
 
-    def extent(self) -> tuple[list[StreamElement], int, int, float]:
-        """As :meth:`CollectingConsumer.extent`, over the log's list."""
+    def extent(self) -> tuple[CollectingConsumer, int, int, float]:
+        """As :meth:`CollectingConsumer.extent`, over the log."""
         end, pend = self._bounds()
         log = self.log
         watermark = log.punctuations[pend - 1].watermark if pend > self._pstart else float("-inf")
-        return log.elements, self._start, end, watermark
+        return log, self._start, end, watermark
 
     def observe(self, callback: Observer) -> None:
         """Observe the log's runs until this view closes (a closed view
@@ -449,23 +507,80 @@ class LogView:
         self.clears += 1
 
 
-def push_all(consumer: StreamConsumer, elements: list[StreamElement]) -> None:
-    """Deliver a run of elements via the optional ``push_batch`` verb.
+class Segment:
+    """Rows and their stamps buffered across runs until a punctuation —
+    an aggregate's pending segment, an ORDER BY's report — with each
+    run's source kept once per change, not per row. Built from runs
+    (:meth:`extend`) or one element at a time (:meth:`append`); an
+    operator's snapshot reads it back as elements (:meth:`elements`),
+    the layout checkpoints have always held."""
+
+    __slots__ = ("rows", "stamps", "_sources", "_source")
+
+    def __init__(self) -> None:
+        self.rows: list[Row] = []
+        self.stamps: list[float] = []
+        #: ``(first row, source)`` wherever the source changes.
+        self._sources: list[tuple[int, str]] = []
+        self._source: str | None = None
+
+    def extend(self, rows: list[Row], stamps: list[float], source: str) -> None:
+        if rows:
+            if source != self._source:
+                self._sources.append((len(self.rows), source))
+                self._source = source
+            self.rows += rows
+            self.stamps += stamps
+
+    def append(self, element: StreamElement) -> None:
+        if element.source != self._source:
+            self._sources.append((len(self.rows), element.source))
+            self._source = element.source
+        self.rows.append(element.row)
+        self.stamps.append(element.timestamp)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def runs(self) -> Iterator[tuple[list[Row], list[float], str]]:
+        """The buffered rows as same-source runs, in arrival order."""
+        ends = [first for first, _ in self._sources[1:]] + [len(self.rows)]
+        for (first, source), end in zip(self._sources, ends):
+            yield self.rows[first:end], self.stamps[first:end], source
+
+    def elements(self) -> list[StreamElement]:
+        return [
+            StreamElement(row, stamp, source)
+            for rows, stamps, source in self.runs()
+            for row, stamp in zip(rows, stamps)
+        ]
+
+    @classmethod
+    def of(cls, elements: Iterable[StreamElement]) -> "Segment":
+        """A segment holding ``elements`` (a snapshot's, restored)."""
+        segment = cls()
+        for element in elements:
+            segment.append(element)
+        return segment
+
+
+def push_all(consumer: StreamConsumer, rows: list[Row], stamps: list[float], source: str) -> None:
+    """Deliver a run via the optional ``push_batch`` verb.
 
     The single definition of the duck-typed batched dispatch: consumers
     with ``push_batch`` get the whole run in one call, push-only
-    consumers get per-element pushes in order. Hot paths that dispatch
+    consumers one element per row, in order. Hot paths that dispatch
     to a fixed consumer may cache ``getattr(consumer, "push_batch",
     None)`` themselves (see ``Operator.emit_batch``); everything else
     should go through here so the fallback lives in one place.
     """
     batch = getattr(consumer, "push_batch", None)
     if batch is not None:
-        batch(elements)
+        batch(rows, stamps, source)
     else:
         push = consumer.push
-        for element in elements:
-            push(element)
+        for row, stamp in zip(rows, stamps):
+            push(StreamElement(row, stamp, source))
 
 
 def replay(items: Iterable[StreamItem], consumer: StreamConsumer) -> None:

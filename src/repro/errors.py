@@ -71,6 +71,20 @@ class ExecutionError(AspenError):
     """A runtime failure while executing a physical plan."""
 
 
+class RecoveryError(ExecutionError):
+    """A pool host died again during each attempt to recover it.
+
+    Attributes:
+        host: The host's index in the pool (``"fb"`` for the
+            designated fallback engine).
+    """
+
+    def __init__(self, host, attempts: int):
+        self.host = host
+        name = f"shard {host}" if isinstance(host, int) else "the fallback engine"
+        super().__init__(f"{name} died during each of its {attempts} recovery attempts")
+
+
 class SensorNetworkError(AspenError):
     """A failure inside the simulated sensor network substrate."""
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.data.streams import StreamElement
 from repro.data.tuples import Row
 from repro.plan import PlanBuilder
 from repro.sql.expressions import Expr
@@ -77,9 +76,9 @@ class AlarmService:
         plan = self._builder.build_sql(rule.sql)
         handle = self._engine.execute(plan)  # type: ignore[arg-type]
 
-        def fire(run: list[StreamElement]) -> None:
-            for element in run:
-                self._fire(rule, element)
+        def fire(rows: list, stamps: list, source: str) -> None:
+            for row, stamp in zip(rows, stamps):
+                self._fire(rule, row, stamp)
 
         # The sink's one observer hook: every stored run, whether a
         # push or a push_many emitted it (and over a shared log's view).
@@ -100,8 +99,8 @@ class AlarmService:
             self._active_keys.get(rule_name, set()).clear()
 
     # ------------------------------------------------------------------
-    def _fire(self, rule: AlarmRule, element: StreamElement) -> None:
-        key = str(element.row[rule.key_column])
+    def _fire(self, rule: AlarmRule, row: Row, stamp: float) -> None:
+        key = str(row[rule.key_column])
         active = self._active_keys[rule.name]
         if key in active:
             return
@@ -109,8 +108,8 @@ class AlarmService:
         event = AlarmEvent(
             rule=rule.name,
             key=key,
-            message=rule.message(element.row),
-            event_time=element.timestamp,
+            message=rule.message(row),
+            event_time=stamp,
             raised_at=self._now(),
         )
         self.events.append(event)

@@ -94,8 +94,9 @@ Operator fusion builds on the same code generator:
 predicate and every projection list, in dataflow order — into one
 generated function over the input value tuple (filters become early
 returns, projections rebind the tuple), and :func:`compile_fused_batch`
-wraps that chain in a generated loop over a list of stream elements so
-a whole ingest batch clears an N-stage chain with a single Python call.
+wraps that chain in a generated loop over a run — a list of rows and
+one of their stamps — so a whole ingest batch clears an N-stage chain
+with a single Python call.
 :func:`compile_accumulate` does the same for a grouped-aggregation fold
 (and :func:`compile_partial` for stage 1 of an exchanged one)
 and :func:`compile_join_probe` for one side of a windowed symmetric
@@ -107,7 +108,7 @@ exchange delivery's interleaved runs — and
 :func:`compile_distinct_batch` for a
 DISTINCT with the Select/Project run below it (the run, then the seen
 set's membership test, then — for a first occurrence only — the output
-element). :func:`compile_ingest` generates the
+row and its stamp). :func:`compile_ingest` generates the
 loop rows enter an engine or a pool through, once per catalog schema:
 a Row under that schema passes through, a ``dict`` is read field by
 field with its exact types checked inline, and anything else goes to
@@ -124,17 +125,21 @@ join's residual predicate is its probe chain's first filter. ::
 
     loop            source (its head)                 sink
     _fused          one value tuple, no loop          return v
-    _fused_batch    an element run (_emit_run)        append an element (_append)
-    _distinct       an element run (_emit_run)        a first occurrence joins `seen`,
-                                                      then appends an element (_dedup)
-    _fold           an element run, or each element's fold into group slots
-                    open windows (_emit_run)          (_fold_into)
-    _probe          a join's live pairs (_emit_pairs) append a joined element (_append)
+    _fused_batch    a run (_emit_run)                 append a row and its stamp (_append)
+    _distinct       a run (_emit_run)                 a first occurrence joins `seen`,
+                                                      then appends a row and stamp (_dedup)
+    _fold           a run, or each row's open         fold into group slots
+                    windows (_emit_run)               (_fold_into)
+    _probe          a join's live pairs (_emit_pairs) append a joined row and stamp (_append)
     _deliver        a delivery's runs, per row its    the same
-                    element built inline, then its
                     side's live pairs (_emit_pairs)
-    _ingest         a caller's rows (_emit_rows)      append a row or element (_append)
-    _fused_ingest   the same                          append an element (_append)
+    _ingest         a caller's rows (_emit_rows)      append a row (_append)
+    _fused_ingest   the same, with their stamps       append a row and its stamp (_append)
+
+A run enters as ``for r, _t in zip(rows, stamps)``: ``r`` the Row,
+``_t`` its stamp, ``v`` its values; a survivor leaves as a Row — ``r``
+itself when the chain does not project — appended to ``out`` and its
+stamp to ``out_stamps``. No loop builds a ``StreamElement``.
 
 A new loop — a Select run folded inside an aggregate — is a new
 composition of these pieces; ``_distinct`` is
@@ -189,13 +194,13 @@ wherever it runs; it is inline, and the common path makes no call it
 did not make before.
 
 **Call-free per-row bodies.** On its common path a generated loop
-makes no Python-level call per row: it reads ``element.row.values``
-and the row's ``schema`` as plain slots, builds an output Row and
-StreamElement by ``object.__new__`` plus slot stores (:func:`_emit_row`,
+makes no Python-level call per row: it reads ``row.values``
+and the row's ``schema`` as plain slots, builds an output Row
+by ``object.__new__`` plus slot stores (:func:`_emit_row`,
 :func:`_append` — :meth:`Row.raw`'s body without its frame),
 lowers COALESCE to a conditional chain over its already-evaluated
 arguments and a constant LIKE to one ``dict.get`` on its verdict memo
-for a value seen before. Rows and elements are immutable by convention,
+for a value seen before. Rows are immutable by convention,
 so nothing needs the constructor's frame to guard them.
 What stays a call is the uncommon path — a scalar function, a dynamic
 LIKE pattern, a constant pattern's bound ``match`` on a value its memo
@@ -223,7 +228,7 @@ from functools import lru_cache
 from typing import Any, Callable, Sequence
 
 from repro.data.schema import Schema
-from repro.data.streams import StreamElement as _StreamElement, park as _park
+from repro.data.streams import park as _park
 from repro.data.tuples import Row
 from repro.data.types import DataType
 from repro.data.windows import WindowKind, WindowSpec
@@ -425,20 +430,20 @@ def compile_fused(chain: Chain) -> Callable[[tuple], tuple | None] | None:
     return _generate(_codegen_fused, chain)
 
 
-def compile_fused_batch(chain: Chain, output_schema: Schema) -> Callable[[list, list], None] | None:
+def compile_fused_batch(chain: Chain, output_schema: Schema) -> Callable[[list, list, list, list], None] | None:
     """Compile a Filter/Project chain into one generated *batch*
     function, or ``None`` when code generation fails (the operator then
     loops its per-element body over the run).
 
-    The returned function has signature ``fn(elements, out)``: it runs
-    the whole fused chain over a list of ``StreamElement`` items inside
-    a single generated loop, appending the surviving output elements to
-    ``out``. Compared with calling the :func:`compile_fused` closure per
-    element this removes the remaining per-element Python dispatch — the
-    call itself, the isinstance test and the append all live inside the
-    generated code. Chains with a projection stage construct the output
-    ``StreamElement`` (over ``output_schema``) in generated code; pure
-    filter chains append the original element, preserving row identity.
+    The returned function has signature ``fn(rows, stamps, out,
+    out_stamps)``: it runs the whole fused chain over a run inside a
+    single generated loop, appending each survivor's Row to ``out`` and
+    its stamp to ``out_stamps``. Compared with calling the
+    :func:`compile_fused` closure per row this removes the remaining
+    per-row Python dispatch — the call itself and the appends all live
+    inside the generated code. Chains with a projection stage build the
+    output Row (over ``output_schema``) in generated code; pure filter
+    chains append the input Row itself, preserving row identity.
 
     Semantics per element are identical to :func:`compile_fused`.
     """
@@ -447,18 +452,18 @@ def compile_fused_batch(chain: Chain, output_schema: Schema) -> Callable[[list, 
 
 def compile_distinct_batch(
     chain: Chain, output_schema: Schema | None
-) -> Callable[[list, set, list], None] | None:
+) -> Callable[[list, list, set, list, list], None] | None:
     """Compile a DISTINCT over a Filter/Project chain into one generated
     *batch* function, or ``None`` when code generation fails (the
     operator then loops its per-element body over the run).
 
-    The returned function has signature ``fn(elements, seen, out)``: per
-    element, in order, the chain runs as in :func:`compile_fused_batch`;
-    a survivor whose value tuple ``seen`` holds is dropped, and a first
-    occurrence joins ``seen`` and is appended to ``out`` — the element
-    itself when the chain does not project (it may be empty),
-    else a new element of one Row under ``output_schema``, built only
-    after the membership test. ``seen`` is an argument, so the caller
+    The returned function has signature ``fn(rows, stamps, seen, out,
+    out_stamps)``: per row, in order, the chain runs as in
+    :func:`compile_fused_batch`; a survivor whose value tuple ``seen``
+    holds is dropped, and a first occurrence joins ``seen`` and is
+    appended to ``out`` with its stamp — the Row itself when the chain
+    does not project (it may be empty), else a new Row under
+    ``output_schema``, built only after the membership test. ``seen`` is an argument, so the caller
     may replace its set (a checkpoint restore) without recompiling.
     """
     return _generate(_codegen_distinct, chain, output_schema)
@@ -607,40 +612,34 @@ def _codegen_loop(source: tuple, chain: Chain, sink: tuple) -> Callable:
     return _define(f"_{name}", text, f"<repro.sql.compiled.{name}>", gen.env)
 
 
-def _append(
-    row: Schema | str, stamp: str | None = None, origin: str = "", fresh: bool = False
-) -> tuple:
+def _append(row: Schema | str, stamp: str | None = None, fresh: bool = False) -> tuple:
     """The sink that appends each survivor to ``out``, bound as
-    ``append``: a new list the function returns when ``fresh``, else its
-    argument. The survivor is ``_r``, a Row of ``v`` under ``row`` when
-    that is a schema, else the variable ``row`` names, as it came. With
-    a ``stamp`` it is wrapped in ``_n``, a ``StreamElement`` stamped
-    ``stamp`` from ``origin``, by slot stores as :func:`_emit_row`
-    builds a row."""
+    ``append``, and with a ``stamp`` that stamp to ``out_stamps``, bound
+    as ``append_t``: new lists the function returns when ``fresh``, else
+    its arguments. The survivor is ``_r``, a Row of ``v`` under ``row``
+    when that is a schema, else the variable ``row`` names, as it
+    came."""
 
     def body(gen: _CodeGen, indent: int) -> None:
         survivor = row
         if isinstance(row, Schema):
             _emit_row(gen, indent, gen.bind(row, "os"), "v")
             survivor = "_r"
-        if stamp is not None:
-            gen.env["_new"], gen.env["_Element"] = object.__new__, _StreamElement
-            gen.emit(indent, "_n = _new(_Element)")
-            gen.emit(indent, f"_n.row = {survivor}")
-            gen.emit(indent, f"_n.timestamp = {stamp}")
-            gen.emit(indent, f"_n.source = {origin}")
-            survivor = "_n"
         gen.emit(indent, f"append({survivor})")
+        if stamp is not None:
+            gen.emit(indent, f"append_t({stamp})")
 
-    if fresh:
-        return ("out = []", "append = out.append"), body, ("return out",)
-    return ("append = out.append",), body, ()
+    prelude = ("append = out.append",) + (() if stamp is None else ("append_t = out_stamps.append",))
+    if not fresh:
+        return prelude, body, ()
+    lists = ("out = []",) + (() if stamp is None else ("out_stamps = []",))
+    return lists + prelude, body, ("return out" if stamp is None else "return out, out_stamps",)
 
 
 def _emit_run(gen: _CodeGen, window: WindowSpec | None = None, stamped: bool = False) -> int:
-    """An element run's loop head: ``_e``, and ``_t`` its stamp when
-    ``stamped``, then ``v``. With a ``window`` (a fold's) it first finds
-    the open windows the element belongs to (the arithmetic of
+    """A run's loop head: each Row ``r``, and ``_t`` its stamp when
+    ``stamped`` or windowed, then ``v``. With a ``window`` (a fold's) it
+    first finds the open windows the row belongs to (the arithmetic of
     :meth:`WindowSpec.indexes`), or ``continue``s when there are none: a
     tumbling window binds one group dict ``g`` and its ``get``, other
     shapes a list ``gs``.
@@ -650,10 +649,8 @@ def _emit_run(gen: _CodeGen, window: WindowSpec | None = None, stamped: bool = F
     ``(_lo, _hi]`` that first window owns; other shapes resolve per row.
     """
     if window is None:
-        gen.emit(1, "for _e in elements:")
-        if stamped:
-            gen.emit(2, "_t = _e.timestamp")
-        gen.emit(2, "v = _e.row.values")
+        gen.emit(1, "for r, _t in zip(rows, stamps):" if stamped else "for r in rows:")
+        gen.emit(2, "v = r.values")
         return 2
     hop, size, panes = gen.atom(window.hop), gen.atom(window.size), window.panes
 
@@ -670,8 +667,7 @@ def _emit_run(gen: _CodeGen, window: WindowSpec | None = None, stamped: bool = F
         gen.emit(indent + 1, f"g = windows[{index}] = {{}}")
 
     if panes is None:
-        gen.emit(1, "for _e in elements:")
-        gen.emit(2, "_t = _e.timestamp")
+        gen.emit(1, "for r, _t in zip(rows, stamps):")
         first_index(2)
         gen.emit(2, "gs = []")
         gen.emit(2, f"while _i * {hop} - {size} < _t:")
@@ -682,8 +678,7 @@ def _emit_run(gen: _CodeGen, window: WindowSpec | None = None, stamped: bool = F
     else:
         gen.emit(1, "get = None" if panes == 1 else "gs = ()")
         gen.emit(1, "_lo = _hi = 0")  # an empty interval: the first row misses
-        gen.emit(1, "for _e in elements:")
-        gen.emit(2, "_t = _e.timestamp")
+        gen.emit(1, "for r, _t in zip(rows, stamps):")
         gen.emit(2, "if not _lo < _t <= _hi:")
         first_index(3)
         gen.emit(3, f"_lo = (_i - 1) * {hop}")
@@ -702,26 +697,29 @@ def _emit_run(gen: _CodeGen, window: WindowSpec | None = None, stamped: bool = F
             gen.emit(5, "gs.append(g)")
     gen.emit(2, "if get is None:" if panes == 1 else "if not gs:")
     gen.emit(3, "continue")
-    gen.emit(2, "v = _e.row.values")
+    gen.emit(2, "v = r.values")
     return 2
 
 
+def _stamped_run(gen: _CodeGen) -> int:
+    return _emit_run(gen, stamped=True)
+
+
 def _codegen_fused_batch(chain: Chain, output_schema: Schema) -> Callable:
-    return _codegen_loop(("fused_batch", "elements, out", _emit_run), chain, _survivor(chain, output_schema))
+    source = ("fused_batch", "rows, stamps, out, out_stamps", _stamped_run)
+    return _codegen_loop(source, chain, _survivor(chain, output_schema))
 
 
 def _survivor(chain: Chain, output_schema: Schema | None) -> tuple:
-    """The sink appending a survivor of an element run's ``chain``: the
-    element ``_e`` itself when it does not project, else a new one of a
-    Row under ``output_schema`` stamped as ``_e``."""
-    if chain.projects:
-        return _append(output_schema, "_e.timestamp", "_e.source")
-    return _append("_e")
+    """The sink appending a survivor of a run's ``chain`` and its stamp:
+    the Row ``r`` itself when the chain does not project, else a new one
+    under ``output_schema``."""
+    return _append(output_schema if chain.projects else "r", "_t")
 
 
 def _codegen_distinct(chain: Chain, output_schema: Schema | None) -> Callable:
     sink = _dedup(_survivor(chain, output_schema))
-    return _codegen_loop(("distinct", "elements, seen, out", _emit_run), chain, sink)
+    return _codegen_loop(("distinct", "rows, stamps, seen, out, out_stamps", _stamped_run), chain, sink)
 
 
 def _dedup(survivor: tuple) -> tuple:
@@ -752,10 +750,10 @@ def compile_accumulate(
     signatures (:func:`_fallback_accumulate`). The fold has one of two
     signatures:
 
-    * ``fold(elements, groups)`` without a window (running aggregates):
-      every element updates ``groups[key]``.
-    * ``fold(elements, windows, closed)`` for a RANGE ``window``: every
-      element updates ``windows[k][key]`` for each window ``k`` it
+    * ``fold(rows, stamps, groups)`` without a window (running
+      aggregates): every row updates ``groups[key]``.
+    * ``fold(rows, stamps, windows, closed)`` for a RANGE ``window``:
+      every row updates ``windows[k][key]`` for each window ``k`` it
       belongs to (:meth:`WindowSpec.indexes`) with ``k > closed``; a row
       whose windows have all closed is folded nowhere. A tumbling window
       binds one group dict per slide interval, a size that is a whole
@@ -764,7 +762,7 @@ def compile_accumulate(
 
     Group-key extraction, NULL-skipping and every accumulator update
     live inside the generated loop, so a whole run costs one Python call
-    instead of several per element, and each window's groups fold their
+    instead of several per row, and each window's groups fold their
     rows in arrival order (float SUM/AVG associate as a scan of the run
     would). DISTINCT aggregates fold too: each gets a per-group seen-set
     in the generated state — per window, since every window owns its
@@ -811,7 +809,7 @@ def compile_partial(
     Returns ``(fold, take)`` — generated, else the interpreter's pair
     over ``_PartialItem`` state (:func:`_fallback_partial`). A windowed
     fold has :func:`compile_accumulate`'s signature. The running one is
-    ``fold(elements, groups, touched)``: ``groups`` holds every group's
+    ``fold(rows, stamps, groups, touched)``: ``groups`` holds every group's
     state, and ``touched`` gains each group folded into, in first-touch
     order, bound to the same state list. ``take(state)`` encodes a
     group as one tagged payload per call — ``("c", count)``, ``("m",
@@ -911,11 +909,11 @@ def _codegen_accumulate(
             init.append("0")
         else:  # MIN / MAX
             init.append("None")
-    running = "elements, groups, touched" if partial else "elements, groups"
+    running = "rows, stamps, groups, touched" if partial else "rows, stamps, groups"
     fold = _codegen_loop(
         (
             "fold",
-            running if window is None else "elements, windows, closed",
+            running if window is None else "rows, stamps, windows, closed",
             lambda gen: _emit_run(gen, window, partial),
         ),
         Chain((), schema),
@@ -1064,32 +1062,33 @@ def compile_join_probe(
     generated *batch probe* function, or ``None`` when that side has no
     batch body (then the caller keeps its per-element loop).
 
-    ``probe(elements, own, other, out, unsorted)`` takes a
-    punctuation-free run arriving on one side (the ``left`` one, or the
-    right), the two per-key bucket dicts, an output list and the own
-    side's set of out-of-order bucket keys. Per element, in arrival
-    order: extract the equi-key positionally; skip the row when a key
-    component is NULL (it can match nothing, so it is neither buffered
-    nor probed); append the element to its own bucket — adding the key
-    to ``unsorted`` when it lands behind the bucket's tail on a side
-    that evicts by time (RANGE, NOW); walk the opposite bucket in bucket
-    order and append one ``StreamElement`` per live, predicate-passing
-    pair to ``out``, stamped with the later of the two timestamps. The
+    ``probe(rows, stamps, own, other, out, out_stamps, unsorted)``
+    takes a punctuation-free run arriving on one side (the ``left``
+    one, or the right), the two per-key bucket dicts — each bucket a
+    deque of ``(stamp, values)`` — the output lists and the own side's
+    set of out-of-order bucket keys. Per row, in arrival order: extract
+    the equi-key positionally; skip the row when a key component is
+    NULL (it can match nothing, so it is neither buffered nor probed);
+    append ``(stamp, values)`` to its own bucket — adding the key to
+    ``unsorted`` when it lands behind the bucket's tail on a side that
+    evicts by time (RANGE, NOW); walk the opposite bucket in bucket
+    order and append one Row per live, predicate-passing pair to
+    ``out``, and to ``out_stamps`` the later of the two timestamps. The
     opposite buffer does not change while one side's run is probed, so
     the pairs and their order are exactly those of per-element delivery.
 
     With ``left`` None it compiles both sides' probes into one
-    *delivery* function, ``deliver(runs, left, right, out,
+    *delivery* function, ``deliver(runs, left, right, out, out_stamps,
     left_unsorted, right_unsorted)``, or ``None`` when either side has
     no kernel. ``runs`` is one exchange delivery's runs for this join in
     delivery order, each ``(is_left, values, stamps, source)``: per row
-    it builds the element inline (a Row of the values under that side's
-    schema, stamped, from ``source``) and runs that side's probe, every
-    run's pairs into the one ``out``. A run that raises has its pairs
-    removed from ``out`` and the rest of its rows skipped, its exception
-    goes to :func:`~repro.data.streams.park`, and the next run goes on;
-    the function returns the rows of the runs that completed. Runs on
-    alternate sides see each other exactly as per-run probes would.
+    it runs that side's probe over the value tuple, every run's pairs
+    into the one ``out``. A run that raises has its pairs removed from
+    ``out`` and ``out_stamps`` and the rest of its rows skipped, its
+    exception goes to :func:`~repro.data.streams.park`, and the next
+    run goes on; the function returns the rows of the runs that
+    completed. Runs on alternate sides see each other exactly as per-run
+    probes would.
 
     ``chain`` is the residual predicate as a filter, then the
     Select/Project run above the join, over the joined tuple — one
@@ -1138,12 +1137,11 @@ def _codegen_join_probe(
         def probe(gen: _CodeGen) -> int:
             gen.emit(1, "own_get = own.get")
             gen.emit(1, "other_get = other.get")
-            gen.emit(1, "for _e in elements:")
-            gen.emit(2, "_w = _e.row.values")
-            gen.emit(2, "_t = _e.timestamp")
-            return _emit_pairs(gen, positions, windows, sides[0], 2, ("own", "other"), None)
+            gen.emit(1, "for r, _t in zip(rows, stamps):")
+            gen.emit(2, "_w = r.values")
+            return _emit_pairs(gen, positions, windows, sides[0], 2, ("own", "other"))
 
-        source = ("probe", "elements, own, other, out, own_unsorted", probe)
+        source = ("probe", "rows, stamps, own, other, out, out_stamps, own_unsorted", probe)
     else:
 
         def deliver(gen: _CodeGen):
@@ -1156,17 +1154,17 @@ def _codegen_join_probe(
             for left, names in ((True, ("left", "right")), (False, ("right", "left"))):
                 gen.emit(3, "if _s:" if left else "else:")
                 gen.emit(4, "for _w, _t in zip(_vs, _ts):")
-                row_schema = gen.bind(schemas[0 if left else 1], "rs")
-                yield _emit_pairs(gen, positions, windows, left, 5, names, row_schema)
+                yield _emit_pairs(gen, positions, windows, left, 5, names)
             gen.emit(2, "except Exception as _exc:")
             gen.emit(3, "del out[_mark:]")
+            gen.emit(3, "del out_stamps[_mark:]")
             gen.emit(3, f"{gen.bind(_park, 'park')}(_exc)")
             gen.emit(2, "else:")
             gen.emit(3, "rows += len(_vs)")
             gen.emit(1, "return rows")
 
-        source = ("deliver", "runs, left, right, out, left_unsorted, right_unsorted", deliver)
-    return _codegen_loop(source, chain, _append(output_schema, "_m", '""'))
+        source = ("deliver", "runs, left, right, out, out_stamps, left_unsorted, right_unsorted", deliver)
+    return _codegen_loop(source, chain, _append(output_schema, "_m"))
 
 
 def _emit_pairs(
@@ -1176,17 +1174,14 @@ def _emit_pairs(
     left: bool,
     indent: int,
     names: tuple[str, str],
-    schema: str | None,
 ) -> int:
     """One row arriving on the ``left`` side (or the right), at
     ``indent`` inside its loop, with its value tuple ``_w`` and stamp
     ``_t`` bound: its key (at its side's positions in ``keys``, left
-    first, as ``windows``), then — its element ``_e`` built here from
-    ``_src`` as a Row under the bound ``schema`` when one is named, else
-    already bound — its append to the bucket dict named ``names[0]``,
-    then per live row of the key's bucket in ``names[1]`` ``v``, the
-    concatenated value tuple, and ``_m``, the pair's stamp. Returns the
-    body's indent."""
+    first, as ``windows``), its ``(_t, _w)`` appended to the bucket dict
+    named ``names[0]``, then per live ``(_o, _y)`` of the key's bucket
+    in ``names[1]`` ``v``, the concatenated value tuple, and ``_m``, the
+    pair's stamp. Returns the body's indent."""
     own, other = names
     own_window, other_window = windows if left else windows[::-1]
     key_atoms = [f"_w[{position}]" for position in keys[0 if left else 1]]
@@ -1201,27 +1196,19 @@ def _emit_pairs(
             gen.emit(indent, f"if {' or '.join(f'{a} is None' for a in key_atoms)}:")
             gen.emit(indent + 1, "continue")
         gen.emit(indent, f"_k = ({', '.join(key_atoms)})")
-    if schema is not None:
-        _emit_row(gen, indent, schema, "_w")
-        gen.env["_Element"] = _StreamElement
-        gen.emit(indent, "_e = _new(_Element)")
-        gen.emit(indent, "_e.row = _r")
-        gen.emit(indent, "_e.timestamp = _t")
-        gen.emit(indent, "_e.source = _src")
     gen.emit(indent, f"_b = {own}_get(_k)")
     gen.emit(indent, "if _b is None:")
     gen.emit(indent + 1, f"_b = {own}[_k] = {gen.bind(_deque, 'dq')}()")
     if own_window.evicts_by_time:
         # Buckets hold at least one row; eviction rescans marked ones.
-        gen.emit(indent, "elif _t < _b[-1].timestamp:")
+        gen.emit(indent, "elif _t < _b[-1][0]:")
         gen.emit(indent + 1, f"{own}_unsorted.add(_k)")
-    gen.emit(indent, "_b.append(_e)")
+    gen.emit(indent, "_b.append((_t, _w))")
     gen.emit(indent, f"_c = {other}_get(_k)")
     gen.emit(indent, "if _c is None:")
     gen.emit(indent + 1, "continue")
     body = indent + 1
-    gen.emit(indent, "for _x in _c:")
-    gen.emit(body, "_o = _x.timestamp")
+    gen.emit(indent, "for _o, _y in _c:")
     gen.emit(body, "if _o > _t:")
     if own_window.kind is WindowKind.NOW:
         gen.emit(body + 1, "continue")
@@ -1238,7 +1225,7 @@ def _emit_pairs(
         gen.emit(body + 1, "if _o != _t:")
         gen.emit(body + 2, "continue")
     gen.emit(body + 1, "_m = _t")
-    gen.emit(body, "v = _w + _x.row.values" if left else "v = _x.row.values + _w")
+    gen.emit(body, "v = _w + _y" if left else "v = _y + _w")
     return body
 
 
@@ -1247,16 +1234,14 @@ def _codegen_fused(chain: Chain) -> Callable[[tuple], tuple | None]:
     return _codegen_loop(("fused", "v", lambda gen: 1), chain, returns)
 
 
-def compile_ingest(schema: Schema, coerce: Callable, elements: bool) -> Callable:
+def compile_ingest(schema: Schema, coerce: Callable) -> Callable:
     """Compile the ingest loop of one catalog ``schema``: rows as a
     caller hands them in, out as Rows under ``schema`` — generated, else
     ``coerce`` over every row (:func:`fallback_ingest`).
 
-    With ``elements`` the loop is ``ingest(rows, stamps, source)`` and
-    returns one ``StreamElement`` per row (an engine's: ``push``, and
-    ``push_many`` where :func:`compile_fused_ingest` did not fuse it
-    with a port's stages), without it ``ingest(rows)`` returns the Rows
-    (a pool's, which routes them). Per row, in order:
+    The loop is ``ingest(rows)`` and returns the Rows, in order (an
+    engine's, whose stamps go along beside them, and a pool's, which
+    routes them). Per row, in order:
 
     * a :class:`Row` under ``schema`` itself passes through;
     * a ``dict`` is looked up field by field — full name first, then
@@ -1267,18 +1252,17 @@ def compile_ingest(schema: Schema, coerce: Callable, elements: bool) -> Callable
       goes to ``coerce(schema, row)`` — ``StreamEngine._coerce_row`` —
       so what it accepts and the error it raises are the interpreter's.
     """
-    return _generate(_codegen_ingest, schema, coerce, elements, Chain((), schema), None) or fallback_ingest(
-        schema, coerce, elements
-    )
+    return _generate(_codegen_ingest, schema, coerce, Chain((), schema), None) or fallback_ingest(schema, coerce)
 
 
 def compile_fused_ingest(
     schema: Schema, coerce: Callable, chain: Chain, output_schema: Schema
-) -> Callable[[list, list, str], list] | None:
+) -> Callable[[list, list], tuple[list, list]] | None:
     """:func:`compile_ingest` and an operator's :func:`compile_fused_batch`
-    loop as one that returns the survivors, or ``None`` (run the two):
-    it splices the operator's own ``chain``, lowered once."""
-    return _generate(_codegen_ingest, schema, coerce, True, chain, output_schema)
+    loop as one, ``fused(rows, stamps)``, that returns the survivors'
+    Rows and their stamps, or ``None`` (run the two): it splices the
+    operator's own ``chain``, lowered once."""
+    return _generate(_codegen_ingest, schema, coerce, chain, output_schema)
 
 
 #: Exact-type tests per column type, over a value known not to be NULL:
@@ -1297,23 +1281,25 @@ _MISSING = object()
 
 
 def _codegen_ingest(
-    schema: Schema, coerce: Callable, elements: bool, chain: Chain, output_schema: Schema | None
+    schema: Schema, coerce: Callable, chain: Chain, output_schema: Schema | None
 ) -> Callable:
+    fused = bool(chain.stages)
     return _codegen_loop(
         (
-            "fused_ingest" if chain.stages else "ingest",
-            "rows, stamps, source" if elements else "rows",
-            lambda gen: _emit_rows(gen, schema, coerce, elements, bool(chain.stages)),
+            "fused_ingest" if fused else "ingest",
+            "rows, stamps" if fused else "rows",
+            lambda gen: _emit_rows(gen, schema, coerce, fused),
         ),
         chain,
-        _append(output_schema if chain.projects else "r", "_t" if elements else None, "source", fresh=True),
+        _append(output_schema if chain.projects else "r", "_t" if fused else None, fresh=True),
     )
 
 
-def _emit_rows(gen: _CodeGen, schema: Schema, coerce: Callable, elements: bool, fused: bool) -> int:
+def _emit_rows(gen: _CodeGen, schema: Schema, coerce: Callable, fused: bool) -> int:
     """The ingest loop's head: each row as :func:`compile_ingest` checks
-    it, bound as ``r`` (and its stamp as ``_t`` with ``elements``), and
-    its values as ``v`` when ``fused`` stages read them."""
+    it, bound as ``r`` — a Row under ``schema`` as itself — and, when
+    ``fused`` stages read them, its stamp as ``_t`` and its values as
+    ``v``."""
     gen.env.update(_S=schema, _Row=Row, _coerce=coerce, _M=_MISSING)
     checks = ["r.__class__ is dict"]
     for position, field in enumerate(schema):
@@ -1329,7 +1315,7 @@ def _emit_rows(gen: _CodeGen, schema: Schema, coerce: Callable, elements: bool, 
         exact = _EXACT_TYPE.get(field.dtype)
         checks.append(f"({value} is None or {exact.format(x=x)})" if exact else f"{value} is None")
     atoms = ", ".join(f"a{position}" for position in range(len(schema)))
-    gen.emit(1, "for r, _t in zip(rows, stamps):" if elements else "for r in rows:")
+    gen.emit(1, "for r, _t in zip(rows, stamps):" if fused else "for r in rows:")
     gen.emit(2, "if r.__class__ is not _Row or r.schema is not _S:")
     gen.emit(3, "if (")
     for position, check in enumerate(checks):
@@ -1766,21 +1752,12 @@ def _fallback_projection(
     return run
 
 
-def fallback_ingest(schema: Schema, coerce: Callable, elements: bool) -> Callable:
+def fallback_ingest(schema: Schema, coerce: Callable) -> Callable:
     """:func:`compile_ingest`'s interpreter twin: ``coerce`` over every
     row, with the same signature and the same results."""
-    if elements:
 
-        def ingest(rows, stamps, source) -> list:
-            return [
-                _StreamElement(coerce(schema, row), stamp, source)
-                for row, stamp in zip(rows, stamps)
-            ]
-
-    else:
-
-        def ingest(rows) -> list:
-            return [coerce(schema, row) for row in rows]
+    def ingest(rows) -> list:
+        return [coerce(schema, row) for row in rows]
 
     return ingest
 
@@ -1802,27 +1779,27 @@ def _fallback_fold(
             state = groups[key] = new_state()
         return state
 
-    def running_fold(elements, groups: dict, touched: dict | None = None) -> None:
-        for element in elements:
-            row = Row.raw(schema, element.row.values)
+    def running_fold(rows, stamps, groups: dict, touched: dict | None = None) -> None:
+        for row, stamp in zip(rows, stamps):
+            row = Row.raw(schema, row.values)
             key = tuple(e.eval(row) for e in group_exprs)
             state = group(groups, key)
             if touched is not None:  # compile_partial's running signature
                 touched[key] = state
-            add(state, row, element.timestamp)
+            add(state, row, stamp)
 
-    def windowed_fold(elements, windows: dict, closed: float) -> None:
-        for element in elements:
-            indexes = [k for k in window.indexes(element.timestamp) if k > closed]
+    def windowed_fold(rows, stamps, windows: dict, closed: float) -> None:
+        for row, stamp in zip(rows, stamps):
+            indexes = [k for k in window.indexes(stamp) if k > closed]
             if not indexes:
                 continue
-            row = Row.raw(schema, element.row.values)
+            row = Row.raw(schema, row.values)
             key = tuple(e.eval(row) for e in group_exprs)
             for index in indexes:
                 groups = windows.get(index)
                 if groups is None:
                     groups = windows[index] = {}
-                add(group(groups, key), row, element.timestamp)
+                add(group(groups, key), row, stamp)
 
     return running_fold if window is None else windowed_fold
 

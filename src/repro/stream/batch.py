@@ -31,7 +31,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Iterable
 
-from repro.data.streams import CollectingConsumer, Punctuation, StreamElement, push_all
+from repro.data.streams import CollectingConsumer, Punctuation, push_all
 from repro.data.tuples import Row
 from repro.errors import ExecutionError, SchemaError
 from repro.plan.logical import LogicalOp, Recursive, Scan
@@ -70,23 +70,23 @@ class BoundedPipeline:
         for op, state in zip(self._compiled.operators, self._fresh):
             op.state_restore(state)
         self._sink.clear()
-        runs: dict[str, list[StreamElement]] = {}
+        runs: dict[str, list[Row]] = {}
         for port in reversed(self._compiled.ports):
             name = port.source_name.lower()
             run = runs.get(name)
             if run is None:
                 run = runs[name] = _run(port.source_name, self._arities[name], tables)
-            push_all(port.consumer, run)
+            push_all(port.consumer, run, [0.0] * len(run), "")
             port.consumer.push(_END)
-        return [element.row for element in self._sink.elements]
+        return self._sink.rows
 
 
 _END = Punctuation(END)
 _values = attrgetter("values")
 
 
-def _run(name: str, arity: int, tables: dict[str, Iterable[Row]]) -> list[StreamElement]:
-    """One table's rows as a run of elements, every row checked for arity."""
+def _run(name: str, arity: int, tables: dict[str, Iterable[Row]]) -> list[Row]:
+    """One table's rows as a run, every row checked for arity."""
     for key, rows in tables.items():
         if key.lower() == name.lower():
             rows = rows if isinstance(rows, list) else list(rows)
@@ -95,7 +95,7 @@ def _run(name: str, arity: int, tables: dict[str, Iterable[Row]]) -> list[Stream
                 raise SchemaError(
                     f"row has {len(bad.values)} values but schema has {arity} fields"
                 )
-            return [StreamElement(row, 0.0) for row in rows]
+            return rows
     raise ExecutionError(f"no table provided for {name!r}; have {sorted(tables)}")
 
 

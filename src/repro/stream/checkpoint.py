@@ -49,10 +49,12 @@ barrier are lost unless the caller pushes them again, and ``results()``
 history from before the barrier does not survive either; nor does a
 query admitted since the barrier.
 
-Snapshots share :class:`StreamElement` objects (immutable by
-convention) and copy only the mutable containers, so a barrier costs
-O(state size) pointer copies, not a deep serialization — the file store
-pays serialization only when explicitly chosen.
+Snapshots share rows (immutable by convention) and copy only the
+mutable containers — buffered rows are written as
+:class:`StreamElement` objects, the layout checkpoints have always
+held — so a barrier costs O(state size) small allocations, not a deep
+serialization; the file store pays serialization only when explicitly
+chosen.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ from repro.data.streams import (
     push_all,
     replayed,
 )
+from repro.data.tuples import Row
 from repro.errors import ExecutionError
 from repro.plan.logical import LogicalOp
 
@@ -287,13 +290,14 @@ class FileCheckpointStore:
 # ----------------------------------------------------------------------
 class Feed:
     """The terminal consumer of one restored pipeline, and recovery's
-    dedup point. Subclasses say where a run of elements goes (``_run``)
+    dedup point. Subclasses say where a run goes (``_run``, its rows,
+    stamps and source)
     and where a punctuation goes (``_punctuate``); the rest is here. The
     pool's feeds stand in front of a merge slot or a shuffle port
     (:mod:`repro.stream.sharded`), :class:`SinkFeed` in front of a
     restarted plain-engine query's sink.
 
-    A feed drops the first ``skip`` elements it is handed (the
+    A feed drops the first ``skip`` rows it is handed (the
     re-derivations of what the dead pipeline already delivered), then
     everything flows through; the skip never counts a punctuation.
     """
@@ -309,17 +313,17 @@ class Feed:
         elif self._skip > 0:
             self._skip -= 1
         else:
-            self._run([item])
+            self._run([item.row], [item.timestamp], item.source)
 
-    def push_batch(self, elements: list[StreamElement]) -> None:
-        drop = self._skipped(len(elements))
+    def push_batch(self, rows: list[Row], stamps: list[float], source: str) -> None:
+        drop = self._skipped(len(rows))
         if drop:
-            elements = elements[drop:]
-        if elements:
-            self._run(elements)
+            rows, stamps = rows[drop:], stamps[drop:]
+        if rows:
+            self._run(rows, stamps, source)
 
     def _skipped(self, count: int) -> int:
-        """How many of the next ``count`` elements the skip drops."""
+        """How many of the next ``count`` rows the skip drops."""
         drop = min(self._skip, count)
         self._skip -= drop
         return drop
@@ -330,11 +334,11 @@ class SinkFeed(Feed):
     the failure (a view's: into its chain's log again).
 
     The sink already holds everything the replay of the log suffix
-    derives: the feed drops as many elements as the sink received since
+    derives: the feed drops as many rows as the sink received since
     the barrier (or since the query's admission) and every punctuation
     until :meth:`arm`, which the recovery calls once the suffix is
     replayed, so the sink records nothing twice. A sink that keeps no
-    count (``skip`` None) gets no element until then either.
+    count (``skip`` None) gets no row until then either.
     """
 
     __slots__ = ("_sink", "_held")
@@ -343,8 +347,8 @@ class SinkFeed(Feed):
         super().__init__(math.inf if skip is None else skip)
         self._sink, self._held = sink, True
 
-    def _run(self, elements: list[StreamElement]) -> None:
-        push_all(self._sink, elements)
+    def _run(self, rows: list[Row], stamps: list[float], source: str) -> None:
+        push_all(self._sink, rows, stamps, source)
 
     def _punctuate(self, watermark: float) -> None:
         if not self._held:

@@ -136,9 +136,8 @@ class _ReschemaConsumer:
     label :func:`result_sink` puts in front of a hand-built plan's sink.
 
     ``with_schema`` reuses the value tuple untouched, so a relabelled
-    element costs one arity check plus two allocations (a ``Row`` and a
-    ``StreamElement``); an element already carrying the schema object
-    passes through as it is.
+    row costs one arity check plus one ``Row``; a row already carrying
+    the schema object passes through as it is.
     """
 
     def __init__(self, schema, downstream: StreamConsumer):
@@ -152,17 +151,10 @@ class _ReschemaConsumer:
             )
         self._downstream.push(item)
 
-    def push_batch(self, elements: list) -> None:
+    def push_batch(self, rows: list, stamps: list, source: str) -> None:
         schema = self._schema
-        rebased = [
-            StreamElement(
-                element.row.with_schema(schema), element.timestamp, element.source
-            )
-            if element.row.schema is not schema
-            else element
-            for element in elements
-        ]
-        push_all(self._downstream, rebased)
+        rebased = [row if row.schema is schema else row.with_schema(schema) for row in rows]
+        push_all(self._downstream, rebased, stamps, source)
 
 
 def result_sink(plan: LogicalOp, sink: StreamConsumer) -> StreamConsumer:
@@ -181,8 +173,8 @@ def result_sink(plan: LogicalOp, sink: StreamConsumer) -> StreamConsumer:
     to the node below ``OutputOp``, so the display reads the labels the
     sink does.
 
-    A sink that reads nothing of an element but ``row.values``,
-    ``timestamp`` and ``source`` says so with a true ``positional``
+    A sink that reads nothing of a row but its ``values`` (and the
+    run's stamps and source) says so with a true ``positional``
     class attribute — the pool's stage-1 exchange feeds and a worker's
     frame sink, whose rows are built again under the right schema where
     they land — and takes the rows as they come.

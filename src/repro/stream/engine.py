@@ -11,7 +11,8 @@ Ingestion is routed through a **source → ports index** maintained on
 lookup plus one push per subscribed port — not a scan of every query's
 every port. :meth:`push_many` amortizes the lookup (and the catalog
 resolution) across a whole batch of rows and hands each port the whole
-batch via the optional ``push_batch`` protocol, so vectorized operators
+batch — its rows and their stamps — via the optional ``push_batch``
+protocol, so vectorized operators
 (Filter/Project/Fused) traverse it with one dispatch per operator — or,
 for a stream whose one port feeds such an operator, runs ingest and its
 stages as one generated loop (:meth:`StreamEngine._fuse_ingest`). Rows
@@ -42,9 +43,9 @@ from repro.data.streams import (
     StreamConsumer,
     StreamElement,
     edge,
-    elements_from_columns,
     park,
     push_all,
+    rows_of,
 )
 from repro.data.tuples import Row
 from repro.errors import ExecutionError
@@ -72,24 +73,24 @@ def counted(counts: dict, compile_fn: Callable, *args) -> Any:
     return compiled
 
 
-def generate_ingest_loop(loops: dict, counts: dict, schema: Schema, elements: bool) -> None:
+def generate_ingest_loop(loops: dict, counts: dict, schema: Schema) -> None:
     """Generate, at admission, the ingest loop for catalog ``schema``
     into ``loops`` (keyed by the schema's id, which the loop keeps
     alive) by :func:`~repro.sql.compiled.compile_ingest` over
     :meth:`StreamEngine._coerce_row`, its rung added to ``counts``."""
     if id(schema) not in loops:
         loops[id(schema)] = counted(
-            counts, compile_ingest, schema, StreamEngine._coerce_row, elements
+            counts, compile_ingest, schema, StreamEngine._coerce_row
         )
 
 
-def ingest_loop(loops: dict, schema: Schema, elements: bool) -> Callable:
+def ingest_loop(loops: dict, schema: Schema) -> Callable:
     """The ingest loop for catalog ``schema``: the one admission
     generated, or, for a stream no query has scanned, the interpreter's
     (``_coerce_row`` over every row). Rows flowing never generate code."""
     loop = loops.get(id(schema))
     if loop is None:
-        return fallback_ingest(schema, StreamEngine._coerce_row, elements)
+        return fallback_ingest(schema, StreamEngine._coerce_row)
     return loop
 
 
@@ -117,13 +118,14 @@ class QueryHandle:
     #: log, or as a tee branch): ``compiled`` is empty and the chain's
     #: operators live in the registry.
     shared: bool = field(default=False, repr=False)
-    # latest_batch incremental state: sink elements before _scan_pos have
-    # been classified against _cached_watermark; _batch keeps the ones
-    # at-or-after it. Repeated polling (the GUI case) is O(new elements).
+    # latest_batch incremental state: sink rows before _scan_pos have
+    # been classified against _cached_watermark; _batch keeps the
+    # (stamp, row) pairs at-or-after it. Repeated polling (the GUI case)
+    # is O(new rows).
     _cached_watermark: float = field(default=float("-inf"), init=False, repr=False)
     _scan_pos: int = field(default=0, init=False, repr=False)
     _seen_clears: int = field(default=0, init=False, repr=False)
-    _batch: list[StreamElement] = field(default_factory=list, init=False, repr=False)
+    _batch: list[tuple[float, Row]] = field(default_factory=list, init=False, repr=False)
 
     @property
     def results(self) -> list[Row]:
@@ -145,7 +147,7 @@ class QueryHandle:
 
     def latest_batch(self) -> list[Row]:
         """Rows emitted since the last punctuation boundary observed."""
-        elements, lo, hi, watermark = self.sink.extent()
+        log, lo, hi, watermark = self.sink.extent()
         if self._seen_clears != self.sink.clears or watermark < self._cached_watermark:
             # Sink was cleared, or the watermark regressed: rescan.
             self._seen_clears = self.sink.clears
@@ -154,12 +156,17 @@ class QueryHandle:
             self._cached_watermark = watermark
         elif watermark > self._cached_watermark:
             # Watermark advanced monotonically: previously excluded
-            # elements stay excluded; prune the kept ones.
-            self._batch = [e for e in self._batch if e.timestamp >= watermark]
+            # rows stay excluded; prune the kept ones.
+            self._batch = [kept for kept in self._batch if kept[0] >= watermark]
             self._cached_watermark = watermark
-        self._batch += [e for e in elements[lo + self._scan_pos : hi] if e.timestamp >= watermark]
+        self._batch += [
+            (stamp, row)
+            for rows, stamps, _ in log.runs(lo + self._scan_pos, hi)
+            for row, stamp in zip(rows, stamps)
+            if stamp >= watermark
+        ]
         self._scan_pos = hi - lo
-        return [e.row for e in self._batch]
+        return [row for _, row in self._batch]
 
 
 @dataclass
@@ -230,23 +237,23 @@ class StreamEngine:
     def load_table(self, name: str, rows: list[Row | Mapping[str, Any]], timestamp: float = 0.0) -> None:
         """Load (or extend) a stored table; replayed into future queries
         and handed to each running one's ports as one run
-        (:meth:`_dispatch_batch`)."""
+        (:meth:`_dispatch_batch`). The table keeps its rows as elements,
+        the layout its checkpoints hold."""
         if self.failed:
             return
         entry = self._catalog.source(name)
         if entry.kind is not SourceKind.TABLE:
             raise ExecutionError(f"{name!r} is a stream; push elements instead")
         rows = list(rows)
-        elements = [
-            StreamElement(self._coerce_row(entry.schema, row), timestamp, name)
-            for row in rows
-        ]
+        coerced = [self._coerce_row(entry.schema, row) for row in rows]
         # Logged only once every row coerced: a rejected load must leave
         # no record for recovery to replay.
         if self.checkpointer is not None:
             self.checkpointer.record(("table", None, name, rows, timestamp))
-        self._tables.setdefault(entry.name, []).extend(elements)
-        self._dispatch_batch(entry.name, elements)
+        self._tables.setdefault(entry.name, []).extend(
+            StreamElement(row, timestamp, name) for row in coerced
+        )
+        self._dispatch_batch(name, coerced, [timestamp] * len(coerced))
 
     def table_rows(self, name: str) -> list[Row]:
         """Current contents of a loaded table."""
@@ -436,9 +443,7 @@ class StreamEngine:
         if port.scan is not None and port.scan.entry.kind is not SourceKind.TABLE:
             # Generated at admission, with the plan's functions: rows
             # flowing never generate code.
-            generate_ingest_loop(
-                self._ingest_loops, self._compiler.counts, port.scan.entry.schema, True
-            )
+            generate_ingest_loop(self._ingest_loops, self._compiler.counts, port.scan.entry.schema)
         self._fuse_ingest(key)
 
     def _fuse_ingest(self, key: str) -> None:
@@ -469,8 +474,8 @@ class StreamEngine:
             self._fused_ingest[key] = (loop, op, schema)
 
     def _ingest_loop(self, schema: Schema) -> Callable:
-        """This engine's element-building ingest loop for ``schema``."""
-        return ingest_loop(self._ingest_loops, schema, True)
+        """This engine's ingest loop for ``schema``."""
+        return ingest_loop(self._ingest_loops, schema)
 
     # ------------------------------------------------------------------
     # Stream ingestion
@@ -486,7 +491,8 @@ class StreamEngine:
         if self.failed:
             return
         entry = self._catalog.source(source)
-        (element,) = self._ingest_loop(entry.schema)((row,), (timestamp,), entry.name)
+        (ingested,) = self._ingest_loop(entry.schema)((row,))
+        element = StreamElement(ingested, timestamp, entry.name)
         # Logged after coercion: a rejected row leaves no replay record.
         if self.checkpointer is not None:
             self.checkpointer.record(("push", None, source, row, timestamp))
@@ -518,18 +524,19 @@ class StreamEngine:
            :meth:`_coerce_row`), so a rejected row raises before
            anything is logged or forwarded.
         2. The batch is recorded for replay.
-        3. It is handed downstream. A source whose one route feeds a
+        3. It is handed downstream, as Rows and their stamps: no
+           element is built. A source whose one route feeds a
            :class:`~repro.stream.operators.StageOp` ran that operator's
-           stages in the same loop (:meth:`_fuse_ingest`): a rejected
-           row never became an element, and the survivors leave as the
-           operator's ``push_batch`` would send them (``rows_in`` counts
-           the batch, then ``emit_batch``). Otherwise each route gets
-           the elements as one ``push_batch`` (per-element ``push``
-           without it), in row order and one route after another —
-           queries are independent pipelines — except that a query
-           scanning the source through several ports (a self-join,
-           whose ROWS windows evict by arrival count) keeps the
-           element-major interleaving of repeated :meth:`push`.
+           stages in the same loop (:meth:`_fuse_ingest`), and the
+           survivors leave as the operator's ``push_batch`` would send
+           them (``rows_in`` counts the batch, then ``emit_batch``).
+           Otherwise each route gets the run as one ``push_batch``
+           (per-element ``push`` without it), in row order and one
+           route after another — queries are independent pipelines —
+           except that a query scanning the source through several
+           ports (a self-join, whose ROWS windows evict by arrival
+           count) keeps the element-major interleaving of repeated
+           :meth:`push`.
         """
         if self.failed:
             return 0
@@ -551,37 +558,37 @@ class StreamEngine:
         fused = self._fused_ingest.get(entry.name.lower())
         if fused is not None and fused[2] is entry.schema:
             try:
-                out = fused[0](rows, stamps, entry.name)
+                out = fused[0](rows, stamps)
             except Exception:  # the two loops below raise (or park) it again
                 pass
         if out is None:
-            elements = self._ingest_loop(entry.schema)(rows, stamps, entry.name)
+            ingested = self._ingest_loop(entry.schema)(rows)
         # Logged only once the whole batch coerced (see push).
         if self.checkpointer is not None:
             self.checkpointer.record(("many", None, source, rows, stamps))
         self.elements_ingested += len(rows)
         if out is None:
-            self._dispatch_batch(entry.name, elements)
+            self._dispatch_batch(entry.name, ingested, stamps)
         else:
             self._dispatch_fused(fused[1], out, entry, rows, stamps)
         return len(rows)
 
     def _dispatch_fused(
-        self, op: StageOp, out: list, entry: SourceEntry, rows: list, stamps: Sequence[float]
+        self, op: StageOp, out: tuple[list, list], entry: SourceEntry, rows: list, stamps: list
     ) -> None:
-        """Hand a fused-ingest run's survivors to the source's one route
-        as ``op.push_batch`` would have; a route a callback admitted
-        meanwhile reads the run in flight too, as in
-        :meth:`_dispatch_batch`."""
+        """Hand a fused-ingest run's survivors — their Rows and stamps —
+        to the source's one route as ``op.push_batch`` would have; a
+        route a callback admitted meanwhile reads the run in flight too,
+        as in :meth:`_dispatch_batch`."""
         routes = self._routes.get(entry.name.lower(), ())
         op.rows_in += len(rows)
-        if out:
-            op.emit_batch(out)
+        if out[0]:
+            op.emit_batch(out[0], out[1], entry.name)
         if len(routes) > 1:
-            elements = self._ingest_loop(entry.schema)(rows, stamps, entry.name)
+            ingested = self._ingest_loop(entry.schema)(rows)
             for route in itertools.islice(routes, 1, None):
                 try:
-                    push_all(route.port.consumer, elements)
+                    push_all(route.port.consumer, ingested, stamps, entry.name)
                 except Exception as exc:
                     park(exc)
 
@@ -598,19 +605,17 @@ class StreamEngine:
         arity — no coercion, validation or replay-log recording happens.
         This is the process-shard worker boundary: the parent has
         coerced and logged every row before shipping its values, so the
-        worker rebuilds Row and StreamElement in a single pass.
+        worker rebuilds the Rows in a single pass.
         """
         if self.failed:
             return 0
         entry = self._catalog.source(source)
-        elements = elements_from_columns(
-            entry.schema, entry.name, values, timestamps
-        )
-        self.elements_ingested += len(elements)
-        self._dispatch_batch(entry.name, elements)
-        return len(elements)
+        rows = rows_of(entry.schema, values)
+        self.elements_ingested += len(rows)
+        self._dispatch_batch(entry.name, rows, list(timestamps))
+        return len(rows)
 
-    def _dispatch_batch(self, name: str, elements: list[StreamElement]) -> None:
+    def _dispatch_batch(self, name: str, rows: list[Row], stamps: list[float]) -> None:
         routes = self._routes.get(name.lower(), ())
         multi_port_queries = self._multi_port_queries(routes)
         interleaved = []
@@ -619,13 +624,14 @@ class StreamEngine:
                 interleaved.append(route.port.consumer)
                 continue
             try:
-                push_all(route.port.consumer, elements)
+                push_all(route.port.consumer, rows, stamps, name)
             except Exception as exc:
                 park(exc)
         if interleaved:
             # Element-major delivery across this query's ports, exactly
             # as repeated push() would interleave them.
-            for element in elements:
+            for row, stamp in zip(rows, stamps):
+                element = StreamElement(row, stamp, name)
                 for consumer in interleaved:
                     try:
                         consumer.push(element)
@@ -653,8 +659,8 @@ class StreamEngine:
         positional tuples of the exchanged schema (stage-1 emissions).
         Consecutive runs into the sides of one join that takes a
         delivery whole enter it by one ``push_runs`` call, which builds
-        their rows itself and parks what a run raises; every other run
-        is built into elements once and pushed to its ports. No catalog entry exists and no
+        their values itself and parks what a run raises; every other run
+        is built into Rows once and pushed to its ports. No catalog entry exists and no
         replay-log recording happens — the pool logs exchange deliveries
         itself so failover can replay them deterministically. Returns
         the rows delivered to a port.
@@ -676,10 +682,10 @@ class StreamEngine:
                 join = side[0]
                 taken.append((side[1], values, stamps, name))
                 continue
-            elements = elements_from_columns(routes[0].remote_schema, name, values, stamps)
+            rows = rows_of(routes[0].remote_schema, values)
             for route in routes:
                 try:
-                    push_all(route.port.consumer, elements)
+                    push_all(route.port.consumer, rows, stamps, name)
                 except Exception as exc:
                     park(exc)
         if taken:

@@ -119,15 +119,15 @@ def _next_chain_id() -> int:
 
 
 class TeeOp:
-    """Fan one element stream out to a chain's distinct consumers.
+    """Fan one stream out to a chain's distinct consumers.
 
     The terminal consumer of every shared chain. Branches are the
     chain's result log, custom query sinks and, for a cut chain, the
     operators of the chains stacked on it — nothing sits in between but
     a hand-built query's exit label (:func:`~repro.stream.compiler
-    .result_sink`), so every branch is handed the same run and
-    the same elements (the ``push_batch`` contract: a receiver neither
-    mutates nor keeps the list). Add and
+    .result_sink`), so every branch is handed the same run — the same
+    row and stamp lists (the ``push_batch`` contract: a receiver neither
+    mutates nor keeps them). Add and
     remove never disturb sibling branches, even from inside a delivery
     (a subscriber callback that closes or opens a cursor): a removal
     rebinds ``branches`` so the fan-out in flight finishes over the list
@@ -166,12 +166,12 @@ class TeeOp:
             except Exception as exc:
                 park(exc)
 
-    def push_batch(self, elements: list[Any]) -> None:
+    def push_batch(self, rows: list[Any], stamps: list[float], source: str) -> None:
         if not EDGE.open:
-            return outermost(self.push_batch, elements)
+            return outermost(self.push_batch, rows, stamps, source)
         for branch in self.branches:
             try:
-                push_all(branch, elements)
+                push_all(branch, rows, stamps, source)
             except Exception as exc:
                 park(exc)
 

@@ -1,16 +1,17 @@
 """Physical operators of the PC-side stream engine.
 
-The engine is a push dataflow over
-:class:`~repro.data.streams.StreamElement` items. Every operator is a
-:class:`~repro.data.streams.StreamConsumer` that transforms elements and
+The engine is a push dataflow over runs of rows and their stamps, and
+single :class:`~repro.data.streams.StreamElement` items. Every operator
+is a :class:`~repro.data.streams.StreamConsumer` that transforms rows and
 pushes results to its downstream consumer. Punctuations (watermarks)
 flow through every operator and drive state eviction, window emission
 and batch boundaries for ORDER BY / LIMIT.
 
 The push protocol (stated once, on
 :class:`~repro.data.streams.StreamConsumer`): ``push(item)`` carries one
-element or one punctuation, ``push_batch(elements)`` a punctuation-free
-run of elements. Each operator therefore has exactly two data bodies —
+element or one punctuation, ``push_batch(rows, stamps, source)`` a
+punctuation-free run of rows and their stamps, for which no element is
+built. Each operator therefore has exactly two data bodies —
 the per-element ``on_element`` and one batch body over a pure run —
 plus ``on_punctuation``; an exchanged join's batch body also takes a
 whole shuffle delivery, both sides' runs in one call
@@ -32,9 +33,9 @@ ROADMAP.md, Open items). Downstream consumers that don't implement
 ``push_batch`` (it is optional) receive per-element pushes.
 
 Schemas: every operator binds the input schema it was compiled for and
-reads ``element.row.values`` by position, never the row's own schema.
+reads ``row.values`` by position, never the row's own schema.
 Rows keep the schema they were built with: Filter, Distinct, OrderBy,
-Limit and Output forward the elements they receive (source rows keep
+Limit and Output forward the rows they receive (source rows keep
 their catalog schema), while Project, Fused chains that project,
 Aggregate, the join and the partial/merge aggregates build their output
 rows under their own output schema — the join's being that of the
@@ -58,10 +59,12 @@ from typing import Any, Callable, Sequence
 from repro.data.schema import Schema
 from repro.data.streams import (
     Punctuation,
+    Segment,
     StreamConsumer,
     StreamElement,
     StreamItem,
     park,
+    push_all,
 )
 from repro.data.tuples import Row
 from repro.data.windows import WindowKind, WindowSpec
@@ -117,8 +120,9 @@ def _positional_key(schema: Schema, names: list[str]) -> Callable[[tuple], Any]:
     return itemgetter(*indexes)
 
 
-def _in_time_order(elements) -> bool:
-    stamps = [element.timestamp for element in elements]
+def _in_time_order(entries) -> bool:
+    """Whether a join bucket's ``(stamp, values)`` entries are in time order."""
+    stamps = [entry[0] for entry in entries]
     return all(a <= b for a, b in zip(stamps, stamps[1:]))
 
 
@@ -134,7 +138,7 @@ class Operator:
         self.downstream = downstream
         # Batched forwarding is duck-typed: resolved once at wiring time,
         # None when the downstream only speaks per-item push.
-        self._down_batch: Callable[[list[StreamElement]], None] | None = getattr(
+        self._down_batch: Callable[[list, list, str], None] | None = getattr(
             downstream, "push_batch", None
         )
         self.rows_in = 0
@@ -147,17 +151,19 @@ class Operator:
             self.rows_in += 1
             self.on_element(item)
 
-    def push_batch(self, elements: list[StreamElement]) -> None:
-        """Receive a punctuation-free run of elements in arrival order.
+    def push_batch(self, rows: list[Row], stamps: list[float], source: str) -> None:
+        """Receive a punctuation-free run in arrival order.
 
-        Default: ``on_element`` over the run. Vectorized operators
-        override this to traverse the run with one call and forward
-        output batches.
+        Default: ``on_element`` over the run, one element per row — the
+        body of an operator with no batch body of its own, or whose
+        generated loop declined (the one body lint rule RA902 lets name
+        ``StreamElement``). Vectorized operators override this to
+        traverse the run with one call and forward output runs.
         """
-        self.rows_in += len(elements)
+        self.rows_in += len(rows)
         on_element = self.on_element
-        for element in elements:
-            on_element(element)
+        for row, stamp in zip(rows, stamps):
+            on_element(StreamElement(row, stamp, source))
 
     def on_element(self, element: StreamElement) -> None:
         raise NotImplementedError
@@ -176,17 +182,15 @@ class Operator:
         except Exception as exc:
             park(exc)
 
-    def emit_batch(self, elements: list[StreamElement]) -> None:
-        """Forward a run of output elements, batched when possible (a
-        hand-off, as :meth:`emit`)."""
-        self.rows_out += len(elements)
+    def emit_batch(self, rows: list[Row], stamps: list[float], source: str = "") -> None:
+        """Forward an output run, batched when possible (a hand-off, as
+        :meth:`emit`)."""
+        self.rows_out += len(rows)
         try:
             if self._down_batch is not None:
-                self._down_batch(elements)
+                self._down_batch(rows, stamps, source)
             else:
-                push = self.downstream.push
-                for element in elements:
-                    push(element)
+                push_all(self.downstream, rows, stamps, source)
         except Exception as exc:
             park(exc)
 
@@ -194,9 +198,10 @@ class Operator:
     def state_snapshot(self) -> dict:
         """Detached recovery state (see :mod:`repro.stream.checkpoint`).
 
-        StreamElements are immutable by convention, so snapshots share
-        them and copy only the containers. Stateless operators carry
-        just their counters.
+        Rows are immutable by convention, so snapshots share them and
+        copy only the containers; buffered rows are snapshotted as
+        StreamElements, the layout checkpoints have always held.
+        Stateless operators carry just their counters.
         """
         return {
             "type": type(self).__name__,
@@ -223,8 +228,8 @@ class StageOp(Operator):
     """A Select/Project run over one input: ``stages`` in dataflow order
     (:data:`~repro.sql.compiled.FusedStage`), read against
     ``input_schema`` and held as one :class:`~repro.sql.compiled.Chain`,
-    lowered once for every function generated over it. A run of
-    elements clears them all in one generated loop
+    lowered once for every function generated over it. A run clears
+    them all in one generated loop
     (``compile_fused_batch``: ``_batch_fn``, None when it declined, and
     then ``on_element`` loops). A source port with this operator as its
     only consumer runs the same chain inside the engine's ingest loop
@@ -246,15 +251,16 @@ class StageOp(Operator):
         self.chain = Chain(stages, input_schema)
         self._batch_fn = compile_fused_batch(self.chain, output_schema)
 
-    def push_batch(self, elements: list[StreamElement]) -> None:
+    def push_batch(self, rows: list[Row], stamps: list[float], source: str) -> None:
         if self._batch_fn is None:
-            Operator.push_batch(self, elements)
+            Operator.push_batch(self, rows, stamps, source)
             return
-        out: list[StreamElement] = []
-        self._batch_fn(elements, out)
-        self.rows_in += len(elements)
+        out: list[Row] = []
+        out_stamps: list[float] = []
+        self._batch_fn(rows, stamps, out, out_stamps)
+        self.rows_in += len(rows)
         if out:
-            self.emit_batch(out)
+            self.emit_batch(out, out_stamps, source)
 
 
 class FilterOp(StageOp):
@@ -322,10 +328,10 @@ class FusedOp(StageOp):
     projection list, in dataflow order — runs as a single compiled
     function over the input value tuple
     (:func:`~repro.sql.compiled.compile_fused`), so a row passing an
-    N-stage chain costs one Python call, one output Row and one
-    StreamElement instead of N dispatches and up to N intermediate
-    allocations. Chains without a projection stage forward the original
-    element untouched, preserving row identity like ``FilterOp``.
+    N-stage chain costs one Python call and one output Row instead of N
+    dispatches and up to N intermediate allocations. Chains without a
+    projection stage forward the original row untouched, preserving row
+    identity like ``FilterOp``.
 
     There is no per-stage body: when the chain's closure cannot be
     generated, ``generated`` is False and the plan compiler lowers the
@@ -381,8 +387,8 @@ class SymmetricHashJoin(Operator):
     (:data:`~repro.sql.compiled.FusedStage`, dataflow order), applied to
     each residual-passing pair's concatenated values — a filter drops
     the pair, a projection rebinds the values — so every surviving pair
-    leaves as one ``Row`` under ``output_schema`` and one
-    ``StreamElement``, and no operator sits above the join for the run.
+    leaves as one ``Row`` under ``output_schema`` and its stamp, and no
+    operator sits above the join for the run.
     Without stages a pair leaves as the joined row under the
     concatenated schema. The stages' per-pair function
     (:func:`~repro.sql.compiled.compile_fused`) is generated first; when
@@ -392,6 +398,11 @@ class SymmetricHashJoin(Operator):
     the residual then the stages another, which both probe kernels
     splice; without a residual the two are one, so each is lowered
     once.
+
+    Buffers hold each live row as ``(stamp, values)`` in a per-key
+    bucket; a snapshot writes them as elements again, each under the
+    schema and source its side last received, as checkpoints always
+    held them.
 
     Two data bodies, one meaning. ``_push_side`` is the per-element
     body (``push``, and the only body that handles punctuation). A run
@@ -405,14 +416,14 @@ class SymmetricHashJoin(Operator):
     whose inputs are exchange feeds also takes a whole shuffle-barrier
     delivery (:meth:`push_runs`): its two sides' runs, interleaved in
     delivery order, through one generated loop holding both sides'
-    probes, which builds each row inline and leaves as one
-    ``emit_batch`` — what the runs' ``push_batch`` calls, one after the
-    other, would emit. Which body a run gets follows from what the
-    operator is, never from a setting: a side whose own window is ROWS
-    (every arrival also evicts by count) and a kernel that failed to
-    generate (a counted fallback) have no kernel and loop
-    ``_push_side``; a join with such a side takes no delivery whole,
-    and its exchange runs arrive by the side ports.
+    probes, which leaves as one ``emit_batch`` — what the runs'
+    ``push_batch`` calls, one after the other, would emit. Which body a
+    run gets follows from what the operator is, never from a setting: a
+    side whose own window is ROWS (every arrival also evicts by count)
+    and a kernel that failed to generate (a counted fallback) have no
+    kernel and loop the per-row body ``_arrive``; a join with such a
+    side takes no delivery whole, and its exchange runs arrive by the
+    side ports.
 
     The two schemas always concatenate: the analyzer rejects duplicate
     relation bindings and :class:`~repro.plan.logical.Join` builds the
@@ -482,14 +493,18 @@ class SymmetricHashJoin(Operator):
         # The two-sided delivery loop (None: exchange runs arrive by the
         # side ports), generated by take_deliveries.
         self._deliver = None
-        self._left_buffer: dict[tuple, deque[StreamElement]] = {}
-        self._right_buffer: dict[tuple, deque[StreamElement]] = {}
+        self._left_buffer: dict[tuple, deque[tuple]] = {}
+        self._right_buffer: dict[tuple, deque[tuple]] = {}
+        # (schema, source) of each side's latest arrival: what a
+        # snapshot labels that side's buffered rows with.
+        self._left_origin: tuple[Schema, str] = (left_schema, "")
+        self._right_origin: tuple[Schema, str] = (right_schema, "")
         # Keys of the buckets an append landed behind the tail of, on a
         # side that evicts by time (None on a ROWS / UNBOUNDED side).
         self._left_unsorted: set | None = set() if left_window.evicts_by_time else None
         self._right_unsorted: set | None = set() if right_window.evicts_by_time else None
-        self._left_fifo: deque[tuple[tuple, StreamElement]] = deque()
-        self._right_fifo: deque[tuple[tuple, StreamElement]] = deque()
+        self._left_fifo: deque[tuple[tuple, tuple]] = deque()
+        self._right_fifo: deque[tuple[tuple, tuple]] = deque()
         self._left_watermark = float("-inf")
         self._right_watermark = float("-inf")
         self._sent_watermark = float("-inf")
@@ -524,17 +539,24 @@ class SymmetricHashJoin(Operator):
         calls on the side ports would give, one after the other. A run
         that raises loses its pairs and the rest of its rows and parks
         its exception; the other runs' pairs still leave."""
-        out: list[StreamElement] = []
+        for left, _, _, source in runs:
+            if left:
+                self._left_origin = (self.left_schema, source)
+            else:
+                self._right_origin = (self.right_schema, source)
+        out: list[Row] = []
+        out_stamps: list[float] = []
         self.rows_in += self._deliver(
             runs,
             self._left_buffer,
             self._right_buffer,
             out,
+            out_stamps,
             self._left_unsorted,
             self._right_unsorted,
         )
         if out:
-            self.emit_batch(out)
+            self.emit_batch(out, out_stamps)
 
     def push_left(self, item: StreamItem) -> None:
         """Receive an item on the left input."""
@@ -557,23 +579,34 @@ class SymmetricHashJoin(Operator):
         def push(self, item: StreamItem) -> None:
             self._join._push_side(item, left=self._left)
 
-        def push_batch(self, elements: list[StreamElement]) -> None:
+        def push_batch(self, rows: list[Row], stamps: list[float], source: str) -> None:
             join = self._join
             left = self._left
-            probe = join._left_probe if left else join._right_probe
-            if probe is None:  # ROWS side / the kernel failed to generate
-                push_side = join._push_side
-                for element in elements:
-                    push_side(element, left=left)
+            if not rows:
                 return
-            out: list[StreamElement] = []
             if left:
-                probe(elements, join._left_buffer, join._right_buffer, out, join._left_unsorted)
+                join._left_origin = (rows[0].schema, source)
             else:
-                probe(elements, join._right_buffer, join._left_buffer, out, join._right_unsorted)
-            join.rows_in += len(elements)
+                join._right_origin = (rows[0].schema, source)
+            probe = join._left_probe if left else join._right_probe
+            out: list[Row] = []
+            out_stamps: list[float] = []
+            if probe is None:  # ROWS side / the kernel failed to generate
+                arrive = join._arrive
+                try:
+                    for row, stamp in zip(rows, stamps):
+                        arrive(row.values, stamp, left, out, out_stamps)
+                finally:
+                    if out:
+                        join.emit_batch(out, out_stamps)
+                return
+            if left:
+                probe(rows, stamps, join._left_buffer, join._right_buffer, out, out_stamps, join._left_unsorted)
+            else:
+                probe(rows, stamps, join._right_buffer, join._left_buffer, out, out_stamps, join._right_unsorted)
+            join.rows_in += len(rows)
             if out:
-                join.emit_batch(out)
+                join.emit_batch(out, out_stamps)
 
     @property
     def left_port(self) -> StreamConsumer:
@@ -596,89 +629,98 @@ class SymmetricHashJoin(Operator):
                 self._evict(merged)
                 self.downstream.push(Punctuation(merged))
             return
+        if left:
+            self._left_origin = (item.row.schema, item.source)
+        else:
+            self._right_origin = (item.row.schema, item.source)
+        out: list[Row] = []
+        out_stamps: list[float] = []
+        self._arrive(item.row.values, item.timestamp, left, out, out_stamps)
+        for row, stamp in zip(out, out_stamps):
+            self.emit(StreamElement(row, stamp))
 
+    def _arrive(self, values: tuple, stamp: float, left: bool, out: list, out_stamps: list) -> None:
+        """One row arriving on a side, by the interpreted per-row body:
+        buffered, then probed against the other side; each pair's Row
+        goes to ``out`` and its stamp to ``out_stamps``."""
         self.rows_in += 1
         own_buffer = self._left_buffer if left else self._right_buffer
         other_buffer = self._right_buffer if left else self._left_buffer
         other_window = self.right_window if left else self.left_window
 
-        key = (self._left_key_fn if left else self._right_key_fn)(item.row.values)
+        key = (self._left_key_fn if left else self._right_key_fn)(values)
         # A NULL key component matches nothing: no probe, no state.
         if (key is None) if self._single_key else (None in key):
             return
+        entry = (stamp, values)
         bucket = own_buffer.get(key)
         if bucket is None:
             bucket = own_buffer[key] = deque()
         else:
             unsorted = self._left_unsorted if left else self._right_unsorted
-            if unsorted is not None and item.timestamp < bucket[-1].timestamp:
+            if unsorted is not None and stamp < bucket[-1][0]:
                 unsorted.add(key)
-        bucket.append(item)
+        bucket.append(entry)
 
         # ROWS windows bound the buffer by count, not time.
         own_window = self.left_window if left else self.right_window
         if own_window.kind is WindowKind.ROWS:
             fifo = self._left_fifo if left else self._right_fifo
-            fifo.append((key, item))
+            fifo.append((key, entry))
             while len(fifo) > int(own_window.size):
-                old_key, old_item = fifo.popleft()
+                old_key, old_entry = fifo.popleft()
                 bucket = own_buffer.get(old_key)
                 if bucket:
                     try:
-                        bucket.remove(old_item)
+                        bucket.remove(old_entry)
                     except ValueError:
                         pass
                     if not bucket:
                         del own_buffer[old_key]
 
-        for other in other_buffer.get(key, ()):  # equi-key candidates
-            if not other_window.contains(other.timestamp, item.timestamp) and not (
-                item.timestamp <= other.timestamp
-            ):
+        for other_stamp, other_values in other_buffer.get(key, ()):  # equi-key candidates
+            if not other_window.contains(other_stamp, stamp) and not (stamp <= other_stamp):
                 continue
             # Symmetric window check: each row must be live relative to the other.
-            own_window = self.left_window if left else self.right_window
-            if other.timestamp > item.timestamp and not own_window.contains(
-                item.timestamp, other.timestamp
-            ):
+            if other_stamp > stamp and not own_window.contains(stamp, other_stamp):
                 continue
-            left_row, right_row = (item.row, other.row) if left else (other.row, item.row)
-            values = left_row.values + right_row.values
+            joined = values + other_values if left else other_values + values
             residual = self._compiled_predicate
-            if residual is not None and residual(values) is not True:
+            if residual is not None and residual(joined) is not True:
                 continue
             if self._tail is not None:
-                values = self._tail(values)
-                if values is None:
+                joined = self._tail(joined)
+                if joined is None:
                     continue
-            timestamp = max(item.timestamp, other.timestamp)
-            self.emit(StreamElement(Row.raw(self.output_schema, values), timestamp))
+            out.append(Row.raw(self.output_schema, joined))
+            out_stamps.append(max(stamp, other_stamp))
 
     def _evict(self, watermark: float) -> None:
         """Drop every row with ``expiry(ts) < watermark`` from the sides
         that evict by time: the expired prefix of each bucket, and every
         expired row of a bucket marked out of order, which is then
-        unmarked if what is left is in order."""
+        unmarked if what is left is in order. ``expiry`` is inlined:
+        ``ts + size`` on a RANGE side, ``ts`` on a NOW side."""
         for buffer, window, unsorted in (
             (self._left_buffer, self.left_window, self._left_unsorted),
             (self._right_buffer, self.right_window, self._right_unsorted),
         ):
             if unsorted is None:
                 continue
-            expiry = window.expiry
+            size = window.size if window.kind is WindowKind.RANGE else 0
             for key in list(unsorted):
                 bucket = buffer[key]
-                live = [e for e in bucket if expiry(e.timestamp) >= watermark]
+                live = [entry for entry in bucket if entry[0] + size >= watermark]
                 if len(live) < len(bucket):
                     bucket.clear()
                     bucket.extend(live)
                 if _in_time_order(live):
                     unsorted.discard(key)
             empty_keys = []
-            for key, elements in buffer.items():
-                while elements and expiry(elements[0].timestamp) < watermark:
-                    elements.popleft()
-                if not elements:
+            for key, bucket in buffer.items():
+                while bucket and bucket[0][0] + size < watermark:
+                    bucket.popleft()
+                if not bucket:
                     empty_keys.append(key)
             for key in empty_keys:
                 del buffer[key]
@@ -692,10 +734,21 @@ class SymmetricHashJoin(Operator):
 
     def state_snapshot(self) -> dict:
         state = super().state_snapshot()
-        state["left_buffer"] = {k: list(d) for k, d in self._left_buffer.items()}
-        state["right_buffer"] = {k: list(d) for k, d in self._right_buffer.items()}
-        state["left_fifo"] = list(self._left_fifo)
-        state["right_fifo"] = list(self._right_fifo)
+        # One element per buffered entry: a ROWS side's fifo names the
+        # same elements its buckets hold.
+        made: dict[int, StreamElement] = {}
+
+        def element(entry: tuple, origin: tuple[Schema, str]) -> StreamElement:
+            built = made.get(id(entry))
+            if built is None:
+                built = made[id(entry)] = StreamElement(Row.raw(origin[0], entry[1]), entry[0], origin[1])
+            return built
+
+        left, right = self._left_origin, self._right_origin
+        state["left_buffer"] = {k: [element(e, left) for e in d] for k, d in self._left_buffer.items()}
+        state["right_buffer"] = {k: [element(e, right) for e in d] for k, d in self._right_buffer.items()}
+        state["left_fifo"] = [(k, element(e, left)) for k, e in self._left_fifo]
+        state["right_fifo"] = [(k, element(e, right)) for k, e in self._right_fifo]
         state["watermarks"] = (
             self._left_watermark,
             self._right_watermark,
@@ -705,15 +758,30 @@ class SymmetricHashJoin(Operator):
 
     def state_restore(self, state: dict) -> None:
         super().state_restore(state)
-        self._left_buffer = {k: deque(d) for k, d in state["left_buffer"].items()}
-        self._right_buffer = {k: deque(d) for k, d in state["right_buffer"].items()}
+        entries: dict[int, tuple] = {}
+
+        def entry(element: StreamElement) -> tuple:
+            made = entries.get(id(element))
+            if made is None:
+                made = entries[id(element)] = (element.timestamp, element.row.values)
+            return made
+
+        for side in ("left", "right"):
+            buffer = {k: deque(map(entry, d)) for k, d in state[f"{side}_buffer"].items()}
+            fifo = deque((k, entry(e)) for k, e in state[f"{side}_fifo"])
+            first = next((d[0] for d in state[f"{side}_buffer"].values() if d), None)
+            origin = (first.row.schema, first.source) if first is not None else None
+            if side == "left":
+                self._left_buffer, self._left_fifo = buffer, fifo
+                self._left_origin = origin or self._left_origin
+            else:
+                self._right_buffer, self._right_fifo = buffer, fifo
+                self._right_origin = origin or self._right_origin
         # The out-of-order marks follow from the buckets themselves.
         if self._left_unsorted is not None:
             self._left_unsorted = _unsorted_keys(self._left_buffer)
         if self._right_unsorted is not None:
             self._right_unsorted = _unsorted_keys(self._right_buffer)
-        self._left_fifo = deque(state["left_fifo"])
-        self._right_fifo = deque(state["right_fifo"])
         (
             self._left_watermark,
             self._right_watermark,
@@ -797,30 +865,25 @@ class AggregateOp(Operator):
         self._generated = hasattr(self._fold, "__compiled_source__")
         self._groups: dict[tuple, list] = {}  # running mode
         self._windows: dict[int, dict[tuple, list]] = {}  # windowed mode
-        self._pending: list[StreamElement] = []  # rows since the last punctuation
+        self._pending = Segment()  # rows since the last punctuation
 
     def _emit_groups(self, timestamp: float, groups: dict) -> None:
         if not groups:
             return
         schema = self.output_schema
         finalize = self._finalize
-        out = [
-            StreamElement(
-                Row(schema, list(key) + finalize(state), validate=False),
-                timestamp,
-            )
-            for key, state in groups.items()
-        ]
+        out = [Row(schema, list(key) + finalize(state), validate=False) for key, state in groups.items()]
         # One batched dispatch per report: a window closing over many
         # groups clears the downstream (project/sink) in one call.
-        self.emit_batch(out)
+        self.emit_batch(out, [timestamp] * len(out))
 
     def _close_windows(self, watermark: float) -> None:
         """Fold the pending segment under the last watermark, then pop
         and emit, in index order, every window ``watermark`` closes."""
-        if self._pending:
-            self._fold(self._pending, self._windows, self._closed)
-            self._pending = []
+        pending = self._pending
+        if pending:
+            self._fold(pending.rows, pending.stamps, self._windows, self._closed)
+            self._pending = Segment()
         last = self.window.closed_through(watermark)
         if last > self._closed:
             self._closed = last
@@ -835,20 +898,20 @@ class AggregateOp(Operator):
         if self._windowed:
             self._pending.append(element)
         else:
-            self._fold((element,), self._groups)
+            self._fold((element.row,), (element.timestamp,), self._groups)
 
-    def push_batch(self, elements: list[StreamElement]) -> None:
+    def push_batch(self, rows: list[Row], stamps: list[float], source: str) -> None:
         """Accumulate a whole run with one dispatch.
 
-        Windowed mode extends the pending segment (a single C-level
-        ``extend``; the next punctuation folds it); running mode folds
-        each element into its group's accumulators within one call.
+        Windowed mode extends the pending segment (two C-level
+        ``extend``s; the next punctuation folds it); running mode folds
+        each row into its group's accumulators within one call.
         """
         if self._windowed:
-            self._pending.extend(elements)
+            self._pending.extend(rows, stamps, source)
         else:
-            self._fold(elements, self._groups)
-        self.rows_in += len(elements)
+            self._fold(rows, stamps, self._groups)
+        self.rows_in += len(rows)
 
     def on_punctuation(self, punctuation: Punctuation) -> None:
         watermark = punctuation.watermark
@@ -875,7 +938,7 @@ class AggregateOp(Operator):
                 index: self._copy_groups(groups) for index, groups in self._windows.items()
             }
             state["closed"] = self._closed
-            state["pending"] = list(self._pending)
+            state["pending"] = self._pending.elements()
         else:
             state["groups"] = self._copy_groups(self._groups)
         return state
@@ -894,7 +957,7 @@ class AggregateOp(Operator):
                 for index, groups in state["windows"].items()
             }
             self._closed = state["closed"]
-            self._pending = list(state["pending"])
+            self._pending = Segment.of(state["pending"])
         else:
             self._groups = self._copy_groups(state["groups"])
 
@@ -949,14 +1012,14 @@ class PartialAggregateOp(AggregateOp):
         if self._windowed:
             self._pending.append(element)
         else:
-            self._fold((element,), self._groups, self._touched)
+            self._fold((element.row,), (element.timestamp,), self._groups, self._touched)
 
-    def push_batch(self, elements: list[StreamElement]) -> None:
+    def push_batch(self, rows: list[Row], stamps: list[float], source: str) -> None:
         if self._windowed:
-            self._pending.extend(elements)
+            self._pending.extend(rows, stamps, source)
         else:
-            self._fold(elements, self._groups, self._touched)
-        self.rows_in += len(elements)
+            self._fold(rows, stamps, self._groups, self._touched)
+        self.rows_in += len(rows)
 
     def on_punctuation(self, punctuation: Punctuation) -> None:
         if self._windowed:
@@ -1029,13 +1092,8 @@ class MergeAggregateOp(Operator):
             for key, contributions in self._windows[boundary].items():
                 state = self._start()
                 self._fold(state, contributions)
-                out.append(
-                    StreamElement(
-                        Row(schema, list(key) + self._finalize(state), validate=False),
-                        boundary,
-                    )
-                )
-            self.emit_batch(out)
+                out.append(Row(schema, list(key) + self._finalize(state), validate=False))
+            self.emit_batch(out, [boundary] * len(out))
         self._windows = {}
 
     def _merge_running(self, watermark: float) -> None:
@@ -1052,22 +1110,24 @@ class MergeAggregateOp(Operator):
             groups = {(): self._start()}  # a global aggregate at the end, no row folded
         schema = self.output_schema
         finalize = self._finalize
-        self.emit_batch(
-            [
-                StreamElement(
-                    Row(schema, list(key) + finalize(state), validate=False),
-                    watermark,
-                )
-                for key, state in groups.items()
-            ]
-        )
+        out = [Row(schema, list(key) + finalize(state), validate=False) for key, state in groups.items()]
+        self.emit_batch(out, [watermark] * len(out))
 
     def on_element(self, element: StreamElement) -> None:
-        values = element.row.values
+        self._take(element.row.values, element.timestamp)
+
+    def push_batch(self, rows: list[Row], stamps: list[float], source: str) -> None:
+        self.rows_in += len(rows)
+        take = self._take
+        for row, stamp in zip(rows, stamps):
+            take(row.values, stamp)
+
+    def _take(self, values: tuple, stamp: float) -> None:
+        """File one partial row's payloads under its group key."""
         key = tuple(values[: self._key_count])
         parts = values[self._key_count :]
         if self._windowed:
-            bucket = self._windows.setdefault(element.timestamp, {})
+            bucket = self._windows.setdefault(stamp, {})
             bucket.setdefault(key, []).append(parts)
         else:
             self._pending.setdefault(key, []).append(parts)
@@ -1120,13 +1180,13 @@ class DistinctOp(Operator):
     (:data:`~repro.sql.compiled.FusedStage`, dataflow order, read
     against ``input_schema``, one :class:`~repro.sql.compiled.Chain`
     both generated functions splice), as the join takes the run above
-    it. A run of elements clears the stages and the dedup in one
+    it. A run clears the stages and the dedup in one
     generated loop (:func:`~repro.sql.compiled.compile_distinct_batch`:
     ``_batch_fn``, None when it declined, and then ``on_element``
     loops), which tests each survivor's value tuple against the seen
-    set and builds an output Row and StreamElement, under
-    ``output_schema``, for a first occurrence only; a run that does not
-    project forwards the element itself. So a duplicate allocates
+    set and builds an output Row, under ``output_schema``, for a first
+    occurrence only; a run that does not project forwards the Row
+    itself. So a duplicate allocates
     nothing, and no operator sits below the DISTINCT for the run. The
     stages' per-element function (:func:`~repro.sql.compiled
     .compile_fused`) is generated first; when it cannot be,
@@ -1172,19 +1232,20 @@ class DistinctOp(Operator):
             )
         self.emit(element)
 
-    def push_batch(self, elements: list[StreamElement]) -> None:
+    def push_batch(self, rows: list[Row], stamps: list[float], source: str) -> None:
         """Deduplicate a whole run with one generated call, forwarding
-        the first occurrences as one output batch."""
+        the first occurrences as one output run."""
         if self._batch_fn is None:
-            Operator.push_batch(self, elements)
+            Operator.push_batch(self, rows, stamps, source)
             return
-        out: list[StreamElement] = []
+        out: list[Row] = []
+        out_stamps: list[float] = []
         try:
-            self._batch_fn(elements, self._seen, out)
+            self._batch_fn(rows, stamps, self._seen, out, out_stamps)
         finally:
-            self.rows_in += len(elements)
+            self.rows_in += len(rows)
             if out:
-                self.emit_batch(out)
+                self.emit_batch(out, out_stamps, source)
 
     def state_snapshot(self) -> dict:
         state = super().state_snapshot()
@@ -1212,35 +1273,35 @@ class OrderByOp(Operator):
     ):
         super().__init__(downstream)
         self.items = items
-        self._batch: list[StreamElement] = []
+        self._batch = Segment()
         self._key_fns = [compile_expr(item.expr, input_schema) for item in items]
 
     def on_element(self, element: StreamElement) -> None:
         self._batch.append(element)
 
-    def push_batch(self, elements: list[StreamElement]) -> None:
+    def push_batch(self, rows: list[Row], stamps: list[float], source: str) -> None:
         """Buffer a whole run with one ``extend``."""
-        self._batch.extend(elements)
-        self.rows_in += len(elements)
+        self._batch.extend(rows, stamps, source)
+        self.rows_in += len(rows)
 
     def on_punctuation(self, punctuation: Punctuation) -> None:
         decorated = []
-        for index, element in enumerate(self._batch):
+        for index, element in enumerate(self._batch.elements()):
             decorated.append((self._sort_key(element.row.values), index, element))
         decorated.sort(key=lambda entry: (entry[0], entry[1]))
         for _, _, element in decorated:
             self.emit(element)
-        self._batch.clear()
+        self._batch = Segment()
         self.downstream.push(punctuation)
 
     def state_snapshot(self) -> dict:
         state = super().state_snapshot()
-        state["batch"] = list(self._batch)
+        state["batch"] = self._batch.elements()
         return state
 
     def state_restore(self, state: dict) -> None:
         super().state_restore(state)
-        self._batch = list(state["batch"])
+        self._batch = Segment.of(state["batch"])
 
     def _sort_key(self, values: tuple) -> tuple:
         key: list[Any] = []
@@ -1283,14 +1344,15 @@ class LimitOp(Operator):
             self._emitted_in_batch += 1
             self.emit(element)
 
-    def push_batch(self, elements: list[StreamElement]) -> None:
+    def push_batch(self, rows: list[Row], stamps: list[float], source: str) -> None:
         """Apply the per-report budget to a whole run in one dispatch:
-        the prefix that still fits forwards as one output batch."""
-        self.rows_in += len(elements)
-        out = elements[: max(self.count - self._emitted_in_batch, 0)]
+        the prefix that still fits forwards as one output run."""
+        self.rows_in += len(rows)
+        fits = max(self.count - self._emitted_in_batch, 0)
+        out = rows[:fits]
         if out:
             self._emitted_in_batch += len(out)
-            self.emit_batch(out)
+            self.emit_batch(out, stamps[:fits], source)
 
     def on_punctuation(self, punctuation: Punctuation) -> None:
         self._emitted_in_batch = 0

@@ -74,8 +74,9 @@ from repro.data.streams import (
     Punctuation,
     StreamElement,
     edge,
-    elements_from_columns,
     park,
+    push_all,
+    rows_of,
 )
 from repro.data.tuples import Row
 from repro.errors import ExecutionError
@@ -475,9 +476,7 @@ class FramedChannel:
                     if item[0] == "p":
                         feed.push(Punctuation(item[1]))
                     else:
-                        feed.push_batch(
-                            elements_from_columns(schema, item[1], item[2], item[3])
-                        )
+                        push_all(feed, rows_of(schema, item[2]), item[3], item[1])
                 except Exception as exc:
                     park(exc)
 
@@ -488,7 +487,7 @@ class FramedChannel:
 class _FrameSink:
     """Terminal consumer inside a worker: records emissions as plain
     frame items — ``("e", source, values_list, stamps_list)`` runs for
-    consecutive same-source elements, ``("p", watermark)`` for
+    consecutive same-source rows, ``("p", watermark)`` for
     punctuations — preserving interleaving so the parent's merge
     coordinator sees the exact per-boundary order. Runs keep the frame
     one tuple per burst instead of one per element, which is most of
@@ -524,22 +523,14 @@ class _FrameSink:
             self._values.append(item.row.values)
             self._stamps.append(item.timestamp)
 
-    def push_batch(self, elements) -> None:
-        # Operator bursts are overwhelmingly uniform: one source. Verify
-        # with one attribute scan, then strip the columns with two
-        # comprehensions instead of per-element push().
-        if not elements:
+    def push_batch(self, rows, stamps, source) -> None:
+        if not rows:
             return
-        source = elements[0].source
-        if all(element.source == source for element in elements):
-            if source != self._source:
-                self._seal()
-                self._source = source
-            self._values += [element.row.values for element in elements]
-            self._stamps += [element.timestamp for element in elements]
-        else:
-            for element in elements:
-                self.push(element)
+        if source != self._source:
+            self._seal()
+            self._source = source
+        self._values += [row.values for row in rows]
+        self._stamps += stamps
 
     def take(self) -> list[tuple]:
         self._seal()

@@ -69,7 +69,7 @@ from repro.data.streams import (
     push_all,
 )
 from repro.data.tuples import Row, stable_hash
-from repro.errors import CatalogError, ExecutionError
+from repro.errors import CatalogError, ExecutionError, RecoveryError
 from repro.plan.exchange import ExchangeRecipe, ExchangeSource
 from repro.plan.logical import LogicalOp, RemoteSource, Scan
 from repro.sql.compiled import kernel_scope
@@ -84,6 +84,11 @@ from repro.stream.engine import (
 from repro.stream.partition import PartitionAnalysis, partition_safe
 
 _pool_query_ids = itertools.count(1)
+
+#: How many times one failover recovers a dead host before giving up:
+#: a host that dies again during its own recovery is respawned and
+#: recovered again, from the same checkpoint.
+RECOVERY_ATTEMPTS = 3
 
 
 class _MergeCoordinator:
@@ -112,9 +117,9 @@ class _MergeCoordinator:
         # exactly-once merged output.
         self._counts = [0] * slots
 
-    def receive_batch(self, index: int, elements: list[StreamElement]) -> None:
-        self._counts[index] += len(elements)
-        push_all(self._sink, elements)
+    def receive_batch(self, index: int, rows: list[Row], stamps: list[float], source: str) -> None:
+        self._counts[index] += len(rows)
+        push_all(self._sink, rows, stamps, source)
 
     @property
     def counts(self) -> list[int]:
@@ -147,8 +152,8 @@ class _ShardFeed(Feed):
         self._coordinator = coordinator
         self._index = index
 
-    def _run(self, elements: list[StreamElement]) -> None:
-        self._coordinator.receive_batch(self._index, elements)
+    def _run(self, rows: list[Row], stamps: list[float], source: str) -> None:
+        self._coordinator.receive_batch(self._index, rows, stamps, source)
 
     def _punctuate(self, watermark: float) -> None:
         self._coordinator.advance(self._index, watermark)
@@ -296,11 +301,11 @@ class _ExchangeFeed(Feed):
     pool's shuffle barrier, not through stage-1 pipelines. The skip
     counts against this ``(ordinal, src)``'s flushed rows. The feed
     lives in the parent on every transport: a loopback host pushes
-    elements into it, a framed channel the decoded column runs
+    runs into it, a framed channel the decoded column runs
     (``push_run``) — and either way a run is deposited by one
     :meth:`_ExchangeState.deposit_run` call (one loop, destinations
     memoized per key value), never row by row. It reads only each
-    element's values and timestamp (``positional``): a hand-built
+    row's values and stamp (``positional``): a hand-built
     stage-1 replica hands it source rows unlabelled, and the
     destination's ``push_exchange`` builds them again under the leaf's
     schema.
@@ -315,13 +320,8 @@ class _ExchangeFeed(Feed):
         self._ordinal = ordinal
         self._src = src
 
-    def _run(self, elements: list[StreamElement]) -> None:
-        self._state.deposit_run(
-            self._ordinal,
-            self._src,
-            [element.row.values for element in elements],
-            [element.timestamp for element in elements],
-        )
+    def _run(self, rows: list[Row], stamps: list[float], source: str) -> None:
+        self._state.deposit_run(self._ordinal, self._src, [row.values for row in rows], stamps)
 
     def _punctuate(self, watermark: float) -> None:
         pass
@@ -656,11 +656,6 @@ class ShardedStreamEngine:
             sql=sql,
             sources=_plan_sources(plan),
         )
-        for node in plan.walk():
-            if isinstance(node, Scan) and node.entry.kind is not SourceKind.TABLE:
-                generate_ingest_loop(  # at admission, not mid-ingest
-                    self._ingest_loops, self._compile_counts, node.entry.schema, False
-                )
         # Tracked and logged before its replicas start: a shard found
         # dead while admitting is failed over, and failover starts every
         # tracked handle — this one where the replay reaches its
@@ -672,6 +667,11 @@ class ShardedStreamEngine:
         try:
             self._register_remotes(handle)
             with kernel_scope():
+                # At admission, not mid-ingest; in the scope, so loopback
+                # shards take the pool's own ingest loops.
+                for node in plan.walk():
+                    if isinstance(node, Scan) and node.entry.kind is not SourceKind.TABLE:
+                        generate_ingest_loop(self._ingest_loops, self._compile_counts, node.entry.schema)
                 for index in range(shards) if handle.partitioned else (FALLBACK,):
                     try:
                         self._admit(handle, index)
@@ -857,7 +857,7 @@ class ShardedStreamEngine:
 
     def _ingest_loop(self, schema: Schema) -> Callable:
         """The pool's row-coercing ingest loop for ``schema``."""
-        return ingest_loop(self._ingest_loops, schema, False)
+        return ingest_loop(self._ingest_loops, schema)
 
     def push(
         self,
@@ -985,10 +985,13 @@ class ShardedStreamEngine:
         """Flush every exchanged query's shuffle buffers — all of them
         before anything is sent, so the flushed counts failover dedups
         against always cover a *prefix* of each shard's emissions — then
-        deliver per destination shard and wait for all of them."""
+        deliver per destination shard and wait for all of them. A
+        destination's delivery carries one punctuation: every exchange
+        port it advances, in delivery order, at the one watermark (one
+        ``punctuate`` there and one ``xpunct`` log entry)."""
         named = None if sources is None else {s.lower() for s in sources}
         checkpointer = self.checkpointer
-        deliveries: dict[int, tuple[list, list]] = {}  # dest -> (runs, puncts)
+        deliveries: dict[int, tuple[list, list]] = {}  # dest -> (runs, port names)
         for handle in self._handles.values():
             if not handle.exchanged:
                 continue
@@ -1005,7 +1008,7 @@ class ShardedStreamEngine:
                 if not xnames:
                     continue
             for dest in state.dests:
-                runs, puncts = deliveries.setdefault(dest, ([], []))
+                runs, names = deliveries.setdefault(dest, ([], []))
                 flushed = state.flush(dest)
                 if flushed:
                     runs += flushed
@@ -1013,14 +1016,15 @@ class ShardedStreamEngine:
                     self._exchange_delivered += sum(len(run[1]) for run in flushed)
                     if checkpointer is not None:
                         checkpointer.record(("xdeliver", dest, flushed))
-                puncts.append((watermark, xnames))
-                if checkpointer is not None:
-                    checkpointer.record(("xpunct", dest, watermark, xnames))
+                names += xnames
         if not deliveries:
             return
         self._exchange_rounds += 1
-        for dest, (runs, puncts) in deliveries.items():
-            self._call(dest, "deliver", runs, puncts)
+        if checkpointer is not None:
+            for dest, (_, names) in deliveries.items():
+                checkpointer.record(("xpunct", dest, watermark, names))
+        for dest, (runs, names) in deliveries.items():
+            self._call(dest, "deliver", runs, [(watermark, names)])
         for dest in deliveries:
             self._call(dest, "settle")
 
@@ -1086,6 +1090,13 @@ class ShardedStreamEngine:
         the sharing decision recorded at the barrier, and skipping what
         its slot forwarded since the barrier (or since its admission),
         so each sink sees each result exactly once.
+
+        A host that dies again while it recovers is respawned and
+        recovered again from the same checkpoint — every start makes
+        fresh feeds whose skips count from the merge slots and shuffle
+        ports, which a half-done attempt left as they were — up to
+        :data:`RECOVERY_ATTEMPTS` times in all; then it raises
+        :class:`~repro.errors.RecoveryError`.
         """
         on_fallback = index == FALLBACK
         channel = self._channel(index)
@@ -1098,8 +1109,8 @@ class ShardedStreamEngine:
                 "attached — attach one (connect(checkpoint_interval=...)) to "
                 "enable failover"
             )
-        channel.respawn()
         if coordinator is None:
+            channel.respawn()
             return
         checkpoint = coordinator.latest()
         slot = 0 if on_fallback else index
@@ -1125,4 +1136,11 @@ class ShardedStreamEngine:
         if checkpoint is not None:
             chains = checkpoint.fallback_chains if on_fallback else checkpoint.shard_chains[index]
         replay = coordinator.replay_plan(checkpoint)
-        coordinator.restore_host(channel, index, checkpoint, replay, chains, states, starts)
+        for _ in range(RECOVERY_ATTEMPTS):
+            channel.respawn()
+            try:
+                coordinator.restore_host(channel, index, checkpoint, replay, chains, states, starts)
+                return
+            except ShardDied:
+                continue
+        raise RecoveryError(index, RECOVERY_ATTEMPTS)

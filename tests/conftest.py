@@ -8,6 +8,7 @@ import pytest
 
 from repro.catalog import Catalog, DeviceInfo, SourceStatistics
 from repro.data import DataType, Punctuation, Row, Schema
+from repro.data.streams import push_all
 from repro.plan import PlanBuilder
 from repro.runtime import Simulator
 from repro.sensor import Mote, MoteRole, Position, SensorNetwork
@@ -190,18 +191,34 @@ def edges_schema() -> Schema:
     )
 
 
+def columns(elements) -> tuple[list, list]:
+    """A run of elements as a batch body takes it: its rows and stamps."""
+    return [e.row for e in elements], [e.timestamp for e in elements]
+
+
+def push_elements(consumer, elements) -> None:
+    """Deliver elements as the push contract's runs: each stretch of one
+    source by ``push_all`` (its rows, stamps and source)."""
+    run: list = []
+    for element in [*elements, None]:
+        if run and (element is None or element.source != run[0].source):
+            push_all(consumer, [e.row for e in run], [e.timestamp for e in run], run[0].source)
+            run = []
+        if element is not None:
+            run.append(element)
+
+
 def deliver(consumer, items) -> None:
     """Hand a mixed item sequence to ``consumer`` the way the push
     contract says producers must: each punctuation-free run of elements
-    by ``push_batch``, each punctuation by ``push``, in order."""
+    by ``push_batch`` (its rows, stamps and source: one run per stretch
+    of one source), each punctuation by ``push``, in order."""
     run: list = []
     for item in items:
         if isinstance(item, Punctuation):
-            if run:
-                consumer.push_batch(run)
-                run = []
+            push_elements(consumer, run)
+            run = []
             consumer.push(item)
         else:
             run.append(item)
-    if run:
-        consumer.push_batch(run)
+    push_elements(consumer, run)

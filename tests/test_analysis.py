@@ -886,6 +886,37 @@ class TestEngineLinter:
         assert _codes(diags) == ["RA902"]
         assert "catches AttributeError" in diags[0].message
 
+    def test_ra902_batch_body_building_an_element(self, tmp_path):
+        # A run is rows and their stamps: a batch body naming
+        # StreamElement builds the per-row object the run avoids —
+        # anywhere but the operators' per-element fallback.
+        root = self._tree(
+            tmp_path,
+            {
+                "stream/operators.py": (
+                    "class Operator:\n"
+                    "    def push_batch(self, rows, stamps, source):\n"
+                    "        for row, stamp in zip(rows, stamps):\n"
+                    "            self.on_element(StreamElement(row, stamp, source))\n"
+                    "class Wrapping(Operator):\n"
+                    "    def push_batch(self, rows, stamps, source):\n"
+                    "        self.sink.push_batch([StreamElement(r, t) for r, t in zip(rows, stamps)])\n"
+                ),
+                "stream/feeds.py": (
+                    "class Operator:\n"
+                    "    def push_batch(self, rows, stamps, source):\n"
+                    "        self.kept = [StreamElement(r, t, source) for r, t in zip(rows, stamps)]\n"
+                    "class Funnel:\n"
+                    "    def receive_batch(self, index, rows, stamps, source):\n"
+                    "        self.sink.push_batch(rows, stamps, source)\n"
+                ),
+            },
+        )
+        diags = lint_engine(root)
+        assert _codes(diags) == ["RA902", "RA902"]
+        assert all("push_batch names StreamElement" in d.message for d in diags)
+        assert [d.operator for d in diags] == ["stream/feeds.py:2", "stream/operators.py:6"]
+
     def test_ra903_layering_violation(self, tmp_path):
         root = self._tree(
             tmp_path,

@@ -786,13 +786,13 @@ class TestIngestIdentity:
         loop = engine._ingest_loops[id(schema)]
         assert hasattr(loop, "__compiled_source__")
         rows = _good_rows(schema)
-        elements = loop(rows, [1.0] * len(rows), "T")
-        for row, element in zip(rows, elements):
+        ingested = loop(rows)
+        assert len(ingested) == len(rows)
+        for row, built in zip(rows, ingested):
             reference = StreamEngine._coerce_row(schema, row)
-            assert element.row.values == reference.values
-            assert element.row.schema == reference.schema
-            assert (element.timestamp, element.source) == (1.0, "T")
-        assert elements[8].row is rows[8]
+            assert built.values == reference.values
+            assert built.schema == reference.schema
+        assert ingested[8] is rows[8]
         session.close()
 
     @pytest.mark.parametrize("verb", ["push_many", "push"])
@@ -893,10 +893,10 @@ class TestIngestIdentity:
         return Select(Project(scan, items), BinaryOp(">", ColumnRef("i"), Literal(2)))
 
     @staticmethod
-    def _shape(elements) -> list:
+    def _shape(rows, stamps) -> list:
         return [
-            (e.row.values, tuple(map(type, e.row.values)), e.row.schema, e.timestamp, e.source)
-            for e in elements
+            (row.values, tuple(map(type, row.values)), row.schema, stamp)
+            for row, stamp in zip(rows, stamps, strict=True)
         ]
 
     @pytest.mark.parametrize(
@@ -908,10 +908,10 @@ class TestIngestIdentity:
         ],
     )
     def test_the_fused_loop_emits_what_the_two_loops_emit(self, shape, arm, consumer):
-        """Element for element — values, their exact types, the row's
-        schema, timestamp and source — what the operator's batch loop
-        appends over the elements the ingest loop builds; a pure
-        filter's survivors carry the ingested Row itself."""
+        """Row for row — values, their exact types, the row's schema and
+        its stamp — what the operator's batch loop appends over the Rows
+        the ingest loop builds; a pure filter's survivors are the
+        ingested Rows themselves."""
         catalog = Catalog()
         catalog.register_stream("T", _TYPES, rate=1.0)
         schema = catalog.source("T").schema
@@ -925,13 +925,14 @@ class TestIngestIdentity:
             Row(schema, (i, 1.0, "r", True, 1.0, None, "q")) for i in (2, 3, None, 4)
         ]
         stamps = [float(i) for i in range(len(rows))]
-        ours = loop(rows, stamps, "T")
+        ours, our_stamps = loop(rows, stamps)
         theirs: list = []
-        op._batch_fn(engine._ingest_loops[id(schema)](rows, stamps, "T"), theirs)
-        assert self._shape(ours) == self._shape(theirs)
+        their_stamps: list = []
+        op._batch_fn(engine._ingest_loops[id(schema)](rows), stamps, theirs, their_stamps)
+        assert self._shape(ours, our_stamps) == self._shape(theirs, their_stamps)
         assert 0 < len(ours) < len(rows) if consumer is not ProjectOp else len(ours) == len(rows)
         if consumer is FilterOp:  # i = 3 and i = 4 pass, as themselves
-            assert ours[-1].row is rows[-1] and ours[-2].row is rows[-3]
+            assert ours[-1] is rows[-1] and ours[-2] is rows[-3]
 
     @pytest.mark.parametrize("arm", [generated, unfused])
     def test_a_bad_row_mid_batch_leaves_no_trace(self, arm):
@@ -989,7 +990,8 @@ class TestIngestIdentity:
             handle = engine.execute(self._plan(shape, catalog), CollectingConsumer())
             rows = _good_rows(catalog.source("T").schema)
             engine.push_many("T", rows, [float(i) for i in range(len(rows))])
-            return self._shape(handle.sink.elements), bool(engine._fused_ingest)
+            sink = handle.sink
+            return self._shape(sink.rows, [e.timestamp for e in sink.elements]), bool(engine._fused_ingest)
 
         with generated():
             ours, fused = run()
@@ -1063,7 +1065,7 @@ class TestFusedIngestRoutes:
             calls: dict = {}
             engine._fused_ingest["readings"] = (_counting(calls, "fused", loop), op, schema)
             ingest = engine._ingest_loops[id(schema)]
-            engine._ingest_loops[id(schema)] = _counting(calls, "elements", ingest)
+            engine._ingest_loops[id(schema)] = _counting(calls, "ingest", ingest)
             monkeypatch.setattr(FusedOp, "push_batch", _counting(calls, "push_batch", FusedOp.push_batch))
             compiled_before = dict(deployment.session.stats()["compile"])
             deployment.deliver(0, 512)

@@ -25,7 +25,7 @@ import os
 import random
 
 import pytest
-from conftest import declining, generated, interpreted, unfused
+from conftest import declining, generated, interpreted, push_elements, unfused
 
 from repro.catalog import Catalog
 from repro.data import DataType, Row, Schema
@@ -367,6 +367,6 @@ def test_a_run_that_raises_forwards_what_it_found_first():
             op = DistinctOp(sink, bare, stages, rooms)
         assert (op._batch_fn is not None) == (not outcomes)
         with pytest.raises(ExecutionError, match="cannot apply \\+"):
-            op.push_batch(elements)
+            push_elements(op, elements)
         outcomes.append(([e.row.values for e in sink.elements], set(op._seen), op.rows_out))
     assert outcomes[0] == outcomes[1] == ([("lab1",), ("lab2",)], {("lab1",), ("lab2",)}, 2)

@@ -14,7 +14,7 @@ from contextlib import nullcontext
 from types import SimpleNamespace
 
 import pytest
-from conftest import declining, deliver, generated, interpreted
+from conftest import columns, declining, deliver, generated, interpreted, push_elements
 
 from repro.api import (
     BatchBackend,
@@ -805,13 +805,14 @@ class TestRunDelivery:
         """One call per run per subscription — the sink hands the run
         to each subscription directly (a cursor has no dispatcher of
         its own), and a twin cursor's subscription on the same log is
-        one more call, not one more copy."""
+        one more call, not one more copy. A row subscription reads the
+        rows the log stores, no element built between."""
         calls = []
         enqueue = Subscription._enqueue
 
-        def counted(self, run):
-            calls.append(len(run))
-            return enqueue(self, run)
+        def counted(self, rows, stamps, source):
+            calls.append(len(rows))
+            return enqueue(self, rows, stamps, source)
 
         monkeypatch.setattr(Subscription, "_enqueue", counted)
         with self._session() as session:
@@ -821,6 +822,7 @@ class TestRunDelivery:
                 cursor.subscribe(seen.append)
             session.push_many("Readings", ROWS[:25], 1.0)
             assert calls == [25] * len(cursors) and len(seen) == 25 * len(cursors)
+            assert all(a is b for a, b in zip(seen[:25], cursors[0].results(), strict=True))
             if twin:
                 assert cursors[0]._handle.sink.log is cursors[1]._handle.sink.log
 
@@ -1138,7 +1140,7 @@ class TestFanOutFinishesFirst:
         tee.add_branch(kept)
         elements = _elements(3)
         with pytest.raises(RuntimeError):
-            tee.push_batch(elements)
+            push_elements(tee, elements)
         with pytest.raises(RuntimeError):
             tee.push(elements[0])
         with pytest.raises(RuntimeError):
@@ -1294,19 +1296,22 @@ def _built(build):
 
 class _CheckedRuns:
     """Stands in for a producer that reuses what it handed over: after
-    each ``push_batch`` the run must be element-for-element what it was,
-    and is then emptied — a receiver that kept the list loses it."""
+    each ``push_batch`` the run must be row-for-row and stamp-for-stamp
+    what it was, and is then emptied — a receiver that kept the lists
+    loses them."""
 
     def __init__(self, downstream):
         self._downstream = downstream
         self.push = downstream.push
 
-    def push_batch(self, elements):
-        before = list(elements)
-        self._downstream.push_batch(elements)
-        assert len(elements) == len(before)
-        assert all(now is was for now, was in zip(elements, before))
-        elements.clear()
+    def push_batch(self, rows, stamps, source):
+        before = list(rows), list(stamps)
+        self._downstream.push_batch(rows, stamps, source)
+        assert (len(rows), len(stamps)) == tuple(map(len, before))
+        assert all(now is was for now, was in zip(rows, before[0]))
+        assert all(now is was for now, was in zip(stamps, before[1]))
+        rows.clear()
+        stamps.clear()
 
 
 _X = Schema.of(("x", DataType.INT))
@@ -1379,10 +1384,15 @@ class _RunLog:
             self.runs.append([item])
         self._sink.push(item)
 
-    def push_batch(self, elements):
-        if elements:
-            self.runs.append(list(elements))
-        self._sink.push_batch(elements)
+    def push_batch(self, rows, stamps, source):
+        if rows:
+            self.runs.append(_run_elements(rows, stamps, source))
+        self._sink.push_batch(rows, stamps, source)
+
+
+def _run_elements(rows, stamps, source):
+    """A run as the elements it stands for (a test's view of it)."""
+    return [StreamElement(row, stamp, source) for row, stamp in zip(rows, stamps)]
 
 
 def _observed_sink(sink):
@@ -1392,7 +1402,7 @@ def _observed_sink(sink):
     flattened, so ``push`` and ``push_batch`` compare equal."""
     log, observed = _RunLog(sink), ([], [])
     for runs in observed:
-        sink.observe(lambda run, runs=runs: runs.append(list(run)))
+        sink.observe(lambda *run, runs=runs: runs.append(_run_elements(*run)))
 
     def probe():
         assert observed[0] == observed[1] == log.runs
@@ -1564,7 +1574,7 @@ class TestCompiledAccumulate:
                 [ColumnRef("k")], self._calls(), self.SCHEMA
             )
         groups: dict = {}
-        fold(self._elements(), groups)
+        fold(*columns(self._elements()), groups)
         assert {key: finalize(state) for key, state in groups.items()} == self._scan(
             self._elements(), self._calls()
         )
@@ -1576,7 +1586,7 @@ class TestCompiledAccumulate:
             WindowSpec.range(2.0),
         )
         windows: dict = {}
-        fold(self._elements(), windows, 1)  # windows 0 and 1 have closed
+        fold(*columns(self._elements()), windows, 1)  # windows 0 and 1 have closed
         assert {
             index: sum(finalize(state)[0] for state in groups.values())
             for index, groups in windows.items()
@@ -1596,7 +1606,7 @@ class TestCompiledAccumulate:
         # Duplicate values per group so the seen-sets actually dedup.
         elements = self._elements() + self._elements()
         groups: dict = {}
-        fold(elements, groups)
+        fold(*columns(elements), groups)
         assert {key: finalize(state) for key, state in groups.items()} == self._scan(
             elements, calls
         )
@@ -1614,10 +1624,10 @@ class TestCompiledAccumulate:
         assert not hasattr(fold, "__compiled_source__")
         groups: dict = {}
         if window is None:
-            fold(self._elements(), groups)
+            fold(*columns(self._elements()), groups)
         else:
             windows: dict = {}
-            fold(self._elements(), windows, self.NEG_INF)
+            fold(*columns(self._elements()), windows, self.NEG_INF)
             assert sorted(windows) == [0, 1, 2]  # t=0 | 1..4 | 5
             groups = windows[1]
         assert all(isinstance(a, Accumulator) for state in groups.values() for a in state)
@@ -1634,7 +1644,7 @@ class TestCompiledAccumulate:
         )
         fold, finalize = compiled
         groups: dict = {}
-        fold([StreamElement(Row(self.SCHEMA, ("p", None), validate=False), 1.0)], groups)
+        fold([Row(self.SCHEMA, ("p", None), validate=False)], [1.0], groups)
         (state,) = groups.values()
         assert finalize(state) == [None]  # SUM over only-NULL input is NULL
 
@@ -1662,7 +1672,7 @@ class TestCompiledAccumulate:
                 [ColumnRef("k")], [AggregateCall("COUNT", None)], self.SCHEMA, window
             )
         windows: dict = {}
-        fold(self._stamped(self.STAMPS), windows, self.NEG_INF)
+        fold(*columns(self._stamped(self.STAMPS)), windows, self.NEG_INF)
         got = {
             index * window.hop: {key: finalize(state)[0] for key, state in groups.items()}
             for index, groups in windows.items()
@@ -1688,7 +1698,7 @@ class TestCompiledAccumulate:
         # The same value in every window: each window counts it once.
         elements = self._stamped([5.0, 12.0, 18.0, 25.0, 33.0], [1.5, 1.5, 2.5, 1.5, 1.5])
         windows: dict = {}
-        fold(elements, windows, self.NEG_INF)
+        fold(*columns(elements), windows, self.NEG_INF)
         assert {index * 10: finalize(groups[()]) for index, groups in windows.items()} == {
             10: [1, 1.5], 20: [2, 4.0], 30: [2, 4.0], 40: [1, 1.5], 50: [1, 1.5],
         }
@@ -1711,7 +1721,7 @@ class TestCompiledAccumulate:
         with generated():
             fold, finalize = compile_accumulate([ColumnRef("k")], calls, self.SCHEMA, window)
         windows: dict = {}
-        fold(elements, windows, self.NEG_INF)
+        fold(*columns(elements), windows, self.NEG_INF)
         assert windows
         for index, groups in windows.items():
             start, end = window.start(index), index * window.hop

@@ -32,7 +32,7 @@ from repro.api import SensorSource, StreamSource, TableSource, connect
 from repro.catalog import Catalog
 from repro.data import DataType, Row, Schema
 from repro.data.tuples import stable_hash
-from repro.errors import ExecutionError, QueryError, SchemaError
+from repro.errors import ExecutionError, QueryError, RecoveryError, SchemaError
 from repro.plan import PlanBuilder
 from repro.runtime import Simulator
 from repro.runtime.faults import (
@@ -54,7 +54,7 @@ from repro.sensor.radio import RadioModel
 from repro.stream.checkpoint import CheckpointCoordinator
 from repro.stream.engine import StreamEngine
 from repro.stream.procshard import ProcessShardEngine, usable_start_method
-from repro.stream.sharded import ShardedStreamEngine
+from repro.stream.sharded import RECOVERY_ATTEMPTS, ShardedStreamEngine
 
 SEEDS = int(os.environ.get("REPRO_FAULT_SEEDS", "6"))
 
@@ -1078,3 +1078,101 @@ class TestAdmittedSinceBarrierFailover:
         expected = _run_admitted_since_barrier(arm, sql, kill=False)
         assert any(expected), "the query must emit, or the comparison is vacuous"
         assert _run_admitted_since_barrier(arm, sql, kill=True) == expected
+
+
+# ----------------------------------------------------------------------
+# A second death during recovery
+# ----------------------------------------------------------------------
+#: Every verb a recovery runs on the host it recovers.
+RECOVERY_VERBS = (
+    "admit", "admit_exchanged", "restore", "seed", "ingest", "ingest_remote",
+    "punctuate", "load_table", "deliver", "settle",
+)
+#: The failure-free queries plus an exchanged one, so a recovery also
+#: re-admits a stage-1 replica, restores a shuffle and replays deliveries.
+DYING_QUERIES = [*QUERIES, LATE_SHARD_QUERIES[1]]
+
+
+class _DiesAgain:
+    """Wraps one loopback channel: from its first respawn on, the
+    ``at``-th verb of the recovery (counting from 0) kills the host
+    again before it runs — ``at`` None only counts them. Each later
+    respawn arms it again when ``every`` is set; else the second
+    recovery runs untouched."""
+
+    def __init__(self, pool, index, at, every=False):
+        self.calls, self.at, self.every, self.armed = 0, at, every, False
+        channel = pool._channels[index]
+        respawn = channel.respawn
+
+        def respawning():
+            respawn()
+            self.armed = self.every or self.calls == 0
+            self.calls = 0
+
+        channel.respawn = respawning
+        for verb in RECOVERY_VERBS:
+            setattr(channel, verb, self._wrap(channel, getattr(channel, verb)))
+        recover = pool._recover
+
+        def recovering(host):
+            try:
+                recover(host)
+            finally:
+                self.armed = False
+
+        pool._recover = recovering
+
+    def _wrap(self, channel, verb):
+        def dying(*args):
+            if self.armed:
+                if self.calls == self.at:
+                    self.armed = False
+                    channel.kill()
+                self.calls += 1
+            return verb(*args)
+
+        return dying
+
+
+class TestDeathDuringRecovery:
+    """A shard killed mid-corpus and killed again at each verb of its
+    own recovery: the pool recovers it again from the same checkpoint,
+    and every query's emissions equal the failure-free run. A host that
+    dies at every attempt raises :class:`RecoveryError`, naming it."""
+
+    SEED, VICTIM = 7, 0
+
+    def _run(self, at, interval=10.0, every=False):
+        rows, stamps, chunks = _corpus(self.SEED)
+        kill_at = len(chunks) - 2
+        with _pool("loopback", 4, interval=interval, queries=DYING_QUERIES) as (pool, coordinator, handles):
+            dies = _DiesAgain(pool, self.VICTIM, at, every)
+
+            def inject(chunk_no):
+                if chunk_no == kill_at:
+                    kill_shard(pool, self.VICTIM)
+
+            got = _drive(pool, handles, chunks, stamps[-1] + 200.0, on_chunk=inject)
+            assert coordinator.last_replay["target"] == self.VICTIM
+            return got, dies.calls
+
+    #: One barrier per punctuation, and one before the corpus only: the
+    #: longest replay holds every kind of log entry.
+    @pytest.mark.parametrize("interval", [10.0, 1e9])
+    def test_each_verb_of_the_recovery(self, interval):
+        rows, stamps, chunks = _corpus(self.SEED)
+        catalog = _catalog()
+        engine = StreamEngine(catalog)
+        builder = PlanBuilder(catalog)
+        handles = [engine.execute(builder.build_sql(sql)) for sql in DYING_QUERIES]
+        expected = _drive(engine, handles, chunks, stamps[-1] + 200.0)
+        got, verbs = self._run(None, interval)
+        assert got == expected and verbs > 6
+        for at in range(verbs):
+            got, _ = self._run(at, interval)
+            assert got == expected, f"killed again at recovery verb {at}"
+
+    def test_a_host_dying_at_every_attempt_raises_naming_it(self):
+        with pytest.raises(RecoveryError, match=rf"shard {self.VICTIM} died during each of its {RECOVERY_ATTEMPTS}"):
+            self._run(0, every=True)

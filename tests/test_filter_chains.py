@@ -29,7 +29,7 @@ from conftest import GENERATORS, declining, generated, interpreted
 
 from repro.catalog import Catalog
 from repro.data import DataType, Row, Schema
-from repro.data.streams import CollectingConsumer, StreamElement
+from repro.data.streams import CollectingConsumer
 from repro.data.windows import WindowSpec
 from repro.errors import ExecutionError
 from repro.plan.logical import Join, Project, ProjectItem, Scan, Select
@@ -248,8 +248,8 @@ def test_compile_fused_and_its_batch_loop_match_the_interpreter(seed):
 
         def batched(values):
             out: list = []
-            batch([StreamElement(Row(SCHEMA, values, validate=False), 1.0, "T")], out)
-            return out[0].row.values if out else None
+            batch([Row(SCHEMA, values, validate=False)], [1.0], out, [])
+            return out[0].values if out else None
 
         for values in rows:
             expected = _outcome(reference, values)
@@ -507,8 +507,8 @@ def _batched(batch):
 
     def run(values):
         out: list = []
-        batch([StreamElement(Row(SCHEMA, values, validate=False), 1.0, "T")], out)
-        return out[0].row.values if out else None
+        batch([Row(SCHEMA, values, validate=False)], [1.0], out, [])
+        return out[0].values if out else None
 
     return run
 
@@ -529,8 +529,8 @@ def test_a_like_memo_answers_as_the_regex_does(pattern):
         assert [_outcome(fused, values) for values in rows] == expected, stages
         assert [_outcome(_batched(batch), values) for values in rows] == expected, stages
         out: list = []
-        batch([StreamElement(Row(SCHEMA, values, validate=False), 1.0, "T") for values in rows], out)
-        assert [("passed", _shape(e.row.values)) for e in out] == [x for x in expected if x]
+        batch([Row(SCHEMA, values, validate=False) for values in rows], [1.0] * len(rows), out, [])
+        assert [("passed", _shape(row.values)) for row in out] == [x for x in expected if x]
         assert any(_memos(fused)) and any(_memos(batch))  # exact strs were memoised
 
 

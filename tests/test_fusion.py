@@ -15,7 +15,7 @@ from conftest import deliver, generated, interpreted, unfused
 
 from repro.catalog import Catalog
 from repro.data import DataType, Row, Schema
-from repro.data.streams import CollectingConsumer, Punctuation, StreamElement
+from repro.data.streams import CallbackConsumer, CollectingConsumer, Punctuation, StreamElement
 from repro.errors import ExecutionError
 from repro.plan import PlanBuilder
 from repro.plan.logical import Project, ProjectItem, Select
@@ -113,18 +113,20 @@ class TestCompileFused:
         stages = self.stages()
         fn = compile_fused(Chain(stages, self.SCHEMA))
         batch = compile_fused_batch(Chain(stages, self.SCHEMA), self.OUT)
-        elements = [
-            StreamElement(Row(self.SCHEMA, v, validate=False), float(i), "s")
-            for i, v in enumerate([(2.0, 3.0), (-1.0, 1.0), (None, 4.0), (99.0, 50.0)])
+        rows = [
+            Row(self.SCHEMA, v, validate=False)
+            for v in [(2.0, 3.0), (-1.0, 1.0), (None, 4.0), (99.0, 50.0)]
         ]
-        out: list[StreamElement] = []
-        batch(elements, out)
+        stamps = [float(i) for i in range(len(rows))]
+        out: list[Row] = []
+        out_stamps: list[float] = []
+        batch(rows, stamps, out, out_stamps)
         expected = [
-            (e, fn(e.row.values)) for e in elements if fn(e.row.values) is not None
+            (t, fn(r.values)) for r, t in zip(rows, stamps) if fn(r.values) is not None
         ]
-        assert [o.row.values for o in out] == [v for _, v in expected]
-        assert [o.timestamp for o in out] == [e.timestamp for e, _ in expected]
-        assert all(o.row.schema == self.OUT for o in out)
+        assert [o.values for o in out] == [v for _, v in expected]
+        assert out_stamps == [t for t, _ in expected]
+        assert all(o.schema == self.OUT for o in out)
 
 
 class TestFusedOp:
@@ -160,9 +162,18 @@ class TestFusedOp:
             schema,
             schema,
         )
+        # The per-element verb forwards the element itself; a run
+        # forwards its Rows themselves, with their stamps and source.
+        forwarded: list = []
+        op = FusedOp(op.stages, schema, CallbackConsumer(forwarded.append), schema)
         element = StreamElement(Row(schema, (5,)), 1.0)
         op.push(element)
-        assert self.sink.elements[0] is element
+        assert forwarded == [element] and forwarded[0] is element
+        op = self.make(op.stages, schema, schema)
+        rows = [Row(schema, (x,)) for x in (5, 50, 7)]
+        op.push_batch(rows, [1.0, 2.0, 3.0], "s")
+        assert all(kept is given for kept, given in zip(self.sink.rows, [rows[0], rows[2]]))
+        assert self.sink.elements == [StreamElement(rows[0], 1.0, "s"), StreamElement(rows[2], 3.0, "s")]
 
     def test_push_batch_with_interleaved_punctuation(self):
         schema = Schema.of(("x", DataType.INT))

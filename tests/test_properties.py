@@ -5,6 +5,8 @@ import math
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import columns
+
 from repro.data import (
     DataType,
     Row,
@@ -328,13 +330,13 @@ def _fold_output(pair, runs, window, partial, closed):
     deltas = []
     for run in runs:
         if window is not None:
-            fold(run, state, closed)
+            fold(*columns(run), state, closed)
         elif partial:
             touched: dict = {}
-            fold(run, state, touched)
+            fold(*columns(run), state, touched)
             deltas.append([(key, finish(group)) for key, group in touched.items()])
         else:
-            fold(run, state)
+            fold(*columns(run), state)
     if window is None:
         return deltas if partial else {key: finish(group) for key, group in state.items()}
     return {

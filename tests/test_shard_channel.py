@@ -23,7 +23,7 @@ import random
 import re
 
 import pytest
-from conftest import deliver
+from conftest import deliver, push_elements
 
 from repro.api import StreamSource, connect
 from repro.catalog import Catalog
@@ -434,8 +434,8 @@ class TestAckFrameInterleaving:
             def push(self, item):
                 raise RuntimeError(f"feed bug {item!r}")
 
-            def push_batch(self, items):
-                raise RuntimeError(f"feed bug {items[0].row.values!r}")
+            def push_batch(self, rows, stamps, source):
+                raise RuntimeError(f"feed bug {rows[0].values!r}")
 
         seen: list = []
         parent = object.__new__(FramedChannel)  # no worker process
@@ -569,7 +569,7 @@ class TestADeliveryThatRaises:
             for name, values, stamps in runs:
                 run = [StreamElement(Row.raw(schemas[name], v), t, name) for v, t in zip(values, stamps)]
                 try:
-                    ports[name].push_batch(run)
+                    push_elements(ports[name], run)
                 except ValueError:
                     raised += 1
             for watermark, names in puncts:

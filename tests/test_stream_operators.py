@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import GENERATORS, declining, deliver, generated, interpreted, unfused
+from conftest import GENERATORS, declining, deliver, generated, interpreted, push_elements, unfused
 from repro.catalog import Catalog
 from repro.data import (
     CollectingConsumer,
@@ -228,7 +228,7 @@ class TestSymmetricHashJoin:
         rows = [StreamElement(Row(self.left_schema, (1, v)), ts)
                 for v, ts in (("a", 100.0), ("b", 50.0), ("c", 99.0))]
         if runs:
-            join.left_port.push_batch(rows)
+            push_elements(join.left_port, rows)
         else:
             for row in rows:
                 join.push_left(row)
@@ -503,7 +503,7 @@ class TestJoinNullKeys:
         right = self._elements(_JR, [(None, "a", 2), (1, "a", 3), (None, "b", 4)])
         for port, elements in ((join.left_port, left), (join.right_port, right)):
             if runs:
-                port.push_batch(elements)
+                push_elements(port, elements)
             else:
                 for element in elements:
                     port.push(element)
@@ -519,7 +519,7 @@ class TestJoinNullKeys:
         right = self._elements(_JR, [(1, None, 3), (None, "a", 4), (1, "a", 5)])
         for port, elements in ((join.right_port, right), (join.left_port, left)):
             if runs:
-                port.push_batch(elements)
+                push_elements(port, elements)
             else:
                 for element in elements:
                     port.push(element)
@@ -537,9 +537,9 @@ class _CountingSink(CollectingConsumer):
         self.pushes += not isinstance(item, Punctuation)
         super().push(item)
 
-    def push_batch(self, elements):
+    def push_batch(self, rows, stamps, source):
         self.batches += 1
-        super().push_batch(elements)
+        super().push_batch(rows, stamps, source)
 
 
 class TestJoinRunBudget:
@@ -557,13 +557,10 @@ class TestJoinRunBudget:
         own_port, other_port = (
             (join.left_port, join.right_port) if left else (join.right_port, join.left_port)
         )
-        other_port.push_batch(
-            [StreamElement(Row.raw(other, (i % 3, "a", 3)), float(i)) for i in range(9)]
-        )
+        other_port.push_batch([Row.raw(other, (i % 3, "a", 3)) for i in range(9)], [float(i) for i in range(9)], "R")
         assert (sink.batches, sink.pushes) == (0, 0)  # nothing to join yet
-        run = [StreamElement(Row.raw(own, (i % 3, "a", 3)), 5.0) for i in range(64)]
-        own_port.push_batch(run)
-        assert len(sink.elements) == 64 * 3
+        own_port.push_batch([Row.raw(own, (i % 3, "a", 3)) for i in range(64)], [5.0] * 64, "L")
+        assert len(sink) == 64 * 3
         assert (sink.batches, sink.pushes) == (1, 0)
 
     @pytest.mark.parametrize("left", [True, False], ids=["left-port", "right-port"])
@@ -573,8 +570,8 @@ class TestJoinRunBudget:
         kernel binds only the output schema and builds one Row per
         result, so no joined Row is built and then discarded."""
         own, other = (_JL, _JR) if left else (_JR, _JL)
-        buffered = [StreamElement(Row.raw(other, (i % 3, "a", 3)), float(i)) for i in range(9)]
-        run = [StreamElement(Row.raw(own, (i % 3, "a", 3)), 5.0) for i in range(64)]
+        buffered = [Row.raw(other, (i % 3, "a", 3)) for i in range(9)]
+        run = [Row.raw(own, (i % 3, "a", 3)) for i in range(64)]
         out = Schema.of(("g", DataType.STRING), ("s", DataType.INT))
         sink = _CountingSink()
         join = SymmetricHashJoin(
@@ -585,9 +582,9 @@ class TestJoinRunBudget:
         own_port, other_port = (
             (join.left_port, join.right_port) if left else (join.right_port, join.left_port)
         )
-        other_port.push_batch(buffered)
-        own_port.push_batch(run)
-        assert len(sink.elements) == 64 * 3
+        other_port.push_batch(buffered, [float(i) for i in range(9)], "R")
+        own_port.push_batch(run, [5.0] * 64, "L")
+        assert len(sink) == 64 * 3
         assert (sink.batches, sink.pushes) == (1, 0)
         rows = sink.rows
         assert len({id(row) for row in rows}) == 64 * 3
@@ -649,9 +646,9 @@ class TestJoinRunBudget:
             per_delivery[-1][0] += 1
             return _raw(join, runs)
 
-        def batching(join, elements, _raw=SymmetricHashJoin.emit_batch):
+        def batching(join, rows, stamps, source="", _raw=SymmetricHashJoin.emit_batch):
             per_delivery[-1][1] += 1
-            return _raw(join, elements)
+            return _raw(join, rows, stamps, source)
 
         monkeypatch.setattr(channel.ShardHost, "deliver", delivering)
         monkeypatch.setattr(
@@ -803,7 +800,7 @@ class TestJoinDeliveryEntry:
         for name, values, stamps in runs:
             run = [StreamElement(Row.raw(schemas[name], v), t, name) for v, t in zip(values, stamps)]
             try:
-                ports[name].push_batch(run)
+                push_elements(ports[name], run)
             except Exception as exc:
                 if not park_errors:
                     raise
@@ -1086,7 +1083,7 @@ class TestAggregateOp:
 
     def test_snapshot_holds_groups_not_rows(self):
         op = self.make(window=WindowSpec.range(40))
-        op.push_batch([element(i, f"host{i % 8}", i / 100) for i in range(4000)])
+        push_elements(op, [element(i, f"host{i % 8}", i / 100) for i in range(4000)])
         op.push(Punctuation(20.0))
         state = op.state_snapshot()
         assert state["pending"] == []
@@ -1158,7 +1155,7 @@ class TestPartialAggregateOp:
 
     def test_snapshot_holds_groups_not_rows(self):
         op = self.make(WindowSpec.range(40))
-        op.push_batch([element(i, f"host{i % 8}", i / 100) for i in range(4000)])
+        push_elements(op, [element(i, f"host{i % 8}", i / 100) for i in range(4000)])
         op.push(Punctuation(20.0))
         state = op.state_snapshot()
         assert state["pending"] == [] and "buffer" not in state
@@ -1173,7 +1170,7 @@ class TestPartialAggregateOp:
 
     def test_windows_keep_arrival_order_and_drop_late_rows(self):
         op = self.make(WindowSpec.range(25, slide=10))
-        op.push_batch([element(1, "a", 12.0), element(2, "a", 3.0), element(None, "a", 14.0)])
+        push_elements(op, [element(1, "a", 12.0), element(2, "a", 3.0), element(None, "a", 14.0)])
         op.push(Punctuation(20.0))  # closes (-5, 20]
         op.push(element(4, "a", 4.0))  # (-15, 10] and (-5, 20]: both closed
         op.push(Punctuation(30.0))
