@@ -109,7 +109,7 @@ def _run_failover(rows, stamps):
 
     for seg_no, offset in enumerate(boundaries):
         if seg_no == kill_after:
-            marks = [len(c._handle.sink.elements) for c in cursors]
+            marks = [len(c._handle.sink) for c in cursors]
             kill_shard(session.engine, 1)
             start = time.perf_counter()
         end = min(offset + segment, n)
@@ -117,7 +117,7 @@ def _run_failover(rows, stamps):
         session.punctuate(stamps[end - 1])
         if seg_no >= kill_after and first_emission is None:
             if any(
-                len(c._handle.sink.elements) > mark
+                len(c._handle.sink) > mark
                 for c, mark in zip(cursors, marks)
             ):
                 first_emission = time.perf_counter() - start

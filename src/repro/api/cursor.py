@@ -90,16 +90,7 @@ class Subscription:
         if self.elements:
             rows = [StreamElement(r, t, source) for r, t in zip(rows, stamps)]
         if self.mode == "direct" and not self._pending and not self._draining:
-            # _deliver's loop, inlined: this is one call per run per
-            # subscription on the emitting verb's path.
-            callback = self.callback
-            rest = iter(rows)
-            try:
-                for item in rest:
-                    callback(item)
-            except BaseException:
-                self._pending.extendleft(reversed([item, *rest]))
-                raise
+            self._deliver(rows)
             return
         self._pending.extend(rows)
         if self.mode == "direct":

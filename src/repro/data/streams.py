@@ -314,11 +314,12 @@ class CollectingConsumer:
             self._tail = tail = ([], [], source)
             self._chunks.append(tail)
             self._starts.append(self._count)
-        tail[0].append(item.row)
-        tail[1].append(item.timestamp)
+        row, stamp = item.row, item.timestamp
+        tail[0].append(row)
+        tail[1].append(stamp)
         self._count += 1
         if self._observers:
-            self._fan_out([item.row], [item.timestamp], source)
+            self._fan_out([row], [stamp], source)
 
     def push_batch(self, rows: list[Row], stamps: list[float], source: str) -> None:
         if not rows:
@@ -515,27 +516,28 @@ class Segment:
     operator's snapshot reads it back as elements (:meth:`elements`),
     the layout checkpoints have always held."""
 
-    __slots__ = ("rows", "stamps", "_sources", "_source")
+    __slots__ = ("rows", "stamps", "_sources", "source")
 
     def __init__(self) -> None:
         self.rows: list[Row] = []
         self.stamps: list[float] = []
         #: ``(first row, source)`` wherever the source changes.
         self._sources: list[tuple[int, str]] = []
-        self._source: str | None = None
+        #: The last run's source (None while empty).
+        self.source: str | None = None
 
     def extend(self, rows: list[Row], stamps: list[float], source: str) -> None:
         if rows:
-            if source != self._source:
+            if source != self.source:
                 self._sources.append((len(self.rows), source))
-                self._source = source
+                self.source = source
             self.rows += rows
             self.stamps += stamps
 
     def append(self, element: StreamElement) -> None:
-        if element.source != self._source:
+        if element.source != self.source:
             self._sources.append((len(self.rows), element.source))
-            self._source = element.source
+            self.source = element.source
         self.rows.append(element.row)
         self.stamps.append(element.timestamp)
 

@@ -61,6 +61,7 @@ from repro.stream.multiplex import SharedChain, SubplanRegistry
 from repro.stream.operators import StageOp, SymmetricHashJoin
 
 _query_ids = itertools.count(1)
+_new = object.__new__
 
 
 def counted(counts: dict, compile_fn: Callable, *args) -> Any:
@@ -491,8 +492,14 @@ class StreamEngine:
         if self.failed:
             return
         entry = self._catalog.source(source)
-        (ingested,) = self._ingest_loop(entry.schema)((row,))
-        element = StreamElement(ingested, timestamp, entry.name)
+        schema = entry.schema
+        ingest = self._ingest_loops.get(id(schema)) or self._ingest_loop(schema)
+        # The element by slot stores: at one per row, the constructor's
+        # frame is measurable.
+        element = _new(StreamElement)
+        (element.row,) = ingest((row,))
+        element.timestamp = timestamp
+        element.source = entry.name
         # Logged after coercion: a rejected row leaves no replay record.
         if self.checkpointer is not None:
             self.checkpointer.record(("push", None, source, row, timestamp))

@@ -896,7 +896,13 @@ class AggregateOp(Operator):
     # -- operator protocol -------------------------------------------------
     def on_element(self, element: StreamElement) -> None:
         if self._windowed:
-            self._pending.append(element)
+            pending = self._pending
+            if element.source == pending.source:
+                # Segment.append inlined: one call per row on the row verb.
+                pending.rows.append(element.row)
+                pending.stamps.append(element.timestamp)
+            else:
+                pending.append(element)
         else:
             self._fold((element.row,), (element.timestamp,), self._groups)
 
@@ -1010,7 +1016,7 @@ class PartialAggregateOp(AggregateOp):
 
     def on_element(self, element: StreamElement) -> None:
         if self._windowed:
-            self._pending.append(element)
+            AggregateOp.on_element(self, element)
         else:
             self._fold((element.row,), (element.timestamp,), self._groups, self._touched)
 

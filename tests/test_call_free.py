@@ -990,8 +990,9 @@ class TestIngestIdentity:
             handle = engine.execute(self._plan(shape, catalog), CollectingConsumer())
             rows = _good_rows(catalog.source("T").schema)
             engine.push_many("T", rows, [float(i) for i in range(len(rows))])
-            sink = handle.sink
-            return self._shape(sink.rows, [e.timestamp for e in sink.elements]), bool(engine._fused_ingest)
+            elements = handle.sink.elements
+            got = self._shape(handle.sink.rows, [e.timestamp for e in elements])
+            return got + [e.source for e in elements], bool(engine._fused_ingest)
 
         with generated():
             ours, fused = run()
